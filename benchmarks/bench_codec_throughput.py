@@ -17,15 +17,11 @@ or through pytest (smoke assertions only, no JSON):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_codec_throughput.py -q
 
-Two baselines are reported:
-
-* ``scalar`` — the in-repo scalar reference (``use_fastpath(False)``).
-  It shares the word-buffered bit I/O with the fast path, so it is already
-  faster than the original implementation.
-* ``seed`` — a frozen, seed-faithful reimplementation of the original
-  entropy coder (per-bit ``BitReader``/``BitWriter`` of the v0 seed driving
-  the same dict-probe Huffman decode), kept here so the recorded speedups
-  stay anchored to the codebase this PR started from.
+The baseline is ``scalar`` — the in-repo scalar reference
+(``use_fastpath(False)``).  It shares the word-buffered bit I/O with the
+fast path, so it is already faster than the v0 seed's per-bit coder; that
+coder's last recorded rows are carried in the ``seed_baseline`` block of the
+JSON, frozen (see ``SEED_BASELINE``).
 """
 
 from __future__ import annotations
@@ -38,25 +34,13 @@ import time
 from pathlib import Path
 
 from repro.codecs import config
-from repro.codecs.huffman import HuffmanTable
-from repro.codecs.markers import EOI, SOI, find_scan_segments, write_scan_segment
 from repro.codecs.progressive import (
     ScanScript,
     assemble_partial_stream,
     decode_coefficients,
-    empty_coefficients,
     encode_coefficients,
     image_to_coefficients,
-    parse_frame_header,
     split_scans,
-)
-from repro.codecs.rle import (
-    ac_band_symbols,
-    dc_symbols,
-    decode_magnitude,
-    read_ac_band,
-    read_dc_values,
-    write_symbols,
 )
 from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
 
@@ -68,153 +52,26 @@ DEFAULT_TRIALS = 5
 _MB = 1024.0 * 1024.0
 
 
-# --------------------------------------------------------------------------
-# Frozen seed baseline: the v0 bit-at-a-time bit I/O, verbatim in behaviour.
-# The Huffman/RLE layers are shared (they are unchanged algorithms); only the
-# bit transport differed in the seed.
-# --------------------------------------------------------------------------
+#: The v0 seed's entropy coder (per-bit ``BitReader``/``BitWriter`` driving
+#: the same dict-probe Huffman decode), as last measured by the seed-faithful
+#: reimplementation this file carried until PR 13: default workload, 1 CPU,
+#: byte-identical streams and coefficients asserted before timing.  The code
+#: is gone, so these rows can no longer be re-measured — they anchor how far
+#: the codec has come, and are copied into the JSON unchanged.
+SEED_BASELINE = {
+    "frozen": True,
+    "recorded_at": "PR 10 (2cfd65c), 4 x 128px synthetic, quality 90, 1 cpu",
+    "entropy_encode": {"seed_mb_per_s": 0.407},
+    "entropy_decode_full": {"seed_mb_per_s": 0.336},
+}
 
 
-class _SeedBitWriter:
-    """The seed's per-bit accumulator writer (v0 ``BitWriter``)."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._current = 0
-        self._n_bits = 0
-
-    def write_bits(self, value: int, n_bits: int) -> None:
-        for shift in range(n_bits - 1, -1, -1):
-            bit = (value >> shift) & 1
-            self._current = (self._current << 1) | bit
-            self._n_bits += 1
-            if self._n_bits == 8:
-                self._buffer.append(self._current)
-                self._current = 0
-                self._n_bits = 0
-
-    def getvalue(self) -> bytes:
-        data = bytes(self._buffer)
-        if self._n_bits:
-            pad = 8 - self._n_bits
-            last = (self._current << pad) | ((1 << pad) - 1)
-            data += bytes([last])
-        return data
-
-
-class _SeedBitReader:
-    """The seed's per-bit reader (v0 ``BitReader``)."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._byte_pos = 0
-        self._bit_pos = 0
-
-    def read_bit(self) -> int:
-        if self._byte_pos >= len(self._data):
-            raise EOFError("bit stream exhausted")
-        byte = self._data[self._byte_pos]
-        bit = (byte >> (7 - self._bit_pos)) & 1
-        self._bit_pos += 1
-        if self._bit_pos == 8:
-            self._bit_pos = 0
-            self._byte_pos += 1
-        return bit
-
-    def read_bits(self, n_bits: int) -> int:
-        value = 0
-        for _ in range(n_bits):
-            value = (value << 1) | self.read_bit()
-        return value
-
-
-def _seed_encode_scan_body(coefficients, scan) -> bytes:
-    """The seed's scan encoder: scalar symbol loops + per-bit writer."""
-    all_symbols: list[int] = []
-    per_component = []
-    for component in scan.component_ids:
-        plane = coefficients.planes[component]
-        symbols: list[int] = []
-        extras: list[tuple[int, int]] = []
-        if scan.spectral_start == 0 and scan.spectral_end == 0:
-            dc_syms, dc_extras = dc_symbols([int(v) for v in plane[:, 0]])
-            symbols.extend(dc_syms)
-            extras.extend(dc_extras)
-        elif scan.spectral_start == 0:
-            previous_dc = 0
-            for block in plane:
-                dc_value = int(block[0])
-                dc_syms, dc_extras = dc_symbols([dc_value - previous_dc])
-                previous_dc = dc_value
-                symbols.extend(dc_syms)
-                extras.extend(dc_extras)
-                ac_syms, ac_extras = ac_band_symbols(
-                    [int(v) for v in block[1 : scan.spectral_end + 1]]
-                )
-                symbols.extend(ac_syms)
-                extras.extend(ac_extras)
-        else:
-            for block in plane:
-                ac_syms, ac_extras = ac_band_symbols(
-                    [int(v) for v in block[scan.spectral_start : scan.spectral_end + 1]]
-                )
-                symbols.extend(ac_syms)
-                extras.extend(ac_extras)
-        per_component.append((symbols, extras))
-        all_symbols.extend(symbols)
-    table = HuffmanTable.from_symbols(all_symbols)
-    writer = _SeedBitWriter()
-    for symbols, extras in per_component:
-        write_symbols(symbols, extras, table, writer)
-    return table.to_bytes() + writer.getvalue()
-
-
-def _seed_encode(coefficients, script) -> bytes:
-    parts = [SOI, coefficients.header.to_bytes()]
-    for scan in script:
-        parts.append(write_scan_segment(scan, _seed_encode_scan_body(coefficients, scan)))
-    parts.append(EOI)
-    return b"".join(parts)
-
-
-def _seed_decode(stream: bytes):
-    """The seed's decoder: dict-probe Huffman over the per-bit reader."""
-    header, _ = parse_frame_header(stream)
-    coefficients = empty_coefficients(header)
-    for segment in find_scan_segments(stream):
-        scan = segment.header
-        table, consumed = HuffmanTable.from_bytes(
-            stream[segment.payload_start : segment.end]
-        )
-        reader = _SeedBitReader(stream[segment.payload_start + consumed : segment.end])
-        for component in scan.component_ids:
-            plane = coefficients.planes[component]
-            n_blocks = plane.shape[0]
-            if scan.spectral_start == 0 and scan.spectral_end == 0:
-                plane[:, 0] = read_dc_values(reader, table, n_blocks)
-            elif scan.spectral_start == 0:
-                dc_previous = 0
-                for block_index in range(n_blocks):
-                    category = table.decode_symbol(reader)
-                    bits = reader.read_bits(category)
-                    dc_previous += decode_magnitude(bits, category)
-                    plane[block_index, 0] = dc_previous
-                    band = read_ac_band(reader, table, scan.spectral_end)
-                    plane[block_index, 1 : scan.spectral_end + 1] = band
-            else:
-                for block_index in range(n_blocks):
-                    band = read_ac_band(reader, table, scan.band_length)
-                    plane[block_index, scan.spectral_start : scan.spectral_end + 1] = band
-    return coefficients
-
-
-def _throughput_pair(fn, total_bytes: int, trials: int, seed_fn=None) -> dict:
+def _throughput_pair(fn, total_bytes: int, trials: int) -> dict:
     """Measure ``fn`` with the fast path on and off; returns MB/s + speedups.
 
     Fast and scalar trials are interleaved and the best sample of each is
     kept, so background-load drift during the run cannot systematically
-    favour one side.  When ``seed_fn`` is given, the frozen seed baseline is
-    timed as well.
+    favour one side.
     """
     with config.use_fastpath(True):
         fn()  # warm LUT/table caches outside the timed region
@@ -229,20 +86,11 @@ def _throughput_pair(fn, total_bytes: int, trials: int, seed_fn=None) -> dict:
             start = time.perf_counter()
             fn()
             scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
-    result = {
+    return {
         "fast_mb_per_s": round(total_bytes / _MB / fast_seconds, 3),
         "scalar_mb_per_s": round(total_bytes / _MB / scalar_seconds, 3),
         "speedup_vs_scalar": round(scalar_seconds / fast_seconds, 2),
     }
-    if seed_fn is not None:
-        seed_seconds = float("inf")
-        for _ in range(max(3, trials - 2)):
-            start = time.perf_counter()
-            seed_fn()
-            seed_seconds = min(seed_seconds, time.perf_counter() - start)
-        result["seed_mb_per_s"] = round(total_bytes / _MB / seed_seconds, 3)
-        result["speedup_vs_seed"] = round(seed_seconds / fast_seconds, 2)
-    return result
 
 
 def _stage_pair(fast_fn, scalar_fn, total_bytes: int, trials: int) -> dict:
@@ -269,67 +117,37 @@ def _stage_pair(fast_fn, scalar_fn, total_bytes: int, trials: int) -> dict:
     }
 
 
-def _entropy_tri(fn, total_bytes: int, trials: int) -> dict:
-    """Three-tier interleaved best-of-N: superscalar / single-symbol / scalar.
-
-    Same discipline as :func:`_throughput_pair`, with the entropy fast path
-    split into its two tiers so the superscalar win is attributable: the
-    ``single_symbol`` row is the two-level-LUT loop the superscalar probe
-    replaced (``use_superscalar(False)``), the ``scalar`` row the per-symbol
-    reference (``use_fastpath(False)``).
-    """
-    with config.use_fastpath(True), config.use_superscalar(True):
-        fn()  # warm pair/walk tables outside the timed region
-    best = {"super": float("inf"), "single": float("inf"), "scalar": float("inf")}
-    for _ in range(trials):
-        with config.use_fastpath(True):
-            with config.use_superscalar(True):
-                start = time.perf_counter()
-                fn()
-                best["super"] = min(best["super"], time.perf_counter() - start)
-            with config.use_superscalar(False):
-                start = time.perf_counter()
-                fn()
-                best["single"] = min(best["single"], time.perf_counter() - start)
-        with config.use_fastpath(False):
-            start = time.perf_counter()
-            fn()
-            best["scalar"] = min(best["scalar"], time.perf_counter() - start)
-    return {
-        "superscalar_mb_per_s": round(total_bytes / _MB / best["super"], 3),
-        "single_symbol_mb_per_s": round(total_bytes / _MB / best["single"], 3),
-        "scalar_mb_per_s": round(total_bytes / _MB / best["scalar"], 3),
-        "speedup_vs_single_symbol": round(best["single"] / best["super"], 2),
-        "speedup_vs_scalar": round(best["scalar"] / best["super"], 2),
-    }
+def _entropy_pair(fn, total_bytes: int, trials: int) -> dict:
+    """:func:`_throughput_pair` under the key the CI entropy gate reads."""
+    row = _throughput_pair(fn, total_bytes, trials)
+    return {"superscalar_mb_per_s": row.pop("fast_mb_per_s"), **row}
 
 
 def _entropy_superscalar_section(
     streams: list[bytes], split, n_scans: int, n_images: int, trials: int
 ) -> dict:
-    """`entropy_superscalar` rows: the three entropy tiers, full + per group.
+    """`entropy_superscalar` rows: fast tier vs scalar, full + per group.
 
-    Byte-identity of both fast tiers against the scalar reference is asserted
-    on the full streams before anything is timed; the per-scan-group rows
-    make the win attributable per scan shape (DC-heavy early groups vs
-    AC-band-dominated late ones).
+    Coefficient identity of the fast tier against the scalar reference is
+    asserted on the full streams before anything is timed; the
+    per-scan-group rows make the win attributable per scan shape (DC-heavy
+    early groups vs AC-band-dominated late ones).
     """
     import numpy as np
 
     with config.use_fastpath(False):
         reference = [decode_coefficients(s)[0] for s in streams]
-    for superscalar in (False, True):
-        with config.use_fastpath(True), config.use_superscalar(superscalar):
-            for stream, ref in zip(streams, reference):
-                decoded, _ = decode_coefficients(stream)
-                for plane, ref_plane in zip(decoded.planes, ref.planes):
-                    assert np.array_equal(plane, ref_plane), (
-                        "fast entropy tier diverged from the scalar reference"
-                    )
+    with config.use_fastpath(True):
+        for stream, ref in zip(streams, reference):
+            decoded, _ = decode_coefficients(stream)
+            for plane, ref_plane in zip(decoded.planes, ref.planes):
+                assert np.array_equal(plane, ref_plane), (
+                    "fast entropy tier diverged from the scalar reference"
+                )
     stream_bytes = sum(len(s) for s in streams)
     section: dict = {
         "byte_identical": True,
-        "full_stream": _entropy_tri(
+        "full_stream": _entropy_pair(
             lambda: [decode_coefficients(s) for s in streams], stream_bytes, trials
         ),
         "by_scan_group": {},
@@ -339,7 +157,7 @@ def _entropy_superscalar_section(
             assemble_partial_stream(prefix, scans[:group]) for prefix, scans in split
         ]
         prefix_bytes = sum(len(p) for p in prefixes)
-        entry = _entropy_tri(
+        entry = _entropy_pair(
             lambda prefixes=prefixes: [decode_coefficients(p) for p in prefixes],
             prefix_bytes,
             trials,
@@ -381,26 +199,16 @@ def run_benchmark(
         }
     }
 
-    # Sanity-check the frozen seed baseline before trusting its timings: it
-    # must produce byte-identical streams and identical coefficients.
-    assert _seed_encode(planes[0], script) == streams[0]
-    seed_coefficients = _seed_decode(streams[0])
-    fast_coefficients, _ = decode_coefficients(streams[0])
-    for seed_plane, fast_plane in zip(seed_coefficients.planes, fast_coefficients.planes):
-        assert (seed_plane == fast_plane).all()
-
     # Entropy layer: coefficient planes <-> compressed stream.
     results["entropy_encode"] = _throughput_pair(
         lambda: [encode_coefficients(p, script) for p in planes],
         stream_bytes,
         trials,
-        seed_fn=lambda: [_seed_encode(p, script) for p in planes],
     )
     results["entropy_decode_full"] = _throughput_pair(
         lambda: [decode_coefficients(s) for s in streams],
         stream_bytes,
         trials,
-        seed_fn=lambda: [_seed_decode(s) for s in streams],
     )
 
     # Per scan group (identity policy: group k == first k scans).
@@ -420,8 +228,8 @@ def run_benchmark(
         by_group[str(group)] = entry
     results["entropy_decode_by_scan_group"] = by_group
 
-    # Superscalar attribution: the same decodes with the entropy fast path
-    # split into its superscalar and single-symbol tiers.
+    # The section the CI entropy gate reads (`--entropy-only` measures only
+    # this one).
     results["entropy_superscalar"] = _entropy_superscalar_section(
         streams, split, len(script), n_images, trials
     )
@@ -594,6 +402,7 @@ def run_benchmark(
     # branch is part of both sides), so the delta bounds the cost of
     # always-on metrics.
     results["obs_overhead"] = _obs_overhead_section(streams, stream_bytes, trials)
+    results["seed_baseline"] = SEED_BASELINE
     return results
 
 
@@ -861,7 +670,7 @@ def print_ingest_report(results: dict) -> None:
     for key, label in [
         ("scalar", "scalar float64 loop"),
         ("fused", "fused float32 loop"),
-        ("fused_batch", "fused batch (scratch reuse)"),
+        ("fused_batch", "fused batch API"),
     ]:
         row = section[key]
         speedup = (
@@ -951,22 +760,15 @@ def print_entropy_report(results: dict) -> None:
     section = results["entropy_superscalar"]
     print("-" * 74)
     print(
-        f"entropy decode tiers — {workload['n_images']} x "
+        f"entropy decode, fast vs scalar — {workload['n_images']} x "
         f"{workload['image_size']}px synthetic, quality {workload['quality']} "
         f"(byte-identical: {section['byte_identical']}):"
     )
-    row = section["full_stream"]
-    print(
-        f"  full stream   super {row['superscalar_mb_per_s']:8.2f} MB/s   "
-        f"single {row['single_symbol_mb_per_s']:7.2f} MB/s "
-        f"({row['speedup_vs_single_symbol']:.2f}x)   "
-        f"scalar {row['scalar_mb_per_s']:6.2f} MB/s ({row['speedup_vs_scalar']:.2f}x)"
-    )
-    for group, row in section["by_scan_group"].items():
+    rows = [("full stream", section["full_stream"])]
+    rows += [(f"group 1..{group:>2s}", row) for group, row in section["by_scan_group"].items()]
+    for label, row in rows:
         print(
-            f"  group 1..{group:>2s}   super {row['superscalar_mb_per_s']:8.2f} MB/s   "
-            f"single {row['single_symbol_mb_per_s']:7.2f} MB/s "
-            f"({row['speedup_vs_single_symbol']:.2f}x)   "
+            f"  {label:13s} fast {row['superscalar_mb_per_s']:8.2f} MB/s   "
             f"scalar {row['scalar_mb_per_s']:6.2f} MB/s ({row['speedup_vs_scalar']:.2f}x)"
         )
 
@@ -987,15 +789,10 @@ def print_report(results: dict) -> None:
         ("pipeline_decode_batch", "pipeline decode (minibatch API)"),
     ]:
         row = results[key]
-        seed_part = (
-            f"   seed {row['seed_mb_per_s']:6.2f} MB/s ({row['speedup_vs_seed']:.2f}x)"
-            if "speedup_vs_seed" in row
-            else ""
-        )
         print(
             f"{label:36s} fast {row['fast_mb_per_s']:8.2f} MB/s   "
             f"scalar {row['scalar_mb_per_s']:7.2f} MB/s "
-            f"({row['speedup_vs_scalar']:.2f}x){seed_part}"
+            f"({row['speedup_vs_scalar']:.2f}x)"
         )
     print("-" * 74)
     print("decode stage breakdown (stage time per compressed MB):")
@@ -1068,7 +865,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--entropy-only",
         action="store_true",
-        help="only run the entropy-layer tiers (full workload, no JSON)",
+        help="only run the entropy decode rows (full workload, no JSON)",
     )
     parser.add_argument(
         "--ingest-only",
@@ -1177,14 +974,9 @@ def test_codec_throughput_smoke():
     results = run_benchmark(image_size=96, n_images=2, trials=3, parallel_workers=(2,))
     assert results["entropy_decode_full"]["speedup_vs_scalar"] > 1.5
     assert results["entropy_encode"]["speedup_vs_scalar"] > 1.5
-    # The superscalar tier must be byte-identical to the scalar reference
-    # (asserted inside the section) and clearly beat the single-symbol loop
-    # it replaced; 1.2x is far below the recorded margin but above noise.
+    # Coefficient identity with the scalar reference is asserted inside the
+    # section before timing.
     assert results["entropy_superscalar"]["byte_identical"]
-    assert (
-        results["entropy_superscalar"]["full_stream"]["speedup_vs_single_symbol"]
-        > 1.2
-    )
     assert results["pipeline_decode"]["speedup_vs_scalar"] > 1.2
     # The batched float32 pixel path must clearly beat the float64 stages,
     # and the minibatch API must not be meaningfully slower than per-image

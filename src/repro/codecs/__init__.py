@@ -12,17 +12,17 @@ equivalent, self-contained codec:
   :mod:`repro.codecs.rle` — entropy coding (run-length symbols + canonical
   Huffman codes).
 * :mod:`repro.codecs.fastpath` — the vectorized entropy fast path
-  (superscalar 16-bit-window pair-LUT Huffman decode with a two-level
-  single-symbol fallback tier, word-buffered bit I/O, batched scan
-  assembly), gated by :mod:`repro.codecs.config`.  Read
-  ``repro.codecs.FASTPATH`` / ``repro.codecs.SUPERSCALAR`` for the current
-  settings; flip them with :func:`set_fastpath` / :func:`set_superscalar`
-  or the :func:`use_fastpath` / :func:`use_superscalar` context managers.
-  See ``docs/performance.md``.
+  (superscalar wide-window pair-LUT Huffman decode with a two-level LUT
+  escape for oversized symbols, word-buffered bit I/O, batched scan
+  assembly), gated by :mod:`repro.codecs.config`: on unless
+  ``REPRO_CODEC_FASTPATH=0``, and :func:`use_fastpath` overrides that for
+  the calling context (read it with :func:`fastpath_enabled`).  The scalar
+  coder it replaces is the one differential reference.  See
+  ``docs/performance.md``.
 * :mod:`repro.codecs.pixelpath` — the batched float32 pixel-domain fast path
   (fused dequantize+IDCT scaled bases, strided block merge, single-matmul
-  colour conversion, scratch-buffer reuse for minibatch decodes), gated by
-  the same toggle.  ``decode_progressive_batch`` /
+  colour conversion, per-thread scratch-buffer reuse), gated by the same
+  toggle.  ``decode_progressive_batch`` /
   ``ProgressiveCodec.decode_batch`` are the minibatch-level decode API.
 * :mod:`repro.codecs.encodepath` — the forward twin of ``pixelpath``: fused
   RGB→YCbCr+level-shift matmul, strided 4:2:0 downsample, zero-copy block
@@ -31,9 +31,10 @@ equivalent, self-contained codec:
   ``docs/performance.md``).  ``encode_progressive_batch`` /
   ``ProgressiveCodec.encode_batch`` / ``BaselineCodec.encode_batch`` are the
   minibatch-level encode API.
-* :mod:`repro.codecs.parallel` — the process-parallel codec engine:
-  persistent pre-warmed worker processes, a chunked work-stealing task
-  queue, and shared-memory pixel slabs.  :class:`DecodePool` returns decoded
+* :mod:`repro.codecs.parallel` — the process-parallel codec engine, one
+  for both directions: persistent pre-warmed worker processes, a chunked
+  work-stealing task queue, and shared-memory pixel slabs, with
+  identical-output in-process fallback.  :class:`DecodePool` returns decoded
   batches zero-copy (wired through the reader, ``DataLoader``
   (``decode_workers``), and both remote record sources);
   :class:`EncodePool` runs the ingest direction (pixels in via slabs,
@@ -46,23 +47,10 @@ equivalent, self-contained codec:
   (the ``jpegtran`` role in the paper).
 """
 
-from repro.codecs import config as _config
 from repro.codecs.baseline import BaselineCodec
-from repro.codecs.config import (
-    fastpath_enabled,
-    set_fastpath,
-    set_superscalar,
-    superscalar_enabled,
-    use_fastpath,
-    use_superscalar,
-)
+from repro.codecs.config import fastpath_enabled, use_fastpath
 from repro.codecs.image import ImageBuffer
-from repro.codecs.parallel import (
-    DecodePool,
-    DecodePoolStats,
-    EncodePool,
-    EncodePoolStats,
-)
+from repro.codecs.parallel import DecodePool, EncodePool, PoolStats
 from repro.codecs.progressive import (
     ProgressiveCodec,
     ScanScript,
@@ -72,39 +60,19 @@ from repro.codecs.progressive import (
 from repro.codecs.quantization import QuantizationTables
 from repro.codecs.transcode import transcode_to_progressive
 
-# NOTE: FASTPATH / SUPERSCALAR are deliberately not in __all__ — `from
-# repro.codecs import FASTPATH` would snapshot the bool at import time and
-# go stale after set_fastpath()/use_fastpath().  Read `repro.codecs.FASTPATH`
-# (attribute access, served live by __getattr__) or call the *_enabled()
-# helpers instead.
 __all__ = [
     "BaselineCodec",
     "DecodePool",
-    "DecodePoolStats",
     "EncodePool",
-    "EncodePoolStats",
     "ImageBuffer",
+    "PoolStats",
     "ProgressiveCodec",
     "QuantizationTables",
     "ScanScript",
     "decode_progressive_batch",
     "encode_progressive_batch",
     "fastpath_enabled",
-    "set_fastpath",
-    "set_superscalar",
-    "superscalar_enabled",
     "transcode_to_progressive",
     "use_fastpath",
-    "use_superscalar",
 ]
 
-
-def __getattr__(name: str):
-    # ``repro.codecs.FASTPATH`` / ``.SUPERSCALAR`` always reflect the live
-    # toggles in ``repro.codecs.config`` (assign via the setters, not these
-    # aliases).
-    if name == "FASTPATH":
-        return _config.FASTPATH
-    if name == "SUPERSCALAR":
-        return _config.SUPERSCALAR
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

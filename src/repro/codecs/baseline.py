@@ -41,7 +41,7 @@ class BaselineCodec:
         return encode_coefficients(coefficients, script)
 
     def encode_batch(self, images: list[ImageBuffer]) -> list[bytes]:
-        """Encode a minibatch of images, amortizing setup and work buffers.
+        """Encode a minibatch of images under one ``ingest.*`` metrics sample.
 
         See :func:`repro.codecs.progressive.encode_progressive_batch`;
         results are bitwise identical to per-image :meth:`encode` calls.
@@ -58,10 +58,10 @@ class BaselineCodec:
     def decode_batch(
         self, payloads: list[bytes], max_scans: int | None = None
     ) -> list[ImageBuffer]:
-        """Decode a batch of sequential streams with shared work buffers.
+        """Decode a batch of sequential streams.
 
-        The scan layout is irrelevant to the batch machinery, so this is the
-        same amortized path progressive streams use.
+        The scan layout is irrelevant to the batch loop, so this is the same
+        instrumented path progressive streams use.
         """
         return decode_progressive_batch(payloads, max_scans=max_scans)
 

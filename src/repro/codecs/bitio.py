@@ -12,10 +12,8 @@ Invariants:
 * ``BitWriter`` keeps at most ``_FLUSH_BITS + 63`` pending bits in its
   accumulator; whole bytes are flushed eagerly, so memory stays bounded.
 * ``BitReader._bitbuf`` always holds exactly ``_bitcnt`` valid bits (the
-  next bit to be read is its most significant bit).
-* ``peek_bits`` never consumes and never raises at end-of-stream: bits past
-  the end read as 1s, matching the writer's padding.  Consuming past the
-  end (``read_bits`` / ``skip_bits``) raises ``EOFError``.
+  next bit to be read is its most significant bit).  Reading past the end
+  raises ``EOFError``.
 """
 
 from __future__ import annotations
@@ -205,31 +203,6 @@ class BitReader:
             self._bitbuf = (self._bitbuf << (len(chunk) * 8)) | int.from_bytes(chunk, "big")
             self._bitcnt += len(chunk) * 8
         self._pos = pos
-
-    def peek_bits(self, n_bits: int) -> int:
-        """Return the next ``n_bits`` without consuming them.
-
-        Bits past the end of the stream read as 1s (the writer's padding),
-        so peeking near the end never raises.
-        """
-        bitcnt = self._bitcnt
-        if bitcnt < n_bits:
-            self._refill(n_bits)
-            bitcnt = self._bitcnt
-            if bitcnt < n_bits:
-                pad = n_bits - bitcnt
-                return (self._bitbuf << pad) | ((1 << pad) - 1)
-        return self._bitbuf >> (bitcnt - n_bits)
-
-    def skip_bits(self, n_bits: int) -> None:
-        """Consume ``n_bits`` previously peeked bits."""
-        if self._bitcnt < n_bits:
-            self._refill(n_bits)
-            if self._bitcnt < n_bits:
-                raise EOFError("bit stream exhausted")
-        self._bitcnt -= n_bits
-        self._bitbuf &= (1 << self._bitcnt) - 1
-        self._consumed += n_bits
 
     def read_bit(self) -> int:
         """Read a single bit; raises ``EOFError`` when the stream ends."""

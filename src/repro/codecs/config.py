@@ -1,79 +1,46 @@
-"""Runtime toggles for the vectorized codec fast paths.
+"""Runtime toggle for the vectorized codec fast paths.
 
-``FASTPATH`` gates both the table-driven entropy coder in
-:mod:`repro.codecs.fastpath` and the batched float32 pixel pipeline in
-:mod:`repro.codecs.pixelpath`.  It defaults to on; set the environment
-variable ``REPRO_CODEC_FASTPATH=0`` (before import) or call
-:func:`set_fastpath` / :func:`use_fastpath` to fall back to the scalar
-reference implementations (per-symbol entropy loops, float64 per-stage
-pixel reconstruction), which are kept for differential testing.
+One switch gates the table-driven entropy coder in
+:mod:`repro.codecs.fastpath`, the batched float32 pixel pipeline in
+:mod:`repro.codecs.pixelpath`, and its forward twin
+:mod:`repro.codecs.encodepath`.  It defaults to on; set the environment
+variable ``REPRO_CODEC_FASTPATH=0`` (before import) to run the whole process
+on the scalar reference implementations (per-symbol entropy loops, float64
+per-stage pixel reconstruction), which are kept for differential testing.
 
-``SUPERSCALAR`` selects, *within* the entropy fast path, the multi-symbol
-decode loops driven by the wide-window pair LUT (one probe resolves up
-to two complete ``(code, magnitude)`` symbols — see
-``docs/performance.md``).  It defaults to on and only matters while
-``FASTPATH`` is on; disabling it (``REPRO_CODEC_SUPERSCALAR=0`` or
-:func:`set_superscalar` / :func:`use_superscalar`) falls back to the
-single-symbol two-level LUT loops, which remain the mid-tier differential
-reference between the scalar coder and the superscalar loops.
+:func:`use_fastpath` overrides the environment default for the calling
+context only.  The override lives in a :class:`contextvars.ContextVar`, so a
+thread decoding concurrently never observes another thread's override — and
+a thread *started* inside a ``use_fastpath`` block begins from the
+environment default, not from the override of the thread that started it.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 def _env_flag(name: str) -> bool:
     return os.environ.get(name, "1").lower() not in ("0", "false", "no", "off")
 
 
-FASTPATH: bool = _env_flag("REPRO_CODEC_FASTPATH")
-
-SUPERSCALAR: bool = _env_flag("REPRO_CODEC_SUPERSCALAR")
+_FASTPATH: ContextVar[bool] = ContextVar(
+    "repro_codec_fastpath", default=_env_flag("REPRO_CODEC_FASTPATH")
+)
 
 
 def fastpath_enabled() -> bool:
-    """Return whether the fast path is currently enabled."""
-    return FASTPATH
-
-
-def set_fastpath(enabled: bool) -> None:
-    """Enable or disable the fast path globally."""
-    global FASTPATH
-    FASTPATH = bool(enabled)
+    """Return whether the fast path is enabled in the calling context."""
+    return _FASTPATH.get()
 
 
 @contextmanager
 def use_fastpath(enabled: bool):
-    """Temporarily force the fast path on or off within a ``with`` block."""
-    global FASTPATH
-    previous = FASTPATH
-    FASTPATH = bool(enabled)
+    """Force the fast path on or off for the calling context within a block."""
+    token = _FASTPATH.set(bool(enabled))
     try:
         yield
     finally:
-        FASTPATH = previous
-
-
-def superscalar_enabled() -> bool:
-    """Return whether the superscalar entropy decode loops are enabled."""
-    return SUPERSCALAR
-
-
-def set_superscalar(enabled: bool) -> None:
-    """Enable or disable the superscalar entropy decode loops globally."""
-    global SUPERSCALAR
-    SUPERSCALAR = bool(enabled)
-
-
-@contextmanager
-def use_superscalar(enabled: bool):
-    """Temporarily force the superscalar loops on or off within a block."""
-    global SUPERSCALAR
-    previous = SUPERSCALAR
-    SUPERSCALAR = bool(enabled)
-    try:
-        yield
-    finally:
-        SUPERSCALAR = previous
+        _FASTPATH.reset(token)

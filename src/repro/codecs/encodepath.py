@@ -34,10 +34,11 @@ over whole channels:
   cached per quantization table, exactly like
   :func:`~repro.codecs.pixelpath.scaled_inverse_basis`.
 
-Work buffers live in a :class:`~repro.codecs.pixelpath.PixelScratch`
-(``fwd_*`` roles, disjoint from the decode roles), so batch encoding
-(:func:`repro.codecs.progressive.encode_progressive_batch`) reuses every
-intermediate across the images of a chunk.
+Work buffers live in the calling thread's
+:class:`~repro.codecs.pixelpath.PixelScratch` (``fwd_*`` roles, disjoint
+from the decode roles), so consecutive encodes — a chunk through
+:func:`repro.codecs.progressive.encode_progressive_batch` or a per-image
+loop — reuse every intermediate.
 
 Parity / error budget
 ---------------------

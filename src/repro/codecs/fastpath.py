@@ -8,13 +8,12 @@ This module is the vectorized counterpart of the scalar scan coder in
   optimized Huffman table from a single ``bincount``, fuses each symbol's
   code with its magnitude bits, and hands the batch to
   ``BitWriter.write_many``.
-* Decoding has two tiers.  The default *superscalar* tier probes the
-  wide-window pair LUTs
+* Decoding probes the wide-window pair LUTs
   (:func:`repro.codecs.huffman._build_super_tables`) — one index
   computation resolves up to two complete (code + magnitude) symbols with
   their signed values already decoded, so the common case costs no
   mask/shift magnitude work at all.  For AC-only scans (the bulk of a
-  progressive stream's symbols) the tier is *batched*: a vectorized
+  progressive stream's symbols) the decode is *batched*: a vectorized
   phase-0 precompute turns every bit offset of a batch of scan payloads
   into its pair-LUT window and the window's walk *stride* (the total bit
   length of all symbols the window resolves — symbol boundaries are
@@ -25,17 +24,15 @@ This module is the vectorized counterpart of the scalar scan coder in
   and values are all reconstructed by one vectorized phase-2 epilogue
   shared across every AC scan of a stream (``decode_scan_bodies_fast``).
   DC-only and mixed scans keep specialized in-place pair-probe loops, as
-  do oversized AC payloads (bounding batch memory).  The single-symbol
-  loops resolve each symbol through the fused two-level LUT; they remain
-  both the fallback for oversized symbols (code + magnitude wider than
-  the window) and the mid-tier differential reference, selected by
-  ``config.use_superscalar(False)``.  Both tiers defer all
-  coefficient-plane writes to one vectorized scatter per component instead
-  of a Python slice assignment per block.
+  do oversized AC payloads (bounding batch memory).  An oversized symbol
+  (code + magnitude wider than the window) escapes to the fused two-level
+  ``ac_*`` / ``dc_*`` LUTs for that one symbol.  All coefficient-plane
+  writes are deferred to one vectorized scatter per component instead of a
+  Python slice assignment per block.
 
 Both directions produce byte-identical streams / identical coefficients to
-the scalar reference — that property is enforced by the differential tests
-in ``tests/test_codecs_fastpath.py``.  The dispatch lives in
+the scalar reference — the one differential oracle, enforced by
+``tests/test_codecs_fastpath.py``.  The dispatch lives in
 :mod:`repro.codecs.progressive`, gated by :mod:`repro.codecs.config`.
 """
 
@@ -45,7 +42,6 @@ from array import array
 
 import numpy as np
 
-from repro.codecs import config as codec_config
 from repro.codecs.bitio import BitWriter
 from repro.codecs.huffman import SUPER_BITS, SUPER_VALUE_OFFSET, HuffmanTable
 from repro.codecs.rle import (
@@ -56,7 +52,6 @@ from repro.codecs.rle import (
 
 __all__ = [
     "encode_scan_body_fast",
-    "decode_scan_body_fast",
     "decode_scan_bodies_fast",
 ]
 
@@ -149,9 +144,9 @@ def _invalid_code_error(consumed_before: int, n_payload_bits: int) -> Exception:
     The scalar decoder reads an unresolvable code bit-by-bit and declares
     ``ValueError`` only after a full ``MAX_CODE_LENGTH``-bit probe; a probe
     that would cross the payload end exhausts the reader first and raises
-    ``EOFError``.  The fast tiers decode the 1-padding as data, so at the
-    (cold) raise site they classify by the offending symbol's bit offset to
-    keep error classes identical across all three tiers.
+    ``EOFError``.  The fast tier decodes the 1-padding as data, so at the
+    (cold) raise site it classifies by the offending symbol's bit offset to
+    keep error classes identical to the reference.
     """
     if consumed_before + 16 > n_payload_bits:
         return EOFError("bit stream exhausted")
@@ -174,7 +169,7 @@ def _overflow_error(consumed_after: int, n_payload_bits: int) -> Exception:
 def _scan_defect(entries, band_length: int, blocks, n_payload_bits: int) -> Exception:
     """Replay a defective AC scan's packed entries to find its *first* defect.
 
-    Cold path.  The batched tier's walk checks only establish *that* a scan
+    Cold path.  The batched decode's walk checks only establish *that* a scan
     is defective (entries exhausted, invalid-window sentinel, or more bits
     consumed than the payload holds); when one scan contains several
     defects the class must come from whichever the scalar reference hits
@@ -206,19 +201,17 @@ def _scan_defect(entries, band_length: int, blocks, n_payload_bits: int) -> Exce
     return EOFError("bit stream exhausted")
 
 
-def decode_scan_body_fast(data: bytes, segment, coefficients) -> None:
-    """Decode one scan segment into ``coefficients`` (in place).
+def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
+    """Decode a sequence of scan segments into ``coefficients`` (in place).
 
-    The per-symbol loop stays in Python (a bit stream is sequential), but
-    every other cost is folded away: the whole payload is pre-split into
-    big-endian 64-bit refill words by one ``np.frombuffer`` pass, so the bit
-    buffer lives in local integers refilled by a single list index (no bytes
-    slice, no ``int.from_bytes`` call on the hot path); symbols resolve
-    through a single LUT probe — by default the superscalar wide-window
-    pair table, whose entries carry up to two fully decoded symbols (run,
-    consumption, *and* signed value); and decoded values are scattered into
-    the flattened plane with one fancy-indexed assignment per component
-    instead of a slice write per block.
+    The whole-stream entry point: ``decode_coefficients`` hands every
+    selected segment over at once, and a single scan is a one-element
+    sequence.  Valid scan scripts touch disjoint coefficient regions and
+    each scan's payload is decoded independently, but the AC-only scans are
+    collected and decoded together (:func:`_decode_ac_scans_super`) so one
+    vectorized phase-2 epilogue is amortized across *all* of them, which is
+    where per-scan NumPy fixed costs would otherwise dominate (a progressive
+    stream has ~8 AC scans, several of them only a few hundred symbols).
 
     Contract: the in-band coefficients of the target planes must be zero
     (as produced by ``empty_coefficients``) — zero coefficients are never
@@ -233,206 +226,13 @@ def decode_scan_body_fast(data: bytes, segment, coefficients) -> None:
     scalar reference on all three defect families — truncation mid-symbol,
     invalid prefix, band overflow — because every raise site classifies by
     the offending symbol's bit offset (``_invalid_code_error`` /
-    ``_overflow_error``) and the batched AC tier replays a defective
+    ``_overflow_error``) and the batched AC decode replays a defective
     scan's entries to find its first defect in stream order
-    (``_scan_defect``).  All three tiers raising identical classes is
-    asserted by the fuzz tests in ``tests/test_codecs_fastpath.py``; the
-    one remaining relaxation is *cross-scan* ordering: when several scans
-    of one stream are defective, which scan's error surfaces first may
-    differ between tiers (the batched tier defers AC scans behind DC and
-    mixed ones).
-
-    The three scan shapes (DC-only, AC-only, mixed) get specialized block
-    loops so the per-block work carries no dead branches.
-    """
-    if codec_config.SUPERSCALAR:
-        _decode_scan_bodies_super(data, (segment,), coefficients)
-    else:
-        _decode_scan_body_single(data, segment, coefficients)
-
-
-def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
-    """Decode a sequence of scan segments into ``coefficients`` (in place).
-
-    The whole-stream entry point (``decode_coefficients`` hands every
-    selected segment over at once).  Semantically identical to calling
-    :func:`decode_scan_body_fast` per segment — valid scan scripts touch
-    disjoint coefficient regions, and each scan's payload is decoded
-    independently — but the superscalar tier amortizes its vectorized
-    phase-2 epilogue across *all* AC-only scans of the stream, which is
-    where per-scan NumPy fixed costs would otherwise dominate (a progressive
-    stream has ~8 AC scans, several of them only a few hundred symbols).
-    """
-    if codec_config.SUPERSCALAR:
-        _decode_scan_bodies_super(data, segments, coefficients)
-    else:
-        for segment in segments:
-            _decode_scan_body_single(data, segment, coefficients)
-
-
-def _decode_scan_body_single(data: bytes, segment, coefficients) -> None:
-    """Single-symbol tier: one fused two-level LUT probe per symbol."""
-    scan = segment.header
-    table, consumed = HuffmanTable.cached_from_bytes(
-        data[segment.payload_start : segment.end]
-    )
-    payload = data[segment.payload_start + consumed : segment.end]
-    n_payload_bits = len(payload) * 8
-    padded = payload + _PAD
-    words = np.frombuffer(padded, dtype=">u8", count=len(padded) >> 3).tolist()
-    tables = table.scan_tables()
-    ac1 = tables.ac_primary
-    ac2 = tables.ac_secondary
-    dc1 = tables.dc_primary
-    dc2 = tables.dc_secondary
-    masks = _MASKS
-    halves = _HALVES
-    # Inlined word-buffered reader state: `bitbuf` holds `bitcnt` valid low
-    # bits (possibly with consumed garbage above them — every extraction
-    # masks), `word_index` is the next refill word.
-    word_index = 0
-    bitbuf = 0
-    bitcnt = 0
-    spectral_start = scan.spectral_start
-    spectral_end = scan.spectral_end
-    decode_dc = spectral_start == 0
-    decode_ac = spectral_end > 0
-    band_start = 1 if decode_dc else spectral_start
-    band_length = spectral_end - band_start + 1
-    # Garbage that outruns the payload *and* the padding words must
-    # surface as the documented EOFError, not as the refill list's
-    # IndexError.
-    try:
-        for component in scan.component_ids:
-            plane = coefficients.planes[component]
-            n_blocks = plane.shape[0]
-            dc_diffs: list[int] = []
-            positions: list[int] = []
-            values: list[int] = []
-            append_diff = dc_diffs.append
-            append_position = positions.append
-            append_value = values.append
-            # `block_base` walks the flat (row-major) offset of each block's
-            # first in-band coefficient, so scatter positions are single adds.
-            if not decode_ac:  # DC-only scan
-                for _ in range(n_blocks):
-                    if bitcnt < 32:
-                        bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                        word_index += 1
-                        bitcnt += 64
-                    entry = dc1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                    if entry <= 0:
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                        entry = dc2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                    consume = entry & 0xFFF
-                    while consume > bitcnt:  # oversized DC magnitude (rare)
-                        bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                        word_index += 1
-                        bitcnt += 64
-                    bitcnt -= consume
-                    category = entry >> 12
-                    if category:
-                        mask = masks[category]
-                        bits = (bitbuf >> bitcnt) & mask
-                        append_diff(bits if bits >= halves[category] else bits - mask)
-                    else:
-                        append_diff(0)
-            elif not decode_dc:  # AC-only scan (the common progressive shape)
-                for block_base in range(band_start, band_start + (n_blocks << 6), 64):
-                    index = 0
-                    while index < band_length:
-                        if bitcnt < 32:
-                            bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                            word_index += 1
-                            bitcnt += 64
-                        entry = ac1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                        if entry <= 0:
-                            if entry == 0:
-                                raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                            entry = ac2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                            if entry == 0:
-                                raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                        bitcnt -= entry & 0x3F
-                        index += entry >> 12
-                        category = (entry >> 6) & 0x3F
-                        if category:
-                            mask = masks[category]
-                            bits = (bitbuf >> bitcnt) & mask
-                            if index >= band_length:
-                                raise _overflow_error((word_index << 6) - bitcnt, n_payload_bits)
-                            append_position(block_base + index)
-                            append_value(bits if bits >= halves[category] else bits - mask)
-                            index += 1
-            else:  # mixed scan: DC delta then the AC band, per block
-                for block_base in range(band_start, band_start + (n_blocks << 6), 64):
-                    if bitcnt < 32:
-                        bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                        word_index += 1
-                        bitcnt += 64
-                    entry = dc1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                    if entry <= 0:
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                        entry = dc2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                    consume = entry & 0xFFF
-                    while consume > bitcnt:
-                        bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                        word_index += 1
-                        bitcnt += 64
-                    bitcnt -= consume
-                    category = entry >> 12
-                    if category:
-                        mask = masks[category]
-                        bits = (bitbuf >> bitcnt) & mask
-                        append_diff(bits if bits >= halves[category] else bits - mask)
-                    else:
-                        append_diff(0)
-                    index = 0
-                    while index < band_length:
-                        if bitcnt < 32:
-                            bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                            word_index += 1
-                            bitcnt += 64
-                        entry = ac1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                        if entry <= 0:
-                            if entry == 0:
-                                raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                            entry = ac2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                            if entry == 0:
-                                raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                        bitcnt -= entry & 0x3F
-                        index += entry >> 12
-                        category = (entry >> 6) & 0x3F
-                        if category:
-                            mask = masks[category]
-                            bits = (bitbuf >> bitcnt) & mask
-                            if index >= band_length:
-                                raise _overflow_error((word_index << 6) - bitcnt, n_payload_bits)
-                            append_position(block_base + index)
-                            append_value(bits if bits >= halves[category] else bits - mask)
-                            index += 1
-            if decode_dc:
-                plane[:, 0] = np.cumsum(np.asarray(dc_diffs, dtype=np.int64))
-            if positions:
-                position_array = np.asarray(positions, dtype=np.intp)
-                value_array = np.asarray(values, dtype=np.int64)
-                if plane.flags.c_contiguous:
-                    plane.reshape(-1)[position_array] = value_array
-                else:
-                    plane[position_array >> 6, position_array & 63] = value_array
-    except IndexError:
-        raise EOFError("bit stream exhausted") from None
-    if (word_index << 6) - bitcnt > n_payload_bits:
-        raise EOFError("bit stream exhausted")
-
-
-def _decode_scan_bodies_super(data: bytes, segments, coefficients) -> None:
-    """Superscalar tier driver: batched AC chase + in-place DC/mixed loops.
+    (``_scan_defect``).  Identical classes are asserted by the fuzz tests
+    in ``tests/test_codecs_fastpath.py``; the one remaining relaxation is
+    *cross-scan* ordering: when several scans of one stream are defective,
+    which scan's error surfaces first may differ from the scalar reference
+    (AC scans are deferred behind DC and mixed ones).
 
     Entry handling per pair-table probe (see ``_build_super_tables`` for
     the packing; ``w2 = 2 * window`` indexes the interleaved table, whose
@@ -448,14 +248,10 @@ def _decode_scan_bodies_super(data: bytes, segments, coefficients) -> None:
       the buffer.
     * ``entry == -1`` — the first symbol's code + magnitude exceed the
       window (oversized magnitude); decode that one symbol through the
-      two-level path, exactly as the single-symbol tier does.
-    * ``entry == 0`` — invalid prefix: ``ValueError``, same as every tier.
+      fused two-level ``ac_*`` / ``dc_*`` LUTs.
+    * ``entry == 0`` — invalid prefix: ``ValueError``, same as the scalar
+      reference.
 
-    AC-only scans run the batched decode: :func:`_decode_ac_scans_super`
-    collects each scan's raw entry stream (vectorized walk for
-    normal-sized payloads, in-place chase for oversized ones), and one
-    :func:`_finish_ac_scans` call reconstructs blocks / positions /
-    values for all of them at once.
     DC-only and mixed scans decode in place — their symbol streams are
     either trivially positioned (one diff per block) or context-dependent
     (the DC/AC table alternation depends on block structure), so the
@@ -515,11 +311,12 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
     batch_bytes = 0
     for job in jobs:
         payload = job[1]
+        # Close the open batch before a scan that cannot join it.
+        if batch and batch_bytes + len(payload) > _WALK_BATCH_BYTES:
+            pending.extend(_walk_ac_batch(batch))
+            batch = []
+            batch_bytes = 0
         if len(payload) > _WALK_BATCH_BYTES:
-            if batch:
-                pending.extend(_walk_ac_batch(batch))
-                batch = []
-                batch_bytes = 0
             padded = payload + _PAD
             words = np.frombuffer(
                 padded, dtype=">u8", count=len(padded) >> 3
@@ -533,10 +330,6 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
                 (job[0], np.frombuffer(entries, dtype=np.int32), job[3])
             )
         else:
-            if batch_bytes + len(payload) > _WALK_BATCH_BYTES and batch:
-                pending.extend(_walk_ac_batch(batch))
-                batch = []
-                batch_bytes = 0
             batch.append(job)
             batch_bytes += len(payload) + len(_WALK_PAD)
     if batch:

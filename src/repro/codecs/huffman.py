@@ -9,19 +9,18 @@ Decoding has two implementations over the same tables:
 
 * ``decode_symbol`` — the scalar reference: one bit at a time, probing the
   ``(code, length)`` dict at each length.  Kept for differential testing.
-* ``decode_symbol_fast`` — a two-level lookup table.  The primary table is
-  indexed by the next ``LUT_BITS`` (8) stream bits and resolves every code of
-  length <= 8 in one probe; longer codes land in a per-prefix secondary
-  table indexed by the following 8 bits (``MAX_CODE_LENGTH`` is 16, so two
-  levels always suffice).  Entries pack ``(code_length << 8) | symbol``; 0
-  marks an invalid prefix, negative values point at a secondary table.
-
-A third decode flavour sits on top of the two-level tables: the
-*superscalar* pair LUT, a table indexed by the next 16 stream bits whose
-entries fully decode up to **two** complete ``(code, magnitude)`` symbols —
-including the signed coefficient value, since the magnitude bits are part of
-the window the table is indexed by.  See :func:`_build_super_tables` for the
-entry packing and ``docs/performance.md`` for the decode loops built on it.
+* the *superscalar* pair LUT — a table indexed by the next ``SUPER_BITS``
+  stream bits whose entries fully decode up to **two** complete
+  ``(code, magnitude)`` symbols, including the signed coefficient value,
+  since the magnitude bits are part of the window the table is indexed by.
+  See :func:`_build_super_tables` for the entry packing and
+  ``docs/performance.md`` for the decode loops built on it.  A symbol too
+  wide for the window escapes to a two-level lookup table: the primary
+  table is indexed by the next ``LUT_BITS`` (8) stream bits and resolves
+  every code of length <= 8 in one probe; longer codes land in a per-prefix
+  secondary table indexed by the following 8 bits (``MAX_CODE_LENGTH`` is
+  16, so two levels always suffice).  See :class:`_TableSet` for the fused
+  AC / DC entry packings.
 
 LUTs and encode arrays are cached per canonical table content
 (module-level), and deserialized tables per serialized payload.  Both caches
@@ -273,11 +272,6 @@ class HuffmanTable:
 
     # -- table-driven fast paths -----------------------------------------------
 
-    def decode_tables(self) -> tuple[list[int], list[list[int]]]:
-        """Return the ``(symbol, length)``-packed (primary, secondary) LUTs."""
-        tables = self._table_set()
-        return tables.sym_primary, tables.sym_secondary
-
     def scan_tables(self) -> "_TableSet":
         """Return the full table set, including the fused AC/DC scan LUTs."""
         return self._table_set()
@@ -314,41 +308,6 @@ class HuffmanTable:
                 _TABLE_CACHE.put(key, cached, cached.nbytes())
             self._tables = cached
         return self._tables
-
-    def decode_symbol_fast(self, reader: BitReader) -> int:
-        """Read one symbol via the two-level LUT."""
-        lut, lut2 = self.decode_tables()
-        word = reader.peek_bits(16)
-        entry = lut[word >> 8]
-        if entry < 0:
-            entry = lut2[-entry - 1][word & 0xFF]
-        if entry == 0:
-            raise ValueError("invalid Huffman code in bit stream")
-        reader.skip_bits(entry >> 8)
-        return entry & 0xFF
-
-    def encode_symbols(
-        self,
-        symbols,
-        extras,
-        writer: BitWriter,
-    ) -> None:
-        """Huffman-encode ``symbols`` with their ``(bits, n_bits)`` extras.
-
-        Batched equivalent of ``encode_symbol`` + ``write_bits`` per item:
-        each symbol's code and its magnitude bits are fused into a single
-        ``(value, width)`` append on the writer.
-        """
-        codes, lengths = self.encode_arrays()
-        values = []
-        widths = []
-        for symbol, (bits, n_bits) in zip(symbols, extras):
-            length = lengths[symbol]
-            if length == 0:
-                raise KeyError(f"symbol {symbol} not present in Huffman table")
-            values.append((codes[symbol] << n_bits) | bits)
-            widths.append(length + n_bits)
-        writer.write_many(values, widths)
 
     # -- serialization ---------------------------------------------------------
 
@@ -417,13 +376,11 @@ class HuffmanTable:
 class _TableSet:
     """All derived decode tables for one canonical Huffman code.
 
-    Three packings of the same two-level (8-bit primary, 8-bit secondary)
-    LUT coexist, each tuned to one decode loop.  In every flavour, entry 0
-    marks an invalid prefix and a negative primary entry ``-(i + 1)`` points
-    at secondary table ``i``:
+    Two packings of the same two-level (8-bit primary, 8-bit secondary)
+    LUT coexist, one per symbol alphabet.  In both flavours, entry 0 marks
+    an invalid prefix and a negative primary entry ``-(i + 1)`` points at
+    secondary table ``i``:
 
-    * ``sym_*`` — ``(code_length << 8) | symbol``: the generic form used by
-      :meth:`HuffmanTable.decode_symbol_fast`.
     * ``ac_*`` — ``(run << 12) | (category << 6) | (code_length + category)``
       with EOB mapped to ``run = 64`` (jumps past any band and ends the
       block loop without a branch) and ZRL to ``run = 16``.  The low field
@@ -438,13 +395,11 @@ class _TableSet:
     packing — plus the de-interleaved AC *walk* products
     (:meth:`walk_tables`) that drive the vectorized batch walk in
     ``fastpath``.  They are built on the first superscalar decode of a
-    given table, not at construction, so encode-only and
-    scalar/single-symbol users never pay for them.
+    given table, not at construction, so encode-only and scalar users
+    never pay for them.
     """
 
     __slots__ = (
-        "sym_primary",
-        "sym_secondary",
         "ac_primary",
         "ac_secondary",
         "dc_primary",
@@ -458,16 +413,12 @@ class _TableSet:
 
     def __init__(
         self,
-        sym_primary: list[int],
-        sym_secondary: list[list[int]],
         ac_primary: list[int],
         ac_secondary: list[list[int]],
         dc_primary: list[int],
         dc_secondary: list[list[int]],
         encode_map: dict[int, tuple[int, int]],
     ) -> None:
-        self.sym_primary = sym_primary
-        self.sym_secondary = sym_secondary
         self.ac_primary = ac_primary
         self.ac_secondary = ac_secondary
         self.dc_primary = dc_primary
@@ -484,8 +435,8 @@ class _TableSet:
 
     def nbytes(self) -> int:
         """Approximate resident bytes of the two-level LUTs (cache charge)."""
-        n_tables = 1 + len(self.sym_secondary)
-        return 3 * n_tables * (1 << LUT_BITS) * _BYTES_PER_SLOT
+        n_tables = 1 + len(self.ac_secondary)
+        return 2 * n_tables * (1 << LUT_BITS) * _BYTES_PER_SLOT
 
     def superscalar_tables(self):
         """Return ``(ac_pair, dc_pair)``, built lazily.
@@ -671,22 +622,19 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]]):
 
 
 def _build_table_set(encode_map: dict[int, tuple[int, int]]) -> _TableSet:
-    """Build all decode LUT flavours from a code map.
+    """Build both two-level decode LUT flavours from a code map.
 
     The prefix property of Huffman codes guarantees a primary slot is either
     filled by exactly one short code or is the 8-bit prefix of only long
     codes, so the fill ranges never collide.
     """
     secondary_width = 1 << (MAX_CODE_LENGTH - LUT_BITS)
-    sym_primary = [0] * (1 << LUT_BITS)
     ac_primary = [0] * (1 << LUT_BITS)
     dc_primary = [0] * (1 << LUT_BITS)
-    sym_secondary: list[list[int]] = []
     ac_secondary: list[list[int]] = []
     dc_secondary: list[list[int]] = []
     prefix_to_secondary: dict[int, int] = {}
     for symbol, (code, length) in encode_map.items():
-        sym_entry = (length << 8) | symbol
         if symbol == 0x00:  # EOB: jump past any band
             ac_run, ac_category = 64, 0
         elif symbol == 0xF0:  # ZRL: skip 16 zeros
@@ -699,32 +647,26 @@ def _build_table_set(encode_map: dict[int, tuple[int, int]]) -> _TableSet:
             base = code << (LUT_BITS - length)
             span = 1 << (LUT_BITS - length)
             for index in range(base, base + span):
-                sym_primary[index] = sym_entry
                 ac_primary[index] = ac_entry
                 dc_primary[index] = dc_entry
         else:
             prefix = code >> (length - LUT_BITS)
             table_index = prefix_to_secondary.get(prefix)
             if table_index is None:
-                table_index = len(sym_secondary)
+                table_index = len(ac_secondary)
                 prefix_to_secondary[prefix] = table_index
-                sym_secondary.append([0] * secondary_width)
                 ac_secondary.append([0] * secondary_width)
                 dc_secondary.append([0] * secondary_width)
                 pointer = -(table_index + 1)
-                sym_primary[prefix] = pointer
                 ac_primary[prefix] = pointer
                 dc_primary[prefix] = pointer
             tail = code & ((1 << (length - LUT_BITS)) - 1)
             base = tail << (MAX_CODE_LENGTH - length)
             span = 1 << (MAX_CODE_LENGTH - length)
             for index in range(base, base + span):
-                sym_secondary[table_index][index] = sym_entry
                 ac_secondary[table_index][index] = ac_entry
                 dc_secondary[table_index][index] = dc_entry
     return _TableSet(
-        sym_primary=sym_primary,
-        sym_secondary=sym_secondary,
         ac_primary=ac_primary,
         ac_secondary=ac_secondary,
         dc_primary=dc_primary,

@@ -14,44 +14,50 @@ shared slab (pixels *in* via shared memory, one memcpy each), workers run
 the batched float32 forward path + entropy encoder
 (:func:`~repro.codecs.progressive.encode_progressive_batch`), and the
 encoded streams — orders of magnitude smaller than the pixels — return
-through the ordinary result queue.  Both pools share the worker fleet,
-work-stealing chunk queue, slab pooling, and crash-fallback machinery
-below (:class:`_PoolState`).
+through the ordinary result queue.  The two public classes are thin: one
+engine (:class:`_PoolState`: worker fleet, work-stealing chunk queue, slab
+pooling, batch wait loop, crash fallback) runs both, parameterised by a
+:class:`_Direction` that says how an item is measured, what a worker does
+with a chunk, and what the in-process equivalent is.
 
 Architecture
 ------------
 
 * **Long-lived workers.**  ``n_workers`` processes are started once (fork
   where available, spawn otherwise), pre-warm the Huffman-LUT / scaled-basis
-  caches by decoding a tiny self-encoded image, and then loop on a shared
-  task queue until the pool closes.  Worker startup cost is paid once per
-  pool, not per batch.
-* **Chunked task queue (work stealing).**  A batch is split into several
-  chunks per worker, balanced by compressed-stream bytes, and all chunks go
-  onto one shared queue.  Workers pull the next chunk whenever they finish
-  one, so uneven stream sizes self-balance instead of serializing on the
-  slowest pre-assigned partition.
-* **Shared-memory frame slabs.**  The parent parses each stream's frame
-  header, lays every decoded frame out at a fixed offset inside one slab,
-  and sends workers only ``(stream bytes, offset, shape)`` metadata.
-  Workers decode with the ordinary in-process fast path
+  caches on a tiny self-encoded image, and then loop on a shared task queue
+  until the pool closes.  Worker startup cost is paid once per pool, not
+  per batch.
+* **Chunked task queue (work stealing).**  A batch is split into
+  ``CHUNKS_PER_WORKER`` chunks per worker, balanced by the bytes that drive
+  the work (compressed bytes to decode, pixel bytes to encode), and all
+  chunks go onto one shared queue.  Workers pull the next chunk whenever
+  they finish one, so uneven item sizes self-balance instead of serializing
+  on the slowest pre-assigned partition.
+* **Shared-memory frame slabs.**  The parent gives every item's pixels a
+  fixed region inside one slab and sends workers only ``(stream or None,
+  offset, nbytes, shape)`` metadata.  Decode workers run the ordinary
+  in-process fast path
   (:func:`~repro.codecs.progressive.decode_progressive_batch`) and write
-  the uint8 pixels straight into the slab.  The parent wraps the filled
-  regions as zero-copy numpy views; slabs are pooled and reused across
-  batches, and a slab returns to the pool only when every view onto it has
-  been garbage collected (a :class:`_SlabLease` finalizer tracks that), so
-  a consumer can hold decoded frames as long as it likes.
+  the uint8 pixels straight into the slab; the parent wraps the filled
+  regions as zero-copy numpy views.  Encode workers read the pixels the
+  parent laid out and return streams.  Slabs are pooled and reused across
+  batches, and a slab returns to the pool only when everything that can see
+  it has been garbage collected (a :class:`_SlabLease` finalizer tracks
+  that), so a consumer can hold decoded frames as long as it likes.
 * **Transparent fallback.**  ``n_workers <= 1``, a closed pool, a worker
-  crash, or a worker-side decode error all degrade to the in-process batch
-  decoder.  After a crash the whole fleet is restarted with fresh queues
-  (a killed process can die holding a queue lock, so the old plumbing is
-  never trusted again), and the unfinished part of the batch is decoded
-  in-process — the caller sees identical results either way.
+  crash, a stalled batch, or a worker-side codec error all degrade to the
+  in-process batch codec.  After a failure the whole fleet is restarted
+  with fresh queues (a killed process can die holding a queue lock, so the
+  old plumbing is never trusted again), and the unfinished part of the
+  batch is finished in-process — the caller sees identical results either
+  way.
 
-Decoded output is *byte-identical* to in-process fast-path decoding:
-workers run exactly the same code on exactly the same bytes, and the batch
-layout never mixes pixels across images.  ``tests/test_codecs_parallel.py``
-pins this across scan groups, worker counts, and mid-batch worker kills.
+Pooled output is *byte-identical* to in-process fast-path output: workers
+run exactly the same code on exactly the same bytes, and the batch layout
+never mixes pixels across images.  ``tests/test_codecs_parallel.py`` pins
+this for both directions across scan groups, worker counts, and mid-batch
+worker kills.
 """
 
 from __future__ import annotations
@@ -64,17 +70,25 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass, field
+from itertools import accumulate
 from multiprocessing import shared_memory
 from queue import Empty
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.codecs import config as codec_config
-from repro.codecs.markers import SUBSAMPLING_420, parse_frame_header
+from repro.codecs.huffman import HuffmanTable
 from repro.codecs.image import ImageBuffer
-from repro.obs import metrics as obs_metrics
+from repro.codecs.markers import SUBSAMPLING_420, find_scan_segments, parse_frame_header
+from repro.codecs.progressive import (
+    ProgressiveCodec,
+    decode_progressive_batch,
+    encode_progressive_batch,
+)
+from repro.obs import diff_snapshots, get_registry
 
-__all__ = ["DecodePool", "DecodePoolStats", "EncodePool", "EncodePoolStats"]
+__all__ = ["DecodePool", "EncodePool", "PoolStats"]
 
 #: Chunks created per worker and batch: enough granularity that a worker
 #: finishing early steals meaningful work, few enough that queue overhead
@@ -85,14 +99,22 @@ CHUNKS_PER_WORKER = 4
 #: batches reuses one slab instead of allocating per-batch.
 MIN_SLAB_BYTES = 1 << 20
 
+#: Free slabs a pool keeps for reuse; one returned beyond this is unlinked.
+MAX_FREE_SLABS = 4
+
+#: Slab attachments a worker keeps mapped (see :func:`_attach_slab`).
+MAX_ATTACHED_SLABS = 8
+
+#: Seconds without any chunk completing (workers alive) before a batch is
+#: declared stalled and finished in-process.  At fast-path decode rates this
+#: corresponds to tens of MB of compressed data per chunk — far beyond any
+#: realistic record.
+STALL_TIMEOUT = 30.0
+
 #: How often the parent re-checks worker liveness while waiting on results.
 _POLL_SECONDS = 0.05
 
 _SENTINEL = None
-
-
-def _default_start_method() -> str:
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 def _frame_geometry(payload: bytes) -> tuple[tuple[int, ...], int]:
@@ -106,8 +128,13 @@ def _frame_geometry(payload: bytes) -> tuple[tuple[int, ...], int]:
     return shape, nbytes
 
 
+def _region(buf, offset: int, nbytes: int) -> np.ndarray:
+    """The flat uint8 view of one item's pixel region in a slab buffer."""
+    return np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
+
+
 def _chunk_by_bytes(sizes: list[int], n_chunks: int) -> list[list[int]]:
-    """Split stream indices into <= ``n_chunks`` contiguous, byte-balanced runs."""
+    """Split item indices into <= ``n_chunks`` contiguous, byte-balanced runs."""
     n_chunks = max(1, min(n_chunks, len(sizes)))
     total = sum(sizes)
     target = total / n_chunks
@@ -130,11 +157,64 @@ def _chunk_by_bytes(sizes: list[int], n_chunks: int) -> list[list[int]]:
 
 
 # --------------------------------------------------------------------------
-# Worker process
+# The two directions
 # --------------------------------------------------------------------------
 
 
-def _prewarm(quality: int) -> None:
+class _Direction(NamedTuple):
+    """Everything that differs between decoding and encoding a batch.
+
+    A job on the task queue is ``(stream or None, offset, nbytes, shape)``:
+    the item's pixel region in the slab, plus the compressed stream when
+    that is the input.  Whichever side of an item is *not* pixels — the
+    input stream of a decode, the output stream of an encode — rides the
+    queues; pixels only ever cross through the slab.
+    """
+
+    #: Metric namespace of the worker-side chunk timing (``<metrics>.pool.*``)
+    #: and stem of the worker process names.
+    metrics: str
+    #: ``(items, params) -> outputs``: the in-process batch codec — what a
+    #: worker runs on its chunk and what every fallback runs instead.
+    inprocess: Callable
+    #: ``(item) -> (shape, nbytes, weight, pixels or None)``: the item's slab
+    #: region, its share of the batch's work (what chunks are balanced by),
+    #: and the pixels the parent must lay out in the region beforehand.
+    measure: Callable
+    #: ``(shm, params, jobs) -> streams or None``: one chunk, worker side.
+    work: Callable
+    #: ``(quality) -> None``: heat a fresh worker's caches.
+    prewarm: Callable
+
+
+def _warmup_image() -> ImageBuffer:
+    ramp = (np.arange(16 * 16 * 3, dtype=np.int64) * 7 % 256).astype(np.uint8)
+    return ImageBuffer(ramp.reshape(16, 16, 3))
+
+
+def _decode_inprocess(payloads: list[bytes], max_scans) -> list[ImageBuffer]:
+    return decode_progressive_batch(payloads, max_scans=max_scans)
+
+
+def _measure_stream(payload: bytes):
+    # Decode cost scales with the compressed bytes; no pixels go in.
+    shape, nbytes = _frame_geometry(payload)
+    return shape, nbytes, len(payload), None
+
+
+def _decode_chunk(shm, max_scans, jobs) -> None:
+    """Decode a chunk with the ordinary batch decoder, pixels into the slab."""
+    images = _decode_inprocess([payload for payload, _, _, _ in jobs], max_scans)
+    for image, (_, offset, nbytes, shape) in zip(images, jobs):
+        pixels = image.pixels
+        if pixels.shape != tuple(shape) or pixels.nbytes != nbytes:
+            raise ValueError(
+                f"decoded frame is {pixels.shape}, slab region expects {shape}"
+            )
+        _region(shm.buf, offset, nbytes)[:] = pixels.reshape(-1)
+
+
+def _decode_prewarm(quality: int) -> None:
     """Heat the fastpath caches (Huffman LUT build path, scaled bases).
 
     Beyond the round-trip decode, the superscalar pair/walk tables of every
@@ -144,14 +224,7 @@ def _prewarm(quality: int) -> None:
     chunk probes warm LUTs instead of paying the ``SUPER_BITS``-wide table
     build (milliseconds per table flavour) mid-batch.
     """
-    from repro.codecs.huffman import HuffmanTable
-    from repro.codecs.markers import find_scan_segments
-    from repro.codecs.progressive import ProgressiveCodec, decode_progressive_batch
-
-    ramp = (np.arange(16 * 16 * 3, dtype=np.int64) * 7 % 256).astype(np.uint8)
-    image = ImageBuffer(ramp.reshape(16, 16, 3))
-    codec = ProgressiveCodec(quality=quality)
-    payload = codec.encode(image)
+    payload = ProgressiveCodec(quality=quality).encode(_warmup_image())
     for segment in find_scan_segments(payload):
         table, _ = HuffmanTable.cached_from_bytes(
             payload[segment.payload_start : segment.end]
@@ -162,95 +235,36 @@ def _prewarm(quality: int) -> None:
     decode_progressive_batch([payload])
 
 
-def _decode_worker_main(task_queue, result_queue, warmup_quality) -> None:
-    """Long-lived worker loop: pull a chunk, decode it, write into the slab.
+def _encode_inprocess(images: list[ImageBuffer], params) -> list[bytes]:
+    quality, subsampling, layout = params
+    return encode_progressive_batch(
+        images, quality=quality, subsampling=subsampling, layout=layout
+    )
 
-    Workers always decode with the fast path enabled — the pool's contract
-    is byte-identity with in-process *fast-path* decode — and ignore SIGINT
-    so a Ctrl-C in the parent tears the fleet down through the pool's
-    shutdown protocol (sentinels, then terminate) rather than corrupting a
-    queue mid-put.
+
+def _measure_image(image: ImageBuffer):
+    # Encode cost scales with the uncompressed size, unlike decode.
+    pixels = image.pixels
+    return pixels.shape, pixels.nbytes, pixels.nbytes, pixels
+
+
+def _slab_image(shm, offset: int, nbytes: int, shape) -> ImageBuffer:
+    """Wrap a slab region as a zero-copy read-only ImageBuffer."""
+    region = _region(shm.buf, offset, nbytes).reshape(shape)
+    # Read-only view: ImageBuffer.from_array wraps read-only arrays without
+    # copying, so the encoder reads straight out of the slab.
+    region.flags.writeable = False
+    return ImageBuffer.from_array(region)
+
+
+def _encode_chunk(shm, params, jobs) -> list[bytes]:
+    """Encode a chunk straight out of the slab; the streams ride the queue.
+
+    The slab views die with this frame, before the result ships, so slab
+    eviction / worker exit can unmap the segment cleanly.
     """
-    from repro.codecs.progressive import decode_progressive_batch
-    from repro.obs import diff_snapshots, get_registry
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    codec_config.set_fastpath(True)
-    # The registry's fork hook already zeroed inherited totals (and a
-    # spawned worker starts fresh); reset again defensively so the first
-    # chunk's delta is exactly this worker's own work.
-    registry = get_registry()
-    registry.reset()
-    if warmup_quality is not None:
-        try:
-            _prewarm(warmup_quality)
-        except Exception:  # warmup is best-effort; first real batch warms too
-            pass
-    registry.reset()  # drop warmup decode counts from the first chunk delta
-    last_snapshot = registry.snapshot()
-    # Slab attachments are cached (slabs are pooled and recur), but bounded:
-    # the parent retires slabs over a long run and an unlinked segment's
-    # memory stays resident while any mapping exists, so an unbounded cache
-    # would grow worker RSS without limit.  Evicting a slab the parent still
-    # pools is safe — the next task naming it simply re-attaches.
-    max_attached = 8
-    attached: dict[str, shared_memory.SharedMemory] = {}
-    try:
-        while True:
-            task = task_queue.get()
-            if task is _SENTINEL:
-                break
-            batch_id, chunk_id, slab_name, max_scans, jobs = task
-            try:
-                chunk_started = time.perf_counter()
-                shm = attached.pop(slab_name, None)
-                if shm is None:
-                    shm = shared_memory.SharedMemory(name=slab_name)
-                attached[slab_name] = shm  # (re)insert as most recently used
-                while len(attached) > max_attached:
-                    oldest = next(iter(attached))
-                    try:
-                        attached.pop(oldest).close()
-                    except Exception:
-                        pass
-                images = decode_progressive_batch(
-                    [payload for payload, _, _, _ in jobs], max_scans=max_scans
-                )
-                for image, (_, offset, nbytes, shape) in zip(images, jobs):
-                    pixels = image.pixels
-                    if pixels.shape != tuple(shape) or pixels.nbytes != nbytes:
-                        raise ValueError(
-                            f"decoded frame is {pixels.shape}, slab region expects {shape}"
-                        )
-                    region = np.frombuffer(
-                        shm.buf, dtype=np.uint8, count=nbytes, offset=offset
-                    )
-                    region[:] = pixels.reshape(-1)
-                    del region
-                # Per-worker decode timing plus the registry delta since the
-                # previous chunk ride back in the result tuple; the parent
-                # merges the delta so fleet-wide metrics aggregate exactly
-                # as if the chunk had decoded in-process (fork-aware
-                # aggregation — see tests/test_obs.py parity test).
-                registry.histogram("decode.pool.chunk_seconds").observe(
-                    time.perf_counter() - chunk_started
-                )
-                registry.counter("decode.pool.chunks_total").inc()
-                snapshot = registry.snapshot()
-                delta = diff_snapshots(snapshot, last_snapshot)
-                last_snapshot = snapshot
-                result_queue.put((batch_id, chunk_id, None, delta))
-            except Exception:
-                last_snapshot = registry.snapshot()
-                result_queue.put((batch_id, chunk_id, traceback.format_exc(), None))
-    except (KeyboardInterrupt, EOFError, OSError):
-        pass  # parent is gone or tearing down; exit quietly
-    finally:
-        for shm in attached.values():
-            try:
-                shm.close()
-            except Exception:
-                pass
+    images = [_slab_image(shm, offset, nbytes, shape) for _, offset, nbytes, shape in jobs]
+    return _encode_inprocess(images, params)
 
 
 def _encode_prewarm(quality: int) -> None:
@@ -261,97 +275,101 @@ def _encode_prewarm(quality: int) -> None:
     Huffman table-build path, so a worker's first real chunk runs at steady
     state.
     """
-    from repro.codecs.progressive import encode_progressive_batch
-
-    ramp = (np.arange(16 * 16 * 3, dtype=np.int64) * 7 % 256).astype(np.uint8)
-    image = ImageBuffer(ramp.reshape(16, 16, 3))
-    encode_progressive_batch([image], quality=quality)
+    encode_progressive_batch([_warmup_image()], quality=quality)
 
 
-def _slab_image(shm, offset: int, nbytes: int, shape) -> ImageBuffer:
-    """Wrap a slab region as a zero-copy read-only ImageBuffer.
+_DECODE = _Direction(
+    metrics="decode",
+    inprocess=_decode_inprocess,
+    measure=_measure_stream,
+    work=_decode_chunk,
+    prewarm=_decode_prewarm,
+)
+_ENCODE = _Direction(
+    metrics="ingest",
+    inprocess=_encode_inprocess,
+    measure=_measure_image,
+    work=_encode_chunk,
+    prewarm=_encode_prewarm,
+)
 
-    Scoped in a helper so no local name keeps a view alive after the
-    caller drops its image list (a lingering view blocks ``shm.close``).
+
+# --------------------------------------------------------------------------
+# Worker process
+# --------------------------------------------------------------------------
+
+
+def _attach_slab(attached: dict, name: str) -> shared_memory.SharedMemory:
+    """Map the slab a task names, through a bounded most-recently-used cache.
+
+    Slab attachments are cached (slabs are pooled and recur), but bounded:
+    the parent retires slabs over a long run and an unlinked segment's
+    memory stays resident while any mapping exists, so an unbounded cache
+    would grow worker RSS without limit.  Evicting a slab the parent still
+    pools is safe — the next task naming it simply re-attaches.
     """
-    region = np.frombuffer(
-        shm.buf, dtype=np.uint8, count=nbytes, offset=offset
-    ).reshape(shape)
-    # Read-only view: ImageBuffer.from_array wraps read-only arrays without
-    # copying, so the encoder reads straight out of the slab.
-    region.flags.writeable = False
-    return ImageBuffer.from_array(region)
+    shm = attached.pop(name, None)
+    if shm is None:
+        shm = shared_memory.SharedMemory(name=name)
+    attached[name] = shm  # (re)insert as most recently used
+    while len(attached) > MAX_ATTACHED_SLABS:
+        oldest = next(iter(attached))
+        try:
+            attached.pop(oldest).close()
+        except Exception:
+            pass
+    return shm
 
 
-def _encode_worker_main(task_queue, result_queue, warmup_quality) -> None:
-    """Long-lived ingest worker: pull a chunk, read pixels from the slab,
-    encode, and send the streams back through the result queue.
+def _worker_main(direction: _Direction, task_queue, result_queue, warmup_quality) -> None:
+    """Long-lived worker loop: pull a chunk, run the direction's step, report.
 
-    The data flow is the mirror image of :func:`_decode_worker_main`: pixels
-    arrive through shared memory (zero pickling of the heavy direction) and
-    the compressed streams — typically 10-50x smaller — return through the
-    ordinary queue.  Workers pin the fast path on; the pool's contract is
-    identity with in-process *fast-path* encoding.
+    Workers always run with the fast path enabled — the pool's contract is
+    byte-identity with in-process *fast-path* output — and ignore SIGINT so
+    a Ctrl-C in the parent tears the fleet down through the pool's shutdown
+    protocol (sentinels, then terminate) rather than corrupting a queue
+    mid-put.
     """
-    from repro.codecs.progressive import encode_progressive_batch
-    from repro.obs import diff_snapshots, get_registry
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    codec_config.set_fastpath(True)
+    # The registry's fork hook already zeroed inherited totals (and a
+    # spawned worker starts fresh); reset again defensively so the first
+    # chunk's delta is exactly this worker's own work.
     registry = get_registry()
     registry.reset()
-    if warmup_quality is not None:
-        try:
-            _encode_prewarm(warmup_quality)
-        except Exception:  # warmup is best-effort; first real batch warms too
-            pass
-    registry.reset()  # drop warmup encode counts from the first chunk delta
-    last_snapshot = registry.snapshot()
-    # Bounded slab attach cache — same rationale as the decode worker.
-    max_attached = 8
     attached: dict[str, shared_memory.SharedMemory] = {}
     try:
-        while True:
-            task = task_queue.get()
-            if task is _SENTINEL:
-                break
-            batch_id, chunk_id, slab_name, params, jobs = task
-            try:
-                quality, subsampling, layout = params
-                shm = attached.pop(slab_name, None)
-                if shm is None:
-                    shm = shared_memory.SharedMemory(name=slab_name)
-                attached[slab_name] = shm  # (re)insert as most recently used
-                while len(attached) > max_attached:
-                    oldest = next(iter(attached))
-                    try:
-                        attached.pop(oldest).close()
-                    except Exception:
-                        pass
-                images = [
-                    _slab_image(shm, offset, nbytes, shape)
-                    for offset, nbytes, shape in jobs
-                ]
+        with codec_config.use_fastpath(True):
+            if warmup_quality is not None:
                 try:
-                    streams = encode_progressive_batch(
-                        images,
-                        quality=quality,
-                        subsampling=subsampling,
-                        layout=layout,
+                    direction.prewarm(warmup_quality)
+                except Exception:  # warmup is best-effort; first real batch warms too
+                    pass
+            registry.reset()  # drop warmup counts from the first chunk delta
+            last_snapshot = registry.snapshot()
+            while True:
+                task = task_queue.get()
+                if task is _SENTINEL:
+                    break
+                batch_id, chunk_id, slab_name, params, jobs = task
+                try:
+                    chunk_started = time.perf_counter()
+                    streams = direction.work(_attach_slab(attached, slab_name), params, jobs)
+                    # Per-worker chunk timing plus the registry delta since
+                    # the previous chunk ride back in the result tuple; the
+                    # parent merges the delta so fleet-wide metrics aggregate
+                    # exactly as if the chunk had run in-process (fork-aware
+                    # aggregation — see tests/test_obs.py parity test).
+                    registry.histogram(f"{direction.metrics}.pool.chunk_seconds").observe(
+                        time.perf_counter() - chunk_started
                     )
-                finally:
-                    # Drop the slab views before the result ships so slab
-                    # eviction / worker exit can unmap the segment cleanly.
-                    del images
-                snapshot = registry.snapshot()
-                delta = diff_snapshots(snapshot, last_snapshot)
-                last_snapshot = snapshot
-                result_queue.put((batch_id, chunk_id, None, streams, delta))
-            except Exception:
-                last_snapshot = registry.snapshot()
-                result_queue.put(
-                    (batch_id, chunk_id, traceback.format_exc(), None, None)
-                )
+                    registry.counter(f"{direction.metrics}.pool.chunks_total").inc()
+                    snapshot = registry.snapshot()
+                    delta = diff_snapshots(snapshot, last_snapshot)
+                    last_snapshot = snapshot
+                    result_queue.put((batch_id, chunk_id, None, streams, delta))
+                except Exception:
+                    last_snapshot = registry.snapshot()
+                    result_queue.put((batch_id, chunk_id, traceback.format_exc(), None, None))
     except (KeyboardInterrupt, EOFError, OSError):
         pass  # parent is gone or tearing down; exit quietly
     finally:
@@ -369,19 +387,21 @@ def _encode_worker_main(task_queue, result_queue, warmup_quality) -> None:
 
 @dataclass
 class _Slab:
-    """One shared-memory segment frames are decoded into."""
+    """One shared-memory segment a batch's pixels cross through."""
 
     shm: shared_memory.SharedMemory
     capacity: int
 
 
 class _SlabLease:
-    """Keeps a slab checked out while any frame view onto it is alive.
+    """Keeps a slab checked out while anything that can see it is alive.
 
     Every :class:`_SlabView` returned from a batch holds a strong reference
-    to its lease; a ``weakref.finalize`` on the lease returns the slab to
-    the pool's free list (or unlinks it, once the pool is closed) exactly
-    when the last view dies.
+    to its lease, as does the batch itself while it runs; a
+    ``weakref.finalize`` on the lease returns the slab to the pool's free
+    list (or unlinks it, once the pool is closed) exactly when the last
+    holder dies.  An encode batch hands out no views, so its slab goes back
+    the moment the batch returns.
     """
 
     __slots__ = ("__weakref__",)
@@ -425,41 +445,51 @@ def _destroy_slab(slab: _Slab) -> None:
 def _release_slab(state: "_PoolState", slab: _Slab) -> None:
     """Return a slab to the free list, or retire it if the pool is done."""
     with state.lock:
-        if not state.closed and len(state.free_slabs) < state.max_free_slabs:
+        if not state.closed and len(state.free_slabs) < MAX_FREE_SLABS:
             state.free_slabs.append(slab)
             return
     _destroy_slab(slab)
 
 
 # --------------------------------------------------------------------------
-# Pool state (detached from the user-facing object so a GC'd pool can still
+# The engine (detached from the user-facing objects so a GC'd pool can still
 # be shut down by its finalizer)
 # --------------------------------------------------------------------------
 
 
+@dataclass
+class PoolStats:
+    """Counters a pool accumulates over its lifetime.
+
+    ``items`` counts streams decoded or images encoded.  Byte volumes are on
+    the :mod:`repro.obs` registry (``decode.bytes_total``,
+    ``ingest.pixel_bytes_total``, ``ingest.encoded_bytes_total``), where
+    pooled and in-process work aggregate identically.
+    """
+
+    batches: int = 0
+    parallel_batches: int = 0
+    fallback_batches: int = 0
+    items: int = 0
+    fleet_restarts: int = 0
+    workers_started: int = 0
+    slabs_created: int = 0
+    last_worker_error: str = field(default="", repr=False)
+
+
 class _PoolState:
-    def __init__(
-        self,
-        ctx,
-        n_workers: int,
-        warmup_quality: int | None,
-        max_free_slabs: int,
-        *,
-        worker_main=None,
-        worker_name: str = "pcr-decode",
-        stats=None,
-    ):
-        self.ctx = ctx
+    """One pool's fleet, queues, slabs and stats, for either direction.
+
+    With ``n_workers <= 1`` there is no fleet at all — no processes, no
+    queues, no shared memory — and every batch runs in-process.
+    """
+
+    def __init__(self, direction: _Direction, n_workers: int, warmup_quality: int | None):
+        self.direction = direction
         self.n_workers = n_workers
         self.warmup_quality = warmup_quality
-        self.max_free_slabs = max_free_slabs
-        # The worker entry point and stats object are injected so DecodePool
-        # and EncodePool share one fleet/slab/fallback engine; any stats
-        # object with workers_started / fleet_restarts / slabs_created
-        # counters works.
-        self.worker_main = worker_main if worker_main is not None else _decode_worker_main
-        self.worker_name = worker_name
         self.lock = threading.RLock()
+        self.stats_lock = threading.Lock()
         self.closed = False
         self.respawn = True  # tests flip this to pin the fallback path
         self.workers: list = []
@@ -468,7 +498,28 @@ class _PoolState:
         self.free_slabs: list[_Slab] = []
         self.batch_counter = 0
         self.slab_counter = 0
-        self.stats = stats if stats is not None else DecodePoolStats()
+        self.stats = PoolStats()
+        self.ctx = None
+        if n_workers <= 1:
+            return
+        # Fork where the platform has it (workers inherit warm module state
+        # and start in milliseconds), spawn otherwise.
+        methods = multiprocessing.get_all_start_methods()
+        self.ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        # Start the shared-memory resource tracker *before* forking workers:
+        # children then inherit the parent's tracker instead of each lazily
+        # spawning their own (a per-worker tracker would try to "clean up"
+        # the parent's live slabs when its worker exits).  Registrations are
+        # set-deduplicated in the tracker, so worker-side attach registers
+        # collapse into the parent's single register/unlink pair.
+        try:
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        except Exception:
+            pass
+        with self.lock:
+            self.ensure_workers()
 
     # -- workers ----------------------------------------------------------
 
@@ -488,10 +539,10 @@ class _PoolState:
             return
         while self.respawn and len(self.workers) < self.n_workers:
             worker = self.ctx.Process(
-                target=self.worker_main,
-                args=(self.tasks, self.results, self.warmup_quality),
+                target=_worker_main,
+                args=(self.direction, self.tasks, self.results, self.warmup_quality),
                 daemon=True,
-                name=f"{self.worker_name}-{len(self.workers)}",
+                name=f"pcr-{self.direction.metrics}-{len(self.workers)}",
             )
             worker.start()
             self.workers.append(worker)
@@ -553,6 +604,134 @@ class _PoolState:
         self.stats.slabs_created += 1
         return _Slab(shm=shm, capacity=capacity)
 
+    # -- batches ----------------------------------------------------------
+
+    def run_batch(self, items, params) -> list:
+        """Run one minibatch; output is identical whichever path it takes."""
+        items = list(items)
+        if not items:
+            return []
+        if self.ctx is None:
+            return self._run_inprocess(items, params)
+        # One batch is in flight at a time: the pool parallelizes *within*
+        # a batch, which is where the minibatch-shaped work lives.
+        with self.lock:
+            if self.closed:
+                return self._run_inprocess(items, params)
+            return self._run_batch(items, params)
+
+    def _run_inprocess(self, items: list, params) -> list:
+        # The pool's contract is identity with *fast-path* output (workers
+        # pin it on); the in-process degradations must match even when the
+        # caller has the scalar reference path selected.
+        with codec_config.use_fastpath(True):
+            outputs = self.direction.inprocess(items, params)
+        with self.stats_lock:
+            self.stats.batches += 1
+            self.stats.items += len(items)
+        return outputs
+
+    def _run_batch(self, items: list, params) -> list:
+        self.ensure_workers()
+        if not self.workers:
+            # Respawning is disabled and the fleet is gone: run in-process
+            # without touching the (fresh, empty) queues.
+            self.stats.fallback_batches += 1
+            return self._run_inprocess(items, params)
+        shapes, sizes, weights, inbound = zip(*map(self.direction.measure, items))
+        # Regions are laid out back-to-back in item order.
+        ends = list(accumulate(sizes))
+        offsets = [0, *ends[:-1]]
+        slab = self.acquire_slab(ends[-1])
+        lease = None
+        try:
+            for pixels, offset, nbytes in zip(inbound, offsets, sizes):
+                if pixels is not None:
+                    # Pixels in: one memcpy per image is the only
+                    # parent-side pixel movement.
+                    _region(slab.shm.buf, offset, nbytes)[:] = pixels.reshape(-1)
+            streams = [item if pixels is None else None for item, pixels in zip(items, inbound)]
+            chunks = _chunk_by_bytes(weights, self.n_workers * CHUNKS_PER_WORKER)
+            self.batch_counter += 1
+            batch_id = self.batch_counter
+            for chunk_id, indices in enumerate(chunks):
+                jobs = [(streams[i], offsets[i], sizes[i], shapes[i]) for i in indices]
+                self.tasks.put((batch_id, chunk_id, slab.shm.name, params, jobs))
+            pending = set(range(len(chunks)))
+            returned: dict[int, list | None] = {}
+            failed = False
+            last_progress = time.monotonic()
+            while pending and not failed:
+                try:
+                    done_batch, done_chunk, error, chunk_streams, delta = self.results.get(
+                        timeout=_POLL_SECONDS
+                    )
+                except Empty:
+                    # Dead workers are detected directly; a worker that is
+                    # alive but wedged (e.g. a respawned fork that inherited
+                    # a lock held at fork time) trips the stall timeout, so
+                    # a batch can degrade but never hang.
+                    if any(not worker.is_alive() for worker in self.workers):
+                        failed = True
+                    elif time.monotonic() - last_progress > STALL_TIMEOUT:
+                        self.stats.last_worker_error = "batch stalled"
+                        failed = True
+                    continue
+                if done_batch != batch_id:
+                    continue  # stale result from an aborted batch
+                if error is not None:
+                    self.stats.last_worker_error = error
+                    failed = True
+                    break
+                returned[done_chunk] = chunk_streams
+                pending.discard(done_chunk)
+                last_progress = time.monotonic()
+                if delta:
+                    # Fold the worker's per-chunk registry delta into the
+                    # parent: fleet metrics equal in-process metrics.
+                    get_registry().merge(delta)
+
+            outputs: list = [None] * len(items)
+            if failed:
+                # Tear the fleet down to a clean slate (a killed worker can
+                # die holding a queue lock), then finish the batch with the
+                # ordinary in-process codec; completed chunks keep their
+                # results (identical either way).  A worker that reported a
+                # codec *error* re-raises here with the real exception.
+                self.stats.fallback_batches += 1
+                self.restart_fleet()
+                fallback = sorted(
+                    index for chunk_id in pending for index in chunks[chunk_id]
+                )
+                # Pin the fast path: workers run with it on, and a mixed
+                # batch must not differ chunk-by-chunk when the caller has
+                # the scalar reference selected.
+                with codec_config.use_fastpath(True):
+                    redone = self.direction.inprocess([items[i] for i in fallback], params)
+                for index, output in zip(fallback, redone):
+                    outputs[index] = output
+            if returned:
+                lease = _SlabLease()
+                weakref.finalize(lease, _release_slab, self, slab)
+                for chunk_id, chunk_outputs in returned.items():
+                    indices = chunks[chunk_id]
+                    if chunk_outputs is None:  # pixels came back through the slab
+                        chunk_outputs = [
+                            ImageBuffer(_slab_view(slab, offsets[i], shapes[i], lease))
+                            for i in indices
+                        ]
+                    for index, output in zip(indices, chunk_outputs):
+                        outputs[index] = output
+                # Only count batches where workers actually ran chunks; an
+                # all-fallback batch must not masquerade as parallel.
+                self.stats.parallel_batches += 1
+            self.stats.batches += 1
+            self.stats.items += len(items)
+            return outputs
+        finally:
+            if lease is None:
+                _release_slab(self, slab)
+
     # -- shutdown ---------------------------------------------------------
 
     def shutdown(self, timeout: float = 5.0) -> None:
@@ -588,21 +767,6 @@ class _PoolState:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class DecodePoolStats:
-    """Counters a pool accumulates over its lifetime."""
-
-    batches: int = 0
-    parallel_batches: int = 0
-    fallback_batches: int = 0
-    streams_decoded: int = 0
-    bytes_decoded: int = 0
-    fleet_restarts: int = 0
-    workers_started: int = 0
-    slabs_created: int = 0
-    last_worker_error: str = field(default="", repr=False)
-
-
 class DecodePool:
     """A persistent process pool that decodes minibatches of PCR streams.
 
@@ -619,218 +783,33 @@ class DecodePool:
     pool unconditionally and control parallelism with one integer.
 
     One batch is in flight at a time (concurrent callers serialize on an
-    internal lock): the pool parallelizes *within* a batch, which is where
-    the minibatch-shaped work lives.  Use it as a context manager or call
-    :meth:`close`; an abandoned pool is also shut down by a GC finalizer so
-    no worker processes or shared-memory segments outlive the interpreter.
+    internal lock).  Use it as a context manager or call :meth:`close`; an
+    abandoned pool is also shut down by a GC finalizer so no worker
+    processes or shared-memory segments outlive the interpreter.
 
     The initial fleet forks at construction time (create the pool before
     starting reader threads, as ``DataLoader`` does).  Respawning after a
     crash may fork from an already-threaded parent; a replacement child
     that wedges on a lock inherited at fork time is caught by the
-    ``stall_timeout`` watchdog and the batch finishes in-process.  Pass
-    ``start_method="spawn"`` for fully fork-free workers in heavily
-    threaded embedders (slower startup, same results).
+    ``STALL_TIMEOUT`` watchdog and the batch finishes in-process.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        start_method: str | None = None,
-        warmup_quality: int | None = 90,
-        chunks_per_worker: int = CHUNKS_PER_WORKER,
-        max_free_slabs: int = 4,
-        stall_timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, n_workers: int, *, warmup_quality: int | None = 90) -> None:
         self.n_workers = int(n_workers)
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
-        #: Seconds without any chunk completing (workers alive) before a
-        #: batch is declared stalled and finished in-process.  At fast-path
-        #: decode rates the default corresponds to tens of MB of compressed
-        #: data per chunk — far beyond any realistic record.
-        self.stall_timeout = float(stall_timeout)
-        self._closed_inprocess = False
-        self._inprocess_lock = threading.Lock()
-        if self.n_workers <= 1:
-            self._state: _PoolState | None = None
-            self._stats = DecodePoolStats()
-            self._finalizer = None
-            return
-        ctx = multiprocessing.get_context(start_method or _default_start_method())
-        # Start the shared-memory resource tracker *before* forking workers:
-        # children then inherit the parent's tracker instead of each lazily
-        # spawning their own (a per-worker tracker would try to "clean up"
-        # the parent's live slabs when its worker exits).  Registrations are
-        # set-deduplicated in the tracker, so worker-side attach registers
-        # collapse into the parent's single register/unlink pair.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
-        state = _PoolState(ctx, self.n_workers, warmup_quality, max_free_slabs)
-        self._state = state
-        self._stats = state.stats
-        with state.lock:
-            state.ensure_workers()
-        self._finalizer = weakref.finalize(self, _PoolState.shutdown, state)
-
-    # -- introspection ----------------------------------------------------
+        self._state = _PoolState(_DECODE, self.n_workers, warmup_quality)
+        self._finalizer = weakref.finalize(self, _PoolState.shutdown, self._state)
 
     @property
-    def stats(self) -> DecodePoolStats:
-        return self._stats
+    def stats(self) -> PoolStats:
+        return self._state.stats
 
     @property
     def closed(self) -> bool:
-        if self._state is not None:
-            return self._state.closed
-        return self._closed_inprocess
-
-    # -- decoding ---------------------------------------------------------
+        return self._state.closed
 
     def decode_batch(self, payloads, max_scans: int | None = None) -> list[ImageBuffer]:
         """Decode a minibatch of streams; byte-identical to in-process decode."""
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        state = self._state
-        if state is None:
-            return self._decode_inprocess(payloads, max_scans)
-        with state.lock:
-            if state.closed:
-                return self._decode_inprocess(payloads, max_scans)
-            return self._decode_parallel(state, payloads, max_scans)
-
-    def _decode_inprocess(self, payloads: list[bytes], max_scans) -> list[ImageBuffer]:
-        from repro.codecs.progressive import decode_progressive_batch
-
-        # The pool's contract is byte-identity with *fast-path* decode
-        # (workers pin it on); the in-process degradations must match even
-        # when the caller has toggled the scalar reference path globally.
-        with codec_config.use_fastpath(True):
-            images = decode_progressive_batch(payloads, max_scans=max_scans)
-        with self._inprocess_lock:
-            self._stats.batches += 1
-            self._stats.streams_decoded += len(payloads)
-            self._stats.bytes_decoded += sum(image.pixels.nbytes for image in images)
-        return images
-
-    def _decode_parallel(
-        self, state: _PoolState, payloads: list[bytes], max_scans
-    ) -> list[ImageBuffer]:
-        from repro.codecs.progressive import decode_progressive_batch
-
-        state.ensure_workers()
-        if not state.workers:
-            # Respawning is disabled and the fleet is gone: decode in-process
-            # without touching the (fresh, empty) queues.
-            state.stats.fallback_batches += 1
-            return self._decode_inprocess(payloads, max_scans)
-        shapes: list[tuple[int, ...]] = []
-        sizes: list[int] = []
-        offsets: list[int] = []
-        total = 0
-        for payload in payloads:
-            shape, nbytes = _frame_geometry(payload)
-            shapes.append(shape)
-            sizes.append(nbytes)
-            offsets.append(total)
-            total += nbytes
-        slab = state.acquire_slab(total)
-        views_created = False
-        try:
-            chunks = _chunk_by_bytes(
-                [len(p) for p in payloads], state.n_workers * self.chunks_per_worker
-            )
-            state.batch_counter += 1
-            batch_id = state.batch_counter
-            for chunk_id, indices in enumerate(chunks):
-                jobs = [
-                    (payloads[i], offsets[i], sizes[i], shapes[i]) for i in indices
-                ]
-                state.tasks.put((batch_id, chunk_id, slab.shm.name, max_scans, jobs))
-            pending = set(range(len(chunks)))
-            failed = not state.workers
-            last_progress = time.monotonic()
-            while pending and not failed:
-                try:
-                    done_batch, done_chunk, error, delta = state.results.get(
-                        timeout=_POLL_SECONDS
-                    )
-                except Empty:
-                    # Dead workers are detected directly; a worker that is
-                    # alive but wedged (e.g. a respawned fork that inherited
-                    # a lock held at fork time) trips the stall timeout, so
-                    # a batch can degrade but never hang.
-                    if any(not worker.is_alive() for worker in state.workers):
-                        failed = True
-                    elif time.monotonic() - last_progress > self.stall_timeout:
-                        state.stats.last_worker_error = "batch stalled"
-                        failed = True
-                    continue
-                if done_batch != batch_id:
-                    continue  # stale result from an aborted batch
-                if error is not None:
-                    state.stats.last_worker_error = error
-                    failed = True
-                    break
-                pending.discard(done_chunk)
-                last_progress = time.monotonic()
-                if delta:
-                    # Fold the worker's per-chunk registry delta into the
-                    # parent: fleet metrics equal in-process metrics.
-                    obs_metrics.get_registry().merge(delta)
-
-            images: list = [None] * len(payloads)
-            if failed:
-                # Tear the fleet down to a clean slate (a killed worker can
-                # die holding a queue lock), then finish the batch with the
-                # ordinary in-process decoder.  A worker that reported a
-                # decode *error* re-raises here with the real exception.
-                state.stats.fallback_batches += 1
-                state.restart_fleet()
-                fallback = sorted(
-                    index for chunk_id in pending for index in chunks[chunk_id]
-                )
-                # Pin the fast path: workers decode with it on, and a mixed
-                # batch must not differ chunk-by-chunk when the caller has
-                # the scalar reference toggled globally.
-                with codec_config.use_fastpath(True):
-                    decoded = decode_progressive_batch(
-                        [payloads[i] for i in fallback], max_scans=max_scans
-                    )
-                for index, image in zip(fallback, decoded):
-                    images[index] = image
-            done_indices = [
-                index
-                for chunk_id, indices in enumerate(chunks)
-                if chunk_id not in pending
-                for index in indices
-            ]
-            if done_indices:
-                lease = _SlabLease()
-                weakref.finalize(lease, _release_slab, state, slab)
-                for index in done_indices:
-                    images[index] = ImageBuffer(
-                        _slab_view(slab, offsets[index], shapes[index], lease)
-                    )
-                views_created = True
-            state.stats.batches += 1
-            if done_indices:
-                # Only count batches where workers actually decoded chunks;
-                # an all-fallback batch must not masquerade as parallel.
-                state.stats.parallel_batches += 1
-            state.stats.streams_decoded += len(payloads)
-            state.stats.bytes_decoded += total
-            return images
-        finally:
-            if not views_created:
-                _release_slab(state, slab)
-
-    # -- lifecycle --------------------------------------------------------
+        return self._state.run_batch(payloads, max_scans)
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the workers and release every pooled shared-memory slab.
@@ -839,33 +818,14 @@ class DecodePool:
         soon as their last view is garbage collected.  Decoding through a
         closed pool transparently runs in-process.
         """
-        self._closed_inprocess = True
-        if self._state is not None:
-            self._state.shutdown(timeout=timeout)
-        if self._finalizer is not None:
-            self._finalizer.detach()
+        self._state.shutdown(timeout=timeout)
+        self._finalizer.detach()
 
     def __enter__(self) -> "DecodePool":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-@dataclass
-class EncodePoolStats:
-    """Counters an :class:`EncodePool` accumulates over its lifetime."""
-
-    batches: int = 0
-    parallel_batches: int = 0
-    fallback_batches: int = 0
-    images_encoded: int = 0
-    pixel_bytes_in: int = 0
-    encoded_bytes_out: int = 0
-    fleet_restarts: int = 0
-    workers_started: int = 0
-    slabs_created: int = 0
-    last_worker_error: str = field(default="", repr=False)
 
 
 class EncodePool:
@@ -885,70 +845,25 @@ class EncodePool:
     batch encoder (no processes, no shared memory), so conversion code can
     wire a pool unconditionally and control parallelism with one integer.
 
-    Fleet lifecycle, chunked work stealing, slab pooling, crash fallback,
-    and the stall watchdog are shared with :class:`DecodePool` (see the
-    module docstring); after any worker failure the unfinished remainder of
-    the batch is encoded in-process and the caller sees identical streams
-    either way.
+    Everything else — fleet lifecycle, chunked work stealing, slab pooling,
+    crash fallback, the stall watchdog — is :class:`DecodePool`'s engine
+    (see the module docstring); after any worker failure the unfinished
+    remainder of the batch is encoded in-process and the caller sees
+    identical streams either way.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        start_method: str | None = None,
-        warmup_quality: int | None = 90,
-        chunks_per_worker: int = CHUNKS_PER_WORKER,
-        max_free_slabs: int = 4,
-        stall_timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, n_workers: int, *, warmup_quality: int | None = 90) -> None:
         self.n_workers = int(n_workers)
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
-        #: Seconds without any chunk completing (workers alive) before a
-        #: batch is declared stalled and finished in-process.
-        self.stall_timeout = float(stall_timeout)
-        self._closed_inprocess = False
-        self._inprocess_lock = threading.Lock()
-        if self.n_workers <= 1:
-            self._state: _PoolState | None = None
-            self._stats = EncodePoolStats()
-            self._finalizer = None
-            return
-        ctx = multiprocessing.get_context(start_method or _default_start_method())
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
-        state = _PoolState(
-            ctx,
-            self.n_workers,
-            warmup_quality,
-            max_free_slabs,
-            worker_main=_encode_worker_main,
-            worker_name="pcr-encode",
-            stats=EncodePoolStats(),
-        )
-        self._state = state
-        self._stats = state.stats
-        with state.lock:
-            state.ensure_workers()
-        self._finalizer = weakref.finalize(self, _PoolState.shutdown, state)
-
-    # -- introspection ----------------------------------------------------
+        self._state = _PoolState(_ENCODE, self.n_workers, warmup_quality)
+        self._finalizer = weakref.finalize(self, _PoolState.shutdown, self._state)
 
     @property
-    def stats(self) -> EncodePoolStats:
-        return self._stats
+    def stats(self) -> PoolStats:
+        return self._state.stats
 
     @property
     def closed(self) -> bool:
-        if self._state is not None:
-            return self._state.closed
-        return self._closed_inprocess
-
-    # -- encoding ---------------------------------------------------------
+        return self._state.closed
 
     def encode_batch(
         self,
@@ -959,151 +874,15 @@ class EncodePool:
         layout: str = "progressive",
     ) -> list[bytes]:
         """Encode a minibatch of images; identical to in-process encoding."""
-        images = list(images)
-        if not images:
-            return []
-        state = self._state
-        if state is None:
-            return self._encode_inprocess(images, quality, subsampling, layout)
-        with state.lock:
-            if state.closed:
-                return self._encode_inprocess(images, quality, subsampling, layout)
-            return self._encode_parallel(state, images, quality, subsampling, layout)
-
-    def _encode_inprocess(self, images, quality, subsampling, layout) -> list[bytes]:
-        from repro.codecs.progressive import encode_progressive_batch
-
-        # The pool's contract is identity with *fast-path* encoding (workers
-        # pin it on); the in-process degradations must match even when the
-        # caller has toggled the scalar reference path globally.
-        with codec_config.use_fastpath(True):
-            streams = encode_progressive_batch(
-                images, quality=quality, subsampling=subsampling, layout=layout
-            )
-        with self._inprocess_lock:
-            self._stats.batches += 1
-            self._stats.images_encoded += len(images)
-            self._stats.pixel_bytes_in += sum(im.pixels.nbytes for im in images)
-            self._stats.encoded_bytes_out += sum(len(s) for s in streams)
-        return streams
-
-    def _encode_parallel(
-        self, state: _PoolState, images, quality, subsampling, layout
-    ) -> list[bytes]:
-        from repro.codecs.progressive import encode_progressive_batch
-
-        state.ensure_workers()
-        if not state.workers:
-            # Respawning is disabled and the fleet is gone: encode in-process
-            # without touching the (fresh, empty) queues.
-            state.stats.fallback_batches += 1
-            return self._encode_inprocess(images, quality, subsampling, layout)
-        shapes: list[tuple[int, ...]] = []
-        sizes: list[int] = []
-        offsets: list[int] = []
-        total = 0
-        for image in images:
-            pixels = image.pixels
-            shapes.append(pixels.shape)
-            sizes.append(pixels.nbytes)
-            offsets.append(total)
-            total += pixels.nbytes
-        slab = state.acquire_slab(total)
-        try:
-            # Lay the chunk's pixels out back-to-back in the slab: one
-            # memcpy per image is the only parent-side pixel movement.
-            for image, offset, nbytes in zip(images, offsets, sizes):
-                region = np.frombuffer(
-                    slab.shm.buf, dtype=np.uint8, count=nbytes, offset=offset
-                )
-                region[:] = image.pixels.reshape(-1)
-                del region
-            # Balance chunks by *pixel* bytes: encode cost scales with the
-            # uncompressed size, unlike decode (compressed bytes).
-            chunks = _chunk_by_bytes(sizes, state.n_workers * self.chunks_per_worker)
-            state.batch_counter += 1
-            batch_id = state.batch_counter
-            params = (quality, subsampling, layout)
-            for chunk_id, indices in enumerate(chunks):
-                jobs = [(offsets[i], sizes[i], shapes[i]) for i in indices]
-                state.tasks.put((batch_id, chunk_id, slab.shm.name, params, jobs))
-            pending = set(range(len(chunks)))
-            chunk_streams: dict[int, list[bytes]] = {}
-            failed = not state.workers
-            last_progress = time.monotonic()
-            while pending and not failed:
-                try:
-                    done_batch, done_chunk, error, streams, delta = state.results.get(
-                        timeout=_POLL_SECONDS
-                    )
-                except Empty:
-                    if any(not worker.is_alive() for worker in state.workers):
-                        failed = True
-                    elif time.monotonic() - last_progress > self.stall_timeout:
-                        state.stats.last_worker_error = "batch stalled"
-                        failed = True
-                    continue
-                if done_batch != batch_id:
-                    continue  # stale result from an aborted batch
-                if error is not None:
-                    state.stats.last_worker_error = error
-                    failed = True
-                    break
-                chunk_streams[done_chunk] = streams
-                pending.discard(done_chunk)
-                last_progress = time.monotonic()
-                if delta:
-                    # Fold the worker's per-chunk registry delta into the
-                    # parent: fleet ingest metrics equal in-process metrics.
-                    obs_metrics.get_registry().merge(delta)
-
-            results: list = [None] * len(images)
-            for chunk_id, streams in chunk_streams.items():
-                for index, stream in zip(chunks[chunk_id], streams):
-                    results[index] = stream
-            if failed:
-                # Completed chunks keep their streams (identical either
-                # way); tear the fleet down to a clean slate and encode the
-                # unfinished remainder in-process.
-                state.stats.fallback_batches += 1
-                state.restart_fleet()
-                fallback = sorted(
-                    index for chunk_id in pending for index in chunks[chunk_id]
-                )
-                with codec_config.use_fastpath(True):
-                    encoded = encode_progressive_batch(
-                        [images[i] for i in fallback],
-                        quality=quality,
-                        subsampling=subsampling,
-                        layout=layout,
-                    )
-                for index, stream in zip(fallback, encoded):
-                    results[index] = stream
-            state.stats.batches += 1
-            if chunk_streams:
-                # Only count batches where workers actually encoded chunks.
-                state.stats.parallel_batches += 1
-            state.stats.images_encoded += len(images)
-            state.stats.pixel_bytes_in += total
-            state.stats.encoded_bytes_out += sum(len(s) for s in results)
-            return results
-        finally:
-            # Outputs are plain bytes — nothing views the slab after the
-            # batch, so it returns to the pool immediately (no leases).
-            _release_slab(state, slab)
-
-    # -- lifecycle --------------------------------------------------------
+        return self._state.run_batch(images, (quality, subsampling, layout))
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the workers and release every pooled shared-memory slab.
 
         Encoding through a closed pool transparently runs in-process.
         """
-        self._closed_inprocess = True
-        if self._state is not None:
-            self._state.shutdown(timeout=timeout)
-        if self._finalizer is not None:
-            self._finalizer.detach()
+        self._state.shutdown(timeout=timeout)
+        self._finalizer.detach()
 
     def __enter__(self) -> "EncodePool":
         return self

@@ -24,11 +24,12 @@ coefficient planes:
   float32 matmul with the -128 chroma centering folded into a bias vector,
   followed by a single in-place round/clip and one uint8 output allocation.
 
-A :class:`PixelScratch` carries the intermediate buffers so minibatch-level
-decoding (:func:`repro.codecs.progressive.decode_progressive_batch`) reuses
-them across every image of a batch.  Crucially the batch path runs the same
-per-image gemms as the single-image path — results are *bitwise identical*
-whether images are decoded one at a time or as a batch.
+A :class:`PixelScratch` carries the intermediate buffers; each thread owns
+one (:func:`_thread_scratch`), so consecutive decodes reuse them whether
+they come as a minibatch
+(:func:`repro.codecs.progressive.decode_progressive_batch`) or one image at
+a time.  The batch path runs the same per-image gemms as the single-image
+path — results are *bitwise identical* either way.
 
 Relative to the float64 reference the fused path reorders floating-point
 arithmetic, so decoded pixels may differ where a value lands within float32
@@ -139,7 +140,7 @@ _THREAD_SCRATCH = threading.local()
 
 
 def _thread_scratch() -> PixelScratch:
-    """The calling thread's default scratch (decode paths without a batch).
+    """The calling thread's scratch, used whenever the caller passes none.
 
     The codec objects held by readers are shared across ``DataLoader``
     worker threads, so the implicit scratch must be per-thread.

@@ -20,11 +20,7 @@ import numpy as np
 
 from repro.codecs import config as codec_config
 from repro.codecs.bitio import BitReader, BitWriter
-from repro.codecs.fastpath import (
-    decode_scan_bodies_fast,
-    decode_scan_body_fast,
-    encode_scan_body_fast,
-)
+from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_body_fast
 from repro.codecs.blocks import block_grid_shape, merge_blocks, split_into_blocks
 from repro.codecs.color import (
     rgb_to_ycbcr,
@@ -50,7 +46,7 @@ from repro.codecs.markers import (
     write_scan_segment,
 )
 from repro.codecs.encodepath import encode_to_planes
-from repro.codecs.pixelpath import PixelScratch, decode_to_pixels
+from repro.codecs.pixelpath import decode_to_pixels
 from repro.codecs.quantization import QuantizationTables, dequantize, quantize
 from repro.codecs.rle import (
     ac_band_symbols,
@@ -165,7 +161,6 @@ def image_to_coefficients(
     image: ImageBuffer,
     quality: int = DEFAULT_QUALITY,
     subsampling: int = SUBSAMPLING_420,
-    scratch: PixelScratch | None = None,
 ) -> CoefficientPlanes:
     """Forward-transform an image into quantized zigzag coefficient planes.
 
@@ -177,10 +172,10 @@ def image_to_coefficients(
     differential reference; unlike the entropy stage the two are *not*
     byte-identical — coefficients may differ by at most 1 quant step at
     a documented, tested rate (see the error budget in
-    :mod:`repro.codecs.encodepath`).  ``scratch`` lets batch callers
-    reuse work buffers; it is ignored on the scalar path.
+    :mod:`repro.codecs.encodepath`).  The fast path reuses the calling
+    thread's work buffers from one image to the next.
     """
-    if codec_config.FASTPATH:
+    if codec_config.fastpath_enabled():
         tables = QuantizationTables.for_quality(quality)
         if not image.is_color:
             subsampling = SUBSAMPLING_NONE
@@ -191,7 +186,7 @@ def image_to_coefficients(
             subsampling=subsampling,
             quant_tables=tables,
         )
-        planes = encode_to_planes(image, tables, subsampling, scratch)
+        planes = encode_to_planes(image, tables, subsampling)
         return CoefficientPlanes(header=header, planes=planes)
     return _image_to_coefficients_scalar(image, quality, subsampling)
 
@@ -231,20 +226,18 @@ def _image_to_coefficients_scalar(
     return CoefficientPlanes(header=header, planes=planes)
 
 
-def coefficients_to_image(
-    coefficients: CoefficientPlanes, scratch: PixelScratch | None = None
-) -> ImageBuffer:
+def coefficients_to_image(coefficients: CoefficientPlanes) -> ImageBuffer:
     """Reconstruct an image from (possibly partial) coefficient planes.
 
     Dispatches to the batched float32 pixel path
     (:mod:`repro.codecs.pixelpath`) unless the fast path is disabled via
     :mod:`repro.codecs.config`; the float64 scalar path is the differential
     reference (outputs may differ by at most 1 LSB, see the pixel-path
-    module docs).  ``scratch`` lets batch callers reuse work buffers; it is
-    ignored on the scalar path.
+    module docs).  The fast path reuses the calling thread's work buffers
+    from one image to the next.
     """
-    if codec_config.FASTPATH:
-        return ImageBuffer(decode_to_pixels(coefficients, scratch))
+    if codec_config.fastpath_enabled():
+        return ImageBuffer(decode_to_pixels(coefficients))
     return _coefficients_to_image_scalar(coefficients)
 
 
@@ -289,7 +282,7 @@ def _encode_scan_body(coefficients: CoefficientPlanes, scan: ScanHeader) -> byte
     :mod:`repro.codecs.config`; both implementations emit byte-identical
     segments.
     """
-    if codec_config.FASTPATH:
+    if codec_config.fastpath_enabled():
         return encode_scan_body_fast(coefficients, scan)
     return _encode_scan_body_scalar(coefficients, scan)
 
@@ -334,18 +327,6 @@ def _encode_scan_body_scalar(coefficients: CoefficientPlanes, scan: ScanHeader) 
     for symbols, extras in per_component:
         write_symbols(symbols, extras, table, writer)
     return table.to_bytes() + writer.getvalue()
-
-
-def _decode_scan_body(
-    data: bytes,
-    segment: ScanSegment,
-    coefficients: CoefficientPlanes,
-) -> None:
-    """Decode one scan segment into ``coefficients`` (in place)."""
-    if codec_config.FASTPATH:
-        decode_scan_body_fast(data, segment, coefficients)
-        return
-    _decode_scan_body_scalar(data, segment, coefficients)
 
 
 def _decode_scan_body_scalar(
@@ -405,16 +386,16 @@ def decode_coefficients(
     when it terminates a partial read with an EOI token.
 
     On the fast path the whole segment list is handed over at once
-    (:func:`repro.codecs.fastpath.decode_scan_bodies_fast`), letting the
-    superscalar tier amortize its vectorized scan-assembly epilogue across
-    every AC scan of the stream.
+    (:func:`repro.codecs.fastpath.decode_scan_bodies_fast`), letting it
+    amortize its vectorized scan-assembly epilogue across every AC scan of
+    the stream.
     """
     header, _ = parse_frame_header(data)
     coefficients = empty_coefficients(header)
     segments = find_scan_segments(data)
     if max_scans is not None:
         segments = segments[:max_scans]
-    if codec_config.FASTPATH:
+    if codec_config.fastpath_enabled():
         decode_scan_bodies_fast(data, segments, coefficients)
     else:
         for segment in segments:
@@ -427,14 +408,13 @@ def decode_progressive_batch(
 ) -> list[ImageBuffer]:
     """Decode a whole minibatch of (possibly truncated) streams at once.
 
-    The minibatch-level entry point the ``DataLoader`` path uses: one
-    :class:`~repro.codecs.pixelpath.PixelScratch` amortizes every float32
-    work buffer across the batch, and table/basis setup is shared through
-    the module caches, so per-image cost collapses to the entropy loop plus
-    a handful of in-place kernels.  Decoding is bitwise identical to
-    calling :func:`decode_coefficients` + :func:`coefficients_to_image` per
-    payload — the batch reuses *buffers*, never cross-image arithmetic —
-    which the equivalence tests in ``tests/test_codecs_pixelpath.py`` pin.
+    The minibatch-level entry point the ``DataLoader`` path uses, and a
+    plain loop: :func:`decode_coefficients` + :func:`coefficients_to_image`
+    per payload, bitwise identical to calling them yourself (pinned by the
+    equivalence tests in ``tests/test_codecs_pixelpath.py``).  Float32 work
+    buffers are the calling thread's and table/basis setup is shared
+    through the module caches, batch or not, so the batch form costs what
+    the per-image loop costs; what it adds is the instrumentation below.
 
     Every call records ``decode.streams_total`` / ``decode.bytes_total``
     counters and a ``decode.batch_seconds`` histogram sample on the default
@@ -447,11 +427,10 @@ def decode_progressive_batch(
     registry = get_registry()
     start = time.perf_counter()
     with get_tracer().span("decode.batch", {"streams": len(payloads)}):
-        scratch = PixelScratch() if codec_config.FASTPATH else None
         images: list[ImageBuffer] = []
         for data in payloads:
             coefficients, _ = decode_coefficients(data, max_scans=max_scans)
-            images.append(coefficients_to_image(coefficients, scratch))
+            images.append(coefficients_to_image(coefficients))
     registry.counter("decode.streams_total").inc(len(payloads))
     registry.counter("decode.bytes_total").inc(sum(len(data) for data in payloads))
     registry.histogram("decode.batch_seconds").observe(time.perf_counter() - start)
@@ -467,12 +446,10 @@ def encode_progressive_batch(
 ) -> list[bytes]:
     """Encode a whole chunk of images at once — the minibatch ingest entry.
 
-    The encode-side mirror of :func:`decode_progressive_batch`: one
-    :class:`~repro.codecs.pixelpath.PixelScratch` amortizes every float32
-    forward-path work buffer across the chunk, and Huffman/basis setup is
-    shared through the module caches.  Encoding is identical to calling
-    the per-image APIs in a loop — the batch reuses *buffers*, never
-    cross-image arithmetic.
+    The encode-side mirror of :func:`decode_progressive_batch`, and like
+    it a plain loop over the per-image APIs with identical output: work
+    buffers are the calling thread's and Huffman/basis setup is shared
+    through the module caches, batch or not.
 
     ``layout`` selects what each returned stream is:
 
@@ -498,10 +475,9 @@ def encode_progressive_batch(
     registry = get_registry()
     start = time.perf_counter()
     with get_tracer().span("ingest.encode_batch", {"images": len(images), "layout": layout}):
-        scratch = PixelScratch() if codec_config.FASTPATH else None
         streams: list[bytes] = []
         for image in images:
-            coefficients = image_to_coefficients(image, quality, subsampling, scratch)
+            coefficients = image_to_coefficients(image, quality, subsampling)
             n_components = coefficients.header.n_components
             if layout == "progressive":
                 chosen = script if script is not None else ScanScript.default_for(n_components)
@@ -551,7 +527,7 @@ class ProgressiveCodec:
         return encode_coefficients(coefficients, script)
 
     def encode_batch(self, images: list[ImageBuffer]) -> list[bytes]:
-        """Encode a minibatch of images, amortizing setup and work buffers.
+        """Encode a minibatch of images under one ``ingest.*`` metrics sample.
 
         See :func:`encode_progressive_batch`; results are bitwise identical
         to per-image :meth:`encode` calls.
@@ -568,7 +544,7 @@ class ProgressiveCodec:
     def decode_batch(
         self, payloads: list[bytes], max_scans: int | None = None
     ) -> list[ImageBuffer]:
-        """Decode a minibatch of streams, amortizing setup and buffers.
+        """Decode a minibatch of streams under one ``decode.*`` metrics sample.
 
         See :func:`decode_progressive_batch`; results are bitwise identical
         to per-payload :meth:`decode` calls.

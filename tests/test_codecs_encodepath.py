@@ -13,9 +13,6 @@ and is pinned to equality here.
 
 from __future__ import annotations
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -262,7 +259,11 @@ class TestBatchEncode:
 
 
 class TestEncodePool:
-    """EncodePool output is identical to in-process fast-path encoding."""
+    """EncodePool output is identical to in-process fast-path encoding.
+
+    Lifecycle and failure paths are the shared engine's: see
+    ``TestPoolConformance`` in ``tests/test_codecs_parallel.py``.
+    """
 
     def _images(self):
         rng = np.random.default_rng(13)
@@ -283,61 +284,7 @@ class TestEncodePool:
         with EncodePool(2) as pool:
             assert pool.encode_batch(images, layout=layout) == expected
             assert pool.stats.parallel_batches == 1
-            assert pool.stats.images_encoded == len(images)
-
-    def test_inprocess_pool_under_scalar_toggle(self):
-        """n_workers<=1 pools pin the fast path even when the caller has the
-        scalar reference enabled globally — same contract as DecodePool."""
-        images = self._images()[:2]
-        with codec_config.use_fastpath(True):
-            expected = encode_progressive_batch(images)
-        with codec_config.use_fastpath(False):
-            with EncodePool(1) as pool:
-                assert pool.encode_batch(images) == expected
-
-    def test_dead_fleet_falls_back_in_process(self):
-        images = self._images()
-        with codec_config.use_fastpath(True):
-            expected = encode_progressive_batch(images)
-        with EncodePool(2) as pool:
-            state = pool._state
-            for worker in state.workers:
-                worker.terminate()
-            for worker in state.workers:
-                worker.join()
-            state.respawn = False  # pin the fallback path deterministically
-            assert pool.encode_batch(images) == expected
-            assert pool.stats.fallback_batches >= 1
-
-    def test_mid_batch_worker_kill_recovers(self):
-        images = self._images() * 3
-        with codec_config.use_fastpath(True):
-            expected = encode_progressive_batch(images)
-        with EncodePool(2) as pool:
-            state = pool._state
-
-            def assassin():
-                time.sleep(0.01)
-                for worker in list(state.workers):
-                    if worker.is_alive():
-                        worker.terminate()
-
-            killer = threading.Thread(target=assassin)
-            killer.start()
-            out = pool.encode_batch(images)
-            killer.join()
-            assert out == expected
-            # Whether the assassin won the race or not, the streams match;
-            # a lost fleet must have been restarted for the next batch.
-            assert pool.encode_batch(images[:2]) == expected[:2]
-
-    def test_closed_pool_encodes_in_process(self):
-        images = self._images()[:2]
-        with codec_config.use_fastpath(True):
-            expected = encode_progressive_batch(images)
-        pool = EncodePool(2)
-        pool.close()
-        assert pool.encode_batch(images) == expected
+            assert pool.stats.items == len(images)
 
 
 class TestStreamingConversion:

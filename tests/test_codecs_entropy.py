@@ -69,25 +69,6 @@ class TestBitIO:
         for value, bits in clipped:
             assert reader.read_bits(bits) == value
 
-    def test_peek_does_not_consume(self):
-        reader = BitReader(bytes([0b10110001, 0b01000000]))
-        assert reader.peek_bits(4) == 0b1011
-        assert reader.peek_bits(4) == 0b1011
-        assert reader.read_bits(4) == 0b1011
-        assert reader.peek_bits(8) == 0b00010100
-
-    def test_peek_past_end_pads_with_ones(self):
-        reader = BitReader(bytes([0b10100000]))
-        assert reader.peek_bits(16) == (0b10100000 << 8) | 0xFF
-
-    def test_skip_bits(self):
-        reader = BitReader(bytes([0b11001010, 0b11110000]))
-        reader.skip_bits(3)
-        assert reader.read_bits(5) == 0b01010
-        assert reader.bits_remaining() == 8
-        with pytest.raises(EOFError):
-            reader.skip_bits(9)
-
     def test_bits_remaining_and_exhausted(self):
         reader = BitReader(b"\xab")
         assert reader.bits_remaining() == 8
@@ -198,37 +179,18 @@ class TestHuffman:
         reader = BitReader(writer.getvalue())
         assert [restored.decode_symbol(reader) for _ in symbols] == symbols
 
-    @given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
-    @settings(max_examples=40, deadline=None)
-    def test_lut_decode_matches_dict_decode(self, symbols):
-        table = HuffmanTable.from_symbols(symbols)
-        writer = BitWriter()
-        for symbol in symbols:
-            table.encode_symbol(symbol, writer)
-        data = writer.getvalue()
-        dict_decoded = []
-        reader = BitReader(data)
-        for _ in symbols:
-            dict_decoded.append(table.decode_symbol(reader))
-        lut_decoded = []
-        reader = BitReader(data)
-        for _ in symbols:
-            lut_decoded.append(table.decode_symbol_fast(reader))
-        assert lut_decoded == dict_decoded == symbols
-
     def test_lut_rejects_invalid_prefix(self):
         # A single-symbol table assigns only code "0" (length 1); every bit
         # pattern starting with "1" hits an unfilled primary slot and must
         # be rejected, exactly as the dict probe rejects it.
         table = HuffmanTable(code_lengths={7: 1})
-        with pytest.raises(ValueError, match="invalid Huffman code"):
-            table.decode_symbol_fast(BitReader(b"\xff\xff"))
+        tables = table.scan_tables()
+        assert tables.ac_primary[0xFF] == tables.dc_primary[0xFF] == 0
         with pytest.raises(ValueError, match="invalid Huffman code"):
             table.decode_symbol(BitReader(b"\xff\xff"))
         # A complete code (every prefix decodable) leaves no empty slots.
-        complete = HuffmanTable.from_symbols([1, 1, 1, 2])
-        lut, _ = complete.decode_tables()
-        assert all(entry != 0 for entry in lut)
+        complete = HuffmanTable.from_symbols([1, 1, 1, 2]).scan_tables()
+        assert all(entry != 0 for entry in complete.ac_primary + complete.dc_primary)
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)
@@ -246,23 +208,6 @@ class TestHuffman:
     def test_from_counts_empty_and_singleton(self):
         assert HuffmanTable.from_counts({}).code_lengths == {0: 1}
         assert HuffmanTable.from_counts({9: 4}).code_lengths == {9: 1}
-
-    @given(st.lists(st.integers(0, 255), min_size=1, max_size=200))
-    @settings(max_examples=30, deadline=None)
-    def test_encode_symbols_matches_encode_symbol(self, symbols):
-        table = HuffmanTable.from_symbols(symbols)
-        extras = [(0, 0)] * len(symbols)
-        one_by_one = BitWriter()
-        for symbol in symbols:
-            table.encode_symbol(symbol, one_by_one)
-        batched = BitWriter()
-        table.encode_symbols(symbols, extras, batched)
-        assert batched.getvalue() == one_by_one.getvalue()
-
-    def test_encode_symbols_unknown_symbol_raises(self):
-        table = HuffmanTable.from_symbols([1, 2, 3])
-        with pytest.raises(KeyError):
-            table.encode_symbols([99], [(0, 0)], BitWriter())
 
     def test_cached_from_bytes_returns_equivalent_table(self):
         table = HuffmanTable.from_symbols([0, 0, 1, 1, 1, 2, 3, 3, 3, 3, 4])

@@ -18,6 +18,7 @@ de-vectorization fails CI.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.codecs import config
 from repro.codecs.baseline import BaselineCodec
-from repro.codecs.fastpath import decode_scan_body_fast, encode_scan_body_fast
+from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_body_fast
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
     SUBSAMPLING_420,
@@ -301,7 +302,7 @@ class TestScanBodyFunctions:
         segments = find_scan_segments(stream)
         fast_result = empty_coefficients(header)
         for segment in segments:
-            decode_scan_body_fast(stream, segment, fast_result)
+            decode_scan_bodies_fast(stream, (segment,), fast_result)
         for original_plane, decoded_plane in zip(coefficients.planes, fast_result.planes):
             assert np.array_equal(original_plane, decoded_plane)
 
@@ -337,9 +338,8 @@ class TestScanBodyFunctions:
                 decode_coefficients(bad)
 
 
-#: The three decode tiers: scalar reference, single-symbol two-level LUT,
-#: and the superscalar pair-LUT path.
-_TIERS = (("scalar", False, True), ("single", True, False), ("super", True, True))
+#: The two decode tiers: scalar reference and the pair-LUT fast path.
+_TIERS = (("scalar", False), ("fast", True))
 
 
 def _tier_error_classes(stream: bytes) -> list[str]:
@@ -350,8 +350,8 @@ def _tier_error_classes(stream: bytes) -> list[str]:
     propagates and fails the calling test.
     """
     outcomes = []
-    for _, fastpath, superscalar in _TIERS:
-        with config.use_fastpath(fastpath), config.use_superscalar(superscalar):
+    for _, fastpath in _TIERS:
+        with config.use_fastpath(fastpath):
             try:
                 decode_coefficients(stream)
                 outcomes.append("ok")
@@ -361,10 +361,10 @@ def _tier_error_classes(stream: bytes) -> list[str]:
 
 
 class TestInvalidStreamFuzz:
-    """All three tiers must raise the *same* error class on invalid streams.
+    """Both tiers must raise the *same* error class on invalid streams.
 
-    The fast tiers decode the 1-padding as data and classify defects after
-    the fact, so their raise sites carry offset-based classification
+    The fast tier decodes the 1-padding as data and classifies defects after
+    the fact, so its raise sites carry offset-based classification
     (``_invalid_code_error`` / ``_overflow_error`` / ``_scan_defect``) to
     mirror the scalar reference's bit-by-bit semantics.  These tests pin
     that contract for the three documented defect families.
@@ -402,7 +402,7 @@ class TestInvalidStreamFuzz:
                 bad = self._rebuild(stream, segments, index, body[:cut])
                 outcomes = _tier_error_classes(bad)
                 assert outcomes[0] != "ok", f"scan {index} cut {cut} not defective"
-                assert outcomes[0] == outcomes[1] == outcomes[2], (
+                assert outcomes[0] == outcomes[1], (
                     f"scan {index} cut {cut}: {dict(zip([t[0] for t in _TIERS], outcomes))}"
                 )
 
@@ -419,7 +419,7 @@ class TestInvalidStreamFuzz:
                     mutated = mutated.replace(b"\xff", b"\xfe")
                 bad = self._rebuild(stream, segments, index, mutated)
                 outcomes = _tier_error_classes(bad)
-                assert outcomes[0] == outcomes[1] == outcomes[2], (
+                assert outcomes[0] == outcomes[1], (
                     f"scan {index} flip @{position}: "
                     f"{dict(zip([t[0] for t in _TIERS], outcomes))}"
                 )
@@ -434,8 +434,8 @@ class TestInvalidStreamFuzz:
             junk = bytes(rng.integers(0, 255, 32, endpoint=True).astype(np.uint8))
             junk = junk.replace(b"\xff", b"\xfe")  # keep marker parsing intact
             padded_stream = self._rebuild(stream, segments, index, body + junk)
-            for _, fastpath, superscalar in _TIERS:
-                with config.use_fastpath(fastpath), config.use_superscalar(superscalar):
+            for _, fastpath in _TIERS:
+                with config.use_fastpath(fastpath):
                     decoded, _ = decode_coefficients(padded_stream)
                 for expected, actual in zip(baseline.planes, decoded.planes):
                     assert np.array_equal(expected, actual)
@@ -445,9 +445,9 @@ class TestInvalidStreamFuzz:
 
         The symbol (never emitted by an encoder) is crafted with a run that
         overflows the band — the scalar reference raises at the symbol
-        itself, the fast tiers treat it as a pure zero-run, finish the
-        block, and then hit the crafted invalid prefix that follows — and
-        every tier must surface ``ValueError``.
+        itself, the fast tier treats it as a pure zero-run, finishes the
+        block, and then hits the crafted invalid prefix that follows — and
+        both tiers must surface ``ValueError``.
         """
         from repro.codecs.bitio import BitWriter
         from repro.codecs.huffman import HuffmanTable
@@ -475,7 +475,7 @@ class TestInvalidStreamFuzz:
         assert b"\xff" not in payload  # must not fabricate a marker
         bad = self._rebuild(stream, segments, target, table.to_bytes() + payload)
         outcomes = _tier_error_classes(bad)
-        assert outcomes == ["ValueError", "ValueError", "ValueError"]
+        assert outcomes == ["ValueError", "ValueError"]
 
 
 class TestToggle:
@@ -485,27 +485,34 @@ class TestToggle:
             assert config.fastpath_enabled() is (not initial)
         assert config.fastpath_enabled() is initial
 
-    def test_set_fastpath(self):
-        initial = config.fastpath_enabled()
-        try:
-            config.set_fastpath(False)
-            assert not config.fastpath_enabled()
-            config.set_fastpath(True)
-            assert config.fastpath_enabled()
-        finally:
-            config.set_fastpath(initial)
+    def test_override_is_invisible_to_other_threads(self):
+        """A thread holding ``use_fastpath(False)`` changes nothing for a
+        thread decoding concurrently, nor for one started inside the block
+        (the process-global flag this replaced leaked into both)."""
+        default = config.fastpath_enabled()
+        holding = threading.Event()
+        release = threading.Event()
 
-    def test_package_attribute_tracks_config(self):
-        import repro.codecs as codecs
+        def holder():
+            with config.use_fastpath(not default):
+                holding.set()
+                release.wait(timeout=30)
 
-        initial = config.fastpath_enabled()
+        observed: list[bool] = []
+        blocker = threading.Thread(target=holder)
+        blocker.start()
         try:
-            config.set_fastpath(False)
-            assert codecs.FASTPATH is False
-            config.set_fastpath(True)
-            assert codecs.FASTPATH is True
+            assert holding.wait(timeout=30)
+            observed.append(config.fastpath_enabled())  # concurrent thread
         finally:
-            config.set_fastpath(initial)
+            release.set()
+            blocker.join(timeout=30)
+        assert not blocker.is_alive()
+        with config.use_fastpath(not default):
+            child = threading.Thread(target=lambda: observed.append(config.fastpath_enabled()))
+            child.start()
+            child.join(timeout=30)
+        assert observed == [default, default]
 
 
 class TestPerformanceSmoke:

@@ -1,16 +1,20 @@
-"""Differential and lifecycle tests for the process-parallel decode engine.
+"""Differential and lifecycle tests for the process-parallel codec engine.
 
 The contract under test: :class:`repro.codecs.parallel.DecodePool` output is
 *byte-identical* to in-process fast-path decoding — across scan groups,
 colour modes, odd dimensions, worker counts, and every failure path (worker
 kill mid-batch, dead fleet, closed pool) — and a pool never leaks worker
-processes or shared-memory segments.
+processes or shared-memory segments.  ``TestPoolConformance`` runs the
+engine-level part of that contract over both public pools, since
+:class:`~repro.codecs.parallel.EncodePool` is the same engine with the data
+flow reversed.
 """
 
 from __future__ import annotations
 
 import gc
 import glob
+import inspect
 import subprocess
 import sys
 import threading
@@ -21,11 +25,13 @@ import numpy as np
 import pytest
 
 from repro.codecs.markers import EOI, CodecFormatError, find_scan_segments, write_scan_segment
-from repro.codecs.parallel import DecodePool, _chunk_by_bytes
+from repro.codecs import config
+from repro.codecs.parallel import DecodePool, EncodePool, _chunk_by_bytes
 from repro.codecs.progressive import (
     ProgressiveCodec,
     assemble_partial_stream,
     decode_progressive_batch,
+    encode_progressive_batch,
     split_scans,
 )
 from tests.conftest import make_structured_image
@@ -46,16 +52,21 @@ def _assert_identical(expected, actual) -> None:
 
 
 @pytest.fixture(scope="module")
-def streams() -> list[bytes]:
-    """Full 10-scan streams over gray/colour and even/odd dimensions."""
-    codec = ProgressiveCodec(quality=90)
-    images = [
+def images() -> list:
+    """Gray/colour images over even and odd dimensions."""
+    return [
         make_structured_image(48, seed=1, color=True),
         make_structured_image(48, seed=2, color=False),
         make_structured_image(37, seed=3, color=True),  # odd dims, colour
         make_structured_image(21, seed=4, color=False),  # odd dims, gray
         make_structured_image(40, seed=5, color=True),
     ]
+
+
+@pytest.fixture(scope="module")
+def streams(images) -> list[bytes]:
+    """Full 10-scan streams of ``images``."""
+    codec = ProgressiveCodec(quality=90)
     return [codec.encode(image) for image in images]
 
 
@@ -123,7 +134,7 @@ class TestDifferentialDecode:
 
     def test_single_worker_runs_in_process(self, streams):
         pool = DecodePool(1)
-        assert pool._state is None  # no processes, no shared memory
+        assert pool._state.workers == []  # no processes, no shared memory
         _assert_identical(decode_progressive_batch(streams), pool.decode_batch(streams))
         pool.close()
 
@@ -243,8 +254,6 @@ class TestFailurePaths:
         otherwise a crash under ``use_fastpath(False)`` could return a batch
         whose chunks differ by the float32-vs-float64 pixel paths' ±1 LSB.
         """
-        from repro.codecs import config
-
         expected = decode_progressive_batch(streams)  # fast path (default on)
         with config.use_fastpath(False):
             single = DecodePool(1)
@@ -261,6 +270,155 @@ class TestFailurePaths:
             _assert_identical(expected, pool.decode_batch(streams))  # fallback
             pool.close()
             _assert_identical(expected, pool.decode_batch(streams))  # closed
+
+
+# -- one engine, both directions ---------------------------------------------
+
+
+class _PoolCase:
+    """How to drive one public pool class through the shared contract."""
+
+    def __init__(self, pool_cls, images, streams):
+        self.pool_cls = pool_cls
+        if pool_cls is DecodePool:
+            self.items = streams
+            self.run = lambda pool, items: pool.decode_batch(items)
+            self.reference = decode_progressive_batch
+            # A first scan truncated mid-symbol: the worker hits EOFError.
+            prefix, _ = split_scans(streams[0])
+            segment = find_scan_segments(streams[0])[0]
+            body = streams[0][segment.payload_start : segment.end]
+            bad = prefix + write_scan_segment(segment.header, body[:-8]) + EOI
+            self.poison = lambda pool: pool.decode_batch([bad])
+            self.poison_error = EOFError
+        else:
+            self.items = images
+            self.run = lambda pool, items: pool.encode_batch(items)
+            self.reference = encode_progressive_batch
+            self.poison = lambda pool: pool.encode_batch(images, layout="interleaved")
+            self.poison_error = ValueError
+
+    def expected(self, items=None) -> list:
+        with config.use_fastpath(True):
+            return self.reference(self.items if items is None else items)
+
+    @staticmethod
+    def assert_same(expected, actual) -> None:
+        if expected and isinstance(expected[0], bytes):
+            assert actual == expected
+        else:
+            _assert_identical(expected, actual)
+
+
+@pytest.fixture(params=[DecodePool, EncodePool], ids=lambda cls: cls.__name__)
+def direction(request, images, streams) -> _PoolCase:
+    return _PoolCase(request.param, images, streams)
+
+
+def _kill_fleet(state) -> None:
+    for worker in state.workers:
+        worker.kill()  # SIGKILL: no cleanup, may die holding a queue lock
+    for worker in state.workers:
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+
+
+class TestPoolConformance:
+    """The engine contract, one body, over ``DecodePool`` and ``EncodePool``."""
+
+    def test_constructor_takes_only_workers_and_warmup(self, direction):
+        parameters = inspect.signature(direction.pool_cls).parameters
+        assert list(parameters) == ["n_workers", "warmup_quality"]
+        assert parameters["warmup_quality"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert parameters["warmup_quality"].default == 90
+
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    def test_at_most_one_worker_runs_inline(self, direction, n_workers):
+        before = set(_live_slabs())
+        with config.use_fastpath(False):  # the pool pins the fast path regardless
+            with direction.pool_cls(n_workers) as pool:
+                direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+                assert pool._state.workers == []
+                assert set(_live_slabs()) == before
+        assert (pool.stats.batches, pool.stats.parallel_batches) == (1, 0)
+        assert pool.stats.items == len(direction.items)
+
+    def test_closed_pool_runs_inline(self, direction):
+        pool = direction.pool_cls(2)
+        pool.close()
+        assert pool.closed
+        direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+        assert pool.stats.parallel_batches == 0
+
+    def test_dead_fleet_without_respawn_falls_back(self, direction):
+        with direction.pool_cls(2) as pool:
+            state = pool._state
+            _kill_fleet(state)
+            state.respawn = False  # pin the fallback path deterministically
+            direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+            assert pool.stats.fallback_batches == 1
+            assert pool.stats.fleet_restarts == 1
+            # Re-enable respawn: the next batch runs parallel again.
+            state.respawn = True
+            direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+            assert pool.stats.parallel_batches == 1
+            assert pool.stats.workers_started == 4  # 2 initial + 2 respawned
+
+    def test_sigkill_mid_batch_output_identical(self, direction):
+        items = direction.items * 20
+        expected = direction.expected(items)
+        with direction.pool_cls(2) as pool:
+            state = pool._state
+
+            def assassin():
+                time.sleep(0.01)
+                for worker in list(state.workers):
+                    worker.kill()
+
+            killer = threading.Thread(target=assassin)
+            killer.start()
+            out = direction.run(pool, items)
+            killer.join(timeout=30)
+            assert not killer.is_alive()
+            direction.assert_same(expected, out)
+            # Whatever the interleaving, the next batch must also be exact.
+            direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+
+    def test_worker_side_error_surfaces_with_its_own_class(self, direction):
+        with direction.pool_cls(2) as pool:
+            with pytest.raises(direction.poison_error):
+                direction.poison(pool)
+            assert pool.stats.fallback_batches == 1
+            assert direction.poison_error.__name__ in pool.stats.last_worker_error
+            # The fleet comes back for the next batch.
+            direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+            assert pool.stats.parallel_batches >= 1
+
+    def test_close_leaves_no_slab_and_no_worker(self, direction):
+        before = set(_live_slabs())
+        pool = direction.pool_cls(2)
+        out = direction.run(pool, direction.items)
+        workers = list(pool._state.workers)
+        assert len(workers) == 2
+        del out
+        gc.collect()
+        pool.close()
+        pool.close()  # idempotent
+        assert all(not worker.is_alive() for worker in workers)
+        assert set(_live_slabs()) == before
+
+    def test_stats_count_batches_items_and_reuse_one_slab(self, direction):
+        with direction.pool_cls(2) as pool:
+            for _ in range(3):
+                out = direction.run(pool, direction.items)
+                del out
+                gc.collect()
+            assert direction.run(pool, []) == []  # an empty batch counts for nothing
+            stats = pool.stats
+            assert (stats.batches, stats.parallel_batches, stats.fallback_batches) == (3, 3, 0)
+            assert stats.items == 3 * len(direction.items)
+            assert (stats.workers_started, stats.fleet_restarts) == (2, 0)
+            assert stats.slabs_created == 1
 
 
 # -- lifecycle / leak hygiene ----------------------------------------------

@@ -338,7 +338,7 @@ class TestForkAwareAggregation:
         assert in_process["counters"]["decode.streams_total"] > 0
 
     def test_worker_metrics_match_with_superscalar_tables(self, pcr_dataset):
-        """Fork parity must survive the superscalar pair-LUT decode tier.
+        """Fork parity must survive the pair-LUT table warmup.
 
         Workers pre-warm the payload-keyed Huffman table cache (building
         the superscalar tables at startup) and reset their registry before
@@ -346,11 +346,8 @@ class TestForkAwareAggregation:
         exactly as in-process — warmup builds and cache charges must never
         leak into the fleet delta.
         """
-        from repro.codecs import config as codec_config
-
-        with codec_config.use_superscalar(True):
-            in_process = self._decode_delta(pcr_dataset, 0)
-            parallel = self._decode_delta(pcr_dataset, 2)
+        in_process = self._decode_delta(pcr_dataset, 0)
+        parallel = self._decode_delta(pcr_dataset, 2)
         for name in ("decode.streams_total", "decode.bytes_total"):
             assert parallel["counters"].get(name) == in_process["counters"].get(name), name
         assert in_process["counters"]["decode.streams_total"] > 0
