@@ -271,7 +271,7 @@ def _bench_degraded_replica(
                 controller = cluster.start_controller(policy=_policy(), auto_start=False)
             throttle = BandwidthThrottle(None)
             with AdaptiveScanGroupSource(
-                ShardedRemoteRecordSource(cluster.shard_map, failover_rounds=3),
+                ShardedRemoteRecordSource(cluster.shard_map),
                 client_id="trainer",
                 report_interval=3600.0,
                 throttle=throttle,

@@ -117,21 +117,15 @@ def _stage_pair(fast_fn, scalar_fn, total_bytes: int, trials: int) -> dict:
     }
 
 
-def _entropy_pair(fn, total_bytes: int, trials: int) -> dict:
-    """:func:`_throughput_pair` under the key the CI entropy gate reads."""
-    row = _throughput_pair(fn, total_bytes, trials)
-    return {"superscalar_mb_per_s": row.pop("fast_mb_per_s"), **row}
-
-
-def _entropy_superscalar_section(
-    streams: list[bytes], split, n_scans: int, n_images: int, trials: int
-) -> dict:
-    """`entropy_superscalar` rows: fast tier vs scalar, full + per group.
+def _entropy_decode_rows(streams: list[bytes], n_scans: int, trials: int) -> dict:
+    """`entropy_decode_full` + `entropy_decode_by_scan_group`: fast vs scalar.
 
     Coefficient identity of the fast tier against the scalar reference is
     asserted on the full streams before anything is timed; the
-    per-scan-group rows make the win attributable per scan shape (DC-heavy
-    early groups vs AC-band-dominated late ones).
+    per-scan-group rows (identity policy: group k == first k scans) make
+    the win attributable per scan shape (DC-heavy early groups vs
+    AC-band-dominated late ones).  `entropy_decode_full.fast_mb_per_s` is
+    the statistic the CI entropy gate reads.
     """
     import numpy as np
 
@@ -144,27 +138,26 @@ def _entropy_superscalar_section(
                 assert np.array_equal(plane, ref_plane), (
                     "fast entropy tier diverged from the scalar reference"
                 )
-    stream_bytes = sum(len(s) for s in streams)
-    section: dict = {
-        "byte_identical": True,
-        "full_stream": _entropy_pair(
-            lambda: [decode_coefficients(s) for s in streams], stream_bytes, trials
-        ),
-        "by_scan_group": {},
-    }
+    full = _throughput_pair(
+        lambda: [decode_coefficients(s) for s in streams],
+        sum(len(s) for s in streams),
+        trials,
+    )
+    split = [split_scans(s) for s in streams]
+    by_group = {}
     for group in range(1, n_scans + 1):
         prefixes = [
             assemble_partial_stream(prefix, scans[:group]) for prefix, scans in split
         ]
         prefix_bytes = sum(len(p) for p in prefixes)
-        entry = _entropy_pair(
+        entry = _throughput_pair(
             lambda prefixes=prefixes: [decode_coefficients(p) for p in prefixes],
             prefix_bytes,
             trials,
         )
-        entry["prefix_bytes_mean"] = round(prefix_bytes / n_images, 1)
-        section["by_scan_group"][str(group)] = entry
-    return section
+        entry["prefix_bytes_mean"] = round(prefix_bytes / len(streams), 1)
+        by_group[str(group)] = entry
+    return {"entropy_decode_full": full, "entropy_decode_by_scan_group": by_group}
 
 
 def run_benchmark(
@@ -205,34 +198,7 @@ def run_benchmark(
         stream_bytes,
         trials,
     )
-    results["entropy_decode_full"] = _throughput_pair(
-        lambda: [decode_coefficients(s) for s in streams],
-        stream_bytes,
-        trials,
-    )
-
-    # Per scan group (identity policy: group k == first k scans).
-    split = [split_scans(s) for s in streams]
-    by_group = {}
-    for group in range(1, len(script) + 1):
-        prefixes = [
-            assemble_partial_stream(prefix, scans[:group]) for prefix, scans in split
-        ]
-        prefix_bytes = sum(len(p) for p in prefixes)
-        entry = _throughput_pair(
-            lambda prefixes=prefixes: [decode_coefficients(p) for p in prefixes],
-            prefix_bytes,
-            trials,
-        )
-        entry["prefix_bytes_mean"] = round(prefix_bytes / n_images, 1)
-        by_group[str(group)] = entry
-    results["entropy_decode_by_scan_group"] = by_group
-
-    # The section the CI entropy gate reads (`--entropy-only` measures only
-    # this one).
-    results["entropy_superscalar"] = _entropy_superscalar_section(
-        streams, split, len(script), n_images, trials
-    )
+    results.update(_entropy_decode_rows(streams, len(script), trials))
 
     # Full pipeline (image <-> stream).  Decode runs the batched float32
     # pixel path (fused dequantize+IDCT, strided merge, single-matmul
@@ -712,7 +678,6 @@ def run_entropy_benchmark(
     script = ScanScript.default_for(3)
     streams = [encode_coefficients(p, script) for p in planes]
     stream_bytes = sum(len(s) for s in streams)
-    split = [split_scans(s) for s in streams]
     return {
         "workload": {
             "dataset": "synthetic (frequency-controlled classes)",
@@ -723,9 +688,7 @@ def run_entropy_benchmark(
             "mean_stream_bytes": round(stream_bytes / n_images, 1),
             "trials": trials,
         },
-        "entropy_superscalar": _entropy_superscalar_section(
-            streams, split, len(script), n_images, trials
-        ),
+        **_entropy_decode_rows(streams, len(script), trials),
     }
 
 
@@ -734,19 +697,12 @@ def check_entropy_gate(
 ) -> tuple[bool, str]:
     """Compare measured entropy decode MB/s against a committed baseline.
 
-    Returns ``(ok, message)``.  The gated statistic is the superscalar
-    full-stream throughput; older baselines without an
-    ``entropy_superscalar`` section fall back to ``entropy_decode_full``'s
-    fast row (the same decode path at the time that file was written).
+    Returns ``(ok, message)``.  The gated statistic is the fast tier's
+    full-stream throughput, ``entropy_decode_full.fast_mb_per_s``.
     """
     baseline = json.loads(Path(baseline_path).read_text())
-    if "entropy_superscalar" in baseline:
-        reference = baseline["entropy_superscalar"]["full_stream"][
-            "superscalar_mb_per_s"
-        ]
-    else:
-        reference = baseline["entropy_decode_full"]["fast_mb_per_s"]
-    measured = results["entropy_superscalar"]["full_stream"]["superscalar_mb_per_s"]
+    reference = baseline["entropy_decode_full"]["fast_mb_per_s"]
+    measured = results["entropy_decode_full"]["fast_mb_per_s"]
     floor = reference * (1.0 - max_drop_pct / 100.0)
     message = (
         f"entropy decode {measured:.3f} MB/s vs committed baseline "
@@ -757,18 +713,20 @@ def check_entropy_gate(
 
 def print_entropy_report(results: dict) -> None:
     workload = results["workload"]
-    section = results["entropy_superscalar"]
     print("-" * 74)
     print(
         f"entropy decode, fast vs scalar — {workload['n_images']} x "
         f"{workload['image_size']}px synthetic, quality {workload['quality']} "
-        f"(byte-identical: {section['byte_identical']}):"
+        "(coefficient-identical, asserted before timing):"
     )
-    rows = [("full stream", section["full_stream"])]
-    rows += [(f"group 1..{group:>2s}", row) for group, row in section["by_scan_group"].items()]
+    rows = [("full stream", results["entropy_decode_full"])]
+    rows += [
+        (f"group 1..{group:>2s}", row)
+        for group, row in results["entropy_decode_by_scan_group"].items()
+    ]
     for label, row in rows:
         print(
-            f"  {label:13s} fast {row['superscalar_mb_per_s']:8.2f} MB/s   "
+            f"  {label:13s} fast {row['fast_mb_per_s']:8.2f} MB/s   "
             f"scalar {row['scalar_mb_per_s']:6.2f} MB/s ({row['speedup_vs_scalar']:.2f}x)"
         )
 
@@ -844,8 +802,6 @@ def print_report(results: dict) -> None:
         )
     if "ingest_throughput" in results:
         print_ingest_report(results)
-    if "entropy_superscalar" in results:
-        print_entropy_report(results)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -974,9 +930,8 @@ def test_codec_throughput_smoke():
     results = run_benchmark(image_size=96, n_images=2, trials=3, parallel_workers=(2,))
     assert results["entropy_decode_full"]["speedup_vs_scalar"] > 1.5
     assert results["entropy_encode"]["speedup_vs_scalar"] > 1.5
-    # Coefficient identity with the scalar reference is asserted inside the
-    # section before timing.
-    assert results["entropy_superscalar"]["byte_identical"]
+    # Coefficient identity of the fast entropy tier with the scalar reference
+    # is asserted inside `_entropy_decode_rows` before timing.
     assert results["pipeline_decode"]["speedup_vs_scalar"] > 1.2
     # The batched float32 pixel path must clearly beat the float64 stages,
     # and the minibatch API must not be meaningfully slower than per-image

@@ -11,7 +11,9 @@ Smith; VLDB 2021).  It contains:
 
 ``repro.core``
     The paper's contribution: the PCR storage format — encoder, decoder,
-    scan-group layout, metadata database, and dataset-level API.
+    scan-group layout, metadata database, and the one sample-level
+    ``RecordSource`` (over a byte-level ``RecordFetcher``) that local,
+    remote and sharded datasets all are.
 
 ``repro.storage`` / ``repro.records`` / ``repro.kvstore``
     Substrates: simulated block devices and a striped storage cluster,
@@ -51,6 +53,8 @@ _LAZY_EXPORTS = {
     "PCRRecordServer": ("repro.serving.server", "PCRRecordServer"),
     "PCRClient": ("repro.serving.client", "PCRClient"),
     "RemoteRecordSource": ("repro.serving.remote_source", "RemoteRecordSource"),
+    "RecordSource": ("repro.core.source", "RecordSource"),
+    "RecordFetcher": ("repro.core.source", "RecordFetcher"),
 }
 
 __all__ = ["__version__", *sorted(_LAZY_EXPORTS)]

@@ -1,9 +1,9 @@
 """Loader-side half of the control loop: report telemetry, apply hints.
 
-``AdaptiveScanGroupSource`` wraps any remote record source
-(:class:`~repro.serving.remote_source.RemoteRecordSource`, the sharded
-variant, or anything exposing the same ``read_record``/``set_scan_group``
-surface) and closes the loop from the client side:
+``AdaptiveScanGroupSource`` wraps any :class:`~repro.core.source.RecordSource`
+whose fetcher can ``report_telemetry``
+(:class:`~repro.serving.remote_source.RemoteRecordSource` or the sharded
+variant) and closes the loop from the client side:
 
 * at fetch boundaries, once per reporting window, it ships a
   :class:`~repro.control.telemetry.ClientTelemetry` report — the loader's
@@ -22,8 +22,8 @@ bytes are charged against the cap *in the worker thread*, so the induced
 delay surfaces in the loader's own stall tracker the same way a slow real
 link would.
 
-``DataLoader.epoch()`` binds its stall tracker automatically when the
-source exposes :meth:`bind_stall_tracker`, so wiring is one line::
+``DataLoader.epoch()`` hands every source its stall tracker through
+:meth:`bind_stall_tracker`, so wiring is one line::
 
     source = AdaptiveScanGroupSource(RemoteRecordSource(port=server.port))
     loader = DataLoader(source, config)
@@ -36,6 +36,7 @@ import time
 import uuid
 
 from repro.control.telemetry import ClientTelemetry, ScanGroupHint
+from repro.core.source import RecordSource
 from repro.obs import get_registry
 from repro.pipeline.stall import StallTracker
 
@@ -43,25 +44,31 @@ DEFAULT_REPORT_INTERVAL_SECONDS = 0.25
 
 
 class AdaptiveScanGroupSource:
-    """A remote source that reports telemetry and follows scan-group hints."""
+    """A remote source that reports telemetry and follows scan-group hints.
+
+    Everything not defined here — structure, scan group, decode pool, byte
+    accounting — is the wrapped source's own member, reached through
+    ``__getattr__``, so the wrapper cannot drift from ``RecordSource``.
+    """
 
     def __init__(
         self,
-        source,
+        source: RecordSource,
         client_id: str | None = None,
         report_interval: float = DEFAULT_REPORT_INTERVAL_SECONDS,
         throttle=None,
-        auto_apply: bool = True,
     ) -> None:
+        if not callable(getattr(source.fetcher, "report_telemetry", None)):
+            raise TypeError(
+                f"{type(source).__name__}'s fetcher ({type(source.fetcher).__name__}) cannot "
+                "report_telemetry: adaptive control needs a served source, not a local dataset"
+            )
         self.source = source
         self.client_id = (
             client_id if client_id is not None else f"loader-{uuid.uuid4().hex[:8]}"
         )
         self.report_interval = report_interval
         self.throttle = throttle
-        #: When False, hints are surfaced on :attr:`last_hint` but not applied
-        #: — the "controller off" arm of the benchmark still reports.
-        self.auto_apply = auto_apply
         self.stalls: StallTracker | None = None
         self.last_hint: ScanGroupHint | None = None
         self.reports_sent = 0
@@ -73,49 +80,14 @@ class AdaptiveScanGroupSource:
         self._window_base = self._usage_totals()
         self._bytes_per_sample: dict[int, float] | None = None
 
-    # -- delegation: the DataLoader-facing source surface ---------------------
-
-    @property
-    def record_names(self):
-        return self.source.record_names
-
-    @property
-    def n_groups(self) -> int:
-        return self.source.n_groups
-
-    @property
-    def n_samples(self) -> int:
-        return self.source.n_samples
+    def __getattr__(self, name: str):
+        # Only reached for names this wrapper does not define.
+        if name == "source":
+            raise AttributeError(name)
+        return getattr(self.source, name)
 
     def __len__(self) -> int:
         return len(self.source)
-
-    @property
-    def dataset_meta(self):
-        return self.source.dataset_meta
-
-    @property
-    def stats(self):
-        return self.source.stats
-
-    @property
-    def scan_group(self) -> int:
-        return self.source.scan_group
-
-    def set_scan_group(self, scan_group: int) -> None:
-        self.source.set_scan_group(scan_group)
-
-    def set_decode_pool(self, pool) -> None:
-        self.source.set_decode_pool(pool)
-
-    def record_index(self, record_name: str):
-        return self.source.record_index(record_name)
-
-    def bytes_for_group(self, record_name: str, scan_group: int) -> int:
-        return self.source.bytes_for_group(record_name, scan_group)
-
-    def epoch_bytes(self) -> int:
-        return self.source.epoch_bytes()
 
     def __iter__(self):
         for record_name in self.record_names:
@@ -163,66 +135,48 @@ class AdaptiveScanGroupSource:
         self._maybe_report()
 
     def _maybe_report(self) -> None:
-        now = time.monotonic()
-        if now - self._window_started < self.report_interval:
-            return
         # One reporter at a time; concurrent workers skip instead of queueing
         # behind the round trip.
         if not self._report_lock.acquire(blocking=False):
             return
         try:
-            now = time.monotonic()
-            window = now - self._window_started
-            if window < self.report_interval:
-                return
-            base = self._window_base
-            current = self._usage_totals()
-            self._window_started = now
-            self._window_base = current
-            telemetry = ClientTelemetry(
-                client_id=self.client_id,
-                scan_group=self.source.scan_group,
-                n_groups=self.source.n_groups,
-                window_seconds=window,
-                wait_seconds=max(0.0, current[3] - base[3]),
-                compute_seconds=max(0.0, current[4] - base[4]),
-                bytes_read=current[0] - base[0],
-                records_read=current[1] - base[1],
-                samples=current[2] - base[2],
-                bytes_per_sample_by_group=self._group_byte_profile(),
-            )
-            self.report_now(telemetry)
+            if time.monotonic() - self._window_started >= self.report_interval:
+                self.report_now()
         finally:
             self._report_lock.release()
 
-    def report_now(self, telemetry: ClientTelemetry | None = None) -> ScanGroupHint | None:
+    def _close_window(self) -> ClientTelemetry:
+        """The totals accumulated since the last report, as one telemetry
+        window; starts the next window."""
+        base = self._window_base
+        current = self._usage_totals()
+        now = time.monotonic()
+        window = max(now - self._window_started, 1e-9)
+        self._window_started = now
+        self._window_base = current
+        return ClientTelemetry(
+            client_id=self.client_id,
+            scan_group=self.source.scan_group,
+            n_groups=self.source.n_groups,
+            window_seconds=window,
+            wait_seconds=max(0.0, current[3] - base[3]),
+            compute_seconds=max(0.0, current[4] - base[4]),
+            bytes_read=current[0] - base[0],
+            records_read=current[1] - base[1],
+            samples=current[2] - base[2],
+            bytes_per_sample_by_group=self._group_byte_profile(),
+        )
+
+    def report_now(self) -> ScanGroupHint | None:
         """Ship one report immediately and apply any hint that comes back.
 
-        With ``telemetry=None`` a report is synthesized from the totals
-        accumulated since the last window (used by tests and the benchmark
-        to force a report at an exact point in the workload).
+        The report is the window accumulated since the last one; besides the
+        time-based path, tests and the benchmark call this to force a report
+        at an exact point in the workload.
         """
-        if telemetry is None:
-            base = self._window_base
-            current = self._usage_totals()
-            now = time.monotonic()
-            window = max(now - self._window_started, 1e-9)
-            self._window_started = now
-            self._window_base = current
-            telemetry = ClientTelemetry(
-                client_id=self.client_id,
-                scan_group=self.source.scan_group,
-                n_groups=self.source.n_groups,
-                window_seconds=window,
-                wait_seconds=max(0.0, current[3] - base[3]),
-                compute_seconds=max(0.0, current[4] - base[4]),
-                bytes_read=current[0] - base[0],
-                records_read=current[1] - base[1],
-                samples=current[2] - base[2],
-                bytes_per_sample_by_group=self._group_byte_profile(),
-            )
+        telemetry = self._close_window()
         try:
-            ack = self.source.client.report_telemetry(telemetry.to_payload())
+            ack = self.source.fetcher.report_telemetry(telemetry.to_payload())
         except Exception:
             # Telemetry is best-effort: a dead or pre-control server must
             # never fail the fetch path that triggered the report.
@@ -237,7 +191,7 @@ class AdaptiveScanGroupSource:
         hint = ScanGroupHint.from_payload(hint_payload)
         self.last_hint = hint
         registry.counter("loader.telemetry.hints_received_total").inc()
-        if self.auto_apply and hint.scan_group != self.source.scan_group:
+        if hint.scan_group != self.source.scan_group:
             self.source.set_scan_group(hint.scan_group)
             self.hints_applied += 1
             registry.counter("loader.telemetry.hints_applied_total").inc()

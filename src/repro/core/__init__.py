@@ -11,7 +11,11 @@ Public entry points:
 
 * :class:`~repro.core.writer.PCRWriter` — encode images into PCR records.
 * :class:`~repro.core.reader.PCRReader` — read records at a chosen scan group.
-* :class:`~repro.core.dataset.PCRDataset` — dataset-level convenience API.
+* :class:`~repro.core.source.RecordSource` — the one sample-level source
+  (switchable scan group, reads, label views, byte accounting) over any
+  :class:`~repro.core.source.RecordFetcher` (where the record bytes live).
+* :class:`~repro.core.dataset.PCRDataset` — the ``RecordSource`` over a local
+  reader, plus the ``build`` constructors.
 * :mod:`repro.core.convert` — converters from baseline formats and cost models.
 """
 
@@ -20,6 +24,7 @@ from repro.core.errors import PCRError, PCRFormatError, ScanGroupError
 from repro.core.metadata import SampleMetadata
 from repro.core.reader import PCRReader
 from repro.core.scan_groups import ScanGroupPolicy
+from repro.core.source import RecordFetcher, RecordSource
 from repro.core.writer import PCRWriter
 
 __all__ = [
@@ -28,6 +33,8 @@ __all__ = [
     "PCRFormatError",
     "PCRReader",
     "PCRWriter",
+    "RecordFetcher",
+    "RecordSource",
     "SampleMetadata",
     "ScanGroupError",
     "ScanGroupPolicy",

@@ -1,27 +1,26 @@
 """Dataset-level convenience API over the PCR reader/writer.
 
 ``PCRDataset`` is the object most examples and the data-loading pipeline
-interact with: it owns a reader, tracks the *current* scan group (which can
-be switched at any time — the lightweight quality switch PCRs enable), and
-optionally remaps labels so the same stored dataset can serve different
-training tasks (Section 4.3).
+interact with: a :class:`~repro.core.source.RecordSource` whose fetcher is a
+local :class:`~repro.core.reader.PCRReader`, plus the ``build`` constructors
+that encode a new dataset directory.  The switchable scan group, reads,
+label remapping and byte accounting are the shared source's.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.codecs.image import ImageBuffer
 from repro.codecs.progressive import ProgressiveCodec
-from repro.core.reader import PCRReader, PCRSample
+from repro.core.reader import PCRReader
 from repro.core.scan_groups import ScanGroupPolicy
+from repro.core.source import LabelMapper, RecordSource
 from repro.core.writer import PCRWriter, WriteResult
 
-LabelMapper = Callable[[int], int]
 
-
-class PCRDataset:
+class PCRDataset(RecordSource):
     """A PCR dataset directory viewed at a (switchable) scan group."""
 
     def __init__(
@@ -31,10 +30,12 @@ class PCRDataset:
         decode: bool = True,
         label_mapper: LabelMapper | None = None,
     ) -> None:
-        self.reader = PCRReader(directory, decode=decode)
-        self._scan_group = scan_group if scan_group is not None else self.reader.n_groups
-        self.reader._validate_group(self._scan_group)
-        self._label_mapper = label_mapper
+        super().__init__(PCRReader(directory, decode=decode), scan_group, decode, label_mapper)
+
+    @property
+    def reader(self) -> PCRReader:
+        """The local reader this dataset fetches through."""
+        return self.fetcher  # type: ignore[return-value]
 
     # -- construction --------------------------------------------------------
 
@@ -49,15 +50,14 @@ class PCRDataset:
         backend: str = "sqlite",
     ) -> "PCRDataset":
         """Encode ``(key, image, label)`` samples into a new PCR dataset."""
-        writer = PCRWriter(
+        return cls.build_and_report(
+            samples,
             directory,
             images_per_record=images_per_record,
             codec=ProgressiveCodec(quality=quality),
             policy=policy,
             backend=backend,
-        )
-        writer.write_dataset(samples)
-        return cls(directory)
+        )[0]
 
     @classmethod
     def build_and_report(
@@ -70,106 +70,3 @@ class PCRDataset:
         writer = PCRWriter(directory, **writer_kwargs)  # type: ignore[arg-type]
         result = writer.write_dataset(samples)
         return cls(directory), result
-
-    # -- quality control -----------------------------------------------------
-
-    @property
-    def scan_group(self) -> int:
-        """The scan group used by iteration and sample reads."""
-        return self._scan_group
-
-    def set_scan_group(self, scan_group: int) -> None:
-        """Switch the data quality used for subsequent reads.
-
-        This is the lightweight runtime switch PCRs provide: no re-encoding,
-        no extra copies — only the number of bytes read per record changes.
-        """
-        self.reader._validate_group(scan_group)
-        self._scan_group = scan_group
-
-    @property
-    def n_groups(self) -> int:
-        """Number of scan groups available."""
-        return self.reader.n_groups
-
-    # -- parallel decode -----------------------------------------------------
-
-    def set_decode_pool(self, pool) -> None:
-        """Route record decoding through a :class:`~repro.codecs.parallel.DecodePool`.
-
-        Pass ``None`` to return to in-process decoding.  Label-mapper views
-        share the underlying reader, so they see the same pool.
-        """
-        self.reader.set_decode_pool(pool)
-
-    # -- label remapping -----------------------------------------------------
-
-    def with_label_mapper(self, mapper: LabelMapper) -> "PCRDataset":
-        """Return a view of this dataset with remapped labels.
-
-        The underlying storage is shared; only the labels visible to the
-        consumer change — the mechanism behind the Cars "Make-Only" and
-        "Is-Corvette" tasks.
-        """
-        view = PCRDataset.__new__(PCRDataset)
-        view.reader = self.reader
-        view._scan_group = self._scan_group
-        view._label_mapper = mapper
-        return view
-
-    def _map_label(self, label: int) -> int:
-        return self._label_mapper(label) if self._label_mapper else label
-
-    # -- access ---------------------------------------------------------------
-
-    @property
-    def record_names(self) -> list[str]:
-        """Record names, in write order."""
-        return self.reader.record_names
-
-    def __len__(self) -> int:
-        return self.reader.n_samples
-
-    def read_record(self, record_name: str, decode: bool | None = None) -> list[PCRSample]:
-        """Read one record at the current scan group."""
-        samples = self.reader.read_record(record_name, self._scan_group, decode=decode)
-        if self._label_mapper is None:
-            return samples
-        return [
-            PCRSample(
-                metadata=sample.metadata.with_label(self._map_label(sample.label)),
-                stream=sample.stream,
-                image=sample.image,
-            )
-            for sample in samples
-        ]
-
-    def __iter__(self) -> Iterator[PCRSample]:
-        for record_name in self.record_names:
-            yield from self.read_record(record_name)
-
-    def epoch_bytes(self) -> int:
-        """Bytes read from storage per epoch at the current scan group."""
-        return self.reader.dataset_bytes_for_group(self._scan_group)
-
-    def epoch_bytes_by_group(self) -> dict[int, int]:
-        """Bytes per epoch for every scan group (Figure 16 data)."""
-        return {
-            group: self.reader.dataset_bytes_for_group(group)
-            for group in range(1, self.n_groups + 1)
-        }
-
-    def mean_sample_bytes(self, scan_group: int | None = None) -> float:
-        """Average bytes per sample at a scan group (drives the speedup model)."""
-        group = self._scan_group if scan_group is None else scan_group
-        return self.reader.dataset_bytes_for_group(group) / max(1, len(self))
-
-    def close(self) -> None:
-        """Close the underlying reader."""
-        self.reader.close()
-
-    def __enter__(self) -> "PCRDataset":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -52,56 +52,24 @@ def validate_scan_group(scan_group: int, n_groups: int) -> None:
         raise ScanGroupError(f"scan group {scan_group} out of range [1, {n_groups}]")
 
 
-def _decode_streams(streams: list[bytes], codec: ProgressiveCodec, decode_pool) -> list:
-    """Decode a minibatch of streams, through a decode pool when one is wired.
-
-    A :class:`~repro.codecs.parallel.DecodePool` is a drop-in for the
-    codec's batch API — byte-identical output, but the entropy loops run on
-    worker processes and the pixels come back through shared memory.
-    """
-    with get_tracer().span("loader.decode", {"streams": len(streams)}):
-        if decode_pool is not None:
-            return decode_pool.decode_batch(streams)
-        return codec.decode_batch(streams)
-
-
-def assemble_samples(
-    data: bytes, codec: ProgressiveCodec, decode: bool, decode_pool=None
-) -> list[PCRSample]:
-    """Parse a record prefix and rebuild one decodable sample per entry.
-
-    Shared by the local reader and the network
-    :class:`~repro.serving.remote_source.RemoteRecordSource`, so the
-    stream-reassembly invariant lives in exactly one place.  A record is a
-    natural minibatch, so decoding goes through the codec's batch API
-    (:meth:`~repro.codecs.progressive.ProgressiveCodec.decode_batch`), which
-    reuses pixel-stage work buffers across every sample of the record — or
-    through ``decode_pool`` (a :class:`~repro.codecs.parallel.DecodePool`)
-    to fan the record's streams out across worker processes.
-    """
-    parsed = parse_record_prefix(data)
-    streams = [
-        assemble_partial_stream(prefix, scans)
-        for prefix, scans in zip(parsed.header_prefixes, parsed.scans_per_sample)
-    ]
-    images = _decode_streams(streams, codec, decode_pool) if decode else [None] * len(streams)
-    return [
-        PCRSample(metadata=metadata, stream=stream, image=image)
-        for metadata, stream, image in zip(parsed.samples, streams, images)
-    ]
-
-
 def assemble_samples_batch(
     blobs: list[bytes], codec: ProgressiveCodec, decode: bool, decode_pool=None
 ) -> list[list[PCRSample]]:
-    """:func:`assemble_samples` over several record prefixes at once.
+    """Parse record prefixes and rebuild one decodable sample per entry.
 
-    All streams of all records decode through one batch-API call, so the
-    pixel-stage scratch buffers are shared across the *whole* fetch — the
-    shape a pipelined multi-record read (``RemoteRecordSource.
-    read_record_batch``) hands the codec — and a wired ``decode_pool``
-    parallelizes that whole fetch across its worker processes.  Results are
-    bitwise identical to per-record assembly.
+    Shared by the local reader and every
+    :class:`~repro.core.source.RecordSource`, so the stream-reassembly
+    invariant lives in exactly one place.  All streams of all records decode
+    through one batch-API call
+    (:meth:`~repro.codecs.progressive.ProgressiveCodec.decode_batch`), so the
+    pixel-stage scratch buffers are shared across the *whole* fetch — one
+    record, or the pipelined multi-record read ``RecordSource.
+    read_record_batch`` hands the codec — and a wired ``decode_pool`` (a
+    :class:`~repro.codecs.parallel.DecodePool`: a drop-in for the codec's
+    batch API with byte-identical output, but the entropy loops run on
+    worker processes and the pixels come back through shared memory)
+    parallelizes that whole fetch.  Results are bitwise identical to
+    per-record assembly.
     """
     parsed_records = [parse_record_prefix(data) for data in blobs]
     streams: list[bytes] = []
@@ -112,7 +80,10 @@ def assemble_samples_batch(
             for prefix, scans in zip(parsed.header_prefixes, parsed.scans_per_sample)
         )
         boundaries.append(len(streams))
-    images = _decode_streams(streams, codec, decode_pool) if decode else [None] * len(streams)
+    images: list = [None] * len(streams)
+    if decode:
+        with get_tracer().span("loader.decode", {"streams": len(streams)}):
+            images = (decode_pool if decode_pool is not None else codec).decode_batch(streams)
     out: list[list[PCRSample]] = []
     start = 0
     for parsed, end in zip(parsed_records, boundaries):
@@ -153,9 +124,7 @@ class PCRReader:
     overlap where it matters.
     """
 
-    def __init__(
-        self, directory: str | Path, decode: bool = True, decode_pool=None
-    ) -> None:
+    def __init__(self, directory: str | Path, decode: bool = True) -> None:
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise PCRError(f"{self.directory} is not a PCR dataset directory")
@@ -167,20 +136,9 @@ class PCRReader:
         self.n_groups: int = int(self.dataset_meta["n_groups"])
         self.decode_by_default = decode
         self._codec = ProgressiveCodec(quality=int(self.dataset_meta.get("quality", 90)))
-        self._decode_pool = decode_pool
         self._indexes: dict[str, RecordIndex] = {}
         self._lock = threading.Lock()
         self.stats = ReadStats()
-
-    def set_decode_pool(self, pool) -> None:
-        """Install (or remove, with ``None``) a parallel decode engine.
-
-        All subsequent decoding reads route their minibatch decode through
-        the :class:`~repro.codecs.parallel.DecodePool`.  The reader does not
-        own the pool — the caller (typically the ``DataLoader``) manages its
-        lifecycle.
-        """
-        self._decode_pool = pool
 
     def _open_store(self):
         for backend in (SQLITE_BACKEND, LSM_BACKEND):
@@ -230,7 +188,7 @@ class PCRReader:
 
     def read_record_bytes(self, record_name: str, scan_group: int) -> bytes:
         """Sequentially read the record prefix up to ``scan_group``."""
-        self._validate_group(scan_group)
+        validate_scan_group(scan_group, self.n_groups)
         index = self.record_index(record_name)
         length = index.bytes_for_group(scan_group)
         path = self.directory / record_name
@@ -246,6 +204,10 @@ class PCRReader:
             self.stats.records_read += 1
         return data
 
+    def read_record_bytes_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
+        """Prefixes of several ``(record_name, scan_group)``, in request order."""
+        return [self.read_record_bytes(name, group) for name, group in requests]
+
     def read_record(
         self, record_name: str, scan_group: int, decode: bool | None = None
     ) -> list[PCRSample]:
@@ -258,7 +220,7 @@ class PCRReader:
         """
         decode = self.decode_by_default if decode is None else decode
         data = self.read_record_bytes(record_name, scan_group)
-        samples = assemble_samples(data, self._codec, decode, decode_pool=self._decode_pool)
+        samples = assemble_samples_batch([data], self._codec, decode)[0]
         if decode:
             with self._lock:
                 self.stats.samples_decoded += len(samples)
@@ -278,13 +240,6 @@ class PCRReader:
         samples = self.read_record(entry["record"], scan_group, decode=decode)
         return samples[entry["position"]]
 
-    def iter_samples(
-        self, scan_group: int, decode: bool | None = None
-    ):
-        """Yield every sample in the dataset at the given scan group."""
-        for record_name in self.record_names:
-            yield from self.read_record(record_name, scan_group, decode=decode)
-
     def close(self) -> None:
         """Close the metadata database."""
         with self._lock:
@@ -295,6 +250,3 @@ class PCRReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _validate_group(self, scan_group: int) -> None:
-        validate_scan_group(scan_group, self.n_groups)

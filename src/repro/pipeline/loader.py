@@ -1,4 +1,4 @@
-"""A prefetching data loader over a PCR dataset.
+"""A prefetching data loader over a PCR record source.
 
 The loader follows the closed-system model of §A.1: a pool of worker threads
 continuously reads the next record at the dataset's current scan group,
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codecs.parallel import DecodePool
-from repro.core.dataset import PCRDataset
+from repro.core.source import RecordSource
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.augment import Compose
 from repro.pipeline.batch import Minibatch, collate
@@ -46,11 +46,12 @@ class LoaderConfig:
 
 
 class DataLoader:
-    """Iterates minibatches from a :class:`~repro.core.dataset.PCRDataset`."""
+    """Iterates minibatches from any :class:`~repro.core.source.RecordSource`
+    (local ``PCRDataset``, remote, sharded, or an adaptive wrapper)."""
 
     def __init__(
         self,
-        dataset: PCRDataset,
+        dataset: RecordSource,
         config: LoaderConfig | None = None,
         augmentations: Compose | None = None,
     ) -> None:
@@ -85,13 +86,13 @@ class DataLoader:
         tears it down along with the threads, so no decode processes or
         shared-memory slabs outlive an interrupted run.
         """
-        self._ensure_decode_pool()
+        if self.config.decode_workers > 0 and self._decode_pool is None:
+            self._decode_pool = DecodePool(self.config.decode_workers)
+            self.dataset.set_decode_pool(self._decode_pool)
         # Adaptive sources (repro.control.AdaptiveScanGroupSource) report the
         # loader's stall split as telemetry; hand them the tracker so their
         # reports and our Figure-11 series come from the same measurements.
-        bind = getattr(self.dataset, "bind_stall_tracker", None)
-        if bind is not None:
-            bind(self.stalls)
+        self.dataset.bind_stall_tracker(self.stalls)
         record_names = self.dataset.record_names
         sampler = (
             ShuffleSampler(record_names, seed=int(self._rng.integers(0, 2**31)))
@@ -205,7 +206,7 @@ class DataLoader:
         """
         pool, self._decode_pool = self._decode_pool, None
         if pool is not None:
-            self._install_decode_pool(None)
+            self.dataset.set_decode_pool(None)
             pool.close()
 
     def close(self) -> None:
@@ -227,34 +228,6 @@ class DataLoader:
         return full
 
     # -- internals ----------------------------------------------------------------
-
-    def _ensure_decode_pool(self) -> None:
-        """Create and install the decode pool on first use (persistent after)."""
-        if self.config.decode_workers <= 0 or self._decode_pool is not None:
-            return
-        # Every PCR record source (PCRDataset, RemoteRecordSource,
-        # ShardedRemoteRecordSource) exposes set_decode_pool.  A custom
-        # source without the hook cannot route decoding through a pool, so
-        # spawning worker processes for it would only burn memory — warn
-        # and keep decoding in-process instead.
-        if getattr(self.dataset, "set_decode_pool", None) is None:
-            import warnings
-
-            warnings.warn(
-                f"decode_workers={self.config.decode_workers} requested but "
-                f"{type(self.dataset).__name__} has no set_decode_pool(); "
-                "decoding stays in-process",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-        self._decode_pool = DecodePool(self.config.decode_workers)
-        self._install_decode_pool(self._decode_pool)
-
-    def _install_decode_pool(self, pool: DecodePool | None) -> None:
-        install = getattr(self.dataset, "set_decode_pool", None)
-        if install is not None:
-            install(pool)
 
     def _worker_loop(
         self,

@@ -16,9 +16,11 @@ The subsystem has four parts:
     and retry-on-reconnect.
 
 :mod:`repro.serving.remote_source`
-    ``RemoteRecordSource`` — the ``DataLoader``-compatible record source
-    that streams minibatches from a server with a runtime-switchable scan
-    group.
+    ``RemoteFetcher`` — the :class:`~repro.core.source.RecordFetcher` over
+    a wire client — and ``RemoteRecordSource``, the shared
+    :class:`~repro.core.source.RecordSource` constructed over it: the
+    ``DataLoader``-compatible source that streams minibatches from a server
+    with a runtime-switchable scan group.
 
 :mod:`repro.serving.cluster`
     The multi-node layer: ``ShardMap`` (consistent-hash routing),
@@ -34,7 +36,7 @@ from repro.serving.cluster import (
     ShardMap,
     ShardedRemoteRecordSource,
 )
-from repro.serving.remote_source import RemoteRecordSource
+from repro.serving.remote_source import RemoteFetcher, RemoteRecordSource
 from repro.serving.server import PCRRecordServer, ScanPrefixCache
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "ClusterCoordinator",
     "PCRClient",
     "PCRRecordServer",
+    "RemoteFetcher",
     "RemoteRecordSource",
     "ScanPrefixCache",
     "ShardMap",

@@ -56,7 +56,6 @@ class PCRClient:
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
         max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES,
         retries: int = 1,
-        socket_buffer_bytes: int | None = None,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be at least 1")
@@ -65,7 +64,6 @@ class PCRClient:
         self.timeout = timeout
         self.max_payload = max_payload
         self.retries = retries
-        self.socket_buffer_bytes = socket_buffer_bytes
         self._pool_size = pool_size
         self._pool: queue.LifoQueue[socket.socket] = queue.LifoQueue()
         self._n_open = 0
@@ -80,13 +78,6 @@ class PCRClient:
         # pipelined BATCH) must hit the wire immediately instead of waiting
         # out Nagle against the server's delayed ACK.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if self.socket_buffer_bytes:
-            sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, self.socket_buffer_bytes
-            )
-            sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_SNDBUF, self.socket_buffer_bytes
-            )
         return sock
 
     def _acquire(self) -> socket.socket:

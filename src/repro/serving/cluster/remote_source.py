@@ -1,64 +1,37 @@
 """A ``DataLoader`` record source backed by a sharded serving cluster.
 
-``ShardedRemoteRecordSource`` is :class:`~repro.serving.remote_source.
-RemoteRecordSource` with a :class:`~repro.serving.cluster.client.
-ClusterClient` underneath: the cluster client exposes the same fetch
-surface as a single-server ``PCRClient``, so every behaviour of the
-single-server source — runtime-switchable scan group, client-side
-minibatch decode (every record fetch runs through the codec batch API with
-shared pixel-stage buffers), pipelined batch reads, byte accounting —
-carries over verbatim, and a replica killed mid-epoch is absorbed by the
-client's failover instead of surfacing to the training loop.
+``ShardedRemoteRecordSource`` is the shared
+:class:`~repro.core.source.RecordSource` over a
+:class:`~repro.serving.remote_source.RemoteFetcher` whose client is a
+:class:`~repro.serving.cluster.client.ClusterClient`: the cluster client
+exposes the same fetch surface as a single-server ``PCRClient``, so every
+behaviour of the single-server source — runtime-switchable scan group,
+client-side minibatch decode (every record fetch runs through the codec
+batch API with shared pixel-stage buffers), pipelined batch reads, byte
+accounting — is literally the same code, and a replica killed mid-epoch is
+absorbed by the client's failover instead of surfacing to the training loop.
 """
 
 from __future__ import annotations
 
+from repro.core.source import RecordSource
 from repro.serving.cluster.client import ClusterClient
 from repro.serving.cluster.shard_map import ShardMap
-from repro.serving.remote_source import RemoteRecordSource
+from repro.serving.remote_source import RemoteFetcher
 
 
-class ShardedRemoteRecordSource(RemoteRecordSource):
+class ShardedRemoteRecordSource(RecordSource):
     """Reads PCR records from a replicated shard fleet; ``DataLoader``-ready."""
 
     def __init__(
-        self,
-        shard_map: ShardMap | None = None,
-        cluster_client: ClusterClient | None = None,
-        scan_group: int | None = None,
-        decode: bool = True,
-        pool_size: int = 2,
-        failover_rounds: int | None = None,
-        decode_pool=None,
+        self, shard_map: ShardMap, scan_group: int | None = None, decode: bool = True
     ) -> None:
-        if cluster_client is None:
-            if shard_map is None:
-                raise ValueError("provide a shard_map or a cluster_client")
-            kwargs = {} if failover_rounds is None else {"failover_rounds": failover_rounds}
-            cluster_client = ClusterClient(shard_map, pool_size=pool_size, **kwargs)
-            owns_client = True
-        else:
-            owns_client = False
-        try:
-            super().__init__(
-                client=cluster_client,
-                scan_group=scan_group,
-                decode=decode,
-                decode_pool=decode_pool,
-            )
-        except BaseException:
-            # The base __init__ fetches dataset_meta over the wire; if that
-            # fails, a client we built must not leak its pooled sockets.
-            if owns_client:
-                cluster_client.close()
-            raise
-        # The base class saw a non-None client and assumed the caller owns
-        # it; when we built the ClusterClient ourselves, we do.
-        self._owns_client = owns_client
+        super().__init__(RemoteFetcher(ClusterClient(shard_map)), scan_group, decode)
 
     @property
     def cluster_client(self) -> ClusterClient:
-        return self.client  # type: ignore[return-value]
+        """The routing, failover-aware client this source fetches through."""
+        return self.fetcher.client  # type: ignore[attr-defined]
 
     def cluster_stats(self) -> dict:
         """Per-shard server stats plus the client's failover counters."""

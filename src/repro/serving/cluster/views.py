@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.core.errors import PCRError
 from repro.core.index import RecordIndex
-from repro.core.reader import PCRReader, ReadStats, validate_scan_group
+from repro.core.reader import PCRReader, ReadStats
 
 
 class ShardViewReader:
@@ -102,8 +102,8 @@ class ShardViewReader:
         self._require_owned(record_name)
         return self._reader.read_record_bytes(record_name, scan_group)
 
-    def _validate_group(self, scan_group: int) -> None:
-        validate_scan_group(scan_group, self.n_groups)
+    def read_record_bytes_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
+        return [self.read_record_bytes(name, group) for name, group in requests]
 
     def close(self) -> None:
         """Close the underlying reader (idempotent: supervisors may retire a

@@ -1,13 +1,14 @@
-"""A network-backed record source with the read interface ``DataLoader`` uses.
+"""Network-backed record sources: a wire fetcher under the shared source.
 
-``RemoteRecordSource`` mirrors the slice of the
-:class:`~repro.core.dataset.PCRDataset` API the data-loading pipeline
-consumes — ``record_names``, ``read_record``, ``__len__``, and the
-switchable ``scan_group`` — but fetches record bytes from a
+``RemoteFetcher`` adapts a :class:`~repro.serving.client.PCRClient` (or a
+:class:`~repro.serving.cluster.client.ClusterClient`, which exposes the same
+fetch surface) to the :class:`~repro.core.source.RecordFetcher` protocol, so
+``RemoteRecordSource`` is the same :class:`~repro.core.source.RecordSource`
+a local ``PCRDataset`` is — it only fetches record bytes from a
 :class:`~repro.serving.server.PCRRecordServer` instead of the local
 filesystem.  Decoding stays on the client: the server ships compressed
 prefixes, so the network carries exactly the bytes the fidelity target
-requires, and a dynamic tuning controller can call :meth:`set_scan_group`
+requires, and a dynamic tuning controller can call ``set_scan_group``
 mid-training to retarget every subsequent fetch (the over-the-network
 version of the paper's lightweight quality switch).
 """
@@ -16,78 +17,39 @@ from __future__ import annotations
 
 import threading
 
-from repro.codecs.progressive import ProgressiveCodec
 from repro.core.index import RecordIndex
-from repro.core.reader import (
-    PCRSample,
-    ReadStats,
-    assemble_samples,
-    assemble_samples_batch,
-    validate_scan_group,
-)
-from repro.obs import get_registry, get_tracer
-from repro.serving.client import DEFAULT_POOL_SIZE, PCRClient
+from repro.core.source import RecordSource
+from repro.obs import get_tracer
+from repro.serving.client import PCRClient
 
 
-class RemoteRecordSource:
-    """Reads PCR records from a record server; drop-in ``DataLoader`` source."""
+class RemoteFetcher:
+    """A :class:`~repro.core.source.RecordFetcher` over a wire client.
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        scan_group: int | None = None,
-        decode: bool = True,
-        client: PCRClient | None = None,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        decode_pool=None,
-        socket_buffer_bytes: int | None = None,
-    ) -> None:
-        self.client = client if client is not None else PCRClient(
-            host=host,
-            port=port,
-            pool_size=pool_size,
-            socket_buffer_bytes=socket_buffer_bytes,
-        )
-        self._owns_client = client is None
-        meta = self.client.dataset_meta()
+    Construction performs the ``DATASET_META`` handshake (and closes the
+    client if it fails, so no pooled socket leaks); offset indexes are
+    fetched once and cached.  A single read is one ``GET_RECORD`` round
+    trip, a multi-record read one pipelined ``BATCH``.
+    """
+
+    def __init__(self, client) -> None:
+        self.client = client
+        try:
+            meta = client.dataset_meta()
+        except BaseException:
+            client.close()
+            raise
         self.dataset_meta: dict = meta["dataset"]
         self.n_groups: int = int(meta["n_groups"])
-        self._n_samples: int = int(meta["n_samples"])
+        self.n_samples: int = int(meta["n_samples"])
         self._record_names: list[str] = list(meta["record_names"])
-        self._scan_group = scan_group if scan_group is not None else self.n_groups
-        self._validate_group(self._scan_group)
-        self.decode_by_default = decode
-        self._codec = ProgressiveCodec(quality=int(self.dataset_meta.get("quality", 90)))
-        self._decode_pool = decode_pool
         self._indexes: dict[str, RecordIndex] = {}
         self._lock = threading.Lock()
-        self.stats = ReadStats()
-        get_registry().gauge("serving.client.scan_group").set(self._scan_group)
-
-    def set_decode_pool(self, pool) -> None:
-        """Decode fetched records through a :class:`~repro.codecs.parallel.DecodePool`.
-
-        The network then feeds exactly the bytes the fidelity target needs
-        while every local core chews on the entropy loops — pass ``None``
-        to return to in-process decoding.  The source does not own the
-        pool's lifecycle.
-        """
-        self._decode_pool = pool
-
-    # -- dataset structure ---------------------------------------------------
 
     @property
     def record_names(self) -> list[str]:
         """Record names, as enumerated by the server."""
         return list(self._record_names)
-
-    def __len__(self) -> int:
-        return self._n_samples
-
-    @property
-    def n_samples(self) -> int:
-        return self._n_samples
 
     def record_index(self, record_name: str) -> RecordIndex:
         """Offset index of one record, fetched once and cached."""
@@ -99,99 +61,37 @@ class RemoteRecordSource:
                 self._indexes[record_name] = index
         return index
 
-    # -- quality control -----------------------------------------------------
-
-    @property
-    def scan_group(self) -> int:
-        """The scan group used for subsequent record fetches."""
-        return self._scan_group
-
-    def set_scan_group(self, scan_group: int) -> None:
-        """Retarget the fidelity of every subsequent fetch (no reconnect).
-
-        Every actual switch is visible in snapshots: the current target is
-        a ``serving.client.scan_group`` gauge and each mid-run change bumps
-        ``serving.client.scan_group_switches_total`` on the default
-        registry — so a controller-driven (or manual) fidelity change shows
-        up next to the loader/stall metrics it affects.
-        """
-        self._validate_group(scan_group)
-        changed = scan_group != self._scan_group
-        self._scan_group = scan_group
-        registry = get_registry()
-        registry.gauge("serving.client.scan_group").set(scan_group)
-        if changed:
-            registry.counter("serving.client.scan_group_switches_total").inc()
-
-    def _validate_group(self, scan_group: int) -> None:
-        validate_scan_group(scan_group, self.n_groups)
-
-    # -- reading -------------------------------------------------------------
-
-    def read_record(self, record_name: str, decode: bool | None = None) -> list[PCRSample]:
-        """Fetch and reassemble one record at the current scan group."""
+    def read_record_bytes(self, record_name: str, scan_group: int) -> bytes:
+        """One record prefix in one ``GET_RECORD`` round trip."""
         with get_tracer().span("loader.fetch", {"record": record_name}):
-            data = self.client.get_record_bytes(record_name, self._scan_group)
-        with self._lock:
-            self.stats.bytes_read += len(data)
-            self.stats.records_read += 1
-        return self._assemble(data, decode)
+            return self.client.get_record_bytes(record_name, scan_group)
 
-    def read_record_batch(
-        self, record_names: list[str], decode: bool | None = None
-    ) -> list[list[PCRSample]]:
-        """Pipelined fetch of several records in one server round trip.
+    def read_record_bytes_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
+        """Pipelined fetch of several records in one server round trip."""
+        with get_tracer().span("loader.fetch", {"records": len(requests)}):
+            return self.client.get_record_batch(requests)
 
-        Decoding is minibatch-level too: every sample of every fetched
-        record goes through one codec batch call, so pixel-stage work
-        buffers are shared across the whole multi-record response.
-        """
-        group = self._scan_group
-        with get_tracer().span("loader.fetch", {"records": len(record_names)}):
-            blobs = self.client.get_record_batch([(name, group) for name in record_names])
-        decode = self.decode_by_default if decode is None else decode
-        out = assemble_samples_batch(
-            blobs, self._codec, decode, decode_pool=self._decode_pool
-        )
-        with self._lock:
-            self.stats.bytes_read += sum(len(data) for data in blobs)
-            self.stats.records_read += len(blobs)
-            if decode:
-                self.stats.samples_decoded += sum(len(samples) for samples in out)
-        return out
-
-    def _assemble(self, data: bytes, decode: bool | None) -> list[PCRSample]:
-        decode = self.decode_by_default if decode is None else decode
-        samples = assemble_samples(data, self._codec, decode, decode_pool=self._decode_pool)
-        if decode:
-            with self._lock:
-                self.stats.samples_decoded += len(samples)
-        return samples
-
-    def __iter__(self):
-        for record_name in self._record_names:
-            yield from self.read_record(record_name)
-
-    # -- accounting ----------------------------------------------------------
-
-    def bytes_for_group(self, record_name: str, scan_group: int) -> int:
-        """Bytes the server ships for one record at ``scan_group``."""
-        return self.record_index(record_name).bytes_for_group(scan_group)
-
-    def epoch_bytes(self) -> int:
-        """Bytes transferred per epoch at the current scan group."""
-        return sum(
-            self.bytes_for_group(name, self._scan_group) for name in self._record_names
-        )
-
-    # -- lifecycle -----------------------------------------------------------
+    def report_telemetry(self, report: dict) -> dict:
+        """Ship one loader-telemetry report; returns the server's ack."""
+        return self.client.report_telemetry(report)
 
     def close(self) -> None:
-        if self._owns_client:
-            self.client.close()
+        self.client.close()
 
-    def __enter__(self) -> "RemoteRecordSource":
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+class RemoteRecordSource(RecordSource):
+    """Reads PCR records from a record server; drop-in ``DataLoader`` source."""
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        scan_group: int | None = None,
+        decode: bool = True,
+    ) -> None:
+        super().__init__(RemoteFetcher(PCRClient(host=host, port=port)), scan_group, decode)
+
+    @property
+    def client(self) -> PCRClient:
+        """The pooled wire client this source fetches through."""
+        return self.fetcher.client  # type: ignore[attr-defined]

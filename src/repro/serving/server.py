@@ -43,7 +43,7 @@ from pathlib import Path
 
 from repro.control.telemetry import ClientTelemetry, TelemetryStore
 from repro.core.errors import PCRError, ScanGroupError
-from repro.core.reader import PCRReader
+from repro.core.reader import PCRReader, validate_scan_group
 from repro.obs import MetricsRegistry
 from repro.serving import protocol
 from repro.serving.protocol import (
@@ -1047,7 +1047,7 @@ class PCRRecordServer:
         Returns ``bytes`` on a miss or exact-length hit and a zero-copy
         ``memoryview`` on a prefix-containment hit.
         """
-        self.reader._validate_group(scan_group)
+        validate_scan_group(scan_group, self.reader.n_groups)
         length = self.reader.bytes_for_group(record_name, scan_group)
         cached = self.cache.get(record_name, scan_group, length)
         if cached is not None:

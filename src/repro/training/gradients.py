@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dataset import PCRDataset
+from repro.core.source import RecordSource
 from repro.pipeline.batch import collate
 from repro.training.loop import Trainer
 
@@ -26,7 +26,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def dataset_gradient(
     trainer: Trainer,
-    dataset: PCRDataset,
+    dataset: RecordSource,
     scan_group: int,
     max_samples: int | None = None,
 ) -> np.ndarray:
@@ -49,7 +49,7 @@ def dataset_gradient(
 
 def scan_group_gradient_similarities(
     trainer: Trainer,
-    dataset: PCRDataset,
+    dataset: RecordSource,
     scan_groups: list[int],
     reference_group: int | None = None,
     max_samples: int | None = None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.dataset import PCRDataset
+from repro.core.source import RecordSource
 from repro.pipeline.loader import DataLoader
 from repro.training.gradients import scan_group_gradient_similarities
 from repro.training.loop import Trainer
@@ -56,7 +56,7 @@ class LossPlateauController:
     def tune(
         self,
         trainer: Trainer,
-        dataset: PCRDataset,
+        dataset: RecordSource,
         loader: DataLoader,
         epoch: int,
     ) -> TuningDecision:
@@ -92,7 +92,7 @@ class LossPlateauController:
         return decision
 
     def _probe(
-        self, trainer: Trainer, dataset: PCRDataset, loader: DataLoader, group: int
+        self, trainer: Trainer, dataset: RecordSource, loader: DataLoader, group: int
     ) -> float:
         dataset.set_scan_group(group)
         losses = []
@@ -116,7 +116,7 @@ class GradientCosineController:
     def tune(
         self,
         trainer: Trainer,
-        dataset: PCRDataset,
+        dataset: RecordSource,
         epoch: int,
     ) -> TuningDecision:
         """Measure gradient similarity per group and adopt the smallest passing one."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.codecs.progressive import ProgressiveCodec
-from repro.core.dataset import PCRDataset
+from repro.core.source import RecordSource
 from repro.metrics.msssim import ms_ssim
 from repro.metrics.regression import cluster_by_mssim
 
@@ -52,7 +52,7 @@ class StaticTuner:
 
     def __init__(
         self,
-        dataset: PCRDataset,
+        dataset: RecordSource,
         mssim_threshold: float = DEFAULT_MSSIM_THRESHOLD,
         sample_limit: int = 16,
     ) -> None:
@@ -113,7 +113,7 @@ class StaticTuner:
         # Scan groups are stored in quality order; group g corresponds to the
         # first g scans of the default identity policy (or the boundary scan
         # of a clustered policy, recorded in the dataset metadata).
-        boundaries = self.dataset.reader.dataset_meta.get("group_boundaries")
+        boundaries = self.dataset.dataset_meta.get("group_boundaries")
         if boundaries:
             return int(boundaries[group - 1])
         return group

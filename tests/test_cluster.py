@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.core.errors import PCRError
@@ -263,65 +262,8 @@ class TestClusterClient:
 
 
 class TestShardedRemoteRecordSource:
-    def test_epoch_byte_identical_at_two_scan_groups(self, cluster, pcr_dataset):
-        """4x2 cluster serves a full DataLoader epoch byte-identical to a
-        direct PCRReader read, at two different scan groups."""
-        # One worker: record processing order (and so batch order) is
-        # deterministic, making remote and local epochs comparable 1:1.
-        config = LoaderConfig(batch_size=8, n_workers=1, shuffle=False, seed=123)
-        try:
-            with ShardedRemoteRecordSource(shard_map=cluster.shard_map) as source:
-                for group in (pcr_dataset.n_groups, 1):
-                    source.set_scan_group(group)
-                    pcr_dataset.set_scan_group(group)
-                    remote = list(DataLoader(source, config).epoch())
-                    local = list(DataLoader(pcr_dataset, config).epoch())
-                    assert len(remote) == len(local) > 0
-                    for mine, theirs in zip(remote, local):
-                        assert np.array_equal(mine.images, theirs.images)
-                        assert np.array_equal(mine.labels, theirs.labels)
-        finally:
-            pcr_dataset.set_scan_group(pcr_dataset.n_groups)
-
-    def test_parallel_decode_epoch_byte_identical(self, cluster, pcr_dataset):
-        """Cluster fetch + DecodePool workers: network saturation and all
-        local cores, still byte-identical to a direct in-process read."""
-        remote_config = LoaderConfig(
-            batch_size=8, n_workers=1, shuffle=False, seed=123, decode_workers=2
-        )
-        local_config = LoaderConfig(batch_size=8, n_workers=1, shuffle=False, seed=123)
-        with ShardedRemoteRecordSource(shard_map=cluster.shard_map) as source:
-            remote_loader = DataLoader(source, remote_config)
-            try:
-                remote = list(remote_loader.epoch())
-                pool = remote_loader._decode_pool
-                assert pool is not None and pool.stats.parallel_batches > 0
-            finally:
-                remote_loader.close()
-            local = list(DataLoader(pcr_dataset, local_config).epoch())
-        assert len(remote) == len(local) > 0
-        for mine, theirs in zip(remote, local):
-            assert np.array_equal(mine.images, theirs.images)
-            assert np.array_equal(mine.labels, theirs.labels)
-
-    def test_raw_bytes_match_direct_reader(self, cluster, pcr_dataset):
-        reader = pcr_dataset.reader
-        with ShardedRemoteRecordSource(shard_map=cluster.shard_map, decode=False) as src:
-            for group in (1, reader.n_groups):
-                src.set_scan_group(group)
-                for name in reader.record_names:
-                    remote = src.read_record(name, decode=False)
-                    local = reader.read_record(name, group, decode=False)
-                    assert [s.stream for s in remote] == [s.stream for s in local]
-
-    def test_runtime_scan_group_switch_changes_epoch_bytes(self, cluster, pcr_dataset):
-        with ShardedRemoteRecordSource(shard_map=cluster.shard_map) as source:
-            source.set_scan_group(pcr_dataset.n_groups)
-            high = source.epoch_bytes()
-            source.set_scan_group(1)
-            low = source.epoch_bytes()
-        assert low < high
-        assert low == pcr_dataset.reader.dataset_bytes_for_group(1)
+    """What only a cluster can do; everything a sharded source shares with
+    the other backends is checked once in ``test_record_source.py``."""
 
     def test_epoch_survives_mid_epoch_shard_kill(self, tmp_path, tiny_samples):
         """The acceptance scenario: one shard replica dies mid-epoch and the
@@ -360,5 +302,9 @@ class TestShardedRemoteRecordSource:
                 assert stats["client"]["failovers"] > 0
 
     def test_requires_map_or_client(self):
-        with pytest.raises(ValueError, match="shard_map or a cluster_client"):
+        """The shard map is the only way in: the source builds (and owns)
+        its cluster client, there is no ``cluster_client=`` alternative."""
+        with pytest.raises(TypeError, match="shard_map"):
             ShardedRemoteRecordSource()
+        with pytest.raises(TypeError, match="cluster_client"):
+            ShardedRemoteRecordSource(cluster_client=None)

@@ -330,7 +330,7 @@ class TestReaderBatchIntegration:
         pixels with record B's metadata.
         """
         from repro.core.dataset import PCRDataset
-        from repro.core.reader import assemble_samples, assemble_samples_batch
+        from repro.core.reader import assemble_samples_batch
 
         rng = np.random.default_rng(4)
         samples = [
@@ -347,7 +347,7 @@ class TestReaderBatchIntegration:
             batched = assemble_samples_batch(blobs, codec, decode=True)
             assert [len(record) for record in batched] == [3, 3, 1]
             for blob, batch_record in zip(blobs, batched):
-                single_record = assemble_samples(blob, codec, decode=True)
+                single_record = assemble_samples_batch([blob], codec, decode=True)[0]
                 for batch_sample, single_sample in zip(batch_record, single_record):
                     assert batch_sample.metadata.key == single_sample.metadata.key
                     assert batch_sample.stream == single_sample.stream

@@ -25,7 +25,8 @@ from repro.control import (
     StallTargetPolicy,
     TelemetryStore,
 )
-from repro.obs import MetricsRegistry, get_registry
+from repro.core.dataset import PCRDataset
+from repro.obs import MetricsRegistry
 from repro.pipeline import BandwidthThrottle, DataLoader, LoaderConfig
 from repro.serving.client import PCRClient
 from repro.serving.cluster.client import ClusterClient
@@ -327,31 +328,6 @@ class TestCacheGroupCountersAndBias:
 
 
 # ---------------------------------------------------------------------------
-# client-side instrumentation (satellite: scan-group switch visibility)
-
-
-class TestScanGroupSwitchMetrics:
-    def test_switch_records_gauge_and_counter(self, pcr_dataset):
-        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
-            with RemoteRecordSource(port=server.port) as source:
-                registry = get_registry()
-                before = registry.snapshot()["counters"].get(
-                    "serving.client.scan_group_switches_total", 0
-                )
-                assert (
-                    registry.snapshot()["gauges"]["serving.client.scan_group"]
-                    == source.n_groups
-                )
-                source.set_scan_group(2)
-                source.set_scan_group(2)  # no-op: same group, no switch
-                source.set_scan_group(5)
-                snapshot = registry.snapshot()
-                assert snapshot["gauges"]["serving.client.scan_group"] == 5
-                after = snapshot["counters"]["serving.client.scan_group_switches_total"]
-                assert after - before == 2
-
-
-# ---------------------------------------------------------------------------
 # wire op
 
 
@@ -552,19 +528,12 @@ class TestOwnedControllers:
 
 
 class TestAdaptiveSource:
-    def test_delegation_and_identity(self, pcr_dataset):
-        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
-            with AdaptiveScanGroupSource(
-                RemoteRecordSource(port=server.port), client_id="me"
-            ) as source:
-                assert source.client_id == "me"
-                assert source.n_groups == 10
-                assert len(source) == source.n_samples == 20
-                assert source.record_names == source.source.record_names
-                source.set_scan_group(3)
-                assert source.scan_group == 3
-                samples = source.read_record(source.record_names[0])
-                assert len(samples) == 8
+    def test_rejects_a_source_that_cannot_report(self, pcr_dataset):
+        """A local dataset has no controller to report to: say so up front
+        instead of failing (or silently dropping reports) mid-epoch."""
+        with PCRDataset(pcr_dataset.reader.directory) as local:
+            with pytest.raises(TypeError, match="cannot report_telemetry"):
+                AdaptiveScanGroupSource(local)
 
     def test_report_now_ships_window_and_applies_hint(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
@@ -599,20 +568,6 @@ class TestAdaptiveSource:
                 assert hint is not None and hint.scan_group == 5
                 assert source.scan_group == 5  # applied through set_scan_group
                 assert source.hints_applied == 1
-
-    def test_auto_apply_off_surfaces_but_does_not_apply(self, pcr_dataset):
-        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
-            server.telemetry.set_hint("c0", ScanGroupHint(scan_group=2))
-            with AdaptiveScanGroupSource(
-                RemoteRecordSource(port=server.port),
-                client_id="c0",
-                auto_apply=False,
-            ) as source:
-                hint = source.report_now()
-                assert hint is not None and hint.scan_group == 2
-                assert source.scan_group == source.n_groups
-                assert source.last_hint == hint
-                assert source.hints_applied == 0
 
     def test_time_based_auto_report_at_fetch_boundaries(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:

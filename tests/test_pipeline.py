@@ -284,7 +284,7 @@ class TestDataLoaderParallelDecode:
         loader.close()
         assert loader._decode_pool is None
         assert pool.closed
-        assert pcr_dataset.reader._decode_pool is None  # uninstalled
+        assert pcr_dataset._decode_pool is None  # uninstalled
 
     def test_keyboard_interrupt_tears_down_decode_workers(self, pcr_dataset):
         loader = DataLoader(

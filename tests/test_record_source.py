@@ -1,0 +1,296 @@
+"""One body, many backends: the ``RecordSource`` / ``RecordFetcher`` seam.
+
+Every test in :class:`TestConformance` runs unchanged over a
+local ``PCRDataset``, a ``RemoteRecordSource``, a ``ShardedRemoteRecordSource``
+and an ``AdaptiveScanGroupSource`` wrapping a remote source; the reference is
+always a direct :class:`~repro.core.reader.PCRReader` read of the same
+directory.  Backend-specific behaviour (failover, telemetry, the server's
+cache) stays in ``test_cluster.py`` / ``test_control.py`` / ``test_serving.py``.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.control import AdaptiveScanGroupSource
+from repro.core.dataset import PCRDataset
+from repro.core.errors import ScanGroupError
+from repro.core.reader import PCRReader
+from repro.core.source import RecordFetcher, RecordSource
+from repro.obs import get_registry, get_tracer
+from repro.pipeline.loader import DataLoader, LoaderConfig
+from repro.serving import protocol
+from repro.serving.client import PCRClient
+from repro.serving.cluster import (
+    ClusterClient,
+    ClusterCoordinator,
+    ShardedRemoteRecordSource,
+    ShardViewReader,
+)
+from repro.serving.remote_source import RemoteFetcher, RemoteRecordSource
+from repro.serving.server import PCRRecordServer
+
+NAMED_SOURCES = (PCRDataset, RemoteRecordSource, ShardedRemoteRecordSource)
+
+
+@pytest.fixture(scope="module")
+def server(pcr_dataset):
+    with PCRRecordServer(pcr_dataset.reader.directory, port=0) as running:
+        yield running
+
+
+@pytest.fixture(scope="module")
+def cluster(pcr_dataset):
+    with ClusterCoordinator(pcr_dataset.reader.directory, n_shards=2, n_replicas=2) as running:
+        yield running
+
+
+@pytest.fixture(scope="module")
+def reader(pcr_dataset):
+    """The reference: a direct local reader that shares no counters."""
+    with PCRReader(pcr_dataset.reader.directory) as direct:
+        yield direct
+
+
+@pytest.fixture(params=["local", "remote", "sharded", "adaptive"])
+def open_source(request, pcr_dataset):
+    """``open_source(**kwargs)`` opens a fresh source of the backend under
+    test; every source opened is closed at teardown."""
+    backend = request.param
+    opened = []
+
+    def factory(**kwargs):
+        if backend == "local":
+            source = PCRDataset(pcr_dataset.reader.directory, **kwargs)
+        elif backend == "sharded":
+            shard_map = request.getfixturevalue("cluster").shard_map
+            source = ShardedRemoteRecordSource(shard_map, **kwargs)
+        else:
+            source = RemoteRecordSource(port=request.getfixturevalue("server").port, **kwargs)
+            if backend == "adaptive":
+                # Reporting is explicit only: conformance reads no hints.
+                source = AdaptiveScanGroupSource(source, report_interval=3600.0)
+        opened.append(source)
+        return source
+
+    yield factory
+    for source in opened:
+        source.close()
+
+
+def _loader(source, decode_workers: int = 0) -> DataLoader:
+    # One worker, no shuffle: record (and so batch) order is deterministic,
+    # making epochs of different backends comparable 1:1.
+    return DataLoader(
+        source,
+        LoaderConfig(
+            batch_size=8, n_workers=1, shuffle=False, seed=123, decode_workers=decode_workers
+        ),
+    )
+
+
+class TestConformance:
+    def test_structure_equals_the_local_readers(self, open_source, reader):
+        source = open_source()
+        assert source.record_names == reader.record_names
+        assert len(source) == source.n_samples == reader.n_samples
+        assert source.n_groups == source.scan_group == reader.n_groups
+        assert source.dataset_meta == reader.dataset_meta
+        for name in reader.record_names:
+            assert source.record_index(name) == reader.record_index(name)
+
+    def test_scan_group_validation(self, open_source):
+        source = open_source()
+        for bad in (0, source.n_groups + 1):
+            with pytest.raises(ScanGroupError):
+                source.set_scan_group(bad)
+            with pytest.raises(ScanGroupError):
+                open_source(scan_group=bad)
+        assert source.scan_group == source.n_groups
+
+    def test_read_record_equals_the_readers(self, open_source, reader):
+        source = open_source()
+        for group in (1, reader.n_groups):
+            source.set_scan_group(group)
+            for name in reader.record_names:
+                mine = source.read_record(name, decode=True)
+                theirs = reader.read_record(name, group, decode=True)
+                assert [s.key for s in mine] == [s.key for s in theirs]
+                assert [s.label for s in mine] == [s.label for s in theirs]
+                assert [s.stream for s in mine] == [s.stream for s in theirs]
+                for a, b in zip(mine, theirs):
+                    assert np.array_equal(a.image.pixels, b.image.pixels)
+
+    def test_read_record_batch_equals_sequential_reads(self, open_source):
+        source = open_source(scan_group=2, decode=False)
+        names = source.record_names
+        batched = source.read_record_batch(names)
+        assert len(batched) == len(names)
+        for name, samples in zip(names, batched):
+            singly = source.read_record(name)
+            assert [s.key for s in samples] == [s.key for s in singly]
+            assert [s.stream for s in samples] == [s.stream for s in singly]
+            assert all(s.image is None for s in samples)
+
+    def test_byte_accounting_equals_the_readers_index(self, open_source, reader):
+        source = open_source(scan_group=2)
+        assert source.epoch_bytes() == reader.dataset_bytes_for_group(2)
+        source.set_scan_group(1)
+        assert source.epoch_bytes() == reader.dataset_bytes_for_group(1)
+        by_group = source.epoch_bytes_by_group()
+        assert by_group == {
+            group: reader.dataset_bytes_for_group(group)
+            for group in range(1, reader.n_groups + 1)
+        }
+        assert source.mean_sample_bytes() == by_group[1] / len(source)
+        assert source.mean_sample_bytes(5) == by_group[5] / len(source)
+        name = reader.record_names[0]
+        assert source.bytes_for_group(name, 3) == reader.bytes_for_group(name, 3)
+
+    def test_loader_epoch_reads_exactly_epoch_bytes(self, open_source):
+        source = open_source(scan_group=3)
+        stats = source.stats
+        batches = list(_loader(source).epoch())
+        assert source.stats is stats  # the object callers captured at set-up
+        assert sum(len(batch) for batch in batches) == len(source)
+        assert stats.bytes_read == source.epoch_bytes()
+        assert stats.records_read == len(source.record_names)
+        assert stats.samples_decoded == len(source)
+
+    @pytest.mark.parametrize("decode_workers", [0, 2])
+    def test_loader_epoch_byte_identical_to_local(self, open_source, pcr_dataset, decode_workers):
+        source = open_source()
+        with (
+            PCRDataset(pcr_dataset.reader.directory) as local,
+            _loader(source, decode_workers) as loader,
+        ):
+            for group in (source.n_groups, 1):
+                source.set_scan_group(group)
+                local.set_scan_group(group)
+                mine = list(loader.epoch())
+                theirs = list(_loader(local).epoch())
+                assert len(mine) == len(theirs) > 0
+                for a, b in zip(mine, theirs):
+                    assert np.array_equal(a.images, b.images)
+                    assert np.array_equal(a.labels, b.labels)
+            if decode_workers:
+                assert loader._decode_pool.stats.parallel_batches > 0
+
+    def test_scan_group_switch_sets_gauge_and_counter(self, open_source):
+        registry = get_registry()
+        source = open_source()
+        snapshot = registry.snapshot()
+        assert snapshot["gauges"]["serving.client.scan_group"] == source.n_groups
+        before = snapshot["counters"].get("serving.client.scan_group_switches_total", 0)
+        source.set_scan_group(2)
+        source.set_scan_group(2)  # no-op: same group, no switch
+        source.set_scan_group(5)
+        snapshot = registry.snapshot()
+        assert snapshot["gauges"]["serving.client.scan_group"] == 5
+        assert snapshot["counters"]["serving.client.scan_group_switches_total"] - before == 2
+
+    def test_label_mapper_view_shares_the_fetcher(self, open_source):
+        source = open_source(scan_group=1)
+        view = source.with_label_mapper(lambda label: label % 2)
+        assert view.fetcher is source.fetcher
+        assert view.scan_group == 1
+        assert {sample.label for sample in view} == {0, 1}
+        # the underlying source is unchanged
+        assert {sample.label for sample in source} == {0, 1, 2, 3}
+
+    def test_every_fetch_emits_one_fetch_span(self, open_source):
+        source = open_source(decode=False)
+        name = source.record_names[0]
+        tracer = get_tracer()
+        tracer.clear()
+        tracer.set_enabled(True)
+        try:
+            source.read_record(name)
+            single = [e for e in tracer.events() if e.name == "loader.fetch"]
+            tracer.clear()
+            list(source)
+            epoch = [e for e in tracer.events() if e.name == "loader.fetch"]
+        finally:
+            tracer.set_enabled(False)
+            tracer.clear()
+        assert len(single) == 1
+        assert len(epoch) == len(source.record_names)
+
+    def test_close_closes_the_fetcher(self, open_source):
+        source = open_source()
+        fetcher = source.fetcher
+        closed = []
+        fetcher.close = lambda: closed.append(True)
+        source.close()
+        del fetcher.close  # teardown performs the real close
+        assert closed == [True]
+
+
+class TestOneSeam:
+    def test_named_sources_share_one_implementation(self):
+        for cls in NAMED_SOURCES:
+            assert issubclass(cls, RecordSource)
+            for member in (
+                "read_record", "read_record_batch", "set_scan_group", "set_decode_pool",
+                "epoch_bytes", "epoch_bytes_by_group", "mean_sample_bytes",
+                "with_label_mapper", "bind_stall_tracker", "close",
+            ):
+                assert getattr(cls, member) is getattr(RecordSource, member), (cls, member)
+
+    def test_one_public_surface(self):
+        def public(cls):
+            return {name for name in dir(cls) if not name.startswith("_")}
+
+        local = public(PCRDataset) - {"build", "build_and_report", "reader"}
+        assert local == public(RemoteRecordSource) - {"client"}
+        assert local == public(ShardedRemoteRecordSource) - {"cluster_client", "cluster_stats"}
+
+    def test_constructor_options(self):
+        def options(cls):
+            return list(inspect.signature(cls).parameters)
+
+        assert options(PCRReader) == ["directory", "decode"]
+        assert options(PCRDataset) == ["directory", "scan_group", "decode", "label_mapper"]
+        assert options(RemoteRecordSource) == ["host", "port", "scan_group", "decode"]
+        assert options(ShardedRemoteRecordSource) == ["shard_map", "scan_group", "decode"]
+        assert options(AdaptiveScanGroupSource) == [
+            "source", "client_id", "report_interval", "throttle",
+        ]
+
+    def test_fetchers_satisfy_the_protocol(self, reader, server, cluster):
+        assert isinstance(reader, RecordFetcher)
+        view = ShardViewReader(reader, reader.record_names[:1], "s0")
+        assert isinstance(view, RecordFetcher)
+        wire_clients = (PCRClient(port=server.port), ClusterClient(cluster.shard_map))
+        for client in wire_clients:
+            fetcher = RemoteFetcher(client)
+            try:
+                assert isinstance(fetcher, RecordFetcher)
+                requests = [(name, 1) for name in reader.record_names]
+                assert fetcher.read_record_bytes_batch(requests) == (
+                    reader.read_record_bytes_batch(requests)
+                )
+            finally:
+                fetcher.close()
+        assert not isinstance(wire_clients[0], RecordFetcher)
+
+    def test_failed_handshake_closes_the_client(self, pcr_dataset):
+        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as stopped:
+            client = PCRClient(port=stopped.port, retries=0)
+        with pytest.raises(ConnectionError):
+            RemoteFetcher(client)
+        with pytest.raises(RuntimeError, match="closed"):
+            client.stat()
+
+    def test_single_read_is_get_record_and_batch_read_is_one_batch(self, pcr_dataset):
+        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as fresh:
+            with RemoteRecordSource(port=fresh.port, decode=False) as source:
+                names = source.record_names
+                source.read_record(names[0])
+                source.read_record_batch(names)
+            requests = fresh.requests_by_type
+        assert requests[protocol.MSG_GET_RECORD] == 1
+        assert requests[protocol.MSG_BATCH] == 1

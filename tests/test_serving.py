@@ -9,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.errors import ScanGroupError
 from repro.pipeline.batch import Minibatch
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.serving import protocol
@@ -399,60 +398,8 @@ def _epoch_batches(loader: DataLoader) -> list[Minibatch]:
 
 
 class TestRemoteRecordSource:
-    def test_source_mirrors_dataset_structure(self, server, pcr_dataset):
-        with RemoteRecordSource(port=server.port) as source:
-            assert source.record_names == pcr_dataset.record_names
-            assert len(source) == len(pcr_dataset)
-            assert source.n_groups == pcr_dataset.n_groups
-            assert source.scan_group == pcr_dataset.n_groups
-
-    def test_scan_group_validation(self, server):
-        with RemoteRecordSource(port=server.port) as source:
-            with pytest.raises(ScanGroupError):
-                source.set_scan_group(0)
-            with pytest.raises(ScanGroupError):
-                source.set_scan_group(source.n_groups + 1)
-
-    def test_read_record_matches_local(self, server, pcr_dataset):
-        with RemoteRecordSource(port=server.port, scan_group=2) as source:
-            name = pcr_dataset.record_names[0]
-            local = pcr_dataset.reader.read_record(name, 2, decode=True)
-            remote = source.read_record(name, decode=True)
-            assert len(local) == len(remote)
-            for mine, theirs in zip(local, remote):
-                assert mine.key == theirs.key
-                assert mine.stream == theirs.stream
-                assert np.array_equal(mine.image.pixels, theirs.image.pixels)
-
-    def test_read_record_batch_matches_sequential(self, server, pcr_dataset):
-        with RemoteRecordSource(port=server.port, scan_group=1) as source:
-            names = pcr_dataset.record_names
-            batched = source.read_record_batch(names, decode=False)
-            for name, samples in zip(names, batched):
-                singly = source.read_record(name, decode=False)
-                assert [s.stream for s in samples] == [s.stream for s in singly]
-
-    def test_epoch_bytes_matches_local_reader(self, server, pcr_dataset):
-        with RemoteRecordSource(port=server.port, scan_group=2) as source:
-            assert source.epoch_bytes() == pcr_dataset.reader.dataset_bytes_for_group(2)
-
-    def test_dataloader_epoch_matches_local_at_two_scan_groups(self, server, pcr_dataset):
-        """The acceptance-criteria test: remote epochs == local epochs, per group."""
-        config = LoaderConfig(batch_size=8, n_workers=1, shuffle=False, seed=123)
-        try:
-            with RemoteRecordSource(port=server.port, decode=True) as source:
-                for group in (pcr_dataset.n_groups, 1):
-                    source.set_scan_group(group)
-                    pcr_dataset.set_scan_group(group)
-                    remote_batches = _epoch_batches(DataLoader(source, config))
-                    local_batches = _epoch_batches(DataLoader(pcr_dataset, config))
-                    assert len(remote_batches) == len(local_batches) > 0
-                    for remote, local in zip(remote_batches, local_batches):
-                        assert np.array_equal(remote.images, local.images)
-                        assert np.array_equal(remote.labels, local.labels)
-        finally:
-            # Leave the shared session fixture at full fidelity for other tests.
-            pcr_dataset.set_scan_group(pcr_dataset.n_groups)
+    """Remote-only extras; the source surface itself is checked once for
+    every backend in ``test_record_source.py``."""
 
     def test_dataloader_multiworker_epoch_complete(self, server, pcr_dataset):
         config = LoaderConfig(batch_size=8, n_workers=3, shuffle=True, seed=7)
@@ -476,21 +423,3 @@ class TestRemoteRecordSource:
                         assert mine.key == theirs.key
                         assert np.array_equal(mine.image.pixels, theirs.image.pixels)
             source.set_decode_pool(None)
-
-    def test_dataloader_decode_workers_epoch_matches_local(self, server, pcr_dataset):
-        """Remote fetch + process-parallel decode == local in-process epoch."""
-        config = LoaderConfig(
-            batch_size=8, n_workers=1, shuffle=False, seed=123, decode_workers=2
-        )
-        local_config = LoaderConfig(batch_size=8, n_workers=1, shuffle=False, seed=123)
-        with RemoteRecordSource(port=server.port, decode=True) as source:
-            remote_loader = DataLoader(source, config)
-            try:
-                remote_batches = _epoch_batches(remote_loader)
-            finally:
-                remote_loader.close()
-            local_batches = _epoch_batches(DataLoader(pcr_dataset, local_config))
-        assert len(remote_batches) == len(local_batches) > 0
-        for remote, local in zip(remote_batches, local_batches):
-            assert np.array_equal(remote.images, local.images)
-            assert np.array_equal(remote.labels, local.labels)

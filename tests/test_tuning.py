@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.pipeline.loader import DataLoader, LoaderConfig
+from repro.serving.remote_source import RemoteRecordSource
+from repro.serving.server import PCRRecordServer
 from repro.training.loop import Trainer
 from repro.training.models import LinearProbe
 from repro.training.optim import SGD
@@ -15,15 +17,26 @@ from repro.tuning.schedule import ConstantSchedule, CyclicSchedule, StepSchedule
 from repro.tuning.static import StaticTuner
 
 
+@pytest.fixture(scope="module")
+def local_and_remote(pcr_dataset):
+    """The session dataset as a local source and as a served one: the tuners
+    see a ``RecordSource`` and must not care which.  (A loop in the test
+    body, not a pytest parameter, so the tier-1 test ids stay stable.)"""
+    with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
+        with RemoteRecordSource(port=server.port) as remote:
+            yield (pcr_dataset, remote)
+
+
 class TestStaticTuner:
-    def test_report_structure(self, pcr_dataset):
-        tuner = StaticTuner(pcr_dataset, sample_limit=4)
-        report = tuner.analyze()
-        assert set(report.mssim_by_group) == set(range(1, 11))
-        assert report.mssim_by_group[10] == pytest.approx(1.0, abs=1e-6)
-        assert report.recommended_group is not None
-        assert report.speedup_by_group[10] == pytest.approx(1.0)
-        assert report.speedup_by_group[1] > 1.5
+    def test_report_structure(self, local_and_remote):
+        for dataset in local_and_remote:
+            tuner = StaticTuner(dataset, sample_limit=4)
+            report = tuner.analyze()
+            assert set(report.mssim_by_group) == set(range(1, 11))
+            assert report.mssim_by_group[10] == pytest.approx(1.0, abs=1e-6)
+            assert report.recommended_group is not None
+            assert report.speedup_by_group[10] == pytest.approx(1.0)
+            assert report.speedup_by_group[1] > 1.5
 
     def test_mssim_monotone_enough(self, pcr_dataset):
         report = StaticTuner(pcr_dataset, sample_limit=4).analyze()
@@ -55,20 +68,23 @@ class TestLossPlateauController:
         controller.observe_loss(0.6)
         assert controller.observe_loss(0.6)
 
-    def test_tune_rolls_model_back_and_picks_a_group(self, pcr_dataset):
-        loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=1, seed=3))
-        model = LinearProbe(n_classes=4, input_size=32)
-        trainer = Trainer(model, SGD(learning_rate=0.05))
-        state_before = trainer.checkpoint()
-        controller = LossPlateauController(candidate_groups=[1, 5], probe_batches=1, loss_slack=10.0)
-        decision = controller.tune(trainer, pcr_dataset, loader, epoch=3)
-        assert decision.chosen_group in {1, 5, 10}
-        assert pcr_dataset.scan_group == decision.chosen_group
-        # the probing updates were rolled back
-        for layer_state, layer_now in zip(state_before, trainer.checkpoint()):
-            for name in layer_state:
-                assert np.allclose(layer_state[name], layer_now[name])
-        pcr_dataset.set_scan_group(10)
+    def test_tune_rolls_model_back_and_picks_a_group(self, local_and_remote):
+        for dataset in local_and_remote:
+            loader = DataLoader(dataset, LoaderConfig(batch_size=8, n_workers=1, seed=3))
+            model = LinearProbe(n_classes=4, input_size=32)
+            trainer = Trainer(model, SGD(learning_rate=0.05))
+            state_before = trainer.checkpoint()
+            controller = LossPlateauController(
+                candidate_groups=[1, 5], probe_batches=1, loss_slack=10.0
+            )
+            decision = controller.tune(trainer, dataset, loader, epoch=3)
+            assert decision.chosen_group in {1, 5, 10}
+            assert dataset.scan_group == decision.chosen_group
+            # the probing updates were rolled back
+            for layer_state, layer_now in zip(state_before, trainer.checkpoint()):
+                for name in layer_state:
+                    assert np.allclose(layer_state[name], layer_now[name])
+            dataset.set_scan_group(10)
 
     def test_generous_slack_prefers_smallest_group(self, pcr_dataset):
         loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=1, seed=4))
@@ -80,16 +96,21 @@ class TestLossPlateauController:
 
 
 class TestGradientCosineController:
-    def test_threshold_controls_choice(self, pcr_dataset):
-        trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
-        lenient = GradientCosineController(candidate_groups=[1, 5, 10], similarity_threshold=0.0, max_samples=8)
-        decision = lenient.tune(trainer, pcr_dataset, epoch=0)
-        assert decision.chosen_group == 1
-        strict = GradientCosineController(candidate_groups=[1, 5, 10], similarity_threshold=0.999999, max_samples=8)
-        decision = strict.tune(trainer, pcr_dataset, epoch=1)
-        assert decision.chosen_group >= 5
-        assert decision.probe_metrics[10] == pytest.approx(1.0, abs=1e-9)
-        pcr_dataset.set_scan_group(10)
+    def test_threshold_controls_choice(self, local_and_remote):
+        for dataset in local_and_remote:
+            trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
+            lenient = GradientCosineController(
+                candidate_groups=[1, 5, 10], similarity_threshold=0.0, max_samples=8
+            )
+            decision = lenient.tune(trainer, dataset, epoch=0)
+            assert decision.chosen_group == 1
+            strict = GradientCosineController(
+                candidate_groups=[1, 5, 10], similarity_threshold=0.999999, max_samples=8
+            )
+            decision = strict.tune(trainer, dataset, epoch=1)
+            assert decision.chosen_group >= 5
+            assert decision.probe_metrics[10] == pytest.approx(1.0, abs=1e-9)
+            dataset.set_scan_group(10)
 
     def test_decisions_are_recorded(self, pcr_dataset):
         trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
