@@ -1,7 +1,8 @@
 """Convert an existing file-per-image dataset into PCR records.
 
 Mirrors the paper's deployment story: you already have a directory of encoded
-images (ImageFolder style); one lossless pass produces a PCR dataset that
+images (ImageFolder style); one lossless pass over the encoded bytes — no
+decode to pixels, no second quantization — produces a PCR dataset that
 serves every quality level from a single copy, and this script compares the
 cost against re-encoding static copies at several qualities (§A.4, Figure 15).
 
@@ -15,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.codecs import BaselineCodec
+from repro.codecs.transcode import is_lossless_roundtrip
 from repro.core import PCRDataset
 from repro.core.convert import build_static_copies, convert_to_pcr
 from repro.datasets import CARS_SPEC, generate_dataset
@@ -32,42 +34,51 @@ def main() -> None:
     source = FilePerImageDataset(root / "source")
     print(f"  {len(source)} images, {source.total_bytes()} bytes")
 
-    # Step 2: convert it (decode + lossless transcode + regroup) into PCRs.
-    # The samples are a *generator*: convert_to_pcr pulls them in bounded
-    # chunks (chunk_size images at a time, batch-encoded on the fused
-    # float32 forward path), so peak memory follows the chunk size even for
-    # datasets that never fit in RAM.  encode_workers=2 runs the encode
-    # stage on an EncodePool worker fleet — a real speedup on multi-core
-    # machines, engine overhead on a single core.
-    codec = BaselineCodec(quality=spec.jpeg_quality)
-    samples = (
-        (item.key, codec.decode(item.read_bytes()), item.label) for item in source
-    )
+    # Step 2: convert it (lossless transcode + regroup) into PCRs.  The
+    # samples carry the files' *bytes*, so convert_to_pcr routes each one
+    # through the jpegtran-style transcode: the quantized coefficients are
+    # untouched, only the scan structure and entropy coding change.  The
+    # samples are a *generator*: convert_to_pcr pulls them in bounded chunks
+    # (chunk_size images at a time), so peak memory follows the chunk size
+    # even for datasets that never fit in RAM.
+    samples = ((item.key, item.read_bytes(), item.label) for item in source)
     result, pcr_report = convert_to_pcr(
         samples,
         root / "pcr",
         images_per_record=16,
         quality=spec.jpeg_quality,
         chunk_size=16,
-        encode_workers=2,
     )
     print(f"\nPCR conversion: {result.n_records} records, {result.total_bytes} bytes")
     print(
         f"  {pcr_report.n_images} images in {pcr_report.n_chunks} chunks of "
-        f"<= {pcr_report.chunk_size} ({pcr_report.encode_workers} encode worker(s)): "
-        f"encode {pcr_report.jpeg_conversion_seconds:.2f} s + "
+        f"<= {pcr_report.chunk_size}: "
+        f"transcode {pcr_report.jpeg_conversion_seconds:.2f} s + "
         f"records {pcr_report.record_creation_seconds:.2f} s = "
         f"{pcr_report.total_seconds:.2f} s "
         f"({pcr_report.images_per_second:.1f} images/s)"
     )
 
-    # Step 3: compare against static multi-quality copies (same streaming
-    # converter, one pull of the dataset however many qualities are built).
-    samples = [
+    first = source[0]
+    with PCRDataset(root / "pcr", decode=False) as undecoded:
+        stored = undecoded.reader.read_sample(first.key, scan_group=undecoded.n_groups)
+    print(
+        f"  sample {first.key!r}: stored coefficients identical to the source file's: "
+        f"{is_lossless_roundtrip(first.read_bytes(), stored.stream)}"
+    )
+
+    # Step 3: compare against static multi-quality copies.  This one is a
+    # pixel source on purpose: a static copy at another quality genuinely
+    # decodes and re-encodes (same streaming converter, one pull of the
+    # dataset however many qualities are built; encode_workers=2 runs the
+    # encodes on an EncodePool worker fleet — a real speedup on multi-core
+    # machines, engine overhead on a single core).
+    codec = BaselineCodec(quality=spec.jpeg_quality)
+    samples = (
         (item.key, codec.decode(item.read_bytes()), item.label) for item in source
-    ]
+    )
     static_report = build_static_copies(
-        samples, root / "static", qualities=(50, 75, 90, 95), chunk_size=16
+        samples, root / "static", qualities=(50, 75, 90, 95), chunk_size=16, encode_workers=2
     )
     print(
         f"Static copies at 4 qualities: {static_report.output_bytes} bytes, "

@@ -873,7 +873,11 @@ class EncodePool:
         subsampling: int = SUBSAMPLING_420,
         layout: str = "progressive",
     ) -> list[bytes]:
-        """Encode a minibatch of images; identical to in-process encoding."""
+        """Encode a minibatch of images; identical to in-process encoding.
+
+        ``layout`` is ``"progressive"`` or ``"sequential"``, as in
+        :func:`~repro.codecs.progressive.encode_progressive_batch`.
+        """
         return self._state.run_batch(images, (quality, subsampling, layout))
 
     def close(self, timeout: float = 5.0) -> None:

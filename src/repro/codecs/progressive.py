@@ -456,10 +456,7 @@ def encode_progressive_batch(
     * ``"progressive"`` — the default multi-scan progressive stream
       (``script`` or the component-count default script);
     * ``"sequential"`` — the baseline single-scan-per-component layout
-      (what :class:`~repro.codecs.baseline.BaselineCodec` emits);
-    * ``"pcr"`` — the full Fig-15 conversion job: encode to a baseline
-      stream, then losslessly transcode it to progressive form (byte
-      equivalent to ``transcode_to_progressive(BaselineCodec.encode(im))``).
+      (what :class:`~repro.codecs.baseline.BaselineCodec` emits).
 
     Every call records ``ingest.images_total`` / ``ingest.pixel_bytes_total``
     / ``ingest.encoded_bytes_total`` counters and an
@@ -470,7 +467,7 @@ def encode_progressive_batch(
     worker's per-chunk registry delta aggregates into the parent to
     exactly the totals an in-process encode would have produced.
     """
-    if layout not in ("progressive", "sequential", "pcr"):
+    if layout not in ("progressive", "sequential"):
         raise ValueError(f"unknown encode layout: {layout!r}")
     registry = get_registry()
     start = time.perf_counter()
@@ -479,19 +476,11 @@ def encode_progressive_batch(
         for image in images:
             coefficients = image_to_coefficients(image, quality, subsampling)
             n_components = coefficients.header.n_components
-            if layout == "progressive":
-                chosen = script if script is not None else ScanScript.default_for(n_components)
-                streams.append(encode_coefficients(coefficients, chosen))
-                continue
-            sequential = encode_coefficients(coefficients, ScanScript.sequential(n_components))
             if layout == "sequential":
-                streams.append(sequential)
-                continue
-            # "pcr": lossless baseline->progressive transcode, same bytes as
-            # repro.codecs.transcode.transcode_to_progressive on the stream.
-            transcoded, _ = decode_coefficients(sequential)
-            chosen = script if script is not None else ScanScript.default_for(n_components)
-            streams.append(encode_coefficients(transcoded, chosen))
+                chosen = ScanScript.sequential(n_components)
+            else:
+                chosen = script if script is not None else ScanScript.default_for(n_components)
+            streams.append(encode_coefficients(coefficients, chosen))
     registry.counter("ingest.images_total").inc(len(images))
     registry.counter("ingest.pixel_bytes_total").inc(
         sum(image.pixels.nbytes for image in images)

@@ -5,16 +5,19 @@ The paper compares two ways to prepare a dataset for multi-quality training:
 * the *static* approach — re-encode the dataset at several fixed JPEG
   qualities, producing one record copy per quality (Figure 15, and the
   Progressive-GAN example of §A.4 with its 1.5–40x space amplification); and
-* the *PCR* approach — one lossless transcode to progressive form plus a
-  single record conversion.
+* the *PCR* approach — one conversion to progressive form plus a single
+  record conversion.  The conversion is whichever of the paper's two jobs
+  the source calls for: pixels take one forward pass and one progressive
+  entropy encode; already-encoded streams take the lossless ``jpegtran``
+  transcode (:mod:`repro.codecs.transcode`) and are never re-quantised.
 
 ``convert_to_pcr`` and ``build_static_copies`` implement the two pipelines
 over any iterable of samples; :class:`ConversionReport` captures the timing
 and size information Figure 15 and the space-amplification discussion plot.
 
 Both converters *stream*: samples are pulled from the input iterable in
-bounded chunks of ``chunk_size`` images, each chunk is batch-encoded (on the
-fused float32 forward path, optionally across an
+bounded chunks of ``chunk_size`` images, each chunk's pixels are
+batch-encoded (on the fused float32 forward path, optionally across an
 :class:`~repro.codecs.parallel.EncodePool` worker fleet) and written out
 before the next chunk is pulled.  Peak memory is therefore bounded by the
 chunk size plus the record writer's pending buffer — never by the dataset
@@ -25,18 +28,22 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.codecs.image import ImageBuffer
 from repro.codecs.parallel import EncodePool
 from repro.codecs.progressive import ProgressiveCodec, encode_progressive_batch
+from repro.codecs.transcode import transcode_to_progressive
 from repro.core.scan_groups import ScanGroupPolicy
 from repro.core.writer import PCRWriter, WriteResult
 from repro.obs import get_registry, get_tracer
 from repro.records.tfrecord import TFRecordWriter
 
-Sample = tuple[str, ImageBuffer, int]
+#: ``(key, payload, label)``.  The payload is pixels, or an already-encoded
+#: baseline or progressive stream.
+Sample = tuple[str, ImageBuffer | bytes, int]
 
 #: The static re-encoding qualities used in Figure 15.
 STATIC_QUALITIES = (50, 75, 90, 95)
@@ -69,6 +76,23 @@ def _encode_chunk(
     if pool is not None:
         return pool.encode_batch(images, quality=quality, layout=layout)
     return encode_progressive_batch(images, quality=quality, layout=layout)
+
+
+def _to_progressive(
+    payloads: list[ImageBuffer | bytes], quality: int, pool: EncodePool | None
+) -> list[bytes]:
+    """One progressive stream per payload, in input order, each job done once.
+
+    Pixels take one forward pass and one progressive entropy encode, as one
+    batch; encoded bytes take the lossless transcode and keep the
+    quantisation they came with.
+    """
+    images = [payload for payload in payloads if isinstance(payload, ImageBuffer)]
+    encoded = iter(_encode_chunk(images, quality, "progressive", pool) if images else ())
+    return [
+        next(encoded) if isinstance(payload, ImageBuffer) else transcode_to_progressive(payload)
+        for payload in payloads
+    ]
 
 
 @dataclass
@@ -116,19 +140,26 @@ def convert_to_pcr(
     encode_workers: int = 0,
     encode_pool: EncodePool | None = None,
 ) -> tuple[WriteResult, ConversionReport]:
-    """Encode samples once into a PCR dataset, timing each stage.
+    """Convert samples once into a PCR dataset, timing each stage.
 
-    Stage 1 (the ``jpegtran`` role) batch-encodes every image to a baseline
-    stream and losslessly transcodes it to progressive form (the ``"pcr"``
-    encode layout, byte-equivalent to ``transcode_to_progressive(
-    BaselineCodec.encode(image))``); stage 2 groups scans and writes the
-    ``.pcr`` records.  Samples are pulled in ``chunk_size`` batches and
-    flushed to the writer before the next batch is pulled, so peak memory
-    follows the chunk size, not the dataset size.
+    Stage 1 (``jpeg_conversion_seconds``) brings every sample to progressive
+    form by the one job its payload needs: an :class:`ImageBuffer` is
+    encoded once with the default progressive script, exactly as
+    :meth:`ProgressiveCodec.encode` does (the same bytes as transcoding its
+    baseline encode, without the sequential encode and decode in between);
+    a ``bytes`` payload — an existing baseline or progressive stream — is
+    losslessly transcoded (the ``jpegtran`` role) and keeps its own
+    quantisation, whatever ``quality`` says.  A chunk may mix both kinds;
+    output order is input order.  Stage 2 (``record_creation_seconds``)
+    groups scans and writes the ``.pcr`` records.  Samples are pulled in
+    ``chunk_size`` batches and flushed to the writer before the next batch
+    is pulled, so peak memory follows the chunk size, not the dataset size.
 
-    ``encode_workers > 1`` runs stage 1 on an :class:`EncodePool` worker
-    fleet (created here and closed on return); pass an ``encode_pool`` to
-    reuse a fleet across several conversions instead.
+    ``encode_workers > 1`` runs the pixel encodes of stage 1 on an
+    :class:`EncodePool` worker fleet (created here and closed on return);
+    pass an ``encode_pool`` to reuse a fleet across several conversions
+    instead.  Transcodes always run in-process: whether a pool job for them
+    would pay is unmeasured, so none exists.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -140,27 +171,28 @@ def convert_to_pcr(
     registry = get_registry()
     tracer = get_tracer()
 
-    pool = encode_pool
-    own_pool = False
-    if pool is None and encode_workers > 1:
-        pool = EncodePool(encode_workers, warmup_quality=quality)
-        own_pool = True
-
-    writer = PCRWriter(
-        output_dir,
-        images_per_record=images_per_record,
-        codec=ProgressiveCodec(quality=quality),
-        policy=policy,
-        backend=backend,
-    )
-    try:
+    # The stack closes a pool made here, and — should a chunk raise — the
+    # writer's index store; a finalized writer's exit is a no-op.
+    with ExitStack() as stack:
+        pool = encode_pool
+        if pool is None and encode_workers > 1:
+            pool = stack.enter_context(EncodePool(encode_workers, warmup_quality=quality))
+        writer = stack.enter_context(
+            PCRWriter(
+                output_dir,
+                images_per_record=images_per_record,
+                codec=ProgressiveCodec(quality=quality),
+                policy=policy,
+                backend=backend,
+            )
+        )
         for chunk in _iter_chunks(samples, chunk_size):
             with tracer.span(
                 "ingest.convert_chunk", {"images": len(chunk), "approach": "pcr"}
             ):
                 start = time.perf_counter()
-                streams = _encode_chunk(
-                    [image for _, image, _ in chunk], quality, "pcr", pool
+                streams = _to_progressive(
+                    [payload for _, payload, _ in chunk], quality, pool
                 )
                 encode_seconds = time.perf_counter() - start
                 start = time.perf_counter()
@@ -177,16 +209,13 @@ def convert_to_pcr(
         start = time.perf_counter()
         result = writer.finalize()
         report.record_creation_seconds += time.perf_counter() - start
-    finally:
-        if own_pool:
-            pool.close()
     report.output_bytes = result.total_bytes
     report.per_copy_bytes["pcr"] = result.total_bytes
     return result, report
 
 
 def build_static_copies(
-    samples: Iterable[Sample],
+    samples: Iterable[tuple[str, ImageBuffer, int]],
     output_dir: str | Path,
     qualities: tuple[int, ...] = STATIC_QUALITIES,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -199,7 +228,9 @@ def build_static_copies(
     of every level is paid, and the copies' sizes add up — the behaviour the
     paper contrasts with a single PCR conversion.  All per-quality writers
     stay open across the streamed chunks, so each sample is pulled (and held)
-    exactly once however many qualities are built.
+    exactly once however many qualities are built.  Samples carry pixels:
+    a static copy is a genuine re-encode, so an encoded source is decoded
+    by the caller first.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")

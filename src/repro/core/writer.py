@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.codecs.image import ImageBuffer
-from repro.codecs.markers import parse_frame_header
 from repro.codecs.progressive import ProgressiveCodec, split_scans
 from repro.core.errors import PCRError
 from repro.core.index import RecordIndex, serialize_record
@@ -53,7 +52,8 @@ class PCRWriter:
         Number of samples batched into each ``.pcr`` record.
     codec:
         Progressive codec used when raw images are supplied.  Pre-encoded
-        progressive streams are accepted as-is.
+        progressive streams are accepted as-is, once their scan count has
+        been checked against the policy.
     policy:
         Scan-group policy; its scan count must match the codec scripts.
     backend:
@@ -77,7 +77,8 @@ class PCRWriter:
         self.policy = policy if policy is not None else ScanGroupPolicy.identity()
         self.backend = backend
         self._store = open_store(self.output_dir / METADATA_DB_NAME[backend], backend)
-        self._pending: list[tuple[SampleMetadata, bytes]] = []
+        # (metadata, header prefix, scan segments) of each buffered sample.
+        self._pending: list[tuple[SampleMetadata, bytes, list[bytes]]] = []
         self._record_indexes: list[RecordIndex] = []
         self._n_samples = 0
         self._total_bytes = 0
@@ -102,11 +103,22 @@ class PCRWriter:
         label: int,
         attributes: dict[str, float] | None = None,
     ) -> None:
-        """Queue one sample; records are flushed when full."""
+        """Queue one sample; records are flushed when full.
+
+        A stream whose scan count does not match the policy is rejected here
+        with a :class:`PCRError` naming ``key``; nothing is buffered, so the
+        writer stays usable for the samples that follow.
+        """
         self._assert_open()
-        encoded = self._encode(image)
+        encoded = self.codec.encode(image) if isinstance(image, ImageBuffer) else bytes(image)
+        prefix, scans = split_scans(encoded)
+        if len(scans) != self.policy.n_scans:
+            raise PCRError(
+                f"sample {key!r} has {len(scans)} scans but the scan-group policy "
+                f"expects {self.policy.n_scans}; use a matching codec script"
+            )
         metadata = SampleMetadata(key=key, label=label, attributes=attributes or {})
-        self._pending.append((metadata, encoded))
+        self._pending.append((metadata, prefix, scans))
         self._n_samples += 1
         if len(self._pending) >= self.images_per_record:
             self._flush_record()
@@ -141,8 +153,14 @@ class PCRWriter:
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        if not self._closed and exc_type is None:
+        if self._closed:
+            return
+        if exc_type is None:
             self.finalize()
+        else:
+            # Abandoned mid-write: no dataset metadata, but no leaked handle.
+            self._store.close()
+            self._closed = True
 
     # -- internals ---------------------------------------------------------
 
@@ -150,27 +168,9 @@ class PCRWriter:
         if self._closed:
             raise PCRError("writer already finalized")
 
-    def _encode(self, image: ImageBuffer | bytes) -> bytes:
-        if isinstance(image, ImageBuffer):
-            return self.codec.encode(image)
-        # Pre-encoded stream: verify it parses and has the expected scan count.
-        parse_frame_header(image)
-        return bytes(image)
-
     def _flush_record(self) -> None:
         record_name = RECORD_NAME_TEMPLATE.format(len(self._record_indexes))
-        samples = [metadata for metadata, _ in self._pending]
-        header_prefixes: list[bytes] = []
-        per_sample_scans: list[list[bytes]] = []
-        for _, encoded in self._pending:
-            prefix, scans = split_scans(encoded)
-            if len(scans) != self.policy.n_scans:
-                raise PCRError(
-                    f"sample has {len(scans)} scans but the scan-group policy expects "
-                    f"{self.policy.n_scans}; use a matching codec script"
-                )
-            header_prefixes.append(prefix)
-            per_sample_scans.append(scans)
+        samples, header_prefixes, per_sample_scans = map(list, zip(*self._pending))
 
         grouped_scans: list[list[bytes]] = []
         for group_index in range(1, self.policy.n_groups + 1):
@@ -184,16 +184,19 @@ class PCRWriter:
         record_bytes, index = serialize_record(
             record_name, samples, header_prefixes, grouped_scans
         )
+        # The record file lands before its index rows, and the rows land in
+        # one transaction: a crash never leaves a row naming a missing file.
         (self.output_dir / record_name).write_bytes(record_bytes)
         self._total_bytes += len(record_bytes)
         self._record_indexes.append(index)
-        self._store.put(RECORD_KEY_PREFIX + record_name.encode(), index.to_json().encode())
+        rows = [(RECORD_KEY_PREFIX + record_name.encode(), index.to_json().encode())]
         for position, metadata in enumerate(samples):
             sample_entry = (
                 f'{{"record": "{record_name}", "position": {position}, '
                 f'"label": {metadata.label}}}'
             ).encode()
-            self._store.put(SAMPLE_KEY_PREFIX + metadata.key.encode(), sample_entry)
+            rows.append((SAMPLE_KEY_PREFIX + metadata.key.encode(), sample_entry))
+        self._store.put_many(rows)
         self._pending.clear()
 
     def _write_dataset_metadata(self) -> None:

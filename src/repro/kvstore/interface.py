@@ -23,6 +23,15 @@ class KVStore(abc.ABC):
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
 
+    def put_many(self, items: list[tuple[bytes, bytes]]) -> None:
+        """Insert or overwrite every ``(key, value)`` pair, in order.
+
+        The default is the :meth:`put` loop; a backend with transactions
+        overrides it to pay for one.
+        """
+        for key, value in items:
+            self.put(key, value)
+
     @abc.abstractmethod
     def get(self, key: bytes) -> bytes | None:
         """Return the value for ``key`` or ``None`` if absent."""

@@ -43,7 +43,7 @@ class SQLiteStore(KVStore):
             self._connection.commit()
 
     def put_many(self, items: list[tuple[bytes, bytes]]) -> None:
-        """Insert many pairs in a single transaction (used by the writer)."""
+        """Insert many pairs in one transaction: the writer's one commit per record."""
         with self._lock:
             self._connection.executemany(
                 "INSERT INTO kv (key, value) VALUES (?, ?) "

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.codecs import config as codec_config
 from repro.codecs.baseline import BaselineCodec
@@ -218,19 +221,16 @@ class TestBatchEncode:
             singles = [BaselineCodec(quality=90).encode(image) for image in images]
         assert batch == singles
 
-    def test_pcr_layout_matches_baseline_transcode(self):
-        images = self._images()
-        with codec_config.use_fastpath(True):
-            batch = encode_progressive_batch(images, layout="pcr")
-            singles = [
-                transcode_to_progressive(BaselineCodec(quality=90).encode(image))
-                for image in images
-            ]
-        assert batch == singles
-
     def test_unknown_layout_rejected(self):
         with pytest.raises(ValueError, match="unknown encode layout"):
             encode_progressive_batch(self._images()[:1], layout="interleaved")
+
+    def test_pcr_layout_is_gone(self):
+        # Not an alias for "progressive": the name described a double pass.
+        with pytest.raises(ValueError, match="unknown encode layout: 'pcr'"):
+            encode_progressive_batch(self._images()[:1], layout="pcr")
+        with EncodePool(0) as pool, pytest.raises(ValueError, match="unknown encode layout"):
+            pool.encode_batch(self._images()[:1], layout="pcr")
 
     def test_codec_encode_batch_methods(self):
         images = self._images()
@@ -258,6 +258,46 @@ class TestBatchEncode:
         assert registry.histogram("ingest.encode_batch_seconds").count == 1
 
 
+def _one_pass_equals_transcode(image: ImageBuffer, quality: int) -> None:
+    with codec_config.use_fastpath(True):
+        one_pass = ProgressiveCodec(quality=quality).encode(image)
+        two_jobs = transcode_to_progressive(BaselineCodec(quality=quality).encode(image))
+    assert one_pass == two_jobs
+
+
+class TestOnePassEqualsTranscode:
+    """``ProgressiveCodec(q).encode(im) == transcode_to_progressive(BaselineCodec(q).encode(im))``.
+
+    The invariant that lets ``convert_to_pcr`` encode pixels in one
+    progressive pass: going through a baseline stream and the lossless
+    transcode (what the deleted ``"pcr"`` layout did) yields the same bytes.
+    """
+
+    @pytest.mark.parametrize("quality", [1, 50, 100])
+    @pytest.mark.parametrize("color", [True, False], ids=["color", "gray"])
+    @pytest.mark.parametrize("height,width", [(1, 1), (17, 23), (61, 47), (64, 64)])
+    def test_structured_images(self, height, width, color, quality):
+        rng = np.random.default_rng(height * 1000 + width)
+        _one_pass_equals_transcode(_test_image(rng, height, width, color), quality)
+
+    @pytest.mark.parametrize("fill", [0, 255])
+    def test_flat_extremes(self, fill):
+        _one_pass_equals_transcode(ImageBuffer(np.full((24, 40, 3), fill, np.uint8)), 90)
+
+    @given(
+        pixels=st.one_of(
+            hnp.arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20))),
+            hnp.arrays(
+                np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20), st.just(3))
+            ),
+        ),
+        quality=st.sampled_from([1, 10, 50, 90, 100]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_small_images(self, pixels, quality):
+        _one_pass_equals_transcode(ImageBuffer(pixels), quality)
+
+
 class TestEncodePool:
     """EncodePool output is identical to in-process fast-path encoding.
 
@@ -276,7 +316,7 @@ class TestEncodePool:
             _test_image(rng, 80, 48, True),
         ]
 
-    @pytest.mark.parametrize("layout", ["progressive", "pcr"])
+    @pytest.mark.parametrize("layout", ["progressive", "sequential"])
     def test_pool_matches_inprocess(self, layout):
         images = self._images()
         with codec_config.use_fastpath(True):

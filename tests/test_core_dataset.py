@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sqlite3
+
 import numpy as np
 import pytest
 
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.progressive import ProgressiveCodec
-from repro.codecs.transcode import transcode_to_progressive
+from repro.codecs.transcode import is_lossless_roundtrip, transcode_to_progressive
 from repro.core.convert import build_static_copies, convert_to_pcr, reference_record_bytes
 from repro.core.dataset import PCRDataset
 from repro.core.errors import MissingSampleError, PCRError, ScanGroupError
 from repro.core.reader import PCRReader
 from repro.core.scan_groups import ScanGroupPolicy
 from repro.core.writer import PCRWriter
+from repro.kvstore.sqlite_store import SQLiteStore
 from repro.metrics.psnr import mse
 
 
@@ -88,6 +92,53 @@ class TestWriterReader:
         with pytest.raises(PCRError):
             writer.add_sample(key, baseline, label)
 
+    def test_bad_stream_is_rejected_on_entry_and_writer_stays_usable(
+        self, tmp_path, tiny_samples
+    ):
+        # A full record away from any flush: the check must not wait for one.
+        writer = PCRWriter(tmp_path / "mixed", images_per_record=8)
+        good = tiny_samples[:3]
+        writer.add_sample(*good[0])
+        bad_key, bad_image, bad_label = tiny_samples[3]
+        with pytest.raises(PCRError, match=f"'{bad_key}' has 3 scans"):
+            writer.add_sample(bad_key, BaselineCodec(quality=90).encode(bad_image), bad_label)
+        assert writer.pending_samples == 1
+        for sample in good[1:]:
+            writer.add_sample(*sample)
+        result = writer.finalize()
+        assert result.n_samples == 3
+        reader = PCRReader(tmp_path / "mixed")
+        assert [s.key for s in reader.read_record(reader.record_names[0], 10)] == [
+            key for key, _, _ in good
+        ]
+
+    def test_exit_on_exception_closes_the_store(self, tmp_path, tiny_samples):
+        with pytest.raises(RuntimeError, match="boom"):
+            with PCRWriter(tmp_path / "abandoned", images_per_record=4) as writer:
+                writer.add_sample(*tiny_samples[0])
+                raise RuntimeError("boom")
+        with pytest.raises(sqlite3.ProgrammingError):  # closed, not leaked
+            writer._store.get(b"meta/dataset")
+        with pytest.raises(PCRError):
+            writer.add_sample(*tiny_samples[1])
+
+    def test_one_index_transaction_per_record(self, tmp_path, tiny_samples):
+        writer = PCRWriter(tmp_path / "tx", images_per_record=4)
+        # sqlite3.Connection.commit cannot be patched (C type): count the
+        # statements that end a transaction through the trace hook instead.
+        commits: list[str] = []
+        writer._store._connection.set_trace_callback(
+            lambda statement: commits.append(statement) if statement == "COMMIT" else None
+        )
+        for sample in tiny_samples[:10]:
+            writer.add_sample(*sample)
+        assert len(commits) == 2  # two full records; was 2 * (1 + 4)
+        writer.finalize()
+        assert len(commits) == 4  # + the partial record + the dataset-metadata row
+        reader = PCRReader(tmp_path / "tx")
+        assert reader.n_samples == 10
+        assert reader.read_sample(tiny_samples[9][0], 1).key == tiny_samples[9][0]
+
     def test_writer_accepts_preencoded_progressive(self, tmp_path, tiny_samples):
         writer = PCRWriter(tmp_path / "pre", images_per_record=4)
         for key, image, label in tiny_samples[:4]:
@@ -105,6 +156,29 @@ class TestWriterReader:
         assert len(dataset.record_names) == 2
         dataset.set_scan_group(1)
         assert len(list(dataset)) == 6
+
+    def test_lsm_dataset_reads_back_like_sqlite(self, tmp_path, tiny_samples):
+        # The LSM store has no put_many of its own: the default loop serves it.
+        def build(backend):
+            return PCRDataset.build(
+                tiny_samples[:7], tmp_path / backend, images_per_record=3, backend=backend
+            )
+
+        with build("sqlite") as sqlite_ds, build("lsm") as lsm_ds:
+            assert lsm_ds.record_names == sqlite_ds.record_names
+            for name in sqlite_ds.record_names:
+                assert (tmp_path / "lsm" / name).read_bytes() == (
+                    tmp_path / "sqlite" / name
+                ).read_bytes()
+                assert lsm_ds.reader.record_index(name) == sqlite_ds.reader.record_index(name)
+            for ours, theirs in zip(lsm_ds, sqlite_ds, strict=True):
+                assert (ours.key, ours.label) == (theirs.key, theirs.label)
+                assert np.array_equal(ours.image.pixels, theirs.image.pixels)
+            key = tiny_samples[4][0]
+            assert (
+                lsm_ds.reader.read_sample(key, 2).stream
+                == sqlite_ds.reader.read_sample(key, 2).stream
+            )
 
     def test_clustered_policy_reduces_group_count(self, tmp_path, tiny_samples):
         policy = ScanGroupPolicy.clustered([1, 4, 10])
@@ -168,6 +242,84 @@ class TestConverters:
         assert report.total_seconds > 0
         assert report.output_bytes == result.total_bytes
         assert report.n_copies == 1
+
+    def test_mixed_payloads_convert_to_identical_records(self, tmp_path, few_samples):
+        """Pixels, baseline bytes and progressive bytes of the same images
+        are the same dataset: each payload takes its one job, order is kept."""
+        mixed = []
+        for index, (key, image, label) in enumerate(few_samples):
+            if index % 3 == 1:
+                payload = BaselineCodec(quality=90).encode(image)
+            elif index % 3 == 2:
+                payload = ProgressiveCodec(quality=90).encode(image)
+            else:
+                payload = image
+            mixed.append((key, payload, label))
+        kwargs = dict(images_per_record=4, quality=90, chunk_size=3)
+        pixels_result, _ = convert_to_pcr(few_samples, tmp_path / "pixels", **kwargs)
+        mixed_result, mixed_report = convert_to_pcr(iter(mixed), tmp_path / "mixed", **kwargs)
+        assert mixed_result == dataclasses.replace(pixels_result, directory=tmp_path / "mixed")
+        assert mixed_report.n_images == len(few_samples)
+        names = sorted(path.name for path in (tmp_path / "pixels").glob("*.pcr"))
+        assert names == sorted(path.name for path in (tmp_path / "mixed").glob("*.pcr"))
+        assert len(names) == 2
+        for name in names:
+            assert (tmp_path / "mixed" / name).read_bytes() == (
+                tmp_path / "pixels" / name
+            ).read_bytes()
+        with PCRDataset(tmp_path / "mixed") as dataset:
+            assert [s.key for s in dataset] == [key for key, _, _ in few_samples]
+
+    def test_encoded_source_is_never_requantised(self, tmp_path, few_samples):
+        source = [
+            (key, BaselineCodec(quality=60).encode(image), label)
+            for key, image, label in few_samples[:3]
+        ]
+        # quality=95 would re-quantise a pixel source; bytes keep their own.
+        convert_to_pcr(source, tmp_path / "q60", images_per_record=4, quality=95)
+        reader = PCRReader(tmp_path / "q60", decode=False)
+        stored = reader.read_record(reader.record_names[0], reader.n_groups)
+        for (_, original, _), sample in zip(source, stored):
+            assert is_lossless_roundtrip(original, sample.stream)
+
+    def test_each_job_runs_once(self, tmp_path, few_samples, monkeypatch):
+        """Regression guard for the double work: a pixel source is never
+        entropy-decoded; an encoded source is decoded exactly once each."""
+        import repro.codecs.progressive as progressive_mod
+        import repro.codecs.transcode as transcode_mod
+
+        decodes: list[int] = []
+        real_decode = progressive_mod.decode_coefficients
+
+        def spy(data, max_scans=None):
+            decodes.append(len(data))
+            return real_decode(data, max_scans=max_scans)
+
+        monkeypatch.setattr(progressive_mod, "decode_coefficients", spy)
+        monkeypatch.setattr(transcode_mod, "decode_coefficients", spy)
+        convert_to_pcr(few_samples, tmp_path / "from-pixels", images_per_record=4, chunk_size=3)
+        assert decodes == []
+        encoded = [
+            (key, BaselineCodec(quality=90).encode(image), label)
+            for key, image, label in few_samples
+        ]
+        convert_to_pcr(encoded, tmp_path / "from-bytes", images_per_record=4, chunk_size=3)
+        assert len(decodes) == len(encoded)
+
+    def test_failed_conversion_closes_the_index_store(self, tmp_path, few_samples, monkeypatch):
+        key, image, label = few_samples[0]
+        samples = [(key, image, label), ("broken", b"not a stream", 0)]
+        closed: list[SQLiteStore] = []
+        real_close = SQLiteStore.close
+
+        def recording_close(store):
+            closed.append(store)
+            real_close(store)
+
+        monkeypatch.setattr(SQLiteStore, "close", recording_close)
+        with pytest.raises(ValueError):
+            convert_to_pcr(samples, tmp_path / "broken", images_per_record=4)
+        assert len(closed) == 1
 
     def test_static_copies_cost_more(self, tmp_path, few_samples):
         _, pcr_report = convert_to_pcr(few_samples, tmp_path / "pcr2", images_per_record=4)

@@ -54,6 +54,14 @@ class TestKVStoreContract:
         assert b"x" in store
         assert b"z" not in store
 
+    def test_put_many_matches_the_put_loop(self, store):
+        items = [(b"record/r0", b"index"), (b"sample/b", b"1"), (b"sample/a", b"2")]
+        items.append((b"sample/b", b"overwritten"))  # later pairs win, as with put
+        store.put(b"sample/a", b"stale")
+        store.put_many(items)
+        store.put_many([])
+        assert dict(store.scan()) == {b"sample/a": b"stale"} | dict(items)
+
     def test_scan_in_key_order(self, store):
         for key in [b"c", b"a", b"b"]:
             store.put(key, key.upper())
@@ -168,3 +176,17 @@ class TestBackendSelection:
         lsm_store.close()
         assert detect_backend(tmp_path / "d.db") == "sqlite"
         assert detect_backend(tmp_path / "d.lsm") == "lsm"
+
+
+class TestSQLiteSpecifics:
+    def test_put_many_is_one_transaction(self, tmp_path):
+        with SQLiteStore(tmp_path / "tx.db") as store:
+            statements: list[str] = []
+            store._connection.set_trace_callback(statements.append)
+            store.put_many([(bytes([65 + i]), b"v") for i in range(9)])
+            assert statements.count("COMMIT") == 1
+            statements.clear()
+            for i in range(9):
+                store.put(bytes([75 + i]), b"v")
+            assert statements.count("COMMIT") == 9
+            assert len(store) == 18
