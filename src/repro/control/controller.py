@@ -80,13 +80,6 @@ class ClusterControlPlane:
         self.coordinator = coordinator
         self.registry = registry if registry is not None else MetricsRegistry()
 
-    def _running_servers(self):
-        return [
-            managed.server
-            for managed in self.coordinator._replicas.values()
-            if managed.running
-        ]
-
     def poll(self) -> dict[str, ClientTelemetry]:
         """Latest telemetry per client across every live replica.
 
@@ -94,7 +87,7 @@ class ClusterControlPlane:
         fleet view keeps, per client, the freshest report any replica holds.
         """
         merged: dict[str, ClientTelemetry] = {}
-        for server in self._running_servers():
+        for server in self.coordinator.running_servers():
             for client_id, report in server.telemetry.latest().items():
                 current = merged.get(client_id)
                 if current is None or report.received_at > current.received_at:
@@ -102,11 +95,11 @@ class ClusterControlPlane:
         return merged
 
     def publish(self, client_id: str, hint: ScanGroupHint | None) -> None:
-        for server in self._running_servers():
+        for server in self.coordinator.running_servers():
             server.telemetry.set_hint(client_id, hint)
 
     def set_admission_bias(self, groups: set[int] | None) -> None:
-        for server in self._running_servers():
+        for server in self.coordinator.running_servers():
             server.cache.set_admission_bias(groups)
 
     def fleet_snapshot(self) -> dict:

@@ -135,8 +135,6 @@ class TelemetryStore:
         self._lock = threading.Lock()
         self._reports: dict[str, ClientTelemetry] = {}
         self._hints: dict[str, ScanGroupHint] = {}
-        self.reports_received = 0
-        self.hints_served = 0
 
     def update(self, telemetry: ClientTelemetry) -> ScanGroupHint | None:
         """Store one report; returns the hint currently standing for the client."""
@@ -145,11 +143,7 @@ class TelemetryStore:
         )
         with self._lock:
             self._reports[telemetry.client_id] = stamped
-            self.reports_received += 1
-            hint = self._hints.get(telemetry.client_id)
-            if hint is not None:
-                self.hints_served += 1
-            return hint
+            return self._hints.get(telemetry.client_id)
 
     def latest(self) -> dict[str, ClientTelemetry]:
         """Fresh reports per client (stale clients pruned, copies returned)."""

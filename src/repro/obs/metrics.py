@@ -18,7 +18,10 @@ Design constraints, in order:
    ``obs_overhead`` rows in the benchmark JSONs measure.
 2. **Thread-safe.**  Updates take a per-metric lock; metric creation takes
    the registry lock and is idempotent (``counter("x")`` always returns the
-   same object), so hot paths can re-resolve metrics without caching.
+   same object), so hot paths can re-resolve metrics without caching.  A
+   counter or histogram whose owner already serialises its writers is
+   created with ``locked=False`` and skips the per-metric lock (the record
+   server's per-request metrics: docs/observability.md, design rule 2).
 3. **Fork-aware.**  A forked child (a ``DecodePool`` worker) must report
    only *its own* work.  ``os.register_at_fork`` resets the default
    registry in the child, and :meth:`MetricsRegistry.snapshot` /
@@ -36,6 +39,7 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
+from contextlib import nullcontext
 
 __all__ = [
     "Counter",
@@ -54,21 +58,34 @@ DEFAULT_TIME_BUCKETS: tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0,
 )
 
+#: What the cold paths of a ``locked=False`` metric enter instead of a lock.
+_UNLOCKED = nullcontext()
+
 
 class Counter:
-    """A monotonically increasing total."""
+    """A monotonically increasing total.
+
+    ``locked=False`` is for a counter whose owner already serialises its
+    writers — one thread, or a lock the owner holds around every
+    :meth:`inc` — so the increment takes no lock of its own.
+    """
 
     __slots__ = ("name", "_registry", "_lock", "_value")
 
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+    def __init__(
+        self, name: str, registry: "MetricsRegistry", locked: bool = True
+    ) -> None:
         self.name = name
         self._registry = registry
-        self._lock = threading.Lock()
+        self._lock = threading.Lock() if locked else None
         self._value = 0
 
     def inc(self, amount: int | float = 1) -> None:
         """Add ``amount`` (a single branch when the registry is disabled)."""
         if not self._registry._enabled:
+            return
+        if self._lock is None:
+            self._value += amount
             return
         with self._lock:
             self._value += amount
@@ -78,7 +95,7 @@ class Counter:
         return self._value
 
     def _reset(self) -> None:
-        with self._lock:
+        with self._lock or _UNLOCKED:
             self._value = 0
 
 
@@ -122,7 +139,8 @@ class Histogram:
     Bucket ``i`` counts observations ``edges[i-1] < v <= edges[i]``
     (inclusive upper edges); one extra overflow bucket counts everything
     above the last edge, so ``len(counts) == len(edges) + 1`` and no
-    observation is ever dropped.
+    observation is ever dropped.  ``locked=False`` means what it does for a
+    :class:`Counter`: the owner serialises the observers.
     """
 
     __slots__ = ("name", "edges", "_registry", "_lock", "_counts", "_sum", "_count")
@@ -132,13 +150,14 @@ class Histogram:
         name: str,
         registry: "MetricsRegistry",
         edges: tuple[float, ...] = DEFAULT_TIME_BUCKETS,
+        locked: bool = True,
     ) -> None:
         if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
             raise ValueError(f"histogram edges must be strictly increasing: {edges}")
         self.name = name
         self.edges = tuple(float(edge) for edge in edges)
         self._registry = registry
-        self._lock = threading.Lock()
+        self._lock = threading.Lock() if locked else None
         self._counts = [0] * (len(self.edges) + 1)
         self._sum = 0.0
         self._count = 0
@@ -148,6 +167,11 @@ class Histogram:
         if not self._registry._enabled:
             return
         index = bisect_left(self.edges, value)
+        if self._lock is None:
+            self._counts[index] += 1
+            self._sum += value
+            self._count += 1
+            return
         with self._lock:
             self._counts[index] += 1
             self._sum += value
@@ -163,7 +187,7 @@ class Histogram:
 
     @property
     def counts(self) -> list[int]:
-        with self._lock:
+        with self._lock or _UNLOCKED:
             return list(self._counts)
 
     @property
@@ -171,7 +195,7 @@ class Histogram:
         return self._sum / self._count if self._count else 0.0
 
     def _reset(self) -> None:
-        with self._lock:
+        with self._lock or _UNLOCKED:
             self._counts = [0] * (len(self.edges) + 1)
             self._sum = 0.0
             self._count = 0
@@ -199,14 +223,15 @@ class MetricsRegistry:
 
     # -- metric creation (idempotent by name) ---------------------------------
 
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, locked: bool = True) -> Counter:
+        """The counter called ``name``; ``locked`` applies when this call creates it."""
         metric = self._counters.get(name)
         if metric is None:
             with self._lock:
                 metric = self._counters.get(name)
                 if metric is None:
                     self._check_name(name, self._counters)
-                    metric = self._counters[name] = Counter(name, self)
+                    metric = self._counters[name] = Counter(name, self, locked)
         return metric
 
     def gauge(self, name: str) -> Gauge:
@@ -220,7 +245,10 @@ class MetricsRegistry:
         return metric
 
     def histogram(
-        self, name: str, edges: tuple[float, ...] = DEFAULT_TIME_BUCKETS
+        self,
+        name: str,
+        edges: tuple[float, ...] = DEFAULT_TIME_BUCKETS,
+        locked: bool = True,
     ) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
@@ -228,7 +256,7 @@ class MetricsRegistry:
                 metric = self._histograms.get(name)
                 if metric is None:
                     self._check_name(name, self._histograms)
-                    metric = self._histograms[name] = Histogram(name, self, edges)
+                    metric = self._histograms[name] = Histogram(name, self, edges, locked)
         if tuple(metric.edges) != tuple(float(e) for e in edges):
             raise ValueError(
                 f"histogram {name!r} already registered with edges {metric.edges}"
@@ -277,7 +305,7 @@ class MetricsRegistry:
             self.gauge(name).inc(value)
         for name, data in snapshot.get("histograms", {}).items():
             histogram = self.histogram(name, edges=tuple(data["edges"]))
-            with histogram._lock:
+            with histogram._lock or _UNLOCKED:
                 for index, count in enumerate(data["counts"]):
                     histogram._counts[index] += count
                 histogram._sum += data["sum"]

@@ -1,15 +1,18 @@
 """Network serving layer: ship PCR record prefixes to remote readers.
 
-The subsystem has four parts:
+The subsystem has six parts:
 
 :mod:`repro.serving.protocol`
     The versioned, length-prefixed binary wire format (requests, responses,
     structured error frames, pipelined batches).
 
+:mod:`repro.serving.cache`
+    ``ScanPrefixCache`` — the scan-prefix LRU cache that serves any scan
+    group ≤ a cached group by slicing the cached prefix.
+
 :mod:`repro.serving.server`
-    ``PCRRecordServer`` — a threaded TCP server over a shared
-    :class:`~repro.core.reader.PCRReader` with a scan-prefix LRU cache that
-    serves any scan group ≤ a cached group by slicing the cached prefix.
+    ``PCRRecordServer`` — a non-blocking event-loop TCP server over a shared
+    :class:`~repro.core.reader.PCRReader` and one ``ScanPrefixCache``.
 
 :mod:`repro.serving.client`
     ``PCRClient`` — a connection-pooled client with pipelined batch fetches
@@ -29,6 +32,7 @@ The subsystem has four parts:
     ``ShardedRemoteRecordSource`` (the clustered ``DataLoader`` source).
 """
 
+from repro.serving.cache import ScanPrefixCache
 from repro.serving.client import PCRClient
 from repro.serving.cluster import (
     ClusterClient,
@@ -37,7 +41,7 @@ from repro.serving.cluster import (
     ShardedRemoteRecordSource,
 )
 from repro.serving.remote_source import RemoteFetcher, RemoteRecordSource
-from repro.serving.server import PCRRecordServer, ScanPrefixCache
+from repro.serving.server import PCRRecordServer
 
 __all__ = [
     "ClusterClient",

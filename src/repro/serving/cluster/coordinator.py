@@ -17,8 +17,8 @@ Lifecycle verbs mirror what an operator needs mid-flight:
 * :meth:`drain_shard` / :meth:`restart_shard` — take a whole shard out of
   (and back into) service without touching the topology;
 * :meth:`stats` — per-shard, per-replica cache/throughput counters plus
-  cluster-wide aggregates, collected concurrently and tolerant of replicas
-  dying mid-collection;
+  cluster-wide aggregates, read in-process and tolerant of replicas dying
+  mid-collection;
 * :meth:`cluster_stats` — fleet-wide metrics registry snapshots scraped
   over the wire (``GET_METRICS``) from every replica concurrently and
   merged into one cluster-wide view; dead replicas are reported as
@@ -34,8 +34,9 @@ from repro.core.reader import PCRReader
 from repro.obs import merge_snapshots
 from repro.serving.client import PCRClient
 from repro.serving.cluster.shard_map import ShardMap, ShardReplica, default_shard_ids
+from repro.serving.cache import DEFAULT_CACHE_BYTES
 from repro.serving.cluster.views import ShardViewReader
-from repro.serving.server import DEFAULT_CACHE_BYTES, PCRRecordServer
+from repro.serving.server import PCRRecordServer
 
 DEFAULT_N_SHARDS = 2
 DEFAULT_N_REPLICAS = 1
@@ -63,7 +64,6 @@ class ClusterCoordinator:
         host: str = "127.0.0.1",
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         vnode_factor: int | None = None,
-        n_loops: int = 1,
         socket_buffer_bytes: int | None = None,
     ) -> None:
         if n_replicas < 1:
@@ -73,9 +73,8 @@ class ClusterCoordinator:
         self.n_replicas = n_replicas
         self.host = host
         self.cache_bytes = cache_bytes
-        # Forwarded to every replica's event-loop server: extra loops per
-        # replica and explicit SO_SNDBUF/SO_RCVBUF sizing for fat pipes.
-        self.n_loops = n_loops
+        # Forwarded to every replica's server: explicit SO_SNDBUF/SO_RCVBUF
+        # sizing for fat pipes.
         self.socket_buffer_bytes = socket_buffer_bytes
         self._vnode_kwargs = {} if vnode_factor is None else {"vnode_factor": vnode_factor}
         self._replicas: dict[tuple[str, int], _ManagedReplica] = {}
@@ -130,7 +129,6 @@ class ClusterCoordinator:
                 host=self.host,
                 port=port,
                 cache_bytes=self.cache_bytes,
-                n_loops=self.n_loops,
                 socket_buffer_bytes=self.socket_buffer_bytes,
             ).start()
         except BaseException:
@@ -175,6 +173,10 @@ class ClusterCoordinator:
 
     def live_replicas(self) -> list[ShardReplica]:
         return [m.replica for m in self._replicas.values() if m.running]
+
+    def running_servers(self) -> list[PCRRecordServer]:
+        """The in-process servers of the live replicas (the control plane's handle)."""
+        return [m.server for m in self._replicas.values() if m.running]
 
     # -- supervision -----------------------------------------------------------
 
@@ -248,12 +250,10 @@ class ClusterCoordinator:
     def stats(self) -> dict:
         """Per-replica serving stats plus cluster-wide aggregates.
 
-        Replica stats are collected concurrently (one fleet-wide sweep
-        costs the slowest replica, not the sum), and a replica that dies
-        mid-collection is reported as ``{"running": False}`` with the error
-        attached instead of failing the whole report.
+        Each replica's ``stats()`` is read in-process, one after another; a
+        replica that dies mid-collection is reported as ``{"running":
+        False}`` with the error attached instead of failing the whole report.
         """
-        items = sorted(self._replicas.items())
 
         def collect(managed: _ManagedReplica) -> dict:
             if not managed.running:
@@ -266,15 +266,12 @@ class ClusterCoordinator:
             stat["restarts"] = managed.restarts
             return stat
 
-        collected: list[dict] = []
-        if items:
-            with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-                collected = list(pool.map(lambda kv: collect(kv[1]), items))
         shards: dict[str, dict] = {}
         total_requests = 0
         total_hits = 0
         total_lookups = 0
-        for ((shard_id, replica_index), _), stat in zip(items, collected):
+        for (shard_id, replica_index), managed in sorted(self._replicas.items()):
+            stat = collect(managed)
             entry = shards.setdefault(
                 shard_id,
                 {"n_records": len(self._assignment.get(shard_id, [])), "replicas": {}},

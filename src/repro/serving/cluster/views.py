@@ -81,9 +81,6 @@ class ShardViewReader:
 
     # -- reading ---------------------------------------------------------------
 
-    def owns(self, record_name: str) -> bool:
-        return record_name in self._owned_set
-
     def _require_owned(self, record_name: str) -> None:
         if record_name not in self._owned_set:
             raise PCRError(

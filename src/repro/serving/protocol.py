@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 PROTOCOL_MAGIC = b"PR"
@@ -55,18 +56,6 @@ MSG_BATCH_DATA = 0x85
 MSG_METRICS_DATA = 0x86
 MSG_TELEMETRY_ACK = 0x87
 MSG_ERROR = 0xFF
-
-REQUEST_TYPES = frozenset(
-    {
-        MSG_GET_RECORD,
-        MSG_GET_INDEX,
-        MSG_STAT,
-        MSG_DATASET_META,
-        MSG_BATCH,
-        MSG_GET_METRICS,
-        MSG_REPORT_TELEMETRY,
-    }
-)
 
 #: Mnemonic names for request types — also the suffixes of the server's
 #: ``serving.requests.<name>_total`` registry counters.
@@ -101,6 +90,9 @@ ERROR_NAMES = {
 
 class ProtocolError(Exception):
     """A malformed, truncated, or version-incompatible frame."""
+
+    #: The frames :meth:`FrameAssembler.feed` completed before the bad one.
+    frames: Sequence[tuple[int, bytes]] = ()
 
 
 class FrameTooLargeError(ProtocolError):
@@ -214,7 +206,10 @@ class FrameAssembler:
     as soon as its 8 bytes are available — a bad magic/version or an
     oversized announced payload raises :class:`ProtocolError` *before* any
     payload is buffered, so a hostile peer cannot make the server allocate
-    the announced size.
+    the announced size.  The frames completed ahead of the bad header ride
+    on the exception as ``exc.frames`` (as ``asyncio.IncompleteReadError``
+    carries ``partial``): a caller can answer them, in order, before it
+    reports the error — what a blocking :func:`read_frame` loop would do.
     """
 
     def __init__(self, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES) -> None:
@@ -237,21 +232,27 @@ class FrameAssembler:
         frames: list[tuple[int, bytes]] = []
         offset = 0
         buffer = self._buffer
-        while True:
-            if self._pending is None:
-                if len(buffer) - offset < HEADER_SIZE:
+        try:
+            while True:
+                if self._pending is None:
+                    if len(buffer) - offset < HEADER_SIZE:
+                        break
+                    self._pending = parse_header(
+                        bytes(buffer[offset : offset + HEADER_SIZE]), self.max_payload
+                    )
+                    offset += HEADER_SIZE
+                msg_type, length = self._pending
+                if len(buffer) - offset < length:
                     break
-                self._pending = parse_header(
-                    bytes(buffer[offset : offset + HEADER_SIZE]), self.max_payload
-                )
-                offset += HEADER_SIZE
-            msg_type, length = self._pending
-            if len(buffer) - offset < length:
-                break
-            frames.append((msg_type, bytes(buffer[offset : offset + length])))
-            offset += length
-            self._pending = None
-        if offset:
+                frames.append((msg_type, bytes(buffer[offset : offset + length])))
+                offset += length
+                self._pending = None
+        except ProtocolError as exc:
+            exc.frames = frames
+            raise
+        finally:
+            # Also on error: the bad header stays at the front, so the
+            # frames handed out are never parsed (and answered) twice.
             del buffer[:offset]
         return frames
 
@@ -367,11 +368,6 @@ def unpack_batch_request(payload: bytes) -> list[RecordRequest]:
     if offset != len(payload):
         raise ProtocolError(f"{len(payload) - offset} trailing bytes after batch request")
     return requests
-
-
-def pack_batch_response(sub_frames: list[bytes]) -> bytes:
-    """A batch response payload: count + concatenated complete sub-frames."""
-    return struct.pack("<H", len(sub_frames)) + b"".join(sub_frames)
 
 
 def unpack_batch_response(

@@ -10,9 +10,15 @@ replicas.
 from __future__ import annotations
 
 import json
+import socket
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+
+from repro.control.telemetry import ClientTelemetry, ScanGroupHint
 
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
@@ -25,6 +31,7 @@ from repro.obs import (
 )
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.pipeline.stall import StallTracker
+from repro.serving import protocol
 from repro.serving.client import PCRClient
 from repro.serving.cluster.coordinator import ClusterCoordinator
 from repro.serving.server import PCRRecordServer
@@ -97,6 +104,29 @@ class TestRegistry:
         registry.reset()
         assert counter.value == 0
         assert registry.counter("c") is counter
+
+    def test_unlocked_metrics_behave_like_locked_ones(self, registry):
+        # ``locked=False`` (owner-serialised writers) changes only what an
+        # update costs: same values, same snapshot/merge/reset, and the
+        # disabled branch still comes first.
+        counter = registry.counter("c", locked=False)
+        histogram = registry.histogram("h", edges=(1.0,), locked=False)
+        assert registry.counter("c") is counter  # the mode is fixed at creation
+        counter.inc()
+        counter.inc(4)
+        histogram.observe(0.5)
+        histogram.observe(2.0)
+        registry.set_enabled(False)
+        counter.inc()
+        histogram.observe(0.5)
+        registry.set_enabled(True)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["c"] == 5
+        assert snapshot["histograms"]["h"]["counts"] == [1, 1]
+        registry.merge(snapshot)
+        assert counter.value == 10 and histogram.counts == [2, 2]
+        registry.reset()
+        assert counter.value == 0 and histogram.count == 0
 
 
 class TestHistogram:
@@ -380,28 +410,187 @@ class TestGetMetricsWireOp:
         gauges = report["registry"]["gauges"]
         assert gauges["serving.cache.entries"] == 1
 
-    def test_snapshot_matches_stat_counters(self, obs_server, pcr_dataset):
-        with PCRClient(port=obs_server.port) as client:
-            client.get_record_bytes(pcr_dataset.record_names[0], 1)
-            stat = client.stat()
-            report = client.metrics()
-        counters = report["registry"]["counters"]
+    def test_snapshot_matches_stat_counters(self, pcr_dataset):
+        """Every counter ``STAT`` exposes equals its ``GET_METRICS`` name after
+        a workload that moves all of them: exact hit, prefix hit, miss,
+        eviction, bias skip, every op, an unknown op and a malformed frame."""
+        reader, names, top = pcr_dataset.reader, pcr_dataset.record_names, pcr_dataset.n_groups
+        one_record = max(reader.bytes_for_group(name, top) for name in names)
+
+        def raw_exchange(data: bytes) -> int:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as sock:
+                sock.sendall(data)
+                return protocol.read_frame(sock)[0]
+
+        report = ClientTelemetry(client_id="c0", scan_group=top, n_groups=top).to_payload()
+        with PCRRecordServer(reader.directory, port=0, cache_bytes=one_record + 1) as server:
+            with PCRClient(port=server.port, pool_size=1) as client:
+                client.get_record_bytes(names[0], top)  # miss, admitted
+                client.get_record_bytes(names[0], top)  # exact hit
+                client.get_record_bytes(names[0], 1)  # prefix hit
+                client.get_record_bytes(names[1], top)  # miss; admission evicts names[0]
+                server.cache.set_admission_bias({1})
+                client.get_record_bytes(names[2], top)  # miss; cache over half full: bias skip
+                client.get_record_batch([(names[1], 2), (names[2], 1)])  # prefix hit + miss
+                client.get_index(names[0])
+                client.dataset_meta()
+                client.stat()
+                client.report_telemetry(report)
+                server.telemetry.set_hint("c0", ScanGroupHint(scan_group=1))
+                client.report_telemetry(report)  # this ack serves the hint
+                assert raw_exchange(protocol.encode_frame(0x7E, b"")) == protocol.MSG_ERROR
+                assert raw_exchange(b"XXXXXXXX") == protocol.MSG_ERROR
+                # Both raw connections are closed server-side before the scrapes,
+                # so no counter moves between them except the STAT request itself.
+                deadline = time.monotonic() + 5.0
+                while server.open_connections > 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                scraped = client.metrics()["registry"]
+                stat = client.stat()
+        counters, gauges = scraped["counters"], scraped["gauges"]
+
+        cache = stat.pop("cache")
+        expected_cache = {
+            key: counters[f"serving.cache.{key}_total"]
+            for key in (
+                "exact_hits", "prefix_hits", "misses", "evictions", "admissions", "bias_skips",
+            )
+        }
+        assert min(expected_cache.values()) >= 1  # the workload moved every one
+        for family in ("hits", "misses", "bytes_served", "admissions", "evictions"):
+            expected_cache[f"{family}_by_group"] = {
+                name.split(".")[3]: value
+                for name, value in counters.items()
+                if name.startswith("serving.cache.group.")
+                and name.endswith(f".{family}_total")
+                and value
+            }
+            assert expected_cache[f"{family}_by_group"]
+        expected_cache["entries"] = gauges["serving.cache.entries"]
+        expected_cache["cached_bytes"] = gauges["serving.cache.cached_bytes"]
+        not_counters = {"capacity_bytes", "admission_bias", "hit_rate", "prefix_hit_rate"}
+        assert {k: v for k, v in cache.items() if k not in not_counters} == expected_cache
+        assert counters["serving.cache.bytes_served_total"] == sum(
+            cache["bytes_served_by_group"].values()
+        )
+
+        assert stat.pop("event_loop") == {
+            "open_connections": gauges["serving.connections.open"],
+            "accepted_connections": counters["serving.connections.accepted_total"],
+            "closed_connections": counters["serving.connections.closed_total"],
+            "backpressure_pauses": counters["serving.backpressure.pauses_total"],
+        }
+        expected_requests = {
+            f"0x{op:02x}": counters[f"serving.requests.{name}_total"]
+            for op, name in {**protocol.MESSAGE_NAMES, 0x7E: "op_0x7e"}.items()
+        }
+        expected_requests["0x03"] += 1  # the second STAT request came after the scrape
+        assert stat.pop("requests_by_type") == expected_requests
+        assert stat.pop("n_requests") == sum(expected_requests.values())
+        assert stat.pop("errors") == counters["serving.errors_total"] == 2
+        # STAT carries no telemetry counters; GET_METRICS counts what the client sent.
+        assert counters["serving.telemetry.reports_total"] == 2
+        assert counters["serving.telemetry.hints_served_total"] == 1
+        assert set(stat) == {"address", "reader_bytes_read", "reader_records_read"}
+
+    def test_scrapes_under_load_are_monotone_and_exact(self, obs_server, pcr_dataset):
+        """Four clients fetch while a fifth alternates STAT / GET_METRICS: every
+        successive scrape is monotone, and the final totals equal what the
+        clients sent and received — no update is lost, none counted twice."""
+        names, n_groups = pcr_dataset.record_names, pcr_dataset.n_groups
+        per_client, n_clients = 150, 4
+        received = [0] * n_clients
+        done = threading.Event()
+
+        def fetch(index: int) -> None:
+            with PCRClient(port=obs_server.port, pool_size=1) as client:
+                for i in range(per_client):
+                    group = 1 + (i + index) % n_groups
+                    received[index] += len(client.get_record_bytes(names[i % len(names)], group))
+
+        def watched(body: dict) -> list:
+            if "registry" in body:
+                counters = body["registry"]["counters"]
+                return [
+                    counters.get("serving.requests.get_record_total", 0),
+                    counters["serving.cache.exact_hits_total"]
+                    + counters["serving.cache.prefix_hits_total"],
+                    counters["serving.cache.misses_total"],
+                    counters["serving.bytes_sent_total"],
+                ]
+            cache = body["cache"]
+            return [
+                body["requests_by_type"].get("0x01", 0),
+                cache["exact_hits"] + cache["prefix_hits"],
+                cache["misses"],
+            ]
+
+        def scrape() -> dict[str, list[list]]:
+            """Both bodies, over the wire (loop thread) and in-process (this one)."""
+            with PCRClient(port=obs_server.port, pool_size=1) as client:
+                sources = {
+                    "STAT": client.stat,
+                    "GET_METRICS": client.metrics,
+                    "stats()": obs_server.stats,
+                    "metrics_snapshot()": obs_server.metrics_snapshot,
+                }
+                series = {source: [] for source in sources}
+                while not done.is_set():
+                    for source, read in sources.items():
+                        series[source].append(watched(read()))
+            return series
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=n_clients + 1) as pool:
+                scraper = pool.submit(scrape)
+                fetchers = [pool.submit(fetch, index) for index in range(n_clients)]
+                try:
+                    for future in fetchers:
+                        future.result(timeout=60.0)
+                finally:
+                    done.set()
+                scrapes = scraper.result(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+
+        for source, series in scrapes.items():
+            assert len(series) >= 2, source
+            for earlier, later in zip(series, series[1:]):
+                assert all(a <= b for a, b in zip(earlier, later)), (source, earlier, later)
+        stat = obs_server.stats()
+        counters = obs_server.metrics_snapshot()["registry"]["counters"]
+        sent = per_client * n_clients
+        assert counters["serving.requests.get_record_total"] == sent
+        assert stat["requests_by_type"]["0x01"] == sent
         cache = stat["cache"]
-        assert counters["serving.cache.misses_total"] == cache["misses"]
-        assert counters["serving.cache.exact_hits_total"] == cache["exact_hits"]
-        assert stat["requests_by_type"]["0x01"] == counters[
-            "serving.requests.get_record_total"
-        ]
+        assert cache["exact_hits"] + cache["prefix_hits"] + cache["misses"] == sent
+        # Every byte a client received came from the cache (counted there) or,
+        # on a miss, from the reader.
+        served = counters["serving.cache.bytes_served_total"] + stat["reader_bytes_read"]
+        assert served == sum(received)
 
     def test_disabled_server_reports_disabled(self, pcr_dataset):
-        with PCRRecordServer(
-            pcr_dataset.reader.directory, port=0, metrics_enabled=False
-        ) as server:
+        """``registry.set_enabled(False)``: records are still served byte for
+        byte, ``GET_METRICS`` says so, and — one home — ``STAT`` freezes too."""
+        reader, name = pcr_dataset.reader, pcr_dataset.record_names[0]
+        with PCRRecordServer(reader.directory, port=0) as server:
             with PCRClient(port=server.port) as client:
-                client.get_record_bytes(pcr_dataset.record_names[0], 1)
+                assert client.get_record_bytes(name, 1) == reader.read_record_bytes(name, 1)
+                before = client.stat()
+                server.registry.set_enabled(False)
+                assert client.get_record_bytes(name, 1) == reader.read_record_bytes(name, 1)  # hit
+                assert client.get_record_bytes(name, 2) == reader.read_record_bytes(name, 2)  # miss
+                frozen = client.stat()
                 report = client.metrics()
         assert report["metrics_enabled"] is False
-        assert report["registry"]["counters"]["serving.errors_total"] == 0
+        assert report["registry"]["counters"]["serving.requests.get_record_total"] == 1
+        # State (entries, cached bytes) is not a counter and keeps moving.
+        assert frozen["cache"].pop("cached_bytes") > before["cache"].pop("cached_bytes")
+        for stat in (before, frozen):
+            del stat["reader_bytes_read"], stat["reader_records_read"]
+        assert frozen == before
 
 
 class TestClusterScraping:

@@ -291,6 +291,6 @@ class TestOneSeam:
                 names = source.record_names
                 source.read_record(names[0])
                 source.read_record_batch(names)
-            requests = fresh.requests_by_type
-        assert requests[protocol.MSG_GET_RECORD] == 1
-        assert requests[protocol.MSG_BATCH] == 1
+            requests = fresh.stats()["requests_by_type"]
+        assert requests[f"0x{protocol.MSG_GET_RECORD:02x}"] == 1
+        assert requests[f"0x{protocol.MSG_BATCH:02x}"] == 1

@@ -14,7 +14,8 @@ from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.serving import protocol
 from repro.serving.client import PCRClient
 from repro.serving.remote_source import RemoteRecordSource
-from repro.serving.server import PCRRecordServer, ScanPrefixCache
+from repro.serving.cache import ScanPrefixCache
+from repro.serving.server import PCRRecordServer
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +111,16 @@ class TestScanPrefixCache:
         cache = ScanPrefixCache(capacity_bytes=1 << 20)
         cache.put("r", 5, b"ABCDEFGHIJ")
         assert cache.get("r", 3, 4) == b"ABCD"
-        assert cache.prefix_hits == 1 and cache.exact_hits == 0
+        stats = cache.stats()
+        assert stats["prefix_hits"] == 1 and stats["exact_hits"] == 0
 
     def test_exact_hit_and_miss_above_cached_group(self):
         cache = ScanPrefixCache(capacity_bytes=1 << 20)
         cache.put("r", 3, b"ABCDEF")
         assert cache.get("r", 3, 6) == b"ABCDEF"
         assert cache.get("r", 4, 8) is None
-        assert cache.exact_hits == 1 and cache.misses == 1
+        stats = cache.stats()
+        assert stats["exact_hits"] == 1 and stats["misses"] == 1
 
     def test_longest_prefix_wins(self):
         cache = ScanPrefixCache(capacity_bytes=1 << 20)
@@ -134,7 +137,7 @@ class TestScanPrefixCache:
         cache.put("c", 1, b"z" * 10)
         assert cache.get("b", 1, 10) is None
         assert cache.get("a", 1, 10) == b"x" * 10
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert cache.cached_bytes <= 25
 
     def test_entry_larger_than_capacity_not_cached(self):
@@ -157,7 +160,7 @@ class TestScanPrefixCache:
         assert cache.get("a", 1, 10) is None
         assert cache.get("b", 1, 10) == b"b" * 10
         assert cache.get("d", 1, 10) == b"d" * 10
-        assert cache.evictions == 2
+        assert cache.stats()["evictions"] == 2
         assert cache.cached_bytes == 30 and len(cache) == 3
 
     def test_longer_prefix_replacement_reaccounts_bytes_and_evicts(self):
@@ -168,11 +171,11 @@ class TestScanPrefixCache:
         cache.put("b", 1, b"b" * 8)
         cache.put("a", 3, b"A" * 16)  # upgrade: replaces the 8-byte entry
         assert cache.cached_bytes == 24  # 16 + 8, old 8 bytes released
-        assert cache.evictions == 0
+        assert cache.stats()["evictions"] == 0
         cache.put("b", 5, b"B" * 20)  # upgrade overflows: "a" must go
         assert cache.get("a", 1, 8) is None
         assert cache.get("b", 5, 20) == b"B" * 20
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert cache.cached_bytes == 20 and len(cache) == 1
 
     def test_stats_counters_after_eviction(self):

@@ -4,7 +4,7 @@
 drives the non-blocking event loop itself — hundreds of simultaneous
 sockets, slow-loris byte-at-a-time clients, oversized/truncated frames
 against the incremental parser, mid-write disconnects, backpressure, and
-the lock-free ScanPrefixCache semantics the loop relies on.
+the zero-copy ScanPrefixCache view semantics the loop relies on.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ import pytest
 
 from repro.serving import protocol
 from repro.serving.client import PCRClient
-from repro.serving.server import PCRRecordServer, ScanPrefixCache
+from repro.serving.cache import ScanPrefixCache
+from repro.serving.server import PCRRecordServer
 
 # Kept modest by default so the suite passes under a low ``ulimit -n``;
-# CI raises it via the environment when the box allows.
+# raise it via the environment when the box allows.
 N_STORM_SOCKETS = int(os.environ.get("PCR_TEST_CONNECTIONS", "200"))
 
 
@@ -81,22 +82,6 @@ class TestHighConcurrency:
                 sock.close()
         assert _wait_until(lambda: server.open_connections == 0)
 
-    def test_multi_loop_server(self, pcr_dataset):
-        """n_loops=2: accepts round-robin across loops, same answers."""
-        name = pcr_dataset.record_names[0]
-        expected = pcr_dataset.reader.read_record_bytes(name, 2)
-        with PCRRecordServer(pcr_dataset.reader.directory, port=0, n_loops=2) as server:
-            clients = [PCRClient(port=server.port) for _ in range(4)]
-            try:
-                for client in clients:
-                    assert client.get_record_bytes(name, 2) == expected
-            finally:
-                for client in clients:
-                    client.close()
-            stats = server.stats()["event_loop"]
-            assert stats["n_loops"] == 2
-            assert stats["accepted_connections"] >= 4
-
 
 # -- hostile / slow clients ---------------------------------------------------
 
@@ -139,10 +124,41 @@ class TestSlowAndHostileClients:
             assert protocol.unpack_error(payload).code == protocol.ERR_MALFORMED
             assert protocol.read_frame(sock) is None
 
+    def test_valid_frame_then_garbage_in_one_recv(self, server, pcr_dataset):
+        """A good request and a bad header arriving in the same ``recv`` get
+        what a blocking ``read_frame`` loop would give them: the record, then
+        the MALFORMED error, then EOF — and both are counted."""
+        name = pcr_dataset.record_names[0]
+        expected = pcr_dataset.reader.read_record_bytes(name, 1)
+        before = server.stats()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as sock:
+            sock.sendall(_record_frame(name, 1) + b"XX\x01\x01\x00\x00\x00\x00")
+            assert protocol.read_frame(sock) == (protocol.MSG_RECORD_DATA, expected)
+            msg_type, payload = protocol.read_frame(sock)
+            assert msg_type == protocol.MSG_ERROR
+            assert protocol.unpack_error(payload).code == protocol.ERR_MALFORMED
+            assert protocol.read_frame(sock) is None
+        after = server.stats()
+        assert after["n_requests"] == before["n_requests"] + 1
+        assert after["errors"] == before["errors"] + 1
+        assert after["errors"] == server.registry.counter("serving.errors_total").value
+
+    def test_feed_error_carries_the_frames_completed_before_it(self):
+        good = protocol.encode_frame(protocol.MSG_STAT, b"")
+        assembler = protocol.FrameAssembler()
+        with pytest.raises(protocol.ProtocolError) as raised:
+            assembler.feed(good + good + b"XXXXXXXX")
+        assert raised.value.frames == [(protocol.MSG_STAT, b"")] * 2
+        # The stream stays poisoned at the bad header; nothing is handed out twice.
+        with pytest.raises(protocol.ProtocolError) as raised:
+            assembler.feed(b"")
+        assert raised.value.frames == []
+
     def test_truncated_frame_gets_malformed_error(self, server, pcr_dataset):
         """EOF inside a frame is answered with a MALFORMED error before the
-        server closes its side — at every truncation point."""
+        server closes its side — at every truncation point — and counted."""
         frame = _record_frame(pcr_dataset.record_names[0], 1)
+        errors_before = server.stats()["errors"]
         for cut in (1, protocol.HEADER_SIZE - 1, protocol.HEADER_SIZE, len(frame) - 1):
             with socket.create_connection(
                 ("127.0.0.1", server.port), timeout=10.0
@@ -153,6 +169,7 @@ class TestSlowAndHostileClients:
                 assert msg_type == protocol.MSG_ERROR, f"cut={cut}"
                 assert protocol.unpack_error(payload).code == protocol.ERR_MALFORMED
                 assert protocol.read_frame(sock) is None
+        assert server.stats()["errors"] == errors_before + 4
 
     def test_assembler_truncation_fuzz(self, pcr_dataset):
         """Feed a three-frame stream to the incremental parser at every split
@@ -249,8 +266,11 @@ class TestDisconnectCleanliness:
 
 
 class TestLockFreeCache:
+    """The zero-copy view contract.  (The cache has locked unconditionally
+    since the serving diet; the class keeps its name so test ids stay put.)"""
+
     def test_containment_hit_is_a_view_not_a_copy(self):
-        cache = ScanPrefixCache(capacity_bytes=1 << 20, thread_safe=False)
+        cache = ScanPrefixCache(capacity_bytes=1 << 20)
         data = bytes(range(256)) * 4
         cache.put("record", 5, data)
         exact = cache.get("record", 5, len(data))
@@ -258,34 +278,14 @@ class TestLockFreeCache:
         view = cache.get("record", 2, 100)
         assert isinstance(view, memoryview)
         assert bytes(view) == data[:100]
-        assert cache.exact_hits == 1 and cache.prefix_hits == 1
+        stats = cache.stats()
+        assert stats["exact_hits"] == 1 and stats["prefix_hits"] == 1
 
     def test_view_survives_eviction(self):
-        cache = ScanPrefixCache(capacity_bytes=1024, thread_safe=False)
+        cache = ScanPrefixCache(capacity_bytes=1024)
         first = b"a" * 600
         cache.put("one", 3, first)
         view = cache.get("one", 1, 300)
         cache.put("two", 3, b"b" * 600)  # evicts "one"
         assert cache.get("one", 1, 300) is None
         assert bytes(view) == first[:300]  # the view pins the evicted bytes
-
-    def test_thread_safe_flag_selects_lock(self):
-        import threading as _threading
-
-        assert isinstance(
-            ScanPrefixCache(thread_safe=True)._lock, type(_threading.Lock())
-        )
-        assert not isinstance(
-            ScanPrefixCache(thread_safe=False)._lock, type(_threading.Lock())
-        )
-
-    def test_server_cache_lock_mode_follows_n_loops(self, pcr_dataset):
-        directory = pcr_dataset.reader.directory
-        single = PCRRecordServer(directory, port=0)
-        multi = PCRRecordServer(directory, port=0, n_loops=2)
-        try:
-            assert single.cache.thread_safe is False
-            assert multi.cache.thread_safe is True
-        finally:
-            single.stop()
-            multi.stop()
