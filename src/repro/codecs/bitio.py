@@ -50,10 +50,6 @@ class BitWriter:
         if self._n_bits >= _FLUSH_BITS:
             self._flush_whole_bytes()
 
-    def write_bit(self, bit: int) -> None:
-        """Append a single bit."""
-        self.write_bits(bit & 1, 1)
-
     def write_many(self, values, widths) -> None:
         """Append many ``(value, width)`` pairs in one buffered pass.
 
@@ -167,9 +163,6 @@ class BitWriter:
             last = (self._acc << pad) | ((1 << pad) - 1)
             data += bytes([last])
         return data
-
-    def __len__(self) -> int:
-        return len(self._buffer) + ((self._n_bits + 7) >> 3)
 
 
 class BitReader:

@@ -23,12 +23,12 @@ This module is the vectorized counterpart of the scalar scan coder in
   the recorded offsets, and block segmentation, band checks, positions,
   and values are all reconstructed by one vectorized phase-2 epilogue
   shared across every AC scan of a stream (``decode_scan_bodies_fast``).
-  DC-only and mixed scans keep specialized in-place pair-probe loops, as
-  do oversized AC payloads (bounding batch memory).  An oversized symbol
-  (code + magnitude wider than the window) escapes to the fused two-level
-  ``ac_*`` / ``dc_*`` LUTs for that one symbol.  All coefficient-plane
-  writes are deferred to one vectorized scatter per component instead of a
-  Python slice assignment per block.
+  DC-only and mixed scans keep specialized in-place pair-probe loops; the
+  stride walk is the one AC symbol chase, whatever the scan's size.  An
+  oversized symbol (code + magnitude wider than the window) escapes to the
+  fused two-level ``ac_*`` / ``dc_*`` LUTs for that one symbol.  All
+  coefficient-plane writes are deferred to one vectorized scatter per
+  component instead of a Python slice assignment per block.
 
 Both directions produce byte-identical streams / identical coefficients to
 the scalar reference — the one differential oracle, enforced by
@@ -288,10 +288,9 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
 #: Upper bound on the total payload bytes vectorized into one walk batch.
 #: The phase-0 precompute materializes ~40 transient bytes per payload byte
 #: (the per-bit window array and its gathers), so the cap bounds peak batch
-#: memory at ~10 MiB.  A single scan larger than the cap skips the batched
-#: precompute entirely and runs the in-place pair-probe chase instead —
-#: per-probe table lookups there cost more, but the scan is big enough to
-#: amortize its own epilogue and nothing is ever truncated.
+#: memory at ~10 MiB.  A single scan larger than the cap is walked as a
+#: batch of its own: the image that owns such a scan already holds
+#: coefficient planes far larger than that scan's walk transient.
 _WALK_BATCH_BYTES = 1 << 18
 
 
@@ -299,10 +298,9 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
     """Decode all AC-only scans of a stream through the batched pipeline.
 
     ``jobs`` holds ``(scan, payload, tables, n_payload_bits)`` in stream
-    order.  Normal-sized scans are grouped into walk batches (bounded by
-    ``_WALK_BATCH_BYTES``) and symbol-chased by :func:`_walk_ac_batch`;
-    oversized scans fall back to the in-place chase (:func:`_chase_ac`).
-    Either way every scan contributes one raw entry stream, and a single
+    order (at least one).  Scans are grouped into walk batches bounded by
+    ``_WALK_BATCH_BYTES`` and symbol-chased by :func:`_walk_ac_batch`;
+    every scan contributes one raw entry stream, and a single
     :func:`_finish_ac_scans` call reconstructs all of them — order is
     preserved so multi-scan error surfacing stays deterministic.
     """
@@ -311,122 +309,24 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
     batch_bytes = 0
     for job in jobs:
         payload = job[1]
-        # Close the open batch before a scan that cannot join it.
+        # Close the open batch before a scan that cannot join it (a scan
+        # over the cap on its own then opens, and is, the next batch).
         if batch and batch_bytes + len(payload) > _WALK_BATCH_BYTES:
             pending.extend(_walk_ac_batch(batch))
             batch = []
             batch_bytes = 0
-        if len(payload) > _WALK_BATCH_BYTES:
-            padded = payload + _PAD
-            words = np.frombuffer(
-                padded, dtype=">u8", count=len(padded) >> 3
-            ).tolist()
-            # The chase may consume up to `stop + 1` refill words: the
-            # whole payload plus >= 64 bits of 1-padding, so every true
-            # payload bit has been decoded by the time the loop stops.
-            stop = ((len(payload) + 7) >> 3) + 1
-            entries = _chase_ac(words, stop, job[2])
-            pending.append(
-                (job[0], np.frombuffer(entries, dtype=np.int32), job[3])
-            )
-        else:
-            batch.append(job)
-            batch_bytes += len(payload) + len(_WALK_PAD)
-    if batch:
-        pending.extend(_walk_ac_batch(batch))
-    if pending:
-        _finish_ac_scans(pending, coefficients)
-
-
-def _chase_ac(words: list, stop: int, tables) -> array:
-    """Phase 1 of the batched AC decode: chase symbols, record raw entries.
-
-    Symbol boundaries in an AC-only scan are *context-free*: every entry
-    carries its own bit consumption, so the next symbol's window position
-    depends only on the bits, never on block state.  This loop therefore
-    does nothing but advance the bit cursor and append each resolved
-    packed entry (posdelta format, see ``_build_super_tables``) — no block
-    tracking, no position arithmetic, no value unpacking, and second
-    symbols commit unconditionally.  All of that deferred work is
-    reconstructed vectorized in :func:`_finish_ac_scans`.
-
-    The loop cannot classify errors (it does not know where blocks end):
-    an invalid window appends a ``-1`` sentinel entry and stops; running
-    past ``stop`` or off the refill words just stops.  Over-decode past
-    the true payload is bounded (at most ~2 words of 1-padding) and the
-    epilogue ignores entries beyond the last block's end.
-    """
-    sup = tables.superscalar_tables()[0]
-    ac1 = tables.ac_primary
-    ac2 = tables.ac_secondary
-    masks = _MASKS
-    halves = _HALVES
-    offset = SUPER_VALUE_OFFSET
-    shift = _SUPER_SHIFT
-    window_mask = _SUPER_MASK
-    entries = array("i")
-    append_entry = entries.append
-    word_index = 0
-    bitbuf = 0
-    bitcnt = 0
-    try:
-        while True:
-            if bitcnt < 32:
-                if word_index > stop:
-                    break
-                bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                word_index += 1
-                bitcnt += 64
-            w2 = (bitbuf >> (bitcnt - shift)) & window_mask
-            entry = sup[w2]
-            if entry > 0:
-                bitcnt -= entry & 31
-                append_entry(entry)
-                entry = sup[w2 | 1]
-                if entry:
-                    bitcnt -= entry & 31
-                    append_entry(entry)
-            elif entry == 0:
-                append_entry(-1)
-                break
-            else:  # oversized magnitude: two-level fallback
-                entry = ac1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                if entry <= 0:
-                    if entry == 0:
-                        append_entry(-1)
-                        break
-                    entry = ac2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                    if entry == 0:
-                        append_entry(-1)
-                        break
-                # consume <= 31 <= bitcnt: an oversized symbol still fits
-                # the >= 32 bits guaranteed by the refill guard.
-                consume = entry & 0x3F
-                bitcnt -= consume
-                run = entry >> 12
-                category = (entry >> 6) & 0x3F
-                if category:
-                    mask = masks[category]
-                    bits = (bitbuf >> bitcnt) & mask
-                    value = bits if bits >= halves[category] else bits - mask
-                    append_entry(
-                        (consume | ((run + 1) << 5)) | ((value + offset) << 12)
-                    )
-                else:  # unreachable on real tables (cat 0 never oversizes)
-                    append_entry(consume | (run << 5))
-    except IndexError:
-        # Garbage decoded off the end of the refill words; the epilogue
-        # classifies what is missing.
-        pass
-    return entries
+        batch.append(job)
+        batch_bytes += len(payload) + len(_WALK_PAD)
+    pending.extend(_walk_ac_batch(batch))
+    _finish_ac_scans(pending, coefficients)
 
 
 #: Padding appended per scan inside a walk batch blob.  16 bytes cover the
 #: widest read past a scan's true payload: the walk probes up to 64 bits
-#: into the padding (mirroring the chase), and a two-level escape there
-#: reads at most 6 bytes from bit ``n_payload_bits + 64`` — byte
-#: ``len(payload) + 8 + 6``, still inside this scan's padding.  The 1-bits
-#: match the writer's end-of-stream padding, like ``_PAD``.
+#: into the padding, and a two-level escape there reads at most 6 bytes
+#: from bit ``n_payload_bits + 64`` — byte ``len(payload) + 8 + 6``, still
+#: inside this scan's padding.  The 1-bits match the writer's end-of-stream
+#: padding, like ``_PAD``.
 _WALK_PAD = b"\xff" * 16
 
 #: Per-byte window extraction constants: byte triple ``b, b+1, b+2`` holds
@@ -435,46 +335,31 @@ _WALK_PAD = b"\xff" * 16
 _WINDOW_SHIFTS = np.arange(24 - SUPER_BITS, 16 - SUPER_BITS, -1, dtype=np.int32)
 _WINDOW_MASK = (1 << SUPER_BITS) - 1
 
-#: Batch-stacked walk tables keyed by the batch's table-set uids.  One
-#: stack is ~72 KiB per scan at ``SUPER_BITS = 13`` and batch shapes recur
-#: for every record of a dataset; the cap bounds residency at a few MiB.
-_WALK_STACK_CACHE: dict = {}
-_WALK_STACK_LIMIT = 16
 
-
-def _stacked_walk_tables(table_sets: tuple):
-    """Memoized ``(slots1, slots2, pairbits)`` stacks for one walk batch.
+def _stacked_walk_tables(table_sets):
+    """``(slots1, slots2, pairbits)`` stacks for one walk batch.
 
     Scan ``i`` of the batch owns the ``[i << SUPER_BITS, (i + 1) <<
     SUPER_BITS)`` range of each stack, so adding ``i << SUPER_BITS`` to a
     window turns every per-scan table lookup of the batch into one global
-    gather.  Keyed on :attr:`_TableSet.uid` (stable, never reused), so a
-    rebuilt table set can never alias a stale stack.
+    gather.  Not memoized: a batch's table sets recur only when its image
+    is decoded again, and the concatenate costs ≈ 0.07 ms.
     """
-    key = tuple(table_set.uid for table_set in table_sets)
-    stacked = _WALK_STACK_CACHE.get(key)
-    if stacked is None:
-        walks = [table_set.walk_tables() for table_set in table_sets]
-        if len(walks) == 1:
-            stacked = walks[0]
-        else:
-            stacked = (
-                np.concatenate([w[0] for w in walks]),
-                np.concatenate([w[1] for w in walks]),
-                np.concatenate([w[2] for w in walks]),
-            )
-        if len(_WALK_STACK_CACHE) >= _WALK_STACK_LIMIT:
-            _WALK_STACK_CACHE.clear()
-        _WALK_STACK_CACHE[key] = stacked
-    return stacked
+    walks = [table_set.walk_tables() for table_set in table_sets]
+    if len(walks) == 1:
+        return walks[0]
+    return tuple(np.concatenate(stack) for stack in zip(*walks))
 
 
 def _walk_ac_batch(jobs) -> list:
     """Chase a batch of AC-only scans via the precomputed stride walk.
 
-    The in-place chase spends most of its time on bit-buffer bookkeeping:
-    refills, shift/mask window extraction, and per-symbol entry appends.
-    This pipeline vectorizes all of that away.  Phase 0 computes, for
+    An in-place symbol chase spends most of its time on bit-buffer
+    bookkeeping: refills, shift/mask window extraction, and per-symbol
+    entry appends.  Symbol boundaries in an AC-only scan are context-free
+    (every entry carries its own bit consumption), so this pipeline
+    vectorizes all of that away and defers block tracking, positions and
+    values to :func:`_finish_ac_scans`.  Phase 0 computes, for
     *every bit offset* of every payload in the batch, the ``SUPER_BITS``-bit
     window starting there (one broadcast shift over byte triples) and
     gathers each window's walk stride — the total bit length of every
@@ -487,13 +372,11 @@ def _walk_ac_batch(jobs) -> list:
     (rare) two-level escape results recorded by the walk.
 
     Returns ``(scan, entries, n_payload_bits)`` per job, in order, with
-    ``entries`` as an ``int32`` array in the same posdelta format the
-    chase produces — both feed :func:`_finish_ac_scans` unchanged.
+    ``entries`` as an ``int32`` array of packed symbols in the posdelta
+    format of ``_build_super_tables`` — what :func:`_finish_ac_scans` reads.
     """
     size = 1 << SUPER_BITS
-    slots1, slots2, pairbits = _stacked_walk_tables(
-        tuple(job[2] for job in jobs)
-    )
+    slots1, slots2, pairbits = _stacked_walk_tables([job[2] for job in jobs])
     parts = []
     for _, payload, _, _ in jobs:
         parts.append(payload)
@@ -570,8 +453,9 @@ def _walk_ac_one(
     the walk) is appended to ``fallback_entries``; phase 2 patches these
     into the gathered entry stream, so the walk stays branch-lean.  The
     walk ends when the cursor runs off the stride bytes, which cover the
-    payload plus 64 bits of padding — same over-decode window as the
-    chase, classified by the same epilogue.
+    payload plus 64 bits of padding.  It cannot classify errors (it does
+    not know where blocks end): the epilogue ignores entries beyond the
+    last block's end and classifies what is missing or invalid.
     """
     ac1 = tables.ac_primary
     ac2 = tables.ac_secondary
@@ -657,9 +541,9 @@ def _finish_ac_scans(pending, coefficients) -> None:
 
     ``pending`` holds ``(scan, entries, n_payload_bits)`` per AC-only scan,
     where ``entries`` is the packed posdelta stream collected by
-    :func:`_chase_ac`.  Reconstruction is vectorized over the concatenation
-    of every pending scan's entries (amortizing NumPy fixed costs across
-    the whole stream):
+    :func:`_walk_ac_batch`.  Reconstruction is vectorized over the
+    concatenation of every pending scan's entries (amortizing NumPy fixed
+    costs across the whole stream):
 
     1.  ``cumsum(posdelta)`` gives each entry's in-band end position, and
         one ``searchsorted`` finds, for every potential block start, the

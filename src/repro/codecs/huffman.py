@@ -22,19 +22,22 @@ Decoding has two implementations over the same tables:
   16, so two levels always suffice).  See :class:`_TableSet` for the fused
   AC / DC entry packings.
 
-LUTs and encode arrays are cached per canonical table content
-(module-level), and deserialized tables per serialized payload.  Both caches
-are LRU with an approximate byte budget — superscalar pair tables are an
-order of magnitude larger than the two-level set (1 MiB vs ~100 KiB), so
-the bound is expressed in bytes, not entries — and export
-``codec.table_cache.*`` hit/miss/evict/byte metrics on the default
-:mod:`repro.obs` registry.
+A table a caller builds (``from_counts``, ``from_bytes``, the constructor)
+builds and keeps its own decode tables; nothing else references them.  The
+decode tiers instead fetch tables through :meth:`HuffmanTable.cached_from_bytes`,
+the one cached route: a byte-bounded LRU keyed on the serialized table bytes
+that is charged what an entry really pins (key + two-level LUTs at insert,
+the pair/walk tables when they are lazily built), so an eviction frees the
+memory and ``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` is a true bound.  Every scan
+of every image carries its own optimised table, so the cache only helps a
+dataset whose tables fit the budget and are decoded again (later epochs);
+it exports ``codec.table_cache.*`` hit/miss/evict/byte metrics on the
+default :mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import os
 import struct
 import threading
@@ -66,8 +69,8 @@ SUPER_BITS = 13
 SUPER_VALUE_OFFSET = 1 << 15
 
 #: Nominal resident cost of one two-level-LUT slot (8-byte list slot plus an
-#: amortized share of the int objects it references).  The byte budgets below
-#: are enforced against this estimate, not ``sys.getsizeof`` walks.
+#: amortized share of the int objects it references).  The cache budget
+#: below is enforced against this estimate, not ``sys.getsizeof`` walks.
 _BYTES_PER_SLOT = 44
 
 #: Exact bytes of one full superscalar table build: the two interleaved
@@ -78,22 +81,21 @@ SUPER_TABLE_NBYTES = 25 << SUPER_BITS
 
 
 class _LRUByteCache:
-    """A thread-safe LRU mapping bounded by an approximate byte budget.
+    """A thread-safe LRU mapping bounded by a byte budget.
 
-    Used for both module-level Huffman caches.  Every operation updates the
-    ``codec.table_cache.<name>.*`` metrics on the default obs registry:
-    ``hits_total`` / ``misses_total`` / ``evictions_total`` counters plus
-    ``bytes`` and ``entries`` gauges.  Entries whose resident cost grows
-    after insertion (lazily built superscalar tables) are re-accounted via
-    :meth:`recharge`.
+    Every operation updates the ``<metrics>.*`` family on the default obs
+    registry: ``hits_total`` / ``misses_total`` / ``evictions_total``
+    counters plus ``bytes`` and ``entries`` gauges.  Entries whose resident
+    cost grows after insertion (lazily built superscalar tables) are
+    re-accounted via :meth:`recharge`.
 
-    Eviction removes an entry from the *cache* only; tables still referenced
-    by live :class:`HuffmanTable` objects (or by the payload cache) keep
-    their LUTs alive until those references die.
+    The budget bounds memory only if an entry is charged everything it
+    pins and the cache holds the last long-lived reference to it: eviction
+    then frees the bytes as soon as in-flight users drop theirs.
     """
 
-    def __init__(self, name: str, max_bytes: int) -> None:
-        self.name = name
+    def __init__(self, metrics: str, max_bytes: int) -> None:
+        self.metrics = metrics
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
@@ -102,16 +104,12 @@ class _LRUByteCache:
     # Metrics are resolved per call rather than cached: registry lookups are
     # idempotent and this path runs once per scan, not per symbol.
     def _count(self, event: str, amount: int = 1) -> None:
-        get_registry().counter(
-            f"codec.table_cache.{self.name}.{event}_total"
-        ).inc(amount)
+        get_registry().counter(f"{self.metrics}.{event}_total").inc(amount)
 
     def _sync_gauges(self) -> None:
         registry = get_registry()
-        registry.gauge(f"codec.table_cache.{self.name}.bytes").set(self._bytes)
-        registry.gauge(f"codec.table_cache.{self.name}.entries").set(
-            len(self._entries)
-        )
+        registry.gauge(f"{self.metrics}.bytes").set(self._bytes)
+        registry.gauge(f"{self.metrics}.entries").set(len(self._entries))
 
     def get(self, key):
         with self._lock:
@@ -125,36 +123,27 @@ class _LRUByteCache:
 
     def put(self, key, value, nbytes: int) -> None:
         with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= previous[1]
-            self._entries[key] = (value, int(nbytes))
-            self._bytes += int(nbytes)
-            evicted = self._evict_over_budget()
-            self._sync_gauges()
-        if evicted:
-            self._count("evictions", evicted)
+            self._store(key, value, int(nbytes))
 
     def recharge(self, key, delta: int) -> None:
         """Grow an entry's accounted size in place (lazy superscalar build).
 
         A key evicted between the build and this call is simply ignored —
-        the built tables stay alive on the table object that triggered the
-        build, they are just no longer pinned by the cache.
+        the built tables live exactly as long as the in-flight decode that
+        still holds the table, and are no longer the cache's to count.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return
-            self._entries[key] = (entry[0], entry[1] + int(delta))
-            self._entries.move_to_end(key)
-            self._bytes += int(delta)
-            evicted = self._evict_over_budget()
-            self._sync_gauges()
-        if evicted:
-            self._count("evictions", evicted)
+            if entry is not None:
+                self._store(key, entry[0], entry[1] + int(delta))
 
-    def _evict_over_budget(self) -> int:
+    def _store(self, key, value, nbytes: int) -> None:
+        """(Re)insert ``key`` as most recent, then evict from the cold end."""
+        previous = self._entries.pop(key, None)
+        if previous is not None:
+            self._bytes -= previous[1]
+        self._entries[key] = (value, nbytes)
+        self._bytes += nbytes
         # Always keep the most recent entry, even when it alone exceeds the
         # budget: the caller is about to use it.
         evicted = 0
@@ -162,7 +151,9 @@ class _LRUByteCache:
             _, (_, freed) = self._entries.popitem(last=False)
             self._bytes -= freed
             evicted += 1
-        return evicted
+        if evicted:
+            self._count("evictions", evicted)
+        self._sync_gauges()
 
     @property
     def resident_bytes(self) -> int:
@@ -171,30 +162,15 @@ class _LRUByteCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-            self._sync_gauges()
 
-
-#: Canonical-content key -> built decode tables (see ``_TableSet``).  The
-#: budget covers the two-level LUTs at insert time plus the superscalar pair
-#: tables as they are lazily built (re-accounted via ``recharge``).
-#: Source of :attr:`_TableSet.uid` values (never reused within a process).
-_TABLE_SET_UIDS = itertools.count()
-
+#: Serialized-table-bytes key -> ``(HuffmanTable, bytes_consumed)``: the one
+#: table cache (see :meth:`HuffmanTable.cached_from_bytes`).  The budget is
+#: in real bytes — an entry is charged its key, its two-level LUTs and, once
+#: built, its pair/walk tables (≈ 260 KB all told) — so the default holds
+#: about a thousand tables, a hundred ten-scan images.
 _TABLE_CACHE = _LRUByteCache(
-    "luts", int(os.environ.get("REPRO_HUFFMAN_TABLE_CACHE_BYTES", 96 << 20))
-)
-
-#: Serialized-payload key -> ``(HuffmanTable, bytes_consumed)``; lets scan
-#: decoders skip deserialization *and* LUT construction when the same table
-#: bytes recur across scans, records, or repeated decodes of one stream.
-#: Charged with key + table-object overhead only — the LUTs a cached table
-#: references are accounted by the ``luts`` cache above.
-_PAYLOAD_CACHE = _LRUByteCache(
-    "payload", int(os.environ.get("REPRO_HUFFMAN_PAYLOAD_CACHE_BYTES", 4 << 20))
+    "codec.table_cache",
+    int(os.environ.get("REPRO_HUFFMAN_TABLE_CACHE_BYTES", 256 << 20)),
 )
 
 
@@ -211,16 +187,11 @@ class HuffmanTable:
     )
 
     def __post_init__(self) -> None:
-        self._build_codes()
-
-    def _build_codes(self) -> None:
+        # Canonical code assignment.  The maps are filled once, here, and
+        # never mutated again: the lazily built table set reads them.
         ordered = sorted(self.code_lengths.items(), key=lambda kv: (kv[1], kv[0]))
         code = 0
         previous_length = 0
-        self._encode_map.clear()
-        self._decode_map.clear()
-        self._tables = None
-        self._encode_arrays = None
         for symbol, length in ordered:
             code <<= length - previous_length
             previous_length = length
@@ -273,17 +244,19 @@ class HuffmanTable:
     # -- table-driven fast paths -----------------------------------------------
 
     def scan_tables(self) -> "_TableSet":
-        """Return the full table set, including the fused AC/DC scan LUTs."""
-        return self._table_set()
+        """Return the table set (fused AC/DC scan LUTs), built on first use."""
+        if self._tables is None:
+            self._tables = _build_table_set(self._encode_map)
+        return self._tables
 
     def encode_arrays(self) -> tuple[list[int], list[int]]:
         """Return per-symbol ``(codes, lengths)`` arrays indexed by symbol.
 
         Absent symbols have length 0; callers encode only symbols that were
         counted into the table, so a 0 length is never hit on valid input.
-        Built directly from the code map (not via the decode-LUT cache):
-        encoding uses a fresh optimized table per scan, where paying the LUT
-        fill cost would be pure waste.
+        Built directly from the code map, not from the decode LUTs: encoding
+        uses a fresh optimized table per scan, where paying the LUT fill cost
+        would be pure waste.
         """
         if self._encode_arrays is None:
             codes = [0] * 256
@@ -293,21 +266,6 @@ class HuffmanTable:
                 lengths[symbol] = length
             self._encode_arrays = (codes, lengths)
         return self._encode_arrays
-
-    def _table_set(self) -> "_TableSet":
-        if self._tables is None:
-            key = tuple(sorted(self.code_lengths.items()))
-            cached = _TABLE_CACHE.get(key)
-            if cached is None:
-                cached = _build_table_set(self._encode_map)
-                # The pair tables are built lazily on first superscalar
-                # decode; re-account their cost against this entry then.
-                cached._on_super_built = lambda: _TABLE_CACHE.recharge(
-                    key, SUPER_TABLE_NBYTES
-                )
-                _TABLE_CACHE.put(key, cached, cached.nbytes())
-            self._tables = cached
-        return self._tables
 
     # -- serialization ---------------------------------------------------------
 
@@ -353,23 +311,31 @@ class HuffmanTable:
     def cached_from_bytes(cls, payload: bytes) -> tuple["HuffmanTable", int]:
         """Like :meth:`from_bytes`, but cached on the serialized table bytes.
 
-        Repeated decodes of scans that carry the same table (across records,
-        or re-decoding one stream) reuse the deserialized table *with its
-        LUTs already built*.  The returned table must be treated as
-        read-only.
+        The only cached route to a table.  A repeated decode of a scan
+        (the same image in a later epoch) reuses the deserialized table
+        *with its LUTs already built*; tables do not recur across scans or
+        images, each scan carries its own optimised one.  The returned
+        table must be treated as read-only.
         """
         if len(payload) < 2 + MAX_CODE_LENGTH:
             raise ValueError("Huffman table payload too short")
         (n_symbols,) = struct.unpack("<H", payload[:2])
         key = bytes(payload[: 2 + MAX_CODE_LENGTH + n_symbols])
-        cached = _PAYLOAD_CACHE.get(key)
+        cached = _TABLE_CACHE.get(key)
         if cached is None:
             table, consumed = cls.from_bytes(payload)
-            table._table_set()
+            tables = table.scan_tables()
+            # The pair/walk tables are built lazily on the first fast
+            # decode; their cost joins this entry's charge then.  The
+            # closure holds the key only, so the cache entry stays the one
+            # long-lived reference to the table.  (Two threads missing on
+            # one key at once both build and both recharge the surviving
+            # entry: an over-count until it is evicted, never an under-count.)
+            tables._on_super_built = lambda: _TABLE_CACHE.recharge(
+                key, SUPER_TABLE_NBYTES
+            )
             cached = (table, consumed)
-            # Charge the key plus nominal object overhead only: the LUTs the
-            # table references are accounted by the "luts" cache.
-            _PAYLOAD_CACHE.put(key, cached, len(key) + 512)
+            _TABLE_CACHE.put(key, cached, len(key) + tables.nbytes())
         return cached
 
 
@@ -404,11 +370,11 @@ class _TableSet:
         "ac_secondary",
         "dc_primary",
         "dc_secondary",
-        "uid",
         "_encode_map",
         "_super",
         "_super_lock",
         "_on_super_built",
+        "__weakref__",
     )
 
     def __init__(
@@ -424,11 +390,6 @@ class _TableSet:
         self.dc_primary = dc_primary
         self.dc_secondary = dc_secondary
         self._encode_map = encode_map
-        #: Process-unique id, stable for the life of this set.  Decode-side
-        #: caches keyed on table identity (e.g. the stacked walk tables in
-        #: :mod:`repro.codecs.fastpath`) use this instead of ``id()``, which
-        #: the allocator may reuse after a cache eviction.
-        self.uid = next(_TABLE_SET_UIDS)
         self._super = None
         self._super_lock = threading.Lock()
         self._on_super_built = None
@@ -457,7 +418,7 @@ class _TableSet:
         array whose entry is the *total* bit consumption of every symbol
         that fully fits in the window — the stride of one walk step — and
         0 where the walk must escape to the two-level path (invalid prefix
-        or oversized first code).  Built with and cached alongside the
+        or oversized first code).  Built with, and kept alongside, the
         pair tables.
         """
         return self._super_products()[2:]
@@ -671,10 +632,9 @@ def _build_table_set(encode_map: dict[int, tuple[int, int]]) -> _TableSet:
         ac_secondary=ac_secondary,
         dc_primary=dc_primary,
         dc_secondary=dc_secondary,
-        # Copied so the cached set never aliases a table instance's mutable
-        # code map (the superscalar build may run long after that instance
-        # is gone).
-        encode_map=dict(encode_map),
+        # The owning table's own map (a set has exactly one owner, which
+        # never mutates it): the lazy superscalar build reads it.
+        encode_map=encode_map,
     )
 
 

@@ -90,11 +90,6 @@ class ScanHeader:
     spectral_end: int
 
     @property
-    def is_dc_scan(self) -> bool:
-        """True when this scan carries DC (zigzag index 0) coefficients."""
-        return self.spectral_start == 0
-
-    @property
     def band_length(self) -> int:
         """Number of zigzag coefficients covered by the scan."""
         return self.spectral_end - self.spectral_start + 1
@@ -125,11 +120,6 @@ class ScanSegment:
     start: int
     end: int
     payload_start: int
-
-    @property
-    def length(self) -> int:
-        """Total bytes occupied by the scan segment (marker included)."""
-        return self.end - self.start
 
 
 def write_scan_segment(header: ScanHeader, body: bytes) -> bytes:

@@ -14,8 +14,9 @@ shared slab (pixels *in* via shared memory, one memcpy each), workers run
 the batched float32 forward path + entropy encoder
 (:func:`~repro.codecs.progressive.encode_progressive_batch`), and the
 encoded streams — orders of magnitude smaller than the pixels — return
-through the ordinary result queue.  The two public classes are thin: one
-engine (:class:`_PoolState`: worker fleet, work-stealing chunk queue, slab
+through the ordinary result queue.  The two public classes are one batch
+method each over a shared lifecycle base (:class:`_Pool`): one engine
+(:class:`_PoolState`: worker fleet, work-stealing chunk queue, slab
 pooling, batch wait loop, crash fallback) runs both, parameterised by a
 :class:`_Direction` that says how an item is measured, what a worker does
 with a chunk, and what the in-process equivalent is.
@@ -24,10 +25,9 @@ Architecture
 ------------
 
 * **Long-lived workers.**  ``n_workers`` processes are started once (fork
-  where available, spawn otherwise), pre-warm the Huffman-LUT / scaled-basis
-  caches on a tiny self-encoded image, and then loop on a shared task queue
-  until the pool closes.  Worker startup cost is paid once per pool, not
-  per batch.
+  where available, spawn otherwise), run every build path once on a tiny
+  self-encoded image, and then loop on a shared task queue until the pool
+  closes.  Worker startup cost is paid once per pool, not per batch.
 * **Chunked task queue (work stealing).**  A batch is split into
   ``CHUNKS_PER_WORKER`` chunks per worker, balanced by the bytes that drive
   the work (compressed bytes to decode, pixel bytes to encode), and all
@@ -78,9 +78,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.codecs import config as codec_config
-from repro.codecs.huffman import HuffmanTable
 from repro.codecs.image import ImageBuffer
-from repro.codecs.markers import SUBSAMPLING_420, find_scan_segments, parse_frame_header
+from repro.codecs.markers import SUBSAMPLING_420, parse_frame_header
 from repro.codecs.progressive import (
     ProgressiveCodec,
     decode_progressive_batch,
@@ -183,17 +182,13 @@ class _Direction(NamedTuple):
     measure: Callable
     #: ``(shm, params, jobs) -> streams or None``: one chunk, worker side.
     work: Callable
-    #: ``(quality) -> None``: heat a fresh worker's caches.
+    #: ``(quality) -> None``: run a fresh worker's first-call paths once.
     prewarm: Callable
 
 
 def _warmup_image() -> ImageBuffer:
     ramp = (np.arange(16 * 16 * 3, dtype=np.int64) * 7 % 256).astype(np.uint8)
     return ImageBuffer(ramp.reshape(16, 16, 3))
-
-
-def _decode_inprocess(payloads: list[bytes], max_scans) -> list[ImageBuffer]:
-    return decode_progressive_batch(payloads, max_scans=max_scans)
 
 
 def _measure_stream(payload: bytes):
@@ -204,7 +199,7 @@ def _measure_stream(payload: bytes):
 
 def _decode_chunk(shm, max_scans, jobs) -> None:
     """Decode a chunk with the ordinary batch decoder, pixels into the slab."""
-    images = _decode_inprocess([payload for payload, _, _, _ in jobs], max_scans)
+    images = decode_progressive_batch([payload for payload, _, _, _ in jobs], max_scans)
     for image, (_, offset, nbytes, shape) in zip(images, jobs):
         pixels = image.pixels
         if pixels.shape != tuple(shape) or pixels.nbytes != nbytes:
@@ -215,24 +210,16 @@ def _decode_chunk(shm, max_scans, jobs) -> None:
 
 
 def _decode_prewarm(quality: int) -> None:
-    """Heat the fastpath caches (Huffman LUT build path, scaled bases).
+    """Run every decode build path once (table LUTs, scaled bases, scratch).
 
-    Beyond the round-trip decode, the superscalar pair/walk tables of every
-    Huffman table in the warmup stream are built explicitly: the standard
-    quality tables recur across real streams via the payload-keyed cache
-    (``HuffmanTable.cached_from_bytes``), so a forked worker's first real
-    chunk probes warm LUTs instead of paying the ``SUPER_BITS``-wide table
-    build (milliseconds per table flavour) mid-batch.
+    One round-trip decode of a tiny image imports and exercises the two-level
+    and pair/walk table builds, the walk, the epilogue and the pixel path, so
+    a worker's first real chunk meets no first-call cost.  It does *not*
+    warm tables for real streams: every scan of every image carries its own
+    optimised Huffman table, so the first decode of an image builds that
+    image's tables whatever ran before (see ``docs/performance.md``).
     """
-    payload = ProgressiveCodec(quality=quality).encode(_warmup_image())
-    for segment in find_scan_segments(payload):
-        table, _ = HuffmanTable.cached_from_bytes(
-            payload[segment.payload_start : segment.end]
-        )
-        tables = table.scan_tables()
-        tables.superscalar_tables()
-        tables.walk_tables()
-    decode_progressive_batch([payload])
+    decode_progressive_batch([ProgressiveCodec(quality=quality).encode(_warmup_image())])
 
 
 def _encode_inprocess(images: list[ImageBuffer], params) -> list[bytes]:
@@ -280,7 +267,7 @@ def _encode_prewarm(quality: int) -> None:
 
 _DECODE = _Direction(
     metrics="decode",
-    inprocess=_decode_inprocess,
+    inprocess=decode_progressive_batch,  # (payloads, max_scans)
     measure=_measure_stream,
     work=_decode_chunk,
     prewarm=_decode_prewarm,
@@ -767,7 +754,48 @@ class _PoolState:
 # --------------------------------------------------------------------------
 
 
-class DecodePool:
+class _Pool:
+    """The lifecycle both public pools share; a subclass adds its batch call.
+
+    One batch is in flight at a time (concurrent callers serialize on an
+    internal lock).  Use a pool as a context manager or call :meth:`close`;
+    an abandoned pool is also shut down by a GC finalizer so no worker
+    processes or shared-memory segments outlive the interpreter.
+    """
+
+    _direction: _Direction
+
+    def __init__(self, n_workers: int, *, warmup_quality: int | None = 90) -> None:
+        self.n_workers = int(n_workers)
+        self._state = _PoolState(self._direction, self.n_workers, warmup_quality)
+        self._finalizer = weakref.finalize(self, _PoolState.shutdown, self._state)
+
+    @property
+    def stats(self) -> PoolStats:
+        return self._state.stats
+
+    @property
+    def closed(self) -> bool:
+        return self._state.closed
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop the workers and release every pooled shared-memory slab.
+
+        Slabs still referenced by outstanding frame views are unlinked as
+        soon as their last view is garbage collected.  A batch sent to a
+        closed pool transparently runs in-process.
+        """
+        self._state.shutdown(timeout=timeout)
+        self._finalizer.detach()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class DecodePool(_Pool):
     """A persistent process pool that decodes minibatches of PCR streams.
 
     ``decode_batch`` is a drop-in replacement for
@@ -782,11 +810,6 @@ class DecodePool:
     batch decoder (no processes, no shared memory), so callers can wire a
     pool unconditionally and control parallelism with one integer.
 
-    One batch is in flight at a time (concurrent callers serialize on an
-    internal lock).  Use it as a context manager or call :meth:`close`; an
-    abandoned pool is also shut down by a GC finalizer so no worker
-    processes or shared-memory segments outlive the interpreter.
-
     The initial fleet forks at construction time (create the pool before
     starting reader threads, as ``DataLoader`` does).  Respawning after a
     crash may fork from an already-threaded parent; a replacement child
@@ -794,41 +817,14 @@ class DecodePool:
     ``STALL_TIMEOUT`` watchdog and the batch finishes in-process.
     """
 
-    def __init__(self, n_workers: int, *, warmup_quality: int | None = 90) -> None:
-        self.n_workers = int(n_workers)
-        self._state = _PoolState(_DECODE, self.n_workers, warmup_quality)
-        self._finalizer = weakref.finalize(self, _PoolState.shutdown, self._state)
-
-    @property
-    def stats(self) -> PoolStats:
-        return self._state.stats
-
-    @property
-    def closed(self) -> bool:
-        return self._state.closed
+    _direction = _DECODE
 
     def decode_batch(self, payloads, max_scans: int | None = None) -> list[ImageBuffer]:
         """Decode a minibatch of streams; byte-identical to in-process decode."""
         return self._state.run_batch(payloads, max_scans)
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop the workers and release every pooled shared-memory slab.
 
-        Slabs still referenced by outstanding frame views are unlinked as
-        soon as their last view is garbage collected.  Decoding through a
-        closed pool transparently runs in-process.
-        """
-        self._state.shutdown(timeout=timeout)
-        self._finalizer.detach()
-
-    def __enter__(self) -> "DecodePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class EncodePool:
+class EncodePool(_Pool):
     """A persistent process pool that encodes minibatches of images.
 
     ``encode_batch`` is a drop-in replacement for
@@ -852,18 +848,7 @@ class EncodePool:
     identical streams either way.
     """
 
-    def __init__(self, n_workers: int, *, warmup_quality: int | None = 90) -> None:
-        self.n_workers = int(n_workers)
-        self._state = _PoolState(_ENCODE, self.n_workers, warmup_quality)
-        self._finalizer = weakref.finalize(self, _PoolState.shutdown, self._state)
-
-    @property
-    def stats(self) -> PoolStats:
-        return self._state.stats
-
-    @property
-    def closed(self) -> bool:
-        return self._state.closed
+    _direction = _ENCODE
 
     def encode_batch(
         self,
@@ -879,17 +864,3 @@ class EncodePool:
         :func:`~repro.codecs.progressive.encode_progressive_batch`.
         """
         return self._state.run_batch(images, (quality, subsampling, layout))
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop the workers and release every pooled shared-memory slab.
-
-        Encoding through a closed pool transparently runs in-process.
-        """
-        self._state.shutdown(timeout=timeout)
-        self._finalizer.detach()
-
-    def __enter__(self) -> "EncodePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -150,12 +150,6 @@ class CoefficientPlanes:
     header: FrameHeader
     planes: list[np.ndarray] = field(default_factory=list)
 
-    def copy(self) -> "CoefficientPlanes":
-        return CoefficientPlanes(header=self.header, planes=[p.copy() for p in self.planes])
-
-    def n_blocks(self, component_index: int) -> int:
-        return int(self.planes[component_index].shape[0])
-
 
 def image_to_coefficients(
     image: ImageBuffer,

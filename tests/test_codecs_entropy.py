@@ -216,7 +216,7 @@ class TestHuffman:
         second, consumed_second = HuffmanTable.cached_from_bytes(payload + b"liat")
         assert consumed_first == consumed_second == len(payload)
         assert first.code_lengths == table.code_lengths
-        assert first is second  # served from the payload cache
+        assert first is second  # served from the table cache
 
 
 class TestMagnitudeCoding:
@@ -374,25 +374,40 @@ class TestSuperscalarTables:
 
 
 class TestHuffmanTableCaches:
-    """Byte-bounded LRU caches behind the table build path."""
+    """The one byte-bounded LRU table cache behind ``cached_from_bytes``."""
 
     def test_super_build_recharges_lut_cache(self):
         from repro.codecs.huffman import SUPER_TABLE_NBYTES, _TABLE_CACHE
         from repro.obs import get_registry
 
-        # A code-length set no other test uses, so the first build is cold.
-        table = HuffmanTable(
+        # A code-length set no other test uses, so the first fetch is cold.
+        payload = HuffmanTable(
             code_lengths={0x00: 1, 0xA3: 2, 0xB7: 3, 0xC9: 4, 0xD1: 4}
-        )
+        ).to_bytes()
+        gauge = get_registry().gauge("codec.table_cache.bytes")
+        outside = _TABLE_CACHE.resident_bytes
+        table, _ = HuffmanTable.cached_from_bytes(payload)
         tables = table.scan_tables()
-        gauge = get_registry().gauge("codec.table_cache.luts.bytes")
+        # Charged at insert: the key and the two-level LUTs.
         before = gauge.value
         assert before == _TABLE_CACHE.resident_bytes
+        assert before == outside + len(payload) + tables.nbytes()
         tables.superscalar_tables()
         assert gauge.value == before + SUPER_TABLE_NBYTES
-        # The lazy build runs once; further calls return the cached arrays.
+        # The lazy build runs once; further calls return the built arrays.
         tables.walk_tables()
         assert gauge.value == before + SUPER_TABLE_NBYTES
+
+    def test_uncached_table_owns_its_set_and_charges_nothing(self):
+        from repro.codecs.huffman import _TABLE_CACHE
+
+        lengths = {0x00: 1, 0xA4: 2, 0xB8: 3, 0xCA: 4, 0xD2: 4}
+        before = (_TABLE_CACHE.resident_bytes, len(_TABLE_CACHE))
+        first, second = HuffmanTable(code_lengths=lengths), HuffmanTable(code_lengths=lengths)
+        first.scan_tables().walk_tables()
+        assert first.scan_tables() is first.scan_tables()
+        assert first.scan_tables() is not second.scan_tables()
+        assert (_TABLE_CACHE.resident_bytes, len(_TABLE_CACHE)) == before
 
     def test_cached_from_bytes_hits_payload_cache(self):
         from repro.obs import get_registry
@@ -401,18 +416,82 @@ class TestHuffmanTableCaches:
             code_lengths={0x00: 1, 0x15: 2, 0x2A: 3, 0x3F: 4, 0x4B: 4}
         )
         payload = table.to_bytes()
-        registry = get_registry()
+        hits = get_registry().counter("codec.table_cache.hits_total")
+        misses = get_registry().counter("codec.table_cache.misses_total")
+        misses_before = misses.value
         first, consumed = HuffmanTable.cached_from_bytes(payload + b"tail")
-        hits_before = registry.counter(
-            "codec.table_cache.payload.hits_total"
-        ).value
+        assert misses.value == misses_before + 1
+        hits_before = hits.value
         second, consumed2 = HuffmanTable.cached_from_bytes(payload)
         assert second is first
+        assert second.scan_tables() is first.scan_tables()
         assert consumed == consumed2 == len(payload)
-        assert (
-            registry.counter("codec.table_cache.payload.hits_total").value
-            == hits_before + 1
-        )
+        assert hits.value == hits_before + 1
+        assert misses.value == misses_before + 1
+
+    def test_budget_bounds_what_the_cache_pins(self, monkeypatch):
+        """The byte bound, checked from outside the cache's own accounting.
+
+        Decoding streams that carry several budgets' worth of distinct
+        tables must keep the charge under the budget, the charge must be
+        what the held entries really pin, and an evicted entry's tables
+        must be *collectable* — nothing else may keep them alive.
+        """
+        import gc
+        import weakref
+
+        import numpy as np
+
+        from repro.codecs import config
+        from repro.codecs.huffman import SUPER_TABLE_NBYTES, _TABLE_CACHE
+        from repro.codecs.image import ImageBuffer
+        from repro.codecs.progressive import ProgressiveCodec, decode_coefficients
+        from repro.obs import get_registry
+
+        budget = 2 << 20
+        monkeypatch.setattr(_TABLE_CACHE, "max_bytes", budget)
+        registry = get_registry()
+        gauge = registry.gauge("codec.table_cache.bytes")
+        misses = registry.counter("codec.table_cache.misses_total")
+        evictions = registry.counter("codec.table_cache.evictions_total")
+
+        def held() -> int:
+            total = 0
+            for key, ((table, _), _) in _TABLE_CACHE._entries.items():
+                tables = table.scan_tables()
+                total += len(key) + tables.nbytes()
+                total += SUPER_TABLE_NBYTES if tables._super is not None else 0
+            return total
+
+        rng = np.random.default_rng(41)
+        streams = [
+            ProgressiveCodec(quality=90).encode(
+                ImageBuffer.from_array(rng.integers(0, 256, (24, 24, 3)).astype(np.uint8))
+            )
+            for _ in range(6)
+        ]
+        def watch_held() -> list:
+            refs = []
+            for (table, _), _ in _TABLE_CACHE._entries.values():
+                tables = table.scan_tables()
+                refs += [weakref.ref(tables), weakref.ref(tables.walk_tables()[0])]
+            return refs
+
+        misses_before, evictions_before = misses.value, evictions.value
+        watched = []
+        with config.use_fastpath(True):
+            for stream in streams:
+                decode_coefficients(stream)
+                assert _TABLE_CACHE.resident_bytes <= budget
+                assert gauge.value == _TABLE_CACHE.resident_bytes == held()
+                # What the first decode left: every entry is evicted by the end.
+                watched = watched or watch_held()
+        distinct = misses.value - misses_before
+        assert distinct * SUPER_TABLE_NBYTES >= 3 * budget
+        assert evictions.value - evictions_before >= distinct - len(_TABLE_CACHE)
+        assert watched
+        gc.collect()
+        assert [ref for ref in watched if ref() is not None] == []
 
     def test_lru_eviction_respects_byte_budget(self):
         from repro.codecs.huffman import _LRUByteCache

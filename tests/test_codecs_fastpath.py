@@ -18,6 +18,7 @@ de-vectorization fails CI.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs import config
+from repro.codecs import config, fastpath
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_body_fast
 from repro.codecs.image import ImageBuffer
@@ -367,7 +368,8 @@ class TestInvalidStreamFuzz:
     the fact, so its raise sites carry offset-based classification
     (``_invalid_code_error`` / ``_overflow_error`` / ``_scan_defect``) to
     mirror the scalar reference's bit-by-bit semantics.  These tests pin
-    that contract for the three documented defect families.
+    that contract for the three documented defect families — truncation
+    mid-symbol, invalid prefix, band overflow.
     """
 
     @staticmethod
@@ -476,6 +478,137 @@ class TestInvalidStreamFuzz:
         bad = self._rebuild(stream, segments, target, table.to_bytes() + payload)
         outcomes = _tier_error_classes(bad)
         assert outcomes == ["ValueError", "ValueError"]
+
+    @staticmethod
+    def _overflow_body(n_fill: int, overflow_symbol: int, dc: bool, inside: bool) -> bytes:
+        """A scan body whose first defect is a band overflow in block 0.
+
+        ``n_fill`` one-bit coefficients, then ``overflow_symbol`` — a run of
+        5 *with* a coefficient, so it overshoots the band and is the
+        band-overflow family proper (not the zero-category treatment
+        above).  ``inside``: its magnitude bits and 32 more payload bits
+        (an invalid prefix, so the scan cannot complete) follow; otherwise
+        the payload ends on its code and the magnitude crosses the end.
+        """
+        from repro.codecs.bitio import BitWriter
+        from repro.codecs.huffman import HuffmanTable
+
+        # Canonical codes: 00 = EOB / zero DC diff, 01 = (run 0, category
+        # 1), 10 = the overflowing symbol, prefix 11 invalid.
+        table = HuffmanTable(code_lengths={0x00: 2, 0x01: 2, overflow_symbol: 2})
+        writer = BitWriter()
+        if dc:
+            table.encode_symbol(0x00, writer)
+        for _ in range(n_fill):
+            table.encode_symbol(0x01, writer)
+            writer.write_bits(0, 1)
+        table.encode_symbol(overflow_symbol, writer)
+        if inside:
+            writer.write_bits(0, overflow_symbol & 0x0F)
+            for _ in range(8):
+                writer.write_bits(0b1101, 4)
+        payload = writer.getvalue()
+        assert b"\xff" not in payload  # must not fabricate a marker
+        return table.to_bytes() + payload
+
+    @pytest.fixture()
+    def overflow_calls(self, monkeypatch):
+        """Spy on ``_overflow_error``: ``(calling function, line, class)``."""
+        calls = []
+        classify = fastpath._overflow_error
+
+        def spy(consumed_after, n_payload_bits):
+            error = classify(consumed_after, n_payload_bits)
+            caller = sys._getframe(1)
+            calls.append((caller.f_code.co_name, caller.f_lineno, type(error).__name__))
+            return error
+
+        monkeypatch.setattr(fastpath, "_overflow_error", spy)
+        return calls
+
+    def test_band_overflow_ac_scan_same_error_class(self, overflow_calls):
+        """AC-only scan: the batched decode finds the overflow by replay."""
+        stream, segments = self._stream_and_segments()
+        target = next(
+            index
+            for index, segment in enumerate(segments)
+            if segment.header.spectral_start >= 1
+        )
+        n_fill = segments[target].header.band_length - 1
+        inside = self._overflow_body(n_fill, 0x58, dc=False, inside=True)
+        bad = self._rebuild(stream, segments, target, inside)
+        assert _tier_error_classes(bad) == ["ValueError", "ValueError"]
+        assert [(name, cls) for name, _, cls in overflow_calls] == [
+            ("_scan_defect", "ValueError")
+        ]
+        # Magnitude bits crossing the payload end: the replay reads a
+        # symbol's bits before its band check, like the scalar reference,
+        # so it answers EOFError itself and the classifier is not consulted.
+        del overflow_calls[:]
+        crossing = self._overflow_body(n_fill, 0x58, dc=False, inside=False)
+        bad = self._rebuild(stream, segments, target, crossing)
+        assert _tier_error_classes(bad) == ["EOFError", "EOFError"]
+        assert overflow_calls == []
+
+    def test_band_overflow_mixed_scan_same_error_class(self, overflow_calls):
+        """Sequential scan: every in-place raise site classifies by offset.
+
+        Three shapes reach the three ``_overflow_error`` sites of
+        ``_decode_mixed_scan_super``: the overflowing symbol first in its
+        probe window, second in it (an odd fill count pairs it behind the
+        last coefficient: 3 + 10 bits fill the window exactly), and too
+        wide for the window (category 12: the two-level escape).
+        """
+        image = make_structured_image(64, seed=3, color=True)
+        stream = BaselineCodec(quality=90).encode(image)
+        segments = find_scan_segments(stream)
+        assert segments[0].header.spectral_start == 0
+        n_fill = segments[0].header.spectral_end - 1
+        for shape in [(n_fill, 0x58), (n_fill - 1, 0x58), (n_fill, 0x5C)]:
+            for inside, expected in [(True, "ValueError"), (False, "EOFError")]:
+                body = self._overflow_body(*shape, dc=True, inside=inside)
+                bad = self._rebuild(stream, segments, 0, body)
+                assert _tier_error_classes(bad) == [expected, expected], (shape, inside)
+        assert [(name, cls) for name, _, cls in overflow_calls] == [
+            ("_decode_mixed_scan_super", "ValueError"),
+            ("_decode_mixed_scan_super", "EOFError"),
+        ] * 3
+        assert len({line for _, line, _ in overflow_calls}) == 3
+
+
+class TestOversizedScansWalkAlone(TestStreamEquivalence, TestInvalidStreamFuzz):
+    """The same differential and fuzz bodies with a 64-byte walk-batch cap.
+
+    A scan larger than ``_WALK_BATCH_BYTES`` closes the open batch and is
+    walked as a batch of its own; at 64 bytes that is the fate of nearly
+    every AC scan, so coefficients and error classes must still match the
+    scalar reference on every inherited test.
+    """
+
+    @pytest.fixture(autouse=True)
+    def walks(self, monkeypatch):
+        """Patch the cap; yields the payload sizes of every batch walked."""
+        batches = []
+        walk = fastpath._walk_ac_batch
+
+        def spy(jobs):
+            batches.append([len(job[1]) for job in jobs])
+            return walk(jobs)
+
+        monkeypatch.setattr(fastpath, "_WALK_BATCH_BYTES", 64)
+        monkeypatch.setattr(fastpath, "_walk_ac_batch", spy)
+        return batches
+
+    def test_a_scan_over_the_cap_is_a_batch_of_its_own(self, walks):
+        stream, segments = self._stream_and_segments()
+        with config.use_fastpath(True):
+            decode_coefficients(stream)
+        ac_scans = sum(segment.header.spectral_start >= 1 for segment in segments)
+        assert sum(len(sizes) for sizes in walks) == ac_scans
+        oversized = [sizes for sizes in walks if max(sizes) > 64]
+        assert len(oversized) >= 3
+        assert all(len(sizes) == 1 for sizes in oversized)
+        assert all(sum(sizes) <= 64 for sizes in walks if sizes not in oversized)
 
 
 class TestToggle:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,3 +214,48 @@ class TestQuantization:
     def test_from_bytes_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             quantization.QuantizationTables.from_bytes(b"\x00" * 10)
+
+
+class TestEnvironmentKnobs:
+    """Every environment variable ``src/repro`` reads, by AST — so a new
+    knob cannot land without being listed here and documented."""
+
+    KNOBS = {"REPRO_CODEC_FASTPATH", "REPRO_HUFFMAN_TABLE_CACHE_BYTES"}
+    READERS = ("os.environ.get", "os.getenv", "environ.get", "getenv")
+
+    @classmethod
+    def _names_read(cls, tree: ast.Module) -> set[str]:
+        keys = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in cls.READERS:
+                keys.append(node.args[0])
+            elif isinstance(node, ast.Subscript) and ast.unparse(node.value).endswith("environ"):
+                keys.append(node.slice)
+        names = set()
+        for key in keys:
+            if isinstance(key, ast.Constant):
+                names.add(key.value)
+                continue
+            # The key is a parameter (``_env_flag(name)``): the names are
+            # the literal first arguments of the calls to that function.
+            assert isinstance(key, ast.Name), ast.unparse(key)
+            wrappers = {
+                function.name
+                for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef)
+                and any(node is key for node in ast.walk(function))
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in wrappers:
+                    assert isinstance(node.args[0], ast.Constant), ast.unparse(node)
+                    names.add(node.args[0].value)
+        return names
+
+    def test_inventory_is_exact_and_documented(self):
+        root = Path(__file__).resolve().parents[1]
+        found = set()
+        for path in sorted((root / "src" / "repro").rglob("*.py")):
+            found |= self._names_read(ast.parse(path.read_text()))
+        assert found == self.KNOBS
+        documented = (root / "docs" / "performance.md").read_text()
+        assert [name for name in sorted(found) if name not in documented] == []

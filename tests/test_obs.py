@@ -370,11 +370,11 @@ class TestForkAwareAggregation:
     def test_worker_metrics_match_with_superscalar_tables(self, pcr_dataset):
         """Fork parity must survive the pair-LUT table warmup.
 
-        Workers pre-warm the payload-keyed Huffman table cache (building
-        the superscalar tables at startup) and reset their registry before
-        the first chunk, so the ``decode.*`` totals must still aggregate
-        exactly as in-process — warmup builds and cache charges must never
-        leak into the fleet delta.
+        Workers round-trip a warmup image at startup (building its
+        superscalar tables, charging the table cache) and reset their
+        registry before the first chunk, so the ``decode.*`` totals must
+        still aggregate exactly as in-process — warmup builds and cache
+        charges must never leak into the fleet delta.
         """
         in_process = self._decode_delta(pcr_dataset, 0)
         parallel = self._decode_delta(pcr_dataset, 2)
