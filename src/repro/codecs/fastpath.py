@@ -166,39 +166,61 @@ def _overflow_error(consumed_after: int, n_payload_bits: int) -> Exception:
     return ValueError("AC run overflows band length")
 
 
-def _scan_defect(entries, band_length: int, blocks, n_payload_bits: int) -> Exception:
-    """Replay a defective AC scan's packed entries to find its *first* defect.
+def _scatter(plane, positions, values) -> None:
+    """Write ``values`` at flat (block-major) ``positions`` of one plane."""
+    if plane.flags.c_contiguous:
+        plane.reshape(-1)[positions] = values
+    else:
+        plane[positions >> 6, positions & 63] = values
 
-    Cold path.  The batched decode's walk checks only establish *that* a scan
-    is defective (entries exhausted, invalid-window sentinel, or more bits
-    consumed than the payload holds); when one scan contains several
-    defects the class must come from whichever the scalar reference hits
-    first in stream order.  This entry-granular replay walks the packed
-    entry stream with the scalar decoder's check order — code + magnitude
-    bits are read (EOFError past the payload end) before the band-overflow
-    check — and returns the first defect's error.
+
+def _scan_defect(entries, scan, planes, n_payload_bits: int) -> None:
+    """Replay one flagged AC scan entry by entry, as the scalar decoder would.
+
+    Cold path.  The batched epilogue only establishes *that* a scan cannot
+    be segmented by its vector passes: its entries ran out, it needed the
+    invalid-window sentinel, it consumed more bits than the payload holds,
+    or one of its entries crosses a block end (never emitted by an
+    encoder).  When one scan contains several defects the class must come
+    from whichever the scalar reference hits first in stream order, so
+    this replay walks the packed entry stream with the scalar decoder's
+    check order — code + magnitude bits are read (EOFError past the
+    payload end) before the band-overflow check — and raises the first
+    defect's error.  A pure run (ZRL / zero-category run) that crosses the
+    band end is no defect: it ends its block, exactly as ``read_ac_band``'s
+    ``index += 16`` does, and a scan whose only flag was such a run comes
+    out of the replay decoded.
     """
+    band_length = scan.band_length
     bit_offset = 0
     index = 0
     entry_list = entries.tolist()
     total = len(entry_list)
-    for n_blocks in blocks:
-        for _ in range(n_blocks):
+    for component in scan.component_ids:
+        plane = planes[component]
+        positions: list[int] = []
+        values: list[int] = []
+        first_slot = scan.spectral_start - 1
+        for block_base in range(first_slot, first_slot + (plane.shape[0] << 6), 64):
             position = 0
             while position < band_length:
                 if index >= total:
-                    return EOFError("bit stream exhausted")
+                    raise EOFError("bit stream exhausted")
                 entry = entry_list[index]
                 index += 1
                 if entry == -1:
-                    return _invalid_code_error(bit_offset, n_payload_bits)
+                    raise _invalid_code_error(bit_offset, n_payload_bits)
                 bit_offset += entry & 31
                 if bit_offset > n_payload_bits:
-                    return EOFError("bit stream exhausted")
+                    raise EOFError("bit stream exhausted")
                 position += (entry >> 5) & 0x7F
-                if (entry >> 12) and position > band_length:
-                    return _overflow_error(bit_offset, n_payload_bits)
-    return EOFError("bit stream exhausted")
+                if entry >> 12:
+                    if position > band_length:
+                        raise _overflow_error(bit_offset, n_payload_bits)
+                    positions.append(block_base + position)
+                    values.append((entry >> 12) - SUPER_VALUE_OFFSET)
+        if positions:
+            _scatter(plane, np.asarray(positions, dtype=np.intp), values)
 
 
 def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
@@ -226,10 +248,10 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     scalar reference on all three defect families — truncation mid-symbol,
     invalid prefix, band overflow — because every raise site classifies by
     the offending symbol's bit offset (``_invalid_code_error`` /
-    ``_overflow_error``) and the batched AC decode replays a defective
-    scan's entries to find its first defect in stream order
-    (``_scan_defect``).  Identical classes are asserted by the fuzz tests
-    in ``tests/test_codecs_fastpath.py``; the one remaining relaxation is
+    ``_overflow_error``) and the batched AC decode replays the entries of
+    a scan its vector passes cannot segment, to find its first defect in
+    stream order (``_scan_defect``).  Identical classes are asserted by the
+    fuzz tests in ``tests/test_codecs_fastpath.py``; the one relaxation is
     *cross-scan* ordering: when several scans of one stream are defective,
     which scan's error surfaces first may differ from the scalar reference
     (AC scans are deferred behind DC and mixed ones).
@@ -286,11 +308,14 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
 
 
 #: Upper bound on the total payload bytes vectorized into one walk batch.
-#: The phase-0 precompute materializes ~40 transient bytes per payload byte
-#: (the per-bit window array and its gathers), so the cap bounds peak batch
-#: memory at ~10 MiB.  A single scan larger than the cap is walked as a
-#: batch of its own: the image that owns such a scan already holds
-#: coefficient planes far larger than that scan's walk transient.
+#: The phase-0 precompute materializes 64-100 transient bytes per payload
+#: byte (24 for the batch: the per-bit uint16 window array and the byte
+#: triples; up to 80 more for the scan being gathered: ``np.take``'s intp
+#: index copy, the strides and their bytes; 1.0 MB measured on a 16 KB
+#: image), so the cap bounds peak batch memory at ~25 MiB.  A single scan
+#: larger than the cap is walked as a batch of its own: the image that
+#: owns such a scan already holds coefficient planes far larger than that
+#: scan's walk transient.
 _WALK_BATCH_BYTES = 1 << 18
 
 
@@ -304,7 +329,7 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
     :func:`_finish_ac_scans` call reconstructs all of them — order is
     preserved so multi-scan error surfacing stays deterministic.
     """
-    pending = []
+    walked = []
     batch = []
     batch_bytes = 0
     for job in jobs:
@@ -312,13 +337,16 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
         # Close the open batch before a scan that cannot join it (a scan
         # over the cap on its own then opens, and is, the next batch).
         if batch and batch_bytes + len(payload) > _WALK_BATCH_BYTES:
-            pending.extend(_walk_ac_batch(batch))
+            walked.append(_walk_ac_batch(batch))
             batch = []
             batch_bytes = 0
         batch.append(job)
         batch_bytes += len(payload) + len(_WALK_PAD)
-    pending.extend(_walk_ac_batch(batch))
-    _finish_ac_scans(pending, coefficients)
+    walked.append(_walk_ac_batch(batch))
+    entry_parts, length_parts = zip(*walked)
+    _finish_ac_scans(
+        jobs, np.concatenate(entry_parts), np.concatenate(length_parts), coefficients
+    )
 
 
 #: Padding appended per scan inside a walk batch blob.  16 bytes cover the
@@ -331,27 +359,12 @@ _WALK_PAD = b"\xff" * 16
 
 #: Per-byte window extraction constants: byte triple ``b, b+1, b+2`` holds
 #: the 8 windows starting at bits ``8b .. 8b + 7``; window ``k`` is
-#: ``(u24 >> (24 - k - SUPER_BITS)) & _WINDOW_MASK``.
-_WINDOW_SHIFTS = np.arange(24 - SUPER_BITS, 16 - SUPER_BITS, -1, dtype=np.int32)
+#: ``(u24 >> (24 - k - SUPER_BITS)) & _WINDOW_MASK`` (and fits a uint16).
+_WINDOW_SHIFTS = tuple(range(24 - SUPER_BITS, 16 - SUPER_BITS, -1))
 _WINDOW_MASK = (1 << SUPER_BITS) - 1
 
 
-def _stacked_walk_tables(table_sets):
-    """``(slots1, slots2, pairbits)`` stacks for one walk batch.
-
-    Scan ``i`` of the batch owns the ``[i << SUPER_BITS, (i + 1) <<
-    SUPER_BITS)`` range of each stack, so adding ``i << SUPER_BITS`` to a
-    window turns every per-scan table lookup of the batch into one global
-    gather.  Not memoized: a batch's table sets recur only when its image
-    is decoded again, and the concatenate costs ≈ 0.07 ms.
-    """
-    walks = [table_set.walk_tables() for table_set in table_sets]
-    if len(walks) == 1:
-        return walks[0]
-    return tuple(np.concatenate(stack) for stack in zip(*walks))
-
-
-def _walk_ac_batch(jobs) -> list:
+def _walk_ac_batch(jobs):
     """Chase a batch of AC-only scans via the precomputed stride walk.
 
     An in-place symbol chase spends most of its time on bit-buffer
@@ -359,83 +372,71 @@ def _walk_ac_batch(jobs) -> list:
     entry appends.  Symbol boundaries in an AC-only scan are context-free
     (every entry carries its own bit consumption), so this pipeline
     vectorizes all of that away and defers block tracking, positions and
-    values to :func:`_finish_ac_scans`.  Phase 0 computes, for
-    *every bit offset* of every payload in the batch, the ``SUPER_BITS``-bit
-    window starting there (one broadcast shift over byte triples) and
+    values to :func:`_finish_ac_scans`.  Phase 0 computes, for *every bit
+    offset* of the batch blob, the ``SUPER_BITS``-bit window starting there
+    (one strided shift per bit phase into a uint16 array — the batch's
+    largest transient, so its width is paid in page faults) and, per scan,
     gathers each window's walk stride — the total bit length of every
-    symbol pair-resolved at that offset — into one bytes object.  Phase 1
-    is then the leanest possible Python loop (:func:`_walk_ac_one`): index
-    a byte, add it to the cursor — one step per *probe* (two symbols ~85%
-    of the time), with no buffer state at all.  Phase 2 reconstructs the
-    actual packed entries by gathering the slot tables at the recorded
-    probe offsets and compacting out empty second slots, patching in the
-    (rare) two-level escape results recorded by the walk.
+    symbol pair-resolved at that offset — from the scan's own table into
+    one bytes object.  Phase 1 is then the leanest possible Python
+    loop (:func:`_walk_ac_one`): index a byte, add it to the cursor — one
+    step per *probe* (two symbols ~85% of the time), with no buffer state
+    at all.  Phase 2 reconstructs the actual packed entries by gathering
+    the scan's slot tables at the recorded probe offsets and compacting out
+    empty second slots, patching in the (rare) two-level escape results
+    recorded by the walk.
 
-    Returns ``(scan, entries, n_payload_bits)`` per job, in order, with
-    ``entries`` as an ``int32`` array of packed symbols in the posdelta
-    format of ``_build_super_tables`` — what :func:`_finish_ac_scans` reads.
+    Every gather is ``np.take``: fancy indexing with an int32 index array
+    first casts it to intp through a generic path that costs 3x the gather
+    itself (docs/performance.md has the numbers).
+
+    Returns ``(entries, lengths)``: one ``int32`` array of packed symbols in
+    the posdelta format of ``_build_super_tables``, every scan's entries
+    back to back in job order, and each scan's entry count — what
+    :func:`_finish_ac_scans` reads.
     """
-    size = 1 << SUPER_BITS
-    slots1, slots2, pairbits = _stacked_walk_tables([job[2] for job in jobs])
-    parts = []
-    for _, payload, _, _ in jobs:
-        parts.append(payload)
-        parts.append(_WALK_PAD)
-    blob = b"".join(parts)
+    blob = b"".join([job[1] + _WALK_PAD for job in jobs])
     blob_bytes = np.frombuffer(blob, dtype=np.uint8).astype(np.int32)
-    u24 = (blob_bytes[:-2] << 16) | (blob_bytes[1:-1] << 8) | blob_bytes[2:]
-    windows = ((u24[:, None] >> _WINDOW_SHIFTS) & _WINDOW_MASK).reshape(-1)
-    byte_lengths = np.asarray(
-        [len(job[1]) + len(_WALK_PAD) for job in jobs], dtype=np.int32
-    )
-    scan_offsets = np.repeat(
-        np.arange(len(jobs), dtype=np.int32) * size, byte_lengths << 3
-    )[: windows.shape[0]]
-    windows += scan_offsets
-    strides = pairbits[windows].tobytes()
-    # Phase 1: walk each scan's stride bytes.
-    probe_parts = []
+    u24 = blob_bytes[:-2] << 16
+    u24 |= blob_bytes[1:-1] << 8
+    u24 |= blob_bytes[2:]
+    windows = np.empty((u24.shape[0], 8), dtype=np.uint16)
+    for column, shift in enumerate(_WINDOW_SHIFTS):
+        np.right_shift(u24, shift, out=windows[:, column], casting="unsafe")
+    windows &= _WINDOW_MASK
+    windows = windows.reshape(-1)
+    # Phases 1 and 2, per scan: walk its stride bytes, gather its slots.
+    firsts = []
+    seconds = []
     fallback_entries: list[int] = []
     bit_base = 0
-    byte_base = 0
-    for scan, payload, tables, n_payload_bits in jobs:
+    for _, payload, tables, n_payload_bits in jobs:
+        slots1, slots2, pairbits = tables.walk_tables()
+        scan_windows = windows[bit_base : bit_base + n_payload_bits + 64]
         probes = _walk_ac_one(
-            strides[bit_base : bit_base + n_payload_bits + 64],
+            np.take(pairbits, scan_windows).tobytes(),
             blob,
-            byte_base,
+            bit_base >> 3,
             tables,
             fallback_entries,
         )
-        probe_parts.append(np.frombuffer(probes, dtype=np.int32) + bit_base)
-        bit_base += int(byte_lengths[len(probe_parts) - 1]) << 3
-        byte_base += int(byte_lengths[len(probe_parts) - 1])
-    # Phase 2: reconstruct packed entries at the probed offsets.
-    probe_counts = np.asarray([p.shape[0] for p in probe_parts], dtype=np.int64)
-    all_probes = (
-        probe_parts[0] if len(probe_parts) == 1 else np.concatenate(probe_parts)
-    )
-    probed_windows = windows[all_probes]
-    first = slots1[probed_windows]
-    second = slots2[probed_windows]
+        probed = np.take(scan_windows, np.frombuffer(probes, dtype=np.int32))
+        firsts.append(np.take(slots1, probed))
+        seconds.append(np.take(slots2, probed))
+        bit_base += (len(payload) + len(_WALK_PAD)) << 3
+    first = np.concatenate(firsts)
     if fallback_entries:
-        escape_mask = first <= 0
-        first[escape_mask] = np.asarray(fallback_entries, dtype=np.int32)
-        second[escape_mask] = 0
+        first[first <= 0] = np.asarray(fallback_entries, dtype=np.int32)
+    # A probe's first slot is never empty (a packed symbol or the -1
+    # sentinel) and an escape probe's second slot always is (the tables pair
+    # only behind an in-window first symbol), so compaction keeps every
+    # nonzero interleaved slot and a scan's entry count is its probes plus
+    # its occupied second slots.
     interleaved = np.empty(2 * first.shape[0], dtype=np.int32)
     interleaved[0::2] = first
-    interleaved[1::2] = second
-    occupied = interleaved != 0
-    flat = interleaved[occupied]
-    # Per-scan entry counts: prefix-sum the occupancy at each scan's last
-    # interleaved slot (every scan records at least one probe).
-    occupied_cum = np.cumsum(occupied)
-    entry_bounds = occupied_cum[(np.cumsum(probe_counts) << 1) - 1].tolist()
-    pending = []
-    lower = 0
-    for job, upper in zip(jobs, entry_bounds):
-        pending.append((job[0], flat[lower:upper], job[3]))
-        lower = upper
-    return pending
+    interleaved[1::2] = np.concatenate(seconds)
+    lengths = [part.shape[0] + np.count_nonzero(part) for part in seconds]
+    return np.take(interleaved, np.flatnonzero(interleaved)), lengths
 
 
 def _walk_ac_one(
@@ -509,208 +510,118 @@ def _walk_ac_one(
     return probes
 
 
-#: Scan-shape key -> flat block-base offsets for the batched epilogue.
-#: Entries are 4 bytes/block and shapes recur heavily within a dataset; the
-#: cap only guards callers that decode thousands of distinct geometries.
-_GEOMETRY_CACHE: dict = {}
-_GEOMETRY_LIMIT = 256
-
-
-def _scan_geometry(band_start: int, blocks: tuple):
-    """Memoized flat block-base offsets for the batched epilogue.
-
-    Returns, for every block of the scan (components concatenated in scan
-    order), the flat plane offset of the band's first slot.
-    """
-    key = (band_start, blocks)
-    geometry = _GEOMETRY_CACHE.get(key)
-    if geometry is None:
-        bases = [
-            band_start + (np.arange(n_blocks, dtype=np.int32) << 6)
-            for n_blocks in blocks
-        ]
-        geometry = bases[0] if len(bases) == 1 else np.concatenate(bases)
-        if len(_GEOMETRY_CACHE) >= _GEOMETRY_LIMIT:
-            _GEOMETRY_CACHE.clear()
-        _GEOMETRY_CACHE[key] = geometry
-    return geometry
-
-
-def _finish_ac_scans(pending, coefficients) -> None:
+def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:
     """Phase 2 of the batched AC decode: reconstruct scans from raw entries.
 
-    ``pending`` holds ``(scan, entries, n_payload_bits)`` per AC-only scan,
-    where ``entries`` is the packed posdelta stream collected by
-    :func:`_walk_ac_batch`.  Reconstruction is vectorized over the
-    concatenation of every pending scan's entries (amortizing NumPy fixed
-    costs across the whole stream):
+    ``entry_array`` is the packed posdelta stream of every AC-only scan of
+    ``jobs`` back to back, ``lengths`` each scan's entry count (both from
+    :func:`_walk_ac_batch`).  A scan's entries run past the symbols it
+    needs — the walk decodes the 1-padding as data — so the first job is to
+    find where each block, component and scan ends.  All of it is vector
+    passes over the whole stream's entries (amortizing NumPy fixed costs
+    across its ~9 AC scans), with no per-block work in Python:
 
-    1.  ``cumsum(posdelta)`` gives each entry's in-band end position, and
-        one ``searchsorted`` finds, for every potential block start, the
-        entry that finishes that block (the first whose cumulative advance
-        covers the band).
-    2.  A Python loop walks those links — one iteration per *block*, not
-        per symbol — recording each block's first entry and each
-        component's entry bound, and flagging defective scans: a chase
-        that stopped on an invalid window (``-1`` sentinel), one that ran
-        out of entries, or one whose needed entries consumed more bits
-        than the payload holds (garbage decoded from the 1-padding).  A
-        flagged scan is handed to :func:`_scan_defect`, which replays its
-        entries to surface the same error class, for the same first
-        defect, as the scalar reference.
-    3.  One vectorized pass expands block starts into per-entry
-        block-relative positions, validates every coefficient against the
-        band length, and scatters the nonzero coefficients into each
-        component's plane, split per (scan, component) by one
-        ``searchsorted`` over the recorded bounds.
+    1.  *In-block slots.*  The in-band position restarts at a scan start
+        and after an EOB, and otherwise runs on through blocks that fill
+        their band exactly (those have no EOB): ``cumsum`` of the non-EOB
+        advances, minus a ``maximum.accumulate`` of its value at the last
+        restart.  Modulo the band length that is the slot an entry's
+        coefficient lands on, and an entry ends a block iff the slot is the
+        band's last (an EOB, at position 0, lands there by the same
+        arithmetic).  ``cumsum`` of those flags numbers the blocks.
+    2.  *Ends and checks.*  One ``searchsorted`` over the ~17 block counts
+        finds the entry completing each (scan, component).  A scan is
+        flagged when it has no such entry, when that entry is the
+        invalid-window sentinel, when the entries up to it consumed more
+        bits than the payload holds (garbage decoded from the padding), or
+        when one of them *crosses* a block end — advances further than its
+        slot, so it started in the previous block and step 1 mis-numbered
+        what follows; only invalid streams do.  A flagged scan goes to
+        :func:`_scan_defect`, which replays it the scalar decoder's way and
+        raises the reference's error class for its first defect.
+    3.  *Scatter.*  A coefficient's flat plane offset is its block number
+        ``<< 6`` plus its slot plus a per-(scan, component) constant, so
+        the nonzero coefficients of each component are one slice of one
+        compacted array, scattered into the plane in one assignment.
     """
     planes = coefficients.planes
-    entry_parts = []
-    lengths = []
-    band_lengths = []
-    blocks_per_scan = []
-    geometries = []
-    for scan, entries, _ in pending:
-        entry_parts.append(entries)
-        lengths.append(len(entries))
-        band_lengths.append(scan.spectral_end - scan.spectral_start + 1)
-        blocks = tuple(planes[c].shape[0] for c in scan.component_ids)
-        blocks_per_scan.append(blocks)
-        geometries.append(_scan_geometry(scan.spectral_start, blocks))
-    entry_array = (
-        entry_parts[0] if len(entry_parts) == 1 else np.concatenate(entry_parts)
-    )
+    scans = [job[0] for job in jobs]
     n_entries = entry_array.shape[0]
     # int32 throughout while the cumulative sums provably fit (an entry
-    # advances <= 127 positions and consumes <= 31 bits); NumPy would
-    # otherwise silently promote int32 cumsums to int64.
+    # advances <= 63 positions here and a block number is shifted by 6);
+    # NumPy would otherwise silently promote int32 cumsums to int64.
     cum_dtype = np.int32 if n_entries < (1 << 24) else np.int64
-    advance = (entry_array >> 5) & 0x7F
-    end_position = np.cumsum(advance, dtype=cum_dtype)
-    bit_cum = np.cumsum(entry_array & 31, dtype=cum_dtype)
-    if len(pending) == 1:
-        band_length_per_entry = band_lengths[0]
-    else:
-        band_length_per_entry = np.repeat(
-            np.asarray(band_lengths, dtype=np.int32),
-            np.asarray(lengths),
-        )
-    thresholds = end_position - advance + band_length_per_entry
-    # For entry i taken as a block start, the block ends at the first entry
-    # whose cumulative advance reaches start + band_length.  Valid because
-    # every entry advances by >= 1, so end_position is strictly increasing.
-    block_end = np.searchsorted(end_position, thresholds, side="left")
-    block_end_list = block_end.tolist()
-    block_starts = array("i")
-    record_start = block_starts.append
-    component_bounds = array("i")
-    record_bound = component_bounds.append
-    scan_cursors = []
-    base = 0
-    for scan_index, (scan, entries, n_payload_bits) in enumerate(pending):
-        end_limit = base + lengths[scan_index]
-        sentinel = lengths[scan_index] > 0 and entries[-1] == -1
-        cursor = base
-        complete = True
-        for n_blocks in blocks_per_scan[scan_index]:
-            for _ in range(n_blocks):
-                if cursor >= end_limit:
-                    complete = False
-                    break
-                record_start(cursor)
-                cursor = block_end_list[cursor] + 1
-            if not complete:
-                break
-            record_bound(cursor)
-        if not complete or cursor > end_limit:
-            raise _scan_defect(
-                entries,
-                band_lengths[scan_index],
-                blocks_per_scan[scan_index],
-                n_payload_bits,
-            )
-        if sentinel and cursor > end_limit - 1:
-            # The chase "finished" only by consuming the invalid-window
-            # sentinel entry itself.
-            raise _scan_defect(
-                entries,
-                band_lengths[scan_index],
-                blocks_per_scan[scan_index],
-                n_payload_bits,
-            )
-        consumed = (
-            int(bit_cum[cursor - 1]) - (int(bit_cum[base - 1]) if base else 0)
-            if cursor > base
-            else 0
-        )
-        if consumed > n_payload_bits:
-            raise _scan_defect(
-                entries,
-                band_lengths[scan_index],
-                blocks_per_scan[scan_index],
-                n_payload_bits,
-            )
-        scan_cursors.append(cursor)
-        base = end_limit
-    starts = np.frombuffer(block_starts, dtype=np.int32)
-    if starts.shape[0] == 0:
-        return
-    # Blocks tile each scan's entry range contiguously (the walk above sets
-    # every next start to the previous block's end + 1, and scan s + 1
-    # starts exactly at scan s's end limit), so per-block entry counts are
-    # just next-start differences — with the last block absorbing the final
-    # scan's unused tail so the counts sum to n_entries and every
-    # block-constant can be broadcast over the *full* entry array by one
-    # np.repeat, no row-index gathers.  Tail entries (decoded from the
-    # padding past each scan's needed symbols) are excluded from both the
-    # band check and the scatter by clearing their coefficient flag below.
-    counts = np.empty(starts.shape[0], dtype=np.int32)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = n_entries - int(starts[-1])
-    start_position_per_entry = np.repeat(
-        end_position[starts] - advance[starts], counts
-    )
-    relative = end_position - start_position_per_entry - 1
-    value_offsets = entry_array >> 12
-    is_coefficient = value_offsets > 0
-    base = 0
-    for cursor, length in zip(scan_cursors, lengths):
-        end_limit = base + length
-        if cursor < end_limit:
-            is_coefficient[cursor:end_limit] = False
-        base = end_limit
-    # Pure-run entries (EOB/ZRL) legitimately advance past the band end;
-    # only entries that carry a coefficient are band-checked.
-    if np.any((relative >= band_length_per_entry) & is_coefficient):
-        raise ValueError("AC run overflows band length")
-    block_base = (
-        geometries[0] if len(geometries) == 1 else np.concatenate(geometries)
-    )
-    flat_positions = (np.repeat(block_base, counts) + relative)[is_coefficient]
-    flat_values = value_offsets[is_coefficient] - SUPER_VALUE_OFFSET
-    # A component's coefficient count is the coefficient-flag prefix sum at
-    # its recorded entry bound.
-    coefficient_cum = np.concatenate(
-        ([0], np.cumsum(is_coefficient, dtype=np.int64))
-    )
-    bounds = coefficient_cum[
-        np.frombuffer(component_bounds, dtype=np.int32)
-    ].tolist()
-    lower = 0
-    bound_index = 0
-    for scan, _, _ in pending:
+    limits = np.cumsum(lengths)
+    bases = limits - lengths
+    band_lengths = np.asarray([scan.band_length for scan in scans], dtype=np.int32)
+    band = band_lengths[0] if len(scans) == 1 else np.repeat(band_lengths, lengths)
+    # Six bits of the 7-bit advance: EOB (64) becomes 0, the symbols' 1..16
+    # are kept, and the -1 sentinel's 127 becomes 63 (checked by name below).
+    advance = (entry_array >> 5) & 63
+    is_eob = advance == 0
+    slot = np.cumsum(advance, dtype=cum_dtype)
+    restarts = slot * is_eob
+    restarts[bases] = slot[bases] - advance[bases]
+    np.maximum.accumulate(restarts, out=restarts)
+    slot -= restarts
+    slot -= 1
+    slot %= band
+    ends = slot == band - 1
+    block_cum = np.cumsum(ends, dtype=cum_dtype)
+    # The entry completing each (scan, component): the first whose block
+    # count reaches the blocks before the scan plus the scan's so far.
+    targets = []
+    for scan, done in zip(scans, (block_cum[bases] - ends[bases]).tolist()):
         for component in scan.component_ids:
-            upper = bounds[bound_index]
-            bound_index += 1
-            if upper > lower:
-                plane = planes[component]
-                position_array = flat_positions[lower:upper]
-                value_array = flat_values[lower:upper]
-                if plane.flags.c_contiguous:
-                    plane.reshape(-1)[position_array] = value_array
-                else:
-                    plane[position_array >> 6, position_array & 63] = value_array
+            done += planes[component].shape[0]
+            targets.append(done)
+    last = np.searchsorted(block_cum, np.asarray(targets, dtype=cum_dtype))
+    scan_last = last[np.cumsum([len(scan.component_ids) for scan in scans]) - 1]
+    needed = np.minimum(scan_last + 1, limits)
+    # Bits consumed by each scan's needed entries: the even segments of one
+    # reduceat over [base, needed) pairs (a final bound of n_entries is the
+    # array's end, which reduceat sums to anyway).
+    bounds = np.stack((bases, needed), axis=1).reshape(-1)
+    if bounds[-1] == n_entries:
+        bounds = bounds[:-1]
+    consumed = np.add.reduceat(entry_array & 31, bounds, dtype=cum_dtype)[0::2]
+    # An entry that advances further than the slot it lands on (plus one)
+    # began in the previous block: it crosses a block end.
+    crossing = np.flatnonzero(advance - slot > 1)
+    flagged = (
+        (scan_last >= limits)
+        | ((needed == limits) & (entry_array[limits - 1] == -1))
+        | (consumed > [job[3] for job in jobs])
+        | (np.searchsorted(crossing, needed) > np.searchsorted(crossing, bases))
+    ).tolist()
+    for job, base, limit, defective in zip(jobs, bases, limits, flagged):
+        if defective:
+            _scan_defect(entry_array[base:limit], job[0], planes, job[3])
+    value_offsets = entry_array >> 12
+    coefficient_at = np.flatnonzero(value_offsets > 0)
+    flat_values = np.take(value_offsets, coefficient_at)
+    flat_values -= SUPER_VALUE_OFFSET
+    # Block number (blocks complete *before* the entry) << 6, plus the slot.
+    block_cum -= ends
+    block_cum <<= 6
+    block_cum += slot
+    flat_positions = np.take(block_cum, coefficient_at)
+    uppers = np.searchsorted(coefficient_at, last + 1).tolist()
+    scan_lowers = np.searchsorted(coefficient_at, bases).tolist()
+    index = 0
+    for scan, lower, defective in zip(scans, scan_lowers, flagged):
+        for component in scan.component_ids:
+            plane = planes[component]
+            upper = uppers[index]
+            if upper > lower and not defective:
+                positions = flat_positions[lower:upper]
+                # Rebase from stream-wide block numbers to this plane's.
+                positions += scan.spectral_start - (
+                    (targets[index] - plane.shape[0]) << 6
+                )
+                _scatter(plane, positions, flat_values[lower:upper])
             lower = upper
+            index += 1
 
 
 def _decode_dc_scan_super(
@@ -899,12 +810,7 @@ def _decode_mixed_scan_super(
                             index += 1
             plane[:, 0] = np.cumsum(np.asarray(dc_diffs, dtype=np.int64))
             if positions:
-                position_array = np.asarray(positions, dtype=np.intp)
-                value_array = np.asarray(values, dtype=np.int64)
-                if plane.flags.c_contiguous:
-                    plane.reshape(-1)[position_array] = value_array
-                else:
-                    plane[position_array >> 6, position_array & 63] = value_array
+                _scatter(plane, np.asarray(positions, dtype=np.intp), values)
     except IndexError:
         raise EOFError("bit stream exhausted") from None
     if (word_index << 6) - bitcnt > n_payload_bits:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from repro.core.writer import (
     SAMPLE_KEY_PREFIX,
 )
 from repro.kvstore.interface import LSM_BACKEND, SQLITE_BACKEND, open_store
-from repro.obs import get_tracer
+from repro.obs import get_registry, get_tracer
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,16 @@ class PCRSample:
     @property
     def label(self) -> int:
         return self.metadata.label
+
+
+#: One in-process decode at a time, process-wide.  The entropy and pixel
+#: stages are Python and NumPy calls too short to overlap under the
+#: interpreter lock: two loader threads decoding at once measured 0.8x the
+#: throughput of one (docs/performance.md, "Loader threads").  Threads still
+#: overlap what releases the lock for real — file and socket reads, the
+#: consumer's collate — and cores are ``DecodePool``'s job, which never
+#: takes this gate.
+_DECODE_GATE = threading.Lock()
 
 
 def validate_scan_group(scan_group: int, n_groups: int) -> None:
@@ -70,6 +81,12 @@ def assemble_samples_batch(
     worker processes and the pixels come back through shared memory)
     parallelizes that whole fetch.  Results are bitwise identical to
     per-record assembly.
+
+    Without a pool the decode runs under ``_DECODE_GATE``.  The gate is
+    taken *before* the ``loader.decode`` span opens, so that span keeps
+    meaning decode: time queued behind another thread's decode is its own
+    ``loader.decode_wait`` span and ``loader.decode_wait_seconds``
+    observation.
     """
     parsed_records = [parse_record_prefix(data) for data in blobs]
     streams: list[bytes] = []
@@ -82,8 +99,18 @@ def assemble_samples_batch(
         boundaries.append(len(streams))
     images: list = [None] * len(streams)
     if decode:
-        with get_tracer().span("loader.decode", {"streams": len(streams)}):
-            images = (decode_pool if decode_pool is not None else codec).decode_batch(streams)
+        tracer = get_tracer()
+        if decode_pool is not None:
+            with tracer.span("loader.decode", {"streams": len(streams)}):
+                images = decode_pool.decode_batch(streams)
+        else:
+            wait_start = time.perf_counter()
+            with _DECODE_GATE:
+                waited = time.perf_counter() - wait_start
+                tracer.add_event("loader.decode_wait", wait_start, waited)
+                get_registry().histogram("loader.decode_wait_seconds").observe(waited)
+                with tracer.span("loader.decode", {"streams": len(streams)}):
+                    images = codec.decode_batch(streams)
     out: list[list[PCRSample]] = []
     start = 0
     for parsed, end in zip(parsed_records, boundaries):

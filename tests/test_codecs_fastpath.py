@@ -576,6 +576,226 @@ class TestInvalidStreamFuzz:
         assert len({line for _, line, _ in overflow_calls}) == 3
 
 
+class TestBlockSegmentation:
+    """The vector block segmentation of ``_finish_ac_scans``, shape by shape.
+
+    Each test builds coefficient planes (or a raw symbol stream) whose block
+    structure stresses one case of the segmentation — blocks that end
+    without an EOB, band length 1, component boundaries, entries that cross
+    a block end — and requires the scalar reference's coefficients or error
+    class, at the default walk-batch cap and at 64 bytes.
+    """
+
+    @pytest.fixture(autouse=True, params=[None, 64], ids=["default-cap", "cap-64"])
+    def walk_cap(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fastpath, "_WALK_BATCH_BYTES", request.param)
+
+    @pytest.fixture()
+    def replays(self, monkeypatch):
+        """Spy on the cold replay: one list entry per ``_scan_defect`` call."""
+        calls = []
+        replay = fastpath._scan_defect
+
+        def spy(entries, scan, planes, n_payload_bits):
+            calls.append(scan)
+            return replay(entries, scan, planes, n_payload_bits)
+
+        monkeypatch.setattr(fastpath, "_scan_defect", spy)
+        return calls
+
+    @staticmethod
+    def _empty_planes(size: int = 32):
+        """All-zero 4:2:0 planes: 16 luma and 4 + 4 chroma blocks at 32 px."""
+        header = image_to_coefficients(
+            make_structured_image(size, seed=1), quality=90, subsampling=SUBSAMPLING_420
+        ).header
+        return empty_coefficients(header)
+
+    @staticmethod
+    def _stream(coefficients, scans, bodies=None) -> bytes:
+        """SOI + SOF + the given scans (any script, valid or not) + EOI."""
+        from repro.codecs.markers import EOI, SOI, write_scan_segment
+        from repro.codecs.progressive import _encode_scan_body_scalar
+
+        parts = [SOI, coefficients.header.to_bytes()]
+        for index, scan in enumerate(scans):
+            body = bodies[index] if bodies else _encode_scan_body_scalar(coefficients, scan)
+            parts.append(write_scan_segment(scan, body))
+        return b"".join(parts + [EOI])
+
+    @staticmethod
+    def _decode_both(stream: bytes):
+        with config.use_fastpath(False):
+            scalar, _ = decode_coefficients(stream)
+        with config.use_fastpath(True):
+            fast, _ = decode_coefficients(stream)
+        for scalar_plane, fast_plane in zip(scalar.planes, fast.planes):
+            assert np.array_equal(scalar_plane, fast_plane)
+        return fast
+
+    def _assert_round_trip(self, coefficients, scans) -> None:
+        decoded = self._decode_both(self._stream(coefficients, scans))
+        for scan in scans:
+            band = slice(scan.spectral_start, scan.spectral_end + 1)
+            for component in scan.component_ids:
+                assert np.array_equal(
+                    decoded.planes[component][:, band], coefficients.planes[component][:, band]
+                )
+
+    def test_full_blocks_back_to_back_and_across_a_component_boundary(self, replays):
+        """No EOB anywhere: every block's last band slot is nonzero."""
+        from repro.codecs.markers import ScanHeader
+
+        coefficients = self._empty_planes()
+        rng = np.random.default_rng(41)
+        for plane in coefficients.planes:
+            plane[:, 9] = rng.choice([-3, -1, 1, 2, 40], size=plane.shape[0])
+            plane[::3, 5:9] = rng.integers(-5, 6, size=plane[::3, 5:9].shape)
+            plane[:, 63] = 1  # 1..63: three ZRLs, then run 14: full by a long run
+        scans = [ScanHeader((0, 1, 2), 5, 9), ScanHeader((2, 0), 10, 63)]
+        self._assert_round_trip(coefficients, scans)
+        assert replays == []
+
+    def test_band_length_one(self, replays):
+        from repro.codecs.markers import ScanHeader
+
+        coefficients = self._empty_planes()
+        rng = np.random.default_rng(42)
+        for plane in coefficients.planes:
+            plane[:, 7] = rng.choice([0, 0, 1, -2, 300], size=plane.shape[0])
+        coefficients.planes[1][:, 7] = 5  # a component of full blocks only
+        coefficients.planes[2][:, 7] = 0  # and one of EOBs only
+        self._assert_round_trip(coefficients, [ScanHeader((0, 1, 2), 7, 7)])
+        assert replays == []
+
+    def test_empty_block_directly_after_a_full_one(self, replays):
+        from repro.codecs.markers import ScanHeader
+
+        coefficients = self._empty_planes()
+        luma = coefficients.planes[0]
+        full = [0, 2, 3, 6, 9, 10, 15]
+        luma[full, 20] = -7  # full blocks: last slot of band 11..20
+        luma[[4, 12], 13] = 3  # ordinary blocks: a coefficient, then EOB
+        # blocks 1, 5, 7, 8, 11, 13, 14 stay empty: a bare EOB after a full block
+        self._assert_round_trip(coefficients, [ScanHeader((0,), 11, 20)])
+        assert replays == []
+
+    @staticmethod
+    def _crafted_body(blocks) -> bytes:
+        """A scan body from per-block ``(symbol, bits, n_bits)`` lists."""
+        from repro.codecs.bitio import BitWriter
+        from repro.codecs.huffman import HuffmanTable
+
+        table = HuffmanTable.from_symbols([s for block in blocks for s, _, _ in block])
+        writer = BitWriter()
+        for block in blocks:
+            for symbol, bits, n_bits in block:
+                table.encode_symbol(symbol, writer)
+                writer.write_bits(bits, n_bits)
+        return table.to_bytes() + writer.getvalue()
+
+    #: Blocks of a 20-slot band: a coefficient then EOB; the last slot filled
+    #: through a ZRL (no EOB); a bare EOB.
+    _ORDINARY = [(0x21, 1, 1), (0x00, 0, 0)]
+    _FULL = [(0xF0, 0, 0), (0x32, 0b10, 2)]
+    _EMPTY = [(0x00, 0, 0)]
+
+    def test_zrl_crossing_the_band_end_ends_its_block(self, replays):
+        """A ZRL whose 16-run overshoots: ``read_ac_band``'s ``index += 16``."""
+        from repro.codecs.markers import ScanHeader
+
+        scan = ScanHeader((0,), 1, 20)
+        crossing = [(0x91, 0, 1), (0xF0, 0, 0)]  # slot 9 = -1, then 10 + 16 > 20
+        blocks = [self._ORDINARY, self._FULL, crossing, self._FULL, self._EMPTY]
+        blocks += [self._ORDINARY, crossing, crossing, self._FULL] + [self._EMPTY] * 7
+        coefficients = self._empty_planes()
+        stream = self._stream(coefficients, [scan], [self._crafted_body(blocks)])
+        decoded = self._decode_both(stream)
+        luma = decoded.planes[0]
+        assert luma[2, 10] == -1 and not luma[2, 11:].any()
+        assert luma[3, 20] == 2 and luma[5, 3] == 1 and luma[7, 10] == -1
+        assert replays == [scan]
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "crossing-end"])
+    def test_coefficient_run_crossing_the_band_end_mid_scan(self, replays, inside):
+        """Run 5 with a coefficient from position 16 of 20, after two full blocks.
+
+        Inside the payload the band check raises ``ValueError``; when the
+        payload ends on the symbol's code its 12 magnitude bits cross the
+        end first: ``EOFError``, as the scalar decoder reads before it checks.
+        """
+        from repro.codecs.markers import ScanHeader
+
+        scan = ScanHeader((0,), 1, 20)
+        overshoot = [(0xF1, 1, 1), (0x5C, 0x800, 12 if inside else 0)]
+        blocks = [self._FULL, self._FULL, overshoot]
+        if inside:
+            blocks += [self._ORDINARY] * 13
+        coefficients = self._empty_planes()
+        stream = self._stream(coefficients, [scan], [self._crafted_body(blocks)])
+        expected = "ValueError" if inside else "EOFError"
+        assert _tier_error_classes(stream) == [expected, expected]
+        assert replays == [scan]
+
+    def test_invalid_prefix_opening_the_last_block_of_a_63_slot_band(self, replays):
+        """The sentinel as the entry that would complete the scan.
+
+        On a 63-slot band the invalid-window sentinel's advance lands, from
+        a block start, exactly on the last slot — it looks like a block end
+        that crosses nothing — so only the check by name flags the scan.
+        """
+        from repro.codecs.bitio import BitWriter
+        from repro.codecs.huffman import HuffmanTable
+        from repro.codecs.markers import ScanHeader
+
+        scan = ScanHeader((0,), 1, 63)
+        # Incomplete canonical code: 00 = EOB, 01 = (run 0, category 1),
+        # prefix 1 invalid.
+        table = HuffmanTable(code_lengths={0x00: 2, 0x01: 2})
+        writer = BitWriter()
+        for _ in range(15):
+            table.encode_symbol(0x00, writer)
+        for _ in range(8):  # in-payload bits from the invalid prefix on: more
+            writer.write_bits(0b10110110, 8)  # than the sentinel's nominal 31
+        coefficients = self._empty_planes()
+        assert coefficients.planes[0].shape[0] == 16
+        stream = self._stream(coefficients, [scan], [table.to_bytes() + writer.getvalue()])
+        assert _tier_error_classes(stream) == ["ValueError", "ValueError"]
+        assert replays == [scan]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sparse_planes_random_bands(self, seed):
+        """Random sparse planes x 1-3 disjoint bands x 1-3 components each."""
+        from repro.codecs.markers import ScanHeader
+
+        rng = np.random.default_rng(seed)
+        coefficients = self._empty_planes(size=int(rng.choice([8, 24, 40])))
+        for plane in coefficients.planes:
+            density = rng.choice([0.0, 0.02, 0.2, 0.9, 1.0])
+            values = rng.integers(-1200, 1201, size=plane.shape)
+            values[rng.random(plane.shape) < 0.7] //= 300  # mostly small magnitudes
+            plane[...] = values * (rng.random(plane.shape) < density)
+        cuts = np.sort(rng.choice(np.arange(1, 65), size=int(rng.integers(2, 5)), replace=False))
+        scans = []
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            components = rng.permutation(3)[: int(rng.integers(1, 4))]
+            scans.append(ScanHeader(tuple(int(c) for c in components), int(start), int(stop) - 1))
+        self._assert_round_trip(coefficients, scans)
+
+    def test_valid_streams_never_reach_the_cold_replay(self, replays):
+        streams = [
+            ProgressiveCodec(quality=90).encode(make_structured_image(64, seed=3)),
+            ProgressiveCodec(quality=50).encode(make_structured_image(40, seed=4, color=False)),
+            ProgressiveCodec(quality=95).encode(_random_image(5, 33, color=True)),
+            BaselineCodec(quality=90).encode(make_structured_image(48, seed=6)),
+        ]
+        for stream in streams:
+            _assert_decodes_match(stream, len(find_scan_segments(stream)))
+        assert replays == []
+
+
 class TestOversizedScansWalkAlone(TestStreamEquivalence, TestInvalidStreamFuzz):
     """The same differential and fuzz bodies with a 64-byte walk-batch cap.
 

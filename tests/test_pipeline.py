@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -141,6 +142,43 @@ class TestCollate:
     def test_classes_present(self):
         batch = collate([np.zeros((4, 4, 3))] * 3, [0, 0, 2])
         assert batch.n_classes_present == 2
+
+    def test_dark_uint8_image_is_scaled_by_type_not_by_value(self):
+        """uint8 levels 0 and 1 are nearly black, not black and white."""
+        dark = np.ones((8, 8, 3), dtype=np.uint8)
+        batch = collate([dark, np.full((8, 8, 3), 200, dtype=np.uint8)], [0, 1])
+        assert batch.images[0].max() == np.float32(1) / np.float32(255)
+        assert batch.images[1].max() == np.float32(200) / np.float32(255)
+
+    def test_batch_conversion_is_bit_identical_to_per_image(self):
+        rng = np.random.default_rng(5)
+        images = [rng.integers(0, 256, (16, 16, 3), dtype=np.uint8) for _ in range(6)]
+        images.append(np.zeros((16, 16, 3), dtype=np.uint8))
+        batch = collate(images, list(range(7)))
+        per_image = np.stack([image.astype(np.float32) / 255.0 for image in images])
+        assert batch.images.dtype == np.float32
+        assert np.array_equal(batch.images, per_image)
+
+    def test_mixed_float_and_uint8_inputs(self):
+        levels = np.full((4, 4, 3), 255.0)  # float 0-255 levels: scaled
+        unit = np.full((4, 4, 3), 0.5)  # float already in [0, 1]: kept
+        dark = np.ones((4, 4, 3), dtype=np.uint8)  # integer: scaled by type
+        batch = collate([levels, unit, dark], [0, 1, 2])
+        assert batch.images.dtype == np.float32
+        assert batch.images[0].max() == 1.0
+        assert batch.images[1].max() == 0.5
+        assert batch.images[2].max() == np.float32(1) / np.float32(255)
+
+    def test_grayscale_uint8_and_mixed_rank(self):
+        gray = np.full((8, 8), 51, dtype=np.uint8)
+        batch = collate([gray, gray[..., None]], [0, 1])
+        assert batch.images.shape == (2, 8, 8, 1)
+        assert np.all(batch.images == np.float32(51) / np.float32(255))
+
+    def test_inputs_are_not_modified(self):
+        levels = np.full((4, 4, 3), 255.0, dtype=np.float32)
+        collate([levels], [0])
+        assert levels.max() == 255.0
 
 
 class TestDataLoader:
@@ -316,6 +354,185 @@ class TestDataLoaderParallelDecode:
         iterator.close()  # GeneratorExit
         assert loader._decode_pool is None
         assert pool.closed
+
+
+class _OverlapCounter:
+    """Counts how many threads are inside a region at once."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.active = 0
+        self.max_active = 0
+        self.entered = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            self.active += 1
+            self.entered += 1
+            self.max_active = max(self.max_active, self.active)
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self.active -= 1
+
+
+class _SleepyFetcher:
+    """A reader whose prefix reads block like a disk or a socket would."""
+
+    def __init__(self, reader, delay: float = 0.02) -> None:
+        self._reader = reader
+        self._delay = delay
+        self.reads = _OverlapCounter()
+
+    def __getattr__(self, name):
+        return getattr(self._reader, name)
+
+    def read_record_bytes(self, record_name: str, scan_group: int) -> bytes:
+        with self.reads:
+            time.sleep(self._delay)
+            return self._reader.read_record_bytes(record_name, scan_group)
+
+
+class _ForwardingPool:
+    """Stands in for a ``DecodePool``: same batch API, decodes in-process."""
+
+    def __init__(self, codec) -> None:
+        self._codec = codec
+        self.batches = 0
+
+    def decode_batch(self, streams):
+        self.batches += 1
+        return self._codec.decode_batch(streams)
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+        self.acquired += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._lock.release()
+
+
+class TestDecodeGate:
+    """Loader threads overlap I/O; in-process decode runs one at a time."""
+
+    @pytest.fixture()
+    def gated(self, tmp_path, tiny_samples):
+        """(source, fetcher, decode overlap counter) over ten 2-image records."""
+        from repro.core.dataset import PCRDataset
+        from repro.core.source import RecordSource
+
+        dataset = PCRDataset.build(tiny_samples, tmp_path, images_per_record=2, quality=90)
+        fetcher = _SleepyFetcher(dataset.fetcher)
+        source = RecordSource(fetcher)
+        decodes = _OverlapCounter()
+        decode_batch = source._codec.decode_batch
+
+        def spy(streams):
+            with decodes:
+                time.sleep(0.002)  # wide enough for an ungated thread to enter
+                return decode_batch(streams)
+
+        source._codec.decode_batch = spy
+        yield source, fetcher, decodes
+        dataset.close()
+
+    @staticmethod
+    def _samples(source, n_workers: int) -> list[tuple[int, bytes]]:
+        loader = DataLoader(
+            source, LoaderConfig(batch_size=4, n_workers=n_workers, shuffle=False)
+        )
+        samples = []
+        for batch in loader.epoch():
+            samples.extend(
+                (int(label), image.tobytes())
+                for image, label in zip(batch.images, batch.labels)
+            )
+        return sorted(samples)
+
+    def test_decodes_never_overlap_while_fetches_do(self, gated):
+        source, fetcher, decodes = gated
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            samples = self._samples(source, n_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(samples) == len(source)
+        assert decodes.entered == len(source.record_names)
+        assert decodes.max_active == 1
+        assert fetcher.reads.max_active >= 2
+
+    def test_batches_byte_identical_to_one_worker(self, gated):
+        source, _, _ = gated
+        assert self._samples(source, n_workers=4) == self._samples(source, n_workers=1)
+
+    def test_pool_wired_source_never_takes_the_gate(self, gated, monkeypatch):
+        from repro.core import reader
+
+        source, _, decodes = gated
+        gate = _CountingLock()
+        monkeypatch.setattr(reader, "_DECODE_GATE", gate)
+        pool = _ForwardingPool(source._codec)
+        source.set_decode_pool(pool)
+        pooled = self._samples(source, n_workers=4)
+        assert pool.batches == len(source.record_names)
+        assert gate.acquired == 0
+        source.set_decode_pool(None)
+        assert self._samples(source, n_workers=4) == pooled
+        assert gate.acquired == len(source.record_names)
+
+    def test_exception_inside_decode_releases_the_gate(self, gated):
+        from repro.core import reader
+
+        source, _, _ = gated
+        healthy = source._codec.decode_batch
+        failures = []
+
+        def failing(streams):
+            if not failures:
+                failures.append(1)
+                raise RuntimeError("injected decode failure")
+            return healthy(streams)
+
+        source._codec.decode_batch = failing
+        with pytest.raises(RuntimeError, match="injected decode failure"):
+            self._samples(source, n_workers=2)
+        assert not reader._DECODE_GATE.locked()
+        assert len(self._samples(source, n_workers=2)) == len(source)
+
+    def test_queueing_is_traced_as_decode_wait_not_decode(self, gated):
+        """Each decode span is preceded, on its thread, by its wait span."""
+        from repro.obs import diff_snapshots, get_registry, get_tracer
+
+        source, _, decodes = gated
+        tracer = get_tracer()
+        before = get_registry().snapshot()
+        tracer.clear()
+        tracer.set_enabled(True)
+        try:
+            self._samples(source, n_workers=4)
+            events = tracer.events()
+        finally:
+            tracer.set_enabled(False)
+            tracer.clear()
+        delta = diff_snapshots(get_registry().snapshot(), before)
+        assert delta["histograms"]["loader.decode_wait_seconds"]["count"] == decodes.entered
+        spans = [e for e in events if e.name == "loader.decode"]
+        waits = [e for e in events if e.name == "loader.decode_wait"]
+        assert len(spans) == len(waits) == decodes.entered
+        # Decode spans are disjoint in time: queueing is in the wait spans.
+        spans.sort(key=lambda event: event.start)
+        for earlier, later in zip(spans, spans[1:]):
+            assert earlier.start + earlier.duration <= later.start
+        assert sum(event.duration for event in waits) > 0
 
 
 class TestStallTracker:
