@@ -12,9 +12,9 @@ equivalent, self-contained codec:
   :mod:`repro.codecs.rle` — entropy coding (run-length symbols + canonical
   Huffman codes).
 * :mod:`repro.codecs.fastpath` — the vectorized entropy fast path
-  (superscalar wide-window pair-LUT Huffman decode with a two-level LUT
-  escape for oversized symbols, word-buffered bit I/O, batched scan
-  assembly), gated by :mod:`repro.codecs.config`: on unless
+  (superscalar wide-window pair-LUT Huffman decode — one table family,
+  built for the scan's kind, that also finishes oversized symbols —
+  word-buffered bit I/O, batched scan assembly), gated by :mod:`repro.codecs.config`: on unless
   ``REPRO_CODEC_FASTPATH=0``, and :func:`use_fastpath` overrides that for
   the calling context (read it with :func:`fastpath_enabled`).  The scalar
   coder it replaces is the one differential reference.  See

@@ -25,10 +25,14 @@ This module is the vectorized counterpart of the scalar scan coder in
   shared across every AC scan of a stream (``decode_scan_bodies_fast``).
   DC-only and mixed scans keep specialized in-place pair-probe loops; the
   stride walk is the one AC symbol chase, whatever the scan's size.  An
-  oversized symbol (code + magnitude wider than the window) escapes to the
-  fused two-level ``ac_*`` / ``dc_*`` LUTs for that one symbol.  All
-  coefficient-plane writes are deferred to one vectorized scatter per
-  component instead of a Python slice assignment per block.
+  oversized symbol (code + magnitude wider than the window) is finished
+  from the same table: its window holds the symbol's negated plain entry
+  (run, category, consumption) and the loop reads the magnitude off the
+  stream; a code longer than the window is matched against the table's
+  few long codes.  Each scan fetches the tables built for its kind only
+  (DC-only, AC-only or mixed).  All coefficient-plane writes are deferred
+  to one vectorized scatter per component instead of a Python slice
+  assignment per block.
 
 Both directions produce byte-identical streams / identical coefficients to
 the scalar reference — the one differential oracle, enforced by
@@ -43,7 +47,7 @@ from array import array
 import numpy as np
 
 from repro.codecs.bitio import BitWriter
-from repro.codecs.huffman import SUPER_BITS, SUPER_VALUE_OFFSET, HuffmanTable
+from repro.codecs.huffman import SUPER_BITS, SUPER_VALUE_OFFSET, HuffmanTable, long_code_entry
 from repro.codecs.rle import (
     ac_symbol_arrays,
     dc_symbol_arrays,
@@ -268,9 +272,12 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
       uncommitted second symbol consumes nothing).  Probing with
       ``bitcnt >= 32`` guarantees a full pair (<= 32 bits) never underruns
       the buffer.
-    * ``entry == -1`` — the first symbol's code + magnitude exceed the
-      window (oversized magnitude); decode that one symbol through the
-      fused two-level ``ac_*`` / ``dc_*`` LUTs.
+    * ``entry < -1`` — the first symbol's code fits the window but its
+      magnitude does not: ``-entry`` is the symbol's plain entry (run,
+      category, consumption) and the magnitude is read off the stream.
+    * ``entry == -1`` — the window is a prefix of codes longer than itself:
+      :func:`~repro.codecs.huffman.long_code_entry` matches the next 16
+      bits against them and returns an entry of the two other kinds.
     * ``entry == 0`` — invalid prefix: ``ValueError``, same as the scalar
       reference.
 
@@ -282,18 +289,21 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     ac_jobs = []
     for segment in segments:
         scan = segment.header
-        table, consumed = HuffmanTable.cached_from_bytes(
-            data[segment.payload_start : segment.end]
+        if scan.spectral_end == 0:
+            kind = "dc"
+        else:
+            kind = "mixed" if scan.spectral_start == 0 else "ac"
+        tables, consumed = HuffmanTable.cached_from_bytes(
+            data[segment.payload_start : segment.end], kind
         )
         payload = data[segment.payload_start + consumed : segment.end]
         n_payload_bits = len(payload) * 8
-        tables = table.scan_tables()
-        if scan.spectral_end == 0 or scan.spectral_start == 0:
+        if kind != "ac":
             padded = payload + _PAD
             words = np.frombuffer(
                 padded, dtype=">u8", count=len(padded) >> 3
             ).tolist()
-            if scan.spectral_end == 0:
+            if kind == "dc":
                 _decode_dc_scan_super(
                     words, tables, scan, coefficients, n_payload_bits
                 )
@@ -351,7 +361,7 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
 
 #: Padding appended per scan inside a walk batch blob.  16 bytes cover the
 #: widest read past a scan's true payload: the walk probes up to 64 bits
-#: into the padding, and a two-level escape there reads at most 6 bytes
+#: into the padding, and an escape there reads at most 6 bytes
 #: from bit ``n_payload_bits + 64`` — byte ``len(payload) + 8 + 6``, still
 #: inside this scan's padding.  The 1-bits match the writer's end-of-stream
 #: padding, like ``_PAD``.
@@ -383,8 +393,8 @@ def _walk_ac_batch(jobs):
     step per *probe* (two symbols ~85% of the time), with no buffer state
     at all.  Phase 2 reconstructs the actual packed entries by gathering
     the scan's slot tables at the recorded probe offsets and compacting out
-    empty second slots, patching in the (rare) two-level escape results
-    recorded by the walk.
+    empty second slots, patching in the (rare) escape results recorded by
+    the walk.
 
     Every gather is ``np.take``: fancy indexing with an int32 index array
     first casts it to intp through a generic path that costs 3x the gather
@@ -411,13 +421,15 @@ def _walk_ac_batch(jobs):
     fallback_entries: list[int] = []
     bit_base = 0
     for _, payload, tables, n_payload_bits in jobs:
-        slots1, slots2, pairbits = tables.walk_tables()
+        slots1, slots2, pairbits, long_codes = tables
         scan_windows = windows[bit_base : bit_base + n_payload_bits + 64]
         probes = _walk_ac_one(
             np.take(pairbits, scan_windows).tobytes(),
+            scan_windows,
+            slots1,
+            long_codes,
             blob,
             bit_base >> 3,
-            tables,
             fallback_entries,
         )
         probed = np.take(scan_windows, np.frombuffer(probes, dtype=np.int32))
@@ -427,11 +439,11 @@ def _walk_ac_batch(jobs):
     first = np.concatenate(firsts)
     if fallback_entries:
         first[first <= 0] = np.asarray(fallback_entries, dtype=np.int32)
-    # A probe's first slot is never empty (a packed symbol or the -1
-    # sentinel) and an escape probe's second slot always is (the tables pair
-    # only behind an in-window first symbol), so compaction keeps every
-    # nonzero interleaved slot and a scan's entry count is its probes plus
-    # its occupied second slots.
+    # A probe's first slot is never empty (a packed symbol, or an escape
+    # patched just above) and an escape probe's second slot always is (the
+    # tables pair only behind an in-window first symbol), so compaction
+    # keeps every nonzero interleaved slot and a scan's entry count is its
+    # probes plus its occupied second slots.
     interleaved = np.empty(2 * first.shape[0], dtype=np.int32)
     interleaved[0::2] = first
     interleaved[1::2] = np.concatenate(seconds)
@@ -440,7 +452,13 @@ def _walk_ac_batch(jobs):
 
 
 def _walk_ac_one(
-    strides: bytes, blob: bytes, byte_base: int, tables, fallback_entries: list
+    strides: bytes,
+    windows,
+    slots1,
+    long_codes,
+    blob: bytes,
+    byte_base: int,
+    fallback_entries: list,
 ) -> array:
     """Phase-1 stride walk over one scan: record probe bit offsets.
 
@@ -448,18 +466,17 @@ def _walk_ac_one(
     superscalar window at bit ``p`` resolves, so the hot loop is a bytes
     index and an add per probe — ``bytes`` indexing returns interned small
     ints, so the loop allocates nothing.  A zero stride means the window
-    cannot be walked through (invalid prefix or oversized first symbol):
-    the symbol is resolved through the two-level path directly on the blob
-    bytes and its packed entry (or a ``-1`` invalid sentinel, which ends
-    the walk) is appended to ``fallback_entries``; phase 2 patches these
-    into the gathered entry stream, so the walk stays branch-lean.  The
-    walk ends when the cursor runs off the stride bytes, which cover the
-    payload plus 64 bits of padding.  It cannot classify errors (it does
-    not know where blocks end): the epilogue ignores entries beyond the
-    last block's end and classifies what is missing or invalid.
+    cannot be walked through (invalid prefix, oversized first symbol or a
+    code longer than the window): the symbol is finished from its window's
+    own first slot (``slots1[windows[p]]``) and the blob bytes, and its
+    packed entry (or a ``-1`` invalid sentinel, which ends the walk) is
+    appended to ``fallback_entries``; phase 2 patches these into the
+    gathered entry stream, so the walk stays branch-lean.  The walk ends
+    when the cursor runs off the stride bytes, which cover the payload
+    plus 64 bits of padding.  It cannot classify errors (it does not know
+    where blocks end): the epilogue ignores entries beyond the last
+    block's end and classifies what is missing or invalid.
     """
-    ac1 = tables.ac_primary
-    ac2 = tables.ac_secondary
     masks = _MASKS
     halves = _HALVES
     offset = SUPER_VALUE_OFFSET
@@ -470,39 +487,35 @@ def _walk_ac_one(
     try:
         while True:
             stride = strides[cursor]
+            record(cursor)
             if stride:
-                record(cursor)
                 cursor += stride
             else:
                 byte = byte_base + (cursor >> 3)
                 phase = cursor & 7
-                prefix = int.from_bytes(blob[byte : byte + 3], "big")
-                entry = ac1[(prefix >> (16 - phase)) & 0xFF]
-                if entry <= 0:
-                    if entry == 0:
-                        record(cursor)
-                        escape(-1)
-                        break
-                    entry = ac2[-entry - 1][(prefix >> (8 - phase)) & 0xFF]
-                    if entry == 0:
-                        record(cursor)
-                        escape(-1)
-                        break
-                consume = entry & 0x3F
-                run = entry >> 12
-                category = (entry >> 6) & 0x3F
-                record(cursor)
+                # Code + magnitude span at most 31 bits, so 6 bytes
+                # starting at the cursor's byte always cover them.
+                wide = int.from_bytes(blob[byte : byte + 6], "big")
+                entry = int(slots1[windows[cursor]])
+                if entry == -1:
+                    entry = long_code_entry(
+                        long_codes, (wide >> (32 - phase)) & 0xFFFF, True
+                    )
+                if entry == 0:
+                    escape(-1)
+                    break
+                entry = -entry
+                consume = entry & 0xFFF
+                run = entry >> 20
+                category = (entry >> 12) & 0xFF
                 if category:
-                    # Code + magnitude span at most 31 bits, so 6 bytes
-                    # starting at the cursor's byte always cover them.
-                    wide = int.from_bytes(blob[byte : byte + 6], "big")
                     mask = masks[category]
                     bits = (wide >> (48 - phase - consume)) & mask
                     value = bits if bits >= halves[category] else bits - mask
                     escape(
                         (consume | ((run + 1) << 5)) | ((value + offset) << 12)
                     )
-                else:  # unreachable on real tables (cat 0 never oversizes)
+                else:  # an EOB or ZRL whose code is longer than the window
                     escape(consume | (run << 5))
                 cursor += consume
     except IndexError:
@@ -624,15 +637,41 @@ def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:
             index += 1
 
 
+def _escape_dc(
+    entry: int, long_codes, words: list, word_index: int, bitbuf: int, bitcnt: int, n_payload_bits: int
+):
+    """Finish one DC diff its window could not (cold): ``entry <= 0``.
+
+    The window holds the negated plain entry of an oversized diff (the code
+    fit, the magnitude did not), ``-1`` for a code longer than the window,
+    or ``0`` for an invalid prefix.  Returns ``(diff, word_index, bitbuf,
+    bitcnt)`` — the reader state past the symbol's code and magnitude.
+    """
+    if entry == -1:
+        entry = long_code_entry(long_codes, (bitbuf >> (bitcnt - 16)) & 0xFFFF, False)
+    if entry == 0:
+        raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
+    consume = -entry & 0xFFF
+    category = -entry >> 12
+    while consume > bitcnt:  # oversized DC magnitude (rare)
+        bitbuf = ((bitbuf & _MASKS[bitcnt]) << 64) | words[word_index]
+        word_index += 1
+        bitcnt += 64
+    bitcnt -= consume
+    diff = 0
+    if category:
+        mask = _MASKS[category]
+        bits = (bitbuf >> bitcnt) & mask
+        diff = bits if bits >= _HALVES[category] else bits - mask
+    return diff, word_index, bitbuf, bitcnt
+
+
 def _decode_dc_scan_super(
     words: list, tables, scan, coefficients, n_payload_bits: int
 ) -> None:
     """DC-only scan: in-place pair-probe loop, up to two diffs per probe."""
-    sup = tables.superscalar_tables()[1]
-    dc1 = tables.dc_primary
-    dc2 = tables.dc_secondary
+    sup, long_codes = tables
     masks = _MASKS
-    halves = _HALVES
     offset = SUPER_VALUE_OFFSET
     shift = _SUPER_SHIFT
     window_mask = _SUPER_MASK
@@ -661,29 +700,11 @@ def _decode_dc_scan_super(
                         bitcnt -= second & 31
                         append_diff((second >> 12) - offset)
                         remaining -= 1
-                elif entry == 0:
-                    raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                else:  # oversized magnitude: two-level fallback
-                    entry = dc1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                    if entry <= 0:
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                        entry = dc2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                    consume = entry & 0xFFF
-                    while consume > bitcnt:  # oversized DC magnitude (rare)
-                        bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                        word_index += 1
-                        bitcnt += 64
-                    bitcnt -= consume
-                    category = entry >> 12
-                    if category:
-                        mask = masks[category]
-                        bits = (bitbuf >> bitcnt) & mask
-                        append_diff(bits if bits >= halves[category] else bits - mask)
-                    else:
-                        append_diff(0)
+                else:
+                    diff, word_index, bitbuf, bitcnt = _escape_dc(
+                        entry, long_codes, words, word_index, bitbuf, bitcnt, n_payload_bits
+                    )
+                    append_diff(diff)
                     remaining -= 1
             plane[:, 0] = np.cumsum(np.asarray(dc_diffs, dtype=np.int64))
     except IndexError:
@@ -704,11 +725,7 @@ def _decode_mixed_scan_super(
     the symbol, so a coefficient lands at ``index - 1`` and overflow is
     ``index > band_length``.
     """
-    sup_ac, sup_dc = tables.superscalar_tables()
-    ac1 = tables.ac_primary
-    ac2 = tables.ac_secondary
-    dc1 = tables.dc_primary
-    dc2 = tables.dc_secondary
+    sup_ac, sup_dc, long_codes = tables
     masks = _MASKS
     halves = _HALVES
     offset = SUPER_VALUE_OFFSET
@@ -737,29 +754,11 @@ def _decode_mixed_scan_super(
                 if entry > 0:
                     bitcnt -= entry & 31
                     append_diff((entry >> 12) - offset)
-                elif entry == 0:
-                    raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                else:  # oversized magnitude: two-level fallback
-                    entry = dc1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                    if entry <= 0:
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                        entry = dc2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                        if entry == 0:
-                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                    consume = entry & 0xFFF
-                    while consume > bitcnt:
-                        bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                        word_index += 1
-                        bitcnt += 64
-                    bitcnt -= consume
-                    category = entry >> 12
-                    if category:
-                        mask = masks[category]
-                        bits = (bitbuf >> bitcnt) & mask
-                        append_diff(bits if bits >= halves[category] else bits - mask)
-                    else:
-                        append_diff(0)
+                else:
+                    diff, word_index, bitbuf, bitcnt = _escape_dc(
+                        entry, long_codes, words, word_index, bitbuf, bitcnt, n_payload_bits
+                    )
+                    append_diff(diff)
                 index = 0
                 while index < band_length:
                     if bitcnt < 32:
@@ -787,19 +786,17 @@ def _decode_mixed_scan_super(
                                     raise _overflow_error((word_index << 6) - bitcnt, n_payload_bits)
                                 append_position(block_base + index - 1)
                                 append_value(voff - offset)
-                    elif entry == 0:
-                        raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                    else:  # oversized magnitude: two-level fallback
-                        entry = ac1[(bitbuf >> (bitcnt - 8)) & 0xFF]
-                        if entry <= 0:
-                            if entry == 0:
-                                raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                            entry = ac2[-entry - 1][(bitbuf >> (bitcnt - 16)) & 0xFF]
-                            if entry == 0:
-                                raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
-                        bitcnt -= entry & 0x3F
-                        index += entry >> 12
-                        category = (entry >> 6) & 0x3F
+                    else:  # oversized magnitude or a long code (cold)
+                        if entry == -1:
+                            entry = long_code_entry(
+                                long_codes, (bitbuf >> (bitcnt - 16)) & 0xFFFF, True
+                            )
+                        if entry == 0:
+                            raise _invalid_code_error((word_index << 6) - bitcnt, n_payload_bits)
+                        entry = -entry
+                        bitcnt -= entry & 0xFFF
+                        index += entry >> 20
+                        category = (entry >> 12) & 0xFF
                         if category:
                             mask = masks[category]
                             bits = (bitbuf >> bitcnt) & mask

@@ -5,34 +5,34 @@ alphabet (mirroring ``jpegtran -optimize``).  Tables are serialized in
 canonical form: a list of code lengths followed by the symbols ordered by
 (length, symbol value), which is the same structure as a JPEG DHT segment.
 
-Decoding has two implementations over the same tables:
+Decoding has two implementations over the same canonical code:
 
 * ``decode_symbol`` — the scalar reference: one bit at a time, probing the
   ``(code, length)`` dict at each length.  Kept for differential testing.
-* the *superscalar* pair LUT — a table indexed by the next ``SUPER_BITS``
-  stream bits whose entries fully decode up to **two** complete
-  ``(code, magnitude)`` symbols, including the signed coefficient value,
-  since the magnitude bits are part of the window the table is indexed by.
-  See :func:`_build_super_tables` for the entry packing and
-  ``docs/performance.md`` for the decode loops built on it.  A symbol too
-  wide for the window escapes to a two-level lookup table: the primary
-  table is indexed by the next ``LUT_BITS`` (8) stream bits and resolves
-  every code of length <= 8 in one probe; longer codes land in a per-prefix
-  secondary table indexed by the following 8 bits (``MAX_CODE_LENGTH`` is
-  16, so two levels always suffice).  See :class:`_TableSet` for the fused
-  AC / DC entry packings.
+* the *superscalar* window tables — one table family, indexed by the next
+  ``SUPER_BITS`` stream bits, whose entries fully decode up to **two**
+  complete ``(code, magnitude)`` symbols, including the signed coefficient
+  value, since the magnitude bits are part of the window the table is
+  indexed by.  A window whose first code fits but whose magnitude does not
+  stores that symbol's negated *plain entry* (run, category, bit
+  consumption) in place, and a code longer than the window is resolved
+  against the table's few long codes (:func:`long_code_entry`) — there is
+  no second table for the escape.  See :func:`_build_super_tables` for
+  the entry packing and ``docs/performance.md`` for the decode loops built
+  on it.
 
-A table a caller builds (``from_counts``, ``from_bytes``, the constructor)
-builds and keeps its own decode tables; nothing else references them.  The
-decode tiers instead fetch tables through :meth:`HuffmanTable.cached_from_bytes`,
-the one cached route: a byte-bounded LRU keyed on the serialized table bytes
-that is charged what an entry really pins (key + two-level LUTs at insert,
-the pair/walk tables when they are lazily built), so an eviction frees the
-memory and ``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` is a true bound.  Every scan
-of every image carries its own optimised table, so the cache only helps a
-dataset whose tables fit the budget and are decoded again (later epochs);
-it exports ``codec.table_cache.*`` hit/miss/evict/byte metrics on the
-default :mod:`repro.obs` registry.
+A :class:`HuffmanTable` is the canonical code, its serialisation, the
+encode arrays and the scalar reference; it holds no decode tables.  The
+fast decode tier fetches them through :meth:`HuffmanTable.cached_from_bytes`,
+the one cached route: a byte-bounded LRU keyed on ``(kind, serialized table
+bytes)`` whose entry is exactly the arrays that *kind* of scan reads (a scan
+is DC-only, AC-only or mixed, and reads one flavour), built whole at the
+miss and charged once with their real ``nbytes`` plus the key, so an
+eviction frees the memory and ``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` is a true
+bound.  Every scan of every image carries its own optimised table, so the
+cache only helps a dataset whose tables fit the budget and are decoded
+again (later epochs); it exports ``codec.table_cache.*``
+hit/miss/evict/byte metrics on the default :mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ from array import array
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.codecs.bitio import BitReader, BitWriter
 from repro.obs import get_registry
 
 MAX_CODE_LENGTH = 16
-
-#: Width of the primary decode LUT index.
-LUT_BITS = 8
 
 #: Width of the superscalar decode window: one probe of a ``1 << SUPER_BITS``
 #: entry table resolves up to two complete (code + magnitude) symbols.
@@ -68,16 +67,12 @@ SUPER_BITS = 13
 #: magnitudes, not windows, so it must not shrink with ``SUPER_BITS``.
 SUPER_VALUE_OFFSET = 1 << 15
 
-#: Nominal resident cost of one two-level-LUT slot (8-byte list slot plus an
-#: amortized share of the int objects it references).  The cache budget
-#: below is enforced against this estimate, not ``sys.getsizeof`` walks.
-_BYTES_PER_SLOT = 44
-
-#: Exact bytes of one full superscalar table build: the two interleaved
-#: pair tables (AC and DC flavours, ``2 << SUPER_BITS`` int32 slots each)
-#: plus the AC walk products (two ``1 << SUPER_BITS`` int32 slot arrays and
-#: one ``1 << SUPER_BITS`` byte table): ``(8 + 8 + 4 + 4 + 1) << SUPER_BITS``.
-SUPER_TABLE_NBYTES = 25 << SUPER_BITS
+#: The three kinds of scan, by what their symbols are — one DC diff per block,
+#: run/size AC symbols only, or (sequential / baseline scripts) a DC diff
+#: then an AC band per block — mapped to the table flavours that kind's
+#: decode loop indexes (``True`` = the AC flavour, ``False`` = the DC one).
+#: A decode-table bundle is built for one kind.
+SCAN_KINDS = {"dc": (False,), "ac": (True,), "mixed": (True, False)}
 
 
 class _LRUByteCache:
@@ -85,9 +80,7 @@ class _LRUByteCache:
 
     Every operation updates the ``<metrics>.*`` family on the default obs
     registry: ``hits_total`` / ``misses_total`` / ``evictions_total``
-    counters plus ``bytes`` and ``entries`` gauges.  Entries whose resident
-    cost grows after insertion (lazily built superscalar tables) are
-    re-accounted via :meth:`recharge`.
+    counters plus ``bytes`` and ``entries`` gauges.
 
     The budget bounds memory only if an entry is charged everything it
     pins and the cache holds the last long-lived reference to it: eviction
@@ -122,38 +115,28 @@ class _LRUByteCache:
         return entry[0]
 
     def put(self, key, value, nbytes: int) -> None:
-        with self._lock:
-            self._store(key, value, int(nbytes))
+        """(Re)insert ``key`` as most recent, then evict from the cold end.
 
-    def recharge(self, key, delta: int) -> None:
-        """Grow an entry's accounted size in place (lazy superscalar build).
-
-        A key evicted between the build and this call is simply ignored —
-        the built tables live exactly as long as the in-flight decode that
-        still holds the table, and are no longer the cache's to count.
+        A ``put`` on a held key replaces the entry and its charge (two
+        threads that miss on one key both build; the second's entry stands).
         """
+        nbytes = int(nbytes)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._store(key, entry[0], entry[1] + int(delta))
-
-    def _store(self, key, value, nbytes: int) -> None:
-        """(Re)insert ``key`` as most recent, then evict from the cold end."""
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._bytes -= previous[1]
-        self._entries[key] = (value, nbytes)
-        self._bytes += nbytes
-        # Always keep the most recent entry, even when it alone exceeds the
-        # budget: the caller is about to use it.
-        evicted = 0
-        while self._bytes > self.max_bytes and len(self._entries) > 1:
-            _, (_, freed) = self._entries.popitem(last=False)
-            self._bytes -= freed
-            evicted += 1
-        if evicted:
-            self._count("evictions", evicted)
-        self._sync_gauges()
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self._bytes -= previous[1]
+            self._entries[key] = (value, nbytes)
+            self._bytes += nbytes
+            # Always keep the most recent entry, even when it alone exceeds
+            # the budget: the caller is about to use it.
+            evicted = 0
+            while self._bytes > self.max_bytes and len(self._entries) > 1:
+                _, (_, freed) = self._entries.popitem(last=False)
+                self._bytes -= freed
+                evicted += 1
+            if evicted:
+                self._count("evictions", evicted)
+            self._sync_gauges()
 
     @property
     def resident_bytes(self) -> int:
@@ -163,11 +146,11 @@ class _LRUByteCache:
         return len(self._entries)
 
 
-#: Serialized-table-bytes key -> ``(HuffmanTable, bytes_consumed)``: the one
-#: table cache (see :meth:`HuffmanTable.cached_from_bytes`).  The budget is
-#: in real bytes — an entry is charged its key, its two-level LUTs and, once
-#: built, its pair/walk tables (≈ 260 KB all told) — so the default holds
-#: about a thousand tables, a hundred ten-scan images.
+#: ``(kind, serialized table bytes)`` -> ``(decode tables, bytes_consumed)``:
+#: the one table cache (see :meth:`HuffmanTable.cached_from_bytes`).  The
+#: budget is in real bytes — an entry is charged its key and the arrays it
+#: holds, 72 KiB for an AC scan's and 64 KiB for a DC scan's — so the
+#: default holds about 3 600 tables, 360 ten-scan images.
 _TABLE_CACHE = _LRUByteCache(
     "codec.table_cache",
     int(os.environ.get("REPRO_HUFFMAN_TABLE_CACHE_BYTES", 256 << 20)),
@@ -181,14 +164,13 @@ class HuffmanTable:
     code_lengths: dict[int, int]
     _encode_map: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
     _decode_map: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-    _tables: "_TableSet | None" = field(default=None, repr=False, compare=False)
     _encode_arrays: "tuple[list[int], list[int]] | None" = field(
         default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         # Canonical code assignment.  The maps are filled once, here, and
-        # never mutated again: the lazily built table set reads them.
+        # never mutated again.
         ordered = sorted(self.code_lengths.items(), key=lambda kv: (kv[1], kv[0]))
         code = 0
         previous_length = 0
@@ -241,13 +223,7 @@ class HuffmanTable:
                 return symbol
         raise ValueError("invalid Huffman code in bit stream")
 
-    # -- table-driven fast paths -----------------------------------------------
-
-    def scan_tables(self) -> "_TableSet":
-        """Return the table set (fused AC/DC scan LUTs), built on first use."""
-        if self._tables is None:
-            self._tables = _build_table_set(self._encode_map)
-        return self._tables
+    # -- table-driven encode --------------------------------------------------
 
     def encode_arrays(self) -> tuple[list[int], list[int]]:
         """Return per-symbol ``(codes, lengths)`` arrays indexed by symbol.
@@ -297,6 +273,11 @@ class HuffmanTable:
         symbols = payload[symbols_start:symbols_end]
         if sum(counts) != n_symbols:
             raise ValueError("Huffman table length counts disagree with symbol count")
+        # Kraft: more codes than the lengths have room for is no prefix code
+        # (canonical assignment would overflow a length), whatever it decodes.
+        kraft = sum(count << (MAX_CODE_LENGTH - length) for length, count in enumerate(counts, 1))
+        if kraft > 1 << MAX_CODE_LENGTH:
+            raise ValueError("Huffman table length counts are over-subscribed")
         code_lengths: dict[int, int] = {}
         cursor = 0
         for length_minus_one, count in enumerate(counts):
@@ -308,156 +289,118 @@ class HuffmanTable:
         return cls(code_lengths=code_lengths), symbols_end
 
     @classmethod
-    def cached_from_bytes(cls, payload: bytes) -> tuple["HuffmanTable", int]:
-        """Like :meth:`from_bytes`, but cached on the serialized table bytes.
+    def cached_from_bytes(cls, payload: bytes, kind: str) -> tuple[tuple, int]:
+        """Decode tables of a serialized table, for one kind of scan, cached.
 
-        The only cached route to a table.  A repeated decode of a scan
-        (the same image in a later epoch) reuses the deserialized table
-        *with its LUTs already built*; tables do not recur across scans or
-        images, each scan carries its own optimised one.  The returned
-        table must be treated as read-only.
+        Returns ``(tables, bytes_consumed)`` where ``tables`` is what
+        :func:`_build_super_tables` builds for ``kind`` (a key of
+        ``SCAN_KINDS``).  The only cached route, keyed on ``(kind,
+        serialized table bytes)``: a repeated decode of a scan (the same
+        image in a later epoch) reuses the built arrays; tables do not
+        recur across scans or images, each scan carries its own optimised
+        one.  The arrays are shared and must be treated as read-only.
         """
         if len(payload) < 2 + MAX_CODE_LENGTH:
             raise ValueError("Huffman table payload too short")
         (n_symbols,) = struct.unpack("<H", payload[:2])
-        key = bytes(payload[: 2 + MAX_CODE_LENGTH + n_symbols])
+        serialized = bytes(payload[: 2 + MAX_CODE_LENGTH + n_symbols])
+        key = (kind, serialized)
         cached = _TABLE_CACHE.get(key)
         if cached is None:
             table, consumed = cls.from_bytes(payload)
-            tables = table.scan_tables()
-            # The pair/walk tables are built lazily on the first fast
-            # decode; their cost joins this entry's charge then.  The
-            # closure holds the key only, so the cache entry stays the one
-            # long-lived reference to the table.  (Two threads missing on
-            # one key at once both build and both recharge the surviving
-            # entry: an over-count until it is evicted, never an under-count.)
-            tables._on_super_built = lambda: _TABLE_CACHE.recharge(
-                key, SUPER_TABLE_NBYTES
-            )
-            cached = (table, consumed)
-            _TABLE_CACHE.put(key, cached, len(key) + tables.nbytes())
+            tables = _build_super_tables(table._encode_map, kind)
+            cached = (tables, consumed)
+            # Charged once, exactly: the key's bytes and the arrays' (``array``
+            # has no ``nbytes``; both kinds have ``len`` and ``itemsize``).
+            nbytes = sum(len(table) * table.itemsize for table in tables)
+            _TABLE_CACHE.put(key, cached, len(serialized) + nbytes)
         return cached
 
 
-class _TableSet:
-    """All derived decode tables for one canonical Huffman code.
+def _run_and_category(symbol: int, ac: bool) -> tuple[int, int]:
+    """Split a coded symbol into (position advance, magnitude category).
 
-    Two packings of the same two-level (8-bit primary, 8-bit secondary)
-    LUT coexist, one per symbol alphabet.  In both flavours, entry 0 marks
-    an invalid prefix and a negative primary entry ``-(i + 1)`` points at
-    secondary table ``i``:
-
-    * ``ac_*`` — ``(run << 12) | (category << 6) | (code_length + category)``
-      with EOB mapped to ``run = 64`` (jumps past any band and ends the
-      block loop without a branch) and ZRL to ``run = 16``.  The low field
-      is the *fused* bit consumption of the code plus its magnitude bits.
-    * ``dc_*`` — ``(category << 12) | (code_length + category)`` where the
-      category is the full symbol value (DC deltas have no run nibble).
-
-    On top of these sit the lazily built *superscalar* pair tables
-    (:meth:`superscalar_tables`, one AC and one DC flavour):
-    ``SUPER_BITS``-bit-window LUTs whose entries fully decode up to two
-    (code + magnitude) symbols — see :func:`_build_super_tables` for the
-    packing — plus the de-interleaved AC *walk* products
-    (:meth:`walk_tables`) that drive the vectorized batch walk in
-    ``fastpath``.  They are built on the first superscalar decode of a
-    given table, not at construction, so encode-only and scalar users
-    never pay for them.
+    An AC symbol is a run/size byte, with EOB mapped to ``run = 64`` (jumps
+    past any band and ends the block loop without a branch) and ZRL to
+    ``run = 16``; a DC symbol is its category (DC diffs have no run nibble).
     """
-
-    __slots__ = (
-        "ac_primary",
-        "ac_secondary",
-        "dc_primary",
-        "dc_secondary",
-        "_encode_map",
-        "_super",
-        "_super_lock",
-        "_on_super_built",
-        "__weakref__",
-    )
-
-    def __init__(
-        self,
-        ac_primary: list[int],
-        ac_secondary: list[list[int]],
-        dc_primary: list[int],
-        dc_secondary: list[list[int]],
-        encode_map: dict[int, tuple[int, int]],
-    ) -> None:
-        self.ac_primary = ac_primary
-        self.ac_secondary = ac_secondary
-        self.dc_primary = dc_primary
-        self.dc_secondary = dc_secondary
-        self._encode_map = encode_map
-        self._super = None
-        self._super_lock = threading.Lock()
-        self._on_super_built = None
-
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the two-level LUTs (cache charge)."""
-        n_tables = 1 + len(self.ac_secondary)
-        return 2 * n_tables * (1 << LUT_BITS) * _BYTES_PER_SLOT
-
-    def superscalar_tables(self):
-        """Return ``(ac_pair, dc_pair)``, built lazily.
-
-        Each is an interleaved ``array('i')`` of ``2 << SUPER_BITS`` packed
-        entries: for a window ``w``, slot ``2 * w`` holds the first symbol
-        and slot ``2 * w + 1`` the second — see :func:`_build_super_tables`.
-        """
-        return self._super_products()[:2]
-
-    def walk_tables(self):
-        """Return ``(slots1, slots2, pairbits)`` for the batched AC walk.
-
-        ``slots1`` / ``slots2`` are ``numpy.int32`` arrays of ``1 << SUPER_BITS``
-        entries holding the first and second packed symbol per window (the
-        de-interleaved AC pair table; ``slots1`` keeps the 0 = invalid /
-        ``-1`` = fallback sentinels).  ``pairbits`` is a ``numpy.uint8``
-        array whose entry is the *total* bit consumption of every symbol
-        that fully fits in the window — the stride of one walk step — and
-        0 where the walk must escape to the two-level path (invalid prefix
-        or oversized first code).  Built with, and kept alongside, the
-        pair tables.
-        """
-        return self._super_products()[2:]
-
-    def _super_products(self):
-        tables = self._super
-        if tables is None:
-            with self._super_lock:
-                tables = self._super
-                if tables is None:
-                    tables = _build_super_tables(self._encode_map)
-                    self._super = tables
-                    callback = self._on_super_built
-                    if callback is not None:
-                        callback()
-        return tables
+    if not ac:
+        return 0, symbol
+    if symbol == 0x00:
+        return 64, 0
+    if symbol == 0xF0:
+        return 16, 0
+    return symbol >> 4, symbol & 0x0F
 
 
-def _build_super_tables(encode_map: dict[int, tuple[int, int]]):
-    """Build the wide-window superscalar pair LUTs (AC and DC flavours).
+def _plain_entry(symbol: int, length: int, ac: bool) -> int:
+    """``consume | (category << 12) | (run << 20)`` for one coded symbol.
 
-    Returns ``(ac_pair, dc_pair, slots1, slots2, pairbits)``.  The first two
-    are *interleaved* tables of ``2 << SUPER_BITS`` entries, one per
-    flavour.  For a window ``w`` of the next ``SUPER_BITS`` stream bits
-    (MSB-first), slot ``2 * w`` fully decodes the first symbol in the
-    window and slot ``2 * w + 1`` the symbol that follows it — nonzero only
-    when that second symbol's code + magnitude also fit in the window.  One
-    index computation (the decode loops probe ``pair[w2]`` then
-    ``pair[w2 | 1]`` with ``w2 = 2 * w``) resolves up to two complete
-    symbols, and interleaving keeps both slots on one cache line.
+    What a decode loop needs to finish a symbol whose magnitude bits the
+    window does not hold: ``consume`` is the *fused* bit consumption of
+    the code plus its magnitude bits (up to 16 + 255 for a pathological
+    DC category, hence 12 bits), and the magnitude is read from the
+    stream.  It is stored negated, and only where ``consume`` exceeds
+    ``SUPER_BITS``, so it never collides with the ``0`` / ``-1`` first-slot
+    sentinels.
+    """
+    run, category = _run_and_category(symbol, ac)
+    return (length + category) | (category << 12) | (run << 20)
 
-    ``slots1`` / ``slots2`` / ``pairbits`` are the de-interleaved AC-flavour
-    walk products documented on :meth:`_TableSet.walk_tables`.
+
+def long_code_entry(long_codes, bits16: int, ac: bool) -> int:
+    """Resolve a ``-1`` window: a code longer than ``SUPER_BITS`` (cold).
+
+    ``long_codes`` is the bundle's packed ``(code << 13) | (length << 8) |
+    symbol`` array and ``bits16`` the next 16 stream bits.  Returns the
+    negated plain entry of the code that prefixes them — what the window
+    table itself stores for an oversized magnitude — or ``0`` when none
+    does (invalid prefix).
+    """
+    for packed in long_codes:
+        length = (packed >> 8) & 31
+        if bits16 >> (MAX_CODE_LENGTH - length) == packed >> 13:
+            return -_plain_entry(packed & 0xFF, length, ac)
+    return 0
+
+
+def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tuple:
+    """Build the wide-window superscalar decode tables one kind of scan reads.
+
+    Returns a tuple of arrays, by ``kind``:
+
+    * ``"dc"`` — ``(dc_pair, long_codes)``
+    * ``"ac"`` — ``(slots1, slots2, pairbits, long_codes)``
+    * ``"mixed"`` — ``(ac_pair, dc_pair, long_codes)``
+
+    ``ac_pair`` / ``dc_pair`` are *interleaved* ``array('i')`` tables of
+    ``2 << SUPER_BITS`` entries, one per flavour.  For a window ``w`` of the
+    next ``SUPER_BITS`` stream bits (MSB-first), slot ``2 * w`` fully
+    decodes the first symbol in the window and slot ``2 * w + 1`` the
+    symbol that follows it — nonzero only when that second symbol's code +
+    magnitude also fit in the window.  One index computation (the decode
+    loops probe ``pair[w2]`` then ``pair[w2 | 1]`` with ``w2 = 2 * w``)
+    resolves up to two complete symbols, and interleaving keeps both slots
+    on one cache line.
+
+    ``slots1`` / ``slots2`` / ``pairbits`` are the same AC-flavour entries
+    de-interleaved for the batched walk in ``fastpath``: two ``numpy.int32``
+    arrays of ``1 << SUPER_BITS`` entries holding the first and second slot
+    per window, and a ``numpy.uint8`` array whose entry is the *total* bit
+    consumption of every symbol that fully fits in the window — the stride
+    of one walk step — and 0 where the walk must escape (first slot <= 0).
+
+    ``long_codes`` is an ``array('i')`` of the code's few (usually no)
+    codes longer than ``SUPER_BITS``, packed for :func:`long_code_entry`.
 
     First-slot entries: ``0`` — invalid prefix (``ValueError``); ``-1`` —
-    the first symbol's code + magnitude exceed 16 bits and the decode loop
-    must fall back to the two-level path; otherwise a packed symbol.
-    Second-slot entries: ``0`` — no second symbol fit; otherwise a packed
-    symbol.  A packed symbol is ``consume | (posdelta << 5) | (voff << 12)``:
+    the window is a prefix of codes longer than itself, resolved by
+    :func:`long_code_entry`; ``< -1`` — the first code fits the window but
+    its code + magnitude do not: the negated :func:`_plain_entry` of that
+    symbol, from which the decode loop reads the magnitude off the stream;
+    otherwise a packed symbol.  Second-slot entries: ``0`` — no second
+    symbol fit; otherwise a packed symbol.  A packed symbol is
+    ``consume | (posdelta << 5) | (voff << 12)``:
 
     * ``consume`` (bits 0–4): fused code + magnitude bit consumption,
       *per symbol* — the second symbol's bits are only consumed if the
@@ -490,6 +433,44 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]]):
     probe's working set cache-resident) and faster to build (one memcpy
     from the NumPy int32 buffer instead of 131072 ``PyLong`` boxes).
 
+    Only the flavour(s) the kind's loop indexes are built: every scan of
+    every image brings its own table, so a structure no scan of that kind
+    reads is pure build time and resident memory (docs/performance.md has
+    the numbers).
+    """
+    long_codes = array(
+        "i",
+        sorted(
+            (code << 13) | (length << 8) | symbol
+            for symbol, (code, length) in encode_map.items()
+            if length > SUPER_BITS
+        ),
+    )
+    size = 1 << SUPER_BITS
+    slots = [_window_slots(encode_map, ac) for ac in SCAN_KINDS[kind]]
+    if kind == "ac":
+        # One 72 KiB block per bundle, not three arrays: interleaved in the
+        # malloc heap with the build's 64 KiB temporaries, separate 32 / 32 /
+        # 8 KiB arrays cost 31 % more resident memory than the cache charges
+        # (measured over 2 300 entries); one block costs 3 %.
+        block = np.empty(9 * size, dtype=np.uint8)
+        slots1 = block[: 4 * size].view(np.int32)
+        slots2 = block[4 * size : 8 * size].view(np.int32)
+        pairbits = block[8 * size :]
+        slots1[:], slots2[:], pairbits[:] = slots[0]
+        return slots1, slots2, pairbits, long_codes
+    pairs = []
+    for first, second, _ in slots:
+        interleaved = np.empty(2 * size, dtype=np.int32)
+        interleaved[0::2] = first
+        interleaved[1::2] = second
+        pairs.append(array("i", interleaved.tobytes()))
+    return (*pairs, long_codes)
+
+
+def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):
+    """First slots, second slots and walk strides of one flavour, per window.
+
     Pairing is resolved in-table: the window shifted left by the first
     symbol's consumption (zero-filled) is probed against the same table,
     and the hit is kept only when the second symbol's consumption fits in
@@ -497,145 +478,53 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]]):
     the zero-filled probe resolved the true next symbol.
 
     Built with NumPy slice fills per code (a few hundred range assignments
-    instead of ~200k Python loop iterations per flavour).
+    instead of ~200k Python loop iterations).
     """
-    import numpy as np
-
     size = 1 << SUPER_BITS
-    window = np.arange(size, dtype=np.int64)
-    tables: list[array] = []
-    for flavour in ("ac", "dc"):
-        consume = np.zeros(size, dtype=np.int64)
-        posdelta = np.zeros(size, dtype=np.int64)
-        value = np.zeros(size, dtype=np.int64)
-        valid = np.zeros(size, dtype=bool)
-        fallback = np.zeros(size, dtype=bool)
-        for symbol, (code, length) in encode_map.items():
-            if flavour == "ac":
-                if symbol == 0x00:  # EOB: jump past any band
-                    sym_run, category = 64, 0
-                elif symbol == 0xF0:  # ZRL: skip 16 zeros
-                    sym_run, category = 16, 0
-                else:
-                    sym_run, category = symbol >> 4, symbol & 0x0F
-            else:
-                sym_run, category = 0, symbol
-            if length > SUPER_BITS:
-                # The code itself overflows the window: every window whose
-                # bits are a prefix of this code (exactly one, since the
-                # code is longer) must escape to the two-level path.
-                fallback[code >> (length - SUPER_BITS)] = True
-                continue
-            span = 1 << (SUPER_BITS - length)
-            base = code << (SUPER_BITS - length)
-            window_slice = slice(base, base + span)
-            # Guard before any `1 << category` shift: DC categories are raw
-            # symbol values (up to 255) and would overflow int64.
-            if length + category > SUPER_BITS:
-                fallback[window_slice] = True
-                continue
-            consume[window_slice] = length + category
-            if flavour == "ac":
-                posdelta[window_slice] = sym_run + (1 if category else 0)
-            valid[window_slice] = True
-            if category:
-                shift = SUPER_BITS - length - category
-                magnitude = (np.arange(span, dtype=np.int64) >> shift) & (
-                    (1 << category) - 1
-                )
-                signed = np.where(
-                    magnitude >= (1 << (category - 1)),
-                    magnitude,
-                    magnitude - ((1 << category) - 1),
-                )
-                value[window_slice] = signed + SUPER_VALUE_OFFSET
-            elif flavour == "dc":
-                value[window_slice] = SUPER_VALUE_OFFSET
-        first = np.where(valid, consume | (posdelta << 5) | (value << 12), 0)
-        shifted = (window << consume) & (size - 1)
-        second = first[shifted]
-        second_consume = second & 31
-        pair = (
-            valid
-            & (second_consume > 0)
-            & (consume + second_consume <= SUPER_BITS)
-        )
-        first_entries = np.where(
-            valid, first, np.where(fallback, np.int64(-1), np.int64(0))
-        )
-        second_entries = np.where(pair, second, 0)
-        interleaved = np.empty(2 * size, dtype=np.int32)
-        interleaved[0::2] = first_entries.astype(np.int32)
-        interleaved[1::2] = second_entries.astype(np.int32)
-        tables.append(array("i", interleaved.tobytes()))
-        if flavour == "ac":
-            # Walk products: the stride of a walk step is the total bits of
-            # every symbol that fit (0 = escape), and the de-interleaved
-            # slots let the batched decode gather both symbols per probe.
-            slots1 = first_entries.astype(np.int32)
-            slots2 = second_entries.astype(np.int32)
-            pairbits = np.where(
-                pair,
-                consume + second_consume,
-                np.where(valid, consume, 0),
-            ).astype(np.uint8)
-    return tables[0], tables[1], slots1, slots2, pairbits
-
-
-def _build_table_set(encode_map: dict[int, tuple[int, int]]) -> _TableSet:
-    """Build both two-level decode LUT flavours from a code map.
-
-    The prefix property of Huffman codes guarantees a primary slot is either
-    filled by exactly one short code or is the 8-bit prefix of only long
-    codes, so the fill ranges never collide.
-    """
-    secondary_width = 1 << (MAX_CODE_LENGTH - LUT_BITS)
-    ac_primary = [0] * (1 << LUT_BITS)
-    dc_primary = [0] * (1 << LUT_BITS)
-    ac_secondary: list[list[int]] = []
-    dc_secondary: list[list[int]] = []
-    prefix_to_secondary: dict[int, int] = {}
+    consume = np.zeros(size, dtype=np.int64)
+    posdelta = np.zeros(size, dtype=np.int64)
+    value = np.zeros(size, dtype=np.int64)
+    valid = np.zeros(size, dtype=bool)
+    escape = np.zeros(size, dtype=np.int64)
     for symbol, (code, length) in encode_map.items():
-        if symbol == 0x00:  # EOB: jump past any band
-            ac_run, ac_category = 64, 0
-        elif symbol == 0xF0:  # ZRL: skip 16 zeros
-            ac_run, ac_category = 16, 0
-        else:
-            ac_run, ac_category = symbol >> 4, symbol & 0x0F
-        ac_entry = (ac_run << 12) | (ac_category << 6) | (length + ac_category)
-        dc_entry = (symbol << 12) | (length + symbol)
-        if length <= LUT_BITS:
-            base = code << (LUT_BITS - length)
-            span = 1 << (LUT_BITS - length)
-            for index in range(base, base + span):
-                ac_primary[index] = ac_entry
-                dc_primary[index] = dc_entry
-        else:
-            prefix = code >> (length - LUT_BITS)
-            table_index = prefix_to_secondary.get(prefix)
-            if table_index is None:
-                table_index = len(ac_secondary)
-                prefix_to_secondary[prefix] = table_index
-                ac_secondary.append([0] * secondary_width)
-                dc_secondary.append([0] * secondary_width)
-                pointer = -(table_index + 1)
-                ac_primary[prefix] = pointer
-                dc_primary[prefix] = pointer
-            tail = code & ((1 << (length - LUT_BITS)) - 1)
-            base = tail << (MAX_CODE_LENGTH - length)
-            span = 1 << (MAX_CODE_LENGTH - length)
-            for index in range(base, base + span):
-                ac_secondary[table_index][index] = ac_entry
-                dc_secondary[table_index][index] = dc_entry
-    return _TableSet(
-        ac_primary=ac_primary,
-        ac_secondary=ac_secondary,
-        dc_primary=dc_primary,
-        dc_secondary=dc_secondary,
-        # The owning table's own map (a set has exactly one owner, which
-        # never mutates it): the lazy superscalar build reads it.
-        encode_map=encode_map,
-    )
+        if length > SUPER_BITS:
+            # The code itself overflows the window: the one window whose
+            # bits are a prefix of it goes to the long-code helper.
+            escape[code >> (length - SUPER_BITS)] = -1
+            continue
+        run, category = _run_and_category(symbol, ac)
+        span = 1 << (SUPER_BITS - length)
+        base = code << (SUPER_BITS - length)
+        window_slice = slice(base, base + span)
+        # Guard before any `1 << category` shift: DC categories are raw
+        # symbol values (up to 255) and would overflow int64.
+        if length + category > SUPER_BITS:
+            escape[window_slice] = -_plain_entry(symbol, length, ac)
+            continue
+        consume[window_slice] = length + category
+        if ac:
+            posdelta[window_slice] = run + (1 if category else 0)
+        valid[window_slice] = True
+        if category:
+            shift = SUPER_BITS - length - category
+            magnitude = (np.arange(span, dtype=np.int64) >> shift) & ((1 << category) - 1)
+            signed = np.where(
+                magnitude >= (1 << (category - 1)),
+                magnitude,
+                magnitude - ((1 << category) - 1),
+            )
+            value[window_slice] = signed + SUPER_VALUE_OFFSET
+        elif not ac:
+            value[window_slice] = SUPER_VALUE_OFFSET
+    first = np.where(valid, consume | (posdelta << 5) | (value << 12), 0)
+    shifted = (np.arange(size, dtype=np.int64) << consume) & (size - 1)
+    second = first[shifted]
+    second_consume = second & 31
+    pair = valid & (second_consume > 0) & (consume + second_consume <= SUPER_BITS)
+    # The stride of a walk step is the total bits of every symbol that fit
+    # (0 = escape).
+    pairbits = np.where(pair, consume + second_consume, np.where(valid, consume, 0))
+    return np.where(valid, first, escape), np.where(pair, second, 0), pairbits
 
 
 def _package_merge_lengths(counts: Counter, max_length: int) -> dict[int, int]:

@@ -212,8 +212,8 @@ def _decode_chunk(shm, max_scans, jobs) -> None:
 def _decode_prewarm(quality: int) -> None:
     """Run every decode build path once (table LUTs, scaled bases, scratch).
 
-    One round-trip decode of a tiny image imports and exercises the two-level
-    and pair/walk table builds, the walk, the epilogue and the pixel path, so
+    One round-trip decode of a tiny image imports and exercises the DC and
+    AC decode-table builds, the walk, the epilogue and the pixel path, so
     a worker's first real chunk meets no first-call cost.  It does *not*
     warm tables for real streams: every scan of every image carries its own
     optimised Huffman table, so the first decode of an image builds that

@@ -180,17 +180,25 @@ class TestHuffman:
         assert [restored.decode_symbol(reader) for _ in symbols] == symbols
 
     def test_lut_rejects_invalid_prefix(self):
-        # A single-symbol table assigns only code "0" (length 1); every bit
-        # pattern starting with "1" hits an unfilled primary slot and must
-        # be rejected, exactly as the dict probe rejects it.
+        import numpy as np
+
+        from repro.codecs.huffman import SUPER_BITS, _window_slots
+
+        # A single-symbol table assigns only code "0" (length 1); every
+        # window starting with "1" is an empty first slot with a zero walk
+        # stride in both flavours, exactly as the dict probe rejects it.
         table = HuffmanTable(code_lengths={7: 1})
-        tables = table.scan_tables()
-        assert tables.ac_primary[0xFF] == tables.dc_primary[0xFF] == 0
+        for ac in (True, False):
+            first, second, pairbits = _window_slots(table._encode_map, ac)
+            upper = slice(1 << (SUPER_BITS - 1), None)
+            assert not first[upper].any() and not pairbits[upper].any()
+            assert np.all(first[: 1 << (SUPER_BITS - 1)] != 0)
         with pytest.raises(ValueError, match="invalid Huffman code"):
             table.decode_symbol(BitReader(b"\xff\xff"))
         # A complete code (every prefix decodable) leaves no empty slots.
-        complete = HuffmanTable.from_symbols([1, 1, 1, 2]).scan_tables()
-        assert all(entry != 0 for entry in complete.ac_primary + complete.dc_primary)
+        complete = HuffmanTable.from_symbols([1, 1, 1, 2])
+        for ac in (True, False):
+            assert np.all(_window_slots(complete._encode_map, ac)[0] != 0)
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)
@@ -210,13 +218,59 @@ class TestHuffman:
         assert HuffmanTable.from_counts({9: 4}).code_lengths == {9: 1}
 
     def test_cached_from_bytes_returns_equivalent_table(self):
+        import numpy as np
+
+        from repro.codecs.huffman import _build_super_tables
+
         table = HuffmanTable.from_symbols([0, 0, 1, 1, 1, 2, 3, 3, 3, 3, 4])
         payload = table.to_bytes()
-        first, consumed_first = HuffmanTable.cached_from_bytes(payload + b"tail")
-        second, consumed_second = HuffmanTable.cached_from_bytes(payload + b"liat")
+        first, consumed_first = HuffmanTable.cached_from_bytes(payload + b"tail", "ac")
+        second, consumed_second = HuffmanTable.cached_from_bytes(payload + b"liat", "ac")
         assert consumed_first == consumed_second == len(payload)
-        assert first.code_lengths == table.code_lengths
         assert first is second  # served from the table cache
+        # The cached bundle is what the caller's own table would build.
+        for cached, built in zip(first, _build_super_tables(table._encode_map, "ac")):
+            assert np.array_equal(cached, built)
+
+    # -- over-subscribed length counts (Kraft sum > 1) ---------------------------
+
+    @staticmethod
+    def _payload(counts) -> bytes:
+        import struct
+
+        n_symbols = sum(counts)
+        return struct.pack("<H", n_symbols) + bytes(counts) + bytes(range(n_symbols))
+
+    def test_from_bytes_rejects_oversubscribed_lengths(self):
+        # Every symbol at length 1 is what one flipped byte of a DHT gives;
+        # a complete code (Kraft sum exactly 1) is the boundary and stays.
+        for counts in ([3], [1, 2, 1], [0, 4, 1], [1, 1, 1, 3]):
+            with pytest.raises(ValueError, match="over-subscribed"):
+                HuffmanTable.from_bytes(self._payload(counts + [0] * (16 - len(counts))))
+        for counts in ([2], [1, 2], [0, 4], [1, 1, 1, 2], [0] * 8 + [255]):
+            HuffmanTable.from_bytes(self._payload(counts + [0] * (16 - len(counts))))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_bytes_accepts_exactly_the_kraft_feasible_counts(self, data):
+        from fractions import Fraction
+
+        # A feasible vector (each count fits the room the shorter lengths
+        # left), then up to three more codes at one length: about half the
+        # draws stay a prefix code, the rest are over-subscribed.
+        counts, room = [], Fraction(1)
+        for index in range(16):
+            count = data.draw(st.integers(0, min(int(room * (2 << index)), 12)))
+            room -= Fraction(count, 2 << index)
+            counts.append(count)
+        counts[data.draw(st.integers(0, 15))] += data.draw(st.integers(0, 3))
+        kraft = sum(Fraction(count, 2 << index) for index, count in enumerate(counts))
+        try:
+            HuffmanTable.from_bytes(self._payload(counts))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (kraft <= 1)
 
 
 class TestMagnitudeCoding:
@@ -296,7 +350,7 @@ class TestRunLengthCoding:
 
 
 class TestSuperscalarTables:
-    """Structural invariants of the lazily built superscalar pair/walk LUTs."""
+    """Structural invariants of the superscalar window tables, per scan kind."""
 
     @staticmethod
     def _table():
@@ -311,33 +365,43 @@ class TestSuperscalarTables:
         )
         return HuffmanTable.from_symbols(symbols)
 
+    @classmethod
+    def _walk_tables(cls, table=None):
+        from repro.codecs.huffman import _build_super_tables
+
+        return _build_super_tables((table or cls._table())._encode_map, "ac")[:3]
+
     def test_pair_table_shapes(self):
         import numpy as np
-        from repro.codecs.huffman import SUPER_BITS
+        from repro.codecs.huffman import SUPER_BITS, _build_super_tables
 
-        tables = self._table().scan_tables()
-        ac_pair, dc_pair = tables.superscalar_tables()
+        encode_map = self._table()._encode_map
+        ac_pair, dc_pair, long_codes = _build_super_tables(encode_map, "mixed")
         assert len(ac_pair) == 2 << SUPER_BITS
         assert len(dc_pair) == 2 << SUPER_BITS
-        slots1, slots2, pairbits = tables.walk_tables()
+        assert len(long_codes) == 0
+        slots1, slots2, pairbits, _ = _build_super_tables(encode_map, "ac")
         assert len(slots1) == len(slots2) == len(pairbits) == 1 << SUPER_BITS
         assert slots1.dtype == np.int32
         assert slots2.dtype == np.int32
         assert pairbits.dtype == np.uint8
-        # The walk slots are the de-interleaved AC pair table.
+        # The walk slots are the de-interleaved AC pair table, and a DC-only
+        # scan's one table is the mixed scan's DC flavour.
         interleaved = np.frombuffer(bytes(ac_pair), dtype=np.int32)
         assert np.array_equal(slots1, interleaved[0::2])
         assert np.array_equal(slots2, interleaved[1::2])
+        only_dc, _ = _build_super_tables(encode_map, "dc")
+        assert only_dc == dc_pair
 
     def test_pairbits_is_sum_of_fitting_consumes(self):
         import numpy as np
 
-        slots1, slots2, pairbits = self._table().scan_tables().walk_tables()
+        slots1, slots2, pairbits = self._walk_tables()
         valid = slots1 > 0
         # Stride of one walk step == first consume + second consume (when a
-        # second symbol fit); escape windows (invalid prefix / fallback)
-        # must have stride 0 so the walk stalls and the scalar path takes
-        # over at exactly that bit offset.
+        # second symbol fit); escape windows (invalid prefix / oversized /
+        # long code) must have stride 0 so the walk stalls and the escape
+        # takes over at exactly that bit offset.
         expected = (slots1 & 31) + np.where(slots2 != 0, slots2 & 31, 0)
         assert np.array_equal(pairbits[valid], expected[valid].astype(np.uint8))
         assert not pairbits[~valid].any()
@@ -348,15 +412,23 @@ class TestSuperscalarTables:
     def test_pair_windows_fit_in_window(self):
         from repro.codecs.huffman import SUPER_BITS
 
-        slots1, slots2, pairbits = self._table().scan_tables().walk_tables()
+        slots1, slots2, pairbits = self._walk_tables()
         assert int(pairbits.max()) <= SUPER_BITS
 
     def test_deep_code_table_builds_fallback_windows(self):
         import numpy as np
 
-        # A complete canonical code with 16-bit leaves: windows whose first
-        # code + magnitude exceed the probe width must carry the -1
-        # fallback sentinel with a zero stride, not crash the build.
+        from repro.codecs.huffman import (
+            SUPER_BITS,
+            _build_super_tables,
+            _plain_entry,
+            long_code_entry,
+        )
+
+        # A complete canonical code with 16-bit leaves: a window under a
+        # code longer than itself carries the -1 sentinel, one whose first
+        # code fits but whose code + magnitude do not carries that symbol's
+        # negated plain entry — both with a zero stride and no second slot.
         lengths = {}
         symbols = iter(range(1, 250))
         for length in range(1, 15):
@@ -365,48 +437,123 @@ class TestSuperscalarTables:
         lengths[next(symbols)] = 16
         lengths[next(symbols)] = 16
         table = HuffmanTable(code_lengths=lengths)
-        slots1, slots2, pairbits = table.scan_tables().walk_tables()
-        fallback = slots1 == -1
-        assert fallback.any()
-        assert not pairbits[fallback].any()
-        assert not slots2[fallback].any()
+        slots1, slots2, pairbits, long_codes = _build_super_tables(table._encode_map, "ac")
+        escapes = slots1 < 0
+        assert (slots1 == -1).any() and (slots1 < -1).any()
+        assert not pairbits[escapes].any()
+        assert not slots2[escapes].any()
         assert np.all(slots1[slots1 > 0] < (1 << 29))
+        # Symbol 12 (run 0, category 12) has the 12-bit code 1111 1111 1110.
+        code, length = table._encode_map[12]
+        assert length == 12
+        assert slots1[code << (SUPER_BITS - length)] == -_plain_entry(12, 12, True)
+        # The four codes longer than the window all sit under the all-ones
+        # window, and the helper tells them apart by the next 16 bits.
+        assert len(long_codes) == 4 and (slots1 == -1).sum() == 1
+        for symbol, (code, length) in table._encode_map.items():
+            if length > SUPER_BITS:
+                assert slots1[code >> (length - SUPER_BITS)] == -1
+                for ac in (True, False):
+                    assert long_code_entry(long_codes, code << (16 - length), ac) == -_plain_entry(
+                        symbol, length, ac
+                    )
+
+
+def _decode_dc_then_ac(table_bytes: bytes):
+    """Decode one DC-only and one AC-only scan that carry the same table.
+
+    Returns the decoded luma plane of a 32-px image whose DC scan holds 16
+    zero diffs but the first (+1) and whose AC scan (band 1..20) holds one
+    coefficient per block, both coded with the table ``{0x00: 1, 0x01: 2}``
+    serialized in ``table_bytes``.
+    """
+    import numpy as np
+
+    from repro.codecs.fastpath import decode_scan_bodies_fast
+    from repro.codecs.image import ImageBuffer
+    from repro.codecs.markers import (
+        SUBSAMPLING_420,
+        ScanHeader,
+        find_scan_segments,
+        write_scan_segment,
+    )
+    from repro.codecs.progressive import empty_coefficients, image_to_coefficients
+
+    header = image_to_coefficients(
+        ImageBuffer.from_array(np.zeros((32, 32, 3), dtype=np.uint8)),
+        quality=90,
+        subsampling=SUBSAMPLING_420,
+    ).header
+    table, _ = HuffmanTable.from_bytes(table_bytes)
+    dc_bits, ac_bits = BitWriter(), BitWriter()
+    table.encode_symbol(0x01, dc_bits)  # category 1, magnitude bit 1: +1
+    dc_bits.write_bits(1, 1)
+    for _ in range(15):
+        table.encode_symbol(0x00, dc_bits)  # category 0: diff 0
+    for _ in range(16):
+        table.encode_symbol(0x01, ac_bits)  # run 0, category 1, bit 0: -1
+        ac_bits.write_bits(0, 1)
+        table.encode_symbol(0x00, ac_bits)  # EOB
+    stream = b"".join(
+        [
+            b"\xff\xd8",
+            header.to_bytes(),
+            write_scan_segment(ScanHeader((0,), 0, 0), table_bytes + dc_bits.getvalue()),
+            write_scan_segment(ScanHeader((0,), 1, 20), table_bytes + ac_bits.getvalue()),
+        ]
+    )
+    coefficients = empty_coefficients(header)
+    decode_scan_bodies_fast(stream, find_scan_segments(stream), coefficients)
+    return coefficients.planes[0]
+
+
+def _held_bytes(cache) -> int:
+    """What the cache's entries pin, computed from the arrays they hold."""
+    return sum(
+        len(serialized) + sum(len(table) * table.itemsize for table in tables)
+        for (_, serialized), ((tables, _), _) in cache._entries.items()
+    )
 
 
 class TestHuffmanTableCaches:
     """The one byte-bounded LRU table cache behind ``cached_from_bytes``."""
 
-    def test_super_build_recharges_lut_cache(self):
-        from repro.codecs.huffman import SUPER_TABLE_NBYTES, _TABLE_CACHE
-        from repro.obs import get_registry
+    def test_one_table_two_kinds_two_entries(self):
+        import numpy as np
 
-        # A code-length set no other test uses, so the first fetch is cold.
-        payload = HuffmanTable(
-            code_lengths={0x00: 1, 0xA3: 2, 0xB7: 3, 0xC9: 4, 0xD1: 4}
-        ).to_bytes()
-        gauge = get_registry().gauge("codec.table_cache.bytes")
-        outside = _TABLE_CACHE.resident_bytes
-        table, _ = HuffmanTable.cached_from_bytes(payload)
-        tables = table.scan_tables()
-        # Charged at insert: the key and the two-level LUTs.
-        before = gauge.value
-        assert before == _TABLE_CACHE.resident_bytes
-        assert before == outside + len(payload) + tables.nbytes()
-        tables.superscalar_tables()
-        assert gauge.value == before + SUPER_TABLE_NBYTES
-        # The lazy build runs once; further calls return the built arrays.
-        tables.walk_tables()
-        assert gauge.value == before + SUPER_TABLE_NBYTES
+        from repro.codecs.huffman import SUPER_BITS, _TABLE_CACHE
 
-    def test_uncached_table_owns_its_set_and_charges_nothing(self):
+        # A table no other test serializes (symbol order is part of the key).
+        table_bytes = HuffmanTable(code_lengths={0x00: 1, 0x01: 2}).to_bytes()
+        assert ("dc", table_bytes) not in _TABLE_CACHE._entries
+        entries_before, bytes_before = len(_TABLE_CACHE), _TABLE_CACHE.resident_bytes
+        luma = _decode_dc_then_ac(table_bytes)
+        assert np.array_equal(luma[:, 0], np.ones(16)) and np.all(luma[:, 1] == -1)
+        assert not luma[:, 2:].any()
+        assert len(_TABLE_CACHE) == entries_before + 2
+        dc_entry = _TABLE_CACHE._entries[("dc", table_bytes)]
+        ac_entry = _TABLE_CACHE._entries[("ac", table_bytes)]
+        # Each is charged at the miss, exactly its key and its own arrays.
+        assert dc_entry[1] == len(table_bytes) + (8 << SUPER_BITS)
+        assert ac_entry[1] == len(table_bytes) + (9 << SUPER_BITS)
+        assert _TABLE_CACHE.resident_bytes == bytes_before + dc_entry[1] + ac_entry[1]
+        # A second decode is two hits and builds nothing.
+        _decode_dc_then_ac(table_bytes)
+        assert _TABLE_CACHE._entries[("dc", table_bytes)] is dc_entry
+        assert _TABLE_CACHE.resident_bytes == bytes_before + dc_entry[1] + ac_entry[1]
+
+    def test_uncached_table_charges_nothing(self):
+        """Parsing, scalar coding and the encode arrays never touch the cache."""
         from repro.codecs.huffman import _TABLE_CACHE
 
         lengths = {0x00: 1, 0xA4: 2, 0xB8: 3, 0xCA: 4, 0xD2: 4}
         before = (_TABLE_CACHE.resident_bytes, len(_TABLE_CACHE))
-        first, second = HuffmanTable(code_lengths=lengths), HuffmanTable(code_lengths=lengths)
-        first.scan_tables().walk_tables()
-        assert first.scan_tables() is first.scan_tables()
-        assert first.scan_tables() is not second.scan_tables()
+        table = HuffmanTable(code_lengths=lengths)
+        restored, _ = HuffmanTable.from_bytes(table.to_bytes())
+        writer = BitWriter()
+        table.encode_symbol(0xCA, writer)
+        assert restored.decode_symbol(BitReader(writer.getvalue())) == 0xCA
+        table.encode_arrays()
         assert (_TABLE_CACHE.resident_bytes, len(_TABLE_CACHE)) == before
 
     def test_cached_from_bytes_hits_payload_cache(self):
@@ -419,75 +566,160 @@ class TestHuffmanTableCaches:
         hits = get_registry().counter("codec.table_cache.hits_total")
         misses = get_registry().counter("codec.table_cache.misses_total")
         misses_before = misses.value
-        first, consumed = HuffmanTable.cached_from_bytes(payload + b"tail")
+        first, consumed = HuffmanTable.cached_from_bytes(payload + b"tail", "ac")
         assert misses.value == misses_before + 1
         hits_before = hits.value
-        second, consumed2 = HuffmanTable.cached_from_bytes(payload)
+        second, consumed2 = HuffmanTable.cached_from_bytes(payload, "ac")
         assert second is first
-        assert second.scan_tables() is first.scan_tables()
         assert consumed == consumed2 == len(payload)
         assert hits.value == hits_before + 1
         assert misses.value == misses_before + 1
+        # Another kind of scan is another entry: a miss, and other arrays.
+        other, _ = HuffmanTable.cached_from_bytes(payload, "dc")
+        assert misses.value == misses_before + 2
+        assert len(other) == 2 and len(first) == 4
+
+    @staticmethod
+    def _noise_streams(seed: int, count: int, size: int = 24) -> list:
+        import numpy as np
+
+        from repro.codecs.image import ImageBuffer
+        from repro.codecs.progressive import ProgressiveCodec
+
+        rng = np.random.default_rng(seed)
+        return [
+            ProgressiveCodec(quality=90).encode(
+                ImageBuffer.from_array(rng.integers(0, 256, (size, size, 3)).astype(np.uint8))
+            )
+            for _ in range(count)
+        ]
+
+    def test_cold_decode_charges_each_entry_exactly(self, monkeypatch):
+        """A ten-scan colour stream: one entry per scan, each of one kind."""
+        from repro.codecs import config
+        from repro.codecs.huffman import SUPER_BITS, _LRUByteCache
+        from repro.codecs import huffman
+        from repro.codecs.markers import find_scan_segments
+        from repro.codecs.progressive import decode_coefficients
+
+        cache = _LRUByteCache("testonly.cold", 64 << 20)
+        monkeypatch.setattr(huffman, "_TABLE_CACHE", cache)
+        (stream,) = self._noise_streams(43, 1, size=32)
+        assert len(find_scan_segments(stream)) == 10
+        with config.use_fastpath(True):
+            decode_coefficients(stream)
+        assert len(cache) == 10
+        kinds = [kind for kind, _ in cache._entries]
+        assert kinds.count("dc") == 1 and kinds.count("ac") == 9
+        for (kind, serialized), ((tables, _), charge) in cache._entries.items():
+            array_bytes = sum(len(table) * table.itemsize for table in tables)
+            assert charge == len(serialized) + array_bytes
+            n_long = len(tables[-1])
+            if kind == "ac":  # no DC array, no interleaved table
+                assert [len(table) for table in tables[:-1]] == [1 << SUPER_BITS] * 3
+                assert array_bytes == (9 << SUPER_BITS) + 4 * n_long
+            else:  # no AC array
+                assert [len(table) for table in tables[:-1]] == [2 << SUPER_BITS]
+                assert array_bytes == (8 << SUPER_BITS) + 4 * n_long
+        assert cache.resident_bytes == _held_bytes(cache)
+
+    def test_concurrent_misses_leave_an_exact_charge(self):
+        """Four threads, the same streams, all cold: no over-count."""
+        import sys
+        import threading
+
+        import numpy as np
+
+        from repro.codecs import config
+        from repro.codecs.huffman import _TABLE_CACHE
+        from repro.codecs.progressive import decode_coefficients
+        from repro.obs import get_registry
+
+        from repro.codecs.markers import find_scan_segments
+
+        streams = self._noise_streams(47, 3)  # a seed no other test decodes
+        keys = set()
+        for stream in streams:
+            for segment in find_scan_segments(stream):
+                body = stream[segment.payload_start : segment.end]
+                kind = "dc" if segment.header.spectral_end == 0 else "ac"
+                keys.add((kind, body[: 18 + int.from_bytes(body[:2], "little")]))
+        assert len(keys) >= 25 and len(keys - set(_TABLE_CACHE._entries)) >= 25  # cold
+        with config.use_fastpath(False):
+            expected = [decode_coefficients(stream)[0] for stream in streams]
+        results: dict = {}
+        barrier = threading.Barrier(4)
+
+        def work(slot: int) -> None:
+            with config.use_fastpath(True):
+                barrier.wait(timeout=30)
+                results[slot] = [decode_coefficients(stream)[0] for stream in streams]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for decoded in results.values():
+            for got, want in zip(decoded, expected):
+                for got_plane, want_plane in zip(got.planes, want.planes):
+                    assert np.array_equal(got_plane, want_plane)
+        # However many threads built a key, one entry stands and is charged once.
+        assert keys <= set(_TABLE_CACHE._entries)
+        gauge = get_registry().gauge("codec.table_cache.bytes")
+        assert gauge.value == _TABLE_CACHE.resident_bytes == _held_bytes(_TABLE_CACHE)
 
     def test_budget_bounds_what_the_cache_pins(self, monkeypatch):
         """The byte bound, checked from outside the cache's own accounting.
 
         Decoding streams that carry several budgets' worth of distinct
         tables must keep the charge under the budget, the charge must be
-        what the held entries really pin, and an evicted entry's tables
-        must be *collectable* — nothing else may keep them alive.
+        what the held entries really pin — computed from their arrays —
+        and an evicted entry's tables must be *collectable*: nothing else
+        may keep them alive.
         """
         import gc
         import weakref
 
-        import numpy as np
-
         from repro.codecs import config
-        from repro.codecs.huffman import SUPER_TABLE_NBYTES, _TABLE_CACHE
-        from repro.codecs.image import ImageBuffer
-        from repro.codecs.progressive import ProgressiveCodec, decode_coefficients
+        from repro.codecs.huffman import SUPER_BITS, _TABLE_CACHE
+        from repro.codecs.progressive import decode_coefficients
         from repro.obs import get_registry
 
-        budget = 2 << 20
+        budget = 1 << 20
         monkeypatch.setattr(_TABLE_CACHE, "max_bytes", budget)
         registry = get_registry()
         gauge = registry.gauge("codec.table_cache.bytes")
         misses = registry.counter("codec.table_cache.misses_total")
         evictions = registry.counter("codec.table_cache.evictions_total")
 
-        def held() -> int:
-            total = 0
-            for key, ((table, _), _) in _TABLE_CACHE._entries.items():
-                tables = table.scan_tables()
-                total += len(key) + tables.nbytes()
-                total += SUPER_TABLE_NBYTES if tables._super is not None else 0
-            return total
-
-        rng = np.random.default_rng(41)
-        streams = [
-            ProgressiveCodec(quality=90).encode(
-                ImageBuffer.from_array(rng.integers(0, 256, (24, 24, 3)).astype(np.uint8))
-            )
-            for _ in range(6)
-        ]
         def watch_held() -> list:
-            refs = []
-            for (table, _), _ in _TABLE_CACHE._entries.values():
-                tables = table.scan_tables()
-                refs += [weakref.ref(tables), weakref.ref(tables.walk_tables()[0])]
-            return refs
+            # The numpy walk arrays of every AC entry (array('i') takes no
+            # weak references; an AC bundle is nine tenths of the entries).
+            return [
+                weakref.ref(tables[0])
+                for (kind, _), ((tables, _), _) in _TABLE_CACHE._entries.items()
+                if kind == "ac"
+            ]
 
         misses_before, evictions_before = misses.value, evictions.value
         watched = []
         with config.use_fastpath(True):
-            for stream in streams:
+            for stream in self._noise_streams(41, 6):
                 decode_coefficients(stream)
                 assert _TABLE_CACHE.resident_bytes <= budget
-                assert gauge.value == _TABLE_CACHE.resident_bytes == held()
+                assert gauge.value == _TABLE_CACHE.resident_bytes == _held_bytes(_TABLE_CACHE)
                 # What the first decode left: every entry is evicted by the end.
                 watched = watched or watch_held()
         distinct = misses.value - misses_before
-        assert distinct * SUPER_TABLE_NBYTES >= 3 * budget
+        assert distinct * (8 << SUPER_BITS) >= 3 * budget
         assert evictions.value - evictions_before >= distinct - len(_TABLE_CACHE)
         assert watched
         gc.collect()
@@ -513,18 +745,18 @@ class TestHuffmanTableCaches:
         assert len(cache) == 1
         assert cache.get("big") == 1
 
-    def test_recharge_grows_accounting_and_can_evict(self):
+    def test_put_on_a_held_key_replaces_its_charge(self):
         from repro.codecs.huffman import _LRUByteCache
 
         cache = _LRUByteCache("testonly", max_bytes=100)
         cache.put("a", 1, 30)
         cache.put("b", 2, 30)
-        cache.recharge("b", 60)
-        assert cache.resident_bytes <= 100
-        assert cache.get("a") is None  # pushed out by the recharge
-        assert cache.get("b") == 2
-        cache.recharge("missing", 10)  # evicted/unknown keys are a no-op
+        cache.put("b", 3, 90)  # a second build of one key: replaced, not added
         assert cache.resident_bytes == 90
+        assert cache.get("a") is None  # pushed out by the larger charge
+        assert cache.get("b") == 3
+        cache.put("b", 4, 20)
+        assert cache.resident_bytes == 20 and len(cache) == 1
 
     def test_from_bytes_rejects_count_mismatch(self):
         table = HuffmanTable.from_symbols([1, 2, 3, 4])

@@ -442,6 +442,23 @@ class TestInvalidStreamFuzz:
                 for expected, actual in zip(baseline.planes, decoded.planes):
                     assert np.array_equal(expected, actual)
 
+    def test_oversubscribed_table_same_error_class(self):
+        """Length counts with a Kraft sum over 1 are no prefix code.
+
+        One flipped byte of a table's counts (here: every symbol at length
+        1) used to decode garbage silently on the scalar tier and leak an
+        ``IndexError`` out of the fast tier's table build.
+        """
+        stream, segments = self._stream_and_segments()
+        for index in (0, 1):  # the DC scan and the first AC scan
+            segment = segments[index]
+            body = stream[segment.payload_start : segment.end]
+            n_symbols = int.from_bytes(body[:2], "little")
+            assert n_symbols > 2
+            counts = bytes([n_symbols]) + bytes(15)
+            bad = self._rebuild(stream, segments, index, body[:2] + counts + body[18:])
+            assert _tier_error_classes(bad) == ["ValueError", "ValueError"], index
+
     def test_zero_category_nonzero_run_same_error_class(self):
         """A zero-category symbol with a nonzero run errs identically.
 
@@ -794,6 +811,216 @@ class TestBlockSegmentation:
         for stream in streams:
             _assert_decodes_match(stream, len(find_scan_segments(stream)))
         assert replays == []
+
+
+class TestWindowEscapes:
+    """Symbols the window table cannot finish, with no second table to go to.
+
+    A window whose first code fits but whose magnitude does not holds the
+    symbol's negated plain entry; a window under a code longer than
+    ``SUPER_BITS`` holds ``-1`` and ``long_code_entry`` matches the next 16
+    bits against the table's long codes.  The crafted code has one symbol
+    at each length 1..12 and one at 14, 15 or 16 bits — so every other
+    pattern under the twelve-ones prefix is invalid — and each flavour
+    (DC-only, the AC walk, a ``BaselineCodec`` mixed scan) must give the
+    scalar reference's coefficients or error class, at the default
+    walk-batch cap and at 64 bytes.
+    """
+
+    @pytest.fixture(autouse=True, params=[None, 64], ids=["default-cap", "cap-64"])
+    def walk_cap(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fastpath, "_WALK_BATCH_BYTES", request.param)
+
+    @pytest.fixture()
+    def long_lookups(self, monkeypatch):
+        """Spy on ``long_code_entry``: ``(n long codes, returned entry)``."""
+        calls = []
+        lookup = fastpath.long_code_entry
+
+        def spy(long_codes, bits16, ac):
+            entry = lookup(long_codes, bits16, ac)
+            calls.append((len(long_codes), entry))
+            return entry
+
+        monkeypatch.setattr(fastpath, "long_code_entry", spy)
+        return calls
+
+    #: Run/size symbols in code-length order; 0x0C (category 12) gets a
+    #: 2-bit code, so code + magnitude (14 bits) never fit the window.
+    _AC_SYMBOLS = [0x01, 0x0C, 0x00, 0xF0, 0x11, 0x21, 0x02, 0x31, 0x12, 0x41, 0x03, 0x51, 0x61]
+    #: DC categories, likewise (category 12 second).
+    _DC_SYMBOLS = [0, 1, 12, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+    #: Under the twelve-ones prefix but none of the 14/15/16-bit codes (they
+    #: continue with zeros), then 16 arbitrary in-payload bits.
+    _NO_MATCH = [(0b11111111111101, 14)]
+    _IN_PAYLOAD = [(0b0110110101101101, 16)]
+
+    @staticmethod
+    def _table(symbols, long_symbol, length):
+        from repro.codecs.huffman import HuffmanTable
+
+        short = [symbol for symbol in symbols if symbol != long_symbol][:12]
+        lengths = {symbol: index + 1 for index, symbol in enumerate(short)}
+        lengths[long_symbol] = length
+        return HuffmanTable(code_lengths=lengths)
+
+    @staticmethod
+    def _body(table, symbols, raw=()) -> bytes:
+        """Table + ``(symbol, bits, n_bits)`` items + raw ``(bits, n_bits)``."""
+        from repro.codecs.bitio import BitWriter
+
+        writer = BitWriter()
+        for symbol, bits, n_bits in symbols:
+            table.encode_symbol(symbol, writer)
+            writer.write_bits(bits, n_bits)
+        for bits, n_bits in raw:
+            writer.write_bits(bits, n_bits)
+        return table.to_bytes() + writer.getvalue()
+
+    @staticmethod
+    def _luma_stream(scan, body) -> bytes:
+        coefficients = TestBlockSegmentation._empty_planes()
+        assert coefficients.planes[0].shape[0] == 16
+        return TestBlockSegmentation._stream(coefficients, [scan], [body])
+
+    @staticmethod
+    def _ac_blocks(long_symbol):
+        """16 blocks of a 20-slot band that use every escape route."""
+        eob = (0x00, 0, 0)
+        # Two 2-bit symbols resolve in one paired probe; the next probe
+        # opens on the oversized (category 12) symbol: +2053 at slot 2.
+        oversized = [(0x01, 1, 1), (0x01, 0, 1), (0x0C, 0x805, 12), eob]
+        long_block = {
+            0xF0: [(0xF0, 0, 0), (0x11, 1, 1), eob],  # a long-coded ZRL
+            0x00: [(0x11, 0, 1), eob],  # every EOB is long-coded
+            0x61: [(0x61, 1, 1), eob],  # a long-coded coefficient
+        }[long_symbol]
+        return [oversized, long_block, [eob], long_block, oversized] + [[eob]] * 11
+
+    @pytest.mark.parametrize("length", [14, 15, 16])
+    @pytest.mark.parametrize("long_category", [0, 11])
+    def test_dc_scan(self, long_lookups, long_category, length):
+        from repro.codecs.markers import ScanHeader
+
+        table = self._table(self._DC_SYMBOLS, long_category, length)
+        long_diff = (long_category, 0x400 if long_category else 0, long_category)
+        zero = (0, 0, 0) if long_category else (1, 1, 1)
+        # A paired probe (+1, -1), the oversized +2053 right behind it, then
+        # the long code between short ones.
+        diffs = [(1, 1, 1), (1, 0, 1), (12, 0x805, 12), long_diff, zero, long_diff]
+        diffs += [zero] * 10
+        scan = ScanHeader((0,), 0, 0)
+        decoded = TestBlockSegmentation._decode_both(
+            self._luma_stream(scan, self._body(table, diffs))
+        )
+        assert decoded.planes[0][:3, 0].tolist() == [1, 0, 2053]
+        assert [entry < -1 for _, entry in long_lookups] == [True, True]
+        # A pattern under the long codes' prefix that is none of them.
+        del long_lookups[:]
+        head = [zero, zero] if long_category else [zero]  # 2 bits either way
+        inside = self._body(table, head, self._NO_MATCH + self._IN_PAYLOAD)
+        crossing = self._body(table, head, self._NO_MATCH)
+        assert len(crossing) - len(table.to_bytes()) == 2  # 2 + 16 bits cross the end
+        assert _tier_error_classes(self._luma_stream(scan, inside)) == ["ValueError"] * 2
+        assert _tier_error_classes(self._luma_stream(scan, crossing)) == ["EOFError"] * 2
+        assert long_lookups == [(1, 0), (1, 0)]
+
+    @pytest.mark.parametrize("length", [14, 15, 16])
+    @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])
+    def test_ac_walk(self, long_lookups, long_symbol, length):
+        from repro.codecs.markers import ScanHeader
+
+        table = self._table(self._AC_SYMBOLS, long_symbol, length)
+        blocks = self._ac_blocks(long_symbol)
+        scan = ScanHeader((0,), 1, 20)
+        body = self._body(table, [item for block in blocks for item in block])
+        decoded = TestBlockSegmentation._decode_both(self._luma_stream(scan, body))
+        luma = decoded.planes[0]
+        assert luma[0, 1:5].tolist() == [1, -1, 2053, 0] and luma[4, 3] == 2053
+        if long_symbol == 0xF0:
+            assert luma[1, 18] == 1 and not luma[1, 1:18].any()
+        assert len(long_lookups) == (16 if long_symbol == 0x00 else 2)
+        assert all(entry < -1 for _, entry in long_lookups)
+        del long_lookups[:]
+        head = [(0x01, 1, 1)]  # 2 bits
+        inside = self._body(table, head, self._NO_MATCH + self._IN_PAYLOAD)
+        crossing = self._body(table, head, self._NO_MATCH)
+        assert _tier_error_classes(self._luma_stream(scan, inside)) == ["ValueError"] * 2
+        assert _tier_error_classes(self._luma_stream(scan, crossing)) == ["EOFError"] * 2
+        assert long_lookups == [(1, 0), (1, 0)]
+
+    @pytest.mark.parametrize("length", [14, 15, 16])
+    @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])
+    def test_mixed_scan(self, long_lookups, long_symbol, length):
+        image = make_structured_image(16, seed=3, color=False)
+        stream = BaselineCodec(quality=90).encode(image)
+        segments = find_scan_segments(stream)
+        header = segments[0].header
+        assert (header.component_ids, header.spectral_start, header.spectral_end) == ((0,), 0, 63)
+        table = self._table(self._AC_SYMBOLS, long_symbol, length)
+        # Each block opens on a DC diff coded with the same table: an
+        # oversized one (+2053), a paired-width one, and — where EOB's code
+        # is the long one — a zero diff through the long-code route.
+        dc_diffs = [(0x0C, 0x805, 12), (0x01, 0, 1), (0x00, 0, 0), (0x02, 0b10, 2)]
+        blocks = self._ac_blocks(long_symbol)[:4]
+        symbols = [item for dc, block in zip(dc_diffs, blocks) for item in [dc] + block]
+        good = TestInvalidStreamFuzz._rebuild(stream, segments, 0, self._body(table, symbols))
+        decoded = TestBlockSegmentation._decode_both(good)
+        luma = decoded.planes[0]
+        assert luma[:, 0].tolist() == [2053, 2052, 2052, 2054]
+        assert luma[0, 1:5].tolist() == [1, -1, 2053, 0]
+        if long_symbol == 0xF0:
+            assert luma[1, 18] == 1 and not luma[1, 1:18].any()
+        assert len(long_lookups) == (5 if long_symbol == 0x00 else 2)
+        assert all(entry < -1 for _, entry in long_lookups)
+        del long_lookups[:]
+        head = [(0x01, 1, 1)]  # the first block's DC diff, 2 bits
+        for raw, expected in [
+            (self._NO_MATCH + self._IN_PAYLOAD, "ValueError"),
+            (self._NO_MATCH, "EOFError"),
+        ]:
+            bad = TestInvalidStreamFuzz._rebuild(stream, segments, 0, self._body(table, head, raw))
+            assert _tier_error_classes(bad) == [expected, expected]
+        assert long_lookups == [(1, 0), (1, 0)]
+
+    def test_real_streams_need_no_long_codes(self, monkeypatch, long_lookups):
+        """Every escape of real streams takes the negated-entry route.
+
+        The long-code helper is for tables that have a code longer than
+        the window; a stream without one must never reach it, however many
+        oversized magnitudes it holds.
+        """
+        from repro.codecs.huffman import SUPER_BITS, HuffmanTable
+
+        escapes = []
+        walk, escape_dc = fastpath._walk_ac_one, fastpath._escape_dc
+
+        def spy_walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries):
+            before = len(fallback_entries)
+            probes = walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries)
+            escapes.extend(entry > 0 for entry in fallback_entries[before:])
+            return probes
+
+        def spy_dc(entry, *state):
+            escapes.append(entry < -1)
+            return escape_dc(entry, *state)
+
+        monkeypatch.setattr(fastpath, "_walk_ac_one", spy_walk)
+        monkeypatch.setattr(fastpath, "_escape_dc", spy_dc)
+        streams = [
+            ProgressiveCodec(quality=95).encode(_random_image(seed, 96, color=True))
+            for seed in (7, 8)
+        ]
+        longest = 0
+        for stream in streams:
+            for segment in find_scan_segments(stream):
+                table, _ = HuffmanTable.from_bytes(stream[segment.payload_start : segment.end])
+                longest = max(longest, *table.code_lengths.values())
+            _assert_decodes_match(stream, 10)
+        assert len(escapes) >= 20  # oversized magnitudes are routine at q95
+        assert all(escapes)  # each one finished its symbol from its own window
+        assert longest <= SUPER_BITS and long_lookups == []
 
 
 class TestOversizedScansWalkAlone(TestStreamEquivalence, TestInvalidStreamFuzz):
