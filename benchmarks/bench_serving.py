@@ -7,9 +7,6 @@ localhost, and measures:
   fetch throughput of one client at several scan groups;
 * ``prefix_containment`` — per-group hit rates once the cache holds full
   prefixes: every lower-group request must be a prefix-containment hit;
-* ``pipelined_batch`` — one pipelined ``BATCH`` round trip vs sequential
-  single-record requests, at several batch sizes (4/16/64) so a
-  regression cannot hide in a single operating point;
 * ``multi_client`` — aggregate throughput of several concurrent clients at
   mixed scan groups against one shared server cache;
 * ``high_connection_count`` — a selector-driven load generator sweeping
@@ -119,42 +116,6 @@ def _bench_prefix_containment(directory: Path, names: list[str], n_groups: int) 
         "hits_by_group": cache["hits_by_group"],
         "bytes_served_by_group": cache["bytes_served_by_group"],
     }
-
-
-def _bench_pipelined_batch(
-    directory: Path,
-    names: list[str],
-    n_groups: int,
-    trials: int,
-    batch_sizes: tuple[int, ...] = (4, 16, 64),
-) -> dict:
-    """Batch-vs-sequential at several batch sizes; trials are interleaved
-    (batch, then sequential, repeat) so scheduler noise hits both sides
-    equally and best-of-N compares like with like."""
-    out: dict[str, dict] = {}
-    with PCRRecordServer(directory, port=0) as server:
-        with PCRClient(port=server.port) as client:
-            for size in batch_sizes:
-                requests = [(names[i % len(names)], n_groups) for i in range(size)]
-                blobs = client.get_record_batch(requests)  # warm the cache
-                total_bytes = sum(len(blob) for blob in blobs)
-                batch_best = single_best = float("inf")
-                for _ in range(trials):
-                    start = time.perf_counter()
-                    client.get_record_batch(requests)
-                    batch_best = min(batch_best, time.perf_counter() - start)
-                    start = time.perf_counter()
-                    for name, group in requests:
-                        client.get_record_bytes(name, group)
-                    single_best = min(single_best, time.perf_counter() - start)
-                out[str(size)] = {
-                    "batch_size": size,
-                    "batch_bytes": total_bytes,
-                    "batch_mb_per_s": total_bytes / _MB / batch_best,
-                    "sequential_mb_per_s": total_bytes / _MB / single_best,
-                    "speedup_vs_sequential": single_best / batch_best,
-                }
-    return out
 
 
 # Aggregate MB/s the pre-event-loop *threaded* server sustained with 4
@@ -416,8 +377,6 @@ def run_benchmark(
     trials: int = 3,
     n_clients: int = 4,
     multi_client_epochs: int = 3,
-    batch_trials: int = 25,
-    batch_sizes: tuple[int, ...] = (4, 16, 64),
     connection_counts: tuple[int, ...] = (64, 256, 1024),
     storm_requests: int = 8,
 ) -> dict:
@@ -434,13 +393,9 @@ def run_benchmark(
                 "n_records": len(names),
                 "n_groups": n_groups,
                 "trials": trials,
-                "batch_trials": batch_trials,
             },
             "single_client_by_group": _bench_single_client(directory, names, n_groups, trials),
             "prefix_containment": _bench_prefix_containment(directory, names, n_groups),
-            "pipelined_batch": _bench_pipelined_batch(
-                directory, names, n_groups, batch_trials, batch_sizes
-            ),
             "multi_client": _bench_multi_client(
                 directory, names, n_groups, n_clients, multi_client_epochs
             ),
@@ -481,13 +436,6 @@ def print_report(results: dict) -> None:
         f"{containment['lower_group_requests']} lower-group requests served by "
         f"slicing cached prefixes (prefix hit rate {containment['prefix_hit_rate']:.2f})"
     )
-    print("pipelined batch vs sequential, per batch size:")
-    for size, row in results["pipelined_batch"].items():
-        print(
-            f"  batch {size:>3s}  {row['batch_mb_per_s']:8.2f} MB/s vs "
-            f"{row['sequential_mb_per_s']:8.2f} MB/s sequential "
-            f"({row['speedup_vs_sequential']:.2f}x)"
-        )
     multi = results["multi_client"]
     print(
         f"multi-client:       {multi['n_clients']} clients  "
@@ -532,7 +480,6 @@ def main(argv: list[str] | None = None) -> int:
         results = run_benchmark(
             n_samples=24, image_size=32, images_per_record=8, trials=2,
             n_clients=2, multi_client_epochs=2,
-            batch_trials=6, batch_sizes=(4, 16),
             connection_counts=(16, 64), storm_requests=2,
         )
     else:
@@ -548,7 +495,6 @@ def test_serving_bench_smoke():
     results = run_benchmark(
         n_samples=16, image_size=32, images_per_record=8, trials=1,
         n_clients=2, multi_client_epochs=1,
-        batch_trials=2, batch_sizes=(4, 16),
         connection_counts=(32,), storm_requests=2,
     )
     containment = results["prefix_containment"]
@@ -558,9 +504,6 @@ def test_serving_bench_smoke():
         assert row["warm_mb_per_s"] >= row["cold_mb_per_s"] * 0.2
     # Structural checks only for the timing-sensitive sections — CI boxes
     # are too noisy for throughput-ratio assertions at smoke scale.
-    for size, row in results["pipelined_batch"].items():
-        assert row["batch_size"] == int(size)
-        assert row["speedup_vs_sequential"] > 0
     storm = results["high_connection_count"]["32"]
     assert storm["total_requests"] == 32 * 2
     assert storm["server_errors"] == 0

@@ -105,11 +105,6 @@ class AdaptiveScanGroupSource:
         self._after_fetch()
         return samples
 
-    def read_record_batch(self, record_names, decode: bool | None = None):
-        out = self.source.read_record_batch(record_names, decode=decode)
-        self._after_fetch()
-        return out
-
     def _usage_totals(self) -> tuple[int, int, int, float, float]:
         stats = self.source.stats
         stalls = self.stalls

@@ -63,24 +63,21 @@ def validate_scan_group(scan_group: int, n_groups: int) -> None:
         raise ScanGroupError(f"scan group {scan_group} out of range [1, {n_groups}]")
 
 
-def assemble_samples_batch(
-    blobs: list[bytes], codec: ProgressiveCodec, decode: bool, decode_pool=None
-) -> list[list[PCRSample]]:
-    """Parse record prefixes and rebuild one decodable sample per entry.
+def assemble_samples(
+    data: bytes, codec: ProgressiveCodec, decode: bool, decode_pool=None
+) -> list[PCRSample]:
+    """Parse one record prefix and rebuild one decodable sample per entry.
 
     Shared by the local reader and every
     :class:`~repro.core.source.RecordSource`, so the stream-reassembly
-    invariant lives in exactly one place.  All streams of all records decode
+    invariant lives in exactly one place.  All streams of the record decode
     through one batch-API call
     (:meth:`~repro.codecs.progressive.ProgressiveCodec.decode_batch`), so the
-    pixel-stage scratch buffers are shared across the *whole* fetch — one
-    record, or the pipelined multi-record read ``RecordSource.
-    read_record_batch`` hands the codec — and a wired ``decode_pool`` (a
-    :class:`~repro.codecs.parallel.DecodePool`: a drop-in for the codec's
-    batch API with byte-identical output, but the entropy loops run on
-    worker processes and the pixels come back through shared memory)
-    parallelizes that whole fetch.  Results are bitwise identical to
-    per-record assembly.
+    pixel-stage scratch buffers are shared across the record, and a wired
+    ``decode_pool`` (a :class:`~repro.codecs.parallel.DecodePool`: a drop-in
+    for the codec's batch API with byte-identical output, but the entropy
+    loops run on worker processes and the pixels come back through shared
+    memory) parallelizes it.
 
     Without a pool the decode runs under ``_DECODE_GATE``.  The gate is
     taken *before* the ``loader.decode`` span opens, so that span keeps
@@ -88,15 +85,11 @@ def assemble_samples_batch(
     ``loader.decode_wait`` span and ``loader.decode_wait_seconds``
     observation.
     """
-    parsed_records = [parse_record_prefix(data) for data in blobs]
-    streams: list[bytes] = []
-    boundaries: list[int] = []
-    for parsed in parsed_records:
-        streams.extend(
-            assemble_partial_stream(prefix, scans)
-            for prefix, scans in zip(parsed.header_prefixes, parsed.scans_per_sample)
-        )
-        boundaries.append(len(streams))
+    parsed = parse_record_prefix(data)
+    streams = [
+        assemble_partial_stream(prefix, scans)
+        for prefix, scans in zip(parsed.header_prefixes, parsed.scans_per_sample)
+    ]
     images: list = [None] * len(streams)
     if decode:
         tracer = get_tracer()
@@ -111,19 +104,10 @@ def assemble_samples_batch(
                 get_registry().histogram("loader.decode_wait_seconds").observe(waited)
                 with tracer.span("loader.decode", {"streams": len(streams)}):
                     images = codec.decode_batch(streams)
-    out: list[list[PCRSample]] = []
-    start = 0
-    for parsed, end in zip(parsed_records, boundaries):
-        out.append(
-            [
-                PCRSample(metadata=metadata, stream=stream, image=image)
-                for metadata, stream, image in zip(
-                    parsed.samples, streams[start:end], images[start:end]
-                )
-            ]
-        )
-        start = end
-    return out
+    return [
+        PCRSample(metadata=metadata, stream=stream, image=image)
+        for metadata, stream, image in zip(parsed.samples, streams, images)
+    ]
 
 
 @dataclass
@@ -231,10 +215,6 @@ class PCRReader:
             self.stats.records_read += 1
         return data
 
-    def read_record_bytes_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
-        """Prefixes of several ``(record_name, scan_group)``, in request order."""
-        return [self.read_record_bytes(name, group) for name, group in requests]
-
     def read_record(
         self, record_name: str, scan_group: int, decode: bool | None = None
     ) -> list[PCRSample]:
@@ -247,7 +227,7 @@ class PCRReader:
         """
         decode = self.decode_by_default if decode is None else decode
         data = self.read_record_bytes(record_name, scan_group)
-        samples = assemble_samples_batch([data], self._codec, decode)[0]
+        samples = assemble_samples(data, self._codec, decode)
         if decode:
             with self._lock:
                 self.stats.samples_decoded += len(samples)

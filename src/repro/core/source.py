@@ -10,8 +10,11 @@ or cluster behind a wire client
 switchable scan group (the lightweight quality switch PCRs enable), stream
 reassembly and minibatch decode, label remapping so one stored dataset can
 serve different training tasks (Section 4.3), and the byte accounting the
-tuners and the control loop read.  ``PCRDataset``, ``RemoteRecordSource``
-and ``ShardedRemoteRecordSource`` are constructors that pick a fetcher.
+tuners and the control loop read.  Its one read verb, ``read_record``, is
+fetch → assemble → count → map labels: a record *is* the batching unit
+(Section 3.2), so there is no multi-record read above it.  ``PCRDataset``,
+``RemoteRecordSource`` and ``ShardedRemoteRecordSource`` are constructors
+that pick a fetcher.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.codecs.progressive import ProgressiveCodec
 from repro.core.index import RecordIndex
-from repro.core.reader import PCRSample, ReadStats, assemble_samples_batch, validate_scan_group
+from repro.core.reader import PCRSample, ReadStats, assemble_samples, validate_scan_group
 from repro.obs import get_registry
 
 LabelMapper = Callable[[int], int]
@@ -33,8 +36,10 @@ LabelMapper = Callable[[int], int]
 class RecordFetcher(Protocol):
     """Where record bytes live: structure, offset indexes and prefix reads.
 
-    Every prefix read — single or batched — emits its own ``loader.fetch``
-    span, so the source above never has to know what a fetch costs.
+    Seven members, one read verb: ``read_record_bytes`` fetches one record
+    prefix at one scan group — the record is the batching unit — and emits
+    its own ``loader.fetch`` span, so the source above never has to know
+    what a fetch costs.
     """
 
     dataset_meta: dict
@@ -48,9 +53,6 @@ class RecordFetcher(Protocol):
     def read_record_bytes(self, record_name: str, scan_group: int) -> bytes:
         """The record's byte prefix up to the end of ``scan_group``."""
 
-    def read_record_bytes_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
-        """Prefixes of several ``(record_name, scan_group)``, in request order."""
-
     def close(self) -> None:
         """Release files, databases or sockets."""
 
@@ -60,7 +62,8 @@ class RecordSource:
 
     One source may be shared by many ``DataLoader`` worker threads: the
     fetcher is thread-safe, decoding is stateless, and the I/O counters are
-    guarded by an internal lock.  The source owns its fetcher and closes it.
+    guarded by an internal lock.  The source owns its fetcher and closes it;
+    a :meth:`with_label_mapper` view borrows its parent's and does not.
     """
 
     def __init__(
@@ -71,6 +74,7 @@ class RecordSource:
         label_mapper: LabelMapper | None = None,
     ) -> None:
         self.fetcher = fetcher
+        self._owns_fetcher = True
         self.dataset_meta: dict = fetcher.dataset_meta
         self.n_groups: int = fetcher.n_groups
         self.n_samples: int = fetcher.n_samples
@@ -151,45 +155,29 @@ class RecordSource:
 
         The fetcher (and so the storage or connection) is shared; only the
         labels visible to the consumer change — the mechanism behind the
-        Cars "Make-Only" and "Is-Corvette" tasks.
+        Cars "Make-Only" and "Is-Corvette" tasks.  Closing the view leaves
+        the fetcher open for its owner.
         """
-        return RecordSource(self.fetcher, self._scan_group, self.decode_by_default, mapper)
+        view = RecordSource(self.fetcher, self._scan_group, self.decode_by_default, mapper)
+        view._owns_fetcher = False
+        return view
 
     # -- reading -------------------------------------------------------------
 
     def read_record(self, record_name: str, decode: bool | None = None) -> list[PCRSample]:
         """Fetch and reassemble one record at the current scan group."""
         data = self.fetcher.read_record_bytes(record_name, self._scan_group)
-        return self._assemble([data], decode)[0]
-
-    def read_record_batch(
-        self, record_names: list[str], decode: bool | None = None
-    ) -> list[list[PCRSample]]:
-        """Fetch several records in one fetcher call (one round trip on the wire).
-
-        Decoding is minibatch-level too: every sample of every fetched
-        record goes through one codec batch call, so pixel-stage work
-        buffers are shared across the whole multi-record response.
-        """
-        group = self._scan_group
-        blobs = self.fetcher.read_record_bytes_batch([(name, group) for name in record_names])
-        return self._assemble(blobs, decode)
-
-    def _assemble(self, blobs: list[bytes], decode: bool | None) -> list[list[PCRSample]]:
         decode = self.decode_by_default if decode is None else decode
-        out = assemble_samples_batch(blobs, self._codec, decode, self._decode_pool)
+        samples = assemble_samples(data, self._codec, decode, self._decode_pool)
         with self._lock:
-            self.stats.bytes_read += sum(len(data) for data in blobs)
-            self.stats.records_read += len(blobs)
+            self.stats.bytes_read += len(data)
+            self.stats.records_read += 1
             if decode:
-                self.stats.samples_decoded += sum(len(samples) for samples in out)
+                self.stats.samples_decoded += len(samples)
         mapper = self._label_mapper
         if mapper is None:
-            return out
-        return [
-            [replace(s, metadata=s.metadata.with_label(mapper(s.label))) for s in samples]
-            for samples in out
-        ]
+            return samples
+        return [replace(s, metadata=s.metadata.with_label(mapper(s.label))) for s in samples]
 
     def __iter__(self) -> Iterator[PCRSample]:
         for record_name in self.record_names:
@@ -220,8 +208,9 @@ class RecordSource:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the fetcher (reader, client or cluster client)."""
-        self.fetcher.close()
+        """Close the fetcher (reader, client or cluster client); idempotent."""
+        if self._owns_fetcher:
+            self.fetcher.close()
 
     def __enter__(self) -> "RecordSource":
         return self

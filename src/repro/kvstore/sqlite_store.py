@@ -22,6 +22,7 @@ class SQLiteStore(KVStore):
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._closed = False
         self._connection = sqlite3.connect(str(self._path), check_same_thread=False)
         self._connection.execute(
             "CREATE TABLE IF NOT EXISTS kv (key BLOB PRIMARY KEY, value BLOB NOT NULL)"
@@ -87,5 +88,8 @@ class SQLiteStore(KVStore):
 
     def close(self) -> None:
         with self._lock:
+            if self._closed:
+                return
+            self._closed = True
             self._connection.commit()
             self._connection.close()

@@ -4,7 +4,7 @@ The subsystem has six parts:
 
 :mod:`repro.serving.protocol`
     The versioned, length-prefixed binary wire format (requests, responses,
-    structured error frames, pipelined batches).
+    structured error frames).
 
 :mod:`repro.serving.cache`
     ``ScanPrefixCache`` — the scan-prefix LRU cache that serves any scan
@@ -15,8 +15,8 @@ The subsystem has six parts:
     :class:`~repro.core.reader.PCRReader` and one ``ScanPrefixCache``.
 
 :mod:`repro.serving.client`
-    ``PCRClient`` — a connection-pooled client with pipelined batch fetches
-    and retry-on-reconnect.
+    ``PCRClient`` — a connection-pooled client with retry-on-reconnect —
+    and the ``RecordClient`` protocol it shares with ``ClusterClient``.
 
 :mod:`repro.serving.remote_source`
     ``RemoteFetcher`` — the :class:`~repro.core.source.RecordFetcher` over

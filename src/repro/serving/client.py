@@ -3,8 +3,9 @@
 The client keeps a small pool of TCP connections so concurrent callers
 (e.g. ``DataLoader`` worker threads sharing one
 :class:`~repro.serving.remote_source.RemoteRecordSource`) never serialize on
-a single socket.  Batch fetches are pipelined into one ``BATCH`` frame —
-one round trip for a whole minibatch worth of records.
+a single socket.  The one read verb is :meth:`PCRClient.get_record_bytes`:
+a record is the batching unit, so a loader worker's read is one
+``GET_RECORD`` round trip.
 
 Connections are re-established transparently: a send/receive that fails
 with a connection error (stale pooled socket, server restart) is retried
@@ -16,13 +17,12 @@ from __future__ import annotations
 import queue
 import socket
 import threading
+from typing import Protocol, runtime_checkable
 
 from repro.core.index import RecordIndex
 from repro.serving import protocol
 from repro.serving.protocol import (
     DEFAULT_MAX_PAYLOAD_BYTES,
-    MSG_BATCH,
-    MSG_BATCH_DATA,
     MSG_DATASET_META,
     MSG_ERROR,
     MSG_GET_INDEX,
@@ -38,11 +38,29 @@ from repro.serving.protocol import (
     MSG_TELEMETRY_ACK,
     ProtocolError,
     RecordRequest,
-    RemoteError,
 )
 
 DEFAULT_POOL_SIZE = 4
 DEFAULT_TIMEOUT_SECONDS = 30.0
+
+
+@runtime_checkable
+class RecordClient(Protocol):
+    """The wire-client surface a ``RemoteFetcher`` reads through.
+
+    Satisfied by :class:`PCRClient` (one server) and
+    :class:`~repro.serving.cluster.client.ClusterClient` (a sharded fleet).
+    """
+
+    def dataset_meta(self) -> dict: ...
+
+    def get_index(self, record_name: str) -> RecordIndex: ...
+
+    def get_record_bytes(self, record_name: str, scan_group: int) -> bytes: ...
+
+    def report_telemetry(self, report: dict) -> dict: ...
+
+    def close(self) -> None: ...
 
 
 class PCRClient:
@@ -74,9 +92,9 @@ class PCRClient:
 
     def _connect(self) -> socket.socket:
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        # NODELAY on every client socket: a request frame (and a whole
-        # pipelined BATCH) must hit the wire immediately instead of waiting
-        # out Nagle against the server's delayed ACK.
+        # NODELAY on every client socket: a request frame must hit the wire
+        # immediately instead of waiting out Nagle against the server's
+        # delayed ACK.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
@@ -132,10 +150,11 @@ class PCRClient:
 
     # -- request plumbing ----------------------------------------------------
 
-    def _request(
-        self, msg_type: int, payload: bytes, expected_type: int, copy: bool = True
-    ) -> bytes:
+    def _request(self, msg_type: int, payload: bytes, expected_type: int) -> bytes:
         """One round trip with retry-on-reconnect; returns the response payload."""
+        # Encoded before a socket is acquired: a payload over the frame limit
+        # is the caller's error (``FrameTooLargeError``), not a dead server.
+        request = protocol.encode_frame(msg_type, payload, self.max_payload)
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             try:
@@ -144,8 +163,8 @@ class PCRClient:
                 last_error = exc
                 continue
             try:
-                sock.sendall(protocol.encode_frame(msg_type, payload, self.max_payload))
-                frame = protocol.read_frame(sock, self.max_payload, copy=copy)
+                sock.sendall(request)
+                frame = protocol.read_frame(sock, self.max_payload)
                 if frame is None:
                     raise ProtocolError("server closed the connection before responding")
             except (OSError, ProtocolError) as exc:
@@ -176,36 +195,6 @@ class PCRClient:
         """Fetch one record's byte prefix at ``scan_group``."""
         payload = protocol.pack_record_request(RecordRequest(record_name, scan_group))
         return self._request(MSG_GET_RECORD, payload, MSG_RECORD_DATA)
-
-    def get_record_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
-        """Pipelined fetch: many ``(record_name, scan_group)`` in one round trip.
-
-        All sub-requests are packed into one ``BATCH`` frame and written in
-        a single buffered send (no per-record round trips, no partial
-        writes interleaving with Nagle), and the response body is sliced
-        per record without re-copying the whole payload.
-
-        Raises :class:`RemoteError` if any sub-request failed (the error
-        message names the failing record).
-        """
-        if not requests:
-            return []
-        payload = protocol.pack_batch_request(
-            [RecordRequest(name, group) for name, group in requests]
-        )
-        # copy=False: the multi-megabyte batch body stays in its receive
-        # buffer; each record is sliced out of it exactly once below.
-        body = self._request(MSG_BATCH, payload, MSG_BATCH_DATA, copy=False)
-        frames = protocol.unpack_batch_response(body, self.max_payload)
-        results: list[bytes] = []
-        for (name, _), (frame_type, frame_payload) in zip(requests, frames):
-            if frame_type == MSG_ERROR:
-                error = protocol.unpack_error(frame_payload)
-                raise RemoteError(error.code, f"{name}: {error.message}")
-            if frame_type != MSG_RECORD_DATA:
-                raise ProtocolError(f"unexpected sub-frame type 0x{frame_type:02x}")
-            results.append(frame_payload)
-        return results
 
     def get_index(self, record_name: str) -> RecordIndex:
         """Fetch the offset index of one record."""

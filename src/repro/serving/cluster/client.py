@@ -2,17 +2,15 @@
 
 ``ClusterClient`` speaks to every shard of a
 :class:`~repro.serving.cluster.shard_map.ShardMap` through per-endpoint
-pooled :class:`~repro.serving.client.PCRClient` instances and exposes the
-same fetch surface a single ``PCRClient`` does — ``get_record_bytes``,
-``get_record_batch``, ``get_index``, ``dataset_meta`` — so
-``RemoteRecordSource`` (and therefore ``DataLoader``) can ride on top of a
-cluster unchanged.
+pooled :class:`~repro.serving.client.PCRClient` instances and satisfies the
+same :class:`~repro.serving.client.RecordClient` protocol a single
+``PCRClient`` does, so ``RemoteRecordSource`` (and therefore ``DataLoader``)
+can ride on top of a cluster unchanged.
 
 Routing and failure handling:
 
 * every request is routed to the owning shard via the map's consistent
-  hash; batches are partitioned per shard and pipelined as one ``BATCH``
-  frame per shard, results re-assembled in request order;
+  hash;
 * a connection-level failure (dead replica, restarting server) fails over
   to the next replica in the record's deterministic failover order; an
   endpoint that failed is put in a short cooldown so subsequent requests
@@ -133,7 +131,7 @@ class ClusterClient:
             f"{last_error}"
         ) from last_error
 
-    # -- fetch surface (PCRClient-compatible) ----------------------------------
+    # -- fetch surface (the RecordClient protocol) ------------------------------
 
     def get_record_bytes(self, record_name: str, scan_group: int) -> bytes:
         """Fetch one record prefix from the owning shard, with failover."""
@@ -141,52 +139,6 @@ class ClusterClient:
         return self._with_failover(
             owners, lambda client: client.get_record_bytes(record_name, scan_group)
         )
-
-    def get_record_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
-        """Pipelined fetch across shards: one ``BATCH`` frame per shard.
-
-        Shard sub-batches are issued concurrently (one thread per extra
-        shard), so a cross-shard batch costs ~one round trip — the max over
-        shards, not the sum — and sharding speeds batched reads up instead
-        of serializing them.
-        """
-        if not requests:
-            return []
-        by_shard: dict[str, list[int]] = {}
-        for position, (name, _) in enumerate(requests):
-            by_shard.setdefault(self.shard_map.shard_for(name), []).append(position)
-        results: list[bytes | None] = [None] * len(requests)
-        errors: list[Exception] = []
-
-        def fetch_shard(positions: list[int]) -> None:
-            shard_requests = [requests[position] for position in positions]
-            # The first record's failover order stands in for the sub-batch;
-            # all records in it live on the same shard by construction.
-            owners = self.shard_map.owners(shard_requests[0][0])
-            try:
-                blobs = self._with_failover(
-                    owners,
-                    lambda client, reqs=shard_requests: client.get_record_batch(reqs),
-                )
-            except Exception as exc:
-                errors.append(exc)
-                return
-            for position, blob in zip(positions, blobs):
-                results[position] = blob
-
-        position_groups = list(by_shard.values())
-        threads = [
-            threading.Thread(target=fetch_shard, args=(positions,), daemon=True)
-            for positions in position_groups[1:]
-        ]
-        for thread in threads:
-            thread.start()
-        fetch_shard(position_groups[0])  # the first shard on the calling thread
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results  # type: ignore[return-value]
 
     def get_index(self, record_name: str) -> RecordIndex:
         """Fetch one record's offset index from its owning shard."""

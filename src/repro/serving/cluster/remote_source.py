@@ -4,11 +4,11 @@
 :class:`~repro.core.source.RecordSource` over a
 :class:`~repro.serving.remote_source.RemoteFetcher` whose client is a
 :class:`~repro.serving.cluster.client.ClusterClient`: the cluster client
-exposes the same fetch surface as a single-server ``PCRClient``, so every
-behaviour of the single-server source — runtime-switchable scan group,
-client-side minibatch decode (every record fetch runs through the codec
-batch API with shared pixel-stage buffers), pipelined batch reads, byte
-accounting — is literally the same code, and a replica killed mid-epoch is
+satisfies the same ``RecordClient`` protocol as a single-server
+``PCRClient``, so every behaviour of the single-server source —
+runtime-switchable scan group, client-side minibatch decode (every record
+fetch runs through the codec batch API with shared pixel-stage buffers),
+byte accounting — is literally the same code, and a replica killed mid-epoch is
 absorbed by the client's failover instead of surfacing to the training loop.
 """
 

@@ -99,9 +99,6 @@ class ShardViewReader:
         self._require_owned(record_name)
         return self._reader.read_record_bytes(record_name, scan_group)
 
-    def read_record_bytes_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
-        return [self.read_record_bytes(name, group) for name, group in requests]
-
     def close(self) -> None:
         """Close the underlying reader (idempotent: supervisors may retire a
         replica individually and again during full-cluster shutdown)."""

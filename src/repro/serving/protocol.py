@@ -10,9 +10,10 @@ Every message on the wire is one *frame*::
 Requests carry structured binary payloads (``struct``-packed, names UTF-8;
 ``REPORT_TELEMETRY`` carries UTF-8 JSON); responses carry either raw record
 bytes (``RECORD_DATA``), UTF-8 JSON (``INDEX_DATA`` / ``STAT_DATA`` /
-``META_DATA`` / ``METRICS_DATA`` / ``TELEMETRY_ACK``), a concatenation of
-complete sub-frames (``BATCH_DATA``, one per pipelined sub-request), or a
-structured error frame (``ERROR``: error code + UTF-8 message).
+``META_DATA`` / ``METRICS_DATA`` / ``TELEMETRY_ACK``), or a structured error
+frame (``ERROR``: error code + UTF-8 message).  ``GET_RECORD`` — one record
+prefix at one scan group — is the only read verb: the record is the batching
+unit (docs/serving.md, "Why there is no batch op").
 
 The payload length is bounded (:data:`DEFAULT_MAX_PAYLOAD_BYTES`); both
 sides reject oversized frames before allocating, so a corrupt or hostile
@@ -35,16 +36,14 @@ HEADER_SIZE = struct.calcsize(_HEADER_STRUCT)
 
 DEFAULT_MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
-# One-syscall exact reads (kernel-side loop); 0 where unsupported.
-_MSG_WAITALL = getattr(socket, "MSG_WAITALL", 0)
-
 # -- message types ------------------------------------------------------------
 
 MSG_GET_RECORD = 0x01
 MSG_GET_INDEX = 0x02
 MSG_STAT = 0x03
 MSG_DATASET_META = 0x04
-MSG_BATCH = 0x05
+# 0x05 / 0x85 were BATCH / BATCH_DATA: retired, never reused.  A 0x05 frame
+# gets the ``unsupported`` reply any unknown type gets.
 MSG_GET_METRICS = 0x06
 MSG_REPORT_TELEMETRY = 0x07
 
@@ -52,7 +51,6 @@ MSG_RECORD_DATA = 0x81
 MSG_INDEX_DATA = 0x82
 MSG_STAT_DATA = 0x83
 MSG_META_DATA = 0x84
-MSG_BATCH_DATA = 0x85
 MSG_METRICS_DATA = 0x86
 MSG_TELEMETRY_ACK = 0x87
 MSG_ERROR = 0xFF
@@ -64,7 +62,6 @@ MESSAGE_NAMES = {
     MSG_GET_INDEX: "get_index",
     MSG_STAT: "stat",
     MSG_DATASET_META: "dataset_meta",
-    MSG_BATCH: "batch",
     MSG_GET_METRICS: "get_metrics",
     MSG_REPORT_TELEMETRY: "report_telemetry",
 }
@@ -158,30 +155,10 @@ def recv_exactly(sock: socket.socket, n_bytes: int) -> bytes | None:
     """Read exactly ``n_bytes`` from a socket.
 
     Returns ``None`` on a clean EOF before the first byte; raises
-    :class:`ProtocolError` if the connection drops mid-read.  On blocking
-    sockets the whole read is one ``MSG_WAITALL`` syscall — the kernel
-    loops, so a multi-megabyte batch body arrives without per-chunk GIL
-    round trips and with exactly one userspace allocation.
+    :class:`ProtocolError` if the connection drops mid-read.  The one
+    receive routine: a ``recv_into`` loop, which is right with or without a
+    socket timeout (the pooled client's sockets always carry one).
     """
-    if n_bytes == 0:
-        return b""
-    # MSG_WAITALL needs a truly blocking socket: with a timeout set, Python
-    # switches the fd to non-blocking and the flag returns partial reads.
-    if _MSG_WAITALL and sock.gettimeout() is None:
-        data = sock.recv(n_bytes, _MSG_WAITALL)
-        if not data:
-            return None
-        if len(data) < n_bytes:
-            raise ProtocolError(
-                f"connection closed mid-frame ({len(data)} of {n_bytes} bytes)"
-            )
-        return data
-    buffer = _recv_exactly_into(sock, n_bytes)
-    return bytes(buffer) if buffer is not None else None
-
-
-def _recv_exactly_into(sock: socket.socket, n_bytes: int) -> bytearray | None:
-    """`recv_exactly` into a fresh ``bytearray`` (no trailing ``bytes`` copy)."""
     buffer = bytearray(n_bytes)
     view = memoryview(buffer)
     received = 0
@@ -194,7 +171,7 @@ def _recv_exactly_into(sock: socket.socket, n_bytes: int) -> bytearray | None:
                 f"connection closed mid-frame ({received} of {n_bytes} bytes)"
             )
         received += n
-    return buffer
+    return bytes(buffer)
 
 
 class FrameAssembler:
@@ -258,19 +235,13 @@ class FrameAssembler:
 
 
 def read_frame(
-    sock: socket.socket,
-    max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES,
-    copy: bool = True,
+    sock: socket.socket, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES
 ) -> tuple[int, bytes] | None:
     """Read one complete frame from a socket.
 
     Returns ``(msg_type, payload)``, or ``None`` if the peer closed the
     connection cleanly at a frame boundary.  A close inside a frame, a bad
     magic/version, or an oversized payload raises :class:`ProtocolError`.
-
-    ``copy=False`` may return the payload as a ``bytearray`` (the receive
-    buffer itself) instead of ``bytes`` — one allocation, zero copies — for
-    callers that only slice it up, like the pipelined batch client.
     """
     header = recv_exactly(sock, HEADER_SIZE)
     if header is None:
@@ -278,35 +249,10 @@ def read_frame(
     msg_type, length = parse_header(header, max_payload)
     if length == 0:
         return msg_type, b""
-    if copy or (_MSG_WAITALL and sock.gettimeout() is None):
-        payload = recv_exactly(sock, length)
-    else:
-        payload = _recv_exactly_into(sock, length)
+    payload = recv_exactly(sock, length)
     if payload is None:
         raise ProtocolError("connection closed between frame header and payload")
     return msg_type, payload
-
-
-def split_frames(data: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES) -> list[tuple[int, bytes]]:
-    """Split a bytes-like object holding a concatenation of complete frames.
-
-    Scanning happens over a ``memoryview`` so a multi-megabyte batch body
-    is never re-sliced wholesale; each frame payload is copied out exactly
-    once, into its own ``bytes``.
-    """
-    view = memoryview(data)
-    frames: list[tuple[int, bytes]] = []
-    offset = 0
-    while offset < len(view):
-        if offset + HEADER_SIZE > len(view):
-            raise ProtocolError("trailing bytes shorter than a frame header")
-        msg_type, length = parse_header(bytes(view[offset : offset + HEADER_SIZE]), max_payload)
-        offset += HEADER_SIZE
-        if offset + length > len(view):
-            raise ProtocolError("frame payload truncated")
-        frames.append((msg_type, bytes(view[offset : offset + length])))
-        offset += length
-    return frames
 
 
 # -- request / response payloads ----------------------------------------------
@@ -330,56 +276,19 @@ def pack_record_request(request: RecordRequest) -> bytes:
     )
 
 
-def _unpack_record_request(payload: bytes, offset: int) -> tuple[RecordRequest, int]:
-    if offset + 2 > len(payload):
-        raise ProtocolError("record request truncated before the name length")
-    (name_length,) = struct.unpack_from(_RECORD_REQ_NAME, payload, offset)
-    offset += 2
-    if offset + name_length + 2 > len(payload):
-        raise ProtocolError("record request truncated inside the name or group")
-    name = payload[offset : offset + name_length].decode("utf-8")
-    offset += name_length
-    (group,) = struct.unpack_from(_RECORD_REQ_GROUP, payload, offset)
-    return RecordRequest(record_name=name, scan_group=group), offset + 2
-
-
 def unpack_record_request(payload: bytes) -> RecordRequest:
-    request, consumed = _unpack_record_request(payload, 0)
-    if consumed != len(payload):
-        raise ProtocolError(f"{len(payload) - consumed} trailing bytes after record request")
-    return request
-
-
-def pack_batch_request(requests: list[RecordRequest]) -> bytes:
-    parts = [struct.pack("<H", len(requests))]
-    parts.extend(pack_record_request(request) for request in requests)
-    return b"".join(parts)
-
-
-def unpack_batch_request(payload: bytes) -> list[RecordRequest]:
     if len(payload) < 2:
-        raise ProtocolError("batch request shorter than its count field")
-    (count,) = struct.unpack_from("<H", payload, 0)
-    offset = 2
-    requests: list[RecordRequest] = []
-    for _ in range(count):
-        request, offset = _unpack_record_request(payload, offset)
-        requests.append(request)
-    if offset != len(payload):
-        raise ProtocolError(f"{len(payload) - offset} trailing bytes after batch request")
-    return requests
-
-
-def unpack_batch_response(
-    payload: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES
-) -> list[tuple[int, bytes]]:
-    if len(payload) < 2:
-        raise ProtocolError("batch response shorter than its count field")
-    (count,) = struct.unpack_from("<H", payload, 0)
-    frames = split_frames(memoryview(payload)[2:], max_payload)
-    if len(frames) != count:
-        raise ProtocolError(f"batch response announced {count} frames, found {len(frames)}")
-    return frames
+        raise ProtocolError("record request truncated before the name length")
+    (name_length,) = struct.unpack_from(_RECORD_REQ_NAME, payload, 0)
+    group_at = 2 + name_length
+    trailing = len(payload) - (group_at + 2)
+    if trailing < 0:
+        raise ProtocolError("record request truncated inside the name or group")
+    name = payload[2:group_at].decode("utf-8")
+    (group,) = struct.unpack_from(_RECORD_REQ_GROUP, payload, group_at)
+    if trailing:
+        raise ProtocolError(f"{trailing} trailing bytes after record request")
+    return RecordRequest(record_name=name, scan_group=group)
 
 
 def pack_error(code: int, message: str) -> bytes:

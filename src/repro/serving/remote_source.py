@@ -1,8 +1,8 @@
 """Network-backed record sources: a wire fetcher under the shared source.
 
-``RemoteFetcher`` adapts a :class:`~repro.serving.client.PCRClient` (or a
-:class:`~repro.serving.cluster.client.ClusterClient`, which exposes the same
-fetch surface) to the :class:`~repro.core.source.RecordFetcher` protocol, so
+``RemoteFetcher`` adapts a :class:`~repro.serving.client.RecordClient` (a
+``PCRClient`` or a :class:`~repro.serving.cluster.client.ClusterClient`) to
+the :class:`~repro.core.source.RecordFetcher` protocol, so
 ``RemoteRecordSource`` is the same :class:`~repro.core.source.RecordSource`
 a local ``PCRDataset`` is — it only fetches record bytes from a
 :class:`~repro.serving.server.PCRRecordServer` instead of the local
@@ -20,7 +20,7 @@ import threading
 from repro.core.index import RecordIndex
 from repro.core.source import RecordSource
 from repro.obs import get_tracer
-from repro.serving.client import PCRClient
+from repro.serving.client import PCRClient, RecordClient
 
 
 class RemoteFetcher:
@@ -28,11 +28,10 @@ class RemoteFetcher:
 
     Construction performs the ``DATASET_META`` handshake (and closes the
     client if it fails, so no pooled socket leaks); offset indexes are
-    fetched once and cached.  A single read is one ``GET_RECORD`` round
-    trip, a multi-record read one pipelined ``BATCH``.
+    fetched once and cached.  A read is one ``GET_RECORD`` round trip.
     """
 
-    def __init__(self, client) -> None:
+    def __init__(self, client: RecordClient) -> None:
         self.client = client
         try:
             meta = client.dataset_meta()
@@ -65,11 +64,6 @@ class RemoteFetcher:
         """One record prefix in one ``GET_RECORD`` round trip."""
         with get_tracer().span("loader.fetch", {"record": record_name}):
             return self.client.get_record_bytes(record_name, scan_group)
-
-    def read_record_bytes_batch(self, requests: list[tuple[str, int]]) -> list[bytes]:
-        """Pipelined fetch of several records in one server round trip."""
-        with get_tracer().span("loader.fetch", {"records": len(requests)}):
-            return self.client.get_record_batch(requests)
 
     def report_telemetry(self, report: dict) -> dict:
         """Ship one loader-telemetry report; returns the server's ack."""

@@ -13,9 +13,7 @@ concurrent sockets:
   of pending buffer segments on the write side;
 * responses are *gather lists*: an 8-byte frame header plus a
   ``memoryview`` slice straight out of the scan-prefix cache, handed to
-  ``socket.sendmsg`` without ever concatenating header and payload (and a
-  ``BATCH`` response is one gather list across all its sub-frames — no
-  intermediate joins);
+  ``socket.sendmsg`` without ever concatenating header and payload;
 * write interest is toggled per connection, and a connection whose output
   queue exceeds ``backpressure_bytes`` stops being *read* until the peer
   drains it, so one slow client can neither stall the loop nor balloon
@@ -32,7 +30,6 @@ from __future__ import annotations
 import os
 import selectors
 import socket
-import struct
 import threading
 import time
 from collections import deque
@@ -46,8 +43,6 @@ from repro.serving import protocol
 from repro.serving.cache import DEFAULT_CACHE_BYTES, ScanPrefixCache
 from repro.serving.protocol import (
     DEFAULT_MAX_PAYLOAD_BYTES,
-    MSG_BATCH,
-    MSG_BATCH_DATA,
     MSG_DATASET_META,
     MSG_GET_INDEX,
     MSG_GET_METRICS,
@@ -518,8 +513,6 @@ class PCRRecordServer:
             if msg_type == MSG_GET_RECORD:
                 request = protocol.unpack_record_request(payload)
                 return self._record_segments(request)
-            if msg_type == MSG_BATCH:
-                return self._batch_segments(payload)
             if msg_type == MSG_GET_INDEX:
                 request = protocol.unpack_record_request(payload)
                 index = self.reader.record_index(request.record_name)
@@ -550,12 +543,7 @@ class PCRRecordServer:
 
     def _record_segments(self, request: protocol.RecordRequest) -> list:
         """``[header, payload-view]`` for one record, or ``[error-frame]``."""
-        try:
-            data = self.serve_record_bytes(request.record_name, request.scan_group)
-        except ScanGroupError as exc:
-            return [self._error(protocol.ERR_BAD_SCAN_GROUP, str(exc))]
-        except PCRError as exc:
-            return [self._error(protocol.ERR_NOT_FOUND, str(exc))]
+        data = self.serve_record_bytes(request.record_name, request.scan_group)
         if len(data) > self.max_payload:
             return [
                 self._error(
@@ -566,37 +554,6 @@ class PCRRecordServer:
         return [
             protocol.encode_header(MSG_RECORD_DATA, len(data), self.max_payload),
             data,
-        ]
-
-    def _batch_segments(self, payload: bytes) -> list:
-        """One gather list for a whole ``BATCH`` response — zero joins.
-
-        Sub-frame segments accumulate directly into the outer response's
-        gather list; only their total length is computed up front, for the
-        outer header and the frame-limit check.
-        """
-        requests = protocol.unpack_batch_request(payload)
-        segments: list = []
-        total = 2  # the count field of the batch body
-        for index, request in enumerate(requests):
-            sub = self._record_segments(request)
-            total += sum(len(s) for s in sub)
-            if total > self.max_payload:
-                # Bail before materializing more sub-frames: a small BATCH
-                # request must not be able to force an unbounded response
-                # allocation server-side.
-                return [
-                    self._error(
-                        protocol.ERR_OVERSIZED,
-                        f"batch response exceeds the frame limit at sub-request "
-                        f"{index} of {len(requests)}; split the batch",
-                    )
-                ]
-            segments.extend(sub)
-        return [
-            protocol.encode_header(MSG_BATCH_DATA, total, self.max_payload),
-            struct.pack("<H", len(requests)),
-            *segments,
         ]
 
     def _error(self, code: int, message: str) -> bytes:

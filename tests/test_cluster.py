@@ -188,16 +188,6 @@ class TestClusterClient:
                         reader.read_record_bytes(name, group)
                     )
 
-    def test_batch_spans_shards_in_request_order(self, cluster, pcr_dataset):
-        reader = pcr_dataset.reader
-        names = reader.record_names
-        requests = [(name, 1 + (i % reader.n_groups)) for i, name in enumerate(names)]
-        with ClusterClient(cluster.shard_map) as client:
-            blobs = client.get_record_batch(requests)
-        assert len(blobs) == len(requests)
-        for (name, group), blob in zip(requests, blobs):
-            assert blob == reader.read_record_bytes(name, group)
-
     def test_dataset_meta_reaggregates_the_whole_dataset(self, cluster, pcr_dataset):
         with ClusterClient(cluster.shard_map) as client:
             meta = client.dataset_meta()
@@ -217,6 +207,16 @@ class TestClusterClient:
             with pytest.raises(protocol.RemoteError):
                 client.get_record_bytes("no-such-record.pcr", 1)
             assert client.failovers == 0
+
+    def test_oversized_request_does_not_fail_over(self, cluster):
+        """The caller's own over-limit request is not a replica failure."""
+        name = "r" * 256
+        with ClusterClient(cluster.shard_map) as client:
+            for replica in cluster.shard_map.owners(name):
+                client._client_for(replica).max_payload = 128
+            with pytest.raises(protocol.FrameTooLargeError):
+                client.get_record_bytes(name, 1)
+            assert client.failovers == 0 and client.failed_endpoints == {}
 
     def test_failover_to_replica_on_dead_primary(self, pcr_dataset):
         reader = pcr_dataset.reader

@@ -323,14 +323,13 @@ class TestReaderBatchIntegration:
             dataset.close()
 
     def test_assemble_samples_batch_decoded_alignment(self, tmp_path):
-        """Multi-record batch assembly keys each image to its own sample.
+        """Record assembly keys each batch-decoded image to its own sample.
 
-        Mixed record sizes (3, 3, 1) exercise the cross-record boundary
-        bookkeeping with decode=True — a mis-slice would pair record A's
-        pixels with record B's metadata.
+        Mixed record sizes (3, 3, 1) with decode=True — a mis-slice would
+        pair one sample's pixels with another's metadata.
         """
         from repro.core.dataset import PCRDataset
-        from repro.core.reader import assemble_samples_batch
+        from repro.core.reader import assemble_samples
 
         rng = np.random.default_rng(4)
         samples = [
@@ -340,19 +339,15 @@ class TestReaderBatchIntegration:
         dataset = PCRDataset.build(samples, tmp_path / "pcr", images_per_record=3)
         try:
             reader = dataset.reader
-            group = dataset.n_groups
-            names = dataset.record_names
-            blobs = [reader.read_record_bytes(name, group) for name in names]
             codec = ProgressiveCodec(quality=90)
-            batched = assemble_samples_batch(blobs, codec, decode=True)
-            assert [len(record) for record in batched] == [3, 3, 1]
-            for blob, batch_record in zip(blobs, batched):
-                single_record = assemble_samples_batch([blob], codec, decode=True)[0]
-                for batch_sample, single_sample in zip(batch_record, single_record):
-                    assert batch_sample.metadata.key == single_sample.metadata.key
-                    assert batch_sample.stream == single_sample.stream
-                    assert np.array_equal(
-                        batch_sample.image.pixels, single_sample.image.pixels
-                    )
+            records = [
+                assemble_samples(reader.read_record_bytes(name, dataset.n_groups), codec, decode=True)
+                for name in dataset.record_names
+            ]
+            assert [len(record) for record in records] == [3, 3, 1]
+            flat = [sample for record in records for sample in record]
+            assert [(s.key, s.label) for s in flat] == [(f"img{i}", i) for i in range(7)]
+            for sample in flat:
+                assert np.array_equal(sample.image.pixels, codec.decode(sample.stream).pixels)
         finally:
             dataset.close()

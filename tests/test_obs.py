@@ -431,7 +431,8 @@ class TestGetMetricsWireOp:
                 client.get_record_bytes(names[1], top)  # miss; admission evicts names[0]
                 server.cache.set_admission_bias({1})
                 client.get_record_bytes(names[2], top)  # miss; cache over half full: bias skip
-                client.get_record_batch([(names[1], 2), (names[2], 1)])  # prefix hit + miss
+                client.get_record_bytes(names[1], 2)  # prefix hit
+                client.get_record_bytes(names[2], 1)  # miss
                 client.get_index(names[0])
                 client.dataset_meta()
                 client.stat()

@@ -23,7 +23,7 @@ from repro.core.source import RecordFetcher, RecordSource
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.serving import protocol
-from repro.serving.client import PCRClient
+from repro.serving.client import PCRClient, RecordClient
 from repro.serving.cluster import (
     ClusterClient,
     ClusterCoordinator,
@@ -124,17 +124,6 @@ class TestConformance:
                 for a, b in zip(mine, theirs):
                     assert np.array_equal(a.image.pixels, b.image.pixels)
 
-    def test_read_record_batch_equals_sequential_reads(self, open_source):
-        source = open_source(scan_group=2, decode=False)
-        names = source.record_names
-        batched = source.read_record_batch(names)
-        assert len(batched) == len(names)
-        for name, samples in zip(names, batched):
-            singly = source.read_record(name)
-            assert [s.key for s in samples] == [s.key for s in singly]
-            assert [s.stream for s in samples] == [s.stream for s in singly]
-            assert all(s.image is None for s in samples)
-
     def test_byte_accounting_equals_the_readers_index(self, open_source, reader):
         source = open_source(scan_group=2)
         assert source.epoch_bytes() == reader.dataset_bytes_for_group(2)
@@ -228,13 +217,30 @@ class TestConformance:
         del fetcher.close  # teardown performs the real close
         assert closed == [True]
 
+    def test_closing_a_label_view_leaves_the_parent_readable(self, open_source, reader):
+        source = open_source(scan_group=1, decode=False)
+        first, other = reader.record_names[:2]
+        with source.with_label_mapper(lambda label: label % 2) as view:
+            assert {sample.label for sample in view.read_record(first)} <= {0, 1}
+        # The view borrowed the fetcher: the parent still reads through it
+        # (a record the view never touched, so nothing is served from a cache).
+        assert [s.stream for s in source.read_record(other)] == [
+            s.stream for s in reader.read_record(other, 1, decode=False)
+        ]
+
+    def test_close_is_idempotent(self, open_source):
+        source = open_source()
+        source.read_record(source.record_names[0], decode=False)
+        source.close()
+        source.close()
+
 
 class TestOneSeam:
     def test_named_sources_share_one_implementation(self):
         for cls in NAMED_SOURCES:
             assert issubclass(cls, RecordSource)
             for member in (
-                "read_record", "read_record_batch", "set_scan_group", "set_decode_pool",
+                "read_record", "set_scan_group", "set_decode_pool",
                 "epoch_bytes", "epoch_bytes_by_group", "mean_sample_bytes",
                 "with_label_mapper", "bind_stall_tracker", "close",
             ):
@@ -266,13 +272,13 @@ class TestOneSeam:
         assert isinstance(view, RecordFetcher)
         wire_clients = (PCRClient(port=server.port), ClusterClient(cluster.shard_map))
         for client in wire_clients:
+            assert isinstance(client, RecordClient)
             fetcher = RemoteFetcher(client)
             try:
                 assert isinstance(fetcher, RecordFetcher)
-                requests = [(name, 1) for name in reader.record_names]
-                assert fetcher.read_record_bytes_batch(requests) == (
-                    reader.read_record_bytes_batch(requests)
-                )
+                assert not isinstance(fetcher, RecordClient)
+                for name in reader.record_names:
+                    assert fetcher.read_record_bytes(name, 1) == reader.read_record_bytes(name, 1)
             finally:
                 fetcher.close()
         assert not isinstance(wire_clients[0], RecordFetcher)
@@ -285,12 +291,47 @@ class TestOneSeam:
         with pytest.raises(RuntimeError, match="closed"):
             client.stat()
 
-    def test_single_read_is_get_record_and_batch_read_is_one_batch(self, pcr_dataset):
-        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as fresh:
-            with RemoteRecordSource(port=fresh.port, decode=False) as source:
-                names = source.record_names
-                source.read_record(names[0])
-                source.read_record_batch(names)
-            requests = fresh.stats()["requests_by_type"]
-        assert requests[f"0x{protocol.MSG_GET_RECORD:02x}"] == 1
-        assert requests[f"0x{protocol.MSG_BATCH:02x}"] == 1
+    def test_one_read_verb(self):
+        """The record is the batch: one fetch verb at every layer of the seam."""
+        assert set(protocol.MESSAGE_NAMES) == {
+            protocol.MSG_GET_RECORD, protocol.MSG_GET_INDEX, protocol.MSG_STAT,
+            protocol.MSG_DATASET_META, protocol.MSG_GET_METRICS, protocol.MSG_REPORT_TELEMETRY,
+        }
+        assert 0x05 not in protocol.MESSAGE_NAMES  # BATCH: retired, never reused
+        members = set(RecordFetcher.__annotations__) | {
+            name for name, value in vars(RecordFetcher).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert members == {
+            "dataset_meta", "n_groups", "n_samples", "record_names",
+            "record_index", "read_record_bytes", "close",
+        }
+        assert [name for name in dir(RecordSource) if name.startswith("read_")] == ["read_record"]
+
+    @pytest.mark.parametrize("backend", ["remote", "sharded"])
+    def test_loader_epoch_is_one_get_record_per_record(self, backend, server, cluster):
+        """What a loader epoch sends, by op: ``n_records`` ``GET_RECORD``
+        fleet-wide and nothing else (the handshake came before the epoch)."""
+        if backend == "remote":
+            servers, source = [server], RemoteRecordSource(port=server.port, scan_group=1)
+        else:
+            servers = cluster.running_servers()
+            source = ShardedRemoteRecordSource(cluster.shard_map, scan_group=1)
+
+        def requests_by_type() -> dict[str, int]:
+            totals: dict[str, int] = {}
+            for running in servers:
+                for op, count in running.stats()["requests_by_type"].items():
+                    totals[op] = totals.get(op, 0) + count
+            return totals
+
+        with source:
+            loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=2, seed=3))
+            before = requests_by_type()
+            assert sum(len(batch) for batch in loader.epoch()) == len(source)
+            after = requests_by_type()
+            n_records = len(source.record_names)
+        sent = {op: after[op] - before.get(op, 0) for op in after}
+        assert {op: n for op, n in sent.items() if n} == {
+            f"0x{protocol.MSG_GET_RECORD:02x}": n_records
+        }

@@ -81,26 +81,11 @@ class TestProtocolFrames:
         with pytest.raises(protocol.ProtocolError, match="trailing"):
             protocol.unpack_record_request(packed + b"!")
 
-    def test_batch_request_roundtrip(self):
-        requests = [
-            protocol.RecordRequest("a.pcr", 1),
-            protocol.RecordRequest("b.pcr", 10),
-        ]
-        assert protocol.unpack_batch_request(protocol.pack_batch_request(requests)) == requests
-
     def test_error_roundtrip(self):
         error = protocol.unpack_error(protocol.pack_error(protocol.ERR_NOT_FOUND, "nope"))
         assert error.code == protocol.ERR_NOT_FOUND
         assert error.message == "nope"
         assert "not-found" in str(error)
-
-    def test_split_frames_rejects_truncation(self):
-        stream = protocol.encode_frame(protocol.MSG_STAT, b"") + protocol.encode_frame(
-            protocol.MSG_RECORD_DATA, b"abcdef"
-        )
-        assert len(protocol.split_frames(stream)) == 2
-        with pytest.raises(protocol.ProtocolError):
-            protocol.split_frames(stream[:-3])
 
 
 # -- scan-prefix cache -------------------------------------------------------
@@ -230,15 +215,6 @@ class TestServerClient:
         name = pcr_dataset.record_names[0]
         assert client.get_index(name) == pcr_dataset.reader.record_index(name)
 
-    def test_batch_pipelined_fetch(self, server, client, pcr_dataset):
-        reader = pcr_dataset.reader
-        names = reader.record_names
-        requests = [(name, 1 + (i % reader.n_groups)) for i, name in enumerate(names)]
-        blobs = client.get_record_batch(requests)
-        assert len(blobs) == len(requests)
-        for (name, group), blob in zip(requests, blobs):
-            assert blob == reader.read_record_bytes(name, group)
-
     def test_missing_record_raises_remote_error(self, server, client):
         with pytest.raises(protocol.RemoteError) as info:
             client.get_record_bytes("no-such-record.pcr", 1)
@@ -255,6 +231,26 @@ class TestServerClient:
             msg_type, payload = protocol.read_frame(sock)
         assert msg_type == protocol.MSG_ERROR
         assert protocol.unpack_error(payload).code == protocol.ERR_UNSUPPORTED
+
+    def test_retired_batch_op_is_unsupported_and_the_connection_lives(self, pcr_dataset):
+        """0x05 was ``BATCH``: a well-formed frame of it gets one ``unsupported``
+        error, counted once, and the same connection then serves a record."""
+        reader = pcr_dataset.reader
+        name = reader.record_names[0]
+        record_request = protocol.pack_record_request(protocol.RecordRequest(name, 1))
+        with PCRRecordServer(reader.directory, port=0) as fresh:
+            with socket.create_connection(("127.0.0.1", fresh.port), timeout=5) as sock:
+                sock.sendall(protocol.encode_frame(0x05, struct.pack("<H", 1) + record_request))
+                msg_type, payload = protocol.read_frame(sock)
+                assert msg_type == protocol.MSG_ERROR
+                assert protocol.unpack_error(payload).code == protocol.ERR_UNSUPPORTED
+                sock.sendall(protocol.encode_frame(protocol.MSG_GET_RECORD, record_request))
+                assert protocol.read_frame(sock) == (
+                    protocol.MSG_RECORD_DATA, reader.read_record_bytes(name, 1)
+                )
+            stats = fresh.stats()
+        assert stats["errors"] == 1
+        assert stats["requests_by_type"] == {"0x01": 1, "0x05": 1}
 
     def test_truncated_frame_gets_malformed_error(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
@@ -345,19 +341,30 @@ class TestServerClient:
         finally:
             pooled.close()
 
-    def test_batch_oversize_rejected_before_materializing(self, pcr_dataset):
-        """One small BATCH frame must not force an unbounded response allocation."""
+    def test_oversized_request_is_the_callers_error_not_a_dead_server(self, pcr_dataset):
+        """A request over the client's own frame limit raises before a socket
+        is touched: no reconnect, no purged pool, no ``ConnectionError``."""
+        name = pcr_dataset.record_names[0]
+        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as fresh:
+            with PCRClient(port=fresh.port, max_payload=1 << 16) as client:
+                client.get_record_bytes(name, 1)  # one healthy pooled connection
+                pooled = (client._n_open, client._pool.qsize())
+                accepted = fresh.stats()["event_loop"]["accepted_connections"]
+                with pytest.raises(protocol.FrameTooLargeError):
+                    client.report_telemetry({"padding": "x" * (1 << 17)})
+                assert (client._n_open, client._pool.qsize()) == pooled == (1, 1)
+                assert fresh.stats()["event_loop"]["accepted_connections"] == accepted == 1
+                assert client.get_record_bytes(name, 1)  # ... and it still serves
+
+    def test_record_over_the_servers_frame_limit_gets_oversized_error(self, pcr_dataset):
         reader = pcr_dataset.reader
         name = reader.record_names[0]
-        record_size = reader.bytes_for_group(name, reader.n_groups)
-        limit = 2 * record_size + 128
+        limit = reader.bytes_for_group(name, reader.n_groups) - 1
         with PCRRecordServer(reader.directory, port=0, max_payload=limit) as capped:
             with PCRClient(port=capped.port, max_payload=limit) as client:
-                # A single record fits comfortably under the limit ...
-                assert len(client.get_record_bytes(name, reader.n_groups)) == record_size
-                # ... but a pipelined batch of ten must be rejected early.
+                assert client.get_record_bytes(name, 1) == reader.read_record_bytes(name, 1)
                 with pytest.raises(protocol.RemoteError) as info:
-                    client.get_record_batch([(name, reader.n_groups)] * 10)
+                    client.get_record_bytes(name, reader.n_groups)
                 assert info.value.code == protocol.ERR_OVERSIZED
 
     def test_connection_refused_after_final_stop(self, pcr_dataset):
@@ -416,11 +423,11 @@ class TestRemoteRecordSource:
 
         names = pcr_dataset.record_names
         with RemoteRecordSource(port=server.port, scan_group=2) as source:
-            reference = source.read_record_batch(names, decode=True)
+            reference = [source.read_record(name, decode=True) for name in names]
             with DecodePool(2) as pool:
                 source.set_decode_pool(pool)
-                parallel = source.read_record_batch(names, decode=True)
-                assert pool.stats.parallel_batches == 1
+                parallel = [source.read_record(name, decode=True) for name in names]
+                assert pool.stats.parallel_batches == len(names)
                 for ref_samples, par_samples in zip(reference, parallel):
                     for mine, theirs in zip(ref_samples, par_samples):
                         assert mine.key == theirs.key

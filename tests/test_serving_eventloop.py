@@ -173,14 +173,16 @@ class TestSlowAndHostileClients:
 
     def test_assembler_truncation_fuzz(self, pcr_dataset):
         """Feed a three-frame stream to the incremental parser at every split
-        point; the reassembled frames must be identical regardless of split."""
+        point; the reassembled frames must be identical regardless of split
+        (the reference is the whole stream in one feed)."""
         frames = [
             _record_frame(pcr_dataset.record_names[0], 1),
             protocol.encode_frame(protocol.MSG_STAT, b""),
             _record_frame(pcr_dataset.record_names[-1], 3),
         ]
         stream = b"".join(frames)
-        reference = protocol.split_frames(stream)
+        reference = protocol.FrameAssembler().feed(stream)
+        assert [protocol.encode_frame(*frame) for frame in reference] == frames
         for split in range(1, len(stream)):
             assembler = protocol.FrameAssembler()
             got = assembler.feed(stream[:split])
