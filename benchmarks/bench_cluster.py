@@ -50,6 +50,20 @@ def _build_dataset(workdir: str, n_samples: int, image_size: int, per_record: in
     return PCRDataset.build(samples, workdir, images_per_record=per_record, quality=90)
 
 
+def _cache_rates(counters: dict) -> dict:
+    """Hit ratios derived from a (replica's or merged) registry's cache counters."""
+    exact = counters.get("serving.cache.exact_hits_total", 0)
+    prefix = counters.get("serving.cache.prefix_hits_total", 0)
+    misses = counters.get("serving.cache.misses_total", 0)
+    lookups = exact + prefix + misses
+    return {
+        "prefix_hits": prefix,
+        "misses": misses,
+        "prefix_hit_rate": prefix / lookups if lookups else 0.0,
+        "hit_rate": (exact + prefix) / lookups if lookups else 0.0,
+    }
+
+
 def _fetch_epoch(client: ClusterClient, names: list[str], group: int) -> int:
     total = 0
     for name in names:
@@ -100,7 +114,7 @@ def _bench_shard_scaling(
             "warm_records_per_s": len(names) / min(warm),
             "aggregate_threads": n_threads,
             "aggregate_mb_per_s": n_threads * epoch_bytes / _MB / aggregate_seconds,
-            "cluster_cache_hit_rate": stats["cluster"]["cache_hit_rate"],
+            "cluster_cache_hit_rate": _cache_rates(stats["merged"]["counters"])["hit_rate"],
             "records_per_shard": {
                 shard_id: shard["n_records"] for shard_id, shard in stats["shards"].items()
             },
@@ -157,19 +171,12 @@ def _bench_per_shard_containment(directory: Path, names: list[str], n_groups: in
             stats = cluster.stats()
     per_shard: dict[str, dict] = {}
     for shard_id, shard in stats["shards"].items():
-        replica = shard["replicas"]["0"]
-        cache = replica["cache"]
-        per_shard[shard_id] = {
-            "n_records": shard["n_records"],
-            "prefix_hits": cache["prefix_hits"],
-            "misses": cache["misses"],
-            "prefix_hit_rate": cache["prefix_hit_rate"],
-            "hit_rate": cache["hit_rate"],
-        }
+        counters = shard["replicas"]["0"]["registry"]["counters"]
+        per_shard[shard_id] = {"n_records": shard["n_records"], **_cache_rates(counters)}
     return {
         "populate_group": n_groups,
         "lower_group_requests": len(names) * (n_groups - 1),
-        "cluster_hit_rate": stats["cluster"]["cache_hit_rate"],
+        "cluster_hit_rate": _cache_rates(stats["merged"]["counters"])["hit_rate"],
         "per_shard": per_shard,
     }
 

@@ -92,12 +92,12 @@ def main() -> None:
                 print(f"  interval {entry['interval']:2d}: "
                       f"{entry['previous_group']} -> {entry['chosen_group']} "
                       f"({entry['direction']}) because {entry['reason']}")
-            fleet = controller.last_fleet_snapshot or {}
-            counters = fleet.get("counters", {})
+            fleet = cluster.stats()
+            counters = fleet["merged"]["counters"]
             print(f"\nFleet telemetry: "
                   f"{counters.get('serving.telemetry.reports_total', 0):.0f} reports, "
                   f"{counters.get('serving.telemetry.hints_served_total', 0):.0f} hints served "
-                  f"across {cluster.cluster_stats()['live_replicas']} replicas")
+                  f"across {fleet['live_replicas']} replicas")
 
 
 if __name__ == "__main__":

@@ -71,17 +71,21 @@ def main() -> None:
                     f"failovers so far {source.cluster_client.failovers}"
                 )
 
-            stats = source.cluster_stats()
+            fleet = source.cluster_client.stats()
             print(
                 f"\nCluster after training: "
-                f"{stats['client']['failovers']} client failovers "
-                f"({stats['client']['failed_endpoints']})"
+                f"{fleet['client']['failovers']} client failovers "
+                f"({fleet['client']['failed_endpoints']})"
             )
-            fleet = cluster.stats()
+            counters = fleet["merged"]["counters"]
+            hits = (
+                counters["serving.cache.exact_hits_total"]
+                + counters["serving.cache.prefix_hits_total"]
+            )
+            lookups = hits + counters["serving.cache.misses_total"]
             print(
-                f"Fleet: {fleet['cluster']['live_replicas']}/"
-                f"{fleet['cluster']['total_replicas']} replicas live, "
-                f"cache hit rate {fleet['cluster']['cache_hit_rate']:.2f}"
+                f"Fleet: {fleet['live_replicas']}/{fleet['total_replicas']} replicas live, "
+                f"cache hit rate {hits / lookups if lookups else 0.0:.2f}"
             )
             cluster.restart_replica(busiest, 0)
             print(f"Restarted {busiest}/replica-0 on its original port; cluster whole again.")

@@ -51,9 +51,12 @@ def main() -> None:
         if (epoch + 1) % TUNE_EVERY == 0:
             decision = controller.tune(trainer, dataset, epoch)
             similarities = ", ".join(
-                f"g{g}={v:.2f}" for g, v in sorted(decision.probe_metrics.items())
+                f"g{g}={v:.2f}" for g, v in sorted(decision.inputs.items())
             )
-            print(f"    autotune: gradient cosine [{similarities}] -> scan group {decision.chosen_group}")
+            print(
+                f"    autotune: gradient cosine [{similarities}] -> scan group "
+                f"{decision.chosen_group} ({decision.direction}: {decision.reason})"
+            )
 
     final_accuracy = trainer.evaluate(loader)
     print(f"\nFinal training-set accuracy: {final_accuracy:.2f}")

@@ -7,13 +7,13 @@ conventional JPEG quantization tables.
 The scalar reference path routes through ``scipy.fft``; the batched pixel
 fast path (:mod:`repro.codecs.pixelpath`) expresses the same transform as
 matrix products against :func:`dct_basis_matrix`, which is the single
-source of truth for the basis both use.
+source of truth for the basis both use.  ``scipy`` is imported where the
+reference runs, so a serving, loader or ingest process never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from repro.codecs.blocks import BLOCK_SIZE
 
@@ -37,6 +37,8 @@ def forward_dct_blocks(blocks: np.ndarray) -> np.ndarray:
 
     The pixel values are level-shifted by 128 first, as in JPEG.
     """
+    from scipy.fft import dctn
+
     blocks = np.asarray(blocks, dtype=np.float64)
     _check_block_shape(blocks)
     return dctn(blocks - 128.0, type=2, norm="ortho", axes=(-2, -1))
@@ -44,6 +46,8 @@ def forward_dct_blocks(blocks: np.ndarray) -> np.ndarray:
 
 def inverse_dct_blocks(coeffs: np.ndarray) -> np.ndarray:
     """Apply the 2-D inverse DCT (DCT-III) and undo the level shift."""
+    from scipy.fft import idctn
+
     coeffs = np.asarray(coeffs, dtype=np.float64)
     _check_block_shape(coeffs)
     return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1)) + 128.0

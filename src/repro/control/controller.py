@@ -1,4 +1,4 @@
-"""The closed-loop fidelity controller and the planes it steers through.
+"""The closed-loop fidelity controller and the plane it steers through.
 
 ``FidelityController`` is the thread that closes the paper's autotune loop
 over the live telemetry plane: every control interval it polls the latest
@@ -8,86 +8,64 @@ configured policy, publishes the resulting
 ``REPORT_TELEMETRY`` ack will pick it up, biases the serving cache toward
 the groups the fleet is being steered to, and records every decision (with
 its rationale) both in an inspectable decision log and as ``control.*``
-metrics on the plane's registry — so ``GET_METRICS`` scrapes see the
-controller's behaviour next to the serving counters it acted on.
+metrics on the plane's registry.
 
-The controller never talks to sockets itself; it goes through a *control
-plane* object:
-
-* :class:`ServerControlPlane` — one :class:`~repro.serving.server.
-  PCRRecordServer`: telemetry from the server's store, hints back into it,
-  cache bias on the server's scan-prefix cache, fleet snapshot from the
-  same registry body ``GET_METRICS`` serves.
-* :class:`ClusterControlPlane` — a :class:`~repro.serving.cluster.
-  coordinator.ClusterCoordinator` fleet: telemetry merged across every
-  running replica (freshest report per client wins), hints republished to
-  *all* replicas (a client reports to whichever shard it happens to reach),
-  cache bias applied fleet-wide, and the fleet snapshot scraped over the
-  wire with the existing ``GET_METRICS``/merge machinery.
-
-Both planes are duck-typed; tests drive the controller with an in-memory
-fake plane and call :meth:`FidelityController.step` directly for exact,
-interval-by-interval convergence assertions.
+The controller never talks to sockets itself; it goes through a
+:class:`ControlPlane` over the live in-process servers — the one server
+that owns the controller, or a :class:`~repro.serving.cluster.coordinator.
+ClusterCoordinator`'s running replicas.  The plane is duck-typed
+(``registry``, ``poll``, ``publish``, ``set_admission_bias``); tests drive
+the controller with an in-memory fake plane and call
+:meth:`FidelityController.step` directly for exact, interval-by-interval
+convergence assertions.  :func:`attach_controller` is the one body behind
+``PCRRecordServer.start_controller`` and
+``ClusterCoordinator.start_controller``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from collections.abc import Callable
 
-from repro.control.policy import (
-    DOWN,
-    UP,
-    ClientControlState,
-    ControlDecision,
-    StallTargetPolicy,
-)
+from repro.control.policy import ClientControlState, StallTargetPolicy
 from repro.control.telemetry import ClientTelemetry, ScanGroupHint
+from repro.core.scan_groups import DOWN, UP, ScanGroupDecision
 from repro.obs import MetricsRegistry
 
 DEFAULT_INTERVAL_SECONDS = 0.5
-DEFAULT_LOG_CAPACITY = 512
-#: Fleet snapshots are scraped once every this many control intervals —
-#: scraping rides the GET_METRICS path, which is cheap but not free.
-DEFAULT_FLEET_SCRAPE_INTERVALS = 4
+_LOG_CAPACITY = 512
 
 
-class ServerControlPlane:
-    """Control-plane view of one in-process :class:`PCRRecordServer`."""
+class ControlPlane:
+    """The live in-process servers one controller steers.
 
-    def __init__(self, server) -> None:
-        self.server = server
-        self.registry: MetricsRegistry = server.registry
+    ``servers`` is asked again on every call, so a replica restarted since
+    the last interval is polled, hinted and biased on the next one.
+    ``control.*`` metrics land on ``registry``: the owning server's (they
+    ride its ``GET_METRICS``) or, for a fleet, one of the coordinator's own.
+    """
 
-    def poll(self) -> dict[str, ClientTelemetry]:
-        return self.server.telemetry.latest()
+    def __init__(self, servers: Callable[[], list], registry: MetricsRegistry) -> None:
+        self._servers = servers
+        self.registry = registry
+        self._live()  # adopt today's servers now, not at the first poll
 
-    def publish(self, client_id: str, hint: ScanGroupHint | None) -> None:
-        self.server.telemetry.set_hint(client_id, hint)
-
-    def set_admission_bias(self, groups: set[int] | None) -> None:
-        self.server.cache.set_admission_bias(groups)
-
-    def fleet_snapshot(self) -> dict:
-        """The same registry body a ``GET_METRICS`` scrape would return."""
-        return self.server.metrics_snapshot()["registry"]
-
-
-class ClusterControlPlane:
-    """Control-plane view of a whole :class:`ClusterCoordinator` fleet."""
-
-    def __init__(self, coordinator, registry: MetricsRegistry | None = None) -> None:
-        self.coordinator = coordinator
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def _live(self) -> list:
+        servers = self._servers()
+        for server in servers:
+            # What the replica's TELEMETRY_ACK reports as controller_active.
+            server.telemetry.steered = True
+        return servers
 
     def poll(self) -> dict[str, ClientTelemetry]:
-        """Latest telemetry per client across every live replica.
+        """Latest telemetry per client across every live server.
 
         A client reports to whichever replica served its last fetch, so the
         fleet view keeps, per client, the freshest report any replica holds.
         """
         merged: dict[str, ClientTelemetry] = {}
-        for server in self.coordinator.running_servers():
+        for server in self._live():
             for client_id, report in server.telemetry.latest().items():
                 current = merged.get(client_id)
                 if current is None or report.received_at > current.received_at:
@@ -95,16 +73,13 @@ class ClusterControlPlane:
         return merged
 
     def publish(self, client_id: str, hint: ScanGroupHint | None) -> None:
-        for server in self.coordinator.running_servers():
+        """To every server: a client's next report may reach any of them."""
+        for server in self._live():
             server.telemetry.set_hint(client_id, hint)
 
     def set_admission_bias(self, groups: set[int] | None) -> None:
-        for server in self.coordinator.running_servers():
+        for server in self._live():
             server.cache.set_admission_bias(groups)
-
-    def fleet_snapshot(self) -> dict:
-        """Fleet-wide merged registry, scraped over the wire (GET_METRICS)."""
-        return self.coordinator.cluster_stats()["merged"]
 
 
 class FidelityController:
@@ -115,17 +90,13 @@ class FidelityController:
         plane,
         policy=None,
         interval: float = DEFAULT_INTERVAL_SECONDS,
-        log_capacity: int = DEFAULT_LOG_CAPACITY,
-        fleet_scrape_intervals: int = DEFAULT_FLEET_SCRAPE_INTERVALS,
     ) -> None:
         self.plane = plane
         self.policy = policy if policy is not None else StallTargetPolicy()
         self.interval = interval
-        self.fleet_scrape_intervals = fleet_scrape_intervals
         self.registry: MetricsRegistry = plane.registry
-        self.last_fleet_snapshot: dict | None = None
         self._states: dict[str, ClientControlState] = {}
-        self._log: deque[ControlDecision] = deque(maxlen=log_capacity)
+        self._log: deque[ScanGroupDecision] = deque(maxlen=_LOG_CAPACITY)
         self._intervals = 0
         self._decision_seq = 0
         self._lock = threading.Lock()
@@ -141,6 +112,7 @@ class FidelityController:
     def start(self) -> "FidelityController":
         if self._thread is not None:
             raise RuntimeError("controller already started")
+        self._stop_event.clear()  # a stopped controller starts again for real
         self._thread = threading.Thread(
             target=self._run, daemon=True, name="pcr-fidelity-controller"
         )
@@ -165,13 +137,13 @@ class FidelityController:
             try:
                 self.step()
             except Exception:
-                # The control loop must never die on a transient scrape
-                # failure (a replica mid-restart); the next interval retries.
+                # The control loop must never die on a transient failure
+                # (a replica stopping mid-poll); the next interval retries.
                 self.registry.counter("control.step_errors_total").inc()
 
     # -- the control step ----------------------------------------------------
 
-    def step(self) -> list[ControlDecision]:
+    def step(self) -> list[ScanGroupDecision]:
         """Run one control interval; returns the decisions it produced.
 
         Public so tests (and the benchmark) can drive the loop
@@ -181,7 +153,7 @@ class FidelityController:
         with self._lock:
             return self._step_locked()
 
-    def _step_locked(self) -> list[ControlDecision]:
+    def _step_locked(self) -> list[ScanGroupDecision]:
         interval = self._intervals
         self._intervals += 1
         registry = self.registry
@@ -191,7 +163,7 @@ class FidelityController:
         for client_id in list(self._states):
             if client_id not in reports:
                 del self._states[client_id]
-        decisions: list[ControlDecision] = []
+        decisions: list[ScanGroupDecision] = []
         for client_id in sorted(reports):
             telemetry = reports[client_id]
             state = self._states.get(client_id)
@@ -201,7 +173,7 @@ class FidelityController:
             decision = self.policy.decide(telemetry, state, interval)
             decisions.append(decision)
             self._log.append(decision)
-            self._record(decision, state)
+            self._record(decision)
             if state.direction_changes > changes_before:
                 registry.counter("control.direction_changes_total").inc(
                     state.direction_changes - changes_before
@@ -218,15 +190,9 @@ class FidelityController:
                 )
         self._apply_bias()
         registry.gauge("control.clients_tracked").set(len(self._states))
-        if interval % self.fleet_scrape_intervals == 0:
-            try:
-                self.last_fleet_snapshot = self.plane.fleet_snapshot()
-                registry.counter("control.fleet_scrapes_total").inc()
-            except Exception:
-                registry.counter("control.fleet_scrape_errors_total").inc()
         return decisions
 
-    def _record(self, decision: ControlDecision, state: ClientControlState) -> None:
+    def _record(self, decision: ScanGroupDecision) -> None:
         registry = self.registry
         registry.counter("control.decisions_total").inc()
         if decision.direction == UP:
@@ -236,7 +202,7 @@ class FidelityController:
         else:
             registry.counter("control.holds_total").inc()
         registry.gauge(f"control.client.{decision.client_id}.scan_group").set(
-            state.group if state.group is not None else decision.chosen_group
+            decision.chosen_group
         )
 
     def _apply_bias(self) -> None:
@@ -273,3 +239,29 @@ class FidelityController:
             for entry in self.decision_log(client_id)
             if entry["direction"] != "hold"
         ]
+
+
+def attach_controller(
+    host,
+    servers: Callable[[], list],
+    registry: MetricsRegistry,
+    policy=None,
+    interval: float | None = None,
+    auto_start: bool = True,
+) -> FidelityController:
+    """``host.start_controller``, for a record server or a cluster coordinator.
+
+    ``auto_start=False`` attaches without spawning the thread, for callers
+    that drive :meth:`FidelityController.step` themselves.  The host keeps
+    the returned controller and stops it when it stops.
+    """
+    if host.controller is not None:
+        raise RuntimeError("controller already attached")
+    controller = FidelityController(
+        ControlPlane(servers, registry),
+        policy,
+        DEFAULT_INTERVAL_SECONDS if interval is None else interval,
+    )
+    if auto_start:
+        controller.start()
+    return controller

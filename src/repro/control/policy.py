@@ -1,11 +1,13 @@
 """Pluggable control policies: telemetry in, scan-group decision out.
 
 A policy is the pure decision core of the adaptive-fidelity loop — the
-online counterpart of the offline controllers in :mod:`repro.tuning`.  It
-sees one client's latest :class:`~repro.control.telemetry.ClientTelemetry`
-plus the controller's per-client :class:`ClientControlState` and returns a
-:class:`ControlDecision` (a :class:`~repro.tuning.dynamic.TuningDecision`
-extended with the client, direction, and rationale) every control interval.
+online counterpart of the offline controllers in :mod:`repro.tuning`.
+Every control interval ``decide(telemetry, state, interval)`` sees one
+client's latest :class:`~repro.control.telemetry.ClientTelemetry` plus the
+controller's per-client :class:`ClientControlState` and returns a
+:class:`~repro.core.scan_groups.ScanGroupDecision` — the same record the
+offline tuners return, defined below both packages so that a serving
+process does not load the trainer to steer a client.
 
 Two policies are provided:
 
@@ -32,11 +34,7 @@ import math
 from dataclasses import dataclass
 
 from repro.control.telemetry import ClientTelemetry
-from repro.tuning.dynamic import TuningDecision
-
-HOLD = "hold"
-UP = "up"
-DOWN = "down"
+from repro.core.scan_groups import HOLD, ScanGroupDecision
 
 
 @dataclass
@@ -48,63 +46,37 @@ class ClientControlState:
     #: until the first report seeds it with the client's actual group).
     group: int | None = None
     cooldown_remaining: int = 0
-    intervals_seen: int = 0
     last_direction: str = HOLD
     direction_changes: int = 0
 
 
-@dataclass
-class ControlDecision(TuningDecision):
-    """One control-interval outcome for one client.
-
-    Extends the offline :class:`~repro.tuning.dynamic.TuningDecision`
-    (``chosen_group`` / ``probe_metrics`` / ``epoch``, where ``epoch`` is
-    the control interval index and ``probe_metrics`` carries the telemetry
-    the decision was computed from) with the online-loop fields.
-    """
-
-    client_id: str = ""
-    previous_group: int | None = None
-    direction: str = HOLD
-    reason: str = ""
-
-    @property
-    def changed(self) -> bool:
-        return self.direction != HOLD
-
-    def to_payload(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "chosen_group": self.chosen_group,
-            "previous_group": self.previous_group,
-            "direction": self.direction,
-            "reason": self.reason,
-            "interval": self.epoch,
-            "inputs": dict(self.probe_metrics),
-        }
+def _decision(
+    state: ClientControlState,
+    telemetry: ClientTelemetry,
+    interval: int,
+    previous: int | None,
+    reason: str,
+) -> ScanGroupDecision:
+    # ``_common_holds`` seeds ``state.group`` before any decision is built.
+    return ScanGroupDecision(
+        chosen_group=state.group,
+        previous_group=previous,
+        inputs={
+            "stall_fraction": round(telemetry.stall_fraction, 4),
+            "throughput_bytes_per_s": round(telemetry.throughput_bytes_per_s, 1),
+            "samples_per_s": round(telemetry.samples_per_s, 2),
+            "reported_group": telemetry.scan_group,
+        },
+        interval=interval,
+        reason=reason,
+        client_id=state.client_id,
+    )
 
 
 def _hold(
     state: ClientControlState, telemetry: ClientTelemetry, interval: int, reason: str
-) -> ControlDecision:
-    return ControlDecision(
-        chosen_group=state.group if state.group is not None else telemetry.scan_group,
-        probe_metrics=_inputs(telemetry),
-        epoch=interval,
-        client_id=state.client_id,
-        previous_group=state.group,
-        direction=HOLD,
-        reason=reason,
-    )
-
-
-def _inputs(telemetry: ClientTelemetry) -> dict:
-    return {
-        "stall_fraction": round(telemetry.stall_fraction, 4),
-        "throughput_bytes_per_s": round(telemetry.throughput_bytes_per_s, 1),
-        "samples_per_s": round(telemetry.samples_per_s, 2),
-        "reported_group": telemetry.scan_group,
-    }
+) -> ScanGroupDecision:
+    return _decision(state, telemetry, interval, state.group, reason)
 
 
 def _switch(
@@ -114,30 +86,21 @@ def _switch(
     new_group: int,
     cooldown: int,
     reason: str,
-) -> ControlDecision:
+) -> ScanGroupDecision:
     previous = state.group
-    direction = UP if (previous is None or new_group > previous) else DOWN
-    if state.last_direction in (UP, DOWN) and direction != state.last_direction:
-        state.direction_changes += 1
-    state.last_direction = direction
     state.group = new_group
     state.cooldown_remaining = cooldown
-    return ControlDecision(
-        chosen_group=new_group,
-        probe_metrics=_inputs(telemetry),
-        epoch=interval,
-        client_id=state.client_id,
-        previous_group=previous,
-        direction=direction,
-        reason=reason,
-    )
+    decision = _decision(state, telemetry, interval, previous, reason)
+    if state.last_direction != HOLD and decision.direction != state.last_direction:
+        state.direction_changes += 1
+    state.last_direction = decision.direction
+    return decision
 
 
 def _common_holds(
     state: ClientControlState, telemetry: ClientTelemetry, interval: int
-) -> ControlDecision | None:
+) -> ScanGroupDecision | None:
     """Seed/cooldown/lag holds shared by every policy; ``None`` means decide."""
-    state.intervals_seen += 1
     if state.group is None:
         state.group = telemetry.scan_group
         return _hold(state, telemetry, interval, "seeded from first report")
@@ -179,7 +142,7 @@ class StallTargetPolicy:
 
     def decide(
         self, telemetry: ClientTelemetry, state: ClientControlState, interval: int
-    ) -> ControlDecision:
+    ) -> ScanGroupDecision:
         held = _common_holds(state, telemetry, interval)
         if held is not None:
             return held
@@ -232,7 +195,7 @@ class BandwidthBudgetPolicy:
 
     def decide(
         self, telemetry: ClientTelemetry, state: ClientControlState, interval: int
-    ) -> ControlDecision:
+    ) -> ScanGroupDecision:
         held = _common_holds(state, telemetry, interval)
         if held is not None:
             return held

@@ -132,6 +132,9 @@ class TelemetryStore:
 
     def __init__(self, max_report_age: float = DEFAULT_MAX_REPORT_AGE_SECONDS) -> None:
         self.max_report_age = max_report_age
+        #: Set by the :class:`~repro.control.controller.ControlPlane` that
+        #: polls this store; the ack's ``controller_active`` reports it.
+        self.steered = False
         self._lock = threading.Lock()
         self._reports: dict[str, ClientTelemetry] = {}
         self._hints: dict[str, ScanGroupHint] = {}

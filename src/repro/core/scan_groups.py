@@ -6,11 +6,15 @@ indices (1-based, typically 10 per image) onto scan-group indices; the
 default is the identity mapping, but scans may also be merged (e.g. groups
 ``[1], [2, 3, 4], [5..10]``) which the paper notes is useful because
 adjacent scans often cluster in quality (Section 4.4, A.6.1).
+
+:class:`ScanGroupDecision` is the record of *choosing* one.  The tuners of
+:mod:`repro.tuning` and the policies of :mod:`repro.control` both return
+it; it lives here, below both, so neither imports the other to share it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.errors import ScanGroupError
 
@@ -18,6 +22,45 @@ DEFAULT_N_SCANS = 10
 
 #: Scan groups highlighted throughout the paper's evaluation.
 PAPER_EVALUATED_GROUPS = (1, 2, 5, 10)
+
+#: The three values of :attr:`ScanGroupDecision.direction`.
+HOLD = "hold"
+UP = "up"
+DOWN = "down"
+
+
+@dataclass
+class ScanGroupDecision:
+    """One autotuning outcome (§4.5): which scan group to read at, and why.
+
+    The field names are the keys of :meth:`to_payload`, which is what the
+    decision log's readers see.  An offline tuner writes its epoch into
+    ``interval`` and its probe losses / gradient cosines per group into
+    ``inputs``; an online policy writes the control interval and the
+    telemetry it decided on, and names the steered client.
+    """
+
+    chosen_group: int
+    #: The group in force when the decision was taken (``None``: none yet).
+    previous_group: int | None
+    inputs: dict
+    interval: int
+    reason: str = ""
+    client_id: str = ""
+
+    @property
+    def direction(self) -> str:
+        """``up`` / ``down`` against ``previous_group``, else ``hold``."""
+        if self.previous_group is None or self.chosen_group == self.previous_group:
+            return HOLD
+        return UP if self.chosen_group > self.previous_group else DOWN
+
+    @property
+    def changed(self) -> bool:
+        return self.direction != HOLD
+
+    def to_payload(self) -> dict:
+        return {**asdict(self), "direction": self.direction}
 
 
 @dataclass(frozen=True)

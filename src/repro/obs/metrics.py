@@ -359,7 +359,7 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
     """Combine snapshots from disjoint sources into one fleet-wide snapshot.
 
     Counters, gauges, and histogram buckets all add — used by
-    ``ClusterCoordinator.cluster_stats`` to merge the ``GET_METRICS``
+    ``repro.serving.cluster.sweep_fleet`` to merge the ``GET_METRICS``
     responses of every live replica.  Histograms merge only with matching
     edges (same metric, same code); mismatched edges raise.
     """

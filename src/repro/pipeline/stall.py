@@ -41,6 +41,10 @@ class StallTracker:
     ) -> None:
         self.wait_seconds: list[float] = list(wait_seconds or [])
         self.compute_seconds: list[float] = list(compute_seconds or [])
+        # Running totals beside the lists: a telemetry window reads them every
+        # report, and summing a per-batch list grows with the loader's life.
+        self._sum_wait = sum(self.wait_seconds)
+        self._sum_compute = sum(self.compute_seconds)
         registry = registry if registry is not None else get_registry()
         self._wait_histogram = registry.histogram("loader.wait_seconds")
         self._wait_total = registry.counter("loader.wait_seconds_total")
@@ -50,6 +54,7 @@ class StallTracker:
     def record_wait(self, seconds: float) -> None:
         """Record the time spent waiting for one minibatch."""
         self.wait_seconds.append(seconds)
+        self._sum_wait += seconds
         self._wait_histogram.observe(seconds)
         self._wait_total.inc(seconds)
         if seconds > STALL_THRESHOLD_SECONDS:
@@ -58,17 +63,18 @@ class StallTracker:
     def record_compute(self, seconds: float) -> None:
         """Record the time spent computing on one minibatch."""
         self.compute_seconds.append(seconds)
+        self._sum_compute += seconds
         self._compute_total.inc(seconds)
 
     @property
     def total_wait(self) -> float:
         """Total stall time."""
-        return sum(self.wait_seconds)
+        return self._sum_wait
 
     @property
     def total_compute(self) -> float:
         """Total compute time."""
-        return sum(self.compute_seconds)
+        return self._sum_compute
 
     @property
     def stall_fraction(self) -> float:

@@ -13,12 +13,13 @@ from one process.  This package scales it out:
 
 :mod:`repro.serving.cluster.coordinator`
     ``ClusterCoordinator`` — launches and supervises the ``N × R`` server
-    fleet: kill/restart single replicas, drain/restart whole shards,
-    aggregate stats.
+    fleet: kill/restart single replicas, drain/restart whole shards, the
+    fleet sweep plus the supervisor's view.
 
 :mod:`repro.serving.cluster.client`
     ``ClusterClient`` — routes requests to owning shards, fails over to
-    replicas with backoff, re-aggregates the dataset view.
+    replicas with backoff, re-aggregates the dataset view; ``sweep_fleet``,
+    the one fleet-wide ``GET_METRICS`` sweep.
 
 :mod:`repro.serving.cluster.remote_source`
     ``ShardedRemoteRecordSource`` — the ``DataLoader``-compatible source
@@ -26,7 +27,7 @@ from one process.  This package scales it out:
     failover.
 """
 
-from repro.serving.cluster.client import ClusterClient
+from repro.serving.cluster.client import ClusterClient, sweep_fleet
 from repro.serving.cluster.coordinator import ClusterCoordinator
 from repro.serving.cluster.remote_source import ShardedRemoteRecordSource
 from repro.serving.cluster.shard_map import ShardMap, ShardReplica, default_shard_ids
@@ -40,4 +41,5 @@ __all__ = [
     "ShardViewReader",
     "ShardedRemoteRecordSource",
     "default_shard_ids",
+    "sweep_fleet",
 ]

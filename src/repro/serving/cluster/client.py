@@ -22,6 +22,10 @@ Routing and failure handling:
 * server-side semantic errors (:class:`~repro.serving.protocol.RemoteError`
   — unknown record, bad scan group) propagate immediately: they would fail
   identically on every replica.
+
+:func:`sweep_fleet` is the one fleet-wide metrics sweep;
+``ClusterClient.stats()`` and ``ClusterCoordinator.stats()`` are that plus
+what only each of them knows.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.index import RecordIndex
+from repro.obs import merge_snapshots
 from repro.serving.client import PCRClient
 from repro.serving.cluster.shard_map import ShardMap, ShardReplica
 
@@ -38,6 +43,53 @@ DEFAULT_POOL_SIZE = 2
 DEFAULT_FAILOVER_ROUNDS = 3
 DEFAULT_BACKOFF_SECONDS = 0.05
 DEFAULT_COOLDOWN_SECONDS = 1.0
+#: One scrape's connect + reply budget; a sweep never takes longer.
+SWEEP_TIMEOUT_SECONDS = 2.0
+
+
+def sweep_fleet(shard_map: ShardMap) -> dict:
+    """Scrape every endpoint of ``shard_map`` and merge the live registries.
+
+    Replicas are scraped concurrently with ``GET_METRICS``, each over a
+    connection of its own (the path an external scraper would use), so the
+    sweep costs one slow replica's round trip, not the fleet's sum.
+    ``shards[id]["replicas"][index]`` is the replica's ``metrics()`` body
+    plus ``"status": "up"``, or ``{"status": "down", "error": ...}`` for one
+    that cannot be reached: a dead replica never fails the sweep.  Ratios
+    (a cache hit rate) are for the reader to derive from ``merged``.
+    """
+
+    def scrape(replica: ShardReplica) -> dict:
+        try:
+            with PCRClient(
+                host=replica.host,
+                port=replica.port,
+                pool_size=1,
+                retries=0,
+                timeout=SWEEP_TIMEOUT_SECONDS,
+            ) as client:
+                report = client.metrics()
+        except Exception as exc:
+            return {"status": "down", "error": f"{type(exc).__name__}: {exc}"}
+        report["status"] = "up"
+        return report
+
+    replicas = shard_map.all_replicas()
+    with ThreadPoolExecutor(max_workers=min(8, len(replicas))) as pool:
+        reports = list(pool.map(scrape, replicas))
+    shards: dict[str, dict] = {}
+    for replica, report in zip(replicas, reports):
+        shards.setdefault(replica.shard_id, {"replicas": {}})["replicas"][
+            str(replica.replica_index)
+        ] = report
+    live = [report["registry"] for report in reports if report["status"] == "up"]
+    return {
+        "topology": shard_map.describe(),
+        "shards": shards,
+        "merged": merge_snapshots(live),
+        "live_replicas": len(live),
+        "total_replicas": len(replicas),
+    }
 
 
 class ClusterClient:
@@ -197,43 +249,13 @@ class ClusterClient:
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Cluster-wide view: per-replica server stats plus client counters.
-
-        Replicas are scraped concurrently, so the sweep costs one slow
-        replica's round trip (or timeout), not the fleet's sum; an
-        unreachable replica is reported as ``{"reachable": False}``.
-        """
-        targets = [
-            (shard_id, replica)
-            for shard_id in self.shard_map.shard_ids
-            for replica in self.shard_map.replicas(shard_id)
-        ]
-
-        def scrape(replica: ShardReplica) -> dict:
-            try:
-                stat = self._client_for(replica).stat()
-                stat["reachable"] = True
-            except (ConnectionError, OSError):
-                stat = {"reachable": False}
-            return stat
-
-        scraped: list[dict] = []
-        if targets:
-            with ThreadPoolExecutor(max_workers=min(8, len(targets))) as pool:
-                scraped = list(pool.map(lambda t: scrape(t[1]), targets))
-        shards: dict[str, dict] = {}
-        for (shard_id, replica), stat in zip(targets, scraped):
-            shards.setdefault(shard_id, {"replicas": {}})["replicas"][
-                str(replica.replica_index)
-            ] = stat
+        """:func:`sweep_fleet` over this client's map, plus its own failover counters."""
         with self._lock:
-            failovers = self.failovers
-            failed = dict(self.failed_endpoints)
-        return {
-            "topology": self.shard_map.describe(),
-            "shards": shards,
-            "client": {"failovers": failovers, "failed_endpoints": failed},
-        }
+            client = {
+                "failovers": self.failovers,
+                "failed_endpoints": dict(self.failed_endpoints),
+            }
+        return {**sweep_fleet(self.shard_map), "client": client}
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -16,25 +16,25 @@ Lifecycle verbs mirror what an operator needs mid-flight:
   with a fresh reader and an empty cache;
 * :meth:`drain_shard` / :meth:`restart_shard` — take a whole shard out of
   (and back into) service without touching the topology;
-* :meth:`stats` — per-shard, per-replica cache/throughput counters plus
-  cluster-wide aggregates, read in-process and tolerant of replicas dying
-  mid-collection;
-* :meth:`cluster_stats` — fleet-wide metrics registry snapshots scraped
-  over the wire (``GET_METRICS``) from every replica concurrently and
-  merged into one cluster-wide view; dead replicas are reported as
-  ``down``, never raised.
+* :meth:`stats` — the fleet sweep
+  (:func:`~repro.serving.cluster.client.sweep_fleet`: every replica's
+  registry scraped over the wire and merged, dead replicas reported as
+  ``down``, never raised) plus what only the supervisor knows: records per
+  shard, ``running`` and ``restarts`` per replica;
+* :meth:`start_controller` — one fidelity controller over every running
+  replica.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from repro.control.controller import attach_controller
 from repro.core.reader import PCRReader
-from repro.obs import merge_snapshots
-from repro.serving.client import PCRClient
-from repro.serving.cluster.shard_map import ShardMap, ShardReplica, default_shard_ids
+from repro.obs import MetricsRegistry
 from repro.serving.cache import DEFAULT_CACHE_BYTES
+from repro.serving.cluster.client import sweep_fleet
+from repro.serving.cluster.shard_map import ShardMap, ShardReplica, default_shard_ids
 from repro.serving.cluster.views import ShardViewReader
 from repro.serving.server import PCRRecordServer
 
@@ -63,8 +63,6 @@ class ClusterCoordinator:
         n_replicas: int = DEFAULT_N_REPLICAS,
         host: str = "127.0.0.1",
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        vnode_factor: int | None = None,
-        socket_buffer_bytes: int | None = None,
     ) -> None:
         if n_replicas < 1:
             raise ValueError("each shard needs at least one replica")
@@ -73,10 +71,6 @@ class ClusterCoordinator:
         self.n_replicas = n_replicas
         self.host = host
         self.cache_bytes = cache_bytes
-        # Forwarded to every replica's server: explicit SO_SNDBUF/SO_RCVBUF
-        # sizing for fat pipes.
-        self.socket_buffer_bytes = socket_buffer_bytes
-        self._vnode_kwargs = {} if vnode_factor is None else {"vnode_factor": vnode_factor}
         self._replicas: dict[tuple[str, int], _ManagedReplica] = {}
         self._assignment: dict[str, list[str]] = {}
         self._shard_map: ShardMap | None = None
@@ -94,9 +88,7 @@ class ClusterCoordinator:
             record_names = probe.record_names
         # Placement depends only on the shard ids, so the routing map can be
         # computed before any port is bound; endpoints are published after.
-        placement = ShardMap(
-            {shard_id: [(self.host, 0)] for shard_id in shard_ids}, **self._vnode_kwargs
-        )
+        placement = ShardMap({shard_id: [(self.host, 0)] for shard_id in shard_ids})
         self._assignment = placement.partition(record_names)
         endpoints: dict[str, list[tuple[str, int]]] = {}
         try:
@@ -117,7 +109,7 @@ class ClusterCoordinator:
         except BaseException:
             self._stop_all()
             raise
-        self._shard_map = ShardMap(endpoints, **self._vnode_kwargs)
+        self._shard_map = ShardMap(endpoints)
         self._started = True
         return self
 
@@ -125,11 +117,7 @@ class ClusterCoordinator:
         view = ShardViewReader(self.dataset_dir, self._assignment[shard_id], shard_id)
         try:
             server = PCRRecordServer(
-                view,
-                host=self.host,
-                port=port,
-                cache_bytes=self.cache_bytes,
-                socket_buffer_bytes=self.socket_buffer_bytes,
+                view, host=self.host, port=port, cache_bytes=self.cache_bytes
             ).start()
         except BaseException:
             view.close()
@@ -229,114 +217,32 @@ class ClusterCoordinator:
     ):
         """Attach (and by default start) a fleet-wide fidelity controller.
 
-        The controller merges telemetry across every live replica, publishes
-        its hints to all of them (a client reports to whichever shard it
-        reaches), and scrapes its fleet snapshots through the same
-        ``GET_METRICS``/merge path :meth:`cluster_stats` uses.
+        The controller merges telemetry across every running replica and
+        publishes its hints to all of them (a client reports to whichever
+        shard it reaches); its ``control.*`` metrics are on
+        ``controller.registry``.  See
+        :func:`~repro.control.controller.attach_controller`.
         """
-        if self._controller is not None:
-            raise RuntimeError("controller already attached")
-        from repro.control.controller import ClusterControlPlane, FidelityController
-
-        kwargs = {} if interval is None else {"interval": interval}
-        controller = FidelityController(ClusterControlPlane(self), policy, **kwargs)
-        self._controller = controller
-        if auto_start:
-            controller.start()
-        return controller
+        self._controller = attach_controller(
+            self, self.running_servers, MetricsRegistry(), policy, interval, auto_start
+        )
+        return self._controller
 
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Per-replica serving stats plus cluster-wide aggregates.
+        """The fleet sweep plus the supervisor's view of every replica.
 
-        Each replica's ``stats()`` is read in-process, one after another; a
-        replica that dies mid-collection is reported as ``{"running":
-        False}`` with the error attached instead of failing the whole report.
+        :func:`~repro.serving.cluster.client.sweep_fleet` over the published
+        map, with ``n_records`` added per shard and ``running`` /
+        ``restarts`` per replica — a replica this coordinator stopped reads
+        ``{"status": "down", ..., "running": False}``.
         """
-
-        def collect(managed: _ManagedReplica) -> dict:
-            if not managed.running:
-                return {"running": False}
-            try:
-                stat = managed.server.stats()
-            except Exception as exc:
-                return {"running": False, "error": f"{type(exc).__name__}: {exc}"}
-            stat["running"] = True
-            stat["restarts"] = managed.restarts
-            return stat
-
-        shards: dict[str, dict] = {}
-        total_requests = 0
-        total_hits = 0
-        total_lookups = 0
-        for (shard_id, replica_index), managed in sorted(self._replicas.items()):
-            stat = collect(managed)
-            entry = shards.setdefault(
-                shard_id,
-                {"n_records": len(self._assignment.get(shard_id, [])), "replicas": {}},
+        report = sweep_fleet(self.shard_map)
+        for (shard_id, replica_index), managed in self._replicas.items():
+            shard = report["shards"][shard_id]
+            shard["n_records"] = len(self._assignment[shard_id])
+            shard["replicas"][str(replica_index)].update(
+                running=managed.running, restarts=managed.restarts
             )
-            entry["replicas"][str(replica_index)] = stat
-            if not stat.get("running"):
-                continue
-            total_requests += stat["n_requests"]
-            cache = stat["cache"]
-            total_hits += cache["exact_hits"] + cache["prefix_hits"]
-            total_lookups += cache["exact_hits"] + cache["prefix_hits"] + cache["misses"]
-        return {
-            "topology": self.shard_map.describe() if self._shard_map else {},
-            "shards": shards,
-            "cluster": {
-                "n_requests": total_requests,
-                "cache_hit_rate": total_hits / total_lookups if total_lookups else 0.0,
-                "live_replicas": len(self.live_replicas()),
-                "total_replicas": len(self._replicas),
-            },
-        }
-
-    def cluster_stats(self, timeout: float = 2.0) -> dict:
-        """Fleet-wide metrics scraped over the wire and merged.
-
-        Every replica in the topology is scraped concurrently with the
-        ``GET_METRICS`` op — the same network path an external scraper
-        would use, so the numbers reflect what the fleet actually serves.
-        Per-replica registry snapshots are merged with
-        :func:`repro.obs.merge_snapshots` into one cluster-wide snapshot.
-        A replica that cannot be reached (stopped, crashed, mid-restart)
-        is reported as ``{"status": "down"}`` with the error attached;
-        a dead replica never fails the sweep.
-        """
-        items = sorted(self._replicas.items())
-
-        def scrape(managed: _ManagedReplica) -> dict:
-            replica = managed.replica
-            try:
-                with PCRClient(
-                    host=replica.host,
-                    port=replica.port,
-                    pool_size=1,
-                    retries=0,
-                    timeout=timeout,
-                ) as client:
-                    report = client.metrics()
-            except Exception as exc:
-                return {"status": "down", "error": f"{type(exc).__name__}: {exc}"}
-            report["status"] = "up"
-            return report
-
-        reports: list[dict] = []
-        if items:
-            with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-                reports = list(pool.map(lambda kv: scrape(kv[1]), items))
-        replicas: dict[str, dict] = {}
-        live_registries: list[dict] = []
-        for ((shard_id, replica_index), _), report in zip(items, reports):
-            replicas[f"{shard_id}/{replica_index}"] = report
-            if report["status"] == "up":
-                live_registries.append(report["registry"])
-        return {
-            "replicas": replicas,
-            "merged": merge_snapshots(live_registries),
-            "live_replicas": len(live_registries),
-            "total_replicas": len(items),
-        }
+        return report

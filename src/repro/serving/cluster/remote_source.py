@@ -32,7 +32,3 @@ class ShardedRemoteRecordSource(RecordSource):
     def cluster_client(self) -> ClusterClient:
         """The routing, failover-aware client this source fetches through."""
         return self.fetcher.client  # type: ignore[attr-defined]
-
-    def cluster_stats(self) -> dict:
-        """Per-shard server stats plus the client's failover counters."""
-        return self.cluster_client.stats()

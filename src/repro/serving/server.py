@@ -35,6 +35,7 @@ import time
 from collections import deque
 from pathlib import Path
 
+from repro.control.controller import attach_controller
 from repro.control.telemetry import ClientTelemetry, TelemetryStore
 from repro.core.errors import PCRError, ScanGroupError
 from repro.core.reader import PCRReader, validate_scan_group
@@ -577,7 +578,7 @@ class PCRRecordServer:
         if hint is not None:
             self._telemetry_hints.inc()
         return {
-            "controller_active": self._controller is not None,
+            "controller_active": self.telemetry.steered,
             "hint": hint.to_payload() if hint is not None else None,
         }
 
@@ -595,20 +596,13 @@ class PCRRecordServer:
 
         The controller steers every client that reports telemetry to this
         server; its decisions and rationale appear as ``control.*`` metrics
-        in this server's ``GET_METRICS`` snapshots.  ``auto_start=False``
-        attaches without spawning the thread, for callers that drive
-        :meth:`~repro.control.FidelityController.step` themselves.
+        in this server's ``GET_METRICS`` snapshots.  See
+        :func:`~repro.control.controller.attach_controller`.
         """
-        if self._controller is not None:
-            raise RuntimeError("controller already attached")
-        from repro.control.controller import FidelityController, ServerControlPlane
-
-        kwargs = {} if interval is None else {"interval": interval}
-        controller = FidelityController(ServerControlPlane(self), policy, **kwargs)
-        self._controller = controller
-        if auto_start:
-            controller.start()
-        return controller
+        self._controller = attach_controller(
+            self, lambda: [self], self.registry, policy, interval, auto_start
+        )
+        return self._controller
 
     # -- serving -------------------------------------------------------------
 

@@ -11,25 +11,21 @@ Two controllers are provided:
   gradient computed on each scan group's data against the full-quality
   gradient and adopt the smallest group whose cosine similarity exceeds a
   threshold (default 90%).
+
+Both return the :class:`~repro.core.scan_groups.ScanGroupDecision` the
+online policies of :mod:`repro.control` return: the epoch goes into
+``interval``, the probe losses / cosines per group into ``inputs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.scan_groups import ScanGroupDecision
 from repro.core.source import RecordSource
 from repro.pipeline.loader import DataLoader
 from repro.training.gradients import scan_group_gradient_similarities
 from repro.training.loop import Trainer
-
-
-@dataclass
-class TuningDecision:
-    """The outcome of one tuning phase."""
-
-    chosen_group: int
-    probe_metrics: dict[int, float]
-    epoch: int
 
 
 @dataclass
@@ -41,7 +37,7 @@ class LossPlateauController:
     plateau_tolerance: float = 1e-3
     probe_batches: int = 2
     loss_slack: float = 0.05
-    decisions: list[TuningDecision] = field(default_factory=list)
+    decisions: list[ScanGroupDecision] = field(default_factory=list)
     _recent_losses: list[float] = field(default_factory=list)
 
     def observe_loss(self, loss: float) -> bool:
@@ -59,7 +55,7 @@ class LossPlateauController:
         dataset: RecordSource,
         loader: DataLoader,
         epoch: int,
-    ) -> TuningDecision:
+    ) -> ScanGroupDecision:
         """Probe candidate groups and switch the dataset to the best one.
 
         The model is checkpointed before probing and rolled back afterwards,
@@ -86,7 +82,14 @@ class LossPlateauController:
                 chosen = group
                 break
         dataset.set_scan_group(chosen)
-        decision = TuningDecision(chosen_group=chosen, probe_metrics=probe_losses, epoch=epoch)
+        decision = ScanGroupDecision(
+            chosen_group=chosen,
+            previous_group=original_group,
+            inputs=probe_losses,
+            interval=epoch,
+            reason=f"smallest group whose probe loss is within {self.loss_slack:.0%} "
+            f"of full quality's {reference_loss:.3f}",
+        )
         self.decisions.append(decision)
         self._recent_losses.clear()
         return decision
@@ -111,14 +114,14 @@ class GradientCosineController:
     candidate_groups: list[int]
     similarity_threshold: float = 0.90
     max_samples: int = 64
-    decisions: list[TuningDecision] = field(default_factory=list)
+    decisions: list[ScanGroupDecision] = field(default_factory=list)
 
     def tune(
         self,
         trainer: Trainer,
         dataset: RecordSource,
         epoch: int,
-    ) -> TuningDecision:
+    ) -> ScanGroupDecision:
         """Measure gradient similarity per group and adopt the smallest passing one."""
         similarities = scan_group_gradient_similarities(
             trainer,
@@ -131,7 +134,14 @@ class GradientCosineController:
             if similarities[group] >= self.similarity_threshold:
                 chosen = group
                 break
+        decision = ScanGroupDecision(
+            chosen_group=chosen,
+            previous_group=dataset.scan_group,
+            inputs=similarities,
+            interval=epoch,
+            reason=f"smallest group with gradient cosine >= {self.similarity_threshold:.2f}"
+            " (full quality when none reaches it)",
+        )
         dataset.set_scan_group(chosen)
-        decision = TuningDecision(chosen_group=chosen, probe_metrics=similarities, epoch=epoch)
         self.decisions.append(decision)
         return decision

@@ -145,7 +145,7 @@ class TestClusterCoordinator:
     def test_stats_aggregate_per_shard(self, cluster):
         stats = cluster.stats()
         assert set(stats["shards"]) == set(cluster.shard_map.shard_ids)
-        assert stats["cluster"]["total_replicas"] == 8
+        assert stats["total_replicas"] == stats["live_replicas"] == 8
         assert stats["topology"]["n_shards"] == 4
 
     def test_stop_restart_replica_cycle(self, pcr_dataset):
@@ -156,7 +156,8 @@ class TestClusterCoordinator:
             port = small.shard_map.replicas(shard_id)[0].port
             small.stop_replica(shard_id, 0)
             assert len(small.live_replicas()) == 3
-            assert small.stats()["shards"][shard_id]["replicas"]["0"] == {"running": False}
+            stopped = small.stats()["shards"][shard_id]["replicas"]["0"]
+            assert stopped["running"] is False and stopped["status"] == "down"
             small.restart_replica(shard_id, 0)
             assert len(small.live_replicas()) == 4
             assert small.shard_map.replicas(shard_id)[0].port == port
@@ -238,11 +239,11 @@ class TestClusterClient:
                 assert client.failovers > 0
                 stats = client.stats()
                 assert stats["client"]["failovers"] == client.failovers
-                reachable = [
-                    replica["reachable"]
+                statuses = [
+                    replica["status"]
                     for replica in stats["shards"][shard_id]["replicas"].values()
                 ]
-                assert reachable.count(False) == 1
+                assert statuses.count("down") == 1
 
     def test_all_replicas_down_raises_connection_error(self, pcr_dataset):
         with ClusterCoordinator(
@@ -298,7 +299,7 @@ class TestShardedRemoteRecordSource:
                 assert killed.is_set()
                 assert sum(batch.images.shape[0] for batch in batches) == n_samples
                 assert source.cluster_client.failovers > 0
-                stats = source.cluster_stats()
+                stats = source.cluster_client.stats()
                 assert stats["client"]["failovers"] > 0
 
     def test_requires_map_or_client(self):

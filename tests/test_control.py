@@ -19,13 +19,14 @@ from repro.control import (
     BandwidthBudgetPolicy,
     ClientControlState,
     ClientTelemetry,
-    ControlDecision,
+    ControlPlane,
     FidelityController,
     ScanGroupHint,
     StallTargetPolicy,
     TelemetryStore,
 )
 from repro.core.dataset import PCRDataset
+from repro.core.scan_groups import ScanGroupDecision
 from repro.obs import MetricsRegistry
 from repro.pipeline import BandwidthThrottle, DataLoader, LoaderConfig
 from repro.serving.client import PCRClient
@@ -206,14 +207,13 @@ class TestStallTargetPolicy:
             StallTargetPolicy(increase_step=0)
 
     def test_decision_payload_and_changed(self):
-        decision = ControlDecision(
+        decision = ScanGroupDecision(
             chosen_group=3,
-            probe_metrics={"stall_fraction": 0.5},
-            epoch=2,
-            client_id="c0",
             previous_group=6,
-            direction="down",
+            inputs={"stall_fraction": 0.5},
+            interval=2,
             reason="r",
+            client_id="c0",
         )
         assert decision.changed
         payload = decision.to_payload()
@@ -221,6 +221,22 @@ class TestStallTargetPolicy:
         assert payload["previous_group"] == 6
         assert payload["interval"] == 2
         assert payload["inputs"] == {"stall_fraction": 0.5}
+        # The payload renames nothing: its keys are the field names + direction.
+        assert set(payload) == set(decision.__dataclass_fields__) | {"direction"}
+        assert payload["direction"] == "down"
+        assert ScanGroupDecision(**{k: v for k, v in payload.items() if k != "direction"}) == decision
+
+    @pytest.mark.parametrize(
+        "previous, chosen, direction",
+        [(3, 5, "up"), (5, 3, "down"), (4, 4, "hold"), (None, 4, "hold")],
+        ids=["up", "down", "hold", "first-seed"],
+    )
+    def test_direction_is_derived_from_the_two_groups(self, previous, chosen, direction):
+        decision = ScanGroupDecision(
+            chosen_group=chosen, previous_group=previous, inputs={}, interval=0
+        )
+        assert decision.direction == direction
+        assert decision.changed == (direction != "hold")
 
 
 class TestBandwidthBudgetPolicy:
@@ -373,7 +389,6 @@ class _FakePlane:
         self.reports: dict[str, ClientTelemetry] = {}
         self.hints: dict[str, ScanGroupHint] = {}
         self.bias_history: list[set[int] | None] = []
-        self.snapshots_served = 0
 
     def poll(self):
         return dict(self.reports)
@@ -383,10 +398,6 @@ class _FakePlane:
 
     def set_admission_bias(self, groups):
         self.bias_history.append(groups)
-
-    def fleet_snapshot(self):
-        self.snapshots_served += 1
-        return {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 class TestFidelityController:
@@ -446,14 +457,6 @@ class TestFidelityController:
         assert switches[0]["chosen_group"] == 5
         assert switches[0]["inputs"]["stall_fraction"] == pytest.approx(0.9)
 
-    def test_fleet_scrape_cadence(self):
-        plane, controller = self._controller()
-        controller.fleet_scrape_intervals = 2
-        for _ in range(4):
-            controller.step()
-        assert plane.snapshots_served == 2  # intervals 0 and 2
-        assert controller.last_fleet_snapshot is not None
-
     def test_thread_lifecycle(self):
         plane, controller = self._controller()
         plane.reports["c0"] = _telemetry(10, 0.9)
@@ -465,6 +468,27 @@ class TestFidelityController:
                 time.sleep(0.01)
         assert not controller.running
         assert controller.intervals >= 3
+
+    def test_start_after_stop_steps_again(self):
+        """A stopped controller restarts for real: the second thread used to
+        exit on its first wait (the stop event stayed set) without an error."""
+        plane, controller = self._controller()
+        controller.interval = 0.01
+        controller.start()
+        controller.stop()
+        stopped_at = controller.intervals
+        controller.start()
+        try:
+            assert controller.running
+            deadline = time.monotonic() + 2.0
+            while controller.intervals < stopped_at + 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert controller.intervals >= stopped_at + 3
+            with pytest.raises(RuntimeError):
+                controller.start()
+        finally:
+            controller.stop()
+        assert not controller.running
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +528,99 @@ class TestOwnedControllers:
             )
             with ClusterClient(cluster.shard_map) as client:
                 ack = client.report_telemetry(_telemetry(10, 0.9).to_payload())
-                assert ack["controller_active"] in (True, False)  # replica-local flag
+                assert ack["controller_active"] is True
                 controller.step()
                 controller.step()
                 # The hint was published to every replica: whichever shard
                 # answers the next report must return it.
                 ack = client.report_telemetry(_telemetry(10, 0.9).to_payload())
                 assert ack["hint"]["scan_group"] == 5
-            # Every replica's cache got the fleet bias.
-            for server in cluster.running_servers():
-                assert server.cache.stats()["admission_bias"] == [5]
-            # The fleet snapshot rides the GET_METRICS/merge machinery.
-            assert controller.last_fleet_snapshot is not None
-            merged = cluster.cluster_stats()["merged"]["counters"]
-            assert merged["serving.telemetry.reports_total"] == 2
+                # Every replica's cache got the fleet bias.
+                for server in cluster.running_servers():
+                    assert server.cache.stats()["admission_bias"] == [5]
+                # The fleet sweep sees both reports, whichever replica took them.
+                merged = cluster.stats()["merged"]["counters"]
+                assert merged["serving.telemetry.reports_total"] == 2
+                # The replica that answers reports, restarted under the
+                # controller, is polled from the next interval on — and says so.
+                first = cluster.shard_map.shard_ids[0]
+                cluster.stop_replica(first, 0)
+                cluster.restart_replica(first, 0)
+                controller.step()
+                ack = client.report_telemetry(_telemetry(10, 0.9).to_payload())
+                assert ack["controller_active"] is True
+
+
+# ---------------------------------------------------------------------------
+# the one control plane, over one server and over a fleet
+
+
+@pytest.fixture(params=["server", "fleet"])
+def steered(request, pcr_dataset):
+    """``(plane, live)``: a :class:`ControlPlane` and the callable it asks for
+    its servers — one server, or the running replicas of a 2 x 1 fleet."""
+    directory = pcr_dataset.reader.directory
+    if request.param == "server":
+        with PCRRecordServer(directory, port=0) as server:
+
+            def live():
+                return [server]
+
+            yield ControlPlane(live, server.registry), live
+    else:
+        with ClusterCoordinator(directory, n_shards=2, n_replicas=1) as cluster:
+            live = cluster.running_servers
+            yield ControlPlane(live, MetricsRegistry()), live
+
+
+class TestControlPlane:
+    def test_adopting_a_store_turns_controller_active_on(self, steered):
+        _, live = steered
+        assert all(server.telemetry.steered for server in live())
+
+    def test_poll_keeps_the_freshest_report_per_client(self, steered):
+        plane, live = steered
+        servers = live()
+        servers[0].telemetry.update(_telemetry(9, 0.1))
+        servers[-1].telemetry.update(_telemetry(4, 0.7))  # later: the one that counts
+        servers[0].telemetry.update(_telemetry(6, 0.2, client_id="c1"))
+        reports = plane.poll()
+        assert set(reports) == {"c0", "c1"}
+        assert reports["c0"].scan_group == 4
+        assert reports["c1"].scan_group == 6
+
+    def test_publish_and_bias_reach_every_server(self, steered):
+        plane, live = steered
+        hint = ScanGroupHint(scan_group=3, reason="steer", decision_id=1)
+        plane.publish("c0", hint)
+        plane.set_admission_bias({3})
+        for server in live():
+            assert server.telemetry.hint_for("c0") == hint
+            assert server.cache.stats()["admission_bias"] == [3]
+        plane.publish("c0", None)
+        assert all(server.telemetry.hint_for("c0") is None for server in live())
+
+    def test_replica_restarted_between_steps_is_steered_on_the_next(self, pcr_dataset):
+        with ClusterCoordinator(
+            pcr_dataset.reader.directory, n_shards=2, n_replicas=1
+        ) as cluster:
+            controller = cluster.start_controller(
+                policy=StallTargetPolicy(target_stall_fraction=0.2, cooldown_intervals=0),
+                auto_start=False,
+            )
+            first = cluster.shard_map.shard_ids[0]
+            cluster.running_servers()[0].telemetry.update(_telemetry(10, 0.9))
+            controller.step()  # seeds c0 at group 10
+            cluster.stop_replica(first, 0)
+            cluster.restart_replica(first, 0)
+            fresh = cluster.running_servers()[0]
+            assert not fresh.telemetry.steered
+            fresh.telemetry.update(_telemetry(10, 0.9))
+            decisions = controller.step()
+            assert [d.direction for d in decisions] == ["down"]  # polled
+            assert fresh.telemetry.steered
+            assert fresh.telemetry.hint_for("c0").scan_group == 5
+            assert fresh.cache.stats()["admission_bias"] == [5]  # biased
 
 
 # ---------------------------------------------------------------------------

@@ -594,14 +594,18 @@ class TestGetMetricsWireOp:
         assert frozen == before
 
 
+def _replica_reports(sweep: dict) -> list[dict]:
+    return [r for shard in sweep["shards"].values() for r in shard["replicas"].values()]
+
+
 class TestClusterScraping:
     def test_cluster_stats_merges_live_replicas(self, pcr_dataset):
         directory = pcr_dataset.reader.directory
         with ClusterCoordinator(directory, n_shards=2, n_replicas=1) as coordinator:
-            report = coordinator.cluster_stats()
+            report = coordinator.stats()
             assert report["live_replicas"] == 2
             assert report["total_replicas"] == 2
-            assert all(r["status"] == "up" for r in report["replicas"].values())
+            assert all(r["status"] == "up" for r in _replica_reports(report))
             merged = report["merged"]["counters"]
             # Each replica answered exactly one GET_METRICS scrape.
             assert merged["serving.requests.get_metrics_total"] == 2
@@ -611,18 +615,48 @@ class TestClusterScraping:
         with ClusterCoordinator(directory, n_shards=2, n_replicas=1) as coordinator:
             victim = coordinator.live_replicas()[0]
             coordinator.stop_replica(victim.shard_id, 0)
-            report = coordinator.cluster_stats(timeout=1.0)
+            report = coordinator.stats()
             assert report["live_replicas"] == 1
             assert report["total_replicas"] == 2
-            statuses = sorted(r["status"] for r in report["replicas"].values())
+            statuses = sorted(r["status"] for r in _replica_reports(report))
             assert statuses == ["down", "up"]
-            down = next(
-                r for r in report["replicas"].values() if r["status"] == "down"
+            down = next(r for r in _replica_reports(report) if r["status"] == "down")
+            assert "error" in down and down["running"] is False
+
+    def test_coordinator_and_client_sweeps_agree(self, pcr_dataset):
+        """One sweep, two thin callers: with a replica of a 2 x 2 fleet
+        stopped, both see the same fleet and neither raises."""
+        from repro.serving.cluster.client import ClusterClient
+
+        directory = pcr_dataset.reader.directory
+        with ClusterCoordinator(directory, n_shards=2, n_replicas=2) as coordinator:
+            with ClusterClient(coordinator.shard_map) as client:
+                for name in pcr_dataset.record_names:
+                    client.get_record_bytes(name, 2)
+                    client.get_record_bytes(name, 1)
+                victim = coordinator.shard_map.shard_ids[0]
+                coordinator.stop_replica(victim, 1)
+                supervisor, routed = coordinator.stats(), client.stats()
+            assert supervisor["live_replicas"] == routed["live_replicas"] == 3
+            assert supervisor["total_replicas"] == routed["total_replicas"] == 4
+            assert supervisor["topology"] == routed["topology"]
+            for sweep in (supervisor, routed):
+                assert sweep["shards"][victim]["replicas"]["1"]["status"] == "down"
+            # Traffic counters agree; the scrapes' own footprints (connections,
+            # GET_METRICS requests) are the only thing that moved in between.
+            n_records = len(pcr_dataset.record_names)
+            for name, value in supervisor["merged"]["counters"].items():
+                if name.startswith(("serving.cache.", "serving.requests.get_record")):
+                    assert routed["merged"]["counters"][name] == value, name
+            served = supervisor["merged"]["counters"]["serving.requests.get_record_total"]
+            assert 0 < served <= 2 * n_records  # the stopped replica's share went with it
+            # What only each caller knows rides beside the shared shape.
+            assert set(routed) - set(supervisor) == {"client"}
+            replica = supervisor["shards"][victim]["replicas"]["0"]
+            assert replica["running"] is True and replica["restarts"] == 0
+            assert supervisor["shards"][victim]["n_records"] == len(
+                coordinator.assignment(victim)
             )
-            assert "error" in down
-            # The in-process stats sweep tolerates the dead replica too.
-            stats = coordinator.stats()
-            assert stats["cluster"]["live_replicas"] == 1
 
 
 class TestStorageMetrics:

@@ -557,3 +557,23 @@ class TestStallTracker:
 
     def test_empty_tracker(self):
         assert StallTracker().stall_fraction == 0.0
+
+    def test_running_totals_equal_the_lists(self):
+        """The totals are kept beside the per-iteration lists, not summed from
+        them per read, and need no live registry."""
+        from repro.obs import MetricsRegistry
+
+        tracker = StallTracker(
+            wait_seconds=[0.25, 0.5],
+            compute_seconds=[1.0],
+            registry=MetricsRegistry(enabled=False),
+        )
+        assert tracker.total_wait == 0.75 and tracker.total_compute == 1.0
+        for index in range(50):
+            tracker.record_wait(index * 1e-3)
+            if index % 3:
+                tracker.record_compute(index * 2e-3)
+        assert len(tracker.wait_seconds) == 52
+        assert tracker.total_wait == pytest.approx(sum(tracker.wait_seconds))
+        assert tracker.total_compute == pytest.approx(sum(tracker.compute_seconds))
+        assert tracker.timeline()[:2] == [(0, 0.25), (1, 0.5)]

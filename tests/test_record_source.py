@@ -252,7 +252,7 @@ class TestOneSeam:
 
         local = public(PCRDataset) - {"build", "build_and_report", "reader"}
         assert local == public(RemoteRecordSource) - {"client"}
-        assert local == public(ShardedRemoteRecordSource) - {"cluster_client", "cluster_stats"}
+        assert local == public(ShardedRemoteRecordSource) - {"cluster_client"}
 
     def test_constructor_options(self):
         def options(cls):

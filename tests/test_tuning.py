@@ -109,7 +109,7 @@ class TestGradientCosineController:
             )
             decision = strict.tune(trainer, dataset, epoch=1)
             assert decision.chosen_group >= 5
-            assert decision.probe_metrics[10] == pytest.approx(1.0, abs=1e-9)
+            assert decision.inputs[10] == pytest.approx(1.0, abs=1e-9)
             dataset.set_scan_group(10)
 
     def test_decisions_are_recorded(self, pcr_dataset):
@@ -118,7 +118,32 @@ class TestGradientCosineController:
         controller.tune(trainer, pcr_dataset, epoch=0)
         controller.tune(trainer, pcr_dataset, epoch=5)
         assert len(controller.decisions) == 2
+        first, second = controller.decisions
+        assert (first.interval, second.interval) == (0, 5)
+        assert first.previous_group == 10 and first.reason
+        assert second.previous_group == first.chosen_group
+        assert second.direction == "hold"
         pcr_dataset.set_scan_group(10)
+
+    def test_offline_and_online_decisions_are_one_record(self, pcr_dataset):
+        from repro.control import ClientControlState, ClientTelemetry, StallTargetPolicy
+        from repro.core.scan_groups import ScanGroupDecision
+
+        trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
+        offline = GradientCosineController(
+            candidate_groups=[1, 10], similarity_threshold=0.0, max_samples=8
+        ).tune(trainer, pcr_dataset, epoch=2)
+        pcr_dataset.set_scan_group(10)
+        online = StallTargetPolicy().decide(
+            ClientTelemetry(client_id="c0", scan_group=10, n_groups=10),
+            ClientControlState("c0"),
+            0,
+        )
+        assert type(offline) is type(online) is ScanGroupDecision
+        assert (offline.previous_group, offline.chosen_group, offline.direction) == (10, 1, "down")
+        assert (online.previous_group, online.chosen_group, online.direction) == (10, 10, "hold")
+        assert offline.reason and online.reason
+        assert set(offline.to_payload()) == set(online.to_payload())
 
 
 class TestMixturePolicy:
