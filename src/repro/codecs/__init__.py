@@ -32,12 +32,13 @@ equivalent, self-contained codec:
   ``ProgressiveCodec.encode_batch`` / ``BaselineCodec.encode_batch`` are the
   minibatch-level encode API.
 * :mod:`repro.codecs.parallel` — the process-parallel codec engine, one
-  for both directions: persistent pre-warmed worker processes, a chunked
-  work-stealing task queue, and shared-memory pixel slabs, with
-  identical-output in-process fallback.  :class:`DecodePool` returns decoded
-  batches zero-copy (wired through the reader, ``DataLoader``
-  (``decode_workers``), and both remote record sources);
-  :class:`EncodePool` runs the ingest direction (pixels in via slabs,
+  for both directions: a fleet of at least two persistent worker
+  processes, a chunked work-stealing task queue, and one shared-memory
+  pixel slab per pool, with identical-output in-process fallback.
+  :class:`DecodePool` returns decoded frames as ordinary arrays, copied out
+  of the slab (each ``DataLoader`` with ``decode_workers >= 2`` owns one
+  and passes it to every record read, local or remote);
+  :class:`EncodePool` runs the ingest direction (pixels in via the slab,
   encoded streams out), wired through ``repro.core.convert``
   (``encode_workers``).
 * :mod:`repro.codecs.baseline` — sequential, single-scan encoding.

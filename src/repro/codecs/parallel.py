@@ -1,57 +1,58 @@
-"""Process-parallel minibatch codecs through shared-memory pixel slabs.
+"""Process-parallel minibatch codecs through one shared-memory pixel slab.
 
 The fast decode path is >90% entropy-bound (see ``BENCH_codec.json``), and
 the sequential per-symbol Huffman loop cannot be vectorized inside one
 Python interpreter.  :class:`DecodePool` beats that wall with *software*
 parallelism instead: a persistent fleet of worker processes decodes the
 streams of a minibatch concurrently, one core per worker, and hands the
-pixels back through preallocated ``multiprocessing.shared_memory`` frame
-slabs so no pixel data is ever pickled.
+pixels back through a ``multiprocessing.shared_memory`` slab so no pixel
+data is ever pickled.
 
 :class:`EncodePool` is the same engine with the data flow inverted for
-ingest (dataset conversion): the parent lays a chunk of images out in a
-shared slab (pixels *in* via shared memory, one memcpy each), workers run
-the batched float32 forward path + entropy encoder
+ingest (dataset conversion): the parent lays a chunk of images out in the
+slab (pixels *in* via shared memory, one memcpy each), workers run the
+batched float32 forward path + entropy encoder
 (:func:`~repro.codecs.progressive.encode_progressive_batch`), and the
 encoded streams — orders of magnitude smaller than the pixels — return
 through the ordinary result queue.  The two public classes are one batch
 method each over a shared lifecycle base (:class:`_Pool`): one engine
-(:class:`_PoolState`: worker fleet, work-stealing chunk queue, slab
-pooling, batch wait loop, crash fallback) runs both, parameterised by a
+(:class:`_PoolState`: worker fleet, work-stealing chunk queue, the slab,
+batch wait loop, crash fallback) runs both, parameterised by a
 :class:`_Direction` that says how an item is measured, what a worker does
 with a chunk, and what the in-process equivalent is.
 
 Architecture
 ------------
 
-* **Long-lived workers.**  ``n_workers`` processes are started once (fork
-  where available, spawn otherwise), run every build path once on a tiny
-  self-encoded image, and then loop on a shared task queue until the pool
-  closes.  Worker startup cost is paid once per pool, not per batch.
+* **A pool is a fleet.**  ``n_workers >= 2`` processes are started once
+  (fork where available, spawn otherwise) and loop on a shared task queue
+  until the pool closes; fewer is a ``ValueError``, because one worker
+  process only adds queue and copy overhead to in-process decode.  Worker
+  startup cost is paid once per pool, not per batch.
 * **Chunked task queue (work stealing).**  A batch is split into
   ``CHUNKS_PER_WORKER`` chunks per worker, balanced by the bytes that drive
   the work (compressed bytes to decode, pixel bytes to encode), and all
   chunks go onto one shared queue.  Workers pull the next chunk whenever
   they finish one, so uneven item sizes self-balance instead of serializing
   on the slowest pre-assigned partition.
-* **Shared-memory frame slabs.**  The parent gives every item's pixels a
-  fixed region inside one slab and sends workers only ``(stream or None,
-  offset, nbytes, shape)`` metadata.  Decode workers run the ordinary
-  in-process fast path
+* **One shared-memory slab.**  The parent gives every item's pixels a
+  fixed region inside the pool's one slab and sends workers only
+  ``(stream or None, offset, nbytes, shape)`` metadata.  Decode workers run
+  the ordinary in-process fast path
   (:func:`~repro.codecs.progressive.decode_progressive_batch`) and write
-  the uint8 pixels straight into the slab; the parent wraps the filled
-  regions as zero-copy numpy views.  Encode workers read the pixels the
-  parent laid out and return streams.  Slabs are pooled and reused across
-  batches, and a slab returns to the pool only when everything that can see
-  it has been garbage collected (a :class:`_SlabLease` finalizer tracks
-  that), so a consumer can hold decoded frames as long as it likes.
-* **Transparent fallback.**  ``n_workers <= 1``, a closed pool, a worker
-  crash, a stalled batch, or a worker-side codec error all degrade to the
-  in-process batch codec.  After a failure the whole fleet is restarted
-  with fresh queues (a killed process can die holding a queue lock, so the
-  old plumbing is never trusted again), and the unfinished part of the
-  batch is finished in-process — the caller sees identical results either
-  way.
+  the uint8 pixels straight into the slab; the parent copies each frame out
+  into an ordinary array before the batch returns.  Encode workers read the
+  pixels the parent laid out and return streams.  One batch runs at a time
+  and every worker is done with the slab (or killed) before a batch
+  returns, so nothing outside the pool ever sees the slab and the next
+  batch reuses it; a batch that needs more bytes replaces it with a larger
+  one under a new name, and a worker remaps only when the name changes.
+* **Transparent fallback.**  A closed pool, a worker crash, a stalled
+  batch, or a worker-side codec error all degrade to the in-process batch
+  codec.  After a failure the whole fleet is restarted with fresh queues
+  (a killed process can die holding a queue lock, so the old plumbing is
+  never trusted again), and the unfinished part of the batch is finished
+  in-process — the caller sees identical results either way.
 
 Pooled output is *byte-identical* to in-process fast-path output: workers
 run exactly the same code on exactly the same bytes, and the batch layout
@@ -80,11 +81,7 @@ import numpy as np
 from repro.codecs import config as codec_config
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import SUBSAMPLING_420, parse_frame_header
-from repro.codecs.progressive import (
-    ProgressiveCodec,
-    decode_progressive_batch,
-    encode_progressive_batch,
-)
+from repro.codecs.progressive import decode_progressive_batch, encode_progressive_batch
 from repro.obs import diff_snapshots, get_registry
 
 __all__ = ["DecodePool", "EncodePool", "PoolStats"]
@@ -94,15 +91,9 @@ __all__ = ["DecodePool", "EncodePool", "PoolStats"]
 #: stays negligible.
 CHUNKS_PER_WORKER = 4
 
-#: Smallest slab allocated (new slabs round up to this), so a stream of tiny
-#: batches reuses one slab instead of allocating per-batch.
+#: Smallest slab allocated (a new slab rounds up to this), so a stream of
+#: small batches of varying size keeps one slab instead of regrowing it.
 MIN_SLAB_BYTES = 1 << 20
-
-#: Free slabs a pool keeps for reuse; one returned beyond this is unlinked.
-MAX_FREE_SLABS = 4
-
-#: Slab attachments a worker keeps mapped (see :func:`_attach_slab`).
-MAX_ATTACHED_SLABS = 8
 
 #: Seconds without any chunk completing (workers alive) before a batch is
 #: declared stalled and finished in-process.  At fast-path decode rates this
@@ -182,13 +173,6 @@ class _Direction(NamedTuple):
     measure: Callable
     #: ``(shm, params, jobs) -> streams or None``: one chunk, worker side.
     work: Callable
-    #: ``(quality) -> None``: run a fresh worker's first-call paths once.
-    prewarm: Callable
-
-
-def _warmup_image() -> ImageBuffer:
-    ramp = (np.arange(16 * 16 * 3, dtype=np.int64) * 7 % 256).astype(np.uint8)
-    return ImageBuffer(ramp.reshape(16, 16, 3))
 
 
 def _measure_stream(payload: bytes):
@@ -207,19 +191,6 @@ def _decode_chunk(shm, max_scans, jobs) -> None:
                 f"decoded frame is {pixels.shape}, slab region expects {shape}"
             )
         _region(shm.buf, offset, nbytes)[:] = pixels.reshape(-1)
-
-
-def _decode_prewarm(quality: int) -> None:
-    """Run every decode build path once (table LUTs, scaled bases, scratch).
-
-    One round-trip decode of a tiny image imports and exercises the DC and
-    AC decode-table builds, the walk, the epilogue and the pixel path, so
-    a worker's first real chunk meets no first-call cost.  It does *not*
-    warm tables for real streams: every scan of every image carries its own
-    optimised Huffman table, so the first decode of an image builds that
-    image's tables whatever ran before (see ``docs/performance.md``).
-    """
-    decode_progressive_batch([ProgressiveCodec(quality=quality).encode(_warmup_image())])
 
 
 def _encode_inprocess(images: list[ImageBuffer], params) -> list[bytes]:
@@ -247,22 +218,11 @@ def _slab_image(shm, offset: int, nbytes: int, shape) -> ImageBuffer:
 def _encode_chunk(shm, params, jobs) -> list[bytes]:
     """Encode a chunk straight out of the slab; the streams ride the queue.
 
-    The slab views die with this frame, before the result ships, so slab
-    eviction / worker exit can unmap the segment cleanly.
+    The slab views die with this frame, before the result ships, so a
+    remap or worker exit can unmap the segment cleanly.
     """
     images = [_slab_image(shm, offset, nbytes, shape) for _, offset, nbytes, shape in jobs]
     return _encode_inprocess(images, params)
-
-
-def _encode_prewarm(quality: int) -> None:
-    """Heat the forward fast-path caches (scaled forward bases, DHT builds).
-
-    One tiny color encode touches the RGB→YCbCr matmul, the forward
-    scaled-basis cache for the warmup quality's quant tables, and the
-    Huffman table-build path, so a worker's first real chunk runs at steady
-    state.
-    """
-    encode_progressive_batch([_warmup_image()], quality=quality)
 
 
 _DECODE = _Direction(
@@ -270,14 +230,12 @@ _DECODE = _Direction(
     inprocess=decode_progressive_batch,  # (payloads, max_scans)
     measure=_measure_stream,
     work=_decode_chunk,
-    prewarm=_decode_prewarm,
 )
 _ENCODE = _Direction(
     metrics="ingest",
     inprocess=_encode_inprocess,
     measure=_measure_image,
     work=_encode_chunk,
-    prewarm=_encode_prewarm,
 )
 
 
@@ -286,29 +244,7 @@ _ENCODE = _Direction(
 # --------------------------------------------------------------------------
 
 
-def _attach_slab(attached: dict, name: str) -> shared_memory.SharedMemory:
-    """Map the slab a task names, through a bounded most-recently-used cache.
-
-    Slab attachments are cached (slabs are pooled and recur), but bounded:
-    the parent retires slabs over a long run and an unlinked segment's
-    memory stays resident while any mapping exists, so an unbounded cache
-    would grow worker RSS without limit.  Evicting a slab the parent still
-    pools is safe — the next task naming it simply re-attaches.
-    """
-    shm = attached.pop(name, None)
-    if shm is None:
-        shm = shared_memory.SharedMemory(name=name)
-    attached[name] = shm  # (re)insert as most recently used
-    while len(attached) > MAX_ATTACHED_SLABS:
-        oldest = next(iter(attached))
-        try:
-            attached.pop(oldest).close()
-        except Exception:
-            pass
-    return shm
-
-
-def _worker_main(direction: _Direction, task_queue, result_queue, warmup_quality) -> None:
+def _worker_main(direction: _Direction, task_queue, result_queue) -> None:
     """Long-lived worker loop: pull a chunk, run the direction's step, report.
 
     Workers always run with the fast path enabled — the pool's contract is
@@ -323,15 +259,9 @@ def _worker_main(direction: _Direction, task_queue, result_queue, warmup_quality
     # chunk's delta is exactly this worker's own work.
     registry = get_registry()
     registry.reset()
-    attached: dict[str, shared_memory.SharedMemory] = {}
+    slab: shared_memory.SharedMemory | None = None
     try:
         with codec_config.use_fastpath(True):
-            if warmup_quality is not None:
-                try:
-                    direction.prewarm(warmup_quality)
-                except Exception:  # warmup is best-effort; first real batch warms too
-                    pass
-            registry.reset()  # drop warmup counts from the first chunk delta
             last_snapshot = registry.snapshot()
             while True:
                 task = task_queue.get()
@@ -340,7 +270,14 @@ def _worker_main(direction: _Direction, task_queue, result_queue, warmup_quality
                 batch_id, chunk_id, slab_name, params, jobs = task
                 try:
                     chunk_started = time.perf_counter()
-                    streams = direction.work(_attach_slab(attached, slab_name), params, jobs)
+                    if slab is None or slab.name != slab_name:
+                        # First task, or the parent replaced its slab for a
+                        # larger batch: drop the old mapping (an unlinked
+                        # segment stays resident while mapped) and map this one.
+                        if slab is not None:
+                            slab.close()
+                        slab = shared_memory.SharedMemory(name=slab_name)
+                    streams = direction.work(slab, params, jobs)
                     # Per-worker chunk timing plus the registry delta since
                     # the previous chunk ride back in the result tuple; the
                     # parent merges the delta so fleet-wide metrics aggregate
@@ -360,82 +297,33 @@ def _worker_main(direction: _Direction, task_queue, result_queue, warmup_quality
     except (KeyboardInterrupt, EOFError, OSError):
         pass  # parent is gone or tearing down; exit quietly
     finally:
-        for shm in attached.values():
+        if slab is not None:
             try:
-                shm.close()
+                slab.close()
             except Exception:
                 pass
 
 
 # --------------------------------------------------------------------------
-# Slab lifecycle
+# The slab
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Slab:
-    """One shared-memory segment a batch's pixels cross through."""
-
-    shm: shared_memory.SharedMemory
-    capacity: int
-
-
-class _SlabLease:
-    """Keeps a slab checked out while anything that can see it is alive.
-
-    Every :class:`_SlabView` returned from a batch holds a strong reference
-    to its lease, as does the batch itself while it runs; a
-    ``weakref.finalize`` on the lease returns the slab to the pool's free
-    list (or unlinks it, once the pool is closed) exactly when the last
-    holder dies.  An encode batch hands out no views, so its slab goes back
-    the moment the batch returns.
-    """
-
-    __slots__ = ("__weakref__",)
+def _create_slab(nbytes: int) -> shared_memory.SharedMemory:
+    while True:
+        name = f"pcrslab_{os.getpid()}_{os.urandom(4).hex()}"
+        try:
+            return shared_memory.SharedMemory(name=name, create=True, size=nbytes)
+        except FileExistsError:
+            continue
 
 
-class _SlabView(np.ndarray):
-    """A decoded uint8 frame viewing shared slab memory (zero-copy).
-
-    Slices inherit the lease through their ``base`` chain, so arbitrary
-    downstream numpy code keeps the slab alive for as long as it can see
-    the pixels.
-    """
-
-
-def _slab_view(slab: _Slab, offset: int, shape: tuple[int, ...], lease) -> np.ndarray:
-    view = np.ndarray.__new__(
-        _SlabView, shape, dtype=np.uint8, buffer=slab.shm.buf, offset=offset
-    )
-    view._slab_lease = lease
-    view.flags.writeable = False
-    return view
-
-
-def _destroy_slab(slab: _Slab) -> None:
+def _destroy_slab(shm: shared_memory.SharedMemory) -> None:
+    shm.close()
     try:
-        slab.shm.close()
-    except BufferError:
-        # A view still references the mapping; its lease finalizer will come
-        # back through here once the view dies.
-        return
+        shm.unlink()
     except OSError:
         pass
-    try:
-        slab.shm.unlink()
-    except FileNotFoundError:
-        pass
-    except OSError:
-        pass
-
-
-def _release_slab(state: "_PoolState", slab: _Slab) -> None:
-    """Return a slab to the free list, or retire it if the pool is done."""
-    with state.lock:
-        if not state.closed and len(state.free_slabs) < MAX_FREE_SLABS:
-            state.free_slabs.append(slab)
-            return
-    _destroy_slab(slab)
 
 
 # --------------------------------------------------------------------------
@@ -460,35 +348,27 @@ class PoolStats:
     items: int = 0
     fleet_restarts: int = 0
     workers_started: int = 0
-    slabs_created: int = 0
     last_worker_error: str = field(default="", repr=False)
 
 
 class _PoolState:
-    """One pool's fleet, queues, slabs and stats, for either direction.
+    """One pool's fleet, queues, slab and stats, for either direction.
 
-    With ``n_workers <= 1`` there is no fleet at all — no processes, no
-    queues, no shared memory — and every batch runs in-process.
+    A batch holds ``lock`` from start to finish, so batches never overlap
+    and every stats write happens under it.
     """
 
-    def __init__(self, direction: _Direction, n_workers: int, warmup_quality: int | None):
+    def __init__(self, direction: _Direction, n_workers: int):
         self.direction = direction
         self.n_workers = n_workers
-        self.warmup_quality = warmup_quality
         self.lock = threading.RLock()
-        self.stats_lock = threading.Lock()
         self.closed = False
-        self.respawn = True  # tests flip this to pin the fallback path
         self.workers: list = []
         self.tasks = None
         self.results = None
-        self.free_slabs: list[_Slab] = []
+        self.slab: shared_memory.SharedMemory | None = None
         self.batch_counter = 0
-        self.slab_counter = 0
         self.stats = PoolStats()
-        self.ctx = None
-        if n_workers <= 1:
-            return
         # Fork where the platform has it (workers inherit warm module state
         # and start in milliseconds), spawn otherwise.
         methods = multiprocessing.get_all_start_methods()
@@ -496,7 +376,7 @@ class _PoolState:
         # Start the shared-memory resource tracker *before* forking workers:
         # children then inherit the parent's tracker instead of each lazily
         # spawning their own (a per-worker tracker would try to "clean up"
-        # the parent's live slabs when its worker exits).  Registrations are
+        # the parent's live slab when its worker exits).  Registrations are
         # set-deduplicated in the tracker, so worker-side attach registers
         # collapse into the parent's single register/unlink pair.
         try:
@@ -522,12 +402,10 @@ class _PoolState:
         if self.tasks is None:
             self.tasks = self.ctx.Queue()
             self.results = self.ctx.Queue()
-        if not self.respawn and self.workers:
-            return
-        while self.respawn and len(self.workers) < self.n_workers:
+        while len(self.workers) < self.n_workers:
             worker = self.ctx.Process(
                 target=_worker_main,
-                args=(self.direction, self.tasks, self.results, self.warmup_quality),
+                args=(self.direction, self.tasks, self.results),
                 daemon=True,
                 name=f"pcr-{self.direction.metrics}-{len(self.workers)}",
             )
@@ -566,30 +444,20 @@ class _PoolState:
         self.tasks = None
         self.results = None
 
-    # -- slabs ------------------------------------------------------------
+    # -- the slab ---------------------------------------------------------
 
-    def acquire_slab(self, nbytes: int) -> _Slab:
-        with self.lock:
-            best_index = -1
-            for index, slab in enumerate(self.free_slabs):
-                if slab.capacity >= nbytes and (
-                    best_index < 0 or slab.capacity < self.free_slabs[best_index].capacity
-                ):
-                    best_index = index
-            if best_index >= 0:
-                return self.free_slabs.pop(best_index)
-            self.slab_counter += 1
-            counter = self.slab_counter
-        capacity = max(nbytes, MIN_SLAB_BYTES)
-        while True:
-            name = f"pcrslab_{os.getpid()}_{counter}_{os.urandom(3).hex()}"
-            try:
-                shm = shared_memory.SharedMemory(name=name, create=True, size=capacity)
-                break
-            except FileExistsError:
-                continue
-        self.stats.slabs_created += 1
-        return _Slab(shm=shm, capacity=capacity)
+    def slab_for(self, nbytes: int) -> shared_memory.SharedMemory:
+        """The pool's one slab, replaced by a larger one when a batch outgrows it.
+
+        The replacement is created before the old slab is unlinked, so it
+        cannot reuse the old name: a worker remaps exactly when the name a
+        task carries changes.
+        """
+        if self.slab is None or self.slab.size < nbytes:
+            old, self.slab = self.slab, _create_slab(max(nbytes, MIN_SLAB_BYTES))
+            if old is not None:
+                _destroy_slab(old)
+        return self.slab
 
     # -- batches ----------------------------------------------------------
 
@@ -598,137 +466,119 @@ class _PoolState:
         items = list(items)
         if not items:
             return []
-        if self.ctx is None:
-            return self._run_inprocess(items, params)
         # One batch is in flight at a time: the pool parallelizes *within*
         # a batch, which is where the minibatch-shaped work lives.
         with self.lock:
             if self.closed:
-                return self._run_inprocess(items, params)
-            return self._run_batch(items, params)
+                outputs = self._run_inprocess(items, params)
+            else:
+                outputs = self._run_parallel(items, params)
+            self.stats.batches += 1
+            self.stats.items += len(items)
+            return outputs
 
     def _run_inprocess(self, items: list, params) -> list:
         # The pool's contract is identity with *fast-path* output (workers
         # pin it on); the in-process degradations must match even when the
-        # caller has the scalar reference path selected.
+        # caller has the scalar reference path selected, or a mixed batch
+        # could differ chunk by chunk.
         with codec_config.use_fastpath(True):
-            outputs = self.direction.inprocess(items, params)
-        with self.stats_lock:
-            self.stats.batches += 1
-            self.stats.items += len(items)
-        return outputs
+            return self.direction.inprocess(items, params)
 
-    def _run_batch(self, items: list, params) -> list:
+    def _run_parallel(self, items: list, params) -> list:
         self.ensure_workers()
-        if not self.workers:
-            # Respawning is disabled and the fleet is gone: run in-process
-            # without touching the (fresh, empty) queues.
-            self.stats.fallback_batches += 1
-            return self._run_inprocess(items, params)
         shapes, sizes, weights, inbound = zip(*map(self.direction.measure, items))
         # Regions are laid out back-to-back in item order.
         ends = list(accumulate(sizes))
         offsets = [0, *ends[:-1]]
-        slab = self.acquire_slab(ends[-1])
-        lease = None
-        try:
-            for pixels, offset, nbytes in zip(inbound, offsets, sizes):
-                if pixels is not None:
-                    # Pixels in: one memcpy per image is the only
-                    # parent-side pixel movement.
-                    _region(slab.shm.buf, offset, nbytes)[:] = pixels.reshape(-1)
-            streams = [item if pixels is None else None for item, pixels in zip(items, inbound)]
-            chunks = _chunk_by_bytes(weights, self.n_workers * CHUNKS_PER_WORKER)
-            self.batch_counter += 1
-            batch_id = self.batch_counter
-            for chunk_id, indices in enumerate(chunks):
-                jobs = [(streams[i], offsets[i], sizes[i], shapes[i]) for i in indices]
-                self.tasks.put((batch_id, chunk_id, slab.shm.name, params, jobs))
-            pending = set(range(len(chunks)))
-            returned: dict[int, list | None] = {}
-            failed = False
-            last_progress = time.monotonic()
-            while pending and not failed:
-                try:
-                    done_batch, done_chunk, error, chunk_streams, delta = self.results.get(
-                        timeout=_POLL_SECONDS
-                    )
-                except Empty:
-                    # Dead workers are detected directly; a worker that is
-                    # alive but wedged (e.g. a respawned fork that inherited
-                    # a lock held at fork time) trips the stall timeout, so
-                    # a batch can degrade but never hang.
-                    if any(not worker.is_alive() for worker in self.workers):
-                        failed = True
-                    elif time.monotonic() - last_progress > STALL_TIMEOUT:
-                        self.stats.last_worker_error = "batch stalled"
-                        failed = True
-                    continue
-                if done_batch != batch_id:
-                    continue  # stale result from an aborted batch
-                if error is not None:
-                    self.stats.last_worker_error = error
-                    failed = True
-                    break
-                returned[done_chunk] = chunk_streams
-                pending.discard(done_chunk)
-                last_progress = time.monotonic()
-                if delta:
-                    # Fold the worker's per-chunk registry delta into the
-                    # parent: fleet metrics equal in-process metrics.
-                    get_registry().merge(delta)
-
-            outputs: list = [None] * len(items)
-            if failed:
-                # Tear the fleet down to a clean slate (a killed worker can
-                # die holding a queue lock), then finish the batch with the
-                # ordinary in-process codec; completed chunks keep their
-                # results (identical either way).  A worker that reported a
-                # codec *error* re-raises here with the real exception.
-                self.stats.fallback_batches += 1
-                self.restart_fleet()
-                fallback = sorted(
-                    index for chunk_id in pending for index in chunks[chunk_id]
+        slab = self.slab_for(ends[-1])
+        for pixels, offset, nbytes in zip(inbound, offsets, sizes):
+            if pixels is not None:
+                # Pixels in: one memcpy per image is the only parent-side
+                # pixel movement.
+                _region(slab.buf, offset, nbytes)[:] = pixels.reshape(-1)
+        streams = [item if pixels is None else None for item, pixels in zip(items, inbound)]
+        chunks = _chunk_by_bytes(weights, self.n_workers * CHUNKS_PER_WORKER)
+        self.batch_counter += 1
+        batch_id = self.batch_counter
+        for chunk_id, indices in enumerate(chunks):
+            jobs = [(streams[i], offsets[i], sizes[i], shapes[i]) for i in indices]
+            self.tasks.put((batch_id, chunk_id, slab.name, params, jobs))
+        pending = set(range(len(chunks)))
+        returned: dict[int, list | None] = {}
+        failed = False
+        last_progress = time.monotonic()
+        while pending and not failed:
+            try:
+                done_batch, done_chunk, error, chunk_streams, delta = self.results.get(
+                    timeout=_POLL_SECONDS
                 )
-                # Pin the fast path: workers run with it on, and a mixed
-                # batch must not differ chunk-by-chunk when the caller has
-                # the scalar reference selected.
-                with codec_config.use_fastpath(True):
-                    redone = self.direction.inprocess([items[i] for i in fallback], params)
-                for index, output in zip(fallback, redone):
-                    outputs[index] = output
-            if returned:
-                lease = _SlabLease()
-                weakref.finalize(lease, _release_slab, self, slab)
-                for chunk_id, chunk_outputs in returned.items():
-                    indices = chunks[chunk_id]
-                    if chunk_outputs is None:  # pixels came back through the slab
-                        chunk_outputs = [
-                            ImageBuffer(_slab_view(slab, offsets[i], shapes[i], lease))
-                            for i in indices
-                        ]
-                    for index, output in zip(indices, chunk_outputs):
-                        outputs[index] = output
-                # Only count batches where workers actually ran chunks; an
-                # all-fallback batch must not masquerade as parallel.
-                self.stats.parallel_batches += 1
-            self.stats.batches += 1
-            self.stats.items += len(items)
-            return outputs
-        finally:
-            if lease is None:
-                _release_slab(self, slab)
+            except Empty:
+                # Dead workers are detected directly; a worker that is
+                # alive but wedged (e.g. a replacement fork that inherited
+                # a lock held at fork time) trips the stall timeout, so
+                # a batch can degrade but never hang.
+                if any(not worker.is_alive() for worker in self.workers):
+                    failed = True
+                elif time.monotonic() - last_progress > STALL_TIMEOUT:
+                    self.stats.last_worker_error = "batch stalled"
+                    failed = True
+                continue
+            if done_batch != batch_id:
+                continue  # stale result from an aborted batch
+            if error is not None:
+                self.stats.last_worker_error = error
+                failed = True
+                break
+            returned[done_chunk] = chunk_streams
+            pending.discard(done_chunk)
+            last_progress = time.monotonic()
+            if delta:
+                # Fold the worker's per-chunk registry delta into the
+                # parent: fleet metrics equal in-process metrics.
+                get_registry().merge(delta)
+
+        outputs: list = [None] * len(items)
+        if failed:
+            # Tear the fleet down to a clean slate (a killed worker can
+            # die holding a queue lock), then finish the batch with the
+            # ordinary in-process codec; completed chunks keep their
+            # results (identical either way).  A worker that reported a
+            # codec *error* re-raises here with the real exception.
+            self.stats.fallback_batches += 1
+            self.restart_fleet()
+            fallback = sorted(index for chunk_id in pending for index in chunks[chunk_id])
+            redone = self._run_inprocess([items[i] for i in fallback], params)
+            for index, output in zip(fallback, redone):
+                outputs[index] = output
+        for chunk_id, chunk_outputs in returned.items():
+            indices = chunks[chunk_id]
+            if chunk_outputs is None:
+                # Pixels came back through the slab: copy each frame out, so
+                # the caller holds ordinary arrays and the slab is free for
+                # the next batch.
+                chunk_outputs = [
+                    ImageBuffer(_region(slab.buf, offsets[i], sizes[i]).reshape(shapes[i]).copy())
+                    for i in indices
+                ]
+            for index, output in zip(indices, chunk_outputs):
+                outputs[index] = output
+        if returned:
+            # Only count batches where workers actually ran chunks; an
+            # all-fallback batch must not masquerade as parallel.
+            self.stats.parallel_batches += 1
+        return outputs
 
     # -- shutdown ---------------------------------------------------------
 
-    def shutdown(self, timeout: float = 5.0) -> None:
+    def shutdown(self) -> None:
         with self.lock:
             if self.closed:
                 return
             self.closed = True
             workers, self.workers = self.workers, []
             tasks = self.tasks
-            slabs, self.free_slabs = list(self.free_slabs), []
+            slab, self.slab = self.slab, None
         if tasks is not None:
             for _ in workers:
                 try:
@@ -736,7 +586,7 @@ class _PoolState:
                 except Exception:
                     break
         for worker in workers:
-            worker.join(timeout=timeout)
+            worker.join(timeout=5.0)
         for worker in workers:
             if worker.is_alive():
                 worker.terminate()
@@ -745,7 +595,7 @@ class _PoolState:
                 worker.kill()
                 worker.join(timeout=1.0)
         self._discard_queues()
-        for slab in slabs:
+        if slab is not None:
             _destroy_slab(slab)
 
 
@@ -765,9 +615,14 @@ class _Pool:
 
     _direction: _Direction
 
-    def __init__(self, n_workers: int, *, warmup_quality: int | None = 90) -> None:
+    def __init__(self, n_workers: int) -> None:
         self.n_workers = int(n_workers)
-        self._state = _PoolState(self._direction, self.n_workers, warmup_quality)
+        if self.n_workers < 2:
+            raise ValueError(
+                f"a pool is a fleet of at least 2 worker processes, got {n_workers}; "
+                "run the in-process batch codec instead"
+            )
+        self._state = _PoolState(self._direction, self.n_workers)
         self._finalizer = weakref.finalize(self, _PoolState.shutdown, self._state)
 
     @property
@@ -778,14 +633,13 @@ class _Pool:
     def closed(self) -> bool:
         return self._state.closed
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop the workers and release every pooled shared-memory slab.
+    def close(self) -> None:
+        """Stop the workers and unlink the shared-memory slab.
 
-        Slabs still referenced by outstanding frame views are unlinked as
-        soon as their last view is garbage collected.  A batch sent to a
-        closed pool transparently runs in-process.
+        Frames a pool has returned are ordinary arrays and stay valid.  A
+        batch sent to a closed pool transparently runs in-process.
         """
-        self._state.shutdown(timeout=timeout)
+        self._state.shutdown()
         self._finalizer.detach()
 
     def __enter__(self):
@@ -801,14 +655,13 @@ class DecodePool(_Pool):
     ``decode_batch`` is a drop-in replacement for
     :meth:`repro.codecs.progressive.ProgressiveCodec.decode_batch`: it takes
     the same list of stream bytes and returns the same list of
-    :class:`~repro.codecs.image.ImageBuffer`, byte-identical to in-process
-    fast-path decoding — except the entropy loops of the batch run on
-    ``n_workers`` cores concurrently and the pixels come back through
-    shared memory.
+    :class:`~repro.codecs.image.ImageBuffer` — ordinary writable arrays,
+    byte-identical to in-process fast-path decoding — except the entropy
+    loops of the batch run on ``n_workers`` cores concurrently and the
+    pixels come back through shared memory.
 
-    With ``n_workers <= 1`` the pool is a thin wrapper over the in-process
-    batch decoder (no processes, no shared memory), so callers can wire a
-    pool unconditionally and control parallelism with one integer.
+    ``n_workers`` must be at least 2; callers that take a worker count
+    (``DataLoader``'s ``decode_workers``) decode in-process below that.
 
     The initial fleet forks at construction time (create the pool before
     starting reader threads, as ``DataLoader`` does).  Respawning after a
@@ -833,15 +686,14 @@ class EncodePool(_Pool):
     same list of encoded streams, identical to in-process fast-path
     encoding — except the forward DCT + entropy loops of the batch run on
     ``n_workers`` cores concurrently, and the pixels travel to the workers
-    through shared-memory slabs (one parent-side memcpy per image, zero
+    through the shared-memory slab (one parent-side memcpy per image, zero
     pickling of pixel data).  Encoded streams are orders of magnitude
     smaller than pixels, so they return through the ordinary result queue.
 
-    With ``n_workers <= 1`` the pool is a thin wrapper over the in-process
-    batch encoder (no processes, no shared memory), so conversion code can
-    wire a pool unconditionally and control parallelism with one integer.
+    ``n_workers`` must be at least 2; the converters' ``encode_workers``
+    encode in-process below that.
 
-    Everything else — fleet lifecycle, chunked work stealing, slab pooling,
+    Everything else — fleet lifecycle, chunked work stealing, the slab,
     crash fallback, the stall watchdog — is :class:`DecodePool`'s engine
     (see the module docstring); after any worker failure the unfinished
     remainder of the batch is encoded in-process and the caller sees

@@ -46,8 +46,8 @@ DEFAULT_REPORT_INTERVAL_SECONDS = 0.25
 class AdaptiveScanGroupSource:
     """A remote source that reports telemetry and follows scan-group hints.
 
-    Everything not defined here — structure, scan group, decode pool, byte
-    accounting — is the wrapped source's own member, reached through
+    Everything not defined here — structure, scan group, byte accounting —
+    is the wrapped source's own member, reached through
     ``__getattr__``, so the wrapper cannot drift from ``RecordSource``.
     """
 
@@ -100,8 +100,8 @@ class AdaptiveScanGroupSource:
         source.  ``DataLoader.epoch()`` calls this automatically."""
         self.stalls = stalls
 
-    def read_record(self, record_name: str, decode: bool | None = None):
-        samples = self.source.read_record(record_name, decode=decode)
+    def read_record(self, record_name: str, decode: bool | None = None, decode_pool=None):
+        samples = self.source.read_record(record_name, decode=decode, decode_pool=decode_pool)
         self._after_fetch()
         return samples
 

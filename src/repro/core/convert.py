@@ -138,7 +138,6 @@ def convert_to_pcr(
     backend: str = "sqlite",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     encode_workers: int = 0,
-    encode_pool: EncodePool | None = None,
 ) -> tuple[WriteResult, ConversionReport]:
     """Convert samples once into a PCR dataset, timing each stage.
 
@@ -155,28 +154,25 @@ def convert_to_pcr(
     ``chunk_size`` batches and flushed to the writer before the next batch
     is pulled, so peak memory follows the chunk size, not the dataset size.
 
-    ``encode_workers > 1`` runs the pixel encodes of stage 1 on an
-    :class:`EncodePool` worker fleet (created here and closed on return);
-    pass an ``encode_pool`` to reuse a fleet across several conversions
-    instead.  Transcodes always run in-process: whether a pool job for them
-    would pay is unmeasured, so none exists.
+    ``encode_workers >= 2`` runs the pixel encodes of stage 1 on an
+    :class:`EncodePool` worker fleet, created here and closed on return;
+    ``0`` and ``1`` encode in-process.  Transcodes always run in-process:
+    whether a pool job for them would pay is unmeasured, so none exists.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     report = ConversionReport(
         approach="pcr",
         chunk_size=chunk_size,
-        encode_workers=encode_pool.n_workers if encode_pool is not None else encode_workers,
+        encode_workers=encode_workers,
     )
     registry = get_registry()
     tracer = get_tracer()
 
-    # The stack closes a pool made here, and — should a chunk raise — the
-    # writer's index store; a finalized writer's exit is a no-op.
+    # The stack closes the pool, and — should a chunk raise — the writer's
+    # index store; a finalized writer's exit is a no-op.
     with ExitStack() as stack:
-        pool = encode_pool
-        if pool is None and encode_workers > 1:
-            pool = stack.enter_context(EncodePool(encode_workers, warmup_quality=quality))
+        pool = stack.enter_context(EncodePool(encode_workers)) if encode_workers > 1 else None
         writer = stack.enter_context(
             PCRWriter(
                 output_dir,
@@ -220,7 +216,6 @@ def build_static_copies(
     qualities: tuple[int, ...] = STATIC_QUALITIES,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     encode_workers: int = 0,
-    encode_pool: EncodePool | None = None,
 ) -> ConversionReport:
     """Re-encode the dataset at several static qualities (the baseline pipeline).
 
@@ -230,7 +225,7 @@ def build_static_copies(
     stay open across the streamed chunks, so each sample is pulled (and held)
     exactly once however many qualities are built.  Samples carry pixels:
     a static copy is a genuine re-encode, so an encoded source is decoded
-    by the caller first.
+    by the caller first.  ``encode_workers`` is as in :func:`convert_to_pcr`.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -240,17 +235,12 @@ def build_static_copies(
         approach="static",
         n_copies=len(qualities),
         chunk_size=chunk_size,
-        encode_workers=encode_pool.n_workers if encode_pool is not None else encode_workers,
+        encode_workers=encode_workers,
     )
     registry = get_registry()
     tracer = get_tracer()
 
-    pool = encode_pool
-    own_pool = False
-    if pool is None and encode_workers > 1:
-        pool = EncodePool(encode_workers, warmup_quality=max(qualities, default=90))
-        own_pool = True
-
+    pool = EncodePool(encode_workers) if encode_workers > 1 else None
     record_paths = {q: output_dir / f"static-q{q}.tfrecord" for q in qualities}
     writers = {q: TFRecordWriter(record_paths[q], quality=q) for q in qualities}
     try:
@@ -281,7 +271,7 @@ def build_static_copies(
     finally:
         for quality_writer in writers.values():
             quality_writer.close()
-        if own_pool:
+        if pool is not None:
             pool.close()
     for quality in qualities:
         copy_bytes = record_paths[quality].stat().st_size

@@ -73,8 +73,8 @@ def assemble_samples(
     invariant lives in exactly one place.  All streams of the record decode
     through one batch-API call
     (:meth:`~repro.codecs.progressive.ProgressiveCodec.decode_batch`), so the
-    pixel-stage scratch buffers are shared across the record, and a wired
-    ``decode_pool`` (a :class:`~repro.codecs.parallel.DecodePool`: a drop-in
+    pixel-stage scratch buffers are shared across the record, and a
+    ``decode_pool`` passed in (a :class:`~repro.codecs.parallel.DecodePool`: a drop-in
     for the codec's batch API with byte-identical output, but the entropy
     loops run on worker processes and the pixels come back through shared
     memory) parallelizes it.

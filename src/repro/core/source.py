@@ -87,7 +87,6 @@ class RecordSource:
         self.decode_by_default = decode
         self._label_mapper = label_mapper
         self._codec = ProgressiveCodec(quality=int(self.dataset_meta.get("quality", 90)))
-        self._decode_pool = None
         self._lock = threading.Lock()
         self.stats = ReadStats()
         get_registry().gauge("serving.client.scan_group").set(self._scan_group)
@@ -134,16 +133,6 @@ class RecordSource:
 
     # -- loader hooks --------------------------------------------------------
 
-    def set_decode_pool(self, pool) -> None:
-        """Route record decoding through a :class:`~repro.codecs.parallel.DecodePool`.
-
-        The fetcher then feeds exactly the bytes the fidelity target needs
-        while every local core chews on the entropy loops — pass ``None``
-        to return to in-process decoding.  The source does not own the
-        pool's lifecycle; the caller (typically the ``DataLoader``) does.
-        """
-        self._decode_pool = pool
-
     def bind_stall_tracker(self, stalls) -> None:
         """Called by ``DataLoader.epoch()`` with its stall tracker; only
         telemetry-reporting wrappers (``repro.control``) keep it."""
@@ -164,11 +153,21 @@ class RecordSource:
 
     # -- reading -------------------------------------------------------------
 
-    def read_record(self, record_name: str, decode: bool | None = None) -> list[PCRSample]:
-        """Fetch and reassemble one record at the current scan group."""
+    def read_record(
+        self, record_name: str, decode: bool | None = None, decode_pool=None
+    ) -> list[PCRSample]:
+        """Fetch and reassemble one record at the current scan group.
+
+        ``decode_pool`` (a :class:`~repro.codecs.parallel.DecodePool`) decodes
+        this read's streams on worker processes instead of in-process: the
+        fetcher feeds exactly the bytes the fidelity target needs while every
+        local core chews on the entropy loops.  The pool is the caller's
+        (typically one ``DataLoader``'s), per read, so two loaders over one
+        source never decode through each other's workers.
+        """
         data = self.fetcher.read_record_bytes(record_name, self._scan_group)
         decode = self.decode_by_default if decode is None else decode
-        samples = assemble_samples(data, self._codec, decode, self._decode_pool)
+        samples = assemble_samples(data, self._codec, decode, decode_pool)
         with self._lock:
             self.stats.bytes_read += len(data)
             self.stats.records_read += 1

@@ -39,9 +39,10 @@ class LoaderConfig:
     drop_last: bool = False
     seed: int = 0
     #: Decode worker *processes* (a :class:`~repro.codecs.parallel.DecodePool`
-    #: shared by all reader threads).  ``0`` decodes in-process; ``>= 2``
-    #: fans each record's streams out across that many cores.  Batches are
-    #: byte-identical either way.
+    #: of this loader's own, shared by its reader threads).  ``0`` and ``1``
+    #: decode in-process, one decode at a time under the process-wide decode
+    #: gate; ``>= 2`` fans each record's streams out across that many cores.
+    #: Batches are byte-identical either way.
     decode_workers: int = 0
 
 
@@ -78,17 +79,18 @@ class DataLoader:
         (``GeneratorExit``), or normal completion — so no thread is left
         blocked on ``output_queue.put``.
 
-        With ``decode_workers > 0`` a persistent
-        :class:`~repro.codecs.parallel.DecodePool` is installed into the
-        dataset before the reader threads start; it survives across epochs
-        (worker startup is paid once), but any *abnormal* epoch exit —
-        ``KeyboardInterrupt``, ``GeneratorExit``, a re-raised worker error —
-        tears it down along with the threads, so no decode processes or
-        shared-memory slabs outlive an interrupted run.
+        With ``decode_workers >= 2`` the loader builds a persistent
+        :class:`~repro.codecs.parallel.DecodePool` of its own before the
+        reader threads start and passes it to every ``read_record``; the
+        dataset is not touched, so loaders sharing one dataset each decode
+        through their own pool.  It survives across epochs (worker startup
+        is paid once), but any *abnormal* epoch exit — ``KeyboardInterrupt``,
+        ``GeneratorExit``, a re-raised worker error — tears it down along
+        with the threads, so no decode processes or shared-memory slabs
+        outlive an interrupted run.
         """
-        if self.config.decode_workers > 0 and self._decode_pool is None:
+        if self.config.decode_workers > 1 and self._decode_pool is None:
             self._decode_pool = DecodePool(self.config.decode_workers)
-            self.dataset.set_decode_pool(self._decode_pool)
         # Adaptive sources (repro.control.AdaptiveScanGroupSource) report the
         # loader's stall split as telemetry; hand them the tracker so their
         # reports and our Figure-11 series come from the same measurements.
@@ -200,13 +202,12 @@ class DataLoader:
     def shutdown_decode_pool(self) -> None:
         """Stop the decode worker processes and release their shared memory.
 
-        Idempotent; also uninstalls the pool from the dataset so subsequent
-        reads decode in-process.  Called automatically on abnormal epoch
-        exit and by :meth:`close`.
+        Idempotent; this loader's later reads decode in-process until its
+        next epoch builds a fresh pool.  Called automatically on abnormal
+        epoch exit and by :meth:`close`.
         """
         pool, self._decode_pool = self._decode_pool, None
         if pool is not None:
-            self.dataset.set_decode_pool(None)
             pool.close()
 
     def close(self) -> None:
@@ -275,7 +276,7 @@ class DataLoader:
         # ``read_record`` decodes the whole record through the codec's
         # minibatch API (shared pixel-stage buffers, one setup per record) —
         # a record is the loader's unit of batched decode work.
-        samples = self.dataset.read_record(record_name, decode=True)
+        samples = self.dataset.read_record(record_name, decode=True, decode_pool=self._decode_pool)
         order = rng.permutation(len(samples))
         images: list[np.ndarray] = []
         labels: list[int] = []

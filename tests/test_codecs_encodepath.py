@@ -229,7 +229,7 @@ class TestBatchEncode:
         # Not an alias for "progressive": the name described a double pass.
         with pytest.raises(ValueError, match="unknown encode layout: 'pcr'"):
             encode_progressive_batch(self._images()[:1], layout="pcr")
-        with EncodePool(0) as pool, pytest.raises(ValueError, match="unknown encode layout"):
+        with EncodePool(2) as pool, pytest.raises(ValueError, match="unknown encode layout"):
             pool.encode_batch(self._images()[:1], layout="pcr")
 
     def test_codec_encode_batch_methods(self):

@@ -3,8 +3,9 @@
 The contract under test: :class:`repro.codecs.parallel.DecodePool` output is
 *byte-identical* to in-process fast-path decoding — across scan groups,
 colour modes, odd dimensions, worker counts, and every failure path (worker
-kill mid-batch, dead fleet, closed pool) — and a pool never leaks worker
-processes or shared-memory segments.  ``TestPoolConformance`` runs the
+kill mid-batch, dead fleet, closed pool) — its frames are ordinary arrays
+copied out of the pool's one shared-memory slab, and a pool never leaks
+worker processes or shared-memory segments.  ``TestPoolConformance`` runs the
 engine-level part of that contract over both public pools, since
 :class:`~repro.codecs.parallel.EncodePool` is the same engine with the data
 flow reversed.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import gc
 import glob
 import inspect
+import multiprocessing
 import subprocess
 import sys
 import threading
@@ -71,6 +73,17 @@ def streams(images) -> list[bytes]:
 
 
 @pytest.fixture(scope="module")
+def big_image():
+    """One colour image whose pixels exceed the smallest slab (1 MiB)."""
+    return make_structured_image(600, seed=6, color=True)
+
+
+@pytest.fixture(scope="module")
+def big_stream(big_image) -> bytes:
+    return ProgressiveCodec(quality=90).encode(big_image)
+
+
+@pytest.fixture(scope="module")
 def group_payloads(streams) -> dict[int, list[bytes]]:
     """The same streams truncated to every scan-group prefix 1..10."""
     split = [split_scans(stream) for stream in streams]
@@ -112,7 +125,7 @@ class TestChunking:
 
 
 class TestDifferentialDecode:
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    @pytest.mark.parametrize("n_workers", [2, 4])
     def test_byte_identical_across_scan_groups(self, group_payloads, n_workers):
         with DecodePool(n_workers) as pool:
             for group in range(1, N_GROUPS + 1):
@@ -131,12 +144,6 @@ class TestDifferentialDecode:
             _assert_identical(
                 decode_progressive_batch(streams[:1]), pool.decode_batch(streams[:1])
             )
-
-    def test_single_worker_runs_in_process(self, streams):
-        pool = DecodePool(1)
-        assert pool._state.workers == []  # no processes, no shared memory
-        _assert_identical(decode_progressive_batch(streams), pool.decode_batch(streams))
-        pool.close()
 
     def test_garbage_payload_raises(self, streams):
         with DecodePool(2) as pool:
@@ -163,62 +170,45 @@ class TestDifferentialDecode:
             assert pool.stats.parallel_batches >= 1
 
 
-# -- zero-copy slab views ---------------------------------------------------
+# -- frames copied out of the slab --------------------------------------------
 
 
-class TestSlabViews:
-    def test_views_are_shared_memory_backed_and_frozen(self, streams):
+def _frame_flags(pixels: np.ndarray) -> tuple:
+    flags = pixels.flags
+    return type(pixels), pixels.dtype, flags.writeable, flags.c_contiguous, flags.aligned
+
+
+class TestFramesCopiedOut:
+    def test_frames_are_plain_writable_arrays(self, streams):
+        expected = decode_progressive_batch(streams)
         with DecodePool(2) as pool:
             out = pool.decode_batch(streams)
-            assert any(type(img.pixels).__name__ == "_SlabView" for img in out)
-            for img in out:
-                if type(img.pixels).__name__ == "_SlabView":
-                    assert not img.pixels.flags.writeable
+            assert pool.stats.parallel_batches == 1
+        for ref, img in zip(expected, out):
+            assert type(img.pixels) is np.ndarray
+            assert img.pixels.base is None  # owns its memory: no slab behind it
+            assert _frame_flags(img.pixels) == _frame_flags(ref.pixels)
+            assert img.pixels.flags.writeable
+        _assert_identical(expected, out)
 
-    def test_slab_reused_after_views_die(self, streams):
-        with DecodePool(2) as pool:
-            out = pool.decode_batch(streams)
-            del out
-            gc.collect()
-            pool.decode_batch(streams)
-            assert pool.stats.slabs_created == 1
-
-    def test_outstanding_views_pin_slab_across_batches(self, streams):
-        # Holding batch-1 frames while decoding batch 2 must not corrupt
-        # them: the leased slab is not reused until the views die.
+    def test_frames_stay_intact_across_batches_and_close(self, streams, big_stream):
+        # Holding batch-1 frames while later batches reuse the slab, and
+        # after a larger one replaces it and the pool closes, must not
+        # change them: they were copied out before batch 1 returned.
         with DecodePool(2) as pool:
             first = pool.decode_batch(streams)
             snapshots = [img.pixels.copy() for img in first]
             pool.decode_batch(list(reversed(streams)))
-            for img, snap in zip(first, snapshots):
-                assert np.array_equal(img.pixels, snap)
-            assert pool.stats.slabs_created == 2
+            pool.decode_batch([big_stream])
+        for img, snap in zip(first, snapshots):
+            assert np.array_equal(img.pixels, snap)
+        _assert_identical(decode_progressive_batch(streams), first)
 
 
 # -- failure and fallback ---------------------------------------------------
 
 
 class TestFailurePaths:
-    def test_dead_fleet_falls_back_in_process(self, streams):
-        pool = DecodePool(2)
-        try:
-            state = pool._state
-            for worker in state.workers:
-                worker.terminate()
-            for worker in state.workers:
-                worker.join(timeout=5.0)
-            state.respawn = False  # pin the fallback path deterministically
-            expected = decode_progressive_batch(streams)
-            _assert_identical(expected, pool.decode_batch(streams))
-            assert pool.stats.fallback_batches == 1
-            assert pool.stats.fleet_restarts == 1
-            # Re-enable respawn: the next batch runs parallel again.
-            state.respawn = True
-            _assert_identical(expected, pool.decode_batch(streams))
-            assert pool.stats.workers_started == 4  # 2 initial + 2 respawned
-        finally:
-            pool.close()
-
     def test_worker_kill_mid_batch(self, streams):
         payloads = streams * 20
         expected = decode_progressive_batch(payloads)
@@ -246,28 +236,21 @@ class TestFailurePaths:
         pool.close()
         _assert_identical(decode_progressive_batch(streams), pool.decode_batch(streams))
 
-    def test_scalar_toggle_does_not_leak_into_pool_output(self, streams):
+    def test_scalar_toggle_does_not_leak_into_pool_output(self, streams, monkeypatch):
         """Pool output is pinned to fast-path decode on *every* path.
 
         Workers force the fast path on, so the in-process degradations
-        (n_workers<=1, closed pool, dead-fleet fallback) must pin it too —
-        otherwise a crash under ``use_fastpath(False)`` could return a batch
-        whose chunks differ by the float32-vs-float64 pixel paths' ±1 LSB.
+        (closed pool, dead-fleet fallback) must pin it too — otherwise a
+        crash under ``use_fastpath(False)`` could return a batch whose
+        chunks differ by the float32-vs-float64 pixel paths' ±1 LSB.
         """
         expected = decode_progressive_batch(streams)  # fast path (default on)
         with config.use_fastpath(False):
-            single = DecodePool(1)
-            _assert_identical(expected, single.decode_batch(streams))
-            single.close()
             pool = DecodePool(2)
             _assert_identical(expected, pool.decode_batch(streams))
-            state = pool._state
-            for worker in state.workers:
-                worker.terminate()
-            for worker in state.workers:
-                worker.join(timeout=5.0)
-            state.respawn = False
+            _kill_fleet_unseen(pool._state, monkeypatch)
             _assert_identical(expected, pool.decode_batch(streams))  # fallback
+            assert pool.stats.fallback_batches == 1
             pool.close()
             _assert_identical(expected, pool.decode_batch(streams))  # closed
 
@@ -278,7 +261,7 @@ class TestFailurePaths:
 class _PoolCase:
     """How to drive one public pool class through the shared contract."""
 
-    def __init__(self, pool_cls, images, streams):
+    def __init__(self, pool_cls, images, streams, big_image, big_stream):
         self.pool_cls = pool_cls
         if pool_cls is DecodePool:
             self.items = streams
@@ -291,8 +274,10 @@ class _PoolCase:
             bad = prefix + write_scan_segment(segment.header, body[:-8]) + EOI
             self.poison = lambda pool: pool.decode_batch([bad])
             self.poison_error = EOFError
+            self.large = [big_stream]
         else:
             self.items = images
+            self.large = [big_image]
             self.run = lambda pool, items: pool.encode_batch(items)
             self.reference = encode_progressive_batch
             self.poison = lambda pool: pool.encode_batch(images, layout="interleaved")
@@ -311,8 +296,8 @@ class _PoolCase:
 
 
 @pytest.fixture(params=[DecodePool, EncodePool], ids=lambda cls: cls.__name__)
-def direction(request, images, streams) -> _PoolCase:
-    return _PoolCase(request.param, images, streams)
+def direction(request, images, streams, big_image, big_stream) -> _PoolCase:
+    return _PoolCase(request.param, images, streams, big_image, big_stream)
 
 
 def _kill_fleet(state) -> None:
@@ -323,25 +308,38 @@ def _kill_fleet(state) -> None:
         assert not worker.is_alive()
 
 
+def _kill_fleet_unseen(state, monkeypatch) -> None:
+    """Kill the fleet where only the next batch's wait loop can notice.
+
+    With the between-batches respawn stubbed out for one batch, its chunks
+    go to a queue no worker reads, the wait loop finds the workers dead,
+    and the whole batch takes the crash fallback — deterministically.
+    """
+    _kill_fleet(state)
+    real = state.ensure_workers
+
+    def once() -> None:
+        monkeypatch.setattr(state, "ensure_workers", real)
+
+    monkeypatch.setattr(state, "ensure_workers", once)
+
+
 class TestPoolConformance:
     """The engine contract, one body, over ``DecodePool`` and ``EncodePool``."""
 
-    def test_constructor_takes_only_workers_and_warmup(self, direction):
+    def test_constructor_takes_only_workers(self, direction):
         parameters = inspect.signature(direction.pool_cls).parameters
-        assert list(parameters) == ["n_workers", "warmup_quality"]
-        assert parameters["warmup_quality"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert parameters["warmup_quality"].default == 90
+        assert list(parameters) == ["n_workers"]
+        assert list(inspect.signature(direction.pool_cls.close).parameters) == ["self"]
 
     @pytest.mark.parametrize("n_workers", [0, 1])
-    def test_at_most_one_worker_runs_inline(self, direction, n_workers):
+    def test_fewer_than_two_workers_raise(self, direction, n_workers):
         before = set(_live_slabs())
-        with config.use_fastpath(False):  # the pool pins the fast path regardless
-            with direction.pool_cls(n_workers) as pool:
-                direction.assert_same(direction.expected(), direction.run(pool, direction.items))
-                assert pool._state.workers == []
-                assert set(_live_slabs()) == before
-        assert (pool.stats.batches, pool.stats.parallel_batches) == (1, 0)
-        assert pool.stats.items == len(direction.items)
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="at least 2 worker processes"):
+            direction.pool_cls(n_workers)
+        assert set(multiprocessing.active_children()) == children
+        assert set(_live_slabs()) == before
 
     def test_closed_pool_runs_inline(self, direction):
         pool = direction.pool_cls(2)
@@ -350,19 +348,28 @@ class TestPoolConformance:
         direction.assert_same(direction.expected(), direction.run(pool, direction.items))
         assert pool.stats.parallel_batches == 0
 
-    def test_dead_fleet_without_respawn_falls_back(self, direction):
+    def test_fleet_killed_between_batches_is_replaced(self, direction):
         with direction.pool_cls(2) as pool:
-            state = pool._state
-            _kill_fleet(state)
-            state.respawn = False  # pin the fallback path deterministically
             direction.assert_same(direction.expected(), direction.run(pool, direction.items))
-            assert pool.stats.fallback_batches == 1
-            assert pool.stats.fleet_restarts == 1
-            # Re-enable respawn: the next batch runs parallel again.
-            state.respawn = True
+            _kill_fleet(pool._state)
             direction.assert_same(direction.expected(), direction.run(pool, direction.items))
-            assert pool.stats.parallel_batches == 1
-            assert pool.stats.workers_started == 4  # 2 initial + 2 respawned
+            stats = pool.stats
+            assert (stats.parallel_batches, stats.fallback_batches) == (2, 0)
+            assert stats.fleet_restarts == 1
+            assert stats.workers_started == 4  # 2 initial + 2 replacements
+            assert all(worker.is_alive() for worker in pool._state.workers)
+
+    def test_fleet_dying_during_a_batch_falls_back(self, direction, monkeypatch):
+        with direction.pool_cls(2) as pool:
+            _kill_fleet_unseen(pool._state, monkeypatch)
+            direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+            stats = pool.stats
+            assert (stats.parallel_batches, stats.fallback_batches) == (0, 1)
+            assert stats.fleet_restarts == 1
+            # The next batch runs parallel again on a fresh fleet.
+            direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+            assert stats.parallel_batches == 1
+            assert stats.workers_started == 4
 
     def test_sigkill_mid_batch_output_identical(self, direction):
         items = direction.items * 20
@@ -408,17 +415,40 @@ class TestPoolConformance:
         assert set(_live_slabs()) == before
 
     def test_stats_count_batches_items_and_reuse_one_slab(self, direction):
+        before = set(_live_slabs())
         with direction.pool_cls(2) as pool:
-            for _ in range(3):
-                out = direction.run(pool, direction.items)
-                del out
-                gc.collect()
+            held = [direction.run(pool, direction.items) for _ in range(3)]
             assert direction.run(pool, []) == []  # an empty batch counts for nothing
             stats = pool.stats
             assert (stats.batches, stats.parallel_batches, stats.fallback_batches) == (3, 3, 0)
             assert stats.items == 3 * len(direction.items)
             assert (stats.workers_started, stats.fleet_restarts) == (2, 0)
-            assert stats.slabs_created == 1
+            # Frames still held from every batch pin nothing: one slab.
+            assert len(set(_live_slabs()) - before) == 1
+        assert len(held) == 3
+
+    def test_one_slab_renamed_only_when_outgrown(self, direction):
+        before = set(_live_slabs())
+        with direction.pool_cls(2) as pool:
+
+            def slab() -> str:
+                (name,) = set(_live_slabs()) - before
+                return name
+
+            assert set(_live_slabs()) == before  # made by the first batch
+            direction.run(pool, direction.items)
+            first = slab()
+            direction.run(pool, direction.items[:1])
+            assert slab() == first  # a smaller batch reuses it
+            direction.assert_same(
+                direction.expected(direction.large), direction.run(pool, direction.large)
+            )
+            grown = slab()
+            assert grown != first  # replaced: workers remap by the new name
+            direction.assert_same(direction.expected(), direction.run(pool, direction.items))
+            assert slab() == grown
+            assert pool.stats.parallel_batches == 4
+        assert set(_live_slabs()) == before
 
 
 # -- lifecycle / leak hygiene ----------------------------------------------
@@ -435,16 +465,13 @@ class TestLifecycle:
         assert all(not worker.is_alive() for worker in workers)
         assert _live_slabs() == []
 
-    def test_close_with_outstanding_views_defers_slab_unlink(self, streams):
+    def test_close_with_frames_held_leaves_no_slab(self, streams):
         pool = DecodePool(2)
         out = pool.decode_batch(streams)
         pool.close()
-        # Views still readable after close (slab alive until they die)...
-        _assert_identical(decode_progressive_batch(streams), out)
-        del out
-        gc.collect()
-        # ...and the slab is unlinked the moment the last view is collected.
+        # The slab is gone at once, and the frames never depended on it.
         assert _live_slabs() == []
+        _assert_identical(decode_progressive_batch(streams), out)
 
     def test_double_close_is_idempotent(self):
         pool = DecodePool(2)
@@ -456,7 +483,7 @@ class TestLifecycle:
 
         The child exercises both shutdown paths — an explicitly closed pool
         and an abandoned one cleaned up by GC finalizers at interpreter
-        exit — with frame views still outstanding.
+        exit — with decoded frames still held.
         """
         script = """
 import sys

@@ -322,7 +322,25 @@ class TestDataLoaderParallelDecode:
         loader.close()
         assert loader._decode_pool is None
         assert pool.closed
-        assert pcr_dataset._decode_pool is None  # uninstalled
+
+    def test_two_loaders_decode_through_their_own_pools(self, pcr_dataset):
+        """One dataset, two loaders: each epoch lands in its own loader's pool."""
+        config = LoaderConfig(batch_size=8, n_workers=1, decode_workers=2)
+        n_records = len(pcr_dataset.record_names)
+        with DataLoader(pcr_dataset, config) as a, DataLoader(pcr_dataset, config) as b:
+            list(a.epoch())
+            list(b.epoch())
+            pool_a, pool_b = a._decode_pool, b._decode_pool
+            assert pool_a is not pool_b
+            list(a.epoch())
+            assert pool_a.stats.batches == 2 * n_records
+            assert pool_b.stats.batches == n_records
+            a.close()
+            assert pool_a.closed and not pool_b.closed
+            list(b.epoch())
+            assert b._decode_pool is pool_b
+            assert pool_b.stats.parallel_batches == pool_b.stats.batches == 2 * n_records
+            assert pool_a.stats.batches == 2 * n_records
 
     def test_keyboard_interrupt_tears_down_decode_workers(self, pcr_dataset):
         loader = DataLoader(
@@ -445,9 +463,12 @@ class TestDecodeGate:
         dataset.close()
 
     @staticmethod
-    def _samples(source, n_workers: int) -> list[tuple[int, bytes]]:
+    def _samples(source, n_workers: int, decode_workers: int = 0) -> list[tuple[int, bytes]]:
         loader = DataLoader(
-            source, LoaderConfig(batch_size=4, n_workers=n_workers, shuffle=False)
+            source,
+            LoaderConfig(
+                batch_size=4, n_workers=n_workers, shuffle=False, decode_workers=decode_workers
+            ),
         )
         samples = []
         for batch in loader.epoch():
@@ -470,22 +491,37 @@ class TestDecodeGate:
         assert decodes.max_active == 1
         assert fetcher.reads.max_active >= 2
 
+    def test_one_decode_worker_is_gated_in_process(self, gated):
+        # decode_workers=1 builds no pool: a pool is a fleet of >= 2, so
+        # one decode worker means in-process decode under the gate.
+        source, _, decodes = gated
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            samples = self._samples(source, n_workers=4, decode_workers=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(samples) == len(source)
+        assert decodes.entered == len(source.record_names)
+        assert decodes.max_active == 1
+
     def test_batches_byte_identical_to_one_worker(self, gated):
         source, _, _ = gated
         assert self._samples(source, n_workers=4) == self._samples(source, n_workers=1)
 
     def test_pool_wired_source_never_takes_the_gate(self, gated, monkeypatch):
         from repro.core import reader
+        from repro.pipeline import loader as loader_module
 
         source, _, decodes = gated
         gate = _CountingLock()
         monkeypatch.setattr(reader, "_DECODE_GATE", gate)
         pool = _ForwardingPool(source._codec)
-        source.set_decode_pool(pool)
-        pooled = self._samples(source, n_workers=4)
+        # The loader builds its pool and passes it to every read.
+        monkeypatch.setattr(loader_module, "DecodePool", lambda n_workers: pool)
+        pooled = self._samples(source, n_workers=4, decode_workers=2)
         assert pool.batches == len(source.record_names)
         assert gate.acquired == 0
-        source.set_decode_pool(None)
         assert self._samples(source, n_workers=4) == pooled
         assert gate.acquired == len(source.record_names)
 

@@ -240,7 +240,7 @@ class TestOneSeam:
         for cls in NAMED_SOURCES:
             assert issubclass(cls, RecordSource)
             for member in (
-                "read_record", "set_scan_group", "set_decode_pool",
+                "read_record", "set_scan_group",
                 "epoch_bytes", "epoch_bytes_by_group", "mean_sample_bytes",
                 "with_label_mapper", "bind_stall_tracker", "close",
             ):

@@ -425,11 +425,11 @@ class TestRemoteRecordSource:
         with RemoteRecordSource(port=server.port, scan_group=2) as source:
             reference = [source.read_record(name, decode=True) for name in names]
             with DecodePool(2) as pool:
-                source.set_decode_pool(pool)
-                parallel = [source.read_record(name, decode=True) for name in names]
+                parallel = [
+                    source.read_record(name, decode=True, decode_pool=pool) for name in names
+                ]
                 assert pool.stats.parallel_batches == len(names)
                 for ref_samples, par_samples in zip(reference, parallel):
                     for mine, theirs in zip(ref_samples, par_samples):
                         assert mine.key == theirs.key
                         assert np.array_equal(mine.image.pixels, theirs.image.pixels)
-            source.set_decode_pool(None)
