@@ -160,6 +160,18 @@ def _entropy_decode_rows(streams: list[bytes], n_scans: int, trials: int) -> dic
     return {"entropy_decode_full": full, "entropy_decode_by_scan_group": by_group}
 
 
+def _synthetic_workload(image_size: int, n_images: int, quality: int):
+    """The benchmark's images, their coefficient planes, scan script and streams."""
+    generator = SyntheticImageGenerator(
+        n_classes=4, spec=SyntheticImageSpec(image_size=image_size), seed=1
+    )
+    images = [generator.generate(i % 4, sample_seed=i) for i in range(n_images)]
+    planes = [image_to_coefficients(image, quality) for image in images]
+    script = ScanScript.default_for(3)
+    streams = [encode_coefficients(p, script) for p in planes]
+    return images, planes, script, streams
+
+
 def run_benchmark(
     image_size: int = DEFAULT_IMAGE_SIZE,
     n_images: int = DEFAULT_N_IMAGES,
@@ -168,13 +180,7 @@ def run_benchmark(
     parallel_workers: tuple[int, ...] = (2, 4),
 ) -> dict:
     """Run all codec throughput measurements and return the results dict."""
-    generator = SyntheticImageGenerator(
-        n_classes=4, spec=SyntheticImageSpec(image_size=image_size), seed=1
-    )
-    images = [generator.generate(i % 4, sample_seed=i) for i in range(n_images)]
-    planes = [image_to_coefficients(image, quality) for image in images]
-    script = ScanScript.default_for(3)
-    streams = [encode_coefficients(p, script) for p in planes]
+    images, planes, script, streams = _synthetic_workload(image_size, n_images, quality)
     stream_bytes = sum(len(s) for s in streams)
 
     results: dict = {
@@ -245,11 +251,49 @@ def run_benchmark(
         "speedup_vs_per_image_loop": round(timings["fast_loop"] / timings["fast_batch"], 2),
     }
 
-    # Per-stage decode breakdown.  Each stage row times one stage in
-    # isolation on precomputed inputs (fast = float32 pixelpath kernels,
-    # scalar = float64 reference stages); `pct_of_fast_decode` situates the
-    # stages inside the fast end-to-end decode so the remaining bottleneck
-    # is explicit.
+    results["decode_stages"] = _decode_stages_section(
+        streams, stream_bytes, trials, results["entropy_decode_full"]
+    )
+
+    # Process-parallel decode engine: the same minibatch through a
+    # DecodePool at several worker counts, against the in-process batch
+    # decoder.  Decode is >90% entropy-bound, so on a multi-core machine
+    # MB/s scales with workers until cores (or slab/queue overhead at these
+    # small batches) saturate; on a single-core machine the rows document
+    # the engine's overhead instead (see `workload.cpu_count`).
+    if parallel_workers:
+        results["decode_parallel"] = _parallel_section(
+            streams, stream_bytes, trials, parallel_workers, timings["fast_batch"]
+        )
+
+    # Ingest direction: the batched float32 forward encode path (parity
+    # asserted within the documented budget before timing) and the
+    # EncodePool, in images/s and uncompressed pixel MB/s.
+    results["ingest_throughput"] = _ingest_section(
+        images, quality, trials, parallel_workers or (2,)
+    )
+
+    # Observability overhead: the same minibatch decode with the metrics
+    # registry enabled (the default) vs disabled.  The registry is the only
+    # obs hook on this path when tracing is off (the tracer's disabled
+    # branch is part of both sides), so the delta bounds the cost of
+    # always-on metrics.
+    results["obs_overhead"] = _obs_overhead_section(streams, stream_bytes, trials)
+    results["seed_baseline"] = SEED_BASELINE
+    return results
+
+
+def _decode_stages_section(
+    streams: list[bytes], stream_bytes: int, trials: int, entropy_row: dict
+) -> dict:
+    """`decode_stages` rows: the per-stage decode breakdown.
+
+    Each stage row times one stage in isolation on precomputed inputs (fast
+    = float32 pixelpath kernels, scalar = float64 reference stages).
+    ``entropy_row`` is the ``entropy_decode_full`` row for the same streams;
+    `pct_of_fast_decode` situates the stages inside the fast end-to-end
+    decode so the remaining bottleneck is explicit.
+    """
     import numpy as np
 
     from repro.codecs.blocks import block_grid_shape, merge_blocks
@@ -306,7 +350,7 @@ def run_benchmark(
     fast_channels = [component_channels(c, PixelScratch()) for c in planes_full]
     scalar_channels = [scalar_dequant_idct(c) for c in planes_full]
     stages = {
-        "entropy_decode": dict(results["entropy_decode_full"]),
+        "entropy_decode": dict(entropy_row),
         "dequant_idct_merge": _stage_pair(
             lambda: [component_channels(c, scratch) for c in planes_full],
             lambda: [scalar_dequant_idct(c) for c in planes_full],
@@ -342,34 +386,7 @@ def run_benchmark(
     stages["pixel_decode"]["pct_of_fast_decode"] = round(
         100.0 * pixel_seconds / total_seconds, 1
     )
-    results["decode_stages"] = stages
-
-    # Process-parallel decode engine: the same minibatch through a
-    # DecodePool at several worker counts, against the in-process batch
-    # decoder.  Decode is >90% entropy-bound, so on a multi-core machine
-    # MB/s scales with workers until cores (or slab/queue overhead at these
-    # small batches) saturate; on a single-core machine the rows document
-    # the engine's overhead instead (see `workload.cpu_count`).
-    if parallel_workers:
-        results["decode_parallel"] = _parallel_section(
-            streams, stream_bytes, trials, parallel_workers, timings["fast_batch"]
-        )
-
-    # Ingest direction: the batched float32 forward encode path (parity
-    # asserted within the documented budget before timing) and the
-    # EncodePool, in images/s and uncompressed pixel MB/s.
-    results["ingest_throughput"] = _ingest_section(
-        images, quality, trials, parallel_workers or (2,)
-    )
-
-    # Observability overhead: the same minibatch decode with the metrics
-    # registry enabled (the default) vs disabled.  The registry is the only
-    # obs hook on this path when tracing is off (the tracer's disabled
-    # branch is part of both sides), so the delta bounds the cost of
-    # always-on metrics.
-    results["obs_overhead"] = _obs_overhead_section(streams, stream_bytes, trials)
-    results["seed_baseline"] = SEED_BASELINE
-    return results
+    return stages
 
 
 def _obs_overhead_section(streams: list[bytes], stream_bytes: int, trials: int) -> dict:
@@ -931,27 +948,42 @@ def test_codec_throughput_smoke():
     # Coefficient identity of the fast entropy tier with the scalar reference
     # is asserted inside `_entropy_decode_rows` before timing.
     assert results["pipeline_decode"]["speedup_vs_scalar"] > 1.2
-    # The batched float32 pixel path must clearly beat the float64 stages,
-    # and the minibatch API must not be meaningfully slower than per-image
-    # decoding (they are measured interleaved; allow timer noise).
-    assert results["decode_stages"]["pixel_decode"]["speedup_vs_scalar"] > 2.0
+    # The batched float32 pixel path must clearly beat the float64 stages
+    # (floors at about half the committed decode_stages rows: planar colour
+    # stage 7.0x, whole pixel decode 5.95x), and the minibatch API must not
+    # be meaningfully slower than per-image decoding (they are measured
+    # interleaved; allow timer noise).
+    def pixel_floors_met(stages: dict) -> bool:
+        return (
+            stages["color_upsample_pack"]["speedup_vs_scalar"] >= 3.5
+            and stages["pixel_decode"]["speedup_vs_scalar"] >= 2.9
+        )
+
+    # A miss re-measures only its own section once before failing, like the
+    # other smoke gates: one noisy sample on a loaded runner must not fail
+    # the gate, a real regression will.
+    streams = _synthetic_workload(96, 2, DEFAULT_QUALITY)[3]
+    stream_bytes = sum(len(s) for s in streams)
+    stages = results["decode_stages"]
+    if not pixel_floors_met(stages):
+        stages = _decode_stages_section(
+            streams, stream_bytes, 5, results["entropy_decode_full"]
+        )
+    assert pixel_floors_met(stages), stages
     assert results["pipeline_decode_batch"]["speedup_vs_per_image_loop"] > 0.8
     # Parallel decode is byte-identical (asserted inside the section); its
     # speedup depends on the runner's core count, so only identity is pinned.
     assert results["decode_parallel"]["workers"]["2"]["byte_identical"]
-    assert results["obs_overhead"]["overhead_pct"] <= 3.0
+    obs = results["obs_overhead"]
+    if obs["overhead_pct"] > 3.0:
+        obs = _obs_overhead_section(streams, stream_bytes, 9)
+    assert obs["overhead_pct"] <= 3.0, obs
     print_report(results)
 
 
 def test_obs_overhead_smoke():
     """Tier-2 smoke: instrumented decode stays within 3% of uninstrumented."""
-    generator = SyntheticImageGenerator(
-        n_classes=4, spec=SyntheticImageSpec(image_size=96), seed=1
-    )
-    images = [generator.generate(i % 4, sample_seed=i) for i in range(4)]
-    planes = [image_to_coefficients(image, DEFAULT_QUALITY) for image in images]
-    script = ScanScript.default_for(3)
-    streams = [encode_coefficients(p, script) for p in planes] * 2
+    streams = _synthetic_workload(96, 4, DEFAULT_QUALITY)[3] * 2
     stream_bytes = sum(len(s) for s in streams)
     row = _obs_overhead_section(streams, stream_bytes, trials=7)
     if row["overhead_pct"] > 3.0:

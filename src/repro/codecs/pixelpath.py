@@ -17,12 +17,17 @@ coefficient planes:
   Huffman decode LUTs.
 * **Zero-copy block layout.**  The gemm output is merged into one padded
   channel buffer per component with a single strided assignment
-  (:func:`repro.codecs.blocks.merge_blocks_into`); the level shift is one
-  in-place add; 4:2:0 chroma upsampling is four strided assignments into
-  the shared ``(H, W, 3)`` YCbCr buffer (no ``np.repeat`` temporaries).
-* **Float32 end to end.**  Colour conversion is one ``(H*W, 3) @ (3, 3)``
-  float32 matmul with the -128 chroma centering folded into a bias vector,
-  followed by a single in-place round/clip and one uint8 output allocation.
+  (:func:`repro.codecs.blocks.merge_blocks_into`).  The +128 level shift
+  and the +0.5 rounding offset ride in the gemm: row 0 of the scaled basis
+  is constant, so adding ``128.5 / basis[0, 0]`` to each luma block's DC
+  coefficient shifts every luma sample.  Chroma stays centred at 0, as in
+  :mod:`repro.codecs.encodepath`, so colour conversion needs no bias.
+* **Planar colour, float32 end to end.**  Each RGB channel is luma plus one
+  chroma term (``1.402 Cr``, ``-0.344 Cb - 0.714 Cr`` or ``1.772 Cb``)
+  computed at chroma resolution; for 4:2:0 that term is nearest-upsampled
+  into one reused full-resolution buffer with three strided copies, then
+  added to luma into the ``(H, W, 3)`` output.  One in-place clip and one
+  uint8 cast (truncation, which after the +0.5 offset rounds) finish it.
 
 A :class:`PixelScratch` carries the intermediate buffers; each thread owns
 one (:func:`_thread_scratch`), so consecutive decodes reuse them whether
@@ -36,7 +41,9 @@ arithmetic, so decoded pixels may differ where a value lands within float32
 epsilon of a rounding tie: the error budget is **at most 1 LSB per pixel**
 (intermediate magnitudes stay below 2^12 while float32 carries 24 mantissa
 bits), enforced across scan groups by ``tests/test_codecs_pixelpath.py``.
-The scalar path remains available behind ``use_fastpath(False)`` as the
+Exact ties are inside that budget: the fast path rounds half up
+(``floor(x + 0.5)``), the reference's ``np.round`` half to even.  The
+scalar path remains available behind ``use_fastpath(False)`` as the
 differential reference.
 """
 
@@ -47,7 +54,7 @@ import threading
 import numpy as np
 
 from repro.codecs.blocks import BLOCK_SIZE, block_grid_shape, merge_blocks_into
-from repro.codecs.color import _YCBCR_TO_RGB, _YCBCR_TO_RGB_BIAS
+from repro.codecs.color import _CB_TO_B, _CB_TO_G, _CR_TO_G, _CR_TO_R
 from repro.codecs.dct import dct_basis_matrix
 from repro.codecs.markers import SUBSAMPLING_420
 from repro.codecs.zigzag import N_COEFFICIENTS, ZIGZAG_ORDER
@@ -66,11 +73,8 @@ __all__ = [
 #: natural index ``ZIGZAG_ORDER[z]``.)
 _IDCT_ZZ = np.kron(dct_basis_matrix(), dct_basis_matrix())[ZIGZAG_ORDER, :]
 
-#: Transposed float32 YCbCr->RGB matrix (``ycc_rows @ _RGB_MATRIX_T``) and
-#: the bias folding in the -128 chroma centering, shared with the scalar
-#: constants in :mod:`repro.codecs.color`.
-_RGB_MATRIX_T = np.ascontiguousarray(_YCBCR_TO_RGB.T, dtype=np.float32)
-_RGB_BIAS = _YCBCR_TO_RGB_BIAS.astype(np.float32)
+#: Float32 chroma weights of the exact BT.601 inverse in :mod:`repro.codecs.color`.
+_R_CR, _G_CB, _G_CR, _B_CB = (np.float32(w) for w in (_CR_TO_R, _CB_TO_G, _CR_TO_G, _CB_TO_B))
 
 #: Quantization-table bytes -> float32 scaled basis.  Bounded FIFO, same
 #: idiom as the Huffman LUT caches: reads are GIL-atomic dict lookups, the
@@ -152,23 +156,8 @@ def _thread_scratch() -> PixelScratch:
     return scratch
 
 
-def _upsample_420_into(dst: np.ndarray, src: np.ndarray, height: int, width: int) -> None:
-    """Nearest-neighbour 2x upsample of ``src`` into the ``(H, W)`` view ``dst``.
-
-    Equivalent to ``np.repeat(np.repeat(src, 2, 0), 2, 1)[:H, :W]`` but as
-    four strided assignments into the preallocated destination.
-    """
-    half_h = (height + 1) // 2
-    half_w = (width + 1) // 2
-    dst[0::2, 0::2] = src[:half_h, :half_w]
-    dst[0::2, 1::2] = src[:half_h, : width // 2]
-    dst[1::2, 0::2] = src[: height // 2, :half_w]
-    dst[1::2, 1::2] = src[: height // 2, : width // 2]
-
-
 def _finalize_uint8(buffer: np.ndarray) -> np.ndarray:
-    """One in-place round + clip, then the single uint8 output allocation."""
-    np.rint(buffer, out=buffer)
+    """Clip in place, then truncate (samples carry the +0.5) into the uint8 output."""
     np.clip(buffer, 0.0, 255.0, out=buffer)
     return buffer.astype(np.uint8)
 
@@ -176,10 +165,11 @@ def _finalize_uint8(buffer: np.ndarray) -> np.ndarray:
 def component_channels(coefficients, scratch: PixelScratch) -> list[np.ndarray]:
     """Fused dequantize+IDCT+merge: coefficient planes -> padded f32 channels.
 
-    One sgemm against the cached scaled basis per component, an in-place
-    level shift, and one strided merge into a (reused) padded channel
-    buffer.  The returned buffers live in ``scratch`` and are only valid
-    until its next use.
+    One sgemm against the cached scaled basis per component and one strided
+    merge into a (reused) padded channel buffer.  Luma comes out shifted by
+    +128.5 (level shift plus rounding offset, added to each block's DC
+    coefficient before the gemm); chroma stays centred at 0.  The returned
+    buffers live in ``scratch`` and are only valid until its next use.
     """
     header = coefficients.header
     tables = header.quant_tables
@@ -190,37 +180,46 @@ def component_channels(coefficients, scratch: PixelScratch) -> list[np.ndarray]:
         basis = scaled_inverse_basis(tables.table_for_component(index))
         plane_f32 = scratch.get(("plane", index), plane.shape)
         np.copyto(plane_f32, plane, casting="unsafe")
+        if index == 0:  # basis row 0 is constant: level shift + rounding via the DC
+            plane_f32[:, 0] += np.float32(128.5 / basis[0, 0])
         spatial = scratch.get(("spatial", index), plane.shape)
         np.matmul(plane_f32, basis, out=spatial)
-        spatial += 128.0  # level shift, folded into the merged channel
         padded = scratch.get(("channel", index), (nv * BLOCK_SIZE, nh * BLOCK_SIZE))
         merge_blocks_into(spatial.reshape(nv, nh, BLOCK_SIZE, BLOCK_SIZE), padded)
         channels.append(padded)
     return channels
 
 
-def channels_to_pixels(
-    header, channels: list[np.ndarray], scratch: PixelScratch
-) -> np.ndarray:
+def channels_to_pixels(header, channels: list[np.ndarray], scratch: PixelScratch) -> np.ndarray:
     """Upsample + colour-convert + round/clip padded channels to uint8 pixels."""
     height, width = header.height, header.width
+    luma = channels[0][:height, :width]
     if header.n_components == 1:
-        region = channels[0][:height, :width]
-        return _finalize_uint8(region)
+        return _finalize_uint8(luma)
 
-    ycc = scratch.get(("ycc",), (height, width, 3))
-    ycc[..., 0] = channels[0][:height, :width]
-    if header.subsampling == SUBSAMPLING_420:
-        _upsample_420_into(ycc[..., 1], channels[1], height, width)
-        _upsample_420_into(ycc[..., 2], channels[2], height, width)
-    else:
-        ycc[..., 1] = channels[1][:height, :width]
-        ycc[..., 2] = channels[2][:height, :width]
+    subsampled = header.subsampling == SUBSAMPLING_420
+    chroma_h, chroma_w = ((height + 1) // 2, (width + 1) // 2) if subsampled else (height, width)
+    cb = channels[1][:chroma_h, :chroma_w]
+    cr = channels[2][:chroma_h, :chroma_w]
+    terms = scratch.get(("chroma",), (3, chroma_h, chroma_w))
+    np.multiply(cr, _R_CR, out=terms[0])
+    np.multiply(cr, _G_CR, out=terms[2])
+    np.multiply(cb, _G_CB, out=terms[1])
+    terms[1] += terms[2]
+    np.multiply(cb, _B_CB, out=terms[2])
 
-    rgb = scratch.get(("rgb",), (height * width, 3))
-    np.matmul(ycc.reshape(height * width, 3), _RGB_MATRIX_T, out=rgb)
-    rgb += _RGB_BIAS
-    return _finalize_uint8(rgb).reshape(height, width, 3)
+    rgb = scratch.get(("rgb",), (height, width, 3))
+    if subsampled:
+        up = scratch.get(("upsampled",), (2 * chroma_h, 2 * chroma_w))
+        up4 = up.reshape(chroma_h, 2, chroma_w, 2)
+    for c, term in enumerate(terms):
+        if subsampled:  # nearest 2x: fill the even rows, then copy them down
+            up4[:, 0, :, 0] = term
+            up4[:, 0, :, 1] = term
+            up4[:, 1] = up4[:, 0]
+            term = up
+        np.add(luma, term[:height, :width], out=rgb[..., c])
+    return _finalize_uint8(rgb)
 
 
 def decode_to_pixels(coefficients, scratch: PixelScratch | None = None) -> np.ndarray:

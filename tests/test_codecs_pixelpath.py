@@ -132,15 +132,21 @@ class TestScalarParity:
         assert _max_lsb_delta(scalar, fast) <= 1
 
     def test_non_square_image(self):
+        """Odd x even and even x odd sizes hit the upsample's row and column crops."""
         rng = np.random.default_rng(3)
-        image = ImageBuffer.from_array(rng.integers(0, 256, size=(19, 45, 3)))
-        codec = ProgressiveCodec(quality=75)
-        stream = codec.encode(image)
-        with config.use_fastpath(False):
-            scalar = codec.decode(stream)
-        with config.use_fastpath(True):
-            fast = codec.decode(stream)
-        assert _max_lsb_delta(scalar, fast) <= 1
+        for height, width in [(19, 45), (45, 19)]:
+            image = ImageBuffer.from_array(rng.integers(0, 256, size=(height, width, 3)))
+            for subsampling in (SUBSAMPLING_420, SUBSAMPLING_NONE):
+                codec = ProgressiveCodec(quality=75, subsampling=subsampling)
+                stream = codec.encode(image)
+                for group in range(1, codec.n_scans(stream) + 1):
+                    with config.use_fastpath(False):
+                        scalar = codec.decode(stream, max_scans=group)
+                    with config.use_fastpath(True):
+                        fast = codec.decode(stream, max_scans=group)
+                    assert fast.pixels.shape == (height, width, 3)
+                    where = f"{height}x{width} {subsampling} scan group {group}"
+                    assert _max_lsb_delta(scalar, fast) <= 1, where
 
     def test_baseline_sequential_parity(self):
         image = make_structured_image(35, seed=2, color_image=True)
@@ -163,6 +169,53 @@ class TestScalarParity:
             with config.use_fastpath(True):
                 fast = codec.decode(stream)
             assert _max_lsb_delta(scalar, fast) <= 1
+
+
+#: Pure black, pure white and the six saturated primaries / secondaries.
+_CLIP_EDGE_COLOURS = [
+    (0, 0, 0), (255, 255, 255),
+    (255, 0, 0), (0, 255, 0), (0, 0, 255),
+    (0, 255, 255), (255, 0, 255), (255, 255, 0),
+]
+
+
+class TestClipEdgeRounding:
+    """Saturated colours land on the clip edges, where the two rounding rules meet.
+
+    The fast path rounds half up (``floor(x + 0.5)``), the reference half to
+    even; both clip, so wherever the reference decodes 0 or 255 the fast
+    path must decode exactly that, not merely within 1 LSB.
+    """
+
+    @staticmethod
+    def _assert_clip_parity(image: ImageBuffer, subsampling: str) -> None:
+        codec = ProgressiveCodec(quality=90, subsampling=subsampling)
+        stream = codec.encode(image)
+        assert codec.n_scans(stream) == 10
+        for group in range(1, 11):
+            with config.use_fastpath(False):
+                scalar = codec.decode(stream, max_scans=group).pixels
+            with config.use_fastpath(True):
+                fast = codec.decode(stream, max_scans=group).pixels
+            delta = np.abs(scalar.astype(np.int16) - fast.astype(np.int16))
+            assert delta.max() <= 1, f"scan group {group}"
+            assert np.all(fast[scalar == 0] == 0), f"scan group {group}"
+            assert np.all(fast[scalar == 255] == 255), f"scan group {group}"
+
+    @pytest.mark.parametrize("subsampling", [SUBSAMPLING_420, SUBSAMPLING_NONE])
+    @pytest.mark.parametrize("rgb", _CLIP_EDGE_COLOURS)
+    def test_solid_colour(self, rgb, subsampling):
+        pixels = np.broadcast_to(np.array(rgb, dtype=np.uint8), (21, 27, 3))
+        self._assert_clip_parity(ImageBuffer.from_array(pixels), subsampling)
+
+    @pytest.mark.parametrize("subsampling", [SUBSAMPLING_420, SUBSAMPLING_NONE])
+    def test_colour_mosaic(self, subsampling):
+        """The same colours as 6-px tiles: ringing at the edges overshoots the clip."""
+        tiles = np.array(_CLIP_EDGE_COLOURS, dtype=np.uint8)
+        rng = np.random.default_rng(8)
+        index = rng.integers(0, len(tiles), size=(6, 7))
+        pixels = tiles[np.kron(index, np.ones((6, 6), dtype=np.int64))]
+        self._assert_clip_parity(ImageBuffer.from_array(pixels), subsampling)
 
 
 class TestBatchDecode:
@@ -217,6 +270,19 @@ class TestBatchDecode:
         with_reuse = decode_to_pixels(coeff_b, scratch)
         fresh = decode_to_pixels(coeff_b)
         assert np.array_equal(with_reuse, fresh)
+
+    @pytest.mark.parametrize("color_image", [True, False])
+    def test_returned_pixels_do_not_alias_scratch(self, color_image):
+        """A's returned array survives decoding B through the same scratch."""
+        codec = ProgressiveCodec(quality=90)
+        coeff_a, _ = decode_coefficients(codec.encode(make_structured_image(40, 1, color_image)))
+        coeff_b, _ = decode_coefficients(codec.encode(make_structured_image(40, 2, color_image)))
+        scratch = PixelScratch()
+        pixels_a = decode_to_pixels(coeff_a, scratch)
+        snapshot = pixels_a.copy()
+        pixels_b = decode_to_pixels(coeff_b, scratch)
+        assert not np.array_equal(pixels_b, snapshot)
+        assert np.array_equal(pixels_a, snapshot)
 
     def test_empty_batch(self):
         assert decode_progressive_batch([]) == []
