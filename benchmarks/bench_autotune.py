@@ -36,7 +36,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.control import AdaptiveScanGroupSource, StallTargetPolicy
+from repro.control import AdaptiveScanGroupHook, StallTargetPolicy
 from repro.core.dataset import PCRDataset
 from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
 from repro.pipeline.loader import DataLoader, LoaderConfig
@@ -62,13 +62,18 @@ def _policy() -> StallTargetPolicy:
 
 
 class _Trainer:
-    """One training client: an adaptive source + loader + compute budget."""
+    """One training client: a source + an adaptive loader + compute budget."""
 
-    def __init__(self, source: AdaptiveScanGroupSource, batch_size: int,
-                 compute_seconds_per_batch: float) -> None:
+    def __init__(self, source, batch_size: int, compute_seconds_per_batch: float,
+                 client_id: str, throttle: BandwidthThrottle) -> None:
         self.source = source
+        self.hook = AdaptiveScanGroupHook(
+            client_id=client_id, report_interval=3600.0, throttle=throttle
+        )
         self.loader = DataLoader(
-            source, LoaderConfig(batch_size=batch_size, n_workers=1, shuffle=False)
+            source,
+            LoaderConfig(batch_size=batch_size, n_workers=1, shuffle=False),
+            hook=self.hook,
         )
         self.compute_seconds_per_batch = compute_seconds_per_batch
         self.intervals: list[dict] = []
@@ -83,16 +88,16 @@ class _Trainer:
         for _ in self.loader.epoch():
             time.sleep(self.compute_seconds_per_batch)
         elapsed = time.perf_counter() - start
-        self.source.report_now()
+        self.hook.report_now()
         if controller is not None:
             controller.step()
-            self.source.report_now()  # pick up the hint the step published
+            self.hook.report_now()  # pick up the hint the step published
         wait = stalls.total_wait - wait0
         compute = stalls.total_compute - compute0
         n_bytes = stats.bytes_read - bytes0
         n_samples = stats.samples_decoded - samples0
         row = {
-            "scan_group": self.source.scan_group,
+            "scan_group": self.loader.scan_group,
             "stall_fraction": wait / (wait + compute) if wait + compute else 0.0,
             "bytes_per_sample": n_bytes / n_samples if n_samples else 0.0,
             "epoch_seconds": elapsed,
@@ -135,17 +140,12 @@ def _bench_capped_link(
             if arm == "controller_on":
                 controller = server.start_controller(policy=_policy(), auto_start=False)
             throttle = BandwidthThrottle(None)
-            with AdaptiveScanGroupSource(
-                RemoteRecordSource(port=server.port),
-                client_id="trainer",
-                report_interval=3600.0,
-                throttle=throttle,
-            ) as source:
+            with RemoteRecordSource(port=server.port) as source:
                 n_groups = source.n_groups
                 batches = max(1, len(source) // batch_size)
                 compute_budget = batches * compute_seconds
                 throttle.set_rate(_capped_rate(source, compute_budget))
-                trainer = _Trainer(source, batch_size, compute_seconds)
+                trainer = _Trainer(source, batch_size, compute_seconds, "trainer", throttle)
                 for _ in range(n_intervals):
                     trainer.run_interval(controller)
                 steady = trainer.steady_state(steady_k)
@@ -169,11 +169,11 @@ def _bench_capped_link(
                     throttle.set_rate(None)
                     for _ in range(recovery_intervals):
                         trainer.run_interval(controller)
-                        if source.scan_group == n_groups:
+                        if trainer.loader.scan_group == n_groups:
                             break
                     result["recovery"] = {
-                        "recovered_group": source.scan_group,
-                        "recovered_to_full": source.scan_group == n_groups,
+                        "recovered_group": trainer.loader.scan_group,
+                        "recovered_to_full": trainer.loader.scan_group == n_groups,
                         "direction_changes_total": _direction_changes(
                             controller.switch_log()
                         ),
@@ -202,7 +202,7 @@ def _bench_mixed_fleet(
     with PCRRecordServer(directory, port=0) as server:
         controller = server.start_controller(policy=_policy(), auto_start=False)
         trainers: dict[str, _Trainer] = {}
-        sources: list[AdaptiveScanGroupSource] = []
+        sources: list[RemoteRecordSource] = []
         try:
             probe = RemoteRecordSource(port=server.port)
             batches = max(1, len(probe) // batch_size)
@@ -214,30 +214,27 @@ def _bench_mixed_fleet(
                 ("midband", saturated * 2.5),  # mid groups fit
                 ("fat_pipe", None),            # uncapped: full fidelity fits
             ):
-                source = AdaptiveScanGroupSource(
-                    RemoteRecordSource(port=server.port),
-                    client_id=name,
-                    report_interval=3600.0,
-                    throttle=BandwidthThrottle(rate),
-                )
+                source = RemoteRecordSource(port=server.port)
                 sources.append(source)
-                trainers[name] = _Trainer(source, batch_size, compute_seconds)
+                trainers[name] = _Trainer(
+                    source, batch_size, compute_seconds, name, BandwidthThrottle(rate)
+                )
             for _ in range(n_intervals):
                 # Every client trains and reports, then one fleet-wide step
                 # steers them all — the controller sees the whole fleet.
                 for trainer in trainers.values():
                     for _ in trainer.loader.epoch():
                         time.sleep(trainer.compute_seconds_per_batch)
-                    trainer.source.report_now()
+                    trainer.hook.report_now()
                 controller.step()
                 for trainer in trainers.values():
-                    trainer.source.report_now()
+                    trainer.hook.report_now()
                     trainer.intervals.append(
-                        {"scan_group": trainer.source.scan_group}
+                        {"scan_group": trainer.loader.scan_group}
                     )
             per_client = {
                 name: {
-                    "final_group": trainer.source.scan_group,
+                    "final_group": trainer.loader.scan_group,
                     "trajectory": [r["scan_group"] for r in trainer.intervals],
                 }
                 for name, trainer in trainers.items()
@@ -270,15 +267,10 @@ def _bench_degraded_replica(
             if arm == "controller_on":
                 controller = cluster.start_controller(policy=_policy(), auto_start=False)
             throttle = BandwidthThrottle(None)
-            with AdaptiveScanGroupSource(
-                ShardedRemoteRecordSource(cluster.shard_map),
-                client_id="trainer",
-                report_interval=3600.0,
-                throttle=throttle,
-            ) as source:
+            with ShardedRemoteRecordSource(cluster.shard_map) as source:
                 batches = max(1, len(source) // batch_size)
                 compute_budget = batches * compute_seconds
-                trainer = _Trainer(source, batch_size, compute_seconds)
+                trainer = _Trainer(source, batch_size, compute_seconds, "trainer", throttle)
                 healthy = trainer.run_interval(controller)
                 # Degrade: one replica of every shard dies and the surviving
                 # path's effective bandwidth collapses.

@@ -17,7 +17,6 @@ def test_fig12_image_size_distribution(benchmark, imagenet_like):
     dataset, _ = imagenet_like
 
     def collect():
-        dataset.set_scan_group(dataset.n_groups)
         return [len(sample.stream) for sample in dataset]
 
     sizes = benchmark(collect)

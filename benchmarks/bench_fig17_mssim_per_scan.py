@@ -13,7 +13,6 @@ SAMPLE_LIMIT = 8
 
 def _mssim_by_scan(dataset, quality: int) -> dict[int, float]:
     codec = ProgressiveCodec(quality=quality)
-    dataset.set_scan_group(dataset.n_groups)
     streams = [sample.stream for sample in list(dataset)[:SAMPLE_LIMIT]]
     values: dict[int, list[float]] = {group: [] for group in range(1, dataset.n_groups + 1)}
     for stream in streams:

@@ -27,15 +27,14 @@ def test_fig25_loss_and_accuracy_per_epoch(benchmark, cars_like):
     def run():
         histories = {}
         for group in SCAN_GROUPS:
-            dataset.set_scan_group(group)
             loader = DataLoader(dataset, LoaderConfig(batch_size=12, n_workers=1, seed=9))
+            loader.set_scan_group(group)
             trainer = Trainer(
                 LinearProbe(n_classes=spec.n_classes, input_size=spec.image_size, seed=4),
                 SGD(learning_rate=0.02, momentum=0.9, weight_decay=0.0),
             )
-            trainer.fit(loader, n_epochs=N_EPOCHS, test_loader=loader, scan_group=group)
+            trainer.fit(loader, n_epochs=N_EPOCHS, test_loader=loader)
             histories[group] = trainer.history
-        dataset.set_scan_group(dataset.n_groups)
         return histories
 
     histories = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,7 +13,6 @@ def test_fig31_per_scan_example_sizes(benchmark, bench_datasets):
     def run():
         per_dataset = {}
         for name, (dataset, spec) in bench_datasets.items():
-            dataset.set_scan_group(dataset.n_groups)
             stream = next(iter(dataset)).stream
             codec = ProgressiveCodec(quality=spec.jpeg_quality)
             _, scans = split_scans(stream)

@@ -27,7 +27,6 @@ N_EPOCHS = {"imagenet": 90, "celebahq": 90}
 
 def _group_mssim(dataset, quality, groups, sample_limit=6):
     codec = ProgressiveCodec(quality=quality)
-    dataset.set_scan_group(dataset.n_groups)
     streams = [sample.stream for sample in list(dataset)[:sample_limit]]
     out = {}
     for group in groups:

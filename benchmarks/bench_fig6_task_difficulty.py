@@ -20,16 +20,14 @@ N_EPOCHS = 8
 
 
 def _accuracy(dataset_view, n_classes, input_size, scan_group, seed=0):
-    dataset_view.set_scan_group(scan_group)
     loader = DataLoader(dataset_view, LoaderConfig(batch_size=12, n_workers=1, seed=seed))
+    loader.set_scan_group(scan_group)
     trainer = Trainer(
         LinearProbe(n_classes=n_classes, input_size=input_size, seed=seed),
         SGD(learning_rate=0.2, momentum=0.9, weight_decay=0.0),
     )
     trainer.fit(loader, n_epochs=N_EPOCHS)
-    accuracy = trainer.evaluate(loader)
-    dataset_view.set_scan_group(dataset_view.n_groups)
-    return accuracy
+    return trainer.evaluate(loader)
 
 
 def test_fig6_task_difficulty(benchmark, cars_like):

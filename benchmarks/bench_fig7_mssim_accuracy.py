@@ -27,7 +27,6 @@ def test_fig7_mssim_accuracy_regression(benchmark, cars_like):
 
     def run():
         codec = ProgressiveCodec(quality=spec.jpeg_quality)
-        dataset.set_scan_group(dataset.n_groups)
         streams = [sample.stream for sample in list(dataset)[:6]]
         mssim = {}
         for group in SCAN_GROUPS:
@@ -41,15 +40,14 @@ def test_fig7_mssim_accuracy_regression(benchmark, cars_like):
             )
         accuracy = {}
         for group in SCAN_GROUPS:
-            dataset.set_scan_group(group)
             loader = DataLoader(dataset, LoaderConfig(batch_size=12, n_workers=1, seed=group))
+            loader.set_scan_group(group)
             trainer = Trainer(
                 LinearProbe(n_classes=spec.n_classes, input_size=spec.image_size, seed=1),
                 SGD(learning_rate=0.2, momentum=0.9, weight_decay=0.0),
             )
             trainer.fit(loader, n_epochs=N_EPOCHS)
             accuracy[group] = trainer.evaluate(loader)
-        dataset.set_scan_group(dataset.n_groups)
         fit = fit_mssim_accuracy([mssim[g] for g in SCAN_GROUPS], [accuracy[g] for g in SCAN_GROUPS])
         return mssim, accuracy, fit
 

@@ -22,7 +22,6 @@ TUNE_EVERY = 3
 
 
 def _run_dynamic(dataset, spec, controller_kind: str):
-    dataset.set_scan_group(dataset.n_groups)
     loader = DataLoader(dataset, LoaderConfig(batch_size=12, n_workers=1, seed=3))
     trainer = Trainer(
         LinearProbe(n_classes=spec.n_classes, input_size=spec.image_size, seed=2),
@@ -33,28 +32,21 @@ def _run_dynamic(dataset, spec, controller_kind: str):
     bytes_read = []
     chosen = []
     for epoch in range(N_EPOCHS):
-        result = trainer.train_epoch(loader, scan_group=dataset.scan_group)
-        bytes_read.append(dataset.epoch_bytes())
-        chosen.append(dataset.scan_group)
+        result = trainer.train_epoch(loader)
+        bytes_read.append(dataset.epoch_bytes(result.scan_group))
+        chosen.append(result.scan_group)
         if epoch > 0 and epoch % TUNE_EVERY == 0:
-            if controller_kind == "plateau":
-                plateau.tune(trainer, dataset, loader, epoch)
-            else:
-                cosine.tune(trainer, dataset, epoch)
-        del result
-    accuracy = trainer.evaluate(loader)
-    final_group = dataset.scan_group
-    dataset.set_scan_group(dataset.n_groups)
+            controller = plateau if controller_kind == "plateau" else cosine
+            controller.tune(trainer, loader, epoch)
     return {
         "chosen_per_epoch": chosen,
         "bytes_per_epoch": bytes_read,
-        "final_accuracy": accuracy,
-        "final_group": final_group,
+        "final_accuracy": trainer.evaluate(loader),
+        "final_group": loader.scan_group,
     }
 
 
 def _run_static_baseline(dataset, spec):
-    dataset.set_scan_group(dataset.n_groups)
     loader = DataLoader(dataset, LoaderConfig(batch_size=12, n_workers=1, seed=3))
     trainer = Trainer(
         LinearProbe(n_classes=spec.n_classes, input_size=spec.image_size, seed=2),

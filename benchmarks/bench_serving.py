@@ -357,15 +357,15 @@ def _bench_remote_loader(directory: Path, n_groups: int, batch_size: int) -> dic
         with RemoteRecordSource(port=server.port) as source:
             config = LoaderConfig(batch_size=batch_size, n_workers=2, shuffle=False, seed=0)
             for group in (1, n_groups):
-                source.set_scan_group(group)
                 loader = DataLoader(source, config)
+                loader.set_scan_group(group)
                 start = time.perf_counter()
                 n_samples = sum(len(batch) for batch in loader.epoch())
                 elapsed = time.perf_counter() - start
                 out[str(group)] = {
                     "samples_per_s": n_samples / elapsed,
                     "epoch_seconds": elapsed,
-                    "epoch_bytes": source.epoch_bytes(),
+                    "epoch_bytes": source.epoch_bytes(group),
                 }
     return out
 

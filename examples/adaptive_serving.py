@@ -2,10 +2,10 @@
 
 Builds a small synthetic PCR dataset, launches a 2-shard x 2-replica
 serving cluster, attaches a fleet-wide :class:`FidelityController`, and
-drives a training loop through an :class:`AdaptiveScanGroupSource` behind
-a bandwidth-capped link.  The loader reports its stall telemetry over the
-wire (the ``REPORT_TELEMETRY`` op); the controller answers with scan-group
-hints the source applies automatically.  Mid-run the link cap is lifted
+drives a training loop whose loader carries an
+:class:`AdaptiveScanGroupHook`, behind a bandwidth-capped link.  The loader
+reports its stall telemetry over the wire (the ``REPORT_TELEMETRY`` op); the
+controller answers with scan-group hints the hook applies to the loader.  Mid-run the link cap is lifted
 and the controller steers fidelity back up.  The decision log — every
 steer with its rationale — is printed at the end.
 
@@ -18,7 +18,7 @@ import tempfile
 import time
 from dataclasses import replace
 
-from repro.control import AdaptiveScanGroupSource, StallTargetPolicy
+from repro.control import AdaptiveScanGroupHook, StallTargetPolicy
 from repro.core import PCRDataset
 from repro.datasets import HAM10000_SPEC, generate_dataset
 from repro.pipeline import BandwidthThrottle, DataLoader, LoaderConfig
@@ -51,13 +51,13 @@ def main() -> None:
             auto_start=False,  # stepped explicitly so the demo is deterministic
         )
         throttle = BandwidthThrottle(None)
-        with AdaptiveScanGroupSource(
-            ShardedRemoteRecordSource(shard_map=cluster.shard_map),
-            client_id="trainer-0",
-            report_interval=3600.0,  # report at interval boundaries only
-            throttle=throttle,
-        ) as source:
-            loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=1, seed=0))
+        with ShardedRemoteRecordSource(shard_map=cluster.shard_map) as source:
+            hook = AdaptiveScanGroupHook(
+                client_id="trainer-0",
+                report_interval=3600.0,  # report at interval boundaries only
+                throttle=throttle,
+            )
+            loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=1, seed=0), hook=hook)
             model = TinyShuffleNet(n_classes=spec.n_classes, width=8)
             trainer = Trainer(model, SGD(learning_rate=0.05, momentum=0.9))
 
@@ -78,13 +78,13 @@ def main() -> None:
                 for batch in loader.epoch():
                     trainer.train_step(batch)
                     time.sleep(COMPUTE_SECONDS_PER_BATCH)
-                source.report_now()
+                hook.report_now()
                 controller.step()
-                source.report_now()  # pick up the hint this step published
+                hook.report_now()  # pick up the hint this step published
                 wait = stalls.total_wait - wait0
                 compute = stalls.total_compute - compute0
                 stall = wait / (wait + compute) if wait + compute else 0.0
-                print(f"  interval {interval}: scan group {source.scan_group:2d}  "
+                print(f"  interval {interval}: scan group {loader.scan_group:2d}  "
                       f"stall {stall:.2f}")
 
             print("\nController decision log (steers only):")

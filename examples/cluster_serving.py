@@ -59,14 +59,14 @@ def main() -> None:
                     cluster.stop_replica(busiest, 0)
                     print(f"    -> killed {busiest}/replica-0; reads fail over to replica-1")
                 if epoch == SWITCH_AT_EPOCH:
-                    source.set_scan_group(LOW_FIDELITY_GROUP)
+                    loader.set_scan_group(LOW_FIDELITY_GROUP)
                     print(
                         f"    -> runtime switch to scan group {LOW_FIDELITY_GROUP} "
                         "(fewer bytes per record, cluster-wide)"
                     )
-                result = trainer.train_epoch(loader, scan_group=source.scan_group)
+                result = trainer.train_epoch(loader)
                 print(
-                    f"  epoch {epoch}: scan group {source.scan_group:>2}  "
+                    f"  epoch {epoch}: scan group {result.scan_group:>2}  "
                     f"loss {result.train_loss:.3f}  acc {result.train_accuracy:.2f}  "
                     f"failovers so far {source.cluster_client.failovers}"
                 )

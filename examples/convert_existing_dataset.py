@@ -88,8 +88,7 @@ def main() -> None:
     )
 
     # Step 4: use the converted dataset at two different qualities.
-    dataset = PCRDataset(root / "pcr")
-    dataset.set_scan_group(2)
+    dataset = PCRDataset(root / "pcr", scan_group=2)
     preview = next(iter(dataset))
     print(f"\nReading back sample {preview.key!r} at scan group 2: "
           f"{preview.image.width}x{preview.image.height}, label {preview.label}")

@@ -35,19 +35,16 @@ def main() -> None:
         print(f"  scan group {group:>2}: {total:>8} bytes")
 
     codec = ProgressiveCodec(quality=spec.jpeg_quality)
-    dataset.set_scan_group(dataset.n_groups)
-    reference = next(iter(dataset))
+    reference = next(iter(dataset))  # the dataset's default: full quality
     print("\nReconstruction quality (MSSIM vs full quality) for one sample:")
     for group in (1, 2, 5, 10):
         partial = codec.decode(reference.stream, max_scans=group)
         full = codec.decode(reference.stream)
         print(f"  scan group {group:>2}: MSSIM = {ms_ssim(full, partial):.3f}")
 
-    print("\nSwitching quality at runtime is one call — no re-encoding, no copies:")
-    dataset.set_scan_group(2)
-    low_bytes = dataset.epoch_bytes()
-    dataset.set_scan_group(10)
-    full_bytes = dataset.epoch_bytes()
+    print("\nQuality is an argument of each read — no re-encoding, no copies:")
+    low_bytes = dataset.epoch_bytes(2)
+    full_bytes = dataset.epoch_bytes(10)
     print(f"  scan group 2 epoch = {low_bytes} bytes, "
           f"baseline epoch = {full_bytes} bytes "
           f"({full_bytes / low_bytes:.1f}x bandwidth saving)")

@@ -49,16 +49,16 @@ def main() -> None:
             print(f"\nTraining {N_EPOCHS} epochs over the network:")
             for epoch in range(N_EPOCHS):
                 if epoch == SWITCH_AT_EPOCH:
-                    source.set_scan_group(LOW_FIDELITY_GROUP)
+                    loader.set_scan_group(LOW_FIDELITY_GROUP)
                     print(
                         f"    -> runtime switch to scan group {LOW_FIDELITY_GROUP} "
                         "(fewer bytes per record from here on)"
                     )
-                result = trainer.train_epoch(loader, scan_group=source.scan_group)
+                result = trainer.train_epoch(loader)
                 print(
-                    f"  epoch {epoch}: scan group {source.scan_group:>2}  "
+                    f"  epoch {epoch}: scan group {result.scan_group:>2}  "
                     f"loss {result.train_loss:.3f}  acc {result.train_accuracy:.2f}  "
-                    f"wire bytes/epoch {source.epoch_bytes():>8}"
+                    f"wire bytes/epoch {source.epoch_bytes(result.scan_group):>8}"
                 )
 
         with PCRClient(port=server.port) as client:

@@ -42,14 +42,14 @@ def main() -> None:
 
     print(f"\nTraining {N_EPOCHS} epochs with autotuning every {TUNE_EVERY} epochs:")
     for epoch in range(N_EPOCHS):
-        result = trainer.train_epoch(loader, scan_group=dataset.scan_group)
+        result = trainer.train_epoch(loader)
         print(
-            f"  epoch {epoch}: scan group {dataset.scan_group:>2}  "
+            f"  epoch {epoch}: scan group {result.scan_group:>2}  "
             f"loss {result.train_loss:.3f}  acc {result.train_accuracy:.2f}  "
-            f"epoch bytes {dataset.epoch_bytes():>8}"
+            f"epoch bytes {dataset.epoch_bytes(result.scan_group):>8}"
         )
         if (epoch + 1) % TUNE_EVERY == 0:
-            decision = controller.tune(trainer, dataset, epoch)
+            decision = controller.tune(trainer, loader, epoch)
             similarities = ", ".join(
                 f"g{g}={v:.2f}" for g, v in sorted(decision.inputs.items())
             )
@@ -60,9 +60,9 @@ def main() -> None:
 
     final_accuracy = trainer.evaluate(loader)
     print(f"\nFinal training-set accuracy: {final_accuracy:.2f}")
-    print(f"Final scan group: {dataset.scan_group} "
-          f"(baseline would read {dataset.reader.dataset_bytes_for_group(dataset.n_groups)} bytes/epoch, "
-          f"chosen group reads {dataset.epoch_bytes()})")
+    print(f"Final scan group: {loader.scan_group} "
+          f"(baseline would read {dataset.epoch_bytes(dataset.n_groups)} bytes/epoch, "
+          f"chosen group reads {dataset.epoch_bytes(loader.scan_group)})")
 
 
 if __name__ == "__main__":

@@ -15,14 +15,14 @@ of the tuner, the trainer or their metrics:
 * :mod:`repro.control.controller` — the ``FidelityController`` thread, the
   one ``ControlPlane`` it steers through (one server or a fleet) and the
   one ``attach_controller`` behind both ``start_controller`` methods;
-* :mod:`repro.control.adaptive_source` — the loader-side wrapper that
-  reports telemetry at fetch boundaries and applies hints through
+* :mod:`repro.control.adaptive` — the loader hook that reports telemetry
+  at record boundaries and applies hints through the loader's
   ``set_scan_group``.
 
 See ``docs/autotune.md`` for the loop's semantics and the benchmark keys.
 """
 
-from repro.control.adaptive_source import AdaptiveScanGroupSource
+from repro.control.adaptive import AdaptiveScanGroupHook
 from repro.control.controller import ControlPlane, FidelityController
 from repro.control.policy import (
     BandwidthBudgetPolicy,
@@ -32,7 +32,7 @@ from repro.control.policy import (
 from repro.control.telemetry import ClientTelemetry, ScanGroupHint, TelemetryStore
 
 __all__ = [
-    "AdaptiveScanGroupSource",
+    "AdaptiveScanGroupHook",
     "BandwidthBudgetPolicy",
     "ClientControlState",
     "ClientTelemetry",

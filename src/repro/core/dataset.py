@@ -3,8 +3,8 @@
 ``PCRDataset`` is the object most examples and the data-loading pipeline
 interact with: a :class:`~repro.core.source.RecordSource` whose fetcher is a
 local :class:`~repro.core.reader.PCRReader`, plus the ``build`` constructors
-that encode a new dataset directory.  The switchable scan group, reads,
-label remapping and byte accounting are the shared source's.
+that encode a new dataset directory.  Reads at any scan group, label
+remapping and byte accounting are the shared source's.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.core.writer import PCRWriter, WriteResult
 
 
 class PCRDataset(RecordSource):
-    """A PCR dataset directory viewed at a (switchable) scan group."""
+    """A PCR dataset directory, read at any scan group."""
 
     def __init__(
         self,

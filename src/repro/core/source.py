@@ -6,13 +6,16 @@ directory (:class:`~repro.core.reader.PCRReader`), one shard's slice of it
 or cluster behind a wire client
 (:class:`~repro.serving.remote_source.RemoteFetcher`).
 
-:class:`RecordSource` is everything above the bytes, written once: the
-switchable scan group (the lightweight quality switch PCRs enable), stream
+:class:`RecordSource` is everything above the bytes, written once: reads at
+any scan group (the lightweight quality switch PCRs enable), stream
 reassembly and minibatch decode, label remapping so one stored dataset can
 serve different training tasks (Section 4.3), and the byte accounting the
 tuners and the control loop read.  Its one read verb, ``read_record``, is
 fetch → assemble → count → map labels: a record *is* the batching unit
-(Section 3.2), so there is no multi-record read above it.  ``PCRDataset``,
+(Section 3.2), so there is no multi-record read above it.  Fidelity is an
+argument of that read, not state of the source: the source holds only a
+default group, and whoever reads — a ``DataLoader``, a tuner's probe —
+passes the group it wants, so no reader can switch another's.  ``PCRDataset``,
 ``RemoteRecordSource`` and ``ShardedRemoteRecordSource`` are constructors
 that pick a fetcher.
 """
@@ -27,7 +30,6 @@ from typing import Protocol, runtime_checkable
 from repro.codecs.progressive import ProgressiveCodec
 from repro.core.index import RecordIndex
 from repro.core.reader import PCRSample, ReadStats, assemble_samples, validate_scan_group
-from repro.obs import get_registry
 
 LabelMapper = Callable[[int], int]
 
@@ -58,7 +60,11 @@ class RecordFetcher(Protocol):
 
 
 class RecordSource:
-    """PCR samples from a :class:`RecordFetcher`, at a (switchable) scan group.
+    """PCR samples from a :class:`RecordFetcher`, at any scan group.
+
+    ``scan_group`` is the default: the group a read uses when it passes
+    none, and the one a ``DataLoader`` over this source starts at.  It is
+    fixed at construction; switching fidelity is the reader's business.
 
     One source may be shared by many ``DataLoader`` worker threads: the
     fetcher is thread-safe, decoding is stateless, and the I/O counters are
@@ -89,7 +95,6 @@ class RecordSource:
         self._codec = ProgressiveCodec(quality=int(self.dataset_meta.get("quality", 90)))
         self._lock = threading.Lock()
         self.stats = ReadStats()
-        get_registry().gauge("serving.client.scan_group").set(self._scan_group)
 
     # -- dataset structure ---------------------------------------------------
 
@@ -105,37 +110,12 @@ class RecordSource:
         """Offset index of one record (cached by the fetcher)."""
         return self.fetcher.record_index(record_name)
 
-    # -- quality control -----------------------------------------------------
+    # -- fidelity ------------------------------------------------------------
 
     @property
     def scan_group(self) -> int:
-        """The scan group used by iteration and record reads."""
+        """The default scan group of reads, iteration and byte accounting."""
         return self._scan_group
-
-    def set_scan_group(self, scan_group: int) -> None:
-        """Switch the data quality used for subsequent reads.
-
-        This is the lightweight runtime switch PCRs provide: no re-encoding,
-        no extra copies, no reconnect — only the number of bytes read per
-        record changes.  Every actual switch is visible in snapshots: the
-        current target is a ``serving.client.scan_group`` gauge and each
-        mid-run change bumps ``serving.client.scan_group_switches_total`` on
-        the default registry — so a controller-driven (or manual) fidelity
-        change shows up next to the loader/stall metrics it affects.
-        """
-        validate_scan_group(scan_group, self.n_groups)
-        changed = scan_group != self._scan_group
-        self._scan_group = scan_group
-        registry = get_registry()
-        registry.gauge("serving.client.scan_group").set(scan_group)
-        if changed:
-            registry.counter("serving.client.scan_group_switches_total").inc()
-
-    # -- loader hooks --------------------------------------------------------
-
-    def bind_stall_tracker(self, stalls) -> None:
-        """Called by ``DataLoader.epoch()`` with its stall tracker; only
-        telemetry-reporting wrappers (``repro.control``) keep it."""
 
     # -- label remapping -----------------------------------------------------
 
@@ -154,9 +134,14 @@ class RecordSource:
     # -- reading -------------------------------------------------------------
 
     def read_record(
-        self, record_name: str, decode: bool | None = None, decode_pool=None
+        self,
+        record_name: str,
+        scan_group: int | None = None,
+        decode: bool | None = None,
+        decode_pool=None,
     ) -> list[PCRSample]:
-        """Fetch and reassemble one record at the current scan group.
+        """Fetch and reassemble one record at ``scan_group`` (default: the
+        source's).
 
         ``decode_pool`` (a :class:`~repro.codecs.parallel.DecodePool`) decodes
         this read's streams on worker processes instead of in-process: the
@@ -165,7 +150,9 @@ class RecordSource:
         (typically one ``DataLoader``'s), per read, so two loaders over one
         source never decode through each other's workers.
         """
-        data = self.fetcher.read_record_bytes(record_name, self._scan_group)
+        group = self._scan_group if scan_group is None else scan_group
+        validate_scan_group(group, self.n_groups)
+        data = self.fetcher.read_record_bytes(record_name, group)
         decode = self.decode_by_default if decode is None else decode
         samples = assemble_samples(data, self._codec, decode, decode_pool)
         with self._lock:
@@ -188,21 +175,18 @@ class RecordSource:
         """Bytes one record costs to fetch at ``scan_group``."""
         return self.record_index(record_name).bytes_for_group(scan_group)
 
-    def _dataset_bytes(self, scan_group: int) -> int:
-        return sum(self.bytes_for_group(name, scan_group) for name in self.record_names)
-
-    def epoch_bytes(self) -> int:
-        """Bytes fetched per epoch at the current scan group."""
-        return self._dataset_bytes(self._scan_group)
+    def epoch_bytes(self, scan_group: int | None = None) -> int:
+        """Bytes fetched per epoch at ``scan_group`` (default: the source's)."""
+        group = self._scan_group if scan_group is None else scan_group
+        return sum(self.bytes_for_group(name, group) for name in self.record_names)
 
     def epoch_bytes_by_group(self) -> dict[int, int]:
         """Bytes per epoch for every scan group (Figure 16 data)."""
-        return {group: self._dataset_bytes(group) for group in range(1, self.n_groups + 1)}
+        return {group: self.epoch_bytes(group) for group in range(1, self.n_groups + 1)}
 
     def mean_sample_bytes(self, scan_group: int | None = None) -> float:
         """Average bytes per sample at a scan group (drives the speedup model)."""
-        group = self._scan_group if scan_group is None else scan_group
-        return self._dataset_bytes(group) / max(1, len(self))
+        return self.epoch_bytes(scan_group) / max(1, len(self))
 
     # -- lifecycle -----------------------------------------------------------
 

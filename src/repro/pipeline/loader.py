@@ -1,10 +1,16 @@
 """A prefetching data loader over a PCR record source.
 
 The loader follows the closed-system model of §A.1: a pool of worker threads
-continuously reads the next record at the dataset's current scan group,
-decodes and augments its samples, shuffles them, and pushes minibatches into
-a bounded queue.  The consumer (the training loop) pops minibatches; whenever
-the queue is empty the consumer's wait is recorded as a data stall.
+continuously reads the next record at the loader's scan group, decodes and
+augments its samples, shuffles them, and pushes minibatches into a bounded
+queue.  The consumer (the training loop) pops minibatches; whenever the
+queue is empty the consumer's wait is recorded as a data stall.
+
+Fidelity is the loader's own: it starts at its dataset's scan group and
+passes its current group to every ``read_record``, so
+:meth:`DataLoader.set_scan_group` retargets this loader's next record read
+and nothing else — not a second loader over the same dataset, not a tuner's
+probe of it.
 """
 
 from __future__ import annotations
@@ -14,10 +20,12 @@ import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from repro.codecs.parallel import DecodePool
+from repro.core.reader import validate_scan_group
 from repro.core.source import RecordSource
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.augment import Compose
@@ -46,24 +54,63 @@ class LoaderConfig:
     decode_workers: int = 0
 
 
+class LoaderHook(Protocol):
+    """Runs inside a :class:`DataLoader`'s read path.
+
+    ``bind`` is called once, by the loader's constructor; ``after_read``
+    after every record read, in the reader thread that did it — the record
+    boundary at which a :meth:`DataLoader.set_scan_group` takes effect.
+    :class:`~repro.control.adaptive.AdaptiveScanGroupHook` is the one in
+    this package: it reports telemetry and applies a controller's hints.
+    """
+
+    def bind(self, loader: "DataLoader") -> None: ...
+
+    def after_read(self) -> None: ...
+
+
 class DataLoader:
     """Iterates minibatches from any :class:`~repro.core.source.RecordSource`
-    (local ``PCRDataset``, remote, sharded, or an adaptive wrapper)."""
+    (local ``PCRDataset``, remote or sharded), at a scan group of its own."""
 
     def __init__(
         self,
         dataset: RecordSource,
         config: LoaderConfig | None = None,
         augmentations: Compose | None = None,
+        hook: LoaderHook | None = None,
     ) -> None:
         self.dataset = dataset
         self.config = config if config is not None else LoaderConfig()
         self.augmentations = augmentations
         self.stalls = StallTracker()
+        self._scan_group = dataset.scan_group
         self._rng = np.random.default_rng(self.config.seed)
         self._decode_pool: DecodePool | None = None
+        self.hook = hook
+        if hook is not None:
+            hook.bind(self)
 
     # -- public API -------------------------------------------------------------
+
+    @property
+    def scan_group(self) -> int:
+        """The scan group this loader reads at."""
+        return self._scan_group
+
+    def set_scan_group(self, scan_group: int) -> None:
+        """Switch this loader's fidelity from its next record read on.
+
+        This is the lightweight runtime switch PCRs provide: no re-encoding,
+        no extra copies, no reconnect — only the number of bytes read per
+        record changes.  A record read already under way finishes at the
+        old group.  Every actual switch bumps
+        ``loader.scan_group_switches_total``.
+        """
+        validate_scan_group(scan_group, self.dataset.n_groups)
+        if scan_group != self._scan_group:
+            self._scan_group = scan_group
+            get_registry().counter("loader.scan_group_switches_total").inc()
 
     def __iter__(self) -> Iterator[Minibatch]:
         return self.epoch()
@@ -91,10 +138,6 @@ class DataLoader:
         """
         if self.config.decode_workers > 1 and self._decode_pool is None:
             self._decode_pool = DecodePool(self.config.decode_workers)
-        # Adaptive sources (repro.control.AdaptiveScanGroupSource) report the
-        # loader's stall split as telemetry; hand them the tracker so their
-        # reports and our Figure-11 series come from the same measurements.
-        self.dataset.bind_stall_tracker(self.stalls)
         record_names = self.dataset.record_names
         sampler = (
             ShuffleSampler(record_names, seed=int(self._rng.integers(0, 2**31)))
@@ -276,7 +319,11 @@ class DataLoader:
         # ``read_record`` decodes the whole record through the codec's
         # minibatch API (shared pixel-stage buffers, one setup per record) —
         # a record is the loader's unit of batched decode work.
-        samples = self.dataset.read_record(record_name, decode=True, decode_pool=self._decode_pool)
+        samples = self.dataset.read_record(
+            record_name, self._scan_group, decode=True, decode_pool=self._decode_pool
+        )
+        if self.hook is not None:
+            self.hook.after_read()
         order = rng.permutation(len(samples))
         images: list[np.ndarray] = []
         labels: list[int] = []

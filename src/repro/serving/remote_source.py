@@ -8,9 +8,9 @@ a local ``PCRDataset`` is — it only fetches record bytes from a
 :class:`~repro.serving.server.PCRRecordServer` instead of the local
 filesystem.  Decoding stays on the client: the server ships compressed
 prefixes, so the network carries exactly the bytes the fidelity target
-requires, and a dynamic tuning controller can call ``set_scan_group``
-mid-training to retarget every subsequent fetch (the over-the-network
-version of the paper's lightweight quality switch).
+requires, and a tuner that calls a ``DataLoader``'s ``set_scan_group``
+mid-training retargets that loader's every subsequent fetch (the
+over-the-network version of the paper's lightweight quality switch).
 """
 
 from __future__ import annotations

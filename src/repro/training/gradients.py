@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.source import RecordSource
-from repro.pipeline.batch import collate
+from repro.pipeline.batch import Minibatch, collate
 from repro.training.loop import Trainer
 
 
@@ -24,6 +24,26 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (norm_a * norm_b))
 
 
+def leading_batch(
+    dataset: RecordSource, scan_group: int, max_samples: int | None = None
+) -> Minibatch:
+    """The dataset's first ``max_samples`` samples (all by default), in record
+    order, at ``scan_group``, as one batch.
+
+    The group is an argument of each read, so a probe never changes what a
+    ``DataLoader`` over the same dataset is reading.
+    """
+    images: list[np.ndarray] = []
+    labels: list[int] = []
+    for name in dataset.record_names:
+        if max_samples is not None and len(images) >= max_samples:
+            break
+        for sample in dataset.read_record(name, scan_group, decode=True):
+            images.append(sample.image.pixels)
+            labels.append(sample.label)
+    return collate(images[:max_samples], labels[:max_samples])
+
+
 def dataset_gradient(
     trainer: Trainer,
     dataset: RecordSource,
@@ -31,20 +51,7 @@ def dataset_gradient(
     max_samples: int | None = None,
 ) -> np.ndarray:
     """Gradient of the loss over (a subset of) the dataset at a scan group."""
-    previous_group = dataset.scan_group
-    dataset.set_scan_group(scan_group)
-    images: list[np.ndarray] = []
-    labels: list[int] = []
-    try:
-        for sample in dataset:
-            images.append(sample.image.as_float())
-            labels.append(sample.label)
-            if max_samples is not None and len(images) >= max_samples:
-                break
-    finally:
-        dataset.set_scan_group(previous_group)
-    batch = collate(images, labels)
-    return trainer.gradient_vector(batch)
+    return trainer.gradient_vector(leading_batch(dataset, scan_group, max_samples))
 
 
 def scan_group_gradient_similarities(

@@ -153,10 +153,12 @@ class Trainer:
         self,
         loader: DataLoader,
         test_loader: DataLoader | None = None,
-        scan_group: int | None = None,
         extra_seconds_per_image: float = 0.0,
     ) -> EpochResult:
         """Train for one epoch and append the result to the history.
+
+        The result records the scan group the loader read at, as it stood
+        when the epoch began.
 
         ``extra_seconds_per_image`` lets callers charge simulated I/O time on
         top of the measured compute time (used when the loader is backed by a
@@ -165,6 +167,7 @@ class Trainer:
         if self.schedule is not None:
             self.optimizer.learning_rate = self.schedule.learning_rate(self._epoch)
         self.model.set_training(True)
+        scan_group = loader.scan_group
         start = time.perf_counter()
         losses: list[float] = []
         accuracies: list[float] = []
@@ -194,11 +197,10 @@ class Trainer:
         loader: DataLoader,
         n_epochs: int,
         test_loader: DataLoader | None = None,
-        scan_group: int | None = None,
     ) -> TrainingHistory:
         """Train for ``n_epochs`` epochs."""
         for _ in range(n_epochs):
-            self.train_epoch(loader, test_loader=test_loader, scan_group=scan_group)
+            self.train_epoch(loader, test_loader=test_loader)
         return self.history
 
     # -- checkpointing -------------------------------------------------------------

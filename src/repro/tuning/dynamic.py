@@ -14,7 +14,10 @@ Two controllers are provided:
 
 Both return the :class:`~repro.core.scan_groups.ScanGroupDecision` the
 online policies of :mod:`repro.control` return: the epoch goes into
-``interval``, the probe losses / cosines per group into ``inputs``.
+``interval``, the probe losses / cosines per group into ``inputs``.  Both
+probe by passing each candidate group to their own reads of the loader's
+dataset, and switch only the loader they were handed, once, to the group
+they chose.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.scan_groups import ScanGroupDecision
-from repro.core.source import RecordSource
+from repro.pipeline.batch import Minibatch
 from repro.pipeline.loader import DataLoader
-from repro.training.gradients import scan_group_gradient_similarities
+from repro.training.gradients import leading_batch, scan_group_gradient_similarities
 from repro.training.loop import Trainer
 
 
@@ -49,62 +52,50 @@ class LossPlateauController:
         improvement = window[0] - min(window[1:])
         return improvement < self.plateau_tolerance
 
-    def tune(
-        self,
-        trainer: Trainer,
-        dataset: RecordSource,
-        loader: DataLoader,
-        epoch: int,
-    ) -> ScanGroupDecision:
-        """Probe candidate groups and switch the dataset to the best one.
+    def tune(self, trainer: Trainer, loader: DataLoader, epoch: int) -> ScanGroupDecision:
+        """Probe candidate groups and switch the loader to the best one.
 
         The model is checkpointed before probing and rolled back afterwards,
-        so probing never contaminates the training trajectory.
+        so probing never contaminates the training trajectory.  Every group
+        is probed on the same leading samples of the dataset, so the losses
+        compare fidelity and nothing else.
         """
+        dataset = loader.dataset
+        n_groups = dataset.n_groups
+        batch_size = loader.config.batch_size
         checkpoint = trainer.checkpoint()
-        original_group = dataset.scan_group
         probe_losses: dict[int, float] = {}
         try:
-            reference_loss = self._probe(trainer, dataset, loader, dataset.n_groups)
-            probe_losses[dataset.n_groups] = reference_loss
-            for group in self.candidate_groups:
-                if group == dataset.n_groups:
-                    continue
+            for group in [n_groups, *(g for g in self.candidate_groups if g != n_groups)]:
                 trainer.rollback(checkpoint)
-                probe_losses[group] = self._probe(trainer, dataset, loader, group)
+                probe = leading_batch(dataset, group, batch_size * self.probe_batches)
+                losses = []
+                for start in range(0, len(probe), batch_size):
+                    chunk = slice(start, start + batch_size)
+                    step = Minibatch(probe.images[chunk], probe.labels[chunk])
+                    losses.append(trainer.train_step(step)[0])
+                probe_losses[group] = sum(losses) / len(losses)
         finally:
             trainer.rollback(checkpoint)
-            dataset.set_scan_group(original_group)
 
-        chosen = dataset.n_groups
+        reference_loss = probe_losses[n_groups]
+        chosen = n_groups
         for group in sorted(probe_losses):
-            if probe_losses[group] <= probe_losses[dataset.n_groups] * (1.0 + self.loss_slack):
+            if probe_losses[group] <= reference_loss * (1.0 + self.loss_slack):
                 chosen = group
                 break
-        dataset.set_scan_group(chosen)
         decision = ScanGroupDecision(
             chosen_group=chosen,
-            previous_group=original_group,
+            previous_group=loader.scan_group,
             inputs=probe_losses,
             interval=epoch,
             reason=f"smallest group whose probe loss is within {self.loss_slack:.0%} "
             f"of full quality's {reference_loss:.3f}",
         )
+        loader.set_scan_group(chosen)
         self.decisions.append(decision)
         self._recent_losses.clear()
         return decision
-
-    def _probe(
-        self, trainer: Trainer, dataset: RecordSource, loader: DataLoader, group: int
-    ) -> float:
-        dataset.set_scan_group(group)
-        losses = []
-        for batch_index, batch in enumerate(loader.epoch()):
-            loss, _ = trainer.train_step(batch)
-            losses.append(loss)
-            if batch_index + 1 >= self.probe_batches:
-                break
-        return sum(losses) / len(losses) if losses else float("inf")
 
 
 @dataclass
@@ -116,13 +107,10 @@ class GradientCosineController:
     max_samples: int = 64
     decisions: list[ScanGroupDecision] = field(default_factory=list)
 
-    def tune(
-        self,
-        trainer: Trainer,
-        dataset: RecordSource,
-        epoch: int,
-    ) -> ScanGroupDecision:
-        """Measure gradient similarity per group and adopt the smallest passing one."""
+    def tune(self, trainer: Trainer, loader: DataLoader, epoch: int) -> ScanGroupDecision:
+        """Measure gradient similarity per group and switch the loader to the
+        smallest passing one."""
+        dataset = loader.dataset
         similarities = scan_group_gradient_similarities(
             trainer,
             dataset,
@@ -136,12 +124,12 @@ class GradientCosineController:
                 break
         decision = ScanGroupDecision(
             chosen_group=chosen,
-            previous_group=dataset.scan_group,
+            previous_group=loader.scan_group,
             inputs=similarities,
             interval=epoch,
             reason=f"smallest group with gradient cosine >= {self.similarity_threshold:.2f}"
             " (full quality when none reaches it)",
         )
-        dataset.set_scan_group(chosen)
+        loader.set_scan_group(chosen)
         self.decisions.append(decision)
         return decision

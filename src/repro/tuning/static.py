@@ -98,16 +98,12 @@ class StaticTuner:
 
     def _sample_streams(self) -> list[bytes]:
         streams: list[bytes] = []
-        previous_group = self.dataset.scan_group
-        self.dataset.set_scan_group(self.dataset.n_groups)
-        try:
-            for sample in self.dataset:
-                streams.append(sample.stream)
-                if len(streams) >= self.sample_limit:
-                    break
-        finally:
-            self.dataset.set_scan_group(previous_group)
-        return streams
+        for name in self.dataset.record_names:
+            full = self.dataset.read_record(name, self.dataset.n_groups, decode=False)
+            streams.extend(sample.stream for sample in full)
+            if len(streams) >= self.sample_limit:
+                break
+        return streams[: self.sample_limit]
 
     def _scans_for_group(self, group: int) -> int:
         # Scan groups are stored in quality order; group g corresponds to the

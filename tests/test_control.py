@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.control import (
-    AdaptiveScanGroupSource,
+    AdaptiveScanGroupHook,
     BandwidthBudgetPolicy,
     ClientControlState,
     ClientTelemetry,
@@ -624,7 +624,7 @@ class TestControlPlane:
 
 
 # ---------------------------------------------------------------------------
-# adaptive source + end-to-end convergence
+# adaptive loader hook + end-to-end convergence
 
 
 class TestAdaptiveSource:
@@ -633,7 +633,7 @@ class TestAdaptiveSource:
         instead of failing (or silently dropping reports) mid-epoch."""
         with PCRDataset(pcr_dataset.reader.directory) as local:
             with pytest.raises(TypeError, match="cannot report_telemetry"):
-                AdaptiveScanGroupSource(local)
+                DataLoader(local, hook=AdaptiveScanGroupHook())
 
     def test_report_now_ships_window_and_applies_hint(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
@@ -641,17 +641,14 @@ class TestAdaptiveSource:
                 policy=StallTargetPolicy(target_stall_fraction=0.2, cooldown_intervals=0),
                 auto_start=False,
             )
-            with AdaptiveScanGroupSource(
-                RemoteRecordSource(port=server.port), client_id="c0"
-            ) as source:
-                from repro.pipeline.stall import StallTracker
-
-                stalls = StallTracker(registry=MetricsRegistry())
-                source.bind_stall_tracker(stalls)
+            with RemoteRecordSource(port=server.port) as source:
+                hook = AdaptiveScanGroupHook(client_id="c0")
+                loader = DataLoader(source, hook=hook)
                 source.read_record(source.record_names[0])
+                stalls = loader.stalls
                 stalls.record_wait(0.9)
                 stalls.record_compute(0.1)
-                assert source.report_now() is None  # no hint yet: seeding step pending
+                assert hook.report_now() is None  # no hint yet: seeding step pending
                 report = server.telemetry.latest()["c0"]
                 assert report.stall_fraction == pytest.approx(0.9)
                 assert report.records_read == 1
@@ -660,46 +657,55 @@ class TestAdaptiveSource:
                 controller.step()
                 stalls.record_wait(0.9)
                 stalls.record_compute(0.1)
-                hint = source.report_now()
+                hint = hook.report_now()
                 controller.step()
                 stalls.record_wait(0.9)
                 stalls.record_compute(0.1)
-                hint = source.report_now()
+                hint = hook.report_now()
                 assert hint is not None and hint.scan_group == 5
-                assert source.scan_group == 5  # applied through set_scan_group
-                assert source.hints_applied == 1
+                assert loader.scan_group == 5  # applied through the loader's set_scan_group
+                assert source.scan_group == 10  # the source is not switched
+                assert hook.hints_applied == 1
 
     def test_time_based_auto_report_at_fetch_boundaries(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
-            with AdaptiveScanGroupSource(
-                RemoteRecordSource(port=server.port),
-                client_id="auto",
-                report_interval=0.0,  # every fetch boundary is a window edge
-            ) as source:
-                source.read_record(source.record_names[0])
-                source.read_record(source.record_names[1])
-                assert source.reports_sent >= 1
+            with RemoteRecordSource(port=server.port) as source:
+                hook = AdaptiveScanGroupHook(
+                    client_id="auto",
+                    report_interval=0.0,  # every record boundary is a window edge
+                )
+                loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=1), hook=hook)
+                list(loader.epoch())
+                assert hook.reports_sent >= 1
                 assert "auto" in server.telemetry.latest()
 
     def test_report_errors_are_swallowed(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
-            source = AdaptiveScanGroupSource(
-                RemoteRecordSource(port=server.port), client_id="c0"
-            )
+            source = RemoteRecordSource(port=server.port)
+            hook = AdaptiveScanGroupHook(client_id="c0")
+            DataLoader(source, hook=hook)
         # Server stopped: reporting must not raise, only count the error.
-        assert source.report_now() is None
+        assert hook.report_now() is None
         source.close()
+
+    def test_one_hook_steers_one_loader(self, pcr_dataset):
+        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
+            with RemoteRecordSource(port=server.port) as source:
+                hook = AdaptiveScanGroupHook(client_id="c0")
+                DataLoader(source, hook=hook)
+                with pytest.raises(ValueError, match="already steers"):
+                    DataLoader(source, hook=hook)
 
 
 class TestClosedLoopEndToEnd:
     """The acceptance scenario: cap the link, converge down; lift, converge up."""
 
-    def _run_interval(self, loader, source, controller, compute_seconds=0.05):
+    def _run_interval(self, loader, controller, compute_seconds=0.05):
         for _ in loader.epoch():
             time.sleep(compute_seconds)
-        source.report_now()
+        loader.hook.report_now()
         controller.step()
-        source.report_now()  # pick up the hint the step just published
+        loader.hook.report_now()  # pick up the hint the step just published
 
     def test_capped_link_converges_down_then_back_up(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
@@ -710,25 +716,26 @@ class TestClosedLoopEndToEnd:
                 auto_start=False,
             )
             throttle = BandwidthThrottle(40_000)  # a heavily capped link
-            with AdaptiveScanGroupSource(
-                RemoteRecordSource(port=server.port),
-                client_id="trainer",
-                report_interval=3600.0,  # reporting is explicit, per interval
-                throttle=throttle,
-            ) as source:
+            with RemoteRecordSource(port=server.port) as source:
                 loader = DataLoader(
-                    source, LoaderConfig(batch_size=8, n_workers=1, shuffle=False)
+                    source,
+                    LoaderConfig(batch_size=8, n_workers=1, shuffle=False),
+                    hook=AdaptiveScanGroupHook(
+                        client_id="trainer",
+                        report_interval=3600.0,  # reporting is explicit, per interval
+                        throttle=throttle,
+                    ),
                 )
                 n_groups = source.n_groups
-                assert source.scan_group == n_groups
-                trajectory = [source.scan_group]
+                assert loader.scan_group == n_groups
+                trajectory = [loader.scan_group]
                 # Convergence down must happen within a bounded number of
                 # control intervals: multiplicative decrease halves the group
                 # every interval, so ceil(log2(n_groups)) + seeding suffices.
                 for _ in range(6):
-                    self._run_interval(loader, source, controller)
-                    trajectory.append(source.scan_group)
-                converged_down = source.scan_group
+                    self._run_interval(loader, controller)
+                    trajectory.append(loader.scan_group)
+                converged_down = loader.scan_group
                 assert converged_down < n_groups
                 assert trajectory[1:] == sorted(trajectory[1:], reverse=True), (
                     f"no oscillation while capped: {trajectory}"
@@ -737,11 +744,11 @@ class TestClosedLoopEndToEnd:
                 # fidelity without oscillating.
                 throttle.set_rate(None)
                 for _ in range(n_groups + 4):
-                    self._run_interval(loader, source, controller)
-                    trajectory.append(source.scan_group)
-                    if source.scan_group == n_groups:
+                    self._run_interval(loader, controller)
+                    trajectory.append(loader.scan_group)
+                    if loader.scan_group == n_groups:
                         break
-                assert source.scan_group == n_groups, trajectory
+                assert loader.scan_group == n_groups, trajectory
                 # Decision-log bound: after the capped phase's convergence,
                 # the switch directions form at most two runs (downs, then
                 # ups) — ≤ 1 direction change across the whole scenario.

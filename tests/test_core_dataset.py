@@ -46,17 +46,17 @@ class TestWriterReader:
         originals = {key: image for key, image, _ in tiny_samples}
         errors = {}
         for group in (1, 5, 10):
-            pcr_dataset.set_scan_group(group)
-            errors[group] = np.mean(
-                [mse(originals[s.key], s.image) for s in pcr_dataset]
-            )
-        pcr_dataset.set_scan_group(10)
+            errors[group] = np.mean([
+                mse(originals[s.key], s.image)
+                for name in pcr_dataset.record_names
+                for s in pcr_dataset.read_record(name, group)
+            ])
         assert errors[1] > errors[5] > errors[10]
 
     def test_bytes_read_accounting(self, tmp_path, tiny_samples):
         dataset = PCRDataset.build(tiny_samples[:8], tmp_path / "acct", images_per_record=8)
-        dataset.set_scan_group(2)
-        list(dataset)
+        for name in dataset.record_names:
+            dataset.read_record(name, 2)
         expected = dataset.reader.dataset_bytes_for_group(2)
         assert dataset.reader.stats.bytes_read == expected
 
@@ -71,10 +71,11 @@ class TestWriterReader:
             pcr_dataset.reader.read_sample("does-not-exist", scan_group=1)
 
     def test_invalid_scan_group_raises(self, pcr_dataset):
+        name = pcr_dataset.record_names[0]
         with pytest.raises(ScanGroupError):
-            pcr_dataset.set_scan_group(0)
+            pcr_dataset.read_record(name, 0)
         with pytest.raises(ScanGroupError):
-            pcr_dataset.set_scan_group(11)
+            pcr_dataset.read_record(name, 11)
 
     def test_decode_false_returns_streams_only(self, pcr_dataset):
         record = pcr_dataset.record_names[0]
@@ -154,8 +155,7 @@ class TestWriterReader:
             tiny_samples[:6], tmp_path / "lsm", images_per_record=3, backend="lsm"
         )
         assert len(dataset.record_names) == 2
-        dataset.set_scan_group(1)
-        assert len(list(dataset)) == 6
+        assert sum(len(dataset.read_record(name, 1)) for name in dataset.record_names) == 6
 
     def test_lsm_dataset_reads_back_like_sqlite(self, tmp_path, tiny_samples):
         # The LSM store has no put_many of its own: the default loop serves it.

@@ -217,13 +217,39 @@ class TestDataLoader:
         list(loader.epoch())
         low_bytes = dataset.reader.stats.bytes_read
         dataset.reader.stats.reset()
-        dataset.set_scan_group(10)
+        loader.set_scan_group(10)
         list(loader.epoch())
         high_bytes = dataset.reader.stats.bytes_read
         assert low_bytes == dataset.reader.dataset_bytes_for_group(1)
         assert high_bytes == dataset.reader.dataset_bytes_for_group(10)
         assert high_bytes > 1.5 * low_bytes
+        assert dataset.scan_group == 1  # the loader switched, not the dataset
         dataset.close()
+
+    def test_a_probe_during_an_epoch_leaves_the_epoch_at_its_group(self, tmp_path, tiny_samples):
+        """A tuner's gradient probe reads at the group it measures; the epoch
+        it runs inside keeps delivering the loader's group, sample for sample."""
+        from collections import Counter
+
+        from repro.core.dataset import PCRDataset
+        from repro.training.gradients import dataset_gradient
+        from repro.training.loop import Trainer
+        from repro.training.models import LinearProbe
+
+        dataset = PCRDataset.build(tiny_samples, tmp_path / "probe", images_per_record=2)
+        with dataset:
+            expected = Counter(
+                collate([sample.image.pixels], [0]).images[0].tobytes() for sample in dataset
+            )
+            loader = DataLoader(
+                dataset, LoaderConfig(batch_size=2, n_workers=2, prefetch_batches=1)
+            )
+            trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
+            delivered: Counter = Counter()
+            for batch in loader.epoch():
+                dataset_gradient(trainer, dataset, 1)
+                delivered.update(image.tobytes() for image in batch.images)
+        assert delivered == expected
 
     def test_stalls_are_recorded(self, pcr_dataset):
         loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=1))

@@ -2,9 +2,9 @@
 
 Every test in :class:`TestConformance` runs unchanged over a
 local ``PCRDataset``, a ``RemoteRecordSource``, a ``ShardedRemoteRecordSource``
-and an ``AdaptiveScanGroupSource`` wrapping a remote source; the reference is
-always a direct :class:`~repro.core.reader.PCRReader` read of the same
-directory.  Backend-specific behaviour (failover, telemetry, the server's
+and a remote source whose loaders carry an ``AdaptiveScanGroupHook``; the
+reference is always a direct :class:`~repro.core.reader.PCRReader` read of
+the same directory.  Backend-specific behaviour (failover, telemetry, the server's
 cache) stays in ``test_cluster.py`` / ``test_control.py`` / ``test_serving.py``.
 """
 
@@ -15,7 +15,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.control import AdaptiveScanGroupSource
+from repro.control import AdaptiveScanGroupHook
 from repro.core.dataset import PCRDataset
 from repro.core.errors import ScanGroupError
 from repro.core.reader import PCRReader
@@ -58,7 +58,8 @@ def reader(pcr_dataset):
 @pytest.fixture(params=["local", "remote", "sharded", "adaptive"])
 def open_source(request, pcr_dataset):
     """``open_source(**kwargs)`` opens a fresh source of the backend under
-    test; every source opened is closed at teardown."""
+    test, and ``open_source.loader(source)`` a loader over it; every source
+    opened is closed at teardown."""
     backend = request.param
     opened = []
 
@@ -70,25 +71,25 @@ def open_source(request, pcr_dataset):
             source = ShardedRemoteRecordSource(shard_map, **kwargs)
         else:
             source = RemoteRecordSource(port=request.getfixturevalue("server").port, **kwargs)
-            if backend == "adaptive":
-                # Reporting is explicit only: conformance reads no hints.
-                source = AdaptiveScanGroupSource(source, report_interval=3600.0)
         opened.append(source)
         return source
 
+    def loader(source, decode_workers: int = 0) -> DataLoader:
+        # Reporting is explicit only: conformance reads no hints.
+        hook = AdaptiveScanGroupHook(report_interval=3600.0) if backend == "adaptive" else None
+        return DataLoader(source, _config(decode_workers), hook=hook)
+
+    factory.loader = loader
     yield factory
     for source in opened:
         source.close()
 
 
-def _loader(source, decode_workers: int = 0) -> DataLoader:
+def _config(decode_workers: int = 0) -> LoaderConfig:
     # One worker, no shuffle: record (and so batch) order is deterministic,
     # making epochs of different backends comparable 1:1.
-    return DataLoader(
-        source,
-        LoaderConfig(
-            batch_size=8, n_workers=1, shuffle=False, seed=123, decode_workers=decode_workers
-        ),
+    return LoaderConfig(
+        batch_size=8, n_workers=1, shuffle=False, seed=123, decode_workers=decode_workers
     )
 
 
@@ -104,19 +105,23 @@ class TestConformance:
 
     def test_scan_group_validation(self, open_source):
         source = open_source()
+        loader = open_source.loader(source)
+        name = source.record_names[0]
         for bad in (0, source.n_groups + 1):
             with pytest.raises(ScanGroupError):
-                source.set_scan_group(bad)
+                source.read_record(name, bad)
+            with pytest.raises(ScanGroupError):
+                loader.set_scan_group(bad)
             with pytest.raises(ScanGroupError):
                 open_source(scan_group=bad)
-        assert source.scan_group == source.n_groups
+        assert source.scan_group == loader.scan_group == source.n_groups
+        assert source.stats.records_read == 0  # rejected before any fetch
 
     def test_read_record_equals_the_readers(self, open_source, reader):
         source = open_source()
         for group in (1, reader.n_groups):
-            source.set_scan_group(group)
             for name in reader.record_names:
-                mine = source.read_record(name, decode=True)
+                mine = source.read_record(name, group, decode=True)
                 theirs = reader.read_record(name, group, decode=True)
                 assert [s.key for s in mine] == [s.key for s in theirs]
                 assert [s.label for s in mine] == [s.label for s in theirs]
@@ -127,14 +132,13 @@ class TestConformance:
     def test_byte_accounting_equals_the_readers_index(self, open_source, reader):
         source = open_source(scan_group=2)
         assert source.epoch_bytes() == reader.dataset_bytes_for_group(2)
-        source.set_scan_group(1)
-        assert source.epoch_bytes() == reader.dataset_bytes_for_group(1)
+        assert source.epoch_bytes(1) == reader.dataset_bytes_for_group(1)
         by_group = source.epoch_bytes_by_group()
         assert by_group == {
             group: reader.dataset_bytes_for_group(group)
             for group in range(1, reader.n_groups + 1)
         }
-        assert source.mean_sample_bytes() == by_group[1] / len(source)
+        assert source.mean_sample_bytes() == by_group[2] / len(source)
         assert source.mean_sample_bytes(5) == by_group[5] / len(source)
         name = reader.record_names[0]
         assert source.bytes_for_group(name, 3) == reader.bytes_for_group(name, 3)
@@ -142,7 +146,7 @@ class TestConformance:
     def test_loader_epoch_reads_exactly_epoch_bytes(self, open_source):
         source = open_source(scan_group=3)
         stats = source.stats
-        batches = list(_loader(source).epoch())
+        batches = list(open_source.loader(source).epoch())
         assert source.stats is stats  # the object callers captured at set-up
         assert sum(len(batch) for batch in batches) == len(source)
         assert stats.bytes_read == source.epoch_bytes()
@@ -154,13 +158,14 @@ class TestConformance:
         source = open_source()
         with (
             PCRDataset(pcr_dataset.reader.directory) as local,
-            _loader(source, decode_workers) as loader,
+            open_source.loader(source, decode_workers) as loader,
+            DataLoader(local, _config()) as reference,
         ):
             for group in (source.n_groups, 1):
-                source.set_scan_group(group)
-                local.set_scan_group(group)
+                loader.set_scan_group(group)
+                reference.set_scan_group(group)
                 mine = list(loader.epoch())
-                theirs = list(_loader(local).epoch())
+                theirs = list(reference.epoch())
                 assert len(mine) == len(theirs) > 0
                 for a, b in zip(mine, theirs):
                     assert np.array_equal(a.images, b.images)
@@ -168,25 +173,31 @@ class TestConformance:
             if decode_workers:
                 assert loader._decode_pool.stats.parallel_batches > 0
 
-    def test_scan_group_switch_sets_gauge_and_counter(self, open_source):
-        registry = get_registry()
+    def test_loader_scan_group_switch_counts(self, open_source):
+        """The switch is the loader's: it counts, and leaves the source and
+        every other loader over it where they were."""
+        counters = lambda: get_registry().snapshot()["counters"]  # noqa: E731
         source = open_source()
-        snapshot = registry.snapshot()
-        assert snapshot["gauges"]["serving.client.scan_group"] == source.n_groups
-        before = snapshot["counters"].get("serving.client.scan_group_switches_total", 0)
-        source.set_scan_group(2)
-        source.set_scan_group(2)  # no-op: same group, no switch
-        source.set_scan_group(5)
-        snapshot = registry.snapshot()
-        assert snapshot["gauges"]["serving.client.scan_group"] == 5
-        assert snapshot["counters"]["serving.client.scan_group_switches_total"] - before == 2
+        loader, other = open_source.loader(source), open_source.loader(source)
+        before = counters().get("loader.scan_group_switches_total", 0)
+        loader.set_scan_group(2)
+        loader.set_scan_group(2)  # no-op: same group, no switch
+        loader.set_scan_group(5)
+        assert counters()["loader.scan_group_switches_total"] - before == 2
+        assert (loader.scan_group, other.scan_group, source.scan_group) == (5, 10, 10)
 
-    def test_label_mapper_view_shares_the_fetcher(self, open_source):
+    def test_label_mapper_view_shares_the_fetcher(self, open_source, reader):
         source = open_source(scan_group=1)
         view = source.with_label_mapper(lambda label: label % 2)
         assert view.fetcher is source.fetcher
         assert view.scan_group == 1
         assert {sample.label for sample in view} == {0, 1}
+        # A loader over the view reads at the loader's group, switched or not.
+        loader = open_source.loader(view)
+        loader.set_scan_group(3)
+        before = view.stats.bytes_read
+        assert sum(len(batch) for batch in loader.epoch()) == len(source)
+        assert view.stats.bytes_read - before == reader.dataset_bytes_for_group(3)
         # the underlying source is unchanged
         assert {sample.label for sample in source} == {0, 1, 2, 3}
 
@@ -240,9 +251,9 @@ class TestOneSeam:
         for cls in NAMED_SOURCES:
             assert issubclass(cls, RecordSource)
             for member in (
-                "read_record", "set_scan_group",
+                "read_record", "scan_group",
                 "epoch_bytes", "epoch_bytes_by_group", "mean_sample_bytes",
-                "with_label_mapper", "bind_stall_tracker", "close",
+                "with_label_mapper", "close",
             ):
                 assert getattr(cls, member) is getattr(RecordSource, member), (cls, member)
 
@@ -262,9 +273,8 @@ class TestOneSeam:
         assert options(PCRDataset) == ["directory", "scan_group", "decode", "label_mapper"]
         assert options(RemoteRecordSource) == ["host", "port", "scan_group", "decode"]
         assert options(ShardedRemoteRecordSource) == ["shard_map", "scan_group", "decode"]
-        assert options(AdaptiveScanGroupSource) == [
-            "source", "client_id", "report_interval", "throttle",
-        ]
+        assert options(DataLoader) == ["dataset", "config", "augmentations", "hook"]
+        assert options(AdaptiveScanGroupHook) == ["client_id", "report_interval", "throttle"]
 
     def test_fetchers_satisfy_the_protocol(self, reader, server, cluster):
         assert isinstance(reader, RecordFetcher)

@@ -323,10 +323,11 @@ class TestModelsAndTrainer:
         loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=1, seed=1))
         model = LinearProbe(n_classes=4, input_size=32)
         trainer = Trainer(model, SGD(learning_rate=0.05), WarmupStepSchedule(0.05, warmup_epochs=1))
-        result = trainer.train_epoch(loader, test_loader=loader, scan_group=10)
+        loader.set_scan_group(4)
+        result = trainer.train_epoch(loader, test_loader=loader)
         assert result.images_per_second > 0
         assert result.test_accuracy is not None
-        assert trainer.history.epochs[0].scan_group == 10
+        assert trainer.history.epochs[0].scan_group == 4  # the loader's, not the source's
 
     def test_history_time_to_accuracy(self, pcr_dataset):
         loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=1, seed=2))
@@ -365,4 +366,4 @@ class TestGradientSimilarity:
         )
         assert similarities[10] == pytest.approx(1.0, abs=1e-9)
         assert similarities[1] <= similarities[5] + 0.05
-        assert pcr_dataset.scan_group == 10  # restored after measurement
+        assert pcr_dataset.scan_group == 10  # probes pass their group; nothing switched

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.dataset import PCRDataset
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.serving.remote_source import RemoteRecordSource
 from repro.serving.server import PCRRecordServer
@@ -77,53 +78,66 @@ class TestLossPlateauController:
             controller = LossPlateauController(
                 candidate_groups=[1, 5], probe_batches=1, loss_slack=10.0
             )
-            decision = controller.tune(trainer, dataset, loader, epoch=3)
+            decision = controller.tune(trainer, loader, epoch=3)
             assert decision.chosen_group in {1, 5, 10}
-            assert dataset.scan_group == decision.chosen_group
+            assert loader.scan_group == decision.chosen_group
+            assert dataset.scan_group == 10  # the source was never switched
             # the probing updates were rolled back
             for layer_state, layer_now in zip(state_before, trainer.checkpoint()):
                 for name in layer_state:
                     assert np.allclose(layer_state[name], layer_now[name])
-            dataset.set_scan_group(10)
 
     def test_generous_slack_prefers_smallest_group(self, pcr_dataset):
         loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=1, seed=4))
         trainer = Trainer(LinearProbe(n_classes=4, input_size=32), SGD(learning_rate=0.01))
         controller = LossPlateauController(candidate_groups=[1, 5], probe_batches=1, loss_slack=100.0)
-        decision = controller.tune(trainer, pcr_dataset, loader, epoch=0)
+        decision = controller.tune(trainer, loader, epoch=0)
         assert decision.chosen_group == 1
-        pcr_dataset.set_scan_group(10)
 
 
 class TestGradientCosineController:
     def test_threshold_controls_choice(self, local_and_remote):
         for dataset in local_and_remote:
+            loader = DataLoader(dataset)
             trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
             lenient = GradientCosineController(
                 candidate_groups=[1, 5, 10], similarity_threshold=0.0, max_samples=8
             )
-            decision = lenient.tune(trainer, dataset, epoch=0)
-            assert decision.chosen_group == 1
+            decision = lenient.tune(trainer, loader, epoch=0)
+            assert decision.chosen_group == 1 == loader.scan_group
             strict = GradientCosineController(
                 candidate_groups=[1, 5, 10], similarity_threshold=0.999999, max_samples=8
             )
-            decision = strict.tune(trainer, dataset, epoch=1)
+            decision = strict.tune(trainer, loader, epoch=1)
             assert decision.chosen_group >= 5
             assert decision.inputs[10] == pytest.approx(1.0, abs=1e-9)
-            dataset.set_scan_group(10)
 
     def test_decisions_are_recorded(self, pcr_dataset):
+        loader = DataLoader(pcr_dataset)
         trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
         controller = GradientCosineController(candidate_groups=[1, 10], similarity_threshold=0.9, max_samples=8)
-        controller.tune(trainer, pcr_dataset, epoch=0)
-        controller.tune(trainer, pcr_dataset, epoch=5)
+        controller.tune(trainer, loader, epoch=0)
+        controller.tune(trainer, loader, epoch=5)
         assert len(controller.decisions) == 2
         first, second = controller.decisions
         assert (first.interval, second.interval) == (0, 5)
         assert first.previous_group == 10 and first.reason
         assert second.previous_group == first.chosen_group
         assert second.direction == "hold"
-        pcr_dataset.set_scan_group(10)
+
+    def test_the_switch_reaches_a_label_view_the_loader_reads(self, pcr_dataset):
+        """The tuner switches the loader it was handed, so a make-only view
+        under that loader reads at the chosen group from the next epoch on."""
+        with PCRDataset(pcr_dataset.reader.directory) as dataset:
+            view = dataset.with_label_mapper(lambda label: label % 2)
+            loader = DataLoader(view, LoaderConfig(batch_size=8, n_workers=1))
+            trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
+            GradientCosineController([1, 10], similarity_threshold=0.0, max_samples=8).tune(
+                trainer, loader, epoch=0
+            )
+            before = view.stats.bytes_read
+            list(loader.epoch())
+            assert view.stats.bytes_read - before == dataset.epoch_bytes(1)
 
     def test_offline_and_online_decisions_are_one_record(self, pcr_dataset):
         from repro.control import ClientControlState, ClientTelemetry, StallTargetPolicy
@@ -132,8 +146,7 @@ class TestGradientCosineController:
         trainer = Trainer(LinearProbe(n_classes=4, input_size=32))
         offline = GradientCosineController(
             candidate_groups=[1, 10], similarity_threshold=0.0, max_samples=8
-        ).tune(trainer, pcr_dataset, epoch=2)
-        pcr_dataset.set_scan_group(10)
+        ).tune(trainer, DataLoader(pcr_dataset), epoch=2)
         online = StallTargetPolicy().decide(
             ClientTelemetry(client_id="c0", scan_group=10, n_groups=10),
             ClientControlState("c0"),
