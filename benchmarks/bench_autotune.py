@@ -1,20 +1,22 @@
-"""Closed-loop autotune benchmark: the controller against degraded serving.
+"""Closed-loop autotune benchmark: the loader hook against degraded serving.
 
 Exercises the :mod:`repro.control` feedback loop end to end — real server,
-real wire telemetry, real ``DataLoader`` — under the failure scenarios the
-controller exists for, each with the controller ON vs OFF:
+real ``DataLoader`` carrying an ``AdaptiveScanGroupHook`` — under the
+failure scenarios the loop exists for, each with the controller ON (the
+hook steps its policy once per interval) vs OFF (the same hook and link,
+never stepped):
 
 * ``capped_link`` — one trainer behind a bandwidth-capped link
-  (:class:`~repro.pipeline.stall.BandwidthThrottle`): the controller must
+  (:class:`~repro.pipeline.stall.BandwidthThrottle`): the hook must
   converge the scan group down within a bounded number of control
   intervals and hold a lower steady-state stall fraction than the
   uncontrolled run, then converge back up when the cap lifts;
 * ``mixed_fidelity_fleet`` — three trainers with different link budgets
-  steered by one controller: each converges to its own fidelity;
+  on one server, each steered by its own hook: each converges to its own
+  fidelity;
 * ``degraded_replica`` — a sharded cluster that loses one replica per
-  shard mid-run while its effective link degrades: the fleet-wide cluster
-  controller steers down through the same failover path the loader reads
-  through.
+  shard mid-run while its effective link degrades: the hook steers down
+  while its loader reads through the client's failover path.
 
 Results are merged into ``BENCH_serving.json`` as an ``autotune`` section:
 
@@ -62,13 +64,18 @@ def _policy() -> StallTargetPolicy:
 
 
 class _Trainer:
-    """One training client: a source + an adaptive loader + compute budget."""
+    """One training client: a source + an adaptive loader + compute budget.
+
+    The hook's interval never ends on its own; ``steered`` trainers end it
+    with one ``hook.step()`` per interval, the others never do.
+    """
 
     def __init__(self, source, batch_size: int, compute_seconds_per_batch: float,
-                 client_id: str, throttle: BandwidthThrottle) -> None:
+                 throttle: BandwidthThrottle, steered: bool = True) -> None:
         self.source = source
+        self.steered = steered
         self.hook = AdaptiveScanGroupHook(
-            client_id=client_id, report_interval=3600.0, throttle=throttle
+            policy=_policy(), interval=3600.0, throttle=throttle
         )
         self.loader = DataLoader(
             source,
@@ -78,8 +85,8 @@ class _Trainer:
         self.compute_seconds_per_batch = compute_seconds_per_batch
         self.intervals: list[dict] = []
 
-    def run_interval(self, controller=None) -> dict:
-        """One control interval: an epoch of 'training', then report/steer."""
+    def run_interval(self) -> dict:
+        """One control interval: an epoch of 'training', then a steer."""
         stalls = self.loader.stalls
         stats = self.source.stats
         wait0, compute0 = stalls.total_wait, stalls.total_compute
@@ -88,10 +95,8 @@ class _Trainer:
         for _ in self.loader.epoch():
             time.sleep(self.compute_seconds_per_batch)
         elapsed = time.perf_counter() - start
-        self.hook.report_now()
-        if controller is not None:
-            controller.step()
-            self.hook.report_now()  # pick up the hint the step published
+        if self.steered:
+            self.hook.step()
         wait = stalls.total_wait - wait0
         compute = stalls.total_compute - compute0
         n_bytes = stats.bytes_read - bytes0
@@ -136,18 +141,18 @@ def _bench_capped_link(
     out: dict[str, dict] = {}
     for arm in ("controller_off", "controller_on"):
         with PCRRecordServer(directory, port=0) as server:
-            controller = None
-            if arm == "controller_on":
-                controller = server.start_controller(policy=_policy(), auto_start=False)
             throttle = BandwidthThrottle(None)
             with RemoteRecordSource(port=server.port) as source:
                 n_groups = source.n_groups
                 batches = max(1, len(source) // batch_size)
                 compute_budget = batches * compute_seconds
                 throttle.set_rate(_capped_rate(source, compute_budget))
-                trainer = _Trainer(source, batch_size, compute_seconds, "trainer", throttle)
+                trainer = _Trainer(
+                    source, batch_size, compute_seconds, throttle,
+                    steered=arm == "controller_on",
+                )
                 for _ in range(n_intervals):
-                    trainer.run_interval(controller)
+                    trainer.run_interval()
                 steady = trainer.steady_state(steady_k)
                 result = {
                     "n_intervals": n_intervals,
@@ -159,8 +164,8 @@ def _bench_capped_link(
                         round(r["stall_fraction"], 4) for r in trainer.intervals
                     ],
                 }
-                if controller is not None:
-                    switches = controller.switch_log()
+                if trainer.steered:
+                    switches = trainer.hook.switch_log()
                     result["intervals_to_converge"] = (
                         switches[-1]["interval"] + 1 if switches else 0
                     )
@@ -168,16 +173,15 @@ def _bench_capped_link(
                     # Recovery: lift the cap, the loop must converge back up.
                     throttle.set_rate(None)
                     for _ in range(recovery_intervals):
-                        trainer.run_interval(controller)
+                        trainer.run_interval()
                         if trainer.loader.scan_group == n_groups:
                             break
+                    switches = trainer.hook.switch_log()
                     result["recovery"] = {
                         "recovered_group": trainer.loader.scan_group,
                         "recovered_to_full": trainer.loader.scan_group == n_groups,
-                        "direction_changes_total": _direction_changes(
-                            controller.switch_log()
-                        ),
-                        "decision_log_tail": controller.switch_log()[-4:],
+                        "direction_changes_total": _direction_changes(switches),
+                        "decision_log_tail": switches[-4:],
                     }
                 out[arm] = result
     on = out["controller_on"]["steady_state"]
@@ -198,9 +202,8 @@ def _bench_mixed_fleet(
     batch_size: int,
     compute_seconds: float,
 ) -> dict:
-    """Three trainers with different link budgets, one controller."""
+    """Three trainers with different link budgets, one hook each."""
     with PCRRecordServer(directory, port=0) as server:
-        controller = server.start_controller(policy=_policy(), auto_start=False)
         trainers: dict[str, _Trainer] = {}
         sources: list[RemoteRecordSource] = []
         try:
@@ -217,21 +220,13 @@ def _bench_mixed_fleet(
                 source = RemoteRecordSource(port=server.port)
                 sources.append(source)
                 trainers[name] = _Trainer(
-                    source, batch_size, compute_seconds, name, BandwidthThrottle(rate)
+                    source, batch_size, compute_seconds, BandwidthThrottle(rate)
                 )
             for _ in range(n_intervals):
-                # Every client trains and reports, then one fleet-wide step
-                # steers them all — the controller sees the whole fleet.
+                # Each trainer trains and steps its own hook: nothing is
+                # shared but the server they all read from.
                 for trainer in trainers.values():
-                    for _ in trainer.loader.epoch():
-                        time.sleep(trainer.compute_seconds_per_batch)
-                    trainer.hook.report_now()
-                controller.step()
-                for trainer in trainers.values():
-                    trainer.hook.report_now()
-                    trainer.intervals.append(
-                        {"scan_group": trainer.loader.scan_group}
-                    )
+                    trainer.run_interval()
             per_client = {
                 name: {
                     "final_group": trainer.loader.scan_group,
@@ -244,8 +239,6 @@ def _bench_mixed_fleet(
                 "n_intervals": n_intervals,
                 "clients": per_client,
                 "distinct_fidelities": len(set(groups)),
-                "clients_tracked": len(controller.states()),
-                "cache_admission_bias": server.cache.stats()["admission_bias"],
             }
         finally:
             for source in sources:
@@ -263,31 +256,31 @@ def _bench_degraded_replica(
     out: dict[str, dict] = {}
     for arm in ("controller_off", "controller_on"):
         with ClusterCoordinator(directory, n_shards=2, n_replicas=2) as cluster:
-            controller = None
-            if arm == "controller_on":
-                controller = cluster.start_controller(policy=_policy(), auto_start=False)
             throttle = BandwidthThrottle(None)
             with ShardedRemoteRecordSource(cluster.shard_map) as source:
                 batches = max(1, len(source) // batch_size)
                 compute_budget = batches * compute_seconds
-                trainer = _Trainer(source, batch_size, compute_seconds, "trainer", throttle)
-                healthy = trainer.run_interval(controller)
+                trainer = _Trainer(
+                    source, batch_size, compute_seconds, throttle,
+                    steered=arm == "controller_on",
+                )
+                healthy = trainer.run_interval()
                 # Degrade: one replica of every shard dies and the surviving
                 # path's effective bandwidth collapses.
                 for shard_id in cluster.shard_map.shard_ids:
                     cluster.stop_replica(shard_id, 1)
                 throttle.set_rate(_capped_rate(source, compute_budget))
                 for _ in range(n_intervals):
-                    trainer.run_interval(controller)
+                    trainer.run_interval()
                 result = {
                     "healthy_interval": healthy,
                     "degraded_steady_state": trainer.steady_state(steady_k),
                     "trajectory": [r["scan_group"] for r in trainer.intervals],
                     "live_replicas": len(cluster.live_replicas()),
                 }
-                if controller is not None:
+                if trainer.steered:
                     result["direction_changes"] = _direction_changes(
-                        controller.switch_log()
+                        trainer.hook.switch_log()
                     )
                 out[arm] = result
     on = out["controller_on"]["degraded_steady_state"]
@@ -372,9 +365,8 @@ def print_report(results: dict) -> None:
     if "mixed_fidelity_fleet" in results:
         fleet = results["mixed_fidelity_fleet"]
         print("-" * 74)
-        print(f"mixed-fidelity fleet ({fleet['clients_tracked']} clients, "
-              f"{fleet['distinct_fidelities']} distinct fidelities, "
-              f"cache bias {fleet['cache_admission_bias']}):")
+        print(f"mixed-fidelity fleet ({len(fleet['clients'])} clients, "
+              f"{fleet['distinct_fidelities']} distinct fidelities):")
         for name, row in fleet["clients"].items():
             print(f"  {name:>9s}: group {row['final_group']:>2d}  "
                   f"trajectory {row['trajectory']}")
@@ -422,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def test_autotune_bench_smoke():
-    """Tier-2 smoke (CI): the controller must beat the uncontrolled run.
+    """Tier-2 smoke (CI): the steered loader must beat the unsteered one.
 
     Under the capped link the controller-on arm must (a) converge to a
     smaller scan group with at most one direction change, (b) hold a

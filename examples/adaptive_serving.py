@@ -1,12 +1,12 @@
-"""Close the autotune loop: a controller steers training fidelity live.
+"""Close the autotune loop: a loader hook steers training fidelity live.
 
 Builds a small synthetic PCR dataset, launches a 2-shard x 2-replica
-serving cluster, attaches a fleet-wide :class:`FidelityController`, and
-drives a training loop whose loader carries an
-:class:`AdaptiveScanGroupHook`, behind a bandwidth-capped link.  The loader
-reports its stall telemetry over the wire (the ``REPORT_TELEMETRY`` op); the
-controller answers with scan-group hints the hook applies to the loader.  Mid-run the link cap is lifted
-and the controller steers fidelity back up.  The decision log — every
+serving cluster, and drives a training loop whose loader carries an
+:class:`AdaptiveScanGroupHook`, behind a bandwidth-capped link.  At the end
+of every interval the hook hands its policy the loader's own stall and
+byte window and applies the decision through the loader's
+``set_scan_group`` — the servers only serve records.  Mid-run the link cap
+is lifted and the hook steers fidelity back up.  The decision log — every
 steer with its rationale — is printed at the end.
 
 Run with:  PYTHONPATH=src python examples/adaptive_serving.py
@@ -44,17 +44,13 @@ def main() -> None:
 
     with ClusterCoordinator(workdir, n_shards=2, n_replicas=2) as cluster:
         print(f"Cluster up: {cluster.shard_map.n_shards} shards x 2 replicas")
-        controller = cluster.start_controller(
-            policy=StallTargetPolicy(
-                target_stall_fraction=0.2, hysteresis=0.5, cooldown_intervals=0
-            ),
-            auto_start=False,  # stepped explicitly so the demo is deterministic
-        )
         throttle = BandwidthThrottle(None)
         with ShardedRemoteRecordSource(shard_map=cluster.shard_map) as source:
             hook = AdaptiveScanGroupHook(
-                client_id="trainer-0",
-                report_interval=3600.0,  # report at interval boundaries only
+                policy=StallTargetPolicy(
+                    target_stall_fraction=0.2, hysteresis=0.5, cooldown_intervals=0
+                ),
+                interval=3600.0,  # stepped explicitly so the demo is deterministic
                 throttle=throttle,
             )
             loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=1, seed=0), hook=hook)
@@ -67,37 +63,35 @@ def main() -> None:
             capped = source.epoch_bytes() / (4 * compute_budget)
             throttle.set_rate(capped)
             print(f"Link capped at {capped / 1024:.0f} KiB/s; "
-                  f"controller target stall fraction 0.20\n")
+                  f"policy target stall fraction 0.20\n")
 
             for interval in range(N_INTERVALS):
                 if interval == UNCAP_AT_INTERVAL:
                     throttle.set_rate(None)
-                    print("    -> link cap lifted; the controller steers back up")
+                    print("    -> link cap lifted; the hook steers back up")
                 stalls = loader.stalls
                 wait0, compute0 = stalls.total_wait, stalls.total_compute
                 for batch in loader.epoch():
                     trainer.train_step(batch)
                     time.sleep(COMPUTE_SECONDS_PER_BATCH)
-                hook.report_now()
-                controller.step()
-                hook.report_now()  # pick up the hint this step published
+                hook.step()  # decide on this interval's window and apply
                 wait = stalls.total_wait - wait0
                 compute = stalls.total_compute - compute0
                 stall = wait / (wait + compute) if wait + compute else 0.0
                 print(f"  interval {interval}: scan group {loader.scan_group:2d}  "
                       f"stall {stall:.2f}")
 
-            print("\nController decision log (steers only):")
-            for entry in controller.switch_log():
+            print("\nDecision log (steers only):")
+            for entry in hook.switch_log():
                 print(f"  interval {entry['interval']:2d}: "
                       f"{entry['previous_group']} -> {entry['chosen_group']} "
                       f"({entry['direction']}) because {entry['reason']}")
             fleet = cluster.stats()
             counters = fleet["merged"]["counters"]
-            print(f"\nFleet telemetry: "
-                  f"{counters.get('serving.telemetry.reports_total', 0):.0f} reports, "
-                  f"{counters.get('serving.telemetry.hints_served_total', 0):.0f} hints served "
-                  f"across {fleet['live_replicas']} replicas")
+            print(f"\nFleet: "
+                  f"{counters.get('serving.requests.get_record_total', 0):.0f} record reads, "
+                  f"{counters.get('serving.cache.bytes_served_total', 0) / 1024:.0f} KiB "
+                  f"served from cache across {fleet['live_replicas']} replicas")
 
 
 if __name__ == "__main__":

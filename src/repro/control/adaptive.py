@@ -1,30 +1,35 @@
-"""Loader-side half of the control loop: report telemetry, apply hints.
+"""The adaptive-fidelity control loop, run beside the loader it steers.
 
 ``AdaptiveScanGroupHook`` is a :class:`~repro.pipeline.loader.LoaderHook`
-for a ``DataLoader`` over any source whose fetcher can ``report_telemetry``
-(:class:`~repro.serving.remote_source.RemoteRecordSource` or the sharded
-variant), and closes the loop from the client side:
+for a ``DataLoader`` over any :class:`~repro.core.source.RecordSource` — a
+local ``PCRDataset`` behind slow storage, a ``RemoteRecordSource`` or a
+``ShardedRemoteRecordSource`` — and closes the paper's autotune loop where
+the measurements are taken:
 
-* after each record read, once per reporting window, it ships a
-  :class:`~repro.control.telemetry.ClientTelemetry` report — the loader's
-  stall split (from the loader's
-  :class:`~repro.pipeline.stall.StallTracker`), the window's
-  byte/record/sample deltas, and the per-group bytes/sample profile from the
-  first record index it sees — on the ``REPORT_TELEMETRY`` wire op;
-* the hint riding the ack is applied through the loader's
-  ``set_scan_group``, i.e. exactly at a record boundary: the read that
-  triggered the report completes at the old fidelity, every subsequent read
-  runs at the steered one.
+* after each record read the loader hands it that read's own
+  :class:`~repro.core.reader.ReadStats`, which it adds to the current
+  window, so loaders sharing one source never count each other's reads;
+* every ``interval`` seconds, piggybacked on a record read (never a timer
+  thread), it closes the window — the loader's stall split from its
+  :class:`~repro.pipeline.stall.StallTracker`, the window's byte / record /
+  sample counts, and the per-group bytes/sample profile of the first
+  record index — as one :class:`~repro.control.policy.ClientTelemetry` and
+  asks its policy for a decision;
+* it applies a steer through the loader's ``set_scan_group``, i.e. exactly
+  at a record boundary: a read already under way finishes at the old
+  fidelity, every later one runs at the steered one.
+
+Every decision is kept (``decision_log()``; ``switch_log()`` keeps only the
+steers) and counted as ``control.*`` metrics on the process registry.
 
 An optional :class:`~repro.pipeline.stall.BandwidthThrottle` models a
-capped network link for experiments and the autotune benchmark: fetched
-bytes are charged against the cap *in the reader thread*, so the induced
-delay surfaces in the loader's own stall tracker the same way a slow real
-link would.
+capped link for experiments and the autotune benchmark: each read's bytes
+are charged against the cap *in the reader thread*, so the induced delay
+surfaces in the loader's own stall tracker the same way a slow real link
+would.
 
 Wiring is one argument::
 
-    source = RemoteRecordSource(port=server.port)
     loader = DataLoader(source, config, hook=AdaptiveScanGroupHook())
 """
 
@@ -32,136 +37,119 @@ from __future__ import annotations
 
 import threading
 import time
-import uuid
+from collections import deque
 
-from repro.control.telemetry import ClientTelemetry, ScanGroupHint
+from repro.control.policy import ClientControlState, ClientTelemetry, StallTargetPolicy
+from repro.core.reader import ReadStats
+from repro.core.scan_groups import DOWN, UP, ScanGroupDecision
 from repro.obs import get_registry
 
-DEFAULT_REPORT_INTERVAL_SECONDS = 0.25
+DEFAULT_INTERVAL_SECONDS = 0.5
+_LOG_CAPACITY = 512
 
 
 class AdaptiveScanGroupHook:
-    """Reports one loader's telemetry and steers its scan group by hints."""
+    """Steers one loader's scan group by a policy over the loader's own windows."""
 
     def __init__(
         self,
-        client_id: str | None = None,
-        report_interval: float = DEFAULT_REPORT_INTERVAL_SECONDS,
+        policy=None,
+        interval: float = DEFAULT_INTERVAL_SECONDS,
         throttle=None,
     ) -> None:
-        self.client_id = (
-            client_id if client_id is not None else f"loader-{uuid.uuid4().hex[:8]}"
-        )
-        self.report_interval = report_interval
+        self.policy = policy if policy is not None else StallTargetPolicy()
+        self.interval = interval
         self.throttle = throttle
         self.loader = None
-        self.last_hint: ScanGroupHint | None = None
-        self.reports_sent = 0
-        self.hints_applied = 0
-        self._report_lock = threading.Lock()
-        self._throttle_lock = threading.Lock()
+        self.state = ClientControlState()
+        self._log: deque[ScanGroupDecision] = deque(maxlen=_LOG_CAPACITY)
+        self._intervals = 0
+        self._reads_lock = threading.Lock()
+        self._step_lock = threading.Lock()
         self._bytes_per_sample: dict[int, float] | None = None
 
     def bind(self, loader) -> None:
         """Attach to ``loader``; its ``DataLoader`` constructor calls this."""
-        source = loader.dataset
-        if not callable(getattr(source.fetcher, "report_telemetry", None)):
-            raise TypeError(
-                f"{type(source).__name__}'s fetcher ({type(source.fetcher).__name__}) cannot "
-                "report_telemetry: adaptive control needs a served source, not a local dataset"
-            )
         if self.loader is not None:
-            raise ValueError(f"hook {self.client_id!r} already steers another loader")
+            raise ValueError("this hook already steers another loader")
         self.loader = loader
-        self._throttle_charged = source.stats.bytes_read
+        self._reads = ReadStats()
         self._window_started = time.monotonic()
-        self._window_base = self._usage_totals()
+        self._stalls_base = (loader.stalls.total_wait, loader.stalls.total_compute)
 
-    # -- the loop's client side ----------------------------------------------
+    # -- the loop --------------------------------------------------------------
 
-    def after_read(self) -> None:
+    def after_read(self, read: ReadStats) -> None:
         if self.throttle is not None:
             # Charge this read's bytes against the simulated link in the
             # calling (reader) thread: the sleep shows up as loader wait,
             # exactly like a saturated real link.
-            total = self.loader.dataset.stats.bytes_read
-            with self._throttle_lock:
-                delta = total - self._throttle_charged
-                self._throttle_charged = total
-            if delta > 0:
-                self.throttle.charge(delta)
-        # One reporter at a time; concurrent readers skip instead of queueing
-        # behind the round trip.
-        if not self._report_lock.acquire(blocking=False):
+            self.throttle.charge(read.bytes_read)
+        with self._reads_lock:
+            self._reads.add(read.bytes_read, read.samples_decoded)
+        # One stepper at a time; concurrent readers skip instead of queueing.
+        if not self._step_lock.acquire(blocking=False):
             return
         try:
-            if time.monotonic() - self._window_started >= self.report_interval:
-                self.report_now()
+            if time.monotonic() - self._window_started >= self.interval:
+                self._step()
         finally:
-            self._report_lock.release()
+            self._step_lock.release()
 
-    def _usage_totals(self) -> tuple[int, int, int, float, float]:
-        stats = self.loader.dataset.stats
-        stalls = self.loader.stalls
-        return (
-            stats.bytes_read,
-            stats.records_read,
-            stats.samples_decoded,
-            stalls.total_wait,
-            stalls.total_compute,
-        )
+    def step(self) -> ScanGroupDecision:
+        """End the current interval now: decide on its window and apply.
+
+        Besides the time-based path, tests and the benchmark call this to
+        end an interval at an exact point in the workload.
+        """
+        with self._step_lock:
+            return self._step()
+
+    def _step(self) -> ScanGroupDecision:
+        state = self.state
+        changes_before = state.direction_changes
+        decision = self.policy.decide(self._close_window(), state, self._intervals)
+        self._intervals += 1
+        self._log.append(decision)
+        registry = get_registry()
+        registry.counter("control.decisions_total").inc()
+        if decision.direction == UP:
+            registry.counter("control.steps_up_total").inc()
+        elif decision.direction == DOWN:
+            registry.counter("control.steps_down_total").inc()
+        else:
+            registry.counter("control.holds_total").inc()
+        if state.direction_changes > changes_before:
+            registry.counter("control.direction_changes_total").inc(
+                state.direction_changes - changes_before
+            )
+        if decision.changed:
+            self.loader.set_scan_group(decision.chosen_group)
+        return decision
 
     def _close_window(self) -> ClientTelemetry:
-        """The totals accumulated since the last report, as one telemetry
-        window; starts the next window."""
-        base = self._window_base
-        current = self._usage_totals()
+        """The loader's reads and stalls since the last step, as one window;
+        starts the next window."""
+        loader = self.loader
+        with self._reads_lock:
+            reads, self._reads = self._reads, ReadStats()
+        wait0, compute0 = self._stalls_base
+        wait, compute = loader.stalls.total_wait, loader.stalls.total_compute
+        self._stalls_base = (wait, compute)
         now = time.monotonic()
         window = max(now - self._window_started, 1e-9)
         self._window_started = now
-        self._window_base = current
         return ClientTelemetry(
-            client_id=self.client_id,
-            scan_group=self.loader.scan_group,
-            n_groups=self.loader.dataset.n_groups,
+            scan_group=loader.scan_group,
+            n_groups=loader.dataset.n_groups,
             window_seconds=window,
-            wait_seconds=max(0.0, current[3] - base[3]),
-            compute_seconds=max(0.0, current[4] - base[4]),
-            bytes_read=current[0] - base[0],
-            records_read=current[1] - base[1],
-            samples=current[2] - base[2],
+            wait_seconds=max(0.0, wait - wait0),
+            compute_seconds=max(0.0, compute - compute0),
+            bytes_read=reads.bytes_read,
+            records_read=reads.records_read,
+            samples=reads.samples_decoded,
             bytes_per_sample_by_group=self._group_byte_profile(),
         )
-
-    def report_now(self) -> ScanGroupHint | None:
-        """Ship one report immediately and apply any hint that comes back.
-
-        The report is the window accumulated since the last one; besides the
-        time-based path, tests and the benchmark call this to force a report
-        at an exact point in the workload.
-        """
-        telemetry = self._close_window()
-        try:
-            ack = self.loader.dataset.fetcher.report_telemetry(telemetry.to_payload())
-        except Exception:
-            # Telemetry is best-effort: a dead or pre-control server must
-            # never fail the read that triggered the report.
-            get_registry().counter("loader.telemetry.report_errors_total").inc()
-            return None
-        self.reports_sent += 1
-        registry = get_registry()
-        registry.counter("loader.telemetry.reports_total").inc()
-        hint_payload = ack.get("hint") if isinstance(ack, dict) else None
-        if not hint_payload:
-            return None
-        hint = ScanGroupHint.from_payload(hint_payload)
-        self.last_hint = hint
-        registry.counter("loader.telemetry.hints_received_total").inc()
-        if hint.scan_group != self.loader.scan_group:
-            self.loader.set_scan_group(hint.scan_group)
-            self.hints_applied += 1
-            registry.counter("loader.telemetry.hints_applied_total").inc()
-        return hint
 
     def _group_byte_profile(self) -> dict[int, float]:
         """Mean bytes/sample at every scan group, from the first record index.
@@ -184,3 +172,15 @@ class AdaptiveScanGroupHook:
                 for group in range(1, source.n_groups + 1)
             }
         return self._bytes_per_sample
+
+    # -- inspection ------------------------------------------------------------
+
+    def decision_log(self) -> list[dict]:
+        """The last 512 decisions, oldest first, as payload dicts."""
+        with self._step_lock:
+            return [decision.to_payload() for decision in self._log]
+
+    def switch_log(self) -> list[dict]:
+        """Only the decisions that changed the group — the convergence
+        trace the acceptance tests assert direction-change bounds on."""
+        return [entry for entry in self.decision_log() if entry["direction"] != "hold"]

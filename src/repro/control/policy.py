@@ -1,29 +1,29 @@
-"""Pluggable control policies: telemetry in, scan-group decision out.
+"""Pluggable control policies: one loader's window in, scan-group decision out.
 
 A policy is the pure decision core of the adaptive-fidelity loop — the
 online counterpart of the offline controllers in :mod:`repro.tuning`.
 Every control interval ``decide(telemetry, state, interval)`` sees one
-client's latest :class:`~repro.control.telemetry.ClientTelemetry` plus the
-controller's per-client :class:`ClientControlState` and returns a
+loader's last window as a :class:`ClientTelemetry` plus the hook's
+:class:`ClientControlState` and returns a
 :class:`~repro.core.scan_groups.ScanGroupDecision` — the same record the
-offline tuners return, defined below both packages so that a serving
-process does not load the trainer to steer a client.
+offline tuners return, defined below both packages so that neither imports
+the other to share it.
 
 Two policies are provided:
 
 * :class:`StallTargetPolicy` — drive the loader's stall fraction toward a
   target with an AIMD-style group step: multiplicative decrease when the
-  client is stalling (shed fidelity fast, the paper's autotune instinct),
+  loader is stalling (shed fidelity fast, the paper's autotune instinct),
   additive +1 increase when it has headroom.  A hysteresis deadband around
   the target plus a post-switch cooldown keeps noisy stall measurements
   from oscillating the fidelity.
 * :class:`BandwidthBudgetPolicy` — pick the *largest* scan group whose
   projected byte rate (mean bytes/sample at that group × observed
-  samples/s) fits the link budget (explicit, or the client's demonstrated
+  samples/s) fits the link budget (explicit, or the loader's demonstrated
   throughput) with headroom.
 
-Both hold while the client has not yet applied the previous decision
-(telemetry taken at a different group than the steered one describes the
+Both hold while the loader is not yet reading at the steered group
+(a window taken at a different group than the steered one describes the
 old operating point, not the new one) — that wait is what bounds the loop's
 direction changes during convergence.
 """
@@ -31,19 +31,49 @@ direction changes during convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.control.telemetry import ClientTelemetry
 from repro.core.scan_groups import HOLD, ScanGroupDecision
+
+
+@dataclass(frozen=True)
+class ClientTelemetry:
+    """One control window of one loader's measurements: the policies' input."""
+
+    scan_group: int
+    n_groups: int
+    window_seconds: float = 0.0
+    wait_seconds: float = 0.0
+    compute_seconds: float = 0.0
+    bytes_read: int = 0
+    records_read: int = 0
+    samples: int = 0
+    #: Mean compressed bytes one sample costs at each scan group, measured
+    #: from a record index — what the bandwidth-budget policy projects with.
+    bytes_per_sample_by_group: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def stall_fraction(self) -> float:
+        """Fraction of the window's wall time the training loop spent waiting."""
+        busy = self.wait_seconds + self.compute_seconds
+        return self.wait_seconds / busy if busy else 0.0
+
+    @property
+    def throughput_bytes_per_s(self) -> float:
+        """Demonstrated link throughput over the window."""
+        return self.bytes_read / self.window_seconds if self.window_seconds else 0.0
+
+    @property
+    def samples_per_s(self) -> float:
+        return self.samples / self.window_seconds if self.window_seconds else 0.0
 
 
 @dataclass
 class ClientControlState:
-    """What the controller remembers about one steered client."""
+    """What a hook remembers about the loader it steers."""
 
-    client_id: str
-    #: The group the controller currently steers the client toward (``None``
-    #: until the first report seeds it with the client's actual group).
+    #: The group the loader is steered toward (``None`` until the first
+    #: window seeds it with the loader's actual group).
     group: int | None = None
     cooldown_remaining: int = 0
     last_direction: str = HOLD
@@ -69,7 +99,6 @@ def _decision(
         },
         interval=interval,
         reason=reason,
-        client_id=state.client_id,
     )
 
 
@@ -103,11 +132,11 @@ def _common_holds(
     """Seed/cooldown/lag holds shared by every policy; ``None`` means decide."""
     if state.group is None:
         state.group = telemetry.scan_group
-        return _hold(state, telemetry, interval, "seeded from first report")
+        return _hold(state, telemetry, interval, "seeded from first window")
     if telemetry.scan_group != state.group:
-        # Measurements describe the group the client actually ran at; wait
-        # for the previous hint to take effect before judging the new one.
-        return _hold(state, telemetry, interval, "awaiting client apply")
+        # Measurements describe the group the loader actually ran at; wait
+        # for the previous steer to take effect before judging the new one.
+        return _hold(state, telemetry, interval, "awaiting loader apply")
     if state.cooldown_remaining > 0:
         state.cooldown_remaining -= 1
         return _hold(
@@ -130,7 +159,7 @@ class StallTargetPolicy:
     cooldown_intervals: int = 2
     #: Multiplicative decrease factor applied to the group index on overload.
     decrease_factor: float = 0.5
-    #: Additive increase step applied when the client has headroom.
+    #: Additive increase step applied when the loader has headroom.
     increase_step: int = 1
     min_group: int = 1
 
@@ -185,7 +214,7 @@ class StallTargetPolicy:
 class BandwidthBudgetPolicy:
     """Largest scan group whose projected byte rate fits the link budget."""
 
-    #: Explicit link capacity; ``None`` uses the client's demonstrated
+    #: Explicit link capacity; ``None`` uses the loader's demonstrated
     #: throughput over its last window (a lower bound on capacity, so the
     #: policy is conservative when the link is not saturated).
     link_bytes_per_s: float | None = None

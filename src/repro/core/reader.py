@@ -118,6 +118,12 @@ class ReadStats:
     records_read: int = 0
     samples_decoded: int = 0
 
+    def add(self, n_bytes: int, n_samples: int = 0) -> None:
+        """Count one record read of ``n_bytes`` that decoded ``n_samples``."""
+        self.bytes_read += n_bytes
+        self.records_read += 1
+        self.samples_decoded += n_samples
+
     def reset(self) -> None:
         self.bytes_read = 0
         self.records_read = 0

@@ -37,7 +37,7 @@ class ScanGroupDecision:
     decision log's readers see.  An offline tuner writes its epoch into
     ``interval`` and its probe losses / gradient cosines per group into
     ``inputs``; an online policy writes the control interval and the
-    telemetry it decided on, and names the steered client.
+    window it decided on.
     """
 
     chosen_group: int
@@ -46,7 +46,6 @@ class ScanGroupDecision:
     inputs: dict
     interval: int
     reason: str = ""
-    client_id: str = ""
 
     @property
     def direction(self) -> str:

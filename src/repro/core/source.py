@@ -10,7 +10,7 @@ or cluster behind a wire client
 any scan group (the lightweight quality switch PCRs enable), stream
 reassembly and minibatch decode, label remapping so one stored dataset can
 serve different training tasks (Section 4.3), and the byte accounting the
-tuners and the control loop read.  Its one read verb, ``read_record``, is
+tuners read.  Its one read verb, ``read_record``, is
 fetch → assemble → count → map labels: a record *is* the batching unit
 (Section 3.2), so there is no multi-record read above it.  Fidelity is an
 argument of that read, not state of the source: the source holds only a
@@ -139,6 +139,7 @@ class RecordSource:
         scan_group: int | None = None,
         decode: bool | None = None,
         decode_pool=None,
+        stats: ReadStats | None = None,
     ) -> list[PCRSample]:
         """Fetch and reassemble one record at ``scan_group`` (default: the
         source's).
@@ -148,18 +149,21 @@ class RecordSource:
         fetcher feeds exactly the bytes the fidelity target needs while every
         local core chews on the entropy loops.  The pool is the caller's
         (typically one ``DataLoader``'s), per read, so two loaders over one
-        source never decode through each other's workers.
+        source never decode through each other's workers.  ``stats``, the
+        caller's own :class:`~repro.core.reader.ReadStats`, is charged this
+        read besides the source's shared counters — how a loader hook counts
+        exactly its own loader's bytes and samples.
         """
         group = self._scan_group if scan_group is None else scan_group
         validate_scan_group(group, self.n_groups)
         data = self.fetcher.read_record_bytes(record_name, group)
         decode = self.decode_by_default if decode is None else decode
         samples = assemble_samples(data, self._codec, decode, decode_pool)
+        n_decoded = len(samples) if decode else 0
         with self._lock:
-            self.stats.bytes_read += len(data)
-            self.stats.records_read += 1
-            if decode:
-                self.stats.samples_decoded += len(samples)
+            self.stats.add(len(data), n_decoded)
+        if stats is not None:
+            stats.add(len(data), n_decoded)
         mapper = self._label_mapper
         if mapper is None:
             return samples

@@ -25,7 +25,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.codecs.parallel import DecodePool
-from repro.core.reader import validate_scan_group
+from repro.core.reader import ReadStats, validate_scan_group
 from repro.core.source import RecordSource
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.augment import Compose
@@ -58,15 +58,16 @@ class LoaderHook(Protocol):
     """Runs inside a :class:`DataLoader`'s read path.
 
     ``bind`` is called once, by the loader's constructor; ``after_read``
-    after every record read, in the reader thread that did it — the record
-    boundary at which a :meth:`DataLoader.set_scan_group` takes effect.
+    after every record read, in the reader thread that did it, with that
+    read's own :class:`~repro.core.reader.ReadStats` — at the record
+    boundary where a :meth:`DataLoader.set_scan_group` takes effect.
     :class:`~repro.control.adaptive.AdaptiveScanGroupHook` is the one in
-    this package: it reports telemetry and applies a controller's hints.
+    this repository: it runs a fidelity policy over the loader's windows.
     """
 
     def bind(self, loader: "DataLoader") -> None: ...
 
-    def after_read(self) -> None: ...
+    def after_read(self, read: ReadStats) -> None: ...
 
 
 class DataLoader:
@@ -319,11 +320,16 @@ class DataLoader:
         # ``read_record`` decodes the whole record through the codec's
         # minibatch API (shared pixel-stage buffers, one setup per record) —
         # a record is the loader's unit of batched decode work.
+        read = ReadStats()
         samples = self.dataset.read_record(
-            record_name, self._scan_group, decode=True, decode_pool=self._decode_pool
+            record_name,
+            self._scan_group,
+            decode=True,
+            decode_pool=self._decode_pool,
+            stats=read,
         )
         if self.hook is not None:
-            self.hook.after_read()
+            self.hook.after_read(read)
         order = rng.permutation(len(samples))
         images: list[np.ndarray] = []
         labels: list[int] = []

@@ -41,8 +41,8 @@ class StallTracker:
     ) -> None:
         self.wait_seconds: list[float] = list(wait_seconds or [])
         self.compute_seconds: list[float] = list(compute_seconds or [])
-        # Running totals beside the lists: a telemetry window reads them every
-        # report, and summing a per-batch list grows with the loader's life.
+        # Running totals beside the lists: a control window reads them every
+        # interval, and summing a per-batch list grows with the loader's life.
         self._sum_wait = sum(self.wait_seconds)
         self._sum_compute = sum(self.compute_seconds)
         registry = registry if registry is not None else get_registry()

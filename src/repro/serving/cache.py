@@ -53,10 +53,9 @@ class ScanPrefixCache:
     private one for standalone caches), incremented where the event
     happens; :meth:`stats` is a view of the same counters, so the two cannot
     disagree — and a disabled registry freezes both.  One lock guards the
-    entries and keeps :meth:`stats` coherent: the event loop looks records
-    up while the fidelity controller's thread moves the admission bias.
-    Every increment happens under that lock, so the counters are created
-    ``locked=False`` and take none of their own.
+    entries and keeps :meth:`stats` coherent while the event loop looks
+    records up.  Every increment happens under that lock, so the counters
+    are created ``locked=False`` and take none of their own.
     """
 
     def __init__(
@@ -75,12 +74,7 @@ class ScanPrefixCache:
         self._evictions = self._counter("serving.cache.evictions_total")
         self._bytes_served = self._counter("serving.cache.bytes_served_total")
         self._admissions = self._counter("serving.cache.admissions_total")
-        self._bias_skips = self._counter("serving.cache.bias_skips_total")
         self._by_group: dict[int, _GroupCounters] = {}
-        # The fidelity controller's steer: admission of groups *above* the
-        # fleet's steered set is skipped once the cache is under pressure.
-        self._admission_bias: frozenset[int] | None = None
-        self._bias_ceiling = 0
 
     def _counter(self, name: str) -> Counter:
         return self.registry.counter(name, locked=False)
@@ -125,38 +119,12 @@ class ScanPrefixCache:
                 return entry.data
             return entry.view[:length]
 
-    def set_admission_bias(self, groups: set[int] | None) -> None:
-        """Bias admission toward the fleet's steered scan groups.
-
-        With a bias set, a prefix read at a group *above* every steered
-        group is not admitted once the cache is past half occupancy: when
-        the controller has steered the fleet down, high-fidelity prefixes
-        nobody is fetching any more must not evict the short prefixes the
-        fleet now lives on.  Prefix containment makes admitting *smaller*
-        groups always safe, so only the upward direction is gated.  Pass
-        ``None`` to clear the bias.
-        """
-        with self._lock:
-            if groups:
-                self._admission_bias = frozenset(groups)
-                self._bias_ceiling = max(groups)
-            else:
-                self._admission_bias = None
-                self._bias_ceiling = 0
-
     def put(self, record_name: str, scan_group: int, data: bytes) -> None:
         """Cache a record prefix read at ``scan_group`` (longest prefix wins)."""
         if len(data) > self.capacity_bytes:
             return
         data = bytes(data)
         with self._lock:
-            if (
-                self._admission_bias is not None
-                and scan_group > self._bias_ceiling
-                and self._bytes * 2 >= self.capacity_bytes
-            ):
-                self._bias_skips.inc()
-                return
             existing = self._entries.get(record_name)
             if existing is not None:
                 if existing.scan_group >= scan_group:
@@ -199,10 +167,6 @@ class ScanPrefixCache:
                 "misses": misses,
                 "evictions": self._evictions.value,
                 "admissions": self._admissions.value,
-                "bias_skips": self._bias_skips.value,
-                "admission_bias": sorted(self._admission_bias)
-                if self._admission_bias is not None
-                else None,
                 "hit_rate": (exact_hits + prefix_hits) / lookups if lookups else 0.0,
                 "prefix_hit_rate": prefix_hits / lookups if lookups else 0.0,
             }

@@ -32,10 +32,8 @@ from repro.serving.protocol import (
     MSG_META_DATA,
     MSG_METRICS_DATA,
     MSG_RECORD_DATA,
-    MSG_REPORT_TELEMETRY,
     MSG_STAT,
     MSG_STAT_DATA,
-    MSG_TELEMETRY_ACK,
     ProtocolError,
     RecordRequest,
 )
@@ -57,8 +55,6 @@ class RecordClient(Protocol):
     def get_index(self, record_name: str) -> RecordIndex: ...
 
     def get_record_bytes(self, record_name: str, scan_group: int) -> bytes: ...
-
-    def report_telemetry(self, report: dict) -> dict: ...
 
     def close(self) -> None: ...
 
@@ -215,20 +211,6 @@ class PCRClient:
         """
         return protocol.unpack_json(
             self._request(MSG_GET_METRICS, b"", MSG_METRICS_DATA)
-        )
-
-    def report_telemetry(self, report: dict) -> dict:
-        """Ship one loader-telemetry report; returns the server's ack.
-
-        The ack is ``{"controller_active": bool, "hint": {...} | None}`` —
-        when a fidelity controller is steering this client, ``hint`` carries
-        its current scan-group recommendation and rationale (see
-        :mod:`repro.control.telemetry`).
-        """
-        return protocol.unpack_json(
-            self._request(
-                MSG_REPORT_TELEMETRY, protocol.pack_json(report), MSG_TELEMETRY_ACK
-            )
         )
 
     def dataset_meta(self) -> dict:

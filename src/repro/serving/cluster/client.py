@@ -197,26 +197,6 @@ class ClusterClient:
         owners = self.shard_map.owners(record_name)
         return self._with_failover(owners, lambda client: client.get_index(record_name))
 
-    def report_telemetry(self, report: dict) -> dict:
-        """Ship one loader-telemetry report to the fleet; returns the ack.
-
-        A cluster controller publishes its hints to *every* replica, so any
-        live replica can answer; the report goes to the first shard whose
-        replica set responds, failing over shard by shard.
-        """
-        last_error: Exception | None = None
-        for shard_id in self.shard_map.shard_ids:
-            try:
-                return self._with_failover(
-                    self.shard_map.replicas(shard_id),
-                    lambda client: client.report_telemetry(report),
-                )
-            except ConnectionError as exc:
-                last_error = exc
-        raise ConnectionError(
-            f"no shard accepted the telemetry report: {last_error}"
-        ) from last_error
-
     def dataset_meta(self) -> dict:
         """The whole-dataset view, re-aggregated from every shard's slice."""
         per_shard: dict[str, dict] = {}

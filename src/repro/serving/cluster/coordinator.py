@@ -20,18 +20,14 @@ Lifecycle verbs mirror what an operator needs mid-flight:
   (:func:`~repro.serving.cluster.client.sweep_fleet`: every replica's
   registry scraped over the wire and merged, dead replicas reported as
   ``down``, never raised) plus what only the supervisor knows: records per
-  shard, ``running`` and ``restarts`` per replica;
-* :meth:`start_controller` — one fidelity controller over every running
-  replica.
+  shard, ``running`` and ``restarts`` per replica.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.control.controller import attach_controller
 from repro.core.reader import PCRReader
-from repro.obs import MetricsRegistry
 from repro.serving.cache import DEFAULT_CACHE_BYTES
 from repro.serving.cluster.client import sweep_fleet
 from repro.serving.cluster.shard_map import ShardMap, ShardReplica, default_shard_ids
@@ -74,7 +70,6 @@ class ClusterCoordinator:
         self._replicas: dict[tuple[str, int], _ManagedReplica] = {}
         self._assignment: dict[str, list[str]] = {}
         self._shard_map: ShardMap | None = None
-        self._controller = None
         self._started = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -126,9 +121,6 @@ class ClusterCoordinator:
 
     def stop(self) -> None:
         """Stop every replica and close every reader."""
-        if self._controller is not None:
-            self._controller.stop()
-            self._controller = None
         self._stop_all()
         self._started = False
 
@@ -163,7 +155,7 @@ class ClusterCoordinator:
         return [m.replica for m in self._replicas.values() if m.running]
 
     def running_servers(self) -> list[PCRRecordServer]:
-        """The in-process servers of the live replicas (the control plane's handle)."""
+        """The in-process servers of the live replicas."""
         return [m.server for m in self._replicas.values() if m.running]
 
     # -- supervision -----------------------------------------------------------
@@ -204,29 +196,6 @@ class ClusterCoordinator:
         for (owner, replica_index) in list(self._replicas):
             if owner == shard_id:
                 self.restart_replica(shard_id, replica_index)
-
-    # -- control loop ----------------------------------------------------------
-
-    @property
-    def controller(self):
-        """The attached fleet-wide :class:`FidelityController` (or None)."""
-        return self._controller
-
-    def start_controller(
-        self, policy=None, interval: float | None = None, auto_start: bool = True
-    ):
-        """Attach (and by default start) a fleet-wide fidelity controller.
-
-        The controller merges telemetry across every running replica and
-        publishes its hints to all of them (a client reports to whichever
-        shard it reaches); its ``control.*`` metrics are on
-        ``controller.registry``.  See
-        :func:`~repro.control.controller.attach_controller`.
-        """
-        self._controller = attach_controller(
-            self, self.running_servers, MetricsRegistry(), policy, interval, auto_start
-        )
-        return self._controller
 
     # -- reporting -------------------------------------------------------------
 

@@ -7,13 +7,13 @@ Every message on the wire is one *frame*::
     | 2 B   | 1 B     | 1 B  | 4 B (LE)       | <length> B    |
     +-------+---------+------+----------------+---------------+
 
-Requests carry structured binary payloads (``struct``-packed, names UTF-8;
-``REPORT_TELEMETRY`` carries UTF-8 JSON); responses carry either raw record
-bytes (``RECORD_DATA``), UTF-8 JSON (``INDEX_DATA`` / ``STAT_DATA`` /
-``META_DATA`` / ``METRICS_DATA`` / ``TELEMETRY_ACK``), or a structured error
-frame (``ERROR``: error code + UTF-8 message).  ``GET_RECORD`` — one record
-prefix at one scan group — is the only read verb: the record is the batching
-unit (docs/serving.md, "Why there is no batch op").
+Requests carry structured binary payloads (``struct``-packed, names UTF-8);
+responses carry either raw record bytes (``RECORD_DATA``), UTF-8 JSON
+(``INDEX_DATA`` / ``STAT_DATA`` / ``META_DATA`` / ``METRICS_DATA``), or a
+structured error frame (``ERROR``: error code + UTF-8 message).
+``GET_RECORD`` — one record prefix at one scan group — is the only read
+verb: the record is the batching unit (docs/serving.md, "Why there is no
+batch op").
 
 The payload length is bounded (:data:`DEFAULT_MAX_PAYLOAD_BYTES`); both
 sides reject oversized frames before allocating, so a corrupt or hostile
@@ -42,17 +42,16 @@ MSG_GET_RECORD = 0x01
 MSG_GET_INDEX = 0x02
 MSG_STAT = 0x03
 MSG_DATASET_META = 0x04
-# 0x05 / 0x85 were BATCH / BATCH_DATA: retired, never reused.  A 0x05 frame
-# gets the ``unsupported`` reply any unknown type gets.
+# 0x05 / 0x85 were BATCH / BATCH_DATA and 0x07 / 0x87 were REPORT_TELEMETRY /
+# TELEMETRY_ACK: retired, never reused.  Such a frame gets the
+# ``unsupported`` reply any unknown type gets.
 MSG_GET_METRICS = 0x06
-MSG_REPORT_TELEMETRY = 0x07
 
 MSG_RECORD_DATA = 0x81
 MSG_INDEX_DATA = 0x82
 MSG_STAT_DATA = 0x83
 MSG_META_DATA = 0x84
 MSG_METRICS_DATA = 0x86
-MSG_TELEMETRY_ACK = 0x87
 MSG_ERROR = 0xFF
 
 #: Mnemonic names for request types — also the suffixes of the server's
@@ -63,7 +62,6 @@ MESSAGE_NAMES = {
     MSG_STAT: "stat",
     MSG_DATASET_META: "dataset_meta",
     MSG_GET_METRICS: "get_metrics",
-    MSG_REPORT_TELEMETRY: "report_telemetry",
 }
 
 # -- error codes --------------------------------------------------------------

@@ -65,10 +65,6 @@ class RemoteFetcher:
         with get_tracer().span("loader.fetch", {"record": record_name}):
             return self.client.get_record_bytes(record_name, scan_group)
 
-    def report_telemetry(self, report: dict) -> dict:
-        """Ship one loader-telemetry report; returns the server's ack."""
-        return self.client.report_telemetry(report)
-
     def close(self) -> None:
         self.client.close()
 

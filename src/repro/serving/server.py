@@ -35,8 +35,6 @@ import time
 from collections import deque
 from pathlib import Path
 
-from repro.control.controller import attach_controller
-from repro.control.telemetry import ClientTelemetry, TelemetryStore
 from repro.core.errors import PCRError, ScanGroupError
 from repro.core.reader import PCRReader, validate_scan_group
 from repro.obs import Counter, MetricsRegistry
@@ -52,10 +50,8 @@ from repro.serving.protocol import (
     MSG_META_DATA,
     MSG_METRICS_DATA,
     MSG_RECORD_DATA,
-    MSG_REPORT_TELEMETRY,
     MSG_STAT,
     MSG_STAT_DATA,
-    MSG_TELEMETRY_ACK,
     ProtocolError,
     pack_json,
 )
@@ -380,14 +376,6 @@ class PCRRecordServer:
         self.cache = ScanPrefixCache(capacity_bytes=cache_bytes, registry=self.registry)
         self._requests: dict[int, Counter] = {}  # per message type, on first use
         self._errors = self.registry.counter("serving.errors_total")
-        self._telemetry_reports = self.registry.counter("serving.telemetry.reports_total")
-        self._telemetry_hints = self.registry.counter("serving.telemetry.hints_served_total")
-        # The meeting point of the control loop: REPORT_TELEMETRY frames
-        # land here, the fidelity controller (if started) reads them and
-        # writes hints back.  Always present — a server without a controller
-        # still accepts reports and acks with no hint.
-        self.telemetry = TelemetryStore()
-        self._controller = None
         self._stop_event = threading.Event()
         self._started = False
         self._stopped = False
@@ -468,8 +456,6 @@ class PCRRecordServer:
         if self._stopped:
             return
         self._stopped = True
-        if self._controller is not None:
-            self._controller.stop()
         self._stop_event.set()
         loop = self._loop
         loop.wake()
@@ -522,8 +508,6 @@ class PCRRecordServer:
                 reply_type, body = MSG_STAT_DATA, pack_json(self.stats())
             elif msg_type == MSG_DATASET_META:
                 reply_type, body = MSG_META_DATA, pack_json(self._dataset_meta())
-            elif msg_type == MSG_REPORT_TELEMETRY:
-                reply_type, body = MSG_TELEMETRY_ACK, pack_json(self._handle_telemetry(payload))
             elif msg_type == MSG_GET_METRICS:
                 reply_type, body = MSG_METRICS_DATA, pack_json(self.metrics_snapshot())
             else:
@@ -561,48 +545,6 @@ class PCRRecordServer:
         """The one place an ``ERROR`` frame is built, so the one place it is counted."""
         self._errors.inc()
         return protocol.error_frame(code, message)
-
-    def _handle_telemetry(self, payload: bytes) -> dict:
-        """One ``REPORT_TELEMETRY`` frame: store the report, return the ack.
-
-        The ack piggybacks the controller's current hint for the reporting
-        client (if any), so the report round trip *is* the hint delivery —
-        no extra poll op on the wire.
-        """
-        try:
-            telemetry = ClientTelemetry.from_payload(protocol.unpack_json(payload))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed telemetry report: {exc}") from exc
-        hint = self.telemetry.update(telemetry)
-        self._telemetry_reports.inc()
-        if hint is not None:
-            self._telemetry_hints.inc()
-        return {
-            "controller_active": self.telemetry.steered,
-            "hint": hint.to_payload() if hint is not None else None,
-        }
-
-    # -- control loop --------------------------------------------------------
-
-    @property
-    def controller(self):
-        """The attached :class:`~repro.control.FidelityController` (or None)."""
-        return self._controller
-
-    def start_controller(
-        self, policy=None, interval: float | None = None, auto_start: bool = True
-    ):
-        """Attach (and by default start) a fidelity controller on this server.
-
-        The controller steers every client that reports telemetry to this
-        server; its decisions and rationale appear as ``control.*`` metrics
-        in this server's ``GET_METRICS`` snapshots.  See
-        :func:`~repro.control.controller.attach_controller`.
-        """
-        self._controller = attach_controller(
-            self, lambda: [self], self.registry, policy, interval, auto_start
-        )
-        return self._controller
 
     # -- serving -------------------------------------------------------------
 
@@ -643,7 +585,6 @@ class PCRRecordServer:
         registry.gauge("serving.cache.entries").set(len(self.cache))
         registry.gauge("serving.cache.cached_bytes").set(self.cache.cached_bytes)
         registry.gauge("serving.connections.open").set(self.open_connections)
-        registry.gauge("serving.telemetry.clients").set(len(self.telemetry))
         return {
             "address": list(self.address),
             "pid": os.getpid(),

@@ -1,9 +1,11 @@
 """The layering, checked in a fresh interpreter: what a process loads.
 
 A record server, a loader or an ingest job must not pay for the tuner, the
-trainer, their metrics or ``scipy`` (docs/autotune.md "Why the server does
-not import the tuner"); the decision record both sides share lives in
+trainer, their metrics or ``scipy`` (docs/autotune.md "What a process
+loads"); the decision record both sides share lives in
 ``repro.core.scan_groups``, below both — shared downward, not sideways.
+The control loop runs beside the loader it steers, so the serving side and
+``repro.control`` load nothing of each other.
 """
 
 from __future__ import annotations
@@ -57,3 +59,15 @@ def test_tuner_does_not_import_the_serving_side():
     packages, _ = _loaded_after_importing(["repro.tuning"])
     assert packages.isdisjoint({"serving", "control"}), sorted(packages)
     assert {"tuning", "training"} <= packages
+
+
+def test_the_server_side_loads_no_control():
+    packages, _ = _loaded_after_importing(["repro.serving.server", "repro.serving.cluster"])
+    assert "control" not in packages, sorted(packages)
+    assert "serving" in packages
+
+
+def test_control_loads_no_serving_side():
+    packages, _ = _loaded_after_importing(["repro.control"])
+    assert "serving" not in packages, sorted(packages)
+    assert {"control", "core"} <= packages

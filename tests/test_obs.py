@@ -18,8 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.control.telemetry import ClientTelemetry, ScanGroupHint
-
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
@@ -398,7 +396,7 @@ class TestGetMetricsWireOp:
     def test_snapshot_matches_stat_counters(self, pcr_dataset):
         """Every counter ``STAT`` exposes equals its ``GET_METRICS`` name after
         a workload that moves all of them: exact hit, prefix hit, miss,
-        eviction, bias skip, every op, an unknown op and a malformed frame."""
+        eviction, every op, an unknown op and a malformed frame."""
         reader, names, top = pcr_dataset.reader, pcr_dataset.record_names, pcr_dataset.n_groups
         one_record = max(reader.bytes_for_group(name, top) for name in names)
 
@@ -407,23 +405,17 @@ class TestGetMetricsWireOp:
                 sock.sendall(data)
                 return protocol.read_frame(sock)[0]
 
-        report = ClientTelemetry(client_id="c0", scan_group=top, n_groups=top).to_payload()
         with PCRRecordServer(reader.directory, port=0, cache_bytes=one_record + 1) as server:
             with PCRClient(port=server.port, pool_size=1) as client:
                 client.get_record_bytes(names[0], top)  # miss, admitted
                 client.get_record_bytes(names[0], top)  # exact hit
                 client.get_record_bytes(names[0], 1)  # prefix hit
                 client.get_record_bytes(names[1], top)  # miss; admission evicts names[0]
-                server.cache.set_admission_bias({1})
-                client.get_record_bytes(names[2], top)  # miss; cache over half full: bias skip
                 client.get_record_bytes(names[1], 2)  # prefix hit
                 client.get_record_bytes(names[2], 1)  # miss
                 client.get_index(names[0])
                 client.dataset_meta()
                 client.stat()
-                client.report_telemetry(report)
-                server.telemetry.set_hint("c0", ScanGroupHint(scan_group=1))
-                client.report_telemetry(report)  # this ack serves the hint
                 assert raw_exchange(protocol.encode_frame(0x7E, b"")) == protocol.MSG_ERROR
                 assert raw_exchange(b"XXXXXXXX") == protocol.MSG_ERROR
                 # Both raw connections are closed server-side before the scrapes,
@@ -439,7 +431,7 @@ class TestGetMetricsWireOp:
         expected_cache = {
             key: counters[f"serving.cache.{key}_total"]
             for key in (
-                "exact_hits", "prefix_hits", "misses", "evictions", "admissions", "bias_skips",
+                "exact_hits", "prefix_hits", "misses", "evictions", "admissions",
             )
         }
         assert min(expected_cache.values()) >= 1  # the workload moved every one
@@ -454,7 +446,7 @@ class TestGetMetricsWireOp:
             assert expected_cache[f"{family}_by_group"]
         expected_cache["entries"] = gauges["serving.cache.entries"]
         expected_cache["cached_bytes"] = gauges["serving.cache.cached_bytes"]
-        not_counters = {"capacity_bytes", "admission_bias", "hit_rate", "prefix_hit_rate"}
+        not_counters = {"capacity_bytes", "hit_rate", "prefix_hit_rate"}
         assert {k: v for k, v in cache.items() if k not in not_counters} == expected_cache
         assert counters["serving.cache.bytes_served_total"] == sum(
             cache["bytes_served_by_group"].values()
@@ -474,9 +466,6 @@ class TestGetMetricsWireOp:
         assert stat.pop("requests_by_type") == expected_requests
         assert stat.pop("n_requests") == sum(expected_requests.values())
         assert stat.pop("errors") == counters["serving.errors_total"] == 2
-        # STAT carries no telemetry counters; GET_METRICS counts what the client sent.
-        assert counters["serving.telemetry.reports_total"] == 2
-        assert counters["serving.telemetry.hints_served_total"] == 1
         assert set(stat) == {"address", "reader_bytes_read", "reader_records_read"}
 
     def test_scrapes_under_load_are_monotone_and_exact(self, obs_server, pcr_dataset):

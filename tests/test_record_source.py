@@ -4,7 +4,7 @@ Every test in :class:`TestConformance` runs unchanged over a
 local ``PCRDataset``, a ``RemoteRecordSource``, a ``ShardedRemoteRecordSource``
 and a remote source whose loaders carry an ``AdaptiveScanGroupHook``; the
 reference is always a direct :class:`~repro.core.reader.PCRReader` read of
-the same directory.  Backend-specific behaviour (failover, telemetry, the server's
+the same directory.  Backend-specific behaviour (failover, the control loop, the server's
 cache) stays in ``test_cluster.py`` / ``test_control.py`` / ``test_serving.py``.
 """
 
@@ -75,8 +75,8 @@ def open_source(request, pcr_dataset):
         return source
 
     def loader(source, decode_workers: int = 0) -> DataLoader:
-        # Reporting is explicit only: conformance reads no hints.
-        hook = AdaptiveScanGroupHook(report_interval=3600.0) if backend == "adaptive" else None
+        # Steps are explicit only: conformance is never steered.
+        hook = AdaptiveScanGroupHook(interval=3600.0) if backend == "adaptive" else None
         return DataLoader(source, _config(decode_workers), hook=hook)
 
     factory.loader = loader
@@ -274,7 +274,7 @@ class TestOneSeam:
         assert options(RemoteRecordSource) == ["host", "port", "scan_group", "decode"]
         assert options(ShardedRemoteRecordSource) == ["shard_map", "scan_group", "decode"]
         assert options(DataLoader) == ["dataset", "config", "augmentations", "hook"]
-        assert options(AdaptiveScanGroupHook) == ["client_id", "report_interval", "throttle"]
+        assert options(AdaptiveScanGroupHook) == ["policy", "interval", "throttle"]
 
     def test_fetchers_satisfy_the_protocol(self, reader, server, cluster):
         assert isinstance(reader, RecordFetcher)
@@ -305,9 +305,10 @@ class TestOneSeam:
         """The record is the batch: one fetch verb at every layer of the seam."""
         assert set(protocol.MESSAGE_NAMES) == {
             protocol.MSG_GET_RECORD, protocol.MSG_GET_INDEX, protocol.MSG_STAT,
-            protocol.MSG_DATASET_META, protocol.MSG_GET_METRICS, protocol.MSG_REPORT_TELEMETRY,
+            protocol.MSG_DATASET_META, protocol.MSG_GET_METRICS,
         }
-        assert 0x05 not in protocol.MESSAGE_NAMES  # BATCH: retired, never reused
+        # BATCH and REPORT_TELEMETRY: retired, never reused
+        assert protocol.MESSAGE_NAMES.keys().isdisjoint({0x05, 0x07})
         members = set(RecordFetcher.__annotations__) | {
             name for name, value in vars(RecordFetcher).items()
             if callable(value) and not name.startswith("_")

@@ -233,24 +233,37 @@ class TestServerClient:
         assert protocol.unpack_error(payload).code == protocol.ERR_UNSUPPORTED
 
     def test_retired_batch_op_is_unsupported_and_the_connection_lives(self, pcr_dataset):
-        """0x05 was ``BATCH``: a well-formed frame of it gets one ``unsupported``
+        """0x05 was ``BATCH``: a well-formed frame gets one ``unsupported``
         error, counted once, and the same connection then serves a record."""
+        self._assert_retired_op_is_unsupported(
+            pcr_dataset, 0x05, lambda request: struct.pack("<H", 1) + request
+        )
+
+    def test_retired_report_op_is_unsupported_and_the_connection_lives(self, pcr_dataset):
+        """0x07 was ``REPORT_TELEMETRY``: a well-formed report gets one
+        ``unsupported`` error, counted once, and the connection lives on."""
+        self._assert_retired_op_is_unsupported(
+            pcr_dataset, 0x07, lambda request: b'{"scan_group": 1, "n_groups": 10}'
+        )
+
+    @staticmethod
+    def _assert_retired_op_is_unsupported(pcr_dataset, op, payload):
         reader = pcr_dataset.reader
         name = reader.record_names[0]
         record_request = protocol.pack_record_request(protocol.RecordRequest(name, 1))
         with PCRRecordServer(reader.directory, port=0) as fresh:
             with socket.create_connection(("127.0.0.1", fresh.port), timeout=5) as sock:
-                sock.sendall(protocol.encode_frame(0x05, struct.pack("<H", 1) + record_request))
-                msg_type, payload = protocol.read_frame(sock)
+                sock.sendall(protocol.encode_frame(op, payload(record_request)))
+                msg_type, reply = protocol.read_frame(sock)
                 assert msg_type == protocol.MSG_ERROR
-                assert protocol.unpack_error(payload).code == protocol.ERR_UNSUPPORTED
+                assert protocol.unpack_error(reply).code == protocol.ERR_UNSUPPORTED
                 sock.sendall(protocol.encode_frame(protocol.MSG_GET_RECORD, record_request))
                 assert protocol.read_frame(sock) == (
                     protocol.MSG_RECORD_DATA, reader.read_record_bytes(name, 1)
                 )
             stats = fresh.stats()
         assert stats["errors"] == 1
-        assert stats["requests_by_type"] == {"0x01": 1, "0x05": 1}
+        assert stats["requests_by_type"] == {"0x01": 1, f"0x{op:02x}": 1}
 
     def test_truncated_frame_gets_malformed_error(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
@@ -351,7 +364,9 @@ class TestServerClient:
                 pooled = (client._n_open, client._pool.qsize())
                 accepted = fresh.stats()["event_loop"]["accepted_connections"]
                 with pytest.raises(protocol.FrameTooLargeError):
-                    client.report_telemetry({"padding": "x" * (1 << 17)})
+                    # The longest name a GET_RECORD carries (a u16 length):
+                    # 64 KiB of name puts the request over the 64 KiB limit.
+                    client.get_record_bytes("x" * 0xFFFF, 1)
                 assert (client._n_open, client._pool.qsize()) == pooled == (1, 1)
                 assert fresh.stats()["event_loop"]["accepted_connections"] == accepted == 1
                 assert client.get_record_bytes(name, 1)  # ... and it still serves

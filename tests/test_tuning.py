@@ -148,8 +148,8 @@ class TestGradientCosineController:
             candidate_groups=[1, 10], similarity_threshold=0.0, max_samples=8
         ).tune(trainer, DataLoader(pcr_dataset), epoch=2)
         online = StallTargetPolicy().decide(
-            ClientTelemetry(client_id="c0", scan_group=10, n_groups=10),
-            ClientControlState("c0"),
+            ClientTelemetry(scan_group=10, n_groups=10),
+            ClientControlState(),
             0,
         )
         assert type(offline) is type(online) is ScanGroupDecision
