@@ -64,9 +64,7 @@ across scan groups, colour layouts and odd sizes, is:
   above the quality loss of even the finest quantization step.
 
 The scalar float64 path survives behind ``use_fastpath(False)`` as the
-differential reference, and benchmarks assert this budget on their
-workload *before* timing anything (``bench_codec_throughput.py
---ingest-only``).
+differential reference those tests compare against.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Every decision is kept (``decision_log()``; ``switch_log()`` keeps only the
 steers) and counted as ``control.*`` metrics on the process registry.
 
 An optional :class:`~repro.pipeline.stall.BandwidthThrottle` models a
-capped link for experiments and the autotune benchmark: each read's bytes
+capped link for experiments and tests: each read's bytes
 are charged against the cap *in the reader thread*, so the induced delay
 surfaces in the loader's own stall tracker the same way a slow real link
 would.
@@ -99,8 +99,8 @@ class AdaptiveScanGroupHook:
     def step(self) -> ScanGroupDecision:
         """End the current interval now: decide on its window and apply.
 
-        Besides the time-based path, tests and the benchmark call this to
-        end an interval at an exact point in the workload.
+        Besides the time-based path, tests and examples call this to end
+        an interval at an exact point in the workload.
         """
         with self._step_lock:
             return self._step()

@@ -14,8 +14,10 @@ Design constraints, in order:
 
 1. **Disabled means one branch.**  Every update method starts with
    ``if not enabled: return`` and does nothing else; a registry that is
-   switched off costs a single predictable branch per event, which the
-   ``obs_overhead`` rows in the benchmark JSONs measure.
+   switched off costs a single predictable branch per event.  The
+   end-to-end benchmark (``benchmarks/e2e/``) runs with the default
+   registry on, so the cost of leaving it on is inside every rate it
+   reports.
 2. **Thread-safe.**  Updates take a per-metric lock; metric creation takes
    the registry lock and is idempotent (``counter("x")`` always returns the
    same object), so hot paths can re-resolve metrics without caching.  A

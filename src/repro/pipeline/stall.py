@@ -95,7 +95,7 @@ class BandwidthThrottle:
     """A serialized-link model: charging bytes sleeps to cap long-run rate.
 
     Models the bandwidth-capped storage link of the paper's experiments
-    (and the autotune benchmark's "capped link" scenario) without touching
+    (and the closed-loop control tests' capped link) without touching
     sockets: every fetch charges its byte count, and the throttle sleeps
     the calling thread just long enough that the cumulative rate never
     exceeds ``bytes_per_s``.  Charges serialize on one shared ``ready_at``

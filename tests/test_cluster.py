@@ -189,6 +189,27 @@ class TestClusterClient:
                         reader.read_record_bytes(name, group)
                     )
 
+    def test_every_shard_serves_prefix_containment_hits(self, tmp_path, tiny_samples):
+        """One pass at the top scan group, then one at group 1, over a
+        2-shard fleet: each shard answers every group-1 read of a record it
+        owns by slicing the prefix its own cache took in the first pass."""
+        from repro.core.dataset import PCRDataset
+
+        with PCRDataset.build(tiny_samples, tmp_path, images_per_record=2, quality=90) as dataset:
+            names, n_groups = dataset.record_names, dataset.n_groups
+        with ClusterCoordinator(tmp_path, n_shards=2, n_replicas=1) as fleet:
+            with ClusterClient(fleet.shard_map) as client:
+                for group in (n_groups, 1):
+                    for name in names:
+                        client.get_record_bytes(name, group)
+            shards = fleet.stats()["shards"]
+        owning = {shard_id: shard for shard_id, shard in shards.items() if shard["n_records"]}
+        assert len(owning) == 2
+        for shard_id, shard in owning.items():
+            counters = shard["replicas"]["0"]["registry"]["counters"]
+            assert counters["serving.cache.misses_total"] == shard["n_records"], shard_id
+            assert counters["serving.cache.prefix_hits_total"] == shard["n_records"], shard_id
+
     def test_dataset_meta_reaggregates_the_whole_dataset(self, cluster, pcr_dataset):
         with ClusterClient(cluster.shard_map) as client:
             meta = client.dataset_meta()

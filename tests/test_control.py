@@ -385,7 +385,45 @@ class TestClosedLoopEndToEnd:
     def _run_interval(self, loader, compute_seconds=0.05):
         for _ in loader.epoch():
             time.sleep(compute_seconds)
-        loader.hook.step()
+        if loader.hook is not None:
+            loader.hook.step()
+
+    def test_steered_reads_fewer_bytes_than_hookless(self, open_source):
+        """Behind a link on which a full-fidelity epoch takes four times the
+        epoch's compute, the hooked loader settles below ``n_groups`` and
+        reads fewer bytes per sample than a hook-less loader over the same
+        source, which stays at ``n_groups``."""
+        source = open_source()
+        n_groups = source.n_groups
+        config = LoaderConfig(batch_size=8, n_workers=1, shuffle=False)
+        unsteered = DataLoader(source, config)
+        epoch_compute = 0.05 * unsteered.batches_per_epoch()  # _run_interval's sleeps
+        steered = DataLoader(
+            source,
+            config,
+            hook=AdaptiveScanGroupHook(
+                policy=StallTargetPolicy(
+                    target_stall_fraction=0.2, hysteresis=0.5, cooldown_intervals=0
+                ),
+                interval=3600.0,
+                throttle=BandwidthThrottle(source.epoch_bytes() / (4 * epoch_compute)),
+            ),
+        )
+        steady = {}
+        for loader in (steered, unsteered):
+            for _ in range(3):
+                self._run_interval(loader)
+            stats = source.stats
+            bytes_before, samples_before = stats.bytes_read, stats.samples_decoded
+            for _ in range(2):  # the steady state: the last two intervals
+                self._run_interval(loader)
+            steady[loader] = (stats.bytes_read - bytes_before) / (
+                stats.samples_decoded - samples_before
+            )
+        assert unsteered.scan_group == n_groups
+        assert steady[unsteered] == source.epoch_bytes() / len(source)
+        assert steered.scan_group < n_groups
+        assert steady[steered] < steady[unsteered]
 
     def test_capped_link_converges_down_then_back_up(self, open_source):
         throttle = BandwidthThrottle(40_000)  # a heavily capped link
