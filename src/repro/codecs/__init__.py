@@ -11,26 +11,23 @@ equivalent, self-contained codec:
 * :mod:`repro.codecs.bitio` / :mod:`repro.codecs.huffman` /
   :mod:`repro.codecs.rle` — entropy coding (run-length symbols + canonical
   Huffman codes).
-* :mod:`repro.codecs.fastpath` — the vectorized entropy fast path
+* :mod:`repro.codecs.fastpath` — the vectorized entropy coder
   (superscalar wide-window pair-LUT Huffman decode — one table family,
   built for the scan's kind, that also finishes oversized symbols —
-  word-buffered bit I/O, batched scan assembly), gated by :mod:`repro.codecs.config`: on unless
-  ``REPRO_CODEC_FASTPATH=0``, and :func:`use_fastpath` overrides that for
-  the calling context (read it with :func:`fastpath_enabled`).  The scalar
-  coder it replaces is the one differential reference.  See
-  ``docs/performance.md``.
-* :mod:`repro.codecs.pixelpath` — the batched float32 pixel-domain fast path
+  word-buffered bit I/O, batched scan assembly).  It is the only entropy
+  coder at run time; the scalar coder survives as the ``*_reference``
+  functions of :mod:`repro.codecs.progressive`, which only the
+  differential tests call.  See ``docs/performance.md``.
+* :mod:`repro.codecs.pixelpath` — the batched float32 pixel-domain path
   (fused dequantize+IDCT scaled bases, strided block merge, single-matmul
-  colour conversion, per-thread scratch-buffer reuse), gated by the same
-  toggle.  ``decode_progressive_batch`` /
-  ``ProgressiveCodec.decode_batch`` are the minibatch-level decode API.
+  colour conversion, per-thread scratch-buffer reuse).
+  ``decode_progressive_batch`` is the minibatch-level decode API.
 * :mod:`repro.codecs.encodepath` — the forward twin of ``pixelpath``: fused
   RGB→YCbCr+level-shift matmul, strided 4:2:0 downsample, zero-copy block
   layout, and fused quantize+forward-DCT scaled bases.  Carries a documented
   ±1-quant-step parity budget against the scalar reference (see
-  ``docs/performance.md``).  ``encode_progressive_batch`` /
-  ``ProgressiveCodec.encode_batch`` / ``BaselineCodec.encode_batch`` are the
-  minibatch-level encode API.
+  ``docs/performance.md``).  ``encode_progressive_batch`` is the
+  minibatch-level encode API, for both layouts.
 * :mod:`repro.codecs.parallel` — the process-parallel codec engine, one
   for both directions: a fleet of at least two persistent worker
   processes, a chunked work-stealing task queue, and one shared-memory
@@ -49,7 +46,6 @@ equivalent, self-contained codec:
 """
 
 from repro.codecs.baseline import BaselineCodec
-from repro.codecs.config import fastpath_enabled, use_fastpath
 from repro.codecs.image import ImageBuffer
 from repro.codecs.parallel import DecodePool, EncodePool, PoolStats
 from repro.codecs.progressive import (
@@ -72,8 +68,6 @@ __all__ = [
     "ScanScript",
     "decode_progressive_batch",
     "encode_progressive_batch",
-    "fastpath_enabled",
     "transcode_to_progressive",
-    "use_fastpath",
 ]
 

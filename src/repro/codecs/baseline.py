@@ -6,9 +6,8 @@ yields "holes" — complete blocks of early components and nothing for the
 rest — which is the behaviour the paper contrasts against progressive
 compression (Section 2, Figure 1).
 
-Entropy coding runs through the vectorized fast path (see
-:mod:`repro.codecs.fastpath`) via the scan dispatch in
-:mod:`repro.codecs.progressive`; toggle with :mod:`repro.codecs.config`.
+Both directions run the stages of :mod:`repro.codecs.progressive`; only
+the scan script differs.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from repro.codecs.progressive import (
     ScanScript,
     coefficients_to_image,
     decode_coefficients,
-    decode_progressive_batch,
     encode_coefficients,
-    encode_progressive_batch,
     image_to_coefficients,
 )
 
@@ -40,30 +37,10 @@ class BaselineCodec:
         script = ScanScript.sequential(coefficients.header.n_components)
         return encode_coefficients(coefficients, script)
 
-    def encode_batch(self, images: list[ImageBuffer]) -> list[bytes]:
-        """Encode a minibatch of images under one ``ingest.*`` metrics sample.
-
-        See :func:`repro.codecs.progressive.encode_progressive_batch`;
-        results are bitwise identical to per-image :meth:`encode` calls.
-        """
-        return encode_progressive_batch(
-            images, self.quality, self.subsampling, layout="sequential"
-        )
-
     def decode(self, data: bytes, max_scans: int | None = None) -> ImageBuffer:
         """Decode a sequential stream (optionally only the first scans)."""
         coefficients, _ = decode_coefficients(data, max_scans=max_scans)
         return coefficients_to_image(coefficients)
-
-    def decode_batch(
-        self, payloads: list[bytes], max_scans: int | None = None
-    ) -> list[ImageBuffer]:
-        """Decode a batch of sequential streams.
-
-        The scan layout is irrelevant to the batch loop, so this is the same
-        instrumented path progressive streams use.
-        """
-        return decode_progressive_batch(payloads, max_scans=max_scans)
 
     def n_scans(self, data: bytes) -> int:
         """Number of scans in the stream (== number of components)."""

@@ -63,8 +63,9 @@ across scan groups, colour layouts and odd sizes, is:
   ``MIN_PARITY_PSNR_DB`` (45 dB) — visually indistinguishable, and far
   above the quality loss of even the finest quantization step.
 
-The scalar float64 path survives behind ``use_fastpath(False)`` as the
-differential reference those tests compare against.
+That float64 reference is
+:func:`repro.codecs.progressive.image_to_coefficients_reference`, which
+only those tests call; encoding always runs this module.
 """
 
 from __future__ import annotations

@@ -35,9 +35,10 @@ This module is the vectorized counterpart of the scalar scan coder in
   assignment per block.
 
 Both directions produce byte-identical streams / identical coefficients to
-the scalar reference — the one differential oracle, enforced by
-``tests/test_codecs_fastpath.py``.  The dispatch lives in
-:mod:`repro.codecs.progressive`, gated by :mod:`repro.codecs.config`.
+the scalar reference (``encode_scan_body_reference`` /
+``decode_scan_body_reference`` in :mod:`repro.codecs.progressive`) — the
+one differential oracle, which only the tests run.  This module is the
+only entropy coder at run time.
 """
 
 from __future__ import annotations

@@ -146,15 +146,27 @@ class _LRUByteCache:
         return len(self._entries)
 
 
+def _cache_budget_bytes() -> int:
+    """``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` (default 256 MiB), read once at import."""
+    raw = os.environ.get("REPRO_HUFFMAN_TABLE_CACHE_BYTES", str(256 << 20))
+    try:
+        value = int(raw)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"REPRO_HUFFMAN_TABLE_CACHE_BYTES must be a non-negative integer "
+            f"number of bytes, got {raw!r}"
+        ) from None
+    return value
+
+
 #: ``(kind, serialized table bytes)`` -> ``(decode tables, bytes_consumed)``:
 #: the one table cache (see :meth:`HuffmanTable.cached_from_bytes`).  The
 #: budget is in real bytes — an entry is charged its key and the arrays it
 #: holds, 72 KiB for an AC scan's and 64 KiB for a DC scan's — so the
 #: default holds about 3 600 tables, 360 ten-scan images.
-_TABLE_CACHE = _LRUByteCache(
-    "codec.table_cache",
-    int(os.environ.get("REPRO_HUFFMAN_TABLE_CACHE_BYTES", 256 << 20)),
-)
+_TABLE_CACHE = _LRUByteCache("codec.table_cache", _cache_budget_bytes())
 
 
 @dataclass

@@ -42,7 +42,7 @@ Architecture
 * **One shared-memory slab.**  The parent gives every item's pixels a
   fixed region inside the pool's one slab and sends workers only
   ``(stream or None, offset, nbytes, shape)`` metadata.  Decode workers run
-  the ordinary in-process fast path
+  the ordinary in-process decoder
   (:func:`~repro.codecs.progressive.decode_progressive_batch`) and write
   the uint8 pixels straight into the slab; the parent copies each frame out
   into an ordinary array before the batch returns.  Encode workers read the
@@ -58,7 +58,7 @@ Architecture
   never trusted again), and the unfinished part of the batch is finished
   in-process — the caller sees identical results either way.
 
-Pooled output is *byte-identical* to in-process fast-path output: workers
+Pooled output is *byte-identical* to in-process output: workers
 run exactly the same code on exactly the same bytes, and the batch layout
 never mixes pixels across images.  ``tests/test_codecs_parallel.py`` pins
 this for both directions across scan groups, worker counts, and mid-batch
@@ -82,7 +82,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.codecs import config as codec_config
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import SUBSAMPLING_420, parse_frame_header
 from repro.codecs.progressive import decode_progressive_batch, encode_progressive_batch
@@ -100,7 +99,7 @@ CHUNKS_PER_WORKER = 4
 MIN_SLAB_BYTES = 1 << 20
 
 #: Seconds without any chunk completing (workers alive) before a batch is
-#: declared stalled and finished in-process.  At fast-path decode rates this
+#: declared stalled and finished in-process.  At in-process decode rates this
 #: corresponds to tens of MB of compressed data per chunk — far beyond any
 #: realistic record.
 STALL_TIMEOUT = 30.0
@@ -251,11 +250,9 @@ _ENCODE = _Direction(
 def _worker_main(direction: _Direction, task_queue, result_queue) -> None:
     """Long-lived worker loop: pull a chunk, run the direction's step, report.
 
-    Workers always run with the fast path enabled — the pool's contract is
-    byte-identity with in-process *fast-path* output — and ignore SIGINT so
-    a Ctrl-C in the parent tears the fleet down through the pool's shutdown
-    protocol (sentinels, then terminate) rather than corrupting a queue
-    mid-put.
+    Workers ignore SIGINT so a Ctrl-C in the parent tears the fleet down
+    through the pool's shutdown protocol (sentinels, then terminate) rather
+    than corrupting a queue mid-put.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # The registry's fork hook already zeroed inherited totals (and a
@@ -265,39 +262,38 @@ def _worker_main(direction: _Direction, task_queue, result_queue) -> None:
     registry.reset()
     slab: shared_memory.SharedMemory | None = None
     try:
-        with codec_config.use_fastpath(True):
-            last_snapshot = registry.snapshot()
-            while True:
-                task = task_queue.get()
-                if task is _SENTINEL:
-                    break
-                batch_id, chunk_id, slab_name, params, jobs = task
-                try:
-                    chunk_started = time.perf_counter()
-                    if slab is None or slab.name != slab_name:
-                        # First task, or the parent replaced its slab for a
-                        # larger batch: drop the old mapping (an unlinked
-                        # segment stays resident while mapped) and map this one.
-                        if slab is not None:
-                            slab.close()
-                        slab = shared_memory.SharedMemory(name=slab_name)
-                    streams = direction.work(slab, params, jobs)
-                    # Per-worker chunk timing plus the registry delta since
-                    # the previous chunk ride back in the result tuple; the
-                    # parent merges the delta so fleet-wide metrics aggregate
-                    # exactly as if the chunk had run in-process (fork-aware
-                    # aggregation — see tests/test_obs.py parity test).
-                    registry.histogram(f"{direction.metrics}.pool.chunk_seconds").observe(
-                        time.perf_counter() - chunk_started
-                    )
-                    registry.counter(f"{direction.metrics}.pool.chunks_total").inc()
-                    snapshot = registry.snapshot()
-                    delta = diff_snapshots(snapshot, last_snapshot)
-                    last_snapshot = snapshot
-                    result_queue.put((batch_id, chunk_id, None, streams, delta))
-                except Exception:
-                    last_snapshot = registry.snapshot()
-                    result_queue.put((batch_id, chunk_id, traceback.format_exc(), None, None))
+        last_snapshot = registry.snapshot()
+        while True:
+            task = task_queue.get()
+            if task is _SENTINEL:
+                break
+            batch_id, chunk_id, slab_name, params, jobs = task
+            try:
+                chunk_started = time.perf_counter()
+                if slab is None or slab.name != slab_name:
+                    # First task, or the parent replaced its slab for a
+                    # larger batch: drop the old mapping (an unlinked
+                    # segment stays resident while mapped) and map this one.
+                    if slab is not None:
+                        slab.close()
+                    slab = shared_memory.SharedMemory(name=slab_name)
+                streams = direction.work(slab, params, jobs)
+                # Per-worker chunk timing plus the registry delta since
+                # the previous chunk ride back in the result tuple; the
+                # parent merges the delta so fleet-wide metrics aggregate
+                # exactly as if the chunk had run in-process (fork-aware
+                # aggregation — see tests/test_obs.py parity test).
+                registry.histogram(f"{direction.metrics}.pool.chunk_seconds").observe(
+                    time.perf_counter() - chunk_started
+                )
+                registry.counter(f"{direction.metrics}.pool.chunks_total").inc()
+                snapshot = registry.snapshot()
+                delta = diff_snapshots(snapshot, last_snapshot)
+                last_snapshot = snapshot
+                result_queue.put((batch_id, chunk_id, None, streams, delta))
+            except Exception:
+                last_snapshot = registry.snapshot()
+                result_queue.put((batch_id, chunk_id, traceback.format_exc(), None, None))
     except (KeyboardInterrupt, EOFError, OSError):
         pass  # parent is gone or tearing down; exit quietly
     finally:
@@ -474,20 +470,12 @@ class _PoolState:
         # a batch, which is where the minibatch-shaped work lives.
         with self.lock:
             if self.closed:
-                outputs = self._run_inprocess(items, params)
+                outputs = self.direction.inprocess(items, params)
             else:
                 outputs = self._run_parallel(items, params)
             self.stats.batches += 1
             self.stats.items += len(items)
             return outputs
-
-    def _run_inprocess(self, items: list, params) -> list:
-        # The pool's contract is identity with *fast-path* output (workers
-        # pin it on); the in-process degradations must match even when the
-        # caller has the scalar reference path selected, or a mixed batch
-        # could differ chunk by chunk.
-        with codec_config.use_fastpath(True):
-            return self.direction.inprocess(items, params)
 
     def _run_parallel(self, items: list, params) -> list:
         self.ensure_workers()
@@ -552,7 +540,7 @@ class _PoolState:
             self.stats.fallback_batches += 1
             self.restart_fleet()
             fallback = sorted(index for chunk_id in pending for index in chunks[chunk_id])
-            redone = self._run_inprocess([items[i] for i in fallback], params)
+            redone = self.direction.inprocess([items[i] for i in fallback], params)
             for index, output in zip(fallback, redone):
                 outputs[index] = output
         for chunk_id, chunk_outputs in returned.items():
@@ -657,10 +645,10 @@ class DecodePool(_Pool):
     """A persistent process pool that decodes minibatches of PCR streams.
 
     ``decode_batch`` is a drop-in replacement for
-    :meth:`repro.codecs.progressive.ProgressiveCodec.decode_batch`: it takes
+    :func:`repro.codecs.progressive.decode_progressive_batch`: it takes
     the same list of stream bytes and returns the same list of
     :class:`~repro.codecs.image.ImageBuffer` — ordinary writable arrays,
-    byte-identical to in-process fast-path decoding — except the entropy
+    byte-identical to in-process decoding — except the entropy
     loops of the batch run on ``n_workers`` cores concurrently and the
     pixels come back through shared memory.
 
@@ -687,8 +675,8 @@ class EncodePool(_Pool):
     ``encode_batch`` is a drop-in replacement for
     :func:`repro.codecs.progressive.encode_progressive_batch`: it takes the
     same list of :class:`~repro.codecs.image.ImageBuffer` and returns the
-    same list of encoded streams, identical to in-process fast-path
-    encoding — except the forward DCT + entropy loops of the batch run on
+    same list of encoded streams, identical to in-process encoding —
+    except the forward DCT + entropy loops of the batch run on
     ``n_workers`` cores concurrently, and the pixels travel to the workers
     through the shared-memory slab (one parent-side memcpy per image, zero
     pickling of pixel data).  Encoded streams are orders of magnitude

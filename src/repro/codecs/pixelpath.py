@@ -42,9 +42,10 @@ epsilon of a rounding tie: the error budget is **at most 1 LSB per pixel**
 (intermediate magnitudes stay below 2^12 while float32 carries 24 mantissa
 bits), enforced across scan groups by ``tests/test_codecs_pixelpath.py``.
 Exact ties are inside that budget: the fast path rounds half up
-(``floor(x + 0.5)``), the reference's ``np.round`` half to even.  The
-scalar path remains available behind ``use_fastpath(False)`` as the
-differential reference.
+(``floor(x + 0.5)``), the reference's ``np.round`` half to even.  That
+float64 reference is
+:func:`repro.codecs.progressive.coefficients_to_image_reference`, which
+only the tests call; decoding always runs this module.
 """
 
 from __future__ import annotations

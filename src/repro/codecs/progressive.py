@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codecs import config as codec_config
 from repro.codecs.bitio import BitReader, BitWriter
 from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_body_fast
 from repro.codecs.blocks import block_grid_shape, merge_blocks, split_into_blocks
@@ -158,105 +157,36 @@ def image_to_coefficients(
 ) -> CoefficientPlanes:
     """Forward-transform an image into quantized zigzag coefficient planes.
 
-    Dispatches to the batched float32 forward path
-    (:mod:`repro.codecs.encodepath`: fused colour conversion + level
-    shift, strided 4:2:0 downsample, one fused quantize+DCT sgemm per
-    component) unless the fast path is disabled via
-    :mod:`repro.codecs.config`.  The float64 scalar path is the
-    differential reference; unlike the entropy stage the two are *not*
-    byte-identical — coefficients may differ by at most 1 quant step at
-    a documented, tested rate (see the error budget in
-    :mod:`repro.codecs.encodepath`).  The fast path reuses the calling
-    thread's work buffers from one image to the next.
+    Runs the batched float32 forward path (:mod:`repro.codecs.encodepath`:
+    fused colour conversion + level shift, strided 4:2:0 downsample, one
+    fused quantize+DCT sgemm per component), reusing the calling thread's
+    work buffers from one image to the next.  Against
+    :func:`image_to_coefficients_reference` the coefficients may differ by
+    at most 1 quant step at a documented, tested rate (see the error
+    budget in :mod:`repro.codecs.encodepath`).
     """
-    if codec_config.fastpath_enabled():
-        tables = QuantizationTables.for_quality(quality)
-        if not image.is_color:
-            subsampling = SUBSAMPLING_NONE
-        header = FrameHeader(
-            height=image.height,
-            width=image.width,
-            n_components=3 if image.is_color else 1,
-            subsampling=subsampling,
-            quant_tables=tables,
-        )
-        planes = encode_to_planes(image, tables, subsampling)
-        return CoefficientPlanes(header=header, planes=planes)
-    return _image_to_coefficients_scalar(image, quality, subsampling)
-
-
-def _image_to_coefficients_scalar(
-    image: ImageBuffer,
-    quality: int = DEFAULT_QUALITY,
-    subsampling: int = SUBSAMPLING_420,
-) -> CoefficientPlanes:
-    """Scalar float64 reference: per-stage colour / subsample / DCT / quantize."""
     tables = QuantizationTables.for_quality(quality)
-    if image.is_color:
-        ycc = rgb_to_ycbcr(image.as_float())
-        if subsampling == SUBSAMPLING_420:
-            channels = [ycc[..., 0], subsample_420(ycc[..., 1]), subsample_420(ycc[..., 2])]
-        else:
-            channels = [ycc[..., 0], ycc[..., 1], ycc[..., 2]]
-        n_components = 3
-    else:
-        channels = [image.as_float()]
-        n_components = 1
+    if not image.is_color:
         subsampling = SUBSAMPLING_NONE
     header = FrameHeader(
         height=image.height,
         width=image.width,
-        n_components=n_components,
+        n_components=3 if image.is_color else 1,
         subsampling=subsampling,
         quant_tables=tables,
     )
-    planes: list[np.ndarray] = []
-    for index, channel in enumerate(channels):
-        blocks = split_into_blocks(channel)
-        coefficients = forward_dct_blocks(blocks)
-        quantized = quantize(coefficients, tables.table_for_component(index))
-        zigzag = blocks_to_zigzag(quantized)
-        planes.append(zigzag.reshape(-1, N_COEFFICIENTS).astype(np.int32))
+    planes = encode_to_planes(image, tables, subsampling)
     return CoefficientPlanes(header=header, planes=planes)
 
 
 def coefficients_to_image(coefficients: CoefficientPlanes) -> ImageBuffer:
     """Reconstruct an image from (possibly partial) coefficient planes.
 
-    Dispatches to the batched float32 pixel path
-    (:mod:`repro.codecs.pixelpath`) unless the fast path is disabled via
-    :mod:`repro.codecs.config`; the float64 scalar path is the differential
-    reference (outputs may differ by at most 1 LSB, see the pixel-path
-    module docs).  The fast path reuses the calling thread's work buffers
-    from one image to the next.
+    Runs the batched float32 pixel path (:mod:`repro.codecs.pixelpath`),
+    reusing the calling thread's work buffers from one image to the next;
+    pixels are within 1 LSB of :func:`coefficients_to_image_reference`.
     """
-    if codec_config.fastpath_enabled():
-        return ImageBuffer(decode_to_pixels(coefficients))
-    return _coefficients_to_image_scalar(coefficients)
-
-
-def _coefficients_to_image_scalar(coefficients: CoefficientPlanes) -> ImageBuffer:
-    """Scalar float64 reference: per-stage dequantize / IDCT / merge / colour."""
-    header = coefficients.header
-    tables = header.quant_tables
-    channels: list[np.ndarray] = []
-    for index, plane in enumerate(coefficients.planes):
-        comp_h, comp_w = header.component_shape(index)
-        nv, nh = block_grid_shape(comp_h, comp_w)
-        blocks_zz = plane.reshape(nv, nh, N_COEFFICIENTS)
-        blocks = zigzag_to_blocks(blocks_zz)
-        dequantized = dequantize(blocks, tables.table_for_component(index))
-        spatial = inverse_dct_blocks(dequantized)
-        channels.append(merge_blocks(spatial, comp_h, comp_w))
-    if header.n_components == 1:
-        return ImageBuffer.from_array(channels[0])
-    if header.subsampling == SUBSAMPLING_420:
-        cb = upsample_420(channels[1], header.height, header.width)
-        cr = upsample_420(channels[2], header.height, header.width)
-    else:
-        cb, cr = channels[1], channels[2]
-    ycc = np.stack([channels[0], cb, cr], axis=-1)
-    return ImageBuffer.from_array(ycbcr_to_rgb(ycc))
+    return ImageBuffer(decode_to_pixels(coefficients))
 
 
 def empty_coefficients(header: FrameHeader) -> CoefficientPlanes:
@@ -269,103 +199,12 @@ def empty_coefficients(header: FrameHeader) -> CoefficientPlanes:
     return CoefficientPlanes(header=header, planes=planes)
 
 
-def _encode_scan_body(coefficients: CoefficientPlanes, scan: ScanHeader) -> bytes:
-    """Entropy-code one scan: optimized Huffman table followed by the bits.
-
-    Dispatches to the vectorized fast path unless it is disabled via
-    :mod:`repro.codecs.config`; both implementations emit byte-identical
-    segments.
-    """
-    if codec_config.fastpath_enabled():
-        return encode_scan_body_fast(coefficients, scan)
-    return _encode_scan_body_scalar(coefficients, scan)
-
-
-def _encode_scan_body_scalar(coefficients: CoefficientPlanes, scan: ScanHeader) -> bytes:
-    """Scalar reference encoder (per-coefficient Python loops)."""
-    all_symbols: list[int] = []
-    per_component: list[tuple[list[int], list[tuple[int, int]]]] = []
-    for component in scan.component_ids:
-        plane = coefficients.planes[component]
-        symbols: list[int] = []
-        extras: list[tuple[int, int]] = []
-        if scan.spectral_start == 0 and scan.spectral_end == 0:
-            dc_syms, dc_extras = dc_symbols([int(v) for v in plane[:, 0]])
-            symbols.extend(dc_syms)
-            extras.extend(dc_extras)
-        elif scan.spectral_start == 0:
-            # Full/mixed band: per block, DC delta followed by the AC band.
-            previous_dc = 0
-            for block in plane:
-                dc_value = int(block[0])
-                diff = dc_value - previous_dc
-                previous_dc = dc_value
-                dc_syms, dc_extras = dc_symbols([diff])
-                # dc_symbols delta-codes against 0, so a single diff round-trips.
-                symbols.extend(dc_syms)
-                extras.extend(dc_extras)
-                band = [int(v) for v in block[1 : scan.spectral_end + 1]]
-                ac_syms, ac_extras = ac_band_symbols(band)
-                symbols.extend(ac_syms)
-                extras.extend(ac_extras)
-        else:
-            for block in plane:
-                band = [int(v) for v in block[scan.spectral_start : scan.spectral_end + 1]]
-                ac_syms, ac_extras = ac_band_symbols(band)
-                symbols.extend(ac_syms)
-                extras.extend(ac_extras)
-        per_component.append((symbols, extras))
-        all_symbols.extend(symbols)
-    table = HuffmanTable.from_symbols(all_symbols)
-    writer = BitWriter()
-    for symbols, extras in per_component:
-        write_symbols(symbols, extras, table, writer)
-    return table.to_bytes() + writer.getvalue()
-
-
-def _decode_scan_body_scalar(
-    data: bytes,
-    segment: ScanSegment,
-    coefficients: CoefficientPlanes,
-) -> None:
-    """Scalar reference decoder (bit-at-a-time Huffman probing)."""
-    scan = segment.header
-    table, consumed = HuffmanTable.from_bytes(data[segment.payload_start : segment.end])
-    reader = BitReader(data[segment.payload_start + consumed : segment.end])
-    for component in scan.component_ids:
-        plane = coefficients.planes[component]
-        n_blocks = plane.shape[0]
-        if scan.spectral_start == 0 and scan.spectral_end == 0:
-            previous = 0
-            for block_index in range(n_blocks):
-                category = table.decode_symbol(reader)
-                bits = reader.read_bits(category)
-                previous += decode_magnitude(bits, category)
-                plane[block_index, 0] = previous
-        elif scan.spectral_start == 0:
-            previous = 0
-            band_length = scan.spectral_end
-            for block_index in range(n_blocks):
-                category = table.decode_symbol(reader)
-                bits = reader.read_bits(category)
-                previous += decode_magnitude(bits, category)
-                plane[block_index, 0] = previous
-                band = read_ac_band(reader, table, band_length)
-                plane[block_index, 1 : scan.spectral_end + 1] = band
-        else:
-            band_length = scan.band_length
-            for block_index in range(n_blocks):
-                band = read_ac_band(reader, table, band_length)
-                plane[block_index, scan.spectral_start : scan.spectral_end + 1] = band
-
-
 def encode_coefficients(coefficients: CoefficientPlanes, script: ScanScript) -> bytes:
     """Serialize coefficient planes as SOI + SOF + scans + EOI."""
     script.validate(coefficients.header.n_components)
     parts = [SOI, coefficients.header.to_bytes()]
     for scan in script:
-        body = _encode_scan_body(coefficients, scan)
-        parts.append(write_scan_segment(scan, body))
+        parts.append(write_scan_segment(scan, encode_scan_body_fast(coefficients, scan)))
     parts.append(EOI)
     return b"".join(parts)
 
@@ -377,23 +216,22 @@ def decode_coefficients(
 
     Truncated streams (no EOI, or a partial final scan) decode the complete
     scans that are present — exactly the behaviour the PCR reader relies on
-    when it terminates a partial read with an EOI token.
+    when it terminates a partial read with an EOI token.  ``max_scans=0``
+    decodes no scans; a negative ``max_scans`` is a ``ValueError``.
 
-    On the fast path the whole segment list is handed over at once
+    The whole segment list is handed over at once
     (:func:`repro.codecs.fastpath.decode_scan_bodies_fast`), letting it
     amortize its vectorized scan-assembly epilogue across every AC scan of
     the stream.
     """
+    if max_scans is not None and max_scans < 0:
+        raise ValueError(f"max_scans must be >= 0, got {max_scans}")
     header, _ = parse_frame_header(data)
     coefficients = empty_coefficients(header)
     segments = find_scan_segments(data)
     if max_scans is not None:
         segments = segments[:max_scans]
-    if codec_config.fastpath_enabled():
-        decode_scan_bodies_fast(data, segments, coefficients)
-    else:
-        for segment in segments:
-            _decode_scan_body_scalar(data, segment, coefficients)
+    decode_scan_bodies_fast(data, segments, coefficients)
     return coefficients, len(segments)
 
 
@@ -509,30 +347,10 @@ class ProgressiveCodec:
         script = self.script_for(coefficients.header.n_components)
         return encode_coefficients(coefficients, script)
 
-    def encode_batch(self, images: list[ImageBuffer]) -> list[bytes]:
-        """Encode a minibatch of images under one ``ingest.*`` metrics sample.
-
-        See :func:`encode_progressive_batch`; results are bitwise identical
-        to per-image :meth:`encode` calls.
-        """
-        return encode_progressive_batch(
-            images, self.quality, self.subsampling, script=self._script
-        )
-
     def decode(self, data: bytes, max_scans: int | None = None) -> ImageBuffer:
         """Decode a (possibly truncated) stream, optionally limiting scans."""
         coefficients, _ = decode_coefficients(data, max_scans=max_scans)
         return coefficients_to_image(coefficients)
-
-    def decode_batch(
-        self, payloads: list[bytes], max_scans: int | None = None
-    ) -> list[ImageBuffer]:
-        """Decode a minibatch of streams under one ``decode.*`` metrics sample.
-
-        See :func:`decode_progressive_batch`; results are bitwise identical
-        to per-payload :meth:`decode` calls.
-        """
-        return decode_progressive_batch(payloads, max_scans=max_scans)
 
     def n_scans(self, data: bytes) -> int:
         """Number of complete scans present in an encoded stream."""
@@ -558,3 +376,153 @@ def split_scans(data: bytes) -> tuple[bytes, list[bytes]]:
 def assemble_partial_stream(header_prefix: bytes, scans: list[bytes]) -> bytes:
     """Reassemble a decodable stream from a header prefix and scan segments."""
     return header_prefix + b"".join(scans) + EOI
+
+
+# --------------------------------------------------------------------------
+# Scalar reference stages: the differential oracle.  Only tests call these;
+# every runtime entry point above runs the vectorized stages.
+# --------------------------------------------------------------------------
+
+
+def image_to_coefficients_reference(
+    image: ImageBuffer,
+    quality: int = DEFAULT_QUALITY,
+    subsampling: int = SUBSAMPLING_420,
+) -> CoefficientPlanes:
+    """Reference for :func:`image_to_coefficients`: float64 colour / subsample / DCT / quantize."""
+    tables = QuantizationTables.for_quality(quality)
+    if image.is_color:
+        ycc = rgb_to_ycbcr(image.as_float())
+        if subsampling == SUBSAMPLING_420:
+            channels = [ycc[..., 0], subsample_420(ycc[..., 1]), subsample_420(ycc[..., 2])]
+        else:
+            channels = [ycc[..., 0], ycc[..., 1], ycc[..., 2]]
+        n_components = 3
+    else:
+        channels = [image.as_float()]
+        n_components = 1
+        subsampling = SUBSAMPLING_NONE
+    header = FrameHeader(
+        height=image.height,
+        width=image.width,
+        n_components=n_components,
+        subsampling=subsampling,
+        quant_tables=tables,
+    )
+    planes: list[np.ndarray] = []
+    for index, channel in enumerate(channels):
+        blocks = split_into_blocks(channel)
+        coefficients = forward_dct_blocks(blocks)
+        quantized = quantize(coefficients, tables.table_for_component(index))
+        zigzag = blocks_to_zigzag(quantized)
+        planes.append(zigzag.reshape(-1, N_COEFFICIENTS).astype(np.int32))
+    return CoefficientPlanes(header=header, planes=planes)
+
+
+def coefficients_to_image_reference(coefficients: CoefficientPlanes) -> ImageBuffer:
+    """Reference for :func:`coefficients_to_image`: float64 dequantize / IDCT / merge / colour."""
+    header = coefficients.header
+    tables = header.quant_tables
+    channels: list[np.ndarray] = []
+    for index, plane in enumerate(coefficients.planes):
+        comp_h, comp_w = header.component_shape(index)
+        nv, nh = block_grid_shape(comp_h, comp_w)
+        blocks_zz = plane.reshape(nv, nh, N_COEFFICIENTS)
+        blocks = zigzag_to_blocks(blocks_zz)
+        dequantized = dequantize(blocks, tables.table_for_component(index))
+        spatial = inverse_dct_blocks(dequantized)
+        channels.append(merge_blocks(spatial, comp_h, comp_w))
+    if header.n_components == 1:
+        return ImageBuffer.from_array(channels[0])
+    if header.subsampling == SUBSAMPLING_420:
+        cb = upsample_420(channels[1], header.height, header.width)
+        cr = upsample_420(channels[2], header.height, header.width)
+    else:
+        cb, cr = channels[1], channels[2]
+    ycc = np.stack([channels[0], cb, cr], axis=-1)
+    return ImageBuffer.from_array(ycbcr_to_rgb(ycc))
+
+
+def encode_scan_body_reference(coefficients: CoefficientPlanes, scan: ScanHeader) -> bytes:
+    """Reference scan encoder: optimised Huffman table, then per-coefficient Python loops.
+
+    Byte-identical to :func:`~repro.codecs.fastpath.encode_scan_body_fast`.
+    """
+    all_symbols: list[int] = []
+    per_component: list[tuple[list[int], list[tuple[int, int]]]] = []
+    for component in scan.component_ids:
+        plane = coefficients.planes[component]
+        symbols: list[int] = []
+        extras: list[tuple[int, int]] = []
+        if scan.spectral_start == 0 and scan.spectral_end == 0:
+            dc_syms, dc_extras = dc_symbols([int(v) for v in plane[:, 0]])
+            symbols.extend(dc_syms)
+            extras.extend(dc_extras)
+        elif scan.spectral_start == 0:
+            # Full/mixed band: per block, DC delta followed by the AC band.
+            previous_dc = 0
+            for block in plane:
+                dc_value = int(block[0])
+                diff = dc_value - previous_dc
+                previous_dc = dc_value
+                dc_syms, dc_extras = dc_symbols([diff])
+                # dc_symbols delta-codes against 0, so a single diff round-trips.
+                symbols.extend(dc_syms)
+                extras.extend(dc_extras)
+                band = [int(v) for v in block[1 : scan.spectral_end + 1]]
+                ac_syms, ac_extras = ac_band_symbols(band)
+                symbols.extend(ac_syms)
+                extras.extend(ac_extras)
+        else:
+            for block in plane:
+                band = [int(v) for v in block[scan.spectral_start : scan.spectral_end + 1]]
+                ac_syms, ac_extras = ac_band_symbols(band)
+                symbols.extend(ac_syms)
+                extras.extend(ac_extras)
+        per_component.append((symbols, extras))
+        all_symbols.extend(symbols)
+    table = HuffmanTable.from_symbols(all_symbols)
+    writer = BitWriter()
+    for symbols, extras in per_component:
+        write_symbols(symbols, extras, table, writer)
+    return table.to_bytes() + writer.getvalue()
+
+
+def decode_scan_body_reference(
+    data: bytes,
+    segment: ScanSegment,
+    coefficients: CoefficientPlanes,
+) -> None:
+    """Reference scan decoder (bit-at-a-time Huffman probing) into ``coefficients``.
+
+    Coefficients and error classes match
+    :func:`~repro.codecs.fastpath.decode_scan_bodies_fast`.
+    """
+    scan = segment.header
+    table, consumed = HuffmanTable.from_bytes(data[segment.payload_start : segment.end])
+    reader = BitReader(data[segment.payload_start + consumed : segment.end])
+    for component in scan.component_ids:
+        plane = coefficients.planes[component]
+        n_blocks = plane.shape[0]
+        if scan.spectral_start == 0 and scan.spectral_end == 0:
+            previous = 0
+            for block_index in range(n_blocks):
+                category = table.decode_symbol(reader)
+                bits = reader.read_bits(category)
+                previous += decode_magnitude(bits, category)
+                plane[block_index, 0] = previous
+        elif scan.spectral_start == 0:
+            previous = 0
+            band_length = scan.spectral_end
+            for block_index in range(n_blocks):
+                category = table.decode_symbol(reader)
+                bits = reader.read_bits(category)
+                previous += decode_magnitude(bits, category)
+                plane[block_index, 0] = previous
+                band = read_ac_band(reader, table, band_length)
+                plane[block_index, 1 : scan.spectral_end + 1] = band
+        else:
+            band_length = scan.band_length
+            for block_index in range(n_blocks):
+                band = read_ac_band(reader, table, band_length)
+                plane[block_index, scan.spectral_start : scan.spectral_end + 1] = band

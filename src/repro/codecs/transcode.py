@@ -6,11 +6,10 @@ entropy coding change.  This module does the same for PCR-codec streams —
 coefficients are decoded from the source stream and re-emitted with a
 progressive scan script, without a second quantization pass.
 
-Both directions run through the vectorized entropy fast path (see
-:mod:`repro.codecs.fastpath`) via the scan dispatch in
-:mod:`repro.codecs.progressive`, which makes dataset-wide conversion
-(the Fig. 15 conversion-cost scenario) entropy-bound rather than
-Python-loop-bound; toggle with :mod:`repro.codecs.config`.
+Both directions run the vectorized entropy coder
+(:mod:`repro.codecs.fastpath`), which makes dataset-wide conversion (the
+Fig. 15 conversion-cost scenario) entropy-bound rather than
+Python-loop-bound.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.codecs.image import ImageBuffer
-from repro.codecs.progressive import ProgressiveCodec, assemble_partial_stream
+from repro.codecs.progressive import assemble_partial_stream, decode_progressive_batch
 from repro.core.errors import MissingSampleError, PCRError, ScanGroupError
 from repro.core.index import RecordIndex, parse_record_prefix
 from repro.core.metadata import SampleMetadata
@@ -63,20 +63,18 @@ def validate_scan_group(scan_group: int, n_groups: int) -> None:
         raise ScanGroupError(f"scan group {scan_group} out of range [1, {n_groups}]")
 
 
-def assemble_samples(
-    data: bytes, codec: ProgressiveCodec, decode: bool, decode_pool=None
-) -> list[PCRSample]:
+def assemble_samples(data: bytes, decode: bool, decode_pool=None) -> list[PCRSample]:
     """Parse one record prefix and rebuild one decodable sample per entry.
 
     Shared by the local reader and every
     :class:`~repro.core.source.RecordSource`, so the stream-reassembly
     invariant lives in exactly one place.  All streams of the record decode
-    through one batch-API call
-    (:meth:`~repro.codecs.progressive.ProgressiveCodec.decode_batch`), so the
+    through one batch call
+    (:func:`~repro.codecs.progressive.decode_progressive_batch`), so the
     pixel-stage scratch buffers are shared across the record, and a
-    ``decode_pool`` passed in (a :class:`~repro.codecs.parallel.DecodePool`: a drop-in
-    for the codec's batch API with byte-identical output, but the entropy
-    loops run on worker processes and the pixels come back through shared
+    ``decode_pool`` passed in (a :class:`~repro.codecs.parallel.DecodePool`:
+    the same batch call with byte-identical output, but the entropy loops
+    run on worker processes and the pixels come back through shared
     memory) parallelizes it.
 
     Without a pool the decode runs under ``_DECODE_GATE``.  The gate is
@@ -103,7 +101,7 @@ def assemble_samples(
                 tracer.add_event("loader.decode_wait", wait_start, waited)
                 get_registry().histogram("loader.decode_wait_seconds").observe(waited)
                 with tracer.span("loader.decode", {"streams": len(streams)}):
-                    images = codec.decode_batch(streams)
+                    images = decode_progressive_batch(streams)
     return [
         PCRSample(metadata=metadata, stream=stream, image=image)
         for metadata, stream, image in zip(parsed.samples, streams, images)
@@ -152,7 +150,6 @@ class PCRReader:
         self.dataset_meta = json.loads(meta_raw.decode())
         self.n_groups: int = int(self.dataset_meta["n_groups"])
         self.decode_by_default = decode
-        self._codec = ProgressiveCodec(quality=int(self.dataset_meta.get("quality", 90)))
         self._indexes: dict[str, RecordIndex] = {}
         self._lock = threading.Lock()
         self.stats = ReadStats()
@@ -233,7 +230,7 @@ class PCRReader:
         """
         decode = self.decode_by_default if decode is None else decode
         data = self.read_record_bytes(record_name, scan_group)
-        samples = assemble_samples(data, self._codec, decode)
+        samples = assemble_samples(data, decode)
         if decode:
             with self._lock:
                 self.stats.samples_decoded += len(samples)

@@ -27,7 +27,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import replace
 from typing import Protocol, runtime_checkable
 
-from repro.codecs.progressive import ProgressiveCodec
 from repro.core.index import RecordIndex
 from repro.core.reader import PCRSample, ReadStats, assemble_samples, validate_scan_group
 
@@ -92,7 +91,6 @@ class RecordSource:
             raise
         self.decode_by_default = decode
         self._label_mapper = label_mapper
-        self._codec = ProgressiveCodec(quality=int(self.dataset_meta.get("quality", 90)))
         self._lock = threading.Lock()
         self.stats = ReadStats()
 
@@ -158,7 +156,7 @@ class RecordSource:
         validate_scan_group(group, self.n_groups)
         data = self.fetcher.read_record_bytes(record_name, group)
         decode = self.decode_by_default if decode is None else decode
-        samples = assemble_samples(data, self._codec, decode, decode_pool)
+        samples = assemble_samples(data, decode, decode_pool)
         n_decoded = len(samples) if decode else 0
         with self._lock:
             self.stats.add(len(data), n_decoded)

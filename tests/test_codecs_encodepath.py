@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.codecs import config as codec_config
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.bitio import BitReader, BitWriter
 from repro.codecs.encodepath import MAX_MISMATCH_RATE, MIN_PARITY_PSNR_DB
@@ -33,9 +32,11 @@ from repro.codecs.progressive import (
     decode_progressive_batch,
     encode_progressive_batch,
     image_to_coefficients,
+    image_to_coefficients_reference,
 )
 from repro.codecs.transcode import transcode_to_progressive
 from repro.obs import get_registry
+from tests.codec_reference import encode_coefficients_reference, encode_reference
 
 
 def _test_image(rng: np.random.Generator, height: int, width: int, color: bool) -> ImageBuffer:
@@ -88,19 +89,15 @@ class TestForwardParity:
     @pytest.mark.parametrize("quality", [50, 90])
     def test_color_planes(self, height, width, subsampling, quality):
         image = _test_image(np.random.default_rng(height * width), height, width, True)
-        with codec_config.use_fastpath(True):
-            fast = image_to_coefficients(image, quality, subsampling)
-        with codec_config.use_fastpath(False):
-            scalar = image_to_coefficients(image, quality, subsampling)
+        fast = image_to_coefficients(image, quality, subsampling)
+        scalar = image_to_coefficients_reference(image, quality, subsampling)
         _assert_plane_parity(fast, scalar)
 
     @pytest.mark.parametrize("height,width", [(64, 64), (61, 47), (8, 8), (9, 25)])
     def test_grayscale_planes(self, height, width):
         image = _test_image(np.random.default_rng(height + width), height, width, False)
-        with codec_config.use_fastpath(True):
-            fast = image_to_coefficients(image, 90)
-        with codec_config.use_fastpath(False):
-            scalar = image_to_coefficients(image, 90)
+        fast = image_to_coefficients(image, 90)
+        scalar = image_to_coefficients_reference(image, 90)
         assert fast.header.subsampling == SUBSAMPLING_NONE
         _assert_plane_parity(fast, scalar)
 
@@ -111,10 +108,8 @@ class TestForwardParity:
         mismatched = 0
         for index in range(12):
             image = _test_image(rng, 48 + index, 56 + 3 * index, index % 3 != 0)
-            with codec_config.use_fastpath(True):
-                fast = image_to_coefficients(image, 75)
-            with codec_config.use_fastpath(False):
-                scalar = image_to_coefficients(image, 75)
+            fast = image_to_coefficients(image, 75)
+            scalar = image_to_coefficients_reference(image, 75)
             for fp, sp in zip(fast.planes, scalar.planes):
                 delta = np.abs(fp.astype(np.int64) - sp.astype(np.int64))
                 assert int(delta.max(initial=0)) <= 1
@@ -126,17 +121,14 @@ class TestForwardParity:
         """Decodes of the two encodes agree to >= MIN_PARITY_PSNR_DB at
         every scan-prefix depth (every scan group serves equivalent pixels)."""
         image = _test_image(np.random.default_rng(11), 72, 88, True)
-        with codec_config.use_fastpath(True):
-            fast_stream = ProgressiveCodec(quality=90).encode(image)
-        with codec_config.use_fastpath(False):
-            scalar_stream = ProgressiveCodec(quality=90).encode(image)
+        fast_stream = ProgressiveCodec(quality=90).encode(image)
+        scalar_stream = encode_reference(image, quality=90)
         n_scans = len(ScanScript.default_for(3).scans)
-        with codec_config.use_fastpath(True):
-            for max_scans in list(range(1, n_scans + 1)) + [None]:
-                fast_image, scalar_image = decode_progressive_batch(
-                    [fast_stream, scalar_stream], max_scans=max_scans
-                )
-                assert _psnr(fast_image.pixels, scalar_image.pixels) >= MIN_PARITY_PSNR_DB
+        for max_scans in list(range(1, n_scans + 1)) + [None]:
+            fast_image, scalar_image = decode_progressive_batch(
+                [fast_stream, scalar_stream], max_scans=max_scans
+            )
+            assert _psnr(fast_image.pixels, scalar_image.pixels) >= MIN_PARITY_PSNR_DB
 
 
 class TestEntropyStage:
@@ -149,11 +141,9 @@ class TestEntropyStage:
         from repro.codecs.progressive import encode_coefficients
 
         image = _test_image(np.random.default_rng(3), 160, 200, True)
-        with codec_config.use_fastpath(False):
-            coefficients = image_to_coefficients(image, 90)
-            scalar_stream = encode_coefficients(coefficients, ScanScript.default_for(3))
-        with codec_config.use_fastpath(True):
-            fast_stream = encode_coefficients(coefficients, ScanScript.default_for(3))
+        coefficients = image_to_coefficients_reference(image, 90)
+        scalar_stream = encode_coefficients_reference(coefficients, ScanScript.default_for(3))
+        fast_stream = encode_coefficients(coefficients, ScanScript.default_for(3))
         assert scalar_stream == fast_stream
 
     @pytest.mark.parametrize("seed", range(4))
@@ -209,16 +199,14 @@ class TestBatchEncode:
 
     def test_batch_matches_single_image_encodes(self):
         images = self._images()
-        with codec_config.use_fastpath(True):
-            batch = encode_progressive_batch(images)
-            singles = [ProgressiveCodec(quality=90).encode(image) for image in images]
+        batch = encode_progressive_batch(images)
+        singles = [ProgressiveCodec(quality=90).encode(image) for image in images]
         assert batch == singles
 
     def test_sequential_layout_matches_baseline_codec(self):
         images = self._images()
-        with codec_config.use_fastpath(True):
-            batch = encode_progressive_batch(images, layout="sequential")
-            singles = [BaselineCodec(quality=90).encode(image) for image in images]
+        batch = encode_progressive_batch(images, layout="sequential")
+        singles = [BaselineCodec(quality=90).encode(image) for image in images]
         assert batch == singles
 
     def test_unknown_layout_rejected(self):
@@ -232,22 +220,11 @@ class TestBatchEncode:
         with EncodePool(2) as pool, pytest.raises(ValueError, match="unknown encode layout"):
             pool.encode_batch(self._images()[:1], layout="pcr")
 
-    def test_codec_encode_batch_methods(self):
-        images = self._images()
-        with codec_config.use_fastpath(True):
-            assert ProgressiveCodec(quality=90).encode_batch(images) == [
-                ProgressiveCodec(quality=90).encode(image) for image in images
-            ]
-            assert BaselineCodec(quality=90).encode_batch(images) == [
-                BaselineCodec(quality=90).encode(image) for image in images
-            ]
-
     def test_ingest_metrics_emitted(self):
         registry = get_registry()
         registry.reset()
         images = self._images()
-        with codec_config.use_fastpath(True):
-            streams = encode_progressive_batch(images)
+        streams = encode_progressive_batch(images)
         assert registry.counter("ingest.images_total").value == len(images)
         assert registry.counter("ingest.pixel_bytes_total").value == sum(
             image.pixels.nbytes for image in images
@@ -259,9 +236,8 @@ class TestBatchEncode:
 
 
 def _one_pass_equals_transcode(image: ImageBuffer, quality: int) -> None:
-    with codec_config.use_fastpath(True):
-        one_pass = ProgressiveCodec(quality=quality).encode(image)
-        two_jobs = transcode_to_progressive(BaselineCodec(quality=quality).encode(image))
+    one_pass = ProgressiveCodec(quality=quality).encode(image)
+    two_jobs = transcode_to_progressive(BaselineCodec(quality=quality).encode(image))
     assert one_pass == two_jobs
 
 
@@ -319,8 +295,7 @@ class TestEncodePool:
     @pytest.mark.parametrize("layout", ["progressive", "sequential"])
     def test_pool_matches_inprocess(self, layout):
         images = self._images()
-        with codec_config.use_fastpath(True):
-            expected = encode_progressive_batch(images, layout=layout)
+        expected = encode_progressive_batch(images, layout=layout)
         with EncodePool(2) as pool:
             assert pool.encode_batch(images, layout=layout) == expected
             assert pool.stats.parallel_batches == 1
@@ -371,10 +346,9 @@ class TestStreamingConversion:
 
         writer = PCRWriter(tmp_path / "pcr", images_per_record=3)
         rng = np.random.default_rng(4)
-        with codec_config.use_fastpath(True):
-            for index in range(8):
-                writer.add_sample(f"img-{index}", _test_image(rng, 24, 24, True), 0)
-                assert writer.pending_samples < 3
+        for index in range(8):
+            writer.add_sample(f"img-{index}", _test_image(rng, 24, 24, True), 0)
+            assert writer.pending_samples < 3
         writer.finalize()
 
     def test_convert_with_pool_matches_serial(self, tmp_path):
@@ -383,17 +357,16 @@ class TestStreamingConversion:
         rng = np.random.default_rng(6)
         images = [_test_image(rng, 40, 48, True) for _ in range(6)]
         serial_samples = [(f"img-{i}", image, 0) for i, image in enumerate(images)]
-        with codec_config.use_fastpath(True):
-            serial, _ = convert_to_pcr(
-                serial_samples, tmp_path / "serial", images_per_record=4, chunk_size=3
-            )
-            pooled, report = convert_to_pcr(
-                serial_samples,
-                tmp_path / "pooled",
-                images_per_record=4,
-                chunk_size=3,
-                encode_workers=2,
-            )
+        serial, _ = convert_to_pcr(
+            serial_samples, tmp_path / "serial", images_per_record=4, chunk_size=3
+        )
+        pooled, report = convert_to_pcr(
+            serial_samples,
+            tmp_path / "pooled",
+            images_per_record=4,
+            chunk_size=3,
+            encode_workers=2,
+        )
         assert pooled.n_samples == serial.n_samples
         assert pooled.total_bytes == serial.total_bytes
         assert report.encode_workers == 2
@@ -414,10 +387,9 @@ class TestStreamingConversion:
 def test_decode_coefficients_roundtrip_of_batch_stream():
     """A batch-encoded stream decodes to exactly its own coefficients."""
     image = _test_image(np.random.default_rng(21), 56, 72, True)
-    with codec_config.use_fastpath(True):
-        coefficients = image_to_coefficients(image, 90)
-        stream = encode_progressive_batch([image])[0]
-        decoded, n_scans = decode_coefficients(stream)
+    coefficients = image_to_coefficients(image, 90)
+    stream = encode_progressive_batch([image])[0]
+    decoded, n_scans = decode_coefficients(stream)
     assert n_scans == len(ScanScript.default_for(3).scans)
     for original, roundtripped in zip(coefficients.planes, decoded.planes):
         assert np.array_equal(original, roundtripped)

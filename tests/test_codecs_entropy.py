@@ -596,7 +596,6 @@ class TestHuffmanTableCaches:
 
     def test_cold_decode_charges_each_entry_exactly(self, monkeypatch):
         """A ten-scan colour stream: one entry per scan, each of one kind."""
-        from repro.codecs import config
         from repro.codecs.huffman import SUPER_BITS, _LRUByteCache
         from repro.codecs import huffman
         from repro.codecs.markers import find_scan_segments
@@ -606,8 +605,7 @@ class TestHuffmanTableCaches:
         monkeypatch.setattr(huffman, "_TABLE_CACHE", cache)
         (stream,) = self._noise_streams(43, 1, size=32)
         assert len(find_scan_segments(stream)) == 10
-        with config.use_fastpath(True):
-            decode_coefficients(stream)
+        decode_coefficients(stream)
         assert len(cache) == 10
         kinds = [kind for kind, _ in cache._entries]
         assert kinds.count("dc") == 1 and kinds.count("ac") == 9
@@ -630,10 +628,10 @@ class TestHuffmanTableCaches:
 
         import numpy as np
 
-        from repro.codecs import config
         from repro.codecs.huffman import _TABLE_CACHE
         from repro.codecs.progressive import decode_coefficients
         from repro.obs import get_registry
+        from tests.codec_reference import decode_coefficients_reference
 
         from repro.codecs.markers import find_scan_segments
 
@@ -645,15 +643,13 @@ class TestHuffmanTableCaches:
                 kind = "dc" if segment.header.spectral_end == 0 else "ac"
                 keys.add((kind, body[: 18 + int.from_bytes(body[:2], "little")]))
         assert len(keys) >= 25 and len(keys - set(_TABLE_CACHE._entries)) >= 25  # cold
-        with config.use_fastpath(False):
-            expected = [decode_coefficients(stream)[0] for stream in streams]
+        expected = [decode_coefficients_reference(stream)[0] for stream in streams]
         results: dict = {}
         barrier = threading.Barrier(4)
 
         def work(slot: int) -> None:
-            with config.use_fastpath(True):
-                barrier.wait(timeout=30)
-                results[slot] = [decode_coefficients(stream)[0] for stream in streams]
+            barrier.wait(timeout=30)
+            results[slot] = [decode_coefficients(stream)[0] for stream in streams]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -688,7 +684,6 @@ class TestHuffmanTableCaches:
         import gc
         import weakref
 
-        from repro.codecs import config
         from repro.codecs.huffman import SUPER_BITS, _TABLE_CACHE
         from repro.codecs.progressive import decode_coefficients
         from repro.obs import get_registry
@@ -711,13 +706,12 @@ class TestHuffmanTableCaches:
 
         misses_before, evictions_before = misses.value, evictions.value
         watched = []
-        with config.use_fastpath(True):
-            for stream in self._noise_streams(41, 6):
-                decode_coefficients(stream)
-                assert _TABLE_CACHE.resident_bytes <= budget
-                assert gauge.value == _TABLE_CACHE.resident_bytes == _held_bytes(_TABLE_CACHE)
-                # What the first decode left: every entry is evicted by the end.
-                watched = watched or watch_held()
+        for stream in self._noise_streams(41, 6):
+            decode_coefficients(stream)
+            assert _TABLE_CACHE.resident_bytes <= budget
+            assert gauge.value == _TABLE_CACHE.resident_bytes == _held_bytes(_TABLE_CACHE)
+            # What the first decode left: every entry is evicted by the end.
+            watched = watched or watch_held()
         distinct = misses.value - misses_before
         assert distinct * (8 << SUPER_BITS) >= 3 * budget
         assert evictions.value - evictions_before >= distinct - len(_TABLE_CACHE)

@@ -6,20 +6,22 @@ implementation on every valid stream:
 * the *entropy stage* produces **byte-identical** streams given identical
   coefficient planes (``test_scan_bodies_identical_per_scan``), and
   decoding produces **identical coefficient planes** at every scan prefix;
-* the *forward transform* (``repro.codecs.encodepath``, PR 10) carries a
+* the *forward transform* (``repro.codecs.encodepath``) carries a
   documented ±1-quant-step error budget instead of byte identity, so
-  whole-stream comparisons across the toggle go through
+  whole-stream comparisons against the reference encode go through
   ``_assert_stream_parity`` (the full forward-path differential suite
   lives in ``tests/test_codecs_encodepath.py``).
 
-A perf smoke test pins the ordering (fast must beat scalar) so accidental
-de-vectorization fails CI.
+The scalar side is the ``*_reference`` stages of
+``repro.codecs.progressive`` (whole-stream loops in
+``tests/codec_reference.py``).  A perf smoke test pins the ordering (the
+runtime coder must beat the reference) so accidental de-vectorization
+fails CI.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import time
 
 import numpy as np
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs import config, fastpath
+from repro.codecs import fastpath
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_body_fast
 from repro.codecs.image import ImageBuffer
@@ -42,6 +44,7 @@ from repro.codecs.progressive import (
     decode_coefficients,
     empty_coefficients,
     encode_coefficients,
+    encode_scan_body_reference,
     image_to_coefficients,
     parse_frame_header,
 )
@@ -52,6 +55,14 @@ from repro.codecs.rle import (
     dc_symbols,
     mixed_symbol_arrays,
 )
+from tests.codec_reference import (
+    decode_coefficients_reference,
+    decode_reference,
+    encode_coefficients_reference,
+    encode_reference,
+)
+
+
 def make_structured_image(size: int = 48, seed: int = 0, color: bool = True) -> ImageBuffer:
     """A deterministic image with both low- and high-frequency content.
 
@@ -79,11 +90,10 @@ def _random_image(seed: int, size: int, color: bool) -> ImageBuffer:
 
 
 def _encode_both(codec, image: ImageBuffer) -> tuple[bytes, bytes]:
-    with config.use_fastpath(False):
-        scalar_stream = codec.encode(image)
-    with config.use_fastpath(True):
-        fast_stream = codec.encode(image)
-    return scalar_stream, fast_stream
+    scalar_stream = encode_reference(
+        image, codec.quality, codec.subsampling, sequential=isinstance(codec, BaselineCodec)
+    )
+    return scalar_stream, codec.encode(image)
 
 
 def _assert_stream_parity(scalar_stream: bytes, fast_stream: bytes) -> None:
@@ -97,9 +107,8 @@ def _assert_stream_parity(scalar_stream: bytes, fast_stream: bytes) -> None:
     """
     from repro.codecs.encodepath import MAX_MISMATCH_RATE
 
-    with config.use_fastpath(True):
-        scalar_coeffs, _ = decode_coefficients(scalar_stream)
-        fast_coeffs, _ = decode_coefficients(fast_stream)
+    scalar_coeffs, _ = decode_coefficients(scalar_stream)
+    fast_coeffs, _ = decode_coefficients(fast_stream)
     total = 0
     mismatched = 0
     for scalar_plane, fast_plane in zip(scalar_coeffs.planes, fast_coeffs.planes):
@@ -113,10 +122,8 @@ def _assert_stream_parity(scalar_stream: bytes, fast_stream: bytes) -> None:
 
 def _assert_decodes_match(stream: bytes, n_scans: int) -> None:
     for max_scans in range(1, n_scans + 1):
-        with config.use_fastpath(False):
-            scalar_coeffs, scalar_applied = decode_coefficients(stream, max_scans=max_scans)
-        with config.use_fastpath(True):
-            fast_coeffs, fast_applied = decode_coefficients(stream, max_scans=max_scans)
+        scalar_coeffs, scalar_applied = decode_coefficients_reference(stream, max_scans)
+        fast_coeffs, fast_applied = decode_coefficients(stream, max_scans=max_scans)
         assert scalar_applied == fast_applied
         for scalar_plane, fast_plane in zip(scalar_coeffs.planes, fast_coeffs.planes):
             assert np.array_equal(scalar_plane, fast_plane)
@@ -170,10 +177,8 @@ class TestStreamEquivalence:
         image = make_structured_image(33, seed=15, color=True)
         coefficients = image_to_coefficients(image, quality=90)
         script = ScanScript.default_for(coefficients.header.n_components)
-        with config.use_fastpath(False):
-            scalar_stream = encode_coefficients(coefficients, script)
-        with config.use_fastpath(True):
-            fast_stream = encode_coefficients(coefficients, script)
+        scalar_stream = encode_coefficients_reference(coefficients, script)
+        fast_stream = encode_coefficients(coefficients, script)
         scalar_segments = find_scan_segments(scalar_stream)
         fast_segments = find_scan_segments(fast_stream)
         assert len(scalar_segments) == len(fast_segments) == len(script)
@@ -186,12 +191,9 @@ class TestStreamEquivalence:
     def test_fastpath_decodes_scalar_stream_and_vice_versa(self):
         image = make_structured_image(30, seed=16, color=True)
         codec = ProgressiveCodec(quality=75)
-        with config.use_fastpath(False):
-            stream = codec.encode(image)
-        with config.use_fastpath(True):
-            fast_image = codec.decode(stream)
-        with config.use_fastpath(False):
-            scalar_image = codec.decode(stream)
+        stream = encode_reference(image, quality=75)
+        fast_image = codec.decode(stream)
+        scalar_image = decode_reference(stream)
         assert fast_image == scalar_image
 
 
@@ -280,13 +282,10 @@ class TestPropertyRoundTrip:
         subsampling = SUBSAMPLING_420 if use_420 else SUBSAMPLING_NONE
         coefficients = image_to_coefficients(image, quality=70, subsampling=subsampling)
         script = ScanScript.default_for(coefficients.header.n_components)
-        with config.use_fastpath(False):
-            scalar_stream = encode_coefficients(coefficients, script)
-        with config.use_fastpath(True):
-            fast_stream = encode_coefficients(coefficients, script)
+        scalar_stream = encode_coefficients_reference(coefficients, script)
+        fast_stream = encode_coefficients(coefficients, script)
         assert scalar_stream == fast_stream
-        with config.use_fastpath(True):
-            decoded, _ = decode_coefficients(fast_stream)
+        decoded, _ = decode_coefficients(fast_stream)
         for original_plane, decoded_plane in zip(coefficients.planes, decoded.planes):
             assert np.array_equal(original_plane, decoded_plane)
 
@@ -308,12 +307,10 @@ class TestScanBodyFunctions:
             assert np.array_equal(original_plane, decoded_plane)
 
     def test_encode_scan_body_fast_is_scalar_body(self):
-        from repro.codecs.progressive import _encode_scan_body_scalar
-
         image = make_structured_image(27, seed=18, color=True)
         coefficients = image_to_coefficients(image, quality=90)
         for scan in ScanScript.default_for(3):
-            assert encode_scan_body_fast(coefficients, scan) == _encode_scan_body_scalar(
+            assert encode_scan_body_fast(coefficients, scan) == encode_scan_body_reference(
                 coefficients, scan
             )
 
@@ -340,7 +337,7 @@ class TestScanBodyFunctions:
 
 
 #: The two decode tiers: scalar reference and the pair-LUT fast path.
-_TIERS = (("scalar", False), ("fast", True))
+_TIERS = (("scalar", decode_coefficients_reference), ("fast", decode_coefficients))
 
 
 def _tier_error_classes(stream: bytes) -> list[str]:
@@ -351,13 +348,12 @@ def _tier_error_classes(stream: bytes) -> list[str]:
     propagates and fails the calling test.
     """
     outcomes = []
-    for _, fastpath in _TIERS:
-        with config.use_fastpath(fastpath):
-            try:
-                decode_coefficients(stream)
-                outcomes.append("ok")
-            except (EOFError, ValueError) as error:
-                outcomes.append(type(error).__name__)
+    for _, decode in _TIERS:
+        try:
+            decode(stream)
+            outcomes.append("ok")
+        except (EOFError, ValueError) as error:
+            outcomes.append(type(error).__name__)
     return outcomes
 
 
@@ -436,9 +432,8 @@ class TestInvalidStreamFuzz:
             junk = bytes(rng.integers(0, 255, 32, endpoint=True).astype(np.uint8))
             junk = junk.replace(b"\xff", b"\xfe")  # keep marker parsing intact
             padded_stream = self._rebuild(stream, segments, index, body + junk)
-            for _, fastpath in _TIERS:
-                with config.use_fastpath(fastpath):
-                    decoded, _ = decode_coefficients(padded_stream)
+            for _, decode in _TIERS:
+                decoded, _ = decode(padded_stream)
                 for expected, actual in zip(baseline.planes, decoded.planes):
                     assert np.array_equal(expected, actual)
 
@@ -633,20 +628,17 @@ class TestBlockSegmentation:
     def _stream(coefficients, scans, bodies=None) -> bytes:
         """SOI + SOF + the given scans (any script, valid or not) + EOI."""
         from repro.codecs.markers import EOI, SOI, write_scan_segment
-        from repro.codecs.progressive import _encode_scan_body_scalar
 
         parts = [SOI, coefficients.header.to_bytes()]
         for index, scan in enumerate(scans):
-            body = bodies[index] if bodies else _encode_scan_body_scalar(coefficients, scan)
+            body = bodies[index] if bodies else encode_scan_body_reference(coefficients, scan)
             parts.append(write_scan_segment(scan, body))
         return b"".join(parts + [EOI])
 
     @staticmethod
     def _decode_both(stream: bytes):
-        with config.use_fastpath(False):
-            scalar, _ = decode_coefficients(stream)
-        with config.use_fastpath(True):
-            fast, _ = decode_coefficients(stream)
+        scalar, _ = decode_coefficients_reference(stream)
+        fast, _ = decode_coefficients(stream)
         for scalar_plane, fast_plane in zip(scalar.planes, fast.planes):
             assert np.array_equal(scalar_plane, fast_plane)
         return fast
@@ -1048,51 +1040,13 @@ class TestOversizedScansWalkAlone(TestStreamEquivalence, TestInvalidStreamFuzz):
 
     def test_a_scan_over_the_cap_is_a_batch_of_its_own(self, walks):
         stream, segments = self._stream_and_segments()
-        with config.use_fastpath(True):
-            decode_coefficients(stream)
+        decode_coefficients(stream)
         ac_scans = sum(segment.header.spectral_start >= 1 for segment in segments)
         assert sum(len(sizes) for sizes in walks) == ac_scans
         oversized = [sizes for sizes in walks if max(sizes) > 64]
         assert len(oversized) >= 3
         assert all(len(sizes) == 1 for sizes in oversized)
         assert all(sum(sizes) <= 64 for sizes in walks if sizes not in oversized)
-
-
-class TestToggle:
-    def test_use_fastpath_restores_state(self):
-        initial = config.fastpath_enabled()
-        with config.use_fastpath(not initial):
-            assert config.fastpath_enabled() is (not initial)
-        assert config.fastpath_enabled() is initial
-
-    def test_override_is_invisible_to_other_threads(self):
-        """A thread holding ``use_fastpath(False)`` changes nothing for a
-        thread decoding concurrently, nor for one started inside the block
-        (the process-global flag this replaced leaked into both)."""
-        default = config.fastpath_enabled()
-        holding = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with config.use_fastpath(not default):
-                holding.set()
-                release.wait(timeout=30)
-
-        observed: list[bool] = []
-        blocker = threading.Thread(target=holder)
-        blocker.start()
-        try:
-            assert holding.wait(timeout=30)
-            observed.append(config.fastpath_enabled())  # concurrent thread
-        finally:
-            release.set()
-            blocker.join(timeout=30)
-        assert not blocker.is_alive()
-        with config.use_fastpath(not default):
-            child = threading.Thread(target=lambda: observed.append(config.fastpath_enabled()))
-            child.start()
-            child.join(timeout=30)
-        assert observed == [default, default]
 
 
 class TestPerformanceSmoke:
@@ -1123,30 +1077,16 @@ class TestPerformanceSmoke:
         stream = encode_coefficients(coefficients, script)
         decode_coefficients(stream)  # warm LUT/table caches
 
-        def decode_fast():
-            with config.use_fastpath(True):
-                decode_coefficients(stream)
-
-        def decode_scalar():
-            with config.use_fastpath(False):
-                decode_coefficients(stream)
-
-        def encode_fast():
-            with config.use_fastpath(True):
-                encode_coefficients(coefficients, script)
-
-        def encode_scalar():
-            with config.use_fastpath(False):
-                encode_coefficients(coefficients, script)
-
-        fast_decode = self._median_seconds(decode_fast)
-        scalar_decode = self._median_seconds(decode_scalar)
+        fast_decode = self._median_seconds(lambda: decode_coefficients(stream))
+        scalar_decode = self._median_seconds(lambda: decode_coefficients_reference(stream))
         assert fast_decode * 1.5 < scalar_decode, (
             f"LUT decode ({fast_decode * 1e3:.2f} ms) must beat the scalar "
             f"reference ({scalar_decode * 1e3:.2f} ms) by at least 1.5x"
         )
-        fast_encode = self._median_seconds(encode_fast)
-        scalar_encode = self._median_seconds(encode_scalar)
+        fast_encode = self._median_seconds(lambda: encode_coefficients(coefficients, script))
+        scalar_encode = self._median_seconds(
+            lambda: encode_coefficients_reference(coefficients, script)
+        )
         assert fast_encode * 1.5 < scalar_encode, (
             f"vectorized encode ({fast_encode * 1e3:.2f} ms) must beat the scalar "
             f"reference ({scalar_encode * 1e3:.2f} ms) by at least 1.5x"

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.codecs.markers import EOI, CodecFormatError, find_scan_segments, write_scan_segment
-from repro.codecs import config
 from repro.codecs.parallel import DecodePool, EncodePool, _chunk_by_bytes
 from repro.codecs.progressive import (
     ProgressiveCodec,
@@ -236,24 +235,6 @@ class TestFailurePaths:
         pool.close()
         _assert_identical(decode_progressive_batch(streams), pool.decode_batch(streams))
 
-    def test_scalar_toggle_does_not_leak_into_pool_output(self, streams, monkeypatch):
-        """Pool output is pinned to fast-path decode on *every* path.
-
-        Workers force the fast path on, so the in-process degradations
-        (closed pool, dead-fleet fallback) must pin it too — otherwise a
-        crash under ``use_fastpath(False)`` could return a batch whose
-        chunks differ by the float32-vs-float64 pixel paths' ±1 LSB.
-        """
-        expected = decode_progressive_batch(streams)  # fast path (default on)
-        with config.use_fastpath(False):
-            pool = DecodePool(2)
-            _assert_identical(expected, pool.decode_batch(streams))
-            _kill_fleet_unseen(pool._state, monkeypatch)
-            _assert_identical(expected, pool.decode_batch(streams))  # fallback
-            assert pool.stats.fallback_batches == 1
-            pool.close()
-            _assert_identical(expected, pool.decode_batch(streams))  # closed
-
 
 # -- one engine, both directions ---------------------------------------------
 
@@ -284,8 +265,7 @@ class _PoolCase:
             self.poison_error = ValueError
 
     def expected(self, items=None) -> list:
-        with config.use_fastpath(True):
-            return self.reference(self.items if items is None else items)
+        return self.reference(self.items if items is None else items)
 
     @staticmethod
     def assert_same(expected, actual) -> None:

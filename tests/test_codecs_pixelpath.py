@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codecs import color, config
+from repro.codecs import color
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.dct import dct_basis_matrix
 from repro.codecs.image import ImageBuffer
@@ -34,6 +34,7 @@ from repro.codecs.progressive import (
     decode_progressive_batch,
 )
 from repro.codecs.quantization import QuantizationTables
+from tests.codec_reference import decode_reference
 
 
 def make_structured_image(size: int = 48, seed: int = 0, color_image: bool = True) -> ImageBuffer:
@@ -96,15 +97,12 @@ class TestScalarParity:
     def test_color_all_scan_groups(self, subsampling, quality):
         image = make_structured_image(41, seed=7, color_image=True)
         codec = ProgressiveCodec(quality=quality, subsampling=subsampling)
-        with config.use_fastpath(True):
-            stream = codec.encode(image)
+        stream = codec.encode(image)
         n_scans = codec.n_scans(stream)
         assert n_scans == 10
         for group in range(1, n_scans + 1):
-            with config.use_fastpath(False):
-                scalar = codec.decode(stream, max_scans=group)
-            with config.use_fastpath(True):
-                fast = codec.decode(stream, max_scans=group)
+            scalar = decode_reference(stream, group)
+            fast = codec.decode(stream, max_scans=group)
             assert _max_lsb_delta(scalar, fast) <= 1, f"scan group {group}"
 
     def test_grayscale_all_scan_groups(self):
@@ -112,10 +110,8 @@ class TestScalarParity:
         codec = ProgressiveCodec(quality=85)
         stream = codec.encode(image)
         for group in range(1, codec.n_scans(stream) + 1):
-            with config.use_fastpath(False):
-                scalar = codec.decode(stream, max_scans=group)
-            with config.use_fastpath(True):
-                fast = codec.decode(stream, max_scans=group)
+            scalar = decode_reference(stream, group)
+            fast = codec.decode(stream, max_scans=group)
             assert _max_lsb_delta(scalar, fast) <= 1
 
     @pytest.mark.parametrize("size", [17, 23, 31, 41])
@@ -124,10 +120,8 @@ class TestScalarParity:
         image = make_structured_image(size, seed=size, color_image=True)
         codec = ProgressiveCodec(quality=80)
         stream = codec.encode(image)
-        with config.use_fastpath(False):
-            scalar = codec.decode(stream)
-        with config.use_fastpath(True):
-            fast = codec.decode(stream)
+        scalar = decode_reference(stream)
+        fast = codec.decode(stream)
         assert fast.pixels.shape == (size, size, 3)
         assert _max_lsb_delta(scalar, fast) <= 1
 
@@ -140,10 +134,8 @@ class TestScalarParity:
                 codec = ProgressiveCodec(quality=75, subsampling=subsampling)
                 stream = codec.encode(image)
                 for group in range(1, codec.n_scans(stream) + 1):
-                    with config.use_fastpath(False):
-                        scalar = codec.decode(stream, max_scans=group)
-                    with config.use_fastpath(True):
-                        fast = codec.decode(stream, max_scans=group)
+                    scalar = decode_reference(stream, group)
+                    fast = codec.decode(stream, max_scans=group)
                     assert fast.pixels.shape == (height, width, 3)
                     where = f"{height}x{width} {subsampling} scan group {group}"
                     assert _max_lsb_delta(scalar, fast) <= 1, where
@@ -152,10 +144,8 @@ class TestScalarParity:
         image = make_structured_image(35, seed=2, color_image=True)
         codec = BaselineCodec(quality=70)
         stream = codec.encode(image)
-        with config.use_fastpath(False):
-            scalar = codec.decode(stream)
-        with config.use_fastpath(True):
-            fast = codec.decode(stream)
+        scalar = decode_reference(stream)
+        fast = codec.decode(stream)
         assert _max_lsb_delta(scalar, fast) <= 1
 
     def test_random_noise_images(self):
@@ -164,10 +154,8 @@ class TestScalarParity:
             image = ImageBuffer.from_array(rng.integers(0, 256, size=(33, 33, 3)))
             codec = ProgressiveCodec(quality=90)
             stream = codec.encode(image)
-            with config.use_fastpath(False):
-                scalar = codec.decode(stream)
-            with config.use_fastpath(True):
-                fast = codec.decode(stream)
+            scalar = decode_reference(stream)
+            fast = codec.decode(stream)
             assert _max_lsb_delta(scalar, fast) <= 1
 
 
@@ -193,10 +181,8 @@ class TestClipEdgeRounding:
         stream = codec.encode(image)
         assert codec.n_scans(stream) == 10
         for group in range(1, 11):
-            with config.use_fastpath(False):
-                scalar = codec.decode(stream, max_scans=group).pixels
-            with config.use_fastpath(True):
-                fast = codec.decode(stream, max_scans=group).pixels
+            scalar = decode_reference(stream, group).pixels
+            fast = codec.decode(stream, max_scans=group).pixels
             delta = np.abs(scalar.astype(np.int16) - fast.astype(np.int16))
             assert delta.max() <= 1, f"scan group {group}"
             assert np.all(fast[scalar == 0] == 0), f"scan group {group}"
@@ -230,9 +216,8 @@ class TestBatchDecode:
         ]
         codec = ProgressiveCodec(quality=88)
         streams = [codec.encode(image) for image in images]
-        with config.use_fastpath(True):
-            batch = decode_progressive_batch(streams)
-            loop = [codec.decode(stream) for stream in streams]
+        batch = decode_progressive_batch(streams)
+        loop = [codec.decode(stream) for stream in streams]
         for batched, single in zip(batch, loop):
             assert np.array_equal(batched.pixels, single.pixels)
 
@@ -241,22 +226,20 @@ class TestBatchDecode:
         codec = ProgressiveCodec(quality=90)
         streams = [codec.encode(image) for image in images]
         for group in (1, 4, 10):
-            with config.use_fastpath(True):
-                batch = codec.decode_batch(streams, max_scans=group)
-                loop = [codec.decode(stream, max_scans=group) for stream in streams]
+            batch = decode_progressive_batch(streams, max_scans=group)
+            loop = [codec.decode(stream, max_scans=group) for stream in streams]
             for batched, single in zip(batch, loop):
                 assert np.array_equal(batched.pixels, single.pixels)
 
     def test_batch_scalar_path_matches_loop(self):
-        """With the fast path off, the batch API is the plain scalar loop."""
+        """The batch API is within 1 LSB of the per-image reference loop."""
         images = [make_structured_image(25, seed=s, color_image=True) for s in range(2)]
         codec = ProgressiveCodec(quality=85)
         streams = [codec.encode(image) for image in images]
-        with config.use_fastpath(False):
-            batch = decode_progressive_batch(streams)
-            loop = [codec.decode(stream) for stream in streams]
+        batch = decode_progressive_batch(streams)
+        loop = [decode_reference(stream) for stream in streams]
         for batched, single in zip(batch, loop):
-            assert np.array_equal(batched.pixels, single.pixels)
+            assert _max_lsb_delta(batched, single) <= 1
 
     def test_scratch_reuse_does_not_leak_between_images(self):
         """Decoding image B after A with one scratch must not change B."""
@@ -407,7 +390,7 @@ class TestReaderBatchIntegration:
             reader = dataset.reader
             codec = ProgressiveCodec(quality=90)
             records = [
-                assemble_samples(reader.read_record_bytes(name, dataset.n_groups), codec, decode=True)
+                assemble_samples(reader.read_record_bytes(name, dataset.n_groups), decode=True)
                 for name in dataset.record_names
             ]
             assert [len(record) for record in records] == [3, 3, 1]

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,35 +223,22 @@ class TestEnvironmentKnobs:
     """Every environment variable ``src/repro`` reads, by AST — so a new
     knob cannot land without being listed here and documented."""
 
-    KNOBS = {"REPRO_CODEC_FASTPATH", "REPRO_HUFFMAN_TABLE_CACHE_BYTES"}
+    KNOBS = {"REPRO_HUFFMAN_TABLE_CACHE_BYTES"}
     READERS = ("os.environ.get", "os.getenv", "environ.get", "getenv")
 
     @classmethod
     def _names_read(cls, tree: ast.Module) -> set[str]:
-        keys = []
+        names = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func) in cls.READERS:
-                keys.append(node.args[0])
+                key = node.args[0]
             elif isinstance(node, ast.Subscript) and ast.unparse(node.value).endswith("environ"):
-                keys.append(node.slice)
-        names = set()
-        for key in keys:
-            if isinstance(key, ast.Constant):
-                names.add(key.value)
+                key = node.slice
+            else:
                 continue
-            # The key is a parameter (``_env_flag(name)``): the names are
-            # the literal first arguments of the calls to that function.
-            assert isinstance(key, ast.Name), ast.unparse(key)
-            wrappers = {
-                function.name
-                for function in ast.walk(tree)
-                if isinstance(function, ast.FunctionDef)
-                and any(node is key for node in ast.walk(function))
-            }
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call) and ast.unparse(node.func) in wrappers:
-                    assert isinstance(node.args[0], ast.Constant), ast.unparse(node)
-                    names.add(node.args[0].value)
+            # A computed key would hide the name from this inventory.
+            assert isinstance(key, ast.Constant), ast.unparse(key)
+            names.add(key.value)
         return names
 
     def test_inventory_is_exact_and_documented(self):
@@ -259,3 +249,29 @@ class TestEnvironmentKnobs:
         assert found == self.KNOBS
         documented = (root / "docs" / "performance.md").read_text()
         assert [name for name in sorted(found) if name not in documented] == []
+
+    def test_a_computed_key_fails_the_inventory(self):
+        tree = ast.parse("import os\nname = 'X'\nos.environ.get(name)\n")
+        with pytest.raises(AssertionError):
+            self._names_read(tree)
+
+    @staticmethod
+    def _import_codecs(budget: str) -> subprocess.CompletedProcess:
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), REPRO_HUFFMAN_TABLE_CACHE_BYTES=budget)
+        code = "import repro.codecs.huffman as h; print(h._TABLE_CACHE.max_bytes)"
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    @pytest.mark.parametrize("budget", ["256M", "-1"])
+    def test_bad_budget_fails_the_import(self, budget):
+        result = self._import_codecs(budget)
+        assert result.returncode != 0
+        assert "ValueError: REPRO_HUFFMAN_TABLE_CACHE_BYTES" in result.stderr
+        assert repr(budget) in result.stderr
+
+    def test_table_cache_budget_is_read_at_import(self):
+        result = self._import_codecs("1048576")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1048576"

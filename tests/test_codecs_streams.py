@@ -151,6 +151,26 @@ class TestProgressiveCodec:
         image = codec.decode(truncated)
         assert image.pixels.shape == color_image.pixels.shape
 
+    def test_negative_max_scans_is_rejected(self, color_image):
+        from repro.codecs.parallel import DecodePool
+        from repro.codecs.progressive import decode_progressive_batch
+
+        codec = ProgressiveCodec(quality=90)
+        data = codec.encode(color_image)
+        coefficients, n_applied = decode_coefficients(data, max_scans=0)
+        assert n_applied == 0
+        assert all(not plane.any() for plane in coefficients.planes)
+        # Slice semantics would decode all but the last |max_scans| scans.
+        for max_scans in (-1, -9):
+            with pytest.raises(ValueError, match="max_scans"):
+                decode_coefficients(data, max_scans=max_scans)
+            with pytest.raises(ValueError, match="max_scans"):
+                codec.decode(data, max_scans=max_scans)
+            with pytest.raises(ValueError, match="max_scans"):
+                decode_progressive_batch([data], max_scans=max_scans)
+        with DecodePool(2) as pool, pytest.raises(ValueError, match="max_scans"):
+            pool.decode_batch([data, data], max_scans=-1)
+
     def test_split_and_reassemble_scans(self, color_image):
         codec = ProgressiveCodec(quality=90)
         data = codec.encode(color_image)

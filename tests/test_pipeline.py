@@ -440,13 +440,13 @@ class _SleepyFetcher:
 class _ForwardingPool:
     """Stands in for a ``DecodePool``: same batch API, decodes in-process."""
 
-    def __init__(self, codec) -> None:
-        self._codec = codec
+    def __init__(self, decode_batch) -> None:
+        self._decode_batch = decode_batch
         self.batches = 0
 
     def decode_batch(self, streams):
         self.batches += 1
-        return self._codec.decode_batch(streams)
+        return self._decode_batch(streams)
 
 
 class _CountingLock:
@@ -468,8 +468,9 @@ class TestDecodeGate:
     """Loader threads overlap I/O; in-process decode runs one at a time."""
 
     @pytest.fixture()
-    def gated(self, tmp_path, tiny_samples):
+    def gated(self, tmp_path, tiny_samples, monkeypatch):
         """(source, fetcher, decode overlap counter) over ten 2-image records."""
+        from repro.core import reader
         from repro.core.dataset import PCRDataset
         from repro.core.source import RecordSource
 
@@ -477,14 +478,14 @@ class TestDecodeGate:
         fetcher = _SleepyFetcher(dataset.fetcher)
         source = RecordSource(fetcher)
         decodes = _OverlapCounter()
-        decode_batch = source._codec.decode_batch
+        decode_batch = reader.decode_progressive_batch
 
         def spy(streams):
             with decodes:
                 time.sleep(0.002)  # wide enough for an ungated thread to enter
                 return decode_batch(streams)
 
-        source._codec.decode_batch = spy
+        monkeypatch.setattr(reader, "decode_progressive_batch", spy)
         yield source, fetcher, decodes
         dataset.close()
 
@@ -542,7 +543,7 @@ class TestDecodeGate:
         source, _, decodes = gated
         gate = _CountingLock()
         monkeypatch.setattr(reader, "_DECODE_GATE", gate)
-        pool = _ForwardingPool(source._codec)
+        pool = _ForwardingPool(reader.decode_progressive_batch)
         # The loader builds its pool and passes it to every read.
         monkeypatch.setattr(loader_module, "DecodePool", lambda n_workers: pool)
         pooled = self._samples(source, n_workers=4, decode_workers=2)
@@ -551,11 +552,11 @@ class TestDecodeGate:
         assert self._samples(source, n_workers=4) == pooled
         assert gate.acquired == len(source.record_names)
 
-    def test_exception_inside_decode_releases_the_gate(self, gated):
+    def test_exception_inside_decode_releases_the_gate(self, gated, monkeypatch):
         from repro.core import reader
 
         source, _, _ = gated
-        healthy = source._codec.decode_batch
+        healthy = reader.decode_progressive_batch
         failures = []
 
         def failing(streams):
@@ -564,7 +565,7 @@ class TestDecodeGate:
                 raise RuntimeError("injected decode failure")
             return healthy(streams)
 
-        source._codec.decode_batch = failing
+        monkeypatch.setattr(reader, "decode_progressive_batch", failing)
         with pytest.raises(RuntimeError, match="injected decode failure"):
             self._samples(source, n_workers=2)
         assert not reader._DECODE_GATE.locked()
