@@ -4,8 +4,10 @@ Both classes are word-buffered: instead of moving one bit at a time they
 accumulate bits in a Python integer and move whole bytes with
 ``int.to_bytes`` / ``int.from_bytes``.  The byte-level output format is
 unchanged from the original scalar implementation — MSB-first bit order,
-final partial byte padded with 1 bits (mirroring JPEG) — so streams written
-by either implementation are byte-identical.
+final partial byte padded with 1 bits (mirroring JPEG).  The scalar
+reference coder writes through :class:`BitWriter`; the runtime encoder
+packs a whole image's items at once with :func:`pack_bits`, which writes
+the same bytes.
 
 Invariants:
 
@@ -50,98 +52,6 @@ class BitWriter:
         if self._n_bits >= _FLUSH_BITS:
             self._flush_whole_bytes()
 
-    def write_many(self, values, widths) -> None:
-        """Append many ``(value, width)`` pairs in one buffered pass.
-
-        ``values[i]`` must already fit in ``widths[i]`` bits; no per-item
-        validation is performed (this is the batch fast path).
-        """
-        acc = self._acc
-        n_bits = self._n_bits
-        buffer = self._buffer
-        for value, width in zip(values, widths):
-            acc = (acc << width) | value
-            n_bits += width
-            if n_bits >= _FLUSH_BITS:
-                rem = n_bits & 7
-                whole = n_bits - rem
-                buffer += (acc >> rem).to_bytes(whole >> 3, "big")
-                acc &= (1 << rem) - 1
-                n_bits = rem
-        self._acc = acc
-        self._n_bits = n_bits
-
-    #: Per-slice bit cap for the vectorized packer: bounds the int64
-    #: temporaries (~24 bytes per bit) to a few tens of MB however large a
-    #: single scan gets.
-    _PACK_SLICE_BITS = 1 << 21
-
-    def write_many_array(self, values: np.ndarray, widths: np.ndarray) -> None:
-        """Vectorized :meth:`write_many` for int64 numpy ``(value, width)`` arrays.
-
-        Produces bit-identical output: every value's lowest ``width`` bits
-        are appended MSB-first.  Instead of a Python loop over big-int
-        shifts, the whole batch is expanded to a per-bit array (item index
-        via ``np.repeat``, per-bit shift via a cumulative-width ramp) and
-        packed with ``np.packbits``; the trailing partial byte is folded
-        back into the accumulator so subsequent scalar writes continue
-        seamlessly.  Items must be non-negative and at most 62 bits wide
-        (the caller's fused symbol+magnitude pairs are ``<= 62``); wider
-        items must take :meth:`write_many`.
-        """
-        n_items = int(values.shape[0])
-        if n_items == 0:
-            return
-        # Move whole pending bytes out, then fold the <8 leftover bits in as
-        # a leading pseudo-item so the packed run starts byte-aligned.
-        self._flush_whole_bytes()
-        if self._n_bits:
-            values = np.concatenate((np.asarray([self._acc], dtype=np.int64), values))
-            widths = np.concatenate((np.asarray([self._n_bits], dtype=np.int64), widths))
-            self._acc = 0
-            self._n_bits = 0
-        ends = np.cumsum(widths, dtype=np.int64)
-        total_bits = int(ends[-1])
-        buffer = self._buffer
-        start_item = 0
-        start_bit = 0
-        while start_bit < total_bits:
-            # Slice on item boundaries so each expansion stays bounded.
-            stop_item = int(np.searchsorted(ends, start_bit + self._PACK_SLICE_BITS))
-            stop_item = max(stop_item, start_item + 1)
-            stop_bit = int(ends[stop_item - 1])
-            slice_widths = widths[start_item:stop_item]
-            slice_bits = stop_bit - start_bit
-            item_of_bit = np.repeat(
-                np.arange(start_item, stop_item, dtype=np.int64), slice_widths
-            )
-            shift = ends[item_of_bit] - np.arange(start_bit + 1, stop_bit + 1)
-            bits = ((values[item_of_bit] >> shift) & 1).astype(np.uint8)
-            whole = slice_bits & ~7
-            if whole:
-                buffer += np.packbits(bits[:whole]).tobytes()
-            for bit in bits[whole:]:
-                self._acc = (self._acc << 1) | int(bit)
-                self._n_bits += 1
-            start_item = stop_item
-            start_bit = stop_bit
-            if self._n_bits and start_bit < total_bits:
-                # A mid-run slice ended off a byte boundary; re-fold the
-                # pending bits as the next slice's leading pseudo-item (and
-                # back the cursor up over them) so it starts aligned.
-                pending = self._n_bits
-                values = np.concatenate(
-                    (np.asarray([self._acc], dtype=np.int64), values[start_item:])
-                )
-                widths = np.concatenate(
-                    (np.asarray([pending], dtype=np.int64), widths[start_item:])
-                )
-                start_bit -= pending
-                ends = np.cumsum(widths, dtype=np.int64) + start_bit
-                start_item = 0
-                self._acc = 0
-                self._n_bits = 0
-
     def _flush_whole_bytes(self) -> None:
         rem = self._n_bits & 7
         whole = self._n_bits - rem
@@ -163,6 +73,44 @@ class BitWriter:
             last = (self._acc << pad) | ((1 << pad) - 1)
             data += bytes([last])
         return data
+
+
+def pack_bits(values: np.ndarray, widths: np.ndarray) -> bytes:
+    """Pack ``(value, width)`` items MSB-first, as :class:`BitWriter` would.
+
+    ``values`` and ``widths`` are int64 arrays; every width is in
+    ``[0, 63]`` and every value fits its width (not checked).  Returns what
+    ``write_bits`` over the items then ``getvalue`` returns: the final
+    partial byte is padded with 1 bits.
+
+    Each item lands in the 64-bit word its first bit falls in, and an item
+    that crosses into the next word spills its low bits there; an item of
+    at most 63 bits crosses at most one boundary, and at most one item
+    crosses each.  The word-resident parts are OR-reduced per word with
+    one ``np.bitwise_or.reduceat``, the spills are ORed in after, so the
+    cost scales with items, not bits, and every step is exact integer math.
+    """
+    if values.shape[0] == 0:
+        return b""
+    ends = np.cumsum(widths)
+    total_bits = int(ends[-1])
+    word = (ends - widths) >> 6
+    # Where each item ends, counted from the start of its first word: past
+    # 64 it spills ``end - 64`` low bits into the next word.
+    end = ends - (word << 6)
+    spill = np.maximum(end - 64, 0).astype(np.uint64)
+    unsigned = values.astype(np.uint64)
+    head = (unsigned >> spill) << np.maximum(64 - end, 0).astype(np.uint64)
+    words = np.zeros(total_bits // 64 + 2, dtype=np.uint64)
+    firsts = np.flatnonzero(np.diff(word, prepend=-1) != 0)
+    words[word[firsts]] = np.bitwise_or.reduceat(head, firsts)
+    crossing = np.flatnonzero(end > 64)
+    words[word[crossing] + 1] |= unsigned[crossing] << (np.uint64(64) - spill[crossing])
+    data = bytearray(words.astype(">u8").tobytes()[: (total_bits + 7) >> 3])
+    pad = -total_bits & 7
+    if pad:
+        data[-1] |= (1 << pad) - 1
+    return bytes(data)
 
 
 class BitReader:

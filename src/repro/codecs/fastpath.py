@@ -3,11 +3,12 @@
 This module is the vectorized counterpart of the scalar scan coder in
 :mod:`repro.codecs.progressive`:
 
-* Encoding turns a whole coefficient plane into ``(symbol, bits, width)``
-  arrays with NumPy (see :mod:`repro.codecs.rle`), builds the scan's
-  optimized Huffman table from a single ``bincount``, fuses each symbol's
-  code with its magnitude bits, and hands the batch to
-  ``BitWriter.write_many``.
+* Encoding is per image, not per scan: one pass turns every scan of the
+  image into ``(symbol, bits, width)`` arrays (see :mod:`repro.codecs.rle`),
+  one ``bincount`` gives every scan's histogram for its optimized Huffman
+  table, and each symbol's code, fused with its magnitude bits, goes into
+  one word-level bit pack (:func:`repro.codecs.bitio.pack_bits`) whose
+  bytes are cut into the scan payloads (``encode_scan_bodies_fast``).
 * Decoding probes the wide-window pair LUTs
   (:func:`repro.codecs.huffman._build_super_tables`) — one index
   computation resolves up to two complete (code + magnitude) symbols with
@@ -47,72 +48,60 @@ from array import array
 
 import numpy as np
 
-from repro.codecs.bitio import BitWriter
+from repro.codecs.bitio import pack_bits
 from repro.codecs.huffman import SUPER_BITS, SUPER_VALUE_OFFSET, HuffmanTable, long_code_entry
-from repro.codecs.rle import (
-    ac_symbol_arrays,
-    dc_symbol_arrays,
-    mixed_symbol_arrays,
-)
+from repro.codecs.rle import symbol_stream
 
 __all__ = [
-    "encode_scan_body_fast",
+    "encode_scan_bodies_fast",
     "decode_scan_bodies_fast",
 ]
 
 
-def _scan_symbol_arrays(plane: np.ndarray, spectral_start: int, spectral_end: int):
-    if spectral_start == 0 and spectral_end == 0:
-        return dc_symbol_arrays(plane[:, 0])
-    if spectral_start == 0:
-        return mixed_symbol_arrays(plane, spectral_end)
-    return ac_symbol_arrays(plane[:, spectral_start : spectral_end + 1])
+def encode_scan_bodies_fast(coefficients, script) -> list[bytes]:
+    """Entropy-code every scan of one image: each body is its table + its bits.
 
-
-def encode_scan_body_fast(coefficients, scan) -> bytes:
-    """Entropy-code one scan (table + bits), byte-identical to the scalar path."""
-    per_component = []
-    symbol_counts = np.zeros(256, dtype=np.int64)
-    for component in scan.component_ids:
-        plane = coefficients.planes[component]
-        arrays = _scan_symbol_arrays(plane, scan.spectral_start, scan.spectral_end)
-        per_component.append(arrays)
-        if arrays[0].size:
-            symbol_counts += np.bincount(arrays[0], minlength=256)
-    present = np.nonzero(symbol_counts)[0]
-    table = HuffmanTable.from_counts(
-        dict(zip(present.tolist(), symbol_counts[present].tolist()))
-    )
-    codes, lengths = table.encode_arrays()
-    code_array = np.asarray(codes, dtype=np.int64)
-    length_array = np.asarray(lengths, dtype=np.int64)
-    writer = BitWriter()
-    for symbols, bits, n_bits in per_component:
-        values = (code_array[symbols] << n_bits) | bits
-        widths = length_array[symbols] + n_bits
-        # Fuse adjacent (value, width) pairs so the writer loop runs half as
-        # many iterations.  Safe whenever a single item is at most 31 bits
-        # (always true for AC symbols; only pathological DC magnitudes can
-        # exceed it), since two fused items then fit in an int64.
-        n_items = values.shape[0]
-        if n_items > 1 and int(widths.max()) <= 31:
-            head = n_items & ~1
-            fused_values = (values[0:head:2] << widths[1:head:2]) | values[1:head:2]
-            fused_widths = widths[0:head:2] + widths[1:head:2]
-            if head != n_items:
-                fused_values = np.append(fused_values, values[-1])
-                fused_widths = np.append(fused_widths, widths[-1])
-            values, widths = fused_values, fused_widths
-        # Large runs take the fully vectorized bit packer (per-bit expand +
-        # np.packbits); below the threshold numpy's fixed costs lose to the
-        # plain loop.  Both emit identical bits.  The packer caps items at
-        # 62 bits, which fused pairs satisfy; unfused runs (pathological DC
-        # magnitudes > 31 bits) keep the loop.
-        if values.shape[0] >= 256 and int(widths.max()) <= 62:
-            writer.write_many_array(values, widths)
-        else:
-            writer.write_many(values.tolist(), widths.tolist())
-    return table.to_bytes() + writer.getvalue()
+    Byte-identical to :func:`~repro.codecs.progressive.encode_scan_body_reference`
+    per scan.  One symbol pass over the image (:func:`repro.codecs.rle.symbol_stream`),
+    one ``bincount`` for every scan's histogram, one optimised table per
+    scan, then one bit pack for the whole image: each scan's 1-bit padding
+    is an item of its own, so every scan ends on a byte and its payload is
+    a slice of the packed bytes.
+    """
+    scans = tuple(script)
+    symbols, bits, n_bits, scan_ends = symbol_stream(coefficients.planes, scans)
+    n_scans = len(scans)
+    scan_items = np.diff(scan_ends, prepend=0)
+    keys = np.repeat(np.arange(n_scans, dtype=np.int64) << 8, scan_items) + symbols
+    counts = np.bincount(keys, minlength=n_scans << 8).reshape(n_scans, 256)
+    tables = []
+    for row in counts:
+        present = np.flatnonzero(row)
+        tables.append(HuffmanTable.from_counts(dict(zip(present.tolist(), row[present].tolist()))))
+    codes = np.array([table.encode_arrays()[0] for table in tables], dtype=np.int64).ravel()
+    lengths = np.array([table.encode_arrays()[1] for table in tables], dtype=np.int64).ravel()
+    values = (codes[keys] << n_bits) | bits
+    widths = lengths[keys] + n_bits
+    # Close every scan on a byte with a run of 1 bits, as BitWriter.getvalue pads.
+    scan_bits = np.diff(np.concatenate(([0], np.cumsum(widths)))[scan_ends], prepend=0)
+    pad = -scan_bits & 7
+    values = np.insert(values, scan_ends, (1 << pad) - 1)
+    widths = np.insert(widths, scan_ends, pad)
+    # Fuse adjacent pairs: two items of at most 31 bits fit one int64, and
+    # the packer's cost scales with items.  Only pathological DC magnitudes
+    # make a wider item; such an image packs unfused.
+    if int(widths.max()) <= 31:
+        if widths.shape[0] & 1:
+            values = np.append(values, 0)
+            widths = np.append(widths, 0)
+        values = (values[0::2] << widths[1::2]) | values[1::2]
+        widths = widths[0::2] + widths[1::2]
+    payload = pack_bits(values, widths)
+    byte_ends = np.cumsum((scan_bits + pad) >> 3).tolist()
+    return [
+        table.to_bytes() + payload[start:end]
+        for table, start, end in zip(tables, [0] + byte_ends, byte_ends)
+    ]
 
 
 #: Low-bit masks indexed by width.  Sized generously: the refill guard masks

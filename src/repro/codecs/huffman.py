@@ -37,7 +37,6 @@ hit/miss/evict/byte metrics on the default :mod:`repro.obs` registry.
 
 from __future__ import annotations
 
-import heapq
 import os
 import struct
 import threading
@@ -556,31 +555,38 @@ def _package_merge_lengths(counts: Counter, max_length: int) -> dict[int, int]:
 
 
 def _plain_huffman_lengths(counts: Counter) -> dict[int, int]:
-    """Huffman code lengths via parent-pointer tree construction.
+    """Huffman code lengths by a two-queue merge.
 
-    Tie-breaking matches the original list-merging formulation (stable
-    (count, insertion-order) heap keys), so the resulting lengths — and
-    therefore the canonical tables — are unchanged.
+    Node ids are the leaves in symbol order, then each merged node in the
+    order it is made.  Every pop takes the smaller ``(count, node id)`` of
+    the two queue heads: the leaves sorted by that key, and the merged
+    nodes, which are made in that order already (a merged count is never
+    below the one before it, and ids grow).  That is exactly the order a
+    heap keyed on ``(count, node id)`` pops, so the lengths — and the
+    canonical tables — are the ones the heap construction gives.
     """
     ordered = sorted(counts.items())
     n_leaves = len(ordered)
-    heap = [(count, node, node) for node, (_, count) in enumerate(ordered)]
-    heapq.heapify(heap)
-    parents: dict[int, int] = {}
-    next_node = n_leaves
-    while len(heap) > 1:
-        count_a, _, node_a = heapq.heappop(heap)
-        count_b, _, node_b = heapq.heappop(heap)
-        parents[node_a] = next_node
-        parents[node_b] = next_node
-        heapq.heappush(heap, (count_a + count_b, next_node, next_node))
-        next_node += 1
-    lengths: dict[int, int] = {}
-    for leaf, (symbol, _) in enumerate(ordered):
-        depth = 0
-        node = leaf
-        while node in parents:
-            node = parents[node]
-            depth += 1
-        lengths[symbol] = depth
-    return lengths
+    # Queue heads as (count, node id); a drained queue's head compares high.
+    leaves = sorted((count, node) for node, (_, count) in enumerate(ordered))
+    leaves.append((float("inf"), 0))
+    merged: list[tuple[int, int]] = []
+    parents = [0] * (2 * n_leaves - 1)
+    next_leaf = next_merged = 0
+    for node in range(n_leaves, 2 * n_leaves - 1):
+        total = 0
+        for _ in range(2):
+            if next_merged == len(merged) or leaves[next_leaf] < merged[next_merged]:
+                count, child = leaves[next_leaf]
+                next_leaf += 1
+            else:
+                count, child = merged[next_merged]
+                next_merged += 1
+            parents[child] = node
+            total += count
+        merged.append((total, node))
+    # A parent's id is above its children's: fill depths from the root down.
+    depths = [0] * (2 * n_leaves - 1)
+    for node in range(2 * n_leaves - 3, -1, -1):
+        depths[node] = depths[parents[node]] + 1
+    return {symbol: depths[leaf] for leaf, (symbol, _) in enumerate(ordered)}

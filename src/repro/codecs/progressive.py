@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.codecs.bitio import BitReader, BitWriter
-from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_body_fast
+from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_bodies_fast
 from repro.codecs.blocks import block_grid_shape, merge_blocks, split_into_blocks
 from repro.codecs.color import (
     rgb_to_ycbcr,
@@ -202,9 +202,9 @@ def empty_coefficients(header: FrameHeader) -> CoefficientPlanes:
 def encode_coefficients(coefficients: CoefficientPlanes, script: ScanScript) -> bytes:
     """Serialize coefficient planes as SOI + SOF + scans + EOI."""
     script.validate(coefficients.header.n_components)
+    bodies = encode_scan_bodies_fast(coefficients, script)
     parts = [SOI, coefficients.header.to_bytes()]
-    for scan in script:
-        parts.append(write_scan_segment(scan, encode_scan_body_fast(coefficients, scan)))
+    parts.extend(write_scan_segment(scan, body) for scan, body in zip(script, bodies))
     parts.append(EOI)
     return b"".join(parts)
 
@@ -446,12 +446,20 @@ def coefficients_to_image_reference(coefficients: CoefficientPlanes) -> ImageBuf
 def encode_scan_body_reference(coefficients: CoefficientPlanes, scan: ScanHeader) -> bytes:
     """Reference scan encoder: optimised Huffman table, then per-coefficient Python loops.
 
-    Byte-identical to :func:`~repro.codecs.fastpath.encode_scan_body_fast`.
+    Byte-identical to the scan's body from
+    :func:`~repro.codecs.fastpath.encode_scan_bodies_fast`, and like it raises
+    ``ValueError`` naming the component for an AC coefficient outside +-32767.
     """
     all_symbols: list[int] = []
     per_component: list[tuple[list[int], list[tuple[int, int]]]] = []
     for component in scan.component_ids:
         plane = coefficients.planes[component]
+        band = plane[:, max(scan.spectral_start, 1) : scan.spectral_end + 1].astype(np.int64)
+        if band.size and int(np.abs(band).max()) > 32767:
+            raise ValueError(
+                f"component {component}: AC coefficient outside +-32767, whose category "
+                f"does not fit the symbol's size nibble"
+            )
         symbols: list[int] = []
         extras: list[tuple[int, int]] = []
         if scan.spectral_start == 0 and scan.spectral_end == 0:

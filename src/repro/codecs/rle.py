@@ -11,10 +11,10 @@ used here for both baseline and progressive (spectral-selection) scans:
   (0xF0, a run of 16 zeros).
 
 Two implementations coexist: the original scalar per-coefficient functions
-(the differential-testing reference) and NumPy-vectorized ``*_symbol_arrays``
-functions that emit the identical symbol stream for an entire coefficient
-plane at once — zero runs, ZRL expansion, and end-of-band markers are all
-computed with array ops over the plane's nonzero entries.
+(the differential-testing reference) and :func:`symbol_stream`, which emits
+the identical symbol stream for every scan of an image at once — zero runs,
+ZRL expansion, and end-of-band markers are all computed with array ops over
+one pass of the image's nonzero entries.
 """
 
 from __future__ import annotations
@@ -129,138 +129,114 @@ def magnitude_categories(values: np.ndarray) -> np.ndarray:
 
 def magnitude_bits_array(values: np.ndarray, categories: np.ndarray) -> np.ndarray:
     """Vectorized :func:`magnitude_bits` (categories from the values)."""
-    return np.where(values >= 0, values, values + (1 << categories) - 1)
+    # A negative value is stored as ``value - 1`` in its low ``category`` bits.
+    return (values + (values >> 63)) & ~(-1 << categories)
 
 
-def dc_symbol_arrays(
-    dc_values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`dc_symbols`: returns ``(symbols, bits, n_bits)``.
+def symbol_stream(planes, scans):
+    """Every scan's ``(symbol, bits, n_bits)`` items for one image, in stream order.
 
-    The symbol of a DC delta is its magnitude category, so the symbols and
-    extra-bit widths are the same array.
+    The vectorized twin of running :func:`dc_symbols` / :func:`ac_band_symbols`
+    over each scan of ``scans`` (``ScanHeader``-like: ``component_ids``,
+    ``spectral_start``, ``spectral_end``), component by component, block by
+    block.  A *segment* is one block of one component in one scan: a
+    delta-coded DC item first when the scan starts at index 0, then the RLE
+    items of the block's AC band.  The AC bands of every segment are copied
+    once, in stream order, into one flat array, and a single
+    ``np.flatnonzero`` over it yields every coefficient; its segment and
+    in-band position come back from the band offsets, and runs, ZRLs and
+    EOBs follow per segment.  DC-only, AC-only, mixed and multi-component
+    scans take the same code.
+
+    Returns ``(symbols, bits, n_bits, scan_ends)``: int64 arrays over all
+    items, and the end offset of each scan's items.  Raises ``ValueError``
+    naming the component when an AC coefficient is outside +-32767: its
+    category would overflow the symbol's 4-bit size nibble.
     """
-    diffs = np.diff(np.asarray(dc_values, dtype=np.int64), prepend=np.int64(0))
-    categories = magnitude_categories(diffs)
-    return categories, magnitude_bits_array(diffs, categories), categories
+    # One group per (scan, component): its band slice of every block.
+    bands, components, dc_groups, scan_segments_end = [], [], [], []
+    n_segments = 0
+    for scan in scans:
+        first = max(scan.spectral_start, 1)
+        for component in scan.component_ids:
+            if scan.spectral_start == 0:
+                dc_groups.append(len(bands))
+            bands.append(planes[component][:, first : scan.spectral_end + 1])
+            components.append(component)
+            n_segments += bands[-1].shape[0]
+        scan_segments_end.append(n_segments)
+    n_blocks = np.array([band.shape[0] for band in bands], dtype=np.int64)
+    band_length = np.array([band.shape[1] for band in bands], dtype=np.int64)
+    band_start = np.cumsum(n_blocks * band_length) - n_blocks * band_length
+    flat = np.empty(int((n_blocks * band_length).sum()), dtype=np.result_type(*planes))
+    for band, start in zip(bands, band_start.tolist()):
+        flat[start : start + band.size].reshape(band.shape)[:] = band
+    seg_start = np.cumsum(n_blocks) - n_blocks
 
-
-def _ac_plane_pieces(band: np.ndarray):
-    """Per-nonzero-entry RLE pieces for a ``(n_blocks, band_length)`` plane.
-
-    Returns ``(block_ids, symbols, bits, categories, n_zrl, counts, eob)``
-    where ``n_zrl`` is the number of ZRL markers preceding each entry,
-    ``counts`` the nonzero count per block, and ``eob`` a per-block mask of
-    blocks that terminate with an EOB marker.
-    """
-    n_blocks, band_length = band.shape
-    block_ids, positions = np.nonzero(band)
-    values = band[block_ids, positions].astype(np.int64)
-    counts = np.bincount(block_ids, minlength=n_blocks).astype(np.int64)
-    eob = np.ones(n_blocks, dtype=bool)
-    if values.size:
-        previous = np.empty_like(positions)
-        previous[0] = -1
-        same_block = block_ids[1:] == block_ids[:-1]
-        previous[1:] = np.where(same_block, positions[:-1], -1)
-        runs = positions - previous - 1
-        n_zrl = (runs >> 4).astype(np.int64)
-        categories = magnitude_categories(values)
-        symbols = ((runs & MAX_RUN) << 4) | categories
-        bits = magnitude_bits_array(values, categories)
-        has_entries = counts > 0
-        last_entry = np.cumsum(counts) - 1
-        eob[has_entries] = positions[last_entry[has_entries]] < band_length - 1
-    else:
-        empty = np.zeros(0, dtype=np.int64)
-        symbols = bits = categories = n_zrl = empty
-    return block_ids, symbols, bits, categories, n_zrl, counts, eob
-
-
-def _scatter_zrl(
-    symbols_out: np.ndarray, entry_out: np.ndarray, n_zrl: np.ndarray
-) -> None:
-    """Place each entry's preceding ZRL markers just before the entry."""
-    total_zrl = int(n_zrl.sum())
-    if not total_zrl:
-        return
-    zrl_before = np.cumsum(n_zrl) - n_zrl
-    offsets = np.arange(total_zrl) - np.repeat(zrl_before, n_zrl)
-    zrl_positions = np.repeat(entry_out - n_zrl, n_zrl) + offsets
-    symbols_out[zrl_positions] = ZRL_SYMBOL
-
-
-def ac_symbol_arrays(
-    band: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`ac_band_symbols` over every block of a plane.
-
-    ``band`` has shape ``(n_blocks, band_length)``; the returned
-    ``(symbols, bits, n_bits)`` arrays hold the concatenated per-block
-    symbol streams in block order, identical to running the scalar coder on
-    each block in sequence.
-    """
-    block_ids, entry_syms, entry_bits, categories, n_zrl, _, eob = _ac_plane_pieces(band)
-    n_entries = entry_syms.size
-    total = n_entries + int(n_zrl.sum()) + int(eob.sum())
-    symbols = np.full(total, EOB_SYMBOL, dtype=np.int64)
-    bits = np.zeros(total, dtype=np.int64)
-    n_bits = np.zeros(total, dtype=np.int64)
-    if n_entries:
-        eob_before = np.cumsum(eob) - eob
-        entry_out = np.cumsum(n_zrl) + np.arange(n_entries) + eob_before[block_ids]
-        symbols[entry_out] = entry_syms
-        bits[entry_out] = entry_bits
-        n_bits[entry_out] = categories
-        _scatter_zrl(symbols, entry_out, n_zrl)
-    return symbols, bits, n_bits
-
-
-def mixed_symbol_arrays(
-    plane: np.ndarray, spectral_end: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized full/mixed-band coder: per block, DC delta then AC band.
-
-    Mirrors the scalar encoder's mixed branch (used by sequential scans):
-    each block contributes its delta-coded DC symbol followed by the RLE
-    stream of coefficients ``1..spectral_end``.
-    """
-    n_blocks = plane.shape[0]
-    dc_syms, dc_bits, dc_nbits = dc_symbol_arrays(plane[:, 0])
-    band = plane[:, 1 : spectral_end + 1]
-    block_ids, entry_syms, entry_bits, categories, n_zrl, counts, eob = _ac_plane_pieces(band)
-    n_entries = entry_syms.size
-    zrl_per_block = np.zeros(n_blocks, dtype=np.int64)
-    if n_entries:
-        zrl_per_block = np.bincount(
-            block_ids, weights=n_zrl, minlength=n_blocks
-        ).astype(np.int64)
-    ac_lengths = counts + zrl_per_block + eob
-    ac_before = np.cumsum(ac_lengths) - ac_lengths
-    dc_out = np.arange(n_blocks) + ac_before
-    total = n_blocks + int(ac_lengths.sum())
-    symbols = np.full(total, EOB_SYMBOL, dtype=np.int64)
-    bits = np.zeros(total, dtype=np.int64)
-    n_bits = np.zeros(total, dtype=np.int64)
-    symbols[dc_out] = dc_syms
-    bits[dc_out] = dc_bits
-    n_bits[dc_out] = dc_nbits
-    if n_entries:
-        eob_before = np.cumsum(eob) - eob
-        # Position within the AC-only layout, then shifted past the DC
-        # symbols of blocks 0..block_id (inclusive).
-        entry_out = (
-            np.cumsum(n_zrl)
-            + np.arange(n_entries)
-            + eob_before[block_ids]
-            + block_ids
-            + 1
+    # Every nonzero AC coefficient, in stream order, and its group's fields.
+    flat_index = np.flatnonzero(flat != 0)
+    per_group = np.diff(np.searchsorted(flat_index, np.append(band_start, flat.size)))
+    length = np.repeat(band_length, per_group)
+    local = flat_index - np.repeat(band_start, per_group)
+    block = local // length
+    position = local - block * length
+    segment = np.repeat(seg_start, per_group) + block
+    ends_on_coefficient = segment[position == length - 1]
+    del local, block, length
+    values = flat[flat_index].astype(np.int64)
+    categories = magnitude_categories(values)
+    if categories.size and int(categories.max()) > 15:
+        bad = int(np.argmax(categories > 15))
+        group = int(np.searchsorted(band_start, flat_index[bad], side="right")) - 1
+        raise ValueError(
+            f"component {components[group]}: AC coefficient {int(values[bad])} is "
+            f"outside +-32767, whose category does not fit the symbol's size nibble"
         )
-        symbols[entry_out] = entry_syms
-        bits[entry_out] = entry_bits
-        n_bits[entry_out] = categories
-        _scatter_zrl(symbols, entry_out, n_zrl)
-    return symbols, bits, n_bits
+    # The zero run before an entry: the gap to the previous entry when that
+    # is in the same segment (the gap is then below the position), else
+    # the position itself.
+    runs = np.minimum(np.diff(flat_index, prepend=-1) - 1, position)
+    n_zrl = runs >> 4
+    del flat, flat_index, position
+
+    # Per segment: a DC item first, an EOB last unless the band ends on a
+    # coefficient or is empty (DC-only scans).
+    has_dc = np.zeros(n_segments, dtype=np.int64)
+    for index in dc_groups:
+        has_dc[seg_start[index] : seg_start[index] + n_blocks[index]] = 1
+    has_eob = (np.repeat(band_length, n_blocks) > 0).astype(np.int64)
+    has_eob[ends_on_coefficient] = 0
+    entry_weight = np.cumsum(n_zrl + 1)
+    entries_upto = np.cumsum(np.bincount(segment, minlength=n_segments))
+    dc_upto = np.cumsum(has_dc)
+    eob_upto = np.cumsum(has_eob)
+    seg_end = np.concatenate(([0], entry_weight))[entries_upto] + dc_upto + eob_upto
+    total = int(seg_end[-1]) if n_segments else 0
+
+    symbols = np.zeros(total, dtype=np.int64)  # EOB_SYMBOL is 0
+    bits = np.zeros(total, dtype=np.int64)
+    n_bits = np.zeros(total, dtype=np.int64)
+    entry_out = entry_weight - 1 + (dc_upto + eob_upto - has_eob)[segment]
+    symbols[entry_out] = ((runs & MAX_RUN) << 4) | categories
+    bits[entry_out] = magnitude_bits_array(values, categories)
+    n_bits[entry_out] = categories
+    # ZRLs sit just before their entry; a band of at most 63 needs at most 3.
+    with_zrl = np.flatnonzero(runs > MAX_RUN)
+    zrl_out, zrl_count = entry_out[with_zrl], n_zrl[with_zrl]
+    for distance in range(1, int(zrl_count.max(initial=0)) + 1):
+        symbols[zrl_out[zrl_count >= distance] - distance] = ZRL_SYMBOL
+    if dc_groups:
+        # Delta-coded per (scan, component), starting from 0.
+        diffs = np.concatenate(
+            [np.diff(planes[components[i]][:, 0].astype(np.int64), prepend=0) for i in dc_groups]
+        )
+        dc_categories = magnitude_categories(diffs)
+        dc_out = np.concatenate(([0], seg_end[:-1]))[has_dc.astype(bool)]
+        symbols[dc_out] = dc_categories
+        bits[dc_out] = magnitude_bits_array(diffs, dc_categories)
+        n_bits[dc_out] = dc_categories
+    scan_ends = np.concatenate(([0], seg_end))[scan_segments_end]
+    return symbols, bits, n_bits, scan_ends
 
 
 def read_ac_band(

@@ -4,9 +4,14 @@
 ``*_reference`` function; these compose them the way the runtime entry
 points (``encode_coefficients``, ``decode_coefficients``,
 ``ProgressiveCodec.encode`` / ``.decode``) compose the vectorized stages.
+The heap construction of Huffman code lengths the two-queue merge in
+:mod:`repro.codecs.huffman` must reproduce lives here too.
 """
 
 from __future__ import annotations
+
+import heapq
+from collections import Counter
 
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
@@ -68,3 +73,37 @@ def decode_reference(data: bytes, max_scans: int | None = None) -> ImageBuffer:
     """The reference twin of ``ProgressiveCodec.decode``."""
     coefficients, _ = decode_coefficients_reference(data, max_scans)
     return coefficients_to_image_reference(coefficients)
+
+
+def heap_huffman_lengths(counts: dict[int, int]) -> dict[int, int]:
+    """Huffman code lengths from a heap keyed ``(count, node id)``, leaves in symbol order."""
+    ordered = sorted(counts.items())
+    heap = [(count, node) for node, (_, count) in enumerate(ordered)]
+    heapq.heapify(heap)
+    parents: dict[int, int] = {}
+    next_node = len(ordered)
+    while len(heap) > 1:
+        count_a, node_a = heapq.heappop(heap)
+        count_b, node_b = heapq.heappop(heap)
+        parents[node_a] = parents[node_b] = next_node
+        heapq.heappush(heap, (count_a + count_b, next_node))
+        next_node += 1
+    lengths: dict[int, int] = {}
+    for leaf, (symbol, _) in enumerate(ordered):
+        depth, node = 0, leaf
+        while node in parents:
+            node = parents[node]
+            depth += 1
+        lengths[symbol] = depth
+    return lengths
+
+
+def limited_heap_huffman_lengths(counts: dict[int, int], max_length: int) -> dict[int, int]:
+    """:func:`heap_huffman_lengths`, re-run on damped counts until no code exceeds ``max_length``."""
+    lengths = heap_huffman_lengths(counts)
+    damping = 1
+    while max(lengths.values()) > max_length:
+        damping *= 2
+        damped = Counter({s: (c + damping - 1) // damping + 1 for s, c in counts.items()})
+        lengths = heap_huffman_lengths(damped)
+    return lengths

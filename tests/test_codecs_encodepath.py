@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.codecs.baseline import BaselineCodec
-from repro.codecs.bitio import BitReader, BitWriter
+from repro.codecs.bitio import BitReader, BitWriter, pack_bits
 from repro.codecs.encodepath import MAX_MISMATCH_RATE, MIN_PARITY_PSNR_DB
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import SUBSAMPLING_420, SUBSAMPLING_NONE
@@ -136,8 +136,7 @@ class TestEntropyStage:
 
     def test_entropy_bytes_identical_given_same_planes(self):
         """Scalar vs vectorized entropy coders emit identical streams for
-        identical coefficient planes (a large image exercises the
-        write_many_array >=256-item dispatch)."""
+        identical coefficient planes (a large image: many words per scan)."""
         from repro.codecs.progressive import encode_coefficients
 
         image = _test_image(np.random.default_rng(3), 160, 200, True)
@@ -146,43 +145,38 @@ class TestEntropyStage:
         fast_stream = encode_coefficients(coefficients, ScanScript.default_for(3))
         assert scalar_stream == fast_stream
 
+    @staticmethod
+    def _written(values, widths) -> bytes:
+        writer = BitWriter()
+        for value, width in zip(values.tolist(), widths.tolist()):
+            writer.write_bits(value, width)
+        return writer.getvalue()
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_write_many_array_differential(self, seed):
+    def test_word_packer_differential(self, seed):
+        """Long random runs, widths 0-63 (zero-width items included)."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4000))
-        widths = rng.integers(1, 25, size=n).astype(np.int64)
-        values = np.array(
-            [int(rng.integers(0, 1 << w)) for w in widths], dtype=np.int64
-        )
-        reference = BitWriter()
-        vectorized = BitWriter()
-        # Pre-seed both with unaligned bits so the pending-bit fold runs.
-        lead = int(rng.integers(0, 8))
-        reference.write_bits((1 << lead) - 1, lead)
-        vectorized.write_bits((1 << lead) - 1, lead)
-        reference.write_many(values.tolist(), widths.tolist())
-        vectorized.write_many_array(values, widths)
-        # Continue writing after the batch: accumulator state must match.
-        reference.write_bits(0b101, 3)
-        vectorized.write_bits(0b101, 3)
-        assert reference.getvalue() == vectorized.getvalue()
+        widths = rng.integers(0, 64, size=n).astype(np.int64)
+        values = rng.integers(0, np.iinfo(np.int64).max, size=n) >> (63 - widths)
+        assert pack_bits(values, widths) == self._written(values, widths)
 
-    def test_write_many_array_multi_slice(self, monkeypatch):
-        """Force several internal slices (incl. off-byte-boundary refolds)."""
-        monkeypatch.setattr(BitWriter, "_PACK_SLICE_BITS", 1 << 10)
+    def test_word_packer_word_boundaries(self):
+        """Runs that end exactly on a 64-bit word, and unfusable items above 31 bits."""
         rng = np.random.default_rng(99)
-        widths = rng.integers(1, 13, size=5000).astype(np.int64)
-        values = np.array(
-            [int(rng.integers(0, 1 << w)) for w in widths], dtype=np.int64
-        )
-        reference = BitWriter()
-        reference.write_many(values.tolist(), widths.tolist())
-        vectorized = BitWriter()
-        vectorized.write_many_array(values, widths)
-        assert reference.getvalue() == vectorized.getvalue()
-        reader = BitReader(vectorized.getvalue())
-        for value, width in zip(values.tolist(), widths.tolist()):
-            assert reader.read_bits(int(width)) == value
+        for widths in (
+            [32, 32] * 50,  # every second item ends on a word
+            [63, 1, 0, 64 - 17, 17, 0, 0],  # word-aligned ends, then zero widths at a boundary
+            list(rng.integers(32, 64, size=2000)),  # wide items cross most word boundaries
+            [8] * 64,  # a whole number of words, so no final pad
+        ):
+            widths = np.array(widths, dtype=np.int64)
+            values = rng.integers(0, np.iinfo(np.int64).max, size=widths.size) >> (63 - widths)
+            packed = pack_bits(values, widths)
+            assert packed == self._written(values, widths)
+            reader = BitReader(packed)
+            for value, width in zip(values.tolist(), widths.tolist()):
+                assert reader.read_bits(int(width)) == value
 
 
 class TestBatchEncode:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs.bitio import BitReader, BitWriter
-from repro.codecs.huffman import HuffmanTable
+from repro.codecs.bitio import BitReader, BitWriter, pack_bits
+from repro.codecs.huffman import MAX_CODE_LENGTH, HuffmanTable, _package_merge_lengths, _plain_huffman_lengths
 from repro.codecs.rle import (
     EOB_SYMBOL,
     ZRL_SYMBOL,
@@ -20,6 +21,7 @@ from repro.codecs.rle import (
     read_dc_values,
     write_symbols,
 )
+from tests.codec_reference import heap_huffman_lengths, limited_heap_huffman_lengths
 
 
 class TestBitIO:
@@ -77,29 +79,37 @@ class TestBitIO:
         assert reader.bits_remaining() == 0
         assert reader.exhausted
 
-    def test_write_many_matches_write_bits(self):
-        pairs = [(0b1, 1), (0b1011, 4), (0, 3), (0xFFFF, 16), (0b10, 2)]
-        one_by_one = BitWriter()
+    @staticmethod
+    def _written(pairs) -> bytes:
+        writer = BitWriter()
         for value, width in pairs:
-            one_by_one.write_bits(value, width)
-        batched = BitWriter()
-        batched.write_many(
-            [value for value, _ in pairs], [width for _, width in pairs]
-        )
-        assert batched.getvalue() == one_by_one.getvalue()
+            writer.write_bits(value, width)
+        return writer.getvalue()
 
-    @given(st.lists(st.tuples(st.integers(0, 2**20 - 1), st.integers(1, 20)), max_size=400))
-    @settings(max_examples=30, deadline=None)
-    def test_write_many_property(self, pairs):
-        clipped = [(value % (1 << bits), bits) for value, bits in pairs]
-        one_by_one = BitWriter()
-        for value, width in clipped:
-            one_by_one.write_bits(value, width)
-        batched = BitWriter()
-        batched.write_many(
-            [value for value, _ in clipped], [width for _, width in clipped]
-        )
-        assert batched.getvalue() == one_by_one.getvalue()
+    @staticmethod
+    def _packed(pairs) -> bytes:
+        values = np.array([value for value, _ in pairs], dtype=np.int64)
+        widths = np.array([width for _, width in pairs], dtype=np.int64)
+        return pack_bits(values, widths)
+
+    def test_pack_bits_matches_write_bits(self):
+        cases = [
+            [],
+            [(0, 0)],
+            [(0b1, 1), (0b1011, 4), (0, 3), (0xFFFF, 16), (0b10, 2)],
+            [(5, 3), (0, 0), (0, 0), (1, 1)],  # zero-width items mid-run
+            [((1 << 63) - 1, 63), (1, 1)],  # a 63-bit item, then a run ending on a word
+            [((1 << 40) - 3, 40), (0, 24), (0, 0), (7, 3)],  # ends on a word, then a zero width
+            [(1, 1), ((1 << 63) - 2, 63), ((1 << 62) + 9, 63), (3, 2)],  # items crossing words
+        ]
+        for pairs in cases:
+            assert self._packed(pairs) == self._written(pairs), pairs
+
+    @given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 63)), max_size=400))
+    @settings(max_examples=60, deadline=None)
+    def test_pack_bits_property(self, pairs):
+        clipped = [(value % (1 << width), width) for value, width in pairs]
+        assert self._packed(clipped) == self._written(clipped)
 
     def test_large_stream_flushes_incrementally(self):
         writer = BitWriter()
@@ -271,6 +281,33 @@ class TestHuffman:
         except ValueError:
             accepted = False
         assert accepted == (kraft <= 1)
+
+
+class TestHuffmanLengths:
+    """The two-queue merge gives the heap construction's lengths exactly."""
+
+    @given(st.dictionaries(st.integers(0, 255), st.integers(1, 10_000), min_size=2, max_size=256))
+    @settings(max_examples=80, deadline=None)
+    def test_two_queue_matches_the_heap(self, counts):
+        assert _plain_huffman_lengths(counts) == heap_huffman_lengths(counts)
+
+    @given(st.dictionaries(st.integers(0, 255), st.integers(1, 4), min_size=2, max_size=256))
+    @settings(max_examples=40, deadline=None)
+    def test_two_queue_matches_the_heap_on_tied_counts(self, counts):
+        assert _plain_huffman_lengths(counts) == heap_huffman_lengths(counts)
+
+    @pytest.mark.parametrize("n_symbols", [20, 40, 200])
+    def test_skewed_counts_that_need_damping(self, n_symbols):
+        # Fibonacci-like counts make a maximally deep tree: plain Huffman
+        # exceeds the 16-bit limit, so the damped re-runs decide the lengths.
+        fibonacci = [1, 1]
+        while len(fibonacci) < n_symbols:
+            fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        counts = {symbol: fibonacci[symbol % len(fibonacci)] for symbol in range(n_symbols)}
+        assert max(heap_huffman_lengths(counts).values()) > MAX_CODE_LENGTH
+        lengths = _package_merge_lengths(counts, MAX_CODE_LENGTH)
+        assert lengths == limited_heap_huffman_lengths(counts, MAX_CODE_LENGTH)
+        assert max(lengths.values()) <= MAX_CODE_LENGTH
 
 
 class TestMagnitudeCoding:

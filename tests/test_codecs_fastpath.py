@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.codecs import fastpath
 from repro.codecs.baseline import BaselineCodec
-from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_body_fast
+from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_bodies_fast
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
     SUBSAMPLING_420,
@@ -48,13 +48,9 @@ from repro.codecs.progressive import (
     image_to_coefficients,
     parse_frame_header,
 )
-from repro.codecs.rle import (
-    ac_band_symbols,
-    ac_symbol_arrays,
-    dc_symbol_arrays,
-    dc_symbols,
-    mixed_symbol_arrays,
-)
+from repro.codecs.markers import FrameHeader, ScanHeader
+from repro.codecs.quantization import QuantizationTables
+from repro.codecs.rle import ac_band_symbols, dc_symbols, symbol_stream
 from tests.codec_reference import (
     decode_coefficients_reference,
     decode_reference,
@@ -197,8 +193,44 @@ class TestStreamEquivalence:
         assert fast_image == scalar_image
 
 
+def _scalar_symbol_stream(planes, scans):
+    """What the scalar coders emit scan by scan: ``(symbols, extras, scan_ends)``."""
+    symbols: list[int] = []
+    extras: list[tuple[int, int]] = []
+    scan_ends: list[int] = []
+    for scan in scans:
+        for component in scan.component_ids:
+            plane = planes[component].tolist()
+            if scan.spectral_start == 0 and scan.spectral_end == 0:
+                block_symbols, block_extras = dc_symbols([block[0] for block in plane])
+                symbols += block_symbols
+                extras += block_extras
+                continue
+            previous_dc = 0
+            for block in plane:
+                if scan.spectral_start == 0:
+                    dc_syms, dc_extras = dc_symbols([block[0] - previous_dc])
+                    previous_dc = block[0]
+                    symbols += dc_syms
+                    extras += dc_extras
+                band = block[max(scan.spectral_start, 1) : scan.spectral_end + 1]
+                block_symbols, block_extras = ac_band_symbols(band)
+                symbols += block_symbols
+                extras += block_extras
+        scan_ends.append(len(symbols))
+    return symbols, extras, scan_ends
+
+
+def _assert_stream_matches_scalar(planes, scans) -> None:
+    symbols, bits, n_bits, scan_ends = symbol_stream(planes, scans)
+    expected_symbols, expected_extras, expected_ends = _scalar_symbol_stream(planes, scans)
+    assert symbols.tolist() == expected_symbols
+    assert list(zip(bits.tolist(), n_bits.tolist())) == expected_extras
+    assert scan_ends.tolist() == expected_ends
+
+
 class TestVectorizedSymbolArrays:
-    """The NumPy RLE coders emit the exact scalar symbol streams."""
+    """The one-pass symbol stream is the scalar coders' stream, item for item."""
 
     @given(
         st.lists(
@@ -209,24 +241,16 @@ class TestVectorizedSymbolArrays:
     )
     @settings(max_examples=40, deadline=None)
     def test_ac_symbol_arrays_match_scalar(self, blocks):
-        band = np.array(blocks, dtype=np.int32)
-        symbols, bits, n_bits = ac_symbol_arrays(band)
-        expected_symbols: list[int] = []
-        expected_extras: list[tuple[int, int]] = []
-        for block in blocks:
-            block_symbols, block_extras = ac_band_symbols(block)
-            expected_symbols.extend(block_symbols)
-            expected_extras.extend(block_extras)
-        assert symbols.tolist() == expected_symbols
-        assert list(zip(bits.tolist(), n_bits.tolist())) == expected_extras
+        plane = np.zeros((len(blocks), 64), dtype=np.int32)
+        plane[:, 20:29] = blocks
+        _assert_stream_matches_scalar([plane], [ScanHeader((0,), 20, 28)])
 
     @given(st.lists(st.integers(-2000, 2000), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_dc_symbol_arrays_match_scalar(self, values):
-        symbols, bits, n_bits = dc_symbol_arrays(np.array(values, dtype=np.int64))
-        expected_symbols, expected_extras = dc_symbols(values)
-        assert symbols.tolist() == expected_symbols
-        assert list(zip(bits.tolist(), n_bits.tolist())) == expected_extras
+        plane = np.zeros((len(values), 64), dtype=np.int32)
+        plane[:, 0] = values
+        _assert_stream_matches_scalar([plane], [ScanHeader((0,), 0, 0)])
 
     @given(
         st.lists(
@@ -238,33 +262,106 @@ class TestVectorizedSymbolArrays:
     @settings(max_examples=25, deadline=None)
     def test_mixed_symbol_arrays_match_scalar(self, blocks):
         plane = np.array(blocks, dtype=np.int32)
-        symbols, bits, n_bits = mixed_symbol_arrays(plane, spectral_end=63)
-        expected_symbols: list[int] = []
-        expected_extras: list[tuple[int, int]] = []
-        previous_dc = 0
-        for block in blocks:
-            diff = block[0] - previous_dc
-            previous_dc = block[0]
-            dc_syms, dc_extras = dc_symbols([diff])
-            expected_symbols.extend(dc_syms)
-            expected_extras.extend(dc_extras)
-            ac_syms, ac_extras = ac_band_symbols(block[1:])
-            expected_symbols.extend(ac_syms)
-            expected_extras.extend(ac_extras)
-        assert symbols.tolist() == expected_symbols
-        assert list(zip(bits.tolist(), n_bits.tolist())) == expected_extras
+        _assert_stream_matches_scalar([plane], [ScanHeader((0,), 0, 63)])
 
     def test_zrl_heavy_band(self):
-        band = np.zeros((3, 63), dtype=np.int32)
-        band[0, 40] = 5        # two ZRLs then a coefficient
-        band[1, 62] = -1       # coefficient on the last slot: no EOB
-        # block 2 stays all-zero: a single EOB
-        symbols, bits, n_bits = ac_symbol_arrays(band)
-        expected: list[int] = []
-        for block in band:
-            block_symbols, _ = ac_band_symbols([int(v) for v in block])
-            expected.extend(block_symbols)
-        assert symbols.tolist() == expected
+        plane = np.zeros((4, 64), dtype=np.int32)
+        plane[0, 41] = 5        # two ZRLs then a coefficient
+        plane[1, 63] = -1       # three ZRLs, coefficient on the last slot: no EOB
+        plane[2, 17] = plane[2, 34] = 2  # a ZRL before each of two entries
+        # block 3 stays all-zero: a single EOB
+        _assert_stream_matches_scalar([plane], [ScanHeader((0,), 1, 63)])
+        _assert_stream_matches_scalar([plane], [ScanHeader((0,), 0, 63)])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_scripts_and_bands_match_scalar(self, seed):
+        """Random components, block counts, band splits and scan groupings.
+
+        Each component's 64 indices are cut into random bands; scans that
+        share a band across components are merged at random into
+        multi-component scans, and the scan order is shuffled.
+        """
+        rng = np.random.default_rng(seed)
+        n_components = int(rng.integers(1, 4))
+        planes = []
+        for _ in range(n_components):
+            n_blocks = int(rng.integers(0, 7))
+            density = rng.random()
+            values = rng.integers(-40, 41, size=(n_blocks, 64))
+            planes.append((values * (rng.random((n_blocks, 64)) < density)).astype(np.int32))
+        by_band: dict[tuple[int, int], list[int]] = {}
+        for component in range(n_components):
+            cuts = sorted(rng.choice(np.arange(1, 64), size=int(rng.integers(0, 6)), replace=False))
+            edges = [0, *[int(cut) for cut in cuts], 64]
+            for start, stop in zip(edges, edges[1:]):
+                by_band.setdefault((start, stop - 1), []).append(component)
+        scans = []
+        for (start, end), components in by_band.items():
+            if len(components) > 1 and rng.random() < 0.5:
+                scans.append(ScanHeader(tuple(components), start, end))
+            else:
+                scans.extend(ScanHeader((component,), start, end) for component in components)
+        order = rng.permutation(len(scans))
+        _assert_stream_matches_scalar(planes, [scans[index] for index in order])
+
+
+class TestMagnitudeLimits:
+    """The format's magnitude edges: AC within +-32767, DC up to +-2**30."""
+
+    @staticmethod
+    def _coefficients(subsampling=SUBSAMPLING_420):
+        header = FrameHeader(
+            height=40,
+            width=48,
+            n_components=3,
+            subsampling=subsampling,
+            quant_tables=QuantizationTables.for_quality(90),
+        )
+        coefficients = empty_coefficients(header)
+        rng = np.random.default_rng(0)
+        for plane in coefficients.planes:
+            plane[:, :12] = rng.integers(-20, 21, size=(plane.shape[0], 12))
+        return coefficients
+
+    _SCRIPTS = {"progressive": ScanScript.default_color(), "sequential": ScanScript.sequential(3)}
+
+    @pytest.mark.parametrize("layout", sorted(_SCRIPTS))
+    @pytest.mark.parametrize("position", [1, 5, 40])
+    def test_ac_at_the_edge_round_trips(self, layout, position):
+        coefficients = self._coefficients()
+        coefficients.planes[2][1, position] = 32767
+        coefficients.planes[0][3, position] = -32767
+        script = self._SCRIPTS[layout]
+        stream = encode_coefficients(coefficients, script)
+        assert stream == encode_coefficients_reference(coefficients, script)
+        decoded, _ = decode_coefficients(stream)
+        for original, plane in zip(coefficients.planes, decoded.planes):
+            assert np.array_equal(original, plane)
+
+    @pytest.mark.parametrize("value", [32768, -32768])
+    @pytest.mark.parametrize("layout", sorted(_SCRIPTS))
+    @pytest.mark.parametrize("position", [1, 5, 40])
+    def test_ac_past_the_edge_raises_naming_the_component(self, layout, position, value):
+        coefficients = self._coefficients()
+        coefficients.planes[2][1, position] = value
+        script = self._SCRIPTS[layout]
+        with pytest.raises(ValueError, match="component 2"):
+            encode_coefficients(coefficients, script)
+        with pytest.raises(ValueError, match="component 2"):
+            encode_coefficients_reference(coefficients, script)
+
+    @pytest.mark.parametrize("layout", sorted(_SCRIPTS))
+    def test_dc_up_to_two_to_the_thirty_round_trips(self, layout):
+        coefficients = self._coefficients(SUBSAMPLING_NONE)
+        for plane in coefficients.planes:
+            plane[:, 0] = np.resize([1 << 30, -(1 << 30), 0, -(1 << 30)], plane.shape[0])
+        script = self._SCRIPTS[layout]
+        stream = encode_coefficients(coefficients, script)
+        assert stream == encode_coefficients_reference(coefficients, script)
+        decoded, _ = decode_coefficients(stream)
+        for original, plane in zip(coefficients.planes, decoded.planes):
+            assert np.array_equal(original, plane)
 
 
 class TestPropertyRoundTrip:
@@ -306,13 +403,13 @@ class TestScanBodyFunctions:
         for original_plane, decoded_plane in zip(coefficients.planes, fast_result.planes):
             assert np.array_equal(original_plane, decoded_plane)
 
-    def test_encode_scan_body_fast_is_scalar_body(self):
+    def test_encode_scan_bodies_fast_is_scalar_body(self):
         image = make_structured_image(27, seed=18, color=True)
         coefficients = image_to_coefficients(image, quality=90)
-        for scan in ScanScript.default_for(3):
-            assert encode_scan_body_fast(coefficients, scan) == encode_scan_body_reference(
-                coefficients, scan
-            )
+        script = ScanScript.default_for(3)
+        assert encode_scan_bodies_fast(coefficients, script) == [
+            encode_scan_body_reference(coefficients, scan) for scan in script
+        ]
 
     def test_truncated_scan_payload_raises_documented_errors(self):
         """Deep truncation must raise EOFError/ValueError, never IndexError.
