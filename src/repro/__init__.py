@@ -16,7 +16,7 @@ Smith; VLDB 2021).  It contains:
     remote and sharded datasets all are.
 
 ``repro.storage`` / ``repro.records`` / ``repro.kvstore``
-    Substrates: simulated block devices and a striped storage cluster,
+    Substrates: simulated block devices and an extent filesystem over them,
     baseline record formats (TFRecord/RecordIO/file-per-image), and
     key-value metadata stores (SQLite and an LSM tree).
 

@@ -4,9 +4,10 @@ The paper relies on libjpeg/jpegtran to produce progressive JPEG files whose
 scans can be regrouped into PCR scan groups.  This package provides an
 equivalent, self-contained codec:
 
-* :mod:`repro.codecs.color` — RGB/YCbCr conversion and chroma subsampling.
-* :mod:`repro.codecs.dct` — orthonormal 8x8 DCT and inverse.
-* :mod:`repro.codecs.quantization` — IJG-style quality-scaled quantization.
+* :mod:`repro.codecs.color` — the BT.601 RGB/YCbCr constants.
+* :mod:`repro.codecs.dct` — the orthonormal 8x8 DCT basis.
+* :mod:`repro.codecs.quantization` — IJG-style quality-scaled quantization
+  tables.
 * :mod:`repro.codecs.zigzag` — zigzag coefficient ordering.
 * :mod:`repro.codecs.bitio` / :mod:`repro.codecs.huffman` /
   :mod:`repro.codecs.rle` — entropy coding (run-length symbols + canonical
@@ -16,8 +17,8 @@ equivalent, self-contained codec:
   built for the scan's kind, that also finishes oversized symbols —
   word-buffered bit I/O, batched scan assembly).  It is the only entropy
   coder at run time; the scalar coder survives as the ``*_reference``
-  functions of :mod:`repro.codecs.progressive`, which only the
-  differential tests call.  See ``docs/performance.md``.
+  functions of ``tests/codec_reference.py``, the differential oracle
+  only the tests use.  See ``docs/performance.md``.
 * :mod:`repro.codecs.pixelpath` — the batched float32 pixel-domain path
   (fused dequantize+IDCT scaled bases, strided block merge, single-matmul
   colour conversion, per-thread scratch-buffer reuse).

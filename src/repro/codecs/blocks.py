@@ -32,30 +32,12 @@ def split_into_blocks_view(channel: np.ndarray) -> np.ndarray:
     """Stride-tricks split of a 2-D channel into ``(nv, nh, 8, 8)`` blocks.
 
     Returns a *view* whenever the (padded) channel is C-contiguous — no
-    pixel bytes are copied.  Callers that need contiguous blocks (the scalar
-    DCT path) should use :func:`split_into_blocks` instead.
+    pixel bytes are copied.
     """
     padded = pad_to_block_multiple(channel)
     h, w = padded.shape
     nv, nh = h // BLOCK_SIZE, w // BLOCK_SIZE
     return padded.reshape(nv, BLOCK_SIZE, nh, BLOCK_SIZE).swapaxes(1, 2)
-
-
-def split_into_blocks(channel: np.ndarray) -> np.ndarray:
-    """Split a 2-D channel into an array of 8x8 blocks.
-
-    Returns a contiguous array of shape ``(n_blocks_v, n_blocks_h, 8, 8)``.
-    The input is padded to a block multiple first.
-    """
-    return np.ascontiguousarray(split_into_blocks_view(channel))
-
-
-def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Merge an ``(nv, nh, 8, 8)`` block array into an ``(height, width)`` channel."""
-    blocks = np.asarray(blocks)
-    nv, nh = blocks.shape[:2]
-    merged = blocks.swapaxes(1, 2).reshape(nv * BLOCK_SIZE, nh * BLOCK_SIZE)
-    return merged[:height, :width]
 
 
 def merge_blocks_into(blocks: np.ndarray, out: np.ndarray) -> None:

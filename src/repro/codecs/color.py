@@ -1,9 +1,12 @@
-"""Colour-space conversion and chroma subsampling.
+"""BT.601 colour-conversion constants.
 
 JPEG converts RGB input to YCbCr and typically stores chroma at half
 resolution (4:2:0).  The PCR codec does the same so that chroma scans carry
 fewer bytes than luma scans, which is what produces the "scan sizes cluster"
-behaviour described in the paper (Section 4.4, Figure 16).
+behaviour described in the paper (Section 4.4, Figure 16).  The conversion
+runs fused into the forward path (:mod:`repro.codecs.encodepath`) and the
+pixel path (:mod:`repro.codecs.pixelpath`); this module holds the matrix and
+weights they share.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 # from them exactly (``Cb = 0.5 (B - Y) / (1 - Kb)``, ``Cr = 0.5 (R - Y) /
 # (1 - Kr)``) rather than spelled as the truncated 6-decimal constants the
 # JFIF note prints (-0.168736, -0.331264, -0.418688, -0.081312), so the
-# analytic inverse below is exact rather than approximate.
+# analytic inverse weights below are exact rather than approximate.
 _KR, _KG, _KB = 0.299, 0.587, 0.114
 
 _RGB_TO_YCBCR = np.array(
@@ -25,73 +28,13 @@ _RGB_TO_YCBCR = np.array(
     ]
 )
 
-# The exact analytic inverse of the BT.601 forward matrix (Cb/Cr rows scaled
-# so the chroma extrema map to +/-0.5): R = Y + 2(1-Kr)Cr, B = Y + 2(1-Kb)Cb,
-# and G balances the luma equation.  Writing the constants out (instead of a
-# numeric ``np.linalg.inv`` round-trip) keeps the matrix reproducible to the
-# last bit across BLAS/LAPACK builds.
+# The chroma weights of the exact analytic inverse of the BT.601 forward
+# matrix (Cb/Cr rows scaled so the chroma extrema map to +/-0.5):
+# R = Y + 2(1-Kr)Cr, B = Y + 2(1-Kb)Cb, and G balances the luma equation.
+# Writing the constants out (instead of a numeric ``np.linalg.inv``
+# round-trip) keeps them reproducible to the last bit across BLAS/LAPACK
+# builds.
 _CR_TO_R = 2.0 * (1.0 - _KR)  # 1.402
 _CB_TO_B = 2.0 * (1.0 - _KB)  # 1.772
 _CB_TO_G = -(_KB * _CB_TO_B) / _KG  # -0.344136...
 _CR_TO_G = -(_KR * _CR_TO_R) / _KG  # -0.714136...
-_YCBCR_TO_RGB = np.array(
-    [
-        [1.0, 0.0, _CR_TO_R],
-        [1.0, _CB_TO_G, _CR_TO_G],
-        [1.0, _CB_TO_B, 0.0],
-    ]
-)
-
-#: Per-channel constant that folds the Cb/Cr -128 centering into the inverse
-#: matmul: ``(ycc - [0, 128, 128]) @ M.T == ycc @ M.T + _YCBCR_TO_RGB_BIAS``.
-_YCBCR_TO_RGB_BIAS = -128.0 * (_YCBCR_TO_RGB[:, 1] + _YCBCR_TO_RGB[:, 2])
-
-
-def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
-    """Convert an ``(H, W, 3)`` RGB array (any float/int) to YCbCr floats.
-
-    Output channels are Y in ``[0, 255]`` and Cb/Cr centred at 128.
-    """
-    rgb = np.asarray(rgb, dtype=np.float64)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) array, got shape {rgb.shape}")
-    ycc = rgb @ _RGB_TO_YCBCR.T
-    ycc[..., 1] += 128.0
-    ycc[..., 2] += 128.0
-    return ycc
-
-
-def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
-    """Convert a YCbCr float array back to RGB floats (not clipped).
-
-    The -128 chroma centering is folded into a per-channel bias added after
-    the matmul, so the input is neither copied nor mutated and the whole
-    conversion is one matmul plus an in-place offset on the result.
-    """
-    ycc = np.asarray(ycc, dtype=np.float64)
-    if ycc.ndim != 3 or ycc.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) array, got shape {ycc.shape}")
-    rgb = ycc @ _YCBCR_TO_RGB.T
-    rgb += _YCBCR_TO_RGB_BIAS
-    return rgb
-
-
-def subsample_420(channel: np.ndarray) -> np.ndarray:
-    """Downsample a chroma channel by 2x in each dimension (box filter).
-
-    Odd dimensions are handled by edge replication before averaging, which is
-    how libjpeg treats partial sampling blocks.
-    """
-    channel = np.asarray(channel, dtype=np.float64)
-    h, w = channel.shape
-    padded = np.pad(channel, ((0, h % 2), (0, w % 2)), mode="edge")
-    ph, pw = padded.shape
-    blocks = padded.reshape(ph // 2, 2, pw // 2, 2)
-    return blocks.mean(axis=(1, 3))
-
-
-def upsample_420(channel: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
-    """Nearest-neighbour upsample of a subsampled chroma channel."""
-    channel = np.asarray(channel, dtype=np.float64)
-    up = np.repeat(np.repeat(channel, 2, axis=0), 2, axis=1)
-    return up[:out_height, :out_width]

@@ -4,11 +4,12 @@ Uses the orthonormal variant so that forward followed by inverse is the
 identity (up to floating point error), and coefficient magnitudes match the
 conventional JPEG quantization tables.
 
-The scalar reference path routes through ``scipy.fft``; the batched pixel
-fast path (:mod:`repro.codecs.pixelpath`) expresses the same transform as
-matrix products against :func:`dct_basis_matrix`, which is the single
-source of truth for the basis both use.  ``scipy`` is imported where the
-reference runs, so a serving, loader or ingest process never loads it.
+The forward (:mod:`repro.codecs.encodepath`) and pixel
+(:mod:`repro.codecs.pixelpath`) paths express the transform as matrix
+products against :func:`dct_basis_matrix`, the single source of truth for
+the basis both use.  The ``scipy.fft`` transform the tests compare them
+with is in ``tests/codec_reference.py``, so no runtime process loads
+``scipy.fft``.
 """
 
 from __future__ import annotations
@@ -31,31 +32,3 @@ def dct_basis_matrix(n: int = BLOCK_SIZE) -> np.ndarray:
     basis[0, :] = np.sqrt(1.0 / n)
     return basis
 
-
-def forward_dct_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Apply the 2-D DCT-II to every 8x8 block of an ``(..., 8, 8)`` array.
-
-    The pixel values are level-shifted by 128 first, as in JPEG.
-    """
-    from scipy.fft import dctn
-
-    blocks = np.asarray(blocks, dtype=np.float64)
-    _check_block_shape(blocks)
-    return dctn(blocks - 128.0, type=2, norm="ortho", axes=(-2, -1))
-
-
-def inverse_dct_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """Apply the 2-D inverse DCT (DCT-III) and undo the level shift."""
-    from scipy.fft import idctn
-
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _check_block_shape(coeffs)
-    return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1)) + 128.0
-
-
-def _check_block_shape(array: np.ndarray) -> None:
-    if array.shape[-2:] != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(
-            f"expected trailing dimensions ({BLOCK_SIZE}, {BLOCK_SIZE}), "
-            f"got shape {array.shape}"
-        )

@@ -63,9 +63,9 @@ across scan groups, colour layouts and odd sizes, is:
   ``MIN_PARITY_PSNR_DB`` (45 dB) — visually indistinguishable, and far
   above the quality loss of even the finest quantization step.
 
-That float64 reference is
-:func:`repro.codecs.progressive.image_to_coefficients_reference`, which
-only those tests call; encoding always runs this module.
+That float64 reference is ``image_to_coefficients_reference`` in
+``tests/codec_reference.py``, which only those tests call; encoding
+always runs this module.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def scaled_forward_basis(table: np.ndarray) -> np.ndarray:
 def _subsample_420_into(channel: np.ndarray, out: np.ndarray) -> None:
     """2x2 box-filter downsample of ``channel`` into ``out`` (both float32).
 
-    Strided equivalent of :func:`repro.codecs.color.subsample_420`:
+    Strided equivalent of the reference's float64 ``subsample_420``:
     four strided adds over the even core, with odd trailing rows/columns
     handled by explicit edge replication (a duplicated edge sample means
     the 2x2 mean degenerates to a 2x1 mean, and the odd corner passes
@@ -192,8 +192,7 @@ def encode_to_planes(
     ``image`` is an :class:`~repro.codecs.image.ImageBuffer`; ``tables`` a
     :class:`~repro.codecs.quantization.QuantizationTables`.  Returns one
     ``(n_blocks, 64)`` int32 plane per component (1 for grayscale, 3 for
-    colour), matching the scalar
-    :func:`repro.codecs.progressive.image_to_coefficients` within the
+    colour), matching the scalar float64 reference within the
     module-level error budget.  With a ``scratch``, the only allocations
     are the returned planes (and ``np.pad`` copies for odd sizes).
     """

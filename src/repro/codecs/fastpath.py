@@ -1,7 +1,7 @@
 """Table-driven fast path for scan-level entropy coding.
 
 This module is the vectorized counterpart of the scalar scan coder in
-:mod:`repro.codecs.progressive`:
+``tests/codec_reference.py``:
 
 * Encoding is per image, not per scan: one pass turns every scan of the
   image into ``(symbol, bits, width)`` arrays (see :mod:`repro.codecs.rle`),
@@ -37,9 +37,9 @@ This module is the vectorized counterpart of the scalar scan coder in
 
 Both directions produce byte-identical streams / identical coefficients to
 the scalar reference (``encode_scan_body_reference`` /
-``decode_scan_body_reference`` in :mod:`repro.codecs.progressive`) — the
-one differential oracle, which only the tests run.  This module is the
-only entropy coder at run time.
+``decode_scan_body_reference`` in ``tests/codec_reference.py``) — the one
+differential oracle, which only the tests run.  This module is the only
+entropy coder at run time.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ __all__ = [
 def encode_scan_bodies_fast(coefficients, script) -> list[bytes]:
     """Entropy-code every scan of one image: each body is its table + its bits.
 
-    Byte-identical to :func:`~repro.codecs.progressive.encode_scan_body_reference`
-    per scan.  One symbol pass over the image (:func:`repro.codecs.rle.symbol_stream`),
+    Byte-identical to the scalar ``encode_scan_body_reference`` per scan.
+    One symbol pass over the image (:func:`repro.codecs.rle.symbol_stream`),
     one ``bincount`` for every scan's histogram, one optimised table per
     scan, then one bit pack for the whole image: each scan's 1-bit padding
     is an item of its own, so every scan ends on a byte and its payload is
@@ -82,7 +82,7 @@ def encode_scan_bodies_fast(coefficients, script) -> list[bytes]:
     lengths = np.array([table.encode_arrays()[1] for table in tables], dtype=np.int64).ravel()
     values = (codes[keys] << n_bits) | bits
     widths = lengths[keys] + n_bits
-    # Close every scan on a byte with a run of 1 bits, as BitWriter.getvalue pads.
+    # Close every scan on a byte with a run of 1 bits, as JPEG pads.
     scan_bits = np.diff(np.concatenate(([0], np.cumsum(widths)))[scan_ends], prepend=0)
     pad = -scan_bits & 7
     values = np.insert(values, scan_ends, (1 << pad) - 1)
@@ -181,9 +181,9 @@ def _scan_defect(entries, scan, planes, n_payload_bits: int) -> None:
     check order — code + magnitude bits are read (EOFError past the
     payload end) before the band-overflow check — and raises the first
     defect's error.  A pure run (ZRL / zero-category run) that crosses the
-    band end is no defect: it ends its block, exactly as ``read_ac_band``'s
-    ``index += 16`` does, and a scan whose only flag was such a run comes
-    out of the replay decoded.
+    band end is no defect: it ends its block, exactly as the reference
+    ``read_ac_band``'s ``index += 16`` does, and a scan whose only flag was
+    such a run comes out of the replay decoded.
     """
     band_length = scan.band_length
     bit_offset = 0

@@ -5,25 +5,22 @@ alphabet (mirroring ``jpegtran -optimize``).  Tables are serialized in
 canonical form: a list of code lengths followed by the symbols ordered by
 (length, symbol value), which is the same structure as a JPEG DHT segment.
 
-Decoding has two implementations over the same canonical code:
+Decoding runs through the *superscalar* window tables — one table family,
+indexed by the next ``SUPER_BITS`` stream bits, whose entries fully decode
+up to **two** complete ``(code, magnitude)`` symbols, including the signed
+coefficient value, since the magnitude bits are part of the window the
+table is indexed by.  A window whose first code fits but whose magnitude
+does not stores that symbol's negated *plain entry* (run, category, bit
+consumption) in place, and a code longer than the window is resolved
+against the table's few long codes (:func:`long_code_entry`) — there is no
+second table for the escape.  See :func:`_build_super_tables` for the
+entry packing and ``docs/performance.md`` for the decode loops built on
+it.  The scalar bit-at-a-time decode the tables must agree with is the
+test oracle in ``tests/codec_reference.py``.
 
-* ``decode_symbol`` — the scalar reference: one bit at a time, probing the
-  ``(code, length)`` dict at each length.  Kept for differential testing.
-* the *superscalar* window tables — one table family, indexed by the next
-  ``SUPER_BITS`` stream bits, whose entries fully decode up to **two**
-  complete ``(code, magnitude)`` symbols, including the signed coefficient
-  value, since the magnitude bits are part of the window the table is
-  indexed by.  A window whose first code fits but whose magnitude does not
-  stores that symbol's negated *plain entry* (run, category, bit
-  consumption) in place, and a code longer than the window is resolved
-  against the table's few long codes (:func:`long_code_entry`) — there is
-  no second table for the escape.  See :func:`_build_super_tables` for
-  the entry packing and ``docs/performance.md`` for the decode loops built
-  on it.
-
-A :class:`HuffmanTable` is the canonical code, its serialisation, the
-encode arrays and the scalar reference; it holds no decode tables.  The
-fast decode tier fetches them through :meth:`HuffmanTable.cached_from_bytes`,
+A :class:`HuffmanTable` is the canonical code, its serialisation and the
+encode arrays; it holds no decode tables.  The fast decode tier fetches
+them through :meth:`HuffmanTable.cached_from_bytes`,
 the one cached route: a byte-bounded LRU keyed on ``(kind, serialized table
 bytes)`` whose entry is exactly the arrays that *kind* of scan reads (a scan
 is DC-only, AC-only or mixed, and reads one flavour), built whole at the
@@ -46,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codecs.bitio import BitReader, BitWriter
 from repro.obs import get_registry
 
 MAX_CODE_LENGTH = 16
@@ -174,13 +170,12 @@ class HuffmanTable:
 
     code_lengths: dict[int, int]
     _encode_map: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
-    _decode_map: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _encode_arrays: "tuple[list[int], list[int]] | None" = field(
         default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        # Canonical code assignment.  The maps are filled once, here, and
+        # Canonical code assignment.  The map is filled once, here, and
         # never mutated again.
         ordered = sorted(self.code_lengths.items(), key=lambda kv: (kv[1], kv[0]))
         code = 0
@@ -189,20 +184,13 @@ class HuffmanTable:
             code <<= length - previous_length
             previous_length = length
             self._encode_map[symbol] = (code, length)
-            self._decode_map[(code, length)] = symbol
             code += 1
-
-    @classmethod
-    def from_symbols(cls, symbols: list[int]) -> "HuffmanTable":
-        """Build an optimal (length-limited) code from observed symbols."""
-        return cls.from_counts(Counter(symbols))
 
     @classmethod
     def from_counts(cls, counts: Counter | dict[int, int]) -> "HuffmanTable":
         """Build an optimal code from a symbol-frequency mapping.
 
-        Zero-count entries are ignored; produces the identical table to
-        ``from_symbols`` on the underlying symbol sequence.
+        Zero-count entries are ignored.
         """
         counts = Counter({s: c for s, c in counts.items() if c > 0})
         if not counts:
@@ -213,26 +201,6 @@ class HuffmanTable:
             return cls(code_lengths={only: 1})
         lengths = _package_merge_lengths(counts, MAX_CODE_LENGTH)
         return cls(code_lengths=lengths)
-
-    # -- scalar reference paths ------------------------------------------------
-
-    def encode_symbol(self, symbol: int, writer: BitWriter) -> None:
-        """Write the code for ``symbol`` to ``writer``."""
-        try:
-            code, length = self._encode_map[symbol]
-        except KeyError as exc:
-            raise KeyError(f"symbol {symbol} not present in Huffman table") from exc
-        writer.write_bits(code, length)
-
-    def decode_symbol(self, reader: BitReader) -> int:
-        """Read one symbol from ``reader`` (scalar reference path)."""
-        code = 0
-        for length in range(1, MAX_CODE_LENGTH + 1):
-            code = (code << 1) | reader.read_bit()
-            symbol = self._decode_map.get((code, length))
-            if symbol is not None:
-                return symbol
-        raise ValueError("invalid Huffman code in bit stream")
 
     # -- table-driven encode --------------------------------------------------
 

@@ -165,9 +165,3 @@ def parse_frame_header(data: bytes) -> tuple[FrameHeader, int]:
     if data[:2] != SOI:
         raise CodecFormatError("stream does not start with SOI")
     return FrameHeader.parse(data, 2)
-
-
-def header_prefix_length(data: bytes) -> int:
-    """Number of bytes before the first scan (SOI + SOF)."""
-    _, offset = parse_frame_header(data)
-    return offset

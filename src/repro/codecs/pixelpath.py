@@ -43,9 +43,9 @@ epsilon of a rounding tie: the error budget is **at most 1 LSB per pixel**
 bits), enforced across scan groups by ``tests/test_codecs_pixelpath.py``.
 Exact ties are inside that budget: the fast path rounds half up
 (``floor(x + 0.5)``), the reference's ``np.round`` half to even.  That
-float64 reference is
-:func:`repro.codecs.progressive.coefficients_to_image_reference`, which
-only the tests call; decoding always runs this module.
+float64 reference is ``coefficients_to_image_reference`` in
+``tests/codec_reference.py``, which only the tests call; decoding always
+runs this module.
 """
 
 from __future__ import annotations

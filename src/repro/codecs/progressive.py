@@ -18,17 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codecs.bitio import BitReader, BitWriter
 from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_bodies_fast
-from repro.codecs.blocks import block_grid_shape, merge_blocks, split_into_blocks
-from repro.codecs.color import (
-    rgb_to_ycbcr,
-    subsample_420,
-    upsample_420,
-    ycbcr_to_rgb,
-)
-from repro.codecs.dct import forward_dct_blocks, inverse_dct_blocks
-from repro.codecs.huffman import HuffmanTable
+from repro.codecs.blocks import block_grid_shape
 from repro.codecs.image import ImageBuffer
 from repro.obs import get_registry, get_tracer
 from repro.codecs.markers import (
@@ -39,22 +30,14 @@ from repro.codecs.markers import (
     CodecFormatError,
     FrameHeader,
     ScanHeader,
-    ScanSegment,
     find_scan_segments,
     parse_frame_header,
     write_scan_segment,
 )
 from repro.codecs.encodepath import encode_to_planes
 from repro.codecs.pixelpath import decode_to_pixels
-from repro.codecs.quantization import QuantizationTables, dequantize, quantize
-from repro.codecs.rle import (
-    ac_band_symbols,
-    dc_symbols,
-    decode_magnitude,
-    read_ac_band,
-    write_symbols,
-)
-from repro.codecs.zigzag import N_COEFFICIENTS, blocks_to_zigzag, zigzag_to_blocks
+from repro.codecs.quantization import QuantizationTables
+from repro.codecs.zigzag import N_COEFFICIENTS
 
 DEFAULT_QUALITY = 90
 DEFAULT_N_SCANS = 10
@@ -160,9 +143,9 @@ def image_to_coefficients(
     Runs the batched float32 forward path (:mod:`repro.codecs.encodepath`:
     fused colour conversion + level shift, strided 4:2:0 downsample, one
     fused quantize+DCT sgemm per component), reusing the calling thread's
-    work buffers from one image to the next.  Against
-    :func:`image_to_coefficients_reference` the coefficients may differ by
-    at most 1 quant step at a documented, tested rate (see the error
+    work buffers from one image to the next.  Against the float64
+    reference in ``tests/codec_reference.py`` the coefficients may differ
+    by at most 1 quant step at a documented, tested rate (see the error
     budget in :mod:`repro.codecs.encodepath`).
     """
     tables = QuantizationTables.for_quality(quality)
@@ -184,7 +167,8 @@ def coefficients_to_image(coefficients: CoefficientPlanes) -> ImageBuffer:
 
     Runs the batched float32 pixel path (:mod:`repro.codecs.pixelpath`),
     reusing the calling thread's work buffers from one image to the next;
-    pixels are within 1 LSB of :func:`coefficients_to_image_reference`.
+    pixels are within 1 LSB of the float64 reference in
+    ``tests/codec_reference.py``.
     """
     return ImageBuffer(decode_to_pixels(coefficients))
 
@@ -377,160 +361,3 @@ def assemble_partial_stream(header_prefix: bytes, scans: list[bytes]) -> bytes:
     """Reassemble a decodable stream from a header prefix and scan segments."""
     return header_prefix + b"".join(scans) + EOI
 
-
-# --------------------------------------------------------------------------
-# Scalar reference stages: the differential oracle.  Only tests call these;
-# every runtime entry point above runs the vectorized stages.
-# --------------------------------------------------------------------------
-
-
-def image_to_coefficients_reference(
-    image: ImageBuffer,
-    quality: int = DEFAULT_QUALITY,
-    subsampling: int = SUBSAMPLING_420,
-) -> CoefficientPlanes:
-    """Reference for :func:`image_to_coefficients`: float64 colour / subsample / DCT / quantize."""
-    tables = QuantizationTables.for_quality(quality)
-    if image.is_color:
-        ycc = rgb_to_ycbcr(image.as_float())
-        if subsampling == SUBSAMPLING_420:
-            channels = [ycc[..., 0], subsample_420(ycc[..., 1]), subsample_420(ycc[..., 2])]
-        else:
-            channels = [ycc[..., 0], ycc[..., 1], ycc[..., 2]]
-        n_components = 3
-    else:
-        channels = [image.as_float()]
-        n_components = 1
-        subsampling = SUBSAMPLING_NONE
-    header = FrameHeader(
-        height=image.height,
-        width=image.width,
-        n_components=n_components,
-        subsampling=subsampling,
-        quant_tables=tables,
-    )
-    planes: list[np.ndarray] = []
-    for index, channel in enumerate(channels):
-        blocks = split_into_blocks(channel)
-        coefficients = forward_dct_blocks(blocks)
-        quantized = quantize(coefficients, tables.table_for_component(index))
-        zigzag = blocks_to_zigzag(quantized)
-        planes.append(zigzag.reshape(-1, N_COEFFICIENTS).astype(np.int32))
-    return CoefficientPlanes(header=header, planes=planes)
-
-
-def coefficients_to_image_reference(coefficients: CoefficientPlanes) -> ImageBuffer:
-    """Reference for :func:`coefficients_to_image`: float64 dequantize / IDCT / merge / colour."""
-    header = coefficients.header
-    tables = header.quant_tables
-    channels: list[np.ndarray] = []
-    for index, plane in enumerate(coefficients.planes):
-        comp_h, comp_w = header.component_shape(index)
-        nv, nh = block_grid_shape(comp_h, comp_w)
-        blocks_zz = plane.reshape(nv, nh, N_COEFFICIENTS)
-        blocks = zigzag_to_blocks(blocks_zz)
-        dequantized = dequantize(blocks, tables.table_for_component(index))
-        spatial = inverse_dct_blocks(dequantized)
-        channels.append(merge_blocks(spatial, comp_h, comp_w))
-    if header.n_components == 1:
-        return ImageBuffer.from_array(channels[0])
-    if header.subsampling == SUBSAMPLING_420:
-        cb = upsample_420(channels[1], header.height, header.width)
-        cr = upsample_420(channels[2], header.height, header.width)
-    else:
-        cb, cr = channels[1], channels[2]
-    ycc = np.stack([channels[0], cb, cr], axis=-1)
-    return ImageBuffer.from_array(ycbcr_to_rgb(ycc))
-
-
-def encode_scan_body_reference(coefficients: CoefficientPlanes, scan: ScanHeader) -> bytes:
-    """Reference scan encoder: optimised Huffman table, then per-coefficient Python loops.
-
-    Byte-identical to the scan's body from
-    :func:`~repro.codecs.fastpath.encode_scan_bodies_fast`, and like it raises
-    ``ValueError`` naming the component for an AC coefficient outside +-32767.
-    """
-    all_symbols: list[int] = []
-    per_component: list[tuple[list[int], list[tuple[int, int]]]] = []
-    for component in scan.component_ids:
-        plane = coefficients.planes[component]
-        band = plane[:, max(scan.spectral_start, 1) : scan.spectral_end + 1].astype(np.int64)
-        if band.size and int(np.abs(band).max()) > 32767:
-            raise ValueError(
-                f"component {component}: AC coefficient outside +-32767, whose category "
-                f"does not fit the symbol's size nibble"
-            )
-        symbols: list[int] = []
-        extras: list[tuple[int, int]] = []
-        if scan.spectral_start == 0 and scan.spectral_end == 0:
-            dc_syms, dc_extras = dc_symbols([int(v) for v in plane[:, 0]])
-            symbols.extend(dc_syms)
-            extras.extend(dc_extras)
-        elif scan.spectral_start == 0:
-            # Full/mixed band: per block, DC delta followed by the AC band.
-            previous_dc = 0
-            for block in plane:
-                dc_value = int(block[0])
-                diff = dc_value - previous_dc
-                previous_dc = dc_value
-                dc_syms, dc_extras = dc_symbols([diff])
-                # dc_symbols delta-codes against 0, so a single diff round-trips.
-                symbols.extend(dc_syms)
-                extras.extend(dc_extras)
-                band = [int(v) for v in block[1 : scan.spectral_end + 1]]
-                ac_syms, ac_extras = ac_band_symbols(band)
-                symbols.extend(ac_syms)
-                extras.extend(ac_extras)
-        else:
-            for block in plane:
-                band = [int(v) for v in block[scan.spectral_start : scan.spectral_end + 1]]
-                ac_syms, ac_extras = ac_band_symbols(band)
-                symbols.extend(ac_syms)
-                extras.extend(ac_extras)
-        per_component.append((symbols, extras))
-        all_symbols.extend(symbols)
-    table = HuffmanTable.from_symbols(all_symbols)
-    writer = BitWriter()
-    for symbols, extras in per_component:
-        write_symbols(symbols, extras, table, writer)
-    return table.to_bytes() + writer.getvalue()
-
-
-def decode_scan_body_reference(
-    data: bytes,
-    segment: ScanSegment,
-    coefficients: CoefficientPlanes,
-) -> None:
-    """Reference scan decoder (bit-at-a-time Huffman probing) into ``coefficients``.
-
-    Coefficients and error classes match
-    :func:`~repro.codecs.fastpath.decode_scan_bodies_fast`.
-    """
-    scan = segment.header
-    table, consumed = HuffmanTable.from_bytes(data[segment.payload_start : segment.end])
-    reader = BitReader(data[segment.payload_start + consumed : segment.end])
-    for component in scan.component_ids:
-        plane = coefficients.planes[component]
-        n_blocks = plane.shape[0]
-        if scan.spectral_start == 0 and scan.spectral_end == 0:
-            previous = 0
-            for block_index in range(n_blocks):
-                category = table.decode_symbol(reader)
-                bits = reader.read_bits(category)
-                previous += decode_magnitude(bits, category)
-                plane[block_index, 0] = previous
-        elif scan.spectral_start == 0:
-            previous = 0
-            band_length = scan.spectral_end
-            for block_index in range(n_blocks):
-                category = table.decode_symbol(reader)
-                bits = reader.read_bits(category)
-                previous += decode_magnitude(bits, category)
-                plane[block_index, 0] = previous
-                band = read_ac_band(reader, table, band_length)
-                plane[block_index, 1 : scan.spectral_end + 1] = band
-        else:
-            band_length = scan.band_length
-            for block_index in range(n_blocks):
-                band = read_ac_band(reader, table, band_length)
-                plane[block_index, scan.spectral_start : scan.spectral_end + 1] = band

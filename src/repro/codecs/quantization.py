@@ -96,19 +96,3 @@ class QuantizationTables:
         chroma = np.frombuffer(payload[65:129], dtype=np.uint8).astype(np.float64).reshape(8, 8)
         return cls(luma=luma, chroma=chroma, quality=quality)
 
-
-def quantize(coeff_blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Quantize DCT coefficient blocks to integers using ``table``."""
-    coeff_blocks = np.asarray(coeff_blocks, dtype=np.float64)
-    return np.round(coeff_blocks / table).astype(np.int32)
-
-
-def dequantize(quantized_blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Invert :func:`quantize` (up to rounding loss).
-
-    The explicit float64 cast is unnecessary — integer coefficients times the
-    float64 table promote exactly — so the input is not copied first.  (The
-    batched decode path skips this function entirely: the table is folded
-    into the scaled IDCT basis, see :mod:`repro.codecs.pixelpath`.)
-    """
-    return np.asarray(quantized_blocks) * table

@@ -10,125 +10,30 @@ used here for both baseline and progressive (spectral-selection) scans:
   with the special symbols ``EOB`` (0x00, rest of band is zero) and ``ZRL``
   (0xF0, a run of 16 zeros).
 
-Two implementations coexist: the original scalar per-coefficient functions
-(the differential-testing reference) and :func:`symbol_stream`, which emits
-the identical symbol stream for every scan of an image at once — zero runs,
-ZRL expansion, and end-of-band markers are all computed with array ops over
-one pass of the image's nonzero entries.
+The encoder is :func:`symbol_stream`, which emits the symbol stream of every
+scan of an image at once — zero runs, ZRL expansion, and end-of-band markers
+are all computed with array ops over one pass of the image's nonzero
+entries.  Its per-block scalar twin, and the scalar decoder, are the test
+oracle in ``tests/codec_reference.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.bitio import BitReader, BitWriter
-from repro.codecs.huffman import HuffmanTable
-
 EOB_SYMBOL = 0x00
 ZRL_SYMBOL = 0xF0
 MAX_RUN = 15
 
 
-def magnitude_category(value: int) -> int:
-    """Return the JPEG magnitude category (number of bits) of ``value``."""
-    return int(abs(value)).bit_length()
-
-
-def magnitude_bits(value: int, category: int) -> int:
-    """Return the raw bits that encode ``value`` within its category.
-
-    Negative values use the one's-complement style representation JPEG uses:
-    value ``v < 0`` is stored as ``v + 2**category - 1``.
-    """
-    if category == 0:
-        return 0
-    if value >= 0:
-        return value
-    return value + (1 << category) - 1
-
-
-def decode_magnitude(bits: int, category: int) -> int:
-    """Invert :func:`magnitude_bits`."""
-    if category == 0:
-        return 0
-    if bits >= (1 << (category - 1)):
-        return bits
-    return bits - (1 << category) + 1
-
-
-def dc_symbols(dc_values: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Delta-code a sequence of DC values into (symbols, extra-bit pairs)."""
-    symbols: list[int] = []
-    extras: list[tuple[int, int]] = []
-    previous = 0
-    for value in dc_values:
-        diff = value - previous
-        previous = value
-        category = magnitude_category(diff)
-        symbols.append(category)
-        extras.append((magnitude_bits(diff, category), category))
-    return symbols, extras
-
-
-def ac_band_symbols(
-    coefficients: list[int],
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Run-length code a single block's AC band into symbols and extra bits."""
-    symbols: list[int] = []
-    extras: list[tuple[int, int]] = []
-    run = 0
-    for value in coefficients:
-        if value == 0:
-            run += 1
-            continue
-        while run > MAX_RUN:
-            symbols.append(ZRL_SYMBOL)
-            extras.append((0, 0))
-            run -= 16
-        category = magnitude_category(value)
-        symbols.append((run << 4) | category)
-        extras.append((magnitude_bits(value, category), category))
-        run = 0
-    if run > 0:
-        symbols.append(EOB_SYMBOL)
-        extras.append((0, 0))
-    return symbols, extras
-
-
-def write_symbols(
-    symbols: list[int],
-    extras: list[tuple[int, int]],
-    table: HuffmanTable,
-    writer: BitWriter,
-) -> None:
-    """Huffman-encode symbols with their extra magnitude bits."""
-    for symbol, (bits, n_bits) in zip(symbols, extras):
-        table.encode_symbol(symbol, writer)
-        writer.write_bits(bits, n_bits)
-
-
-def read_dc_values(
-    reader: BitReader, table: HuffmanTable, n_blocks: int
-) -> list[int]:
-    """Decode ``n_blocks`` delta-coded DC values."""
-    values: list[int] = []
-    previous = 0
-    for _ in range(n_blocks):
-        category = table.decode_symbol(reader)
-        bits = reader.read_bits(category)
-        previous += decode_magnitude(bits, category)
-        values.append(previous)
-    return values
-
-
 def magnitude_categories(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`magnitude_category` over an int array."""
+    """The JPEG magnitude category (bit length of ``|v|``) of every value."""
     _, exponents = np.frexp(np.abs(values).astype(np.float64))
     return exponents.astype(np.int64)
 
 
 def magnitude_bits_array(values: np.ndarray, categories: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`magnitude_bits` (categories from the values)."""
+    """The raw bits that encode every value within its category."""
     # A negative value is stored as ``value - 1`` in its low ``category`` bits.
     return (values + (values >> 63)) & ~(-1 << categories)
 
@@ -136,12 +41,13 @@ def magnitude_bits_array(values: np.ndarray, categories: np.ndarray) -> np.ndarr
 def symbol_stream(planes, scans):
     """Every scan's ``(symbol, bits, n_bits)`` items for one image, in stream order.
 
-    The vectorized twin of running :func:`dc_symbols` / :func:`ac_band_symbols`
-    over each scan of ``scans`` (``ScanHeader``-like: ``component_ids``,
-    ``spectral_start``, ``spectral_end``), component by component, block by
-    block.  A *segment* is one block of one component in one scan: a
-    delta-coded DC item first when the scan starts at index 0, then the RLE
-    items of the block's AC band.  The AC bands of every segment are copied
+    The vectorized twin of running the per-block DC / AC-band symbol coders
+    of ``tests/codec_reference.py`` over each scan of ``scans``
+    (``ScanHeader``-like: ``component_ids``, ``spectral_start``,
+    ``spectral_end``), component by component, block by block.  A
+    *segment* is one block of one component in one scan: a delta-coded DC
+    item first when the scan starts at index 0, then the RLE items of the
+    block's AC band.  The AC bands of every segment are copied
     once, in stream order, into one flat array, and a single
     ``np.flatnonzero`` over it yields every coefficient; its segment and
     in-band position come back from the band offsets, and runs, ZRLs and
@@ -238,26 +144,3 @@ def symbol_stream(planes, scans):
     scan_ends = np.concatenate(([0], seg_end))[scan_segments_end]
     return symbols, bits, n_bits, scan_ends
 
-
-def read_ac_band(
-    reader: BitReader, table: HuffmanTable, band_length: int
-) -> list[int]:
-    """Decode one block's AC band of ``band_length`` coefficients."""
-    coefficients = [0] * band_length
-    index = 0
-    while index < band_length:
-        symbol = table.decode_symbol(reader)
-        if symbol == EOB_SYMBOL:
-            break
-        if symbol == ZRL_SYMBOL:
-            index += 16
-            continue
-        run = symbol >> 4
-        category = symbol & 0x0F
-        index += run
-        bits = reader.read_bits(category)
-        if index >= band_length:
-            raise ValueError("AC run overflows band length")
-        coefficients[index] = decode_magnitude(bits, category)
-        index += 1
-    return coefficients

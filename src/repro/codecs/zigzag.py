@@ -22,23 +22,5 @@ def _build_zigzag_order(n: int = BLOCK_SIZE) -> np.ndarray:
 
 
 ZIGZAG_ORDER = _build_zigzag_order()
-INVERSE_ZIGZAG_ORDER = np.argsort(ZIGZAG_ORDER)
 N_COEFFICIENTS = BLOCK_SIZE * BLOCK_SIZE
 
-
-def blocks_to_zigzag(blocks: np.ndarray) -> np.ndarray:
-    """Convert ``(..., 8, 8)`` blocks to ``(..., 64)`` zigzag vectors."""
-    blocks = np.asarray(blocks)
-    if blocks.shape[-2:] != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(f"expected trailing (8, 8), got {blocks.shape}")
-    flat = np.ascontiguousarray(blocks).reshape(*blocks.shape[:-2], N_COEFFICIENTS)
-    return np.take(flat, ZIGZAG_ORDER, axis=-1)
-
-
-def zigzag_to_blocks(zigzag: np.ndarray) -> np.ndarray:
-    """Convert ``(..., 64)`` zigzag vectors back to ``(..., 8, 8)`` blocks."""
-    zigzag = np.asarray(zigzag)
-    if zigzag.shape[-1] != N_COEFFICIENTS:
-        raise ValueError(f"expected trailing dimension 64, got {zigzag.shape}")
-    flat = np.take(zigzag, INVERSE_ZIGZAG_ORDER, axis=-1)
-    return flat.reshape(*zigzag.shape[:-1], BLOCK_SIZE, BLOCK_SIZE)

@@ -1,9 +1,8 @@
-"""Cross-cutting utilities shared by the storage and serving layers."""
+"""Cross-cutting utilities: the deterministic placement hash the serving cluster routes by."""
 
-from repro.common.hashing import ConsistentHashRing, placement_index, stable_hash
+from repro.common.hashing import ConsistentHashRing, stable_hash
 
 __all__ = [
     "ConsistentHashRing",
-    "placement_index",
     "stable_hash",
 ]

@@ -1,24 +1,21 @@
-"""Deterministic placement hashing shared by storage and serving.
+"""Deterministic placement hashing for the serving cluster.
 
-Every placement decision in the repository — which OSD a striped object
-starts on (:class:`~repro.storage.cluster.StorageCluster`) and which serving
-shard owns a record (:class:`~repro.serving.cluster.shard_map.ShardMap`) —
-routes through this module, so the two layers agree on one hash function and
-its determinism guarantees.
+Which serving shard owns a record
+(:class:`~repro.serving.cluster.shard_map.ShardMap`) routes through this
+module, so every participant agrees on one hash function and its
+determinism guarantees.
 
 ``hash(str)`` is salted per process (``PYTHONHASHSEED``), which makes any
 placement derived from it irreproducible across runs; CRC32 of the UTF-8
 encoding is stable everywhere, cheap, and well-distributed for the
 record-name-shaped keys used here.
 
-:func:`placement_index` is the flat modulo placement the storage simulator
-has always used.  :class:`ConsistentHashRing` is the serving cluster's
-record-to-shard map: each node is hashed onto a ring at ``vnode_factor``
-virtual points, a key is owned by the first node clockwise from the key's
-hash, and successive *distinct* nodes clockwise form its natural failover
-order.  Adding or removing one node therefore moves only ~``1/n`` of the
-keys (the defining consistent-hashing property), which is what makes shard
-topology changes cheap.
+:class:`ConsistentHashRing` is the record-to-shard map: each node is hashed
+onto a ring at ``vnode_factor`` virtual points, a key is owned by the first
+node clockwise from the key's hash, and successive *distinct* nodes
+clockwise form its natural failover order.  Adding or removing one node
+therefore moves only ~``1/n`` of the keys (the defining consistent-hashing
+property), which is what makes shard topology changes cheap.
 """
 
 from __future__ import annotations
@@ -33,13 +30,6 @@ DEFAULT_VNODE_FACTOR = 64
 def stable_hash(key: str) -> int:
     """CRC32 of the UTF-8 encoding: a 32-bit hash stable across processes."""
     return zlib.crc32(key.encode("utf-8")) & 0xFFFFFFFF
-
-
-def placement_index(name: str, n_slots: int) -> int:
-    """Deterministic flat placement of ``name`` into ``n_slots`` buckets."""
-    if n_slots < 1:
-        raise ValueError("placement needs at least one slot")
-    return stable_hash(name) % n_slots
 
 
 class ConsistentHashRing:

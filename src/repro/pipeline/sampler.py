@@ -43,8 +43,3 @@ class ShuffleSampler:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def shuffle_in_place(self, items: list[T]) -> list[T]:
-        """Shuffle an arbitrary list with this sampler's generator."""
-        order = self._rng.permutation(len(items))
-        return [items[index] for index in order]

@@ -2,22 +2,16 @@
 
 The paper's experiments run against a 16-node Ceph cluster of 7200 RPM hard
 drives and, for microbenchmarks, a SATA SSD.  This package simulates those
-devices and the cluster so the layout arguments (sequential vs random
-access, bandwidth saturation, cache behaviour) can be exercised and measured
-without the hardware:
+devices so the layout arguments (sequential vs random access, bandwidth
+saturation) can be exercised and measured without the hardware:
 
 * :mod:`repro.storage.device` — block devices with seek/rotational latency
   and bandwidth models (HDD, SSD, and an in-memory device).
-* :mod:`repro.storage.cache` — a page cache with a DirectIO bypass, matching
-  the paper's use of DirectIO to exclude caching effects.
 * :mod:`repro.storage.filesystem` — extent-based file allocation over a
   device, used to model File-per-Image fragmentation vs record contiguity.
-* :mod:`repro.storage.cluster` — a striped multi-OSD cluster (the Ceph role).
 * :mod:`repro.storage.io_stats` — operation/byte/latency accounting.
 """
 
-from repro.storage.cache import CachedDevice, PageCache
-from repro.storage.cluster import StorageCluster
 from repro.storage.device import (
     BlockDevice,
     DeviceProfile,
@@ -30,13 +24,10 @@ from repro.storage.io_stats import IOStats
 
 __all__ = [
     "BlockDevice",
-    "CachedDevice",
     "DeviceProfile",
     "HDD_PROFILE",
     "IOStats",
     "MEMORY_PROFILE",
-    "PageCache",
     "SSD_PROFILE",
     "SimulatedFilesystem",
-    "StorageCluster",
 ]

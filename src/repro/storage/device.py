@@ -105,11 +105,6 @@ class BlockDevice:
         self.stats.record_read(length, latency, seek=not sequential)
         return data, latency
 
-    def read_extent(self, offset: int, length: int) -> bytes:
-        """Read and return only the data (latency is still accounted)."""
-        data, _ = self.read(offset, length)
-        return data
-
     # -- internals -------------------------------------------------------------
 
     def _is_sequential(self, offset: int) -> bool:

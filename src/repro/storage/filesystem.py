@@ -63,10 +63,6 @@ class SimulatedFilesystem:
         """Size of a stored file in bytes."""
         return self._require(name).length
 
-    def list_files(self) -> list[str]:
-        """Names of all stored files in creation order."""
-        return list(self._files)
-
     def total_bytes(self) -> int:
         """Sum of all stored file sizes."""
         return sum(extent.length for extent in self._files.values())

@@ -52,12 +52,6 @@ class TrainingHistory:
                 return result.test_accuracy
         return None
 
-    @property
-    def best_test_accuracy(self) -> float | None:
-        """Best recorded test accuracy."""
-        values = [r.test_accuracy for r in self.epochs if r.test_accuracy is not None]
-        return max(values) if values else None
-
     def total_wall_seconds(self) -> float:
         """Total training wall time."""
         return sum(result.wall_seconds for result in self.epochs)
@@ -70,10 +64,6 @@ class TrainingHistory:
             if result.test_accuracy is not None and result.test_accuracy >= target:
                 return elapsed
         return None
-
-    def loss_curve(self) -> list[tuple[int, float]]:
-        """(epoch, train loss) pairs."""
-        return [(result.epoch, result.train_loss) for result in self.epochs]
 
     def accuracy_curve(self) -> list[tuple[int, float]]:
         """(epoch, test accuracy) pairs for epochs that were evaluated."""
@@ -122,14 +112,6 @@ class Trainer:
             total += len(batch)
         self.model.set_training(True)
         return correct_weighted / total if total else 0.0
-
-    def batch_loss(self, batch: Minibatch) -> float:
-        """Loss of a batch without updating parameters."""
-        self.model.set_training(False)
-        logits = self.model.forward(batch.images)
-        loss, _ = softmax_cross_entropy(logits, batch.labels)
-        self.model.set_training(True)
-        return loss
 
     def gradient_vector(self, batch: Minibatch) -> np.ndarray:
         """Flattened parameter gradient of the loss on ``batch`` (no update)."""

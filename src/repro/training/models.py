@@ -10,8 +10,6 @@ training cost, not architecture fidelity, matters.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.training.layers import (
@@ -75,16 +73,6 @@ class Model:
         for layer, saved in zip(layers, state):
             for name, value in saved.items():
                 layer.params[name] = value.copy()
-
-    def clone(self) -> "Model":
-        """Deep copy of the model (used to probe scan groups without side effects)."""
-        return copy.deepcopy(self)
-
-    def n_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(
-            parameter.size for layer in self.parameter_layers() for parameter in layer.params.values()
-        )
 
 
 class TinyResNet(Model):

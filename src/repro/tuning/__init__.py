@@ -7,21 +7,16 @@
   controller of §A.6.2.
 * :mod:`repro.tuning.mixture` — probability simplexes over scan groups
   ("mixture training", §A.6.3).
-* :mod:`repro.tuning.schedule` — static scan schedules (cyclic, step).
 """
 
 from repro.tuning.dynamic import GradientCosineController, LossPlateauController
 from repro.tuning.mixture import MixturePolicy
-from repro.tuning.schedule import ConstantSchedule, CyclicSchedule, StepSchedule
 from repro.tuning.static import StaticTuner, StaticTuningReport
 
 __all__ = [
-    "ConstantSchedule",
-    "CyclicSchedule",
     "GradientCosineController",
     "LossPlateauController",
     "MixturePolicy",
     "StaticTuner",
     "StaticTuningReport",
-    "StepSchedule",
 ]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.codecs.baseline import BaselineCodec
-from repro.codecs.bitio import BitReader, BitWriter, pack_bits
+from repro.codecs.bitio import pack_bits
 from repro.codecs.encodepath import MAX_MISMATCH_RATE, MIN_PARITY_PSNR_DB
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import SUBSAMPLING_420, SUBSAMPLING_NONE
@@ -32,11 +32,16 @@ from repro.codecs.progressive import (
     decode_progressive_batch,
     encode_progressive_batch,
     image_to_coefficients,
-    image_to_coefficients_reference,
 )
 from repro.codecs.transcode import transcode_to_progressive
 from repro.obs import get_registry
-from tests.codec_reference import encode_coefficients_reference, encode_reference
+from tests.codec_reference import (
+    BitReader,
+    BitWriter,
+    encode_coefficients_reference,
+    encode_reference,
+    image_to_coefficients_reference,
+)
 
 
 def _test_image(rng: np.random.Generator, height: int, width: int, color: bool) -> ImageBuffer:

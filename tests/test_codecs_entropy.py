@@ -7,21 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs.bitio import BitReader, BitWriter, pack_bits
-from repro.codecs.huffman import MAX_CODE_LENGTH, HuffmanTable, _package_merge_lengths, _plain_huffman_lengths
-from repro.codecs.rle import (
-    EOB_SYMBOL,
-    ZRL_SYMBOL,
+from repro.codecs.bitio import pack_bits
+from repro.codecs.huffman import MAX_CODE_LENGTH, _package_merge_lengths, _plain_huffman_lengths
+from repro.codecs.rle import EOB_SYMBOL, ZRL_SYMBOL
+from tests.codec_reference import (
+    BitReader,
+    BitWriter,
+    HuffmanTable,
     ac_band_symbols,
     dc_symbols,
     decode_magnitude,
+    heap_huffman_lengths,
+    limited_heap_huffman_lengths,
     magnitude_bits,
     magnitude_category,
     read_ac_band,
     read_dc_values,
     write_symbols,
 )
-from tests.codec_reference import heap_huffman_lengths, limited_heap_huffman_lengths
 
 
 class TestBitIO:

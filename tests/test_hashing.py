@@ -1,9 +1,9 @@
 """Determinism tests for the shared placement hashing module.
 
 Golden values are pinned: placement must never drift across processes,
-Python versions, or refactors, because both the storage simulator's OSD
-placement and the serving cluster's shard routing are derived from it —
-a drift would silently re-shard every deployed dataset.
+Python versions, or refactors, because the serving cluster's shard routing
+is derived from it — a drift would silently re-shard every deployed
+dataset.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import zlib
 
 import pytest
 
-from repro.common.hashing import ConsistentHashRing, placement_index, stable_hash
-from repro.storage.cluster import placement_osd
+from repro.common.hashing import ConsistentHashRing, stable_hash
 
 GOLDEN_HASHES = {
     "record-00000.pcr": 3425165456,
@@ -31,22 +30,6 @@ class TestStableHash:
     def test_matches_crc32(self):
         for name in GOLDEN_HASHES:
             assert stable_hash(name) == zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
-
-    def test_placement_index_golden(self):
-        assert placement_index("record-00000.pcr", 5) == 1
-        assert placement_index("record-00041.pcr", 5) == 3
-        assert placement_index("obj", 5) == 2
-        assert placement_index("", 5) == 0
-
-    def test_placement_index_rejects_zero_slots(self):
-        with pytest.raises(ValueError):
-            placement_index("x", 0)
-
-    def test_storage_placement_delegates_to_shared_module(self):
-        """`placement_osd` and `placement_index` are one implementation."""
-        for name in ("record-00000.pcr", "record-00041.pcr", "obj", ""):
-            for n in (1, 2, 5, 16):
-                assert placement_osd(name, n) == placement_index(name, n)
 
 
 class TestConsistentHashRing:

@@ -9,7 +9,8 @@ from repro.datasets.labels import is_corvette_mapper, make_only_mapper
 from repro.datasets.registry import CARS_SPEC, generate_dataset
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.simulate.trainer_sim import ClusterSpec, TrainingSimulator
-from repro.storage.cluster import StorageCluster
+from repro.storage.device import SSD_PROFILE, BlockDevice
+from repro.storage.filesystem import SimulatedFilesystem
 from repro.training.loop import Trainer
 from repro.training.models import LinearProbe
 from repro.training.optim import SGD
@@ -66,26 +67,24 @@ class TestTaskDifficulty:
 
 class TestStorageIntegration:
     def test_pcr_partial_reads_on_simulated_cluster(self, pcr_dataset):
-        """Store PCR records as cluster objects and compare simulated read time
-        for scan group 1 vs the full records.
+        """Store PCR records as files on a simulated SSD and compare simulated
+        read time for scan group 1 vs the full records.
 
         The tiny test records are inflated so that transfer time, not the
         per-operation setup cost, dominates — the regime the paper's cluster
         operates in (megabyte-scale records on a bandwidth-bound store).
         """
-        from repro.storage.device import SSD_PROFILE
-
         inflation = 64
-        cluster = StorageCluster(n_osds=3, profile=SSD_PROFILE, stripe_bytes=1 << 18)
+        filesystem = SimulatedFilesystem(BlockDevice(SSD_PROFILE))
         for name in pcr_dataset.record_names:
             path = pcr_dataset.reader.directory / name
-            cluster.put_object(name, path.read_bytes() * inflation)
+            filesystem.write_file(name, path.read_bytes() * inflation)
 
         def epoch_latency(scan_group):
             total = 0.0
             for name in pcr_dataset.record_names:
                 length = pcr_dataset.reader.bytes_for_group(name, scan_group) * inflation
-                _, latency = cluster.read_object(name, length=length)
+                _, latency = filesystem.read_file(name, length=length)
                 total += latency
             return total
 

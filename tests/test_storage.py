@@ -1,11 +1,9 @@
-"""Tests for the simulated storage substrate: devices, cache, filesystem, cluster."""
+"""Tests for the simulated storage substrate: devices, filesystem, I/O accounting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.storage.cache import CachedDevice, PageCache
-from repro.storage.cluster import StorageCluster
 from repro.storage.device import HDD_PROFILE, MEMORY_PROFILE, SSD_PROFILE, BlockDevice, DeviceProfile
 from repro.storage.filesystem import SimulatedFilesystem
 from repro.storage.io_stats import IOStats
@@ -108,64 +106,6 @@ class TestIOStats:
         assert stats.per_op_latencies == []
 
 
-class TestPageCache:
-    def test_hit_and_miss_accounting(self):
-        cache = PageCache(capacity_bytes=4 * 4096)
-        assert cache.lookup(0) is None
-        cache.insert(0, b"p" * 4096)
-        assert cache.lookup(0) is not None
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_lru_eviction(self):
-        cache = PageCache(capacity_bytes=2 * 4096)
-        cache.insert(0, b"a")
-        cache.insert(1, b"b")
-        cache.lookup(0)  # page 0 becomes most recently used
-        cache.insert(2, b"c")  # evicts page 1
-        assert cache.lookup(1) is None
-        assert cache.lookup(0) is not None
-
-    def test_zero_capacity_never_caches(self):
-        cache = PageCache(capacity_bytes=0)
-        cache.insert(0, b"x")
-        assert len(cache) == 0
-
-
-class TestCachedDevice:
-    def _device_with_file(self):
-        device = BlockDevice(SSD_PROFILE)
-        offset = device.allocate(64 * 1024)
-        device.write(offset, bytes(range(256)) * 256)
-        return CachedDevice(device, cache_bytes=1 << 20), offset
-
-    def test_cached_reread_is_faster(self):
-        cached, offset = self._device_with_file()
-        _, first_latency = cached.read(offset, 16 * 1024)
-        _, second_latency = cached.read(offset, 16 * 1024)
-        assert second_latency < first_latency / 10
-
-    def test_direct_io_bypasses_cache(self):
-        cached, offset = self._device_with_file()
-        cached.read(offset, 8192, direct_io=True)
-        assert cached.cache.hits == 0
-        assert len(cached.cache) == 0
-
-    def test_cached_data_matches_device(self):
-        cached, offset = self._device_with_file()
-        direct, _ = cached.read(offset, 4096, direct_io=True)
-        via_cache, _ = cached.read(offset, 4096)
-        assert direct == via_cache
-
-    def test_write_invalidates_cache(self):
-        cached, offset = self._device_with_file()
-        cached.read(offset, 4096)
-        cached.write(offset, b"\xff" * 4096)
-        data, _ = cached.read(offset, 4096)
-        assert data == b"\xff" * 4096
-
-
 class TestSimulatedFilesystem:
     def test_write_and_read_file(self):
         filesystem = SimulatedFilesystem(BlockDevice(MEMORY_PROFILE))
@@ -205,81 +145,3 @@ class TestSimulatedFilesystem:
         scattered_time = sum(scattered_fs.read_file(f"img-{i}")[1] for i in range(16))
         _, record_time = record_fs.read_file("record")
         assert scattered_time > 2 * record_time
-
-
-class TestStorageCluster:
-    def test_put_and_read_object(self):
-        cluster = StorageCluster(n_osds=3, stripe_bytes=1024)
-        payload = bytes(range(256)) * 20  # 5120 bytes -> 5 stripes
-        cluster.put_object("record-0", payload)
-        data, latency = cluster.read_object("record-0")
-        assert data == payload
-        assert latency > 0
-
-    def test_prefix_read_touches_fewer_stripes(self):
-        cluster = StorageCluster(n_osds=4, stripe_bytes=1024)
-        cluster.put_object("obj", b"s" * 8192)
-        full, full_latency = cluster.read_object("obj")
-        prefix, prefix_latency = cluster.read_object("obj", length=1024)
-        assert len(prefix) == 1024
-        assert prefix_latency <= full_latency
-        assert cluster.mds_lookups == 2
-
-    def test_striping_spreads_across_osds(self):
-        cluster = StorageCluster(n_osds=4, stripe_bytes=512)
-        cluster.put_object("obj", b"t" * 4096)
-        location = cluster._objects["obj"]
-        used_osds = {osd for osd, _, _ in location.stripes}
-        assert len(used_osds) == 4
-
-    def test_aggregate_bandwidth(self):
-        cluster = StorageCluster(n_osds=5)
-        per_osd = cluster.osds[0].profile.bandwidth_bytes_per_second
-        assert cluster.aggregate_bandwidth_bytes_per_second() == pytest.approx(5 * per_osd)
-
-    def test_duplicate_object_rejected(self):
-        cluster = StorageCluster(n_osds=2)
-        cluster.put_object("a", b"1")
-        with pytest.raises(FileExistsError):
-            cluster.put_object("a", b"2")
-
-    def test_missing_object(self):
-        cluster = StorageCluster(n_osds=2)
-        with pytest.raises(FileNotFoundError):
-            cluster.read_object("missing")
-
-    def test_empty_object(self):
-        cluster = StorageCluster(n_osds=2)
-        cluster.put_object("empty", b"")
-        data, _ = cluster.read_object("empty")
-        assert data == b""
-
-
-class TestDeterministicPlacement:
-    """OSD placement must not depend on PYTHONHASHSEED (reproducible latencies)."""
-
-    def test_placement_matches_crc32(self):
-        import zlib
-
-        from repro.storage.cluster import placement_osd
-
-        for name in ("record-00000.pcr", "record-00041.pcr", "obj", ""):
-            assert placement_osd(name, 5) == zlib.crc32(name.encode("utf-8")) % 5
-
-    def test_identical_clusters_place_identically(self):
-        payloads = {f"record-{i:05d}.pcr": bytes([i % 251]) * (1500 + 700 * i) for i in range(12)}
-
-        def build() -> StorageCluster:
-            cluster = StorageCluster(n_osds=4, stripe_bytes=1024)
-            for name, data in sorted(payloads.items()):
-                cluster.put_object(name, data)
-            return cluster
-
-        first, second = build(), build()
-        for name in payloads:
-            assert first._objects[name].stripes == second._objects[name].stripes
-        # Simulated read latencies are therefore reproducible run to run.
-        for name in payloads:
-            _, latency_a = first.read_object(name)
-            _, latency_b = second.read_object(name)
-            assert latency_a == pytest.approx(latency_b)

@@ -1,4 +1,4 @@
-"""Tests for static tuning, dynamic controllers, mixtures, and schedules."""
+"""Tests for static tuning, dynamic controllers, and mixtures."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.training.models import LinearProbe
 from repro.training.optim import SGD
 from repro.tuning.dynamic import GradientCosineController, LossPlateauController
 from repro.tuning.mixture import MixturePolicy
-from repro.tuning.schedule import ConstantSchedule, CyclicSchedule, StepSchedule
 from repro.tuning.static import StaticTuner
 
 
@@ -199,32 +198,3 @@ class TestMixturePolicy:
         high = MixturePolicy.weighted(10, 10, 100.0).expected_bytes(sizes)
         uniform = MixturePolicy.uniform(10).expected_bytes(sizes)
         assert low < uniform < high
-
-
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(group=5)
-        assert schedule.group_for_epoch(0) == schedule.group_for_epoch(99) == 5
-
-    def test_step_schedule(self):
-        schedule = StepSchedule(milestones=((0, 10), (5, 2), (20, 5)))
-        assert schedule.group_for_epoch(0) == 10
-        assert schedule.group_for_epoch(4) == 10
-        assert schedule.group_for_epoch(5) == 2
-        assert schedule.group_for_epoch(25) == 5
-
-    def test_step_schedule_validation(self):
-        with pytest.raises(ValueError):
-            StepSchedule(milestones=())
-        with pytest.raises(ValueError):
-            StepSchedule(milestones=((5, 1), (0, 2)))
-
-    def test_cyclic_schedule(self):
-        schedule = CyclicSchedule(groups=(1, 5, 10), epochs_per_group=2)
-        assert [schedule.group_for_epoch(e) for e in range(8)] == [1, 1, 5, 5, 10, 10, 1, 1]
-
-    def test_cyclic_validation(self):
-        with pytest.raises(ValueError):
-            CyclicSchedule(groups=())
-        with pytest.raises(ValueError):
-            CyclicSchedule(groups=(1,), epochs_per_group=0)
