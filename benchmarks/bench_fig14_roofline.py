@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from benchmarks.conftest import mean_bytes_by_group, print_header, rescale_to_paper_sizes
-from repro.simulate.roofline import RooflineModel
+from repro.simulate.throughput import PipelineModel
 from repro.simulate.trainer_sim import ClusterSpec
 
 MiB = 1024 * 1024
@@ -14,19 +16,30 @@ def test_fig14_roofline(benchmark, imagenet_like):
     cluster = ClusterSpec.paper_shufflenet()
 
     def run():
-        model = RooflineModel(
-            compute_images_per_second=cluster.compute_images_per_second,
-            storage_bandwidth_bytes_per_second=cluster.storage_bandwidth_bytes_per_second,
+        # The roofline is the pipeline model at one image per record with
+        # no per-record setup: min(compute roof, bandwidth / bytes-per-image).
+        model = PipelineModel(
+            cluster.storage_bandwidth_bytes_per_second,
+            cluster.compute_images_per_second,
+            images_per_record=1,
         )
         sizes = rescale_to_paper_sizes(mean_bytes_by_group(dataset))
-        intensities, rates = model.sweep(1_000, 1_000_000, n_points=12)
-        placements = model.annotate_scan_groups(sizes)
+        intensities = np.logspace(np.log10(1_000), np.log10(1_000_000), 12)
+        rates = [model.end_to_end_rate(intensity) for intensity in intensities]
+        placements = {
+            group: (
+                size,
+                model.end_to_end_rate(size),
+                "io-bound" if model.is_io_bound(size) else "compute-bound",
+            )
+            for group, size in sizes.items()
+        }
         return model, intensities, rates, placements
 
     model, intensities, rates, placements = benchmark(run)
 
     print_header("Figure 14: data-intensity roofline (ShuffleNet cluster)")
-    print(f"ridge point: {model.ridge_point_bytes():.0f} bytes/image "
+    print(f"ridge point: {model.crossover_image_bytes():.0f} bytes/image "
           f"(compute roof {model.compute_images_per_second:.0f} img/s, "
           f"bandwidth {model.storage_bandwidth_bytes_per_second / MiB:.0f} MiB/s)")
     print(f"\n{'bytes/image':>12}{'attainable img/s':>18}")

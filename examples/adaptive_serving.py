@@ -2,7 +2,8 @@
 
 Builds a small synthetic PCR dataset, launches a 2-shard x 2-replica
 serving cluster, and drives a training loop whose loader carries an
-:class:`AdaptiveScanGroupHook`, behind a bandwidth-capped link.  At the end
+:class:`AdaptiveScanGroupHook`, over a source whose fetcher sits behind a
+bandwidth-capped link (:class:`BandwidthThrottle`).  At the end
 of every interval the hook hands its policy the loader's own stall and
 byte window and applies the decision through the loader's
 ``set_scan_group`` — the servers only serve records.  Mid-run the link cap
@@ -19,10 +20,11 @@ import time
 from dataclasses import replace
 
 from repro.control import AdaptiveScanGroupHook, StallTargetPolicy
-from repro.core import PCRDataset
+from repro.core import BandwidthThrottle, PCRDataset, RecordSource
 from repro.datasets import HAM10000_SPEC, generate_dataset
-from repro.pipeline import BandwidthThrottle, DataLoader, LoaderConfig
-from repro.serving.cluster import ClusterCoordinator, ShardedRemoteRecordSource
+from repro.pipeline import DataLoader, LoaderConfig
+from repro.serving.cluster import ClusterClient, ClusterCoordinator
+from repro.serving.remote_source import RemoteFetcher
 from repro.training import SGD, Trainer, TinyShuffleNet
 
 N_INTERVALS = 10
@@ -44,14 +46,13 @@ def main() -> None:
 
     with ClusterCoordinator(workdir, n_shards=2, n_replicas=2) as cluster:
         print(f"Cluster up: {cluster.shard_map.n_shards} shards x 2 replicas")
-        throttle = BandwidthThrottle(None)
-        with ShardedRemoteRecordSource(shard_map=cluster.shard_map) as source:
+        link = BandwidthThrottle(RemoteFetcher(ClusterClient(cluster.shard_map)), None)
+        with RecordSource(link) as source:
             hook = AdaptiveScanGroupHook(
                 policy=StallTargetPolicy(
                     target_stall_fraction=0.2, hysteresis=0.5, cooldown_intervals=0
                 ),
                 interval=3600.0,  # stepped explicitly so the demo is deterministic
-                throttle=throttle,
             )
             loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=1, seed=0), hook=hook)
             model = TinyShuffleNet(n_classes=spec.n_classes, width=8)
@@ -61,13 +62,13 @@ def main() -> None:
             compute_budget = batches * COMPUTE_SECONDS_PER_BATCH
             # A link where a full-fidelity epoch costs 4x the compute budget.
             capped = source.epoch_bytes() / (4 * compute_budget)
-            throttle.set_rate(capped)
+            link.set_rate(capped)
             print(f"Link capped at {capped / 1024:.0f} KiB/s; "
                   f"policy target stall fraction 0.20\n")
 
             for interval in range(N_INTERVALS):
                 if interval == UNCAP_AT_INTERVAL:
-                    throttle.set_rate(None)
+                    link.set_rate(None)
                     print("    -> link cap lifted; the hook steers back up")
                 stalls = loader.stalls
                 wait0, compute0 = stalls.total_wait, stalls.total_compute

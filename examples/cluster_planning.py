@@ -10,7 +10,7 @@ Run with:  python examples/cluster_planning.py
 
 from __future__ import annotations
 
-from repro.simulate import ClusterSpec, RooflineModel, TrainingSimulator
+from repro.simulate import ClusterSpec, PipelineModel, TrainingSimulator
 
 MiB = 1024 * 1024
 
@@ -26,13 +26,14 @@ def main() -> None:
         ("ShuffleNetv2", ClusterSpec.paper_shufflenet()),
     ):
         print(f"\n=== {name} on the paper's 10-worker cluster ===")
-        roofline = RooflineModel(
-            compute_images_per_second=cluster.compute_images_per_second,
-            storage_bandwidth_bytes_per_second=cluster.storage_bandwidth_bytes_per_second,
+        roofline = PipelineModel(
+            cluster.storage_bandwidth_bytes_per_second,
+            cluster.compute_images_per_second,
+            images_per_record=1,
         )
         print(f"compute roof: {cluster.compute_images_per_second:.0f} img/s, "
               f"storage: {cluster.storage_bandwidth_bytes_per_second / MiB:.0f} MiB/s, "
-              f"ridge point: {roofline.ridge_point_bytes() / 1000:.0f} kB/image")
+              f"ridge point: {roofline.crossover_image_bytes() / 1000:.0f} kB/image")
 
         simulator = TrainingSimulator(cluster, n_train_images=1_281_167, eval_every_epochs=5)
         speedups = simulator.speedup_table(IMAGENET_GROUP_BYTES)

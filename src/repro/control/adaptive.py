@@ -22,13 +22,9 @@ the measurements are taken:
 Every decision is kept (``decision_log()``; ``switch_log()`` keeps only the
 steers) and counted as ``control.*`` metrics on the process registry.
 
-An optional :class:`~repro.pipeline.stall.BandwidthThrottle` models a
-capped link for experiments and tests: each read's bytes
-are charged against the cap *in the reader thread*, so the induced delay
-surfaces in the loader's own stall tracker the same way a slow real link
-would.
-
-Wiring is one argument::
+The hook only reacts to its environment: a capped link belongs to the
+source's fetcher (see :mod:`repro.core.source`) and reaches the hook only
+as loader wait.  Wiring is one argument::
 
     loader = DataLoader(source, config, hook=AdaptiveScanGroupHook())
 """
@@ -55,11 +51,9 @@ class AdaptiveScanGroupHook:
         self,
         policy=None,
         interval: float = DEFAULT_INTERVAL_SECONDS,
-        throttle=None,
     ) -> None:
         self.policy = policy if policy is not None else StallTargetPolicy()
         self.interval = interval
-        self.throttle = throttle
         self.loader = None
         self.state = ClientControlState()
         self._log: deque[ScanGroupDecision] = deque(maxlen=_LOG_CAPACITY)
@@ -80,11 +74,6 @@ class AdaptiveScanGroupHook:
     # -- the loop --------------------------------------------------------------
 
     def after_read(self, read: ReadStats) -> None:
-        if self.throttle is not None:
-            # Charge this read's bytes against the simulated link in the
-            # calling (reader) thread: the sleep shows up as loader wait,
-            # exactly like a saturated real link.
-            self.throttle.charge(read.bytes_read)
         with self._reads_lock:
             self._reads.add(read.bytes_read, read.samples_decoded)
         # One stepper at a time; concurrent readers skip instead of queueing.

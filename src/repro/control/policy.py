@@ -148,6 +148,13 @@ def _common_holds(
     return None
 
 
+def _check_min_group(min_group: int) -> None:
+    # Scan groups count from 1: a policy that could choose group 0 would
+    # make the hook's ``set_scan_group`` raise in the reader thread.
+    if min_group < 1:
+        raise ValueError("min_group must be at least 1")
+
+
 @dataclass
 class StallTargetPolicy:
     """AIMD scan-group steering toward a target stall fraction."""
@@ -168,6 +175,7 @@ class StallTargetPolicy:
             raise ValueError("decrease_factor must be in (0, 1)")
         if self.increase_step < 1:
             raise ValueError("increase_step must be at least 1")
+        _check_min_group(self.min_group)
 
     def decide(
         self, telemetry: ClientTelemetry, state: ClientControlState, interval: int
@@ -221,6 +229,13 @@ class BandwidthBudgetPolicy:
     headroom: float = 0.9
     cooldown_intervals: int = 2
     min_group: int = 1
+
+    def __post_init__(self) -> None:
+        if self.link_bytes_per_s is not None and self.link_bytes_per_s <= 0:
+            raise ValueError("link_bytes_per_s must be positive (or None to measure it)")
+        if self.headroom <= 0:
+            raise ValueError("headroom must be positive")
+        _check_min_group(self.min_group)
 
     def decide(
         self, telemetry: ClientTelemetry, state: ClientControlState, interval: int

@@ -14,6 +14,8 @@ Public entry points:
 * :class:`~repro.core.source.RecordSource` — the one sample-level source
   (switchable scan group, reads, label views, byte accounting) over any
   :class:`~repro.core.source.RecordFetcher` (where the record bytes live).
+* :class:`~repro.core.source.BandwidthThrottle` — a capped link: a fetcher
+  around another fetcher.
 * :class:`~repro.core.dataset.PCRDataset` — the ``RecordSource`` over a local
   reader, plus the ``build`` constructors.
 * :mod:`repro.core.convert` — converters from baseline formats and cost models.
@@ -24,10 +26,11 @@ from repro.core.errors import PCRError, PCRFormatError, ScanGroupError
 from repro.core.metadata import SampleMetadata
 from repro.core.reader import PCRReader
 from repro.core.scan_groups import ScanGroupPolicy
-from repro.core.source import RecordFetcher, RecordSource
+from repro.core.source import BandwidthThrottle, RecordFetcher, RecordSource
 from repro.core.writer import PCRWriter
 
 __all__ = [
+    "BandwidthThrottle",
     "PCRDataset",
     "PCRError",
     "PCRFormatError",

@@ -18,11 +18,16 @@ default group, and whoever reads — a ``DataLoader``, a tuner's probe —
 passes the group it wants, so no reader can switch another's.  ``PCRDataset``,
 ``RemoteRecordSource`` and ``ShardedRemoteRecordSource`` are constructors
 that pick a fetcher.
+
+:class:`BandwidthThrottle` is the capped link: a fetcher around another
+fetcher, so ``RecordSource(BandwidthThrottle(PCRReader(directory), rate))``
+is a source behind slow storage whether or not a loader hook steers it.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections.abc import Callable, Iterator
 from dataclasses import replace
 from typing import Protocol, runtime_checkable
@@ -56,6 +61,71 @@ class RecordFetcher(Protocol):
 
     def close(self) -> None:
         """Release files, databases or sockets."""
+
+
+class BandwidthThrottle:
+    """A capped link in front of a fetcher: reads sleep to cap the byte rate.
+
+    Models the bandwidth-capped storage link of the paper's experiments
+    (§A.2: the loader runs at ``bandwidth / bytes per image``) without
+    touching sockets.  Every ``read_record_bytes`` charges the bytes it
+    returns and sleeps the calling (reader) thread just long enough that the
+    cumulative rate never exceeds ``bytes_per_s``, so the delay lands in the
+    loader's own stall tracker like a slow real link.  Charges serialize on
+    one ``ready_at`` horizon: every loader and label view over one source
+    shares the one link, as threads multiplexed over one physical pipe do.
+
+    ``set_rate`` retargets (or, with ``None``, lifts) the cap mid-run.  The
+    other ``RecordFetcher`` members forward to the wrapped fetcher, which
+    the throttle owns and closes.
+    """
+
+    def __init__(self, fetcher: RecordFetcher, bytes_per_s: float | None) -> None:
+        self.fetcher = fetcher
+        self.dataset_meta: dict = fetcher.dataset_meta
+        self.n_groups: int = fetcher.n_groups
+        self.n_samples: int = fetcher.n_samples
+        self._lock = threading.Lock()
+        self._rate = self._validated(bytes_per_s)
+        self._ready_at = 0.0
+        self.bytes_charged = 0
+
+    @staticmethod
+    def _validated(bytes_per_s: float | None) -> float | None:
+        if bytes_per_s is not None and bytes_per_s <= 0:
+            raise ValueError("bytes_per_s must be positive (or None to uncap)")
+        return bytes_per_s
+
+    def set_rate(self, bytes_per_s: float | None) -> None:
+        """Retarget the link cap (``None`` = uncapped) for subsequent reads."""
+        rate = self._validated(bytes_per_s)
+        with self._lock:
+            self._rate = rate
+            if rate is None:
+                self._ready_at = 0.0
+
+    @property
+    def record_names(self) -> list[str]:
+        return self.fetcher.record_names
+
+    def record_index(self, record_name: str) -> RecordIndex:
+        return self.fetcher.record_index(record_name)
+
+    def read_record_bytes(self, record_name: str, scan_group: int) -> bytes:
+        """The wrapped fetcher's prefix, after its bytes cross the link."""
+        data = self.fetcher.read_record_bytes(record_name, scan_group)
+        now = time.monotonic()
+        with self._lock:
+            self.bytes_charged += len(data)
+            if self._rate is None:
+                return data
+            self._ready_at = max(now, self._ready_at) + len(data) / self._rate
+            delay = self._ready_at - now
+        time.sleep(delay)
+        return data
+
+    def close(self) -> None:
+        self.fetcher.close()
 
 
 class RecordSource:

@@ -17,10 +17,9 @@ from repro.pipeline.augment import (
 from repro.pipeline.batch import Minibatch, collate
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.pipeline.sampler import SequentialSampler, ShuffleSampler
-from repro.pipeline.stall import BandwidthThrottle, StallTracker
+from repro.pipeline.stall import StallTracker
 
 __all__ = [
-    "BandwidthThrottle",
     "CenterCrop",
     "Compose",
     "DataLoader",

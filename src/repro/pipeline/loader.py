@@ -205,7 +205,9 @@ class DataLoader:
                         [label for _, label in leftovers],
                     )
                 batches_total.inc()
+                yielded_at = time.perf_counter()
                 yield batch
+                self.stalls.record_compute(time.perf_counter() - yielded_at)
         except BaseException:
             # Abnormal exit (KeyboardInterrupt, GeneratorExit, worker error):
             # the decode processes must die with the epoch.  Stop the reader

@@ -15,13 +15,12 @@ telemetry.  The list-based API (``wait_seconds``, ``timeline()``,
 record the Figure 11 series needs, while the registry carries the
 aggregates.  ``DataLoader.epoch()`` populates both sides automatically
 (waits from its queue gets, compute from the gaps between ``yield``s), so
-callers no longer time anything by hand.
+callers no longer time anything by hand.  A capped link
+(:class:`~repro.core.source.BandwidthThrottle`) sleeps in the reader thread,
+so its delay shows up here as wait, like a slow real link.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 from repro.obs import MetricsRegistry, get_registry
 
@@ -90,66 +89,3 @@ class StallTracker:
         """Per-iteration ``(iteration, wait_seconds)`` pairs (Figure 11 series)."""
         return list(enumerate(self.wait_seconds))
 
-
-class BandwidthThrottle:
-    """A serialized-link model: charging bytes sleeps to cap long-run rate.
-
-    Models the bandwidth-capped storage link of the paper's experiments
-    (and the closed-loop control tests' capped link) without touching
-    sockets: every fetch charges its byte count, and the throttle sleeps
-    the calling thread just long enough that the cumulative rate never
-    exceeds ``bytes_per_s``.  Charges serialize on one shared ``ready_at``
-    horizon — concurrent workers share the link, exactly like threads
-    multiplexed over one physical pipe — and the induced delay lands in
-    whatever stall accounting the caller already does.
-
-    ``set_rate`` retargets (or, with ``None``, lifts) the cap mid-run: the
-    lever the end-to-end control tests flip to make a steered fleet
-    converge back up.
-    """
-
-    def __init__(self, bytes_per_s: float | None) -> None:
-        self._lock = threading.Lock()
-        self._rate = self._validated(bytes_per_s)
-        self._ready_at = 0.0
-        self.bytes_charged = 0
-        self.seconds_slept = 0.0
-
-    @staticmethod
-    def _validated(bytes_per_s: float | None) -> float | None:
-        if bytes_per_s is not None and bytes_per_s <= 0:
-            raise ValueError("bytes_per_s must be positive (or None to uncap)")
-        return bytes_per_s
-
-    @property
-    def bytes_per_s(self) -> float | None:
-        with self._lock:
-            return self._rate
-
-    def set_rate(self, bytes_per_s: float | None) -> None:
-        """Retarget the link cap (``None`` = uncapped) for subsequent charges."""
-        rate = self._validated(bytes_per_s)
-        with self._lock:
-            self._rate = rate
-            if rate is None:
-                self._ready_at = 0.0
-
-    def charge(self, n_bytes: int) -> float:
-        """Account ``n_bytes`` against the link; returns the seconds slept."""
-        if n_bytes <= 0:
-            return 0.0
-        now = time.monotonic()
-        with self._lock:
-            self.bytes_charged += n_bytes
-            rate = self._rate
-            if rate is None:
-                return 0.0
-            start = max(now, self._ready_at)
-            self._ready_at = start + n_bytes / rate
-            delay = self._ready_at - now
-        if delay > 0:
-            time.sleep(delay)
-            with self._lock:
-                self.seconds_slept += delay
-            return delay
-        return 0.0

@@ -1,18 +1,15 @@
 """Analytical throughput and time-to-accuracy models (Appendix A.2).
 
 * :mod:`repro.simulate.throughput` — the queueing-theory lemmas: expected
-  read time, loader throughput, speedup ratios, and the min(compute, I/O)
-  pipeline bound.
-* :mod:`repro.simulate.roofline` — the data-intensity roofline of Figure 14.
+  read time, speedup ratios, and ``PipelineModel``, the min(compute, I/O)
+  pipeline bound that is also the data-intensity roofline of Figure 14.
 * :mod:`repro.simulate.trainer_sim` — the cluster-scale time-to-accuracy
   simulator used to regenerate Figures 4–6 at the paper's hardware rates.
 """
 
-from repro.simulate.roofline import RooflineModel
 from repro.simulate.throughput import (
     PipelineModel,
     expected_read_seconds,
-    loader_throughput,
     pipeline_throughput,
     speedup,
 )
@@ -21,10 +18,8 @@ from repro.simulate.trainer_sim import ClusterSpec, TrainingSimulator
 __all__ = [
     "ClusterSpec",
     "PipelineModel",
-    "RooflineModel",
     "TrainingSimulator",
     "expected_read_seconds",
-    "loader_throughput",
     "pipeline_throughput",
     "speedup",
 ]

@@ -7,12 +7,18 @@ throughout the paper:
 * **Lemma A.1** — the expected time to read a record is proportional to the
   mean record size over the device bandwidth (plus a constant setup cost).
 * **Lemma A.2** — by Little's law, loader image throughput is
-  ``W / E[s(x)]`` for bandwidth ``W`` and mean image size ``E[s(x)]``.
+  ``W / E[s(x)]`` for bandwidth ``W`` and mean image size ``E[s(x)]``
+  (``PipelineModel.loader_rate`` at one image per record, no setup cost).
 * **Lemma A.3** — the loader speedup of scan group *g* is the ratio of mean
   image sizes ``E[s(x)] / E[s(x, g)]``.
 * **Lemma A.4** — end-to-end throughput is ``min(X_compute, X_loader)``.
 * **Theorem A.5** — for I/O-bound pipelines the achievable speedup equals
   the data-reduction ratio.
+
+``PipelineModel`` is also the data-intensity roofline of Figure 14: its
+``end_to_end_rate`` over bytes/image is the compute roof cut by the
+bandwidth slope, ``crossover_image_bytes`` is the ridge point, and
+``is_io_bound`` says which side of it a scan group sits on.
 """
 
 from __future__ import annotations
@@ -32,15 +38,6 @@ def expected_read_seconds(
     if bandwidth_bytes_per_second <= 0:
         raise ValueError("bandwidth must be positive")
     return images_per_record * mean_image_bytes / bandwidth_bytes_per_second + setup_seconds
-
-
-def loader_throughput(
-    mean_image_bytes: float, bandwidth_bytes_per_second: float
-) -> float:
-    """Lemma A.2: loader throughput in images/second at a given mean image size."""
-    if mean_image_bytes <= 0:
-        raise ValueError("mean_image_bytes must be positive")
-    return bandwidth_bytes_per_second / mean_image_bytes
 
 
 def speedup(mean_baseline_bytes: float, mean_group_bytes: float) -> float:
@@ -66,6 +63,8 @@ class PipelineModel:
 
     def loader_rate(self, mean_image_bytes: float) -> float:
         """Loader throughput at a mean image size (images/second)."""
+        if mean_image_bytes <= 0:
+            raise ValueError("mean_image_bytes must be positive")
         record_seconds = expected_read_seconds(
             mean_image_bytes,
             self.storage_bandwidth_bytes_per_second,
@@ -93,8 +92,16 @@ class PipelineModel:
         return group_rate / baseline_rate
 
     def crossover_image_bytes(self) -> float:
-        """Mean image size below which the pipeline becomes compute bound."""
-        return self.storage_bandwidth_bytes_per_second / self.compute_images_per_second
+        """Mean image size below which the pipeline becomes compute bound.
+
+        Solves ``loader_rate(b) == compute``: the per-record setup cost
+        takes its share of each image's time budget before the bytes do
+        (≤ 0 when setup alone holds the loader below compute).
+        """
+        return self.storage_bandwidth_bytes_per_second * (
+            1.0 / self.compute_images_per_second
+            - self.record_setup_seconds / self.images_per_record
+        )
 
 
 def predicted_throughput_by_scan(

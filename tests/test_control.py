@@ -3,9 +3,9 @@
 Covers the pure policy dynamics (AIMD bounds, cooldown, hysteresis under
 noise), the server cache's group-level counters, the loader hook's window,
 log and counters — each hook counting only its own loader's reads — and,
-the acceptance scenario, a bandwidth-capped loader over a local and over a
-served source that converges down to a smaller scan group and back up when
-the cap lifts, with a bounded number of direction changes.
+the acceptance scenario, a loader over a local and over a served source
+behind a capped link that converges down to a smaller scan group and back
+up when the cap lifts, with a bounded number of direction changes.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from repro.control import (
     ClientTelemetry,
     StallTargetPolicy,
 )
-from repro.core.dataset import PCRDataset
+from repro.core import BandwidthThrottle, PCRDataset, PCRReader, RecordSource
 from repro.core.scan_groups import ScanGroupDecision
 from repro.obs import MetricsRegistry, get_registry
-from repro.pipeline import BandwidthThrottle, DataLoader, LoaderConfig
-from repro.serving.remote_source import RemoteRecordSource
+from repro.pipeline import DataLoader, LoaderConfig
 from repro.serving.cache import ScanPrefixCache
+from repro.serving.client import PCRClient
+from repro.serving.remote_source import RemoteFetcher
 from repro.serving.server import PCRRecordServer
 
 
@@ -165,6 +166,12 @@ class TestStallTargetPolicy:
         with pytest.raises(ValueError):
             StallTargetPolicy(increase_step=0)
 
+    def test_group_zero_floor_rejected(self):
+        """Overloaded at group 1, a zero floor would choose group 0, which
+        the hook's ``set_scan_group`` rejects in the reader thread."""
+        with pytest.raises(ValueError, match="min_group"):
+            StallTargetPolicy(min_group=0)
+
     def test_decision_payload_and_changed(self):
         decision = ScanGroupDecision(
             chosen_group=3,
@@ -236,6 +243,20 @@ class TestBandwidthBudgetPolicy:
         assert decision.chosen_group == 2
         assert decision.direction == "up"
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"min_group": 0},  # would choose group 0 when no group fits
+            {"headroom": 0.0},  # would hold forever: no budget
+            {"headroom": -0.5},
+            {"link_bytes_per_s": 0.0},
+            {"link_bytes_per_s": -1.0},
+        ],
+    )
+    def test_invalid_parameters_rejected(self, options):
+        with pytest.raises(ValueError):
+            BandwidthBudgetPolicy(**options)
+
     def test_holds_without_size_data(self):
         policy = BandwidthBudgetPolicy(link_bytes_per_s=1000.0, cooldown_intervals=0)
         state = ClientControlState()
@@ -293,15 +314,17 @@ class _Recorder:
 
 @pytest.fixture(params=["local", "remote"])
 def open_source(request, pcr_dataset):
-    """``open_source()``: a fresh source over the session dataset — a local
-    ``PCRDataset``, or a ``RemoteRecordSource`` behind a running server."""
+    """``open_source()``: a source over the session dataset, read through a
+    local ``PCRReader`` or a wire client to a running server, behind one
+    ``BandwidthThrottle`` link (``source.fetcher``) that starts uncapped."""
     directory = pcr_dataset.reader.directory
     if request.param == "local":
-        with PCRDataset(directory) as source:
+        with RecordSource(BandwidthThrottle(PCRReader(directory), None)) as source:
             yield lambda: source
     else:
         with PCRRecordServer(directory, port=0) as server:
-            with RemoteRecordSource(port=server.port) as source:
+            fetcher = RemoteFetcher(PCRClient(port=server.port))
+            with RecordSource(BandwidthThrottle(fetcher, None)) as source:
                 yield lambda: source
 
 
@@ -352,14 +375,12 @@ class TestAdaptiveSource:
 
     def test_each_hook_counts_only_its_own_loaders_reads(self, open_source):
         """Two loaders over one source, at groups 1 and 10: each hook's
-        window and throttle see exactly their own loader's bytes and
-        samples, while the source's shared counters see the sum."""
+        window sees exactly its own loader's bytes and samples, while the
+        source's shared counters and its one link see the sum."""
         source = open_source()
         hooks = {}
         for group in (1, 10):
-            hooks[group] = AdaptiveScanGroupHook(
-                policy=_Recorder(), interval=3600.0, throttle=BandwidthThrottle(None)
-            )
+            hooks[group] = AdaptiveScanGroupHook(policy=_Recorder(), interval=3600.0)
             loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=2), hook=hooks[group])
             loader.set_scan_group(group)
             list(loader.epoch())
@@ -368,8 +389,8 @@ class TestAdaptiveSource:
             window = hook.policy.windows[0]
             assert (window.bytes_read, window.samples) == (source.epoch_bytes(group), len(source))
             assert window.records_read == len(source.record_names)
-            assert hook.throttle.bytes_charged == source.epoch_bytes(group)
         assert source.stats.bytes_read == source.epoch_bytes(1) + source.epoch_bytes(10)
+        assert source.fetcher.bytes_charged == source.epoch_bytes(1) + source.epoch_bytes(10)
 
     def test_one_hook_steers_one_loader(self, pcr_dataset):
         with PCRDataset(pcr_dataset.reader.directory) as source:
@@ -392,12 +413,13 @@ class TestClosedLoopEndToEnd:
         """Behind a link on which a full-fidelity epoch takes four times the
         epoch's compute, the hooked loader settles below ``n_groups`` and
         reads fewer bytes per sample than a hook-less loader over the same
-        source, which stays at ``n_groups``."""
+        source and link, which stays at ``n_groups``."""
         source = open_source()
         n_groups = source.n_groups
         config = LoaderConfig(batch_size=8, n_workers=1, shuffle=False)
         unsteered = DataLoader(source, config)
         epoch_compute = 0.05 * unsteered.batches_per_epoch()  # _run_interval's sleeps
+        source.fetcher.set_rate(source.epoch_bytes() / (4 * epoch_compute))
         steered = DataLoader(
             source,
             config,
@@ -406,7 +428,6 @@ class TestClosedLoopEndToEnd:
                     target_stall_fraction=0.2, hysteresis=0.5, cooldown_intervals=0
                 ),
                 interval=3600.0,
-                throttle=BandwidthThrottle(source.epoch_bytes() / (4 * epoch_compute)),
             ),
         )
         steady = {}
@@ -426,8 +447,9 @@ class TestClosedLoopEndToEnd:
         assert steady[steered] < steady[unsteered]
 
     def test_capped_link_converges_down_then_back_up(self, open_source):
-        throttle = BandwidthThrottle(40_000)  # a heavily capped link
         source = open_source()
+        link = source.fetcher
+        link.set_rate(40_000)  # a heavily capped link
         loader = DataLoader(
             source,
             LoaderConfig(batch_size=8, n_workers=1, shuffle=False),
@@ -436,7 +458,6 @@ class TestClosedLoopEndToEnd:
                     target_stall_fraction=0.2, hysteresis=0.5, cooldown_intervals=0
                 ),
                 interval=3600.0,  # one explicit step per interval
-                throttle=throttle,
             ),
         )
         n_groups = source.n_groups
@@ -455,7 +476,7 @@ class TestClosedLoopEndToEnd:
         )
         # Lift the cap: the loop must converge back up to full fidelity
         # without oscillating.
-        throttle.set_rate(None)
+        link.set_rate(None)
         for _ in range(n_groups + 4):
             self._run_interval(loader)
             trajectory.append(loader.scan_group)

@@ -256,6 +256,15 @@ class TestDataLoader:
         list(loader.epoch())
         assert len(loader.stalls.wait_seconds) > 0
 
+    def test_the_partial_last_batch_counts_its_compute(self, pcr_dataset):
+        """20 samples in batches of 8: the 4-sample batch is trained on too,
+        so its compute is part of the stall fraction a control hook reads."""
+        loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=1))
+        for _ in loader.epoch():
+            time.sleep(0.02)
+        assert len(loader.stalls.compute_seconds) == loader.batches_per_epoch() == 3
+        assert loader.stalls.total_compute >= 3 * 0.02
+
 
 def _wait_for_thread_count(limit: int, deadline_seconds: float = 5.0) -> int:
     deadline = time.monotonic() + deadline_seconds

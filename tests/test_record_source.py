@@ -1,8 +1,9 @@
 """One body, many backends: the ``RecordSource`` / ``RecordFetcher`` seam.
 
 Every test in :class:`TestConformance` runs unchanged over a
-local ``PCRDataset``, a ``RemoteRecordSource``, a ``ShardedRemoteRecordSource``
-and a remote source whose loaders carry an ``AdaptiveScanGroupHook``; the
+local ``PCRDataset``, a ``RemoteRecordSource``, a ``ShardedRemoteRecordSource``,
+a local reader behind a capped ``BandwidthThrottle`` link, and a remote source
+whose loaders carry an ``AdaptiveScanGroupHook``; the
 reference is always a direct :class:`~repro.core.reader.PCRReader` read of
 the same directory.  Backend-specific behaviour (failover, the control loop, the server's
 cache) stays in ``test_cluster.py`` / ``test_control.py`` / ``test_serving.py``.
@@ -19,7 +20,7 @@ from repro.control import AdaptiveScanGroupHook
 from repro.core.dataset import PCRDataset
 from repro.core.errors import ScanGroupError
 from repro.core.reader import PCRReader
-from repro.core.source import RecordFetcher, RecordSource
+from repro.core.source import BandwidthThrottle, RecordFetcher, RecordSource
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.serving import protocol
@@ -55,7 +56,7 @@ def reader(pcr_dataset):
         yield direct
 
 
-@pytest.fixture(params=["local", "remote", "sharded", "adaptive"])
+@pytest.fixture(params=["local", "remote", "sharded", "capped", "adaptive"])
 def open_source(request, pcr_dataset):
     """``open_source(**kwargs)`` opens a fresh source of the backend under
     test, and ``open_source.loader(source)`` a loader over it; every source
@@ -66,6 +67,9 @@ def open_source(request, pcr_dataset):
     def factory(**kwargs):
         if backend == "local":
             source = PCRDataset(pcr_dataset.reader.directory, **kwargs)
+        elif backend == "capped":
+            link = BandwidthThrottle(PCRReader(pcr_dataset.reader.directory), 64 * 2**20)
+            source = RecordSource(link, **kwargs)
         elif backend == "sharded":
             shard_map = request.getfixturevalue("cluster").shard_map
             source = ShardedRemoteRecordSource(shard_map, **kwargs)
@@ -274,7 +278,7 @@ class TestOneSeam:
         assert options(RemoteRecordSource) == ["host", "port", "scan_group", "decode"]
         assert options(ShardedRemoteRecordSource) == ["shard_map", "scan_group", "decode"]
         assert options(DataLoader) == ["dataset", "config", "augmentations", "hook"]
-        assert options(AdaptiveScanGroupHook) == ["policy", "interval", "throttle"]
+        assert options(AdaptiveScanGroupHook) == ["policy", "interval"]
 
     def test_fetchers_satisfy_the_protocol(self, reader, server, cluster):
         assert isinstance(reader, RecordFetcher)
@@ -292,6 +296,11 @@ class TestOneSeam:
             finally:
                 fetcher.close()
         assert not isinstance(wire_clients[0], RecordFetcher)
+
+    def test_the_link_is_a_fetcher(self, reader):
+        assert isinstance(BandwidthThrottle(reader, None), RecordFetcher)
+        with pytest.raises(ValueError, match="positive"):
+            BandwidthThrottle(reader, 0)
 
     def test_failed_handshake_closes_the_client(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as stopped:
@@ -346,3 +355,31 @@ class TestOneSeam:
         assert {op: n for op, n in sent.items() if n} == {
             f"0x{protocol.MSG_GET_RECORD:02x}": n_records
         }
+
+
+class TestCappedLink:
+    """The capped link sits in the source, under every reader of it."""
+
+    def test_a_hookless_loader_stalls_on_the_link(self, pcr_dataset):
+        """No hook, no option on the loader: the link's sleeps land in the
+        loader's own stall tracker as wait."""
+        directory = pcr_dataset.reader.directory
+        with RecordSource(BandwidthThrottle(PCRReader(directory), None)) as source:
+            link = source.fetcher
+            rate = source.epoch_bytes() / 0.4  # one epoch crosses in 0.4 s
+            link.set_rate(rate)
+            loader = DataLoader(source, LoaderConfig(batch_size=8, n_workers=1))
+            assert loader.hook is None
+            assert sum(len(batch) for batch in loader.epoch()) == len(source)
+            assert link.bytes_charged == source.epoch_bytes()
+            assert loader.stalls.total_wait >= source.epoch_bytes() / rate - 0.05
+
+    def test_loaders_and_label_views_share_one_link(self, pcr_dataset):
+        directory = pcr_dataset.reader.directory
+        with RecordSource(BandwidthThrottle(PCRReader(directory), 64 * 2**20)) as source:
+            view = source.with_label_mapper(lambda label: label % 2)
+            for group, over in ((1, source), (10, view)):
+                loader = DataLoader(over, LoaderConfig(batch_size=8, n_workers=2))
+                loader.set_scan_group(group)
+                assert sum(len(batch) for batch in loader.epoch()) == len(source)
+            assert source.fetcher.bytes_charged == source.epoch_bytes(1) + source.epoch_bytes(10)

@@ -5,12 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simulate.roofline import RooflineModel
 from repro.simulate.throughput import (
     PipelineModel,
     empirical_image_size_distribution,
     expected_read_seconds,
-    loader_throughput,
     pipeline_throughput,
     predicted_throughput_by_scan,
     speedup,
@@ -25,6 +23,11 @@ from repro.simulate.trainer_sim import (
 MiB = 1024 * 1024
 
 
+def _roofline(compute: float, bandwidth: float) -> PipelineModel:
+    """The Figure 14 roofline: one image per record, no setup cost."""
+    return PipelineModel(bandwidth, compute, images_per_record=1)
+
+
 class TestThroughputLemmas:
     def test_lemma_a1_read_time_scales_with_size(self):
         fast = expected_read_seconds(50_000, 100 * MiB, images_per_record=100)
@@ -37,7 +40,8 @@ class TestThroughputLemmas:
         assert with_setup == pytest.approx(without + 0.01)
 
     def test_lemma_a2_throughput_is_bandwidth_over_size(self):
-        assert loader_throughput(110_000, 400 * MiB) == pytest.approx(400 * MiB / 110_000)
+        model = _roofline(7500, 400 * MiB)
+        assert model.loader_rate(110_000) == pytest.approx(400 * MiB / 110_000)
 
     def test_lemma_a3_speedup_is_size_ratio(self):
         assert speedup(110_000, 55_000) == pytest.approx(2.0)
@@ -49,7 +53,7 @@ class TestThroughputLemmas:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            loader_throughput(0, 100)
+            _roofline(7500, 100).loader_rate(0)
         with pytest.raises(ValueError):
             expected_read_seconds(10, 0)
         with pytest.raises(ValueError):
@@ -85,6 +89,16 @@ class TestPipelineModel:
         seconds = model.epoch_seconds(110_000, 1_281_167)
         assert seconds == pytest.approx(1_281_167 / model.end_to_end_rate(110_000))
 
+    def test_crossover_accounts_for_record_setup(self):
+        # The paper's ShuffleNet cluster pays 10 ms per 1024-image record:
+        # the loader reaches the compute rate exactly at the crossover, and
+        # just below it the pipeline is compute bound.
+        model = ClusterSpec.paper_shufflenet().pipeline()
+        crossover = model.crossover_image_bytes()
+        assert model.loader_rate(crossover) == pytest.approx(model.compute_images_per_second)
+        assert not model.is_io_bound(0.99 * crossover)
+        assert model.is_io_bound(1.01 * crossover)
+
     def test_crossover_matches_paper_ballpark(self):
         # 400 MiB/s and ~7500 img/s -> crossover around 56 kB/image, i.e. the
         # full-quality 110 kB ImageNet image is storage bound (as in the paper).
@@ -117,26 +131,25 @@ class TestPredictionsAndDistributions:
 
 class TestRoofline:
     def test_attainable_rate_is_min_of_roofs(self):
-        model = RooflineModel(compute_images_per_second=7500, storage_bandwidth_bytes_per_second=400 * MiB)
-        assert model.attainable_rate(1_000) == pytest.approx(7500)
+        model = _roofline(compute=7500, bandwidth=400 * MiB)
+        assert model.end_to_end_rate(1_000) == pytest.approx(7500)
         big = 10 * MiB
-        assert model.attainable_rate(big) == pytest.approx(400 * MiB / big)
+        assert model.end_to_end_rate(big) == pytest.approx(400 * MiB / big)
 
     def test_ridge_point(self):
-        model = RooflineModel(7500, 400 * MiB)
-        ridge = model.ridge_point_bytes()
-        assert model.attainable_rate(ridge) == pytest.approx(7500, rel=1e-9)
+        model = _roofline(7500, 400 * MiB)
+        ridge = model.crossover_image_bytes()
+        assert model.end_to_end_rate(ridge) == pytest.approx(7500, rel=1e-9)
 
     def test_sweep_is_monotone_nonincreasing(self):
-        model = RooflineModel(7500, 400 * MiB)
-        _, rates = model.sweep(1_000, 1_000_000, n_points=32)
+        model = _roofline(7500, 400 * MiB)
+        rates = [model.end_to_end_rate(b) for b in np.logspace(3, 6, 32)]
         assert all(rates[i] >= rates[i + 1] - 1e-9 for i in range(len(rates) - 1))
 
     def test_annotate_scan_groups(self):
-        model = RooflineModel(7500, 400 * MiB)
-        placements = model.annotate_scan_groups({1: 11_000, 10: 110_000})
-        assert placements[1][2] == "compute-bound"
-        assert placements[10][2] == "io-bound"
+        model = _roofline(7500, 400 * MiB)
+        assert not model.is_io_bound(11_000)  # group 1: compute-bound
+        assert model.is_io_bound(110_000)  # group 10: io-bound
 
 
 class TestTrainingSimulator:
