@@ -5,10 +5,15 @@ This module is the vectorized counterpart of the scalar scan coder in
 
 * Encoding is per image, not per scan: one pass turns every scan of the
   image into ``(symbol, bits, width)`` arrays (see :mod:`repro.codecs.rle`),
-  one ``bincount`` gives every scan's histogram for its optimized Huffman
-  table, and each symbol's code, fused with its magnitude bits, goes into
-  one word-level bit pack (:func:`repro.codecs.bitio.pack_bits`) whose
-  bytes are cut into the scan payloads (``encode_scan_bodies_fast``).
+  one ``bincount`` gives every scan's histogram, each scan's optimized
+  canonical code is built straight from its row
+  (:func:`repro.codecs.huffman.canonical_code`), and each symbol's code,
+  fused with its magnitude bits, goes into one word-level bit pack
+  (:func:`repro.codecs.bitio.pack_bits`) whose bytes are cut into the
+  scan payloads (``encode_scan_bodies_fast``).  Every per-item array is a
+  slice of the calling thread's scratch buffers (the role table in
+  :mod:`repro.codecs.rle`), so a steady stream of images allocates no
+  large array per image.
 * Decoding probes the wide-window pair LUTs
   (:func:`repro.codecs.huffman._build_super_tables`) — one index
   computation resolves up to two complete (code + magnitude) symbols with
@@ -45,11 +50,19 @@ entropy coder at run time.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 
 import numpy as np
 
 from repro.codecs.bitio import pack_bits
-from repro.codecs.huffman import SUPER_BITS, SUPER_VALUE_OFFSET, HuffmanTable, long_code_entry
+from repro.codecs.huffman import (
+    SUPER_BITS,
+    SUPER_VALUE_OFFSET,
+    HuffmanTable,
+    canonical_code,
+    long_code_entry,
+)
+from repro.codecs.pixelpath import _thread_scratch
 from repro.codecs.rle import symbol_stream
 
 __all__ = [
@@ -63,44 +76,85 @@ def encode_scan_bodies_fast(coefficients, script) -> list[bytes]:
 
     Byte-identical to the scalar ``encode_scan_body_reference`` per scan.
     One symbol pass over the image (:func:`repro.codecs.rle.symbol_stream`),
-    one ``bincount`` for every scan's histogram, one optimised table per
-    scan, then one bit pack for the whole image: each scan's 1-bit padding
-    is an item of its own, so every scan ends on a byte and its payload is
-    a slice of the packed bytes.
+    one ``bincount`` for every scan's histogram, one canonical code per scan
+    straight from its row (:func:`repro.codecs.huffman.canonical_code`),
+    then one bit pack for the whole image: each scan's 1-bit padding rides
+    on its last item, so every scan ends on a byte and its payload is a
+    slice of the packed bytes.  Every per-item array is in the calling
+    thread's :class:`~repro.codecs.pixelpath.PixelScratch`.
     """
     scans = tuple(script)
-    symbols, bits, n_bits, scan_ends = symbol_stream(coefficients.planes, scans)
     n_scans = len(scans)
-    scan_items = np.diff(scan_ends, prepend=0)
-    keys = np.repeat(np.arange(n_scans, dtype=np.int64) << 8, scan_items) + symbols
-    counts = np.bincount(keys, minlength=n_scans << 8).reshape(n_scans, 256)
-    tables = []
-    for row in counts:
-        present = np.flatnonzero(row)
-        tables.append(HuffmanTable.from_counts(dict(zip(present.tolist(), row[present].tolist()))))
-    codes = np.array([table.encode_arrays()[0] for table in tables], dtype=np.int64).ravel()
-    lengths = np.array([table.encode_arrays()[1] for table in tables], dtype=np.int64).ravel()
-    values = (codes[keys] << n_bits) | bits
-    widths = lengths[keys] + n_bits
-    # Close every scan on a byte with a run of 1 bits, as JPEG pads.
-    scan_bits = np.diff(np.concatenate(([0], np.cumsum(widths)))[scan_ends], prepend=0)
-    pad = -scan_bits & 7
-    values = np.insert(values, scan_ends, (1 << pad) - 1)
-    widths = np.insert(widths, scan_ends, pad)
-    # Fuse adjacent pairs: two items of at most 31 bits fit one int64, and
-    # the packer's cost scales with items.  Only pathological DC magnitudes
-    # make a wider item; such an image packs unfused.
-    if int(widths.max()) <= 31:
-        if widths.shape[0] & 1:
-            values = np.append(values, 0)
-            widths = np.append(widths, 0)
-        values = (values[0::2] << widths[1::2]) | values[1::2]
-        widths = widths[0::2] + widths[1::2]
-    payload = pack_bits(values, widths)
-    byte_ends = np.cumsum((scan_bits + pad) >> 3).tolist()
+    keys, bits, n_bits, scan_ends = symbol_stream(coefficients.planes, scans)
+    total = keys.shape[0]
+    bounds = [0, *scan_ends.tolist()]
+    for scan in range(1, n_scans):  # a key is scan * 256 + symbol
+        keys[bounds[scan] : bounds[scan + 1]] += scan << 8
+    counts = np.bincount(keys, minlength=n_scans << 8)
+    present = np.flatnonzero(counts)
+    present_keys, present_counts = present.tolist(), counts[present].tolist()
+    key_codes, key_lengths, headers = [], [], []
+    first = 0
+    for scan in range(n_scans):
+        stop = bisect_left(present_keys, (scan + 1) << 8, first)
+        if stop > first:
+            symbols = [key & 0xFF for key in present_keys[first:stop]]
+            scan_lengths, scan_codes, header = canonical_code(symbols, present_counts[first:stop])
+            key_codes += scan_codes
+            key_lengths += scan_lengths
+        else:  # an empty scan's table still needs a symbol to be serializable
+            header = canonical_code([0], [0])[2]
+        headers.append(header)
+        first = stop
+    scratch = _thread_scratch()
+    codes = scratch.array("codes", n_scans << 8, np.int64)
+    lengths = scratch.array("lengths", n_scans << 8, np.int64)
+    codes[present] = key_codes
+    lengths[present] = key_lengths
+
+    # Item i is the code of its symbol, then its magnitude bits.  The pair
+    # fusion below reads one item past an odd count: a zero-width zero.
+    # Scratch roles as in the table of :mod:`repro.codecs.rle`.
+    all_values = scratch.array("encode_a", total + 1, np.int64)
+    all_widths = scratch.array("encode_b", total + 1, np.int64)
+    all_values[total] = all_widths[total] = 0
+    values = np.take(codes, keys, mode="clip", out=all_values[:total])
+    values <<= n_bits
+    values |= bits
+    widths = np.take(lengths, keys, mode="clip", out=all_widths[:total])
+    widths += n_bits
+    # Close every scan on a byte with a run of 1 bits, as JPEG pads: the
+    # pad is appended to the scan's last item.
+    byte_ends = []
+    n_bytes = 0
+    for start, end in zip(bounds, bounds[1:]):
+        if end > start:
+            scan_bits = int(widths[start:end].sum())
+            pad = -scan_bits & 7
+            values[end - 1] = (int(values[end - 1]) << pad) | ((1 << pad) - 1)
+            widths[end - 1] += pad
+            n_bytes += (scan_bits + pad) >> 3
+        byte_ends.append(n_bytes)
+    # Fuse adjacent pairs: two items whose widths sum to at most 63 bits fit
+    # one int64, and the packer's cost scales with items.  Only
+    # pathological DC magnitudes make a wider pair; such an image packs
+    # unfused.
+    n_pairs = (total + 1) >> 1
+    firsts, seconds = slice(0, 2 * n_pairs, 2), slice(1, 2 * n_pairs, 2)
+    pair_widths = np.add(
+        all_widths[firsts], all_widths[seconds], out=scratch.array("encode_d", n_pairs, np.int64)
+    )
+    if n_pairs and int(pair_widths.max()) <= 63:
+        pair_values = np.left_shift(
+            all_values[firsts], all_widths[seconds], out=scratch.array("encode_c", n_pairs, np.int64)
+        )
+        pair_values |= all_values[seconds]
+        payload = pack_bits(pair_values, pair_widths)
+    else:  # the pack works in encode_a / encode_b: hand it copies
+        payload = pack_bits(values.copy(), widths.copy())
     return [
-        table.to_bytes() + payload[start:end]
-        for table, start, end in zip(tables, [0] + byte_ends, byte_ends)
+        header + payload[start:end]
+        for header, start, end in zip(headers, [0] + byte_ends, byte_ends)
     ]
 
 

@@ -18,9 +18,14 @@ entry packing and ``docs/performance.md`` for the decode loops built on
 it.  The scalar bit-at-a-time decode the tables must agree with is the
 test oracle in ``tests/codec_reference.py``.
 
-A :class:`HuffmanTable` is the canonical code, its serialisation and the
-encode arrays; it holds no decode tables.  The fast decode tier fetches
-them through :meth:`HuffmanTable.cached_from_bytes`,
+The encoder builds each scan's code with :func:`canonical_code`, straight
+from the scan's histogram row: code lengths by a two-queue merge, codes by
+canonical assignment, and the DHT-style table bytes, with no table object.
+A :class:`HuffmanTable` is a validated canonical code and its
+serialisation, built from the same three pieces; the scalar oracle codes
+through it, and the decoder parses tables into it.  It holds no decode
+tables.  The fast decode tier fetches them through
+:meth:`HuffmanTable.cached_from_bytes`,
 the one cached route: a byte-bounded LRU keyed on ``(kind, serialized table
 bytes)`` whose entry is exactly the arrays that *kind* of scan reads (a scan
 is DC-only, AC-only or mixed, and reads one flavour), built whole at the
@@ -38,7 +43,7 @@ import os
 import struct
 import threading
 from array import array
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,77 +171,49 @@ _TABLE_CACHE = _LRUByteCache("codec.table_cache", _cache_budget_bytes())
 
 @dataclass
 class HuffmanTable:
-    """A canonical Huffman code over integer symbols in ``[0, 255]``."""
+    """A canonical Huffman code over integer symbols in ``[0, 255]``.
+
+    Construction validates the code: every symbol in ``[0, 255]``, every
+    length in ``[1, MAX_CODE_LENGTH]``, and no more codes than the lengths
+    have room for (the Kraft sum), each failure a ``ValueError`` naming the
+    symbol or length at fault, so a table that builds always serializes.
+    """
 
     code_lengths: dict[int, int]
     _encode_map: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
-    _encode_arrays: "tuple[list[int], list[int]] | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         # Canonical code assignment.  The map is filled once, here, and
         # never mutated again.
-        ordered = sorted(self.code_lengths.items(), key=lambda kv: (kv[1], kv[0]))
-        code = 0
-        previous_length = 0
-        for symbol, length in ordered:
-            code <<= length - previous_length
-            previous_length = length
-            self._encode_map[symbol] = (code, length)
-            code += 1
+        symbols = sorted(self.code_lengths)
+        lengths = [self.code_lengths[symbol] for symbol in symbols]
+        _check_code(symbols, lengths)
+        codes, _ = _canonical_codes(lengths)
+        self._encode_map.update(zip(symbols, zip(codes, lengths)))
 
     @classmethod
-    def from_counts(cls, counts: Counter | dict[int, int]) -> "HuffmanTable":
+    def from_counts(cls, counts: dict[int, int]) -> "HuffmanTable":
         """Build an optimal code from a symbol-frequency mapping.
 
-        Zero-count entries are ignored.
+        Zero-count entries are ignored.  The lengths are the ones
+        :func:`canonical_code` gives the encoder, which needs no table
+        object; this is the table the scalar oracle codes through.
         """
-        counts = Counter({s: c for s, c in counts.items() if c > 0})
-        if not counts:
+        symbols = sorted(symbol for symbol, count in counts.items() if count > 0)
+        if not symbols:
             # A table still needs at least one symbol to be serializable.
             return cls(code_lengths={0: 1})
-        if len(counts) == 1:
-            only = next(iter(counts))
-            return cls(code_lengths={only: 1})
-        lengths = _package_merge_lengths(counts, MAX_CODE_LENGTH)
-        return cls(code_lengths=lengths)
-
-    # -- table-driven encode --------------------------------------------------
-
-    def encode_arrays(self) -> tuple[list[int], list[int]]:
-        """Return per-symbol ``(codes, lengths)`` arrays indexed by symbol.
-
-        Absent symbols have length 0; callers encode only symbols that were
-        counted into the table, so a 0 length is never hit on valid input.
-        Built directly from the code map, not from the decode LUTs: encoding
-        uses a fresh optimized table per scan, where paying the LUT fill cost
-        would be pure waste.
-        """
-        if self._encode_arrays is None:
-            codes = [0] * 256
-            lengths = [0] * 256
-            for symbol, (code, length) in self._encode_map.items():
-                codes[symbol] = code
-                lengths[symbol] = length
-            self._encode_arrays = (codes, lengths)
-        return self._encode_arrays
+        _check_symbols(symbols)
+        lengths = _package_merge_lengths([counts[symbol] for symbol in symbols], MAX_CODE_LENGTH)
+        return cls(code_lengths=dict(zip(symbols, lengths)))
 
     # -- serialization ---------------------------------------------------------
 
-    def code_length(self, symbol: int) -> int:
-        """Return the code length of ``symbol`` in bits."""
-        return self.code_lengths[symbol]
-
     def to_bytes(self) -> bytes:
         """Serialize as a DHT-style segment: 16 length counts + symbols."""
-        ordered = sorted(self.code_lengths.items(), key=lambda kv: (kv[1], kv[0]))
-        counts = [0] * MAX_CODE_LENGTH
-        symbols = bytearray(len(ordered))
-        for index, (symbol, length) in enumerate(ordered):
-            counts[length - 1] += 1
-            symbols[index] = symbol
-        return struct.pack("<H", len(ordered)) + bytes(counts) + bytes(symbols)
+        symbols = sorted(self.code_lengths)
+        lengths = [self.code_lengths[symbol] for symbol in symbols]
+        return _table_bytes(symbols, lengths, _canonical_codes(lengths)[1])
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> tuple["HuffmanTable", int]:
@@ -252,11 +229,6 @@ class HuffmanTable:
         symbols = payload[symbols_start:symbols_end]
         if sum(counts) != n_symbols:
             raise ValueError("Huffman table length counts disagree with symbol count")
-        # Kraft: more codes than the lengths have room for is no prefix code
-        # (canonical assignment would overflow a length), whatever it decodes.
-        kraft = sum(count << (MAX_CODE_LENGTH - length) for length, count in enumerate(counts, 1))
-        if kraft > 1 << MAX_CODE_LENGTH:
-            raise ValueError("Huffman table length counts are over-subscribed")
         code_lengths: dict[int, int] = {}
         cursor = 0
         for length_minus_one, count in enumerate(counts):
@@ -506,55 +478,133 @@ def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):
     return np.where(valid, first, escape), np.where(pair, second, 0), pairbits
 
 
-def _package_merge_lengths(counts: Counter, max_length: int) -> dict[int, int]:
-    """Compute length-limited Huffman code lengths.
+def canonical_code(symbols: list[int], counts: list[int]) -> tuple[list[int], list[int], bytes]:
+    """The optimal length-limited canonical code of one histogram.
+
+    ``symbols`` ascending in ``[0, 255]`` and their positive ``counts`` —
+    one scan's ``bincount`` row, read at its nonzero bins — give each
+    symbol's code length and code, in the order given, and the table's
+    serialization (what :meth:`HuffmanTable.to_bytes` writes for it).  The
+    one builder: :meth:`HuffmanTable.from_counts` takes its lengths from
+    the same :func:`_package_merge_lengths`, and the constructor assigns
+    codes with the same :func:`_canonical_codes`.
+    """
+    lengths = _package_merge_lengths(counts, MAX_CODE_LENGTH)
+    codes, order = _canonical_codes(lengths)
+    return lengths, codes, _table_bytes(symbols, lengths, order)
+
+
+def _check_symbols(symbols: list[int]) -> None:
+    for symbol in symbols:
+        if not 0 <= symbol <= 255:
+            raise ValueError(f"Huffman symbol {symbol} is outside [0, 255]")
+
+
+def _check_code(symbols: list[int], lengths: list[int]) -> None:
+    """Raise ``ValueError`` unless the lengths form a prefix code over byte symbols."""
+    _check_symbols(symbols)
+    per_length = [0] * (MAX_CODE_LENGTH + 1)
+    for symbol, length in zip(symbols, lengths):
+        if not 1 <= length <= MAX_CODE_LENGTH:
+            raise ValueError(
+                f"Huffman symbol {symbol} has code length {length}, outside [1, {MAX_CODE_LENGTH}]"
+            )
+        per_length[length] += 1
+    # Kraft: the codes of each length and shorter must leave room >= 0; more
+    # codes than that is no prefix code (canonical assignment would overflow
+    # a length), whatever it decodes.
+    room = 1
+    for length in range(1, MAX_CODE_LENGTH + 1):
+        room = 2 * room - per_length[length]
+        if room < 0:
+            raise ValueError(f"Huffman code lengths are over-subscribed at length {length}")
+
+
+def _canonical_codes(lengths: list[int]) -> tuple[list[int], list[int]]:
+    """Canonical codes of ascending symbols with ``lengths``.
+
+    Returns each symbol's code, in the order given, and the canonical order
+    (indices sorted by length, then symbol — a stable sort of ascending
+    symbols), in which consecutive codes count up and shift left as the
+    length grows.
+    """
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    codes = [0] * len(lengths)
+    code = previous_length = 0
+    for index in order:
+        length = lengths[index]
+        code <<= length - previous_length
+        previous_length = length
+        codes[index] = code
+        code += 1
+    return codes, order
+
+
+def _table_bytes(symbols: list[int], lengths: list[int], order: list[int]) -> bytes:
+    """The DHT-style serialization: symbol count, 16 length counts, symbols in canonical order."""
+    per_length = [0] * MAX_CODE_LENGTH
+    for length in lengths:
+        per_length[length - 1] += 1
+    ordered = bytes([symbols[index] for index in order])
+    return struct.pack("<H", len(ordered)) + bytes(per_length) + ordered
+
+
+def _package_merge_lengths(counts: list[int], max_length: int) -> list[int]:
+    """Compute length-limited Huffman code lengths, one per count.
 
     Uses plain Huffman construction and, in the rare case the resulting code
     exceeds ``max_length`` (possible only with extremely skewed counts),
-    flattens the deepest levels by re-running with damped frequencies.
+    flattens the deepest levels by re-running with damped frequencies.  A
+    lone symbol gets a 1-bit code.
     """
+    if len(counts) == 1:
+        return [1]
     lengths = _plain_huffman_lengths(counts)
     damping = 1
-    while max(lengths.values()) > max_length:
+    while max(lengths) > max_length:
         damping *= 2
-        damped = Counter({s: (c + damping - 1) // damping + 1 for s, c in counts.items()})
-        lengths = _plain_huffman_lengths(damped)
+        lengths = _plain_huffman_lengths([(c + damping - 1) // damping + 1 for c in counts])
     return lengths
 
 
-def _plain_huffman_lengths(counts: Counter) -> dict[int, int]:
-    """Huffman code lengths by a two-queue merge.
+def _plain_huffman_lengths(counts: list[int]) -> list[int]:
+    """Huffman code lengths by a two-queue merge, one per count (at least two).
 
-    Node ids are the leaves in symbol order, then each merged node in the
-    order it is made.  Every pop takes the smaller ``(count, node id)`` of
-    the two queue heads: the leaves sorted by that key, and the merged
-    nodes, which are made in that order already (a merged count is never
-    below the one before it, and ids grow).  That is exactly the order a
-    heap keyed on ``(count, node id)`` pops, so the lengths — and the
-    canonical tables — are the ones the heap construction gives.
+    Node ids are the leaves in the order given (ascending symbols), then
+    each merged node in the order it is made.  Every pop takes the smaller
+    ``(count, node id)`` of the two queue heads: the leaves sorted by that
+    key, and the merged nodes, which are made in that order already (a
+    merged count is never below the one before it, and ids grow).  That is
+    exactly the order a heap keyed on ``(count, node id)`` pops, so the
+    lengths — and the canonical tables — are the ones the heap construction
+    gives.  A key is packed as ``count << 9 | node id`` (ids stay below
+    511), so the queue heads compare as plain ints, and a drained queue's
+    head is a key above any real one.
     """
-    ordered = sorted(counts.items())
-    n_leaves = len(ordered)
-    # Queue heads as (count, node id); a drained queue's head compares high.
-    leaves = sorted((count, node) for node, (_, count) in enumerate(ordered))
-    leaves.append((float("inf"), 0))
-    merged: list[tuple[int, int]] = []
+    n_leaves = len(counts)
+    drained = (sum(counts) + 1) << 9
+    leaves = sorted([count << 9 | node for node, count in enumerate(counts)])
+    leaves.append(drained)
+    merged = [drained] * n_leaves
     parents = [0] * (2 * n_leaves - 1)
     next_leaf = next_merged = 0
     for node in range(n_leaves, 2 * n_leaves - 1):
-        total = 0
-        for _ in range(2):
-            if next_merged == len(merged) or leaves[next_leaf] < merged[next_merged]:
-                count, child = leaves[next_leaf]
-                next_leaf += 1
-            else:
-                count, child = merged[next_merged]
-                next_merged += 1
-            parents[child] = node
-            total += count
-        merged.append((total, node))
+        first, other = leaves[next_leaf], merged[next_merged]
+        if first < other:
+            next_leaf += 1
+        else:
+            first = other
+            next_merged += 1
+        second, other = leaves[next_leaf], merged[next_merged]
+        if second < other:
+            next_leaf += 1
+        else:
+            second = other
+            next_merged += 1
+        parents[first & 511] = parents[second & 511] = node
+        merged[node - n_leaves] = ((first >> 9) + (second >> 9)) << 9 | node
     # A parent's id is above its children's: fill depths from the root down.
     depths = [0] * (2 * n_leaves - 1)
     for node in range(2 * n_leaves - 3, -1, -1):
         depths[node] = depths[parents[node]] + 1
-    return {symbol: depths[leaf] for leaf, (symbol, _) in enumerate(ordered)}
+    return depths[:n_leaves]

@@ -34,7 +34,12 @@ one (:func:`_thread_scratch`), so consecutive decodes reuse them whether
 they come as a minibatch
 (:func:`repro.codecs.progressive.decode_progressive_batch`) or one image at
 a time.  The batch path runs the same per-image gemms as the single-image
-path — results are *bitwise identical* either way.
+path — results are *bitwise identical* either way.  The same per-thread
+scratch serves the encoder: the forward transform's float32 buffers
+(:mod:`repro.codecs.encodepath`) and the entropy encode's typed 1-D
+buffers (:meth:`PixelScratch.array`, roles listed in
+:mod:`repro.codecs.rle`), which grow to the largest image seen and are
+kept.
 
 Relative to the float64 reference the fused path reorders floating-point
 arithmetic, so decoded pixels may differ where a value lands within float32
@@ -109,16 +114,19 @@ def scaled_inverse_basis(table: np.ndarray) -> np.ndarray:
 
 
 class PixelScratch:
-    """Reusable float32 work buffers for decoding a batch of images.
+    """Reusable work buffers for the pixel stages and the entropy encode.
 
-    Buffers are keyed by ``(role, shape)`` so a batch of mixed image sizes
-    still reuses whatever it can, with a size bound so a long-lived scratch
-    over many distinct shapes cannot grow without limit.  A scratch must
-    not be shared across threads; each ``DataLoader`` worker / batch call
-    owns its own (see :func:`_thread_scratch`).
+    Float32 buffers (:meth:`get`) are keyed by ``(role, shape)`` so a batch
+    of mixed image sizes still reuses whatever it can, with a size bound so
+    a long-lived scratch over many distinct shapes cannot grow without
+    limit.  Typed 1-D buffers (:meth:`array`) are keyed by role alone and
+    grow to fit: every image takes a differently sized slice of the same
+    memory.  A scratch must not be shared across threads; each
+    ``DataLoader`` worker / batch call owns its own (see
+    :func:`_thread_scratch`).
     """
 
-    __slots__ = ("_buffers",)
+    __slots__ = ("_buffers", "_arenas")
 
     #: Distinct (role, shape) buffers kept before the scratch resets.  A
     #: single image decode uses ~10 roles, so the bound never bites within
@@ -128,6 +136,7 @@ class PixelScratch:
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
+        self._arenas: dict[str, np.ndarray] = {}
 
     def get(self, role: tuple, shape: tuple[int, ...]) -> np.ndarray:
         """Return an uninitialized float32 buffer of ``shape``, reused."""
@@ -139,6 +148,30 @@ class PixelScratch:
             buffer = np.empty(shape, dtype=np.float32)
             self._buffers[key] = buffer
         return buffer
+
+    def array(self, role: str, size: int, dtype) -> np.ndarray:
+        """Return an uninitialized 1-D ``dtype`` buffer of ``size`` items, reused.
+
+        The view lies on the role's byte arena, which is replaced by a
+        larger one (with 1/16 headroom) when ``size`` outgrows it and is
+        never shrunk or freed.  Callers whose buffers are never live at the
+        same time pass the same role and share the memory, whatever their
+        dtypes; a view handed out is valid until its role is asked for
+        again.
+        """
+        dtype = np.dtype(dtype)
+        nbytes = size * dtype.itemsize
+        arena = self._arenas.get(role)
+        if arena is None or arena.shape[0] < nbytes:
+            arena = np.empty(nbytes + (nbytes >> 4) + 64, dtype=np.uint8)
+            self._arenas[role] = arena
+        return arena[:nbytes].view(dtype)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by every buffer and arena of this scratch."""
+        held = list(self._buffers.values()) + list(self._arenas.values())
+        return sum(buffer.nbytes for buffer in held)
 
 
 _THREAD_SCRATCH = threading.local()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codecs.bitio import pack_bits
+from repro.codecs.huffman import HuffmanTable as RuntimeHuffmanTable
 from repro.codecs.huffman import MAX_CODE_LENGTH, _package_merge_lengths, _plain_huffman_lengths
 from repro.codecs.rle import EOB_SYMBOL, ZRL_SYMBOL
 from tests.codec_reference import (
@@ -140,7 +141,8 @@ class TestHuffman:
     def test_frequent_symbols_get_short_codes(self):
         symbols = [1] * 100 + [2] * 10 + [3]
         table = HuffmanTable.from_symbols(symbols)
-        assert table.code_length(1) <= table.code_length(2) <= table.code_length(3)
+        lengths = table.code_lengths
+        assert lengths[1] <= lengths[2] <= lengths[3]
 
     def test_roundtrip_many_symbols(self):
         import random
@@ -286,18 +288,55 @@ class TestHuffman:
         assert accepted == (kraft <= 1)
 
 
+def _by_symbol(lengths_of, counts: dict[int, int], *args) -> dict[int, int]:
+    """Run a per-count length builder over ``counts`` in symbol order, keyed back by symbol."""
+    symbols = sorted(counts)
+    return dict(zip(symbols, lengths_of([counts[symbol] for symbol in symbols], *args)))
+
+
+class TestHuffmanTableValidation:
+    """A table that constructs is a prefix code over byte symbols, so it serializes."""
+
+    def test_zero_length_is_rejected(self):
+        # A length-0 code is no code; serialized, it lands in the count of length 16.
+        with pytest.raises(ValueError, match="symbol 1 has code length 0"):
+            RuntimeHuffmanTable(code_lengths={1: 0, 2: 1})
+
+    def test_length_over_the_limit_is_rejected(self):
+        # The serialization has no count for a length above 16.
+        with pytest.raises(ValueError, match="symbol 1 has code length 17"):
+            RuntimeHuffmanTable(code_lengths={1: 17, 2: 1})
+
+    def test_symbol_outside_a_byte_is_rejected_by_from_counts(self):
+        # The serialization stores each symbol in one byte.
+        with pytest.raises(ValueError, match="symbol 300 is outside"):
+            RuntimeHuffmanTable.from_counts({300: 5, 1: 3})
+        with pytest.raises(ValueError, match="symbol -1 is outside"):
+            RuntimeHuffmanTable(code_lengths={-1: 1, 2: 1})
+
+    def test_over_subscribed_lengths_are_rejected(self):
+        # Three 1-bit codes: canonical assignment would hand out 0, 1, 10.
+        with pytest.raises(ValueError, match="over-subscribed at length 1"):
+            RuntimeHuffmanTable(code_lengths={1: 1, 2: 1, 3: 1})
+        with pytest.raises(ValueError, match="over-subscribed at length 3"):
+            RuntimeHuffmanTable(code_lengths={1: 2, 2: 2, 3: 2, 4: 3, 5: 3, 6: 3})
+        # A complete code is the boundary and builds.
+        complete = RuntimeHuffmanTable(code_lengths={1: 2, 2: 2, 3: 2, 4: 3, 5: 3})
+        assert RuntimeHuffmanTable.from_bytes(complete.to_bytes())[0] == complete
+
+
 class TestHuffmanLengths:
     """The two-queue merge gives the heap construction's lengths exactly."""
 
     @given(st.dictionaries(st.integers(0, 255), st.integers(1, 10_000), min_size=2, max_size=256))
     @settings(max_examples=80, deadline=None)
     def test_two_queue_matches_the_heap(self, counts):
-        assert _plain_huffman_lengths(counts) == heap_huffman_lengths(counts)
+        assert _by_symbol(_plain_huffman_lengths, counts) == heap_huffman_lengths(counts)
 
     @given(st.dictionaries(st.integers(0, 255), st.integers(1, 4), min_size=2, max_size=256))
     @settings(max_examples=40, deadline=None)
     def test_two_queue_matches_the_heap_on_tied_counts(self, counts):
-        assert _plain_huffman_lengths(counts) == heap_huffman_lengths(counts)
+        assert _by_symbol(_plain_huffman_lengths, counts) == heap_huffman_lengths(counts)
 
     @pytest.mark.parametrize("n_symbols", [20, 40, 200])
     def test_skewed_counts_that_need_damping(self, n_symbols):
@@ -308,7 +347,7 @@ class TestHuffmanLengths:
             fibonacci.append(fibonacci[-1] + fibonacci[-2])
         counts = {symbol: fibonacci[symbol % len(fibonacci)] for symbol in range(n_symbols)}
         assert max(heap_huffman_lengths(counts).values()) > MAX_CODE_LENGTH
-        lengths = _package_merge_lengths(counts, MAX_CODE_LENGTH)
+        lengths = _by_symbol(_package_merge_lengths, counts, MAX_CODE_LENGTH)
         assert lengths == limited_heap_huffman_lengths(counts, MAX_CODE_LENGTH)
         assert max(lengths.values()) <= MAX_CODE_LENGTH
 
@@ -583,7 +622,7 @@ class TestHuffmanTableCaches:
         assert _TABLE_CACHE.resident_bytes == bytes_before + dc_entry[1] + ac_entry[1]
 
     def test_uncached_table_charges_nothing(self):
-        """Parsing, scalar coding and the encode arrays never touch the cache."""
+        """Parsing and scalar coding never touch the cache."""
         from repro.codecs.huffman import _TABLE_CACHE
 
         lengths = {0x00: 1, 0xA4: 2, 0xB8: 3, 0xCA: 4, 0xD2: 4}
@@ -593,7 +632,6 @@ class TestHuffmanTableCaches:
         writer = BitWriter()
         table.encode_symbol(0xCA, writer)
         assert restored.decode_symbol(BitReader(writer.getvalue())) == 0xCA
-        table.encode_arrays()
         assert (_TABLE_CACHE.resident_bytes, len(_TABLE_CACHE)) == before
 
     def test_cached_from_bytes_hits_payload_cache(self):

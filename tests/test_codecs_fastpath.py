@@ -1189,3 +1189,97 @@ class TestPerformanceSmoke:
             f"vectorized encode ({fast_encode * 1e3:.2f} ms) must beat the scalar "
             f"reference ({scalar_encode * 1e3:.2f} ms) by at least 1.5x"
         )
+
+
+class TestEncodeWorkspace:
+    """The entropy encode works in per-thread buffers that outlive each image.
+
+    Its arrays are slices of buffers owned by the calling thread's
+    ``PixelScratch``, shared by stages whose arrays are never live
+    together, and its shape-only arithmetic is a cached ``BlockLayout``.
+    These pin what that buys (no large per-image allocation, a bounded
+    resident size) and what it must not cost (a stale buffer or another
+    thread leaking into a stream).
+    """
+
+    @staticmethod
+    def _coefficients(size: int, seed: int, color: bool = True):
+        return image_to_coefficients(make_structured_image(size, seed=seed, color=color), 90)
+
+    def test_steady_state_encode_allocates_little(self):
+        import tracemalloc
+
+        coefficients = self._coefficients(224, seed=31)
+        script = ScanScript.default_color()
+        encode_coefficients(coefficients, script)  # sizes the buffers, builds the layout
+        tracemalloc.start()
+        try:
+            encode_coefficients(coefficients, script)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The image's own arrays take 2.6-2.8 MB; only its nonzero index,
+        # histogram and bytes may be allocated per image.
+        assert peak <= 512 << 10, f"encode peaked at {peak / 1024:.0f} KiB over its baseline"
+
+    def test_stale_buffers_never_reach_a_stream(self):
+        """Shrinking, empty and regrowing images through one thread's buffers."""
+        gray = np.random.default_rng(33).integers(0, 256, size=(37, 53)).astype(np.uint8)
+        empty = FrameHeader(0, 0, 3, SUBSAMPLING_420, QuantizationTables.for_quality(90))
+        cases = [
+            (self._coefficients(224, seed=32), None),
+            (image_to_coefficients(ImageBuffer.from_array(gray), 90), None),
+            (empty_coefficients(empty), None),
+            (image_to_coefficients(_random_image(34, 1, True), 90), None),
+            (self._coefficients(64, seed=35), ScanScript.sequential(3)),
+            (self._coefficients(224, seed=36), None),
+        ]
+        for coefficients, script in cases:
+            script = script or ScanScript.default_for(coefficients.header.n_components)
+            assert encode_coefficients(coefficients, script) == encode_coefficients_reference(
+                coefficients, script
+            ), (coefficients.header, script)
+
+    def test_threads_reproduce_the_serial_streams(self):
+        import threading
+
+        images = {name: self._coefficients(96 + 32 * name, seed=40 + name) for name in range(2)}
+        script = ScanScript.default_color()
+        serial = {name: encode_coefficients(c, script) for name, c in images.items()}
+        barrier = threading.Barrier(2)
+        results: dict[int, list[bytes]] = {name: [] for name in images}
+
+        def encode_repeatedly(name):
+            barrier.wait()
+            for _ in range(20):
+                results[name].append(encode_coefficients(images[name], script))
+
+        threads = [threading.Thread(target=encode_repeatedly, args=(name,)) for name in images]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for name, streams in results.items():
+            assert len(streams) == 20 and all(stream == serial[name] for stream in streams)
+
+    def test_buffers_and_layout_stay_under_three_mib(self):
+        import threading
+
+        from repro.codecs.pixelpath import _thread_scratch
+        from repro.codecs.rle import block_layout
+
+        coefficients = self._coefficients(224, seed=37)
+        script = ScanScript.default_color()
+        held = {}
+
+        def encode_in_a_fresh_thread():
+            encode_coefficients(coefficients, script)
+            held["scratch"] = _thread_scratch().nbytes
+
+        thread = threading.Thread(target=encode_in_a_fresh_thread)
+        thread.start()
+        thread.join()
+        shapes = tuple(plane.shape for plane in coefficients.planes)
+        layout = block_layout(shapes, script).nbytes
+        assert held["scratch"] > 0 and layout > 0
+        assert held["scratch"] + layout <= 3 << 20, (held["scratch"], layout)
