@@ -18,27 +18,29 @@ This module is the vectorized counterpart of the scalar scan coder in
   (:func:`repro.codecs.huffman._build_super_tables`) — one index
   computation resolves up to two complete (code + magnitude) symbols with
   their signed values already decoded, so the common case costs no
-  mask/shift magnitude work at all.  For AC-only scans (the bulk of a
-  progressive stream's symbols) the decode is *batched*: a vectorized
+  mask/shift magnitude work at all.  For DC-only and AC-only scans (every
+  symbol of a progressive stream) the decode is *batched*: a vectorized
   phase-0 precompute turns every bit offset of a batch of scan payloads
   into its pair-LUT window and the window's walk *stride* (the total bit
   length of all symbols the window resolves — symbol boundaries are
   context-free, each entry's consumption depends only on the bits), so
   the phase-1 Python loop is just ``cursor += strides[cursor]`` per
   symbol pair; the packed entries themselves are gathered afterwards at
-  the recorded offsets, and block segmentation, band checks, positions,
-  and values are all reconstructed by one vectorized phase-2 epilogue
-  shared across every AC scan of a stream (``decode_scan_bodies_fast``).
-  DC-only and mixed scans keep specialized in-place pair-probe loops; the
-  stride walk is the one AC symbol chase, whatever the scan's size.  An
-  oversized symbol (code + magnitude wider than the window) is finished
-  from the same table: its window holds the symbol's negated plain entry
-  (run, category, consumption) and the loop reads the magnitude off the
-  stream; a code longer than the window is matched against the table's
-  few long codes.  Each scan fetches the tables built for its kind only
-  (DC-only, AC-only or mixed).  All coefficient-plane writes are deferred
-  to one vectorized scatter per component instead of a Python slice
-  assignment per block.
+  the recorded offsets.  A DC scan's first entries are its diffs, one
+  ``cumsum`` per component; for the AC scans, block segmentation, band
+  checks, positions, and values are all reconstructed by one vectorized
+  phase-2 epilogue shared across every AC scan of a stream
+  (``decode_scan_bodies_fast``).  The stride walk is the one chase for
+  both kinds, whatever the scan's size; only mixed scans (sequential /
+  baseline scripts, whose DC/AC table alternation depends on block
+  structure) keep an in-place pair-probe loop.  An oversized symbol (code
+  + magnitude wider than the window) is finished from the same table: its
+  window holds the symbol's negated plain entry (run, category,
+  consumption) and the loop reads the magnitude off the stream; a code
+  longer than the window is matched against the table's few long codes.
+  Each scan fetches the tables built for its kind only (DC-only, AC-only
+  or mixed).  All coefficient-plane writes are deferred to one vectorized
+  scatter per component instead of a Python slice assignment per block.
 
 Both directions produce byte-identical streams / identical coefficients to
 the scalar reference (``encode_scan_body_reference`` /
@@ -277,9 +279,10 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     The whole-stream entry point: ``decode_coefficients`` hands every
     selected segment over at once, and a single scan is a one-element
     sequence.  Valid scan scripts touch disjoint coefficient regions and
-    each scan's payload is decoded independently, but the AC-only scans are
-    collected and decoded together (:func:`_decode_ac_scans_super`) so one
-    vectorized phase-2 epilogue is amortized across *all* of them, which is
+    each scan's payload is decoded independently, but the DC-only and
+    AC-only scans are collected and decoded together
+    (:func:`_decode_walked_scans`) so one phase-0 precompute and one
+    vectorized phase-2 epilogue are amortized across *all* of them, which is
     where per-scan NumPy fixed costs would otherwise dominate (a progressive
     stream has ~8 AC scans, several of them only a few hundred symbols).
 
@@ -298,11 +301,13 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     the offending symbol's bit offset (``_invalid_code_error`` /
     ``_overflow_error``) and the batched AC decode replays the entries of
     a scan its vector passes cannot segment, to find its first defect in
-    stream order (``_scan_defect``).  Identical classes are asserted by the
-    fuzz tests in ``tests/test_codecs_fastpath.py``; the one relaxation is
-    *cross-scan* ordering: when several scans of one stream are defective,
-    which scan's error surfaces first may differ from the scalar reference
-    (AC scans are deferred behind DC and mixed ones).
+    stream order (``_scan_defect``); a flagged DC-only scan is replayed
+    diff by diff (``_replay_dc_scan``).  Identical classes are asserted by
+    the fuzz tests in ``tests/test_codecs_fastpath.py``; the one relaxation
+    is *cross-scan* ordering: when several scans of one stream are
+    defective, which scan's error surfaces first may differ from the scalar
+    reference (DC-only scans are deferred behind mixed ones, and AC scans
+    behind both).
 
     Entry handling per pair-table probe (see ``_build_super_tables`` for
     the packing; ``w2 = 2 * window`` indexes the interleaved table, whose
@@ -325,12 +330,11 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     * ``entry == 0`` — invalid prefix: ``ValueError``, same as the scalar
       reference.
 
-    DC-only and mixed scans decode in place — their symbol streams are
-    either trivially positioned (one diff per block) or context-dependent
+    Mixed scans decode in place — their symbol stream is context-dependent
     (the DC/AC table alternation depends on block structure), so the
-    context-free chase does not apply.
+    context-free walk does not apply.
     """
-    ac_jobs = []
+    walk_jobs = []
     for segment in segments:
         scan = segment.header
         if scan.spectral_end == 0:
@@ -342,23 +346,20 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
         )
         payload = data[segment.payload_start + consumed : segment.end]
         n_payload_bits = len(payload) * 8
-        if kind != "ac":
-            padded = payload + _PAD
-            words = np.frombuffer(
-                padded, dtype=">u8", count=len(padded) >> 3
-            ).tolist()
-            if kind == "dc":
-                _decode_dc_scan_super(
-                    words, tables, scan, coefficients, n_payload_bits
-                )
-            else:
-                _decode_mixed_scan_super(
-                    words, tables, scan, coefficients, n_payload_bits
-                )
+        if kind == "mixed":
+            _decode_mixed_scan_super(
+                _refill_words(payload), tables, scan, coefficients, n_payload_bits
+            )
         else:
-            ac_jobs.append((scan, payload, tables, n_payload_bits))
-    if ac_jobs:
-        _decode_ac_scans_super(ac_jobs, coefficients)
+            walk_jobs.append((scan, payload, tables, n_payload_bits))
+    if walk_jobs:
+        _decode_walked_scans(walk_jobs, coefficients)
+
+
+def _refill_words(payload: bytes) -> list:
+    """``payload + _PAD`` as big-endian 64-bit refill words, for the in-place loops."""
+    padded = payload + _PAD
+    return np.frombuffer(padded, dtype=">u8", count=len(padded) >> 3).tolist()
 
 
 #: Upper bound on the total payload bytes vectorized into one walk batch.
@@ -373,15 +374,17 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
 _WALK_BATCH_BYTES = 1 << 18
 
 
-def _decode_ac_scans_super(jobs, coefficients) -> None:
-    """Decode all AC-only scans of a stream through the batched pipeline.
+def _decode_walked_scans(jobs, coefficients) -> None:
+    """Decode the DC-only and AC-only scans of a stream through the batched pipeline.
 
     ``jobs`` holds ``(scan, payload, tables, n_payload_bits)`` in stream
-    order (at least one).  Scans are grouped into walk batches bounded by
-    ``_WALK_BATCH_BYTES`` and symbol-chased by :func:`_walk_ac_batch`;
-    every scan contributes one raw entry stream, and a single
-    :func:`_finish_ac_scans` call reconstructs all of them — order is
-    preserved so multi-scan error surfacing stays deterministic.
+    order (at least one).  Scans of both kinds are grouped into walk
+    batches bounded by ``_WALK_BATCH_BYTES`` and symbol-chased by
+    :func:`_walk_batch`; every scan contributes one raw entry stream.  The
+    DC scans' streams are sliced off and finished first
+    (:func:`_finish_dc_scan`), then a single :func:`_finish_ac_scans` call
+    reconstructs every AC scan — order is preserved within each kind so
+    multi-scan error surfacing stays deterministic.
     """
     walked = []
     batch = []
@@ -391,16 +394,63 @@ def _decode_ac_scans_super(jobs, coefficients) -> None:
         # Close the open batch before a scan that cannot join it (a scan
         # over the cap on its own then opens, and is, the next batch).
         if batch and batch_bytes + len(payload) > _WALK_BATCH_BYTES:
-            walked.append(_walk_ac_batch(batch))
+            walked.append(_walk_batch(batch))
             batch = []
             batch_bytes = 0
         batch.append(job)
         batch_bytes += len(payload) + len(_WALK_PAD)
-    walked.append(_walk_ac_batch(batch))
+    walked.append(_walk_batch(batch))
     entry_parts, length_parts = zip(*walked)
-    _finish_ac_scans(
-        jobs, np.concatenate(entry_parts), np.concatenate(length_parts), coefficients
-    )
+    entry_array = entry_parts[0] if len(entry_parts) == 1 else np.concatenate(entry_parts)
+    ac_jobs, ac_parts, ac_lengths = [], [], []
+    base = 0
+    for job, length in zip(jobs, [length for part in length_parts for length in part]):
+        entries = entry_array[base : base + length]
+        base += length
+        if job[0].spectral_end == 0:
+            _finish_dc_scan(job, entries, coefficients)
+        else:
+            ac_jobs.append(job)
+            ac_parts.append(entries)
+            ac_lengths.append(length)
+    if ac_jobs:
+        if len(ac_jobs) < len(jobs):
+            entry_array = np.concatenate(ac_parts)
+        _finish_ac_scans(ac_jobs, entry_array, ac_lengths, coefficients)
+
+
+def _finish_dc_scan(job, entries, coefficients) -> None:
+    """Phase 2 of a walked DC-only scan: its first entries are its diffs.
+
+    One entry per block, in component order; the walk decodes the
+    1-padding as data too, so entries past the last block are ignored.
+    The scan is flagged — and replayed diff by diff by
+    :func:`_replay_dc_scan`, which finishes it or raises the scalar
+    reference's error class — when it has fewer entries than blocks, when
+    the invalid sentinel is among the needed ones (an invalid prefix, or a
+    diff outside +-32767, which a packed entry cannot hold), or when they
+    consume more bits than the payload holds.
+    """
+    scan, payload, tables, n_payload_bits = job
+    planes = coefficients.planes
+    n_blocks = sum(planes[component].shape[0] for component in scan.component_ids)
+    needed = entries[:n_blocks]
+    if (
+        needed.shape[0] < n_blocks
+        or int(needed.min(initial=0)) < 0
+        or int(np.add.reduce(needed & 31, dtype=np.int64)) > n_payload_bits
+    ):
+        _replay_dc_scan(payload, tables, scan, coefficients, n_payload_bits)
+        return
+    diffs = needed >> 12
+    diffs -= SUPER_VALUE_OFFSET
+    start = 0
+    for component in scan.component_ids:
+        plane = planes[component]
+        stop = start + plane.shape[0]
+        # Accumulated in the plane's dtype, which holds every DC value.
+        np.cumsum(diffs[start:stop], out=plane[:, 0])
+        start = stop
 
 
 #: Padding appended per scan inside a walk batch blob.  16 bytes cover the
@@ -418,22 +468,23 @@ _WINDOW_SHIFTS = tuple(range(24 - SUPER_BITS, 16 - SUPER_BITS, -1))
 _WINDOW_MASK = (1 << SUPER_BITS) - 1
 
 
-def _walk_ac_batch(jobs):
-    """Chase a batch of AC-only scans via the precomputed stride walk.
+def _walk_batch(jobs):
+    """Chase a batch of DC-only and AC-only scans via the precomputed stride walk.
 
     An in-place symbol chase spends most of its time on bit-buffer
     bookkeeping: refills, shift/mask window extraction, and per-symbol
-    entry appends.  Symbol boundaries in an AC-only scan are context-free
-    (every entry carries its own bit consumption), so this pipeline
-    vectorizes all of that away and defers block tracking, positions and
-    values to :func:`_finish_ac_scans`.  Phase 0 computes, for *every bit
+    entry appends.  Symbol boundaries in a DC-only or AC-only scan are
+    context-free (every entry carries its own bit consumption), so this
+    pipeline vectorizes all of that away and defers block tracking,
+    positions and values to :func:`_finish_dc_scan` /
+    :func:`_finish_ac_scans`.  Phase 0 computes, for *every bit
     offset* of the batch blob, the ``SUPER_BITS``-bit window starting there
     (one strided shift per bit phase into a uint16 array — the batch's
     largest transient, so its width is paid in page faults) and, per scan,
     gathers each window's walk stride — the total bit length of every
     symbol pair-resolved at that offset — from the scan's own table into
     one bytes object.  Phase 1 is then the leanest possible Python
-    loop (:func:`_walk_ac_one`): index a byte, add it to the cursor — one
+    loop (:func:`_walk_one`): index a byte, add it to the cursor — one
     step per *probe* (two symbols ~85% of the time), with no buffer state
     at all.  Phase 2 reconstructs the actual packed entries by gathering
     the scan's slot tables at the recorded probe offsets and compacting out
@@ -446,8 +497,8 @@ def _walk_ac_batch(jobs):
 
     Returns ``(entries, lengths)``: one ``int32`` array of packed symbols in
     the posdelta format of ``_build_super_tables``, every scan's entries
-    back to back in job order, and each scan's entry count — what
-    :func:`_finish_ac_scans` reads.
+    back to back in job order, and each scan's entry count — what the
+    finishers read.
     """
     blob = b"".join([job[1] + _WALK_PAD for job in jobs])
     blob_bytes = np.frombuffer(blob, dtype=np.uint8).astype(np.int32)
@@ -464,10 +515,10 @@ def _walk_ac_batch(jobs):
     seconds = []
     fallback_entries: list[int] = []
     bit_base = 0
-    for _, payload, tables, n_payload_bits in jobs:
+    for scan, payload, tables, n_payload_bits in jobs:
         slots1, slots2, pairbits, long_codes = tables
         scan_windows = windows[bit_base : bit_base + n_payload_bits + 64]
-        probes = _walk_ac_one(
+        probes = _walk_one(
             np.take(pairbits, scan_windows).tobytes(),
             scan_windows,
             slots1,
@@ -475,6 +526,7 @@ def _walk_ac_batch(jobs):
             blob,
             bit_base >> 3,
             fallback_entries,
+            scan.spectral_end > 0,
         )
         probed = np.take(scan_windows, np.frombuffer(probes, dtype=np.int32))
         firsts.append(np.take(slots1, probed))
@@ -495,7 +547,7 @@ def _walk_ac_batch(jobs):
     return np.take(interleaved, np.flatnonzero(interleaved)), lengths
 
 
-def _walk_ac_one(
+def _walk_one(
     strides: bytes,
     windows,
     slots1,
@@ -503,6 +555,7 @@ def _walk_ac_one(
     blob: bytes,
     byte_base: int,
     fallback_entries: list,
+    ac: bool,
 ) -> array:
     """Phase-1 stride walk over one scan: record probe bit offsets.
 
@@ -520,6 +573,13 @@ def _walk_ac_one(
     plus 64 bits of padding.  It cannot classify errors (it does not know
     where blocks end): the epilogue ignores entries beyond the last
     block's end and classifies what is missing or invalid.
+
+    ``ac`` names the table's flavour, which only an escape reads: an AC
+    entry advances the in-band position, a DC diff (``ac`` false) never
+    does and always carries a value, ``SUPER_VALUE_OFFSET`` for a zero
+    diff.  A DC diff outside +-32767 (category 16 and up) does not fit a
+    packed entry: the walk records the ``-1`` sentinel and stops, and the
+    DC finisher replays the scan.
     """
     masks = _MASKS
     halves = _HALVES
@@ -543,24 +603,24 @@ def _walk_ac_one(
                 entry = int(slots1[windows[cursor]])
                 if entry == -1:
                     entry = long_code_entry(
-                        long_codes, (wide >> (32 - phase)) & 0xFFFF, True
+                        long_codes, (wide >> (32 - phase)) & 0xFFFF, ac
                     )
-                if entry == 0:
-                    escape(-1)
-                    break
                 entry = -entry
                 consume = entry & 0xFFF
-                run = entry >> 20
                 category = (entry >> 12) & 0xFF
+                if not entry or category > 15:  # invalid, or a DC diff too wide
+                    escape(-1)
+                    break
                 if category:
                     mask = masks[category]
                     bits = (wide >> (48 - phase - consume)) & mask
                     value = bits if bits >= halves[category] else bits - mask
-                    escape(
-                        (consume | ((run + 1) << 5)) | ((value + offset) << 12)
-                    )
-                else:  # an EOB or ZRL whose code is longer than the window
-                    escape(consume | (run << 5))
+                    posdelta = (entry >> 20) + 1 if ac else 0
+                    escape(consume | (posdelta << 5) | ((value + offset) << 12))
+                elif ac:  # an EOB or ZRL whose code is longer than the window
+                    escape(consume | ((entry >> 20) << 5))
+                else:  # a zero DC diff whose code + magnitude exceed the window
+                    escape(consume | (offset << 12))
                 cursor += consume
     except IndexError:
         pass
@@ -572,9 +632,9 @@ def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:
 
     ``entry_array`` is the packed posdelta stream of every AC-only scan of
     ``jobs`` back to back, ``lengths`` each scan's entry count (both from
-    :func:`_walk_ac_batch`).  A scan's entries run past the symbols it
-    needs — the walk decodes the 1-padding as data — so the first job is to
-    find where each block, component and scan ends.  All of it is vector
+    :func:`_walk_batch`, with the DC scans' cut out).  A scan's entries run
+    past the symbols it needs — the walk decodes the 1-padding as data — so
+    the first job is to find where each block, component and scan ends.  All of it is vector
     passes over the whole stream's entries (amortizing NumPy fixed costs
     across its ~9 AC scans), with no per-block work in Python:
 
@@ -710,15 +770,25 @@ def _escape_dc(
     return diff, word_index, bitbuf, bitcnt
 
 
-def _decode_dc_scan_super(
-    words: list, tables, scan, coefficients, n_payload_bits: int
+def _replay_dc_scan(
+    payload: bytes, tables, scan, coefficients, n_payload_bits: int
 ) -> None:
-    """DC-only scan: in-place pair-probe loop, up to two diffs per probe."""
-    sup, long_codes = tables
+    """Decode one flagged DC-only scan diff by diff, in place (cold path).
+
+    :func:`_finish_dc_scan` only establishes *that* the walked entries
+    cannot stand for the scan; this bit-buffer loop reads the scan as the
+    scalar decoder would, one pair probe of the walk tables at a time, and
+    either finishes it (a diff outside +-32767 is valid, up to the
+    format's +-2**30) or raises the reference's error class for its first
+    defect.
+    """
+    slots1, slots2, _, long_codes = tables
+    firsts, seconds = slots1.tolist(), slots2.tolist()
+    words = _refill_words(payload)
     masks = _MASKS
     offset = SUPER_VALUE_OFFSET
-    shift = _SUPER_SHIFT
-    window_mask = _SUPER_MASK
+    shift = SUPER_BITS
+    window_mask = _WINDOW_MASK
     word_index = 0
     bitbuf = 0
     bitcnt = 0
@@ -733,13 +803,13 @@ def _decode_dc_scan_super(
                     bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
                     word_index += 1
                     bitcnt += 64
-                w2 = (bitbuf >> (bitcnt - shift)) & window_mask
-                entry = sup[w2]
+                window = (bitbuf >> (bitcnt - shift)) & window_mask
+                entry = firsts[window]
                 if entry > 0:
                     bitcnt -= entry & 31
                     append_diff((entry >> 12) - offset)
                     remaining -= 1
-                    second = sup[w2 | 1]
+                    second = seconds[window]
                     if second and remaining:
                         bitcnt -= second & 31
                         append_diff((second >> 12) - offset)

@@ -164,8 +164,8 @@ def _cache_budget_bytes() -> int:
 #: ``(kind, serialized table bytes)`` -> ``(decode tables, bytes_consumed)``:
 #: the one table cache (see :meth:`HuffmanTable.cached_from_bytes`).  The
 #: budget is in real bytes — an entry is charged its key and the arrays it
-#: holds, 72 KiB for an AC scan's and 64 KiB for a DC scan's — so the
-#: default holds about 3 600 tables, 360 ten-scan images.
+#: holds, 72 KiB for a DC-only or AC-only scan's — so the default holds
+#: about 3 600 tables, 360 ten-scan images.
 _TABLE_CACHE = _LRUByteCache("codec.table_cache", _cache_budget_bytes())
 
 
@@ -320,26 +320,27 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
 
     Returns a tuple of arrays, by ``kind``:
 
-    * ``"dc"`` — ``(dc_pair, long_codes)``
-    * ``"ac"`` — ``(slots1, slots2, pairbits, long_codes)``
+    * ``"dc"`` — ``(slots1, slots2, pairbits, long_codes)``, DC flavour
+    * ``"ac"`` — ``(slots1, slots2, pairbits, long_codes)``, AC flavour
     * ``"mixed"`` — ``(ac_pair, dc_pair, long_codes)``
 
-    ``ac_pair`` / ``dc_pair`` are *interleaved* ``array('i')`` tables of
-    ``2 << SUPER_BITS`` entries, one per flavour.  For a window ``w`` of the
-    next ``SUPER_BITS`` stream bits (MSB-first), slot ``2 * w`` fully
-    decodes the first symbol in the window and slot ``2 * w + 1`` the
-    symbol that follows it — nonzero only when that second symbol's code +
-    magnitude also fit in the window.  One index computation (the decode
-    loops probe ``pair[w2]`` then ``pair[w2 | 1]`` with ``w2 = 2 * w``)
-    resolves up to two complete symbols, and interleaving keeps both slots
-    on one cache line.
+    ``slots1`` / ``slots2`` / ``pairbits`` are what the batched stride walk
+    in ``fastpath`` reads, for both context-free kinds of scan (a DC diff,
+    like an AC entry, carries its own bit consumption): two ``numpy.int32``
+    arrays of ``1 << SUPER_BITS`` entries holding, for a window ``w`` of the
+    next ``SUPER_BITS`` stream bits (MSB-first), the first symbol the window
+    fully decodes and the symbol that follows it — nonzero only when that
+    second symbol's code + magnitude also fit in the window — and a
+    ``numpy.uint8`` array whose entry is the *total* bit consumption of
+    every symbol that fully fits in the window — the stride of one walk
+    step — and 0 where the walk must escape (first slot <= 0).
 
-    ``slots1`` / ``slots2`` / ``pairbits`` are the same AC-flavour entries
-    de-interleaved for the batched walk in ``fastpath``: two ``numpy.int32``
-    arrays of ``1 << SUPER_BITS`` entries holding the first and second slot
-    per window, and a ``numpy.uint8`` array whose entry is the *total* bit
-    consumption of every symbol that fully fits in the window — the stride
-    of one walk step — and 0 where the walk must escape (first slot <= 0).
+    ``ac_pair`` / ``dc_pair`` are the same entries *interleaved* into
+    ``array('i')`` tables of ``2 << SUPER_BITS`` entries, one per flavour,
+    for the mixed scan's in-place loop: slot ``2 * w`` is the first symbol
+    and slot ``2 * w + 1`` the second, so one index computation (``pair[w2]``
+    then ``pair[w2 | 1]`` with ``w2 = 2 * w``) resolves up to two complete
+    symbols, and interleaving keeps both slots on one cache line.
 
     ``long_codes`` is an ``array('i')`` of the code's few (usually no)
     codes longer than ``SUPER_BITS``, packed for :func:`long_code_entry`.
@@ -379,10 +380,10 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     decode loops runs on CPython compact (single-digit) ints — packing
     both symbols into one wide entry was measurably *slower* because all
     field extractions became multi-digit big-int arithmetic.  Storage is
-    ``array('i')`` (4 bytes/slot): denser than a list of int objects
-    (~512 KiB instead of ~4.6 MiB per pair table, which also keeps the
-    probe's working set cache-resident) and faster to build (one memcpy
-    from the NumPy int32 buffer instead of 131072 ``PyLong`` boxes).
+    4 bytes/slot (the pair tables are ``array('i')``): denser than a list
+    of int objects (~512 KiB instead of ~4.6 MiB per pair table, which also
+    keeps the probe's working set cache-resident) and faster to build (one
+    memcpy from the NumPy int32 buffer instead of 131072 ``PyLong`` boxes).
 
     Only the flavour(s) the kind's loop indexes are built: every scan of
     every image brings its own table, so a structure no scan of that kind
@@ -399,7 +400,7 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     )
     size = 1 << SUPER_BITS
     slots = [_window_slots(encode_map, ac) for ac in SCAN_KINDS[kind]]
-    if kind == "ac":
+    if kind != "mixed":
         # One 72 KiB block per bundle, not three arrays: interleaved in the
         # malloc heap with the build's 64 KiB temporaries, separate 32 / 32 /
         # 8 KiB arrays cost 31 % more resident memory than the cache charges

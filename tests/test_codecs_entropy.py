@@ -459,18 +459,25 @@ class TestSuperscalarTables:
         assert len(ac_pair) == 2 << SUPER_BITS
         assert len(dc_pair) == 2 << SUPER_BITS
         assert len(long_codes) == 0
-        slots1, slots2, pairbits, _ = _build_super_tables(encode_map, "ac")
-        assert len(slots1) == len(slots2) == len(pairbits) == 1 << SUPER_BITS
-        assert slots1.dtype == np.int32
-        assert slots2.dtype == np.int32
-        assert pairbits.dtype == np.uint8
-        # The walk slots are the de-interleaved AC pair table, and a DC-only
-        # scan's one table is the mixed scan's DC flavour.
-        interleaved = np.frombuffer(bytes(ac_pair), dtype=np.int32)
-        assert np.array_equal(slots1, interleaved[0::2])
-        assert np.array_equal(slots2, interleaved[1::2])
-        only_dc, _ = _build_super_tables(encode_map, "dc")
-        assert only_dc == dc_pair
+        # A DC-only and an AC-only scan both walk: the same three arrays, in
+        # one 72 KiB block, de-interleaved from the mixed scan's pair table
+        # of their flavour.
+        for kind, pair in (("ac", ac_pair), ("dc", dc_pair)):
+            slots1, slots2, pairbits, long_codes = _build_super_tables(encode_map, kind)
+            assert len(slots1) == len(slots2) == len(pairbits) == 1 << SUPER_BITS
+            assert slots1.dtype == np.int32
+            assert slots2.dtype == np.int32
+            assert pairbits.dtype == np.uint8
+            assert slots1.base is slots2.base is pairbits.base
+            assert slots1.base.nbytes == 9 << SUPER_BITS
+            assert len(long_codes) == 0
+            interleaved = np.frombuffer(bytes(pair), dtype=np.int32)
+            assert np.array_equal(slots1, interleaved[0::2])
+            assert np.array_equal(slots2, interleaved[1::2])
+            valid = slots1 > 0
+            expected = (slots1 & 31) + np.where(slots2 != 0, slots2 & 31, 0)
+            assert np.array_equal(pairbits[valid], expected[valid].astype(np.uint8))
+            assert not pairbits[~valid].any()
 
     def test_pairbits_is_sum_of_fitting_consumes(self):
         import numpy as np
@@ -613,7 +620,7 @@ class TestHuffmanTableCaches:
         dc_entry = _TABLE_CACHE._entries[("dc", table_bytes)]
         ac_entry = _TABLE_CACHE._entries[("ac", table_bytes)]
         # Each is charged at the miss, exactly its key and its own arrays.
-        assert dc_entry[1] == len(table_bytes) + (8 << SUPER_BITS)
+        assert dc_entry[1] == len(table_bytes) + (9 << SUPER_BITS)
         assert ac_entry[1] == len(table_bytes) + (9 << SUPER_BITS)
         assert _TABLE_CACHE.resident_bytes == bytes_before + dc_entry[1] + ac_entry[1]
         # A second decode is two hits and builds nothing.
@@ -652,10 +659,13 @@ class TestHuffmanTableCaches:
         assert consumed == consumed2 == len(payload)
         assert hits.value == hits_before + 1
         assert misses.value == misses_before + 1
-        # Another kind of scan is another entry: a miss, and other arrays.
+        # Another kind of scan is another entry: a miss, and other arrays —
+        # the same layout in the other flavour (a DC diff never advances).
         other, _ = HuffmanTable.cached_from_bytes(payload, "dc")
         assert misses.value == misses_before + 2
-        assert len(other) == 2 and len(first) == 4
+        assert len(other) == len(first) == 4
+        dc_symbols, ac_symbols = other[0][other[0] > 0], first[0][first[0] > 0]
+        assert not ((dc_symbols >> 5) & 0x7F).any() and ((ac_symbols >> 5) & 0x7F).any()
 
     @staticmethod
     def _noise_streams(seed: int, count: int, size: int = 24) -> list:
@@ -691,12 +701,10 @@ class TestHuffmanTableCaches:
             array_bytes = sum(len(table) * table.itemsize for table in tables)
             assert charge == len(serialized) + array_bytes
             n_long = len(tables[-1])
-            if kind == "ac":  # no DC array, no interleaved table
-                assert [len(table) for table in tables[:-1]] == [1 << SUPER_BITS] * 3
-                assert array_bytes == (9 << SUPER_BITS) + 4 * n_long
-            else:  # no AC array
-                assert [len(table) for table in tables[:-1]] == [2 << SUPER_BITS]
-                assert array_bytes == (8 << SUPER_BITS) + 4 * n_long
+            # Either kind: the walk's three arrays of its own flavour, no
+            # interleaved table.
+            assert [len(table) for table in tables[:-1]] == [1 << SUPER_BITS] * 3
+            assert array_bytes == (9 << SUPER_BITS) + 4 * n_long
         assert cache.resident_bytes == _held_bytes(cache)
 
     def test_concurrent_misses_leave_an_exact_charge(self):
@@ -774,12 +782,12 @@ class TestHuffmanTableCaches:
         evictions = registry.counter("codec.table_cache.evictions_total")
 
         def watch_held() -> list:
-            # The numpy walk arrays of every AC entry (array('i') takes no
-            # weak references; an AC bundle is nine tenths of the entries).
+            # The numpy walk arrays of every entry: DC-only and AC-only
+            # scans both hold one (array('i') takes no weak references).
             return [
                 weakref.ref(tables[0])
                 for (kind, _), ((tables, _), _) in _TABLE_CACHE._entries.items()
-                if kind == "ac"
+                if kind != "mixed"
             ]
 
         misses_before, evictions_before = misses.value, evictions.value

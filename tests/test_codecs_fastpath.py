@@ -40,13 +40,15 @@ from repro.codecs.markers import (
 from repro.codecs.progressive import (
     ProgressiveCodec,
     ScanScript,
+    assemble_partial_stream,
     decode_coefficients,
     empty_coefficients,
     encode_coefficients,
     image_to_coefficients,
     parse_frame_header,
+    split_scans,
 )
-from repro.codecs.markers import FrameHeader, ScanHeader
+from repro.codecs.markers import FrameHeader, ScanHeader, write_scan_segment
 from repro.codecs.quantization import QuantizationTables
 from repro.codecs.rle import symbol_stream
 from tests.codec_reference import (
@@ -115,6 +117,20 @@ def _assert_stream_parity(scalar_stream: bytes, fast_stream: bytes) -> None:
         mismatched += int((delta > 0).sum())
         total += delta.size
     assert mismatched <= max(3, int(total * MAX_MISMATCH_RATE))
+
+
+@pytest.fixture()
+def dc_replays(monkeypatch):
+    """Spy on the cold DC replay: one list entry per ``_replay_dc_scan`` call."""
+    calls = []
+    replay = fastpath._replay_dc_scan
+
+    def spy(payload, tables, scan, coefficients, n_payload_bits):
+        calls.append(scan)
+        return replay(payload, tables, scan, coefficients, n_payload_bits)
+
+    monkeypatch.setattr(fastpath, "_replay_dc_scan", spy)
+    return calls
 
 
 def _assert_decodes_match(stream: bytes, n_scans: int) -> None:
@@ -353,7 +369,7 @@ class TestMagnitudeLimits:
             encode_coefficients_reference(coefficients, script)
 
     @pytest.mark.parametrize("layout", sorted(_SCRIPTS))
-    def test_dc_up_to_two_to_the_thirty_round_trips(self, layout):
+    def test_dc_up_to_two_to_the_thirty_round_trips(self, layout, dc_replays):
         coefficients = self._coefficients(SUBSAMPLING_NONE)
         for plane in coefficients.planes:
             plane[:, 0] = np.resize([1 << 30, -(1 << 30), 0, -(1 << 30)], plane.shape[0])
@@ -363,6 +379,9 @@ class TestMagnitudeLimits:
         decoded, _ = decode_coefficients(stream)
         for original, plane in zip(coefficients.planes, decoded.planes):
             assert np.array_equal(original, plane)
+        # Diffs outside +-32767 do not fit a packed entry: the progressive
+        # DC scan is finished by the cold replay; a mixed scan has no walk.
+        assert len(dc_replays) == (1 if layout == "progressive" else 0)
 
 
 class TestPropertyRoundTrip:
@@ -686,6 +705,115 @@ class TestInvalidStreamFuzz:
         assert len({line for _, line, _ in overflow_calls}) == 3
 
 
+class TestDcOnlyPrefixFuzz:
+    """Group-1 prefixes under fuzz: the walked DC decode against the scalar tier.
+
+    A group-1 read is the frame header, the DC scan and EOI, assembled as
+    the PCR reader does (``assemble_partial_stream``).  Truncated or
+    bit-flipped, it must give the scalar reference's coefficients or error
+    class; every error comes out of the cold replay (``_replay_dc_scan``),
+    and a valid prefix never reaches it.
+    """
+
+    @staticmethod
+    def _sources() -> list[bytes]:
+        return [
+            ProgressiveCodec(quality=90).encode(make_structured_image(64, seed=3)),
+            ProgressiveCodec(quality=50).encode(make_structured_image(40, seed=4, color=False)),
+            ProgressiveCodec(quality=95).encode(_random_image(5, 33, color=True)),
+            ProgressiveCodec(quality=90, subsampling=SUBSAMPLING_NONE).encode(
+                _random_image(6, 48, color=True)
+            ),
+        ]
+
+    @staticmethod
+    def _group1(stream: bytes):
+        """The stream's group-1 prefix, its DC scan header, and that scan's body."""
+        from repro.codecs.huffman import MAX_CODE_LENGTH
+
+        prefix, scans = split_scans(stream)
+        segment = find_scan_segments(stream)[0]
+        assert segment.header.spectral_end == 0
+        body = stream[segment.payload_start : segment.end]
+        table_bytes = 2 + MAX_CODE_LENGTH + int.from_bytes(body[:2], "little")
+        return assemble_partial_stream(prefix, scans[:1]), segment.header, body, table_bytes
+
+    @staticmethod
+    def _rebuilt(stream: bytes, header, body: bytes) -> bytes:
+        prefix, _ = split_scans(stream)
+        return assemble_partial_stream(prefix, [write_scan_segment(header, body)])
+
+    @staticmethod
+    def _outcomes(stream: bytes) -> list[str]:
+        """Each tier's outcome class; where both decode, identical planes."""
+        outcomes, decoded = [], []
+        for _, decode in _TIERS:
+            try:
+                coefficients, _ = decode(stream)
+                outcomes.append("ok")
+                decoded.append(coefficients.planes)
+            except (EOFError, ValueError) as error:
+                outcomes.append(type(error).__name__)
+        if len(decoded) == 2:
+            for scalar_plane, fast_plane in zip(*decoded):
+                assert np.array_equal(scalar_plane, fast_plane)
+        return outcomes
+
+    def test_valid_prefixes_never_reach_the_cold_replay(self, dc_replays):
+        for stream in self._sources():
+            group1, *_ = self._group1(stream)
+            assert self._outcomes(group1) == ["ok", "ok"]
+            _assert_decodes_match(stream, 1)
+        assert dc_replays == []
+
+    def test_a_frame_without_blocks_decodes_like_the_reference(self, dc_replays):
+        """A 0 x 0 frame: the DC scan has no diffs to take."""
+        from repro.codecs.markers import EOI, SOI
+
+        stream = self._sources()[0]
+        _, header, body, _ = self._group1(stream)
+        frame = FrameHeader(
+            height=0,
+            width=0,
+            n_components=3,
+            subsampling=SUBSAMPLING_420,
+            quant_tables=QuantizationTables.for_quality(90),
+        )
+        empty = SOI + frame.to_bytes() + write_scan_segment(header, body) + EOI
+        assert self._outcomes(empty) == ["ok", "ok"]
+        assert dc_replays == []
+
+    def test_truncated_prefixes_same_error_class(self, dc_replays):
+        for stream in self._sources():
+            _, header, body, table_bytes = self._group1(stream)
+            cuts = range(table_bytes + 1, len(body), max(1, (len(body) - table_bytes) // 12))
+            for cut in [*cuts, len(body) - 1]:
+                replays_before = len(dc_replays)
+                outcomes = self._outcomes(self._rebuilt(stream, header, body[:cut]))
+                assert outcomes[0] != "ok" and outcomes[0] == outcomes[1], (cut, outcomes)
+                assert len(dc_replays) == replays_before + 1
+
+    def test_bit_flips_same_error_class(self, dc_replays):
+        rng = np.random.default_rng(37)
+        defective = 0
+        for stream in self._sources():
+            _, header, body, table_bytes = self._group1(stream)
+            for _ in range(50):
+                position = int(rng.integers(table_bytes, len(body)))
+                flipped = bytes([body[position] ^ (1 << int(rng.integers(0, 8)))])
+                mutated = body[:position] + flipped + body[position + 1 :]
+                replays_before = len(dc_replays)
+                outcomes = self._outcomes(self._rebuilt(stream, header, mutated))
+                assert outcomes[0] == outcomes[1], (position, outcomes)
+                if outcomes[1] != "ok":
+                    defective += 1
+                    assert len(dc_replays) == replays_before + 1
+        # An encoder's code is complete, so most flips only change diffs;
+        # a few desynchronise the scan into over-reading its payload (5 of
+        # these 200; truncation above reaches that path every time).
+        assert defective >= 4
+
+
 class TestBlockSegmentation:
     """The vector block segmentation of ``_finish_ac_scans``, shape by shape.
 
@@ -891,7 +1019,7 @@ class TestBlockSegmentation:
             scans.append(ScanHeader(tuple(int(c) for c in components), int(start), int(stop) - 1))
         self._assert_round_trip(coefficients, scans)
 
-    def test_valid_streams_never_reach_the_cold_replay(self, replays):
+    def test_valid_streams_never_reach_the_cold_replay(self, replays, dc_replays):
         streams = [
             ProgressiveCodec(quality=90).encode(make_structured_image(64, seed=3)),
             ProgressiveCodec(quality=50).encode(make_structured_image(40, seed=4, color=False)),
@@ -900,7 +1028,7 @@ class TestBlockSegmentation:
         ]
         for stream in streams:
             _assert_decodes_match(stream, len(find_scan_segments(stream)))
-        assert replays == []
+        assert replays == [] and dc_replays == []
 
 
 class TestWindowEscapes:
@@ -990,7 +1118,7 @@ class TestWindowEscapes:
 
     @pytest.mark.parametrize("length", [14, 15, 16])
     @pytest.mark.parametrize("long_category", [0, 11])
-    def test_dc_scan(self, long_lookups, long_category, length):
+    def test_dc_scan(self, long_lookups, dc_replays, long_category, length):
         from repro.codecs.markers import ScanHeader
 
         table = self._table(self._DC_SYMBOLS, long_category, length)
@@ -1006,6 +1134,7 @@ class TestWindowEscapes:
         )
         assert decoded.planes[0][:3, 0].tolist() == [1, 0, 2053]
         assert [entry < -1 for _, entry in long_lookups] == [True, True]
+        assert dc_replays == []  # the walk finished every escape itself
         # A pattern under the long codes' prefix that is none of them.
         del long_lookups[:]
         head = [zero, zero] if long_category else [zero]  # 2 bits either way
@@ -1014,7 +1143,29 @@ class TestWindowEscapes:
         assert len(crossing) - len(table.to_bytes()) == 2  # 2 + 16 bits cross the end
         assert _tier_error_classes(self._luma_stream(scan, inside)) == ["ValueError"] * 2
         assert _tier_error_classes(self._luma_stream(scan, crossing)) == ["EOFError"] * 2
-        assert long_lookups == [(1, 0), (1, 0)]
+        # Per stream, the walk finds no match and records the sentinel,
+        # then the cold replay matches the same bits and classifies.
+        assert long_lookups == [(1, 0)] * 4
+        assert dc_replays == [scan, scan]
+
+    def test_dc_scan_long_code_too_wide_for_a_packed_entry(self, long_lookups, dc_replays):
+        """A long-coded DC category 17: resolved in the DC flavour, then replayed.
+
+        Read as a run/size byte, 0x11 would be a one-bit coefficient; the
+        walk must read it as a category and flag the diff, which no packed
+        entry holds, for the replay.
+        """
+        from repro.codecs.markers import ScanHeader
+
+        table = self._table(self._DC_SYMBOLS, 17, 14)
+        diffs = [(1, 1, 1), (17, 0x400, 17)] + [(0, 0, 0)] * 14
+        scan = ScanHeader((0,), 0, 0)
+        decoded = TestBlockSegmentation._decode_both(
+            self._luma_stream(scan, self._body(table, diffs))
+        )
+        assert decoded.planes[0][:3, 0].tolist() == [1, -130046, -130046]  # +1, then 0x400 - 0x1FFFF
+        assert dc_replays == [scan]
+        assert long_lookups and all(entry < -1 for _, entry in long_lookups)
 
     @pytest.mark.parametrize("length", [14, 15, 16])
     @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])
@@ -1075,29 +1226,25 @@ class TestWindowEscapes:
         assert long_lookups == [(1, 0), (1, 0)]
 
     def test_real_streams_need_no_long_codes(self, monkeypatch, long_lookups):
-        """Every escape of real streams takes the negated-entry route.
+        """Escapes of streams whose codes fit the window take the negated-entry route.
 
         The long-code helper is for tables that have a code longer than
         the window; a stream without one must never reach it, however many
-        oversized magnitudes it holds.
+        oversized magnitudes it holds (DC diffs and AC coefficients alike,
+        both walked).
         """
         from repro.codecs.huffman import SUPER_BITS, HuffmanTable
 
         escapes = []
-        walk, escape_dc = fastpath._walk_ac_one, fastpath._escape_dc
+        walk = fastpath._walk_one
 
-        def spy_walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries):
+        def spy_walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries, ac):
             before = len(fallback_entries)
-            probes = walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries)
+            probes = walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries, ac)
             escapes.extend(entry > 0 for entry in fallback_entries[before:])
             return probes
 
-        def spy_dc(entry, *state):
-            escapes.append(entry < -1)
-            return escape_dc(entry, *state)
-
-        monkeypatch.setattr(fastpath, "_walk_ac_one", spy_walk)
-        monkeypatch.setattr(fastpath, "_escape_dc", spy_dc)
+        monkeypatch.setattr(fastpath, "_walk_one", spy_walk)
         streams = [
             ProgressiveCodec(quality=95).encode(_random_image(seed, 96, color=True))
             for seed in (7, 8)
@@ -1111,6 +1258,31 @@ class TestWindowEscapes:
         assert len(escapes) >= 20  # oversized magnitudes are routine at q95
         assert all(escapes)  # each one finished its symbol from its own window
         assert longest <= SUPER_BITS and long_lookups == []
+
+    def test_an_encoder_made_long_code_takes_the_long_code_route(self, long_lookups):
+        """A code longer than the window in a table the encoder built.
+
+        Not only crafted tables have them: about 4 % of the e2e corpus's
+        tables (224 px, quality 90) carry a 14- or 15-bit code.  Its first
+        image is one, in the luma band 10..35 scan.
+        """
+        from repro.codecs.huffman import SUPER_BITS, HuffmanTable
+        from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
+
+        generator = SyntheticImageGenerator(4, SyntheticImageSpec(image_size=224), seed=11)
+        ((_, image, _),) = generator.generate_batch(1, seed=11)
+        stream = ProgressiveCodec(quality=90).encode(image)
+        longest = [
+            max(HuffmanTable.from_bytes(stream[segment.payload_start : segment.end])[0].code_lengths.values())
+            for segment in find_scan_segments(stream)
+        ]
+        assert max(longest) > SUPER_BITS
+        scalar, _ = decode_coefficients_reference(stream)
+        fast, _ = decode_coefficients(stream)
+        for scalar_plane, fast_plane in zip(scalar.planes, fast.planes):
+            assert np.array_equal(scalar_plane, fast_plane)
+        assert long_lookups
+        assert all(n_long >= 1 and entry < -1 for n_long, entry in long_lookups)
 
 
 class TestOversizedScansWalkAlone(TestStreamEquivalence, TestInvalidStreamFuzz):
@@ -1126,21 +1298,25 @@ class TestOversizedScansWalkAlone(TestStreamEquivalence, TestInvalidStreamFuzz):
     def walks(self, monkeypatch):
         """Patch the cap; yields the payload sizes of every batch walked."""
         batches = []
-        walk = fastpath._walk_ac_batch
+        walk = fastpath._walk_batch
 
         def spy(jobs):
             batches.append([len(job[1]) for job in jobs])
             return walk(jobs)
 
         monkeypatch.setattr(fastpath, "_WALK_BATCH_BYTES", 64)
-        monkeypatch.setattr(fastpath, "_walk_ac_batch", spy)
+        monkeypatch.setattr(fastpath, "_walk_batch", spy)
         return batches
 
     def test_a_scan_over_the_cap_is_a_batch_of_its_own(self, walks):
         stream, segments = self._stream_and_segments()
         decode_coefficients(stream)
-        ac_scans = sum(segment.header.spectral_start >= 1 for segment in segments)
-        assert sum(len(sizes) for sizes in walks) == ac_scans
+        # Every scan of a progressive stream is DC-only or AC-only: walked.
+        assert all(
+            segment.header.spectral_start >= 1 or segment.header.spectral_end == 0
+            for segment in segments
+        )
+        assert sum(len(sizes) for sizes in walks) == len(segments)
         oversized = [sizes for sizes in walks if max(sizes) > 64]
         assert len(oversized) >= 3
         assert all(len(sizes) == 1 for sizes in oversized)
