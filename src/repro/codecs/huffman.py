@@ -140,6 +140,14 @@ class _LRUByteCache:
 
     @property
     def resident_bytes(self) -> int:
+        """The bytes charged against ``max_bytes`` now, read off the cache itself.
+
+        API, not a test hook: the ``<metrics>.bytes`` gauge is only set on
+        a ``put`` and reads 0 after any registry reset (a forked pool
+        worker's registry is reset while its inherited cache still holds
+        every table), so this is the reading of the charge that a reset
+        cannot stale.
+        """
         return self._bytes
 
     def __len__(self) -> int:

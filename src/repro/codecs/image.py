@@ -1,18 +1,14 @@
 """Image container used throughout the codec and the PCR pipeline.
 
 The library does not depend on PIL, so images are plain ``uint8`` numpy
-arrays wrapped in a tiny container that carries shape metadata and provides
-the couple of raw-format serialization helpers the examples use.
+arrays wrapped in a tiny container that carries shape metadata.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-_RAW_MAGIC = b"RIMG"
 
 
 @dataclass(frozen=True)
@@ -73,28 +69,6 @@ class ImageBuffer:
         rgb = self.as_float()
         luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
         return ImageBuffer(np.clip(np.round(luma), 0, 255).astype(np.uint8))
-
-    def to_raw_bytes(self) -> bytes:
-        """Serialize to a simple uncompressed raw format (header + pixels)."""
-        header = _RAW_MAGIC + struct.pack(
-            "<HHB", self.height, self.width, self.channels
-        )
-        return header + self.pixels.tobytes()
-
-    @classmethod
-    def from_raw_bytes(cls, data: bytes) -> "ImageBuffer":
-        """Deserialize an image produced by :meth:`to_raw_bytes`."""
-        if data[:4] != _RAW_MAGIC:
-            raise ValueError("not a raw image buffer (bad magic)")
-        height, width, channels = struct.unpack("<HHB", data[4:9])
-        body = np.frombuffer(data[9:], dtype=np.uint8)
-        expected = height * width * channels
-        if body.size != expected:
-            raise ValueError(
-                f"raw image payload has {body.size} bytes, expected {expected}"
-            )
-        shape = (height, width) if channels == 1 else (height, width, channels)
-        return cls(body.reshape(shape).copy())
 
     @classmethod
     def from_array(cls, array: np.ndarray) -> "ImageBuffer":

@@ -28,6 +28,16 @@ coefficient planes:
   into one reused full-resolution buffer with three strided copies, then
   added to luma into the ``(H, W, 3)`` output.  One in-place clip and one
   uint8 cast (truncation, which after the +0.5 offset rounds) finish it.
+* **DC-only sets at block resolution.**  When the entropy decoder applied
+  no scan with an AC band (scan group 1: the DC scan alone), every block
+  is one constant, so :func:`block_pixels` skips the gemm, merge, upsample
+  and full-size colour pass: each block's value is its DC times
+  ``basis[0, 0]`` (exactly what the gemm computes), the same colour stage
+  runs once per block on the block grid, and the uint8 grid is expanded to
+  full size with one row repeat and one broadcast copy.  Pixels are
+  bitwise equal to the gemm route's.
+  :func:`~repro.codecs.progressive.decode_coefficients` picks the route
+  from the scan headers and marks it on the planes.
 
 A :class:`PixelScratch` carries the intermediate buffers; each thread owns
 one (:func:`_thread_scratch`), so consecutive decodes reuse them whether
@@ -56,17 +66,19 @@ runs this module.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 
 from repro.codecs.blocks import BLOCK_SIZE, block_grid_shape, merge_blocks_into
 from repro.codecs.color import _CB_TO_B, _CB_TO_G, _CR_TO_G, _CR_TO_R
 from repro.codecs.dct import dct_basis_matrix
-from repro.codecs.markers import SUBSAMPLING_420
+from repro.codecs.markers import SUBSAMPLING_420, SUBSAMPLING_NONE
 from repro.codecs.zigzag import N_COEFFICIENTS, ZIGZAG_ORDER
 
 __all__ = [
     "PixelScratch",
+    "block_pixels",
     "channels_to_pixels",
     "component_channels",
     "decode_to_pixels",
@@ -256,16 +268,57 @@ def channels_to_pixels(header, channels: list[np.ndarray], scratch: PixelScratch
     return _finalize_uint8(rgb)
 
 
+def block_pixels(coefficients, scratch: PixelScratch) -> np.ndarray:
+    """Reconstruct a DC-only coefficient set at block resolution.
+
+    Every block of such a set is one constant, the value the gemm yields
+    for it: ``(dc + 128.5 / b) * b`` for luma and ``dc * b`` for chroma,
+    with ``b = basis[0, 0]`` (row 0 of the scaled basis is constant and the
+    other 63 products are exact zeros).  :func:`channels_to_pixels` then
+    runs on the ``(nv, nh)`` block grid, 4:2:0 chroma repeated 2x2 there,
+    and the uint8 grid is expanded to full size with one row repeat and one
+    broadcast copy.  Pixels are bitwise equal to the gemm route's.
+    """
+    header = coefficients.header
+    tables = header.quant_tables
+    grids = []
+    for index, plane in enumerate(coefficients.planes):
+        nv, nh = block_grid_shape(*header.component_shape(index))
+        scale = scaled_inverse_basis(tables.table_for_component(index))[0, 0]
+        dc = plane[:, 0].astype(np.float32)
+        if index == 0:
+            dc += np.float32(128.5 / scale)
+        dc *= scale
+        grids.append(dc.reshape(nv, nh))
+    nv, nh = grids[0].shape
+    if header.subsampling == SUBSAMPLING_420:  # luma block (i, j) reads chroma block (i//2, j//2)
+        grids[1:] = [grid.repeat(2, axis=0).repeat(2, axis=1)[:nv, :nh] for grid in grids[1:]]
+    grid_header = replace(header, height=nv, width=nh, subsampling=SUBSAMPLING_NONE)
+    small = channels_to_pixels(grid_header, grids, scratch)
+
+    height, width = header.height, header.width
+    rows = small.repeat(BLOCK_SIZE, axis=1)[:, :width]
+    pixels = np.empty((height, width) + small.shape[2:], dtype=np.uint8)
+    full = height // BLOCK_SIZE
+    pixels[: full * BLOCK_SIZE].reshape((full, BLOCK_SIZE) + rows.shape[1:])[...] = rows[:full, None]
+    if full * BLOCK_SIZE < height:  # the partial bottom block row
+        pixels[full * BLOCK_SIZE :] = rows[full]
+    return pixels
+
+
 def decode_to_pixels(coefficients, scratch: PixelScratch | None = None) -> np.ndarray:
     """Reconstruct uint8 pixels from quantized zigzag coefficient planes.
 
     ``coefficients`` is a :class:`~repro.codecs.progressive.CoefficientPlanes`
-    (possibly partial — absent scans are zeros).  With a ``scratch``, every
-    intermediate lives in reused buffers and the only allocation is the
-    returned uint8 array.  Output is ``(H, W)`` for grayscale, ``(H, W, 3)``
-    RGB for colour.
+    (possibly partial — absent scans are zeros).  A set the entropy decoder
+    marked ``dc_only`` takes :func:`block_pixels`; any other runs the gemm
+    route, where with a ``scratch`` every intermediate lives in reused
+    buffers and the only allocation is the returned uint8 array.  Output is
+    ``(H, W)`` for grayscale, ``(H, W, 3)`` RGB for colour.
     """
     if scratch is None:
         scratch = _thread_scratch()
+    if coefficients.dc_only:
+        return block_pixels(coefficients, scratch)
     channels = component_channels(coefficients, scratch)
     return channels_to_pixels(coefficients.header, channels, scratch)

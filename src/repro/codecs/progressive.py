@@ -127,10 +127,17 @@ class ScanScript:
 
 @dataclass
 class CoefficientPlanes:
-    """Quantized zigzag coefficients for every component of one image."""
+    """Quantized zigzag coefficients for every component of one image.
+
+    ``dc_only`` is set by :func:`decode_coefficients` when none of the scans
+    it applied carries an AC band, so every block is one constant and
+    :func:`~repro.codecs.pixelpath.decode_to_pixels` reconstructs the image
+    at block resolution.  Planes built any other way leave it false.
+    """
 
     header: FrameHeader
     planes: list[np.ndarray] = field(default_factory=list)
+    dc_only: bool = False
 
 
 def image_to_coefficients(
@@ -206,7 +213,8 @@ def decode_coefficients(
     The whole segment list is handed over at once
     (:func:`repro.codecs.fastpath.decode_scan_bodies_fast`), letting it
     amortize its vectorized scan-assembly epilogue across every AC scan of
-    the stream.
+    the stream.  The result is marked ``dc_only`` when no applied scan's
+    band reaches past the DC slot, read off the scan headers alone.
     """
     if max_scans is not None and max_scans < 0:
         raise ValueError(f"max_scans must be >= 0, got {max_scans}")
@@ -216,6 +224,7 @@ def decode_coefficients(
     if max_scans is not None:
         segments = segments[:max_scans]
     decode_scan_bodies_fast(data, segments, coefficients)
+    coefficients.dc_only = all(segment.header.spectral_end == 0 for segment in segments)
     return coefficients, len(segments)
 
 

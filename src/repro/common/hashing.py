@@ -85,7 +85,10 @@ class ConsistentHashRing:
         """The first ``count`` *distinct* nodes clockwise of ``key``.
 
         The head of the list is :meth:`node_for`'s answer; the rest is the
-        deterministic failover order a replicated reader walks.
+        deterministic failover order a replicated reader walks.  API of the
+        ring as :mod:`repro.common` exports it (the preference list of
+        successor-replicated placement); ``ShardMap`` lists its replicas per
+        shard and calls only :meth:`node_for`.
         """
         if count < 1:
             raise ValueError("count must be at least 1")

@@ -122,25 +122,10 @@ class ScanGroupPolicy:
         """Total number of per-image scans covered."""
         return sum(len(group) for group in self.groups)
 
-    def group_of_scan(self, scan_index: int) -> int:
-        """Return the 1-based group index containing 1-based ``scan_index``."""
-        for group_index, group in enumerate(self.groups, start=1):
-            if scan_index in group:
-                return group_index
-        raise ScanGroupError(f"scan index {scan_index} not covered by policy")
-
     def scans_in_group(self, group_index: int) -> tuple[int, ...]:
         """Return the scan indices of 1-based ``group_index``."""
         self.validate_group(group_index)
         return self.groups[group_index - 1]
-
-    def scans_up_to_group(self, group_index: int) -> tuple[int, ...]:
-        """All scan indices contained in groups ``1..group_index``."""
-        self.validate_group(group_index)
-        scans: list[int] = []
-        for group in self.groups[:group_index]:
-            scans.extend(group)
-        return tuple(scans)
 
     def validate_group(self, group_index: int) -> None:
         """Raise :class:`ScanGroupError` unless ``1 <= group_index <= n_groups``."""

@@ -155,7 +155,13 @@ class ClusterCoordinator:
         return [m.replica for m in self._replicas.values() if m.running]
 
     def running_servers(self) -> list[PCRRecordServer]:
-        """The in-process servers of the live replicas."""
+        """The in-process servers of the live replicas.
+
+        API for a caller in the coordinator's process that reads replica
+        counters without touching the fleet: :meth:`stats` sweeps it over
+        the wire, and each sweep adds its own ``GET_METRICS`` to the
+        per-op request counts it reports.
+        """
         return [m.server for m in self._replicas.values() if m.running]
 
     # -- supervision -----------------------------------------------------------

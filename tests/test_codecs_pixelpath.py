@@ -7,6 +7,8 @@ where a value lands on a rounding tie; that budget is pinned here across
 every scan group, odd dimensions, grayscale/colour, and both subsampling
 modes.  Batch decoding must be *bitwise identical* to a per-image loop —
 the batch API reuses buffers, never cross-image arithmetic.
+DC-only decodes (scan group 1) take the block-resolution route, which
+must be *bitwise equal* to the gemm route it skips (``TestBlockRoute``).
 
 The satellite fixes ride along: ``ImageBuffer.from_array`` dtype fast
 paths, the cached ``ImageBuffer.__hash__``, and the exact BT.601 inverse
@@ -18,20 +20,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codecs import color
+from repro.codecs import color, pixelpath
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.dct import dct_basis_matrix
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import SUBSAMPLING_420, SUBSAMPLING_NONE
+from repro.codecs.parallel import DecodePool
 from repro.codecs.pixelpath import (
     PixelScratch,
+    channels_to_pixels,
+    component_channels,
     decode_to_pixels,
     scaled_inverse_basis,
 )
 from repro.codecs.progressive import (
     ProgressiveCodec,
+    assemble_partial_stream,
     decode_coefficients,
     decode_progressive_batch,
+    image_to_coefficients,
+    split_scans,
 )
 from repro.codecs.quantization import QuantizationTables
 from tests import codec_reference
@@ -266,6 +274,175 @@ class TestBatchDecode:
 
     def test_empty_batch(self):
         assert decode_progressive_batch([]) == []
+
+
+def _gemm_route(coefficients) -> np.ndarray:
+    """The full-resolution route, called directly: the block route's oracle."""
+    scratch = PixelScratch()
+    channels = component_channels(coefficients, scratch)
+    return channels_to_pixels(coefficients.header, channels, scratch)
+
+
+def _ramp_image(height: int, width: int, seed: int, color_image: bool = True) -> ImageBuffer:
+    """A smooth ramp plus noise at any size, so block means differ."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:height, 0:width]
+    luma = 30 + 200 * (yy + 2 * xx) / max(1, 3 * (height + width)) + rng.normal(0, 12, (height, width))
+    if not color_image:
+        return ImageBuffer.from_array(luma)
+    return ImageBuffer.from_array(np.stack([luma, 255 - luma, 0.5 * luma + 60], axis=-1))
+
+
+def _group_one_stream(stream: bytes) -> bytes:
+    """What a group-1 record read hands the decoder: header, first scan, EOI."""
+    prefix, scans = split_scans(stream)
+    return assemble_partial_stream(prefix, scans[:1])
+
+
+class TestBlockRoute:
+    """DC-only coefficient sets reconstruct at block resolution.
+
+    The block route must be *bitwise* equal to the gemm route (the gemm
+    route is the oracle, called directly), be chosen from the scans the
+    entropy decoder applied — never from plane contents — and hand back a
+    fresh array like the gemm route does.
+    """
+
+    _SIZES = [(21, 40), (40, 21), (17, 9), (33, 48), (8, 8), (1, 1)]
+
+    @staticmethod
+    def _assert_block_route_exact(
+        image: ImageBuffer, subsampling: int, quality: int = 90
+    ) -> np.ndarray:
+        """Check max_scans 0 and 1 against the oracle; returns the group-1 pixels."""
+        stream = ProgressiveCodec(quality=quality, subsampling=subsampling).encode(image)
+        for max_scans in (0, 1):
+            coefficients, _ = decode_coefficients(stream, max_scans=max_scans)
+            assert coefficients.dc_only
+            block, oracle = decode_to_pixels(coefficients), _gemm_route(coefficients)
+            assert block.shape == oracle.shape == image.pixels.shape
+            assert np.array_equal(block, oracle), f"max_scans={max_scans}"
+        return block
+
+    @pytest.mark.parametrize("subsampling", [SUBSAMPLING_420, SUBSAMPLING_NONE])
+    @pytest.mark.parametrize("size", _SIZES)
+    @pytest.mark.parametrize("quality", [10, 90])
+    def test_colour_bitwise_equal(self, size, subsampling, quality):
+        image = _ramp_image(*size, seed=size[0] * 100 + size[1])
+        self._assert_block_route_exact(image, subsampling, quality)
+
+    @pytest.mark.parametrize("size", _SIZES)
+    def test_grayscale_bitwise_equal(self, size):
+        image = _ramp_image(*size, seed=size[0], color_image=False)
+        self._assert_block_route_exact(image, SUBSAMPLING_NONE)
+
+    @pytest.mark.parametrize("subsampling", [SUBSAMPLING_420, SUBSAMPLING_NONE])
+    def test_random_noise_bitwise_equal(self, subsampling):
+        rng = np.random.default_rng(21)
+        image = ImageBuffer.from_array(rng.integers(0, 256, size=(35, 50, 3)).astype(np.uint8))
+        self._assert_block_route_exact(image, subsampling)
+
+    @pytest.mark.parametrize("subsampling", [SUBSAMPLING_420, SUBSAMPLING_NONE])
+    @pytest.mark.parametrize("rgb", _CLIP_EDGE_COLOURS)
+    def test_clip_edge_primaries_bitwise_equal(self, rgb, subsampling):
+        pixels = np.broadcast_to(np.array(rgb, dtype=np.uint8), (21, 27, 3))
+        self._assert_block_route_exact(ImageBuffer.from_array(pixels), subsampling)
+
+    @pytest.mark.parametrize("subsampling", [SUBSAMPLING_420, SUBSAMPLING_NONE])
+    def test_clip_edge_mosaic_bitwise_equal(self, subsampling):
+        """Primaries as 8-px tiles: block values reach past both clip edges."""
+        tiles = np.array(_CLIP_EDGE_COLOURS, dtype=np.uint8)
+        index = np.random.default_rng(3).integers(0, len(tiles), size=(5, 6))
+        pixels = tiles[np.kron(index, np.ones((8, 8), dtype=np.int64))][:37, :46]
+        block = self._assert_block_route_exact(ImageBuffer.from_array(pixels), subsampling)
+        assert block.min() == 0 and block.max() == 255
+
+    @pytest.mark.parametrize("color_image", [True, False])
+    def test_empty_frame(self, color_image):
+        shape = (0, 0, 3) if color_image else (0, 0)
+        self._assert_block_route_exact(
+            ImageBuffer.from_array(np.zeros(shape, dtype=np.uint8)), SUBSAMPLING_420
+        )
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """The routes decode_to_pixels takes, in call order (a spy, not a timer)."""
+        taken: list[str] = []
+        block, gemm = pixelpath.block_pixels, pixelpath.component_channels
+
+        def spy_block(*args):
+            taken.append("block")
+            return block(*args)
+
+        def spy_gemm(*args):
+            taken.append("gemm")
+            return gemm(*args)
+
+        monkeypatch.setattr(pixelpath, "block_pixels", spy_block)
+        monkeypatch.setattr(pixelpath, "component_channels", spy_gemm)
+        return taken
+
+    @pytest.mark.parametrize("color_image", [True, False])
+    @pytest.mark.parametrize("max_scans", [0, 1])
+    def test_dc_only_prefixes_take_the_block_route(self, routes, max_scans, color_image):
+        codec = ProgressiveCodec(quality=90)
+        stream = codec.encode(make_structured_image(24, 1, color_image))
+        codec.decode(stream, max_scans=max_scans)
+        decode_progressive_batch([_group_one_stream(stream)])
+        assert routes == ["block", "block"]
+
+    @pytest.mark.parametrize("color_image", [True, False])
+    @pytest.mark.parametrize("max_scans", [2, 5, None])
+    def test_scans_with_an_ac_band_take_the_gemm_route(self, routes, max_scans, color_image):
+        codec = ProgressiveCodec(quality=90)
+        stream = codec.encode(make_structured_image(24, 1, color_image))
+        coefficients, _ = decode_coefficients(stream, max_scans=max_scans)
+        assert not coefficients.dc_only
+        decode_to_pixels(coefficients)
+        assert routes == ["gemm"]
+
+    def test_a_full_band_first_scan_takes_the_gemm_route(self, routes):
+        """A baseline stream's first scan is DC *and* AC: not a block-route set."""
+        stream = BaselineCodec(quality=90).encode(make_structured_image(24, 2))
+        BaselineCodec().decode(stream, max_scans=1)
+        assert routes == ["gemm"]
+
+    def test_encoder_planes_take_the_gemm_route_whatever_they_hold(self, routes):
+        """The route comes from applied scans, never from plane contents: a
+        solid image's forward planes hold no AC, yet they take the gemm route."""
+        solid = np.broadcast_to(np.array((90, 140, 200), dtype=np.uint8), (32, 32, 3))
+        coefficients = image_to_coefficients(ImageBuffer.from_array(solid), 90)
+        assert all(not plane[:, 1:].any() for plane in coefficients.planes)
+        assert not coefficients.dc_only
+        decode_to_pixels(coefficients)
+        assert routes == ["gemm"]
+
+    @pytest.mark.parametrize("color_image", [True, False])
+    def test_output_is_fresh_and_survives_the_next_decode(self, color_image):
+        codec = ProgressiveCodec(quality=90)
+        first, _ = decode_coefficients(codec.encode(_ramp_image(21, 40, 1, color_image)), 1)
+        second, _ = decode_coefficients(codec.encode(_ramp_image(21, 40, 2, color_image)), 1)
+        pixels = decode_to_pixels(first)
+        snapshot = pixels.copy()
+        assert pixels.dtype == np.uint8 and pixels.shape == _gemm_route(first).shape
+        assert pixels.flags.c_contiguous and pixels.flags.writeable and pixels.base is None
+        later = decode_to_pixels(second)
+        assert not np.array_equal(later, snapshot)
+        assert np.array_equal(pixels, snapshot)
+
+    def test_pool_group_one_is_byte_identical_to_in_process(self):
+        codec = ProgressiveCodec(quality=90)
+        streams = [
+            _group_one_stream(codec.encode(_ramp_image(33 + i, 40, i, color_image=i % 3 != 2)))
+            for i in range(6)
+        ]
+        expected = decode_progressive_batch(streams)
+        with DecodePool(2) as pool:
+            pooled = pool.decode_batch(streams)
+            assert pool.stats.parallel_batches == 1
+        for got, want in zip(pooled, expected, strict=True):
+            assert got.pixels.dtype == want.pixels.dtype
+            assert np.array_equal(got.pixels, want.pixels)
 
 
 class TestImageBufferSatellites:

@@ -288,18 +288,6 @@ class TestTranscode:
 
 
 class TestImageBuffer:
-    def test_raw_roundtrip(self, color_image):
-        restored = ImageBuffer.from_raw_bytes(color_image.to_raw_bytes())
-        assert restored == color_image
-
-    def test_raw_roundtrip_grayscale(self, gray_image):
-        restored = ImageBuffer.from_raw_bytes(gray_image.to_raw_bytes())
-        assert restored == gray_image
-
-    def test_rejects_bad_magic(self):
-        with pytest.raises(ValueError):
-            ImageBuffer.from_raw_bytes(b"NOPE" + b"\x00" * 16)
-
     def test_rejects_wrong_dtype(self):
         with pytest.raises(TypeError):
             ImageBuffer(np.zeros((4, 4), dtype=np.float32))

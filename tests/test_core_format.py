@@ -27,14 +27,12 @@ class TestScanGroupPolicy:
         assert policy.n_groups == 10
         assert policy.n_scans == 10
         assert policy.scans_in_group(3) == (3,)
-        assert policy.group_of_scan(7) == 7
 
     def test_clustered_policy(self):
         policy = ScanGroupPolicy.clustered([1, 4, 10], n_scans=10)
         assert policy.n_groups == 3
         assert policy.scans_in_group(2) == (2, 3, 4)
-        assert policy.scans_up_to_group(2) == (1, 2, 3, 4)
-        assert policy.group_of_scan(9) == 3
+        assert policy.groups == ((1,), (2, 3, 4), tuple(range(5, 11)))
 
     def test_clustered_must_end_at_n_scans(self):
         with pytest.raises(ScanGroupError):
@@ -55,11 +53,6 @@ class TestScanGroupPolicy:
         with pytest.raises(ScanGroupError):
             policy.scans_in_group(0)
 
-    def test_scan_not_covered(self):
-        policy = ScanGroupPolicy.identity(5)
-        with pytest.raises(ScanGroupError):
-            policy.group_of_scan(6)
-
     @given(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_clustered_boundaries_property(self, raw_boundaries):
@@ -67,7 +60,7 @@ class TestScanGroupPolicy:
         n_scans = boundaries[-1]
         policy = ScanGroupPolicy.clustered(boundaries, n_scans=n_scans)
         assert policy.n_scans == n_scans
-        assert policy.scans_up_to_group(policy.n_groups) == tuple(range(1, n_scans + 1))
+        assert sum(policy.groups, ()) == tuple(range(1, n_scans + 1))
 
 
 class TestSampleMetadata:
