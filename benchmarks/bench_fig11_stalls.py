@@ -1,37 +1,33 @@
 """Figure 11 — per-iteration data-stall timeline by scan group.
 
-Runs the real prefetching loader against a PCR dataset while charging each
-record read its simulated storage latency, and reports the stall fraction per
-scan group (full-quality reads stall the consumer more than scan-group-1
-reads on the same simulated device).
+Charges each record read of a PCR dataset its HDD time by Lemma A.1 (one
+setup per read plus bytes over bandwidth) against a fixed compute time, and
+reports the stall fraction per scan group (full-quality reads stall the
+consumer more than scan-group-1 reads on the same device).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import print_header
-from repro.storage.device import HDD_PROFILE, BlockDevice
-from repro.storage.filesystem import SimulatedFilesystem
+from benchmarks.conftest import HDD_BANDWIDTH_BYTES_PER_SECOND, HDD_SETUP_SECONDS, print_header
+from repro.simulate.throughput import expected_read_seconds
 
-#: Inflate record sizes so the simulated HDD transfer time dominates seeks.
+#: Inflate record sizes so the HDD transfer time dominates seeks.
 INFLATION = 256
 #: Consumer compute time per record (a fast model, so the pipeline is I/O bound).
 COMPUTE_SECONDS_PER_RECORD = 0.02
 
 
 def _stall_timeline(dataset, scan_group: int, n_iterations: int = 24):
-    filesystem = SimulatedFilesystem(BlockDevice(HDD_PROFILE))
-    for name in dataset.record_names:
-        size = dataset.reader.record_index(name).total_bytes * INFLATION
-        filesystem.write_file(name, b"r" * size)
-    filesystem.device.reset_position()
     waits = []
     prefetched = 0.0  # seconds of data the loader is ahead by
     for iteration in range(n_iterations):
         name = dataset.record_names[iteration % len(dataset.record_names)]
         length = dataset.reader.bytes_for_group(name, scan_group) * INFLATION
-        _, load_latency = filesystem.read_file(name, length=length)
+        load_latency = expected_read_seconds(
+            length, HDD_BANDWIDTH_BYTES_PER_SECOND, 1, HDD_SETUP_SECONDS
+        )
         # The loader works in parallel with compute: it had COMPUTE seconds of
         # headroom from the previous iteration.
         stall = max(0.0, load_latency - COMPUTE_SECONDS_PER_RECORD - prefetched)

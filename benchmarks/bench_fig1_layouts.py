@@ -1,17 +1,15 @@
 """Figure 1 — access behaviour of File-per-Image, record, and PCR layouts.
 
-Measures simulated HDD read time and seek counts for one shuffled epoch under
-each layout: File-per-Image issues one random read per sample; record layouts
-read whole records sequentially; PCRs read record *prefixes* sequentially.
+Prices one epoch's reads on the paper's HDD with Lemma A.1: each read costs
+one setup (seek + rotation) plus its bytes over the bandwidth.
+File-per-Image issues one read per sample; record layouts read whole
+records; PCRs read record *prefixes*.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.conftest import print_header
-from repro.storage.device import HDD_PROFILE, BlockDevice
-from repro.storage.filesystem import SimulatedFilesystem
+from benchmarks.conftest import HDD_BANDWIDTH_BYTES_PER_SECOND, HDD_SETUP_SECONDS, print_header
+from repro.simulate.throughput import expected_read_seconds
 
 
 #: The benchmark datasets are tiny; real records are tens of megabytes.  The
@@ -21,48 +19,29 @@ INFLATION = 2048
 
 
 def _layout_costs(dataset, spec, scan_group: int):
-    """Simulated epoch read cost for the three layouts."""
+    """(seconds, reads) of one epoch under each of the three layouts."""
     reader = dataset.reader
-    record_sizes = {
-        name: reader.record_index(name).total_bytes * INFLATION
-        for name in dataset.record_names
+    record_sizes = [
+        reader.record_index(name).total_bytes * INFLATION for name in dataset.record_names
+    ]
+    prefix_sizes = [
+        reader.bytes_for_group(name, scan_group) * INFLATION for name in dataset.record_names
+    ]
+    per_image_bytes = max(1, record_sizes[0] // spec.images_per_record)
+    reads = {
+        "file_per_image": [per_image_bytes] * len(dataset),
+        "record": record_sizes,  # always full quality
+        "pcr": prefix_sizes,  # up to the requested scan group
     }
-    prefix_sizes = {
-        name: reader.bytes_for_group(name, scan_group) * INFLATION
-        for name in dataset.record_names
-    }
-    per_image_bytes = max(1, record_sizes[dataset.record_names[0]] // spec.images_per_record)
-
-    rng = np.random.default_rng(0)
-
-    # File-per-Image: one scattered file per sample, shuffled random reads.
-    fpi_fs = SimulatedFilesystem(BlockDevice(HDD_PROFILE), scatter_stride_bytes=1 << 18)
-    for index in range(len(dataset)):
-        fpi_fs.write_file(f"img-{index}", b"x" * per_image_bytes)
-    fpi_fs.device.reset_position()
-    order = rng.permutation(len(dataset))
-    fpi_time = sum(fpi_fs.read_file(f"img-{index}")[1] for index in order)
-    fpi_seeks = fpi_fs.device.stats.seeks
-
-    # Record layout: sequential whole-record reads (always full quality).
-    rec_fs = SimulatedFilesystem(BlockDevice(HDD_PROFILE))
-    for name, size in record_sizes.items():
-        rec_fs.write_file(name, b"r" * size)
-    rec_fs.device.reset_position()
-    rec_time = sum(rec_fs.read_file(name)[1] for name in dataset.record_names)
-
-    # PCR layout: sequential prefix reads up to the requested scan group.
-    pcr_fs = SimulatedFilesystem(BlockDevice(HDD_PROFILE))
-    for name, size in record_sizes.items():
-        pcr_fs.write_file(name, b"p" * size)
-    pcr_fs.device.reset_position()
-    pcr_time = sum(
-        pcr_fs.read_file(name, length=prefix_sizes[name])[1] for name in dataset.record_names
-    )
     return {
-        "file_per_image": (fpi_time, fpi_seeks),
-        "record": (rec_time, len(record_sizes)),
-        "pcr": (pcr_time, len(record_sizes)),
+        layout: (
+            sum(
+                expected_read_seconds(n_bytes, HDD_BANDWIDTH_BYTES_PER_SECOND, 1, HDD_SETUP_SECONDS)
+                for n_bytes in sizes
+            ),
+            len(sizes),
+        )
+        for layout, sizes in reads.items()
     }
 
 
@@ -71,9 +50,9 @@ def test_fig1_layout_read_behaviour(benchmark, imagenet_like):
     results = benchmark(_layout_costs, dataset, spec, 2)
 
     print_header("Figure 1: simulated HDD epoch read cost by layout (scan group 2 for PCR)")
-    print(f"{'layout':<18}{'read time (ms)':>16}{'seeks':>8}")
-    for layout, (seconds, seeks) in results.items():
-        print(f"{layout:<18}{seconds * 1e3:>16.2f}{seeks:>8}")
+    print(f"{'layout':<18}{'read time (ms)':>16}{'reads':>8}")
+    for layout, (seconds, reads) in results.items():
+        print(f"{layout:<18}{seconds * 1e3:>16.2f}{reads:>8}")
 
     fpi_time, _ = results["file_per_image"]
     rec_time, _ = results["record"]

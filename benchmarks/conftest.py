@@ -34,6 +34,11 @@ BENCH_SPECS: dict[str, DatasetSpec] = {
 #: per-scan-group ratios to the paper's absolute bandwidth numbers.
 PAPER_IMAGENET_MEAN_IMAGE_BYTES = 110_000
 
+#: The paper's 7200 RPM HDD (its Ceph OSD drives), as Lemma A.1's two terms:
+#: ~160 MiB/s sequential bandwidth and ~8.5 ms seek + rotational setup per read.
+HDD_BANDWIDTH_BYTES_PER_SECOND = 160 * 1024 * 1024
+HDD_SETUP_SECONDS = 8.5e-3
+
 
 def print_header(title: str) -> None:
     """Uniform banner so benchmark output is easy to scan."""

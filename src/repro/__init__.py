@@ -15,10 +15,9 @@ Smith; VLDB 2021).  It contains:
     ``RecordSource`` (over a byte-level ``RecordFetcher``) that local,
     remote and sharded datasets all are.
 
-``repro.storage`` / ``repro.records`` / ``repro.kvstore``
-    Substrates: simulated block devices and an extent filesystem over them,
-    baseline record formats (TFRecord/RecordIO/file-per-image), and
-    key-value metadata stores (SQLite and an LSM tree).
+``repro.records`` / ``repro.kvstore``
+    Substrates: baseline record formats (TFRecord/RecordIO/file-per-image)
+    and key-value metadata stores (SQLite and an LSM tree).
 
 ``repro.pipeline`` / ``repro.training`` / ``repro.simulate``
     A prefetching data loader, a small numpy neural-network training

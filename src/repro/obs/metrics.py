@@ -1,7 +1,7 @@
 """A low-overhead, fork-aware metrics registry.
 
 Every component of the stack — the loader, the decode pool, the record
-server, the storage simulators — records its telemetry as *named metrics*
+server, the control loop — records its telemetry as *named metrics*
 in a :class:`MetricsRegistry`:
 
 * :class:`Counter` — a monotonically increasing total (``int`` or

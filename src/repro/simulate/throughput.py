@@ -37,6 +37,10 @@ def expected_read_seconds(
     """Lemma A.1: expected time to read one record of ``images_per_record`` images."""
     if bandwidth_bytes_per_second <= 0:
         raise ValueError("bandwidth must be positive")
+    if mean_image_bytes < 0 or setup_seconds < 0:
+        raise ValueError("bytes and setup time must not be negative")
+    if images_per_record < 1:
+        raise ValueError("images_per_record must be at least 1")
     return images_per_record * mean_image_bytes / bandwidth_bytes_per_second + setup_seconds
 
 
@@ -60,6 +64,15 @@ class PipelineModel:
     compute_images_per_second: float
     images_per_record: int = 64
     record_setup_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        # ``math.inf`` compute is valid: a pipeline only the link can bound.
+        if not (self.storage_bandwidth_bytes_per_second > 0 and self.compute_images_per_second > 0):
+            raise ValueError("bandwidth and compute rate must be positive")
+        if self.images_per_record < 1:
+            raise ValueError("images_per_record must be at least 1")
+        if self.record_setup_seconds < 0:
+            raise ValueError("record_setup_seconds must not be negative")
 
     def loader_rate(self, mean_image_bytes: float) -> float:
         """Loader throughput at a mean image size (images/second)."""

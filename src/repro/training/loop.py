@@ -143,8 +143,8 @@ class Trainer:
         when the epoch began.
 
         ``extra_seconds_per_image`` lets callers charge simulated I/O time on
-        top of the measured compute time (used when the loader is backed by a
-        simulated storage device rather than the local filesystem).
+        top of the measured compute time (e.g. a read time priced by
+        ``repro.simulate.expected_read_seconds`` rather than measured).
         """
         if self.schedule is not None:
             self.optimizer.learning_rate = self.schedule.learning_rate(self._epoch)

@@ -27,7 +27,7 @@ SERVING_SIDE = [
     "repro.core.convert",
     "repro.core.dataset",
 ]
-TRAINING_SIDE = ["tuning", "training", "metrics", "simulate", "storage", "datasets"]
+TRAINING_SIDE = ["tuning", "training", "metrics", "simulate", "datasets"]
 
 
 def _loaded_after_importing(modules: list[str]) -> tuple[set[str], set[str]]:

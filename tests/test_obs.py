@@ -631,21 +631,3 @@ class TestClusterScraping:
             assert supervisor["shards"][victim]["n_records"] == len(
                 coordinator.assignment(victim)
             )
-
-
-class TestStorageMetrics:
-    def test_io_stats_mirror_onto_registry(self):
-        from repro.storage.io_stats import IOStats
-
-        registry = get_registry()
-        before = registry.snapshot()
-        stats = IOStats()
-        stats.record_read(1024, 0.002, seek=True)
-        stats.record_write(256, 0.001, seek=False)
-        delta = diff_snapshots(registry.snapshot(), before)
-        assert delta["counters"]["storage.read_ops_total"] == 1
-        assert delta["counters"]["storage.bytes_read_total"] == 1024
-        assert delta["counters"]["storage.write_ops_total"] == 1
-        assert delta["counters"]["storage.seeks_total"] == 1
-        assert delta["histograms"]["storage.op_latency_seconds"]["count"] == 2
-        assert stats.read_ops == 1  # the instance view is unchanged

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ class TestThroughputLemmas:
             expected_read_seconds(10, 0)
         with pytest.raises(ValueError):
             speedup(10, 0)
+        bad_inputs = [
+            lambda: expected_read_seconds(1000, 1e6, setup_seconds=-1.0),
+            lambda: expected_read_seconds(-1000, 1e6),
+            lambda: expected_read_seconds(1000, 1e6, images_per_record=0),
+            lambda: PipelineModel(1e6, 0.0).crossover_image_bytes(),
+            lambda: PipelineModel(1e6, -1.0).loader_rate(1000),
+            lambda: PipelineModel(0.0, 1.0).loader_rate(1000),
+            lambda: PipelineModel(1e6, 1.0, images_per_record=0).loader_rate(1000),
+            lambda: PipelineModel(1e6, 1.0, record_setup_seconds=-1.0).loader_rate(1000),
+        ]
+        for bad in bad_inputs:
+            with pytest.raises(ValueError):
+                bad()
+        # Unbounded compute is a valid model: only the link limits it.
+        assert PipelineModel(1e6, math.inf, images_per_record=1).end_to_end_rate(1000) == pytest.approx(1000)
 
 
 class TestPipelineModel:
