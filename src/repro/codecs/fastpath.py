@@ -17,30 +17,32 @@ This module is the vectorized counterpart of the scalar scan coder in
 * Decoding probes the wide-window pair LUTs
   (:func:`repro.codecs.huffman._build_super_tables`) — one index
   computation resolves up to two complete (code + magnitude) symbols with
-  their signed values already decoded, so the common case costs no
-  mask/shift magnitude work at all.  For DC-only and AC-only scans (every
-  symbol of a progressive stream) the decode is *batched*: a vectorized
-  phase-0 precompute turns every bit offset of a batch of scan payloads
-  into its pair-LUT window and the window's walk *stride* (the total bit
-  length of all symbols the window resolves — symbol boundaries are
-  context-free, each entry's consumption depends only on the bits), so
-  the phase-1 Python loop is just ``cursor += strides[cursor]`` per
-  symbol pair; the packed entries themselves are gathered afterwards at
-  the recorded offsets.  A DC scan's first entries are its diffs, one
-  ``cumsum`` per component; for the AC scans, block segmentation, band
-  checks, positions, and values are all reconstructed by one vectorized
-  phase-2 epilogue shared across every AC scan of a stream
-  (``decode_scan_bodies_fast``).  The stride walk is the one chase for
-  both kinds, whatever the scan's size; only mixed scans (sequential /
-  baseline scripts, whose DC/AC table alternation depends on block
-  structure) keep an in-place pair-probe loop.  An oversized symbol (code
-  + magnitude wider than the window) is finished from the same table: its
-  window holds the symbol's negated plain entry (run, category,
-  consumption) and the loop reads the magnitude off the stream; a code
-  longer than the window is matched against the table's few long codes.
-  Each scan fetches the tables built for its kind only (DC-only, AC-only
-  or mixed).  All coefficient-plane writes are deferred to one vectorized
-  scatter per component instead of a Python slice assignment per block.
+  their signed values already decoded — in one of two symbol loops:
+
+  - The *stride walk* (:func:`_walk_one`) chases the DC-only and AC-only
+    scans (every scan of a progressive stream), batched.  Their symbol
+    boundaries are context-free (each entry carries its own bit
+    consumption), so a vectorized phase-0 precompute turns every bit
+    offset of a batch of payloads into its walk *stride* — the total bit
+    length of all symbols its window resolves — and the Python loop is
+    ``cursor += strides[cursor]`` per symbol pair.  The packed entries are
+    gathered afterwards at the recorded offsets: a DC scan's first entries
+    are its diffs, one ``cumsum`` per component, and one vectorized
+    epilogue segments, checks and scatters every AC scan of a stream.
+  - The *in-place loop* (:func:`_decode_in_place`) decodes one scan block
+    by block off a bit buffer: a DC diff when the band starts at 0, then
+    the AC band.  Mixed scans (sequential / baseline scripts, whose DC/AC
+    table alternation depends on block structure) always take it; a
+    walked scan takes it only when its finisher flags it, to finish it or
+    to raise the scalar reference's error class for its first defect.
+
+  In both, an oversized symbol (code + magnitude wider than the window) is
+  finished from the same table: its window holds the symbol's negated
+  plain entry (run, category, consumption) and the magnitude is read off
+  the stream; a code longer than the window is matched against the
+  table's few long codes.  Each scan fetches the tables built for its kind
+  only (DC-only, AC-only or mixed), and coefficient-plane writes are one
+  vectorized scatter per component.
 
 Both directions produce byte-identical streams / identical coefficients to
 the scalar reference (``encode_scan_body_reference`` /
@@ -63,6 +65,7 @@ from repro.codecs.huffman import (
     HuffmanTable,
     canonical_code,
     long_code_entry,
+    pair_table,
 )
 from repro.codecs.pixelpath import _thread_scratch
 from repro.codecs.rle import symbol_stream
@@ -224,67 +227,23 @@ def _scatter(plane, positions, values) -> None:
         plane[positions >> 6, positions & 63] = values
 
 
-def _scan_defect(entries, scan, planes, n_payload_bits: int) -> None:
-    """Replay one flagged AC scan entry by entry, as the scalar decoder would.
-
-    Cold path.  The batched epilogue only establishes *that* a scan cannot
-    be segmented by its vector passes: its entries ran out, it needed the
-    invalid-window sentinel, it consumed more bits than the payload holds,
-    or one of its entries crosses a block end (never emitted by an
-    encoder).  When one scan contains several defects the class must come
-    from whichever the scalar reference hits first in stream order, so
-    this replay walks the packed entry stream with the scalar decoder's
-    check order — code + magnitude bits are read (EOFError past the
-    payload end) before the band-overflow check — and raises the first
-    defect's error.  A pure run (ZRL / zero-category run) that crosses the
-    band end is no defect: it ends its block, exactly as the reference
-    ``read_ac_band``'s ``index += 16`` does, and a scan whose only flag was
-    such a run comes out of the replay decoded.
-    """
-    band_length = scan.band_length
-    bit_offset = 0
-    index = 0
-    entry_list = entries.tolist()
-    total = len(entry_list)
-    for component in scan.component_ids:
-        plane = planes[component]
-        positions: list[int] = []
-        values: list[int] = []
-        first_slot = scan.spectral_start - 1
-        for block_base in range(first_slot, first_slot + (plane.shape[0] << 6), 64):
-            position = 0
-            while position < band_length:
-                if index >= total:
-                    raise EOFError("bit stream exhausted")
-                entry = entry_list[index]
-                index += 1
-                if entry == -1:
-                    raise _invalid_code_error(bit_offset, n_payload_bits)
-                bit_offset += entry & 31
-                if bit_offset > n_payload_bits:
-                    raise EOFError("bit stream exhausted")
-                position += (entry >> 5) & 0x7F
-                if entry >> 12:
-                    if position > band_length:
-                        raise _overflow_error(bit_offset, n_payload_bits)
-                    positions.append(block_base + position)
-                    values.append((entry >> 12) - SUPER_VALUE_OFFSET)
-        if positions:
-            _scatter(plane, np.asarray(positions, dtype=np.intp), values)
-
-
 def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     """Decode a sequence of scan segments into ``coefficients`` (in place).
 
     The whole-stream entry point: ``decode_coefficients`` hands every
     selected segment over at once, and a single scan is a one-element
-    sequence.  Valid scan scripts touch disjoint coefficient regions and
-    each scan's payload is decoded independently, but the DC-only and
-    AC-only scans are collected and decoded together
-    (:func:`_decode_walked_scans`) so one phase-0 precompute and one
-    vectorized phase-2 epilogue are amortized across *all* of them, which is
-    where per-scan NumPy fixed costs would otherwise dominate (a progressive
-    stream has ~8 AC scans, several of them only a few hundred symbols).
+    sequence.  Each scan goes to one of the two symbol loops:
+
+    * DC-only and AC-only scans are collected and chased together by the
+      stride walk (:func:`_decode_walked_scans`), so one phase-0
+      precompute and one vectorized phase-2 epilogue are amortized across
+      *all* of them, which is where per-scan NumPy fixed costs would
+      otherwise dominate (a progressive stream has ~8 AC scans, several of
+      them only a few hundred symbols).
+    * Mixed scans are decoded by the in-place loop
+      (:func:`_decode_in_place`): their DC/AC table alternation depends on
+      block structure, so the context-free walk does not apply.  A walked
+      scan that its finisher flags is decoded again by the same loop.
 
     Contract: the in-band coefficients of the target planes must be zero
     (as produced by ``empty_coefficients``) — zero coefficients are never
@@ -297,25 +256,24 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     after the run, and errors may surface after the whole scan is chased
     rather than at the offending bit.  The error *class* still matches the
     scalar reference on all three defect families — truncation mid-symbol,
-    invalid prefix, band overflow — because every raise site classifies by
-    the offending symbol's bit offset (``_invalid_code_error`` /
-    ``_overflow_error``) and the batched AC decode replays the entries of
-    a scan its vector passes cannot segment, to find its first defect in
-    stream order (``_scan_defect``); a flagged DC-only scan is replayed
-    diff by diff (``_replay_dc_scan``).  Identical classes are asserted by
-    the fuzz tests in ``tests/test_codecs_fastpath.py``; the one relaxation
-    is *cross-scan* ordering: when several scans of one stream are
-    defective, which scan's error surfaces first may differ from the scalar
-    reference (DC-only scans are deferred behind mixed ones, and AC scans
-    behind both).
+    invalid prefix, band overflow — because the walk raises nothing: a scan
+    it cannot stand for is flagged and decoded in place, where every raise
+    site classifies by the offending symbol's bit offset
+    (``_invalid_code_error`` / ``_overflow_error``) at its first defect in
+    stream order.  Identical classes are asserted by the fuzz tests in
+    ``tests/test_codecs_fastpath.py``; the one relaxation is *cross-scan*
+    ordering: when several scans of one stream are defective, which scan's
+    error surfaces first may differ from the scalar reference (DC-only
+    scans are deferred behind mixed ones, and AC scans behind both).
 
-    Entry handling per pair-table probe (see ``_build_super_tables`` for
-    the packing; ``w2 = 2 * window`` indexes the interleaved table, whose
-    even slot holds the first symbol and odd slot the one that follows):
+    Entry handling per pair-table probe of the in-place loop (see
+    ``_build_super_tables`` for the packing; ``w2 = 2 * window`` indexes
+    the interleaved table, whose even slot holds the first symbol and odd
+    slot the one that follows):
 
     * ``entry > 0`` — the first symbol is fully decoded in the entry
       (consume / position advance / signed value); a nonzero odd-slot entry
-      holds a complete second symbol, committed only when the scan still
+      holds a complete second symbol, committed only when the block still
       has room (the table pairs speculatively across what may be a block
       boundary, and each entry carries its own bit consumption so an
       uncommitted second symbol consumes nothing).  Probing with
@@ -329,10 +287,6 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
       bits against them and returns an entry of the two other kinds.
     * ``entry == 0`` — invalid prefix: ``ValueError``, same as the scalar
       reference.
-
-    Mixed scans decode in place — their symbol stream is context-dependent
-    (the DC/AC table alternation depends on block structure), so the
-    context-free walk does not apply.
     """
     walk_jobs = []
     for segment in segments:
@@ -347,19 +301,11 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
         payload = data[segment.payload_start + consumed : segment.end]
         n_payload_bits = len(payload) * 8
         if kind == "mixed":
-            _decode_mixed_scan_super(
-                _refill_words(payload), tables, scan, coefficients, n_payload_bits
-            )
+            _decode_in_place(payload, tables, scan, coefficients, n_payload_bits)
         else:
             walk_jobs.append((scan, payload, tables, n_payload_bits))
     if walk_jobs:
         _decode_walked_scans(walk_jobs, coefficients)
-
-
-def _refill_words(payload: bytes) -> list:
-    """``payload + _PAD`` as big-endian 64-bit refill words, for the in-place loops."""
-    padded = payload + _PAD
-    return np.frombuffer(padded, dtype=">u8", count=len(padded) >> 3).tolist()
 
 
 #: Upper bound on the total payload bytes vectorized into one walk batch.
@@ -424,12 +370,12 @@ def _finish_dc_scan(job, entries, coefficients) -> None:
 
     One entry per block, in component order; the walk decodes the
     1-padding as data too, so entries past the last block are ignored.
-    The scan is flagged — and replayed diff by diff by
-    :func:`_replay_dc_scan`, which finishes it or raises the scalar
-    reference's error class — when it has fewer entries than blocks, when
-    the invalid sentinel is among the needed ones (an invalid prefix, or a
-    diff outside +-32767, which a packed entry cannot hold), or when they
-    consume more bits than the payload holds.
+    The scan is flagged — and decoded by :func:`_decode_in_place`, which
+    finishes it or raises the scalar reference's error class — when it has
+    fewer entries than blocks, when the invalid sentinel is among the
+    needed ones (an invalid prefix, or a diff outside +-32767, which a
+    packed entry cannot hold), or when they consume more bits than the
+    payload holds.
     """
     scan, payload, tables, n_payload_bits = job
     planes = coefficients.planes
@@ -440,7 +386,7 @@ def _finish_dc_scan(job, entries, coefficients) -> None:
         or int(needed.min(initial=0)) < 0
         or int(np.add.reduce(needed & 31, dtype=np.int64)) > n_payload_bits
     ):
-        _replay_dc_scan(payload, tables, scan, coefficients, n_payload_bits)
+        _decode_in_place(payload, tables, scan, coefficients, n_payload_bits)
         return
     diffs = needed >> 12
     diffs -= SUPER_VALUE_OFFSET
@@ -579,7 +525,7 @@ def _walk_one(
     does and always carries a value, ``SUPER_VALUE_OFFSET`` for a zero
     diff.  A DC diff outside +-32767 (category 16 and up) does not fit a
     packed entry: the walk records the ``-1`` sentinel and stops, and the
-    DC finisher replays the scan.
+    DC finisher decodes the scan in place.
     """
     masks = _MASKS
     halves = _HALVES
@@ -653,9 +599,10 @@ def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:
         bits than the payload holds (garbage decoded from the padding), or
         when one of them *crosses* a block end — advances further than its
         slot, so it started in the previous block and step 1 mis-numbered
-        what follows; only invalid streams do.  A flagged scan goes to
-        :func:`_scan_defect`, which replays it the scalar decoder's way and
-        raises the reference's error class for its first defect.
+        what follows; only invalid streams do.  A flagged scan is decoded
+        again by :func:`_decode_in_place`, which raises the reference's
+        error class for its first defect — or finishes the scan, when its
+        only flag was a pure run crossing the band end.
     3.  *Scatter.*  A coefficient's flat plane offset is its block number
         ``<< 6`` plus its slot plus a per-(scan, component) constant, so
         the nonzero coefficients of each component are one slice of one
@@ -711,9 +658,9 @@ def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:
         | (consumed > [job[3] for job in jobs])
         | (np.searchsorted(crossing, needed) > np.searchsorted(crossing, bases))
     ).tolist()
-    for job, base, limit, defective in zip(jobs, bases, limits, flagged):
+    for (scan, payload, tables, n_payload_bits), defective in zip(jobs, flagged):
         if defective:
-            _scan_defect(entry_array[base:limit], job[0], planes, job[3])
+            _decode_in_place(payload, tables, scan, coefficients, n_payload_bits)
     value_offsets = entry_array >> 12
     coefficient_at = np.flatnonzero(value_offsets > 0)
     flat_values = np.take(value_offsets, coefficient_at)
@@ -770,76 +717,35 @@ def _escape_dc(
     return diff, word_index, bitbuf, bitcnt
 
 
-def _replay_dc_scan(
+def _decode_in_place(
     payload: bytes, tables, scan, coefficients, n_payload_bits: int
 ) -> None:
-    """Decode one flagged DC-only scan diff by diff, in place (cold path).
+    """Decode one scan block by block off a bit buffer, in place.
 
-    :func:`_finish_dc_scan` only establishes *that* the walked entries
-    cannot stand for the scan; this bit-buffer loop reads the scan as the
-    scalar decoder would, one pair probe of the walk tables at a time, and
-    either finishes it (a diff outside +-32767 is valid, up to the
-    format's +-2**30) or raises the reference's error class for its first
-    defect.
-    """
-    slots1, slots2, _, long_codes = tables
-    firsts, seconds = slots1.tolist(), slots2.tolist()
-    words = _refill_words(payload)
-    masks = _MASKS
-    offset = SUPER_VALUE_OFFSET
-    shift = SUPER_BITS
-    window_mask = _WINDOW_MASK
-    word_index = 0
-    bitbuf = 0
-    bitcnt = 0
-    try:
-        for component in scan.component_ids:
-            plane = coefficients.planes[component]
-            dc_diffs: list[int] = []
-            append_diff = dc_diffs.append
-            remaining = plane.shape[0]
-            while remaining:
-                if bitcnt < 32:
-                    bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                    word_index += 1
-                    bitcnt += 64
-                window = (bitbuf >> (bitcnt - shift)) & window_mask
-                entry = firsts[window]
-                if entry > 0:
-                    bitcnt -= entry & 31
-                    append_diff((entry >> 12) - offset)
-                    remaining -= 1
-                    second = seconds[window]
-                    if second and remaining:
-                        bitcnt -= second & 31
-                        append_diff((second >> 12) - offset)
-                        remaining -= 1
-                else:
-                    diff, word_index, bitbuf, bitcnt = _escape_dc(
-                        entry, long_codes, words, word_index, bitbuf, bitcnt, n_payload_bits
-                    )
-                    append_diff(diff)
-                    remaining -= 1
-            plane[:, 0] = np.cumsum(np.asarray(dc_diffs, dtype=np.int64))
-    except IndexError:
-        raise EOFError("bit stream exhausted") from None
-    if (word_index << 6) - bitcnt > n_payload_bits:
-        raise EOFError("bit stream exhausted")
+    Each block takes a DC diff when the scan's band starts at 0, then the
+    AC band ``[max(ss, 1), se]``: a DC-only scan's band is empty and an
+    AC-only scan has no DC step.  Mixed scans always come here; a walked
+    scan comes here when its finisher flags it, and the loop either
+    finishes it (a DC diff outside +-32767 is valid, up to the format's
+    +-2**30; a pure run crossing the band end ends its block, like the
+    reference ``read_ac_band``'s ``index += 16``) or raises the scalar
+    reference's error class for its first defect.  A mixed bundle holds the
+    two pair tables; a walk bundle's slots are interleaved into one here.
 
-
-def _decode_mixed_scan_super(
-    words: list, tables, scan, coefficients, n_payload_bits: int
-) -> None:
-    """Mixed scan: DC delta then the AC band, per block, in place.
-
-    The DC probe uses the pair table but commits only its first symbol —
-    the symbol after a mixed-scan DC delta is an AC symbol, which the
-    DC-flavour pairing cannot know.  The AC inner loop commits pairs with
-    posdelta position tracking: ``index`` holds the band position *after*
-    the symbol, so a coefficient lands at ``index - 1`` and overflow is
+    The DC probe commits only its first symbol — in a mixed scan the symbol
+    after a DC diff is an AC symbol, which the DC-flavour pairing cannot
+    know.  The AC inner loop commits pairs with posdelta position
+    tracking: ``index`` holds the band position *after* the symbol, so a
+    coefficient lands at ``index - 1`` and overflow is
     ``index > band_length``.
     """
-    sup_ac, sup_dc, long_codes = tables
+    if scan.spectral_start == 0 < scan.spectral_end:
+        sup_ac, sup_dc, long_codes = tables
+    else:  # a walk bundle holds one flavour, the one this scan reads
+        slots1, slots2, _, long_codes = tables
+        sup_ac = sup_dc = pair_table(slots1, slots2)
+    padded = payload + _PAD
+    words = np.frombuffer(padded, dtype=">u8", count=len(padded) >> 3).tolist()
     masks = _MASKS
     halves = _HALVES
     offset = SUPER_VALUE_OFFSET
@@ -848,7 +754,9 @@ def _decode_mixed_scan_super(
     word_index = 0
     bitbuf = 0
     bitcnt = 0
-    band_length = scan.spectral_end  # the AC band starts at slot 1
+    has_dc = scan.spectral_start == 0
+    band_start = max(scan.spectral_start, 1)
+    band_length = scan.spectral_end - band_start + 1  # 0 for a DC-only scan
     try:
         for component in scan.component_ids:
             plane = coefficients.planes[component]
@@ -859,20 +767,21 @@ def _decode_mixed_scan_super(
             append_diff = dc_diffs.append
             append_position = positions.append
             append_value = values.append
-            for block_base in range(1, 1 + (n_blocks << 6), 64):
-                if bitcnt < 32:
-                    bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
-                    word_index += 1
-                    bitcnt += 64
-                entry = sup_dc[(bitbuf >> (bitcnt - shift)) & window_mask]
-                if entry > 0:
-                    bitcnt -= entry & 31
-                    append_diff((entry >> 12) - offset)
-                else:
-                    diff, word_index, bitbuf, bitcnt = _escape_dc(
-                        entry, long_codes, words, word_index, bitbuf, bitcnt, n_payload_bits
-                    )
-                    append_diff(diff)
+            for block_base in range(band_start, band_start + (n_blocks << 6), 64):
+                if has_dc:
+                    if bitcnt < 32:
+                        bitbuf = ((bitbuf & masks[bitcnt]) << 64) | words[word_index]
+                        word_index += 1
+                        bitcnt += 64
+                    entry = sup_dc[(bitbuf >> (bitcnt - shift)) & window_mask]
+                    if entry > 0:
+                        bitcnt -= entry & 31
+                        append_diff((entry >> 12) - offset)
+                    else:
+                        diff, word_index, bitbuf, bitcnt = _escape_dc(
+                            entry, long_codes, words, word_index, bitbuf, bitcnt, n_payload_bits
+                        )
+                        append_diff(diff)
                 index = 0
                 while index < band_length:
                     if bitcnt < 32:
@@ -919,10 +828,11 @@ def _decode_mixed_scan_super(
                             append_position(block_base + index)
                             append_value(bits if bits >= halves[category] else bits - mask)
                             index += 1
-            plane[:, 0] = np.cumsum(np.asarray(dc_diffs, dtype=np.int64))
+            if has_dc:
+                plane[:, 0] = np.cumsum(np.asarray(dc_diffs, dtype=np.int64))
             if positions:
                 _scatter(plane, np.asarray(positions, dtype=np.intp), values)
-    except IndexError:
+    except IndexError:  # a refill past the padding: headers are validated at parse
         raise EOFError("bit stream exhausted") from None
     if (word_index << 6) - bitcnt > n_payload_bits:
         raise EOFError("bit stream exhausted")

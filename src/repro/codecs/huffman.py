@@ -344,11 +344,12 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     step — and 0 where the walk must escape (first slot <= 0).
 
     ``ac_pair`` / ``dc_pair`` are the same entries *interleaved* into
-    ``array('i')`` tables of ``2 << SUPER_BITS`` entries, one per flavour,
-    for the mixed scan's in-place loop: slot ``2 * w`` is the first symbol
-    and slot ``2 * w + 1`` the second, so one index computation (``pair[w2]``
-    then ``pair[w2 | 1]`` with ``w2 = 2 * w``) resolves up to two complete
-    symbols, and interleaving keeps both slots on one cache line.
+    ``array('i')`` tables of ``2 << SUPER_BITS`` entries, one per flavour
+    (:func:`pair_table`), for the in-place loop: slot ``2 * w`` is the
+    first symbol and slot ``2 * w + 1`` the second, so one index
+    computation (``pair[w2]`` then ``pair[w2 | 1]`` with ``w2 = 2 * w``)
+    resolves up to two complete symbols, and interleaving keeps both slots
+    on one cache line.
 
     ``long_codes`` is an ``array('i')`` of the code's few (usually no)
     codes longer than ``SUPER_BITS``, packed for :func:`long_code_entry`.
@@ -419,13 +420,21 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
         pairbits = block[8 * size :]
         slots1[:], slots2[:], pairbits[:] = slots[0]
         return slots1, slots2, pairbits, long_codes
-    pairs = []
-    for first, second, _ in slots:
-        interleaved = np.empty(2 * size, dtype=np.int32)
-        interleaved[0::2] = first
-        interleaved[1::2] = second
-        pairs.append(array("i", interleaved.tobytes()))
-    return (*pairs, long_codes)
+    return (*[pair_table(first, second) for first, second, _ in slots], long_codes)
+
+
+def pair_table(first, second) -> array:
+    """One flavour's first and second slots, interleaved into a pair table.
+
+    The ``array('i')`` the in-place decode loop probes: slot ``2 * w`` is
+    window ``w``'s first symbol and slot ``2 * w + 1`` the one after it.
+    A mixed bundle holds two of these; a walk bundle's ``slots1`` /
+    ``slots2`` become one when a flagged scan is decoded in place.
+    """
+    interleaved = np.empty(2 * len(first), dtype=np.int32)
+    interleaved[0::2] = first
+    interleaved[1::2] = second
+    return array("i", interleaved.tobytes())
 
 
 def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):

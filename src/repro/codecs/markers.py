@@ -61,16 +61,29 @@ class FrameHeader:
 
     @classmethod
     def parse(cls, data: bytes, offset: int) -> tuple["FrameHeader", int]:
-        """Parse a frame header at ``offset``; returns (header, next_offset)."""
+        """Parse a frame header at ``offset``; returns (header, next_offset).
+
+        Raises :class:`CodecFormatError` for a truncated segment and for a
+        component count or subsampling mode the codec does not define.
+        """
         if data[offset : offset + 2] != SOF_MARKER:
             raise CodecFormatError("expected SOF marker")
-        (length,) = struct.unpack_from("<H", data, offset + 2)
         payload_start = offset + 4
+        if len(data) < payload_start:
+            raise CodecFormatError("truncated SOF segment")
+        (length,) = struct.unpack_from("<H", data, offset + 2)
         payload = data[payload_start : payload_start + length]
-        if len(payload) != length:
+        if len(payload) != length or length < 6:
             raise CodecFormatError("truncated SOF segment")
         height, width, n_components, subsampling = struct.unpack_from("<HHBB", payload, 0)
-        quant = QuantizationTables.from_bytes(payload[6:])
+        if n_components not in (1, 3):
+            raise CodecFormatError(f"unsupported component count {n_components}")
+        if subsampling not in (SUBSAMPLING_NONE, SUBSAMPLING_420):
+            raise CodecFormatError(f"unknown subsampling mode {subsampling}")
+        try:
+            quant = QuantizationTables.from_bytes(payload[6:])
+        except ValueError as error:
+            raise CodecFormatError(str(error)) from None
         header = cls(
             height=height,
             width=width,
@@ -133,11 +146,12 @@ def find_scan_segments(data: bytes) -> list[ScanSegment]:
 
     The stream must begin with SOI followed by an SOF segment.  Scanning
     stops at EOI or at the end of the available bytes, so this also works on
-    truncated (partially read) streams.
+    truncated (partially read) streams.  A complete scan whose header runs
+    past its segment, names no component, a repeated one or one the frame
+    lacks, or whose band is not within ``[0, 63]`` in order, raises
+    :class:`CodecFormatError`.
     """
-    if data[:2] != SOI:
-        raise CodecFormatError("stream does not start with SOI")
-    _, offset = FrameHeader.parse(data, 2)
+    frame, offset = parse_frame_header(data)
     segments: list[ScanSegment] = []
     while offset + 2 <= len(data):
         marker = data[offset : offset + 2]
@@ -152,7 +166,20 @@ def find_scan_segments(data: bytes) -> list[ScanSegment]:
         end = payload_start + length
         if end > len(data):
             break  # truncated scan; ignore the partial tail
+        if payload_start == end or payload_start + 3 + data[payload_start] > end:
+            raise CodecFormatError(f"scan header at offset {offset} runs past its segment")
         header, body_start = ScanHeader.parse(data, payload_start)
+        ids = header.component_ids
+        if not ids or len(set(ids)) < len(ids) or max(ids) >= frame.n_components:
+            raise CodecFormatError(
+                f"scan at offset {offset} names components {ids} of a "
+                f"{frame.n_components}-component frame"
+            )
+        if not header.spectral_start <= header.spectral_end <= 63:
+            raise CodecFormatError(
+                f"scan at offset {offset} has band "
+                f"[{header.spectral_start}, {header.spectral_end}]"
+            )
         segments.append(
             ScanSegment(header=header, start=offset, end=end, payload_start=body_start)
         )

@@ -53,6 +53,10 @@ class LoaderConfig:
     #: Batches are byte-identical either way.
     decode_workers: int = 0
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 class LoaderHook(Protocol):
     """Runs inside a :class:`DataLoader`'s read path.

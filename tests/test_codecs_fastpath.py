@@ -119,18 +119,24 @@ def _assert_stream_parity(scalar_stream: bytes, fast_stream: bytes) -> None:
     assert mismatched <= max(3, int(total * MAX_MISMATCH_RATE))
 
 
-@pytest.fixture()
-def dc_replays(monkeypatch):
-    """Spy on the cold DC replay: one list entry per ``_replay_dc_scan`` call."""
+def _spy_in_place(monkeypatch, takes):
+    """Spy on ``_decode_in_place``: the scans it decodes that ``takes`` selects."""
     calls = []
-    replay = fastpath._replay_dc_scan
+    decode = fastpath._decode_in_place
 
     def spy(payload, tables, scan, coefficients, n_payload_bits):
-        calls.append(scan)
-        return replay(payload, tables, scan, coefficients, n_payload_bits)
+        if takes(scan):
+            calls.append(scan)
+        return decode(payload, tables, scan, coefficients, n_payload_bits)
 
-    monkeypatch.setattr(fastpath, "_replay_dc_scan", spy)
+    monkeypatch.setattr(fastpath, "_decode_in_place", spy)
     return calls
+
+
+@pytest.fixture()
+def dc_replays(monkeypatch):
+    """The DC-only scans the walk flags: one list entry per in-place decode."""
+    return _spy_in_place(monkeypatch, lambda scan: scan.spectral_end == 0)
 
 
 def _assert_decodes_match(stream: bytes, n_scans: int) -> None:
@@ -479,7 +485,7 @@ class TestInvalidStreamFuzz:
 
     The fast tier decodes the 1-padding as data and classifies defects after
     the fact, so its raise sites carry offset-based classification
-    (``_invalid_code_error`` / ``_overflow_error`` / ``_scan_defect``) to
+    (``_invalid_code_error`` / ``_overflow_error``, in ``_decode_in_place``) to
     mirror the scalar reference's bit-by-bit semantics.  These tests pin
     that contract for the three documented defect families — truncation
     mid-symbol, invalid prefix, band overflow.
@@ -668,22 +674,24 @@ class TestInvalidStreamFuzz:
         bad = self._rebuild(stream, segments, target, inside)
         assert _tier_error_classes(bad) == ["ValueError", "ValueError"]
         assert [(name, cls) for name, _, cls in overflow_calls] == [
-            ("_scan_defect", "ValueError")
+            ("_decode_in_place", "ValueError")
         ]
-        # Magnitude bits crossing the payload end: the replay reads a
-        # symbol's bits before its band check, like the scalar reference,
-        # so it answers EOFError itself and the classifier is not consulted.
+        # Magnitude bits crossing the payload end: the in-place loop reads
+        # them from the padding, and the classifier answers EOFError, as the
+        # scalar reference reads a symbol's bits before its band check.
         del overflow_calls[:]
         crossing = self._overflow_body(n_fill, 0x58, dc=False, inside=False)
         bad = self._rebuild(stream, segments, target, crossing)
         assert _tier_error_classes(bad) == ["EOFError", "EOFError"]
-        assert overflow_calls == []
+        assert [(name, cls) for name, _, cls in overflow_calls] == [
+            ("_decode_in_place", "EOFError")
+        ]
 
     def test_band_overflow_mixed_scan_same_error_class(self, overflow_calls):
         """Sequential scan: every in-place raise site classifies by offset.
 
         Three shapes reach the three ``_overflow_error`` sites of
-        ``_decode_mixed_scan_super``: the overflowing symbol first in its
+        ``_decode_in_place``: the overflowing symbol first in its
         probe window, second in it (an odd fill count pairs it behind the
         last coefficient: 3 + 10 bits fill the window exactly), and too
         wide for the window (category 12: the two-level escape).
@@ -699,8 +707,8 @@ class TestInvalidStreamFuzz:
                 bad = self._rebuild(stream, segments, 0, body)
                 assert _tier_error_classes(bad) == [expected, expected], (shape, inside)
         assert [(name, cls) for name, _, cls in overflow_calls] == [
-            ("_decode_mixed_scan_super", "ValueError"),
-            ("_decode_mixed_scan_super", "EOFError"),
+            ("_decode_in_place", "ValueError"),
+            ("_decode_in_place", "EOFError"),
         ] * 3
         assert len({line for _, line, _ in overflow_calls}) == 3
 
@@ -711,7 +719,7 @@ class TestDcOnlyPrefixFuzz:
     A group-1 read is the frame header, the DC scan and EOI, assembled as
     the PCR reader does (``assemble_partial_stream``).  Truncated or
     bit-flipped, it must give the scalar reference's coefficients or error
-    class; every error comes out of the cold replay (``_replay_dc_scan``),
+    class; every error comes out of the in-place decode (``_decode_in_place``),
     and a valid prefix never reaches it.
     """
 
@@ -814,6 +822,45 @@ class TestDcOnlyPrefixFuzz:
         assert defective >= 4
 
 
+class TestInPlaceLoopOnWalkedScans:
+    """The in-place loop on valid DC-only and AC-only scans: the walk's planes.
+
+    The walk hands a valid scan to ``_decode_in_place`` only for a DC diff
+    too wide for a packed entry, so without this test the loop would never
+    run on a valid scan whose band starts past the DC slot.
+    """
+
+    def test_each_scan_of_the_golden_and_group1_streams(self, monkeypatch):
+        from repro.codecs.huffman import HuffmanTable
+        from tests.test_codecs_golden import CASES
+
+        streams = [encode_coefficients(make(), script) for make, script, _ in CASES.values()]
+        streams += TestDcOnlyPrefixFuzz._sources()
+        decode_in_place = fastpath._decode_in_place
+        walk_replays = _spy_in_place(monkeypatch, lambda scan: True)
+        kinds = set()
+        for stream in streams:
+            header, _ = parse_frame_header(stream)
+            for segment in find_scan_segments(stream):
+                scan = segment.header
+                if scan.spectral_start == 0 < scan.spectral_end:
+                    continue  # a mixed scan is never walked
+                kind = "dc" if scan.spectral_end == 0 else "ac"
+                walked = empty_coefficients(header)
+                decode_scan_bodies_fast(stream, [segment], walked)
+                body = stream[segment.payload_start : segment.end]
+                tables, consumed = HuffmanTable.cached_from_bytes(body, kind)
+                in_place = empty_coefficients(header)
+                payload = body[consumed:]
+                decode_in_place(payload, tables, scan, in_place, len(payload) * 8)
+                for walked_plane, plane in zip(walked.planes, in_place.planes):
+                    assert np.array_equal(walked_plane, plane), (kind, scan)
+                kinds.add(kind)
+        assert kinds == {"dc", "ac"}
+        # Only the extreme golden case's DC diffs (+-2**30) left the walk.
+        assert walk_replays and all(scan.spectral_end == 0 for scan in walk_replays)
+
+
 class TestBlockSegmentation:
     """The vector block segmentation of ``_finish_ac_scans``, shape by shape.
 
@@ -831,16 +878,8 @@ class TestBlockSegmentation:
 
     @pytest.fixture()
     def replays(self, monkeypatch):
-        """Spy on the cold replay: one list entry per ``_scan_defect`` call."""
-        calls = []
-        replay = fastpath._scan_defect
-
-        def spy(entries, scan, planes, n_payload_bits):
-            calls.append(scan)
-            return replay(entries, scan, planes, n_payload_bits)
-
-        monkeypatch.setattr(fastpath, "_scan_defect", spy)
-        return calls
+        """The AC-only scans the epilogue flags: one list entry per in-place decode."""
+        return _spy_in_place(monkeypatch, lambda scan: scan.spectral_start > 0)
 
     @staticmethod
     def _empty_planes(size: int = 32):
@@ -1189,7 +1228,9 @@ class TestWindowEscapes:
         crossing = self._body(table, head, self._NO_MATCH)
         assert _tier_error_classes(self._luma_stream(scan, inside)) == ["ValueError"] * 2
         assert _tier_error_classes(self._luma_stream(scan, crossing)) == ["EOFError"] * 2
-        assert long_lookups == [(1, 0), (1, 0)]
+        # Per stream, the walk finds no match and records the sentinel,
+        # then the in-place decode matches the same bits and classifies.
+        assert long_lookups == [(1, 0)] * 4
 
     @pytest.mark.parametrize("length", [14, 15, 16])
     @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ from repro.codecs.baseline import BaselineCodec
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
     EOI,
+    SOF_MARKER,
     SOI,
+    SOS_MARKER,
     SUBSAMPLING_420,
     SUBSAMPLING_NONE,
     CodecFormatError,
@@ -19,6 +22,7 @@ from repro.codecs.markers import (
     ScanHeader,
     find_scan_segments,
     parse_frame_header,
+    write_scan_segment,
 )
 from repro.codecs.progressive import (
     ProgressiveCodec,
@@ -33,6 +37,39 @@ from repro.codecs.progressive import (
 from repro.codecs.quantization import QuantizationTables
 from repro.codecs.transcode import is_lossless_roundtrip, transcode_to_progressive
 from repro.metrics.psnr import mse
+
+
+def _malformed_streams() -> dict[str, bytes]:
+    """Streams whose frame or scan header is malformed, by what is wrong."""
+    frame = FrameHeader(16, 16, 3, SUBSAMPLING_420, QuantizationTables.for_quality(90))
+    sof = frame.to_bytes()
+    frames = {  # parsing stops at the frame: no scans, no EOI
+        "sof-cut-in-its-length": sof[:3],
+        "sof-cut-in-its-payload": sof[:20],
+        "sof-shorter-than-its-fields": SOF_MARKER + struct.pack("<H", 4) + bytes(4),
+        "no-components": replace(frame, n_components=0).to_bytes(),
+        "two-components": replace(frame, n_components=2).to_bytes(),
+        "subsampling-5": replace(frame, subsampling=5).to_bytes(),
+    }
+    scans = {
+        "scan-without-components": ScanHeader((), 1, 5),
+        "scan-repeating-a-component": ScanHeader((0, 0), 1, 5),
+        "scan-naming-component-7": ScanHeader((7,), 1, 5),
+        "sequential-scan-naming-component-7": ScanHeader((7,), 0, 63),
+        "band-start-after-its-end": ScanHeader((0,), 6, 5),
+        "band-end-past-63": ScanHeader((0,), 1, 64),
+    }
+    streams = {case: SOI + segment for case, segment in frames.items()}
+    for case, scan in scans.items():
+        streams[case] = SOI + sof + write_scan_segment(scan, bytes(40)) + EOI
+    # The header names one component, so needs 4 bytes; the segment holds 2.
+    streams["scan-header-past-its-segment"] = (
+        SOI + sof + SOS_MARKER + struct.pack("<I", 2) + bytes([1, 0]) + EOI
+    )
+    return streams
+
+
+_MALFORMED = _malformed_streams()
 
 
 class TestMarkers:
@@ -59,6 +96,14 @@ class TestMarkers:
     def test_missing_soi_raises(self):
         with pytest.raises(CodecFormatError):
             parse_frame_header(b"\x00\x00")
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_headers_raise_codec_format_error(self, case):
+        from tests.codec_reference import decode_coefficients_reference
+
+        for decode in (decode_coefficients, decode_coefficients_reference):
+            with pytest.raises(CodecFormatError):
+                decode(_MALFORMED[case])
 
     def test_find_segments_on_truncated_stream(self, color_image):
         codec = ProgressiveCodec(quality=85)

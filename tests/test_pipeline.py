@@ -193,6 +193,11 @@ class TestDataLoader:
         loader_drop = DataLoader(pcr_dataset, LoaderConfig(batch_size=6, drop_last=True))
         assert loader_drop.batches_per_epoch() == 3
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            LoaderConfig(batch_size=batch_size)
+
     def test_drop_last(self, pcr_dataset):
         loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=6, drop_last=True))
         sizes = [len(batch) for batch in loader.epoch()]
