@@ -36,13 +36,14 @@ This module is the vectorized counterpart of the scalar scan coder in
     walked scan takes it only when its finisher flags it, to finish it or
     to raise the scalar reference's error class for its first defect.
 
-  In both, an oversized symbol (code + magnitude wider than the window) is
-  finished from the same table: its window holds the symbol's negated
-  plain entry (run, category, consumption) and the magnitude is read off
-  the stream; a code longer than the window is matched against the
-  table's few long codes.  Each scan fetches the tables built for its kind
-  only (DC-only, AC-only or mixed), and coefficient-plane writes are one
-  vectorized scatter per component.
+  Both read one table layout, the interleaved pair table with the walk's
+  strides in one block.  In both, an oversized symbol (code + magnitude
+  wider than the window) is finished from the same table: its window
+  holds the symbol's negated plain entry (run, category, consumption) and
+  the magnitude is read off the stream; a code longer than the window is
+  matched against the table's few long codes.  A DC-only or AC-only scan
+  fetches the bundle of its flavour, a mixed scan both of its table's,
+  and coefficient-plane writes are one vectorized scatter per component.
 
 Both directions produce byte-identical streams / identical coefficients to
 the scalar reference (``encode_scan_body_reference`` /
@@ -65,7 +66,6 @@ from repro.codecs.huffman import (
     HuffmanTable,
     canonical_code,
     long_code_entry,
-    pair_table,
 )
 from repro.codecs.pixelpath import _thread_scratch
 from repro.codecs.rle import symbol_stream
@@ -291,17 +291,17 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     walk_jobs = []
     for segment in segments:
         scan = segment.header
-        if scan.spectral_end == 0:
-            kind = "dc"
-        else:
-            kind = "mixed" if scan.spectral_start == 0 else "ac"
+        body = data[segment.payload_start : segment.end]
         tables, consumed = HuffmanTable.cached_from_bytes(
-            data[segment.payload_start : segment.end], kind
+            body, "ac" if scan.spectral_end else "dc"
         )
-        payload = data[segment.payload_start + consumed : segment.end]
+        payload = body[consumed:]
         n_payload_bits = len(payload) * 8
-        if kind == "mixed":
-            _decode_in_place(payload, tables, scan, coefficients, n_payload_bits)
+        if scan.spectral_start == 0 < scan.spectral_end:  # mixed: both flavours
+            dc_tables, _ = HuffmanTable.cached_from_bytes(body, "dc")
+            _decode_in_place(
+                payload, tables[0], dc_tables[0], tables[3], scan, coefficients, n_payload_bits
+            )
         else:
             walk_jobs.append((scan, payload, tables, n_payload_bits))
     if walk_jobs:
@@ -386,7 +386,8 @@ def _finish_dc_scan(job, entries, coefficients) -> None:
         or int(needed.min(initial=0)) < 0
         or int(np.add.reduce(needed & 31, dtype=np.int64)) > n_payload_bits
     ):
-        _decode_in_place(payload, tables, scan, coefficients, n_payload_bits)
+        pair, _, _, long_codes = tables
+        _decode_in_place(payload, pair, pair, long_codes, scan, coefficients, n_payload_bits)
         return
     diffs = needed >> 12
     diffs -= SUPER_VALUE_OFFSET
@@ -432,10 +433,11 @@ def _walk_batch(jobs):
     one bytes object.  Phase 1 is then the leanest possible Python
     loop (:func:`_walk_one`): index a byte, add it to the cursor — one
     step per *probe* (two symbols ~85% of the time), with no buffer state
-    at all.  Phase 2 reconstructs the actual packed entries by gathering
-    the scan's slot tables at the recorded probe offsets and compacting out
-    empty second slots, patching in the (rare) escape results recorded by
-    the walk.
+    at all.  Phase 2 reconstructs the actual packed entries with one gather
+    per scan — both slots of every recorded probe at once, off the
+    bundle's ``int64`` view of its pair table, so the gathered stream is
+    already interleaved — then patches in the (rare) escape results
+    recorded by the walk and compacts out the empty second slots.
 
     Every gather is ``np.take``: fancy indexing with an int32 index array
     first casts it to intp through a generic path that costs 3x the gather
@@ -456,18 +458,17 @@ def _walk_batch(jobs):
         np.right_shift(u24, shift, out=windows[:, column], casting="unsafe")
     windows &= _WINDOW_MASK
     windows = windows.reshape(-1)
-    # Phases 1 and 2, per scan: walk its stride bytes, gather its slots.
-    firsts = []
-    seconds = []
+    # Phases 1 and 2, per scan: walk its stride bytes, gather its slot pairs.
+    pairs = []
     fallback_entries: list[int] = []
     bit_base = 0
     for scan, payload, tables, n_payload_bits in jobs:
-        slots1, slots2, pairbits, long_codes = tables
+        pair, pairs64, pairbits, long_codes = tables
         scan_windows = windows[bit_base : bit_base + n_payload_bits + 64]
         probes = _walk_one(
             np.take(pairbits, scan_windows).tobytes(),
             scan_windows,
-            slots1,
+            pair,
             long_codes,
             blob,
             bit_base >> 3,
@@ -475,28 +476,25 @@ def _walk_batch(jobs):
             scan.spectral_end > 0,
         )
         probed = np.take(scan_windows, np.frombuffer(probes, dtype=np.int32))
-        firsts.append(np.take(slots1, probed))
-        seconds.append(np.take(slots2, probed))
+        pairs.append(np.take(pairs64, probed).view(np.int32))
         bit_base += (len(payload) + len(_WALK_PAD)) << 3
-    first = np.concatenate(firsts)
+    interleaved = np.concatenate(pairs)
     if fallback_entries:
+        first = interleaved[0::2]
         first[first <= 0] = np.asarray(fallback_entries, dtype=np.int32)
     # A probe's first slot is never empty (a packed symbol, or an escape
     # patched just above) and an escape probe's second slot always is (the
     # tables pair only behind an in-window first symbol), so compaction
     # keeps every nonzero interleaved slot and a scan's entry count is its
     # probes plus its occupied second slots.
-    interleaved = np.empty(2 * first.shape[0], dtype=np.int32)
-    interleaved[0::2] = first
-    interleaved[1::2] = np.concatenate(seconds)
-    lengths = [part.shape[0] + np.count_nonzero(part) for part in seconds]
+    lengths = [(part.shape[0] >> 1) + np.count_nonzero(part[1::2]) for part in pairs]
     return np.take(interleaved, np.flatnonzero(interleaved)), lengths
 
 
 def _walk_one(
     strides: bytes,
     windows,
-    slots1,
+    pair,
     long_codes,
     blob: bytes,
     byte_base: int,
@@ -511,7 +509,7 @@ def _walk_one(
     ints, so the loop allocates nothing.  A zero stride means the window
     cannot be walked through (invalid prefix, oversized first symbol or a
     code longer than the window): the symbol is finished from its window's
-    own first slot (``slots1[windows[p]]``) and the blob bytes, and its
+    own first slot (``pair[2 * windows[p]]``) and the blob bytes, and its
     packed entry (or a ``-1`` invalid sentinel, which ends the walk) is
     appended to ``fallback_entries``; phase 2 patches these into the
     gathered entry stream, so the walk stays branch-lean.  The walk ends
@@ -546,7 +544,7 @@ def _walk_one(
                 # Code + magnitude span at most 31 bits, so 6 bytes
                 # starting at the cursor's byte always cover them.
                 wide = int.from_bytes(blob[byte : byte + 6], "big")
-                entry = int(slots1[windows[cursor]])
+                entry = pair[int(windows[cursor]) << 1]
                 if entry == -1:
                     entry = long_code_entry(
                         long_codes, (wide >> (32 - phase)) & 0xFFFF, ac
@@ -658,9 +656,9 @@ def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:
         | (consumed > [job[3] for job in jobs])
         | (np.searchsorted(crossing, needed) > np.searchsorted(crossing, bases))
     ).tolist()
-    for (scan, payload, tables, n_payload_bits), defective in zip(jobs, flagged):
+    for (scan, payload, (pair, _, _, long_codes), n_payload_bits), defective in zip(jobs, flagged):
         if defective:
-            _decode_in_place(payload, tables, scan, coefficients, n_payload_bits)
+            _decode_in_place(payload, pair, pair, long_codes, scan, coefficients, n_payload_bits)
     value_offsets = entry_array >> 12
     coefficient_at = np.flatnonzero(value_offsets > 0)
     flat_values = np.take(value_offsets, coefficient_at)
@@ -718,7 +716,7 @@ def _escape_dc(
 
 
 def _decode_in_place(
-    payload: bytes, tables, scan, coefficients, n_payload_bits: int
+    payload: bytes, sup_ac, sup_dc, long_codes, scan, coefficients, n_payload_bits: int
 ) -> None:
     """Decode one scan block by block off a bit buffer, in place.
 
@@ -729,8 +727,10 @@ def _decode_in_place(
     finishes it (a DC diff outside +-32767 is valid, up to the format's
     +-2**30; a pure run crossing the band end ends its block, like the
     reference ``read_ac_band``'s ``index += 16``) or raises the scalar
-    reference's error class for its first defect.  A mixed bundle holds the
-    two pair tables; a walk bundle's slots are interleaved into one here.
+    reference's error class for its first defect.  ``sup_ac`` / ``sup_dc``
+    are the interleaved pair tables of the two flavours (the same one for
+    a walked scan, which reads one flavour) and ``long_codes`` the table's
+    long codes, which serve both.
 
     The DC probe commits only its first symbol — in a mixed scan the symbol
     after a DC diff is an AC symbol, which the DC-flavour pairing cannot
@@ -739,11 +739,6 @@ def _decode_in_place(
     coefficient lands at ``index - 1`` and overflow is
     ``index > band_length``.
     """
-    if scan.spectral_start == 0 < scan.spectral_end:
-        sup_ac, sup_dc, long_codes = tables
-    else:  # a walk bundle holds one flavour, the one this scan reads
-        slots1, slots2, _, long_codes = tables
-        sup_ac = sup_dc = pair_table(slots1, slots2)
     padded = payload + _PAD
     words = np.frombuffer(padded, dtype=">u8", count=len(padded) >> 3).tolist()
     masks = _MASKS

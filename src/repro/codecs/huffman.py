@@ -27,14 +27,17 @@ through it, and the decoder parses tables into it.  It holds no decode
 tables.  The fast decode tier fetches them through
 :meth:`HuffmanTable.cached_from_bytes`,
 the one cached route: a byte-bounded LRU keyed on ``(kind, serialized table
-bytes)`` whose entry is exactly the arrays that *kind* of scan reads (a scan
-is DC-only, AC-only or mixed, and reads one flavour), built whole at the
-miss and charged once with their real ``nbytes`` plus the key, so an
-eviction frees the memory and ``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` is a true
-bound.  Every scan of every image carries its own optimised table, so the
-cache only helps a dataset whose tables fit the budget and are decoded
-again (later epochs); it exports ``codec.table_cache.*``
-hit/miss/evict/byte metrics on the default :mod:`repro.obs` registry.
+bytes)``, where *kind* is the flavour, ``"dc"`` or ``"ac"``.  Every entry
+has one layout, a 72 KiB ``array('i')`` block holding the interleaved pair
+table and the walk's strides (:func:`_build_super_tables`): a DC-only or
+AC-only scan reads one entry, a mixed scan reads its table's two.  An entry
+is built whole at the miss and charged once with its real bytes plus the
+key, so an eviction frees the memory and
+``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` is a true bound.  Every scan of every
+image carries its own optimised table, so the cache only helps a dataset
+whose tables fit the budget and are decoded again (later epochs); it
+exports ``codec.table_cache.*`` hit/miss/evict/byte metrics on the default
+:mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
@@ -66,14 +69,6 @@ SUPER_BITS = 13
 #: (0 is reserved for "no coefficient").  Fixed at ``1 << 15`` — it bounds
 #: magnitudes, not windows, so it must not shrink with ``SUPER_BITS``.
 SUPER_VALUE_OFFSET = 1 << 15
-
-#: The three kinds of scan, by what their symbols are — one DC diff per block,
-#: run/size AC symbols only, or (sequential / baseline scripts) a DC diff
-#: then an AC band per block — mapped to the table flavours that kind's
-#: decode loop indexes (``True`` = the AC flavour, ``False`` = the DC one).
-#: A decode-table bundle is built for one kind.
-SCAN_KINDS = {"dc": (False,), "ac": (True,), "mixed": (True, False)}
-
 
 class _LRUByteCache:
     """A thread-safe LRU mapping bounded by a byte budget.
@@ -172,8 +167,8 @@ def _cache_budget_bytes() -> int:
 #: ``(kind, serialized table bytes)`` -> ``(decode tables, bytes_consumed)``:
 #: the one table cache (see :meth:`HuffmanTable.cached_from_bytes`).  The
 #: budget is in real bytes — an entry is charged its key and the arrays it
-#: holds, 72 KiB for a DC-only or AC-only scan's — so the default holds
-#: about 3 600 tables, 360 ten-scan images.
+#: holds, 72 KiB per flavour — so the default holds about 3 600 tables, 360
+#: ten-scan images.
 _TABLE_CACHE = _LRUByteCache("codec.table_cache", _cache_budget_bytes())
 
 
@@ -249,15 +244,15 @@ class HuffmanTable:
 
     @classmethod
     def cached_from_bytes(cls, payload: bytes, kind: str) -> tuple[tuple, int]:
-        """Decode tables of a serialized table, for one kind of scan, cached.
+        """Decode tables of a serialized table, in one flavour, cached.
 
         Returns ``(tables, bytes_consumed)`` where ``tables`` is what
-        :func:`_build_super_tables` builds for ``kind`` (a key of
-        ``SCAN_KINDS``).  The only cached route, keyed on ``(kind,
-        serialized table bytes)``: a repeated decode of a scan (the same
-        image in a later epoch) reuses the built arrays; tables do not
-        recur across scans or images, each scan carries its own optimised
-        one.  The arrays are shared and must be treated as read-only.
+        :func:`_build_super_tables` builds for ``kind`` (``"dc"`` or
+        ``"ac"``).  The only cached route, keyed on ``(kind, serialized
+        table bytes)``: a repeated decode of a scan (the same image in a
+        later epoch) reuses the built arrays; tables do not recur across
+        scans or images, each scan carries its own optimised one.  The
+        arrays are shared and must be treated as read-only.
         """
         if len(payload) < 2 + MAX_CODE_LENGTH:
             raise ValueError("Huffman table payload too short")
@@ -269,9 +264,10 @@ class HuffmanTable:
             table, consumed = cls.from_bytes(payload)
             tables = _build_super_tables(table._encode_map, kind)
             cached = (tables, consumed)
-            # Charged once, exactly: the key's bytes and the arrays' (``array``
-            # has no ``nbytes``; both kinds have ``len`` and ``itemsize``).
-            nbytes = sum(len(table) * table.itemsize for table in tables)
+            # Charged once, exactly: the key's bytes and the two blocks (the
+            # numpy arrays are views of the first).
+            pair, _, _, long_codes = tables
+            nbytes = (len(pair) + len(long_codes)) * pair.itemsize
             _TABLE_CACHE.put(key, cached, len(serialized) + nbytes)
         return cached
 
@@ -324,35 +320,38 @@ def long_code_entry(long_codes, bits16: int, ac: bool) -> int:
 
 
 def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tuple:
-    """Build the wide-window superscalar decode tables one kind of scan reads.
+    """Build the wide-window superscalar decode tables of one flavour.
 
-    Returns a tuple of arrays, by ``kind``:
+    ``kind`` is ``"ac"`` or ``"dc"``, the flavour's symbols: run/size AC
+    symbols or DC diff categories.  Returns ``(pair, pairs64, pairbits,
+    long_codes)``, two blocks and two views of the first:
 
-    * ``"dc"`` — ``(slots1, slots2, pairbits, long_codes)``, DC flavour
-    * ``"ac"`` — ``(slots1, slots2, pairbits, long_codes)``, AC flavour
-    * ``"mixed"`` — ``(ac_pair, dc_pair, long_codes)``
+    * ``pair`` — one ``array('i')`` of ``(9 << SUPER_BITS) / 4`` entries,
+      72 KiB at ``SUPER_BITS = 13``.  Its first ``2 << SUPER_BITS`` entries
+      are the *interleaved pair table*: for a window ``w`` of the next
+      ``SUPER_BITS`` stream bits (MSB-first), slot ``2 * w`` is the first
+      symbol the window fully decodes and slot ``2 * w + 1`` the symbol
+      that follows it — nonzero only when that second symbol's code +
+      magnitude also fit in the window.  One index computation
+      (``pair[w2]`` then ``pair[w2 | 1]`` with ``w2 = 2 * w``) resolves up
+      to two complete symbols, and both slots share a cache line; the
+      in-place loop in ``fastpath`` probes it, and so does the stride
+      walk's escape.  The last ``1 << SUPER_BITS`` bytes are the walk's
+      strides.
+    * ``pairs64`` — an ``int64`` view of the pair half, one element per
+      window holding both slots, so the stride walk gathers a probe's two
+      slots with one ``np.take``, and the gather's ``.view(np.int32)`` is
+      the interleaved entry stream.
+    * ``pairbits`` — a ``uint8`` view of the tail: per window, the *total*
+      bit consumption of every symbol that fully fits in it — the stride of
+      one walk step — and 0 where the walk must escape (first slot <= 0).
+      A DC diff, like an AC entry, carries its own bit consumption, so both
+      flavours walk.
+    * ``long_codes`` — an ``array('i')`` of the code's few (usually no)
+      codes longer than ``SUPER_BITS``, packed for :func:`long_code_entry`.
 
-    ``slots1`` / ``slots2`` / ``pairbits`` are what the batched stride walk
-    in ``fastpath`` reads, for both context-free kinds of scan (a DC diff,
-    like an AC entry, carries its own bit consumption): two ``numpy.int32``
-    arrays of ``1 << SUPER_BITS`` entries holding, for a window ``w`` of the
-    next ``SUPER_BITS`` stream bits (MSB-first), the first symbol the window
-    fully decodes and the symbol that follows it — nonzero only when that
-    second symbol's code + magnitude also fit in the window — and a
-    ``numpy.uint8`` array whose entry is the *total* bit consumption of
-    every symbol that fully fits in the window — the stride of one walk
-    step — and 0 where the walk must escape (first slot <= 0).
-
-    ``ac_pair`` / ``dc_pair`` are the same entries *interleaved* into
-    ``array('i')`` tables of ``2 << SUPER_BITS`` entries, one per flavour
-    (:func:`pair_table`), for the in-place loop: slot ``2 * w`` is the
-    first symbol and slot ``2 * w + 1`` the second, so one index
-    computation (``pair[w2]`` then ``pair[w2 | 1]`` with ``w2 = 2 * w``)
-    resolves up to two complete symbols, and interleaving keeps both slots
-    on one cache line.
-
-    ``long_codes`` is an ``array('i')`` of the code's few (usually no)
-    codes longer than ``SUPER_BITS``, packed for :func:`long_code_entry`.
+    The views export ``pair``'s buffer, so it cannot be resized while the
+    bundle lives.
 
     First-slot entries: ``0`` — invalid prefix (``ValueError``); ``-1`` —
     the window is a prefix of codes longer than itself, resolved by
@@ -389,15 +388,14 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     decode loops runs on CPython compact (single-digit) ints — packing
     both symbols into one wide entry was measurably *slower* because all
     field extractions became multi-digit big-int arithmetic.  Storage is
-    4 bytes/slot (the pair tables are ``array('i')``): denser than a list
-    of int objects (~512 KiB instead of ~4.6 MiB per pair table, which also
-    keeps the probe's working set cache-resident) and faster to build (one
-    memcpy from the NumPy int32 buffer instead of 131072 ``PyLong`` boxes).
+    4 bytes/slot: denser than a list of int objects (~512 KiB instead of
+    ~4.6 MiB per pair table, which also keeps the probe's working set
+    cache-resident).
 
-    Only the flavour(s) the kind's loop indexes are built: every scan of
-    every image brings its own table, so a structure no scan of that kind
-    reads is pure build time and resident memory (docs/performance.md has
-    the numbers).
+    Only one flavour is built per bundle: every scan of every image brings
+    its own table, so a structure no scan reads is pure build time and
+    resident memory (docs/performance.md has the numbers).  A mixed scan
+    reads its table's two bundles.
     """
     long_codes = array(
         "i",
@@ -408,33 +406,20 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
         ),
     )
     size = 1 << SUPER_BITS
-    slots = [_window_slots(encode_map, ac) for ac in SCAN_KINDS[kind]]
-    if kind != "mixed":
-        # One 72 KiB block per bundle, not three arrays: interleaved in the
-        # malloc heap with the build's 64 KiB temporaries, separate 32 / 32 /
-        # 8 KiB arrays cost 31 % more resident memory than the cache charges
-        # (measured over 2 300 entries); one block costs 3 %.
-        block = np.empty(9 * size, dtype=np.uint8)
-        slots1 = block[: 4 * size].view(np.int32)
-        slots2 = block[4 * size : 8 * size].view(np.int32)
-        pairbits = block[8 * size :]
-        slots1[:], slots2[:], pairbits[:] = slots[0]
-        return slots1, slots2, pairbits, long_codes
-    return (*[pair_table(first, second) for first, second, _ in slots], long_codes)
-
-
-def pair_table(first, second) -> array:
-    """One flavour's first and second slots, interleaved into a pair table.
-
-    The ``array('i')`` the in-place decode loop probes: slot ``2 * w`` is
-    window ``w``'s first symbol and slot ``2 * w + 1`` the one after it.
-    A mixed bundle holds two of these; a walk bundle's ``slots1`` /
-    ``slots2`` become one when a flagged scan is decoded in place.
-    """
-    interleaved = np.empty(2 * len(first), dtype=np.int32)
+    first, second, strides = _window_slots(encode_map, kind == "ac")
+    # One 72 KiB block per bundle, filled in place, not separate arrays or
+    # a ``tobytes`` copy: interleaved in the malloc heap with the build's
+    # 64 KiB temporaries, separate 32 / 32 / 8 KiB arrays cost 31 % more
+    # resident memory than the cache charges (measured over 2 300 entries);
+    # one block costs 3 %.
+    pair = array("i", [0]) * ((9 * size) >> 2)
+    pairs64 = np.frombuffer(pair, dtype=np.int64, count=size)
+    pairbits = np.frombuffer(pair, dtype=np.uint8, offset=8 * size)
+    interleaved = pairs64.view(np.int32)
     interleaved[0::2] = first
     interleaved[1::2] = second
-    return array("i", interleaved.tobytes())
+    pairbits[:] = strides
+    return pair, pairs64, pairbits, long_codes
 
 
 def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,77 +431,69 @@ class TestRunLengthCoding:
 
 
 class TestSuperscalarTables:
-    """Structural invariants of the superscalar window tables, per scan kind."""
+    """Structural invariants of the superscalar window tables, per flavour."""
 
     @staticmethod
     def _table():
-        # Skewed AC-style symbol mix so the code has short and long codes.
+        # Skewed AC-style symbol mix so the code has short and long codes,
+        # and rare wide magnitudes whose windows escape.
         symbols = (
             [EOB_SYMBOL] * 120
             + [0x11] * 60
             + [0x21] * 25
             + [0x12] * 10
             + [ZRL_SYMBOL] * 4
-            + [0x53, 0x04, 0x81]
+            + [0x53, 0x04, 0x81, 0x0A]
         )
         return HuffmanTable.from_symbols(symbols)
 
     @classmethod
-    def _walk_tables(cls, table=None):
+    def _walk_tables(cls, kind):
+        """One flavour's walk tables: the two slot views and the strides."""
         from repro.codecs.huffman import _build_super_tables
 
-        return _build_super_tables((table or cls._table())._encode_map, "ac")[:3]
+        _, pairs64, pairbits, _ = _build_super_tables(cls._table()._encode_map, kind)
+        interleaved = pairs64.view(np.int32)
+        return interleaved[0::2], interleaved[1::2], pairbits
 
     def test_pair_table_shapes(self):
-        import numpy as np
+        """Either flavour: the interleaved pair table and the walk's strides, one block."""
         from repro.codecs.huffman import SUPER_BITS, _build_super_tables
 
-        encode_map = self._table()._encode_map
-        ac_pair, dc_pair, long_codes = _build_super_tables(encode_map, "mixed")
-        assert len(ac_pair) == 2 << SUPER_BITS
-        assert len(dc_pair) == 2 << SUPER_BITS
-        assert len(long_codes) == 0
-        # A DC-only and an AC-only scan both walk: the same three arrays, in
-        # one 72 KiB block, de-interleaved from the mixed scan's pair table
-        # of their flavour.
-        for kind, pair in (("ac", ac_pair), ("dc", dc_pair)):
-            slots1, slots2, pairbits, long_codes = _build_super_tables(encode_map, kind)
-            assert len(slots1) == len(slots2) == len(pairbits) == 1 << SUPER_BITS
-            assert slots1.dtype == np.int32
-            assert slots2.dtype == np.int32
-            assert pairbits.dtype == np.uint8
-            assert slots1.base is slots2.base is pairbits.base
-            assert slots1.base.nbytes == 9 << SUPER_BITS
+        for kind in ("ac", "dc"):
+            pair, pairs64, pairbits, long_codes = _build_super_tables(self._table()._encode_map, kind)
+            assert np.shares_memory(pairs64, pair) and np.shares_memory(pairbits, pair)
+            assert len(pair) * 4 == 9 << SUPER_BITS
+            assert pairs64.dtype == np.int64 and pairbits.dtype == np.uint8
+            assert len(pairs64) == len(pairbits) == 1 << SUPER_BITS
             assert len(long_codes) == 0
-            interleaved = np.frombuffer(bytes(pair), dtype=np.int32)
-            assert np.array_equal(slots1, interleaved[0::2])
-            assert np.array_equal(slots2, interleaved[1::2])
-            valid = slots1 > 0
-            expected = (slots1 & 31) + np.where(slots2 != 0, slots2 & 31, 0)
-            assert np.array_equal(pairbits[valid], expected[valid].astype(np.uint8))
-            assert not pairbits[~valid].any()
+            assert np.array_equal(pairs64.view(np.int32), pair[: 2 << SUPER_BITS])
+            # The views export the block, so it cannot move under them.
+            with pytest.raises(BufferError):
+                pair.append(0)
 
     def test_pairbits_is_sum_of_fitting_consumes(self):
-        import numpy as np
-
-        slots1, slots2, pairbits = self._walk_tables()
-        valid = slots1 > 0
-        # Stride of one walk step == first consume + second consume (when a
-        # second symbol fit); escape windows (invalid prefix / oversized /
-        # long code) must have stride 0 so the walk stalls and the escape
-        # takes over at exactly that bit offset.
-        expected = (slots1 & 31) + np.where(slots2 != 0, slots2 & 31, 0)
-        assert np.array_equal(pairbits[valid], expected[valid].astype(np.uint8))
-        assert not pairbits[~valid].any()
-        # A second symbol never appears without a committed first symbol,
-        # and a committed pair always fits the probe window.
-        assert not slots2[~valid].any()
+        for kind in ("ac", "dc"):
+            slots1, slots2, pairbits = self._walk_tables(kind)
+            # Stride of one walk step == first consume + second consume (when
+            # a second symbol fit); escape windows (invalid prefix / oversized
+            # / long code) must have stride 0 so the walk stalls and the
+            # escape takes over at exactly that bit offset.
+            valid = slots1 > 0
+            assert (~valid).any()
+            expected = (slots1 & 31) + np.where(slots2 != 0, slots2 & 31, 0)
+            assert np.array_equal(pairbits[valid], expected[valid])
+            assert not pairbits[~valid].any()
+            # A second symbol never appears without a committed first symbol.
+            assert not slots2[~valid].any()
 
     def test_pair_windows_fit_in_window(self):
         from repro.codecs.huffman import SUPER_BITS
 
-        slots1, slots2, pairbits = self._walk_tables()
-        assert int(pairbits.max()) <= SUPER_BITS
+        for kind in ("ac", "dc"):
+            _, _, pairbits = self._walk_tables(kind)
+            # A committed pair always fits the probe window.
+            assert int(pairbits.max()) <= SUPER_BITS
 
     def test_deep_code_table_builds_fallback_windows(self):
         import numpy as np
@@ -523,7 +517,9 @@ class TestSuperscalarTables:
         lengths[next(symbols)] = 16
         lengths[next(symbols)] = 16
         table = HuffmanTable(code_lengths=lengths)
-        slots1, slots2, pairbits, long_codes = _build_super_tables(table._encode_map, "ac")
+        pair, pairs64, pairbits, long_codes = _build_super_tables(table._encode_map, "ac")
+        slots = pairs64.view(np.int32)
+        slots1, slots2 = slots[0::2], slots[1::2]
         escapes = slots1 < 0
         assert (slots1 == -1).any() and (slots1 < -1).any()
         assert not pairbits[escapes].any()
@@ -594,9 +590,14 @@ def _decode_dc_then_ac(table_bytes: bytes):
 
 
 def _held_bytes(cache) -> int:
-    """What the cache's entries pin, computed from the arrays they hold."""
+    """What the cache's entries pin, computed from the blocks they hold.
+
+    Each block counts once: an entry's numpy arrays are views of its pair
+    block, so only its ``array('i')`` blocks and its key hold bytes.
+    """
     return sum(
-        len(serialized) + sum(len(table) * table.itemsize for table in tables)
+        len(serialized)
+        + sum(len(block) * block.itemsize for block in tables if isinstance(block, array))
         for (_, serialized), ((tables, _), _) in cache._entries.items()
     )
 
@@ -664,7 +665,8 @@ class TestHuffmanTableCaches:
         other, _ = HuffmanTable.cached_from_bytes(payload, "dc")
         assert misses.value == misses_before + 2
         assert len(other) == len(first) == 4
-        dc_symbols, ac_symbols = other[0][other[0] > 0], first[0][first[0] > 0]
+        dc_slots, ac_slots = other[1].view(np.int32), first[1].view(np.int32)
+        dc_symbols, ac_symbols = dc_slots[dc_slots > 0], ac_slots[ac_slots > 0]
         assert not ((dc_symbols >> 5) & 0x7F).any() and ((ac_symbols >> 5) & 0x7F).any()
 
     @staticmethod
@@ -698,14 +700,69 @@ class TestHuffmanTableCaches:
         kinds = [kind for kind, _ in cache._entries]
         assert kinds.count("dc") == 1 and kinds.count("ac") == 9
         for (kind, serialized), ((tables, _), charge) in cache._entries.items():
-            array_bytes = sum(len(table) * table.itemsize for table in tables)
-            assert charge == len(serialized) + array_bytes
-            n_long = len(tables[-1])
-            # Either kind: the walk's three arrays of its own flavour, no
-            # interleaved table.
-            assert [len(table) for table in tables[:-1]] == [1 << SUPER_BITS] * 3
-            assert array_bytes == (9 << SUPER_BITS) + 4 * n_long
+            # Either kind: one block of its own flavour (the interleaved pair
+            # table and the walk's strides), and the long codes.
+            assert charge == len(serialized) + (9 << SUPER_BITS) + 4 * len(tables[-1])
         assert cache.resident_bytes == _held_bytes(cache)
+
+    def test_long_codes_are_charged(self, monkeypatch):
+        """An entry is charged its long codes too, 4 bytes each."""
+        from repro.codecs import huffman
+        from repro.codecs.huffman import SUPER_BITS, _LRUByteCache
+
+        cache = _LRUByteCache("testonly.long", 64 << 20)
+        monkeypatch.setattr(huffman, "_TABLE_CACHE", cache)
+        # A complete code whose 14-, 15- and two 16-bit codes overflow the window.
+        lengths = {symbol: symbol for symbol in range(1, 16)}
+        lengths[16] = lengths[17] = 16
+        serialized = RuntimeHuffmanTable(code_lengths=lengths).to_bytes()
+        for kind in ("dc", "ac"):
+            tables, _ = RuntimeHuffmanTable.cached_from_bytes(serialized, kind)
+            assert len(tables[-1]) == 4
+            assert cache._entries[(kind, serialized)][1] == len(serialized) + (9 << SUPER_BITS) + 16
+        assert cache.resident_bytes == _held_bytes(cache)
+
+    def test_mixed_scans_read_both_flavours(self, monkeypatch):
+        """A baseline colour stream: each mixed scan reads its table's two entries."""
+        from repro.codecs import huffman
+        from repro.codecs.baseline import BaselineCodec
+        from repro.codecs.huffman import SUPER_BITS, _LRUByteCache
+        from repro.codecs.image import ImageBuffer
+        from repro.codecs.markers import find_scan_segments
+        from repro.codecs.progressive import decode_coefficients
+        from repro.obs import get_registry
+        from tests.codec_reference import decode_coefficients_reference
+
+        cache = _LRUByteCache("testonly.mixed", 64 << 20)
+        monkeypatch.setattr(huffman, "_TABLE_CACHE", cache)
+        image = np.random.default_rng(53).integers(0, 256, (32, 32, 3)).astype(np.uint8)
+        stream = BaselineCodec(90).encode(ImageBuffer.from_array(image))
+        segments = find_scan_segments(stream)
+        assert len(segments) == 3
+        serialized_tables = set()
+        for segment in segments:
+            assert segment.header.spectral_start == 0 < segment.header.spectral_end
+            body = stream[segment.payload_start : segment.end]
+            serialized_tables.add(body[: 18 + int.from_bytes(body[:2], "little")])
+        coefficients, _ = decode_coefficients(stream)
+        # Exactly one entry per flavour per distinct table, each one block.
+        assert set(cache._entries) == {
+            (kind, serialized) for serialized in serialized_tables for kind in ("dc", "ac")
+        }
+        for (_, serialized), ((tables, _), charge) in cache._entries.items():
+            assert charge == len(serialized) + (9 << SUPER_BITS) + 4 * len(tables[-1])
+        assert cache.resident_bytes == _held_bytes(cache)
+        # A second decode is all hits: two lookups per mixed scan.
+        hits = get_registry().counter("testonly.mixed.hits_total")
+        misses = get_registry().counter("testonly.mixed.misses_total")
+        hits_before, misses_before = hits.value, misses.value
+        again, _ = decode_coefficients(stream)
+        assert misses.value == misses_before
+        assert hits.value == hits_before + 2 * len(segments)
+        expected, _ = decode_coefficients_reference(stream)
+        for decoded in (coefficients, again):
+            for plane, want in zip(decoded.planes, expected.planes):
+                assert np.array_equal(plane, want)
 
     def test_concurrent_misses_leave_an_exact_charge(self):
         """Four threads, the same streams, all cold: no over-count."""
@@ -782,13 +839,8 @@ class TestHuffmanTableCaches:
         evictions = registry.counter("codec.table_cache.evictions_total")
 
         def watch_held() -> list:
-            # The numpy walk arrays of every entry: DC-only and AC-only
-            # scans both hold one (array('i') takes no weak references).
-            return [
-                weakref.ref(tables[0])
-                for (kind, _), ((tables, _), _) in _TABLE_CACHE._entries.items()
-                if kind != "mixed"
-            ]
+            # Every entry's pair block, which its numpy views keep alive.
+            return [weakref.ref(tables[0]) for (tables, _), _ in _TABLE_CACHE._entries.values()]
 
         misses_before, evictions_before = misses.value, evictions.value
         watched = []

@@ -124,10 +124,10 @@ def _spy_in_place(monkeypatch, takes):
     calls = []
     decode = fastpath._decode_in_place
 
-    def spy(payload, tables, scan, coefficients, n_payload_bits):
+    def spy(payload, sup_ac, sup_dc, long_codes, scan, coefficients, n_payload_bits):
         if takes(scan):
             calls.append(scan)
-        return decode(payload, tables, scan, coefficients, n_payload_bits)
+        return decode(payload, sup_ac, sup_dc, long_codes, scan, coefficients, n_payload_bits)
 
     monkeypatch.setattr(fastpath, "_decode_in_place", spy)
     return calls
@@ -849,10 +849,10 @@ class TestInPlaceLoopOnWalkedScans:
                 walked = empty_coefficients(header)
                 decode_scan_bodies_fast(stream, [segment], walked)
                 body = stream[segment.payload_start : segment.end]
-                tables, consumed = HuffmanTable.cached_from_bytes(body, kind)
+                (pair, _, _, long_codes), consumed = HuffmanTable.cached_from_bytes(body, kind)
                 in_place = empty_coefficients(header)
                 payload = body[consumed:]
-                decode_in_place(payload, tables, scan, in_place, len(payload) * 8)
+                decode_in_place(payload, pair, pair, long_codes, scan, in_place, len(payload) * 8)
                 for walked_plane, plane in zip(walked.planes, in_place.planes):
                     assert np.array_equal(walked_plane, plane), (kind, scan)
                 kinds.add(kind)
@@ -1279,9 +1279,9 @@ class TestWindowEscapes:
         escapes = []
         walk = fastpath._walk_one
 
-        def spy_walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries, ac):
+        def spy_walk(strides, windows, pair, long_codes, blob, byte_base, fallback_entries, ac):
             before = len(fallback_entries)
-            probes = walk(strides, windows, slots1, long_codes, blob, byte_base, fallback_entries, ac)
+            probes = walk(strides, windows, pair, long_codes, blob, byte_base, fallback_entries, ac)
             escapes.extend(entry > 0 for entry in fallback_entries[before:])
             return probes
 
