@@ -46,7 +46,7 @@ def _convert_encoded_source(streams, root):
         record_path = root / f"static-q{quality}.tfrecord"
         codec = BaselineCodec(quality=quality)
         start = time.perf_counter()
-        with TFRecordWriter(record_path, quality=quality) as record_writer:
+        with TFRecordWriter(record_path) as record_writer:
             for key, payload, label in streams:
                 record_writer.add_sample(key, codec.encode(source_codec.decode(payload)), label)
         static_seconds += time.perf_counter() - start

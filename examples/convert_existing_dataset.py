@@ -29,8 +29,10 @@ def main() -> None:
 
     # Step 1: materialize a "pre-existing" file-per-image dataset.
     print(f"Creating a file-per-image source dataset under {root / 'source'} ...")
-    source_writer = FilePerImageWriter(root / "source", quality=spec.jpeg_quality)
-    source_writer.write_dataset(generate_dataset(spec, seed=2))
+    codec = BaselineCodec(quality=spec.jpeg_quality)
+    FilePerImageWriter(root / "source").write_dataset(
+        (key, codec.encode(image), label) for key, image, label in generate_dataset(spec, seed=2)
+    )
     source = FilePerImageDataset(root / "source")
     print(f"  {len(source)} images, {source.total_bytes()} bytes")
 
@@ -73,7 +75,6 @@ def main() -> None:
     # dataset however many qualities are built; encode_workers=2 runs the
     # encodes on an EncodePool worker fleet — a real speedup on multi-core
     # machines, engine overhead on a single core).
-    codec = BaselineCodec(quality=spec.jpeg_quality)
     samples = (
         (item.key, codec.decode(item.read_bytes()), item.label) for item in source
     )

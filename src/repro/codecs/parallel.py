@@ -83,7 +83,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.codecs.image import ImageBuffer
-from repro.codecs.markers import SUBSAMPLING_420, parse_frame_header
+from repro.codecs.markers import parse_frame_header
 from repro.codecs.progressive import decode_progressive_batch, encode_progressive_batch
 from repro.obs import diff_snapshots, get_registry
 
@@ -197,10 +197,8 @@ def _decode_chunk(shm, max_scans, jobs) -> None:
 
 
 def _encode_inprocess(images: list[ImageBuffer], params) -> list[bytes]:
-    quality, subsampling, layout = params
-    return encode_progressive_batch(
-        images, quality=quality, subsampling=subsampling, layout=layout
-    )
+    quality, layout = params
+    return encode_progressive_batch(images, quality=quality, layout=layout)
 
 
 def _measure_image(image: ImageBuffer):
@@ -699,7 +697,6 @@ class EncodePool(_Pool):
         images,
         *,
         quality: int = 90,
-        subsampling: int = SUBSAMPLING_420,
         layout: str = "progressive",
     ) -> list[bytes]:
         """Encode a minibatch of images; identical to in-process encoding.
@@ -707,4 +704,4 @@ class EncodePool(_Pool):
         ``layout`` is ``"progressive"`` or ``"sequential"``, as in
         :func:`~repro.codecs.progressive.encode_progressive_batch`.
         """
-        return self._state.run_batch(images, (quality, subsampling, layout))
+        return self._state.run_batch(images, (quality, layout))

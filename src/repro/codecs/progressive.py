@@ -265,8 +265,6 @@ def decode_progressive_batch(
 def encode_progressive_batch(
     images: list[ImageBuffer],
     quality: int = DEFAULT_QUALITY,
-    subsampling: int = SUBSAMPLING_420,
-    script: ScanScript | None = None,
     layout: str = "progressive",
 ) -> list[bytes]:
     """Encode a whole chunk of images at once — the minibatch ingest entry.
@@ -274,12 +272,14 @@ def encode_progressive_batch(
     The encode-side mirror of :func:`decode_progressive_batch`, and like
     it a plain loop over the per-image APIs with identical output: work
     buffers are the calling thread's and Huffman/basis setup is shared
-    through the module caches, batch or not.
+    through the module caches, batch or not.  Every image is 4:2:0
+    subsampled.  :mod:`repro.core.convert` is where ingest calls it,
+    in-process or through an :class:`~repro.codecs.parallel.EncodePool`.
 
     ``layout`` selects what each returned stream is:
 
-    * ``"progressive"`` — the default multi-scan progressive stream
-      (``script`` or the component-count default script);
+    * ``"progressive"`` — the stream :class:`ProgressiveCodec` emits by
+      default (the component-count default script);
     * ``"sequential"`` — the baseline single-scan-per-component layout
       (what :class:`~repro.codecs.baseline.BaselineCodec` emits).
 
@@ -299,13 +299,13 @@ def encode_progressive_batch(
     with get_tracer().span("ingest.encode_batch", {"images": len(images), "layout": layout}):
         streams: list[bytes] = []
         for image in images:
-            coefficients = image_to_coefficients(image, quality, subsampling)
+            coefficients = image_to_coefficients(image, quality)
             n_components = coefficients.header.n_components
             if layout == "sequential":
-                chosen = ScanScript.sequential(n_components)
+                script = ScanScript.sequential(n_components)
             else:
-                chosen = script if script is not None else ScanScript.default_for(n_components)
-            streams.append(encode_coefficients(coefficients, chosen))
+                script = ScanScript.default_for(n_components)
+            streams.append(encode_coefficients(coefficients, script))
     registry.counter("ingest.images_total").inc(len(images))
     registry.counter("ingest.pixel_bytes_total").inc(
         sum(image.pixels.nbytes for image in images)

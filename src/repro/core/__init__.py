@@ -9,7 +9,7 @@ quality level *k* using purely sequential I/O.
 
 Public entry points:
 
-* :class:`~repro.core.writer.PCRWriter` — encode images into PCR records.
+* :class:`~repro.core.writer.PCRWriter` — write progressive streams into PCR records.
 * :class:`~repro.core.reader.PCRReader` — read records at a chosen scan group.
 * :class:`~repro.core.source.RecordSource` — the one sample-level source
   (switchable scan group, reads, label views, byte accounting) over any
@@ -17,8 +17,9 @@ Public entry points:
 * :class:`~repro.core.source.BandwidthThrottle` — a capped link: a fetcher
   around another fetcher.
 * :class:`~repro.core.dataset.PCRDataset` — the ``RecordSource`` over a local
-  reader, plus the ``build`` constructors.
-* :mod:`repro.core.convert` — converters from baseline formats and cost models.
+  reader, plus ``build`` (:func:`~repro.core.convert.convert_to_pcr`, then open).
+* :mod:`repro.core.convert` — the one place pixels and baseline bytes become
+  progressive streams, the static-copy baseline, and the §A.4 cost accounting.
 """
 
 from repro.core.dataset import PCRDataset

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from repro.codecs.image import ImageBuffer
 from repro.codecs.parallel import EncodePool
-from repro.codecs.progressive import ProgressiveCodec, encode_progressive_batch
+from repro.codecs.progressive import encode_progressive_batch
 from repro.codecs.transcode import transcode_to_progressive
 from repro.core.scan_groups import ScanGroupPolicy
 from repro.core.writer import PCRWriter, WriteResult
@@ -174,13 +174,7 @@ def convert_to_pcr(
     with ExitStack() as stack:
         pool = stack.enter_context(EncodePool(encode_workers)) if encode_workers > 1 else None
         writer = stack.enter_context(
-            PCRWriter(
-                output_dir,
-                images_per_record=images_per_record,
-                codec=ProgressiveCodec(quality=quality),
-                policy=policy,
-                backend=backend,
-            )
+            PCRWriter(output_dir, images_per_record=images_per_record, policy=policy, backend=backend)
         )
         for chunk in _iter_chunks(samples, chunk_size):
             with tracer.span(
@@ -240,10 +234,12 @@ def build_static_copies(
     registry = get_registry()
     tracer = get_tracer()
 
-    pool = EncodePool(encode_workers) if encode_workers > 1 else None
     record_paths = {q: output_dir / f"static-q{q}.tfrecord" for q in qualities}
-    writers = {q: TFRecordWriter(record_paths[q], quality=q) for q in qualities}
-    try:
+    # The stack closes the pool and every writer opened so far, also when a
+    # later writer fails to open or a chunk raises.
+    with ExitStack() as stack:
+        pool = stack.enter_context(EncodePool(encode_workers)) if encode_workers > 1 else None
+        writers = {q: stack.enter_context(TFRecordWriter(record_paths[q])) for q in qualities}
         for chunk in _iter_chunks(samples, chunk_size):
             with tracer.span(
                 "ingest.convert_chunk", {"images": len(chunk), "approach": "static"}
@@ -268,11 +264,6 @@ def build_static_copies(
             report.n_images += len(chunk)
             report.n_chunks += 1
             registry.counter("ingest.chunks_total").inc()
-    finally:
-        for quality_writer in writers.values():
-            quality_writer.close()
-        if pool is not None:
-            pool.close()
     for quality in qualities:
         copy_bytes = record_paths[quality].stat().st_size
         report.per_copy_bytes[f"q{quality}"] = copy_bytes
@@ -280,11 +271,8 @@ def build_static_copies(
     return report
 
 
-def reference_record_bytes(samples: Iterable[Sample], output_dir: str | Path, quality: int = 90) -> int:
+def reference_record_bytes(
+    samples: Iterable[tuple[str, ImageBuffer, int]], output_dir: str | Path, quality: int = 90
+) -> int:
     """Size of a single-quality record copy (the space-amplification reference)."""
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    record_path = output_dir / "reference.tfrecord"
-    writer = TFRecordWriter(record_path, quality=quality)
-    writer.write_dataset(samples)
-    return record_path.stat().st_size
+    return build_static_copies(samples, output_dir, qualities=(quality,)).output_bytes

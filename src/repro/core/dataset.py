@@ -2,9 +2,9 @@
 
 ``PCRDataset`` is the object most examples and the data-loading pipeline
 interact with: a :class:`~repro.core.source.RecordSource` whose fetcher is a
-local :class:`~repro.core.reader.PCRReader`, plus the ``build`` constructors
-that encode a new dataset directory.  Reads at any scan group, label
-remapping and byte accounting are the shared source's.
+local :class:`~repro.core.reader.PCRReader`, plus the ``build`` constructor
+that converts samples into a new dataset directory.  Reads at any scan
+group, label remapping and byte accounting are the shared source's.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from repro.codecs.image import ImageBuffer
-from repro.codecs.progressive import ProgressiveCodec
+from repro.core.convert import convert_to_pcr
 from repro.core.reader import PCRReader
 from repro.core.scan_groups import ScanGroupPolicy
 from repro.core.source import LabelMapper, RecordSource
-from repro.core.writer import PCRWriter, WriteResult
 
 
 class PCRDataset(RecordSource):
@@ -49,24 +48,18 @@ class PCRDataset(RecordSource):
         policy: ScanGroupPolicy | None = None,
         backend: str = "sqlite",
     ) -> "PCRDataset":
-        """Encode ``(key, image, label)`` samples into a new PCR dataset."""
-        return cls.build_and_report(
+        """Convert ``(key, payload, label)`` samples into a new PCR dataset.
+
+        This is :func:`~repro.core.convert.convert_to_pcr` followed by opening
+        the directory: pixels are encoded once at ``quality``, encoded bytes
+        are losslessly transcoded and keep their own quantisation.
+        """
+        convert_to_pcr(
             samples,
             directory,
             images_per_record=images_per_record,
-            codec=ProgressiveCodec(quality=quality),
+            quality=quality,
             policy=policy,
             backend=backend,
-        )[0]
-
-    @classmethod
-    def build_and_report(
-        cls,
-        samples: Iterable[tuple[str, ImageBuffer | bytes, int]],
-        directory: str | Path,
-        **writer_kwargs: object,
-    ) -> tuple["PCRDataset", WriteResult]:
-        """Like :meth:`build` but also returns the writer's summary."""
-        writer = PCRWriter(directory, **writer_kwargs)  # type: ignore[arg-type]
-        result = writer.write_dataset(samples)
-        return cls(directory), result
+        )
+        return cls(directory)

@@ -180,9 +180,8 @@ def parse_record_prefix(data: bytes) -> ParsedRecordPrefix:
     if len(data) < metadata_end:
         raise PCRFormatError("record prefix truncated inside the metadata block")
     metadata_block = data[RECORD_HEADER_SIZE:metadata_end]
-    samples = parse_metadata_block(metadata_block)
-    samples_length = len(serialize_metadata_block(samples))
-    header_prefixes, _ = _parse_framed(metadata_block, samples_length, n_samples)
+    samples, samples_end = parse_metadata_block(metadata_block)
+    header_prefixes, _ = _parse_framed(metadata_block, samples_end, n_samples)
 
     scans_per_sample: list[list[bytes]] = [[] for _ in range(n_samples)]
     offset = metadata_end

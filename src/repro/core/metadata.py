@@ -64,12 +64,16 @@ def serialize_metadata_block(samples: list[SampleMetadata]) -> bytes:
     return b"".join(parts)
 
 
-def parse_metadata_block(data: bytes) -> list[SampleMetadata]:
-    """Parse a metadata block written by :func:`serialize_metadata_block`."""
+def parse_metadata_block(data: bytes) -> tuple[list[SampleMetadata], int]:
+    """Parse a metadata block written by :func:`serialize_metadata_block`.
+
+    Returns ``(samples, end_offset)``: whatever follows the block in ``data``
+    starts at ``end_offset``.
+    """
     (count,) = struct.unpack_from("<I", data, 0)
     offset = 4
     samples: list[SampleMetadata] = []
     for _ in range(count):
         sample, offset = SampleMetadata.from_bytes(data, offset)
         samples.append(sample)
-    return samples
+    return samples, offset

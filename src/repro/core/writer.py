@@ -1,20 +1,20 @@
-"""PCR encoder: turn images into a directory of ``.pcr`` records + metadata DB.
+"""PCR record writer: progressive streams into ``.pcr`` records + metadata DB.
 
-Given a set of images, the encoder (Section 3.2) breaks each image into
-progressive scans, groups scans of the same quality across images into scan
-groups, sorts the groups by quality, and serializes them after the record's
-label metadata.  Scan-group byte offsets are stored in the metadata database
-so readers can issue exact-length partial reads.
+Given progressive streams, the record half of the encoder (Section 3.2)
+splits each stream into its scans, groups scans of the same quality across
+images into scan groups, sorts the groups by quality, and serializes them
+after the record's label metadata.  Scan-group byte offsets are stored in the
+metadata database so readers can issue exact-length partial reads.  Turning
+pixels or baseline bytes into progressive streams is
+:func:`repro.core.convert.convert_to_pcr`'s job, not the writer's.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.codecs.image import ImageBuffer
-from repro.codecs.progressive import ProgressiveCodec, split_scans
+from repro.codecs.progressive import split_scans
 from repro.core.errors import PCRError
 from repro.core.index import RecordIndex, serialize_record
 from repro.core.metadata import SampleMetadata
@@ -42,7 +42,10 @@ class WriteResult:
 
 
 class PCRWriter:
-    """Writes a PCR dataset directory.
+    """Writes a PCR dataset directory from already-encoded progressive streams.
+
+    The writer encodes nothing: every sample arrives as a progressive
+    stream, whose scan count is checked against the policy.
 
     Parameters
     ----------
@@ -50,12 +53,8 @@ class PCRWriter:
         Directory to create the dataset in (created if missing).
     images_per_record:
         Number of samples batched into each ``.pcr`` record.
-    codec:
-        Progressive codec used when raw images are supplied.  Pre-encoded
-        progressive streams are accepted as-is, once their scan count has
-        been checked against the policy.
     policy:
-        Scan-group policy; its scan count must match the codec scripts.
+        Scan-group policy; its scan count must match the streams' scripts.
     backend:
         Metadata database backend, ``"sqlite"`` or ``"lsm"``.
     """
@@ -64,7 +63,6 @@ class PCRWriter:
         self,
         output_dir: str | Path,
         images_per_record: int = DEFAULT_IMAGES_PER_RECORD,
-        codec: ProgressiveCodec | None = None,
         policy: ScanGroupPolicy | None = None,
         backend: str = SQLITE_BACKEND,
     ) -> None:
@@ -73,7 +71,6 @@ class PCRWriter:
         self.output_dir = Path(output_dir)
         self.output_dir.mkdir(parents=True, exist_ok=True)
         self.images_per_record = images_per_record
-        self.codec = codec if codec is not None else ProgressiveCodec()
         self.policy = policy if policy is not None else ScanGroupPolicy.identity()
         self.backend = backend
         self._store = open_store(self.output_dir / METADATA_DB_NAME[backend], backend)
@@ -99,19 +96,18 @@ class PCRWriter:
     def add_sample(
         self,
         key: str,
-        image: ImageBuffer | bytes,
+        stream: bytes,
         label: int,
         attributes: dict[str, float] | None = None,
     ) -> None:
-        """Queue one sample; records are flushed when full.
+        """Queue one progressive stream; records are flushed when full.
 
         A stream whose scan count does not match the policy is rejected here
         with a :class:`PCRError` naming ``key``; nothing is buffered, so the
         writer stays usable for the samples that follow.
         """
         self._assert_open()
-        encoded = self.codec.encode(image) if isinstance(image, ImageBuffer) else bytes(image)
-        prefix, scans = split_scans(encoded)
+        prefix, scans = split_scans(bytes(stream))
         if len(scans) != self.policy.n_scans:
             raise PCRError(
                 f"sample {key!r} has {len(scans)} scans but the scan-group policy "
@@ -122,14 +118,6 @@ class PCRWriter:
         self._n_samples += 1
         if len(self._pending) >= self.images_per_record:
             self._flush_record()
-
-    def write_dataset(
-        self, samples: Iterable[tuple[str, ImageBuffer | bytes, int]]
-    ) -> WriteResult:
-        """Write every ``(key, image, label)`` sample and finalize the dataset."""
-        for key, image, label in samples:
-            self.add_sample(key, image, label)
-        return self.finalize()
 
     def finalize(self) -> WriteResult:
         """Flush any partial record, write dataset metadata, and close the DB."""
@@ -211,6 +199,5 @@ class PCRWriter:
             "n_scans": self.policy.n_scans,
             "group_boundaries": [group[-1] for group in self.policy.groups],
             "images_per_record": self.images_per_record,
-            "quality": self.codec.quality,
         }
         self._store.put(DATASET_META_KEY, json.dumps(payload).encode())

@@ -8,8 +8,10 @@
 * :mod:`repro.records.recordio` — an MXNet ImageRecord/RecordIO-style format
   (magic + length framing with an embedded label header).
 
-All three store data at a single, fixed quality; that is precisely the
-limitation PCRs remove.
+All three writers take already-encoded streams and store each at the one
+quality it was encoded with; that is precisely the limitation PCRs remove.
+Encoding is the caller's job (:func:`repro.core.convert.build_static_copies`
+makes one copy per quality).
 """
 
 from repro.records.file_per_image import FilePerImageDataset, FilePerImageWriter

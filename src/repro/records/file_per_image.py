@@ -35,30 +35,28 @@ class FilePerImageSample:
 
 
 class FilePerImageWriter:
-    """Writes a file-per-image dataset directory."""
+    """Writes already-encoded images into a file-per-image dataset directory."""
 
-    def __init__(self, root: str | Path, quality: int = 90) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.codec = BaselineCodec(quality=quality)
         self.n_samples = 0
         self.total_bytes = 0
 
-    def add_sample(self, key: str, image: ImageBuffer | bytes, label: int) -> Path:
+    def add_sample(self, key: str, stream: bytes, label: int) -> Path:
         """Write one sample and return its file path."""
-        encoded = image if isinstance(image, bytes) else self.codec.encode(image)
         class_dir = self.root / str(label)
         class_dir.mkdir(parents=True, exist_ok=True)
         path = class_dir / f"{key}{IMAGE_SUFFIX}"
-        path.write_bytes(encoded)
+        path.write_bytes(stream)
         self.n_samples += 1
-        self.total_bytes += len(encoded)
+        self.total_bytes += len(stream)
         return path
 
-    def write_dataset(self, samples: Iterable[tuple[str, ImageBuffer | bytes, int]]) -> int:
-        """Write every sample; returns the number written."""
-        for key, image, label in samples:
-            self.add_sample(key, image, label)
+    def write_dataset(self, samples: Iterable[tuple[str, bytes, int]]) -> int:
+        """Write every ``(key, stream, label)`` sample; returns the number written."""
+        for key, stream, label in samples:
+            self.add_sample(key, stream, label)
         return self.n_samples
 
 

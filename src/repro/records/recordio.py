@@ -15,9 +15,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.codecs.baseline import BaselineCodec
-from repro.codecs.image import ImageBuffer
-
 RECORDIO_MAGIC = 0xCED7230A
 _HEADER_STRUCT = "<IIIf"
 
@@ -32,28 +29,26 @@ class RecordIOItem:
 
 
 class RecordIOWriter:
-    """Writes items into one RecordIO-style file."""
+    """Writes already-encoded images into one RecordIO-style file."""
 
-    def __init__(self, path: str | Path, quality: int = 90) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "wb")
-        self.codec = BaselineCodec(quality=quality)
         self.n_items = 0
 
-    def add_sample(self, key: str, image: ImageBuffer | bytes, label: int) -> None:
+    def add_sample(self, key: str, stream: bytes, label: int) -> None:
         """Append one item (the key is recorded only as the running index)."""
         del key  # RecordIO identifies items positionally
-        encoded = image if isinstance(image, bytes) else self.codec.encode(image)
-        header = struct.pack(_HEADER_STRUCT, RECORDIO_MAGIC, len(encoded), self.n_items, float(label))
+        header = struct.pack(_HEADER_STRUCT, RECORDIO_MAGIC, len(stream), self.n_items, float(label))
         self._handle.write(header)
-        self._handle.write(encoded)
+        self._handle.write(stream)
         self.n_items += 1
 
-    def write_dataset(self, samples: Iterable[tuple[str, ImageBuffer | bytes, int]]) -> int:
-        """Append every sample and close the file."""
-        for key, image, label in samples:
-            self.add_sample(key, image, label)
+    def write_dataset(self, samples: Iterable[tuple[str, bytes, int]]) -> int:
+        """Append every ``(key, stream, label)`` sample and close the file."""
+        for key, stream, label in samples:
+            self.add_sample(key, stream, label)
         self.close()
         return self.n_items
 
@@ -78,14 +73,17 @@ class RecordIOReader:
         data = self.path.read_bytes()
         offset = 0
         header_size = struct.calcsize(_HEADER_STRUCT)
-        while offset + header_size <= len(data):
+        while offset < len(data):
+            if offset + header_size > len(data):
+                raise ValueError(f"truncated RecordIO header at offset {offset}")
             magic, length, index, label = struct.unpack_from(_HEADER_STRUCT, data, offset)
             if magic != RECORDIO_MAGIC:
                 raise ValueError(f"bad RecordIO magic at offset {offset}")
-            offset += header_size
-            payload = data[offset : offset + length]
-            offset += length
-            yield RecordIOItem(index=index, label=int(label), image_bytes=payload)
+            start = offset + header_size
+            if start + length > len(data):
+                raise ValueError(f"truncated RecordIO item at offset {offset}")
+            yield RecordIOItem(index=index, label=int(label), image_bytes=data[start : start + length])
+            offset = start + length
 
     def total_bytes(self) -> int:
         """Size of the record file in bytes."""

@@ -18,9 +18,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.codecs.baseline import BaselineCodec
-from repro.codecs.image import ImageBuffer
-
 _LENGTH_STRUCT = "<QI"
 _CRC_STRUCT = "<I"
 
@@ -76,19 +73,17 @@ class TFExample:
 
 
 class TFRecordWriter:
-    """Writes examples into one TFRecord-style file."""
+    """Writes examples of already-encoded images into one TFRecord-style file."""
 
-    def __init__(self, path: str | Path, quality: int = 90) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "wb")
-        self.codec = BaselineCodec(quality=quality)
         self.n_examples = 0
 
-    def add_sample(self, key: str, image: ImageBuffer | bytes, label: int) -> None:
+    def add_sample(self, key: str, stream: bytes, label: int) -> None:
         """Append one example."""
-        encoded = image if isinstance(image, bytes) else self.codec.encode(image)
-        payload = TFExample(key=key, label=label, image_bytes=encoded).to_bytes()
+        payload = TFExample(key=key, label=label, image_bytes=stream).to_bytes()
         length_bytes = struct.pack("<Q", len(payload))
         self._handle.write(length_bytes)
         self._handle.write(struct.pack(_CRC_STRUCT, _masked_crc(length_bytes)))
@@ -96,10 +91,10 @@ class TFRecordWriter:
         self._handle.write(struct.pack(_CRC_STRUCT, _masked_crc(payload)))
         self.n_examples += 1
 
-    def write_dataset(self, samples: Iterable[tuple[str, ImageBuffer | bytes, int]]) -> int:
-        """Append every sample and close the file."""
-        for key, image, label in samples:
-            self.add_sample(key, image, label)
+    def write_dataset(self, samples: Iterable[tuple[str, bytes, int]]) -> int:
+        """Append every ``(key, stream, label)`` sample and close the file."""
+        for key, stream, label in samples:
+            self.add_sample(key, stream, label)
         self.close()
         return self.n_examples
 
@@ -124,18 +119,21 @@ class TFRecordReader:
     def __iter__(self) -> Iterator[TFExample]:
         data = self.path.read_bytes()
         offset = 0
-        while offset + 12 <= len(data):
+        while offset < len(data):
+            if offset + 12 > len(data):
+                raise ValueError(f"truncated example header at offset {offset}")
             length, length_crc = struct.unpack_from(_LENGTH_STRUCT, data, offset)
             if self.verify_crc and _masked_crc(data[offset : offset + 8]) != length_crc:
                 raise ValueError(f"corrupt length CRC at offset {offset}")
-            offset += 12
-            payload = data[offset : offset + length]
-            offset += length
-            (payload_crc,) = struct.unpack_from(_CRC_STRUCT, data, offset)
-            offset += 4
-            if self.verify_crc and _masked_crc(payload) != payload_crc:
-                raise ValueError("corrupt payload CRC")
-            yield TFExample.from_bytes(payload)
+            start = offset + 12
+            end = start + length
+            if end + 4 > len(data):
+                raise ValueError(f"truncated example at offset {offset}")
+            (payload_crc,) = struct.unpack_from(_CRC_STRUCT, data, end)
+            if self.verify_crc and _masked_crc(data[start:end]) != payload_crc:
+                raise ValueError(f"corrupt payload CRC at offset {offset}")
+            yield TFExample.from_bytes(data[start:end])
+            offset = end + 4
 
     def total_bytes(self) -> int:
         """Size of the record file in bytes."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codecs.image import ImageBuffer
+from repro.codecs.progressive import encode_progressive_batch
 from repro.core.dataset import PCRDataset
 from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
 
@@ -47,6 +48,23 @@ def tiny_samples() -> list[tuple[str, ImageBuffer, int]]:
         n_classes=4, spec=SyntheticImageSpec(image_size=32, n_coarse_groups=2), seed=7
     )
     return generator.generate_batch(20, seed=7)
+
+
+def _encoded(samples: list[tuple[str, ImageBuffer, int]], layout: str) -> list[tuple[str, bytes, int]]:
+    streams = encode_progressive_batch([image for _, image, _ in samples], quality=90, layout=layout)
+    return [(key, stream, label) for (key, _, label), stream in zip(samples, streams)]
+
+
+@pytest.fixture(scope="session")
+def tiny_streams(tiny_samples) -> list[tuple[str, bytes, int]]:
+    """:func:`tiny_samples` as progressive streams at quality 90 (what PCR writers take)."""
+    return _encoded(tiny_samples, "progressive")
+
+
+@pytest.fixture(scope="session")
+def tiny_baseline_streams(tiny_samples) -> list[tuple[str, bytes, int]]:
+    """:func:`tiny_samples` as sequential streams at quality 90 (what baseline writers take)."""
+    return _encoded(tiny_samples, "sequential")
 
 
 @pytest.fixture(scope="session")

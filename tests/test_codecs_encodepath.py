@@ -340,13 +340,12 @@ class TestStreamingConversion:
         assert report.n_chunks == 3
         assert report.images_per_second > 0.0
 
-    def test_writer_pending_stays_bounded(self, tmp_path):
+    def test_writer_pending_stays_bounded(self, tmp_path, tiny_streams):
         from repro.core.writer import PCRWriter
 
         writer = PCRWriter(tmp_path / "pcr", images_per_record=3)
-        rng = np.random.default_rng(4)
-        for index in range(8):
-            writer.add_sample(f"img-{index}", _test_image(rng, 24, 24, True), 0)
+        for key, stream, label in tiny_streams[:8]:
+            writer.add_sample(key, stream, label)
             assert writer.pending_samples < 3
         writer.finalize()
 

@@ -94,15 +94,15 @@ class TestWriterReader:
             writer.add_sample(key, baseline, label)
 
     def test_bad_stream_is_rejected_on_entry_and_writer_stays_usable(
-        self, tmp_path, tiny_samples
+        self, tmp_path, tiny_streams, tiny_baseline_streams
     ):
         # A full record away from any flush: the check must not wait for one.
         writer = PCRWriter(tmp_path / "mixed", images_per_record=8)
-        good = tiny_samples[:3]
+        good = tiny_streams[:3]
         writer.add_sample(*good[0])
-        bad_key, bad_image, bad_label = tiny_samples[3]
+        bad_key, bad_stream, bad_label = tiny_baseline_streams[3]
         with pytest.raises(PCRError, match=f"'{bad_key}' has 3 scans"):
-            writer.add_sample(bad_key, BaselineCodec(quality=90).encode(bad_image), bad_label)
+            writer.add_sample(bad_key, bad_stream, bad_label)
         assert writer.pending_samples == 1
         for sample in good[1:]:
             writer.add_sample(*sample)
@@ -113,17 +113,17 @@ class TestWriterReader:
             key for key, _, _ in good
         ]
 
-    def test_exit_on_exception_closes_the_store(self, tmp_path, tiny_samples):
+    def test_exit_on_exception_closes_the_store(self, tmp_path, tiny_streams):
         with pytest.raises(RuntimeError, match="boom"):
             with PCRWriter(tmp_path / "abandoned", images_per_record=4) as writer:
-                writer.add_sample(*tiny_samples[0])
+                writer.add_sample(*tiny_streams[0])
                 raise RuntimeError("boom")
         with pytest.raises(sqlite3.ProgrammingError):  # closed, not leaked
             writer._store.get(b"meta/dataset")
         with pytest.raises(PCRError):
-            writer.add_sample(*tiny_samples[1])
+            writer.add_sample(*tiny_streams[1])
 
-    def test_one_index_transaction_per_record(self, tmp_path, tiny_samples):
+    def test_one_index_transaction_per_record(self, tmp_path, tiny_streams):
         writer = PCRWriter(tmp_path / "tx", images_per_record=4)
         # sqlite3.Connection.commit cannot be patched (C type): count the
         # statements that end a transaction through the trace hook instead.
@@ -131,14 +131,14 @@ class TestWriterReader:
         writer._store._connection.set_trace_callback(
             lambda statement: commits.append(statement) if statement == "COMMIT" else None
         )
-        for sample in tiny_samples[:10]:
+        for sample in tiny_streams[:10]:
             writer.add_sample(*sample)
         assert len(commits) == 2  # two full records; was 2 * (1 + 4)
         writer.finalize()
         assert len(commits) == 4  # + the partial record + the dataset-metadata row
         reader = PCRReader(tmp_path / "tx")
         assert reader.n_samples == 10
-        assert reader.read_sample(tiny_samples[9][0], 1).key == tiny_samples[9][0]
+        assert reader.read_sample(tiny_streams[9][0], 1).key == tiny_streams[9][0]
 
     def test_writer_accepts_preencoded_progressive(self, tmp_path, tiny_samples):
         writer = PCRWriter(tmp_path / "pre", images_per_record=4)
@@ -192,17 +192,17 @@ class TestWriterReader:
         by_group = dataset.epoch_bytes_by_group()
         assert set(by_group) == {1, 2, 3}
 
-    def test_partial_record_is_flushed_on_finalize(self, tmp_path, tiny_samples):
+    def test_partial_record_is_flushed_on_finalize(self, tmp_path, tiny_streams):
         writer = PCRWriter(tmp_path / "partial", images_per_record=16)
-        for key, image, label in tiny_samples[:5]:
-            writer.add_sample(key, image, label)
+        for key, stream, label in tiny_streams[:5]:
+            writer.add_sample(key, stream, label)
         result = writer.finalize()
         assert result.n_records == 1
         assert result.n_samples == 5
 
-    def test_writer_double_finalize_raises(self, tmp_path, tiny_samples):
+    def test_writer_double_finalize_raises(self, tmp_path, tiny_streams):
         writer = PCRWriter(tmp_path / "double", images_per_record=4)
-        writer.add_sample(*tiny_samples[0])
+        writer.add_sample(*tiny_streams[0])
         writer.finalize()
         with pytest.raises(PCRError):
             writer.finalize()
@@ -320,6 +320,53 @@ class TestConverters:
         with pytest.raises(ValueError):
             convert_to_pcr(samples, tmp_path / "broken", images_per_record=4)
         assert len(closed) == 1
+
+    def test_build_is_convert_to_pcr(self, tmp_path, few_samples):
+        """``PCRDataset.build`` writes the bytes ``convert_to_pcr`` writes, and
+        both equal a writer fed one ``ProgressiveCodec.encode`` per image."""
+        policy = ScanGroupPolicy.clustered([1, 4, 10])
+        options = dict(images_per_record=3, quality=75, policy=policy)
+        with PCRDataset.build(few_samples, tmp_path / "build", **options) as dataset:
+            assert dataset.n_groups == 3
+        convert_to_pcr(few_samples, tmp_path / "convert", **options)
+        codec = ProgressiveCodec(quality=75)
+        with PCRWriter(tmp_path / "writer", images_per_record=3, policy=policy) as writer:
+            for key, image, label in few_samples:
+                writer.add_sample(key, codec.encode(image), label)
+        names = sorted(path.name for path in (tmp_path / "build").glob("*.pcr"))
+        assert len(names) == 3
+        for other in ("convert", "writer"):
+            assert sorted(path.name for path in (tmp_path / other).glob("*.pcr")) == names
+            for name in names:
+                assert (tmp_path / other / name).read_bytes() == (
+                    tmp_path / "build" / name
+                ).read_bytes()
+
+    def test_failed_static_copy_closes_what_it_opened(self, tmp_path, few_samples, monkeypatch):
+        import repro.core.convert as convert_mod
+
+        opened: list = []
+
+        class RecordingWriter(convert_mod.TFRecordWriter):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self)
+
+        class RecordingPool(convert_mod.EncodePool):
+            def __init__(self, n_workers):
+                super().__init__(n_workers)
+                opened.append(self)
+
+        monkeypatch.setattr(convert_mod, "TFRecordWriter", RecordingWriter)
+        monkeypatch.setattr(convert_mod, "EncodePool", RecordingPool)
+        (tmp_path / "squat" / "static-q75.tfrecord").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            build_static_copies(
+                few_samples, tmp_path / "squat", qualities=(50, 75), encode_workers=2
+            )
+        pool, q50 = opened  # the q75 writer never opened
+        assert pool.closed
+        assert q50._handle.closed
 
     def test_static_copies_cost_more(self, tmp_path, few_samples):
         _, pcr_report = convert_to_pcr(few_samples, tmp_path / "pcr2", images_per_record=4)

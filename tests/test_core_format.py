@@ -83,10 +83,13 @@ class TestSampleMetadata:
 
     def test_block_roundtrip(self):
         samples = [SampleMetadata(key=f"k{i}", label=i) for i in range(5)]
-        assert parse_metadata_block(serialize_metadata_block(samples)) == samples
+        samples.append(SampleMetadata(key="boxed", label=-1, attributes={"w": 0.5, "h": 2.0}))
+        block = serialize_metadata_block(samples)
+        # The end offset marks where the framed header prefixes begin.
+        assert parse_metadata_block(block + b"trailing") == (samples, len(block))
 
     def test_empty_block(self):
-        assert parse_metadata_block(serialize_metadata_block([])) == []
+        assert parse_metadata_block(serialize_metadata_block([])) == ([], 4)
 
     def test_with_label(self):
         metadata = SampleMetadata(key="a", label=7, attributes={"w": 1.0})
@@ -104,6 +107,8 @@ class TestSampleMetadata:
 class TestRecordSerialization:
     def _build(self, n_samples=3, n_groups=4):
         samples = [SampleMetadata(key=f"s{i}", label=i % 2) for i in range(n_samples)]
+        # One sample carries attributes: the header prefixes follow its JSON.
+        samples[-1] = SampleMetadata(key="boxed", label=1, attributes={"bbox_x": 0.25})
         prefixes = [bytes([i]) * 10 for i in range(n_samples)]
         groups = [
             [bytes([group * 16 + i]) * (group + 1) * 5 for i in range(n_samples)]

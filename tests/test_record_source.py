@@ -16,13 +16,17 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.codecs.parallel import EncodePool
+from repro.codecs.progressive import encode_progressive_batch
 from repro.control import AdaptiveScanGroupHook
 from repro.core.dataset import PCRDataset
 from repro.core.errors import ScanGroupError
 from repro.core.reader import PCRReader
 from repro.core.source import BandwidthThrottle, RecordFetcher, RecordSource
+from repro.core.writer import PCRWriter
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.loader import DataLoader, LoaderConfig
+from repro.records import FilePerImageWriter, RecordIOWriter, TFRecordWriter
 from repro.serving import protocol
 from repro.serving.client import PCRClient, RecordClient
 from repro.serving.cluster import (
@@ -265,7 +269,7 @@ class TestOneSeam:
         def public(cls):
             return {name for name in dir(cls) if not name.startswith("_")}
 
-        local = public(PCRDataset) - {"build", "build_and_report", "reader"}
+        local = public(PCRDataset) - {"build", "reader"}
         assert local == public(RemoteRecordSource) - {"client"}
         assert local == public(ShardedRemoteRecordSource) - {"cluster_client"}
 
@@ -279,6 +283,17 @@ class TestOneSeam:
         assert options(ShardedRemoteRecordSource) == ["shard_map", "scan_group", "decode"]
         assert options(DataLoader) == ["dataset", "config", "augmentations", "hook"]
         assert options(AdaptiveScanGroupHook) == ["policy", "interval"]
+        # Writers take encoded streams; convert_to_pcr is where pixels are encoded.
+        assert options(PCRWriter) == ["output_dir", "images_per_record", "policy", "backend"]
+        assert options(PCRWriter.add_sample) == ["self", "key", "stream", "label", "attributes"]
+        assert options(TFRecordWriter) == ["path"]
+        assert options(RecordIOWriter) == ["path"]
+        assert options(FilePerImageWriter) == ["root"]
+        assert options(encode_progressive_batch) == ["images", "quality", "layout"]
+        assert options(EncodePool.encode_batch) == ["self", "images", "quality", "layout"]
+        assert options(PCRDataset.build) == [
+            "samples", "directory", "images_per_record", "quality", "policy", "backend",
+        ]
 
     def test_fetchers_satisfy_the_protocol(self, reader, server, cluster):
         assert isinstance(reader, RecordFetcher)

@@ -27,17 +27,17 @@ from repro.records.tfrecord import TFExample, TFRecordReader, TFRecordWriter
 
 
 class TestFilePerImage:
-    def test_write_and_discover(self, tmp_path, tiny_samples):
-        writer = FilePerImageWriter(tmp_path / "folder", quality=90)
-        writer.write_dataset(tiny_samples[:10])
+    def test_write_and_discover(self, tmp_path, tiny_baseline_streams):
+        writer = FilePerImageWriter(tmp_path / "folder")
+        writer.write_dataset(tiny_baseline_streams[:10])
         dataset = FilePerImageDataset(tmp_path / "folder")
         assert len(dataset) == 10
         labels = {sample.label for sample in dataset}
         assert labels == {0, 1, 2, 3}
 
-    def test_read_image_roundtrip(self, tmp_path, tiny_samples):
-        writer = FilePerImageWriter(tmp_path / "folder2", quality=90)
-        writer.write_dataset(tiny_samples[:4])
+    def test_read_image_roundtrip(self, tmp_path, tiny_samples, tiny_baseline_streams):
+        writer = FilePerImageWriter(tmp_path / "folder2")
+        writer.write_dataset(tiny_baseline_streams[:4])
         dataset = FilePerImageDataset(tmp_path / "folder2")
         image, label = dataset.read_image(0)
         original = dict((k, (im, l)) for k, im, l in tiny_samples)[dataset[0].key]
@@ -47,9 +47,9 @@ class TestFilePerImage:
         other = tiny_samples[3][1]
         assert mse(original[0], image) < mse(other, image)
 
-    def test_total_bytes_positive(self, tmp_path, tiny_samples):
-        writer = FilePerImageWriter(tmp_path / "folder3", quality=90)
-        writer.write_dataset(tiny_samples[:3])
+    def test_total_bytes_positive(self, tmp_path, tiny_baseline_streams):
+        writer = FilePerImageWriter(tmp_path / "folder3")
+        writer.write_dataset(tiny_baseline_streams[:3])
         dataset = FilePerImageDataset(tmp_path / "folder3")
         assert dataset.total_bytes() == writer.total_bytes > 0
 
@@ -59,13 +59,14 @@ class TestFilePerImage:
 
 
 class TestTFRecord:
-    def test_roundtrip(self, tmp_path, tiny_samples):
+    def test_roundtrip(self, tmp_path, tiny_samples, tiny_baseline_streams):
         path = tmp_path / "data.tfrecord"
-        writer = TFRecordWriter(path, quality=90)
-        writer.write_dataset(tiny_samples[:6])
+        writer = TFRecordWriter(path)
+        writer.write_dataset(tiny_baseline_streams[:6])
         examples = list(TFRecordReader(path))
         assert len(examples) == 6
         assert [e.label for e in examples] == [label for _, _, label in tiny_samples[:6]]
+        assert [e.image_bytes for e in examples] == [s for _, s, _ in tiny_baseline_streams[:6]]
         decoded = BaselineCodec().decode(examples[0].image_bytes)
         assert decoded.height == tiny_samples[0][1].height
 
@@ -74,43 +75,100 @@ class TestTFRecord:
         restored = TFExample.from_bytes(example.to_bytes())
         assert restored == example
 
-    def test_crc_detects_corruption(self, tmp_path, tiny_samples):
+    def test_crc_detects_corruption(self, tmp_path, tiny_baseline_streams):
         path = tmp_path / "corrupt.tfrecord"
-        TFRecordWriter(path, quality=90).write_dataset(tiny_samples[:2])
+        TFRecordWriter(path).write_dataset(tiny_baseline_streams[:2])
         raw = bytearray(path.read_bytes())
         raw[40] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             list(TFRecordReader(path))
 
-    def test_crc_can_be_skipped(self, tmp_path, tiny_samples):
+    def test_crc_can_be_skipped(self, tmp_path, tiny_baseline_streams):
         path = tmp_path / "skip.tfrecord"
-        TFRecordWriter(path, quality=90).write_dataset(tiny_samples[:2])
+        TFRecordWriter(path).write_dataset(tiny_baseline_streams[:2])
         assert len(list(TFRecordReader(path, verify_crc=False))) == 2
 
 
 class TestRecordIO:
-    def test_roundtrip(self, tmp_path, tiny_samples):
+    def test_roundtrip(self, tmp_path, tiny_samples, tiny_baseline_streams):
         path = tmp_path / "data.rec"
-        writer = RecordIOWriter(path, quality=90)
-        writer.write_dataset(tiny_samples[:5])
+        writer = RecordIOWriter(path)
+        writer.write_dataset(tiny_baseline_streams[:5])
         items = list(RecordIOReader(path))
         assert [item.index for item in items] == list(range(5))
         assert [item.label for item in items] == [label for _, _, label in tiny_samples[:5]]
+        assert [item.image_bytes for item in items] == [s for _, s, _ in tiny_baseline_streams[:5]]
 
-    def test_bad_magic_detected(self, tmp_path, tiny_samples):
+    def test_bad_magic_detected(self, tmp_path, tiny_baseline_streams):
         path = tmp_path / "bad.rec"
-        RecordIOWriter(path, quality=90).write_dataset(tiny_samples[:1])
+        RecordIOWriter(path).write_dataset(tiny_baseline_streams[:1])
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             list(RecordIOReader(path))
 
-    def test_total_bytes(self, tmp_path, tiny_samples):
+    def test_total_bytes(self, tmp_path, tiny_baseline_streams):
         path = tmp_path / "size.rec"
-        RecordIOWriter(path, quality=90).write_dataset(tiny_samples[:3])
+        RecordIOWriter(path).write_dataset(tiny_baseline_streams[:3])
         assert RecordIOReader(path).total_bytes() == path.stat().st_size
+
+
+# Where a cut lands inside the second item, from its start offset and the
+# file's end (the TFRecord payload CRC is the file's last four bytes).
+TFRECORD_CUTS = {
+    "header": lambda start, end: start + 5,
+    "payload": lambda start, end: start + 20,
+    "crc": lambda start, end: end - 2,
+}
+RECORDIO_CUTS = {
+    "header": lambda start, end: start + 5,
+    "payload": lambda start, end: end - 2,
+}
+
+
+class TestTruncatedRecordFiles:
+    """A file cut inside an item raises ``ValueError`` naming the item's
+    offset; a file cut at an item boundary is a valid, shorter file."""
+
+    @staticmethod
+    def _write(writer_cls, path, streams):
+        """Write two items; returns ``(bytes, offset of the second item)``."""
+        writer_cls(path).write_dataset(streams[:1])
+        start = path.stat().st_size
+        writer_cls(path).write_dataset(streams[:2])
+        return path.read_bytes(), start
+
+    @pytest.mark.parametrize("cut", sorted(TFRECORD_CUTS))
+    def test_tfrecord_cut_inside_an_example(self, tmp_path, tiny_baseline_streams, cut):
+        path = tmp_path / "cut.tfrecord"
+        data, start = self._write(TFRecordWriter, path, tiny_baseline_streams)
+        path.write_bytes(data[: TFRECORD_CUTS[cut](start, len(data))])
+        for verify_crc in (True, False):
+            with pytest.raises(ValueError, match=f"truncated .* at offset {start}$"):
+                list(TFRecordReader(path, verify_crc=verify_crc))
+
+    @pytest.mark.parametrize("cut", sorted(RECORDIO_CUTS))
+    def test_recordio_cut_inside_an_item(self, tmp_path, tiny_baseline_streams, cut):
+        path = tmp_path / "cut.rec"
+        data, start = self._write(RecordIOWriter, path, tiny_baseline_streams)
+        path.write_bytes(data[: RECORDIO_CUTS[cut](start, len(data))])
+        with pytest.raises(ValueError, match=f"truncated .* at offset {start}$"):
+            list(RecordIOReader(path))
+
+    def test_cut_at_a_boundary_is_a_shorter_file(self, tmp_path, tiny_baseline_streams):
+        first = tiny_baseline_streams[0][1]
+        for writer_cls, reader_cls in (
+            (TFRecordWriter, TFRecordReader),
+            (RecordIOWriter, RecordIOReader),
+        ):
+            path = tmp_path / writer_cls.__name__
+            data, start = self._write(writer_cls, path, tiny_baseline_streams)
+            path.write_bytes(data[:start])
+            assert [item.image_bytes for item in reader_cls(path)] == [first]
+            path.write_bytes(b"")
+            assert list(reader_cls(path)) == []
 
 
 class TestSyntheticGenerator:
