@@ -73,6 +73,8 @@ from repro.codecs.rle import symbol_stream
 __all__ = [
     "encode_scan_bodies_fast",
     "decode_scan_bodies_fast",
+    "decode_streams_fast",
+    "record_passes",
 ]
 
 
@@ -228,22 +230,47 @@ def _scatter(plane, positions, values) -> None:
 
 
 def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
-    """Decode a sequence of scan segments into ``coefficients`` (in place).
+    """Decode one stream's scan segments into ``coefficients`` (in place).
 
-    The whole-stream entry point: ``decode_coefficients`` hands every
-    selected segment over at once, and a single scan is a one-element
-    sequence.  Each scan goes to one of the two symbol loops:
+    The one-stream case of :func:`decode_streams_fast`: raises what that
+    reports for the stream.
+    """
+    failure = decode_streams_fast([(data, segments, coefficients)])
+    if failure is not None:
+        raise failure[1]
 
-    * DC-only and AC-only scans are collected and chased together by the
-      stride walk (:func:`_decode_walked_scans`), so one phase-0
-      precompute and one vectorized phase-2 epilogue are amortized across
-      *all* of them, which is where per-scan NumPy fixed costs would
-      otherwise dominate (a progressive stream has ~8 AC scans, several of
-      them only a few hundred symbols).
+
+def decode_streams_fast(streams):
+    """Decode the scans of several streams, each into its own planes, in one pass.
+
+    ``streams`` holds ``(data, segments, coefficients)`` per stream: the
+    stream's bytes, the scan segments to apply and the planes they write.
+    Each scan goes to one of the two symbol loops:
+
+    * DC-only and AC-only scans of *every* stream are collected, in stream
+      order, and chased by one sequence of stride walks
+      (:func:`_walk_batch`, batches capped at ``_WALK_BATCH_BYTES``), so
+      one phase-0 window pass and one compaction serve many scans and
+      many streams — at scan group 1 a whole record — where per-scan
+      NumPy fixed costs would otherwise dominate.  Each stream's walked
+      entries are then finished into its own planes
+      (:func:`_finish_walked_scans`), streams in order.
     * Mixed scans are decoded by the in-place loop
-      (:func:`_decode_in_place`): their DC/AC table alternation depends on
-      block structure, so the context-free walk does not apply.  A walked
-      scan that its finisher flags is decoded again by the same loop.
+      (:func:`_decode_in_place`) before the walk: their DC/AC table
+      alternation depends on block structure, so the context-free walk
+      does not apply.  A walked scan that its finisher flags is decoded
+      again by the same loop.
+
+    Returns ``None`` when every stream decoded, else ``(index, error)``
+    for the lowest-index stream that cannot be: ``error`` is the
+    ``ValueError`` or ``EOFError`` that stream raises decoded alone (the
+    walk raises nothing, and a stream's own steps run in the order they
+    would alone; any other exception propagates at once), the streams
+    before it are decoded and the planes of the streams from it on are
+    partial.  A stream whose tables or mixed scans fail ends the
+    collection, since no later stream's error can win; the earlier ones
+    are still walked and finished, and their own error wins if they have
+    one.
 
     Contract: the in-band coefficients of the target planes must be zero
     (as produced by ``empty_coefficients``) — zero coefficients are never
@@ -288,7 +315,46 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
     * ``entry == 0`` — invalid prefix: ``ValueError``, same as the scalar
       reference.
     """
-    walk_jobs = []
+    jobs = []
+    counts = []
+    failure = None
+    for index, (data, segments, coefficients) in enumerate(streams):
+        try:
+            stream_jobs = _walk_jobs(data, segments, coefficients)
+        except (ValueError, EOFError) as error:
+            failure = index, error
+            break
+        jobs += stream_jobs
+        counts.append(len(stream_jobs))
+    parts = []
+    start = batch_bytes = 0
+    for stop, job in enumerate(jobs):
+        # Close the open batch before a scan that cannot join it (a scan
+        # over the cap on its own then opens, and is, the next batch).
+        if stop > start and batch_bytes + len(job[1]) > _WALK_BATCH_BYTES:
+            parts += _walk_batch(jobs[start:stop])
+            start, batch_bytes = stop, 0
+        batch_bytes += len(job[1]) + len(_WALK_PAD)
+    if jobs:
+        parts += _walk_batch(jobs[start:])
+    start = 0
+    for index, ((_, _, coefficients), count) in enumerate(zip(streams, counts)):
+        stop = start + count
+        try:
+            _finish_walked_scans(jobs[start:stop], parts[start:stop], coefficients)
+        except (ValueError, EOFError) as error:
+            return index, error
+        start = stop
+    return failure
+
+
+def _walk_jobs(data: bytes, segments, coefficients) -> list:
+    """Fetch one stream's tables, decode its mixed scans; returns its walk jobs.
+
+    A walk job is ``(scan, payload, tables, n_payload_bits)`` for a DC-only
+    or AC-only scan, in stream order.
+    """
+    jobs = []
     for segment in segments:
         scan = segment.header
         body = data[segment.payload_start : segment.end]
@@ -303,66 +369,75 @@ def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
                 payload, tables[0], dc_tables[0], tables[3], scan, coefficients, n_payload_bits
             )
         else:
-            walk_jobs.append((scan, payload, tables, n_payload_bits))
-    if walk_jobs:
-        _decode_walked_scans(walk_jobs, coefficients)
+            jobs.append((scan, payload, tables, n_payload_bits))
+    return jobs
 
 
 #: Upper bound on the total payload bytes vectorized into one walk batch.
-#: The phase-0 precompute materializes 64-100 transient bytes per payload
-#: byte (24 for the batch: the per-bit uint16 window array and the byte
-#: triples; up to 80 more for the scan being gathered: ``np.take``'s intp
-#: index copy, the strides and their bytes; 1.0 MB measured on a 16 KB
-#: image), so the cap bounds peak batch memory at ~25 MiB.  A single scan
-#: larger than the cap is walked as a batch of its own: the image that
-#: owns such a scan already holds coefficient planes far larger than that
-#: scan's walk transient.
-_WALK_BATCH_BYTES = 1 << 18
+#: Phase 0 materializes ≈ 24 transient bytes per payload byte (the int32
+#: byte triples and the per-bit uint16 window array, 16 of them), plus up
+#: to 80 for the scan being gathered (``np.take``'s intp index copy, the
+#: strides and their bytes).  The cap also sizes a batch decode's passes
+#: (:func:`record_passes`).  At scan group 1 a 224-px record's eight DC
+#: scans are ≈ 11 KB: one batch under any cap tried.  At group 10 a record
+#: is ≈ 139 KB (≈ 17 KB per stream).  Walking the 12 corpus records whole
+#: in one process, caps alternating run by run (one thread, 2 shared
+#: vCPUs), 32 KiB (a ≈ 0.5 MB window array) was faster than 256 KiB (the
+#: whole record in one batch, ≈ 2.2 MB) in 36 of 50 runs, with medians
+#: 5.27 and 5.66 against 5.46 and 5.92 ms/image in two sets of 25, and
+#: even with 16 KiB and 64 KiB (26 and 30 of 50): past the core's cache, a
+#: wider batch costs more than the calls it saves.  A single scan larger
+#: than the cap is walked as a batch of its own: the image that owns such
+#: a scan already holds coefficient planes far larger than that scan's
+#: walk transient.
+_WALK_BATCH_BYTES = 1 << 15
 
 
-def _decode_walked_scans(jobs, coefficients) -> None:
-    """Decode the DC-only and AC-only scans of a stream through the batched pipeline.
+def record_passes(payloads) -> list[tuple[int, int]]:
+    """Cut a batch of streams into passes, as ``(first, stop)`` index ranges.
 
-    ``jobs`` holds ``(scan, payload, tables, n_payload_bits)`` in stream
-    order (at least one).  Scans of both kinds are grouped into walk
-    batches bounded by ``_WALK_BATCH_BYTES`` and symbol-chased by
-    :func:`_walk_batch`; every scan contributes one raw entry stream.  The
-    DC scans' streams are sliced off and finished first
-    (:func:`_finish_dc_scan`), then a single :func:`_finish_ac_scans` call
-    reconstructs every AC scan — order is preserved within each kind so
-    multi-scan error surfacing stays deterministic.
+    A pass is a run of consecutive streams whose bytes fit one walk batch
+    (``_WALK_BATCH_BYTES``), at least one stream.  A batch decode takes
+    one pass at a time, entropy then pixels, so the planes and walk
+    entries of at most one pass are live together: a 224-px group-1
+    record (≈ 11 KB) is one pass and shares one walk and one colour pass,
+    while each group-10 stream (≈ 17 KB) is a pass of its own.  A whole
+    group-10 record in one pass held ≈ 2 MB more at its peak (traced) and
+    read +4.7 % ``peak_rss_mb`` on ``train_local_g10``, for no speed-up.
     """
-    walked = []
-    batch = []
-    batch_bytes = 0
-    for job in jobs:
-        payload = job[1]
-        # Close the open batch before a scan that cannot join it (a scan
-        # over the cap on its own then opens, and is, the next batch).
-        if batch and batch_bytes + len(payload) > _WALK_BATCH_BYTES:
-            walked.append(_walk_batch(batch))
-            batch = []
-            batch_bytes = 0
-        batch.append(job)
-        batch_bytes += len(payload) + len(_WALK_PAD)
-    walked.append(_walk_batch(batch))
-    entry_parts, length_parts = zip(*walked)
-    entry_array = entry_parts[0] if len(entry_parts) == 1 else np.concatenate(entry_parts)
-    ac_jobs, ac_parts, ac_lengths = [], [], []
-    base = 0
-    for job, length in zip(jobs, [length for part in length_parts for length in part]):
-        entries = entry_array[base : base + length]
-        base += length
+    passes = []
+    first = size = 0
+    for index, data in enumerate(payloads):
+        if index > first and size + len(data) > _WALK_BATCH_BYTES:
+            passes.append((first, index))
+            first, size = index, 0
+        size += len(data)
+    if payloads:
+        passes.append((first, len(payloads)))
+    return passes
+
+
+def _finish_walked_scans(jobs, parts, coefficients) -> None:
+    """Phase 2 of one stream's walked scans, into its own planes.
+
+    ``jobs`` are the stream's walk jobs in stream order and ``parts`` each
+    one's entries from :func:`_walk_batch`.  The DC scans are finished
+    first, in order (:func:`_finish_dc_scan`), then one
+    :func:`_finish_ac_scans` call reconstructs every AC scan — order is
+    preserved within each kind so multi-scan error surfacing stays
+    deterministic.
+    """
+    ac_jobs, ac_parts = [], []
+    for job, entries in zip(jobs, parts):
         if job[0].spectral_end == 0:
             _finish_dc_scan(job, entries, coefficients)
         else:
             ac_jobs.append(job)
             ac_parts.append(entries)
-            ac_lengths.append(length)
     if ac_jobs:
-        if len(ac_jobs) < len(jobs):
-            entry_array = np.concatenate(ac_parts)
-        _finish_ac_scans(ac_jobs, entry_array, ac_lengths, coefficients)
+        entry_array = ac_parts[0] if len(ac_parts) == 1 else np.concatenate(ac_parts)
+        lengths = [part.shape[0] for part in ac_parts]
+        _finish_ac_scans(ac_jobs, entry_array, lengths, coefficients)
 
 
 def _finish_dc_scan(job, entries, coefficients) -> None:
@@ -443,10 +518,9 @@ def _walk_batch(jobs):
     first casts it to intp through a generic path that costs 3x the gather
     itself (docs/performance.md has the numbers).
 
-    Returns ``(entries, lengths)``: one ``int32`` array of packed symbols in
-    the posdelta format of ``_build_super_tables``, every scan's entries
-    back to back in job order, and each scan's entry count — what the
-    finishers read.
+    Returns one ``int32`` array per job, in job order: the scan's packed
+    symbols in the posdelta format of ``_build_super_tables``, views of
+    one compacted array — what the finishers read.
     """
     blob = b"".join([job[1] + _WALK_PAD for job in jobs])
     blob_bytes = np.frombuffer(blob, dtype=np.uint8).astype(np.int32)
@@ -487,8 +561,14 @@ def _walk_batch(jobs):
     # tables pair only behind an in-window first symbol), so compaction
     # keeps every nonzero interleaved slot and a scan's entry count is its
     # probes plus its occupied second slots.
-    lengths = [(part.shape[0] >> 1) + np.count_nonzero(part[1::2]) for part in pairs]
-    return np.take(interleaved, np.flatnonzero(interleaved)), lengths
+    entries = np.take(interleaved, np.flatnonzero(interleaved))
+    parts = []
+    base = 0
+    for part in pairs:
+        length = (part.shape[0] >> 1) + int(np.count_nonzero(part[1::2]))
+        parts.append(entries[base : base + length])
+        base += length
+    return parts
 
 
 def _walk_one(

@@ -141,7 +141,9 @@ def write_scan_segment(header: ScanHeader, body: bytes) -> bytes:
     return SOS_MARKER + struct.pack("<I", len(payload)) + payload
 
 
-def find_scan_segments(data: bytes) -> list[ScanSegment]:
+def find_scan_segments(
+    data: bytes, frame: tuple[FrameHeader, int] | None = None
+) -> list[ScanSegment]:
     """Locate every SOS segment in an encoded stream.
 
     The stream must begin with SOI followed by an SOF segment.  Scanning
@@ -149,9 +151,11 @@ def find_scan_segments(data: bytes) -> list[ScanSegment]:
     truncated (partially read) streams.  A complete scan whose header runs
     past its segment, names no component, a repeated one or one the frame
     lacks, or whose band is not within ``[0, 63]`` in order, raises
-    :class:`CodecFormatError`.
+    :class:`CodecFormatError`.  ``frame`` is what
+    :func:`parse_frame_header` returns for ``data``, for a caller that has
+    it already; without it the header is parsed here.
     """
-    frame, offset = parse_frame_header(data)
+    frame, offset = parse_frame_header(data) if frame is None else frame
     segments: list[ScanSegment] = []
     while offset + 2 <= len(data):
         marker = data[offset : offset + 2]

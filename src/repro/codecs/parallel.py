@@ -463,7 +463,9 @@ class _PoolState:
         """Run one minibatch; output is identical whichever path it takes."""
         items = list(items)
         if not items:
-            return []
+            # Nothing to spread, but the in-process codec still refuses bad
+            # parameters, as it does for a batch of one.
+            return self.direction.inprocess(items, params)
         # One batch is in flight at a time: the pool parallelizes *within*
         # a batch, which is where the minibatch-shaped work lives.
         with self.lock:
@@ -477,7 +479,12 @@ class _PoolState:
 
     def _run_parallel(self, items: list, params) -> list:
         self.ensure_workers()
-        shapes, sizes, weights, inbound = zip(*map(self.direction.measure, items))
+        try:
+            shapes, sizes, weights, inbound = zip(*map(self.direction.measure, items))
+        except ValueError:
+            # An item the parent cannot even size: the in-process codec
+            # raises what the batch raises there, naming its item.
+            return self.direction.inprocess(items, params)
         # Regions are laid out back-to-back in item order.
         ends = list(accumulate(sizes))
         offsets = [0, *ends[:-1]]
@@ -496,7 +503,7 @@ class _PoolState:
             self.tasks.put((batch_id, chunk_id, slab.name, params, jobs))
         pending = set(range(len(chunks)))
         returned: dict[int, list | None] = {}
-        failed = False
+        failed = reported = False
         last_progress = time.monotonic()
         while pending and not failed:
             try:
@@ -518,7 +525,7 @@ class _PoolState:
                 continue  # stale result from an aborted batch
             if error is not None:
                 self.stats.last_worker_error = error
-                failed = True
+                failed = reported = True
                 break
             returned[done_chunk] = chunk_streams
             pending.discard(done_chunk)
@@ -533,11 +540,16 @@ class _PoolState:
             # Tear the fleet down to a clean slate (a killed worker can
             # die holding a queue lock), then finish the batch with the
             # ordinary in-process codec; completed chunks keep their
-            # results (identical either way).  A worker that reported a
-            # codec *error* re-raises here with the real exception.
+            # results (identical either way).  After a worker reported a
+            # codec *error* the whole batch is redone, so it re-raises here
+            # with the real exception, naming the item by its place in the
+            # batch as an in-process batch does.
             self.stats.fallback_batches += 1
             self.restart_fleet()
-            fallback = sorted(index for chunk_id in pending for index in chunks[chunk_id])
+            if reported:
+                fallback = list(range(len(items)))
+            else:
+                fallback = sorted(index for chunk_id in pending for index in chunks[chunk_id])
             redone = self.direction.inprocess([items[i] for i in fallback], params)
             for index, output in zip(fallback, redone):
                 outputs[index] = output

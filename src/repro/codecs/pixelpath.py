@@ -35,16 +35,20 @@ coefficient planes:
   ``basis[0, 0]`` (exactly what the gemm computes), the same colour stage
   runs once per block on the block grid, and the uint8 grid is expanded to
   full size with one row repeat and one broadcast copy.  Pixels are
-  bitwise equal to the gemm route's.
-  :func:`~repro.codecs.progressive.decode_coefficients` picks the route
-  from the scan headers and marks it on the planes.
+  bitwise equal to the gemm route's.  DC-only sets that share a frame
+  header (a record's group-1 images) run that colour stage once, over
+  their stacked grids.  The entropy decoder
+  (:func:`~repro.codecs.progressive.decode_coefficients` and the batch
+  decode) picks the route from the scan headers and marks it on the
+  planes.
 
 A :class:`PixelScratch` carries the intermediate buffers; each thread owns
 one (:func:`_thread_scratch`), so consecutive decodes reuse them whether
 they come as a minibatch
 (:func:`repro.codecs.progressive.decode_progressive_batch`) or one image at
 a time.  The batch path runs the same per-image gemms as the single-image
-path — results are *bitwise identical* either way.  The same per-thread
+path, and stacks only elementwise work across images — results are
+*bitwise identical* either way.  The same per-thread
 scratch serves the encoder: the forward transform's float32 buffers
 (:mod:`repro.codecs.encodepath`) and the entropy encode's typed 1-D
 buffers (:meth:`PixelScratch.array`, roles listed in
@@ -81,6 +85,7 @@ __all__ = [
     "block_pixels",
     "channels_to_pixels",
     "component_channels",
+    "decode_sets_to_pixels",
     "decode_to_pixels",
     "scaled_inverse_basis",
 ]
@@ -268,57 +273,87 @@ def channels_to_pixels(header, channels: list[np.ndarray], scratch: PixelScratch
     return _finalize_uint8(rgb)
 
 
-def block_pixels(coefficients, scratch: PixelScratch) -> np.ndarray:
-    """Reconstruct a DC-only coefficient set at block resolution.
+def block_pixels(coefficient_sets, scratch: PixelScratch) -> list[np.ndarray]:
+    """Reconstruct DC-only coefficient sets of one frame header at block resolution.
 
     Every block of such a set is one constant, the value the gemm yields
     for it: ``(dc + 128.5 / b) * b`` for luma and ``dc * b`` for chroma,
     with ``b = basis[0, 0]`` (row 0 of the scaled basis is constant and the
-    other 63 products are exact zeros).  :func:`channels_to_pixels` then
-    runs on the ``(nv, nh)`` block grid, 4:2:0 chroma repeated 2x2 there,
-    and the uint8 grid is expanded to full size with one row repeat and one
-    broadcast copy.  Pixels are bitwise equal to the gemm route's.
+    other 63 products are exact zeros).  The sets' ``(nv, nh)`` block grids
+    are stacked, 4:2:0 chroma repeated 2x2 per set, and
+    :func:`channels_to_pixels` runs once on the stack: every step is
+    elementwise, so a set's pixels do not depend on what it is stacked
+    with.  Each set's uint8 grid is then expanded to full size with one row
+    repeat and one broadcast copy.  Pixels are bitwise equal to the gemm
+    route's; one set is the ``n = 1`` stack.
     """
-    header = coefficients.header
+    header = coefficient_sets[0].header
     tables = header.quant_tables
+    n_sets = len(coefficient_sets)
     grids = []
-    for index, plane in enumerate(coefficients.planes):
+    for index in range(header.n_components):
         nv, nh = block_grid_shape(*header.component_shape(index))
         scale = scaled_inverse_basis(tables.table_for_component(index))[0, 0]
-        dc = plane[:, 0].astype(np.float32)
+        dc = np.stack([c.planes[index][:, 0] for c in coefficient_sets], dtype=np.float32)
         if index == 0:
             dc += np.float32(128.5 / scale)
         dc *= scale
-        grids.append(dc.reshape(nv, nh))
-    nv, nh = grids[0].shape
+        grids.append(dc.reshape(n_sets, nv, nh))
+    _, nv, nh = grids[0].shape
     if header.subsampling == SUBSAMPLING_420:  # luma block (i, j) reads chroma block (i//2, j//2)
-        grids[1:] = [grid.repeat(2, axis=0).repeat(2, axis=1)[:nv, :nh] for grid in grids[1:]]
-    grid_header = replace(header, height=nv, width=nh, subsampling=SUBSAMPLING_NONE)
-    small = channels_to_pixels(grid_header, grids, scratch)
+        grids[1:] = [grid.repeat(2, axis=1).repeat(2, axis=2)[:, :nv, :nh] for grid in grids[1:]]
+    stack_header = replace(header, height=n_sets * nv, width=nh, subsampling=SUBSAMPLING_NONE)
+    stacked = [grid.reshape(n_sets * nv, nh) for grid in grids]
+    small = channels_to_pixels(stack_header, stacked, scratch)
 
     height, width = header.height, header.width
     rows = small.repeat(BLOCK_SIZE, axis=1)[:, :width]
-    pixels = np.empty((height, width) + small.shape[2:], dtype=np.uint8)
     full = height // BLOCK_SIZE
-    pixels[: full * BLOCK_SIZE].reshape((full, BLOCK_SIZE) + rows.shape[1:])[...] = rows[:full, None]
-    if full * BLOCK_SIZE < height:  # the partial bottom block row
-        pixels[full * BLOCK_SIZE :] = rows[full]
-    return pixels
+    images = []
+    for k in range(n_sets):
+        set_rows = rows[k * nv : (k + 1) * nv]
+        pixels = np.empty((height, width) + small.shape[2:], dtype=np.uint8)
+        block_rows = pixels[: full * BLOCK_SIZE].reshape((full, BLOCK_SIZE) + rows.shape[1:])
+        block_rows[...] = set_rows[:full, None]
+        if full * BLOCK_SIZE < height:  # the partial bottom block row
+            pixels[full * BLOCK_SIZE :] = set_rows[full]
+        images.append(pixels)
+    return images
 
 
 def decode_to_pixels(coefficients, scratch: PixelScratch | None = None) -> np.ndarray:
     """Reconstruct uint8 pixels from quantized zigzag coefficient planes.
 
     ``coefficients`` is a :class:`~repro.codecs.progressive.CoefficientPlanes`
-    (possibly partial — absent scans are zeros).  A set the entropy decoder
-    marked ``dc_only`` takes :func:`block_pixels`; any other runs the gemm
-    route, where with a ``scratch`` every intermediate lives in reused
-    buffers and the only allocation is the returned uint8 array.  Output is
-    ``(H, W)`` for grayscale, ``(H, W, 3)`` RGB for colour.
+    (possibly partial — absent scans are zeros); the one-set case of
+    :func:`decode_sets_to_pixels`.  Output is ``(H, W)`` for grayscale,
+    ``(H, W, 3)`` RGB for colour.
+    """
+    return decode_sets_to_pixels([coefficients], scratch)[0]
+
+
+def decode_sets_to_pixels(coefficient_sets, scratch: PixelScratch | None = None) -> list[np.ndarray]:
+    """Reconstruct uint8 pixels for several coefficient sets, in order.
+
+    Sets the entropy decoder marked ``dc_only`` take :func:`block_pixels`,
+    one call per frame-header object they share (a batch decode parses
+    each distinct header once, so a record's group-1 images are one
+    call); any other set runs the gemm route on its own, where with a
+    ``scratch`` every intermediate lives in reused buffers and the only
+    allocation is the returned uint8 array.
     """
     if scratch is None:
         scratch = _thread_scratch()
-    if coefficients.dc_only:
-        return block_pixels(coefficients, scratch)
-    channels = component_channels(coefficients, scratch)
-    return channels_to_pixels(coefficients.header, channels, scratch)
+    images: list = [None] * len(coefficient_sets)
+    groups: dict[int, list[int]] = {}
+    for index, coefficients in enumerate(coefficient_sets):
+        if coefficients.dc_only:
+            groups.setdefault(id(coefficients.header), []).append(index)
+        else:
+            channels = component_channels(coefficients, scratch)
+            images[index] = channels_to_pixels(coefficients.header, channels, scratch)
+    for indices in groups.values():
+        group = block_pixels([coefficient_sets[index] for index in indices], scratch)
+        for index, pixels in zip(indices, group):
+            images[index] = pixels
+    return images

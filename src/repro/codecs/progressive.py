@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_bodies_fast
+from repro.codecs.fastpath import decode_streams_fast, encode_scan_bodies_fast, record_passes
 from repro.codecs.blocks import block_grid_shape
 from repro.codecs.image import ImageBuffer
 from repro.obs import get_registry, get_tracer
@@ -35,7 +35,7 @@ from repro.codecs.markers import (
     write_scan_segment,
 )
 from repro.codecs.encodepath import encode_to_planes
-from repro.codecs.pixelpath import decode_to_pixels
+from repro.codecs.pixelpath import decode_sets_to_pixels, decode_to_pixels
 from repro.codecs.quantization import QuantizationTables
 from repro.codecs.zigzag import N_COEFFICIENTS
 
@@ -210,22 +210,63 @@ def decode_coefficients(
     when it terminates a partial read with an EOI token.  ``max_scans=0``
     decodes no scans; a negative ``max_scans`` is a ``ValueError``.
 
-    The whole segment list is handed over at once
-    (:func:`repro.codecs.fastpath.decode_scan_bodies_fast`), letting it
-    amortize its vectorized scan-assembly epilogue across every AC scan of
-    the stream.  The result is marked ``dc_only`` when no applied scan's
-    band reaches past the DC slot, read off the scan headers alone.
+    The one-stream case of :func:`decode_progressive_batch`'s entropy half
+    (:func:`_decode_streams`), raising the stream's error.  The result is
+    marked ``dc_only`` when no applied scan's band reaches past the DC
+    slot, read off the scan headers alone.
     """
+    _check_max_scans(max_scans)
+    decoded, failure = _decode_streams([data], max_scans)
+    if failure is not None:
+        raise failure[1]
+    return decoded[0]
+
+
+def _check_max_scans(max_scans: int | None) -> None:
     if max_scans is not None and max_scans < 0:
         raise ValueError(f"max_scans must be >= 0, got {max_scans}")
-    header, _ = parse_frame_header(data)
-    coefficients = empty_coefficients(header)
-    segments = find_scan_segments(data)
-    if max_scans is not None:
-        segments = segments[:max_scans]
-    decode_scan_bodies_fast(data, segments, coefficients)
-    coefficients.dc_only = all(segment.header.spectral_end == 0 for segment in segments)
-    return coefficients, len(segments)
+
+
+def _decode_streams(payloads: list[bytes], max_scans: int | None):
+    """The entropy half of one batch-decode pass: every stream's coefficients.
+
+    Each distinct frame-header prefix is parsed once (all of a record's
+    streams share one), and its :class:`FrameHeader` object is shared by
+    the streams that carry it, which is what lets
+    :func:`~repro.codecs.pixelpath.decode_sets_to_pixels` colour their
+    DC-only sets together.  The scans of every stream then go to one
+    :func:`~repro.codecs.fastpath.decode_streams_fast` call.
+
+    Returns ``(decoded, failure)``: ``(coefficients, scans applied)`` for
+    the streams before the first that cannot be decoded, and ``None`` or
+    ``(index, error)`` for that stream, ``error`` being the ``ValueError``
+    or ``EOFError`` it raises decoded alone.  A stream whose header or scan
+    segments fail ends the batch there; the streams before it are still
+    decoded, and their own errors come first.
+    """
+    frames: dict[bytes, tuple[FrameHeader, int]] = {}
+    streams = []
+    failure = None
+    for index, data in enumerate(payloads):
+        try:
+            # SOI, the SOF marker and its length, then the payload: the
+            # prefix parses on its own exactly as it does inside ``data``.
+            prefix = bytes(data[: 6 + int.from_bytes(data[4:6], "little")])
+            frame = frames.get(prefix)
+            if frame is None:
+                frame = frames[prefix] = parse_frame_header(prefix)
+            coefficients = empty_coefficients(frame[0])
+            segments = find_scan_segments(data, frame)
+        except (ValueError, EOFError) as error:
+            failure = index, error
+            break
+        if max_scans is not None:
+            segments = segments[:max_scans]
+        coefficients.dc_only = all(segment.header.spectral_end == 0 for segment in segments)
+        streams.append((data, segments, coefficients))
+    failure = decode_streams_fast(streams) or failure
+    decoded = [(coefficients, len(segments)) for _, segments, coefficients in streams]
+    return decoded[: failure[0]] if failure else decoded, failure
 
 
 def decode_progressive_batch(
@@ -233,13 +274,28 @@ def decode_progressive_batch(
 ) -> list[ImageBuffer]:
     """Decode a whole minibatch of (possibly truncated) streams at once.
 
-    The minibatch-level entry point the ``DataLoader`` path uses, and a
-    plain loop: :func:`decode_coefficients` + :func:`coefficients_to_image`
-    per payload, bitwise identical to calling them yourself (pinned by the
-    equivalence tests in ``tests/test_codecs_pixelpath.py``).  Float32 work
-    buffers are the calling thread's and table/basis setup is shared
-    through the module caches, batch or not, so the batch form costs what
-    the per-image loop costs; what it adds is the instrumentation below.
+    The minibatch-level entry point the ``DataLoader`` path uses.  The
+    batch decodes in passes, not image by image: a pass is a run of
+    consecutive streams whose bytes fit one walk batch
+    (:func:`~repro.codecs.fastpath.record_passes`), so a group-1 record is
+    one pass and each group-10 stream its own.  In a pass each distinct
+    frame header is parsed once; the DC-only and AC-only scans of every
+    stream go through one sequence of stride walks
+    (:func:`~repro.codecs.fastpath.decode_streams_fast`), so a group-1
+    record's eight DC scans share one phase-0 window pass and one
+    compaction; and the DC-only images of one header share one
+    block-resolution colour pass
+    (:func:`~repro.codecs.pixelpath.decode_sets_to_pixels`).  Sets with AC
+    bands run the gemm route per image.  Pixels are bitwise identical to
+    :func:`decode_coefficients` + :func:`coefficients_to_image` per payload
+    (pinned by ``TestBatchDecode`` in ``tests/test_codecs_pixelpath.py``);
+    docs/performance.md, "Minibatch decode API", has what the record pass
+    saves.
+
+    ``max_scans`` is validated first, so an empty batch refuses a negative
+    one too.  A batch raises the error its lowest-index defective stream
+    raises alone — the same class and message — with a note ``"stream i
+    of n"`` naming it.
 
     Every call records ``decode.streams_total`` / ``decode.bytes_total``
     counters and a ``decode.batch_seconds`` histogram sample on the default
@@ -251,17 +307,21 @@ def decode_progressive_batch(
     """
     registry = get_registry()
     start = time.perf_counter()
+    _check_max_scans(max_scans)
     with get_tracer().span("decode.batch", {"streams": len(payloads)}):
-        images: list[ImageBuffer] = []
-        for data in payloads:
-            coefficients, _ = decode_coefficients(data, max_scans=max_scans)
-            images.append(coefficients_to_image(coefficients))
+        images = []
+        for first, stop in record_passes(payloads):
+            decoded, failure = _decode_streams(payloads[first:stop], max_scans)
+            if failure is not None:
+                index, error = failure
+                error.add_note(f"stream {first + index} of {len(payloads)}")
+                raise error
+            pixels = decode_sets_to_pixels([coefficients for coefficients, _ in decoded])
+            images += [ImageBuffer(frame) for frame in pixels]
     registry.counter("decode.streams_total").inc(len(payloads))
     registry.counter("decode.bytes_total").inc(sum(len(data) for data in payloads))
     registry.histogram("decode.batch_seconds").observe(time.perf_counter() - start)
     return images
-
-
 def encode_progressive_batch(
     images: list[ImageBuffer],
     quality: int = DEFAULT_QUALITY,
@@ -357,12 +417,11 @@ def split_scans(data: bytes) -> tuple[bytes, list[bytes]]:
     stream decodable at quality level ``k`` — this is the primitive the PCR
     writer uses to regroup per-image scans into dataset-wide scan groups.
     """
-    header, offset = parse_frame_header(data)
-    del header
-    segments = find_scan_segments(data)
+    frame = parse_frame_header(data)
+    segments = find_scan_segments(data, frame)
     if not segments:
         raise CodecFormatError("stream contains no scans")
-    prefix = data[:offset]
+    prefix = data[: frame[1]]
     return prefix, [data[segment.start : segment.end] for segment in segments]
 
 

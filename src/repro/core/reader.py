@@ -68,14 +68,15 @@ def assemble_samples(data: bytes, decode: bool, decode_pool=None) -> list[PCRSam
 
     Shared by the local reader and every
     :class:`~repro.core.source.RecordSource`, so the stream-reassembly
-    invariant lives in exactly one place.  All streams of the record decode
-    through one batch call
-    (:func:`~repro.codecs.progressive.decode_progressive_batch`), so the
-    pixel-stage scratch buffers are shared across the record, and a
-    ``decode_pool`` passed in (a :class:`~repro.codecs.parallel.DecodePool`:
-    the same batch call with byte-identical output, but the entropy loops
-    run on worker processes and the pixels come back through shared
-    memory) parallelizes it.
+    invariant lives in exactly one place.  The record decodes through one
+    batch call (:func:`~repro.codecs.progressive.decode_progressive_batch`):
+    at scan group 1 its streams share one frame-header parse, one sequence
+    of entropy walks and one block-resolution colour pass, and an error
+    names the sample that broke (``"stream i of n"``).  A ``decode_pool``
+    passed in (a :class:`~repro.codecs.parallel.DecodePool`: the same batch
+    call with byte-identical output, but on worker processes, each taking a
+    chunk of the record, with the pixels coming back through shared memory)
+    parallelizes it.
 
     Without a pool the decode runs under ``_DECODE_GATE``.  The gate is
     taken *before* the ``loader.decode`` span opens, so that span keeps

@@ -323,9 +323,10 @@ class DataLoader:
     def _load_record(
         self, record_name: str, rng: np.random.Generator
     ) -> tuple[list[np.ndarray], list[int]]:
-        # ``read_record`` decodes the whole record through the codec's
-        # minibatch API (shared pixel-stage buffers, one setup per record) —
-        # a record is the loader's unit of batched decode work.
+        # ``read_record`` decodes the whole record through one call of the
+        # codec's minibatch API (at group 1: one header parse, one sequence
+        # of entropy walks, one colour pass) — a record is the loader's
+        # unit of batched decode work.
         read = ReadStats()
         samples = self.dataset.read_record(
             record_name,

@@ -42,6 +42,7 @@ from repro.codecs.progressive import (
     ScanScript,
     assemble_partial_stream,
     decode_coefficients,
+    decode_progressive_batch,
     empty_coefficients,
     encode_coefficients,
     image_to_coefficients,
@@ -820,6 +821,107 @@ class TestDcOnlyPrefixFuzz:
         # a few desynchronise the scan into over-reading its payload (5 of
         # these 200; truncation above reaches that path every time).
         assert defective >= 4
+
+
+class TestRecordLevelFuzz:
+    """``TestDcOnlyPrefixFuzz``'s defective prefixes inside a record of eight.
+
+    A record decodes through one ``decode_progressive_batch`` call, so a
+    defect must still raise what its stream raises alone — the same class
+    and message — with a note naming its position; with several defects the
+    lowest position wins, whichever step of the decode finds each.  At the
+    default cap the record is one pass; at 64 bytes every stream is a pass
+    and a walk batch of its own.
+    """
+
+    _POSITIONS = (0, 3, 7)
+
+    @pytest.fixture(autouse=True, params=[None, 64], ids=["default-cap", "cap-64"])
+    def walk_cap(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fastpath, "_WALK_BATCH_BYTES", request.param)
+
+    @staticmethod
+    def _valid() -> list[bytes]:
+        fuzz = TestDcOnlyPrefixFuzz
+        prefixes = [fuzz._group1(stream)[0] for stream in fuzz._sources()]
+        return prefixes + prefixes
+
+    @staticmethod
+    def _alone(stream: bytes) -> Exception:
+        with pytest.raises((EOFError, ValueError)) as caught:
+            decode_coefficients(stream)
+        return caught.value
+
+    @staticmethod
+    def _defects() -> list[bytes]:
+        """Truncated and bit-flipped group-1 prefixes that fail alone."""
+        fuzz = TestDcOnlyPrefixFuzz
+        rng = np.random.default_rng(43)
+        defects = []
+        for stream in fuzz._sources():
+            _, header, body, table_bytes = fuzz._group1(stream)
+            for cut in (table_bytes + 1, (table_bytes + len(body)) // 2, len(body) - 1):
+                defects.append(fuzz._rebuilt(stream, header, body[:cut]))
+            flipped = []
+            for _ in range(60):  # most flips only change diffs
+                position = int(rng.integers(table_bytes, len(body)))
+                flip = bytes([body[position] ^ (1 << int(rng.integers(0, 8)))])
+                mutated = fuzz._rebuilt(stream, header, body[:position] + flip + body[position + 1 :])
+                try:
+                    decode_coefficients(mutated)
+                except (EOFError, ValueError):
+                    flipped.append(mutated)
+            defects += flipped[:2]
+        assert len(defects) >= 4 * 3 + 3
+        return defects
+
+    @staticmethod
+    def _raised(record: list[bytes]) -> Exception:
+        with pytest.raises((EOFError, ValueError)) as caught:
+            decode_progressive_batch(record)
+        return caught.value
+
+    def test_each_defect_raises_its_own_error_naming_its_position(self):
+        valid = self._valid()
+        for defect in self._defects():
+            alone = self._alone(defect)
+            for position in self._POSITIONS:
+                record = valid[:position] + [defect] + valid[position + 1 :]
+                raised = self._raised(record)
+                assert type(raised) is type(alone) and str(raised) == str(alone)
+                assert raised.__notes__ == [f"stream {position} of 8"]
+
+    def test_the_lower_of_two_defects_wins(self):
+        valid = self._valid()
+        defects = self._defects()
+        first, second = defects[0], defects[-1]
+        for low, high in ((0, 7), (3, 7), (0, 3)):
+            record = list(valid)
+            record[low], record[high] = first, second
+            raised = self._raised(record)
+            assert type(raised) is type(self._alone(first)) and str(raised) == str(self._alone(first))
+            assert raised.__notes__ == [f"stream {low} of 8"]
+
+    def test_a_later_header_or_mixed_scan_error_does_not_come_first(self):
+        """Frame headers are parsed and mixed scans decoded before the walk;
+        a lower stream whose DC scan fails only in the walk's finisher still
+        wins, and a lower header or mixed-scan defect wins over it."""
+        valid = self._valid()
+        dc_defect = self._defects()[1]
+        baseline = BaselineCodec(quality=90).encode(make_structured_image(32, seed=8))
+        segment = find_scan_segments(baseline)[0]
+        body = baseline[segment.payload_start : segment.end]
+        mixed_defect = TestDcOnlyPrefixFuzz._rebuilt(baseline, segment.header, body[: len(body) // 2])
+        header_defect = valid[0][:9]  # cut inside the frame header
+        for late in (header_defect, mixed_defect):
+            for first, second in ((dc_defect, late), (late, dc_defect)):
+                record = list(valid)
+                record[2], record[5] = first, second
+                raised = self._raised(record)
+                alone = self._alone(first)
+                assert type(raised) is type(alone) and str(raised) == str(alone)
+                assert raised.__notes__ == ["stream 2 of 8"]
 
 
 class TestInPlaceLoopOnWalkedScans:

@@ -168,6 +168,24 @@ class TestDifferentialDecode:
             _assert_identical(decode_progressive_batch(streams), pool.decode_batch(streams))
             assert pool.stats.parallel_batches >= 1
 
+    def test_an_error_names_its_stream_by_its_place_in_the_batch(self, streams):
+        """As in-process: the lowest-index defect's own error, noted with its
+        position in the whole batch, whether a worker or the parent's frame
+        sizing finds it."""
+        stream = streams[0]
+        prefix, _ = split_scans(stream)
+        segment = find_scan_segments(stream)[0]
+        body = stream[segment.payload_start : segment.end]
+        bad = prefix + write_scan_segment(segment.header, body[:-8]) + EOI
+        n = len(streams)
+        with DecodePool(2) as pool:
+            with pytest.raises(EOFError) as caught:
+                pool.decode_batch([*streams[:-1], bad])
+            assert caught.value.__notes__ == [f"stream {n - 1} of {n}"]
+            with pytest.raises(EOFError) as caught:
+                pool.decode_batch([*streams[:2], bad, b"not a stream", *streams[2:]])
+            assert caught.value.__notes__ == [f"stream 2 of {n + 2}"]
+
 
 # -- frames copied out of the slab --------------------------------------------
 

@@ -6,7 +6,9 @@ are allowed to differ from the scalar float64 reference by **at most 1 LSB**
 where a value lands on a rounding tie; that budget is pinned here across
 every scan group, odd dimensions, grayscale/colour, and both subsampling
 modes.  Batch decoding must be *bitwise identical* to a per-image loop —
-the batch API reuses buffers, never cross-image arithmetic.
+the batch API reuses buffers and stacks only elementwise work across
+images (the group-1 colour pass), so no image's arithmetic depends on
+another's.
 DC-only decodes (scan group 1) take the block-resolution route, which
 must be *bitwise equal* to the gemm route it skips (``TestBlockRoute``).
 
@@ -274,6 +276,89 @@ class TestBatchDecode:
 
     def test_empty_batch(self):
         assert decode_progressive_batch([]) == []
+
+    @staticmethod
+    def _heterogeneous() -> list[bytes]:
+        """Whole streams and their group-1 prefixes, interleaved.
+
+        Colour and grayscale, 4:2:0 and 4:4:4 at odd sizes, two quantization
+        tables at one size, and a ``BaselineCodec`` stream whose full-band
+        scans are mixed scans.  The first two sources and the baseline one
+        share a frame header.
+        """
+        sources = [
+            ProgressiveCodec(quality=90).encode(_ramp_image(21, 40, seed=1)),
+            ProgressiveCodec(quality=90).encode(_ramp_image(21, 40, seed=2)),
+            ProgressiveCodec(quality=60).encode(_ramp_image(21, 40, seed=3)),
+            ProgressiveCodec(quality=90, subsampling=SUBSAMPLING_NONE).encode(_ramp_image(17, 9, seed=4)),
+            ProgressiveCodec(quality=75).encode(_ramp_image(33, 19, seed=5, color_image=False)),
+            BaselineCodec(quality=90).encode(_ramp_image(21, 40, seed=6)),
+        ]
+        return [s for source in sources for s in (_group_one_stream(source), source)]
+
+    @pytest.mark.parametrize("max_scans", [0, 1, 2, 10, None])
+    def test_a_heterogeneous_batch_equals_the_loop(self, max_scans, monkeypatch):
+        streams = self._heterogeneous()
+        stacks: list[int] = []
+        block = pixelpath.block_pixels
+
+        def spy_block(coefficient_sets, scratch):
+            stacks.append(len(coefficient_sets))
+            return block(coefficient_sets, scratch)
+
+        monkeypatch.setattr(pixelpath, "block_pixels", spy_block)
+        batch = decode_progressive_batch(streams, max_scans=max_scans)
+        batch_stacks = list(stacks)
+        assert sum(batch_stacks) == sum(
+            decode_coefficients(stream, max_scans=max_scans)[0].dc_only for stream in streams
+        )
+        for stream, batched in zip(streams, batch):
+            coefficients, _ = decode_coefficients(stream, max_scans=max_scans)
+            single = decode_to_pixels(coefficients)
+            assert np.array_equal(batched.pixels, single)
+            if coefficients.dc_only:
+                assert np.array_equal(single, _gemm_route(coefficients))
+        if max_scans is None:
+            # Both routes ran in the one call: the five progressive group-1
+            # prefixes coloured in one pass per header (the first two share
+            # one), and every whole stream and the baseline prefix by gemm.
+            assert sorted(batch_stacks) == [1, 1, 1, 2]
+
+    def test_the_walk_stays_under_its_cap(self, monkeypatch):
+        """A record is one sequence of walk batches, each under the byte cap
+        unless it is a lone oversized scan; a group-1 record is one batch."""
+        from repro.codecs import fastpath
+
+        sizes: list[list[int]] = []
+        walk = fastpath._walk_batch
+
+        def spy(jobs):
+            sizes.append([len(job[1]) for job in jobs])
+            return walk(jobs)
+
+        monkeypatch.setattr(fastpath, "_walk_batch", spy)
+        codec = ProgressiveCodec(quality=90)
+        streams = [codec.encode(make_structured_image(64, seed=s)) for s in range(8)]
+        prefixes = [_group_one_stream(stream) for stream in streams]
+        expected = [decode_progressive_batch([s])[0].pixels for s in streams + prefixes]
+        sizes.clear()
+        decode_progressive_batch(prefixes)
+        assert len(sizes) == 1 and len(sizes[0]) == 8
+        # Passes: consecutive streams whose bytes fit one walk batch.
+        default = fastpath._WALK_BATCH_BYTES
+        lengths = [default - 100, 200, default, 1, 1, default // 2, default // 2]
+        assert fastpath.record_passes([bytes(n) for n in lengths]) == [(0, 1), (1, 2), (2, 3), (3, 6), (6, 7)]
+        for cap in (default, 2048, 200):
+            monkeypatch.setattr(fastpath, "_WALK_BATCH_BYTES", cap)
+            sizes.clear()
+            batch = decode_progressive_batch(streams + prefixes)
+            assert sum(len(walked) for walked in sizes) == 10 * 8 + 8
+            assert all(len(walked) == 1 or sum(walked) <= cap for walked in sizes)
+            if cap < default:  # several batches, and at 200 lone oversized scans
+                assert len(sizes) > 1
+                assert (cap == 200) == any(len(walked) == 1 and walked[0] > cap for walked in sizes)
+            for image, pixels in zip(batch, expected):
+                assert np.array_equal(image.pixels, pixels)
 
 
 def _gemm_route(coefficients) -> np.ndarray:

@@ -204,10 +204,13 @@ class TestProgressiveCodec:
                 decode_coefficients(data, max_scans=max_scans)
             with pytest.raises(ValueError, match="max_scans"):
                 codec.decode(data, max_scans=max_scans)
-            with pytest.raises(ValueError, match="max_scans"):
-                decode_progressive_batch([data], max_scans=max_scans)
-        with DecodePool(2) as pool, pytest.raises(ValueError, match="max_scans"):
-            pool.decode_batch([data, data], max_scans=-1)
+            for batch in ([data], []):
+                with pytest.raises(ValueError, match="max_scans"):
+                    decode_progressive_batch(batch, max_scans=max_scans)
+        with DecodePool(2) as pool:
+            for batch in ([data, data], []):
+                with pytest.raises(ValueError, match="max_scans"):
+                    pool.decode_batch(batch, max_scans=-1)
 
     def test_split_and_reassemble_scans(self, color_image):
         codec = ProgressiveCodec(quality=90)
