@@ -1,9 +1,11 @@
 """Data-loading pipeline.
 
 The loader mirrors the paper's DALI/tf.data pipelines (Section 3.2, §A.1):
-worker threads prefetch whole records, decode and augment the images, and
-push minibatches into a bounded queue; the training loop pops from the queue
-and records a *data stall* whenever it has to wait.
+worker threads read whole records a bounded window ahead, decode and augment
+the images; the training loop takes the records in epoch order as
+minibatches and records a *data stall* whenever it has to wait.  Record
+order, sample order and augmentation draws come from the loader's seed and
+epoch number alone, so the batches do not depend on the worker count.
 """
 
 from repro.pipeline.augment import (
@@ -16,7 +18,6 @@ from repro.pipeline.augment import (
 )
 from repro.pipeline.batch import Minibatch, collate
 from repro.pipeline.loader import DataLoader, LoaderConfig
-from repro.pipeline.sampler import SequentialSampler, ShuffleSampler
 from repro.pipeline.stall import StallTracker
 
 __all__ = [
@@ -28,8 +29,6 @@ __all__ = [
     "Minibatch",
     "RandomCrop",
     "Resize",
-    "SequentialSampler",
-    "ShuffleSampler",
     "StallTracker",
     "collate",
     "standard_training_augmentations",

@@ -1,10 +1,12 @@
 """A prefetching data loader over a PCR record source.
 
-The loader follows the closed-system model of §A.1: a pool of worker threads
-continuously reads the next record at the loader's scan group, decodes and
-augments its samples, shuffles them, and pushes minibatches into a bounded
-queue.  The consumer (the training loop) pops minibatches; whenever the
-queue is empty the consumer's wait is recorded as a data stall.
+The loader follows the closed-system model of §A.1: ``n_workers`` threads
+read the epoch's records ahead of the consumer at the loader's scan group,
+decode and augment their samples and shuffle them within the record; the
+consumer (the training loop) takes the records in epoch order and cuts them
+into minibatches.  Whenever the next record is not ready, the consumer's
+wait is recorded as a data stall.  One seed is one run: an epoch's batches
+depend on ``(seed, epoch number)`` only, never on the worker count.
 
 Fidelity is the loader's own: it starts at its dataset's scan group and
 passes its current group to every ``read_record``, so
@@ -15,11 +17,12 @@ probe of it.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from collections import deque
 from collections.abc import Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Protocol
 
 import numpy as np
@@ -30,10 +33,7 @@ from repro.core.source import RecordSource
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.augment import Compose
 from repro.pipeline.batch import Minibatch, collate
-from repro.pipeline.sampler import SequentialSampler, ShuffleSampler
 from repro.pipeline.stall import StallTracker
-
-_END_OF_EPOCH = object()
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class LoaderConfig:
 
     batch_size: int = 32
     n_workers: int = 2
+    #: *Records* (not batches) read ahead beyond the ``n_workers`` in
+    #: flight: at most ``n_workers + prefetch_batches`` records are pending.
     prefetch_batches: int = 8
     shuffle: bool = True
     drop_last: bool = False
@@ -54,8 +56,14 @@ class LoaderConfig:
     decode_workers: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, value, least in (
+            ("batch_size", self.batch_size, 1),
+            ("n_workers", self.n_workers, 1),
+            ("prefetch_batches", self.prefetch_batches, 1),
+            ("decode_workers", self.decode_workers, 0),
+        ):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class LoaderHook(Protocol):
@@ -90,7 +98,7 @@ class DataLoader:
         self.augmentations = augmentations
         self.stalls = StallTracker()
         self._scan_group = dataset.scan_group
-        self._rng = np.random.default_rng(self.config.seed)
+        self._epochs = 0  # epochs started: the second half of each epoch's seed
         self._decode_pool: DecodePool | None = None
         self.hook = hook
         if hook is not None:
@@ -121,75 +129,76 @@ class DataLoader:
         return self.epoch()
 
     def epoch(self) -> Iterator[Minibatch]:
-        """Yield the minibatches of one epoch, prefetching in background threads.
+        """Yield the minibatches of one epoch, reading ahead in background threads.
 
-        Shutdown is cooperative: workers block on the bounded output queue
-        only with a timeout and re-check a stop event, and the consumer's
-        ``finally`` sets that event and drains the queue until every worker
-        has exited.  This holds on *every* exit path — a worker error being
-        re-raised, the consumer abandoning the iterator mid-epoch
-        (``GeneratorExit``), or normal completion — so no thread is left
-        blocked on ``output_queue.put``.
+        An epoch is a function of ``(seed, epoch number)``: with ``shuffle``
+        the records come in ``default_rng([seed, epoch]).permutation(n)``
+        order, else in write order, and the record at position ``k`` orders
+        its samples and draws its augmentations from
+        ``default_rng([seed, epoch, k])``.  Reads run on a
+        :class:`~concurrent.futures.ThreadPoolExecutor` of ``n_workers``
+        threads, at most ``n_workers + prefetch_batches`` records ahead of
+        the consumer, and are handed out in epoch order, so the batches do
+        not depend on the worker count or on thread timing.  A group switch
+        lands on whichever read starts next, so an epoch is reproducible
+        only under a fixed group schedule, not under a hook that steers on
+        timing.  A failed read is re-raised at its record's position, after
+        the batches of the records before it.
+
+        Every exit path — normal completion, a re-raised read error, the
+        consumer abandoning the iterator (``GeneratorExit``) or a
+        ``KeyboardInterrupt`` — shuts the executor down: reads that have
+        not started are dropped and the threads are joined.  The threads
+        are not daemons, so that join waits for at most one in-flight read
+        per thread; every fetcher bounds a read (a remote one by its socket
+        timeout).
 
         With ``decode_workers >= 2`` the loader builds a persistent
         :class:`~repro.codecs.parallel.DecodePool` of its own before the
-        reader threads start and passes it to every ``read_record``; the
-        dataset is not touched, so loaders sharing one dataset each decode
-        through their own pool.  It survives across epochs (worker startup
-        is paid once), but any *abnormal* epoch exit — ``KeyboardInterrupt``,
-        ``GeneratorExit``, a re-raised worker error — tears it down along
-        with the threads, so no decode processes or shared-memory slabs
-        outlive an interrupted run.
+        first read and passes it to every ``read_record``; the dataset is
+        not touched, so loaders sharing one dataset each decode through
+        their own pool.  It survives across epochs (worker startup is paid
+        once), but any *abnormal* epoch exit tears it down after the
+        threads, so no decode processes or shared-memory slabs outlive an
+        interrupted run.
         """
-        if self.config.decode_workers > 1 and self._decode_pool is None:
-            self._decode_pool = DecodePool(self.config.decode_workers)
-        record_names = self.dataset.record_names
-        sampler = (
-            ShuffleSampler(record_names, seed=int(self._rng.integers(0, 2**31)))
-            if self.config.shuffle
-            else SequentialSampler(record_names)
-        )
-        work_queue: queue.Queue = queue.Queue()
-        for record_name in sampler:
-            work_queue.put(record_name)
-        n_workers = max(1, self.config.n_workers)
-        output_queue: queue.Queue = queue.Queue(maxsize=max(1, self.config.prefetch_batches))
-        stop_event = threading.Event()
-        workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(work_queue, output_queue, self.config.seed + worker_index, stop_event),
-                daemon=True,
-            )
-            for worker_index in range(n_workers)
-        ]
-        for worker in workers:
-            worker.start()
+        config = self.config
+        if config.decode_workers > 1 and self._decode_pool is None:
+            self._decode_pool = DecodePool(config.decode_workers)
+        epoch, self._epochs = self._epochs, self._epochs + 1
+        names = self.dataset.record_names
+        if config.shuffle:
+            order = np.random.default_rng([config.seed, epoch]).permutation(len(names))
+            names = [names[index] for index in order]
+        pending = enumerate(names)
+        read_ahead = config.n_workers + config.prefetch_batches
+        window: deque[Future] = deque()
+        executor = ThreadPoolExecutor(config.n_workers, thread_name_prefix="pcr-loader")
+
+        def fill_window() -> None:
+            for position, name in islice(pending, read_ahead - len(window)):
+                rng = np.random.default_rng([config.seed, epoch, position])
+                window.append(executor.submit(self._load_record, name, rng))
 
         tracer = get_tracer()
         batches_total = get_registry().counter("loader.batches_total")
         try:
-            finished_workers = 0
+            fill_window()
             leftovers: list[tuple[np.ndarray, int]] = []
-            while finished_workers < n_workers:
+            while window:
                 # One wait interval feeds the stall tracker *and* the trace
                 # from the same measurement, so the exported "loader.wait"
                 # spans reproduce the stall timeline exactly.
                 wait_start = time.perf_counter()
-                item = output_queue.get()
+                images, labels = window.popleft().result()
                 waited = time.perf_counter() - wait_start
                 self.stalls.record_wait(waited)
                 tracer.add_event("loader.wait", wait_start, waited)
-                if item is _END_OF_EPOCH:
-                    finished_workers += 1
-                    continue
-                if isinstance(item, BaseException):
-                    raise item
-                images, labels = item
+                fill_window()
                 leftovers.extend(zip(images, labels))
-                while len(leftovers) >= self.config.batch_size:
-                    chunk = leftovers[: self.config.batch_size]
-                    leftovers = leftovers[self.config.batch_size :]
+                while len(leftovers) >= config.batch_size:
+                    chunk = leftovers[: config.batch_size]
+                    leftovers = leftovers[config.batch_size :]
                     with tracer.span("loader.collate"):
                         batch = collate(
                             [image for image, _ in chunk], [label for _, label in chunk]
@@ -202,7 +211,7 @@ class DataLoader:
                     yielded_at = time.perf_counter()
                     yield batch
                     self.stalls.record_compute(time.perf_counter() - yielded_at)
-            if leftovers and not self.config.drop_last:
+            if leftovers and not config.drop_last:
                 with tracer.span("loader.collate"):
                     batch = collate(
                         [image for image, _ in leftovers],
@@ -213,41 +222,16 @@ class DataLoader:
                 yield batch
                 self.stalls.record_compute(time.perf_counter() - yielded_at)
         except BaseException:
-            # Abnormal exit (KeyboardInterrupt, GeneratorExit, worker error):
-            # the decode processes must die with the epoch.  Stop the reader
-            # threads *first* — closing the pool waits on its in-flight
-            # batch, and readers must not keep feeding it new ones
-            # meanwhile.  On normal completion the pool stays warm for the
-            # next epoch; `close()` retires it for good.
-            stop_event.set()
+            # Abnormal exit: the decode processes must die with the epoch.
+            # Stop the reader threads *first* — closing the pool waits on
+            # its in-flight batch, and readers must not keep feeding it new
+            # ones meanwhile.  On normal completion the pool stays warm for
+            # the next epoch; `close()` retires it for good.
+            executor.shutdown(cancel_futures=True)
             self.shutdown_decode_pool()
             raise
         finally:
-            stop_event.set()
-            self._drain_and_join(workers, output_queue)
-
-    @staticmethod
-    def _drain_and_join(
-        workers: list[threading.Thread],
-        output_queue: queue.Queue,
-        deadline_seconds: float = 5.0,
-    ) -> None:
-        """Drain the output queue until every worker exits (bounded wait).
-
-        Draining is what unblocks workers that are mid-``put`` on the
-        bounded queue; they notice the stop event on their next timeout.
-        Workers are daemons, so if one is wedged inside a record read past
-        the deadline it cannot block interpreter exit.
-        """
-        deadline = time.monotonic() + deadline_seconds
-        for worker in workers:
-            while worker.is_alive() and time.monotonic() < deadline:
-                try:
-                    while True:
-                        output_queue.get_nowait()
-                except queue.Empty:
-                    pass
-                worker.join(timeout=0.05)
+            executor.shutdown(cancel_futures=True)
 
     def shutdown_decode_pool(self) -> None:
         """Stop the decode worker processes and release their shared memory.
@@ -279,46 +263,6 @@ class DataLoader:
         return full
 
     # -- internals ----------------------------------------------------------------
-
-    def _worker_loop(
-        self,
-        work_queue: queue.Queue,
-        output_queue: queue.Queue,
-        seed: int,
-        stop_event: threading.Event,
-    ) -> None:
-        rng = np.random.default_rng(seed)
-        while not stop_event.is_set():
-            try:
-                record_name = work_queue.get_nowait()
-            except queue.Empty:
-                break
-            try:
-                images, labels = self._load_record(record_name, rng)
-            except Exception as error:  # surfaced to the consumer, which re-raises
-                self._put_cooperative(output_queue, error, stop_event)
-                break
-            if not self._put_cooperative(output_queue, (images, labels), stop_event):
-                return  # consumer is gone; no one reads the end-of-epoch marker
-        self._put_cooperative(output_queue, _END_OF_EPOCH, stop_event)
-
-    @staticmethod
-    def _put_cooperative(
-        output_queue: queue.Queue, item, stop_event: threading.Event
-    ) -> bool:
-        """Put onto the bounded queue without deadlocking a shut-down loader.
-
-        Returns False (dropping ``item``) once the stop event is set, so a
-        worker blocked against a full queue always exits shortly after the
-        consumer stops draining.
-        """
-        while not stop_event.is_set():
-            try:
-                output_queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
 
     def _load_record(
         self, record_name: str, rng: np.random.Generator

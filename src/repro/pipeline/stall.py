@@ -14,10 +14,10 @@ telemetry.  The list-based API (``wait_seconds``, ``timeline()``,
 ``stall_fraction``) is unchanged — the lists stay the exact per-iteration
 record the Figure 11 series needs, while the registry carries the
 aggregates.  ``DataLoader.epoch()`` populates both sides automatically
-(waits from its queue gets, compute from the gaps between ``yield``s), so
-callers no longer time anything by hand.  A capped link
-(:class:`~repro.core.source.BandwidthThrottle`) sleeps in the reader thread,
-so its delay shows up here as wait, like a slow real link.
+(one wait per record, on the head of its read-ahead window; compute from
+the gaps between ``yield``s), so callers no longer time anything by hand.
+A capped link (:class:`~repro.core.source.BandwidthThrottle`) sleeps in the
+reader thread, so its delay shows up here as wait, like a slow real link.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""Tests for samplers, augmentations, batching, the loader, and stall tracking."""
+"""Tests for augmentations, batching, the loader, and stall tracking."""
 
 from __future__ import annotations
 
+import hashlib
+import random
 import sys
 import threading
 import time
@@ -20,34 +22,7 @@ from repro.pipeline.augment import (
 )
 from repro.pipeline.batch import collate
 from repro.pipeline.loader import DataLoader, LoaderConfig
-from repro.pipeline.sampler import SequentialSampler, ShuffleSampler
 from repro.pipeline.stall import StallTracker
-
-
-class TestSamplers:
-    def test_sequential_preserves_order(self):
-        items = ["a", "b", "c"]
-        assert list(SequentialSampler(items)) == items
-
-    def test_shuffle_is_permutation(self):
-        items = list(range(50))
-        sampler = ShuffleSampler(items, seed=3)
-        shuffled = list(sampler)
-        assert sorted(shuffled) == items
-        assert shuffled != items
-
-    def test_shuffle_differs_across_epochs(self):
-        sampler = ShuffleSampler(list(range(30)), seed=1)
-        assert list(sampler) != list(sampler)
-
-    def test_shuffle_reproducible_with_seed(self):
-        assert list(ShuffleSampler(list(range(20)), seed=5)) == list(
-            ShuffleSampler(list(range(20)), seed=5)
-        )
-
-    def test_len(self):
-        assert len(SequentialSampler([1, 2])) == 2
-        assert len(ShuffleSampler([1, 2, 3])) == 3
 
 
 class TestAugmentations:
@@ -198,6 +173,21 @@ class TestDataLoader:
         with pytest.raises(ValueError, match="batch_size"):
             LoaderConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_workers", 0), ("n_workers", -2), ("prefetch_batches", 0), ("decode_workers", -1)],
+    )
+    def test_worker_counts_out_of_range_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LoaderConfig(**{field: value})
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_an_epoch_records_one_wait_per_record(self, pcr_dataset, n_workers):
+        loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=8, n_workers=n_workers))
+        list(loader.epoch())
+        assert len(loader.stalls.wait_seconds) == len(pcr_dataset.record_names)
+        assert len(loader.stalls.compute_seconds) == loader.batches_per_epoch()
+
     def test_drop_last(self, pcr_dataset):
         loader = DataLoader(pcr_dataset, LoaderConfig(batch_size=6, drop_last=True))
         sizes = [len(batch) for batch in loader.epoch()]
@@ -281,8 +271,8 @@ def _wait_for_thread_count(limit: int, deadline_seconds: float = 5.0) -> int:
 class TestDataLoaderShutdown:
     """Regression tests: error/abandonment paths must not leak worker threads.
 
-    A tiny prefetch queue forces workers to block mid-``put``, which is
-    exactly the state the stop-event/drain shutdown has to recover from.
+    A one-record read-ahead leaves reads queued and in flight when the
+    epoch ends early, which is the state the executor shutdown must clear.
     """
 
     def test_worker_error_joins_all_workers(self, pcr_dataset):
@@ -329,9 +319,8 @@ class TestDataLoaderParallelDecode:
 
     @staticmethod
     def _epoch(dataset, decode_workers: int):
-        # One reader thread: with several, batch order depends on thread
-        # interleaving (for any decode_workers), which is not what's under
-        # test — decode parallelism must not change the *content*.
+        # Decode parallelism must not change the *content*; worker counts
+        # are TestDeterministicEpochs' subject.
         loader = DataLoader(
             dataset,
             LoaderConfig(batch_size=8, n_workers=1, seed=11, decode_workers=decode_workers),
@@ -504,7 +493,9 @@ class TestDecodeGate:
         dataset.close()
 
     @staticmethod
-    def _samples(source, n_workers: int, decode_workers: int = 0) -> list[tuple[int, bytes]]:
+    def _samples(
+        source, n_workers: int, decode_workers: int = 0, ordered: bool = False
+    ) -> list[tuple[int, bytes]]:
         loader = DataLoader(
             source,
             LoaderConfig(
@@ -517,7 +508,7 @@ class TestDecodeGate:
                 (int(label), image.tobytes())
                 for image, label in zip(batch.images, batch.labels)
             )
-        return sorted(samples)
+        return samples if ordered else sorted(samples)
 
     def test_decodes_never_overlap_while_fetches_do(self, gated):
         source, fetcher, decodes = gated
@@ -548,7 +539,9 @@ class TestDecodeGate:
 
     def test_batches_byte_identical_to_one_worker(self, gated):
         source, _, _ = gated
-        assert self._samples(source, n_workers=4) == self._samples(source, n_workers=1)
+        assert self._samples(source, n_workers=4, ordered=True) == self._samples(
+            source, n_workers=1, ordered=True
+        )
 
     def test_pool_wired_source_never_takes_the_gate(self, gated, monkeypatch):
         from repro.core import reader
@@ -610,6 +603,156 @@ class TestDecodeGate:
         for earlier, later in zip(spans, spans[1:]):
             assert earlier.start + earlier.duration <= later.start
         assert sum(event.duration for event in waits) > 0
+
+
+class _JitteryFetcher:
+    """A reader whose record reads take a random time; one record may fail."""
+
+    def __init__(self, reader, failing: str | None = None, delay: float = 0.004) -> None:
+        self._reader = reader
+        self._failing = failing
+        self._delay = delay
+
+    def __getattr__(self, name):
+        return getattr(self._reader, name)
+
+    def read_record_bytes(self, record_name: str, scan_group: int) -> bytes:
+        # Unseeded on purpose: the order reads finish in varies run to run.
+        time.sleep(random.uniform(0, self._delay))
+        if record_name == self._failing:
+            raise RuntimeError(f"injected read failure at {record_name}")
+        return self._reader.read_record_bytes(record_name, scan_group)
+
+
+@pytest.fixture(scope="module")
+def ten_records(tmp_path_factory, tiny_samples):
+    """Ten 2-image records."""
+    from repro.core.dataset import PCRDataset
+
+    directory = tmp_path_factory.mktemp("deterministic")
+    PCRDataset.build(tiny_samples, directory, images_per_record=2, quality=90).close()
+    return directory
+
+
+def _jittery_source(directory, failing: str | None = None):
+    from repro.core.reader import PCRReader
+    from repro.core.source import RecordSource
+
+    return RecordSource(_JitteryFetcher(PCRReader(directory), failing))
+
+
+def _record_owners(directory) -> dict[bytes, str]:
+    """Each sample's collated pixels -> the name of the record holding it."""
+    from repro.core.dataset import PCRDataset
+
+    with PCRDataset(directory) as dataset:
+        return {
+            collate([sample.image.pixels], [0]).images[0].tobytes(): name
+            for name in dataset.record_names
+            for sample in dataset.read_record(name, dataset.scan_group, decode=True)
+        }
+
+
+def _record_order(loader, owners: dict[bytes, str]) -> list[str]:
+    """One epoch's records in delivery order (batches of one record each)."""
+    order = []
+    for batch in loader.epoch():
+        (name,) = {owners[image.tobytes()] for image in batch.images}
+        order.append(name)
+    return order
+
+
+class TestDeterministicEpochs:
+    """An epoch is a function of (seed, epoch number), whatever the worker count."""
+
+    @staticmethod
+    def _digest(source, n_workers: int, decode_workers: int, augment: bool) -> str:
+        loader = DataLoader(
+            source,
+            LoaderConfig(
+                batch_size=3, n_workers=n_workers, seed=3, decode_workers=decode_workers
+            ),
+            augmentations=standard_training_augmentations(24) if augment else None,
+        )
+        digest = hashlib.sha1()
+        with loader:
+            for _ in range(2):
+                for batch in loader.epoch():
+                    digest.update(batch.labels.tobytes())
+                    digest.update(batch.images.tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("decode_workers, augment", [(0, False), (0, True), (2, False)])
+    def test_two_epochs_hash_alike_at_every_worker_count(
+        self, ten_records, decode_workers, augment
+    ):
+        with _jittery_source(ten_records) as source:
+            digests = {
+                self._digest(source, n_workers, decode_workers, augment)
+                for n_workers in (1, 2, 4)
+                for _ in range(10)
+            }
+        assert len(digests) == 1
+
+    def test_records_come_in_write_order_without_shuffle(self, ten_records):
+        owners = _record_owners(ten_records)
+        with _jittery_source(ten_records) as source:
+            for n_workers in (1, 2, 4):
+                loader = DataLoader(
+                    source, LoaderConfig(batch_size=2, n_workers=n_workers, shuffle=False)
+                )
+                for _ in range(2):
+                    assert _record_order(loader, owners) == source.record_names
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_a_failed_read_surfaces_at_its_position(self, ten_records, n_workers):
+        position = 5
+        owners = _record_owners(ten_records)
+        names = list(dict.fromkeys(owners.values()))  # write order
+        with _jittery_source(ten_records, failing=names[position]) as source:
+            for _ in range(5):
+                loader = DataLoader(
+                    source,
+                    LoaderConfig(
+                        batch_size=2, n_workers=n_workers, prefetch_batches=1, shuffle=False
+                    ),
+                )
+                delivered = []
+                with pytest.raises(RuntimeError, match="injected read failure"):
+                    for batch in loader.epoch():
+                        (name,) = {owners[image.tobytes()] for image in batch.images}
+                        delivered.append(name)
+                assert delivered == names[:position]
+
+
+class TestSamplers:
+    """The loader's shuffled record order is drawn from (seed, epoch) alone."""
+
+    def test_shuffle_is_permutation(self, ten_records):
+        owners = _record_owners(ten_records)
+        with _jittery_source(ten_records) as source:
+            loader = DataLoader(source, LoaderConfig(batch_size=2, n_workers=2, seed=3))
+            order = _record_order(loader, owners)
+            assert sorted(order) == sorted(source.record_names)
+            assert order != source.record_names
+
+    def test_shuffle_differs_across_epochs(self, ten_records):
+        owners = _record_owners(ten_records)
+        with _jittery_source(ten_records) as source:
+            loader = DataLoader(source, LoaderConfig(batch_size=2, n_workers=2, seed=1))
+            orders = [_record_order(loader, owners) for _ in range(3)]
+        assert orders[0] != orders[1] and orders[1] != orders[2]
+
+    def test_shuffle_reproducible_with_seed(self, ten_records):
+        owners = _record_owners(ten_records)
+        runs = []
+        with _jittery_source(ten_records) as source:
+            for n_workers in (1, 2, 4):
+                loader = DataLoader(
+                    source, LoaderConfig(batch_size=2, n_workers=n_workers, seed=5)
+                )
+                runs.append([_record_order(loader, owners) for _ in range(3)])
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestStallTracker:

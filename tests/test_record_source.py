@@ -93,11 +93,11 @@ def open_source(request, pcr_dataset):
         source.close()
 
 
-def _config(decode_workers: int = 0) -> LoaderConfig:
-    # One worker, no shuffle: record (and so batch) order is deterministic,
-    # making epochs of different backends comparable 1:1.
+def _config(decode_workers: int = 0, n_workers: int = 2) -> LoaderConfig:
+    # An epoch is a function of (seed, epoch number) whatever the worker
+    # count, so epochs of different backends compare 1:1, shuffled.
     return LoaderConfig(
-        batch_size=8, n_workers=1, shuffle=False, seed=123, decode_workers=decode_workers
+        batch_size=8, n_workers=n_workers, shuffle=True, seed=123, decode_workers=decode_workers
     )
 
 
@@ -167,7 +167,7 @@ class TestConformance:
         with (
             PCRDataset(pcr_dataset.reader.directory) as local,
             open_source.loader(source, decode_workers) as loader,
-            DataLoader(local, _config()) as reference,
+            DataLoader(local, _config(n_workers=1)) as reference,
         ):
             for group in (source.n_groups, 1):
                 loader.set_scan_group(group)
