@@ -54,7 +54,6 @@ entropy coder at run time.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 
 import numpy as np
@@ -506,13 +505,13 @@ def _walk_batch(jobs):
     gathers each window's walk stride — the total bit length of every
     symbol pair-resolved at that offset — from the scan's own table into
     one bytes object.  Phase 1 is then the leanest possible Python
-    loop (:func:`_walk_one`): index a byte, add it to the cursor — one
-    step per *probe* (two symbols ~85% of the time), with no buffer state
-    at all.  Phase 2 reconstructs the actual packed entries with one gather
-    per scan — both slots of every recorded probe at once, off the
-    bundle's ``int64`` view of its pair table, so the gathered stream is
-    already interleaved — then patches in the (rare) escape results
-    recorded by the walk and compacts out the empty second slots.
+    loop (:func:`_walk_one`): index a byte, record it, add it to the
+    cursor — one step per *probe* (two symbols ~85% of the time), with no
+    buffer state at all.  Phase 2 reconstructs the actual packed entries
+    with one gather per scan — both slots of every recorded probe at once,
+    off the bundle's ``int64`` view of its pair table, so the gathered
+    stream is already interleaved — then patches in the (rare) escape
+    results recorded by the walk and compacts out the empty second slots.
 
     Every gather is ``np.take``: fancy indexing with an int32 index array
     first casts it to intp through a generic path that costs 3x the gather
@@ -549,7 +548,7 @@ def _walk_batch(jobs):
             fallback_entries,
             scan.spectral_end > 0,
         )
-        probed = np.take(scan_windows, np.frombuffer(probes, dtype=np.int32))
+        probed = np.take(scan_windows, probes)
         pairs.append(np.take(pairs64, probed).view(np.int32))
         bit_base += (len(payload) + len(_WALK_PAD)) << 3
     interleaved = np.concatenate(pairs)
@@ -580,75 +579,83 @@ def _walk_one(
     byte_base: int,
     fallback_entries: list,
     ac: bool,
-) -> array:
-    """Phase-1 stride walk over one scan: record probe bit offsets.
+) -> np.ndarray:
+    """Phase-1 stride walk over one scan: returns its probe bit offsets.
 
     ``strides[p]`` is the precomputed total bit length of every symbol the
-    superscalar window at bit ``p`` resolves, so the hot loop is a bytes
-    index and an add per probe — ``bytes`` indexing returns interned small
-    ints, so the loop allocates nothing.  A zero stride means the window
+    superscalar window at bit ``p`` resolves, so a probe is a bytes index,
+    an add and one ``bytearray.append`` of that step; one ``cumsum`` turns
+    the steps into the probe offsets (an ``intp`` array, the gather's own
+    index type).  Cursors above 256 are fresh ints, so the loop does
+    allocate; what it avoids is ``array('i').append``, which converts each
+    int through ``PyArg_Parse`` and made a probe ≈ 1.5× as dear
+    (docs/performance.md has the numbers).  A zero stride means the window
     cannot be walked through (invalid prefix, oversized first symbol or a
-    code longer than the window): the symbol is finished from its window's
-    own first slot (``pair[2 * windows[p]]``) and the blob bytes, and its
-    packed entry (or a ``-1`` invalid sentinel, which ends the walk) is
-    appended to ``fallback_entries``; phase 2 patches these into the
-    gathered entry stream, so the walk stays branch-lean.  The walk ends
-    when the cursor runs off the stride bytes, which cover the payload
-    plus 64 bits of padding.  It cannot classify errors (it does not know
-    where blocks end): the epilogue ignores entries beyond the last
-    block's end and classifies what is missing or invalid.
+    code longer than the window): ``escape`` finishes the symbol from its
+    window's own first slot (``pair[2 * windows[p]]``) and the blob bytes,
+    appends its packed entry to ``fallback_entries`` and returns its bit
+    consumption as the step; phase 2 patches these into the gathered entry
+    stream, so the walk stays branch-lean.  The walk ends when the cursor
+    runs off the stride bytes, which cover the payload plus 64 bits of
+    padding; the step that ran off is dropped, so every probe is in range.
+    It cannot classify errors (it does not know where blocks end): the
+    epilogue ignores entries beyond the last block's end and classifies
+    what is missing or invalid.
 
     ``ac`` names the table's flavour, which only an escape reads: an AC
     entry advances the in-band position, a DC diff (``ac`` false) never
     does and always carries a value, ``SUPER_VALUE_OFFSET`` for a zero
-    diff.  A DC diff outside +-32767 (category 16 and up) does not fit a
-    packed entry: the walk records the ``-1`` sentinel and stops, and the
-    DC finisher decodes the scan in place.
+    diff.  An invalid window, or a DC diff outside +-32767 (category 16
+    and up), which does not fit a packed entry, appends the ``-1``
+    sentinel and returns the step 256, which no byte holds: its append
+    raises and the walk stops with the escape's own probe last.  The DC
+    finisher then decodes the scan in place.
     """
     masks = _MASKS
     halves = _HALVES
     offset = SUPER_VALUE_OFFSET
-    probes = array("i")
-    record = probes.append
-    escape = fallback_entries.append
+    append = fallback_entries.append
+
+    def escape(cursor: int) -> int:
+        byte = byte_base + (cursor >> 3)
+        phase = cursor & 7
+        # Code + magnitude span at most 31 bits, so 6 bytes starting at
+        # the cursor's byte always cover them.
+        wide = int.from_bytes(blob[byte : byte + 6], "big")
+        entry = pair[int(windows[cursor]) << 1]
+        if entry == -1:
+            entry = long_code_entry(long_codes, (wide >> (32 - phase)) & 0xFFFF, ac)
+        entry = -entry
+        consume = entry & 0xFFF
+        category = (entry >> 12) & 0xFF
+        if not entry or category > 15:  # invalid, or a DC diff too wide
+            append(-1)
+            return 256
+        if category:
+            mask = masks[category]
+            bits = (wide >> (48 - phase - consume)) & mask
+            value = bits if bits >= halves[category] else bits - mask
+            posdelta = (entry >> 20) + 1 if ac else 0
+            append(consume | (posdelta << 5) | ((value + offset) << 12))
+        elif ac:  # an EOB or ZRL whose code is longer than the window
+            append(consume | ((entry >> 20) << 5))
+        else:  # a zero DC diff whose code + magnitude exceed the window
+            append(consume | (offset << 12))
+        return consume
+
+    steps = bytearray(1)  # the first probe is at bit 0
+    record = steps.append
     cursor = 0
     try:
         while True:
-            stride = strides[cursor]
-            record(cursor)
-            if stride:
-                cursor += stride
-            else:
-                byte = byte_base + (cursor >> 3)
-                phase = cursor & 7
-                # Code + magnitude span at most 31 bits, so 6 bytes
-                # starting at the cursor's byte always cover them.
-                wide = int.from_bytes(blob[byte : byte + 6], "big")
-                entry = pair[int(windows[cursor]) << 1]
-                if entry == -1:
-                    entry = long_code_entry(
-                        long_codes, (wide >> (32 - phase)) & 0xFFFF, ac
-                    )
-                entry = -entry
-                consume = entry & 0xFFF
-                category = (entry >> 12) & 0xFF
-                if not entry or category > 15:  # invalid, or a DC diff too wide
-                    escape(-1)
-                    break
-                if category:
-                    mask = masks[category]
-                    bits = (wide >> (48 - phase - consume)) & mask
-                    value = bits if bits >= halves[category] else bits - mask
-                    posdelta = (entry >> 20) + 1 if ac else 0
-                    escape(consume | (posdelta << 5) | ((value + offset) << 12))
-                elif ac:  # an EOB or ZRL whose code is longer than the window
-                    escape(consume | ((entry >> 20) << 5))
-                else:  # a zero DC diff whose code + magnitude exceed the window
-                    escape(consume | (offset << 12))
-                cursor += consume
-    except IndexError:
+            step = strides[cursor] or escape(cursor)
+            record(step)
+            cursor += step
+    except IndexError:  # the last step ran off the stride bytes
+        del steps[-1]
+    except ValueError:  # an escape's 256: the walk stops at its probe
         pass
-    return probes
+    return np.cumsum(np.frombuffer(steps, dtype=np.uint8), dtype=np.intp)
 
 
 def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:

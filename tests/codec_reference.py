@@ -15,6 +15,9 @@ reproduce:
 * whole-stream loops that compose those stages the way the runtime entry
   points (``encode_coefficients``, ``decode_coefficients``,
   ``ProgressiveCodec.encode`` / ``.decode``) compose the vectorized ones;
+* the stride walk's probe loop as it was written first, recording each
+  probe with ``array('i').append`` (``walk_one_reference``), which the
+  runtime walk ``fastpath._walk_one`` must match probe for probe;
 * the heap construction of Huffman code lengths the two-queue merge in
   :mod:`repro.codecs.huffman` must reproduce.
 """
@@ -22,6 +25,7 @@ reproduce:
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -29,6 +33,8 @@ import numpy as np
 from repro.codecs import huffman
 from repro.codecs.blocks import BLOCK_SIZE, block_grid_shape, split_into_blocks_view
 from repro.codecs.color import _CB_TO_B, _CB_TO_G, _CR_TO_G, _CR_TO_R, _RGB_TO_YCBCR
+from repro.codecs.fastpath import _HALVES, _MASKS
+from repro.codecs.huffman import SUPER_VALUE_OFFSET, long_code_entry
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
     EOI,
@@ -632,6 +638,75 @@ def decode_scan_body_reference(
             for block_index in range(n_blocks):
                 band = read_ac_band(reader, table, band_length)
                 plane[block_index, scan.spectral_start : scan.spectral_end + 1] = band
+
+
+# --------------------------------------------------------------------------
+# The stride walk's probe loop
+# --------------------------------------------------------------------------
+
+
+def walk_one_reference(
+    strides: bytes,
+    windows,
+    pair,
+    long_codes,
+    blob: bytes,
+    byte_base: int,
+    fallback_entries: list,
+    ac: bool,
+) -> array:
+    """Reference phase-1 stride walk: the probe bit offsets of one scan, as ``array('i')``.
+
+    Takes the arguments of :func:`repro.codecs.fastpath._walk_one` and
+    must give the same probes and append the same ``fallback_entries``:
+    one escape per zero stride, finished inline, and a ``-1`` sentinel
+    that ends the walk at its own probe for an invalid window or a DC diff
+    of category 16 and up.
+    """
+    masks = _MASKS
+    halves = _HALVES
+    offset = SUPER_VALUE_OFFSET
+    probes = array("i")
+    record = probes.append
+    escape = fallback_entries.append
+    cursor = 0
+    try:
+        while True:
+            stride = strides[cursor]
+            record(cursor)
+            if stride:
+                cursor += stride
+            else:
+                byte = byte_base + (cursor >> 3)
+                phase = cursor & 7
+                # Code + magnitude span at most 31 bits, so 6 bytes
+                # starting at the cursor's byte always cover them.
+                wide = int.from_bytes(blob[byte : byte + 6], "big")
+                entry = pair[int(windows[cursor]) << 1]
+                if entry == -1:
+                    entry = long_code_entry(
+                        long_codes, (wide >> (32 - phase)) & 0xFFFF, ac
+                    )
+                entry = -entry
+                consume = entry & 0xFFF
+                category = (entry >> 12) & 0xFF
+                if not entry or category > 15:  # invalid, or a DC diff too wide
+                    escape(-1)
+                    break
+                if category:
+                    mask = masks[category]
+                    bits = (wide >> (48 - phase - consume)) & mask
+                    value = bits if bits >= halves[category] else bits - mask
+                    posdelta = (entry >> 20) + 1 if ac else 0
+                    escape(consume | (posdelta << 5) | ((value + offset) << 12))
+                elif ac:  # an EOB or ZRL whose code is longer than the window
+                    escape(consume | ((entry >> 20) << 5))
+                else:  # a zero DC diff whose code + magnitude exceed the window
+                    escape(consume | (offset << 12))
+                cursor += consume
+    except IndexError:
+        pass
+    return probes
 
 
 # --------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from tests.codec_reference import (
     encode_coefficients_reference,
     encode_reference,
     encode_scan_body_reference,
+    walk_one_reference,
 )
 
 
@@ -1426,6 +1427,123 @@ class TestWindowEscapes:
             assert np.array_equal(scalar_plane, fast_plane)
         assert long_lookups
         assert all(n_long >= 1 and entry < -1 for n_long, entry in long_lookups)
+
+
+class TestWalkProbes:
+    """The stride walk records what the reference walk records, probe for probe.
+
+    ``walk_one_reference`` is the walk as first written (``array('i')``
+    probes, escapes inline); the runtime walk must return the same probe
+    offsets and append the same ``fallback_entries`` on every scan of the
+    e2e corpus's first 32 images at scan groups 1 and 10, and on crafted
+    scans that take each escape route: an oversized magnitude, a long code
+    (each entry kind), an invalid prefix mid-scan and a DC diff of
+    category 16 and up.
+    """
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        """Run the reference beside every walk: ``(runtime, reference, n_strides)`` per call."""
+        calls = []
+        walk = fastpath._walk_one
+
+        def spy(strides, windows, pair, long_codes, blob, byte_base, fallback_entries, ac):
+            expected_entries = []
+            expected = walk_one_reference(
+                strides, windows, pair, long_codes, blob, byte_base, expected_entries, ac
+            )
+            before = len(fallback_entries)
+            probes = walk(strides, windows, pair, long_codes, blob, byte_base, fallback_entries, ac)
+            calls.append(
+                (
+                    (list(probes), fallback_entries[before:]),
+                    (list(expected), expected_entries),
+                    len(strides),
+                )
+            )
+            return probes
+
+        monkeypatch.setattr(fastpath, "_walk_one", spy)
+        return calls
+
+    @staticmethod
+    def _assert_same_walks(calls) -> None:
+        assert calls
+        for runtime, reference, _ in calls:
+            assert runtime == reference
+
+    @staticmethod
+    def _walk_crafted(scan, body) -> None:
+        stream = TestWindowEscapes._luma_stream(scan, body)
+        try:
+            decode_coefficients(stream)
+        except (ValueError, EOFError):
+            pass
+
+    @pytest.mark.parametrize("max_scans", [1, None], ids=["group-1", "group-10"])
+    def test_every_corpus_scan(self, walks, max_scans):
+        from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
+
+        generator = SyntheticImageGenerator(4, SyntheticImageSpec(image_size=224), seed=11)
+        codec = ProgressiveCodec(quality=90)
+        for _, image, _ in generator.generate_batch(32, seed=11):
+            decode_coefficients(codec.encode(image), max_scans=max_scans)
+        self._assert_same_walks(walks)
+        assert len(walks) == 32 * (1 if max_scans == 1 else 10)
+        if max_scans is None:  # the corpus escapes, and only with packed entries
+            entries = [entry for (_, entries), _, _ in walks for entry in entries]
+            assert entries and min(entries) > 0
+
+    @pytest.mark.parametrize("length", [13, 14, 15, 16], ids=["oversized", "long-14", "long-15", "long-16"])
+    @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])
+    def test_ac_escapes(self, walks, long_symbol, length):
+        """At length 13 every code fits the window: the escapes are oversized magnitudes only."""
+        table = TestWindowEscapes._table(TestWindowEscapes._AC_SYMBOLS, long_symbol, length)
+        blocks = TestWindowEscapes._ac_blocks(long_symbol)
+        body = TestWindowEscapes._body(table, [item for block in blocks for item in block])
+        self._walk_crafted(ScanHeader((0,), 1, 20), body)
+        self._assert_same_walks(walks)
+        ((_, entries), _, _) = walks[0]
+        assert any(entry > 0 for entry in entries)  # the padding may end on a -1
+
+    @pytest.mark.parametrize("length", [13, 14, 16], ids=["oversized", "long-14", "long-16"])
+    @pytest.mark.parametrize("long_category", [0, 11])
+    def test_dc_escapes(self, walks, long_category, length):
+        table = TestWindowEscapes._table(TestWindowEscapes._DC_SYMBOLS, long_category, length)
+        long_diff = (long_category, 0x400 if long_category else 0, long_category)
+        zero = (0, 0, 0) if long_category else (1, 1, 1)
+        diffs = [(1, 1, 1), (1, 0, 1), (12, 0x805, 12), long_diff, zero, long_diff]
+        diffs += [zero] * 10
+        self._walk_crafted(ScanHeader((0,), 0, 0), TestWindowEscapes._body(table, diffs))
+        self._assert_same_walks(walks)
+        ((_, entries), _, _) = walks[0]
+        assert any(entry > 0 for entry in entries)
+
+    @pytest.mark.parametrize("dc", [False, True], ids=["ac", "dc"])
+    def test_an_invalid_prefix_mid_scan_ends_the_walk_at_its_probe(self, walks, dc):
+        if dc:
+            table = TestWindowEscapes._table(TestWindowEscapes._DC_SYMBOLS, 0, 14)
+            head, tail, scan = [(1, 1, 1)] * 3, [(1, 0, 1)] * 40, ScanHeader((0,), 0, 0)
+        else:
+            table = TestWindowEscapes._table(TestWindowEscapes._AC_SYMBOLS, 0x61, 14)
+            head, tail, scan = [(0x01, 1, 1)] * 3, [(0x01, 0, 1)] * 40, ScanHeader((0,), 1, 20)
+        body = TestWindowEscapes._body(table, head, TestWindowEscapes._NO_MATCH)
+        body += TestWindowEscapes._body(table, tail)[len(table.to_bytes()) :]
+        self._walk_crafted(scan, body)
+        self._assert_same_walks(walks)
+        ((probes, entries), _, n_strides) = walks[0]
+        assert entries[-1] == -1 and entries.count(-1) == 1
+        # Stopped at the escape, well before the valid symbols behind it.
+        assert probes[-1] == 6 and n_strides - 64 > 6 + 14 + 40 * 2
+
+    @pytest.mark.parametrize("category, length", [(16, 14), (17, 14), (17, 16)])
+    def test_a_dc_diff_of_category_16_and_up_ends_the_walk(self, walks, category, length):
+        table = TestWindowEscapes._table(TestWindowEscapes._DC_SYMBOLS, category, length)
+        diffs = [(1, 1, 1), (category, 0x400, category)] + [(0, 0, 0)] * 14
+        self._walk_crafted(ScanHeader((0,), 0, 0), TestWindowEscapes._body(table, diffs))
+        self._assert_same_walks(walks)
+        ((probes, entries), _, _) = walks[0]
+        assert entries == [-1] and probes[-1] == 3  # behind the 3-bit diff of +1
 
 
 class TestOversizedScansWalkAlone(TestStreamEquivalence, TestInvalidStreamFuzz):

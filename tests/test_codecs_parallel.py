@@ -17,6 +17,7 @@ import gc
 import glob
 import inspect
 import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -506,10 +507,7 @@ sys.exit(0)
             text=True,
             timeout=120,
             cwd=repo_root,
-            env={
-                "PYTHONPATH": f"{repo_root / 'src'}:{repo_root}",
-                "PATH": "/usr/bin:/bin",
-            },
+            env=dict(os.environ, PYTHONPATH=f"{repo_root / 'src'}:{repo_root}"),
         )
         assert result.returncode == 0, result.stderr
         assert "resource_tracker" not in result.stderr, result.stderr
