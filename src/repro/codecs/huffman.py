@@ -23,21 +23,20 @@ from the scan's histogram row: code lengths by a two-queue merge, codes by
 canonical assignment, and the DHT-style table bytes, with no table object.
 A :class:`HuffmanTable` is a validated canonical code and its
 serialisation, built from the same three pieces; the scalar oracle codes
-through it, and the decoder parses tables into it.  It holds no decode
-tables.  The fast decode tier fetches them through
+through it and parses tables into it.  It holds no decode tables.  The fast decode tier fetches them through
 :meth:`HuffmanTable.cached_from_bytes`,
 the one cached route: a byte-bounded LRU keyed on ``(kind, serialized table
 bytes)``, where *kind* is the flavour, ``"dc"`` or ``"ac"``.  Every entry
 has one layout, a 72 KiB ``array('i')`` block holding the interleaved pair
 table and the walk's strides (:func:`_build_super_tables`): a DC-only or
 AC-only scan reads one entry, a mixed scan reads its table's two.  An entry
-is built whole at the miss and charged once with its real bytes plus the
-key, so an eviction frees the memory and
-``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` is a true bound.  Every scan of every
+is built whole at the miss, straight from the serialized canonical form,
+and charged once with its real bytes plus the key, so an eviction frees
+the memory and ``REPRO_HUFFMAN_TABLE_CACHE_BYTES`` is a true bound.  Every scan of every
 image carries its own optimised table, so the cache only helps a dataset
 whose tables fit the budget and are decoded again (later epochs); it
-exports ``codec.table_cache.*`` hit/miss/evict/byte metrics on the default
-:mod:`repro.obs` registry.
+exports ``codec.table_cache.*`` hit/miss/evict/byte metrics and a build
+time histogram on the default :mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import time
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -69,6 +69,16 @@ SUPER_BITS = 13
 #: (0 is reserved for "no coefficient").  Fixed at ``1 << 15`` — it bounds
 #: magnitudes, not windows, so it must not shrink with ``SUPER_BITS``.
 SUPER_VALUE_OFFSET = 1 << 15
+
+#: Every window index, the lane the piecewise fill of :func:`_window_slots`
+#: computes on.
+_WINDOWS = np.arange(1 << SUPER_BITS, dtype=np.int32)
+_WINDOWS.flags.writeable = False
+
+#: Upper bucket edges (inclusive) of ``codec.table_cache.build_seconds``: one
+#: bundle builds in 0.1–0.5 ms, so decades would put every build in one bucket.
+_BUILD_SECONDS_EDGES = (2.5e-5, 5e-5, 1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3, 1e-2, 0.1)
+
 
 class _LRUByteCache:
     """A thread-safe LRU mapping bounded by a byte budget.
@@ -221,26 +231,9 @@ class HuffmanTable:
     @classmethod
     def from_bytes(cls, payload: bytes) -> tuple["HuffmanTable", int]:
         """Deserialize a table; returns ``(table, bytes_consumed)``."""
-        if len(payload) < 2 + MAX_CODE_LENGTH:
-            raise ValueError("Huffman table payload too short")
-        (n_symbols,) = struct.unpack("<H", payload[:2])
-        counts = payload[2 : 2 + MAX_CODE_LENGTH]
-        symbols_start = 2 + MAX_CODE_LENGTH
-        symbols_end = symbols_start + n_symbols
-        if len(payload) < symbols_end:
-            raise ValueError("Huffman table payload truncated")
-        symbols = payload[symbols_start:symbols_end]
-        if sum(counts) != n_symbols:
-            raise ValueError("Huffman table length counts disagree with symbol count")
-        code_lengths: dict[int, int] = {}
-        cursor = 0
-        for length_minus_one, count in enumerate(counts):
-            for _ in range(count):
-                code_lengths[symbols[cursor]] = length_minus_one + 1
-                cursor += 1
-        if len(code_lengths) != n_symbols:
-            raise ValueError("duplicate symbol in Huffman table payload")
-        return cls(code_lengths=code_lengths), symbols_end
+        encode_map, consumed = _read_code(payload)
+        code_lengths = {symbol: length for symbol, (_, length) in encode_map.items()}
+        return cls(code_lengths=code_lengths), consumed
 
     @classmethod
     def cached_from_bytes(cls, payload: bytes, kind: str) -> tuple[tuple, int]:
@@ -252,7 +245,9 @@ class HuffmanTable:
         table bytes)``: a repeated decode of a scan (the same image in a
         later epoch) reuses the built arrays; tables do not recur across
         scans or images, each scan carries its own optimised one.  The
-        arrays are shared and must be treated as read-only.
+        arrays are shared and must be treated as read-only.  A miss
+        observes its parse and build time on the
+        ``codec.table_cache.build_seconds`` histogram.
         """
         if len(payload) < 2 + MAX_CODE_LENGTH:
             raise ValueError("Huffman table payload too short")
@@ -261,8 +256,12 @@ class HuffmanTable:
         key = (kind, serialized)
         cached = _TABLE_CACHE.get(key)
         if cached is None:
-            table, consumed = cls.from_bytes(payload)
-            tables = _build_super_tables(table._encode_map, kind)
+            started = time.perf_counter()
+            # Straight from the canonical form, with no table object.
+            encode_map, consumed = _read_code(payload)
+            tables = _build_super_tables(encode_map, kind)
+            builds = get_registry().histogram("codec.table_cache.build_seconds", _BUILD_SECONDS_EDGES)
+            builds.observe(time.perf_counter() - started)
             cached = (tables, consumed)
             # Charged once, exactly: the key's bytes and the two blocks (the
             # numpy arrays are views of the first).
@@ -270,6 +269,42 @@ class HuffmanTable:
             nbytes = (len(pair) + len(long_codes)) * pair.itemsize
             _TABLE_CACHE.put(key, cached, len(serialized) + nbytes)
         return cached
+
+
+def _read_code(payload: bytes) -> tuple[dict[int, tuple[int, int]], int]:
+    """Parse a serialized table into ``symbol -> (code, length)``, in canonical order.
+
+    Returns the map and the bytes consumed.  The serialization lists the
+    symbols in canonical order, so codes are assigned by counting up as
+    they are read, with no sort.  Raises ``ValueError`` for a payload that
+    is short or truncated, whose counts disagree with its symbol count,
+    that repeats a symbol, or whose lengths are over-subscribed (the
+    Kraft check of :func:`_check_code`: the codes of each length must fit
+    the room the shorter ones left).
+    """
+    if len(payload) < 2 + MAX_CODE_LENGTH:
+        raise ValueError("Huffman table payload too short")
+    (n_symbols,) = struct.unpack("<H", payload[:2])
+    counts = payload[2 : 2 + MAX_CODE_LENGTH]
+    end = 2 + MAX_CODE_LENGTH + n_symbols
+    if len(payload) < end:
+        raise ValueError("Huffman table payload truncated")
+    if sum(counts) != n_symbols:
+        raise ValueError("Huffman table length counts disagree with symbol count")
+    symbols = payload[2 + MAX_CODE_LENGTH : end]
+    if len(set(symbols)) != n_symbols:
+        raise ValueError("duplicate symbol in Huffman table payload")
+    encode_map: dict[int, tuple[int, int]] = {}
+    code = cursor = 0
+    for length, count in enumerate(counts, 1):
+        if code + count > 1 << length:
+            raise ValueError(f"Huffman code lengths are over-subscribed at length {length}")
+        for symbol in symbols[cursor : cursor + count]:
+            encode_map[symbol] = (code, length)
+            code += 1
+        cursor += count
+        code <<= 1
+    return encode_map, end
 
 
 def _run_and_category(symbol: int, ac: bool) -> tuple[int, int]:
@@ -395,7 +430,9 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     Only one flavour is built per bundle: every scan of every image brings
     its own table, so a structure no scan reads is pure build time and
     resident memory (docs/performance.md has the numbers).  A mixed scan
-    reads its table's two bundles.
+    reads its table's two bundles.  The slots come from the piecewise fill
+    of :func:`_window_slots`; a cold read builds one bundle per scan, so
+    this is the largest cost of a cold group-10 read.
     """
     long_codes = array(
         "i",
@@ -409,9 +446,9 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     first, second, strides = _window_slots(encode_map, kind == "ac")
     # One 72 KiB block per bundle, filled in place, not separate arrays or
     # a ``tobytes`` copy: interleaved in the malloc heap with the build's
-    # 64 KiB temporaries, separate 32 / 32 / 8 KiB arrays cost 31 % more
-    # resident memory than the cache charges (measured over 2 300 entries);
-    # one block costs 3 %.
+    # temporaries, separate 32 / 32 / 8 KiB arrays cost 31 % more resident
+    # memory than the cache charges (measured over 2 300 entries, with the
+    # slice-fill build's 64 KiB temporaries); one block costs 3 %.
     pair = array("i", [0]) * ((9 * size) >> 2)
     pairs64 = np.frombuffer(pair, dtype=np.int64, count=size)
     pairbits = np.frombuffer(pair, dtype=np.uint8, offset=8 * size)
@@ -425,60 +462,99 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
 def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):
     """First slots, second slots and walk strides of one flavour, per window.
 
+    A piecewise fill, three ``int32`` arrays of ``1 << SUPER_BITS``.  One
+    Python walk over the code in canonical order cuts the windows into
+    pieces, in window order: a short code's span, a long code's one prefix
+    window (``-1``; long codes that share it are one piece), a span whose
+    code fits but whose code + magnitude do not (the negated
+    :func:`_plain_entry`) and an invalid gap (``0``).  Each piece has three
+    constants: its packed entry without the magnitude, the magnitude's
+    mask shifted left by ``SUPER_BITS``, and its consumption, 0 where the
+    window escapes.  One ``np.repeat`` expands them to every window; the
+    rest is elementwise ``int32`` arithmetic:
+
+    * ``_WINDOWS << consume`` puts a window's magnitude bits at bit
+      ``SUPER_BITS``, so masking gives ``m = magnitude << SUPER_BITS``;
+      with ``half = (mask + (1 << SUPER_BITS)) >> 1``, the magnitude's top
+      bit, ``m - (((m - half) >> 31) & mask)`` is the signed value there
+      (a magnitude below half is negative, ``magnitude - mask``), shifted
+      down one into the ``voff`` field at bit 12;
+    * the same ``_WINDOWS << consume``, masked to ``SUPER_BITS`` bits, is the
+      window after the first symbol: one ``take`` gives the second slot;
+    * a second slot stands only if it is a packed symbol (``> 0``; an
+      escape's negative entry has nonzero low bits too) and both symbols'
+      consumptions fit the window, and the stride is the consumption of
+      what stood.
+
     Pairing is resolved in-table: the window shifted left by the first
     symbol's consumption (zero-filled) is probed against the same table,
     and the hit is kept only when the second symbol's consumption fits in
     the remaining real bits — in that case the prefix property guarantees
     the zero-filled probe resolved the true next symbol.
 
-    Built with NumPy slice fills per code (a few hundred range assignments
-    instead of ~200k Python loop iterations).
+    Per-window work is what the pieces keep cheap: a shift or an ``and``
+    over 8 192 windows is ≈ 2 µs, while a gather from a per-symbol table
+    or an ``np.where`` costs 10–27 µs, and slice fills per symbol cost
+    4–6 NumPy calls each (docs/performance.md has the numbers).
     """
     size = 1 << SUPER_BITS
-    consume = np.zeros(size, dtype=np.int64)
-    posdelta = np.zeros(size, dtype=np.int64)
-    value = np.zeros(size, dtype=np.int64)
-    valid = np.zeros(size, dtype=bool)
-    escape = np.zeros(size, dtype=np.int64)
-    for symbol, (code, length) in encode_map.items():
+    offset = SUPER_VALUE_OFFSET << 12
+    pieces = []
+    spans = []
+    at = 0
+    canonical = sorted((length, code, symbol) for symbol, (code, length) in encode_map.items())
+    for length, code, symbol in canonical:
         if length > SUPER_BITS:
-            # The code itself overflows the window: the one window whose
-            # bits are a prefix of it goes to the long-code helper.
-            escape[code >> (length - SUPER_BITS)] = -1
-            continue
-        run, category = _run_and_category(symbol, ac)
-        span = 1 << (SUPER_BITS - length)
-        base = code << (SUPER_BITS - length)
-        window_slice = slice(base, base + span)
-        # Guard before any `1 << category` shift: DC categories are raw
-        # symbol values (up to 255) and would overflow int64.
-        if length + category > SUPER_BITS:
-            escape[window_slice] = -_plain_entry(symbol, length, ac)
-            continue
-        consume[window_slice] = length + category
-        if ac:
-            posdelta[window_slice] = run + (1 if category else 0)
-        valid[window_slice] = True
-        if category:
-            shift = SUPER_BITS - length - category
-            magnitude = (np.arange(span, dtype=np.int64) >> shift) & ((1 << category) - 1)
-            signed = np.where(
-                magnitude >= (1 << (category - 1)),
-                magnitude,
-                magnitude - ((1 << category) - 1),
-            )
-            value[window_slice] = signed + SUPER_VALUE_OFFSET
-        elif not ac:
-            value[window_slice] = SUPER_VALUE_OFFSET
-    first = np.where(valid, consume | (posdelta << 5) | (value << 12), 0)
-    shifted = (np.arange(size, dtype=np.int64) << consume) & (size - 1)
-    second = first[shifted]
-    second_consume = second & 31
-    pair = valid & (second_consume > 0) & (consume + second_consume <= SUPER_BITS)
-    # The stride of a walk step is the total bits of every symbol that fit
-    # (0 = escape).
-    pairbits = np.where(pair, consume + second_consume, np.where(valid, consume, 0))
-    return np.where(valid, first, escape), np.where(pair, second, 0), pairbits
+            base = code >> (length - SUPER_BITS)
+            if base < at:  # a long code under the prefix window already cut
+                continue
+            span = 1
+            piece = (-1, 0, 0)
+        else:
+            base = code << (SUPER_BITS - length)
+            span = 1 << (SUPER_BITS - length)
+            run, category = _run_and_category(symbol, ac)
+            consume = length + category
+            # A DC category is a raw symbol value, up to 255: its mask
+            # would not fit an int32, and no window holds its magnitude.
+            if consume > SUPER_BITS:
+                piece = (-_plain_entry(symbol, length, ac), 0, 0)
+            elif category:
+                mask = (1 << category) - 1
+                packed = consume | ((run + 1) << 5 if ac else 0) | offset
+                piece = (packed, mask << SUPER_BITS, consume)
+            else:
+                piece = (consume | run << 5 | (0 if ac else offset), 0, consume)
+        if base > at:
+            pieces.append((0, 0, 0))
+            spans.append(base - at)
+        pieces.append(piece)
+        spans.append(span)
+        at = base + span
+    if at < size:
+        pieces.append((0, 0, 0))
+        spans.append(size - at)
+    first, mask, consume = np.array(pieces, dtype=np.int32).T.repeat(spans, axis=1)
+    wide = _WINDOWS << consume
+    shifted = wide & (size - 1)
+    wide &= mask
+    half = mask + (1 << SUPER_BITS)
+    half >>= 1
+    below = np.subtract(wide, half, out=half)
+    below >>= 31
+    below &= mask
+    wide -= below
+    wide >>= 1
+    first += wide
+    second = first.take(shifted)
+    strides = second & 31
+    strides += consume
+    keep = second > 0
+    keep &= strides <= SUPER_BITS
+    second *= keep
+    np.bitwise_and(second, 31, out=strides)
+    strides += consume
+    return first, second, strides
 
 
 def canonical_code(symbols: list[int], counts: list[int]) -> tuple[list[int], list[int], bytes]:

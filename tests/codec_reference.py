@@ -18,6 +18,10 @@ reproduce:
 * the stride walk's probe loop as it was written first, recording each
   probe with ``array('i').append`` (``walk_one_reference``), which the
   runtime walk ``fastpath._walk_one`` must match probe for probe;
+* the decode tables' window fill as it was written first, NumPy slice
+  fills per code (``window_slots_reference``), whose bundle block
+  (``super_tables_reference``) the piecewise fill
+  ``huffman._build_super_tables`` must match byte for byte;
 * the heap construction of Huffman code lengths the two-queue merge in
   :mod:`repro.codecs.huffman` must reproduce.
 """
@@ -707,6 +711,92 @@ def walk_one_reference(
     except IndexError:
         pass
     return probes
+
+
+# --------------------------------------------------------------------------
+# The decode tables' window slots
+# --------------------------------------------------------------------------
+
+
+def window_slots_reference(encode_map: dict[int, tuple[int, int]], ac: bool):
+    """First slots, second slots and walk strides of one flavour, per window.
+
+    The fill as first written: NumPy slice fills per code, each symbol's
+    properties set over its span of windows, then the pairing over whole
+    tables.  :func:`repro.codecs.huffman._window_slots` must give the same
+    three arrays (returned here as ``int64``) for every code.
+
+    Pairing is resolved in-table: the window shifted left by the first
+    symbol's consumption (zero-filled) is probed against the same table,
+    and the hit is kept only when the second symbol's consumption fits in
+    the remaining real bits — in that case the prefix property guarantees
+    the zero-filled probe resolved the true next symbol.
+    """
+    super_bits = huffman.SUPER_BITS
+    size = 1 << super_bits
+    consume = np.zeros(size, dtype=np.int64)
+    posdelta = np.zeros(size, dtype=np.int64)
+    value = np.zeros(size, dtype=np.int64)
+    valid = np.zeros(size, dtype=bool)
+    escape = np.zeros(size, dtype=np.int64)
+    for symbol, (code, length) in encode_map.items():
+        if length > super_bits:
+            # The code itself overflows the window: the one window whose
+            # bits are a prefix of it goes to the long-code helper.
+            escape[code >> (length - super_bits)] = -1
+            continue
+        run, category = huffman._run_and_category(symbol, ac)
+        span = 1 << (super_bits - length)
+        base = code << (super_bits - length)
+        window_slice = slice(base, base + span)
+        # Guard before any `1 << category` shift: DC categories are raw
+        # symbol values (up to 255) and would overflow int64.
+        if length + category > super_bits:
+            escape[window_slice] = -huffman._plain_entry(symbol, length, ac)
+            continue
+        consume[window_slice] = length + category
+        if ac:
+            posdelta[window_slice] = run + (1 if category else 0)
+        valid[window_slice] = True
+        if category:
+            shift = super_bits - length - category
+            magnitude = (np.arange(span, dtype=np.int64) >> shift) & ((1 << category) - 1)
+            signed = np.where(
+                magnitude >= (1 << (category - 1)),
+                magnitude,
+                magnitude - ((1 << category) - 1),
+            )
+            value[window_slice] = signed + SUPER_VALUE_OFFSET
+        elif not ac:
+            value[window_slice] = SUPER_VALUE_OFFSET
+    first = np.where(valid, consume | (posdelta << 5) | (value << 12), 0)
+    shifted = (np.arange(size, dtype=np.int64) << consume) & (size - 1)
+    second = first[shifted]
+    second_consume = second & 31
+    pair = valid & (second_consume > 0) & (consume + second_consume <= super_bits)
+    # The stride of a walk step is the total bits of every symbol that fit
+    # (0 = escape).
+    pairbits = np.where(pair, consume + second_consume, np.where(valid, consume, 0))
+    return np.where(valid, first, escape), np.where(pair, second, 0), pairbits
+
+
+def super_tables_reference(
+    encode_map: dict[int, tuple[int, int]], kind: str
+) -> tuple[bytes, list[int]]:
+    """The bytes of one flavour's bundle block and its packed long codes.
+
+    What :func:`repro.codecs.huffman._build_super_tables` must return as
+    ``bytes(pair)`` and ``list(long_codes)``: the interleaved pair table
+    then one stride byte per window, from :func:`window_slots_reference`.
+    """
+    first, second, strides = window_slots_reference(encode_map, kind == "ac")
+    slots = np.stack([first, second], axis=1).astype(np.int32)
+    long_codes = sorted(
+        (code << 13) | (length << 8) | symbol
+        for symbol, (code, length) in encode_map.items()
+        if length > huffman.SUPER_BITS
+    )
+    return slots.tobytes() + strides.astype(np.uint8).tobytes(), long_codes
 
 
 # --------------------------------------------------------------------------

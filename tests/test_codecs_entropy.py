@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codecs.bitio import pack_bits
@@ -539,6 +539,125 @@ class TestSuperscalarTables:
                     assert long_code_entry(long_codes, code << (16 - length), ac) == -_plain_entry(
                         symbol, length, ac
                     )
+
+
+@st.composite
+def _prefix_codes(draw):
+    """A prefix code over distinct byte symbols, often incomplete, often with long codes.
+
+    Counts per length are drawn within the room the shorter lengths left
+    (the Kraft sum), so every draw is a valid code; lengths above
+    ``SUPER_BITS`` get room whenever the short lengths leave some.
+    """
+    counts, room = [], 1 << MAX_CODE_LENGTH
+    for length in range(1, MAX_CODE_LENGTH + 1):
+        weight = 1 << (MAX_CODE_LENGTH - length)
+        count = draw(st.integers(0, min(room // weight, 12)))
+        room -= count * weight
+        counts.append(count)
+    n_symbols = sum(counts)
+    if not n_symbols:
+        counts[0], n_symbols = 1, 1
+    symbols = draw(
+        st.lists(st.integers(0, 255), min_size=n_symbols, max_size=n_symbols, unique=True)
+    )
+    lengths, cursor = {}, 0
+    for length, count in enumerate(counts, 1):
+        for symbol in symbols[cursor : cursor + count]:
+            lengths[symbol] = length
+        cursor += count
+    return lengths
+
+
+class TestPiecewiseFill:
+    """The piecewise window fill gives the per-code slice fill's bundles, byte for byte.
+
+    ``tests/codec_reference.window_slots_reference`` is the fill as first
+    written.  Drawn codes reach what real tables rarely do: long codes,
+    wide magnitudes and incomplete spans, whose escape windows hold
+    entries <= 0 with nonzero low bits, which a second slot must never
+    pair with.
+    """
+
+    @staticmethod
+    def _assert_matches_reference(encode_map):
+        from repro.codecs.huffman import _build_super_tables
+        from tests.codec_reference import super_tables_reference
+
+        for kind in ("ac", "dc"):
+            pair, _, _, long_codes = _build_super_tables(encode_map, kind)
+            block, reference_long_codes = super_tables_reference(encode_map, kind)
+            assert bytes(pair) == block, kind
+            assert list(long_codes) == reference_long_codes, kind
+
+    @given(_prefix_codes())
+    # Code "0" only: the upper half of the windows is an invalid gap.
+    @example(lengths={7: 1})
+    # DC categories above SUPER_BITS (no window holds the magnitude) and
+    # above 15 (too wide for the walk), beside ones that fit.
+    @example(lengths={0: 2, 3: 2, 12: 3, 14: 4, 16: 4, 40: 5, 200: 6, 255: 6, 9: 5})
+    # AC symbols 0x10 .. 0xE0 carry no coefficient and advance by their bare run.
+    @example(lengths={0x00: 2, 0x10: 3, 0x20: 3, 0xE0: 4, 0xF0: 4, 0x11: 3, 0x31: 4, 0x0A: 4})
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_codes(self, lengths):
+        self._assert_matches_reference(RuntimeHuffmanTable(code_lengths=lengths)._encode_map)
+
+    def test_every_table_of_the_corpus(self):
+        from repro.codecs.huffman import _read_code
+        from repro.codecs.markers import find_scan_segments
+        from repro.codecs.progressive import ProgressiveCodec
+        from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
+
+        generator = SyntheticImageGenerator(4, SyntheticImageSpec(image_size=224), seed=11)
+        serialized = set()
+        for _, image, _ in generator.generate_batch(16, seed=11):
+            stream = ProgressiveCodec(quality=90).encode(image)
+            for segment in find_scan_segments(stream):
+                body = stream[segment.payload_start : segment.end]
+                serialized.add(body[: 2 + MAX_CODE_LENGTH + int.from_bytes(body[:2], "little")])
+        assert len(serialized) > 100
+        for payload in serialized:
+            encode_map, consumed = _read_code(payload)
+            assert consumed == len(payload)
+            # The canonical-order map of the payload is the table's own map.
+            assert encode_map == RuntimeHuffmanTable.from_bytes(payload)[0]._encode_map
+            self._assert_matches_reference(encode_map)
+
+    def test_a_miss_checks_the_payload_as_from_bytes_does(self):
+        import struct
+
+        good = HuffmanTable.from_symbols([1, 1, 2, 2, 3]).to_bytes()
+        mismatch = bytearray(good)
+        mismatch[0] += 1
+        duplicate = bytearray(good)
+        duplicate[-1] = duplicate[-2]
+        over = struct.pack("<H", 3) + bytes([3] + [0] * 15) + bytes([4, 5, 6])
+        for payload, message in (
+            (good[:10], "too short"),
+            (good[:-1], "truncated"),
+            (bytes(mismatch) + b"\x00", "disagree"),
+            (bytes(duplicate), "duplicate"),
+            (over, "over-subscribed at length 1"),
+        ):
+            for parse in (
+                RuntimeHuffmanTable.from_bytes,
+                lambda data: RuntimeHuffmanTable.cached_from_bytes(data, "ac"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    parse(payload)
+
+    def test_each_miss_observes_one_build(self):
+        from repro.codecs.huffman import _BUILD_SECONDS_EDGES
+        from repro.obs import get_registry
+
+        # A table no other test serializes, so both flavours miss.
+        payload = RuntimeHuffmanTable(code_lengths={0x05: 1, 0x16: 2, 0x27: 3, 0x38: 3}).to_bytes()
+        builds = get_registry().histogram("codec.table_cache.build_seconds", _BUILD_SECONDS_EDGES)
+        before = builds.count
+        RuntimeHuffmanTable.cached_from_bytes(payload, "ac")
+        RuntimeHuffmanTable.cached_from_bytes(payload, "ac")
+        RuntimeHuffmanTable.cached_from_bytes(payload, "dc")
+        assert builds.count == before + 2
 
 
 def _decode_dc_then_ac(table_bytes: bytes):
