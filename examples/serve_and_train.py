@@ -19,7 +19,9 @@ from dataclasses import replace
 from repro.core import PCRDataset
 from repro.datasets import HAM10000_SPEC, generate_dataset
 from repro.pipeline import DataLoader, LoaderConfig
-from repro.serving import PCRClient, PCRRecordServer, RemoteRecordSource
+from repro.serving.client import PCRClient
+from repro.serving.remote_source import RemoteRecordSource
+from repro.serving.server import PCRRecordServer
 from repro.training import SGD, Trainer, TinyShuffleNet
 
 N_EPOCHS = 4

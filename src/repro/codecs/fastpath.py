@@ -71,7 +71,6 @@ from repro.codecs.rle import symbol_stream
 
 __all__ = [
     "encode_scan_bodies_fast",
-    "decode_scan_bodies_fast",
     "decode_streams_fast",
     "record_passes",
 ]
@@ -226,17 +225,6 @@ def _scatter(plane, positions, values) -> None:
         plane.reshape(-1)[positions] = values
     else:
         plane[positions >> 6, positions & 63] = values
-
-
-def decode_scan_bodies_fast(data: bytes, segments, coefficients) -> None:
-    """Decode one stream's scan segments into ``coefficients`` (in place).
-
-    The one-stream case of :func:`decode_streams_fast`: raises what that
-    reports for the stream.
-    """
-    failure = decode_streams_fast([(data, segments, coefficients)])
-    if failure is not None:
-        raise failure[1]
 
 
 def decode_streams_fast(streams):

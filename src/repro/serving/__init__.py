@@ -11,7 +11,7 @@ The subsystem has six parts:
     group ≤ a cached group by slicing the cached prefix.
 
 :mod:`repro.serving.server`
-    ``PCRRecordServer`` — a non-blocking event-loop TCP server over a shared
+    ``PCRRecordServer`` — an asyncio TCP server over a shared
     :class:`~repro.core.reader.PCRReader` and one ``ScanPrefixCache``.
 
 :mod:`repro.serving.client`
@@ -30,27 +30,8 @@ The subsystem has six parts:
     ``ClusterCoordinator`` (shard fleet supervision),
     ``ClusterClient`` (failover-aware routing client), and
     ``ShardedRemoteRecordSource`` (the clustered ``DataLoader`` source).
+
+The package imports none of them: a process that only reads over the wire
+loads the client side alone, not the server, the cluster or ``asyncio``.
+Import the submodules (or the top-level ``repro`` lazy exports).
 """
-
-from repro.serving.cache import ScanPrefixCache
-from repro.serving.client import PCRClient
-from repro.serving.cluster import (
-    ClusterClient,
-    ClusterCoordinator,
-    ShardMap,
-    ShardedRemoteRecordSource,
-)
-from repro.serving.remote_source import RemoteFetcher, RemoteRecordSource
-from repro.serving.server import PCRRecordServer
-
-__all__ = [
-    "ClusterClient",
-    "ClusterCoordinator",
-    "PCRClient",
-    "PCRRecordServer",
-    "RemoteFetcher",
-    "RemoteRecordSource",
-    "ScanPrefixCache",
-    "ShardMap",
-    "ShardedRemoteRecordSource",
-]

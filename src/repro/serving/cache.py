@@ -44,8 +44,8 @@ class ScanPrefixCache:
     seen so far.  A lookup at group ``g`` hits whenever the cached group is
     ``≥ g``: the response is a zero-copy ``memoryview`` of the first
     ``bytes_for_group(g)`` bytes of the cached prefix (the full ``bytes``
-    object on an exact-length hit), which the event-loop server hands to
-    ``sendmsg`` without ever materializing the slice.  Eviction is
+    object on an exact-length hit), which the server copies once, into the
+    reply frame.  Eviction is
     least-recently-used by total cached bytes.
 
     Every counter is a ``serving.cache.*`` metric on a

@@ -109,12 +109,7 @@ class RemoteError(Exception):
 def encode_header(
     msg_type: int, payload_length: int, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES
 ) -> bytes:
-    """Serialize one frame *header* for a payload of ``payload_length`` bytes.
-
-    The zero-copy send path pairs this 8-byte header with the payload's own
-    buffer (e.g. a cache ``memoryview``) in a ``sendmsg`` gather list, so
-    the payload bytes are never concatenated into a new frame object.
-    """
+    """Serialize one frame *header* for a payload of ``payload_length`` bytes."""
     if payload_length > max_payload:
         raise FrameTooLargeError(
             f"payload of {payload_length} bytes exceeds the {max_payload}-byte frame limit"
@@ -125,7 +120,9 @@ def encode_header(
 
 
 def encode_frame(
-    msg_type: int, payload: bytes = b"", max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES
+    msg_type: int,
+    payload: bytes | memoryview = b"",
+    max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES,
 ) -> bytes:
     """Serialize one frame (header + payload)."""
     return encode_header(msg_type, len(payload), max_payload) + payload

@@ -1,23 +1,18 @@
-"""An event-loop TCP server that serves PCR record prefixes over the network.
+"""An asyncio TCP server that serves PCR record prefixes over the network.
 
 ``PCRRecordServer`` wraps a :class:`~repro.core.reader.PCRReader` and answers
 the wire protocol of :mod:`repro.serving.protocol`, serving every request it
 can from the :class:`~repro.serving.cache.ScanPrefixCache`.
 
-The network front end is a non-blocking event loop on :mod:`selectors`
+The network front end is one :mod:`asyncio` event loop on a daemon thread
 rather than a thread per connection, so one replica sustains thousands of
-concurrent sockets:
-
-* every connection is a small state machine — an incremental
-  :class:`~repro.serving.protocol.FrameAssembler` on the read side, a queue
-  of pending buffer segments on the write side;
-* responses are *gather lists*: an 8-byte frame header plus a
-  ``memoryview`` slice straight out of the scan-prefix cache, handed to
-  ``socket.sendmsg`` without ever concatenating header and payload;
-* write interest is toggled per connection, and a connection whose output
-  queue exceeds ``backpressure_bytes`` stops being *read* until the peer
-  drains it, so one slow client can neither stall the loop nor balloon
-  server memory.
+concurrent sockets.  Each connection is an :class:`asyncio.Protocol`: an
+incremental :class:`~repro.serving.protocol.FrameAssembler` on the read
+side, and one ``transport.write`` of the replies to every frame a read
+completed.  The transport buffers what the socket does not take; past
+``backpressure_bytes`` buffered it pauses the protocol, which stops reading
+that client until the buffer drains to half of that, so one slow client can
+neither stall the loop nor balloon server memory.
 
 Every number the server reports lives in one place, its
 :class:`~repro.obs.MetricsRegistry`: counters are resolved once and
@@ -27,12 +22,11 @@ registry and ``STAT`` is a view of the same counters.
 
 from __future__ import annotations
 
+import asyncio
 import os
-import selectors
 import socket
 import threading
 import time
-from collections import deque
 from pathlib import Path
 
 from repro.core.errors import PCRError, ScanGroupError
@@ -59,283 +53,82 @@ from repro.serving.protocol import (
 DEFAULT_BACKPRESSURE_BYTES = 8 * 1024 * 1024
 LISTEN_BACKLOG = 1024
 
-_RECV_BYTES = 256 * 1024
 
-try:
-    _IOV_MAX = os.sysconf("SC_IOV_MAX")
-except (AttributeError, OSError, ValueError):
-    _IOV_MAX = 1024
-# Cap the per-sendmsg gather list: IOV_MAX is the hard kernel limit, and
-# beyond a few hundred segments list-building costs more than it saves.
-_MAX_GATHER_SEGMENTS = max(16, min(_IOV_MAX, 512))
-
-_HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
-
-
-class _Connection:
-    """Per-socket state machine: incremental parse in, gather-list out."""
-
-    __slots__ = (
-        "sock",
-        "fd",
-        "assembler",
-        "out",
-        "out_bytes",
-        "close_after_flush",
-        "paused",
-        "interest",
-        "open",
-    )
-
-    def __init__(self, sock: socket.socket, max_payload: int) -> None:
-        self.sock = sock
-        self.fd = sock.fileno()
-        self.assembler = protocol.FrameAssembler(max_payload)
-        self.out: deque[memoryview] = deque()
-        self.out_bytes = 0
-        self.close_after_flush = False
-        self.paused = False
-        self.interest = selectors.EVENT_READ
-        self.open = True
-
-    def queue(self, segments) -> None:
-        """Append response buffer segments to the pending gather list."""
-        for segment in segments:
-            view = segment if isinstance(segment, memoryview) else memoryview(segment)
-            if not len(view):
-                continue
-            self.out.append(view)
-            self.out_bytes += len(view)
-
-    def consume(self, n_sent: int) -> None:
-        """Advance the gather list past ``n_sent`` transmitted bytes."""
-        self.out_bytes -= n_sent
-        out = self.out
-        while n_sent:
-            head = out[0]
-            if n_sent >= len(head):
-                n_sent -= len(head)
-                out.popleft()
-            else:
-                out[0] = head[n_sent:]
-                return
-
-
-class _EventLoop:
-    """The selector thread: accepts, reads, dispatches, writes."""
+class _RecordProtocol(asyncio.Protocol):
+    """One client connection: frames in, one write of their replies per read."""
 
     def __init__(self, server: "PCRRecordServer") -> None:
         self.server = server
-        self.selector = selectors.DefaultSelector()
-        self.connections: dict[int, _Connection] = {}
-        self.thread: threading.Thread | None = None
-        registry = server.registry
-        self.accepted = registry.counter("serving.connections.accepted_total")
-        self.closed = registry.counter("serving.connections.closed_total")
-        self.backpressure_pauses = registry.counter("serving.backpressure.pauses_total")
-        self.backpressure_resumes = registry.counter("serving.backpressure.resumes_total")
-        # Written on every wakeup, recv and send, and only by this loop's thread.
-        self.bytes_received = registry.counter("serving.bytes_received_total", locked=False)
-        self.bytes_sent = registry.counter("serving.bytes_sent_total", locked=False)
-        self.iteration_seconds = registry.histogram(
-            "serving.loop.iteration_seconds", locked=False
-        )
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
-        self.selector.register(self._wake_r, selectors.EVENT_READ, "wake")
+        self.assembler = protocol.FrameAssembler(server.max_payload)
+        self.transport: asyncio.Transport | None = None
 
-    def wake(self) -> None:
-        """Interrupt ``select`` from another thread (``stop`` does)."""
-        try:
-            self._wake_w.send(b"\0")
-        except (BlockingIOError, OSError):
-            pass  # a wake is already pending, or the loop is tearing down
-
-    # -- main loop -------------------------------------------------------------
-
-    def run(self) -> None:
-        stop = self.server._stop_event
-        perf_counter = time.perf_counter
-        observe = self.iteration_seconds.observe
-        try:
-            while not stop.is_set():
-                events = self.selector.select(timeout=0.2)
-                if not events:
-                    # Idle selector timeouts are not timed: the histogram
-                    # measures how long the loop spends servicing ready
-                    # sockets, not how long it sleeps waiting for them.
-                    continue
-                iteration_start = perf_counter()
-                for key, mask in events:
-                    data = key.data
-                    if data == "wake":
-                        self._drain_wake()
-                    elif data == "listener":
-                        self._accept_ready()
-                    else:
-                        conn: _Connection = data
-                        if mask & selectors.EVENT_WRITE and conn.open:
-                            self._flush(conn)
-                        if mask & selectors.EVENT_READ and conn.open:
-                            self._read(conn)
-                observe(perf_counter() - iteration_start)
-        finally:
-            self._teardown()
-
-    def _drain_wake(self) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
-
-    def _teardown(self) -> None:
-        for conn in list(self.connections.values()):
-            self._close(conn)
-        try:
-            self.selector.unregister(self._wake_r)
-        except (KeyError, ValueError):
-            pass
-        self._wake_r.close()
-        self._wake_w.close()
-        self.selector.close()
-
-    # -- accept ----------------------------------------------------------------
-
-    def _accept_ready(self) -> None:
+    def connection_made(self, transport: asyncio.Transport) -> None:
         server = self.server
-        while True:
-            try:
-                sock, _ = server._listener.accept()
-            except OSError:
-                return  # nothing left to accept, or the listener closed during shutdown
-            server._configure_socket(sock)
-            conn = _Connection(sock, server.max_payload)
-            self.connections[conn.fd] = conn
-            self.selector.register(sock, selectors.EVENT_READ, conn)
-            self.accepted.inc()
+        self.transport = transport
+        server._transports.add(transport)
+        server._accepted.inc()
+        if server.socket_buffer_bytes:
+            sock = transport.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, server.socket_buffer_bytes)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, server.socket_buffer_bytes)
+        transport.set_write_buffer_limits(
+            high=server.backpressure_bytes, low=server.backpressure_bytes // 2
+        )
 
-    # -- read side -------------------------------------------------------------
-
-    def _read(self, conn: _Connection) -> None:
-        try:
-            data = conn.sock.recv(_RECV_BYTES)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._close(conn)
-            return
-        if not data:
-            if conn.assembler.mid_frame:
-                self._fail(conn, "connection closed mid-frame")
-            else:
-                self._close(conn)
-            return
-        self.bytes_received.inc(len(data))
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        start = time.perf_counter()
+        server._bytes_received.inc(len(data))
         error = None
         try:
-            frames = conn.assembler.feed(data)
+            frames = self.assembler.feed(data)
         except ProtocolError as exc:
             frames, error = exc.frames, exc
-        # Queue every response parsed out of this recv, then flush once:
-        # a pipelined client gets its whole response burst coalesced into
-        # as few sendmsg gather calls as the socket buffer allows.
-        for msg_type, payload in frames:
-            conn.queue(self.server._dispatch_segments(msg_type, payload))
+        # Every reply parsed out of this read goes out in one write, so a
+        # pipelined client gets its burst coalesced.  A malformed stream gets
+        # what a blocking ``read_frame`` loop would give it: the replies to
+        # the frames before the bad header, a ``malformed`` error, then EOF.
+        replies = [server._dispatch(msg_type, payload) for msg_type, payload in frames]
         if error is not None:
-            self._fail(conn, str(error))
-        elif frames:
-            self._flush(conn)
+            replies.append(server._error(protocol.ERR_MALFORMED, str(error)))
+        if replies:
+            self._write(b"".join(replies))
+        if error is not None:
+            self.transport.close()  # after the buffered replies are flushed
+        server._iteration_seconds.observe(time.perf_counter() - start)
 
-    def _fail(self, conn: _Connection, message: str) -> None:
-        """Mirror the blocking ``read_frame`` contract on a malformed stream:
-        whatever was queued, then a ``malformed`` error frame, then close."""
-        conn.queue([self.server._error(protocol.ERR_MALFORMED, message)])
-        conn.close_after_flush = True
-        self._flush(conn)
+    def eof_received(self) -> None:
+        if self.assembler.mid_frame:
+            self._write(
+                self.server._error(protocol.ERR_MALFORMED, "connection closed mid-frame")
+            )
+        # Returning None closes the transport once its buffer drains.
 
-    # -- write side ------------------------------------------------------------
+    def pause_writing(self) -> None:
+        # The output buffer is over ``backpressure_bytes``: stop reading this
+        # client until it drains to half of that.
+        self.transport.pause_reading()
+        self.server._backpressure_pauses.inc()
 
-    def _flush(self, conn: _Connection) -> None:
-        sock = conn.sock
-        out = conn.out
-        while out:
-            try:
-                if _HAS_SENDMSG:
-                    if len(out) <= _MAX_GATHER_SEGMENTS:
-                        n_sent = sock.sendmsg(out)
-                    else:
-                        n_sent = sock.sendmsg(
-                            [out[i] for i in range(_MAX_GATHER_SEGMENTS)]
-                        )
-                else:  # pragma: no cover - non-sendmsg platforms
-                    n_sent = sock.send(out[0])
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._close(conn)
-                return
-            if n_sent == 0:
-                break
-            conn.consume(n_sent)
-            self.bytes_sent.inc(n_sent)
-        if not out:
-            if conn.close_after_flush:
-                self._close(conn)
-                return
-            self._set_interest(conn, selectors.EVENT_READ)
-            if conn.paused:
-                conn.paused = False
-                self.backpressure_resumes.inc()
-        else:
-            interest = selectors.EVENT_WRITE
-            high_water = self.server.backpressure_bytes
-            if conn.out_bytes > high_water:
-                if not conn.paused:
-                    conn.paused = True
-                    self.backpressure_pauses.inc()
-            elif conn.paused and conn.out_bytes <= high_water // 2:
-                conn.paused = False
-                self.backpressure_resumes.inc()
-            if not conn.paused and not conn.close_after_flush:
-                interest |= selectors.EVENT_READ
-            self._set_interest(conn, interest)
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+        self.server._backpressure_resumes.inc()
 
-    def _set_interest(self, conn: _Connection, interest: int) -> None:
-        if conn.interest == interest:
-            return
-        try:
-            self.selector.modify(conn.sock, interest, conn)
-            conn.interest = interest
-        except (KeyError, ValueError, OSError):
-            self._close(conn)
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._transports.discard(self.transport)
+        self.server._closed.inc()
+        self.transport = None
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def _close(self, conn: _Connection) -> None:
-        if not conn.open:
-            return
-        conn.open = False
-        try:
-            self.selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        self.connections.pop(conn.fd, None)
-        conn.out.clear()
-        conn.out_bytes = 0
-        self.closed.inc()
+    def _write(self, data: bytes) -> None:
+        self.transport.write(data)
+        self.server._bytes_sent.inc(len(data))
 
 
 class PCRRecordServer:
     """Serves a PCR dataset directory to remote readers over TCP.
 
-    The server owns one shared :class:`PCRReader` and runs one event-loop
-    thread; every client connection is a non-blocking state machine on that
+    The server owns one shared :class:`PCRReader` and runs one asyncio event
+    loop on a daemon thread; every client connection is a protocol on that
     loop, and all connections share the scan-prefix cache.  To use more
     cores, run more replicas (:mod:`repro.serving.cluster`).
 
@@ -372,12 +165,23 @@ class PCRRecordServer:
         # many replicas in one process and each replica's GET_METRICS must
         # report only its own traffic.  ``registry.set_enabled(False)``
         # switches every serving number off, STAT's included.
-        self.registry = MetricsRegistry()
-        self.cache = ScanPrefixCache(capacity_bytes=cache_bytes, registry=self.registry)
+        self.registry = registry = MetricsRegistry()
+        self.cache = ScanPrefixCache(capacity_bytes=cache_bytes, registry=registry)
         self._requests: dict[int, Counter] = {}  # per message type, on first use
-        self._errors = self.registry.counter("serving.errors_total")
-        self._stop_event = threading.Event()
-        self._started = False
+        self._errors = registry.counter("serving.errors_total")
+        self._accepted = registry.counter("serving.connections.accepted_total")
+        self._closed = registry.counter("serving.connections.closed_total")
+        self._backpressure_pauses = registry.counter("serving.backpressure.pauses_total")
+        self._backpressure_resumes = registry.counter("serving.backpressure.resumes_total")
+        # Written on every read and write, and only by the loop's thread.
+        self._bytes_received = registry.counter("serving.bytes_received_total", locked=False)
+        self._bytes_sent = registry.counter("serving.bytes_sent_total", locked=False)
+        self._iteration_seconds = registry.histogram(
+            "serving.loop.iteration_seconds", locked=False
+        )
+        self._transports: set[asyncio.Transport] = set()
+        self._thread: threading.Thread | None = None
+        self._server: asyncio.Server | None = None
         self._stopped = False
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -391,14 +195,13 @@ class PCRRecordServer:
                 )
             listener.bind((host, port))
             listener.listen(LISTEN_BACKLOG)
-            listener.setblocking(False)
         except BaseException:
             listener.close()
             if self._owns_reader:
                 self.reader.close()
             raise
         self._listener = listener
-        self._loop = _EventLoop(self)
+        self._loop = asyncio.new_event_loop()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -414,63 +217,59 @@ class PCRRecordServer:
     @property
     def open_connections(self) -> int:
         """Live client connections."""
-        return len(self._loop.connections)
-
-    def _configure_socket(self, sock: socket.socket) -> None:
-        sock.setblocking(False)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - non-TCP test doubles
-            pass
-        if self.socket_buffer_bytes:
-            try:
-                sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_RCVBUF, self.socket_buffer_bytes
-                )
-                sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_SNDBUF, self.socket_buffer_bytes
-                )
-            except OSError:  # pragma: no cover
-                pass
+        return len(self._transports)
 
     def start(self) -> "PCRRecordServer":
-        """Start the event loop on a background thread."""
-        if self._started:
+        """Start serving on the event loop's background thread."""
+        if self._thread is not None:
             raise RuntimeError("server already started")
-        self._started = True
         loop = self._loop
-        loop.selector.register(self._listener, selectors.EVENT_READ, "listener")
-        loop.thread = threading.Thread(
-            target=loop.run, daemon=True, name=f"pcr-record-server:{self.port}"
+        self._thread = threading.Thread(
+            target=loop.run_forever, daemon=True, name=f"pcr-record-server:{self.port}"
         )
-        loop.thread.start()
+        self._thread.start()
+        self._server = asyncio.run_coroutine_threadsafe(
+            loop.create_server(
+                lambda: _RecordProtocol(self), sock=self._listener, backlog=LISTEN_BACKLOG
+            ),
+            loop,
+        ).result()
         return self
 
     def stop(self) -> None:
-        """Gracefully stop: wake the loop, close every connection, unbind.
+        """Gracefully stop: close the listener and every connection, end the loop.
 
-        Established connections are closed by the loop during teardown — a
-        persistent client blocked in ``recv`` sees EOF immediately instead
-        of a hang.  Only after the loop has exited is the reader closed.
+        Established connections are aborted on the loop's thread — a
+        persistent client blocked in ``recv`` sees EOF immediately instead of
+        a hang.  Only after the loop has exited is the reader closed.
         """
         if self._stopped:
             return
         self._stopped = True
-        self._stop_event.set()
         loop = self._loop
-        loop.wake()
-        if loop.thread is not None:
-            loop.thread.join(timeout=5.0)
-            loop.thread = None
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if not self._started:
-            # A never-started loop still holds its waker socketpair.
-            loop._teardown()
+        if self._thread is not None:
+            asyncio.run_coroutine_threadsafe(self._close_all(), loop).result(timeout=5.0)
+            loop.call_soon_threadsafe(loop.stop)
+            self._thread.join(timeout=5.0)
+        self._listener.close()
+        loop.close()
         if self._owns_reader:
             self.reader.close()
+
+    async def _close_all(self) -> None:
+        """Stop accepting, let the accepts in flight make their connections,
+        then close the listener and abort every connection."""
+        # Not ``Server.close()`` first: an accepted socket whose transport is
+        # not made yet would then fail to attach to the closed server and be
+        # left open, unowned, until garbage collection.
+        self._loop.remove_reader(self._listener)
+        await asyncio.gather(
+            *(asyncio.all_tasks() - {asyncio.current_task()}), return_exceptions=True
+        )
+        self._server.close()
+        for transport in list(self._transports):
+            transport.abort()
+        await asyncio.sleep(0)  # their connection_lost callbacks run first
 
     def __enter__(self) -> "PCRRecordServer":
         return self.start()
@@ -480,14 +279,8 @@ class PCRRecordServer:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch_segments(self, msg_type: int, payload: bytes) -> list:
-        """Map one request frame to a response *gather list*.
-
-        The list holds buffer segments (header ``bytes`` + payload
-        ``memoryview``/``bytes``) that, concatenated, form one complete
-        response frame — the event loop hands them to ``sendmsg`` as-is,
-        so cache bytes reach the socket without an intermediate copy.
-        """
+    def _dispatch(self, msg_type: int, payload: bytes) -> bytes:
+        """Map one request frame to its one response frame."""
         requests = self._requests.get(msg_type)
         if requests is None:
             name = protocol.MESSAGE_NAMES.get(msg_type, f"op_0x{msg_type:02x}")
@@ -499,8 +292,15 @@ class PCRRecordServer:
         try:
             if msg_type == MSG_GET_RECORD:
                 request = protocol.unpack_record_request(payload)
-                return self._record_segments(request)
-            if msg_type == MSG_GET_INDEX:
+                body = self.serve_record_bytes(request.record_name, request.scan_group)
+                if len(body) > self.max_payload:
+                    return self._error(
+                        protocol.ERR_OVERSIZED,
+                        f"record prefix of {len(body)} bytes exceeds the frame limit",
+                    )
+                # A prefix-cache hit is a memoryview: the frame copies it once.
+                reply_type = MSG_RECORD_DATA
+            elif msg_type == MSG_GET_INDEX:
                 request = protocol.unpack_record_request(payload)
                 index = self.reader.record_index(request.record_name)
                 reply_type, body = MSG_INDEX_DATA, index.to_json().encode("utf-8")
@@ -511,35 +311,18 @@ class PCRRecordServer:
             elif msg_type == MSG_GET_METRICS:
                 reply_type, body = MSG_METRICS_DATA, pack_json(self.metrics_snapshot())
             else:
-                return [
-                    self._error(
-                        protocol.ERR_UNSUPPORTED, f"unknown request type 0x{msg_type:02x}"
-                    )
-                ]
-            return [protocol.encode_frame(reply_type, body, self.max_payload)]
-        except ProtocolError as exc:
-            return [self._error(protocol.ERR_MALFORMED, str(exc))]
-        except ScanGroupError as exc:
-            return [self._error(protocol.ERR_BAD_SCAN_GROUP, str(exc))]
-        except PCRError as exc:
-            return [self._error(protocol.ERR_NOT_FOUND, str(exc))]
-        except Exception as exc:  # never let the event loop die on a request
-            return [self._error(protocol.ERR_INTERNAL, f"{type(exc).__name__}: {exc}")]
-
-    def _record_segments(self, request: protocol.RecordRequest) -> list:
-        """``[header, payload-view]`` for one record, or ``[error-frame]``."""
-        data = self.serve_record_bytes(request.record_name, request.scan_group)
-        if len(data) > self.max_payload:
-            return [
-                self._error(
-                    protocol.ERR_OVERSIZED,
-                    f"record prefix of {len(data)} bytes exceeds the frame limit",
+                return self._error(
+                    protocol.ERR_UNSUPPORTED, f"unknown request type 0x{msg_type:02x}"
                 )
-            ]
-        return [
-            protocol.encode_header(MSG_RECORD_DATA, len(data), self.max_payload),
-            data,
-        ]
+            return protocol.encode_frame(reply_type, body, self.max_payload)
+        except ProtocolError as exc:
+            return self._error(protocol.ERR_MALFORMED, str(exc))
+        except ScanGroupError as exc:
+            return self._error(protocol.ERR_BAD_SCAN_GROUP, str(exc))
+        except PCRError as exc:
+            return self._error(protocol.ERR_NOT_FOUND, str(exc))
+        except Exception as exc:  # never let the event loop die on a request
+            return self._error(protocol.ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
 
     def _error(self, code: int, message: str) -> bytes:
         """The one place an ``ERROR`` frame is built, so the one place it is counted."""
@@ -596,7 +379,6 @@ class PCRRecordServer:
         """The ``STAT`` response body: a view of the registry's serving counters."""
         # dict() snapshots: the loop thread may be adding a first-seen type.
         requests = {t: c.value for t, c in sorted(dict(self._requests).items())}
-        loop = self._loop
         return {
             "address": list(self.address),
             "requests_by_type": {f"0x{t:02x}": n for t, n in requests.items()},
@@ -607,8 +389,8 @@ class PCRRecordServer:
             "cache": self.cache.stats(),
             "event_loop": {
                 "open_connections": self.open_connections,
-                "accepted_connections": loop.accepted.value,
-                "closed_connections": loop.closed.value,
-                "backpressure_pauses": loop.backpressure_pauses.value,
+                "accepted_connections": self._accepted.value,
+                "closed_connections": self._closed.value,
+                "backpressure_pauses": self._backpressure_pauses.value,
             },
         }

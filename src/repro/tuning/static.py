@@ -65,14 +65,15 @@ class StaticTuner:
         """Measure every scan group and produce a recommendation."""
         report = StaticTuningReport()
         n_groups = self.dataset.n_groups
-        references = self._sample_streams()
+        streams = self._sample_streams()
+        references = [self._codec.decode(stream) for stream in streams]  # once each
 
         for group in range(1, n_groups + 1):
-            values = []
-            for stream in references:
-                full = self._codec.decode(stream)
-                partial = self._codec.decode(stream, max_scans=self._scans_for_group(group))
-                values.append(ms_ssim(full, partial))
+            max_scans = self._scans_for_group(group)
+            values = [
+                ms_ssim(reference, self._codec.decode(stream, max_scans=max_scans))
+                for stream, reference in zip(streams, references)
+            ]
             report.mssim_by_group[group] = float(np.mean(values))
 
         bytes_by_group = self.dataset.epoch_bytes_by_group()

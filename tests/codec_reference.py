@@ -612,7 +612,7 @@ def decode_scan_body_reference(
     """Reference scan decoder (bit-at-a-time Huffman probing) into ``coefficients``.
 
     Coefficients and error classes match
-    :func:`~repro.codecs.fastpath.decode_scan_bodies_fast`.
+    :func:`~repro.codecs.fastpath.decode_streams_fast`.
     """
     scan = segment.header
     table, consumed = HuffmanTable.from_bytes(data[segment.payload_start : segment.end])

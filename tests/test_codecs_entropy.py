@@ -670,7 +670,7 @@ def _decode_dc_then_ac(table_bytes: bytes):
     """
     import numpy as np
 
-    from repro.codecs.fastpath import decode_scan_bodies_fast
+    from repro.codecs.fastpath import decode_streams_fast
     from repro.codecs.image import ImageBuffer
     from repro.codecs.markers import (
         SUBSAMPLING_420,
@@ -704,7 +704,7 @@ def _decode_dc_then_ac(table_bytes: bytes):
         ]
     )
     coefficients = empty_coefficients(header)
-    decode_scan_bodies_fast(stream, find_scan_segments(stream), coefficients)
+    assert decode_streams_fast([(stream, find_scan_segments(stream), coefficients)]) is None
     return coefficients.planes[0]
 
 

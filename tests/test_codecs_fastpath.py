@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.codecs import fastpath
 from repro.codecs.baseline import BaselineCodec
-from repro.codecs.fastpath import decode_scan_bodies_fast, encode_scan_bodies_fast
+from repro.codecs.fastpath import decode_streams_fast, encode_scan_bodies_fast
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
     SUBSAMPLING_420,
@@ -427,7 +427,7 @@ class TestScanBodyFunctions:
         segments = find_scan_segments(stream)
         fast_result = empty_coefficients(header)
         for segment in segments:
-            decode_scan_bodies_fast(stream, (segment,), fast_result)
+            assert decode_streams_fast([(stream, (segment,), fast_result)]) is None
         for original_plane, decoded_plane in zip(coefficients.planes, fast_result.planes):
             assert np.array_equal(original_plane, decoded_plane)
 
@@ -950,7 +950,7 @@ class TestInPlaceLoopOnWalkedScans:
                     continue  # a mixed scan is never walked
                 kind = "dc" if scan.spectral_end == 0 else "ac"
                 walked = empty_coefficients(header)
-                decode_scan_bodies_fast(stream, [segment], walked)
+                assert decode_streams_fast([(stream, [segment], walked)]) is None
                 body = stream[segment.payload_start : segment.end]
                 (pair, _, _, long_codes), consumed = HuffmanTable.cached_from_bytes(body, kind)
                 in_place = empty_coefficients(header)

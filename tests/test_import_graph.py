@@ -30,9 +30,9 @@ SERVING_SIDE = [
 TRAINING_SIDE = ["tuning", "training", "metrics", "simulate", "datasets"]
 
 
-def _loaded_after_importing(modules: list[str]) -> tuple[set[str], set[str]]:
-    """``(repro sub-packages, top-level third-party names)`` in ``sys.modules``
-    of a fresh interpreter that imported ``modules``."""
+def _modules_after_importing(modules: list[str]) -> list[str]:
+    """``sys.modules`` of a fresh interpreter (this one's environment) that
+    imported ``modules``."""
     script = (
         "import importlib, json, sys\n"
         f"sys.path.insert(0, {SRC!r})\n"
@@ -43,7 +43,13 @@ def _loaded_after_importing(modules: list[str]) -> tuple[set[str], set[str]]:
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
     )
-    loaded = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def _loaded_after_importing(modules: list[str]) -> tuple[set[str], set[str]]:
+    """``(repro sub-packages, top-level third-party names)`` in ``sys.modules``
+    of a fresh interpreter that imported ``modules``."""
+    loaded = _modules_after_importing(modules)
     packages = {name.split(".")[1] for name in loaded if name.startswith("repro.")}
     return packages, {name.split(".")[0] for name in loaded}
 
@@ -71,3 +77,15 @@ def test_control_loads_no_serving_side():
     packages, _ = _loaded_after_importing(["repro.control"])
     assert "serving" not in packages, sorted(packages)
     assert {"control", "core"} <= packages
+
+
+def test_a_wire_reader_loads_no_server_and_no_asyncio():
+    """A process that only reads over the wire (a remote trainer, every e2e
+    child) does not pay for the server or ``asyncio`` (and its ``ssl``):
+    ``repro.serving`` itself imports no submodule."""
+    loaded = _modules_after_importing(
+        ["repro.serving.client", "repro.serving.remote_source", "repro.pipeline.loader"]
+    )
+    assert "asyncio" not in loaded
+    assert "repro.serving.server" not in loaded
+    assert "repro.serving.cluster" not in loaded

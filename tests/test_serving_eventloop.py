@@ -12,7 +12,11 @@ from __future__ import annotations
 import os
 import socket
 import struct
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,16 @@ def _wait_until(predicate, timeout: float = 5.0) -> bool:
 
 def _n_open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
+
+
+def _n_open_sockets() -> int:
+    n = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            n += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:
+            pass  # the fd listing itself, closed by now
+    return n
 
 
 # -- high-concurrency smoke ---------------------------------------------------
@@ -262,6 +276,78 @@ class TestDisconnectCleanliness:
             finally:
                 sock.close()
             assert server.stats()["event_loop"]["backpressure_pauses"] > 0
+
+
+class TestLifecycle:
+    def test_stop_with_idle_and_mid_frame_clients_is_prompt_and_clean(self, pcr_dataset):
+        """``stop()`` closes every connection — idle ones and one holding half
+        a frame — within a second, and leaves no thread and no socket."""
+        baseline = _n_open_sockets()
+        server = PCRRecordServer(pcr_dataset.reader.directory, port=0).start()
+        thread_name = f"pcr-record-server:{server.port}"
+        clients = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=10.0)
+            for _ in range(8)
+        ]
+        try:
+            clients[-1].sendall(_record_frame(pcr_dataset.record_names[0], 1)[:5])
+            received = server.registry.counter("serving.bytes_received_total")
+            assert _wait_until(
+                lambda: server.open_connections == len(clients) and received.value == 5
+            )
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1.0
+            assert thread_name not in {thread.name for thread in threading.enumerate()}
+            for client in clients:
+                assert client.recv(1) == b""  # the server closed its side
+            assert _n_open_sockets() == baseline + len(clients)
+            server.stop()  # a second stop is a no-op
+        finally:
+            for client in clients:
+                client.close()
+        assert _n_open_sockets() == baseline
+
+    def test_stop_during_accepts_leaves_no_connection_open(self, pcr_dataset):
+        """Clients that connect just before ``stop()`` — accepted, mid-accept
+        or still in the listen queue — all see the server's side go away."""
+        for _ in range(25):
+            server = PCRRecordServer(pcr_dataset.reader.directory, port=0).start()
+            clients = [
+                socket.create_connection(("127.0.0.1", server.port), timeout=2.0)
+                for _ in range(3)
+            ]
+            server.stop()
+            for client in clients:
+                with client:
+                    try:
+                        assert client.recv(1) == b""
+                    except ConnectionResetError:
+                        pass  # never accepted: the closed listener reset it
+
+    def test_a_never_started_server_stops_without_resource_warnings(self, pcr_dataset):
+        """A constructed, never-started server still holds an event loop;
+        ``stop()`` must close it (twice is a no-op)."""
+        script = (
+            "import gc, sys\n"
+            "from repro.serving.server import PCRRecordServer\n"
+            "server = PCRRecordServer(sys.argv[1], port=0)\n"
+            "server.stop()\n"
+            "server.stop()\n"
+            "del server\n"
+            "gc.collect()\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", script,
+             str(pcr_dataset.reader.directory)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ResourceWarning" not in result.stderr, result.stderr
 
 
 # -- cache semantics under the loop ------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codecs.progressive import ProgressiveCodec
 from repro.core.dataset import PCRDataset
+from repro.metrics.msssim import ms_ssim
 from repro.pipeline.loader import DataLoader, LoaderConfig
 from repro.serving.remote_source import RemoteRecordSource
 from repro.serving.server import PCRRecordServer
@@ -50,6 +52,37 @@ class TestStaticTuner:
     def test_impossible_threshold_falls_back_to_baseline(self, pcr_dataset):
         tuner = StaticTuner(pcr_dataset, mssim_threshold=1.5, sample_limit=2)
         assert tuner.analyze().recommended_group == pcr_dataset.n_groups
+
+    def test_each_reference_decodes_once(self, pcr_dataset, monkeypatch):
+        """One full-quality decode per sampled stream, plus one partial decode
+        per stream and group — and the report a decode per group would give."""
+        sample_limit, n_groups = 4, pcr_dataset.n_groups
+        codec = ProgressiveCodec()
+        streams = StaticTuner(pcr_dataset, sample_limit=sample_limit)._sample_streams()
+        expected = {
+            group: float(
+                np.mean(
+                    [
+                        ms_ssim(codec.decode(stream), codec.decode(stream, max_scans=group))
+                        for stream in streams
+                    ]
+                )
+            )
+            for group in range(1, n_groups + 1)
+        }
+        calls = []
+        decode = ProgressiveCodec.decode
+
+        def counting_decode(self, data, max_scans=None):
+            calls.append(max_scans)
+            return decode(self, data, max_scans)
+
+        monkeypatch.setattr(ProgressiveCodec, "decode", counting_decode)
+        report = StaticTuner(pcr_dataset, sample_limit=sample_limit).analyze()
+        assert len(streams) == sample_limit
+        assert len(calls) == (n_groups + 1) * sample_limit
+        assert calls.count(None) == sample_limit
+        assert report.mssim_by_group == expected
 
     def test_summary_rows(self, pcr_dataset):
         report = StaticTuner(pcr_dataset, sample_limit=2).analyze()
