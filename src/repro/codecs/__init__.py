@@ -46,29 +46,36 @@ equivalent, self-contained codec:
   (the ``jpegtran`` role in the paper).
 """
 
-from repro.codecs.baseline import BaselineCodec
-from repro.codecs.image import ImageBuffer
-from repro.codecs.parallel import DecodePool, EncodePool, PoolStats
-from repro.codecs.progressive import (
-    ProgressiveCodec,
-    ScanScript,
-    decode_progressive_batch,
-    encode_progressive_batch,
-)
-from repro.codecs.quantization import QuantizationTables
-from repro.codecs.transcode import transcode_to_progressive
+from typing import Any
 
-__all__ = [
-    "BaselineCodec",
-    "DecodePool",
-    "EncodePool",
-    "ImageBuffer",
-    "PoolStats",
-    "ProgressiveCodec",
-    "QuantizationTables",
-    "ScanScript",
-    "decode_progressive_batch",
-    "encode_progressive_batch",
-    "transcode_to_progressive",
-]
+# Resolved lazily, as in ``repro``: importing a submodule loads only what it
+# needs, so a process that builds no pool never imports ``multiprocessing``.
+_LAZY_EXPORTS = {
+    "BaselineCodec": "repro.codecs.baseline",
+    "DecodePool": "repro.codecs.parallel",
+    "EncodePool": "repro.codecs.parallel",
+    "ImageBuffer": "repro.codecs.image",
+    "PoolStats": "repro.codecs.parallel",
+    "ProgressiveCodec": "repro.codecs.progressive",
+    "QuantizationTables": "repro.codecs.quantization",
+    "ScanScript": "repro.codecs.progressive",
+    "decode_progressive_batch": "repro.codecs.progressive",
+    "encode_progressive_batch": "repro.codecs.progressive",
+    "transcode_to_progressive": "repro.codecs.transcode",
+}
 
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module_name = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.codecs' has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

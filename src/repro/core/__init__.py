@@ -22,24 +22,37 @@ Public entry points:
   progressive streams, the static-copy baseline, and the §A.4 cost accounting.
 """
 
-from repro.core.dataset import PCRDataset
-from repro.core.errors import PCRError, PCRFormatError, ScanGroupError
-from repro.core.metadata import SampleMetadata
-from repro.core.reader import PCRReader
-from repro.core.scan_groups import ScanGroupPolicy
-from repro.core.source import BandwidthThrottle, RecordFetcher, RecordSource
-from repro.core.writer import PCRWriter
+from typing import Any
 
-__all__ = [
-    "BandwidthThrottle",
-    "PCRDataset",
-    "PCRError",
-    "PCRFormatError",
-    "PCRReader",
-    "PCRWriter",
-    "RecordFetcher",
-    "RecordSource",
-    "SampleMetadata",
-    "ScanGroupError",
-    "ScanGroupPolicy",
-]
+# Resolved lazily, as in ``repro``: a process that only serves bytes (a
+# record server, ``PCRReader(decode=False)``) imports ``repro.core.errors``
+# or ``repro.core.reader`` without the converter and its codec.
+_LAZY_EXPORTS = {
+    "BandwidthThrottle": "repro.core.source",
+    "PCRDataset": "repro.core.dataset",
+    "PCRError": "repro.core.errors",
+    "PCRFormatError": "repro.core.errors",
+    "PCRReader": "repro.core.reader",
+    "PCRWriter": "repro.core.writer",
+    "RecordFetcher": "repro.core.source",
+    "RecordSource": "repro.core.source",
+    "SampleMetadata": "repro.core.metadata",
+    "ScanGroupError": "repro.core.errors",
+    "ScanGroupPolicy": "repro.core.scan_groups",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module_name = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.core' has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

@@ -31,15 +31,18 @@ from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.codecs.image import ImageBuffer
-from repro.codecs.parallel import EncodePool
 from repro.codecs.progressive import encode_progressive_batch
 from repro.codecs.transcode import transcode_to_progressive
 from repro.core.scan_groups import ScanGroupPolicy
 from repro.core.writer import PCRWriter, WriteResult
 from repro.obs import get_registry, get_tracer
 from repro.records.tfrecord import TFRecordWriter
+
+if TYPE_CHECKING:
+    from repro.codecs.parallel import EncodePool
 
 #: ``(key, payload, label)``.  The payload is pixels, or an already-encoded
 #: baseline or progressive stream.
@@ -52,6 +55,16 @@ STATIC_QUALITIES = (50, 75, 90, 95)
 #: Large enough that the batched forward path and pool chunking amortize
 #: well, small enough that a chunk of typical training images is tens of MB.
 DEFAULT_CHUNK_SIZE = 256
+
+
+def _open_pool(stack: ExitStack, encode_workers: int) -> EncodePool | None:
+    """An :class:`EncodePool` closed by ``stack`` when ``encode_workers >= 2``,
+    else in-process encode; only a pool imports ``multiprocessing``."""
+    if encode_workers < 2:
+        return None
+    from repro.codecs.parallel import EncodePool
+
+    return stack.enter_context(EncodePool(encode_workers))
 
 
 def _iter_chunks(samples: Iterable[Sample], chunk_size: int) -> Iterator[list[Sample]]:
@@ -172,7 +185,7 @@ def convert_to_pcr(
     # The stack closes the pool, and — should a chunk raise — the writer's
     # index store; a finalized writer's exit is a no-op.
     with ExitStack() as stack:
-        pool = stack.enter_context(EncodePool(encode_workers)) if encode_workers > 1 else None
+        pool = _open_pool(stack, encode_workers)
         writer = stack.enter_context(
             PCRWriter(output_dir, images_per_record=images_per_record, policy=policy, backend=backend)
         )
@@ -238,7 +251,7 @@ def build_static_copies(
     # The stack closes the pool and every writer opened so far, also when a
     # later writer fails to open or a chunk raises.
     with ExitStack() as stack:
-        pool = stack.enter_context(EncodePool(encode_workers)) if encode_workers > 1 else None
+        pool = _open_pool(stack, encode_workers)
         writers = {q: stack.enter_context(TFRecordWriter(record_paths[q])) for q in qualities}
         for chunk in _iter_chunks(samples, chunk_size):
             with tracer.span(

@@ -30,6 +30,14 @@ from repro.core.metadata import (
     parse_metadata_block,
     serialize_metadata_block,
 )
+from repro.kvstore.interface import LSM_BACKEND, SQLITE_BACKEND
+
+#: Where a dataset keeps its indexes, and the keys they sit under; the writer
+#: puts them there and the reader (which imports no codec) looks them up.
+METADATA_DB_NAME = {SQLITE_BACKEND: "metadata.db", LSM_BACKEND: "metadata.lsm"}
+DATASET_META_KEY = b"meta/dataset"
+RECORD_KEY_PREFIX = b"record/"
+SAMPLE_KEY_PREFIX = b"sample/"
 
 RECORD_MAGIC = b"PCR1"
 RECORD_VERSION = 1

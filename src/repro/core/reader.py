@@ -14,20 +14,23 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.codecs.image import ImageBuffer
-from repro.codecs.progressive import assemble_partial_stream, decode_progressive_batch
 from repro.core.errors import MissingSampleError, PCRError, ScanGroupError
-from repro.core.index import RecordIndex, parse_record_prefix
-from repro.core.metadata import SampleMetadata
-from repro.core.writer import (
+from repro.core.index import (
     DATASET_META_KEY,
     METADATA_DB_NAME,
     RECORD_KEY_PREFIX,
     SAMPLE_KEY_PREFIX,
+    RecordIndex,
+    parse_record_prefix,
 )
+from repro.core.metadata import SampleMetadata
 from repro.kvstore.interface import LSM_BACKEND, SQLITE_BACKEND, open_store
 from repro.obs import get_registry, get_tracer
+
+if TYPE_CHECKING:
+    from repro.codecs.image import ImageBuffer
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,11 @@ def assemble_samples(data: bytes, decode: bool, decode_pool=None) -> list[PCRSam
     taken *before* the ``loader.decode`` span opens, so that span keeps
     meaning decode: time queued behind another thread's decode is its own
     ``loader.decode_wait`` span and ``loader.decode_wait_seconds``
-    observation.
+    observation.  The codec is imported here, not at module level, so a
+    process that only serves record bytes never loads it.
     """
+    from repro.codecs.progressive import assemble_partial_stream, decode_progressive_batch
+
     parsed = parse_record_prefix(data)
     streams = [
         assemble_partial_stream(prefix, scans)

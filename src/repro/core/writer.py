@@ -14,20 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.codecs.progressive import split_scans
 from repro.core.errors import PCRError
-from repro.core.index import RecordIndex, serialize_record
+from repro.core.index import (
+    DATASET_META_KEY,
+    METADATA_DB_NAME,
+    RECORD_KEY_PREFIX,
+    SAMPLE_KEY_PREFIX,
+    RecordIndex,
+    serialize_record,
+)
 from repro.core.metadata import SampleMetadata
 from repro.core.scan_groups import ScanGroupPolicy
-from repro.kvstore.interface import LSM_BACKEND, SQLITE_BACKEND, open_store
+from repro.kvstore.interface import SQLITE_BACKEND, open_store
 
 DEFAULT_IMAGES_PER_RECORD = 64
-METADATA_DB_NAME = {SQLITE_BACKEND: "metadata.db", LSM_BACKEND: "metadata.lsm"}
 RECORD_NAME_TEMPLATE = "record-{:05d}.pcr"
-
-DATASET_META_KEY = b"meta/dataset"
-RECORD_KEY_PREFIX = b"record/"
-SAMPLE_KEY_PREFIX = b"sample/"
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,8 @@ class PCRWriter:
         with a :class:`PCRError` naming ``key``; nothing is buffered, so the
         writer stays usable for the samples that follow.
         """
+        from repro.codecs.progressive import split_scans  # the writer's one codec call
+
         self._assert_open()
         prefix, scans = split_scans(bytes(stream))
         if len(scans) != self.policy.n_scans:

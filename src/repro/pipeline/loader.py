@@ -23,17 +23,19 @@ from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.codecs.parallel import DecodePool
 from repro.core.reader import ReadStats, validate_scan_group
 from repro.core.source import RecordSource
 from repro.obs import get_registry, get_tracer
 from repro.pipeline.augment import Compose
 from repro.pipeline.batch import Minibatch, collate
 from repro.pipeline.stall import StallTracker
+
+if TYPE_CHECKING:
+    from repro.codecs.parallel import DecodePool
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,8 @@ class DataLoader:
         """
         config = self.config
         if config.decode_workers > 1 and self._decode_pool is None:
+            from repro.codecs.parallel import DecodePool  # only a pool loads multiprocessing
+
             self._decode_pool = DecodePool(config.decode_workers)
         epoch, self._epochs = self._epochs, self._epochs + 1
         names = self.dataset.record_names

@@ -343,6 +343,7 @@ class TestConverters:
                 ).read_bytes()
 
     def test_failed_static_copy_closes_what_it_opened(self, tmp_path, few_samples, monkeypatch):
+        import repro.codecs.parallel as parallel_mod
         import repro.core.convert as convert_mod
 
         opened: list = []
@@ -352,13 +353,13 @@ class TestConverters:
                 super().__init__(path)
                 opened.append(self)
 
-        class RecordingPool(convert_mod.EncodePool):
+        class RecordingPool(parallel_mod.EncodePool):
             def __init__(self, n_workers):
                 super().__init__(n_workers)
                 opened.append(self)
 
         monkeypatch.setattr(convert_mod, "TFRecordWriter", RecordingWriter)
-        monkeypatch.setattr(convert_mod, "EncodePool", RecordingPool)
+        monkeypatch.setattr(parallel_mod, "EncodePool", RecordingPool)
         (tmp_path / "squat" / "static-q75.tfrecord").mkdir(parents=True)
         with pytest.raises(IsADirectoryError):
             build_static_copies(

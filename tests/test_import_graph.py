@@ -30,20 +30,38 @@ SERVING_SIDE = [
 TRAINING_SIDE = ["tuning", "training", "metrics", "simulate", "datasets"]
 
 
+def _run_fresh(script: str, *args: str):
+    """The JSON ``script`` prints last, run in a fresh interpreter (this one's
+    environment) with ``src`` first on its path."""
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {SRC!r})\n{script}", *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def _modules_after_importing(modules: list[str]) -> list[str]:
-    """``sys.modules`` of a fresh interpreter (this one's environment) that
-    imported ``modules``."""
-    script = (
-        "import importlib, json, sys\n"
-        f"sys.path.insert(0, {SRC!r})\n"
+    """``sys.modules`` of a fresh interpreter that imported ``modules``."""
+    return _run_fresh(
+        "import importlib, json\n"
         f"for name in {modules!r}:\n"
         "    importlib.import_module(name)\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
-    )
-    return json.loads(result.stdout)
+
+
+def _decode_stack(loaded: list[str]) -> list[str]:
+    """What of NumPy, the codec and the process pool ``loaded`` holds."""
+    return [
+        name
+        for name in loaded
+        if name.split(".")[0] in {"numpy", "multiprocessing"}
+        or name == "repro.codecs"
+        or name.startswith("repro.codecs.")
+    ]
 
 
 def _loaded_after_importing(modules: list[str]) -> tuple[set[str], set[str]]:
@@ -89,3 +107,57 @@ def test_a_wire_reader_loads_no_server_and_no_asyncio():
     assert "asyncio" not in loaded
     assert "repro.serving.server" not in loaded
     assert "repro.serving.cluster" not in loaded
+
+
+def test_a_serving_process_loads_no_codec_numpy_or_process_pool(pcr_dataset):
+    """The storage side serves byte prefixes; decoding is the trainer's job.
+    A server that has answered every frame type still holds no NumPy, no
+    ``repro.codecs`` and no ``multiprocessing`` (docs/autotune.md "What a
+    process loads")."""
+    served = _run_fresh(
+        "import json\n"
+        "import repro.serving.cluster\n"
+        "from repro.serving.client import PCRClient\n"
+        "from repro.serving.server import PCRRecordServer\n"
+        "with PCRRecordServer(sys.argv[1], port=0) as server:\n"
+        "    with PCRClient(port=server.port) as client:\n"
+        "        meta = client.dataset_meta()\n"
+        "        name = meta['record_names'][0]\n"
+        "        sizes = [len(client.get_record_bytes(name, g)) for g in (1, meta['n_groups'])]\n"
+        "        client.get_index(name)\n"
+        "        client.metrics()\n"
+        "        by_type = client.stat()['requests_by_type']\n"
+        "print(json.dumps([sizes, by_type, sorted(sys.modules)]))\n",
+        str(pcr_dataset.reader.directory),
+    )
+    sizes, by_type, loaded = served
+    name = pcr_dataset.record_names[0]
+    reader = pcr_dataset.reader
+    assert sizes == [reader.bytes_for_group(name, g) for g in (1, reader.n_groups)]
+    assert by_type == {"0x01": 2, "0x02": 1, "0x03": 1, "0x04": 1, "0x06": 1}
+    assert _decode_stack(loaded) == []
+
+
+def test_a_loader_or_converter_loads_the_process_pool_only_to_build_one(pcr_dataset):
+    """Importing the loader, the converter and the dataset loads no
+    ``multiprocessing``; a ``decode_workers=2`` epoch still decodes on its
+    own ``DecodePool``."""
+    before, pool_type, batches, after = _run_fresh(
+        "import json\n"
+        "import repro.core.convert, repro.core.dataset\n"
+        "from repro.pipeline.loader import DataLoader, LoaderConfig\n"
+        "before = sorted(sys.modules)\n"
+        "dataset = repro.core.dataset.PCRDataset(sys.argv[1])\n"
+        "with DataLoader(dataset, LoaderConfig(batch_size=8, decode_workers=2)) as loader:\n"
+        "    list(loader.epoch())\n"
+        "    pool = loader._decode_pool\n"
+        "    result = [type(pool).__name__, pool.stats.batches]\n"
+        "dataset.close()\n"
+        "print(json.dumps([before, *result, sorted(sys.modules)]))\n",
+        str(pcr_dataset.reader.directory),
+    )
+    assert "multiprocessing" not in before
+    assert "repro.codecs.parallel" not in before
+    assert pool_type == "DecodePool"
+    assert batches == len(pcr_dataset.record_names)
+    assert "repro.codecs.parallel" in after

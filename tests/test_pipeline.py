@@ -473,7 +473,7 @@ class TestDecodeGate:
     @pytest.fixture()
     def gated(self, tmp_path, tiny_samples, monkeypatch):
         """(source, fetcher, decode overlap counter) over ten 2-image records."""
-        from repro.core import reader
+        from repro.codecs import progressive
         from repro.core.dataset import PCRDataset
         from repro.core.source import RecordSource
 
@@ -481,14 +481,14 @@ class TestDecodeGate:
         fetcher = _SleepyFetcher(dataset.fetcher)
         source = RecordSource(fetcher)
         decodes = _OverlapCounter()
-        decode_batch = reader.decode_progressive_batch
+        decode_batch = progressive.decode_progressive_batch
 
         def spy(streams):
             with decodes:
                 time.sleep(0.002)  # wide enough for an ungated thread to enter
                 return decode_batch(streams)
 
-        monkeypatch.setattr(reader, "decode_progressive_batch", spy)
+        monkeypatch.setattr(progressive, "decode_progressive_batch", spy)
         yield source, fetcher, decodes
         dataset.close()
 
@@ -544,15 +544,15 @@ class TestDecodeGate:
         )
 
     def test_pool_wired_source_never_takes_the_gate(self, gated, monkeypatch):
+        from repro.codecs import parallel, progressive
         from repro.core import reader
-        from repro.pipeline import loader as loader_module
 
         source, _, decodes = gated
         gate = _CountingLock()
         monkeypatch.setattr(reader, "_DECODE_GATE", gate)
-        pool = _ForwardingPool(reader.decode_progressive_batch)
+        pool = _ForwardingPool(progressive.decode_progressive_batch)
         # The loader builds its pool and passes it to every read.
-        monkeypatch.setattr(loader_module, "DecodePool", lambda n_workers: pool)
+        monkeypatch.setattr(parallel, "DecodePool", lambda n_workers: pool)
         pooled = self._samples(source, n_workers=4, decode_workers=2)
         assert pool.batches == len(source.record_names)
         assert gate.acquired == 0
@@ -560,10 +560,11 @@ class TestDecodeGate:
         assert gate.acquired == len(source.record_names)
 
     def test_exception_inside_decode_releases_the_gate(self, gated, monkeypatch):
+        from repro.codecs import progressive
         from repro.core import reader
 
         source, _, _ = gated
-        healthy = reader.decode_progressive_batch
+        healthy = progressive.decode_progressive_batch
         failures = []
 
         def failing(streams):
@@ -572,7 +573,7 @@ class TestDecodeGate:
                 raise RuntimeError("injected decode failure")
             return healthy(streams)
 
-        monkeypatch.setattr(reader, "decode_progressive_batch", failing)
+        monkeypatch.setattr(progressive, "decode_progressive_batch", failing)
         with pytest.raises(RuntimeError, match="injected decode failure"):
             self._samples(source, n_workers=2)
         assert not reader._DECODE_GATE.locked()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -339,7 +340,9 @@ class TestServerClient:
         directory = pcr_dataset.reader.directory
         first = PCRRecordServer(directory, port=0).start()
         port = first.port
-        pooled = PCRClient(port=port, pool_size=3, retries=1)
+        # A timeout well over the bound below: a pooled connection that
+        # stop() left open would hold the first attempt for all of it.
+        pooled = PCRClient(port=port, pool_size=3, retries=1, timeout=2.0)
         name = pcr_dataset.record_names[0]
         expected = pcr_dataset.reader.read_record_bytes(name, 1)
         try:
@@ -350,7 +353,9 @@ class TestServerClient:
             first.stop()
             with PCRRecordServer(directory, port=port) as second:
                 assert second.port == port
+                start = time.perf_counter()
                 assert pooled.get_record_bytes(name, 1) == expected
+                assert time.perf_counter() - start < 1.0
         finally:
             pooled.close()
 
