@@ -7,13 +7,16 @@ quantize + zigzag — allocating fresh arrays at every step.  Here the
 whole forward transform collapses into a handful of float32 primitives
 over whole channels:
 
-* **Fused colour conversion + level shift.**  RGB→YCbCr is one
-  ``(H*W, 3) @ (3, 3)`` float32 matmul.  The scalar path adds +128 to
-  centre the chroma channels and later subtracts 128 from *every*
-  channel before the DCT; those two shifts cancel on chroma, so the fast
-  path folds the net effect into a bias vector: Y comes out of the
-  matmul already level-shifted (``Y - 128``) and Cb/Cr come out centred
-  at 0 with no shift at all.
+* **Planar colour conversion + level shift.**  The pixels are copied
+  channel-major into a ``(3, H*W)`` float32 block and RGB→YCbCr is one
+  ``(3, 3) @ (3, H*W)`` matmul, so each component is a contiguous row.
+  The scalar path adds +128 to centre the chroma channels and later
+  subtracts 128 from *every* channel before the DCT; those two shifts
+  cancel on chroma, so the net effect is one flat ``-128`` over the luma
+  row, and Cb/Cr come out centred at 0 with no shift at all.  (A
+  ``(3,)`` bias broadcast over an ``(H*W, 3)`` block runs NumPy's inner
+  loop once per 3-element row, and costs over 15x a flat pass over all
+  three rows.)
 * **Strided 4:2:0 downsample.**  The 2x2 box filter is four strided
   adds and one scale into a reused buffer (plus exact edge-replication
   handling for odd dimensions), no ``reshape``/``mean`` temporaries.
@@ -95,12 +98,11 @@ MAX_MISMATCH_RATE = 1e-3
 #: fast-path encode and from the scalar-reference encode of the same input.
 MIN_PARITY_PSNR_DB = 45.0
 
-#: Transposed float32 RGB→YCbCr matrix (``rgb_rows @ _YCC_MATRIX_T``) and
-#: the bias folding the DCT level shift into the conversion: the scalar
-#: path computes ``ycc + (0, 128, 128)`` then subtracts 128 from every
-#: channel before the DCT, so the net shift is ``(-128, 0, 0)``.
-_YCC_MATRIX_T = np.ascontiguousarray(_RGB_TO_YCBCR.T, dtype=np.float32)
-_YCC_LEVEL_BIAS = np.array([-128.0, 0.0, 0.0], dtype=np.float32)
+#: Float32 RGB→YCbCr matrix, applied as ``_YCC_MATRIX @ rgb_planes`` to
+#: ``(3, H*W)`` channel-major pixels.  The scalar path computes ``ycc + (0,
+#: 128, 128)`` then subtracts 128 from every channel before the DCT, so the
+#: net shift is -128 on luma alone: one flat subtract on its row.
+_YCC_MATRIX = np.ascontiguousarray(_RGB_TO_YCBCR, dtype=np.float32)
 
 #: Quantization-table bytes -> float32 scaled forward basis.  Same bounded
 #: FIFO idiom as the decode-side basis / Huffman LUT caches.
@@ -194,7 +196,9 @@ def encode_to_planes(
     ``(n_blocks, 64)`` int32 plane per component (1 for grayscale, 3 for
     colour), matching the scalar float64 reference within the
     module-level error budget.  With a ``scratch``, the only allocations
-    are the returned planes (and ``np.pad`` copies for odd sizes).
+    are the returned planes (and ``np.pad`` copies for odd sizes).  The
+    planes are bitwise equal to those of the pixel-major stage this one
+    replaced (``encode_to_planes_reference`` in ``tests/codec_reference.py``).
     """
     if scratch is None:
         scratch = _thread_scratch()
@@ -206,29 +210,19 @@ def encode_to_planes(
         return [_channel_to_plane(chan, tables.table_for_component(0), 0, scratch)]
 
     n_pixels = height * width
-    rgb = scratch.get(("fwd_rgb",), (n_pixels, 3))
-    np.copyto(rgb, image.pixels.reshape(n_pixels, 3), casting="unsafe")
-    ycc = scratch.get(("fwd_ycc",), (n_pixels, 3))
-    np.matmul(rgb, _YCC_MATRIX_T, out=ycc)
-    ycc += _YCC_LEVEL_BIAS
-    ycc = ycc.reshape(height, width, 3)
+    rgb = scratch.get(("fwd_rgb",), (3, n_pixels))
+    np.copyto(rgb, image.pixels.reshape(n_pixels, 3).T, casting="unsafe")
+    ycc = scratch.get(("fwd_ycc",), (3, n_pixels))
+    np.matmul(_YCC_MATRIX, rgb, out=ycc)
+    ycc[0] -= 128.0
+    ycc = ycc.reshape(3, height, width)
 
-    luma = scratch.get(("fwd_luma",), (height, width))
-    luma[:] = ycc[..., 0]
-    planes = [_channel_to_plane(luma, tables.table_for_component(0), 0, scratch)]
-    if subsampling == SUBSAMPLING_420:
-        ch, cw = (height + 1) // 2, (width + 1) // 2
-        for index in (1, 2):
-            sub = scratch.get(("fwd_sub", index), (ch, cw))
-            _subsample_420_into(ycc[..., index], sub)
-            planes.append(
-                _channel_to_plane(sub, tables.table_for_component(index), index, scratch)
-            )
-    else:
-        for index in (1, 2):
-            chroma = scratch.get(("fwd_chroma", index), (height, width))
-            chroma[:] = ycc[..., index]
-            planes.append(
-                _channel_to_plane(chroma, tables.table_for_component(index), index, scratch)
-            )
+    planes = []
+    for index in range(3):
+        channel = ycc[index]
+        if index and subsampling == SUBSAMPLING_420:
+            sub = scratch.get(("fwd_sub", index), ((height + 1) // 2, (width + 1) // 2))
+            _subsample_420_into(channel, sub)
+            channel = sub
+        planes.append(_channel_to_plane(channel, tables.table_for_component(index), index, scratch))
     return planes

@@ -259,10 +259,14 @@ def decode_streams_fast(streams):
     are still walked and finished, and their own error wins if they have
     one.
 
-    Contract: the in-band coefficients of the target planes must be zero
-    (as produced by ``empty_coefficients``) — zero coefficients are never
-    written, only the nonzero scatter.  Every caller decodes into fresh
-    planes, and valid scan scripts cover each coefficient exactly once.
+    Contract: the AC coefficients in each scan's band must be zero in the
+    target planes (as ``empty_coefficients`` makes them) — zero AC
+    coefficients are never written, only the nonzero scatter, while a DC
+    scan writes column 0 whole.  Every caller decodes into fresh planes,
+    and valid scan scripts cover each coefficient exactly once.  A stream
+    whose scans are all DC-only may carry ``(n_blocks, 1)`` planes
+    (``empty_coefficients(header, dc_only=True)``): its scans touch
+    column 0 alone.
 
     Divergence from the scalar reference, on *invalid* streams only: a
     symbol with a zero category and a nonzero run (never emitted by either

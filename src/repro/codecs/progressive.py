@@ -129,10 +129,14 @@ class ScanScript:
 class CoefficientPlanes:
     """Quantized zigzag coefficients for every component of one image.
 
-    ``dc_only`` is set by :func:`decode_coefficients` when none of the scans
-    it applied carries an AC band, so every block is one constant and
+    ``dc_only`` is set by the entropy decode when none of the scans it
+    applied carries an AC band, so every block is one constant and
     :func:`~repro.codecs.pixelpath.decode_to_pixels` reconstructs the image
-    at block resolution.  Planes built any other way leave it false.
+    at block resolution; planes built any other way leave it false.
+    Inside a batch decode such planes hold the DC column alone,
+    ``(n_blocks, 1)`` (see :func:`empty_coefficients`);
+    :func:`decode_coefficients` widens them to ``(n_blocks, 64)`` before it
+    returns them, so every plane a caller sees is 64 wide.
     """
 
     header: FrameHeader
@@ -148,7 +152,7 @@ def image_to_coefficients(
     """Forward-transform an image into quantized zigzag coefficient planes.
 
     Runs the batched float32 forward path (:mod:`repro.codecs.encodepath`:
-    fused colour conversion + level shift, strided 4:2:0 downsample, one
+    planar colour conversion + level shift, strided 4:2:0 downsample, one
     fused quantize+DCT sgemm per component), reusing the calling thread's
     work buffers from one image to the next.  Against the float64
     reference in ``tests/codec_reference.py`` the coefficients may differ
@@ -180,14 +184,22 @@ def coefficients_to_image(coefficients: CoefficientPlanes) -> ImageBuffer:
     return ImageBuffer(decode_to_pixels(coefficients))
 
 
-def empty_coefficients(header: FrameHeader) -> CoefficientPlanes:
-    """Allocate all-zero coefficient planes for a frame header."""
+def empty_coefficients(header: FrameHeader, dc_only: bool = False) -> CoefficientPlanes:
+    """Allocate all-zero coefficient planes for a frame header.
+
+    One ``(n_blocks, 64)`` int32 plane per component; with ``dc_only``,
+    one ``(n_blocks, 1)`` DC column per component, marked ``dc_only``.  A
+    decode whose scans carry no AC band writes and reads only the DC slot,
+    and the 63 other columns would be ≈ 300 KB of fresh zero pages per
+    224-px image.
+    """
+    width = 1 if dc_only else N_COEFFICIENTS
     planes = []
     for index in range(header.n_components):
         comp_h, comp_w = header.component_shape(index)
         nv, nh = block_grid_shape(comp_h, comp_w)
-        planes.append(np.zeros((nv * nh, N_COEFFICIENTS), dtype=np.int32))
-    return CoefficientPlanes(header=header, planes=planes)
+        planes.append(np.zeros((nv * nh, width), dtype=np.int32))
+    return CoefficientPlanes(header=header, planes=planes, dc_only=dc_only)
 
 
 def encode_coefficients(coefficients: CoefficientPlanes, script: ScanScript) -> bytes:
@@ -213,13 +225,20 @@ def decode_coefficients(
     The one-stream case of :func:`decode_progressive_batch`'s entropy half
     (:func:`_decode_streams`), raising the stream's error.  The result is
     marked ``dc_only`` when no applied scan's band reaches past the DC
-    slot, read off the scan headers alone.
+    slot, read off the scan headers alone; its planes are widened from the
+    decode's DC columns to ``(n_blocks, 64)`` with zero AC columns.
     """
     _check_max_scans(max_scans)
     decoded, failure = _decode_streams([data], max_scans)
     if failure is not None:
         raise failure[1]
-    return decoded[0]
+    coefficients, applied = decoded[0]
+    if coefficients.dc_only:
+        for index, column in enumerate(coefficients.planes):
+            plane = np.zeros((column.shape[0], N_COEFFICIENTS), dtype=np.int32)
+            plane[:, 0] = column[:, 0]
+            coefficients.planes[index] = plane
+    return coefficients, applied
 
 
 def _check_max_scans(max_scans: int | None) -> None:
@@ -234,7 +253,10 @@ def _decode_streams(payloads: list[bytes], max_scans: int | None):
     streams share one), and its :class:`FrameHeader` object is shared by
     the streams that carry it, which is what lets
     :func:`~repro.codecs.pixelpath.decode_sets_to_pixels` colour their
-    DC-only sets together.  The scans of every stream then go to one
+    DC-only sets together.  A stream whose applied scans carry no AC band
+    decodes into ``(n_blocks, 1)`` DC columns (``empty_coefficients(...,
+    dc_only=True)``), since nothing downstream reads its AC slots.  The
+    scans of every stream then go to one
     :func:`~repro.codecs.fastpath.decode_streams_fast` call.
 
     Returns ``(decoded, failure)``: ``(coefficients, scans applied)`` for
@@ -255,15 +277,14 @@ def _decode_streams(payloads: list[bytes], max_scans: int | None):
             frame = frames.get(prefix)
             if frame is None:
                 frame = frames[prefix] = parse_frame_header(prefix)
-            coefficients = empty_coefficients(frame[0])
             segments = find_scan_segments(data, frame)
         except (ValueError, EOFError) as error:
             failure = index, error
             break
         if max_scans is not None:
             segments = segments[:max_scans]
-        coefficients.dc_only = all(segment.header.spectral_end == 0 for segment in segments)
-        streams.append((data, segments, coefficients))
+        dc_only = all(segment.header.spectral_end == 0 for segment in segments)
+        streams.append((data, segments, empty_coefficients(frame[0], dc_only)))
     failure = decode_streams_fast(streams) or failure
     decoded = [(coefficients, len(segments)) for _, segments, coefficients in streams]
     return decoded[: failure[0]] if failure else decoded, failure

@@ -22,6 +22,9 @@ reproduce:
   fills per code (``window_slots_reference``), whose bundle block
   (``super_tables_reference``) the piecewise fill
   ``huffman._build_super_tables`` must match byte for byte;
+* the forward colour stage as first written, pixel-major with a
+  broadcast level-shift bias (``encode_to_planes_reference``), whose planes
+  the planar ``encodepath.encode_to_planes`` must match bit for bit;
 * the heap construction of Huffman code lengths the two-queue merge in
   :mod:`repro.codecs.huffman` must reproduce.
 """
@@ -37,6 +40,7 @@ import numpy as np
 from repro.codecs import huffman
 from repro.codecs.blocks import BLOCK_SIZE, block_grid_shape, split_into_blocks_view
 from repro.codecs.color import _CB_TO_B, _CB_TO_G, _CR_TO_G, _CR_TO_R, _RGB_TO_YCBCR
+from repro.codecs.encodepath import _channel_to_plane, _subsample_420_into
 from repro.codecs.fastpath import _HALVES, _MASKS
 from repro.codecs.huffman import SUPER_VALUE_OFFSET, long_code_entry
 from repro.codecs.image import ImageBuffer
@@ -52,6 +56,7 @@ from repro.codecs.markers import (
     parse_frame_header,
     write_scan_segment,
 )
+from repro.codecs.pixelpath import PixelScratch, _thread_scratch
 from repro.codecs.progressive import (
     DEFAULT_QUALITY,
     CoefficientPlanes,
@@ -797,6 +802,66 @@ def super_tables_reference(
         if length > huffman.SUPER_BITS
     )
     return slots.tobytes() + strides.astype(np.uint8).tobytes(), long_codes
+
+
+# --------------------------------------------------------------------------
+# The forward colour stage, pixel-major
+# --------------------------------------------------------------------------
+
+#: Transposed float32 RGB→YCbCr matrix (``rgb_rows @ _YCC_MATRIX_T``) and
+#: the bias folding the DCT level shift into the conversion: the scalar
+#: path computes ``ycc + (0, 128, 128)`` then subtracts 128 from every
+#: channel before the DCT, so the net shift is ``(-128, 0, 0)``.
+_YCC_MATRIX_T = np.ascontiguousarray(_RGB_TO_YCBCR.T, dtype=np.float32)
+_YCC_LEVEL_BIAS = np.array([-128.0, 0.0, 0.0], dtype=np.float32)
+
+
+def encode_to_planes_reference(
+    image, tables, subsampling: int, scratch: PixelScratch | None = None
+) -> list[np.ndarray]:
+    """Forward-transform an image into quantized int32 zigzag planes.
+
+    ``encodepath.encode_to_planes`` as first written: pixel-major
+    ``(H*W, 3)`` colour conversion, then the level shift as a broadcast
+    bias add over every pixel.  The planar runtime stage must give
+    bitwise-equal planes.
+    """
+    if scratch is None:
+        scratch = _thread_scratch()
+    height, width = image.height, image.width
+    if not image.is_color:
+        chan = scratch.get(("fwd_gray",), (height, width))
+        np.copyto(chan, image.pixels, casting="unsafe")
+        chan -= 128.0
+        return [_channel_to_plane(chan, tables.table_for_component(0), 0, scratch)]
+
+    n_pixels = height * width
+    rgb = scratch.get(("fwd_rgb",), (n_pixels, 3))
+    np.copyto(rgb, image.pixels.reshape(n_pixels, 3), casting="unsafe")
+    ycc = scratch.get(("fwd_ycc",), (n_pixels, 3))
+    np.matmul(rgb, _YCC_MATRIX_T, out=ycc)
+    ycc += _YCC_LEVEL_BIAS
+    ycc = ycc.reshape(height, width, 3)
+
+    luma = scratch.get(("fwd_luma",), (height, width))
+    luma[:] = ycc[..., 0]
+    planes = [_channel_to_plane(luma, tables.table_for_component(0), 0, scratch)]
+    if subsampling == SUBSAMPLING_420:
+        ch, cw = (height + 1) // 2, (width + 1) // 2
+        for index in (1, 2):
+            sub = scratch.get(("fwd_sub", index), (ch, cw))
+            _subsample_420_into(ycc[..., index], sub)
+            planes.append(
+                _channel_to_plane(sub, tables.table_for_component(index), index, scratch)
+            )
+    else:
+        for index in (1, 2):
+            chroma = scratch.get(("fwd_chroma", index), (height, width))
+            chroma[:] = ycc[..., index]
+            planes.append(
+                _channel_to_plane(chroma, tables.table_for_component(index), index, scratch)
+            )
+    return planes
 
 
 # --------------------------------------------------------------------------

@@ -21,10 +21,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.bitio import pack_bits
-from repro.codecs.encodepath import MAX_MISMATCH_RATE, MIN_PARITY_PSNR_DB
+from repro.codecs.encodepath import MAX_MISMATCH_RATE, MIN_PARITY_PSNR_DB, encode_to_planes
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import SUBSAMPLING_420, SUBSAMPLING_NONE
 from repro.codecs.parallel import EncodePool
+from repro.codecs.pixelpath import PixelScratch
 from repro.codecs.progressive import (
     ProgressiveCodec,
     ScanScript,
@@ -33,13 +34,16 @@ from repro.codecs.progressive import (
     encode_progressive_batch,
     image_to_coefficients,
 )
+from repro.codecs.quantization import QuantizationTables
 from repro.codecs.transcode import transcode_to_progressive
+from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
 from repro.obs import get_registry
 from tests.codec_reference import (
     BitReader,
     BitWriter,
     encode_coefficients_reference,
     encode_reference,
+    encode_to_planes_reference,
     image_to_coefficients_reference,
 )
 
@@ -134,6 +138,46 @@ class TestForwardParity:
                 [fast_stream, scalar_stream], max_scans=max_scans
             )
             assert _psnr(fast_image.pixels, scalar_image.pixels) >= MIN_PARITY_PSNR_DB
+
+
+class TestPlanarForward:
+    """The planar colour stage gives the planes of the pixel-major one, bit for bit.
+
+    ``encode_to_planes_reference`` is the stage as first written (an
+    ``(H*W, 3)`` matmul and a broadcast level-shift bias); the budget test
+    above, against the float64 reference, cannot see a changed rounding.
+    """
+
+    @staticmethod
+    def _assert_bitwise_equal(image: ImageBuffer, quality: int, subsampling: int) -> None:
+        tables = QuantizationTables.for_quality(quality)
+        planar = encode_to_planes(image, tables, subsampling)
+        reference = encode_to_planes_reference(image, tables, subsampling, PixelScratch())
+        assert len(planar) == len(reference)
+        for ours, theirs in zip(planar, reference):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    def test_corpus_images(self):
+        generator = SyntheticImageGenerator(4, SyntheticImageSpec(image_size=224), seed=11)
+        for _, image, _ in generator.generate_batch(8, seed=11):
+            self._assert_bitwise_equal(image, 90, SUBSAMPLING_420)
+
+    @pytest.mark.parametrize("height,width", [(1, 1), (15, 17), (223, 225)])
+    @pytest.mark.parametrize("quality", [1, 50, 100])
+    @pytest.mark.parametrize("subsampling", [SUBSAMPLING_420, SUBSAMPLING_NONE])
+    def test_sizes_qualities_and_layouts(self, height, width, quality, subsampling):
+        image = _test_image(np.random.default_rng(height * width + quality), height, width, True)
+        self._assert_bitwise_equal(image, quality, subsampling)
+
+    @pytest.mark.parametrize("height,width", [(1, 1), (15, 17), (223, 225)])
+    def test_grayscale(self, height, width):
+        image = _test_image(np.random.default_rng(height + width), height, width, False)
+        self._assert_bitwise_equal(image, 90, SUBSAMPLING_NONE)
+
+    def test_uniform_random_pixels(self):
+        pixels = np.random.default_rng(3).integers(0, 256, size=(61, 47, 3), dtype=np.uint8)
+        for quality in (1, 50, 100):
+            self._assert_bitwise_equal(ImageBuffer(pixels), quality, SUBSAMPLING_420)
 
 
 class TestEntropyStage:

@@ -361,6 +361,72 @@ class TestBatchDecode:
                 assert np.array_equal(image.pixels, pixels)
 
 
+class TestNarrowDcPlanes:
+    """A DC-only set decodes into ``(n_blocks, 1)`` DC columns, not 64-wide planes.
+
+    Inside a batch decode nothing reads a DC-only set's AC slots, so its
+    planes are the DC column alone; :func:`decode_coefficients` widens them
+    back, so the public shape stays ``(n_blocks, 64)``.
+    """
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        from repro.codecs import progressive
+
+        seen: list = []
+        colour = progressive.decode_sets_to_pixels
+
+        def spy(coefficient_sets, scratch=None):
+            seen.extend(
+                (c.dc_only, [plane.shape for plane in c.planes]) for c in coefficient_sets
+            )
+            return colour(coefficient_sets, scratch)
+
+        monkeypatch.setattr(progressive, "decode_sets_to_pixels", spy)
+        return seen
+
+    def test_a_group_one_record_hands_over_dc_columns(self, monkeypatch):
+        codec = ProgressiveCodec(quality=90)
+        record = [
+            _group_one_stream(codec.encode(make_structured_image(40, seed=s, color_image=s % 2 == 0)))
+            for s in range(8)
+        ]
+        seen = self._spy(monkeypatch)
+        for max_scans in (None, 1, 0):
+            seen.clear()
+            decode_progressive_batch(record, max_scans=max_scans)
+            assert len(seen) == 8
+            for dc_only, shapes in seen:
+                assert dc_only and shapes and all(shape[1] == 1 for shape in shapes)
+
+    def test_a_batch_with_ac_still_hands_over_full_planes(self, monkeypatch):
+        streams = TestBatchDecode._heterogeneous()
+        seen = self._spy(monkeypatch)
+        decode_progressive_batch(streams)
+        assert sum(dc_only for dc_only, _ in seen) == 5  # the progressive group-1 prefixes
+        assert sum(not dc_only for dc_only, _ in seen) == 7
+        for dc_only, shapes in seen:
+            assert all(shape[1] == (1 if dc_only else 64) for shape in shapes)
+
+    @pytest.mark.parametrize("color_image", [True, False])
+    def test_decode_coefficients_widens_a_dc_only_prefix(self, color_image, monkeypatch):
+        stream = ProgressiveCodec(quality=90).encode(make_structured_image(41, 7, color_image))
+        whole, _ = decode_coefficients(stream)
+        seen = self._spy(monkeypatch)
+        (batched,) = decode_progressive_batch([_group_one_stream(stream)])
+        for max_scans in (0, 1):
+            coefficients, applied = decode_coefficients(stream, max_scans=max_scans)
+            assert coefficients.dc_only and applied == max_scans
+            for plane, full in zip(coefficients.planes, whole.planes):
+                assert plane.shape == full.shape and plane.shape[1] == 64
+                assert plane.dtype == np.int32 and plane.flags.c_contiguous
+                assert not plane[:, 1:].any()
+                dc = full[:, 0] if max_scans else np.zeros_like(full[:, 0])
+                assert np.array_equal(plane[:, 0], dc)
+        assert seen[0][1] == [(plane.shape[0], 1) for plane in whole.planes]
+        assert np.array_equal(batched.pixels, decode_to_pixels(coefficients))
+
+
 def _gemm_route(coefficients) -> np.ndarray:
     """The full-resolution route, called directly: the block route's oracle."""
     scratch = PixelScratch()
