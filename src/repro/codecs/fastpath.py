@@ -62,6 +62,7 @@ from repro.codecs.bitio import pack_bits
 from repro.codecs.huffman import (
     SUPER_BITS,
     SUPER_VALUE_OFFSET,
+    SUPER_VOFF_SHIFT,
     HuffmanTable,
     canonical_code,
     long_code_entry,
@@ -455,7 +456,7 @@ def _finish_dc_scan(job, entries, coefficients) -> None:
         pair, _, _, long_codes = tables
         _decode_in_place(payload, pair, pair, long_codes, scan, coefficients, n_payload_bits)
         return
-    diffs = needed >> 12
+    diffs = needed >> SUPER_VOFF_SHIFT
     diffs -= SUPER_VALUE_OFFSET
     start = 0
     for component in scan.component_ids:
@@ -628,11 +629,11 @@ def _walk_one(
             bits = (wide >> (48 - phase - consume)) & mask
             value = bits if bits >= halves[category] else bits - mask
             posdelta = (entry >> 20) + 1 if ac else 0
-            append(consume | (posdelta << 5) | ((value + offset) << 12))
+            append(consume | (posdelta << 5) | ((value + offset) << SUPER_VOFF_SHIFT))
         elif ac:  # an EOB or ZRL whose code is longer than the window
             append(consume | ((entry >> 20) << 5))
         else:  # a zero DC diff whose code + magnitude exceed the window
-            append(consume | (offset << 12))
+            append(consume | (offset << SUPER_VOFF_SHIFT))
         return consume
 
     steps = bytearray(1)  # the first probe is at bit 0
@@ -738,7 +739,7 @@ def _finish_ac_scans(jobs, entry_array, lengths, coefficients) -> None:
     for (scan, payload, (pair, _, _, long_codes), n_payload_bits), defective in zip(jobs, flagged):
         if defective:
             _decode_in_place(payload, pair, pair, long_codes, scan, coefficients, n_payload_bits)
-    value_offsets = entry_array >> 12
+    value_offsets = entry_array >> SUPER_VOFF_SHIFT
     coefficient_at = np.flatnonzero(value_offsets > 0)
     flat_values = np.take(value_offsets, coefficient_at)
     flat_values -= SUPER_VALUE_OFFSET
@@ -823,6 +824,7 @@ def _decode_in_place(
     masks = _MASKS
     halves = _HALVES
     offset = SUPER_VALUE_OFFSET
+    voff_shift = SUPER_VOFF_SHIFT
     shift = _SUPER_SHIFT
     window_mask = _SUPER_MASK
     word_index = 0
@@ -850,7 +852,7 @@ def _decode_in_place(
                     entry = sup_dc[(bitbuf >> (bitcnt - shift)) & window_mask]
                     if entry > 0:
                         bitcnt -= entry & 31
-                        append_diff((entry >> 12) - offset)
+                        append_diff((entry >> voff_shift) - offset)
                     else:
                         diff, word_index, bitbuf, bitcnt = _escape_dc(
                             entry, long_codes, words, word_index, bitbuf, bitcnt, n_payload_bits
@@ -867,7 +869,7 @@ def _decode_in_place(
                     if entry > 0:
                         bitcnt -= entry & 31
                         index += (entry >> 5) & 0x7F
-                        voff = entry >> 12
+                        voff = entry >> voff_shift
                         if voff:
                             if index > band_length:
                                 raise _overflow_error((word_index << 6) - bitcnt, n_payload_bits)
@@ -877,7 +879,7 @@ def _decode_in_place(
                         if entry and index < band_length:
                             bitcnt -= entry & 31
                             index += (entry >> 5) & 0x7F
-                            voff = entry >> 12
+                            voff = entry >> voff_shift
                             if voff:
                                 if index > band_length:
                                     raise _overflow_error((word_index << 6) - bitcnt, n_payload_bits)

@@ -60,8 +60,15 @@ MAX_CODE_LENGTH = 16
 #: Tuned empirically: 13 keeps the whole working set (pair tables + walk
 #: byte table) cache-resident while still pairing ~85% of real probes;
 #: wider windows raise the pair rate a little but lose more to cache
-#: misses and table-build cost.  Any value up to ``MAX_CODE_LENGTH`` works.
+#: misses and table-build cost.  Any value in ``[2, MAX_CODE_LENGTH]``
+#: decodes the same coefficients (``TestWindowWidths`` checks every one);
+#: the escape-route tests craft their codes for 13.
 SUPER_BITS = 13
+
+#: Bit position of the ``voff`` field in a packed symbol
+#: (:func:`_build_super_tables`): ``consume`` takes bits 0–4 and
+#: ``posdelta`` bits 5–11, whatever the window width.
+SUPER_VOFF_SHIFT = 12
 
 #: Offset added to the signed value field of a superscalar entry so it packs
 #: as a non-negative bit field.  AC categories are a nibble (<= 15), so
@@ -395,7 +402,7 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     symbol, from which the decode loop reads the magnitude off the stream;
     otherwise a packed symbol.  Second-slot entries: ``0`` — no second
     symbol fit; otherwise a packed symbol.  A packed symbol is
-    ``consume | (posdelta << 5) | (voff << 12)``:
+    ``consume | (posdelta << 5) | (voff << SUPER_VOFF_SHIFT)``:
 
     * ``consume`` (bits 0–4): fused code + magnitude bit consumption,
       *per symbol* — the second symbol's bits are only consumed if the
@@ -412,12 +419,12 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
       every coefficient position *after the fact*, which is what the
       batched scan decode in :mod:`repro.codecs.fastpath` exploits.
       Always 0 in the DC flavour.
-    * ``voff`` (bits 12–28): the decoded *signed* coefficient (AC) or DC
-      diff plus ``SUPER_VALUE_OFFSET``.  In the AC flavour 0 means "no
-      coefficient to write" (pure run: EOB / ZRL / the zero-category
-      treatment above); real values are in ``[1, 65535]`` because an
-      in-window magnitude has category <= 15.  The DC flavour always
-      stores ``diff + SUPER_VALUE_OFFSET``.
+    * ``voff`` (bits 12–28, from ``SUPER_VOFF_SHIFT``): the decoded
+      *signed* coefficient (AC) or DC diff plus ``SUPER_VALUE_OFFSET``.
+      In the AC flavour 0 means "no coefficient to write" (pure run: EOB
+      / ZRL / the zero-category treatment above); real values are in
+      ``[1, 65535]`` because an in-window magnitude has category <= 15.
+      The DC flavour always stores ``diff + SUPER_VALUE_OFFSET``.
 
     Packed symbols stay under 2**29, so every unpacking operation in the
     decode loops runs on CPython compact (single-digit) ints — packing
@@ -478,7 +485,8 @@ def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):
       with ``half = (mask + (1 << SUPER_BITS)) >> 1``, the magnitude's top
       bit, ``m - (((m - half) >> 31) & mask)`` is the signed value there
       (a magnitude below half is negative, ``magnitude - mask``), shifted
-      down one into the ``voff`` field at bit 12;
+      from bit ``SUPER_BITS`` to the ``voff`` field at
+      ``SUPER_VOFF_SHIFT``;
     * the same ``_WINDOWS << consume``, masked to ``SUPER_BITS`` bits, is the
       window after the first symbol: one ``take`` gives the second slot;
     * a second slot stands only if it is a packed symbol (``> 0``; an
@@ -498,7 +506,7 @@ def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):
     4–6 NumPy calls each (docs/performance.md has the numbers).
     """
     size = 1 << SUPER_BITS
-    offset = SUPER_VALUE_OFFSET << 12
+    offset = SUPER_VALUE_OFFSET << SUPER_VOFF_SHIFT
     pieces = []
     spans = []
     at = 0
@@ -538,13 +546,18 @@ def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):
     wide = _WINDOWS << consume
     shifted = wide & (size - 1)
     wide &= mask
-    half = mask + (1 << SUPER_BITS)
-    half >>= 1
+    # ``(mask + (1 << SUPER_BITS)) >> 1``, without the sum: at 16-bit
+    # windows a 15-bit magnitude's sum is 2**31, past int32.
+    half = mask >> 1
+    half += 1 << (SUPER_BITS - 1)
     below = np.subtract(wide, half, out=half)
     below >>= 31
     below &= mask
     wide -= below
-    wide >>= 1
+    if SUPER_BITS > SUPER_VOFF_SHIFT:
+        wide >>= SUPER_BITS - SUPER_VOFF_SHIFT
+    else:
+        wide <<= SUPER_VOFF_SHIFT - SUPER_BITS
     first += wide
     second = first.take(shifted)
     strides = second & 31

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -36,6 +35,8 @@ class LinearFit:
 
 def fit_mssim_accuracy(mssim_values: list[float], accuracies: list[float]) -> LinearFit:
     """Fit the Figure 7 regression from per-scan-group (MSSIM, accuracy) pairs."""
+    from scipy import stats  # only a fit pays for it: the tuner's clustering needs none
+
     if len(mssim_values) != len(accuracies):
         raise ValueError("mssim_values and accuracies must have the same length")
     if len(mssim_values) < 2:

@@ -1,14 +1,17 @@
 """Structural similarity (SSIM) between two images.
 
-Follows Wang, Bovik, Sheikh & Simoncelli (2004): an 11x11 Gaussian window
-(sigma 1.5) slides over the luma channels and local means, variances and
-covariance are combined into the SSIM index.
+Follows Wang, Bovik, Sheikh & Simoncelli (2004), with a uniform window: a
+``_DEFAULT_WINDOW`` x ``_DEFAULT_WINDOW`` (7x7) box average
+(``scipy.ndimage.uniform_filter``) slides over the luma channels, and the
+local means, variances and covariance are combined into the SSIM index.
+Wang et al. weight their window with an 11x11 Gaussian (sigma 1.5); this
+implementation does not.  ``scipy`` is imported where a filter runs, so
+importing the metric costs only NumPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from repro.codecs.image import ImageBuffer
 
@@ -44,6 +47,8 @@ def ssim(
     full:
         When true, also return the per-pixel SSIM map.
     """
+    from scipy.ndimage import uniform_filter
+
     x = _to_luma(reference)
     y = _to_luma(candidate)
     if x.shape != y.shape:
@@ -79,6 +84,8 @@ def contrast_structure(
     window: int = _DEFAULT_WINDOW,
 ) -> float:
     """The contrast-structure term of SSIM (used by MS-SSIM's coarse scales)."""
+    from scipy.ndimage import uniform_filter
+
     x = _to_luma(reference)
     y = _to_luma(candidate)
     if x.shape != y.shape:

@@ -721,6 +721,113 @@ def _held_bytes(cache) -> int:
     )
 
 
+_WIDTH_DECODE = """
+import json, sys, zlib
+from pathlib import Path
+
+import numpy as np
+
+from repro.codecs import huffman
+
+width, directory = int(sys.argv[1]), Path(sys.argv[2])
+huffman.SUPER_BITS = width
+huffman._WINDOWS = np.arange(1 << width, dtype=np.int32)
+# Imported after the width is set: fastpath derives its probe constants from it.
+from repro.codecs.progressive import decode_coefficients
+
+results = []
+for path in sorted(directory.glob("*.bin")):
+    for max_scans in (None, 1):
+        try:
+            planes = decode_coefficients(path.read_bytes(), max_scans)[0].planes
+            results.append(zlib.crc32(b"".join(plane.tobytes() for plane in planes)))
+        except Exception as error:
+            results.append(type(error).__name__)
+print(json.dumps(results))
+"""
+
+
+class TestWindowWidths:
+    """``SUPER_BITS`` is a tuning knob: any width in ``[2, MAX_CODE_LENGTH]``
+    builds the reference fill's tables and decodes the same coefficients.
+
+    A packed symbol's ``voff`` field sits at ``SUPER_VOFF_SHIFT`` whatever
+    the width; the fill computes each signed value at bit ``SUPER_BITS``
+    and moves it there.
+    """
+
+    #: A complete code with one symbol at every length: long codes at every
+    #: width, and 0x0F's category 15 behind a 1-bit code (a 16-bit window
+    #: holds code + magnitude, whose half-point is 2**31 at that width).
+    CODES = [
+        {0x0F: 1, **{symbol: length for length, symbol in enumerate(range(0x11, 0x1F), 2)}, 0x00: 16},
+        {0x1F: 1, 0x00: 2, 0x01: 3, 0xF0: 4, 0x3A: 5, 0x0B: 5},
+        {0: 2, 3: 2, 12: 3, 14: 4, 15: 4, 40: 5, 200: 6, 255: 6, 9: 5},
+    ]
+
+    @pytest.mark.parametrize("width", range(2, MAX_CODE_LENGTH + 1))
+    def test_the_fill_matches_the_reference_at_every_width(self, width, monkeypatch):
+        from repro.codecs import huffman
+        from repro.codecs.markers import find_scan_segments
+        from repro.codecs.progressive import ProgressiveCodec
+        from tests.conftest import make_structured_image
+
+        stream = ProgressiveCodec(quality=95).encode(make_structured_image(48, seed=3))
+        real = [
+            huffman._read_code(stream[segment.payload_start : segment.end])[0]
+            for segment in find_scan_segments(stream)
+        ]
+        monkeypatch.setattr(huffman, "SUPER_BITS", width)
+        monkeypatch.setattr(huffman, "_WINDOWS", np.arange(1 << width, dtype=np.int32))
+        for lengths in self.CODES:
+            TestPiecewiseFill._assert_matches_reference(RuntimeHuffmanTable(code_lengths=lengths)._encode_map)
+        for encode_map in real:
+            TestPiecewiseFill._assert_matches_reference(encode_map)
+
+    def test_a_decode_at_other_widths_gives_the_same_coefficients(self, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.codecs.baseline import BaselineCodec
+        from repro.codecs.huffman import SUPER_BITS
+        from repro.codecs.image import ImageBuffer
+        from repro.codecs.markers import find_scan_segments
+        from repro.codecs.progressive import ProgressiveCodec
+        from tests.conftest import make_structured_image
+
+        noise = ImageBuffer.from_array(np.random.default_rng(5).integers(0, 256, (40, 40, 3)))
+        streams = [
+            ProgressiveCodec(quality=90).encode(make_structured_image(48, seed=1)),
+            ProgressiveCodec(quality=100).encode(make_structured_image(37, seed=2, color=False)),
+            ProgressiveCodec(quality=100).encode(noise),
+            BaselineCodec(90).encode(make_structured_image(40, seed=4)),
+        ]
+        # Bit flips inside the first scan's payload: errors keep their class.
+        for position in (0.2, 0.5, 0.9):
+            segment = find_scan_segments(streams[0])[0]
+            at = segment.payload_start + int(position * (segment.end - segment.payload_start))
+            streams.append(streams[0][:at] + bytes([streams[0][at] ^ 0x5A]) + streams[0][at + 1 :])
+        for index, stream in enumerate(streams):
+            (tmp_path / f"{index:02d}.bin").write_bytes(stream)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+        def decode_at(width: int) -> list:
+            result = subprocess.run(
+                [sys.executable, "-c", _WIDTH_DECODE, str(width), str(tmp_path)],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            return json.loads(result.stdout)
+
+        expected = decode_at(SUPER_BITS)
+        assert len(expected) == 2 * len(streams)
+        for width in {2, 8, 11, 12, 13, 14, 16} - {SUPER_BITS}:
+            assert decode_at(width) == expected, width
+
+
 class TestHuffmanTableCaches:
     """The one byte-bounded LRU table cache behind ``cached_from_bytes``."""
 

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.codecs.markers import EOI, CodecFormatError, find_scan_segments, write_scan_segment
+from repro.codecs import parallel
 from repro.codecs.parallel import DecodePool, EncodePool, _chunk_by_bytes
 from repro.codecs.progressive import (
     ProgressiveCodec,
@@ -451,6 +452,58 @@ class TestPoolConformance:
 
 
 # -- lifecycle / leak hygiene ----------------------------------------------
+
+
+def _blas_probe(read_threads) -> parallel._Direction:
+    """A pool direction whose every item is the BLAS thread count
+    ``read_threads()`` reads where the item runs."""
+    return parallel._Direction(
+        metrics="blasprobe",
+        inprocess=lambda items, params: [read_threads()] * len(items),
+        measure=lambda item: ((1,), 1, 1, None),
+        work=lambda shm, params, jobs: [read_threads()] * len(jobs),
+    )
+
+
+def _threads_in_workers(direction) -> tuple[list[int], parallel.PoolStats]:
+    state = parallel._PoolState(direction, 2)
+    try:
+        return state.run_batch(list(range(8)), None), state.stats
+    finally:
+        state.shutdown()
+
+
+class TestBlasThreads:
+    """A pool worker caps the OpenBLAS NumPy loaded to one thread before
+    its first task; the parent, and in-process decode, keep the default."""
+
+    @pytest.fixture()
+    def get_threads(self):
+        calls = parallel._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter here")
+        return calls[1]
+
+    def test_a_worker_runs_one_blas_thread_and_the_parent_keeps_its_own(self, get_threads):
+        from repro.obs import get_registry
+
+        parent = get_threads()
+        threads, stats = _threads_in_workers(_blas_probe(get_threads))
+        assert stats.parallel_batches == 1 and stats.fallback_batches == 0
+        assert threads == [1] * 8
+        assert get_threads() == parent >= 1
+        assert get_registry().gauge("codec.pool.blas_threads").value == 1
+
+    def test_without_a_setter_workers_keep_the_default_and_the_gauge_says_so(
+        self, get_threads, monkeypatch
+    ):
+        from repro.obs import get_registry
+
+        monkeypatch.setattr(parallel, "_openblas_thread_calls", lambda: None)
+        threads, stats = _threads_in_workers(_blas_probe(get_threads))
+        assert stats.parallel_batches == 1
+        assert threads == [get_threads()] * 8
+        assert get_registry().gauge("codec.pool.blas_threads").value == 0
 
 
 class TestLifecycle:

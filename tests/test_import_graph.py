@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SERVING_SIDE = [
@@ -161,3 +163,80 @@ def test_a_loader_or_converter_loads_the_process_pool_only_to_build_one(pcr_data
     assert pool_type == "DecodePool"
     assert batches == len(pcr_dataset.record_names)
     assert "repro.codecs.parallel" in after
+
+
+def _scipy_in(loaded: list[str]) -> list[str]:
+    return [name for name in loaded if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import numpy as np\n"
+        "from repro.metrics.psnr import psnr\n"
+        "psnr(np.zeros((8, 8, 3)), np.full((8, 8, 3), 3.0))\n",
+        "import repro.metrics\n",
+        "import repro.tuning\n",
+    ],
+    ids=["psnr-caller", "metrics", "tuning"],
+)
+def test_a_metric_import_loads_no_scipy(script):
+    """The ingest fidelity check computes a PSNR and the static tuner
+    clusters MS-SSIM values: neither needs ``scipy`` to be imported
+    (docs/autotune.md "What a process loads")."""
+    loaded = _run_fresh(f"import json\n{script}print(json.dumps(sorted(sys.modules)))\n")
+    assert _scipy_in(loaded) == []
+
+
+def test_each_metric_loads_only_the_scipy_it_computes_with():
+    """``ms_ssim`` filters (``scipy.ndimage``) and fits nothing; the Figure 7
+    fit is what loads ``scipy.stats``."""
+    after_ms_ssim, after_fit = _run_fresh(
+        "import json\n"
+        "import numpy as np\n"
+        "from repro.metrics import fit_mssim_accuracy, ms_ssim\n"
+        "image = np.arange(64 * 64, dtype=np.float64).reshape(64, 64) % 251\n"
+        "assert ms_ssim(image, image) == 1.0\n"
+        "after_ms_ssim = sorted(sys.modules)\n"
+        "fit_mssim_accuracy([0.5, 0.9], [0.6, 0.8])\n"
+        "print(json.dumps([after_ms_ssim, sorted(sys.modules)]))\n"
+    )
+    assert "scipy.ndimage" in after_ms_ssim
+    assert [name for name in after_ms_ssim if name.startswith("scipy.stats")] == []
+    assert "scipy.stats" in after_fit
+
+
+def test_every_metrics_export_resolves_to_its_definition():
+    """Each ``__all__`` name is the object its module defines, also after
+    every submodule has loaded (``psnr`` and ``ssim`` are submodule names
+    too), and an unknown name is an ``AttributeError``."""
+    defined_in = {
+        "LinearFit": "regression",
+        "fit_mssim_accuracy": "regression",
+        "ms_ssim": "msssim",
+        "mse": "psnr",
+        "psnr": "psnr",
+        "ssim": "ssim",
+    }
+    exports, resolved, unknown = _run_fresh(
+        "import importlib, json\n"
+        "import repro.metrics\n"
+        "defined_in = json.loads(sys.argv[1])\n"
+        "for module in sorted(set(defined_in.values())):\n"
+        "    importlib.import_module(f'repro.metrics.{module}')\n"
+        "resolved = {\n"
+        "    name: getattr(repro.metrics, name)\n"
+        "    is getattr(sys.modules[f'repro.metrics.{module}'], name)\n"
+        "    for name, module in defined_in.items()\n"
+        "}\n"
+        "try:\n"
+        "    repro.metrics.no_such_metric\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as error:\n"
+        "    unknown = str(error)\n"
+        "print(json.dumps([repro.metrics.__all__, resolved, unknown]))\n",
+        json.dumps(defined_in),
+    )
+    assert exports == sorted(defined_in)
+    assert resolved == dict.fromkeys(defined_in, True)
+    assert unknown == "module 'repro.metrics' has no attribute 'no_such_metric'"
