@@ -27,7 +27,7 @@ through it and parses tables into it.  It holds no decode tables.  The fast deco
 :meth:`HuffmanTable.cached_from_bytes`,
 the one cached route: a byte-bounded LRU keyed on ``(kind, serialized table
 bytes)``, where *kind* is the flavour, ``"dc"`` or ``"ac"``.  Every entry
-has one layout, a 72 KiB ``array('i')`` block holding the interleaved pair
+has one layout, a 36 KiB ``array('i')`` block holding the interleaved pair
 table and the walk's strides (:func:`_build_super_tables`): a DC-only or
 AC-only scan reads one entry, a mixed scan reads its table's two.  An entry
 is built whole at the miss, straight from the serialized canonical form,
@@ -57,13 +57,19 @@ MAX_CODE_LENGTH = 16
 
 #: Width of the superscalar decode window: one probe of a ``1 << SUPER_BITS``
 #: entry table resolves up to two complete (code + magnitude) symbols.
-#: Tuned empirically: 13 keeps the whole working set (pair tables + walk
-#: byte table) cache-resident while still pairing ~85% of real probes;
-#: wider windows raise the pair rate a little but lose more to cache
-#: misses and table-build cost.  Any value in ``[2, MAX_CODE_LENGTH]``
-#: decodes the same coefficients (``TestWindowWidths`` checks every one);
-#: the escape-route tests craft their codes for 13.
-SUPER_BITS = 13
+#: The width sets the size of every cached table, ``9 << SUPER_BITS``
+#: bytes (36 KiB at 12), and a PCR's tables do not recur across images,
+#: so the table cache is the decode memory that grows with the dataset.
+#: On ``train_local_g10`` (2 vCPUs, ten pairs against 13) 12 cut
+#: ``peak_rss_mb`` 136.7 → 110.4 MB, and ``items_per_s`` read 244 → 240,
+#: inside 13's own spread: a group-10 image takes ≈ 4 % more walk probes
+#: and ≈ 130 instead of ≈ 50 escapes.  11 cut memory further but cost
+#: ≈ 6 % of ``items_per_s`` (three pairs).  Wider windows pair a few more
+#: probes but double the table at each step.  Any value in
+#: ``[2, MAX_CODE_LENGTH]`` decodes the same coefficients
+#: (``TestWindowWidths`` checks every one), and the escape-route tests
+#: derive their crafted codes from the width.
+SUPER_BITS = 12
 
 #: Bit position of the ``voff`` field in a packed symbol
 #: (:func:`_build_super_tables`): ``consume`` takes bits 0–4 and
@@ -76,6 +82,11 @@ SUPER_VOFF_SHIFT = 12
 #: (0 is reserved for "no coefficient").  Fixed at ``1 << 15`` — it bounds
 #: magnitudes, not windows, so it must not shrink with ``SUPER_BITS``.
 SUPER_VALUE_OFFSET = 1 << 15
+
+#: Shift of the code in a packed long code, ``(code << LONG_CODE_SHIFT) |
+#: (length << 8) | symbol``: 8 symbol bits plus 5 length bits.  It packs
+#: fields, it is not the window width.
+LONG_CODE_SHIFT = 13
 
 #: Every window index, the lane the piecewise fill of :func:`_window_slots`
 #: computes on.
@@ -184,7 +195,7 @@ def _cache_budget_bytes() -> int:
 #: ``(kind, serialized table bytes)`` -> ``(decode tables, bytes_consumed)``:
 #: the one table cache (see :meth:`HuffmanTable.cached_from_bytes`).  The
 #: budget is in real bytes — an entry is charged its key and the arrays it
-#: holds, 72 KiB per flavour — so the default holds about 3 600 tables, 360
+#: holds, 36 KiB per flavour — so the default holds about 7 200 tables, 720
 #: ten-scan images.
 _TABLE_CACHE = _LRUByteCache("codec.table_cache", _cache_budget_bytes())
 
@@ -348,15 +359,15 @@ def _plain_entry(symbol: int, length: int, ac: bool) -> int:
 def long_code_entry(long_codes, bits16: int, ac: bool) -> int:
     """Resolve a ``-1`` window: a code longer than ``SUPER_BITS`` (cold).
 
-    ``long_codes`` is the bundle's packed ``(code << 13) | (length << 8) |
-    symbol`` array and ``bits16`` the next 16 stream bits.  Returns the
-    negated plain entry of the code that prefixes them — what the window
-    table itself stores for an oversized magnitude — or ``0`` when none
-    does (invalid prefix).
+    ``long_codes`` is the bundle's packed ``(code << LONG_CODE_SHIFT) |
+    (length << 8) | symbol`` array and ``bits16`` the next 16 stream
+    bits.  Returns the negated plain entry of the code that prefixes them
+    — what the window table itself stores for an oversized magnitude — or
+    ``0`` when none does (invalid prefix).
     """
     for packed in long_codes:
         length = (packed >> 8) & 31
-        if bits16 >> (MAX_CODE_LENGTH - length) == packed >> 13:
+        if bits16 >> (MAX_CODE_LENGTH - length) == packed >> LONG_CODE_SHIFT:
             return -_plain_entry(packed & 0xFF, length, ac)
     return 0
 
@@ -369,7 +380,7 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     long_codes)``, two blocks and two views of the first:
 
     * ``pair`` — one ``array('i')`` of ``(9 << SUPER_BITS) / 4`` entries,
-      72 KiB at ``SUPER_BITS = 13``.  Its first ``2 << SUPER_BITS`` entries
+      36 KiB at ``SUPER_BITS = 12``.  Its first ``2 << SUPER_BITS`` entries
       are the *interleaved pair table*: for a window ``w`` of the next
       ``SUPER_BITS`` stream bits (MSB-first), slot ``2 * w`` is the first
       symbol the window fully decodes and slot ``2 * w + 1`` the symbol
@@ -444,18 +455,19 @@ def _build_super_tables(encode_map: dict[int, tuple[int, int]], kind: str) -> tu
     long_codes = array(
         "i",
         sorted(
-            (code << 13) | (length << 8) | symbol
+            (code << LONG_CODE_SHIFT) | (length << 8) | symbol
             for symbol, (code, length) in encode_map.items()
             if length > SUPER_BITS
         ),
     )
     size = 1 << SUPER_BITS
     first, second, strides = _window_slots(encode_map, kind == "ac")
-    # One 72 KiB block per bundle, filled in place, not separate arrays or
+    # One 36 KiB block per bundle, filled in place, not separate arrays or
     # a ``tobytes`` copy: interleaved in the malloc heap with the build's
-    # temporaries, separate 32 / 32 / 8 KiB arrays cost 31 % more resident
-    # memory than the cache charges (measured over 2 300 entries, with the
-    # slice-fill build's 64 KiB temporaries); one block costs 3 %.
+    # temporaries, separate arrays (32 / 32 / 8 KiB at 13-bit windows) cost
+    # 31 % more resident memory than the cache charges (measured over
+    # 2 300 entries, with the slice-fill build's 64 KiB temporaries); one
+    # block costs 3 %.
     pair = array("i", [0]) * ((9 * size) >> 2)
     pairs64 = np.frombuffer(pair, dtype=np.int64, count=size)
     pairbits = np.frombuffer(pair, dtype=np.uint8, offset=8 * size)
@@ -501,7 +513,7 @@ def _window_slots(encode_map: dict[int, tuple[int, int]], ac: bool):
     the zero-filled probe resolved the true next symbol.
 
     Per-window work is what the pieces keep cheap: a shift or an ``and``
-    over 8 192 windows is ≈ 2 µs, while a gather from a per-symbol table
+    over 4 096 windows is ≈ 1 µs, while a gather from a per-symbol table
     or an ``np.where`` costs 10–27 µs, and slice fills per symbol cost
     4–6 NumPy calls each (docs/performance.md has the numbers).
     """

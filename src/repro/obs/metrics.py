@@ -297,7 +297,9 @@ class MetricsRegistry:
 
         Counters and histogram buckets add; gauges add too, since merging is
         used to aggregate *disjoint* sources (workers, replicas) where sums
-        are the meaningful fleet-wide value.
+        are the meaningful fleet-wide value.  A :func:`diff_snapshots`
+        delta carries each gauge's *change*, so folding every delta of
+        every worker leaves the gauge at the sum of the workers' levels.
         """
         if not self._enabled:
             return
@@ -328,15 +330,19 @@ class MetricsRegistry:
 def diff_snapshots(new: dict, old: dict) -> dict:
     """The per-event delta between two snapshots of the *same* registry.
 
-    Counters and histogram buckets subtract; gauges keep their new value
-    (a gauge is a level, not a total).  This is what a ``DecodePool``
-    worker ships back per chunk: the work done since its previous chunk.
+    Counters, histogram buckets and gauges subtract, and a metric that did
+    not move is left out.  This is what a ``DecodePool`` worker ships back
+    per chunk: the work done since its previous chunk.  A gauge's delta is
+    how far its level moved (negative when it fell), so the parent, which
+    adds every delta it merges, holds the sum of its workers' levels, not
+    one level per chunk.
     """
-    counters = {}
-    for name, value in new.get("counters", {}).items():
-        delta = value - old.get("counters", {}).get(name, 0)
-        if delta:
-            counters[name] = delta
+
+    def moved(kind: str) -> dict:
+        previous = old.get(kind, {})
+        deltas = {name: value - previous.get(name, 0) for name, value in new.get(kind, {}).items()}
+        return {name: delta for name, delta in deltas.items() if delta}
+
     histograms = {}
     for name, data in new.get("histograms", {}).items():
         previous = old.get("histograms", {}).get(
@@ -351,8 +357,8 @@ def diff_snapshots(new: dict, old: dict) -> dict:
                 "count": count_delta,
             }
     return {
-        "counters": counters,
-        "gauges": dict(new.get("gauges", {})),
+        "counters": moved("counters"),
+        "gauges": moved("gauges"),
         "histograms": histograms,
     }
 

@@ -797,7 +797,7 @@ def super_tables_reference(
     first, second, strides = window_slots_reference(encode_map, kind == "ac")
     slots = np.stack([first, second], axis=1).astype(np.int32)
     long_codes = sorted(
-        (code << 13) | (length << 8) | symbol
+        (code << huffman.LONG_CODE_SHIFT) | (length << 8) | symbol
         for symbol, (code, length) in encode_map.items()
         if length > huffman.SUPER_BITS
     )

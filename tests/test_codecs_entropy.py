@@ -499,6 +499,7 @@ class TestSuperscalarTables:
         import numpy as np
 
         from repro.codecs.huffman import (
+            MAX_CODE_LENGTH,
             SUPER_BITS,
             _build_super_tables,
             _plain_entry,
@@ -525,13 +526,16 @@ class TestSuperscalarTables:
         assert not pairbits[escapes].any()
         assert not slots2[escapes].any()
         assert np.all(slots1[slots1 > 0] < (1 << 29))
-        # Symbol 12 (run 0, category 12) has the 12-bit code 1111 1111 1110.
-        code, length = table._encode_map[12]
-        assert length == 12
-        assert slots1[code << (SUPER_BITS - length)] == -_plain_entry(12, 12, True)
-        # The four codes longer than the window all sit under the all-ones
-        # window, and the helper tells them apart by the next 16 bits.
-        assert len(long_codes) == 4 and (slots1 == -1).sum() == 1
+        # Symbol SUPER_BITS (run 0, category SUPER_BITS) has the code of
+        # SUPER_BITS - 1 ones and a zero, the whole window.
+        code, length = table._encode_map[SUPER_BITS]
+        assert length == SUPER_BITS
+        assert slots1[code] == -_plain_entry(SUPER_BITS, SUPER_BITS, True)
+        # The codes longer than the window — one at each length up to 15,
+        # two at 16 — all sit under the all-ones window, and the helper
+        # tells them apart by the next 16 bits.
+        n_long = MAX_CODE_LENGTH - SUPER_BITS + 1
+        assert len(long_codes) == n_long and (slots1 == -1).sum() == 1
         for symbol, (code, length) in table._encode_map.items():
             if length > SUPER_BITS:
                 assert slots1[code >> (length - SUPER_BITS)] == -1
@@ -934,18 +938,21 @@ class TestHuffmanTableCaches:
     def test_long_codes_are_charged(self, monkeypatch):
         """An entry is charged its long codes too, 4 bytes each."""
         from repro.codecs import huffman
-        from repro.codecs.huffman import SUPER_BITS, _LRUByteCache
+        from repro.codecs.huffman import MAX_CODE_LENGTH, SUPER_BITS, _LRUByteCache
 
         cache = _LRUByteCache("testonly.long", 64 << 20)
         monkeypatch.setattr(huffman, "_TABLE_CACHE", cache)
-        # A complete code whose 14-, 15- and two 16-bit codes overflow the window.
+        # A complete code with one code at each length 1..15 and two at 16:
+        # those longer than the window overflow it.
         lengths = {symbol: symbol for symbol in range(1, 16)}
         lengths[16] = lengths[17] = 16
+        n_long = MAX_CODE_LENGTH - SUPER_BITS + 1
         serialized = RuntimeHuffmanTable(code_lengths=lengths).to_bytes()
         for kind in ("dc", "ac"):
             tables, _ = RuntimeHuffmanTable.cached_from_bytes(serialized, kind)
-            assert len(tables[-1]) == 4
-            assert cache._entries[(kind, serialized)][1] == len(serialized) + (9 << SUPER_BITS) + 16
+            assert len(tables[-1]) == n_long
+            charge = len(serialized) + (9 << SUPER_BITS) + 4 * n_long
+            assert cache._entries[(kind, serialized)][1] == charge
         assert cache.resident_bytes == _held_bytes(cache)
 
     def test_mixed_scans_read_both_flavours(self, monkeypatch):
@@ -1057,7 +1064,9 @@ class TestHuffmanTableCaches:
         from repro.codecs.progressive import decode_coefficients
         from repro.obs import get_registry
 
-        budget = 1 << 20
+        # Fourteen bundles' worth (≈ 1 MiB at 13-bit windows): the six
+        # streams' sixty tables are several budgets at any width.
+        budget = 14 * (9 << SUPER_BITS)
         monkeypatch.setattr(_TABLE_CACHE, "max_bytes", budget)
         registry = get_registry()
         gauge = registry.gauge("codec.table_cache.bytes")

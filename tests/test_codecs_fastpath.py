@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.codecs import fastpath
 from repro.codecs.baseline import BaselineCodec
 from repro.codecs.fastpath import decode_streams_fast, encode_scan_bodies_fast
+from repro.codecs.huffman import MAX_CODE_LENGTH, SUPER_BITS
 from repro.codecs.image import ImageBuffer
 from repro.codecs.markers import (
     SUBSAMPLING_420,
@@ -695,15 +696,18 @@ class TestInvalidStreamFuzz:
         Three shapes reach the three ``_overflow_error`` sites of
         ``_decode_in_place``: the overflowing symbol first in its
         probe window, second in it (an odd fill count pairs it behind the
-        last coefficient: 3 + 10 bits fill the window exactly), and too
-        wide for the window (category 12: the two-level escape).
+        last coefficient: its category is sized so that 3 + 2 + category
+        bits fill the window exactly), and too wide for the window (a
+        2-bit code + ``SUPER_BITS`` magnitude bits: the two-level escape).
         """
         image = make_structured_image(64, seed=3, color=True)
         stream = BaselineCodec(quality=90).encode(image)
         segments = find_scan_segments(stream)
         assert segments[0].header.spectral_start == 0
         n_fill = segments[0].header.spectral_end - 1
-        for shape in [(n_fill, 0x58), (n_fill - 1, 0x58), (n_fill, 0x5C)]:
+        # Run 5 with a coefficient: 0x57 / 0x5C at 12-bit windows.
+        pairs, too_wide = 0x50 | (SUPER_BITS - 5), 0x50 | SUPER_BITS
+        for shape in [(n_fill, pairs), (n_fill - 1, pairs), (n_fill, too_wide)]:
             for inside, expected in [(True, "ValueError"), (False, "EOFError")]:
                 body = self._overflow_body(*shape, dc=True, inside=inside)
                 bad = self._rebuild(stream, segments, 0, body)
@@ -1179,11 +1183,13 @@ class TestWindowEscapes:
     A window whose first code fits but whose magnitude does not holds the
     symbol's negated plain entry; a window under a code longer than
     ``SUPER_BITS`` holds ``-1`` and ``long_code_entry`` matches the next 16
-    bits against the table's long codes.  The crafted code has one symbol
-    at each length 1..12 and one at 14, 15 or 16 bits — so every other
-    pattern under the twelve-ones prefix is invalid — and each flavour
-    (DC-only, the AC walk, a ``BaselineCodec`` mixed scan) must give the
-    scalar reference's coefficients or error class, at the default
+    bits against the table's long codes.  The crafted code is derived from
+    the window: one symbol at each length ``1 .. SUPER_BITS - 1`` and one
+    long code at ``SUPER_BITS + 1 .. 16`` bits, whose window is the
+    ``SUPER_BITS - 1`` ones then a zero — so every other pattern under that
+    prefix, and the all-ones window of the padding, is invalid — and each
+    flavour (DC-only, the AC walk, a ``BaselineCodec`` mixed scan) must give
+    the scalar reference's coefficients or error class, at the default
     walk-batch cap and at 64 bytes.
     """
 
@@ -1206,21 +1212,29 @@ class TestWindowEscapes:
         monkeypatch.setattr(fastpath, "long_code_entry", spy)
         return calls
 
-    #: Run/size symbols in code-length order; 0x0C (category 12) gets a
-    #: 2-bit code, so code + magnitude (14 bits) never fit the window.
-    _AC_SYMBOLS = [0x01, 0x0C, 0x00, 0xF0, 0x11, 0x21, 0x02, 0x31, 0x12, 0x41, 0x03, 0x51, 0x61]
-    #: DC categories, likewise (category 12 second).
-    _DC_SYMBOLS = [0, 1, 12, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
-    #: Under the twelve-ones prefix but none of the 14/15/16-bit codes (they
-    #: continue with zeros), then 16 arbitrary in-payload bits.
-    _NO_MATCH = [(0b11111111111101, 14)]
+    #: The oversized category: its 2-bit code + ``SUPER_BITS`` magnitude
+    #: bits never fit the window.  As a run/size byte it is run 0, so the
+    #: same symbol is an AC coefficient and a DC diff.
+    _BIG = SUPER_BITS
+    #: A positive magnitude of that category (top bit set): 2053 at 12 bits.
+    _BIG_VALUE = (1 << (SUPER_BITS - 1)) | 5
+    #: Run/size symbols in code-length order; the oversized one second.
+    _AC_SYMBOLS = [0x01, _BIG, 0x00, 0xF0, 0x11, 0x21, 0x02, 0x31, 0x12, 0x41, 0x03, 0x51, 0x61, 0x71]
+    #: DC categories, likewise (the oversized one second).
+    _DC_SYMBOLS = [0, 1, _BIG] + [category for category in range(2, 15) if category != SUPER_BITS]
+    #: The long codes' window (``SUPER_BITS - 1`` ones, a zero) then a one,
+    #: which none of them has (they continue with zeros), then 16
+    #: arbitrary in-payload bits.
+    _NO_MATCH = [((((1 << (SUPER_BITS - 1)) - 1) << 2) | 0b01, SUPER_BITS + 1)]
     _IN_PAYLOAD = [(0b0110110101101101, 16)]
+    #: Every long-code length the window leaves.
+    _LONG_LENGTHS = list(range(SUPER_BITS + 1, MAX_CODE_LENGTH + 1))
 
     @staticmethod
     def _table(symbols, long_symbol, length):
         from tests.codec_reference import HuffmanTable
 
-        short = [symbol for symbol in symbols if symbol != long_symbol][:12]
+        short = [symbol for symbol in symbols if symbol != long_symbol][: SUPER_BITS - 1]
         lengths = {symbol: index + 1 for index, symbol in enumerate(short)}
         lengths[long_symbol] = length
         return HuffmanTable(code_lengths=lengths)
@@ -1249,8 +1263,9 @@ class TestWindowEscapes:
         """16 blocks of a 20-slot band that use every escape route."""
         eob = (0x00, 0, 0)
         # Two 2-bit symbols resolve in one paired probe; the next probe
-        # opens on the oversized (category 12) symbol: +2053 at slot 2.
-        oversized = [(0x01, 1, 1), (0x01, 0, 1), (0x0C, 0x805, 12), eob]
+        # opens on the oversized symbol: +_BIG_VALUE at slot 2.
+        big = TestWindowEscapes._BIG
+        oversized = [(0x01, 1, 1), (0x01, 0, 1), (big, TestWindowEscapes._BIG_VALUE, big), eob]
         long_block = {
             0xF0: [(0xF0, 0, 0), (0x11, 1, 1), eob],  # a long-coded ZRL
             0x00: [(0x11, 0, 1), eob],  # every EOB is long-coded
@@ -1258,7 +1273,7 @@ class TestWindowEscapes:
         }[long_symbol]
         return [oversized, long_block, [eob], long_block, oversized] + [[eob]] * 11
 
-    @pytest.mark.parametrize("length", [14, 15, 16])
+    @pytest.mark.parametrize("length", _LONG_LENGTHS)
     @pytest.mark.parametrize("long_category", [0, 11])
     def test_dc_scan(self, long_lookups, dc_replays, long_category, length):
         from repro.codecs.markers import ScanHeader
@@ -1266,15 +1281,16 @@ class TestWindowEscapes:
         table = self._table(self._DC_SYMBOLS, long_category, length)
         long_diff = (long_category, 0x400 if long_category else 0, long_category)
         zero = (0, 0, 0) if long_category else (1, 1, 1)
-        # A paired probe (+1, -1), the oversized +2053 right behind it, then
+        # A paired probe (+1, -1), the oversized diff right behind it, then
         # the long code between short ones.
-        diffs = [(1, 1, 1), (1, 0, 1), (12, 0x805, 12), long_diff, zero, long_diff]
+        big = (self._BIG, self._BIG_VALUE, self._BIG)
+        diffs = [(1, 1, 1), (1, 0, 1), big, long_diff, zero, long_diff]
         diffs += [zero] * 10
         scan = ScanHeader((0,), 0, 0)
         decoded = TestBlockSegmentation._decode_both(
             self._luma_stream(scan, self._body(table, diffs))
         )
-        assert decoded.planes[0][:3, 0].tolist() == [1, 0, 2053]
+        assert decoded.planes[0][:3, 0].tolist() == [1, 0, self._BIG_VALUE]
         assert [entry < -1 for _, entry in long_lookups] == [True, True]
         assert dc_replays == []  # the walk finished every escape itself
         # A pattern under the long codes' prefix that is none of them.
@@ -1299,7 +1315,7 @@ class TestWindowEscapes:
         """
         from repro.codecs.markers import ScanHeader
 
-        table = self._table(self._DC_SYMBOLS, 17, 14)
+        table = self._table(self._DC_SYMBOLS, 17, SUPER_BITS + 1)
         diffs = [(1, 1, 1), (17, 0x400, 17)] + [(0, 0, 0)] * 14
         scan = ScanHeader((0,), 0, 0)
         decoded = TestBlockSegmentation._decode_both(
@@ -1309,7 +1325,7 @@ class TestWindowEscapes:
         assert dc_replays == [scan]
         assert long_lookups and all(entry < -1 for _, entry in long_lookups)
 
-    @pytest.mark.parametrize("length", [14, 15, 16])
+    @pytest.mark.parametrize("length", _LONG_LENGTHS)
     @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])
     def test_ac_walk(self, long_lookups, long_symbol, length):
         from repro.codecs.markers import ScanHeader
@@ -1320,7 +1336,8 @@ class TestWindowEscapes:
         body = self._body(table, [item for block in blocks for item in block])
         decoded = TestBlockSegmentation._decode_both(self._luma_stream(scan, body))
         luma = decoded.planes[0]
-        assert luma[0, 1:5].tolist() == [1, -1, 2053, 0] and luma[4, 3] == 2053
+        big = self._BIG_VALUE
+        assert luma[0, 1:5].tolist() == [1, -1, big, 0] and luma[4, 3] == big
         if long_symbol == 0xF0:
             assert luma[1, 18] == 1 and not luma[1, 1:18].any()
         assert len(long_lookups) == (16 if long_symbol == 0x00 else 2)
@@ -1335,7 +1352,7 @@ class TestWindowEscapes:
         # then the in-place decode matches the same bits and classifies.
         assert long_lookups == [(1, 0)] * 4
 
-    @pytest.mark.parametrize("length", [14, 15, 16])
+    @pytest.mark.parametrize("length", _LONG_LENGTHS)
     @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])
     def test_mixed_scan(self, long_lookups, long_symbol, length):
         image = make_structured_image(16, seed=3, color=False)
@@ -1345,16 +1362,17 @@ class TestWindowEscapes:
         assert (header.component_ids, header.spectral_start, header.spectral_end) == ((0,), 0, 63)
         table = self._table(self._AC_SYMBOLS, long_symbol, length)
         # Each block opens on a DC diff coded with the same table: an
-        # oversized one (+2053), a paired-width one, and — where EOB's code
-        # is the long one — a zero diff through the long-code route.
-        dc_diffs = [(0x0C, 0x805, 12), (0x01, 0, 1), (0x00, 0, 0), (0x02, 0b10, 2)]
+        # oversized one (+_BIG_VALUE), a paired-width one, and — where EOB's
+        # code is the long one — a zero diff through the long-code route.
+        big = self._BIG_VALUE
+        dc_diffs = [(self._BIG, big, self._BIG), (0x01, 0, 1), (0x00, 0, 0), (0x02, 0b10, 2)]
         blocks = self._ac_blocks(long_symbol)[:4]
         symbols = [item for dc, block in zip(dc_diffs, blocks) for item in [dc] + block]
         good = TestInvalidStreamFuzz._rebuild(stream, segments, 0, self._body(table, symbols))
         decoded = TestBlockSegmentation._decode_both(good)
         luma = decoded.planes[0]
-        assert luma[:, 0].tolist() == [2053, 2052, 2052, 2054]
-        assert luma[0, 1:5].tolist() == [1, -1, 2053, 0]
+        assert luma[:, 0].tolist() == [big, big - 1, big - 1, big + 1]
+        assert luma[0, 1:5].tolist() == [1, -1, big, 0]
         if long_symbol == 0xF0:
             assert luma[1, 18] == 1 and not luma[1, 1:18].any()
         assert len(long_lookups) == (5 if long_symbol == 0x00 else 2)
@@ -1377,7 +1395,7 @@ class TestWindowEscapes:
         oversized magnitudes it holds (DC diffs and AC coefficients alike,
         both walked).
         """
-        from repro.codecs.huffman import SUPER_BITS, HuffmanTable
+        from repro.codecs.huffman import HuffmanTable
 
         escapes = []
         walk = fastpath._walk_one
@@ -1410,7 +1428,7 @@ class TestWindowEscapes:
         tables (224 px, quality 90) carry a 14- or 15-bit code.  Its first
         image is one, in the luma band 10..35 scan.
         """
-        from repro.codecs.huffman import SUPER_BITS, HuffmanTable
+        from repro.codecs.huffman import HuffmanTable
         from repro.datasets.synthetic import SyntheticImageGenerator, SyntheticImageSpec
 
         generator = SyntheticImageGenerator(4, SyntheticImageSpec(image_size=224), seed=11)
@@ -1494,10 +1512,12 @@ class TestWalkProbes:
             entries = [entry for (_, entries), _, _ in walks for entry in entries]
             assert entries and min(entries) > 0
 
-    @pytest.mark.parametrize("length", [13, 14, 15, 16], ids=["oversized", "long-14", "long-15", "long-16"])
+    @pytest.mark.parametrize(
+        "length", [SUPER_BITS, 14, 15, 16], ids=["oversized", "long-14", "long-15", "long-16"]
+    )
     @pytest.mark.parametrize("long_symbol", [0xF0, 0x00, 0x61], ids=["zrl", "eob", "coefficient"])
     def test_ac_escapes(self, walks, long_symbol, length):
-        """At length 13 every code fits the window: the escapes are oversized magnitudes only."""
+        """At length ``SUPER_BITS`` every code fits the window: only oversized magnitudes escape."""
         table = TestWindowEscapes._table(TestWindowEscapes._AC_SYMBOLS, long_symbol, length)
         blocks = TestWindowEscapes._ac_blocks(long_symbol)
         body = TestWindowEscapes._body(table, [item for block in blocks for item in block])
@@ -1506,13 +1526,14 @@ class TestWalkProbes:
         ((_, entries), _, _) = walks[0]
         assert any(entry > 0 for entry in entries)  # the padding may end on a -1
 
-    @pytest.mark.parametrize("length", [13, 14, 16], ids=["oversized", "long-14", "long-16"])
+    @pytest.mark.parametrize("length", [SUPER_BITS, 14, 16], ids=["oversized", "long-14", "long-16"])
     @pytest.mark.parametrize("long_category", [0, 11])
     def test_dc_escapes(self, walks, long_category, length):
         table = TestWindowEscapes._table(TestWindowEscapes._DC_SYMBOLS, long_category, length)
         long_diff = (long_category, 0x400 if long_category else 0, long_category)
         zero = (0, 0, 0) if long_category else (1, 1, 1)
-        diffs = [(1, 1, 1), (1, 0, 1), (12, 0x805, 12), long_diff, zero, long_diff]
+        big = (TestWindowEscapes._BIG, TestWindowEscapes._BIG_VALUE, TestWindowEscapes._BIG)
+        diffs = [(1, 1, 1), (1, 0, 1), big, long_diff, zero, long_diff]
         diffs += [zero] * 10
         self._walk_crafted(ScanHeader((0,), 0, 0), TestWindowEscapes._body(table, diffs))
         self._assert_same_walks(walks)
@@ -1522,10 +1543,10 @@ class TestWalkProbes:
     @pytest.mark.parametrize("dc", [False, True], ids=["ac", "dc"])
     def test_an_invalid_prefix_mid_scan_ends_the_walk_at_its_probe(self, walks, dc):
         if dc:
-            table = TestWindowEscapes._table(TestWindowEscapes._DC_SYMBOLS, 0, 14)
+            table = TestWindowEscapes._table(TestWindowEscapes._DC_SYMBOLS, 0, SUPER_BITS + 1)
             head, tail, scan = [(1, 1, 1)] * 3, [(1, 0, 1)] * 40, ScanHeader((0,), 0, 0)
         else:
-            table = TestWindowEscapes._table(TestWindowEscapes._AC_SYMBOLS, 0x61, 14)
+            table = TestWindowEscapes._table(TestWindowEscapes._AC_SYMBOLS, 0x61, SUPER_BITS + 1)
             head, tail, scan = [(0x01, 1, 1)] * 3, [(0x01, 0, 1)] * 40, ScanHeader((0,), 1, 20)
         body = TestWindowEscapes._body(table, head, TestWindowEscapes._NO_MATCH)
         body += TestWindowEscapes._body(table, tail)[len(table.to_bytes()) :]
@@ -1534,7 +1555,8 @@ class TestWalkProbes:
         ((probes, entries), _, n_strides) = walks[0]
         assert entries[-1] == -1 and entries.count(-1) == 1
         # Stopped at the escape, well before the valid symbols behind it.
-        assert probes[-1] == 6 and n_strides - 64 > 6 + 14 + 40 * 2
+        ((_, no_match_bits),) = TestWindowEscapes._NO_MATCH
+        assert probes[-1] == 6 and n_strides - 64 > 6 + no_match_bits + 40 * 2
 
     @pytest.mark.parametrize("category, length", [(16, 14), (17, 14), (17, 16)])
     def test_a_dc_diff_of_category_16_and_up_ends_the_walk(self, walks, category, length):

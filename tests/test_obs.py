@@ -10,6 +10,7 @@ replicas.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import sys
 import threading
@@ -166,14 +167,20 @@ class TestHistogram:
 class TestSnapshotAlgebra:
     def test_diff_subtracts_counters_and_histograms(self, registry):
         registry.counter("c").inc(3)
+        registry.gauge("g").set(4)
+        registry.gauge("falls").set(10)
+        registry.gauge("flat").set(7)
         registry.histogram("h", edges=(1.0,)).observe(0.5)
         old = registry.snapshot()
         registry.counter("c").inc(2)
         registry.gauge("g").set(9)
+        registry.gauge("falls").set(6)
+        registry.gauge("new").set(2)
         registry.histogram("h", edges=(1.0,)).observe(5.0)
         delta = diff_snapshots(registry.snapshot(), old)
         assert delta["counters"] == {"c": 2}
-        assert delta["gauges"]["g"] == 9  # gauges keep the new level
+        # A gauge ships how far its level moved; an unmoved one is left out.
+        assert delta["gauges"] == {"g": 5, "falls": -4, "new": 2}
         assert delta["histograms"]["h"]["counts"] == [0, 1]
         assert delta["histograms"]["h"]["count"] == 1
         assert delta["histograms"]["h"]["sum"] == pytest.approx(5.0)
@@ -183,6 +190,7 @@ class TestSnapshotAlgebra:
         snapshot = registry.snapshot()
         delta = diff_snapshots(snapshot, snapshot)
         assert delta["counters"] == {}
+        assert delta["gauges"] == {}
         assert delta["histograms"] == {}
 
     def test_merge_folds_delta_into_registry(self, registry):
@@ -364,6 +372,42 @@ class TestForkAwareAggregation:
         for name in ("decode.streams_total", "decode.bytes_total"):
             assert parallel["counters"].get(name) == in_process["counters"].get(name), name
         assert in_process["counters"]["decode.streams_total"] > 0
+
+    def test_pooled_gauges_read_the_sum_of_the_workers_levels(self, tiny_streams, monkeypatch, tmp_path):
+        """After every pooled batch a gauge equals the workers' own levels, summed.
+
+        Each worker ships a gauge's change since its previous chunk; a
+        level shipped per chunk would re-add the worker's whole table cache
+        once per chunk it ran.  The workers' levels are read from outside
+        the registry: a spy on the cache's gauge sync, which the forked
+        workers inherit, writes each process's entries and bytes to a file
+        named after its pid.
+        """
+        from repro.codecs import huffman
+        from repro.codecs.parallel import DecodePool
+
+        cache = huffman._LRUByteCache("testonly.pooled", 64 << 20)
+        monkeypatch.setattr(huffman, "_TABLE_CACHE", cache)
+        sync = huffman._LRUByteCache._sync_gauges
+
+        def spy(self) -> None:
+            sync(self)
+            if self is cache:
+                (tmp_path / str(os.getpid())).write_text(f"{len(self._entries)} {self._bytes}")
+
+        monkeypatch.setattr(huffman._LRUByteCache, "_sync_gauges", spy)
+        registry = get_registry()
+        entries = registry.gauge("testonly.pooled.entries")
+        resident = registry.gauge("testonly.pooled.bytes")
+        streams = [stream for _, stream, _ in tiny_streams[:16]]
+        with DecodePool(2) as pool:
+            for _ in range(3):
+                pool.decode_batch(streams)
+                levels = {path.name: path.read_text().split() for path in tmp_path.iterdir()}
+                assert str(os.getpid()) not in levels  # every table was built in a worker
+                assert entries.value == sum(int(n) for n, _ in levels.values()) > 0
+                assert resident.value == sum(int(b) for _, b in levels.values())
+            assert pool.stats.parallel_batches == 3
 
 
 @pytest.fixture()
